@@ -25,7 +25,7 @@ use taurus_engine::btree::{BTree, MutCtx, PageFetch};
 use taurus_engine::pool::{EnginePool, Frame};
 use taurus_fabric::Fabric;
 use taurus_pagestore::cluster::PageStoreOptions;
-use taurus_pagestore::{PageStoreCluster, SliceFragment};
+use taurus_pagestore::{ConsolidationPolicy, PageStoreCluster, SliceFragment};
 
 /// An engine over N/W quorum storage.
 pub struct QuorumEngine {
@@ -75,6 +75,9 @@ impl QuorumEngine {
             PageStoreOptions {
                 log_cache_bytes: cfg.pagestore_log_cache_bytes,
                 pool_pages: cfg.pagestore_buffer_pool_pages,
+                // The baseline keeps the paper's log-cache-centric policy;
+                // layered consolidation is this repo's own Page Store design.
+                consolidation: ConsolidationPolicy::LogCacheCentric,
                 ..PageStoreOptions::default()
             },
         );

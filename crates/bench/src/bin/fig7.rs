@@ -131,35 +131,21 @@ fn append_latency_smoke() {
     println!("  mean append ack {mean:.0}us < {bound:.0}us: parallel fan-out OK");
 }
 
-/// Runs a Taurus-only workload with an explicit config (no baseline) and
-/// returns the driver report.
-fn run_taurus_only(
-    cfg: taurus_common::TaurusConfig,
-    workload: &dyn Workload,
-    conns: usize,
-) -> DriverReport {
-    let (db, guard) = launch_taurus_with(cfg).expect("launch taurus");
-    let taurus = TaurusExecutor::new(db);
-    load_initial(&taurus, workload).expect("load taurus");
-    let report = run_workload(&taurus, workload, conns, txns_per_conn(), 7);
-    println!("  taurus page store: {}", taurus.db.pages.store_stats());
-    drop(guard);
-    report
-}
-
-/// CI smoke (`TAURUS_FIG7_STORBND_ASSERT=1`), two assertions on the
-/// storage-bound read-only benchmark:
+/// CI smoke (`TAURUS_FIG7_STORBND_ASSERT=1`) on the storage-bound read-only
+/// benchmark: the Taurus/Aurora TPS ratio is computed against the baseline
+/// measured **in this run on this host** — never against the committed
+/// trail, whose absolute Aurora TPS drifts with host speed (the fig7 "reads
+/// <1x while Taurus is unchanged" anomaly). The bound is env-tunable for
+/// noisy runners (`TAURUS_FIG7_STORBND_RATIO`).
 ///
-/// 1. The Taurus/Aurora TPS ratio is computed against the baseline measured
-///    **in this run on this host** — never against the committed trail,
-///    whose absolute Aurora TPS drifts with host speed (the fig7 "reads
-///    <1x while Taurus is unchanged" anomaly).
-/// 2. The layered read path's p99 must not be worse than the legacy replay
-///    path, measured back-to-back on the same host. Both bounds are
-///    env-tunable for noisy runners (`TAURUS_FIG7_STORBND_RATIO`,
-///    `TAURUS_FIG7_STORBND_P99_FACTOR`).
-fn storage_bound_read_smoke(layered: &DriverReport, aurora: &DriverReport, conns: usize) {
-    header("Storage-bound read smoke: same-run ratio + layered read p99");
+/// The second gate this smoke used to carry — layered read p99 against a
+/// "legacy replay" re-run under a config knob that switched Page Stores back
+/// to the log-cache-centric policy — was retired with that knob (PR 12); its
+/// historical numbers stay in EXPERIMENTS.md, and the
+/// policy comparison lives on in the `ablations` bench, which builds Page
+/// Store servers with each `ConsolidationPolicy` directly.
+fn storage_bound_read_smoke(layered: &DriverReport, aurora: &DriverReport) {
+    header("Storage-bound read smoke: same-run ratio");
     let ratio = layered.tps / aurora.tps.max(1e-9);
     let bound: f64 = std::env::var("TAURUS_FIG7_STORBND_RATIO")
         .ok()
@@ -171,37 +157,6 @@ fn storage_bound_read_smoke(layered: &DriverReport, aurora: &DriverReport, conns
          < bound {bound:.2}"
     );
     println!("  same-run storage-bound read ratio {ratio:.3} >= {bound:.2}: OK");
-
-    // Re-run Taurus with the legacy replay consolidation on the same host:
-    // the only difference is the Page Store organization, so the comparison
-    // isolates what layering buys at the tail.
-    let (rows, pool) = ScaleRegime::StorageBound.geometry();
-    let w = SysbenchWorkload::new(SysbenchMode::ReadOnly, rows, 200);
-    let legacy_cfg = {
-        let mut cfg = bench_config(pool);
-        cfg.engine_buffer_pool_pages = pool;
-        cfg.layered_consolidation = false;
-        cfg
-    };
-    let legacy = run_taurus_only(legacy_cfg, &w, conns);
-    let factor: f64 = std::env::var("TAURUS_FIG7_STORBND_P99_FACTOR")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        // Short smoke runs (TAURUS_BENCH_TXNS=25) see ~±10% p99 noise; the
-        // factor bounds the regression while the committed EXPERIMENTS.md
-        // entry records the measured improvement on full-length runs.
-        .unwrap_or(1.15);
-    println!(
-        "  read p99: layered {}us vs legacy replay {}us (bound {factor:.2}x)",
-        layered.p99_latency_us, legacy.p99_latency_us
-    );
-    assert!(
-        (layered.p99_latency_us as f64) <= legacy.p99_latency_us as f64 * factor,
-        "storage-bound read p99 regressed: layered {}us > legacy {}us x {factor:.2}",
-        layered.p99_latency_us,
-        legacy.p99_latency_us
-    );
-    println!("  layered storage-bound read p99 within bound: OK");
 }
 
 fn main() {
@@ -320,6 +275,6 @@ fn main() {
     }
     if std::env::var("TAURUS_FIG7_STORBND_ASSERT").as_deref() == Ok("1") {
         let (t, a) = storbnd_read.expect("storage-bound read-only benchmark ran");
-        storage_bound_read_smoke(&t, &a, conns);
+        storage_bound_read_smoke(&t, &a);
     }
 }

@@ -184,14 +184,11 @@ pub struct TaurusConfig {
     /// forced it. Bounds the latency of stragglers under adaptive
     /// group-commit sizing; 0 flushes any non-empty buffer on every tick.
     pub log_group_commit_idle_us: u64,
-    /// Whether Page Stores run the layered (log-structured) consolidation
-    /// policy: fragments accumulate into immutable L0 delta layers that a
-    /// compactor merges into L1 image layers, with version GC as a
-    /// by-product of the merge (DESIGN.md §13). `false` falls back to the
-    /// paper's log-cache-centric policy (the differential baseline).
-    pub layered_consolidation: bool,
     /// Staged payload bytes at which a Page Store seals its open L0 delta
-    /// layer to one immutable device blob.
+    /// layer to one immutable device blob (layered consolidation, DESIGN.md
+    /// §13: fragments accumulate into immutable L0 delta layers that a
+    /// compactor merges into L1 image layers, with version GC as a
+    /// by-product of the merge).
     pub layer_l0_target_bytes: usize,
     /// Number of sealed L0 layers that triggers an L0→L1 compaction.
     pub compaction_threshold: usize,
@@ -227,12 +224,6 @@ pub struct TaurusConfig {
     /// thousands of simulated connections cost `driver_workers` threads,
     /// not one thread each.
     pub driver_workers: usize,
-    /// Whether the SAL coalesces per-slice requests targeting the same Page
-    /// Store node into one `call_grouped` envelope on the batched-read,
-    /// pushdown-scan, and write-pipeline hot paths. `false` forces the
-    /// per-slice RPC path — the differential baseline for byte-identity
-    /// tests; results are identical by construction either way.
-    pub rpc_coalescing: bool,
 }
 
 impl Default for TaurusConfig {
@@ -268,7 +259,6 @@ impl Default for TaurusConfig {
             btree_readahead_window: 16,
             log_streams: 4,
             log_group_commit_idle_us: 1_000,
-            layered_consolidation: true,
             layer_l0_target_bytes: 256 << 10,
             compaction_threshold: 4,
             rebalance_enabled: false,
@@ -278,7 +268,6 @@ impl Default for TaurusConfig {
             rebalance_spread_ratio: 2.0,
             fabric_workers: 16,
             driver_workers: 48,
-            rpc_coalescing: true,
         }
     }
 }

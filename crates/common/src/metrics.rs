@@ -184,6 +184,104 @@ impl Counter {
     }
 }
 
+/// A field of a [`counters!`] family: a [`Counter`] or a fixed-size histogram
+/// `[Counter; N]`, together with how its plain-value copy is summed. The
+/// copy prints through `Debug` (`7`, `[0, 2, 5]`).
+pub trait CounterField {
+    /// The field's type in the family's `Snapshot` twin.
+    type Value: Copy + Default + Eq + std::fmt::Debug;
+    fn value(&self) -> Self::Value;
+    fn absorb(into: &mut Self::Value, other: Self::Value);
+}
+
+impl CounterField for Counter {
+    type Value = u64;
+    fn value(&self) -> u64 {
+        self.get()
+    }
+    fn absorb(into: &mut u64, other: u64) {
+        *into += other;
+    }
+}
+
+impl<const N: usize> CounterField for [Counter; N]
+where
+    [u64; N]: Default,
+{
+    type Value = [u64; N];
+    fn value(&self) -> [u64; N] {
+        std::array::from_fn(|i| self[i].get())
+    }
+    fn absorb(into: &mut [u64; N], other: [u64; N]) {
+        for (a, b) in into.iter_mut().zip(other) {
+            *a += b;
+        }
+    }
+}
+
+/// Declares a counter family **once**: from one field list it emits the live
+/// struct (fields are [`Counter`] or `[Counter; N]`), its plain-value
+/// `Snapshot` twin, `snapshot()`, a summing `absorb`, and a `Display` that
+/// prints `name=value` pairs in declaration order. A field may override its
+/// printed label with `as "label"` (histograms name their buckets there);
+/// `derived { method, .. }` appends `method=self.method()` pairs computed from
+/// the snapshot.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $live:ident => $snap:ident {
+            $( $(#[$fmeta:meta])* pub $name:ident : $ty:ty $(as $label:literal)? ),* $(,)?
+        }
+        $(derived { $($derived:ident),* $(,)? })?
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        pub struct $live {
+            $( $(#[$fmeta])* pub $name: $ty, )*
+        }
+
+        impl $live {
+            /// Point-in-time copy of every counter.
+            pub fn snapshot(&self) -> $snap {
+                $snap {
+                    $( $name: $crate::metrics::CounterField::value(&self.$name), )*
+                }
+            }
+        }
+
+        #[doc = concat!("Plain-value snapshot of [`", stringify!($live), "`]; summable with `absorb`.")]
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct $snap {
+            $( $(#[$fmeta])* pub $name: <$ty as $crate::metrics::CounterField>::Value, )*
+        }
+
+        impl $snap {
+            /// Adds `other` field by field.
+            pub fn absorb(&mut self, other: $snap) {
+                $( <$ty as $crate::metrics::CounterField>::absorb(&mut self.$name, other.$name); )*
+            }
+        }
+
+        impl std::fmt::Display for $snap {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                let mut sep = "";
+                $(
+                    let label = $crate::counters!(@label $name $(, $label)?);
+                    write!(f, "{sep}{label}={:?}", self.$name)?;
+                    sep = " ";
+                )*
+                $($( write!(f, "{sep}{}={}", stringify!($derived), self.$derived())?; )*)?
+                let _ = sep;
+                Ok(())
+            }
+        }
+    };
+    (@label $name:ident) => { stringify!($name) };
+    (@label $name:ident, $label:literal) => { $label };
+}
+pub use crate::counters;
+
 /// An instantaneous level (queue depth, in-flight requests). Unlike
 /// [`Counter`] it moves both ways; `sub` saturates at zero rather than
 /// wrapping so a racy decrement cannot report 2^64 items queued.
@@ -470,6 +568,42 @@ mod tests {
         let text = snap.to_string();
         assert!(text.contains("seal_switches=1"));
         assert!(text.contains("mean=200.0"));
+    }
+
+    counters! {
+        /// Test family.
+        pub struct FamilyStats => FamilyStatsSnapshot {
+            /// A scalar.
+            pub ops: Counter,
+            pub bytes: Counter,
+            /// A histogram with a bucket label.
+            pub sizes: [Counter; 3] as "sizes[1|2|3+]",
+        }
+        derived { bytes_per_op }
+    }
+
+    impl FamilyStatsSnapshot {
+        fn bytes_per_op(&self) -> u64 {
+            self.bytes / self.ops.max(1)
+        }
+    }
+
+    #[test]
+    fn counters_macro_emits_snapshot_absorb_and_display_from_one_list() {
+        let s = FamilyStats::default();
+        s.ops.add(2);
+        s.bytes.add(10);
+        s.sizes[2].inc();
+        let snap = s.snapshot();
+        assert_eq!((snap.ops, snap.bytes, snap.sizes), (2, 10, [0, 0, 1]));
+        assert_eq!(
+            snap.to_string(),
+            "ops=2 bytes=10 sizes[1|2|3+]=[0, 0, 1] bytes_per_op=5"
+        );
+        let mut sum = FamilyStatsSnapshot::default();
+        sum.absorb(snap);
+        sum.absorb(snap);
+        assert_eq!((sum.ops, sum.bytes, sum.sizes), (4, 20, [0, 0, 2]));
     }
 
     #[test]

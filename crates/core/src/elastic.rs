@@ -287,9 +287,8 @@ pub fn move_slice_replica(
             // the departing node move to the newcomer at that horizon.
             s.replica_persistent.remove(&from_node);
             s.replica_persistent.insert(to_node, base);
-            s.read_latency_us.remove(&from_node);
         }
-        sal.suspects.lock().remove(&from_node);
+        sal.reader.forget_replica(key, from_node);
         (fence, epoch)
     };
 

@@ -16,10 +16,12 @@
 //!   per-slice buffer overlapping it reached at least one Page Store
 //!   replica. The SAL tracks the many-to-many relationship between database
 //!   log buffers and per-slice buffers to maintain it.
-//! * **Read path** (§4.2): versioned page reads routed to the
-//!   lowest-latency replica, falling through to the next replica when one is
-//!   behind or down, and falling back to Log-Store-driven repair when all
-//!   replicas miss data.
+//! * **Read path** (§4.2) and **scan pushdown** (NDP follow-on paper): one
+//!   planner, [`slice_reader`], used by the master's SAL and by read
+//!   replicas alike — versioned reads routed to the lowest-latency replica,
+//!   falling through to the next replica when one is behind or down, with
+//!   per-node coalescing of multi-slice plans and Log-Store-driven repair
+//!   when all replicas miss data.
 //! * **Log truncation** (§4.3): the *database persistent LSN* — the minimum
 //!   persistent LSN across slice replicas that still miss records — gates
 //!   PLog deletion, guaranteeing every record lives on three nodes somewhere
@@ -27,17 +29,15 @@
 //! * **Recovery** (§5): persistent-LSN regression detection (Fig. 4b),
 //!   missing-range probing (Fig. 4c), targeted gossip triggering, Log-Store
 //!   resends, and full SAL restart recovery (§5.3).
-//! * **Scan pushdown** (NDP follow-on paper): table scans planned as
-//!   per-slice `ScanSlice` calls fanned out to the Page Stores, with the
-//!   same replica routing and repair escalation as the read path, and a
-//!   fetch-and-filter fallback when no replica can serve the snapshot.
 
 pub mod elastic;
 pub mod rebalance;
 pub mod recovery;
 pub mod sal;
+pub mod slice_reader;
 
 pub use elastic::{merge_slices, move_slice_replica, split_slice, CutoverReport};
 pub use rebalance::{RebalanceReport, Rebalancer};
 pub use recovery::RecoveryService;
-pub use sal::{NdpStats, NdpStatsSnapshot, Sal, SalStats, SalStatsSnapshot, TableScan};
+pub use sal::{NdpStats, NdpStatsSnapshot, Sal, SalStats, SalStatsSnapshot};
+pub use slice_reader::{FrontEnd, SliceReader, TableScan};

@@ -8,11 +8,14 @@
 //! drainers retry failed `WriteLogs` with exponential backoff, and after
 //! the retry budget is spent they *park* the slice for
 //! repair-from-Log-Stores and demote the replica to *suspect*
-//! (deprioritized for reads) until it proves itself alive again. With RPC
-//! coalescing, a queued run of fragments to one node rides one grouped
-//! envelope instead of one round trip each.
+//! (deprioritized for reads) until it proves itself alive again. A queued
+//! run of fragments to one node rides one grouped envelope instead of one
+//! round trip each.
+//!
+//! Reads and pushed-down scans go through [`crate::slice_reader`], shared
+//! with read replicas; the SAL contributes a [`FrontEnd`] impl.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -23,17 +26,17 @@ use rand::Rng;
 use taurus_common::clock::ClockRef;
 use taurus_common::lsn::{LsnVector, LsnWatermark};
 use taurus_common::metrics::{Counter, Gauge, LogStoreStats};
-use taurus_common::scan::{evaluate_leaf_page, AggState, ScanAccumulator, ScanRequest};
+use taurus_common::scan::ScanRequest;
 use taurus_common::sync::Sequencer;
 use taurus_common::{
     DbId, LogRecord, LogRecordGroup, Lsn, NodeId, PageBuf, PageId, Result, SliceKey, TaurusConfig,
     TaurusError, PAGE_SIZE,
 };
 use taurus_logstore::{encode_batch, LogStoreCluster, LogStream};
-use taurus_pagestore::{
-    IngestFilter, PageReadOutcome, PageStoreCluster, ReadPagesRequest, ScanSliceRequest,
-    SliceFragment, SliceHeatSnapshot,
-};
+use taurus_pagestore::{IngestFilter, PageStoreCluster, SliceFragment, SliceHeatSnapshot};
+
+pub use crate::slice_reader::TableScan;
+use crate::slice_reader::{FrontEnd, SliceReader};
 
 /// Per-slice state the SAL maintains (paper §3.5, §4).
 #[derive(Debug)]
@@ -58,8 +61,6 @@ pub(crate) struct SliceState {
     /// Last persistent LSN reported by each replica (piggybacked on
     /// WriteLogs/ReadPage responses or polled — paper §4.3).
     pub replica_persistent: HashMap<NodeId, Lsn>,
-    /// EWMA read latency per replica (µs) for latency-aware routing (§4.2).
-    pub read_latency_us: HashMap<NodeId, f64>,
     /// Fabric time of the last persistent-LSN progress on the slowest
     /// replica (stall detection, §5.2).
     pub last_progress_us: u64,
@@ -78,7 +79,6 @@ impl SliceState {
             flush_lsn: Lsn::ZERO,
             acked_lsn: Lsn::ZERO,
             replica_persistent: HashMap::new(),
-            read_latency_us: HashMap::new(),
             last_progress_us: 0,
             buffer_opened_us: 0,
         }
@@ -224,241 +224,104 @@ pub(crate) struct SalState {
     snapshots: HashMap<String, Lsn>,
 }
 
-/// Counters exposed for benches and tests.
-#[derive(Debug, Default)]
-pub struct SalStats {
-    pub log_flushes: Counter,
-    pub slice_flushes: Counter,
-    pub page_reads: Counter,
-    pub read_retries: Counter,
-    pub resends: Counter,
-    pub gossip_triggers: Counter,
-    /// `WriteLogs` re-attempts after a failed attempt (per attempt, not per
-    /// fragment).
-    pub write_retries: Counter,
-    /// Failed attempts that also blew the per-attempt latency budget.
-    pub write_timeouts: Counter,
-    /// Fragments abandoned by a sender worker after the retry budget —
-    /// their slice is parked for repair from the Log Stores.
-    pub fragments_parked: Counter,
-    /// Fragments shed because a replica's send queue was full.
-    pub queue_full_drops: Counter,
-    /// Healthy → suspect transitions.
-    pub suspect_demotions: Counter,
-    /// Suspect → healthy transitions.
-    pub suspect_resurrections: Counter,
-    /// Log flushes that failed inside `PendingFlush::drop`, where no caller
-    /// could observe the error directly (it still latches `failed_at`).
-    pub dropped_flush_errors: Counter,
-    /// `flush()` calls that waited for a stream slot so the commit group
-    /// could grow (adaptive group commit under load).
-    pub group_commit_waits: Counter,
-    /// Log Directory pointers the recycle broadcasts purged across Page
-    /// Stores (the handshake reports back what it freed).
-    pub recycle_ptrs_purged: Counter,
-    /// Fragment + layer bytes the recycle broadcasts logically reclaimed.
-    pub recycle_bytes_reclaimed: Counter,
-    /// Slice-level heat aggregates (DESIGN.md §14): log records shipped to
-    /// slices and page reads served, in ops and bytes. Per-slice breakdowns
-    /// live on the Page Stores (`Sal::slice_heat`).
-    pub slice_write_ops: Counter,
-    pub slice_write_bytes: Counter,
-    pub slice_read_ops: Counter,
-    pub slice_read_bytes: Counter,
-    /// Grouped (coalesced) fabric envelopes issued by the miss, scan, and
-    /// flush paths: each merges every per-slice request bound for one Page
-    /// Store node into a single round trip.
-    pub grouped_envelopes: Counter,
-    /// Per-slice requests that rode a grouped envelope instead of paying
-    /// their own fabric round trip.
-    pub grouped_slice_batches: Counter,
-    /// Slices that left the grouped path (envelope failure or a budget
-    /// continuation) and fell back to their own per-slice calls.
-    pub grouped_fallback_slices: Counter,
-    /// Coalescing histogram: per-slice requests per grouped envelope,
-    /// buckets 1, 2, 3–4, 5–8, 9+.
-    pub coalesced_per_rpc: [Counter; 5],
+taurus_common::counters! {
+    /// Counters exposed for benches and tests.
+    pub struct SalStats => SalStatsSnapshot {
+        pub log_flushes: Counter,
+        pub slice_flushes: Counter,
+        pub page_reads: Counter,
+        pub read_retries: Counter,
+        pub resends: Counter,
+        pub gossip_triggers: Counter,
+        /// `WriteLogs` re-attempts after a failed attempt (per attempt, not per
+        /// fragment).
+        pub write_retries: Counter,
+        /// Failed attempts that also blew the per-attempt latency budget.
+        pub write_timeouts: Counter,
+        /// Fragments abandoned by a sender worker after the retry budget —
+        /// their slice is parked for repair from the Log Stores.
+        pub fragments_parked: Counter,
+        /// Fragments shed because a replica's send queue was full.
+        pub queue_full_drops: Counter,
+        /// Healthy → suspect transitions.
+        pub suspect_demotions: Counter,
+        /// Suspect → healthy transitions.
+        pub suspect_resurrections: Counter,
+        /// Log flushes that failed inside `PendingFlush::drop`, where no caller
+        /// could observe the error directly (it still latches `failed_at`).
+        pub dropped_flush_errors: Counter,
+        /// `flush()` calls that waited for a stream slot so the commit group
+        /// could grow (adaptive group commit under load).
+        pub group_commit_waits: Counter,
+        /// Log Directory pointers the recycle broadcasts purged across Page
+        /// Stores (the handshake reports back what it freed).
+        pub recycle_ptrs_purged: Counter,
+        /// Fragment + layer bytes the recycle broadcasts logically reclaimed.
+        pub recycle_bytes_reclaimed: Counter,
+        /// Slice-level heat aggregates (DESIGN.md §14): log records shipped to
+        /// slices and page reads served, in ops and bytes. Per-slice breakdowns
+        /// live on the Page Stores (`Sal::slice_heat`).
+        pub slice_write_ops: Counter,
+        pub slice_write_bytes: Counter,
+        pub slice_read_ops: Counter,
+        pub slice_read_bytes: Counter,
+        /// Grouped (coalesced) fabric envelopes issued by the miss, scan, and
+        /// flush paths: each merges every per-slice request bound for one Page
+        /// Store node into a single round trip.
+        pub grouped_envelopes: Counter,
+        /// Per-slice requests that rode a grouped envelope instead of paying
+        /// their own fabric round trip.
+        pub grouped_slice_batches: Counter,
+        /// Slices that left the grouped path (envelope failure or a budget
+        /// continuation) and fell back to their own per-slice calls.
+        pub grouped_fallback_slices: Counter,
+        /// Coalescing histogram: per-slice requests per grouped envelope,
+        /// buckets 1, 2, 3–4, 5–8, 9+.
+        pub coalesced_per_rpc: [Counter; 5] as "coalesced_per_rpc[1|2|3-4|5-8|9+]",
+    }
+}
+
+/// Index of the first histogram bucket whose inclusive upper bound holds
+/// `n`; the fifth bucket is open-ended.
+fn bucket(n: usize, upper: [usize; 4]) -> usize {
+    upper.iter().position(|&u| n <= u).unwrap_or(4)
 }
 
 impl SalStats {
     /// Records one grouped envelope carrying `n` per-slice requests.
-    fn note_coalesced(&self, n: usize) {
-        let bucket = match n {
-            0..=1 => 0,
-            2 => 1,
-            3..=4 => 2,
-            5..=8 => 3,
-            _ => 4,
-        };
-        self.coalesced_per_rpc[bucket].inc();
+    pub(crate) fn note_coalesced(&self, n: usize) {
+        self.coalesced_per_rpc[bucket(n, [1, 2, 4, 8])].inc();
         self.grouped_envelopes.inc();
         self.grouped_slice_batches.add(n as u64);
     }
+}
 
-    /// Point-in-time copy of every counter (benches print this).
-    pub fn snapshot(&self) -> SalStatsSnapshot {
-        SalStatsSnapshot {
-            log_flushes: self.log_flushes.get(),
-            slice_flushes: self.slice_flushes.get(),
-            page_reads: self.page_reads.get(),
-            read_retries: self.read_retries.get(),
-            resends: self.resends.get(),
-            gossip_triggers: self.gossip_triggers.get(),
-            write_retries: self.write_retries.get(),
-            write_timeouts: self.write_timeouts.get(),
-            fragments_parked: self.fragments_parked.get(),
-            queue_full_drops: self.queue_full_drops.get(),
-            suspect_demotions: self.suspect_demotions.get(),
-            suspect_resurrections: self.suspect_resurrections.get(),
-            dropped_flush_errors: self.dropped_flush_errors.get(),
-            group_commit_waits: self.group_commit_waits.get(),
-            recycle_ptrs_purged: self.recycle_ptrs_purged.get(),
-            recycle_bytes_reclaimed: self.recycle_bytes_reclaimed.get(),
-            slice_write_ops: self.slice_write_ops.get(),
-            slice_write_bytes: self.slice_write_bytes.get(),
-            slice_read_ops: self.slice_read_ops.get(),
-            slice_read_bytes: self.slice_read_bytes.get(),
-            grouped_envelopes: self.grouped_envelopes.get(),
-            grouped_slice_batches: self.grouped_slice_batches.get(),
-            grouped_fallback_slices: self.grouped_fallback_slices.get(),
-            coalesced_per_rpc: [
-                self.coalesced_per_rpc[0].get(),
-                self.coalesced_per_rpc[1].get(),
-                self.coalesced_per_rpc[2].get(),
-                self.coalesced_per_rpc[3].get(),
-                self.coalesced_per_rpc[4].get(),
-            ],
-        }
+taurus_common::counters! {
+    /// Counters for the near-data scan pushdown planner (NDP paper; printed by
+    /// the `ndp` bench).
+    pub struct NdpStats => NdpStatsSnapshot {
+        /// Planner invocations (one per table scan).
+        pub pushdown_scans: Counter,
+        /// `ScanSlice` RPCs issued, continuations included.
+        pub slice_calls: Counter,
+        /// Failed `ScanSlice` attempts (replica skipped, next one tried).
+        pub slice_retries: Counter,
+        /// Slices that fell back to `ReadPage` + local evaluation.
+        pub fallbacks: Counter,
+        /// Row slots examined remotely by Page Stores.
+        pub rows_scanned: Counter,
+        /// Matching rows returned across the fabric.
+        pub rows_returned: Counter,
+        /// Bytes of row payload returned across the fabric.
+        pub bytes_returned: Counter,
+        /// Pages materialized remotely by Page Stores.
+        pub pages_scanned: Counter,
+        /// Pages fetched master-ward by the local fallback.
+        pub fallback_pages: Counter,
+        /// Bytes moved master-ward by the local fallback (pages × page size).
+        pub fallback_bytes: Counter,
     }
-}
-
-/// Plain-value snapshot of [`SalStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SalStatsSnapshot {
-    pub log_flushes: u64,
-    pub slice_flushes: u64,
-    pub page_reads: u64,
-    pub read_retries: u64,
-    pub resends: u64,
-    pub gossip_triggers: u64,
-    pub write_retries: u64,
-    pub write_timeouts: u64,
-    pub fragments_parked: u64,
-    pub queue_full_drops: u64,
-    pub suspect_demotions: u64,
-    pub suspect_resurrections: u64,
-    pub dropped_flush_errors: u64,
-    pub group_commit_waits: u64,
-    pub recycle_ptrs_purged: u64,
-    pub recycle_bytes_reclaimed: u64,
-    pub slice_write_ops: u64,
-    pub slice_write_bytes: u64,
-    pub slice_read_ops: u64,
-    pub slice_read_bytes: u64,
-    pub grouped_envelopes: u64,
-    pub grouped_slice_batches: u64,
-    pub grouped_fallback_slices: u64,
-    pub coalesced_per_rpc: [u64; 5],
-}
-
-impl std::fmt::Display for SalStatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "log_flushes={} slice_flushes={} page_reads={} read_retries={} \
-             resends={} gossip_triggers={} write_retries={} write_timeouts={} \
-             fragments_parked={} queue_full_drops={} suspect_demotions={} \
-             suspect_resurrections={} dropped_flush_errors={} \
-             group_commit_waits={} recycle_ptrs_purged={} \
-             recycle_bytes_reclaimed={} slice_write_ops={} \
-             slice_write_bytes={} slice_read_ops={} slice_read_bytes={} \
-             grouped_envelopes={} grouped_slice_batches={} \
-             grouped_fallback_slices={} \
-             coalesced_per_rpc[1|2|3-4|5-8|9+]={:?}",
-            self.log_flushes,
-            self.slice_flushes,
-            self.page_reads,
-            self.read_retries,
-            self.resends,
-            self.gossip_triggers,
-            self.write_retries,
-            self.write_timeouts,
-            self.fragments_parked,
-            self.queue_full_drops,
-            self.suspect_demotions,
-            self.suspect_resurrections,
-            self.dropped_flush_errors,
-            self.group_commit_waits,
-            self.recycle_ptrs_purged,
-            self.recycle_bytes_reclaimed,
-            self.slice_write_ops,
-            self.slice_write_bytes,
-            self.slice_read_ops,
-            self.slice_read_bytes,
-            self.grouped_envelopes,
-            self.grouped_slice_batches,
-            self.grouped_fallback_slices,
-            self.coalesced_per_rpc,
-        )
-    }
-}
-
-/// Counters for the near-data scan pushdown planner (NDP paper; printed by
-/// the `ndp` bench).
-#[derive(Debug, Default)]
-pub struct NdpStats {
-    /// Planner invocations (one per table scan).
-    pub pushdown_scans: Counter,
-    /// `ScanSlice` RPCs issued, continuations included.
-    pub slice_calls: Counter,
-    /// Failed `ScanSlice` attempts (replica skipped, next one tried).
-    pub slice_retries: Counter,
-    /// Slices that fell back to `ReadPage` + local evaluation.
-    pub fallbacks: Counter,
-    /// Row slots examined remotely by Page Stores.
-    pub rows_scanned: Counter,
-    /// Matching rows returned across the fabric.
-    pub rows_returned: Counter,
-    /// Bytes of row payload returned across the fabric.
-    pub bytes_returned: Counter,
-    /// Pages materialized remotely by Page Stores.
-    pub pages_scanned: Counter,
-    /// Pages fetched master-ward by the local fallback.
-    pub fallback_pages: Counter,
-    /// Bytes moved master-ward by the local fallback (pages × page size).
-    pub fallback_bytes: Counter,
-}
-
-impl NdpStats {
-    pub fn snapshot(&self) -> NdpStatsSnapshot {
-        NdpStatsSnapshot {
-            pushdown_scans: self.pushdown_scans.get(),
-            slice_calls: self.slice_calls.get(),
-            slice_retries: self.slice_retries.get(),
-            fallbacks: self.fallbacks.get(),
-            rows_scanned: self.rows_scanned.get(),
-            rows_returned: self.rows_returned.get(),
-            bytes_returned: self.bytes_returned.get(),
-            pages_scanned: self.pages_scanned.get(),
-            fallback_pages: self.fallback_pages.get(),
-            fallback_bytes: self.fallback_bytes.get(),
-        }
-    }
-}
-
-/// Plain-value snapshot of [`NdpStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NdpStatsSnapshot {
-    pub pushdown_scans: u64,
-    pub slice_calls: u64,
-    pub slice_retries: u64,
-    pub fallbacks: u64,
-    pub rows_scanned: u64,
-    pub rows_returned: u64,
-    pub bytes_returned: u64,
-    pub pages_scanned: u64,
-    pub fallback_pages: u64,
-    pub fallback_bytes: u64,
+    derived { bytes_saved_vs_fetch }
 }
 
 impl NdpStatsSnapshot {
@@ -472,137 +335,37 @@ impl NdpStatsSnapshot {
     }
 }
 
-impl std::fmt::Display for NdpStatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "pushdown_scans={} slice_calls={} slice_retries={} fallbacks={} \
-             rows_scanned={} rows_returned={} bytes_returned={} pages_scanned={} \
-             fallback_pages={} fallback_bytes={} bytes_saved_vs_fetch={}",
-            self.pushdown_scans,
-            self.slice_calls,
-            self.slice_retries,
-            self.fallbacks,
-            self.rows_scanned,
-            self.rows_returned,
-            self.bytes_returned,
-            self.pages_scanned,
-            self.fallback_pages,
-            self.fallback_bytes,
-            self.bytes_saved_vs_fetch(),
-        )
+taurus_common::counters! {
+    /// Counters for the batched read path (`Sal::read_pages`; printed by the
+    /// `readpath` bench and the fig7/fig9 gauge dumps).
+    pub struct ReadBatchStats => ReadBatchStatsSnapshot {
+        /// `read_pages` invocations (one per multi-page miss batch).
+        pub batches: Counter,
+        /// `ReadPages` RPCs issued, budget continuations included.
+        pub batch_rpcs: Counter,
+        /// Failed `ReadPages` attempts (replica skipped, next one tried).
+        pub batch_retries: Counter,
+        /// Page ids requested across all batches.
+        pub pages_requested: Counter,
+        /// Pages returned by successful `ReadPages` RPCs.
+        pub pages_returned: Counter,
+        /// Per-page failures inside otherwise-successful batches (recycled
+        /// versions, torn materializations).
+        pub partial_failures: Counter,
+        /// Pages re-read through the single-page `ReadPage` repair path after
+        /// the batch could not serve them.
+        pub straggler_retries: Counter,
+        /// Pages-per-RPC histogram: buckets 1, 2–4, 5–16, 17–64, 65+.
+        pub pages_per_rpc: [Counter; 5] as "pages_per_rpc[1|2-4|5-16|17-64|65+]",
     }
-}
-
-/// Counters for the batched read path (`Sal::read_pages`; printed by the
-/// `readpath` bench and the fig7/fig9 gauge dumps).
-#[derive(Debug, Default)]
-pub struct ReadBatchStats {
-    /// `read_pages` invocations (one per multi-page miss batch).
-    pub batches: Counter,
-    /// `ReadPages` RPCs issued, budget continuations included.
-    pub batch_rpcs: Counter,
-    /// Failed `ReadPages` attempts (replica skipped, next one tried).
-    pub batch_retries: Counter,
-    /// Page ids requested across all batches.
-    pub pages_requested: Counter,
-    /// Pages returned by successful `ReadPages` RPCs.
-    pub pages_returned: Counter,
-    /// Per-page failures inside otherwise-successful batches (recycled
-    /// versions, torn materializations).
-    pub partial_failures: Counter,
-    /// Pages re-read through the single-page `ReadPage` repair path after
-    /// the batch could not serve them.
-    pub straggler_retries: Counter,
-    /// Pages-per-RPC histogram: buckets 1, 2–4, 5–16, 17–64, 65+.
-    pub pages_per_rpc: [Counter; 5],
 }
 
 impl ReadBatchStats {
-    fn note_rpc_pages(&self, n: usize) {
-        let bucket = match n {
-            0..=1 => 0,
-            2..=4 => 1,
-            5..=16 => 2,
-            17..=64 => 3,
-            _ => 4,
-        };
-        self.pages_per_rpc[bucket].inc();
+    /// Records one successful `ReadPages` round trip that carried `n` pages.
+    pub(crate) fn note_rpc(&self, n: usize) {
+        self.batch_rpcs.inc();
+        self.pages_per_rpc[bucket(n, [1, 4, 16, 64])].inc();
     }
-
-    pub fn snapshot(&self) -> ReadBatchStatsSnapshot {
-        ReadBatchStatsSnapshot {
-            batches: self.batches.get(),
-            batch_rpcs: self.batch_rpcs.get(),
-            batch_retries: self.batch_retries.get(),
-            pages_requested: self.pages_requested.get(),
-            pages_returned: self.pages_returned.get(),
-            partial_failures: self.partial_failures.get(),
-            straggler_retries: self.straggler_retries.get(),
-            pages_per_rpc: [
-                self.pages_per_rpc[0].get(),
-                self.pages_per_rpc[1].get(),
-                self.pages_per_rpc[2].get(),
-                self.pages_per_rpc[3].get(),
-                self.pages_per_rpc[4].get(),
-            ],
-        }
-    }
-}
-
-/// Plain-value snapshot of [`ReadBatchStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReadBatchStatsSnapshot {
-    pub batches: u64,
-    pub batch_rpcs: u64,
-    pub batch_retries: u64,
-    pub pages_requested: u64,
-    pub pages_returned: u64,
-    pub partial_failures: u64,
-    pub straggler_retries: u64,
-    pub pages_per_rpc: [u64; 5],
-}
-
-impl std::fmt::Display for ReadBatchStatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "batches={} batch_rpcs={} batch_retries={} pages_requested={} \
-             pages_returned={} partial_failures={} straggler_retries={} \
-             pages_per_rpc[1|2-4|5-16|17-64|65+]={:?}",
-            self.batches,
-            self.batch_rpcs,
-            self.batch_retries,
-            self.pages_requested,
-            self.pages_returned,
-            self.partial_failures,
-            self.straggler_retries,
-            self.pages_per_rpc,
-        )
-    }
-}
-
-/// Merged result of a pushed-down table scan: rows from every slice,
-/// key-sorted, plus the combined aggregate state and a per-slice breakdown
-/// of how each slice was executed.
-#[derive(Clone, Debug, Default)]
-pub struct TableScan {
-    /// Projected matching rows, globally sorted by key.
-    pub rows: Vec<(Vec<u8>, Vec<u8>)>,
-    /// Combined aggregate state across all slices.
-    pub agg: AggState,
-    /// Slices answered by remote `ScanSlice` execution.
-    pub pushdown_slices: usize,
-    /// Slices that fell back to `ReadPage`-and-evaluate-locally.
-    pub fallback_slices: usize,
-}
-
-/// Result of scanning one slice, before the planner merges.
-#[derive(Debug, Default)]
-struct SliceScanOutcome {
-    rows: Vec<(Vec<u8>, Vec<u8>)>,
-    agg: AggState,
-    fallback: bool,
 }
 
 /// One fragment awaiting shipment to one replica. The fragment is shared
@@ -687,9 +450,9 @@ pub struct Sal {
     /// Slices with fragments abandoned by a sender worker; drained by
     /// [`Sal::repair_parked`] (tick, recovery sweep, resurrection).
     parked: Mutex<HashSet<SliceKey>>,
-    /// Replica nodes that exhausted a retry budget and have not proven
-    /// themselves alive since. Deprioritized by read routing.
-    pub(crate) suspects: Mutex<HashSet<NodeId>>,
+    /// The read planner shared with read replicas. Owns the read-routing
+    /// state: replica latencies and the suspect set the write pipeline feeds.
+    pub(crate) reader: SliceReader,
     /// Failpoint for the slice-rebalance differential suite: when armed, the
     /// next elastic cut-over aborts between placement commit and delta
     /// replay, simulating a coordinator crash mid-cut-over.
@@ -700,9 +463,10 @@ pub struct Sal {
     /// consolidation is behind ("the SAL throttles log writes on the
     /// master" to bound Log Directory growth — paper §7).
     throttle_us: AtomicU64,
-    pub stats: SalStats,
-    pub ndp_stats: NdpStats,
-    pub read_batch_stats: ReadBatchStats,
+    /// Counter families, shared with `reader` (which counts the read side).
+    pub stats: Arc<SalStats>,
+    pub ndp_stats: Arc<NdpStats>,
+    pub read_batch_stats: Arc<ReadBatchStats>,
 }
 
 impl std::fmt::Debug for Sal {
@@ -726,45 +490,43 @@ impl Sal {
         pages: PageStoreCluster,
         anchor: Arc<LsnWatermark>,
     ) -> Result<Arc<Sal>> {
-        cfg.validate()?;
-        let n = cfg.log_streams;
-        let stats = Arc::new(LogStoreStats::default());
-        let streams = (0..n)
-            .map(|i| {
-                LogStream::create_stream(
-                    logs.clone(),
-                    db,
-                    me,
-                    cfg.plog_size_limit,
-                    cfg.log_append_window,
-                    i as u32,
-                    n > 1,
-                    Arc::clone(&stats),
-                )
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self::build(
-            cfg, db, me, logs, pages, streams, stats, anchor,
-        ))
+        Self::build(cfg, db, me, logs, pages, anchor, false)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Opens the `cfg.log_streams` log streams and assembles the SAL around
+    /// them. A new database creates every stream; `reopen` (recovery)
+    /// re-attaches to those with registered metadata — a stream without any
+    /// never wrote (the DB ran with fewer streams before the crash, or the
+    /// stream stayed idle and was truncated away) and is created fresh.
     fn build(
         cfg: TaurusConfig,
         db: DbId,
         me: NodeId,
         logs: LogStoreCluster,
         pages: PageStoreCluster,
-        streams: Vec<LogStream>,
-        log_store_stats: Arc<LogStoreStats>,
         anchor: Arc<LsnWatermark>,
-    ) -> Arc<Sal> {
+        reopen: bool,
+    ) -> Result<Arc<Sal>> {
+        cfg.validate()?;
+        let n = cfg.log_streams;
+        let log_store_stats = Arc::new(LogStoreStats::default());
+        let mut streams = Vec::with_capacity(n);
+        for i in 0..n as u32 {
+            let open = if reopen && logs.meta_plog_stream(db, i).is_some() {
+                LogStream::open_stream
+            } else {
+                LogStream::create_stream
+            };
+            let (size, window) = (cfg.plog_size_limit, cfg.log_append_window);
+            let stats = Arc::clone(&log_store_stats);
+            streams.push(open(logs.clone(), db, me, size, window, i, n > 1, stats)?);
+        }
         let clock = logs.fabric.clock.clone();
-        let n = streams.len();
+        let reader = SliceReader::new(cfg.clone(), db, me, pages.clone());
         // `new_cyclic`: the SAL needs a `Weak` handle to itself so that
         // per-replica sender workers (spawned lazily, long after build)
         // can reach it without keeping it alive.
-        Arc::new_cyclic(|myself| Sal {
+        Ok(Arc::new_cyclic(|myself| Sal {
             db,
             me,
             cfg,
@@ -782,14 +544,14 @@ impl Sal {
             anchor,
             pipes: Mutex::new(HashMap::new()),
             parked: Mutex::new(HashSet::new()),
-            suspects: Mutex::new(HashSet::new()),
             myself: myself.clone(),
             cutover_abort: AtomicBool::new(false),
             throttle_us: AtomicU64::new(0),
-            stats: SalStats::default(),
-            ndp_stats: NdpStats::default(),
-            read_batch_stats: ReadBatchStats::default(),
-        })
+            stats: Arc::clone(&reader.stats),
+            ndp_stats: Arc::clone(&reader.ndp_stats),
+            read_batch_stats: Arc::clone(&reader.read_batch_stats),
+            reader,
+        }))
     }
 
     // ==================================================================
@@ -831,11 +593,11 @@ impl Sal {
     /// the node id: draws never touch the shared placement stream, so
     /// retry storms do not perturb placement determinism.
     ///
-    /// With `rpc_coalescing`, a queued run of fragments is shipped as one
-    /// grouped envelope (one round trip for the whole run); any slot that
-    /// fails — or the whole envelope, if the node is down — falls back to
-    /// the budgeted per-fragment retry path. Safe to re-send: Page Stores
-    /// disregard duplicate log records.
+    /// A queued run of fragments is shipped as one grouped envelope (one
+    /// round trip for the whole run); any slot that fails — or the whole
+    /// envelope, if the node is down — falls back to the budgeted
+    /// per-fragment retry path. Safe to re-send: Page Stores disregard
+    /// duplicate log records.
     fn drain_pipe(&self, node: NodeId) {
         let mut rng = self.pages.fabric.derive_rng(0x5A4C_0000 ^ node.0);
         loop {
@@ -848,11 +610,7 @@ impl Sal {
                     pipe.draining = false;
                     return;
                 }
-                let take = if self.cfg.rpc_coalescing {
-                    pipe.queue.len().min(GROUPED_SHIP_MAX)
-                } else {
-                    1
-                };
+                let take = pipe.queue.len().min(GROUPED_SHIP_MAX);
                 let jobs: Vec<PipeJob> = pipe.queue.drain(..take).collect();
                 pipe.in_flight.add(jobs.len() as u64);
                 jobs
@@ -876,21 +634,17 @@ impl Sal {
     /// through the per-fragment retry path, which owns parking, suspect
     /// demotion, and backoff.
     fn ship_grouped(&self, node: NodeId, jobs: &[PipeJob], rng: &mut StdRng) {
-        let epochs: Vec<u64> = {
+        let frags: Vec<(Arc<SliceFragment>, u64)> = {
             let st = self.state.lock();
+            let epoch = |j: &PipeJob| st.slices.get(&j.key).map_or(0, |s| s.epoch);
             jobs.iter()
-                .map(|j| st.slices.get(&j.key).map(|s| s.epoch).unwrap_or(0))
+                .map(|j| (Arc::clone(&j.frag), epoch(j)))
                 .collect()
         };
         self.stats.note_coalesced(jobs.len());
-        let frags: Vec<(Arc<SliceFragment>, u64)> = jobs
-            .iter()
-            .zip(&epochs)
-            .map(|(j, &e)| (Arc::clone(&j.frag), e))
-            .collect();
         let mut slots = self
             .pages
-            .write_logs_grouped(self.me, vec![(node, frags)])
+            .write_logs_grouped(self.me, &[(node, frags)])
             .pop()
             .unwrap_or_default();
         // Demux in order; a short (impossible) response fails the tail.
@@ -978,7 +732,7 @@ impl Sal {
     }
 
     fn mark_suspect(&self, node: NodeId) {
-        if self.suspects.lock().insert(node) {
+        if self.reader.set_suspect(node, true) {
             self.stats.suspect_demotions.inc();
         }
     }
@@ -988,8 +742,7 @@ impl Sal {
     /// suspect→healthy *transition* — and only then, which bounds the
     /// repair→gossip→poll→resurrect recursion — parked slices are drained.
     fn note_replica_alive(&self, node: NodeId) {
-        let resurrected = self.suspects.lock().remove(&node);
-        if resurrected {
+        if self.reader.set_suspect(node, false) {
             self.stats.suspect_resurrections.inc();
             self.repair_parked();
         }
@@ -997,7 +750,7 @@ impl Sal {
 
     /// Whether a replica is currently demoted to suspect.
     pub fn is_suspect(&self, node: NodeId) -> bool {
-        self.suspects.lock().contains(&node)
+        self.reader.suspects().contains(&node)
     }
 
     /// Slices currently parked for repair.
@@ -1030,8 +783,7 @@ impl Sal {
     /// targeted gossip; a slice is unparked once every replica has caught
     /// up to its flush LSN. Returns the number of slices unparked.
     ///
-    /// Must not be called while holding `state`, `pipes`, `parked`, or
-    /// `suspects`.
+    /// Must not be called while holding `state`, `pipes`, or `parked`.
     pub fn repair_parked(&self) -> usize {
         let keys: Vec<SliceKey> = self.parked.lock().iter().copied().collect();
         let mut unparked = 0usize;
@@ -1472,11 +1224,8 @@ impl Sal {
         // Parked repairs: skip while every suspect is still unreachable —
         // repair-from-log cannot land anywhere and gossip would spin.
         if !self.parked.lock().is_empty() {
-            let worth_trying = {
-                let suspects = self.suspects.lock();
-                suspects.is_empty() || suspects.iter().any(|n| self.pages.is_live(*n))
-            };
-            if worth_trying {
+            let suspects = self.reader.suspects();
+            if suspects.is_empty() || suspects.iter().any(|n| self.pages.is_live(*n)) {
                 self.repair_parked();
             }
         }
@@ -1657,701 +1406,38 @@ impl Sal {
     }
 
     // ==================================================================
-    // Read path (§4.2)
+    // Read path (§4.2) and near-data scan pushdown (NDP follow-on paper):
+    // thin callers of the shared planner, `crate::slice_reader`
     // ==================================================================
 
     /// Reads the version of `page` at `as_of` (defaults to the highest LSN
     /// safe for the master: the slice's acked LSN). Tries replicas in
     /// latency order; a replica that is behind or down is skipped; if all
-    /// fail, repairs via the Log Stores and retries (§4.2, §5.2).
-    ///
-    /// An explicit `as_of` is a *global* snapshot LSN, which a quiet
-    /// slice's replicas can never reach (their persistent LSN tops out at
-    /// the slice's own last record). The request is therefore capped at the
-    /// slice's flush LSN — exact, because after the buffer flush below the
-    /// slice has no records in `(flush_lsn, as_of]`, so the version at
-    /// `as_of` *is* the version at `flush_lsn`.
+    /// fail, repairs via the Log Stores and retries (§4.2, §5.2). An
+    /// explicit `as_of` is a *global* snapshot LSN: see
+    /// [`FrontEnd::snapshots`] on `Sal` for how it maps onto a slice.
     pub fn read_page(&self, page: PageId, as_of: Option<Lsn>) -> Result<PageBuf> {
-        self.stats.page_reads.inc();
-        let key = self
-            .pages
-            .route_read(self.db, page, self.cfg.pages_per_slice, as_of);
-        let out = match self.read_page_at(key, page, as_of) {
-            Err(TaurusError::SliceFenced { .. })
-            | Err(TaurusError::PlacementEpochMismatch { .. }) => {
-                // Raced an elastic cut-over: the slice we routed to was
-                // sealed (or our epoch went stale) between routing and the
-                // RPC. Learn the new placement and route once more.
-                self.stats.read_retries.inc();
-                self.refresh_placement();
-                let key = self
-                    .pages
-                    .route_read(self.db, page, self.cfg.pages_per_slice, as_of);
-                self.read_page_at(key, page, as_of)
-            }
-            other => other,
-        };
-        if out.is_ok() {
-            self.stats.slice_read_ops.inc();
-            self.stats.slice_read_bytes.add(PAGE_SIZE as u64);
-        }
-        out
+        self.reader.read_page(self, page, as_of)
     }
-
-    /// [`Sal::read_page`] with the slice already routed.
-    fn read_page_at(&self, key: SliceKey, page: PageId, as_of: Option<Lsn>) -> Result<PageBuf> {
-        self.ensure_slices(&[key])?;
-        let (replicas, as_of) = {
-            let mut st = self.state.lock();
-            let eff = match as_of {
-                None => st.slices[&key].acked_lsn,
-                Some(requested) => {
-                    if requested > st.slices[&key].flush_lsn {
-                        // Unflushed buffer records may fall inside the
-                        // snapshot; ship them so the cap is exact.
-                        self.flush_slice_locked(&mut st, key);
-                    }
-                    requested.min(st.slices[&key].flush_lsn)
-                }
-            };
-            (self.replicas_by_latency(&st.slices[&key]), eff)
-        };
-        match self.try_read(key, page, as_of, &replicas) {
-            Ok(buf) => Ok(buf),
-            Err(_) => {
-                // All replicas failed: the rare cascading-failure path. Pull
-                // the missing records from the Log Stores, resend, retry
-                // once (paper §4.2: "SAL recognizes this situation and
-                // repairs data using Log Stores").
-                self.repair_slice_from_logstores(key)?;
-                // Re-snapshot the replica list: the repair (or a concurrent
-                // rebuild) may have moved the slice to different nodes, and
-                // the pre-repair snapshot would retry exactly the replicas
-                // that just failed.
-                self.refresh_placement();
-                let replicas = {
-                    let st = self.state.lock();
-                    match st.slices.get(&key) {
-                        Some(slice) => self.replicas_by_latency(slice),
-                        None => replicas,
-                    }
-                };
-                self.try_read(key, page, as_of, &replicas)
-            }
-        }
-    }
-
-    fn try_read(
-        &self,
-        key: SliceKey,
-        page: PageId,
-        as_of: Lsn,
-        replicas: &[NodeId],
-    ) -> Result<PageBuf> {
-        let mut last_err = TaurusError::AllReplicasFailed(key);
-        for &node in replicas {
-            let start = self.clock.now_us();
-            match self.pages.read_page_from(node, self.me, key, page, as_of) {
-                Ok((buf, _)) => {
-                    self.note_read_latency(key, node, self.clock.now_us() - start);
-                    return Ok(buf);
-                }
-                Err(e) => {
-                    // Feed the EWMA on failure too, with a penalty: a
-                    // replica that errors instantly must not keep the best
-                    // (lowest) latency score and stay first in the routing
-                    // order — that starves the healthy replicas.
-                    let elapsed = self.clock.now_us().saturating_sub(start);
-                    self.note_read_latency(key, node, elapsed.max(1).saturating_mul(4));
-                    self.stats.read_retries.inc();
-                    last_err = e;
-                }
-            }
-        }
-        Err(last_err)
-    }
-
-    /// Replicas in preferred read order: healthy before suspect, then by
-    /// EWMA latency. A replica with no recorded latency gets the mean of
-    /// the known ones (not 0.0, which would always route the first read of
-    /// every slice to an unmeasured — possibly failing — replica).
-    fn replicas_by_latency(&self, slice: &SliceState) -> Vec<NodeId> {
-        let known: Vec<f64> = slice.read_latency_us.values().copied().collect();
-        let unknown_default = if known.is_empty() {
-            0.0
-        } else {
-            known.iter().sum::<f64>() / known.len() as f64
-        };
-        let suspects = self.suspects.lock();
-        let mut nodes = slice.replicas.clone();
-        nodes.sort_by(|a, b| {
-            let sa = suspects.contains(a);
-            let sb = suspects.contains(b);
-            let la = slice
-                .read_latency_us
-                .get(a)
-                .copied()
-                .unwrap_or(unknown_default);
-            let lb = slice
-                .read_latency_us
-                .get(b)
-                .copied()
-                .unwrap_or(unknown_default);
-            (sa, la)
-                .partial_cmp(&(sb, lb))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        nodes
-    }
-
-    fn note_read_latency(&self, key: SliceKey, node: NodeId, us: u64) {
-        let mut st = self.state.lock();
-        if let Some(slice) = st.slices.get_mut(&key) {
-            let ewma = slice.read_latency_us.entry(node).or_insert(us as f64);
-            *ewma = 0.8 * *ewma + 0.2 * us as f64;
-        }
-    }
-
-    // ==================================================================
-    // Batched read path
-    // ==================================================================
 
     /// Reads many pages at one snapshot in as few round trips as possible:
     /// the ids are grouped by slice, slices are grouped by their primary
-    /// replica's node, and (with `rpc_coalescing`) one grouped envelope per
-    /// node is fanned out on the fabric's bounded dispatcher pool. Slices
-    /// that cannot ride an envelope use one `ReadPages` RPC each — the same
-    /// `(suspect, EWMA)` replica routing as [`Sal::read_page`], following
-    /// budget continuations. Pages a batch could not serve (per-page failures, or
-    /// every replica refusing the slice) are retried individually through
-    /// `read_page`, which carries the Log-Store repair path — so the call
-    /// returns exactly what N sequential `read_page` calls at the same
-    /// `as_of` would, in request order.
-    ///
-    /// Snapshot handling matches `read_page`: `None` pins each slice at its
-    /// acked LSN; an explicit `as_of` is a global snapshot capped per slice
-    /// at the flush LSN after a buffer flush (exact — the slice has no
-    /// records in `(flush_lsn, as_of]`).
+    /// replica's node, and one grouped envelope per node is fanned out on
+    /// the fabric's bounded dispatcher pool. Returns exactly what N
+    /// sequential [`Sal::read_page`] calls at the same `as_of` would, in
+    /// request order; snapshot handling matches `read_page`.
     pub fn read_pages(&self, ids: &[PageId], as_of: Option<Lsn>) -> Result<Vec<(PageId, PageBuf)>> {
-        if ids.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.read_batch_stats.batches.inc();
-        self.read_batch_stats.pages_requested.add(ids.len() as u64);
-        // Group by slice, keeping first-seen order and dropping duplicates.
-        let mut order: Vec<SliceKey> = Vec::new();
-        let mut by_slice: HashMap<SliceKey, Vec<PageId>> = HashMap::new();
-        for &page in ids {
-            let key = self
-                .pages
-                .route_read(self.db, page, self.cfg.pages_per_slice, as_of);
-            let group = by_slice.entry(key).or_insert_with(|| {
-                order.push(key);
-                Vec::new()
-            });
-            if !group.contains(&page) {
-                group.push(page);
-            }
-        }
-        self.ensure_slices(&order)?;
-        let plan: Vec<(SliceKey, Vec<PageId>, Vec<NodeId>, Lsn)> = {
-            let mut st = self.state.lock();
-            let mut plan = Vec::with_capacity(order.len());
-            for key in order {
-                let eff = match as_of {
-                    None => st.slices[&key].acked_lsn,
-                    Some(requested) => {
-                        if requested > st.slices[&key].flush_lsn {
-                            self.flush_slice_locked(&mut st, key);
-                        }
-                        requested.min(st.slices[&key].flush_lsn)
-                    }
-                };
-                let replicas = self.replicas_by_latency(&st.slices[&key]);
-                let pages = by_slice.remove(&key).unwrap_or_default();
-                plan.push((key, pages, replicas, eff));
-            }
-            plan
-        };
-        let mut outcomes: Vec<Result<Vec<(PageId, PageBuf)>>> = Vec::with_capacity(plan.len());
-        let mut fallback: Vec<&(SliceKey, Vec<PageId>, Vec<NodeId>, Lsn)> = Vec::new();
-        if self.cfg.rpc_coalescing && plan.len() > 1 {
-            // Coalesce: every slice whose primary (best-routed) replica
-            // lives on the same Page Store node rides ONE grouped fabric
-            // envelope — one round trip, one latency charge — instead of
-            // one `ReadPages` call per slice. A slice whose envelope fails,
-            // or whose response carries a budget continuation, falls back
-            // to the per-slice loop below (reads are idempotent, so the
-            // retry returns byte-identical pages).
-            let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
-            for (i, entry) in plan.iter().enumerate() {
-                match entry.2.first() {
-                    Some(&node) => match groups.iter_mut().find(|(n, _)| *n == node) {
-                        Some((_, idxs)) => idxs.push(i),
-                        None => groups.push((node, vec![i])),
-                    },
-                    None => fallback.push(entry),
-                }
-            }
-            let requests: Vec<(NodeId, Vec<ReadPagesRequest>)> = groups
-                .iter()
-                .map(|(node, idxs)| {
-                    let reqs = idxs
-                        .iter()
-                        .map(|&i| {
-                            let (key, pages, _, eff) = &plan[i];
-                            ReadPagesRequest {
-                                key: *key,
-                                as_of: *eff,
-                                pages: pages.clone(),
-                                max_pages: self.cfg.read_batch_max_pages,
-                                max_bytes: self.cfg.read_batch_max_bytes,
-                            }
-                        })
-                        .collect();
-                    (*node, reqs)
-                })
-                .collect();
-            let start = self.clock.now_us();
-            let replies = self.pages.read_pages_grouped(self.me, requests);
-            // One EWMA sample per slice, charged with the whole fan-out's
-            // elapsed time: envelopes run concurrently on the dispatcher,
-            // so this is each envelope's wall time plus any queueing — an
-            // honest congestion signal for the routing order.
-            let elapsed = self.clock.now_us().saturating_sub(start).max(1);
-            for ((node, idxs), slots) in groups.iter().zip(replies) {
-                self.stats.note_coalesced(idxs.len());
-                let mut served_pages = 0usize;
-                let mut any_ok = false;
-                for (&i, slot) in idxs.iter().zip(slots) {
-                    let entry = &plan[i];
-                    let (key, pages, _, eff) = entry;
-                    match slot {
-                        Ok(resp) if !matches!(resp.resume_from, Some(r) if r < pages.len()) => {
-                            any_ok = true;
-                            served_pages += resp.pages.len();
-                            self.note_read_latency(*key, *node, elapsed);
-                            outcomes.push(self.finish_slice_batch(pages, resp.pages, *eff));
-                        }
-                        Ok(_) => {
-                            self.stats.grouped_fallback_slices.inc();
-                            fallback.push(entry);
-                        }
-                        Err(_) => {
-                            // Same EWMA penalty as the per-slice path, so a
-                            // dead primary sinks in the routing order.
-                            self.note_read_latency(*key, *node, elapsed.saturating_mul(4));
-                            self.read_batch_stats.batch_retries.inc();
-                            self.stats.grouped_fallback_slices.inc();
-                            fallback.push(entry);
-                        }
-                    }
-                }
-                if any_ok {
-                    // A grouped envelope is one miss-path round trip.
-                    self.read_batch_stats.batch_rpcs.inc();
-                    self.read_batch_stats.note_rpc_pages(served_pages);
-                }
-            }
-        } else {
-            fallback.extend(plan.iter());
-        }
-        type SliceReadJob<'a> = Box<dyn FnOnce() -> Result<Vec<(PageId, PageBuf)>> + Send + 'a>;
-        let jobs: Vec<SliceReadJob<'_>> = fallback
-            .into_iter()
-            .map(|(key, pages, replicas, eff)| {
-                Box::new(move || self.read_slice_batch(*key, pages, replicas, *eff))
-                    as SliceReadJob<'_>
-            })
-            .collect();
-        outcomes.extend(self.pages.fabric.fan_out(jobs));
-        let mut got: HashMap<PageId, PageBuf> = HashMap::new();
-        for res in outcomes {
-            for (page, buf) in res? {
-                got.insert(page, buf);
-            }
-        }
-        // Request order, duplicates included (each gets its own copy).
-        let mut out = Vec::with_capacity(ids.len());
-        for &page in ids {
-            match got.get(&page) {
-                Some(buf) => out.push((page, buf.clone())),
-                None => return Err(TaurusError::Internal("batched read lost a page".into())),
-            }
-        }
-        Ok(out)
+        self.reader.read_pages(self, ids, as_of)
     }
 
-    /// Reads one slice's share of a batch: the budgeted `ReadPages`
-    /// continuation loop against each replica in routing order (a replica
-    /// that fails mid-continuation loses its partial result and the slice
-    /// restarts on the next one — reads are idempotent), then per-page
-    /// straggler retries through the single-page repair path.
-    fn read_slice_batch(
-        &self,
-        key: SliceKey,
-        pages: &[PageId],
-        replicas: &[NodeId],
-        as_of: Lsn,
-    ) -> Result<Vec<(PageId, PageBuf)>> {
-        let mut batch: Vec<(PageId, PageReadOutcome)> = Vec::new();
-        'replicas: for &node in replicas {
-            let mut remaining = pages;
-            let mut acc: Vec<(PageId, PageReadOutcome)> = Vec::with_capacity(pages.len());
-            loop {
-                let call = ReadPagesRequest {
-                    key,
-                    as_of,
-                    pages: remaining.to_vec(),
-                    max_pages: self.cfg.read_batch_max_pages,
-                    max_bytes: self.cfg.read_batch_max_bytes,
-                };
-                let start = self.clock.now_us();
-                match self.pages.read_pages_from(node, self.me, &call) {
-                    Ok(resp) => {
-                        // One EWMA sample per batch RPC: batches and single
-                        // reads feed the same routing signal.
-                        self.note_read_latency(
-                            key,
-                            node,
-                            self.clock.now_us().saturating_sub(start),
-                        );
-                        self.read_batch_stats.batch_rpcs.inc();
-                        self.read_batch_stats.note_rpc_pages(resp.pages.len());
-                        acc.extend(resp.pages);
-                        match resp.resume_from {
-                            Some(i) if i < remaining.len() => remaining = &remaining[i..],
-                            _ => {
-                                batch = acc;
-                                break 'replicas;
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        // Same EWMA penalty as the ReadPage path, so a
-                        // failing replica sinks in the routing order.
-                        let elapsed = self.clock.now_us().saturating_sub(start);
-                        self.note_read_latency(key, node, elapsed.max(1).saturating_mul(4));
-                        self.read_batch_stats.batch_retries.inc();
-                        continue 'replicas;
-                    }
-                }
-            }
-        }
-        self.finish_slice_batch(pages, batch, as_of)
-    }
-
-    /// Turns one slice's `ReadPages` outcomes into served pages, retrying
-    /// stragglers (per-page failures, or pages no replica served) through
-    /// the single-page repair path. Shared by the per-slice continuation
-    /// loop and the grouped (coalesced) envelope path.
-    fn finish_slice_batch(
-        &self,
-        pages: &[PageId],
-        batch: Vec<(PageId, PageReadOutcome)>,
-        as_of: Lsn,
-    ) -> Result<Vec<(PageId, PageBuf)>> {
-        let mut served: HashMap<PageId, PageBuf> = HashMap::with_capacity(batch.len());
-        for (page, outcome) in batch {
-            match outcome {
-                PageReadOutcome::Ok(buf, _) => {
-                    self.read_batch_stats.pages_returned.inc();
-                    served.insert(page, buf);
-                }
-                PageReadOutcome::Recycled { .. } | PageReadOutcome::Failed(_) => {
-                    self.read_batch_stats.partial_failures.inc();
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(pages.len());
-        for &page in pages {
-            match served.remove(&page) {
-                Some(buf) => out.push((page, buf)),
-                None => {
-                    // Straggler: the single-page path repairs from the Log
-                    // Stores if needed and surfaces the real per-page error
-                    // (e.g. `VersionRecycled`) when nothing can serve it.
-                    self.read_batch_stats.straggler_retries.inc();
-                    out.push((page, self.read_page(page, Some(as_of))?));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    // ==================================================================
-    // Near-data scan pushdown (NDP follow-on paper; PAPERS.md)
-    // ==================================================================
-
-    /// Plans and executes a pushed-down table scan at snapshot `as_of`:
-    /// slices are grouped by primary replica node and (with
-    /// `rpc_coalescing`) one grouped `ScanSlice` envelope per node is
-    /// fanned out on the fabric's bounded dispatcher pool; remaining slices
-    /// get one worker each on the same pool. Replicas are tried in the same
-    /// `(suspect, EWMA)` order as `ReadPage`, with repair-and-retry and a
-    /// `ReadPage`-and-evaluate-locally fallback per slice. Results are
-    /// merged and key-sorted.
-    ///
-    /// Snapshot handling: per-slice persistent LSNs are slice-local, so a
-    /// quiet slice's replicas can never reach a *global* `as_of` past the
-    /// slice's own last record — the planner first flushes the slice
-    /// buffer, then caps the slice's snapshot at its flush LSN. The cap is
-    /// exact: the slice has no records in `(flush_lsn, as_of]`.
+    /// Plans and executes a pushed-down table scan at snapshot `as_of`: one
+    /// `ScanSlice` per active slice, grouped into one envelope per primary
+    /// replica node, with the same replica routing and repair escalation as
+    /// `ReadPage` and a `ReadPage`-and-evaluate-locally fallback per slice.
+    /// Results are merged and key-sorted; snapshot handling matches
+    /// `read_page`.
     pub fn scan_pushdown(&self, req: &ScanRequest, as_of: Lsn) -> Result<TableScan> {
-        self.ndp_stats.pushdown_scans.inc();
-        let plan: Vec<(SliceKey, Vec<NodeId>, Lsn)> = {
-            let mut st = self.state.lock();
-            let mut keys: Vec<SliceKey> = st.slices.keys().copied().collect();
-            keys.sort();
-            let mut plan = Vec::with_capacity(keys.len());
-            for key in keys {
-                self.flush_slice_locked(&mut st, key); // no-op when empty
-                let Some(slice) = st.slices.get(&key) else {
-                    continue;
-                };
-                // Retired cut-over parents are skipped: their successors
-                // cover the key range at every scannable snapshot, and
-                // scanning both would double-count the ingest overlap.
-                // (Historical scans below a successor's base LSN are out of
-                // scope — point reads route by fence via `route_read`.)
-                if slice.fence.is_some() {
-                    continue;
-                }
-                let eff = as_of.min(slice.flush_lsn);
-                plan.push((key, self.replicas_by_latency(slice), eff));
-            }
-            plan
-        };
-        let mut outcomes: Vec<Result<SliceScanOutcome>> = Vec::with_capacity(plan.len());
-        let mut fallback: Vec<&(SliceKey, Vec<NodeId>, Lsn)> = Vec::new();
-        if self.cfg.rpc_coalescing && plan.len() > 1 {
-            // Coalesce: one grouped `ScanSlice` envelope per primary node.
-            // A slice whose envelope fails or whose response needs a budget
-            // continuation restarts on the per-slice escalation path below
-            // (idempotent; partial results are discarded, matching the
-            // per-slice policy on mid-continuation failure).
-            let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
-            for (i, entry) in plan.iter().enumerate() {
-                match entry.1.first() {
-                    Some(&node) => match groups.iter_mut().find(|(n, _)| *n == node) {
-                        Some((_, idxs)) => idxs.push(i),
-                        None => groups.push((node, vec![i])),
-                    },
-                    None => fallback.push(entry),
-                }
-            }
-            let requests: Vec<(NodeId, Vec<ScanSliceRequest>)> = groups
-                .iter()
-                .map(|(node, idxs)| {
-                    let calls = idxs
-                        .iter()
-                        .map(|&i| {
-                            let (key, _, eff) = &plan[i];
-                            ScanSliceRequest {
-                                key: *key,
-                                as_of: *eff,
-                                req: req.clone(),
-                                resume_after: None,
-                                max_rows: self.cfg.ndp_scan_max_rows,
-                                max_bytes: self.cfg.ndp_scan_max_bytes,
-                            }
-                        })
-                        .collect();
-                    (*node, calls)
-                })
-                .collect();
-            let start = self.clock.now_us();
-            let replies = self.pages.scan_slices_grouped(self.me, requests);
-            let elapsed = self.clock.now_us().saturating_sub(start).max(1);
-            for ((node, idxs), slots) in groups.iter().zip(replies) {
-                self.stats.note_coalesced(idxs.len());
-                let mut any_ok = false;
-                for (&i, slot) in idxs.iter().zip(slots) {
-                    let entry = &plan[i];
-                    let key = entry.0;
-                    match slot {
-                        Ok(resp) if resp.next_page.is_none() => {
-                            any_ok = true;
-                            self.note_read_latency(key, *node, elapsed);
-                            self.ndp_stats.rows_scanned.add(resp.rows_scanned);
-                            self.ndp_stats.rows_returned.add(resp.rows.len() as u64);
-                            self.ndp_stats.bytes_returned.add(resp.bytes_returned);
-                            self.ndp_stats.pages_scanned.add(resp.pages_scanned);
-                            let mut slice_out = SliceScanOutcome::default();
-                            slice_out.agg.merge(&resp.agg);
-                            slice_out.rows.extend(resp.rows);
-                            outcomes.push(Ok(slice_out));
-                        }
-                        Ok(_) => {
-                            self.stats.grouped_fallback_slices.inc();
-                            fallback.push(entry);
-                        }
-                        Err(_) => {
-                            self.note_read_latency(key, *node, elapsed.saturating_mul(4));
-                            self.ndp_stats.slice_retries.inc();
-                            self.stats.grouped_fallback_slices.inc();
-                            fallback.push(entry);
-                        }
-                    }
-                }
-                if any_ok {
-                    // A grouped envelope is one `ScanSlice` round trip.
-                    self.ndp_stats.slice_calls.inc();
-                }
-            }
-        } else {
-            fallback.extend(plan.iter());
-        }
-        let jobs: Vec<Box<dyn FnOnce() -> Result<SliceScanOutcome> + Send + '_>> = fallback
-            .into_iter()
-            .map(|(key, replicas, eff)| {
-                Box::new(move || self.scan_one_slice(req, *key, replicas, *eff))
-                    as Box<dyn FnOnce() -> Result<SliceScanOutcome> + Send + '_>
-            })
-            .collect();
-        outcomes.extend(self.pages.fabric.fan_out(jobs));
-        let mut out = TableScan::default();
-        for res in outcomes {
-            let slice_out = res?;
-            if slice_out.fallback {
-                out.fallback_slices += 1;
-            } else {
-                out.pushdown_slices += 1;
-            }
-            out.rows.extend(slice_out.rows);
-            out.agg.merge(&slice_out.agg);
-        }
-        // At one snapshot LSN, leaf pages partition the key space across
-        // slices, so keys are globally unique — a plain sort restores the
-        // B-tree scan order.
-        out.rows.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
-    }
-
-    /// Scans one slice: pushdown against replicas in routing order, then
-    /// Log-Store repair + placement refresh + one more pushdown round, and
-    /// finally the local `ReadPage` fallback (same escalation shape as
-    /// [`Sal::read_page`]).
-    fn scan_one_slice(
-        &self,
-        req: &ScanRequest,
-        key: SliceKey,
-        replicas: &[NodeId],
-        as_of: Lsn,
-    ) -> Result<SliceScanOutcome> {
-        if let Ok(out) = self.scan_slice_remote(req, key, replicas, as_of) {
-            return Ok(out);
-        }
-        let _ = self.repair_slice_from_logstores(key);
-        self.refresh_placement();
-        let refreshed = {
-            let st = self.state.lock();
-            match st.slices.get(&key) {
-                Some(slice) => self.replicas_by_latency(slice),
-                None => replicas.to_vec(),
-            }
-        };
-        if let Ok(out) = self.scan_slice_remote(req, key, &refreshed, as_of) {
-            return Ok(out);
-        }
-        self.scan_slice_local(req, key, &refreshed, as_of)
-    }
-
-    /// Runs the budgeted `ScanSlice` continuation loop against each replica
-    /// in order. A replica that fails mid-continuation loses its partial
-    /// result and the whole slice restarts on the next replica — reads are
-    /// idempotent, and restarting keeps the response a pure function of one
-    /// replica's directory.
-    fn scan_slice_remote(
-        &self,
-        req: &ScanRequest,
-        key: SliceKey,
-        replicas: &[NodeId],
-        as_of: Lsn,
-    ) -> Result<SliceScanOutcome> {
-        let mut last_err = TaurusError::AllReplicasFailed(key);
-        'replicas: for &node in replicas {
-            let mut call = ScanSliceRequest {
-                key,
-                as_of,
-                req: req.clone(),
-                resume_after: None,
-                max_rows: self.cfg.ndp_scan_max_rows,
-                max_bytes: self.cfg.ndp_scan_max_bytes,
-            };
-            let mut out = SliceScanOutcome::default();
-            loop {
-                let start = self.clock.now_us();
-                match self.pages.scan_slice_from(node, self.me, &call) {
-                    Ok(resp) => {
-                        self.note_read_latency(
-                            key,
-                            node,
-                            self.clock.now_us().saturating_sub(start),
-                        );
-                        self.ndp_stats.slice_calls.inc();
-                        self.ndp_stats.rows_scanned.add(resp.rows_scanned);
-                        self.ndp_stats.rows_returned.add(resp.rows.len() as u64);
-                        self.ndp_stats.bytes_returned.add(resp.bytes_returned);
-                        self.ndp_stats.pages_scanned.add(resp.pages_scanned);
-                        out.rows.extend(resp.rows);
-                        out.agg.merge(&resp.agg);
-                        match resp.next_page {
-                            Some(next) => call.resume_after = Some(next),
-                            None => return Ok(out),
-                        }
-                    }
-                    Err(e) => {
-                        // Same EWMA penalty as the ReadPage path, so a
-                        // failing replica sinks in the routing order.
-                        let elapsed = self.clock.now_us().saturating_sub(start);
-                        self.note_read_latency(key, node, elapsed.max(1).saturating_mul(4));
-                        self.ndp_stats.slice_retries.inc();
-                        last_err = e;
-                        continue 'replicas;
-                    }
-                }
-            }
-        }
-        Err(last_err)
-    }
-
-    /// Fallback: fetch every page of the slice through the versioned
-    /// `ReadPage` path (which has its own repair-and-retry) and run the
-    /// *same* shared evaluator locally. The page inventory is the union
-    /// across reachable replicas, so a replica missing directory entries
-    /// cannot silently shrink the scan.
-    fn scan_slice_local(
-        &self,
-        req: &ScanRequest,
-        key: SliceKey,
-        replicas: &[NodeId],
-        as_of: Lsn,
-    ) -> Result<SliceScanOutcome> {
-        self.ndp_stats.fallbacks.inc();
-        let mut pages: BTreeSet<PageId> = BTreeSet::new();
-        let mut reachable = false;
-        for &node in replicas {
-            if let Ok(ids) = self.pages.page_ids_of(node, self.me, key) {
-                reachable = true;
-                pages.extend(ids);
-            }
-        }
-        if !reachable {
-            return Err(TaurusError::AllReplicasFailed(key));
-        }
-        let mut acc = ScanAccumulator::default();
-        for page in pages {
-            let buf = self.read_page(page, Some(as_of))?;
-            self.ndp_stats.fallback_pages.inc();
-            self.ndp_stats.fallback_bytes.add(PAGE_SIZE as u64);
-            evaluate_leaf_page(&buf, req, &mut acc)?;
-        }
-        Ok(SliceScanOutcome {
-            rows: acc.rows,
-            agg: acc.agg,
-            fallback: true,
-        })
+        self.reader.scan(self, req, as_of)
     }
 
     // ==================================================================
@@ -2361,6 +1447,11 @@ impl Sal {
     /// The database persistent LSN: the minimum persistent LSN across the
     /// slices that still have records not yet on all three replicas. Slices
     /// that are fully caught up do not constrain it (§4.3).
+    ///
+    /// Durable records still sitting in a slice *buffer* are on no replica
+    /// at all: they hold the value just below the first buffered LSN, or
+    /// truncation would move the recovery anchor past records a crash of
+    /// this process loses.
     pub fn database_persistent_lsn(&self) -> Lsn {
         let st = self.state.lock();
         let mut dbp = self.durable_lsn.get();
@@ -2368,6 +1459,9 @@ impl Sal {
             let min = slice.min_replica_persistent();
             if min < slice.flush_lsn {
                 dbp = dbp.min(min);
+            }
+            if let Some(first) = slice.buffer.iter().map(|r| r.lsn).min() {
+                dbp = dbp.min(Lsn(first.0.saturating_sub(1)));
             }
         }
         dbp
@@ -2463,10 +1557,7 @@ impl Sal {
                         if let Some(prev) = slice.replica_persistent.remove(old) {
                             slice.replica_persistent.insert(*new, prev);
                         }
-                        slice.read_latency_us.remove(old);
-                        // The replaced node is out of the placement; its
-                        // suspect mark must not shadow the fresh replica.
-                        self.suspects.lock().remove(old);
+                        self.reader.forget_replica(*key, *old);
                     }
                 }
                 slice.replicas = current;
@@ -2602,8 +1693,13 @@ impl Sal {
         // database persistent LSN forever).
         if self.pages.gc_retired(capped, self.me) > 0 {
             let mut st = self.state.lock();
-            st.slices
-                .retain(|k, _| self.pages.placement_view(*k).is_some());
+            st.slices.retain(|k, _| {
+                let live = self.pages.placement_view(*k).is_some();
+                if !live {
+                    self.reader.forget_slice(*k);
+                }
+                live
+            });
         }
     }
 
@@ -2789,40 +1885,7 @@ impl Sal {
         pages: PageStoreCluster,
         anchor: Arc<LsnWatermark>,
     ) -> Result<(Arc<Sal>, Lsn)> {
-        cfg.validate()?;
-        let n = cfg.log_streams;
-        let stats = Arc::new(LogStoreStats::default());
-        let mut streams = Vec::with_capacity(n);
-        for i in 0..n {
-            // A stream with no registered metadata never wrote (the DB ran
-            // with fewer streams before the crash, or the stream stayed
-            // idle and was truncated away): create it fresh.
-            let stream = if logs.meta_plog_stream(db, i as u32).is_some() {
-                LogStream::open_stream(
-                    logs.clone(),
-                    db,
-                    me,
-                    cfg.plog_size_limit,
-                    cfg.log_append_window,
-                    i as u32,
-                    n > 1,
-                    Arc::clone(&stats),
-                )?
-            } else {
-                LogStream::create_stream(
-                    logs.clone(),
-                    db,
-                    me,
-                    cfg.plog_size_limit,
-                    cfg.log_append_window,
-                    i as u32,
-                    n > 1,
-                    Arc::clone(&stats),
-                )?
-            };
-            streams.push(stream);
-        }
-        let sal = Self::build(cfg, db, me, logs, pages, streams, stats, anchor);
+        let sal = Self::build(cfg, db, me, logs, pages, anchor, true)?;
 
         let start = sal.anchor.get();
         // Merge the durable flush spans of every stream in LSN order, then
@@ -2980,5 +2043,42 @@ impl Sal {
         }
         sal.cv_lsn.advance(max_lsn);
         Ok((sal, max_lsn))
+    }
+}
+
+/// The master's side of the shared read planner: its snapshot rule and the
+/// Log-Store repair hook.
+impl FrontEnd for Sal {
+    /// `None` pins each slice at its acked LSN (the newest version at least
+    /// one replica holds). An explicit `as_of` is a *global* snapshot LSN,
+    /// which a quiet slice's replicas can never reach (their persistent LSN
+    /// tops out at the slice's own last record): the slice buffer is
+    /// flushed if it may hold records inside the snapshot, and the request
+    /// is capped at the slice's flush LSN — exact, because after the flush
+    /// the slice has no records in `(flush_lsn, as_of]`, so the version at
+    /// `as_of` *is* the version at `flush_lsn`.
+    fn snapshots(&self, keys: &[SliceKey], as_of: Option<Lsn>) -> Result<Vec<Lsn>> {
+        self.ensure_slices(keys)?;
+        let mut st = self.state.lock();
+        let mut out = Vec::with_capacity(keys.len());
+        for &key in keys {
+            let unflushed = |s: &SliceState| as_of.is_some_and(|a| a > s.flush_lsn);
+            if st.slices.get(&key).is_some_and(unflushed) {
+                self.flush_slice_locked(&mut st, key);
+            }
+            let slice = st.slices.get(&key).ok_or(TaurusError::SliceNotFound(key))?;
+            out.push(as_of.map_or(slice.acked_lsn, |a| a.min(slice.flush_lsn)));
+        }
+        Ok(out)
+    }
+
+    /// Pulls the records the slice's replicas are missing from the Log
+    /// Stores and resends them, then re-learns placement: the repair (or a
+    /// concurrent rebuild or cut-over) may have moved the slice to different
+    /// nodes.
+    fn repair(&self, key: SliceKey) -> bool {
+        let _ = self.repair_slice_from_logstores(key);
+        self.refresh_placement();
+        true
     }
 }

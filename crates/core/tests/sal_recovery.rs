@@ -511,6 +511,68 @@ fn recovery_service_handles_long_term_page_store_failure_end_to_end() {
     assert_eq!(page.nslots(), 2);
 }
 
+/// Regression (acknowledged-commit loss): durable records still sitting in
+/// a slice *buffer* are on no Page Store replica, so they must hold the
+/// database persistent LSN below them. Before the fix `truncate_log` moved
+/// the recovery anchor to the durable LSN — past those records — and a
+/// master crash right after a truncation round lost committed rows.
+#[test]
+fn truncation_never_passes_records_still_in_slice_buffers() {
+    let h = Harness::new(5, 5);
+    let cfg = TaurusConfig {
+        log_buffer_bytes: 1, // every group is flushed to the Log Stores
+        // Nothing forces the slice buffers out: committed records stay in
+        // SAL memory, exactly the state a crash destroys.
+        slice_buffer_bytes: 1 << 20,
+        slice_flush_timeout_us: u64::MAX,
+        ..TaurusConfig::test()
+    };
+    let sal = Sal::create(
+        cfg.clone(),
+        DbId(1),
+        h.me,
+        h.logs.clone(),
+        h.pages.clone(),
+        Arc::clone(&h.anchor),
+    )
+    .unwrap();
+    // Committed rows on pages of three different slices.
+    let pps = cfg.pages_per_slice;
+    let pages = [1, 2, pps + 1, 2 * pps + 1];
+    let mut end = Lsn::ZERO;
+    for (i, page) in pages.iter().enumerate() {
+        end = h.write_kv(&sal, *page, &format!("k{i}"), "v", true);
+    }
+    assert_eq!(sal.durable_lsn(), end, "every write was acknowledged");
+    sal.tick();
+    assert_eq!(sal.cv_lsn(), Lsn::ZERO, "no slice buffer may have shipped");
+
+    // A truncation round, then the crash: the SAL dies with its buffers.
+    sal.truncate_log().unwrap();
+    assert_eq!(
+        sal.recovery_anchor(),
+        Lsn::ZERO,
+        "the anchor must stay below the first buffered record"
+    );
+    drop(sal);
+
+    let (sal2, max_lsn) = Sal::recover(
+        cfg.clone(),
+        DbId(1),
+        h.me,
+        h.logs.clone(),
+        h.pages.clone(),
+        Arc::clone(&h.anchor),
+    )
+    .unwrap();
+    assert_eq!(max_lsn, end, "redo must find every acknowledged record");
+    for (i, page) in pages.iter().enumerate() {
+        let buf = sal2.read_page(PageId(*page), Some(end)).unwrap();
+        assert_eq!(buf.nslots(), 1, "page {page} lost its committed row");
+        assert_eq!(buf.key(0).unwrap(), format!("k{i}").as_bytes());
+    }
+}
+
 #[test]
 fn recovery_service_truncates_log_when_everyone_caught_up() {
     let h = Harness::new(5, 5);
@@ -534,6 +596,13 @@ fn recovery_service_truncates_log_when_everyone_caught_up() {
         h.write_kv(&sal, 1, &format!("k{i}"), "v", i == 0);
     }
     h.settle(&sal);
+    // `settle` waits for one ack per fragment; truncation needs all three.
+    for _ in 0..2000 {
+        if sal.database_persistent_lsn() == sal.durable_lsn() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
     let before = h.logs.plog_count();
     let report = svc.run_once();
     assert!(report.plogs_truncated > 0, "report: {report:?}");

@@ -367,7 +367,6 @@ fn dropped_pending_flush_still_flushes() {
 fn dead_node_grouped_read_fails_over_per_slice() {
     let h = Harness::new(4, 6);
     let sal = h.sal();
-    assert!(h.cfg.rpc_coalescing, "coalescing must be on for this test");
     let pps = h.cfg.pages_per_slice;
     // Two pages in two distinct slices: the multi-slice plan rides the
     // grouped dispatcher path.

@@ -74,13 +74,9 @@ impl TaurusDb {
                 log_cache_bytes: cfg.pagestore_log_cache_bytes,
                 pool_pages: cfg.pagestore_buffer_pool_pages,
                 pool_policy: EvictionPolicy::Lfu,
-                consolidation: if cfg.layered_consolidation {
-                    ConsolidationPolicy::Layered {
-                        l0_target_bytes: cfg.layer_l0_target_bytes,
-                        compaction_threshold: cfg.compaction_threshold,
-                    }
-                } else {
-                    ConsolidationPolicy::LogCacheCentric
+                consolidation: ConsolidationPolicy::Layered {
+                    l0_target_bytes: cfg.layer_l0_target_bytes,
+                    compaction_threshold: cfg.compaction_threshold,
                 },
             },
         );

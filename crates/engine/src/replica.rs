@@ -5,7 +5,9 @@
 //! the log directly from the Log Stores with an incremental tail reader,
 //! applies whole record groups atomically to the pages in its buffer pool,
 //! and reads pages it does not have from the Page Stores at its
-//! transaction-visible LSN.
+//! transaction-visible LSN — through the read planner it shares with the
+//! master's SAL ([`taurus_core::slice_reader`]): latency-aware routing,
+//! fail-over, fan-out and per-node coalescing come with it.
 //!
 //! Consistency machinery reproduced from the paper:
 //!
@@ -27,13 +29,13 @@ use taurus_common::apply::apply_record;
 use taurus_common::lsn::LsnWatermark;
 use taurus_common::metrics::LogStoreStats;
 use taurus_common::record::{LogRecordGroup, RecordBody};
-use taurus_common::scan::{evaluate_leaf_page, ScanAccumulator, ScanRequest};
+use taurus_common::scan::ScanRequest;
 use taurus_common::{
     DbId, Lsn, NodeId, PageBuf, PageId, Result, SliceKey, TaurusConfig, TaurusError, TxnId,
 };
-use taurus_core::TableScan;
+use taurus_core::{FrontEnd, SliceReader, TableScan};
 use taurus_logstore::{LogStoreCluster, LogStream, TailCursor};
-use taurus_pagestore::{PageReadOutcome, PageStoreCluster, ReadPagesRequest, ScanSliceRequest};
+use taurus_pagestore::PageStoreCluster;
 
 use crate::btree::{BTree, PageFetch};
 use crate::master::Bulletin;
@@ -43,11 +45,11 @@ use crate::pool::{EnginePool, Frame};
 pub struct ReplicaEngine {
     pub id: usize,
     pub me: NodeId,
-    db: DbId,
     cfg: TaurusConfig,
     /// One view per master log stream; the tail merges across them.
     streams: Vec<LogStream>,
-    pages: PageStoreCluster,
+    /// The shared read planner (and this replica's read-side counters).
+    pub reader: SliceReader,
     pool: EnginePool,
     visible_lsn: LsnWatermark,
     /// One incremental tail cursor per stream, all advanced under one lock
@@ -103,10 +105,9 @@ impl ReplicaEngine {
         Ok(Arc::new(ReplicaEngine {
             id,
             me,
-            db,
+            reader: SliceReader::new(cfg.clone(), db, me, pages),
             cfg,
             streams,
-            pages,
             pool,
             visible_lsn: LsnWatermark::new(Lsn::ZERO),
             cursors: Mutex::new((0..n).map(|_| TailCursor::default()).collect()),
@@ -312,14 +313,26 @@ impl ReplicaEngine {
     }
 }
 
+/// A replica's side of the shared read planner. Every slice is read at the
+/// requested TV-LSN — no snapshot capping is needed on a replica, because
+/// the TV-LSN never passes the master's read horizon (the minimum per-slice
+/// acked LSN), so every slice has at least one replica that can serve it.
+/// There is no repair hook: only the master can resend from the Log Stores.
+impl FrontEnd for ReplicaEngine {
+    fn snapshots(&self, keys: &[SliceKey], as_of: Option<Lsn>) -> Result<Vec<Lsn>> {
+        let tv = as_of.unwrap_or_else(|| self.visible_lsn.get());
+        Ok(vec![tv; keys.len()])
+    }
+}
+
 /// Bound on the per-traversal page cache a fetcher keeps for versions it is
 /// not allowed to install in the shared pool.
 const REPLICA_CACHE_PAGES: usize = 512;
 
 /// A replica's versioned page fetcher, pinned at one TV-LSN for its whole
-/// traversal. Demand fetches keep the original single-page path; B-tree
-/// readahead hints batch the absent pages into one `ReadPages` call per
-/// slice, all at the pinned `tv` so the batch cannot tear the snapshot.
+/// traversal. Demand fetches read one page; B-tree readahead hints batch
+/// the absent pages into one planner call, all at the pinned `tv` so the
+/// batch cannot tear the snapshot.
 struct ReplicaFetcher<'a> {
     replica: &'a ReplicaEngine,
     tv: Lsn,
@@ -337,67 +350,12 @@ impl ReplicaFetcher<'_> {
         cache.insert(id, buf);
     }
 
-    /// Batched versioned read at the pinned `tv`: one `ReadPages`
-    /// continuation loop per slice, failing over across the slice's
-    /// replicas. Speculative — per-page refusals and exhausted slices are
-    /// simply dropped (the demand path carries the real error handling).
+    /// Batched versioned read at the pinned `tv`. Speculative — a batch
+    /// the planner could not complete is simply dropped (the demand path
+    /// carries the real error handling).
     fn read_batch(&self, ids: &[PageId]) -> Vec<(PageId, PageBuf)> {
-        let r = self.replica;
-        let mut order: Vec<SliceKey> = Vec::new();
-        let mut by_slice: HashMap<SliceKey, Vec<PageId>> = HashMap::new();
-        for &id in ids {
-            // Route by placement *and* snapshot: after an elastic cut-over
-            // the version at `tv` may live on a retired slice (tv at or
-            // below its fence) rather than the active successor.
-            let key = r
-                .pages
-                .route_read(r.db, id, r.cfg.pages_per_slice, Some(self.tv));
-            let entry = by_slice.entry(key).or_default();
-            if !order.contains(&key) {
-                order.push(key);
-            }
-            if !entry.contains(&id) {
-                entry.push(id);
-            }
-        }
-        let mut out = Vec::with_capacity(ids.len());
-        'slices: for key in order {
-            let pages = &by_slice[&key];
-            'replicas: for node in r.pages.replicas_of(key) {
-                let mut remaining: &[PageId] = pages;
-                let mut acc: Vec<(PageId, PageReadOutcome)> = Vec::new();
-                loop {
-                    let call = ReadPagesRequest {
-                        key,
-                        as_of: self.tv,
-                        pages: remaining.to_vec(),
-                        max_pages: r.cfg.read_batch_max_pages,
-                        max_bytes: r.cfg.read_batch_max_bytes,
-                    };
-                    match r.pages.read_pages_from(node, r.me, &call) {
-                        Ok(resp) => {
-                            acc.extend(resp.pages);
-                            match resp.resume_from {
-                                Some(i) if i > 0 && i < remaining.len() => {
-                                    remaining = &remaining[i..];
-                                }
-                                _ => break,
-                            }
-                        }
-                        // Whole-call refusal (behind / rebuilding / down):
-                        // restart the slice on the next replica.
-                        Err(_) => continue 'replicas,
-                    }
-                }
-                for (page, outcome) in acc {
-                    if let PageReadOutcome::Ok(buf, _) = outcome {
-                        out.push((page, buf));
-                    }
-                }
-                continue 'slices;
-            }
-        }
-        out
+        let (r, tv) = (self.replica, Some(self.tv));
+        r.reader.read_pages(r, ids, tv).unwrap_or_default()
     }
 }
 
@@ -414,37 +372,23 @@ impl PageFetch for ReplicaFetcher<'_> {
                 return Ok(Arc::clone(&frame.buf));
             }
         }
-        let key = r
-            .pages
-            .route_read(r.db, id, r.cfg.pages_per_slice, Some(tv));
-        let mut last_err = TaurusError::AllReplicasFailed(key);
-        for node in r.pages.replicas_of(key) {
-            match r.pages.read_page_from(node, r.me, key, id, tv) {
-                Ok((buf, _)) => {
-                    let buf = Arc::new(buf);
-                    // Warm the pool so future log records keep the page
-                    // fresh — but never clobber a newer cached version
-                    // with an old snapshot read, and never insert a
-                    // version older than the visible LSN: `poll` only
-                    // applies records to *pooled* pages, so records
-                    // consumed while the page was absent can never be
-                    // replayed onto it — a stale insert would serve
-                    // fresh transactions old data forever.
-                    if cached.is_none() && tv >= r.visible_lsn.get() {
-                        r.pool.put(
-                            id,
-                            Frame::new(Arc::clone(&buf), buf.lsn(), false),
-                            &|_, _| true,
-                        );
-                    } else {
-                        Self::remember(&mut self.cache.borrow_mut(), id, Arc::clone(&buf));
-                    }
-                    return Ok(buf);
-                }
-                Err(e) => last_err = e,
-            }
+        let buf = Arc::new(r.reader.read_page(r, id, Some(tv))?);
+        // Warm the pool so future log records keep the page fresh — but
+        // never clobber a newer cached version with an old snapshot read,
+        // and never insert a version older than the visible LSN: `poll`
+        // only applies records to *pooled* pages, so records consumed while
+        // the page was absent can never be replayed onto it — a stale
+        // insert would serve fresh transactions old data forever.
+        if cached.is_none() && tv >= r.visible_lsn.get() {
+            r.pool.put(
+                id,
+                Frame::new(Arc::clone(&buf), buf.lsn(), false),
+                &|_, _| true,
+            );
+        } else {
+            Self::remember(&mut self.cache.borrow_mut(), id, Arc::clone(&buf));
         }
-        Err(last_err)
+        Ok(buf)
     }
 
     fn prefetch(&self, pages: &[PageId]) {
@@ -515,101 +459,12 @@ impl ReplicaTxn {
         BTree::scan(&fetch, start, limit)
     }
 
-    /// Pushed-down table scan at this transaction's pinned TV-LSN.
-    ///
-    /// Every slice is scanned via `ScanSlice` on the Page Stores at exactly
-    /// `tv` — no snapshot capping is needed on a replica, because the TV-LSN
-    /// never passes the master's read horizon (the minimum per-slice acked
-    /// LSN), so every slice has at least one replica that can serve `tv`. A
-    /// slice whose replicas all refuse falls back to fetch-and-evaluate
-    /// through the versioned read path at the same LSN.
+    /// Pushed-down table scan at this transaction's pinned TV-LSN: every
+    /// active slice is scanned via `ScanSlice` on the Page Stores at exactly
+    /// `tv`, through the shared planner.
     pub fn scan_pushdown(&self, req: &ScanRequest) -> Result<TableScan> {
         let r = &self.replica;
-        let mut keys: Vec<SliceKey> = r
-            .pages
-            .slices()
-            .into_iter()
-            .filter(|k| k.db == r.db)
-            .collect();
-        keys.sort();
-        let mut out = TableScan::default();
-        for key in keys {
-            match self.scan_slice_remote(req, key) {
-                Ok(acc) => {
-                    out.pushdown_slices += 1;
-                    out.rows.extend(acc.rows);
-                    out.agg.merge(&acc.agg);
-                }
-                Err(_) => {
-                    let acc = self.scan_slice_local(req, key)?;
-                    out.fallback_slices += 1;
-                    out.rows.extend(acc.rows);
-                    out.agg.merge(&acc.agg);
-                }
-            }
-        }
-        out.rows.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
-    }
-
-    /// Budgeted `ScanSlice` continuation loop against the slice's replicas.
-    /// A replica failing mid-continuation restarts the slice on the next
-    /// replica (reads are idempotent).
-    fn scan_slice_remote(&self, req: &ScanRequest, key: SliceKey) -> Result<ScanAccumulator> {
-        let r = &self.replica;
-        let mut last_err = TaurusError::AllReplicasFailed(key);
-        'replicas: for node in r.pages.replicas_of(key) {
-            let mut call = ScanSliceRequest {
-                key,
-                as_of: self.tv,
-                req: req.clone(),
-                resume_after: None,
-                max_rows: r.cfg.ndp_scan_max_rows,
-                max_bytes: r.cfg.ndp_scan_max_bytes,
-            };
-            let mut out = ScanAccumulator::default();
-            loop {
-                match r.pages.scan_slice_from(node, r.me, &call) {
-                    Ok(resp) => {
-                        out.rows.extend(resp.rows);
-                        out.agg.merge(&resp.agg);
-                        match resp.next_page {
-                            Some(next) => call.resume_after = Some(next),
-                            None => return Ok(out),
-                        }
-                    }
-                    Err(e) => {
-                        last_err = e;
-                        continue 'replicas;
-                    }
-                }
-            }
-        }
-        Err(last_err)
-    }
-
-    /// Fallback: fetch the slice's pages through the versioned read path at
-    /// `tv` and fold them through the same shared evaluator.
-    fn scan_slice_local(&self, req: &ScanRequest, key: SliceKey) -> Result<ScanAccumulator> {
-        let r = &self.replica;
-        let mut pages = std::collections::BTreeSet::new();
-        let mut reachable = false;
-        for node in r.pages.replicas_of(key) {
-            if let Ok(ids) = r.pages.page_ids_of(node, r.me, key) {
-                reachable = true;
-                pages.extend(ids);
-            }
-        }
-        if !reachable {
-            return Err(TaurusError::AllReplicasFailed(key));
-        }
-        let fetch = r.fetch_at(self.tv);
-        let mut acc = ScanAccumulator::default();
-        for page in pages {
-            let buf = fetch.fetch(page)?;
-            evaluate_leaf_page(&buf, req, &mut acc)?;
-        }
-        Ok(acc)
+        r.reader.scan(&**r, req, self.tv)
     }
 }
 

@@ -40,6 +40,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
+use taurus_common::clock::ClockRef;
 use taurus_common::metrics::{Counter, Gauge};
 
 /// Default pool size when the embedder never calls
@@ -102,6 +103,10 @@ pub struct DispatchStats {
     pub detached_jobs: Counter,
     /// Tickets popped after their batch had no work left.
     pub stale_tickets: Counter,
+    /// Microseconds workers spent executing items (fabric clock), summed
+    /// over workers. `busy_workers` is a point sample that reads 0 whenever
+    /// the pool has drained, which is when benches look; this integrates.
+    pub busy_us: Counter,
 }
 
 /// Point-in-time copy of [`DispatchStats`] plus the spawned-worker count.
@@ -115,16 +120,20 @@ pub struct DispatchSnapshot {
     pub inline_jobs: u64,
     pub detached_jobs: u64,
     pub stale_tickets: u64,
+    pub busy_us: u64,
 }
 
 impl DispatchSnapshot {
-    /// Fraction of spawned workers busy at snapshot time, in [0, 1].
-    pub fn utilization(&self) -> f64 {
-        if self.workers == 0 {
-            0.0
-        } else {
-            self.busy_workers as f64 / self.workers as f64
+    /// Time-integrated busy fraction of the pool over the `wall_us` that
+    /// passed since `earlier` was taken: worker-microseconds spent executing
+    /// items over worker-microseconds available, in [0, 1].
+    pub fn utilization_since(&self, earlier: &DispatchSnapshot, wall_us: u64) -> f64 {
+        let capacity = self.workers as u64 * wall_us;
+        if capacity == 0 {
+            return 0.0;
         }
+        let busy = self.busy_us.saturating_sub(earlier.busy_us);
+        (busy as f64 / capacity as f64).min(1.0)
     }
 }
 
@@ -133,7 +142,7 @@ impl std::fmt::Display for DispatchSnapshot {
         write!(
             f,
             "workers={} queue_depth={} max_queue_depth={} busy_workers={} pool_jobs={} \
-             inline_jobs={} detached_jobs={} stale_tickets={}",
+             inline_jobs={} detached_jobs={} stale_tickets={} busy_us={}",
             self.workers,
             self.queue_depth,
             self.max_queue_depth,
@@ -142,6 +151,7 @@ impl std::fmt::Display for DispatchSnapshot {
             self.inline_jobs,
             self.detached_jobs,
             self.stale_tickets,
+            self.busy_us,
         )
     }
 }
@@ -155,6 +165,7 @@ struct Shared {
     queue_cv: Condvar,
     shutdown: AtomicBool,
     stats: DispatchStats,
+    clock: ClockRef,
 }
 
 impl Shared {
@@ -194,6 +205,7 @@ fn worker_loop(shared: Arc<Shared>) {
             }
         };
         shared.stats.busy_workers.add(1);
+        let started = shared.clock.now_us();
         match item {
             Item::Ticket(t) => {
                 // SAFETY: the batch outlives the ticket (fan-out hand-over
@@ -217,6 +229,10 @@ fn worker_loop(shared: Arc<Shared>) {
                 let _ = catch_unwind(AssertUnwindSafe(f));
             }
         }
+        shared
+            .stats
+            .busy_us
+            .add(shared.clock.now_us().saturating_sub(started));
         shared.stats.busy_workers.sub(1);
     }
 }
@@ -245,13 +261,14 @@ impl std::fmt::Debug for Dispatch {
 }
 
 impl Dispatch {
-    pub(crate) fn new(workers: usize) -> Self {
+    pub(crate) fn new(workers: usize, clock: ClockRef) -> Self {
         Dispatch {
             shared: Arc::new(Shared {
                 queue: Mutex::new(VecDeque::new()),
                 queue_cv: Condvar::new(),
                 shutdown: AtomicBool::new(false),
                 stats: DispatchStats::default(),
+                clock,
             }),
             target_workers: AtomicUsize::new(workers),
             spawned: Mutex::new(Vec::new()),
@@ -275,6 +292,7 @@ impl Dispatch {
             inline_jobs: s.inline_jobs.get(),
             detached_jobs: s.detached_jobs.get(),
             stale_tickets: s.stale_tickets.get(),
+            busy_us: s.busy_us.get(),
         }
     }
 
@@ -360,7 +378,13 @@ impl Dispatch {
 
 impl Drop for Dispatch {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Raise the flag under the queue lock: an idle worker checks it and
+        // parks under that lock, so an unlocked store + notify can fall
+        // between check and wait — a lost wake-up that hangs the join below.
+        {
+            let _queue = self.shared.queue.lock();
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.queue_cv.notify_all();
         // A detached job can own the last strong handle to the structure
         // that owns this pool (e.g. a SAL drain job whose `Weak` upgrade
@@ -468,6 +492,11 @@ impl<'env, T: Send> BatchRun for FanBatch<'env, T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use taurus_common::clock::SystemClock;
+
+    fn pool(workers: usize) -> Dispatch {
+        Dispatch::new(workers, SystemClock::shared())
+    }
 
     fn boxed<T: Send>(f: impl FnOnce() -> T + Send + 'static) -> Box<dyn FnOnce() -> T + Send> {
         Box::new(f)
@@ -475,7 +504,7 @@ mod tests {
 
     #[test]
     fn fan_out_returns_results_in_input_order() {
-        let d = Dispatch::new(4);
+        let d = pool(4);
         let jobs: Vec<_> = (0..32u64).map(|i| boxed(move || i * 3)).collect();
         let out = d.fan_out(jobs);
         assert_eq!(out, (0..32u64).map(|i| i * 3).collect::<Vec<_>>());
@@ -484,7 +513,7 @@ mod tests {
     #[test]
     fn fan_out_completes_with_zero_workers() {
         // Caller-helps makes the pool optional: everything runs inline.
-        let d = Dispatch::new(0);
+        let d = pool(0);
         let out = d.fan_out((0..8u64).map(|i| boxed(move || i)).collect());
         assert_eq!(out, (0..8).collect::<Vec<_>>());
         let snap = d.snapshot();
@@ -494,7 +523,7 @@ mod tests {
 
     #[test]
     fn fan_out_borrows_caller_state() {
-        let d = Dispatch::new(2);
+        let d = pool(2);
         let acc = AtomicU64::new(0);
         let acc_ref = &acc;
         let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..16u64)
@@ -510,7 +539,7 @@ mod tests {
 
     #[test]
     fn fan_out_propagates_the_first_panic_after_draining() {
-        let d = Dispatch::new(2);
+        let d = pool(2);
         let done = Arc::new(AtomicU64::new(0));
         let jobs: Vec<Box<dyn FnOnce() + Send>> = (0..6)
             .map(|i| {
@@ -538,7 +567,7 @@ mod tests {
     fn nested_fan_out_does_not_deadlock_a_saturated_pool() {
         // One worker, and every outer job fans out again: only the
         // caller-helps discipline keeps this from deadlocking.
-        let d = Arc::new(Dispatch::new(1));
+        let d = Arc::new(pool(1));
         let outer: Vec<Box<dyn FnOnce() -> u64 + Send + '_>> = (0..4u64)
             .map(|i| {
                 let d = Arc::clone(&d);
@@ -555,7 +584,7 @@ mod tests {
 
     #[test]
     fn concurrent_batches_from_many_threads_all_complete() {
-        let d = Arc::new(Dispatch::new(2));
+        let d = Arc::new(pool(2));
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let d = Arc::clone(&d);
@@ -575,7 +604,7 @@ mod tests {
         // One slow node in a grouped fan-out must not serialize the rest
         // of the batch behind it: with 2 workers + the helping caller,
         // every fast job finishes while the slow job is still sleeping.
-        let d = Dispatch::new(2);
+        let d = pool(2);
         let t0 = std::time::Instant::now();
         let mut jobs: Vec<Box<dyn FnOnce() -> (usize, std::time::Duration) + Send>> =
             vec![Box::new(move || {
@@ -603,7 +632,7 @@ mod tests {
         // batch must still complete promptly because B's own thread
         // helps drain B's batch — saturation degrades to inline
         // execution, never to starvation.
-        let d = Arc::new(Dispatch::new(2));
+        let d = Arc::new(pool(2));
         let hold = Arc::new(AtomicU64::new(0));
         std::thread::scope(|s| {
             {
@@ -638,8 +667,31 @@ mod tests {
     }
 
     #[test]
+    fn busy_time_is_integrated_not_sampled() {
+        // After the pool drains `busy_workers` reads 0; `busy_us` keeps the
+        // time the worker actually spent executing.
+        let d = pool(1);
+        let before = d.snapshot();
+        d.spawn_detached(Box::new(|| {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while d.snapshot().busy_us < 20_000 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "busy time never accounted"
+            );
+            std::thread::yield_now();
+        }
+        let after = d.snapshot();
+        let u = after.utilization_since(&before, 40_000);
+        assert!((0.5..=1.0).contains(&u), "utilization {u}");
+        assert_eq!(after.utilization_since(&before, 0), 0.0);
+    }
+
+    #[test]
     fn detached_jobs_run_and_panics_are_contained() {
-        let d = Dispatch::new(1);
+        let d = pool(1);
         let hit = Arc::new(AtomicU64::new(0));
         d.spawn_detached(Box::new(|| panic!("detached panic must not kill the pool")));
         let h = Arc::clone(&hit);

@@ -75,15 +75,15 @@ impl Fabric {
     /// seed (all jitter and placement randomness derives from the seed).
     pub fn new(clock: ClockRef, profile: NetworkProfile, seed: u64) -> Self {
         Fabric {
-            clock,
-            profile,
             inner: Arc::new(Inner {
                 nodes: RwLock::new(HashMap::new()),
                 rng: Mutex::new(StdRng::seed_from_u64(seed)),
                 next_node: Mutex::new(1),
                 seed,
-                dispatch: Dispatch::new(DEFAULT_FABRIC_WORKERS),
+                dispatch: Dispatch::new(DEFAULT_FABRIC_WORKERS, clock.clone()),
             }),
+            clock,
+            profile,
         }
     }
 

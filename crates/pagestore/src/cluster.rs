@@ -26,10 +26,6 @@ use taurus_common::{DbId, Lsn, NodeId, PageBuf, PageId, Result, SliceKey, Taurus
 use taurus_fabric::{Fabric, NodeKind, StorageDevice};
 
 use crate::fragment::SliceFragment;
-
-/// Input to [`PageStoreCluster::write_logs_grouped`]: per target node, the
-/// `(fragment, sequence)` pairs shipped inside that node's one envelope.
-pub type FragmentGroups = Vec<(NodeId, Vec<(Arc<SliceFragment>, u64)>)>;
 use crate::placement::{IngestFilter, PlacementMap, DYNAMIC_SLICE_BASE};
 use crate::pool::EvictionPolicy;
 use crate::pushdown::{ScanSliceRequest, ScanSliceResponse};
@@ -38,6 +34,9 @@ use crate::server::{
     ConsolidationPolicy, PageStoreServer, PageStoreStatsSnapshot, RecycleReport, SliceExport,
     SliceHeatSnapshot,
 };
+
+/// One `write_logs_grouped` envelope: a node and its `(fragment, epoch)` pairs.
+pub type FragmentGroup = (NodeId, Vec<(Arc<SliceFragment>, u64)>);
 
 /// Construction parameters for Page Store servers spawned by the cluster.
 #[derive(Clone, Copy, Debug)]
@@ -54,7 +53,7 @@ impl Default for PageStoreOptions {
             log_cache_bytes: 16 << 20,
             pool_pages: 4096,
             pool_policy: EvictionPolicy::Lfu,
-            consolidation: ConsolidationPolicy::LogCacheCentric,
+            consolidation: ConsolidationPolicy::layered_default(),
         }
     }
 }
@@ -551,100 +550,57 @@ impl PageStoreCluster {
         self.write_logs_to(node, from, frag)
     }
 
-    /// `ReadPage` with the caller's cached placement epoch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn read_page_checked(
+    /// One fabric envelope per node: every request of a group rides a single
+    /// round trip (one latency charge) to that group's node and is answered
+    /// by `handle`, demuxed back per request in input order. A failed
+    /// envelope fails all of its slots with `NodeUnavailable`; the caller
+    /// fails over per slice.
+    fn grouped<Q: Sync, R: Send>(
         &self,
-        node: NodeId,
         from: NodeId,
-        key: SliceKey,
-        page: PageId,
-        as_of: Lsn,
-        epoch: u64,
-    ) -> Result<(PageBuf, Lsn)> {
-        self.check_rpc(key, node, epoch, None)?;
-        self.read_page_from(node, from, key, page, as_of)
+        groups: &[(NodeId, Vec<Q>)],
+        handle: impl Fn(NodeId, &Q) -> Result<R> + Sync,
+    ) -> Vec<Vec<Result<R>>> {
+        type Handler<'a, R> = Box<dyn FnOnce() -> Result<R> + Send + 'a>;
+        let handle = &handle;
+        let calls: Vec<(NodeId, Vec<Handler<'_, R>>)> = groups
+            .iter()
+            .map(|(node, reqs)| {
+                let node = *node;
+                let handlers = reqs
+                    .iter()
+                    .map(|req| Box::new(move || handle(node, req)) as Handler<'_, R>)
+                    .collect();
+                (node, handlers)
+            })
+            .collect();
+        self.fabric
+            .call_grouped(from, calls)
+            .into_iter()
+            .map(|slots| slots.into_iter().map(|s| s.and_then(|r| r)).collect())
+            .collect()
     }
 
-    /// `ReadPages` with the caller's cached placement epoch.
-    pub fn read_pages_checked(
-        &self,
-        node: NodeId,
-        from: NodeId,
-        call: &ReadPagesRequest,
-        epoch: u64,
-    ) -> Result<ReadPagesResponse> {
-        self.check_rpc(call.key, node, epoch, None)?;
-        self.read_pages_from(node, from, call)
-    }
-
-    /// `ScanSlice` with the caller's cached placement epoch.
-    pub fn scan_slice_checked(
-        &self,
-        node: NodeId,
-        from: NodeId,
-        call: &ScanSliceRequest,
-        epoch: u64,
-    ) -> Result<ScanSliceResponse> {
-        self.check_rpc(call.key, node, epoch, None)?;
-        self.scan_slice_from(node, from, call)
-    }
-
-    /// Grouped `ReadPages`: every per-slice request bound for one node
-    /// rides a single fabric round trip (one envelope, one latency charge),
-    /// demuxed back per request in input order. A failed envelope fails all
-    /// of its slots with `NodeUnavailable`; the caller fails over per
-    /// slice. Requests are unchecked, matching the per-slice
+    /// Grouped `ReadPages`: one envelope per node carrying every per-slice
+    /// request bound for it (see [`PageStoreCluster::grouped`]). Requests
+    /// are unchecked, matching the per-slice
     /// [`PageStoreCluster::read_pages_from`] miss path.
     pub fn read_pages_grouped(
         &self,
         from: NodeId,
-        groups: Vec<(NodeId, Vec<ReadPagesRequest>)>,
+        groups: &[(NodeId, Vec<&ReadPagesRequest>)],
     ) -> Vec<Vec<Result<ReadPagesResponse>>> {
-        type Handler<'a> = Box<dyn FnOnce() -> Result<ReadPagesResponse> + Send + 'a>;
-        let calls: Vec<(NodeId, Vec<Handler<'_>>)> = groups
-            .iter()
-            .map(|(node, reqs)| {
-                let node = *node;
-                let handlers = reqs
-                    .iter()
-                    .map(|req| Box::new(move || self.server(node)?.read_pages(req)) as Handler<'_>)
-                    .collect();
-                (node, handlers)
-            })
-            .collect();
-        self.fabric
-            .call_grouped(from, calls)
-            .into_iter()
-            .map(|slots| slots.into_iter().map(|s| s.and_then(|r| r)).collect())
-            .collect()
+        self.grouped(from, groups, |node, req| self.server(node)?.read_pages(req))
     }
 
     /// Grouped `ScanSlice`: one envelope per node carrying every slice's
-    /// scan request; see [`PageStoreCluster::read_pages_grouped`] for the
-    /// demux and failure contract.
+    /// scan request.
     pub fn scan_slices_grouped(
         &self,
         from: NodeId,
-        groups: Vec<(NodeId, Vec<ScanSliceRequest>)>,
+        groups: &[(NodeId, Vec<&ScanSliceRequest>)],
     ) -> Vec<Vec<Result<ScanSliceResponse>>> {
-        type Handler<'a> = Box<dyn FnOnce() -> Result<ScanSliceResponse> + Send + 'a>;
-        let calls: Vec<(NodeId, Vec<Handler<'_>>)> = groups
-            .iter()
-            .map(|(node, reqs)| {
-                let node = *node;
-                let handlers = reqs
-                    .iter()
-                    .map(|req| Box::new(move || self.server(node)?.scan_slice(req)) as Handler<'_>)
-                    .collect();
-                (node, handlers)
-            })
-            .collect();
-        self.fabric
-            .call_grouped(from, calls)
-            .into_iter()
-            .map(|slots| slots.into_iter().map(|s| s.and_then(|r| r)).collect())
-            .collect()
+        self.grouped(from, groups, |node, req| self.server(node)?.scan_slice(req))
     }
 
     /// Grouped epoch-checked `WriteLogs`: ships a run of fragments to each
@@ -655,31 +611,12 @@ impl PageStoreCluster {
     pub fn write_logs_grouped(
         &self,
         from: NodeId,
-        groups: FragmentGroups,
+        groups: &[FragmentGroup],
     ) -> Vec<Vec<Result<Lsn>>> {
-        type Handler<'a> = Box<dyn FnOnce() -> Result<Lsn> + Send + 'a>;
-        let calls: Vec<(NodeId, Vec<Handler<'_>>)> = groups
-            .iter()
-            .map(|(node, frags)| {
-                let node = *node;
-                let handlers = frags
-                    .iter()
-                    .map(|(frag, epoch)| {
-                        let (frag, epoch) = (Arc::clone(frag), *epoch);
-                        Box::new(move || {
-                            self.check_rpc(frag.slice, node, epoch, Some(frag.last_lsn()))?;
-                            self.server(node)?.write_logs(&frag)
-                        }) as Handler<'_>
-                    })
-                    .collect();
-                (node, handlers)
-            })
-            .collect();
-        self.fabric
-            .call_grouped(from, calls)
-            .into_iter()
-            .map(|slots| slots.into_iter().map(|s| s.and_then(|r| r)).collect())
-            .collect()
+        self.grouped(from, groups, |node, (frag, epoch)| {
+            self.check_rpc(frag.slice, node, *epoch, Some(frag.last_lsn()))?;
+            self.server(node)?.write_logs(frag)
+        })
     }
 
     /// Exports a seed snapshot from a live replica of `donor_key`: its
@@ -1178,9 +1115,7 @@ mod tests {
         for &n in &rt {
             c.write_logs_checked(n, me, &f5, epoch).unwrap();
         }
-        let (page, lsn) = c
-            .read_page_checked(rt[0], me, r, PageId(40), Lsn(5), epoch)
-            .unwrap();
+        let (page, lsn) = c.read_page_from(rt[0], me, r, PageId(40), Lsn(5)).unwrap();
         assert_eq!((page.nslots(), lsn), (2, Lsn(5)));
     }
 

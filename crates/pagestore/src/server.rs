@@ -89,127 +89,41 @@ impl RecycleReport {
     }
 }
 
-/// Per-server Page Store counters (benches print these; the reclaimed-bytes
-/// counters are the storage-frugality ledger).
-#[derive(Debug, Default)]
-pub struct PageStoreStats {
-    /// L0 delta layers sealed to the device.
-    pub l0_sealed: Counter,
-    /// L0→L1 compactions completed.
-    pub l1_compactions: Counter,
-    /// Page images materialized by compactions.
-    pub pages_compacted: Counter,
-    /// Fragment payload bytes logically reclaimed by fragment GC.
-    pub frag_bytes_reclaimed: Counter,
-    /// L0 layer blob bytes logically reclaimed by GC-as-merge.
-    pub layer_bytes_reclaimed: Counter,
-    /// Log Directory pointers purged (versions + records).
-    pub versions_purged: Counter,
-    /// Bytes appended for fragments that lost an ingest race and were
-    /// disregarded as duplicates — orphaned on the append-only device.
-    pub orphaned_frag_bytes: Counter,
-    /// Record fetches served from the open L0's staged memory.
-    pub staged_record_hits: Counter,
-    /// Record fetches served from a sealed L0's in-memory run index.
-    pub l0_run_hits: Counter,
-    /// Compacted-L0 blob reads on the record-fetch path (historical snapshot
-    /// reads only; one read serves every record of the blob).
-    pub l0_blob_reads: Counter,
-    /// Page-read operations served, summed over slices (per-slice split in
-    /// [`PageStoreServer::heat_snapshot`] — the rebalancer's input signal).
-    pub slice_read_ops: Counter,
-    /// Bytes returned by page reads, summed over slices.
-    pub slice_read_bytes: Counter,
-    /// Log records ingested, summed over slices.
-    pub slice_write_ops: Counter,
-    /// Fragment payload bytes ingested, summed over slices.
-    pub slice_write_bytes: Counter,
-}
-
-impl PageStoreStats {
-    pub fn snapshot(&self) -> PageStoreStatsSnapshot {
-        PageStoreStatsSnapshot {
-            l0_sealed: self.l0_sealed.get(),
-            l1_compactions: self.l1_compactions.get(),
-            pages_compacted: self.pages_compacted.get(),
-            frag_bytes_reclaimed: self.frag_bytes_reclaimed.get(),
-            layer_bytes_reclaimed: self.layer_bytes_reclaimed.get(),
-            versions_purged: self.versions_purged.get(),
-            orphaned_frag_bytes: self.orphaned_frag_bytes.get(),
-            staged_record_hits: self.staged_record_hits.get(),
-            l0_run_hits: self.l0_run_hits.get(),
-            l0_blob_reads: self.l0_blob_reads.get(),
-            slice_read_ops: self.slice_read_ops.get(),
-            slice_read_bytes: self.slice_read_bytes.get(),
-            slice_write_ops: self.slice_write_ops.get(),
-            slice_write_bytes: self.slice_write_bytes.get(),
-        }
-    }
-}
-
-/// Plain-value snapshot of [`PageStoreStats`]; summable across servers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PageStoreStatsSnapshot {
-    pub l0_sealed: u64,
-    pub l1_compactions: u64,
-    pub pages_compacted: u64,
-    pub frag_bytes_reclaimed: u64,
-    pub layer_bytes_reclaimed: u64,
-    pub versions_purged: u64,
-    pub orphaned_frag_bytes: u64,
-    pub staged_record_hits: u64,
-    pub l0_run_hits: u64,
-    pub l0_blob_reads: u64,
-    pub slice_read_ops: u64,
-    pub slice_read_bytes: u64,
-    pub slice_write_ops: u64,
-    pub slice_write_bytes: u64,
-}
-
-impl PageStoreStatsSnapshot {
-    pub fn absorb(&mut self, other: PageStoreStatsSnapshot) {
-        self.l0_sealed += other.l0_sealed;
-        self.l1_compactions += other.l1_compactions;
-        self.pages_compacted += other.pages_compacted;
-        self.frag_bytes_reclaimed += other.frag_bytes_reclaimed;
-        self.layer_bytes_reclaimed += other.layer_bytes_reclaimed;
-        self.versions_purged += other.versions_purged;
-        self.orphaned_frag_bytes += other.orphaned_frag_bytes;
-        self.staged_record_hits += other.staged_record_hits;
-        self.l0_run_hits += other.l0_run_hits;
-        self.l0_blob_reads += other.l0_blob_reads;
-        self.slice_read_ops += other.slice_read_ops;
-        self.slice_read_bytes += other.slice_read_bytes;
-        self.slice_write_ops += other.slice_write_ops;
-        self.slice_write_bytes += other.slice_write_bytes;
-    }
-}
-
-impl std::fmt::Display for PageStoreStatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "l0_sealed={} l1_compactions={} pages_compacted={} \
-             frag_bytes_reclaimed={} layer_bytes_reclaimed={} \
-             versions_purged={} orphaned_frag_bytes={} \
-             staged_record_hits={} l0_run_hits={} l0_blob_reads={} \
-             slice_read_ops={} slice_read_bytes={} \
-             slice_write_ops={} slice_write_bytes={}",
-            self.l0_sealed,
-            self.l1_compactions,
-            self.pages_compacted,
-            self.frag_bytes_reclaimed,
-            self.layer_bytes_reclaimed,
-            self.versions_purged,
-            self.orphaned_frag_bytes,
-            self.staged_record_hits,
-            self.l0_run_hits,
-            self.l0_blob_reads,
-            self.slice_read_ops,
-            self.slice_read_bytes,
-            self.slice_write_ops,
-            self.slice_write_bytes,
-        )
+taurus_common::counters! {
+    /// Per-server Page Store counters (benches print these; the reclaimed-bytes
+    /// counters are the storage-frugality ledger).
+    pub struct PageStoreStats => PageStoreStatsSnapshot {
+        /// L0 delta layers sealed to the device.
+        pub l0_sealed: Counter,
+        /// L0→L1 compactions completed.
+        pub l1_compactions: Counter,
+        /// Page images materialized by compactions.
+        pub pages_compacted: Counter,
+        /// Fragment payload bytes logically reclaimed by fragment GC.
+        pub frag_bytes_reclaimed: Counter,
+        /// L0 layer blob bytes logically reclaimed by GC-as-merge.
+        pub layer_bytes_reclaimed: Counter,
+        /// Log Directory pointers purged (versions + records).
+        pub versions_purged: Counter,
+        /// Bytes appended for fragments that lost an ingest race and were
+        /// disregarded as duplicates — orphaned on the append-only device.
+        pub orphaned_frag_bytes: Counter,
+        /// Record fetches served from the open L0's staged memory.
+        pub staged_record_hits: Counter,
+        /// Record fetches served from a sealed L0's in-memory run index.
+        pub l0_run_hits: Counter,
+        /// Compacted-L0 blob reads on the record-fetch path (historical snapshot
+        /// reads only; one read serves every record of the blob).
+        pub l0_blob_reads: Counter,
+        /// Page-read operations served, summed over slices (per-slice split in
+        /// [`PageStoreServer::heat_snapshot`] — the rebalancer's input signal).
+        pub slice_read_ops: Counter,
+        /// Bytes returned by page reads, summed over slices.
+        pub slice_read_bytes: Counter,
+        /// Log records ingested, summed over slices.
+        pub slice_write_ops: Counter,
+        /// Fragment payload bytes ingested, summed over slices.
+        pub slice_write_bytes: Counter,
     }
 }
 
@@ -245,35 +159,20 @@ pub struct PageStoreServer {
     heat: RwLock<HashMap<SliceKey, Arc<SliceHeat>>>,
 }
 
-/// Per-slice read/write tallies on one server.
-#[derive(Debug, Default)]
-pub struct SliceHeat {
-    pub read_ops: Counter,
-    pub read_bytes: Counter,
-    pub write_ops: Counter,
-    pub write_bytes: Counter,
-}
-
-/// Plain-value snapshot of [`SliceHeat`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SliceHeatSnapshot {
-    pub read_ops: u64,
-    pub read_bytes: u64,
-    pub write_ops: u64,
-    pub write_bytes: u64,
+taurus_common::counters! {
+    /// Per-slice read/write tallies on one server.
+    pub struct SliceHeat => SliceHeatSnapshot {
+        pub read_ops: Counter,
+        pub read_bytes: Counter,
+        pub write_ops: Counter,
+        pub write_bytes: Counter,
+    }
 }
 
 impl SliceHeatSnapshot {
     /// Combined op count — the scalar "heat" the rebalancer ranks by.
     pub fn ops(&self) -> u64 {
         self.read_ops + self.write_ops
-    }
-
-    pub fn absorb(&mut self, other: SliceHeatSnapshot) {
-        self.read_ops += other.read_ops;
-        self.read_bytes += other.read_bytes;
-        self.write_ops += other.write_ops;
-        self.write_bytes += other.write_bytes;
     }
 }
 
@@ -337,17 +236,7 @@ impl PageStoreServer {
             .heat
             .read()
             .iter()
-            .map(|(k, h)| {
-                (
-                    *k,
-                    SliceHeatSnapshot {
-                        read_ops: h.read_ops.get(),
-                        read_bytes: h.read_bytes.get(),
-                        write_ops: h.write_ops.get(),
-                        write_bytes: h.write_bytes.get(),
-                    },
-                )
-            })
+            .map(|(k, h)| (*k, h.snapshot()))
             .collect();
         v.sort_by_key(|(k, _)| *k);
         v
@@ -1537,7 +1426,7 @@ mod tests {
     }
 
     #[test]
-    fn layered_consolidation_seals_compacts_and_reads_back_identically() {
+    fn layered_policy_seals_compacts_and_reads_back_identically() {
         let layered = layered_server();
         let baseline = server();
         for s in [&layered, &baseline] {

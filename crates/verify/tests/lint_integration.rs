@@ -143,3 +143,24 @@ fn real_workspace_is_lint_clean() {
         report.files_scanned
     );
 }
+
+/// The shared read planner's routing lock is a leaf: the analysis must see
+/// the class, and no acquisition may happen while it is held (which also
+/// rules out holding it across a fabric call — those are reported as
+/// `lock-across-fabric-call` and fail `real_workspace_is_lint_clean`).
+#[test]
+fn slice_reader_routing_lock_is_a_leaf() {
+    let analysis = taurus_verify::analyze_workspace(&repo_root()).expect("scan workspace");
+    let routing = "core::slice_reader::routing";
+    assert!(
+        analysis.classes.iter().any(|c| c == routing),
+        "lock class {routing} not discovered: {:?}",
+        analysis.classes
+    );
+    let nested: Vec<_> = analysis
+        .edges
+        .iter()
+        .filter(|(held, _, _)| held == routing)
+        .collect();
+    assert!(nested.is_empty(), "locks taken under {routing}: {nested:?}");
+}

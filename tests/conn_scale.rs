@@ -2,12 +2,14 @@
 //!
 //! A grouped fan-out — one `ReadPages`/`ScanSlice` envelope per Page Store
 //! node, demuxed per slice — is a pure transport optimization: for any
-//! workload it must return byte-identical results to the per-slice path,
-//! at the live head and at a pinned snapshot, with a concurrent writer
-//! churning and after a replica is killed mid-run. And because reads are
-//! reads, the *end state* of two clusters running the same seeded workload
-//! must not depend on whether coalescing was on: durable/CV LSNs, every
-//! page image, and every scan answer agree (the determinism fingerprint).
+//! workload a batched read must return byte-identical results to N
+//! single-page reads (which never ride an envelope) on the same cluster,
+//! and a pushed-down scan must return exactly the rows of a `BTreeMap`
+//! model of the committed writes — at the live head and at a pinned
+//! snapshot, with a concurrent writer churning and after a replica is
+//! killed mid-run. Coalescing is the only transport, so there is no
+//! coalescing-off twin cluster to compare against; the per-page path and
+//! the model are the reference.
 
 // Test harness: panicking on setup failure is the desired behavior.
 #![allow(clippy::unwrap_used)]
@@ -20,13 +22,13 @@ use proptest::prelude::*;
 
 use taurus::common::clock::ManualClock;
 use taurus::common::scan::ScanRequest;
+use taurus::core::TableScan;
 use taurus::engine::MasterEngine;
 use taurus::prelude::*;
 
-fn launch(seed: u64, coalescing: bool) -> Arc<TaurusDb> {
+fn launch(seed: u64) -> Arc<TaurusDb> {
     let cfg = TaurusConfig {
         pages_per_slice: 4, // spread even small tables across several slices
-        rpc_coalescing: coalescing,
         ..TaurusConfig::test()
     };
     TaurusDb::launch_with_clock(cfg, 4, 6, ManualClock::shared(), seed).unwrap()
@@ -83,30 +85,16 @@ fn check_grouped_matches_singles(db: &TaurusDb, ids: &[PageId], as_of: Option<Ls
     }
 }
 
-/// Coalesced cluster vs per-slice cluster after identical histories: the
-/// same pages hold the same bytes, and the LSN horizons agree — the
-/// determinism fingerprint does not see the transport.
-fn check_clusters_agree(on: &TaurusDb, off: &TaurusDb) {
-    let (mon, moff) = (on.master(), off.master());
-    assert_eq!(mon.sal.durable_lsn(), moff.sal.durable_lsn(), "durable LSN");
-    assert_eq!(mon.sal.cv_lsn(), moff.sal.cv_lsn(), "CV LSN");
-    let (ids_on, ids_off) = (all_page_ids(on), all_page_ids(off));
-    assert_eq!(ids_on, ids_off, "page id sets diverged");
-    let read_on = mon.sal.read_pages(&ids_on, None).unwrap();
-    let read_off = moff.sal.read_pages(&ids_off, None).unwrap();
-    for ((pa, ba), (pb, bb)) in read_on.iter().zip(read_off.iter()) {
-        assert_eq!(pa, pb);
-        assert_eq!(ba.as_bytes(), bb.as_bytes(), "page {pa:?} bytes diverged");
-    }
-    // Pushed-down scans (grouped per node on `on`, per slice on `off`)
-    // return the same rows in the same order.
-    let scan_on = mon.scan_pushdown(&ScanRequest::full()).unwrap();
-    let scan_off = moff.scan_pushdown(&ScanRequest::full()).unwrap();
-    assert_eq!(scan_on.rows, scan_off.rows, "pushdown rows diverged");
+/// A pushed-down scan (grouped per node) returns exactly the model's rows,
+/// in key order.
+fn check_scan_matches_model(scan: &TableScan, model: &BTreeMap<Vec<u8>, Vec<u8>>) {
+    let expected: Vec<(Vec<u8>, Vec<u8>)> =
+        model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+    assert_eq!(scan.rows, expected, "pushdown rows diverged from the model");
 }
 
 // ---------------------------------------------------------------------
-// Proptest: random workload on twin clusters, live head + pinned snapshot
+// Proptest: random workload, live head + pinned snapshot
 // ---------------------------------------------------------------------
 
 #[derive(Clone, Debug)]
@@ -148,7 +136,7 @@ fn ops(max: usize) -> impl Strategy<Value = Vec<WOp>> {
 }
 
 proptest! {
-    // Every case launches two full simulated clusters; keep the count low.
+    // Every case launches a full simulated cluster; keep the count low.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
@@ -156,48 +144,42 @@ proptest! {
         pre in ops(80),
         post in ops(30),
     ) {
-        let on = launch(31, true);
-        let off = launch(31, false);
+        let db = launch(31);
+        let master = db.master();
         let mut model = BTreeMap::new();
-        let mut model_off = BTreeMap::new();
         // A page-spanning base table: without it a tiny random workload
         // fits one slice and the grouped path would never engage.
-        for db in [&on, &off] {
-            let master = db.master();
-            for i in 0..300u32 {
-                let mut t = master.begin();
-                t.put(&key(i), &[b'p'; 240]).unwrap();
-                t.commit().unwrap();
-            }
+        for i in 0..300u32 {
+            apply(&master, &mut model, &WOp::Put(i, vec![b'p'; 240]));
         }
         for op in &pre {
-            apply(&on.master(), &mut model, op);
-            apply(&off.master(), &mut model_off, op);
+            apply(&master, &mut model, op);
         }
-        settle(&on);
-        settle(&off);
-        let ids = all_page_ids(&on);
+        settle(&db);
+        let ids = all_page_ids(&db);
         prop_assert!(!ids.is_empty());
 
-        // Grouped vs per-page on the coalesced cluster, live head.
-        check_grouped_matches_singles(&on, &ids, None);
-        // Twin clusters agree bit for bit.
-        check_clusters_agree(&on, &off);
+        // Grouped vs per-page, and grouped scan vs the model, live head.
+        check_grouped_matches_singles(&db, &ids, None);
+        check_scan_matches_model(&master.scan_pushdown(&ScanRequest::full()).unwrap(), &model);
 
-        // Pin a snapshot on the coalesced cluster, keep writing, and
-        // re-check at the *pinned* LSN: grouped reads must materialize the
-        // old version of every page.
-        let pin = on.master().create_snapshot("pin");
+        // Pin a snapshot, keep writing, and re-check at the *pinned* LSN:
+        // grouped reads and scans must materialize the old version of
+        // every page.
+        let pin = master.create_snapshot("pin");
+        let frozen = model.clone();
         for op in &post {
-            apply(&on.master(), &mut model, op);
+            apply(&master, &mut model, op);
         }
-        settle(&on);
-        check_grouped_matches_singles(&on, &ids, Some(pin));
+        settle(&db);
+        check_grouped_matches_singles(&db, &ids, Some(pin));
+        let pinned = master.snapshot_scan_pushdown("pin", &ScanRequest::full()).unwrap();
+        check_scan_matches_model(&pinned, &frozen);
+        check_scan_matches_model(&master.scan_pushdown(&ScanRequest::full()).unwrap(), &model);
 
-        // The coalesced cluster really did coalesce (multi-slice plans
-        // exist at pages_per_slice=4), and the per-slice cluster never did.
-        prop_assert!(on.master().sal.stats.snapshot().grouped_envelopes > 0);
-        prop_assert_eq!(off.master().sal.stats.snapshot().grouped_envelopes, 0);
+        // Multi-slice plans exist at pages_per_slice=4, so the reads above
+        // really rode grouped envelopes.
+        prop_assert!(master.sal.stats.snapshot().grouped_envelopes > 0);
     }
 }
 
@@ -207,7 +189,7 @@ proptest! {
 
 #[test]
 fn grouped_reads_survive_concurrent_writes_and_replica_loss() {
-    let db = launch(47, true);
+    let db = launch(47);
     let master = db.master();
     for i in 0..300u32 {
         let mut t = master.begin();

@@ -49,7 +49,8 @@ fn key(i: u32) -> Vec<u8> {
 }
 
 /// Every page id of the database, straight from the Page Stores' slice
-/// directories (first reachable replica per slice).
+/// directories: the union over each slice's replicas, because `settle`
+/// waits for one ack per fragment and the first replica may still lag.
 fn all_page_ids(db: &TaurusDb) -> Vec<PageId> {
     let mut ids = BTreeSet::new();
     for key in db.pages.slices() {
@@ -59,7 +60,6 @@ fn all_page_ids(db: &TaurusDb) -> Vec<PageId> {
         for node in db.pages.replicas_of(key) {
             if let Ok(pages) = db.pages.page_ids_of(node, node, key) {
                 ids.extend(pages);
-                break;
             }
         }
     }
