@@ -1,7 +1,8 @@
 //! Elastic slice management: online split / merge / replica move with a
 //! fenced-LSN cut-over (DESIGN.md §14).
 //!
-//! Every operation follows the same three-act script:
+//! Every operation follows the same three-act script — act 1 in its own
+//! function, acts 2–3 in the shared [`cutover`]:
 //!
 //! 1. **Seed** — export a snapshot of the source slice(s) from a healthy
 //!    replica and import it on the target nodes as a *rebuilding* slice.
@@ -14,7 +15,7 @@
 //! 3. **Fence + delta replay** (outside the lock): tell the old replicas
 //!    their fence so late reads above `F` bounce with `SliceFenced`, then
 //!    replay the delta `(E, F]` from the Log Stores onto the successor
-//!    (repair path). The interval `(E, F]` is deliberately double-stored —
+//!    (`Sal::redo`, the repair path). The interval `(E, F]` is deliberately double-stored —
 //!    on the retired parent *and* the successor — but never double-served:
 //!    readers route by fence (`route_read` picks the retired slice with the
 //!    smallest fence at or above `as_of`, else the active successor).
@@ -30,7 +31,7 @@ use std::sync::Arc;
 
 use taurus_common::{Lsn, NodeId, Result, SliceKey, TaurusError};
 
-use crate::sal::Sal;
+use crate::sal::{Sal, SalState, SliceState};
 
 /// What one elastic operation did (tests and the rebalancer log this).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,90 +71,36 @@ pub fn split_slice(sal: &Arc<Sal>, parent: SliceKey, at_page: u64) -> Result<Cut
     // Act 1: seed both children from a healthy parent replica. The children
     // get fresh dynamic ids; the exports are range-filtered so each child
     // imports only the pages it will own.
-    let left = sal.pages.allocate_dynamic(parent.db);
-    let right = sal.pages.allocate_dynamic(parent.db);
-    let parent_nodes = sal.pages.replicas_of(parent);
-    let right_nodes = sal
-        .pages
+    let pages = &sal.pages;
+    let left = pages.allocate_dynamic(parent.db);
+    let right = pages.allocate_dynamic(parent.db);
+    let parent_nodes = pages.replicas_of(parent);
+    let right_nodes = pages
         .least_loaded_nodes(parent_nodes.len(), &parent_nodes)
         .unwrap_or_else(|_| parent_nodes.clone());
-    let left_snap = sal
-        .pages
-        .export_snapshot(parent, Some((start, at_page)), sal.me)?;
-    let right_snap = sal
-        .pages
-        .export_snapshot(parent, Some((at_page, end)), sal.me)?;
-    let base_l = sal
-        .pages
-        .install_seed(left, &parent_nodes, vec![left_snap], sal.me)?;
-    let base_r = sal
-        .pages
-        .install_seed(right, &right_nodes, vec![right_snap], sal.me)?;
+    let left_snap = pages.export_snapshot(parent, Some((start, at_page)), sal.me)?;
+    let right_snap = pages.export_snapshot(parent, Some((at_page, end)), sal.me)?;
+    let base_l = pages.install_seed(left, &parent_nodes, vec![left_snap], sal.me)?;
+    let base_r = pages.install_seed(right, &right_nodes, vec![right_snap], sal.me)?;
     let base = base_l.min(base_r);
 
-    // Act 2: commit + seal under the state lock.
-    let (fence, epoch) = {
-        let mut st = sal.state.lock();
-        sal.flush_slice_locked(&mut st, parent);
-        let fence = st
-            .slices
-            .get(&parent)
-            .map(|s| s.flush_lsn)
-            .unwrap_or(Lsn::ZERO);
-        taurus_common::invariant!(
-            "cutover-fence-covers-base",
-            base <= fence,
-            "{parent}: seed base {base} above fence {fence}"
-        );
-        let epoch = sal.pages.commit_split(
-            parent,
-            pps,
-            at_page,
-            (left, parent_nodes.clone()),
-            (right, right_nodes.clone()),
-            base,
-            fence,
-        )?;
-        install_successor_state(&mut st, left, &parent_nodes, epoch, base, fence);
-        install_successor_state(&mut st, right, &right_nodes, epoch, base, fence);
-        if let Some(s) = st.slices.get_mut(&parent) {
-            s.fence = Some(fence);
-            s.epoch = epoch;
-            s.flush_lsn = s.flush_lsn.max(fence);
-        }
-        (fence, epoch)
-    };
-
-    let report = CutoverReport {
-        retired: vec![parent],
-        created: vec![left, right],
-        base_lsn: base,
-        fence_lsn: fence,
-        epoch,
-        aborted: sal.take_cutover_abort(),
-    };
-    if report.aborted {
-        return Ok(report);
-    }
-
-    // Act 3: fence the retired replicas, then replay the delta (E, F] onto
-    // both children from the Log Stores.
-    sal.pages
-        .fence_replicas(parent, &parent_nodes, fence, epoch, sal.me);
-    finish_delta(sal, &[left, right]);
-    Ok(report)
+    let sources = [(parent, parent_nodes.clone())];
+    let (l, r) = ((left, parent_nodes), (right, right_nodes));
+    cutover(sal, &sources, &[l.clone(), r.clone()], base, |_, fence| {
+        pages.commit_split(parent, pps, at_page, l, r, base, fence)
+    })
 }
 
 /// Merges two *adjacent* slices into one. The merged slice lives on the
-/// left slice's replicas; both donors retire at one shared fence.
+/// left slice's replicas; both donors retire at one shared fence (the
+/// larger of their flush LSNs).
 pub fn merge_slices(sal: &Arc<Sal>, left: SliceKey, right: SliceKey) -> Result<CutoverReport> {
     let pps = sal.cfg.pages_per_slice;
-    let (ls, le) = sal
-        .pages
+    let pages = &sal.pages;
+    let (ls, le) = pages
         .slice_range(left, pps)
         .ok_or(TaurusError::SliceNotFound(left))?;
-    let (rs, re) = sal
-        .pages
+    let (rs, re) = pages
         .slice_range(right, pps)
         .ok_or(TaurusError::SliceNotFound(right))?;
     if le != rs {
@@ -168,73 +115,28 @@ pub fn merge_slices(sal: &Arc<Sal>, left: SliceKey, right: SliceKey) -> Result<C
     // baseline covers both; replaying a record already captured by the
     // other donor's newer snapshot is harmless (consolidation ignores
     // records at or below an imported version's LSN).
-    let merged = sal.pages.allocate_dynamic(left.db);
-    let nodes = sal.pages.replicas_of(left);
-    let left_snap = sal.pages.export_snapshot(left, Some((ls, le)), sal.me)?;
-    let right_snap = sal.pages.export_snapshot(right, Some((rs, re)), sal.me)?;
-    let base = sal
-        .pages
-        .install_seed(merged, &nodes, vec![left_snap, right_snap], sal.me)?;
+    let merged = pages.allocate_dynamic(left.db);
+    let nodes = pages.replicas_of(left);
+    let left_snap = pages.export_snapshot(left, Some((ls, le)), sal.me)?;
+    let right_snap = pages.export_snapshot(right, Some((rs, re)), sal.me)?;
+    let base = pages.install_seed(merged, &nodes, vec![left_snap, right_snap], sal.me)?;
 
-    // Act 2: flush both donors, fence at the max of their flush LSNs.
-    let right_nodes = sal.pages.replicas_of(right);
-    let (fence, epoch) = {
-        let mut st = sal.state.lock();
-        sal.flush_slice_locked(&mut st, left);
-        sal.flush_slice_locked(&mut st, right);
-        let fl = st
-            .slices
-            .get(&left)
-            .map(|s| s.flush_lsn)
-            .unwrap_or(Lsn::ZERO);
-        let fr = st
-            .slices
-            .get(&right)
-            .map(|s| s.flush_lsn)
-            .unwrap_or(Lsn::ZERO);
-        let fence = fl.max(fr);
-        taurus_common::invariant!(
-            "cutover-fence-covers-base",
-            base <= fence,
-            "merge {left}+{right}: seed base {base} above fence {fence}"
-        );
-        let epoch =
-            sal.pages
-                .commit_merge(left, right, pps, (merged, nodes.clone()), base, fence)?;
-        install_successor_state(&mut st, merged, &nodes, epoch, base, fence);
-        for key in [left, right] {
-            if let Some(s) = st.slices.get_mut(&key) {
-                s.fence = Some(fence);
-                s.epoch = epoch;
-                s.flush_lsn = s.flush_lsn.max(fence);
-            }
-        }
-        (fence, epoch)
-    };
-
-    let report = CutoverReport {
-        retired: vec![left, right],
-        created: vec![merged],
-        base_lsn: base,
-        fence_lsn: fence,
-        epoch,
-        aborted: sal.take_cutover_abort(),
-    };
-    if report.aborted {
-        return Ok(report);
-    }
-
-    sal.pages.fence_replicas(left, &nodes, fence, epoch, sal.me);
-    sal.pages
-        .fence_replicas(right, &right_nodes, fence, epoch, sal.me);
-    finish_delta(sal, &[merged]);
-    Ok(report)
+    let sources = [(left, nodes.clone()), (right, pages.replicas_of(right))];
+    let merged = (merged, nodes);
+    cutover(
+        sal,
+        &sources,
+        std::slice::from_ref(&merged),
+        base,
+        |_, fence| pages.commit_merge(left, right, pps, merged.clone(), base, fence),
+    )
 }
 
 /// Moves one replica of `key` from `from_node` to `to_node`. The slice id
 /// is unchanged — only the replica set and the epoch change; the *departing*
 /// node is fenced so it stops serving reads above `F` while the other
-/// replicas carry on.
+/// replicas carry on, and the newcomer is brought up to the flush LSN via
+/// the repair path.
 pub fn move_slice_replica(
     sal: &Arc<Sal>,
     key: SliceKey,
@@ -261,20 +163,10 @@ pub fn move_slice_replica(
         .pages
         .install_seed(key, &[to_node], vec![snap], sal.me)?;
 
-    // Act 2: flush, fence, and swap the replica in placement + SAL state.
-    let (fence, epoch) = {
-        let mut st = sal.state.lock();
-        sal.flush_slice_locked(&mut st, key);
-        let fence = st
-            .slices
-            .get(&key)
-            .map(|s| s.flush_lsn)
-            .unwrap_or(Lsn::ZERO);
-        taurus_common::invariant!(
-            "cutover-fence-covers-base",
-            base <= fence,
-            "{key}: seed base {base} above fence {fence}"
-        );
+    // No successor, nothing retires: the slice swaps one replica in
+    // placement + SAL state, and only the departing node is fenced.
+    let sources = [(key, vec![from_node])];
+    cutover(sal, &sources, &[], base, |st, fence| {
         let epoch = sal.pages.commit_move(key, from_node, to_node, fence)?;
         if let Some(s) = st.slices.get_mut(&key) {
             s.epoch = epoch;
@@ -289,12 +181,59 @@ pub fn move_slice_replica(
             s.replica_persistent.insert(to_node, base);
         }
         sal.reader.forget_replica(key, from_node);
+        Ok(epoch)
+    })
+}
+
+/// Acts 2–3 of every operation. `sources` pairs each slice whose buffer is
+/// flushed — the largest resulting flush LSN is the fence — with the
+/// replicas to fence afterwards. `commit` runs inside the critical section
+/// and commits the new placement, returning its epoch. The seeded
+/// `successors` are then installed in the SAL and the sources retire at the
+/// fence; with no successor (a move) the sources stay active and `commit`
+/// patches their state itself.
+fn cutover(
+    sal: &Arc<Sal>,
+    sources: &[(SliceKey, Vec<NodeId>)],
+    successors: &[(SliceKey, Vec<NodeId>)],
+    base: Lsn,
+    commit: impl FnOnce(&mut SalState, Lsn) -> Result<u64>,
+) -> Result<CutoverReport> {
+    let keys = |of: &[(SliceKey, Vec<NodeId>)]| of.iter().map(|(k, _)| *k).collect::<Vec<_>>();
+    let (retired, created) = match successors {
+        [] => (Vec::new(), keys(sources)),
+        _ => (keys(sources), keys(successors)),
+    };
+    // Act 2: commit + seal under the state lock.
+    let (fence, epoch) = {
+        let mut st = sal.state.lock();
+        let mut fence = Lsn::ZERO;
+        for (key, _) in sources {
+            sal.flush_slice_locked(&mut st, *key);
+            fence = fence.max(st.slices.get(key).map_or(Lsn::ZERO, |s| s.flush_lsn));
+        }
+        taurus_common::invariant!(
+            "cutover-fence-covers-base",
+            base <= fence,
+            "{created:?}: seed base {base} above fence {fence}"
+        );
+        let epoch = commit(&mut st, fence)?;
+        for (key, nodes) in successors {
+            install_successor_state(&mut st, *key, nodes, epoch, base, fence);
+        }
+        for key in &retired {
+            if let Some(s) = st.slices.get_mut(key) {
+                s.fence = Some(fence);
+                s.epoch = epoch;
+                s.flush_lsn = s.flush_lsn.max(fence);
+            }
+        }
         (fence, epoch)
     };
 
     let report = CutoverReport {
-        retired: Vec::new(),
-        created: vec![key],
+        retired,
+        created,
         base_lsn: base,
         fence_lsn: fence,
         epoch,
@@ -304,11 +243,15 @@ pub fn move_slice_replica(
         return Ok(report);
     }
 
-    // Act 3: fence only the departing node, then bring the newcomer up to
-    // the flush LSN via the repair path.
-    sal.pages
-        .fence_replicas(key, &[from_node], fence, epoch, sal.me);
-    finish_delta(sal, &[key]);
+    // Act 3: fence the old replicas, then replay each successor's delta
+    // (E, F] from the Log Stores and gossip so every replica converges.
+    // Errors are swallowed — the recovery service's stall sweep retries
+    // until the slices heal.
+    for (key, nodes) in sources {
+        sal.pages.fence_replicas(*key, nodes, fence, epoch, sal.me);
+    }
+    let _ = sal.redo(&report.created, None);
+    sal.gossip_round(&report.created);
     Ok(report)
 }
 
@@ -317,7 +260,7 @@ pub fn move_slice_replica(
 /// or below `F` is covered by the seed + delta replay, everything above
 /// arrives through the normal write path.
 fn install_successor_state(
-    st: &mut crate::sal::SalState,
+    st: &mut SalState,
     key: SliceKey,
     nodes: &[NodeId],
     epoch: u64,
@@ -327,7 +270,7 @@ fn install_successor_state(
     let slice = st
         .slices
         .entry(key)
-        .or_insert_with(|| crate::sal::SliceState::new(nodes.to_vec()));
+        .or_insert_with(|| SliceState::new(nodes.to_vec()));
     slice.replicas = nodes.to_vec();
     slice.epoch = epoch;
     slice.fence = None;
@@ -335,15 +278,5 @@ fn install_successor_state(
     slice.acked_lsn = fence;
     for &n in nodes {
         slice.replica_persistent.insert(n, base);
-    }
-}
-
-/// Replays each successor's delta `(E, F]` from the Log Stores and triggers
-/// targeted gossip so every replica converges. Errors are swallowed — the
-/// recovery service's parked/stall sweeps retry until the slices heal.
-fn finish_delta(sal: &Arc<Sal>, keys: &[SliceKey]) {
-    for &key in keys {
-        let _ = sal.repair_slice_from_logstores(key);
-        sal.trigger_gossip(key);
     }
 }

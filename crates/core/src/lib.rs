@@ -26,15 +26,23 @@
 //!   persistent LSN across slice replicas that still miss records — gates
 //!   PLog deletion, guaranteeing every record lives on three nodes somewhere
 //!   at all times.
+//! * **Slice writer** ([`slice_writer`]): the one way durable log records
+//!   reach a slice replica — `ship` (a run of fragments to one node:
+//!   epoch-checked grouped envelope, retry budget, park, suspect) and
+//!   `redo` (one log read, one partition by ownership filter, one fragment
+//!   per lagging replica) — behind the steady-state pipes, repair, cut-over
+//!   delta replay and restart redo alike; repair is a non-reentrant,
+//!   bounded drain of the parked set.
 //! * **Recovery** (§5): persistent-LSN regression detection (Fig. 4b),
-//!   missing-range probing (Fig. 4c), targeted gossip triggering, Log-Store
-//!   resends, and full SAL restart recovery (§5.3).
+//!   stall detection (Fig. 4c), targeted gossip triggering, and full SAL
+//!   restart recovery (§5.3) decide *what* is owed a resend; `redo` does it.
 
 pub mod elastic;
 pub mod rebalance;
 pub mod recovery;
 pub mod sal;
 pub mod slice_reader;
+mod slice_writer;
 
 pub use elastic::{merge_slices, move_slice_replica, split_slice, CutoverReport};
 pub use rebalance::{RebalanceReport, Rebalancer};

@@ -3,20 +3,20 @@
 //! Storage nodes are monitored continuously; failures are classified as
 //! short-term (wait it out; gossip catches stragglers up) or long-term
 //! (decommission the node, re-replicate its data). On top of node-level
-//! repair, the service drives the SAL-side log repair loops:
+//! repair, the service decides *which* slices are owed a resend from the
+//! Log Stores and hands them to the SAL's one repair drain
+//! (`crate::slice_writer`) in a single call:
 //!
 //! * **persistent-LSN regression** (Fig. 4(b)): a rebuilt replica reports a
 //!   lower persistent LSN than before — resend the gap from the Log Stores;
 //! * **stalled persistent LSN** (Fig. 4(c)): a replica's persistent LSN
 //!   stops advancing while lagging the flush LSN — first trigger targeted
-//!   gossip; if the hole exists on *every* replica, resend it from the Log
-//!   Stores;
+//!   gossip; if the slice is still stalled, resend from the Log Stores;
 //! * **periodic gossip** (the 30-minute sweep, scaled down);
 //! * **log truncation** (Fig. 3 steps 7-8).
 
 use std::sync::Arc;
 
-use taurus_common::Lsn;
 use taurus_fabric::{FailureDetector, FailureEvent, NodeKind};
 
 use crate::sal::Sal;
@@ -98,54 +98,29 @@ impl RecoveryService {
             }
         }
 
-        // 2. Persistent-LSN regression detection (Fig. 4(b)).
-        for key in sal.poll_persistent_lsns() {
-            if sal.repair_slice_from_logstores(key).unwrap_or(0) > 0 {
-                report.regressions_repaired += 1;
-            }
-        }
+        // 2. Persistent-LSN regression detection (Fig. 4(b)): a rebuilt
+        // replica reports less than its predecessor did.
+        let regressed = sal.poll_persistent_lsns();
 
-        // 3. Stall detection (Fig. 4(c)): gossip first; if the hole is
-        // missing from every replica, gossip cannot help — resend from the
-        // Log Stores.
-        for key in sal.stalled_slices(sal.cfg.lag_repair_timeout_us) {
-            report.gossip_triggered += 1;
-            sal.trigger_gossip(key);
-            if !sal
-                .stalled_slices(sal.cfg.lag_repair_timeout_us)
-                .contains(&key)
-            {
-                continue;
-            }
-            // Probe missing ranges on all replicas; any range missing from
-            // every replica needs a Log Store resend.
-            let replicas = sal.pages.replicas_of(key);
-            let mut missing_everywhere = false;
-            let mut reachable = 0;
-            let mut all_ranges: Vec<Vec<(Lsn, Lsn)>> = Vec::new();
-            for node in &replicas {
-                if let Ok(ranges) = sal.pages.missing_ranges_of(*node, sal.me, key) {
-                    reachable += 1;
-                    all_ranges.push(ranges);
-                }
-            }
-            if reachable > 0 && all_ranges.iter().all(|r| !r.is_empty()) {
-                missing_everywhere = true;
-            }
-            // A replica can also simply be behind with no pending fragment
-            // at all (it was down during the sends); resending covers that
-            // case too.
-            if (missing_everywhere || !all_ranges.iter().any(|r| r.is_empty()))
-                && sal.repair_slice_from_logstores(key).unwrap_or(0) > 0
-            {
-                report.holes_resent += 1;
-            }
-        }
+        // 3. Stall detection (Fig. 4(c)): gossip first; a slice still
+        // stalled afterwards misses records on *every* replica (or its
+        // replica was down during the sends) — gossip cannot help.
+        let stall_us = sal.cfg.lag_repair_timeout_us;
+        let stalled = sal.stalled_slices(stall_us);
+        report.gossip_triggered += stalled.len();
+        sal.gossip_round(&stalled);
+        let stalled = sal.stalled_slices(stall_us);
 
-        // 4. Parked-slice drain: slices whose fragments a sender worker
-        // abandoned after the retry budget. Repair-from-log + targeted
-        // gossip until every replica reaches the flush LSN.
-        report.parked_unparked = sal.repair_parked();
+        // 4. One resend from the Log Stores for everything owed one: the
+        // regressed, the still-stalled, and the parked set (slices whose
+        // fragments a sender abandoned after the retry budget). A slice
+        // counts as repaired once no replica of it lags any more.
+        let owed: Vec<_> = regressed.iter().chain(&stalled).copied().collect();
+        report.parked_unparked = sal.repair(&owed);
+        let lagging = sal.stalled_slices(0);
+        let healed = |keys: &[_]| keys.iter().filter(|k| !lagging.contains(k)).count();
+        report.regressions_repaired = healed(&regressed);
+        report.holes_resent = healed(&stalled);
 
         // 5. Periodic full gossip sweep (§5.2's 30-minute cadence, scaled).
         let now = sal.logs.fabric.clock.now_us();

@@ -1,31 +1,23 @@
 //! The Storage Abstraction Layer.
 //!
-//! Write-pipeline topology (see DESIGN.md §"Write-pipeline robustness"):
-//! the SAL runs one bounded queue **per Page Store replica node**, drained
-//! by at most one detached job on the fabric's bounded dispatcher pool
-//! (DESIGN.md §15) — no dedicated OS thread per replica. A slice flush
-//! enqueues one shared `Arc<SliceFragment>` on each replica's queue;
-//! drainers retry failed `WriteLogs` with exponential backoff, and after
-//! the retry budget is spent they *park* the slice for
-//! repair-from-Log-Stores and demote the replica to *suspect*
-//! (deprioritized for reads) until it proves itself alive again. A queued
-//! run of fragments to one node rides one grouped envelope instead of one
-//! round trip each.
-//!
-//! Reads and pushed-down scans go through [`crate::slice_reader`], shared
-//! with read replicas; the SAL contributes a [`FrontEnd`] impl.
+//! This file owns the log buffer, the flush spans and the per-slice state
+//! (`SalState`, under `sal::state`). Getting durable records onto a slice
+//! replica — the per-replica send pipes, repair, restart redo — is
+//! [`crate::slice_writer`] (a second `impl Sal` block there; see DESIGN.md
+//! §"Write-pipeline robustness"). Reads and pushed-down scans go through
+//! [`crate::slice_reader`], shared with read replicas; the SAL contributes
+//! a [`FrontEnd`] impl.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cmp;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Condvar, Mutex};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use taurus_common::clock::ClockRef;
 use taurus_common::lsn::{LsnVector, LsnWatermark};
-use taurus_common::metrics::{Counter, Gauge, LogStoreStats};
+use taurus_common::metrics::{Counter, LogStoreStats};
 use taurus_common::scan::ScanRequest;
 use taurus_common::sync::Sequencer;
 use taurus_common::{
@@ -33,10 +25,11 @@ use taurus_common::{
     TaurusError, PAGE_SIZE,
 };
 use taurus_logstore::{encode_batch, LogStoreCluster, LogStream};
-use taurus_pagestore::{IngestFilter, PageStoreCluster, SliceFragment, SliceHeatSnapshot};
+use taurus_pagestore::{PageStoreCluster, PlacementView, SliceFragment, SliceHeatSnapshot};
 
 pub use crate::slice_reader::TableScan;
 use crate::slice_reader::{FrontEnd, SliceReader};
+use crate::slice_writer::SliceWriter;
 
 /// Per-slice state the SAL maintains (paper §3.5, §4).
 #[derive(Debug)]
@@ -92,6 +85,35 @@ impl SliceState {
             .map(|n| self.replica_persistent.get(n).copied().unwrap_or(Lsn::ZERO))
             .min()
             .unwrap_or(Lsn::ZERO)
+    }
+
+    /// Syncs the elastic metadata with the placement map: the epoch only
+    /// ever advances and a fence only ever appears (both placement
+    /// transitions go together, so a refresh cannot see one without the
+    /// other). A fence seen here belongs to a slice that was retired
+    /// elsewhere — this SAL was not the cut-over coordinator (recovery, or a
+    /// late first read). It will never take writes; it is sealed at its
+    /// fence so it cannot gate progress.
+    fn adopt_generation(&mut self, view: &PlacementView) {
+        self.epoch = self.epoch.max(view.epoch);
+        if let (None, Some(f)) = (self.fence, view.fence_lsn) {
+            self.fence = Some(f);
+            self.flush_lsn = self.flush_lsn.max(f);
+            self.acked_lsn = self.acked_lsn.max(f);
+        }
+    }
+
+    /// Records the persistent LSN `node` just reported (piggybacked on an
+    /// ack or polled) and how it compares with its previous report: `Less`
+    /// is the Fig. 4(b) regression signal, `Greater` is progress — which
+    /// also restarts the stall timer.
+    pub fn report(&mut self, node: NodeId, persistent: Lsn, now_us: u64) -> cmp::Ordering {
+        let prev = self.replica_persistent.insert(node, persistent);
+        let moved = persistent.cmp(&prev.unwrap_or(Lsn::ZERO));
+        if moved == cmp::Ordering::Greater {
+            self.last_progress_us = now_us;
+        }
+        moved
     }
 }
 
@@ -231,15 +253,21 @@ taurus_common::counters! {
         pub slice_flushes: Counter,
         pub page_reads: Counter,
         pub read_retries: Counter,
+        /// Fragments `redo` delivered from the Log Stores, whoever asked:
+        /// repair, cut-over delta replay and restart recovery.
         pub resends: Counter,
+        /// Log-window reads `redo` issued: one per pass with a lagging
+        /// replica, however many slices and replicas the pass covers.
+        pub redo_log_reads: Counter,
         pub gossip_triggers: Counter,
-        /// `WriteLogs` re-attempts after a failed attempt (per attempt, not per
-        /// fragment).
+        /// `WriteLogs` re-attempts after a failed attempt (per envelope
+        /// attempt, not per fragment).
         pub write_retries: Counter,
         /// Failed attempts that also blew the per-attempt latency budget.
         pub write_timeouts: Counter,
-        /// Fragments abandoned by a sender worker after the retry budget —
-        /// their slice is parked for repair from the Log Stores.
+        /// Fragments shed, abandoned after the retry budget, or refused by
+        /// a placement race — their slice is parked for repair from the Log
+        /// Stores.
         pub fragments_parked: Counter,
         /// Fragments shed because a replica's send queue was full.
         pub queue_full_drops: Counter,
@@ -266,14 +294,16 @@ taurus_common::counters! {
         pub slice_read_ops: Counter,
         pub slice_read_bytes: Counter,
         /// Grouped (coalesced) fabric envelopes issued by the miss, scan, and
-        /// flush paths: each merges every per-slice request bound for one Page
-        /// Store node into a single round trip.
+        /// write paths: each merges every per-slice request bound for one Page
+        /// Store node into a single round trip. Every `WriteLogs` is one — a
+        /// run of one fragment counts like any other.
         pub grouped_envelopes: Counter,
         /// Per-slice requests that rode a grouped envelope instead of paying
         /// their own fabric round trip.
         pub grouped_slice_batches: Counter,
-        /// Slices that left the grouped path (envelope failure or a budget
-        /// continuation) and fell back to their own per-slice calls.
+        /// Slices that left their grouped envelope: reads that fell back to
+        /// per-slice calls (envelope failure or a budget continuation), and
+        /// fragments whose slot failed and went out again in a retry run.
         pub grouped_fallback_slices: Counter,
         /// Coalescing histogram: per-slice requests per grouped envelope,
         /// buckets 1, 2, 3–4, 5–8, 9+.
@@ -368,50 +398,13 @@ impl ReadBatchStats {
     }
 }
 
-/// One fragment awaiting shipment to one replica. The fragment is shared
-/// (`Arc`) across all replica pipes — the send path performs one encode
-/// and zero deep clones per flush.
-struct PipeJob {
-    key: SliceKey,
-    frag: Arc<SliceFragment>,
-}
-
-/// Longest run of queued fragments one grouped `WriteLogs` envelope may
-/// carry. Bounds the latency a late-queued fragment can hide behind while
-/// still collapsing bursts into few round trips.
-const GROUPED_SHIP_MAX: usize = 8;
-
-/// The send pipe to one Page Store replica node: a bounded queue drained by
-/// at most one detached fabric-dispatcher job at a time (per-node FIFO). A
-/// slow or dead replica fills its own queue and loses fragments to
-/// shedding; it can no longer stall other replicas, grow an unbounded
-/// backlog, or pin an idle OS thread (the failure modes of the old shared
-/// unbounded channel and of thread-per-replica pipes).
-struct PipeState {
-    queue: VecDeque<PipeJob>,
-    /// Whether a drain job for this node is live (queued or running on the
-    /// dispatcher). At most one at a time keeps shipment per-node FIFO.
-    draining: bool,
-    in_flight: Gauge,
-}
-
-impl PipeState {
-    fn new() -> Self {
-        PipeState {
-            queue: VecDeque::new(),
-            draining: false,
-            in_flight: Gauge::new(),
-        }
-    }
-}
-
 /// The Storage Abstraction Layer: one per database front end process.
 pub struct Sal {
     pub db: DbId,
     /// The compute node this SAL runs on.
     pub me: NodeId,
     pub cfg: TaurusConfig,
-    clock: ClockRef,
+    pub(crate) clock: ClockRef,
     pub logs: LogStoreCluster,
     pub pages: PageStoreCluster,
     /// N parallel log streams (`cfg.log_streams`); prepared flushes are
@@ -444,12 +437,9 @@ pub struct Sal {
     /// purposes"). Modeled as a durable control-plane cell that survives
     /// front-end crashes.
     anchor: Arc<LsnWatermark>,
-    /// One bounded send pipe per Page Store replica node, created lazily on
-    /// first fragment to that node and drained by the fabric dispatcher.
-    pipes: Mutex<HashMap<NodeId, PipeState>>,
-    /// Slices with fragments abandoned by a sender worker; drained by
-    /// [`Sal::repair_parked`] (tick, recovery sweep, resurrection).
-    parked: Mutex<HashSet<SliceKey>>,
+    /// The send pipes, the parked set and the repair drain
+    /// ([`crate::slice_writer`]), under their own leaf locks.
+    pub(crate) writer: SliceWriter,
     /// The read planner shared with read replicas. Owns the read-routing
     /// state: replica latencies and the suspect set the write pipeline feeds.
     pub(crate) reader: SliceReader,
@@ -457,8 +447,9 @@ pub struct Sal {
     /// next elastic cut-over aborts between placement commit and delta
     /// replay, simulating a coordinator crash mid-cut-over.
     cutover_abort: AtomicBool,
-    /// Self-handle for lazily spawned worker threads.
-    myself: Weak<Sal>,
+    /// Self-handle for detached dispatcher jobs (pipe drainers, the repair
+    /// drain), which must not keep the SAL alive.
+    pub(crate) myself: Weak<Sal>,
     /// Microseconds of delay injected per log flush while Page Store
     /// consolidation is behind ("the SAL throttles log writes on the
     /// master" to bound Log Directory growth — paper §7).
@@ -524,8 +515,8 @@ impl Sal {
         let clock = logs.fabric.clock.clone();
         let reader = SliceReader::new(cfg.clone(), db, me, pages.clone());
         // `new_cyclic`: the SAL needs a `Weak` handle to itself so that
-        // per-replica sender workers (spawned lazily, long after build)
-        // can reach it without keeping it alive.
+        // detached jobs (submitted lazily, long after build) can reach it
+        // without keeping it alive.
         Ok(Arc::new_cyclic(|myself| Sal {
             db,
             me,
@@ -542,8 +533,7 @@ impl Sal {
             durable_lsn: LsnWatermark::new(Lsn::ZERO),
             durable_vec: LsnVector::new(n),
             anchor,
-            pipes: Mutex::new(HashMap::new()),
-            parked: Mutex::new(HashSet::new()),
+            writer: SliceWriter::new(),
             myself: myself.clone(),
             cutover_abort: AtomicBool::new(false),
             throttle_us: AtomicU64::new(0),
@@ -554,254 +544,11 @@ impl Sal {
         }))
     }
 
-    // ==================================================================
-    // Per-replica send pipeline
-    // ==================================================================
-
-    /// Enqueues a fragment on `node`'s pipe, creating the pipe on first
-    /// use. Returns `false` if the queue was full and the fragment was
-    /// shed for this replica. When no drain job is live for the node, one
-    /// is submitted to the fabric dispatcher — the detached job captures
-    /// only a `Weak` SAL handle, so a queued drain never keeps a torn-down
-    /// deployment alive.
-    ///
-    /// Lock order: callers hold `state`; this takes `pipes` (and the
-    /// dispatcher submission lock, a leaf). Never blocks — the foreground
-    /// write path must not wait on a slow replica.
-    fn enqueue_for(&self, node: NodeId, job: PipeJob) -> bool {
-        let mut pipes = self.pipes.lock();
-        let pipe = pipes.entry(node).or_insert_with(PipeState::new);
-        if pipe.queue.len() >= self.cfg.sal_send_queue_depth {
-            return false;
-        }
-        pipe.queue.push_back(job);
-        if !pipe.draining {
-            pipe.draining = true;
-            let weak = self.myself.clone();
-            self.pages.fabric.spawn_detached(move || {
-                let Some(sal) = weak.upgrade() else { return };
-                sal.drain_pipe(node);
-            });
-        }
-        true
-    }
-
-    /// Drains one replica node's pipe on a dispatcher worker until the
-    /// queue is empty, then clears the `draining` flag and exits (the next
-    /// enqueue submits a fresh job). One drainer per node keeps shipment
-    /// per-node FIFO. The jitter RNG is derived from the fabric seed and
-    /// the node id: draws never touch the shared placement stream, so
-    /// retry storms do not perturb placement determinism.
-    ///
-    /// A queued run of fragments is shipped as one grouped envelope (one
-    /// round trip for the whole run); any slot that fails — or the whole
-    /// envelope, if the node is down — falls back to the budgeted
-    /// per-fragment retry path. Safe to re-send: Page Stores disregard
-    /// duplicate log records.
-    fn drain_pipe(&self, node: NodeId) {
-        let mut rng = self.pages.fabric.derive_rng(0x5A4C_0000 ^ node.0);
-        loop {
-            let jobs: Vec<PipeJob> = {
-                let mut pipes = self.pipes.lock();
-                let Some(pipe) = pipes.get_mut(&node) else {
-                    return;
-                };
-                if pipe.queue.is_empty() {
-                    pipe.draining = false;
-                    return;
-                }
-                let take = pipe.queue.len().min(GROUPED_SHIP_MAX);
-                let jobs: Vec<PipeJob> = pipe.queue.drain(..take).collect();
-                pipe.in_flight.add(jobs.len() as u64);
-                jobs
-            };
-            let n = jobs.len();
-            if n > 1 {
-                self.ship_grouped(node, &jobs, &mut rng);
-            } else {
-                self.ship_with_retry(node, &jobs[0], &mut rng);
-            }
-            let pipes = self.pipes.lock();
-            if let Some(pipe) = pipes.get(&node) {
-                pipe.in_flight.sub(n as u64);
-            }
-        }
-    }
-
-    /// Ships a run of fragments to one replica in a single grouped
-    /// envelope. Fully successful slots are acked; failed slots (or the
-    /// whole run when the envelope itself fails) are re-shipped in order
-    /// through the per-fragment retry path, which owns parking, suspect
-    /// demotion, and backoff.
-    fn ship_grouped(&self, node: NodeId, jobs: &[PipeJob], rng: &mut StdRng) {
-        let frags: Vec<(Arc<SliceFragment>, u64)> = {
-            let st = self.state.lock();
-            let epoch = |j: &PipeJob| st.slices.get(&j.key).map_or(0, |s| s.epoch);
-            jobs.iter()
-                .map(|j| (Arc::clone(&j.frag), epoch(j)))
-                .collect()
-        };
-        self.stats.note_coalesced(jobs.len());
-        let mut slots = self
-            .pages
-            .write_logs_grouped(self.me, &[(node, frags)])
-            .pop()
-            .unwrap_or_default();
-        // Demux in order; a short (impossible) response fails the tail.
-        slots.resize_with(jobs.len(), || Err(TaurusError::NodeUnavailable(node)));
-        for (job, slot) in jobs.iter().zip(slots) {
-            match slot {
-                Ok(persistent) => {
-                    self.on_write_ack(job.key, node, job.frag.last_lsn(), persistent);
-                    self.note_replica_alive(node);
-                }
-                Err(_) => {
-                    self.stats.grouped_fallback_slices.inc();
-                    self.ship_with_retry(node, job, rng);
-                }
-            }
-        }
-    }
-
-    /// Delivers one fragment to one replica, retrying failed attempts with
-    /// exponential backoff + seeded jitter up to the configured budget.
-    /// Exhausting the budget parks the slice and demotes the replica.
-    fn ship_with_retry(&self, node: NodeId, job: &PipeJob, rng: &mut StdRng) {
-        let last = job.frag.last_lsn();
-        let limit = self.cfg.sal_write_retry_limit;
-        let mut attempt: u32 = 0;
-        loop {
-            // Epoch-checked send (DESIGN.md §14): read the epoch at attempt
-            // time so a refresh between retries is picked up.
-            let epoch = {
-                let st = self.state.lock();
-                st.slices.get(&job.key).map(|s| s.epoch).unwrap_or(0)
-            };
-            let start = self.clock.now_us();
-            match self
-                .pages
-                .write_logs_checked(node, self.me, &job.frag, epoch)
-            {
-                Ok(persistent) => {
-                    self.on_write_ack(job.key, node, last, persistent);
-                    self.note_replica_alive(node);
-                    return;
-                }
-                Err(TaurusError::PlacementEpochMismatch { .. })
-                | Err(TaurusError::SliceFenced { .. }) => {
-                    // The slice moved (or was sealed) under this send — a
-                    // placement race, not a replica-health problem: no
-                    // suspect demotion, no backoff. Learn the new placement
-                    // and hand the fragment to the repair path, which
-                    // re-ships the records through the current owners.
-                    self.stats.fragments_parked.inc();
-                    self.refresh_placement();
-                    self.parked.lock().insert(job.key);
-                    self.repair_parked();
-                    return;
-                }
-                Err(_) => {
-                    let elapsed = self.clock.now_us().saturating_sub(start);
-                    if elapsed > self.cfg.sal_write_attempt_timeout_us {
-                        self.stats.write_timeouts.inc();
-                    }
-                    if attempt >= limit {
-                        break;
-                    }
-                    attempt += 1;
-                    self.stats.write_retries.inc();
-                    let base = self.cfg.sal_write_backoff_us.max(1);
-                    let backoff = base.saturating_mul(1u64 << (attempt - 1).min(16));
-                    let jitter = rng.random_range(0..=(base / 2).max(1));
-                    self.clock.sleep_us(backoff.saturating_add(jitter));
-                }
-            }
-        }
-        // Budget spent. Durability is already guaranteed by the Log
-        // Stores; the slice is parked for repair-from-log instead of
-        // waiting for the stall detector to notice the gap.
-        self.stats.fragments_parked.inc();
-        self.mark_suspect(node);
-        self.parked.lock().insert(job.key);
-        // A replica that is *up* but failing calls (flaky link, transient
-        // overload) can be repaired right now; a dead one must wait for
-        // the recovery sweep.
-        if self.pages.is_live(node) {
-            self.repair_parked();
-        }
-    }
-
-    fn mark_suspect(&self, node: NodeId) {
-        if self.reader.set_suspect(node, true) {
-            self.stats.suspect_demotions.inc();
-        }
-    }
-
-    /// Resurrects a suspect replica after evidence it is serving again (a
-    /// successful write ack or persistent-LSN progress). On the
-    /// suspect→healthy *transition* — and only then, which bounds the
-    /// repair→gossip→poll→resurrect recursion — parked slices are drained.
-    fn note_replica_alive(&self, node: NodeId) {
-        if self.reader.set_suspect(node, false) {
-            self.stats.suspect_resurrections.inc();
-            self.repair_parked();
-        }
-    }
-
-    /// Whether a replica is currently demoted to suspect.
-    pub fn is_suspect(&self, node: NodeId) -> bool {
-        self.reader.suspects().contains(&node)
-    }
-
-    /// Slices currently parked for repair.
-    pub fn parked_slices(&self) -> Vec<SliceKey> {
-        let mut v: Vec<SliceKey> = self.parked.lock().iter().copied().collect();
-        v.sort();
-        v
-    }
-
-    /// Per-replica pipeline gauges: `(node, queued fragments, in-flight
-    /// fragments)`, sorted by node. Exposed to benches and tests.
-    pub fn pipeline_gauges(&self) -> Vec<(NodeId, u64, u64)> {
-        let pipes = self.pipes.lock();
-        let mut v: Vec<(NodeId, u64, u64)> = pipes
-            .iter()
-            .map(|(n, p)| (*n, p.queue.len() as u64, p.in_flight.get()))
-            .collect();
-        v.sort_by_key(|e| e.0);
-        v
-    }
-
     /// Snapshot of the bounded fabric dispatcher every fan-out from this
     /// SAL rides: queue depth, busy workers, inline/pool job counts.
     /// Exposed to benches (fig7/fig9/conn_scale) and tests.
     pub fn dispatch_stats(&self) -> taurus_fabric::DispatchSnapshot {
         self.pages.fabric.dispatch_snapshot()
-    }
-
-    /// Repairs every parked slice from the Log Stores and triggers
-    /// targeted gossip; a slice is unparked once every replica has caught
-    /// up to its flush LSN. Returns the number of slices unparked.
-    ///
-    /// Must not be called while holding `state`, `pipes`, or `parked`.
-    pub fn repair_parked(&self) -> usize {
-        let keys: Vec<SliceKey> = self.parked.lock().iter().copied().collect();
-        let mut unparked = 0usize;
-        for key in keys {
-            let _ = self.repair_slice_from_logstores(key);
-            self.trigger_gossip(key);
-            let caught_up = {
-                let st = self.state.lock();
-                st.slices
-                    .get(&key)
-                    .map(|s| s.min_replica_persistent() >= s.flush_lsn)
-                    .unwrap_or(true)
-            };
-            if caught_up && self.parked.lock().remove(&key) {
-                unparked += 1;
-            }
-        }
-        unparked
     }
 
     // ==================================================================
@@ -1013,21 +760,7 @@ impl Sal {
         // RPC must not run under the SAL's central lock. This must happen
         // before the span is marked durable — the prefix walk distributes
         // records into `SalState::slices` and may run on another thread.
-        let keys: Vec<SliceKey> = {
-            let mut v = Vec::new();
-            for g in &p.groups {
-                for rec in &g.records {
-                    let key = self
-                        .pages
-                        .route_write(self.db, rec.page, self.cfg.pages_per_slice);
-                    if !v.contains(&key) {
-                        v.push(key);
-                    }
-                }
-            }
-            v
-        };
-        let ensured = self.ensure_slices(&keys);
+        let ensured = self.ensure_slices(&self.homes_of(&p.groups));
         let mut st = self.state.lock();
         match ensured {
             // The records are durable but the SAL cannot home them: treat
@@ -1056,6 +789,20 @@ impl Sal {
                 Ok(())
             }
         }
+    }
+
+    /// The slices `groups` write to under the current placement, each once.
+    pub(crate) fn homes_of(&self, groups: &[LogRecordGroup]) -> Vec<SliceKey> {
+        let mut keys = Vec::new();
+        for rec in groups.iter().flat_map(|g| &g.records) {
+            let key = self
+                .pages
+                .route_write(self.db, rec.page, self.cfg.pages_per_slice);
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+        keys
     }
 
     /// Records the completion state of the span starting at `first` (span
@@ -1151,15 +898,7 @@ impl Sal {
             needs: touched,
         });
         // Flush slice buffers that crossed the size threshold.
-        let keys: Vec<SliceKey> = st
-            .slices
-            .iter()
-            .filter(|(_, s)| s.buffer_bytes >= self.cfg.slice_buffer_bytes)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in keys {
-            self.flush_slice_locked(st, key);
-        }
+        self.flush_slices_locked(st, |s| s.buffer_bytes >= self.cfg.slice_buffer_bytes);
         self.advance_cv_locked(st);
     }
 
@@ -1206,24 +945,13 @@ impl Sal {
             // Errors latch into `failed_at`; `flush()` callers observe them.
             let _ = self.run_flush(p);
         }
-        {
-            let mut st = self.state.lock();
-            let keys: Vec<SliceKey> = st
-                .slices
-                .iter()
-                .filter(|(_, s)| {
-                    !s.buffer.is_empty()
-                        && now.saturating_sub(s.buffer_opened_us) >= self.cfg.slice_flush_timeout_us
-                })
-                .map(|(k, _)| *k)
-                .collect();
-            for key in keys {
-                self.flush_slice_locked(&mut st, key);
-            }
-        }
+        let timeout = self.cfg.slice_flush_timeout_us;
+        self.flush_slices_locked(&mut self.state.lock(), |s| {
+            now.saturating_sub(s.buffer_opened_us) >= timeout
+        });
         // Parked repairs: skip while every suspect is still unreachable —
         // repair-from-log cannot land anywhere and gossip would spin.
-        if !self.parked.lock().is_empty() {
+        if !self.parked_slices().is_empty() {
             let suspects = self.reader.suspects();
             if suspects.is_empty() || suspects.iter().any(|n| self.pages.is_live(*n)) {
                 self.repair_parked();
@@ -1233,15 +961,15 @@ impl Sal {
 
     /// Forces every slice buffer out (quiesce; used by tests and shutdown).
     pub fn flush_all_slices(&self) {
-        let mut st = self.state.lock();
-        let keys: Vec<SliceKey> = st
-            .slices
-            .iter()
-            .filter(|(_, s)| !s.buffer.is_empty())
-            .map(|(k, _)| *k)
-            .collect();
+        self.flush_slices_locked(&mut self.state.lock(), |_| true);
+    }
+
+    /// Flushes every non-empty slice buffer that `due` selects.
+    fn flush_slices_locked(&self, st: &mut SalState, due: impl Fn(&SliceState) -> bool) {
+        let nonempty = st.slices.iter().filter(|(_, s)| !s.buffer.is_empty());
+        let keys: Vec<SliceKey> = nonempty.filter(|(_, s)| due(s)).map(|(k, _)| *k).collect();
         for key in keys {
-            self.flush_slice_locked(&mut st, key);
+            self.flush_slice_locked(st, key);
         }
     }
 
@@ -1274,18 +1002,7 @@ impl Sal {
                 .entry(key)
                 .or_insert_with(|| SliceState::new(replicas));
             if let Some(view) = view {
-                slice.epoch = slice.epoch.max(view.epoch);
-                if slice.fence.is_none() {
-                    if let Some(f) = view.fence_lsn {
-                        // Discovered a slice that is *already* retired (this
-                        // SAL was not the cut-over coordinator — recovery,
-                        // or a late first read). It will never take writes;
-                        // seal it at its fence so it cannot gate progress.
-                        slice.fence = Some(f);
-                        slice.flush_lsn = slice.flush_lsn.max(f);
-                        slice.acked_lsn = slice.acked_lsn.max(f);
-                    }
-                }
+                slice.adopt_generation(&view);
             }
         }
         Ok(())
@@ -1294,10 +1011,7 @@ impl Sal {
     /// Ships the slice buffer as one fragment to all replicas via their
     /// per-replica pipes (Step 4; SAL will consider it safe after ONE ack —
     /// Step 5). One fragment is built and shared by `Arc` — no deep clone
-    /// per replica. A replica whose queue is full loses the fragment
-    /// (shedding): its slice is parked for repair-from-log and the replica
-    /// is demoted to suspect, so one slow node cannot grow an unbounded
-    /// backlog or stall the foreground write path.
+    /// per replica.
     pub(crate) fn flush_slice_locked(&self, st: &mut SalState, key: SliceKey) {
         let Some(slice) = st.slices.get_mut(&key) else {
             return;
@@ -1315,29 +1029,7 @@ impl Sal {
         self.stats
             .slice_write_bytes
             .add(frag.payload_bytes() as u64);
-        let replicas = slice.replicas.clone();
-        let mut shed: Vec<NodeId> = Vec::new();
-        for &node in &replicas {
-            let sent = self.enqueue_for(
-                node,
-                PipeJob {
-                    key,
-                    frag: Arc::clone(&frag),
-                },
-            );
-            if !sent {
-                shed.push(node);
-            }
-        }
-        for node in shed {
-            self.stats.queue_full_drops.inc();
-            self.stats.fragments_parked.inc();
-            self.mark_suspect(node);
-            self.parked.lock().insert(key);
-            // No immediate repair here: `state` is held, and the node's
-            // worker is still busy draining a full queue. tick()/recovery
-            // will drain the parked set.
-        }
+        self.submit(key, &slice.replicas, &frag);
     }
 
     /// Ack handler: first-replica acknowledgment releases the buffer and
@@ -1362,13 +1054,7 @@ impl Sal {
                 self.durable_lsn.get()
             );
             slice.acked_lsn = slice.acked_lsn.max(frag_last);
-            let prev = slice
-                .replica_persistent
-                .insert(node, persistent)
-                .unwrap_or(Lsn::ZERO);
-            if persistent > prev {
-                slice.last_progress_us = now;
-            }
+            slice.report(node, persistent, now);
         }
         self.advance_cv_locked(&mut st);
     }
@@ -1484,46 +1170,46 @@ impl Sal {
     /// slices whose reported value **decreased** — the Fig. 4(b) signal that
     /// a rebuilt replica lost records.
     pub fn poll_persistent_lsns(&self) -> Vec<SliceKey> {
-        let snapshot: Vec<(SliceKey, Vec<NodeId>)> = {
-            let st = self.state.lock();
-            st.slices
-                .iter()
-                .map(|(k, s)| (*k, s.replicas.clone()))
-                .collect()
-        };
+        self.poll_slices(&self.slice_keys())
+    }
+
+    /// [`Sal::poll_persistent_lsns`] restricted to `keys`.
+    fn poll_slices(&self, keys: &[SliceKey]) -> Vec<SliceKey> {
         let mut regressed = Vec::new();
-        for (key, replicas) in snapshot {
+        for (key, node, _, moved) in self.probe(keys) {
+            match moved {
+                cmp::Ordering::Less if !regressed.contains(&key) => regressed.push(key),
+                // A suspect that reports persistent-LSN progress is serving
+                // again.
+                cmp::Ordering::Greater => self.note_replica_alive(node),
+                _ => {}
+            }
+        }
+        regressed
+    }
+
+    /// Asks every replica of `keys` for its persistent LSN and records the
+    /// answers. Returns each as `(slice, node, persistent LSN, how it
+    /// compares with that replica's previous report)`; unreachable replicas
+    /// are left out.
+    pub(crate) fn probe(&self, keys: &[SliceKey]) -> Vec<(SliceKey, NodeId, Lsn, cmp::Ordering)> {
+        let mut reports = Vec::new();
+        for &key in keys {
+            let replicas = match self.state.lock().slices.get(&key) {
+                Some(s) => s.replicas.clone(),
+                None => continue,
+            };
             for node in replicas {
                 let Ok(persistent) = self.pages.persistent_lsn_of(node, self.me, key) else {
                     continue;
                 };
-                let progressed = {
-                    let mut st = self.state.lock();
-                    let now = self.clock.now_us();
-                    let Some(slice) = st.slices.get_mut(&key) else {
-                        continue;
-                    };
-                    let prev = slice
-                        .replica_persistent
-                        .insert(node, persistent)
-                        .unwrap_or(Lsn::ZERO);
-                    if persistent < prev && !regressed.contains(&key) {
-                        regressed.push(key);
-                    }
-                    if persistent > prev {
-                        slice.last_progress_us = now;
-                    }
-                    persistent > prev
-                };
-                // A suspect that reports persistent-LSN progress is serving
-                // again (outside the state lock: resurrection may drain
-                // parked repairs).
-                if progressed {
-                    self.note_replica_alive(node);
+                let now = self.clock.now_us();
+                if let Some(slice) = self.state.lock().slices.get_mut(&key) {
+                    reports.push((key, node, persistent, slice.report(node, persistent, now)));
                 }
             }
         }
-        regressed
+        reports
     }
 
     /// Refreshes replica placement from the cluster manager (after a
@@ -1535,17 +1221,7 @@ impl Sal {
                 // GC'd retired slice; `set_recycle_lsn` prunes its state.
                 continue;
             };
-            // Sync the elastic metadata first: epoch only ever advances, a
-            // fence only ever appears (and both placement transitions go
-            // together, so a refresh cannot see one without the other).
-            slice.epoch = slice.epoch.max(view.epoch);
-            if slice.fence.is_none() {
-                if let Some(f) = view.fence_lsn {
-                    slice.fence = Some(f);
-                    slice.flush_lsn = slice.flush_lsn.max(f);
-                    slice.acked_lsn = slice.acked_lsn.max(f);
-                }
-            }
+            slice.adopt_generation(&view);
             let current = view.nodes;
             if !current.is_empty() && current != slice.replicas {
                 // A replacement replica inherits the expectation recorded for
@@ -1581,75 +1257,19 @@ impl Sal {
             .collect()
     }
 
-    /// Repairs a slice by reading records from the Log Stores and resending
-    /// to each replica exactly what it is missing, chained at that replica's
-    /// own persistent LSN so the fragment connects (§5.2, Fig. 4(b)/(c)).
-    /// Returns the number of fragments resent.
-    pub fn repair_slice_from_logstores(&self, key: SliceKey) -> Result<usize> {
-        let (replicas, flush_lsn) = {
-            let st = self.state.lock();
-            match st.slices.get(&key) {
-                Some(s) => (s.replicas.clone(), s.flush_lsn),
-                None => return Ok(0),
-            }
-        };
-        // What this slice *owns* on the (page, LSN) plane: for static
-        // placement the filter degenerates to the arithmetic key check; for
-        // elastic slices it additionally excludes records below the seed
-        // snapshot (already in the imported pages) and above the cut-over
-        // fence (owned by the successor).
-        let filter = self.pages.ingest_filter(key, self.cfg.pages_per_slice);
-        let mut resent = 0usize;
-        for node in replicas {
-            let Ok(persistent) = self.pages.persistent_lsn_of(node, self.me, key) else {
-                continue;
-            };
-            if persistent >= flush_lsn {
-                continue;
-            }
-            // Read everything the replica might be missing from the Log
-            // Stores (records are still there: truncation is gated on the
-            // database persistent LSN, which this replica holds down).
-            let groups = self.read_log_from(persistent.next())?;
-            let mut records: Vec<LogRecord> = Vec::new();
-            for g in groups {
-                for rec in g.records {
-                    let owned = match &filter {
-                        Some(f) => f.admits(rec.page, rec.lsn),
-                        None => {
-                            SliceKey::new(self.db, rec.page.slice(self.cfg.pages_per_slice)) == key
-                        }
-                    };
-                    if owned && rec.lsn > persistent && rec.lsn <= flush_lsn {
-                        records.push(rec);
-                    }
-                }
-            }
-            if records.is_empty() {
-                continue;
-            }
-            records.sort_by_key(|r| r.lsn);
-            records.dedup_by_key(|r| r.lsn);
-            let frag = SliceFragment::new(key, persistent, records);
-            let last = frag.last_lsn();
-            if let Ok(new_persistent) = self.pages.write_logs_to(node, self.me, &frag) {
-                self.on_write_ack(key, node, last, new_persistent);
-                self.note_replica_alive(node);
-                resent += 1;
-                self.stats.resends.inc();
-            }
-        }
-        Ok(resent)
-    }
-
     /// Triggers targeted gossip for a slice (the SAL-accelerated path that
     /// avoids waiting for the 30-minute periodic sweep, §5.2).
     pub fn trigger_gossip(&self, key: SliceKey) -> usize {
-        self.stats.gossip_triggers.inc();
-        let moved = self.pages.gossip(key);
-        // Pull fresh persistent LSNs so acked/progress tracking reflects the
-        // repair.
-        let _ = self.poll_persistent_lsns();
+        self.gossip_round(&[key])
+    }
+
+    /// Targeted gossip for each of `keys`, then one poll of their replicas
+    /// so acked/progress tracking reflects the repair. Returns the
+    /// fragments gossip moved.
+    pub(crate) fn gossip_round(&self, keys: &[SliceKey]) -> usize {
+        self.stats.gossip_triggers.add(keys.len() as u64);
+        let moved = keys.iter().map(|&key| self.pages.gossip(key)).sum();
+        let _ = self.poll_slices(keys);
         moved
     }
 
@@ -1873,9 +1493,10 @@ impl Sal {
     // ==================================================================
 
     /// Rebuilds a SAL after a front-end crash. Reads the log from the saved
-    /// database persistent LSN and resends to the Page Stores whatever their
-    /// replicas are missing — the redo phase that must complete before the
-    /// database accepts new requests. Returns the SAL and the highest LSN
+    /// database persistent LSN, cuts it at the first hole, and hands that
+    /// window to [`Sal::redo`], which resends to the Page Stores whatever
+    /// their replicas are missing — the redo phase that must complete before
+    /// the database accepts new requests. Returns the SAL and the highest LSN
     /// found in the log (the restart point for the LSN allocator).
     pub fn recover(
         cfg: TaurusConfig,
@@ -1927,62 +1548,8 @@ impl Sal {
                 stream.discard_after(cut)?;
             }
         }
-        let mut max_lsn = start;
-        // Partition the log by slice, tracking the last LSN per slice. With
-        // elastic placement a record can be owed to *two* slices — a retired
-        // cut-over parent (lsn at or below its fence) and its successor (lsn
-        // above the seed base): the double-stored ingest interval. Replay to
-        // every slice whose ownership filter admits the record; the static
-        // arithmetic path is kept verbatim when the db has no dynamic
-        // entries.
-        let dynamic = sal.pages.has_dynamic(sal.db);
-        let filters: Vec<(SliceKey, IngestFilter)> = if dynamic {
-            sal.pages
-                .all_slices()
-                .into_iter()
-                .filter(|k| k.db == sal.db)
-                .filter_map(|k| {
-                    sal.pages
-                        .ingest_filter(k, sal.cfg.pages_per_slice)
-                        .map(|f| (k, f))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut by_slice: HashMap<SliceKey, Vec<LogRecord>> = HashMap::new();
-        for g in groups {
-            for rec in g.records {
-                max_lsn = max_lsn.max(rec.lsn);
-                if dynamic {
-                    for (k, f) in &filters {
-                        if f.admits(rec.page, rec.lsn) {
-                            by_slice.entry(*k).or_default().push(rec.clone());
-                        }
-                    }
-                } else {
-                    let key = SliceKey::new(sal.db, rec.page.slice(sal.cfg.pages_per_slice));
-                    by_slice.entry(key).or_default().push(rec);
-                }
-            }
-        }
-        // Also pick up slices that exist in the cluster but had no records
-        // in the replayed window (retired parents included when elastic:
-        // they still serve reads below their fence).
-        let mut keys: Vec<SliceKey> = if dynamic {
-            sal.pages.all_slices()
-        } else {
-            sal.pages.slices()
-        }
-        .into_iter()
-        .filter(|k| k.db == sal.db)
-        .collect();
-        for k in by_slice.keys() {
-            if !keys.contains(k) {
-                keys.push(*k);
-            }
-        }
-        sal.ensure_slices(&keys)?;
+        // A span's end is its highest LSN, so the chain's end is the log's.
+        let max_lsn = chain_end.map_or(start, |end| end.max(start));
         sal.durable_lsn.advance(max_lsn);
         // Everything up to the recovered tail is durable on every stream's
         // prefix; seed the LSN vector so it agrees with the durable LSN.
@@ -1992,54 +1559,20 @@ impl Sal {
         // The flush pipeline's monotonicity baseline starts where the
         // recovered log ends.
         sal.state.lock().last_prepared_end = max_lsn;
-        // Redo: resend per replica exactly what it is missing, chained at
-        // its own persistent LSN. Page Stores disregard duplicates.
-        for key in keys {
-            let replicas = sal.pages.replicas_of(key);
-            let mut slice_flush = Lsn::ZERO;
-            let mut max_persistent = Lsn::ZERO;
-            if let Some(records) = by_slice.get(&key) {
-                slice_flush = records.last().map(|r| r.lsn).unwrap_or(Lsn::ZERO);
-            }
-            for node in replicas {
-                let Ok(persistent) = sal.pages.persistent_lsn_of(node, sal.me, key) else {
-                    continue;
-                };
-                slice_flush = slice_flush.max(persistent);
-                max_persistent = max_persistent.max(persistent);
-                let missing: Vec<LogRecord> = by_slice
-                    .get(&key)
-                    .map(|records| {
-                        records
-                            .iter()
-                            .filter(|r| r.lsn > persistent)
-                            .cloned()
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                if missing.is_empty() {
-                    let mut st = sal.state.lock();
-                    if let Some(s) = st.slices.get_mut(&key) {
-                        s.replica_persistent.insert(node, persistent);
-                    }
-                    continue;
-                }
-                let frag = SliceFragment::new(key, persistent, missing);
-                let last = frag.last_lsn();
-                if let Ok(new_persistent) = sal.pages.write_logs_to(node, sal.me, &frag) {
-                    sal.on_write_ack(key, node, last, new_persistent);
-                    max_persistent = max_persistent.max(new_persistent);
-                }
-            }
-            let mut st = sal.state.lock();
-            if let Some(s) = st.slices.get_mut(&key) {
-                s.flush_lsn = s.flush_lsn.max(slice_flush);
-                // Records at or below a replica's persistent LSN are on that
-                // replica by definition, so reads at this horizon are safe —
-                // without this a freshly recovered SAL would read every page
-                // at LSN 0 (i.e. as empty).
-                s.acked_lsn = s.acked_lsn.max(max_persistent);
-            }
+        // Redo over the window just read, for every slice of this database
+        // the cluster holds — those with no records in the window too, and
+        // retired cut-over parents: they still serve reads below their fence.
+        let mut keys = sal.pages.all_slices();
+        keys.retain(|k| k.db == sal.db);
+        sal.redo(&keys, Some(groups))?;
+        for s in sal.state.lock().slices.values_mut() {
+            // Records at or below a replica's persistent LSN are on that
+            // replica by definition, so reads at this horizon are safe —
+            // without this a freshly recovered SAL would read every page
+            // at LSN 0 (i.e. as empty).
+            let reported = s.replica_persistent.values().copied().max();
+            s.flush_lsn = s.flush_lsn.max(reported.unwrap_or(Lsn::ZERO));
+            s.acked_lsn = s.acked_lsn.max(reported.unwrap_or(Lsn::ZERO));
         }
         sal.cv_lsn.advance(max_lsn);
         Ok((sal, max_lsn))

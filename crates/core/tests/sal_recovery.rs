@@ -121,11 +121,18 @@ fn write_path_reaches_durability_and_cv_advances() {
     assert_eq!(sal.durable_lsn(), end);
     h.settle(&sal);
     assert_eq!(sal.cv_lsn(), end, "CV-LSN must reach the buffer end");
-    // All three replicas eventually hold the records (they were all sent).
+    // All three replicas eventually hold the records (they were all sent;
+    // `settle` waited for the first ack only).
     let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
     for node in h.pages.replicas_of(key) {
-        let p = h.pages.persistent_lsn_of(node, h.me, key).unwrap();
-        assert_eq!(p, end, "replica {node} persistent");
+        let persistent = || h.pages.persistent_lsn_of(node, h.me, key).unwrap();
+        for _ in 0..2000 {
+            if persistent() == end {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+        assert_eq!(persistent(), end, "replica {node} persistent");
     }
 }
 
@@ -623,4 +630,112 @@ fn future_snapshot_is_capped_to_the_slice_head() {
     let capped = sal.read_page(PageId(1), Some(Lsn(end.0 + 100))).unwrap();
     assert_eq!(capped.lsn(), head.lsn());
     assert_eq!(capped.nslots(), head.nslots());
+}
+
+/// Runs the same crash on a database with or without a committed split and
+/// returns what recovery left on the Page Stores: `(slice id, persistent
+/// LSNs of its replicas in placement order)` for every slice, retired
+/// parents included.
+///
+/// Phase 1 reaches every replica (and a truncation round moves the
+/// anchor); phase 2 reaches the Log Stores only — every Page Store is down
+/// — so all of it is redo work for `Sal::recover`.
+fn recover_after_crash(split: bool) -> Vec<(u64, Vec<u64>)> {
+    let h = Harness::new(5, 5);
+    let sal = h.sal();
+    let pps = h.cfg.pages_per_slice;
+    let pages = [1, 40, pps + 1, 2 * pps + 1];
+    for (i, page) in pages.iter().enumerate() {
+        h.write_kv(&sal, *page, &format!("a{i}"), "v", true);
+    }
+    if split {
+        let parent = SliceKey::new(DbId(1), PageId(1).slice(pps));
+        taurus_core::split_slice(&sal, parent, 32).unwrap();
+        for (i, page) in pages.iter().enumerate() {
+            h.write_kv(&sal, *page, &format!("b{i}"), "v", false);
+        }
+    }
+    h.settle(&sal);
+    // `settle` waits for one ack per fragment; wait for all three copies.
+    let quiesced = || {
+        h.pages.all_slices().into_iter().all(|key| {
+            let at = |n| h.pages.persistent_lsn_of(n, h.me, key).unwrap();
+            let lsns: Vec<Lsn> = h.pages.replicas_of(key).into_iter().map(at).collect();
+            lsns.windows(2).all(|w| w[0] == w[1])
+        })
+    };
+    for _ in 0..2000 {
+        if quiesced() && sal.cv_lsn() == sal.durable_lsn() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    assert!(quiesced() && sal.cv_lsn() == sal.durable_lsn());
+    let _ = sal.poll_persistent_lsns();
+    sal.truncate_log().unwrap();
+    assert!(sal.recovery_anchor() > Lsn::ZERO);
+
+    for node in h.pages.server_nodes() {
+        h.fabric.set_down(node);
+    }
+    let mut end = Lsn::ZERO;
+    for (i, page) in pages.iter().enumerate() {
+        end = h.write_kv(&sal, *page, &format!("c{i}"), "v", false);
+    }
+    drop(sal);
+    for node in h.pages.server_nodes() {
+        h.fabric.set_up(node);
+    }
+
+    let (sal2, max_lsn) = Sal::recover(
+        h.cfg.clone(),
+        DbId(1),
+        h.me,
+        h.logs.clone(),
+        h.pages.clone(),
+        Arc::clone(&h.anchor),
+    )
+    .unwrap();
+    assert_eq!(max_lsn, end);
+    let rows = if split { 3 } else { 2 };
+    for page in pages {
+        let buf = sal2.read_page(PageId(page), Some(end)).unwrap();
+        assert_eq!(buf.nslots(), rows, "page {page} after recovery");
+    }
+    h.pages
+        .all_slices()
+        .into_iter()
+        .map(|key| {
+            let at = |n| h.pages.persistent_lsn_of(n, h.me, key).unwrap().0;
+            let lsns = h.pages.replicas_of(key).into_iter().map(at).collect();
+            (key.slice.0, lsns)
+        })
+        .collect()
+}
+
+/// `Sal::recover` partitions the log window by `IngestFilter` for every
+/// database. These are the per-replica persistent LSNs the two partition
+/// arms it replaced — slice-id arithmetic for static placements, filters
+/// only once a split had committed — left behind for the same two crashes
+/// (recorded at the commit before the arms were folded).
+#[test]
+fn recover_leaves_the_same_persistent_lsns_with_and_without_a_split() {
+    let all = |lsn: u64| vec![lsn; 3];
+    assert_eq!(
+        recover_after_crash(false),
+        vec![(0, all(10)), (1, all(11)), (2, all(12))]
+    );
+    // The retired parent (slice 0) stops at its fence; the split children
+    // (ids from `DYNAMIC_SLICE_BASE`) carry the pages' later rows.
+    let child = taurus_pagestore::placement::DYNAMIC_SLICE_BASE;
+    assert_eq!(
+        recover_after_crash(true),
+        vec![
+            (0, all(4)),
+            (1, all(15)),
+            (2, all(16)),
+            (child, all(13)),
+            (child + 1, all(14))
+        ]
+    );
 }

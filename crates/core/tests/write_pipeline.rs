@@ -389,3 +389,222 @@ fn dead_node_grouped_read_fails_over_per_slice() {
         "the dead node's envelope must have fallen back per-slice"
     );
 }
+
+/// Regression (stack overflow under overload): an unpaced writer with
+/// one-byte slice buffers, four-page slices and a two-deep send queue sheds
+/// fragments non-stop, and a flapping Page Store keeps flipping between
+/// suspect and healthy. Repair used to nest — every resurrection observed
+/// during `repair_parked` started another `repair_parked` on the same stack
+/// — so a thread ticking through this load overflowed its stack. The ticker
+/// here runs on a 64 KiB stack, room for ~25 nested passes of the old code
+/// (which reached 40+ under this load) and ample for a drain of depth 1.
+#[test]
+fn overload_with_a_flapping_replica_repairs_at_depth_one() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const PAGES: u64 = 256;
+    const ROUNDS: u64 = 24;
+    let h = Harness::new(3, 3);
+    let sal = h.sal_with(TaurusConfig {
+        slice_buffer_bytes: 1,
+        pages_per_slice: 4,
+        sal_send_queue_depth: 2,
+        ..h.cfg.clone()
+    });
+    // Create every slice on a healthy cluster (`CreateSlice` is not retried).
+    for page in 0..PAGES {
+        h.write_kv(&sal, page, "r00", true);
+    }
+    h.settle(&sal);
+    // Three Page Stores, three replicas: every slice has one on the victim.
+    let victim = h.pages.server_nodes()[0];
+    h.fabric.set_flaky(victim, 500);
+
+    let done = AtomicBool::new(false);
+    let end = std::thread::scope(|s| {
+        let ticker = std::thread::Builder::new()
+            .stack_size(64 << 10)
+            .spawn_scoped(s, || {
+                while !done.load(Ordering::Acquire) {
+                    sal.tick();
+                }
+            })
+            .unwrap();
+        let mut end = Lsn::ZERO;
+        for round in 1..ROUNDS {
+            for page in 0..PAGES {
+                end = h.write_kv(&sal, page, &format!("r{round:02}"), false);
+            }
+        }
+        done.store(true, Ordering::Release);
+        ticker.join().unwrap();
+        end
+    });
+    let stats = sal.stats.snapshot();
+    assert!(
+        stats.queue_full_drops > 0 && stats.suspect_resurrections > 0,
+        "the load must shed and the victim must flap: {stats}"
+    );
+
+    h.fabric.set_flaky(victim, 0);
+    sal.flush_all_slices();
+    for _ in 0..5000 {
+        sal.tick();
+        if sal.parked_slices().is_empty() && sal.cv_lsn() == sal.durable_lsn() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    assert_eq!(sal.parked_slices(), vec![], "{}", sal.stats.snapshot());
+    // Under `--cfg taurus_lock_witness`: no inversion among `sal::state`
+    // and the writer's leaf locks while flush, ack, shed and drain raced.
+    taurus_common::invariants::lock_witness_sweep();
+    let inversions: Vec<_> = taurus_common::invariants::violations()
+        .into_iter()
+        .filter(|v| v.name == "lock-order-acyclic")
+        .collect();
+    assert!(inversions.is_empty(), "{inversions:?}");
+    // Every acknowledged row reads back.
+    for page in 0..PAGES {
+        let buf = sal.read_page(PageId(page), Some(end)).unwrap();
+        assert_eq!(buf.nslots() as u64, ROUNDS, "page {page} lost rows");
+    }
+}
+
+/// Polls `cond` for up to ~1 s of real time (sender jobs are real threads).
+fn eventually(what: &str, mut cond: impl FnMut() -> bool) {
+    for _ in 0..5000 {
+        if cond() {
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    panic!("timed out waiting for {what}");
+}
+
+/// One repair pass over many parked slices is one `redo`: a single
+/// log-window read however many slices and replicas lag (the old path read
+/// the whole log once per lagging replica per slice), every replica brought
+/// to its slice's flush LSN, and the three copies of every page identical.
+#[test]
+fn one_repair_pass_reads_the_log_once_for_every_parked_slice() {
+    const SLICES: u64 = 5;
+    let h = Harness::new(3, 3);
+    let sal = h.sal();
+    let pps = h.cfg.pages_per_slice;
+    let pages: Vec<PageId> = (0..SLICES).map(|s| PageId(s * pps + 1)).collect();
+    let keys: Vec<SliceKey> = pages
+        .iter()
+        .map(|p| SliceKey::new(DbId(1), p.slice(pps)))
+        .collect();
+    let everywhere = |key: SliceKey, lsn: Lsn| {
+        let at = |n| {
+            h.pages
+                .persistent_lsn_of(n, h.me, key)
+                .is_ok_and(|l| l >= lsn)
+        };
+        h.pages.replicas_of(key).into_iter().all(at)
+    };
+    for (page, key) in pages.iter().zip(&keys) {
+        let end = h.write_kv(&sal, page.0, "k1", true);
+        eventually("the first rows on all replicas", || everywhere(*key, end));
+    }
+
+    // Three Page Stores, three replicas: the victim hosts every slice.
+    let victim = h.pages.server_nodes()[0];
+    h.fabric.set_down(victim);
+    let ends: Vec<Lsn> = pages
+        .iter()
+        .map(|page| h.write_kv(&sal, page.0, "k2", false))
+        .collect();
+    eventually("every slice to park", || sal.parked_slices() == keys);
+    h.fabric.set_up(victim);
+
+    let reads_before = sal.stats.redo_log_reads.get();
+    assert_eq!(sal.repair_parked(), keys.len(), "{}", sal.stats.snapshot());
+    assert_eq!(
+        sal.stats.redo_log_reads.get() - reads_before,
+        1,
+        "one pass, one log-window read"
+    );
+    assert!(sal.stats.resends.get() >= SLICES);
+    assert!(sal.parked_slices().is_empty());
+    for ((page, key), end) in pages.iter().zip(&keys).zip(&ends) {
+        assert!(everywhere(*key, *end), "{key} not at its flush LSN {end}");
+        let copies: Vec<Vec<u8>> = h
+            .pages
+            .replicas_of(*key)
+            .into_iter()
+            .map(|n| h.pages.read_page_from(n, h.me, *key, *page, *end).unwrap())
+            .map(|(buf, _)| buf.as_bytes().to_vec())
+            .collect();
+        assert!(copies.windows(2).all(|w| w[0] == w[1]), "{page} diverged");
+    }
+}
+
+/// A repair whose view of the placement predates a replica move must not
+/// land records above the fence on the departed node. The move here is
+/// committed behind the SAL's back while the departing node is down (so the
+/// node never hears its fence either): the only thing standing between the
+/// stale resend and the departed replica is the placement epoch check every
+/// `ship` carries — the unchecked `write_logs_to` repair used to bypass it.
+/// The refused fragment parks the slice, the SAL refreshes, and the same
+/// drain brings the newcomer up to the flush LSN.
+#[test]
+fn repair_with_a_stale_view_of_a_replica_move_never_writes_past_the_fence() {
+    let h = Harness::new(3, 4);
+    let sal = h.sal();
+    let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
+    let persistent = |n| h.pages.persistent_lsn_of(n, h.me, key).unwrap();
+    let end1 = h.write_kv(&sal, 1, "k1", true);
+    let replicas = h.pages.replicas_of(key);
+    eventually("row 1 everywhere", || {
+        replicas.iter().all(|&n| persistent(n) == end1)
+    });
+    let departing = replicas[2];
+    let newcomer = *h
+        .pages
+        .server_nodes()
+        .iter()
+        .find(|n| !replicas.contains(n))
+        .unwrap();
+
+    // The newcomer is seeded at row 1; row 2 then misses the departing node.
+    let range = h.pages.slice_range(key, h.cfg.pages_per_slice);
+    let snap = h.pages.export_snapshot(key, range, h.me).unwrap();
+    let base = h
+        .pages
+        .install_seed(key, &[newcomer], vec![snap], h.me)
+        .unwrap();
+    assert_eq!(base, end1);
+    h.fabric.set_down(departing);
+    let end2 = h.write_kv(&sal, 1, "k2", false);
+    eventually("the slice to park", || sal.parked_slices() == vec![key]);
+    // The move commits with the departing node fenced where it stands.
+    let epoch = h.pages.commit_move(key, departing, newcomer, end1).unwrap();
+    assert_eq!(
+        h.pages.fence_replicas(key, &[departing], end1, epoch, h.me),
+        0
+    );
+    h.fabric.set_up(departing);
+
+    let parked_before = sal.stats.fragments_parked.get();
+    assert_eq!(sal.repair_parked(), 1, "{}", sal.stats.snapshot());
+    assert!(
+        sal.stats.fragments_parked.get() > parked_before,
+        "the stale fragment must have been refused and parked"
+    );
+    assert_eq!(persistent(departing), end1, "nothing above the fence");
+    assert_eq!(persistent(newcomer), end2, "the newcomer caught up");
+
+    // Later writes go to the new replica set and stay off the departed one.
+    let end3 = h.write_kv(&sal, 1, "k3", false);
+    h.settle(&sal);
+    eventually("row 3 on the new replica set", || {
+        h.pages
+            .replicas_of(key)
+            .iter()
+            .all(|&n| persistent(n) == end3)
+    });
+    assert_eq!(persistent(departing), end1);
+    assert_eq!(sal.read_page(PageId(1), Some(end3)).unwrap().nslots(), 3);
+}

@@ -178,7 +178,9 @@ impl PageStoreCluster {
         Ok(self.placement.write().insert_root(key, nodes))
     }
 
-    /// `WriteLogs` RPC to one specific replica.
+    /// `WriteLogs` RPC to one specific replica, with no placement check: for
+    /// the baseline systems and tests. The SAL ships through
+    /// [`PageStoreCluster::write_logs_grouped`].
     pub fn write_logs_to(&self, node: NodeId, from: NodeId, frag: &SliceFragment) -> Result<Lsn> {
         let server = self.server(node)?;
         self.fabric.call(from, node, || server.write_logs(frag))?
@@ -261,18 +263,6 @@ impl PageStoreCluster {
             agg.absorb(s.stats.snapshot());
         }
         agg
-    }
-
-    /// Missing-LSN-ranges RPC (the SAL's Fig. 4(c) probe).
-    pub fn missing_ranges_of(
-        &self,
-        node: NodeId,
-        from: NodeId,
-        key: SliceKey,
-    ) -> Result<Vec<(Lsn, Lsn)>> {
-        let server = self.server(node)?;
-        self.fabric
-            .call(from, node, || server.missing_lsn_ranges(key))?
     }
 
     /// One round of the gossip protocol for a slice: every pair of live
@@ -503,12 +493,6 @@ impl PageStoreCluster {
         self.placement.read().ingest_filter(key, pps)
     }
 
-    /// Whether `db` has any dynamic placement (splits/merges happened).
-    /// When false, routing is the original arithmetic — the fast path.
-    pub fn has_dynamic(&self, db: DbId) -> bool {
-        self.placement.read().has_dynamic(db)
-    }
-
     /// Whether `key` is a retired cut-over parent (fenced).
     pub fn is_retired(&self, key: SliceKey) -> bool {
         self.placement.read().is_retired(key)
@@ -534,20 +518,6 @@ impl PageStoreCluster {
         self.placement
             .read()
             .check_rpc(key, node, epoch, write_last)
-    }
-
-    /// `WriteLogs` with the caller's cached placement epoch: refused with
-    /// `PlacementEpochMismatch` (retryable after a refresh) when the
-    /// placement moved under the caller.
-    pub fn write_logs_checked(
-        &self,
-        node: NodeId,
-        from: NodeId,
-        frag: &SliceFragment,
-        epoch: u64,
-    ) -> Result<Lsn> {
-        self.check_rpc(frag.slice, node, epoch, Some(frag.last_lsn()))?;
-        self.write_logs_to(node, from, frag)
     }
 
     /// One fabric envelope per node: every request of a group rides a single
@@ -604,10 +574,11 @@ impl PageStoreCluster {
     }
 
     /// Grouped epoch-checked `WriteLogs`: ships a run of fragments to each
-    /// node in one envelope. Each slot carries its own placement epoch and
-    /// returns that fragment's piggybacked persistent LSN, exactly like
-    /// [`PageStoreCluster::write_logs_checked`] would. Safe to re-send on
-    /// partial failure: Page Stores disregard duplicate log records.
+    /// node in one envelope. Each slot carries the caller's cached placement
+    /// epoch — refused with `PlacementEpochMismatch` (retryable after a
+    /// refresh) when the placement moved under the caller — and returns that
+    /// fragment's piggybacked persistent LSN. Safe to re-send on partial
+    /// failure: Page Stores disregard duplicate log records.
     pub fn write_logs_grouped(
         &self,
         from: NodeId,
@@ -1080,7 +1051,7 @@ mod tests {
             .unwrap();
         assert_eq!(c.fence_replicas(parent, &nodes, Lsn(4), epoch, me), 3);
         // Routing: writes go to the children, history to the parent.
-        assert!(c.has_dynamic(DbId(1)) && c.is_retired(parent));
+        assert!(c.is_retired(parent));
         assert_eq!(c.route_write(DbId(1), PageId(7), pps), l);
         assert_eq!(c.route_write(DbId(1), PageId(40), pps), r);
         assert_eq!(c.route_read(DbId(1), PageId(40), pps, Some(Lsn(4))), parent);
@@ -1095,7 +1066,7 @@ mod tests {
             Err(TaurusError::SliceFenced { .. })
         ));
         // Epoch-checked writes: stale epoch refused, fresh epoch lands.
-        let f5 = SliceFragment::new(
+        let f5 = Arc::new(SliceFragment::new(
             r,
             Lsn(4),
             vec![LogRecord::new(
@@ -1107,14 +1078,16 @@ mod tests {
                     val: Bytes::from("v5"),
                 },
             )],
-        );
-        assert!(matches!(
-            c.write_logs_checked(rt[0], me, &f5, 0),
-            Err(TaurusError::PlacementEpochMismatch { .. })
         ));
-        for &n in &rt {
-            c.write_logs_checked(n, me, &f5, epoch).unwrap();
-        }
+        let ship = |epoch| {
+            let groups: Vec<FragmentGroup> = rt
+                .iter()
+                .map(|&n| (n, vec![(Arc::clone(&f5), epoch)]))
+                .collect();
+            c.write_logs_grouped(me, &groups).into_iter().flatten()
+        };
+        assert!(ship(0).all(|slot| matches!(slot, Err(TaurusError::PlacementEpochMismatch { .. }))));
+        assert!(ship(epoch).all(|slot| matches!(slot, Ok(Lsn(5)))));
         let (page, lsn) = c.read_page_from(rt[0], me, r, PageId(40), Lsn(5)).unwrap();
         assert_eq!((page.nslots(), lsn), (2, Lsn(5)));
     }

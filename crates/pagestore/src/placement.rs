@@ -19,8 +19,10 @@
 //!   partitions the LSN axis).
 //! - Dynamic slices (split children, merge results) get ids from a disjoint
 //!   namespace ([`DYNAMIC_SLICE_BASE`]) and explicit page ranges in the
-//!   overlay; when a database has no dynamic slices, routing degenerates to
-//!   the original arithmetic — the default path is byte-for-byte unchanged.
+//!   overlay. A root slice's range is the arithmetic range of its id, which
+//!   is where `route_write` falls through to when no overlay covers a page
+//!   and what its [`IngestFilter`] materialises — so repair and recovery
+//!   partition the log by filter for every slice, root or dynamic.
 //!
 //! The map itself is pure data guarded by one `RwLock` in the cluster; it
 //! never performs fabric calls and never takes another lock, so it can be
@@ -155,11 +157,6 @@ impl PlacementMap {
         self.entries
             .get(&key)
             .is_some_and(|e| e.fence_lsn.is_some())
-    }
-
-    /// Whether this database has any dynamic placement (splits/merges).
-    pub fn has_dynamic(&self, db: DbId) -> bool {
-        self.overrides.contains_key(&db) || self.retired.contains_key(&db)
     }
 
     /// Registers a root (arithmetic) slice if absent; returns its replica
@@ -533,7 +530,7 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic_fast_path_without_dynamic_entries() {
+    fn root_entries_route_by_arithmetic() {
         let mut m = PlacementMap::new();
         m.insert_root(key(0), nodes(&[1, 2, 3]));
         m.insert_root(key(1), nodes(&[2, 3, 4]));
@@ -544,7 +541,6 @@ mod tests {
             key(0)
         );
         assert_eq!(m.epoch(), 0);
-        assert!(!m.has_dynamic(DbId(1)));
         // Re-inserting returns the original replica set (first placement wins).
         assert_eq!(m.insert_root(key(0), nodes(&[7, 8, 9])), nodes(&[1, 2, 3]));
     }

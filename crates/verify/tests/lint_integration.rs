@@ -164,3 +164,37 @@ fn slice_reader_routing_lock_is_a_leaf() {
         .collect();
     assert!(nested.is_empty(), "locks taken under {routing}: {nested:?}");
 }
+
+/// The slice writer's `pipes` and `parked` locks (the latter also guards
+/// the repair drain's claim and re-run mark) sit below
+/// `sal::state` and are leaves: the analysis must see each class, `state`
+/// may be held while taking one (the flush path enqueues and sheds under
+/// it), and nothing — not `state`, not one another — is ever acquired while
+/// one is held. Holding one across a fabric call would be reported as
+/// `lock-across-fabric-call` and fail `real_workspace_is_lint_clean`.
+#[test]
+fn slice_writer_locks_are_leaves_below_sal_state() {
+    let analysis = taurus_verify::analyze_workspace(&repo_root()).expect("scan workspace");
+    for field in ["pipes", "parked"] {
+        let class = format!("core::slice_writer::{field}");
+        assert!(
+            analysis.classes.contains(&class),
+            "lock class {class} not discovered: {:?}",
+            analysis.classes
+        );
+        let nested: Vec<_> = analysis
+            .edges
+            .iter()
+            .filter(|(held, _, _)| *held == class)
+            .collect();
+        assert!(nested.is_empty(), "locks taken under {class}: {nested:?}");
+    }
+    let under_state = |field: &str| {
+        let class = format!("core::slice_writer::{field}");
+        let edge = |(held, acquired, _): &(String, String, String)| {
+            held == "core::sal::state" && *acquired == class
+        };
+        analysis.edges.iter().any(edge)
+    };
+    assert!(under_state("pipes") && under_state("parked"));
+}

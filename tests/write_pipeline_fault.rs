@@ -74,9 +74,11 @@ fn replica_death_mid_workload_parks_suspects_and_heals() {
     }
 
     // The victim's sender worker exhausts its retry budget in the
-    // background: fragments for it are parked and the node is demoted.
+    // background: fragments for it are parked and the node is demoted. (A
+    // shed fragment demotes it too, possibly before its sender has run at
+    // all — wait for the sender's retries as well.)
     for _ in 0..2500 {
-        if master.sal.is_suspect(victim) {
+        if master.sal.is_suspect(victim) && master.sal.stats.write_retries.get() >= 1 {
             break;
         }
         std::thread::sleep(std::time::Duration::from_micros(200));
