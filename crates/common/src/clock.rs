@@ -17,6 +17,18 @@ pub trait Clock: Send + Sync + std::fmt::Debug {
     /// Block the calling thread for `us` microseconds of this clock's time.
     /// On a [`ManualClock`] this advances virtual time instead of blocking.
     fn sleep_us(&self, us: u64);
+
+    /// Block until this clock reads at least `deadline_us`; returns at once
+    /// if that time has already passed. This is how a thread waits out an
+    /// *absolute* point in model time (a message's arrival) rather than a
+    /// duration: however long the thread was busy beforehand, the wait ends
+    /// at the same instant.
+    fn sleep_until(&self, deadline_us: u64) {
+        let now = self.now_us();
+        if deadline_us > now {
+            self.sleep_us(deadline_us - now);
+        }
+    }
 }
 
 /// Shared handle to a clock.
@@ -62,9 +74,13 @@ impl Clock for SystemClock {
         // Short waits spin: on coarse-timer kernels thread::sleep costs
         // ~1ms regardless of the requested duration, which would flatten
         // every simulated latency ratio (e.g. the 20µs-append vs
-        // 70µs-random-write asymmetry the benchmarks rely on). Spinning
-        // under CPU oversubscription stretches all waits by a similar
-        // factor, preserving ratios.
+        // 70µs-random-write asymmetry the benchmarks rely on). A spin
+        // holds its core, so a latency must be waited out by a thread
+        // that is blocked on it anyway: the caller of an RPC waits its
+        // hops (a fan-out's submitting thread waits them for every leg
+        // at once), a handler waits its device charge. A thread that
+        // spins on behalf of someone else's message turns parallel waits
+        // into serial ones as soon as threads outnumber cores.
         if us < 200 {
             let deadline = self.origin.elapsed() + Duration::from_micros(us);
             while self.origin.elapsed() < deadline {
@@ -142,6 +158,19 @@ mod tests {
         c.sleep_us(50);
         let elapsed = c.now_us() - start;
         assert!(elapsed >= 50);
+    }
+
+    #[test]
+    fn sleep_until_waits_for_a_deadline_and_ignores_a_past_one() {
+        let c = ManualClock::new();
+        c.sleep_until(300);
+        assert_eq!(c.now_us(), 300);
+        c.sleep_until(100);
+        assert_eq!(c.now_us(), 300);
+        let s = SystemClock::new();
+        let deadline = s.now_us() + 50;
+        s.sleep_until(deadline);
+        assert!(s.now_us() >= deadline);
     }
 
     #[test]

@@ -212,12 +212,15 @@ pub struct TaurusConfig {
     /// this multiple of the mean node load, the rebalancer moves one replica
     /// of its hottest slice to the coldest node (> 1.0).
     pub rebalance_spread_ratio: f64,
-    /// Worker threads in the fabric's bounded RPC dispatcher. Every fan-out
-    /// (`call_all`, `call_grouped`, the write-pipeline drainers) runs as
-    /// jobs on this pool instead of spawning scoped threads, so total RPC
-    /// concurrency is bounded regardless of connection count. Fan-outs stay
-    /// correct at any size (the submitting thread helps run its own jobs);
-    /// sizing only affects parallelism.
+    /// Worker threads in the fabric's bounded RPC dispatcher. The remote
+    /// *handlers* of every fan-out (`call_all`, `call_grouped`) and the
+    /// write-pipeline drainers run as jobs on this pool, so handler
+    /// concurrency is bounded regardless of connection count. Workers never
+    /// wait out network time — a fan-out's hops are waited once, by the
+    /// thread that submitted it — so the pool is sized for handler work
+    /// (device charges), not for messages in flight. Fan-outs stay correct
+    /// at any size (the submitting thread helps run its own jobs); sizing
+    /// only affects parallelism.
     pub fabric_workers: usize,
     /// OS threads the workload driver multiplexes logical connections onto.
     /// Each connection is a small state machine advanced by the pool, so

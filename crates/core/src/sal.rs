@@ -1401,20 +1401,43 @@ impl Sal {
             .unwrap_or(Lsn::ZERO)
     }
 
-    /// Minimum acked LSN across all slices: the highest LSN at which every
-    /// page of the database is readable from some Page Store. Read replicas
-    /// must not let their visible LSN overtake this (§6).
+    /// The highest LSN at which every page of the database is readable
+    /// from some Page Store. Read replicas must not let their visible LSN
+    /// overtake this (§6). See [`Sal::read_horizon`].
     pub fn min_acked_lsn(&self) -> Lsn {
+        self.read_horizon().0
+    }
+
+    /// What the master tells its read replicas about the Page Stores (§6),
+    /// as one consistent snapshot: the read horizon — the minimum acked LSN
+    /// over the slices still owed an ack — and every slice's acked LSN.
+    ///
+    /// A quiet slice (nothing buffered, every fragment ever flushed acked)
+    /// owes nothing and does not cap the horizon: each of its records up to
+    /// the durable LSN is on a Page Store, and its acked LSN will not move
+    /// again until somebody writes it. Its replicas' persistent LSN tops
+    /// out at its own last record, though, so a replica reading at a
+    /// horizon above that must ask the slice for `min(snapshot, acked)` —
+    /// exact, because the slice has no record in between. If nobody owes
+    /// anything the horizon is the durable LSN itself: a span's records
+    /// enter the slice buffers in the same `state` critical section that
+    /// advances the durable LSN, so under this lock no durable record can
+    /// be hiding outside the buffers.
+    pub fn read_horizon(&self) -> (Lsn, HashMap<SliceKey, Lsn>) {
         let st = self.state.lock();
-        st.slices
+        let horizon = st
+            .slices
             .values()
             // A sealed cut-over parent stops acking forever; once its acked
             // LSN reached the fence it owes nothing further and must not
             // cap the replica-visible LSN for the rest of time.
             .filter(|s| s.fence.is_none_or(|f| s.acked_lsn < f))
+            .filter(|s| !(s.buffer.is_empty() && s.acked_lsn >= s.flush_lsn))
             .map(|s| s.acked_lsn)
             .min()
-            .unwrap_or_else(|| self.durable_lsn.get())
+            .unwrap_or_else(|| self.durable_lsn.get());
+        let acked = st.slices.iter().map(|(k, s)| (*k, s.acked_lsn)).collect();
+        (horizon, acked)
     }
 
     /// Reads log-record groups from the Log Stores starting at `from` — the

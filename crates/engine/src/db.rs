@@ -33,10 +33,13 @@ pub struct TaurusDb {
     anchor: Arc<LsnWatermark>,
     master: RwLock<Arc<MasterEngine>>,
     replicas: RwLock<Vec<Arc<ReplicaEngine>>>,
-    recovery: Mutex<RecoveryService>,
-    /// Load-aware placement optimizer (DESIGN.md §14); rebuilt alongside the
-    /// recovery service whenever the master's SAL is replaced.
-    rebalancer: Mutex<Rebalancer>,
+    /// The housekeeping services of the master in service, both on its SAL.
+    /// `None` from the moment a master crash begins until the recovered
+    /// master is installed: a dead master runs no rounds (see
+    /// [`TaurusDb::fence_master`]).
+    recovery: Mutex<Option<RecoveryService>>,
+    /// Load-aware placement optimizer (DESIGN.md §14).
+    rebalancer: Mutex<Option<Rebalancer>>,
     next_replica_id: AtomicUsize,
 }
 
@@ -121,8 +124,8 @@ impl TaurusDb {
             anchor,
             master: RwLock::new(master),
             replicas: RwLock::new(Vec::new()),
-            recovery: Mutex::new(recovery),
-            rebalancer: Mutex::new(rebalancer),
+            recovery: Mutex::new(Some(recovery)),
+            rebalancer: Mutex::new(Some(rebalancer)),
             next_replica_id: AtomicUsize::new(0),
         }))
     }
@@ -174,20 +177,42 @@ impl TaurusDb {
     /// truncation). Deterministic; drive from a timer in live deployments.
     pub fn run_recovery_round(&self) -> taurus_core::recovery::RecoveryReport {
         // taurus-lint: allow(lock-across-fabric-call) -- the recovery mutex exists to serialize whole repair sweeps including their RPCs; nothing else ever acquires it, so no cycle
-        let report = self.recovery.lock().run_once();
+        let report = self.recovery.lock().as_mut().map(|r| r.run_once());
+        // No service: the master is down and its successor not yet up.
+        let Some(report) = report else {
+            return Default::default();
+        };
         self.master().publish();
         report
+    }
+
+    /// The crash itself, as far as housekeeping goes: the dead master's
+    /// services are dropped, and until [`TaurusDb::install_master`] there
+    /// are none. A round holds its service's mutex for its whole duration,
+    /// so taking the service out also waits out a round in flight. Without
+    /// this a background recovery round of the *old* SAL can truncate the
+    /// log while `Sal::recover` is reading it (`PLogNotFound`), or the old
+    /// rebalancer can move a slice under the redo.
+    fn fence_master(&self) {
+        *self.recovery.lock() = None;
+        *self.rebalancer.lock() = None;
+    }
+
+    /// Puts the master recovered on `sal` in service: fresh housekeeping
+    /// for the new SAL, the new front end, and the replicas re-attached.
+    fn install_master(&self, sal: Arc<Sal>, max_lsn: Lsn) -> Result<()> {
+        let new_master = MasterEngine::resume(Arc::clone(&sal), max_lsn);
+        *self.rebalancer.lock() = Some(Rebalancer::new(Arc::clone(&sal)));
+        *self.recovery.lock() = Some(RecoveryService::new(sal));
+        *self.master.write() = Arc::clone(&new_master);
+        self.rewire_replicas(&new_master)
     }
 
     /// Simulates a master crash (losing all in-memory state) followed by a
     /// restart: SAL recovery (redo from the Log Stores) then a fresh engine
     /// (§5.3). Read replicas reattach to the new master's bulletin.
     pub fn crash_and_recover_master(&self) -> Result<()> {
-        {
-            // Drop the old master/SAL (the crash).
-            let placeholder = self.master.read().clone();
-            drop(placeholder);
-        }
+        self.fence_master();
         let me = self.fabric.add_node(NodeKind::Compute);
         let (sal, max_lsn) = Sal::recover(
             self.cfg.clone(),
@@ -197,13 +222,7 @@ impl TaurusDb {
             self.pages.clone(),
             Arc::clone(&self.anchor),
         )?;
-        let new_master = MasterEngine::resume(Arc::clone(&sal), max_lsn);
-        *self.rebalancer.lock() = Rebalancer::new(Arc::clone(&sal));
-        *self.recovery.lock() = RecoveryService::new(sal);
-        let old = std::mem::replace(&mut *self.master.write(), Arc::clone(&new_master));
-        drop(old);
-        self.rewire_replicas(&new_master)?;
-        Ok(())
+        self.install_master(sal, max_lsn)
     }
 
     /// Promotes read replica `idx` to master (fail-over, §6): the replica's
@@ -218,6 +237,7 @@ impl TaurusDb {
                 .ok_or_else(|| taurus_common::TaurusError::Internal("no such replica".into()))?
         };
         self.replicas.write().retain(|r| r.id != promoted.id);
+        self.fence_master();
         let (sal, max_lsn) = Sal::recover(
             self.cfg.clone(),
             self.db,
@@ -226,12 +246,7 @@ impl TaurusDb {
             self.pages.clone(),
             Arc::clone(&self.anchor),
         )?;
-        let new_master = MasterEngine::resume(Arc::clone(&sal), max_lsn);
-        *self.rebalancer.lock() = Rebalancer::new(Arc::clone(&sal));
-        *self.recovery.lock() = RecoveryService::new(sal);
-        *self.master.write() = Arc::clone(&new_master);
-        self.rewire_replicas(&new_master)?;
-        Ok(())
+        self.install_master(sal, max_lsn)
     }
 
     /// Re-registers every replica against the (new) master's bulletin.
@@ -258,7 +273,10 @@ impl TaurusDb {
     /// replicas see any visibility change promptly.
     pub fn run_rebalance_round(&self) -> Result<RebalanceReport> {
         // taurus-lint: allow(lock-across-fabric-call) -- the rebalancer mutex serializes whole placement operations including their RPCs; nothing else acquires it, so no cycle
-        let report = self.rebalancer.lock().run_once();
+        let report = self.rebalancer.lock().as_mut().map(|r| r.run_once());
+        let Some(report) = report else {
+            return Ok(RebalanceReport::default());
+        };
         self.master().publish();
         report
     }

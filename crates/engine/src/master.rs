@@ -31,9 +31,15 @@ use crate::pool::{EnginePool, Frame};
 pub struct Bulletin {
     /// Highest LSN durable on the Log Stores.
     pub durable_lsn: LsnWatermark,
-    /// Minimum per-slice acked LSN: replicas must not let their visible LSN
-    /// pass this, or Page Stores could not serve their reads (§6).
+    /// Minimum acked LSN over the slices still owed an ack
+    /// (`Sal::read_horizon`): replicas must not let their visible LSN pass
+    /// this, or Page Stores could not serve their reads (§6).
     pub read_horizon: LsnWatermark,
+    /// Every slice's acked LSN, from the same snapshot as the newest
+    /// `read_horizon` or a later one. A quiet slice's Page Stores never get
+    /// past its last record, so a replica reads slice `s` at
+    /// `min(tv, slice_acked[s])`; the slice has no record in between.
+    pub slice_acked: RwLock<HashMap<SliceKey, Lsn>>,
     /// Message sequence number.
     pub seq: AtomicU64,
     /// Backchannel: each replica's minimum transaction-visible LSN, feeding the
@@ -173,8 +179,12 @@ impl MasterEngine {
 
     /// Publishes fresh horizons to read replicas (one paper-§6 message).
     pub fn publish(&self) {
+        let (horizon, slice_acked) = self.sal.read_horizon();
         self.bulletin.durable_lsn.advance(self.sal.durable_lsn());
-        self.bulletin.read_horizon.advance(self.sal.min_acked_lsn());
+        // Before the horizon that relies on it: a replica takes its
+        // snapshot LSN from the horizon first and the per-slice caps second.
+        *self.bulletin.slice_acked.write() = slice_acked;
+        self.bulletin.read_horizon.advance(horizon);
         self.bulletin.seq.fetch_add(1, Ordering::Relaxed);
     }
 

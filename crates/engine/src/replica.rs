@@ -321,7 +321,14 @@ impl ReplicaEngine {
 impl FrontEnd for ReplicaEngine {
     fn snapshots(&self, keys: &[SliceKey], as_of: Option<Lsn>) -> Result<Vec<Lsn>> {
         let tv = as_of.unwrap_or_else(|| self.visible_lsn.get());
-        Ok(vec![tv; keys.len()])
+        // A slice is asked for no more than the master says it has acked:
+        // a quiet slice's Page Stores stop at its last record, and the
+        // slice has nothing between that and `tv` (`Bulletin::slice_acked`).
+        let acked = self.bulletin.slice_acked.read();
+        Ok(keys
+            .iter()
+            .map(|k| acked.get(k).map_or(tv, |a| tv.min(*a)))
+            .collect())
     }
 }
 

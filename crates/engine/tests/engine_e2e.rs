@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use taurus_common::clock::ManualClock;
+use taurus_common::clock::{Clock, ManualClock};
 use taurus_common::{TaurusConfig, TaurusError};
 use taurus_engine::TaurusDb;
 
@@ -30,6 +30,26 @@ fn settle(db: &TaurusDb) {
         }
         std::thread::sleep(std::time::Duration::from_micros(200));
     }
+}
+
+/// Quiesce until all three replicas of every slice hold every durable
+/// record: each sealed PLog is then due for truncation at the next
+/// recovery round (which this does not run).
+fn make_truncation_due(master: &taurus_engine::MasterEngine) {
+    master.sal.flush_all_slices();
+    for _ in 0..2_000 {
+        master.maintain();
+        let _ = master.sal.poll_persistent_lsns();
+        if master.sal.database_persistent_lsn() == master.sal.durable_lsn() {
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    panic!(
+        "replicas never caught up: persistent {:?} durable {:?}",
+        master.sal.database_persistent_lsn(),
+        master.sal.durable_lsn()
+    );
 }
 
 /// Drives master publication + replica polling until the replica's visible
@@ -253,6 +273,154 @@ fn master_crash_recovery_preserves_all_committed_data() {
     t.put(b"post-crash", b"alive").unwrap();
     t.commit().unwrap();
     assert_eq!(master.get(b"post-crash").unwrap(), Some(b"alive".to_vec()));
+}
+
+#[test]
+fn master_crash_under_a_live_background_beat_recovers_with_truncation_due() {
+    use taurus_common::clock::SystemClock;
+    use taurus_common::config::{NetworkProfile, StorageProfile};
+    // Real latencies, so `Sal::recover` spends milliseconds reading the
+    // log, and small PLogs, so each window leaves many sealed ones behind.
+    let cfg = TaurusConfig {
+        network: NetworkProfile::default(),
+        storage: StorageProfile::default(),
+        plog_size_limit: 4 << 10,
+        log_buffer_bytes: 1,
+        slice_buffer_bytes: 1,
+        ..TaurusConfig::test()
+    };
+    let db = TaurusDb::launch_with_clock(cfg, 5, 6, SystemClock::shared(), 7).unwrap();
+    let mut acked = 0u32;
+    for round in 0..3 {
+        // A write window with no housekeeping: every sealed PLog of it is
+        // still there, and once all three replicas of every slice have
+        // caught up all of them are due for truncation.
+        let master = db.master();
+        for _ in 0..120 {
+            let mut t = master.begin();
+            t.put(format!("key{acked:05}").as_bytes(), &[round as u8; 96])
+                .unwrap();
+            t.commit().unwrap();
+            acked += 1;
+        }
+        make_truncation_due(&master);
+        drop(master);
+        // The beat is as fast as it goes: the dead master's first recovery
+        // round (64 beats in) falls inside the recover below. It must not
+        // run — its truncation deletes PLogs the new SAL is reading.
+        let background = db.start_background(1);
+        db.crash_and_recover_master()
+            .unwrap_or_else(|e| panic!("recovery {round} raced housekeeping: {e:?}"));
+        drop(background);
+        // Truncation really was due: the new master's service does it now.
+        assert!(db.run_recovery_round().plogs_truncated > 0);
+        let master = db.master();
+        for i in 0..acked {
+            let k = format!("key{i:05}");
+            assert!(
+                master.get(k.as_bytes()).unwrap().is_some(),
+                "{k} lost across crash {round}"
+            );
+        }
+    }
+}
+
+/// A manual clock that runs a hook in the middle of the `n`-th wait the
+/// arming thread makes: every fabric hop waits (for zero µs on the instant
+/// profile), so this interposes at a chosen RPC boundary, deterministically
+/// and on the waiting thread itself.
+#[derive(Default)]
+struct HookClock {
+    time: ManualClock,
+    armed: parking_lot::Mutex<Option<HookArm>>,
+}
+
+struct HookArm {
+    thread: std::thread::ThreadId,
+    waits_left: usize,
+    hook: Box<dyn FnOnce() + Send>,
+}
+
+impl std::fmt::Debug for HookClock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "HookClock({})", self.time.now_us())
+    }
+}
+
+impl Clock for HookClock {
+    fn now_us(&self) -> u64 {
+        self.time.now_us()
+    }
+
+    fn sleep_us(&self, us: u64) {
+        let due = {
+            let mut armed = self.armed.lock();
+            match armed.as_mut() {
+                Some(a) if a.thread == std::thread::current().id() => {
+                    a.waits_left -= 1;
+                    if a.waits_left == 0 {
+                        armed.take()
+                    } else {
+                        None
+                    }
+                }
+                _ => None,
+            }
+        };
+        if let Some(arm) = due {
+            (arm.hook)();
+        }
+        self.time.sleep_us(us);
+    }
+}
+
+#[test]
+fn dead_masters_recovery_round_cannot_run_at_any_rpc_of_the_recover() {
+    // The race, forced: truncation is due, and one recovery round fires in
+    // the middle of the `n`-th RPC of `crash_and_recover_master`, for every
+    // `n` (stride 3) until the recover is shorter than that. Unfenced, a
+    // round that lands after the new SAL has listed the PLogs and before it
+    // has read them is the OLD master's: it truncates the log underneath
+    // and the recover fails with `PLogNotFound`.
+    let cfg = TaurusConfig {
+        plog_size_limit: 1 << 10,
+        log_buffer_bytes: 1,
+        slice_buffer_bytes: 1,
+        ..TaurusConfig::test()
+    };
+    for n in (1..).step_by(3) {
+        let clock = Arc::new(HookClock::default());
+        let db = TaurusDb::launch_with_clock(cfg.clone(), 5, 6, clock.clone(), 7).unwrap();
+        let master = db.master();
+        for i in 0..40u32 {
+            let mut t = master.begin();
+            t.put(format!("key{i:05}").as_bytes(), &[7u8; 96]).unwrap();
+            t.commit().unwrap();
+        }
+        make_truncation_due(&master);
+        drop(master);
+        let hook_db = Arc::clone(&db);
+        *clock.armed.lock() = Some(HookArm {
+            thread: std::thread::current().id(),
+            waits_left: n,
+            hook: Box::new(move || {
+                hook_db.run_recovery_round();
+            }),
+        });
+        db.crash_and_recover_master()
+            .unwrap_or_else(|e| panic!("a round at RPC {n} of the recover broke it: {e:?}"));
+        let fired = clock.armed.lock().take().is_none();
+        let master = db.master();
+        for i in 0..40u32 {
+            let k = format!("key{i:05}");
+            assert!(master.get(k.as_bytes()).unwrap().is_some(), "{k} lost");
+        }
+        if !fired {
+            // The recover made fewer than `n` calls: every boundary is done.
+            assert!(n > 30, "recover made only {n} waits: the sweep is vacuous");
+            return;
+        }
+    }
 }
 
 #[test]

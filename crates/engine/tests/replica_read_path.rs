@@ -166,3 +166,40 @@ fn replica_reads_match_the_master_at_their_tv_lsn_under_writes_and_page_store_lo
         + replica.reader.ndp_stats.snapshot().slice_retries;
     assert!(failed_attempts > 0, "the killed node was never routed to");
 }
+
+#[test]
+fn quiescent_replica_reaches_the_last_commit_without_further_writes() {
+    let cfg = TaurusConfig {
+        pages_per_slice: 4,
+        ..TaurusConfig::test()
+    };
+    let db = TaurusDb::launch_with_clock(cfg, 5, 6, ManualClock::shared(), 7).unwrap();
+    let master = db.master();
+    let mut history = History::new();
+    for i in 0..ROWS {
+        put(&master, &mut history, key(i), value("load"));
+    }
+    assert!(db.pages.slices().len() > 4, "the table must span slices");
+    // One more commit, to a single leaf — one slice — and then silence.
+    put(&master, &mut history, key(ROWS / 2), value("last"));
+    let last = history.last().unwrap().0;
+    let replica = db.add_replica().unwrap();
+    for _ in 0..5000 {
+        db.maintain();
+        if replica.visible_lsn() >= last {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    // Every other slice was last written (and acked) long before `last`:
+    // they owe nothing, so they must not hold the replica below it.
+    assert_eq!(replica.visible_lsn(), last);
+    // And what the replica now exposes is servable: the whole table at the
+    // last commit, quiet slices included.
+    let txn = replica.begin();
+    assert_eq!(txn.tv_lsn(), last);
+    let (local, pushed) = read_all(&txn).unwrap();
+    let expected = model_at(&history, last);
+    assert_eq!(local, expected);
+    assert_eq!(pushed, expected);
+}

@@ -23,6 +23,12 @@
 //!   results return in input order, and a job panic is caught and
 //!   re-raised on the submitting thread after the rest of the batch
 //!   drains — exactly the contract the scoped-thread implementation had.
+//! * **Release times.** A job may carry a fabric-clock time before which
+//!   it must not start (a message's arrival, see `Fabric::call_all`). The
+//!   *submitting* thread — blocked for the whole batch anyway — waits
+//!   that time out and only then makes the job claimable, so a pool
+//!   worker never holds a core on behalf of a message still in flight and
+//!   `busy_us` counts handler time only.
 //! * **Detached jobs.** `spawn_detached` queues a `'static` closure with
 //!   no completion handle (used by the SAL write pipeline's per-node
 //!   drainers). Detached closures must hold only weak references to
@@ -106,6 +112,8 @@ pub struct DispatchStats {
     /// Microseconds workers spent executing items (fabric clock), summed
     /// over workers. `busy_workers` is a point sample that reads 0 whenever
     /// the pool has drained, which is when benches look; this integrates.
+    /// Handler time only: a fan-out's hop latency is waited out by its
+    /// submitting thread, never by a worker.
     pub busy_us: Counter,
 }
 
@@ -187,6 +195,14 @@ impl Shared {
             _ => self.queue_cv.notify_all(),
         }
     }
+
+    /// Closes a worker's busy interval that began at `started`.
+    fn account_busy(&self, started: u64) {
+        self.stats
+            .busy_us
+            .add(self.clock.now_us().saturating_sub(started));
+        self.stats.busy_workers.sub(1);
+    }
 }
 
 fn worker_loop(shared: Arc<Shared>) {
@@ -219,6 +235,10 @@ fn worker_loop(shared: Arc<Shared>) {
                 if !ran {
                     shared.stats.stale_tickets.inc();
                 }
+                // Account before the hand-back: once the ticket is consumed
+                // the submitter may move on (and, on a manual clock, move
+                // time), and that must not count as this worker's.
+                shared.account_busy(started);
                 batch.consume_ticket();
             }
             Item::Detached(f) => {
@@ -227,13 +247,9 @@ fn worker_loop(shared: Arc<Shared>) {
                 // swallowing the panic (like a detached thread) keeps one
                 // poisoned drainer from taking the whole pool down.
                 let _ = catch_unwind(AssertUnwindSafe(f));
+                shared.account_busy(started);
             }
         }
-        shared
-            .stats
-            .busy_us
-            .add(shared.clock.now_us().saturating_sub(started));
-        shared.stats.busy_workers.sub(1);
     }
 }
 
@@ -324,7 +340,19 @@ impl Dispatch {
         &self,
         jobs: Vec<Box<dyn FnOnce() -> T + Send + 'env>>,
     ) -> Vec<T> {
+        self.fan_out_at(jobs.into_iter().map(|job| (0, job)).collect())
+    }
+
+    /// [`Dispatch::fan_out`] for jobs that each carry a release time on the
+    /// pool's clock: a job starts no earlier than its own time and is not
+    /// held back by a sibling's later one. The calling thread does all the
+    /// waiting — it sleeps until the earliest outstanding release time,
+    /// makes every job due by then claimable, and repeats; then it helps
+    /// run what no worker has claimed. Jobs at time `0` are due at once, so
+    /// an all-zero batch is a single push: the plain fan-out.
+    pub(crate) fn fan_out_at<'env, T: Send + 'env>(&self, jobs: Vec<TimedJob<'env, T>>) -> Vec<T> {
         let n = jobs.len();
+        let clock = &self.shared.clock;
         if n == 0 {
             return Vec::new();
         }
@@ -333,10 +361,20 @@ impl Dispatch {
             // sizing never affects single-RPC latency.
             self.shared.stats.inline_jobs.inc();
             let mut jobs = jobs;
-            return vec![(jobs.remove(0))()];
+            let (at, job) = jobs.remove(0);
+            clock.sleep_until(at);
+            return vec![job()];
         }
         self.ensure_workers();
-        let batch = FanBatch::new(jobs);
+        // Release order; the index keeps each job's result slot.
+        let mut waiting: Vec<(u64, PendingJob<'env, T>)> = jobs
+            .into_iter()
+            .enumerate()
+            .map(|(idx, (at, job))| (at, (idx, job)))
+            .collect();
+        waiting.sort_by_key(|(at, _)| *at);
+        let mut waiting = waiting.into_iter().peekable();
+        let batch = FanBatch::new(n);
         // Erase the batch lifetime for the queue. Soundness rests on the
         // wait below: we do not return (and thus drop `batch`) until every
         // job is done and every ticket is accounted for.
@@ -346,10 +384,31 @@ impl Dispatch {
             unsafe { std::mem::transmute(p) }
         };
         // One ticket per job the pool could take; the caller runs at least
-        // one job itself, so `n - 1` tickets suffice.
-        let posted = n - 1;
-        self.shared
-            .push((0..posted).map(|_| Item::Ticket(Ticket { batch: ptr })));
+        // one job itself, so the job released last gets none and `n - 1`
+        // tickets suffice.
+        let mut posted = 0;
+        while let Some((at, first)) = waiting.next() {
+            // The clock is foreign code and tickets already point at this
+            // stack frame: nothing may unwind from here. If it panics,
+            // release everything now and re-raise once the batch drained.
+            let now = catch_unwind(AssertUnwindSafe(|| {
+                clock.sleep_until(at);
+                clock.now_us()
+            }))
+            .unwrap_or_else(|p| {
+                batch.record_panic(p);
+                u64::MAX
+            });
+            let mut due = vec![first];
+            while let Some((_, job)) = waiting.next_if(|(at, _)| *at <= now) {
+                due.push(job);
+            }
+            let tickets = due.len() - usize::from(waiting.peek().is_none());
+            batch.release(due);
+            self.shared
+                .push((0..tickets).map(|_| Item::Ticket(Ticket { batch: ptr })));
+            posted += tickets;
+        }
         // Help: drain unclaimed jobs on this thread.
         let mut helped = 0;
         while batch.claim_and_run() {
@@ -410,11 +469,14 @@ struct Progress {
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
-/// The caller-stack state of one fan-out: unclaimed jobs, result slots,
-/// and completion/consumption progress.
 /// A not-yet-claimed fan-out job: its result slot index plus the closure.
 type PendingJob<'env, T> = (usize, Box<dyn FnOnce() -> T + Send + 'env>);
 
+/// A fan-out job and the clock time (µs) before which it may not start.
+pub(crate) type TimedJob<'env, T> = (u64, Box<dyn FnOnce() -> T + Send + 'env>);
+
+/// The caller-stack state of one fan-out: released but unclaimed jobs,
+/// result slots, and completion/consumption progress.
 struct FanBatch<'env, T: Send> {
     total: usize,
     jobs: Mutex<VecDeque<PendingJob<'env, T>>>,
@@ -424,11 +486,11 @@ struct FanBatch<'env, T: Send> {
 }
 
 impl<'env, T: Send> FanBatch<'env, T> {
-    fn new(jobs: Vec<Box<dyn FnOnce() -> T + Send + 'env>>) -> Self {
-        let total = jobs.len();
+    /// A batch that will run `total` jobs; none is claimable until released.
+    fn new(total: usize) -> Self {
         FanBatch {
             total,
-            jobs: Mutex::new(jobs.into_iter().enumerate().collect()),
+            jobs: Mutex::new(VecDeque::with_capacity(total)),
             results: Mutex::new((0..total).map(|_| None).collect()),
             sync: Mutex::new(Progress {
                 done: 0,
@@ -439,6 +501,11 @@ impl<'env, T: Send> FanBatch<'env, T> {
         }
     }
 
+    /// Makes `jobs` claimable, in order.
+    fn release(&self, jobs: Vec<PendingJob<'env, T>>) {
+        self.jobs.lock().extend(jobs);
+    }
+
     /// Blocks until all jobs are done and `expected_consumed` tickets have
     /// been consumed by workers.
     fn wait(&self, expected_consumed: usize) {
@@ -446,6 +513,11 @@ impl<'env, T: Send> FanBatch<'env, T> {
         while p.done < self.total || p.consumed < expected_consumed {
             self.cv.wait(&mut p);
         }
+    }
+
+    /// First panic wins; it is re-raised on the caller.
+    fn record_panic(&self, p: Box<dyn std::any::Any + Send>) {
+        self.sync.lock().panic.get_or_insert(p);
     }
 
     fn take_panic(&self) -> Option<Box<dyn std::any::Any + Send>> {
@@ -469,11 +541,7 @@ impl<'env, T: Send> BatchRun for FanBatch<'env, T> {
         let out = catch_unwind(AssertUnwindSafe(job));
         match out {
             Ok(v) => self.results.lock()[idx] = Some(v),
-            Err(p) => {
-                let mut s = self.sync.lock();
-                // First panic wins; it is re-raised on the caller.
-                s.panic.get_or_insert(p);
-            }
+            Err(p) => self.record_panic(p),
         }
         let mut p = self.sync.lock();
         p.done += 1;
@@ -561,6 +629,55 @@ mod tests {
         assert!(msg.contains("exploded"), "unexpected panic payload: {msg}");
         // Every non-panicking job still ran before the re-raise.
         assert_eq!(done.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
+    fn timed_jobs_start_at_their_own_time_and_a_panicking_clock_unwinds_only_after_the_drain() {
+        use taurus_common::clock::{Clock, ManualClock};
+        // Release times are honoured per job, on the caller's clock.
+        let clock = ManualClock::shared();
+        let d = Dispatch::new(2, clock.clone());
+        let seen = |clock: &Arc<ManualClock>| {
+            let clock = Arc::clone(clock);
+            Box::new(move || clock.now_us()) as Box<dyn FnOnce() -> u64 + Send>
+        };
+        let out = d.fan_out_at(vec![
+            (700, seen(&clock)),
+            (0, seen(&clock)),
+            (300, seen(&clock)),
+        ]);
+        assert!(out[0] >= 700 && out[2] >= 300, "{out:?}");
+        assert_eq!(clock.now_us(), 700, "the caller waits to the last release");
+
+        // A clock that panics while tickets point at the caller's stack:
+        // every job still runs, then the panic is re-raised.
+        #[derive(Debug)]
+        struct Broken;
+        impl Clock for Broken {
+            fn now_us(&self) -> u64 {
+                0
+            }
+            fn sleep_us(&self, _: u64) {
+                panic!("clock exploded");
+            }
+        }
+        let d = Dispatch::new(2, Arc::new(Broken));
+        let ran = Arc::new(AtomicU64::new(0));
+        let jobs = (0..4u64)
+            .map(|i| {
+                let ran = Arc::clone(&ran);
+                let job = move || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                };
+                (i * 100, Box::new(job) as Box<dyn FnOnce() + Send>)
+            })
+            .collect();
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| d.fan_out_at(jobs)))
+            .expect_err("panic must propagate");
+        assert!(err
+            .downcast_ref::<&str>()
+            .is_some_and(|m| m.contains("clock exploded")));
+        assert_eq!(ran.load(Ordering::Relaxed), 4);
     }
 
     #[test]

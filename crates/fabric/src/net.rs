@@ -11,7 +11,7 @@ use taurus_common::clock::ClockRef;
 use taurus_common::config::NetworkProfile;
 use taurus_common::{NodeId, Result, TaurusError};
 
-use crate::dispatch::{Dispatch, DispatchSnapshot, DEFAULT_FABRIC_WORKERS};
+use crate::dispatch::{Dispatch, DispatchSnapshot, TimedJob, DEFAULT_FABRIC_WORKERS};
 
 /// Input to [`Fabric::call_grouped`]: per target node, the handlers to run
 /// inside that node's single envelope.
@@ -262,26 +262,21 @@ impl Fabric {
         }
     }
 
-    /// Performs a synchronous RPC from `from` to `to`: checks the target is
-    /// up, charges one hop of latency for the request and one for the
-    /// response, and runs `f` as the remote handler.
-    ///
-    /// The *caller thread* is the network in this model: concurrency comes
-    /// from the many front-end/flusher threads issuing calls in parallel.
-    pub fn call<T>(&self, _from: NodeId, to: NodeId, f: impl FnOnce() -> T) -> Result<T> {
-        let (fail_permille, extra_delay_us) = {
-            let nodes = self.inner.nodes.read();
-            match nodes.get(&to) {
-                Some(n) if matches!(n.status, NodeStatus::Up) => {
-                    (n.fail_permille, n.extra_call_delay_us)
-                }
-                _ => return Err(TaurusError::NodeUnavailable(to)),
+    /// Admission: what the sender learns about `to` before a request
+    /// leaves — the target must be up — plus the injections in force for
+    /// this request (flaky per-mille, extra delay in µs).
+    fn admit(&self, to: NodeId) -> Result<(u16, u64)> {
+        match self.inner.nodes.read().get(&to) {
+            Some(n) if matches!(n.status, NodeStatus::Up) => {
+                Ok((n.fail_permille, n.extra_call_delay_us))
             }
-        };
-        self.clock.sleep_us(self.hop_latency_us());
-        if extra_delay_us > 0 {
-            self.clock.sleep_us(extra_delay_us);
+            _ => Err(TaurusError::NodeUnavailable(to)),
         }
+    }
+
+    /// Arrival: decides, once the request has reached `to`, whether its
+    /// handler runs at all.
+    fn arrive(&self, to: NodeId, fail_permille: u16) -> Result<()> {
         // The target may have died while the request was in flight (or
         // while an injected slow-node delay was being served).
         if !self.is_up(to) {
@@ -294,6 +289,22 @@ impl Fabric {
         {
             return Err(TaurusError::NodeUnavailable(to));
         }
+        Ok(())
+    }
+
+    /// Performs a synchronous RPC from `from` to `to`: checks the target is
+    /// up, charges one hop of latency for the request and one for the
+    /// response, and runs `f` as the remote handler.
+    ///
+    /// The *caller thread* is the network in this model: concurrency comes
+    /// from the many front-end/flusher threads issuing calls in parallel.
+    pub fn call<T>(&self, _from: NodeId, to: NodeId, f: impl FnOnce() -> T) -> Result<T> {
+        let (fail_permille, extra_delay_us) = self.admit(to)?;
+        self.clock.sleep_us(self.hop_latency_us());
+        if extra_delay_us > 0 {
+            self.clock.sleep_us(extra_delay_us);
+        }
+        self.arrive(to, fail_permille)?;
         let out = f();
         self.clock.sleep_us(self.hop_latency_us());
         Ok(out)
@@ -303,37 +314,90 @@ impl Fabric {
     /// pair, and returns their results in input order once **all** have
     /// finished — the fan-out/join primitive behind 3/3 log replication
     /// (paper §3.2: ack latency is the max of the three replica writes, not
-    /// their sum).
+    /// their sum), and the one leg runner [`Fabric::call_grouped`] rides too.
     ///
-    /// Each call runs the full [`Fabric::call`] model independently (latency
-    /// charging, liveness checks, flaky/slow injections) as a job on the
-    /// fabric's bounded dispatcher pool; the submitting thread helps run
-    /// unclaimed jobs, so a single call (or an exhausted pool) degrades to
-    /// inline execution rather than blocking. A handler panic propagates to
-    /// the caller after the other calls finish.
+    /// Each leg costs what [`Fabric::call`] would charge it, but every
+    /// microsecond of network time is waited out by the submitting thread:
+    /// a message in flight is data, not a thread. At submission each leg is
+    /// admitted like a `call` (a target that is down fails its leg on the
+    /// spot) and draws its request and response hop from the seeded RNG, in
+    /// leg order; that fixes the leg's *arrival time* on the fabric clock
+    /// (submission + request hop + injected delay). The submitting thread —
+    /// blocked for the whole fan-out anyway — hands each leg to the
+    /// dispatcher when its arrival time comes (running the last to arrive
+    /// itself), so a pool worker only ever runs a handler: the arrival-time
+    /// liveness re-check and flaky draw, then the handler with its device
+    /// charges. When every handler is done the submitter waits until the
+    /// last reply has come back (`handler_done + response hop`, per leg).
+    ///
+    /// So the fan-out returns no earlier than its longest leg,
+    /// `max_i(request_i + delay_i + handler_i + response_i)`; a handler
+    /// never starts before its own arrival, nor later because a sibling
+    /// leg is slow; and failure stays per leg. Three legs do not need three
+    /// cores to overlap their hops. The submitting thread also helps run
+    /// unclaimed handlers, so an exhausted pool degrades to inline
+    /// execution rather than blocking; a single call *is* a
+    /// [`Fabric::call`]. A handler panic propagates to the caller after
+    /// the other calls finish.
     pub fn call_all<'env, T: Send + 'env>(
         &'env self,
         from: NodeId,
-        calls: Vec<(NodeId, Box<dyn FnOnce() -> T + Send + 'env>)>,
+        mut calls: Vec<(NodeId, Box<dyn FnOnce() -> T + Send + 'env>)>,
     ) -> Vec<Result<T>> {
-        let jobs: Vec<Box<dyn FnOnce() -> Result<T> + Send + 'env>> = calls
+        if calls.len() == 1 {
+            // Nothing else in flight: this is exactly a `call`.
+            let (to, f) = calls.remove(0);
+            return vec![self.call(from, to, f)];
+        }
+        let sent_at = self.clock.now_us();
+        // Each job yields its handler's output and the time its reply lands.
+        let jobs: Vec<TimedJob<'env, Result<(T, u64)>>> = calls
             .into_iter()
-            .map(|(to, f)| {
-                Box::new(move || self.call(from, to, f))
-                    as Box<dyn FnOnce() -> Result<T> + Send + 'env>
+            .map(|(to, f)| match self.admit(to) {
+                Ok((fail_permille, extra_delay_us)) => {
+                    let arrives_at = sent_at + self.hop_latency_us() + extra_delay_us;
+                    let response_us = self.hop_latency_us();
+                    let job = move || {
+                        self.arrive(to, fail_permille)?;
+                        let out = f();
+                        Ok((out, self.clock.now_us() + response_us))
+                    };
+                    (
+                        arrives_at,
+                        Box::new(job) as Box<dyn FnOnce() -> _ + Send + 'env>,
+                    )
+                }
+                Err(e) => (
+                    0,
+                    Box::new(move || Err(e)) as Box<dyn FnOnce() -> _ + Send + 'env>,
+                ),
             })
             .collect();
-        self.inner.dispatch.fan_out(jobs)
+        let mut last_reply_at = 0;
+        let results = self
+            .inner
+            .dispatch
+            .fan_out_at(jobs)
+            .into_iter()
+            .map(|r| {
+                r.map(|(out, reply_at)| {
+                    last_reply_at = last_reply_at.max(reply_at);
+                    out
+                })
+            })
+            .collect();
+        self.clock.sleep_until(last_reply_at);
+        results
     }
 
     /// Runs caller-supplied jobs concurrently on the bounded dispatcher
     /// pool and returns their results in input order. Unlike
-    /// [`Fabric::call_all`], jobs are **not** wrapped in [`Fabric::call`]:
-    /// each job issues (and pays for) its own calls — the primitive for
-    /// fan-outs whose legs make several RPCs, like the SAL's per-slice
-    /// continuation loops. The submitting thread helps run unclaimed jobs
-    /// (works at any pool size); a job panic propagates to the caller
-    /// after the batch drains.
+    /// [`Fabric::call_all`], jobs are **not** fabric legs: each job issues
+    /// (and pays for) its own calls — the primitive for fan-outs whose
+    /// legs make several RPCs, like the SAL's per-slice continuation
+    /// loops. The submitting thread helps run unclaimed jobs (works at any
+    /// pool size); a job panic propagates to the caller after the batch
+    /// drains.
     pub fn fan_out<'env, T: Send + 'env>(
         &'env self,
         jobs: Vec<Box<dyn FnOnce() -> T + Send + 'env>>,
@@ -348,8 +412,8 @@ impl Fabric {
     /// This is the per-node batching primitive behind the SAL hot paths:
     /// per-slice requests that route to the same Page Store node merge
     /// into one fabric round trip — one liveness check, one latency
-    /// charge, one flaky draw — instead of one per slice. Groups run
-    /// concurrently on the dispatcher like [`Fabric::call_all`] legs.
+    /// charge, one flaky draw — instead of one per slice. Envelopes are
+    /// in flight concurrently, as [`Fabric::call_all`] legs.
     ///
     /// Failure is per-envelope: if the group's call fails (target down,
     /// flaky drop), every handler slot of that group reports
@@ -361,28 +425,33 @@ impl Fabric {
         groups: GroupedCalls<'env, T>,
     ) -> Vec<Vec<Result<T>>> {
         let sizes: Vec<(NodeId, usize)> = groups.iter().map(|(n, fs)| (*n, fs.len())).collect();
-        let jobs: Vec<Box<dyn FnOnce() -> Result<Vec<T>> + Send + 'env>> = groups
+        let envelopes = groups
             .into_iter()
+            .filter(|(_, fs)| !fs.is_empty())
             .map(|(to, fs)| {
-                Box::new(move || {
-                    if fs.is_empty() {
-                        return Ok(Vec::new());
-                    }
-                    self.call(from, to, || fs.into_iter().map(|f| f()).collect::<Vec<T>>())
-                }) as Box<dyn FnOnce() -> Result<Vec<T>> + Send + 'env>
+                let handler = move || fs.into_iter().map(|f| f()).collect::<Vec<T>>();
+                (
+                    to,
+                    Box::new(handler) as Box<dyn FnOnce() -> Vec<T> + Send + 'env>,
+                )
             })
             .collect();
-        let outs = self.inner.dispatch.fan_out(jobs);
-        outs.into_iter()
-            .zip(sizes)
-            .map(|(res, (node, len))| match res {
-                Ok(vals) => {
-                    debug_assert_eq!(vals.len(), len);
-                    vals.into_iter().map(Ok).collect()
+        let mut replies = self.call_all(from, envelopes).into_iter();
+        sizes
+            .into_iter()
+            .map(|(node, len)| {
+                if len == 0 {
+                    return Vec::new();
                 }
-                Err(_) => (0..len)
-                    .map(|_| Err(TaurusError::NodeUnavailable(node)))
-                    .collect(),
+                match replies.next() {
+                    Some(Ok(vals)) => {
+                        debug_assert_eq!(vals.len(), len);
+                        vals.into_iter().map(Ok).collect()
+                    }
+                    _ => (0..len)
+                        .map(|_| Err(TaurusError::NodeUnavailable(node)))
+                        .collect(),
+                }
             })
             .collect()
     }
@@ -424,6 +493,55 @@ impl Fabric {
 mod tests {
     use super::*;
     use taurus_common::clock::{Clock, ManualClock};
+
+    /// A manual clock that records every wait (who asked, for how long) and
+    /// lets a test act at the first one — i.e. while a fan-out's requests
+    /// are in flight.
+    #[derive(Default)]
+    struct ProbeClock {
+        time: ManualClock,
+        waits: Mutex<Vec<(std::thread::ThreadId, u64)>>,
+        on_first_wait: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl std::fmt::Debug for ProbeClock {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "ProbeClock({})", self.time.now_us())
+        }
+    }
+
+    impl Clock for ProbeClock {
+        fn now_us(&self) -> u64 {
+            self.time.now_us()
+        }
+
+        fn sleep_us(&self, us: u64) {
+            self.waits.lock().push((std::thread::current().id(), us));
+            let hook = self.on_first_wait.lock().take();
+            if let Some(hook) = hook {
+                hook();
+            }
+            self.time.sleep_us(us);
+        }
+    }
+
+    fn probe_fabric(profile: NetworkProfile, seed: u64) -> (Fabric, Arc<ProbeClock>) {
+        let clock = Arc::new(ProbeClock::default());
+        (Fabric::new(clock.clone(), profile, seed), clock)
+    }
+
+    const HOP_100: NetworkProfile = NetworkProfile {
+        hop_us: 100,
+        jitter_us: 0,
+        master_nic_bytes_per_sec: 0,
+    };
+
+    fn noop_legs(targets: &[NodeId]) -> Vec<(NodeId, Box<dyn FnOnce() + Send>)> {
+        targets
+            .iter()
+            .map(|&to| (to, Box::new(|| ()) as Box<dyn FnOnce() + Send>))
+            .collect()
+    }
 
     fn test_fabric() -> (Fabric, Arc<ManualClock>) {
         let clock = ManualClock::shared();
@@ -628,22 +746,157 @@ mod tests {
 
     #[test]
     fn call_all_charges_each_call_independently() {
-        // Under ManualClock, concurrent sleeps sum commutatively: three
-        // parallel 2-hop calls advance virtual time by exactly 6 hops, the
-        // same as three sequential calls — which is what keeps the parallel
-        // fan-out determinism-safe. (Wall-clock parallelism is asserted
-        // separately under SystemClock in the logstore fan-out test.)
+        // Hop time belongs to the message, not to a thread: legs in flight
+        // together overlap in virtual time exactly as on a real network, so
+        // a fan-out advances the clock by its longest leg. (The old model
+        // slept each leg's hops on its own worker, and concurrent
+        // `ManualClock` sleeps sum: three 2-hop legs read as 600.)
         let (f, clock) = test_fabric();
         let a = f.add_node(NodeKind::Compute);
         let targets = f.add_nodes(NodeKind::LogStore, 3);
         let before = clock.now_us();
-        let calls: Vec<(NodeId, Box<dyn FnOnce() + Send>)> = targets
-            .iter()
-            .map(|&to| (to, Box::new(|| ()) as Box<dyn FnOnce() + Send>))
-            .collect();
-        let results = f.call_all(a, calls);
+        let results = f.call_all(a, noop_legs(&targets));
         assert!(results.iter().all(|r| r.is_ok()));
-        assert_eq!(clock.now_us() - before, 600);
+        assert_eq!(clock.now_us() - before, 200);
+        // Each leg still pays for itself: with per-leg injected delays the
+        // fan-out costs the slowest leg (2 hops + 5000), not less, and not
+        // the 600 + 5500 of the legs laid end to end.
+        f.set_call_delay(targets[0], 500);
+        f.set_call_delay(targets[2], 5_000);
+        let before = clock.now_us();
+        let results = f.call_all(a, noop_legs(&targets));
+        assert!(results.iter().all(|r| r.is_ok()));
+        assert_eq!(clock.now_us() - before, 5_200);
+    }
+
+    #[test]
+    fn fan_out_network_time_is_waited_once_on_the_submitting_thread() {
+        let (f, clock) = probe_fabric(HOP_100, 42);
+        let a = f.add_node(NodeKind::Compute);
+        let targets = f.add_nodes(NodeKind::LogStore, 3);
+        let results = f.call_all(a, noop_legs(&targets));
+        assert!(results.iter().all(|r| r.is_ok()));
+        // Three legs of two 100 µs hops: one wait for the requests, one for
+        // the replies, both by the thread that called `call_all`.
+        let me = std::thread::current().id();
+        let waits = clock.waits.lock().clone();
+        assert_eq!(waits, vec![(me, 100), (me, 100)]);
+        // Pool workers ran handlers only, and the handlers took no time.
+        let snap = f.dispatch_snapshot();
+        assert_eq!(snap.pool_jobs + snap.inline_jobs, 3, "{snap}");
+        assert_eq!(snap.busy_us, 0, "{snap}");
+    }
+
+    #[test]
+    fn node_dying_in_flight_fails_only_its_own_leg_and_envelope() {
+        // `victim` is up when the fan-out is admitted and goes down while
+        // the requests are in flight (at the submitter's first wait).
+        let arm = |f: &Fabric, clock: &ProbeClock, victim: NodeId| {
+            let f = f.clone();
+            *clock.on_first_wait.lock() = Some(Box::new(move || f.set_down(victim)));
+        };
+        let (f, clock) = probe_fabric(HOP_100, 42);
+        let a = f.add_node(NodeKind::Compute);
+        let targets = f.add_nodes(NodeKind::PageStore, 3);
+        let victim = targets[1];
+        let ran = Mutex::new(Vec::new());
+        let legs = |tag: u64| {
+            let ran = &ran;
+            targets
+                .iter()
+                .map(move |&to| {
+                    let h = move || {
+                        ran.lock().push((tag, to));
+                        to
+                    };
+                    (to, Box::new(h) as Box<dyn FnOnce() -> NodeId + Send + '_>)
+                })
+                .collect::<Vec<_>>()
+        };
+
+        arm(&f, &clock, victim);
+        let out = f.call_all(a, legs(1));
+        assert_eq!(*out[0].as_ref().unwrap(), targets[0]);
+        assert!(matches!(out[1], Err(TaurusError::NodeUnavailable(n)) if n == victim));
+        assert_eq!(*out[2].as_ref().unwrap(), targets[2]);
+
+        f.set_up(victim);
+        arm(&f, &clock, victim);
+        let groups = legs(2)
+            .into_iter()
+            .map(|(to, h)| {
+                let again = move || to;
+                let again = Box::new(again) as Box<dyn FnOnce() -> NodeId + Send + '_>;
+                (to, vec![h, again])
+            })
+            .collect();
+        let out = f.call_grouped(a, groups);
+        for (slots, &to) in out.iter().zip(&targets) {
+            assert_eq!(slots.len(), 2);
+            for slot in slots {
+                match slot {
+                    Ok(n) => assert!(*n == to && to != victim),
+                    Err(TaurusError::NodeUnavailable(n)) => assert!(*n == victim && to == victim),
+                    Err(e) => panic!("unexpected error {e:?}"),
+                }
+            }
+        }
+        // The dead node's handlers never ran; every other handler did.
+        let mut ran = ran.into_inner();
+        ran.sort_unstable();
+        assert_eq!(
+            ran,
+            vec![
+                (1, targets[0]),
+                (1, targets[2]),
+                (2, targets[0]),
+                (2, targets[2])
+            ]
+        );
+    }
+
+    #[test]
+    fn fan_out_jitter_is_drawn_in_leg_order_and_replays_from_the_seed() {
+        // Single-threaded (no pool workers), so virtual time is a pure
+        // function of the RNG stream: every leg draws its request hop then
+        // its response hop, leg by leg, at submission. All handlers run
+        // once the last request has arrived, so a round costs the largest
+        // request hop plus the largest response hop.
+        let profile = NetworkProfile {
+            hop_us: 50,
+            jitter_us: 20,
+            master_nic_bytes_per_sec: 0,
+        };
+        let run = |seed: u64| {
+            let clock = ManualClock::shared();
+            let f = Fabric::new(clock.clone(), profile, seed);
+            f.set_workers(0);
+            let a = f.add_node(NodeKind::Compute);
+            let targets = f.add_nodes(NodeKind::LogStore, 3);
+            (0..20)
+                .map(|_| {
+                    let before = clock.now_us();
+                    assert!(f.call_all(a, noop_legs(&targets)).iter().all(|r| r.is_ok()));
+                    clock.now_us() - before
+                })
+                .collect::<Vec<u64>>()
+        };
+        let mut rng = StdRng::seed_from_u64(9);
+        let expected: Vec<u64> = (0..20)
+            .map(|_| {
+                let hops: Vec<(u64, u64)> = (0..3)
+                    .map(|_| {
+                        let request = 50 + rng.random_range(0..=20u64);
+                        (request, 50 + rng.random_range(0..=20u64))
+                    })
+                    .collect();
+                let request = hops.iter().map(|h| h.0).max().unwrap();
+                request + hops.iter().map(|h| h.1).max().unwrap()
+            })
+            .collect();
+        assert_eq!(run(9), expected);
+        assert_eq!(run(9), run(9));
+        assert_ne!(run(9), run(10));
     }
 
     #[test]
@@ -680,9 +933,19 @@ mod tests {
         let g2: Vec<u64> = out[1].iter().map(|r| *r.as_ref().unwrap()).collect();
         assert_eq!(g1, vec![1, 2, 3]);
         assert_eq!(g2, vec![4, 5]);
-        // Five handlers but only two envelopes: exactly two 2-hop charges
-        // (ManualClock sums concurrent sleeps commutatively).
-        assert_eq!(clock.now_us() - before, 400);
+        // Five handlers but only two envelopes, in flight together: the
+        // clock moves by one 2-hop round trip (the longest envelope), not
+        // by one per handler and not by the envelopes laid end to end.
+        assert_eq!(clock.now_us() - before, 200);
+        // An envelope is one leg: a slow node delays its own envelope once.
+        f.set_call_delay(n2, 1_000);
+        let before = clock.now_us();
+        let out = f.call_grouped(
+            a,
+            vec![(n1, vec![mk(1), mk(2), mk(3)]), (n2, vec![mk(4), mk(5)])],
+        );
+        assert!(out.iter().flatten().all(|r| r.is_ok()));
+        assert_eq!(clock.now_us() - before, 1_200);
     }
 
     #[test]
@@ -746,6 +1009,37 @@ mod tests {
             );
             assert_eq!(slow_call.join().unwrap().unwrap(), 1);
         });
+        // The same inside ONE fan-out: the slow leg's delay is its own. Its
+        // siblings' handlers start (and their side effects land) at their
+        // own arrival, while the slow request is still in flight; the slow
+        // handler does not start before its arrival; the fan-out as a whole
+        // costs the slow leg.
+        let t0 = std::time::Instant::now();
+        let started = Mutex::new(Vec::new());
+        let calls: Vec<(NodeId, Box<dyn FnOnce() + Send + '_>)> = std::iter::once(slow)
+            .chain(fast.iter().copied())
+            .map(|to| {
+                let started = &started;
+                let h = move || started.lock().push((to, t0.elapsed()));
+                (to, Box::new(h) as Box<dyn FnOnce() + Send + '_>)
+            })
+            .collect();
+        let out = f.call_all(a, calls);
+        let elapsed = t0.elapsed();
+        assert!(out.iter().all(|r| r.is_ok()));
+        assert!(elapsed >= std::time::Duration::from_millis(300));
+        let started = started.into_inner();
+        assert_eq!(started.len(), 4);
+        for (to, at) in started {
+            if to == slow {
+                assert!(at >= std::time::Duration::from_millis(300), "{at:?}");
+            } else {
+                assert!(
+                    at < std::time::Duration::from_millis(200),
+                    "handler on {to:?} waited for the slow leg: {at:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //! 1. [`LogStream::reserve_append`] — under the lock: pick the tail PLog
 //!    (rolling it over first if sealed or full), reserve a per-PLog sequence
 //!    number and a byte offset, and take a commit *ticket*. At most
-//!    `append_window` reservations are outstanding at once.
+//!    `append_window` reservations are outstanding at once, all of them on
+//!    the tail PLog: a rollover waits for the window to drain first.
 //! 2. [`LogStream::complete_append`] — **outside** the lock: the replicated
 //!    3/3 write ([`LogStoreCluster::append_at`]), whose three replica writes
 //!    run in parallel. Multiple groups overlap here — this is what lets the
@@ -36,12 +37,14 @@
 //!
 //! A failed write commits nothing: during its (ordered) commit turn it seals
 //! every open PLog, fences new reservations, rolls a fresh PLog, re-reserves
-//! there and retries. In-flight reservations behind it find their PLog
-//! sealed (or their bytes unreachable behind the failed write's sequence
-//! gap) and do the same, in ticket order — so even after a seal-and-switch,
-//! byte order on every PLog equals LSN order.
+//! there and retries. In-flight reservations behind it sit on the same
+//! PLog, so they find it sealed (or their bytes unreachable behind the
+//! failed write's sequence gap) and do the same, in ticket order — so even
+//! after a seal-and-switch, byte order on every PLog equals LSN order and
+//! PLog order equals LSN order. (That is why a rollover drains the window:
+//! a reservation already on the *next* PLog would succeed there and commit
+//! ahead of the re-homed write it was supposed to follow.)
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -155,10 +158,6 @@ struct StreamState {
     /// *list* (not per-entry bookkeeping) without holding the state lock
     /// across the snapshot RPCs.
     meta_busy: bool,
-    /// PLogs rolled over at the size limit while reservations were still in
-    /// flight on them: id → final reserved size. The commit that brings the
-    /// entry's bytes to the final size seals it.
-    retiring: HashMap<PLogId, u64>,
     /// Highest last-LSN of any PLog deleted by truncation. Tail readers
     /// whose cursor falls behind this have lost data and must resync.
     truncated_through: Lsn,
@@ -189,7 +188,8 @@ pub struct LogStream {
 
 struct RollPlan {
     new_id: PLogId,
-    /// Tail PLog with no reservations still in flight: seal it right away.
+    /// The full tail PLog this roll replaces (already sealed when the roll
+    /// follows a write failure).
     seal_now: Option<PLogId>,
 }
 
@@ -360,7 +360,8 @@ impl LogStream {
     /// Reserves the next slot in the log for a group covering
     /// `[first_lsn, last_lsn]` of `len` encoded bytes. Blocks while the
     /// append window is full (or a failure fence is draining), and rolls
-    /// the tail PLog over first when it is sealed or past the size limit.
+    /// the tail PLog over first when it is sealed or past the size limit —
+    /// once every reservation still in flight on it has committed.
     ///
     /// Reservations must be taken in LSN order and every reservation must
     /// be redeemed by [`LogStream::complete_append`] exactly once.
@@ -381,7 +382,11 @@ impl LogStream {
             if tail_open {
                 break;
             }
-            if st.meta_busy {
+            // Roll only once nothing is in flight on the old tail: every
+            // outstanding reservation must sit on one PLog, or a failed
+            // write could be re-homed *behind* a successor that already
+            // landed on the next PLog (see the module docs).
+            if st.meta_busy || st.inflight > 0 {
                 self.cond.wait(&mut st);
                 continue;
             }
@@ -438,17 +443,12 @@ impl LogStream {
             }
             // Commit iff our bytes are actually readable: the write acked
             // *and* every earlier sequence on the PLog acked too (a failed
-            // predecessor leaves a permanent gap our bytes sit behind). The
-            // entry may legitimately be sealed by now (a rollover with this
-            // reservation still in flight, or a blanket seal triggered by a
-            // failure on another PLog) — landed bytes still count.
+            // predecessor leaves a permanent gap our bytes sit behind).
             let committable = outcome.is_ok()
                 && st.entries.iter().any(|e| e.id == res.plog)
                 && self.cluster.committed_len(res.plog) >= res.offset + res.len;
             if committable {
-                let state = &mut *st;
-                let mut bytes_after = 0;
-                if let Some(entry) = state.entries.iter_mut().find(|e| e.id == res.plog) {
+                if let Some(entry) = st.entries.iter_mut().find(|e| e.id == res.plog) {
                     taurus_common::invariant!(
                         "plog-append-offset",
                         entry.bytes == res.offset,
@@ -483,27 +483,9 @@ impl LogStream {
                     }
                     entry.last_lsn = res.last_lsn;
                     entry.bytes += res.len;
-                    bytes_after = entry.bytes;
-                }
-                // The last in-flight commit on a retiring (rolled-over)
-                // PLog seals it.
-                let mut seal_rpc = None;
-                if state
-                    .retiring
-                    .get(&res.plog)
-                    .is_some_and(|f| bytes_after >= *f)
-                {
-                    state.retiring.remove(&res.plog);
-                    if let Some(entry) = state.entries.iter_mut().find(|e| e.id == res.plog) {
-                        entry.sealed = true;
-                    }
-                    seal_rpc = Some(res.plog);
                 }
                 self.finish_turn(&mut st);
                 drop(st);
-                if let Some(id) = seal_rpc {
-                    self.cluster.seal(id, self.me);
-                }
                 self.stats.appends.inc();
                 return Ok(());
             }
@@ -521,7 +503,6 @@ impl LogStream {
                     to_seal.push(e.id);
                 }
             }
-            st.retiring.clear();
             st.reserve_fence = st.reserve_fence.max(st.next_ticket);
             if switches > MAX_PLOG_SWITCHES {
                 self.finish_turn(&mut st);
@@ -539,9 +520,8 @@ impl LogStream {
             }
 
             let mut st = self.state.lock();
-            // Roll a fresh PLog unless one appeared already (a reservation
-            // that started its roll before the failure; the fence keeps it
-            // offset-free until we are done).
+            // Roll a fresh PLog (we just sealed the tail; the loop only
+            // waits out a truncation's snapshot write).
             while !st.entries.last().map(|e| !e.sealed).unwrap_or(false) {
                 if st.meta_busy {
                     self.cond.wait(&mut st);
@@ -606,24 +586,15 @@ impl LogStream {
     fn plan_roll(&self, st: &mut StreamState) -> RollPlan {
         debug_assert!(!st.meta_busy);
         st.meta_busy = true;
-        let reserved = st.tail_reserved_bytes;
         let mut seal_now = None;
-        let mut retire = None;
         if let Some(tail) = st.entries.last_mut() {
             if !tail.sealed {
-                if tail.bytes >= reserved {
-                    // Nothing in flight on this PLog: seal it right away.
-                    tail.sealed = true;
-                    seal_now = Some(tail.id);
-                } else {
-                    // Reservations still in flight: the last one to commit
-                    // seals it (see complete_append).
-                    retire = Some((tail.id, reserved));
-                }
+                // A full tail: `reserve_append` drained it before rolling
+                // (a failure turn seals before it rolls), so seal it now.
+                debug_assert!(tail.bytes >= st.tail_reserved_bytes);
+                tail.sealed = true;
+                seal_now = Some(tail.id);
             }
-        }
-        if let Some((id, final_len)) = retire {
-            st.retiring.insert(id, final_len);
         }
         let seq_base = (self.stream_id as u64) << STREAM_SEQ_SHIFT;
         let new_id = PLogId::new(self.db, seq_base | st.next_seq, st.incarnation);
@@ -1049,8 +1020,8 @@ impl LogStream {
             }
             // Move to the next PLog only once this one is sealed and fully
             // consumed; the unsealed tail may still grow. The local seal
-            // flag can lag (a replica's snapshot may predate the seal of a
-            // retiring PLog), so fall back to asking the Log Store.
+            // flag can lag (a replica's snapshot may predate the seal), so
+            // fall back to asking the Log Store.
             if idx + 1 < entries.len()
                 && (entry.sealed || self.cluster.is_sealed(entry.id, self.me))
             {
@@ -1102,7 +1073,6 @@ impl StreamState {
             inflight: 0,
             reserve_fence: 0,
             meta_busy: false,
-            retiring: HashMap::new(),
             truncated_through: Lsn::ZERO,
         }
     }
@@ -1229,32 +1199,38 @@ mod tests {
     }
 
     #[test]
-    fn reservations_pipeline_across_rollover() {
+    fn rollover_waits_for_the_append_window_to_drain() {
         let (s, cluster, _, _) = setup(96);
-        // Take several reservations before completing any: the first PLog
-        // fills up and *retires* (it cannot seal yet — appends are still in
-        // flight on it), the next reservation lands on a fresh PLog.
+        // Two reservations fill the first PLog. The third needs a fresh one
+        // and must not get it while the first two are in flight: every
+        // outstanding reservation sits on one PLog.
         let (d1, f1, l1) = group(1..=2);
         let (d2, f2, l2) = group(3..=4);
         let (d3, f3, l3) = group(5..=6);
         let r1 = s.reserve_append(f1, l1, d1.len() as u64).unwrap();
         let r2 = s.reserve_append(f2, l2, d2.len() as u64).unwrap();
-        let r3 = s.reserve_append(f3, l3, d3.len() as u64).unwrap();
         assert_eq!(r1.plog(), r2.plog(), "both fit under the 96-byte limit");
-        assert_ne!(r2.plog(), r3.plog(), "third reservation rolls over");
-        assert_eq!(s.stats().appends_in_flight.get(), 3);
         let first_plog = r1.plog();
-        // The rolled-over PLog is not sealed yet: writes are in flight.
-        assert!(
-            !s.entries()
-                .iter()
-                .find(|e| e.id == first_plog)
-                .unwrap()
-                .sealed
-        );
-        s.complete_append(r1, d1).unwrap();
-        s.complete_append(r2, d2).unwrap();
-        // The last commit on the retiring PLog sealed it, server-side too.
+        std::thread::scope(|scope| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let s = &s;
+            scope.spawn(move || {
+                let r3 = s.reserve_append(f3, l3, d3.len() as u64).unwrap();
+                tx.send(r3.plog()).unwrap();
+                s.complete_append(r3, d3).unwrap();
+            });
+            // However long we give it, the third reservation stays blocked.
+            assert!(rx
+                .recv_timeout(std::time::Duration::from_millis(50))
+                .is_err());
+            assert_eq!(s.entries().len(), 1, "rolled over an undrained PLog");
+            s.complete_append(r1, d1).unwrap();
+            assert!(rx.try_recv().is_err(), "one reservation is still in flight");
+            s.complete_append(r2, d2).unwrap();
+            let third_plog = rx.recv().unwrap();
+            assert_ne!(third_plog, first_plog, "third reservation rolls over");
+        });
+        // The roll sealed the drained PLog, server-side too.
         let e = s.entries();
         let first = e.iter().find(|e| e.id == first_plog).unwrap();
         assert!(first.sealed);
@@ -1265,11 +1241,50 @@ mod tests {
             .unwrap()
             .is_sealed(first_plog)
             .unwrap());
-        s.complete_append(r3, d3).unwrap();
         assert_eq!(s.stats().appends_in_flight.get(), 0);
         let groups = s.read_groups_from(Lsn(1)).unwrap();
         assert_eq!(groups.len(), 3);
         assert_eq!(groups.last().unwrap().end_lsn(), Lsn(6));
+    }
+
+    #[test]
+    fn failed_append_is_not_overtaken_by_a_successor_across_a_rollover() {
+        // The interleaving behind the 1-in-6 `append_concurrency` failure
+        // ("gap in the readable log"): A is in flight on a full PLog that
+        // has lost a replica; B, reserved after it, needs a fresh PLog. If
+        // B could roll over while A is in flight, B would land on the new
+        // PLog and commit there, while A — failing on its commit turn —
+        // is re-homed to a PLog *after* B's: B reads back before A.
+        let (s, cluster, _, _) = setup(64);
+        let (da, fa, la) = group(1..=3);
+        let (db, fb, lb) = group(4..=5);
+        let ra = s.reserve_append(fa, la, da.len() as u64).unwrap();
+        assert!(da.len() >= 64, "A must fill its PLog");
+        cluster.fabric.set_down(cluster.replicas_of(ra.plog())[0]);
+        std::thread::scope(|scope| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let s = &s;
+            scope.spawn(move || {
+                let rb = s.reserve_append(fb, lb, db.len() as u64).unwrap();
+                let _ = tx.send(());
+                s.complete_append(rb, db).unwrap();
+            });
+            // Give B every chance to get ahead before A's write is issued.
+            let _ = rx.recv_timeout(std::time::Duration::from_millis(50));
+            s.complete_append(ra, da).unwrap();
+        });
+        assert_eq!(s.stats().seal_switches.get(), 1);
+        let groups = s.read_groups_from(Lsn(1)).unwrap();
+        let firsts: Vec<Lsn> = groups.iter().map(|g| g.first_lsn()).collect();
+        assert_eq!(firsts, vec![Lsn(1), Lsn(4)], "log reads back out of order");
+        // And PLog order is LSN order in the stream's own bookkeeping.
+        let ranges: Vec<(Lsn, Lsn)> = s
+            .entries()
+            .iter()
+            .filter(|e| e.bytes > 0)
+            .map(|e| (e.first_lsn, e.last_lsn))
+            .collect();
+        assert_eq!(ranges, vec![(Lsn(1), Lsn(3)), (Lsn(4), Lsn(5))]);
     }
 
     #[test]

@@ -82,3 +82,44 @@ fn replica_fanout_ack_latency_is_max_of_three_not_sum() {
         4 * HOP_US
     );
 }
+
+#[test]
+fn shipped_profile_append_ack_costs_about_one_round_trip() {
+    // At the shipped network profile (50 µs hop, 20 µs jitter) a hop is
+    // short enough to be spun out, so whoever waits it holds a core. The
+    // three legs' hops must be waited once, by the appending thread — not
+    // once per leg on three dispatcher workers, which serializes them as
+    // soon as the host has fewer than three idle cores (a 2-vCPU host read
+    // ~3x here). Single calls and appends alternate, so host noise hits
+    // both medians alike.
+    const ROUNDS: usize = 300;
+    let fabric = Fabric::new(SystemClock::shared(), NetworkProfile::default(), 3);
+    let me = fabric.add_node(NodeKind::Compute);
+    let cluster = LogStoreCluster::new(fabric.clone(), 3, 1 << 20);
+    let servers = cluster.spawn_servers(3, StorageProfile::instant());
+    let stream = LogStream::create(cluster.clone(), DbId(1), me, 1 << 20, 4).unwrap();
+
+    let mut call_us = Vec::with_capacity(ROUNDS);
+    let mut append_us = Vec::with_capacity(ROUNDS);
+    let mut next = 1u64;
+    for _ in 0..ROUNDS {
+        let t = Instant::now();
+        fabric.call(me, servers[0], || ()).unwrap();
+        call_us.push(t.elapsed().as_micros() as u64);
+
+        let (data, first, last) = group(next, 2);
+        next += 2;
+        let t = Instant::now();
+        stream.append_group(data, first, last).unwrap();
+        append_us.push(t.elapsed().as_micros() as u64);
+    }
+    let median = |v: &mut Vec<u64>| {
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    let (call, append) = (median(&mut call_us), median(&mut append_us));
+    assert!(
+        append * 10 <= call * 16,
+        "median 3/3 append ack {append}us > 1.6 x median single round trip {call}us"
+    );
+}
