@@ -47,5 +47,5 @@ mod slice_writer;
 pub use elastic::{merge_slices, move_slice_replica, split_slice, CutoverReport};
 pub use rebalance::{RebalanceReport, Rebalancer};
 pub use recovery::RecoveryService;
-pub use sal::{NdpStats, NdpStatsSnapshot, Sal, SalStats, SalStatsSnapshot};
+pub use sal::{NdpStats, NdpStatsSnapshot, Sal, SalStats, SalStatsSnapshot, SliceAcks};
 pub use slice_reader::{FrontEnd, SliceReader, TableScan};

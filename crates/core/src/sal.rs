@@ -13,7 +13,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use taurus_common::clock::ClockRef;
 use taurus_common::lsn::{LsnVector, LsnWatermark};
@@ -51,6 +51,10 @@ pub(crate) struct SliceState {
     /// Last fragment end acknowledged by ≥1 replica ("the slice write is
     /// safe; the buffer can be released").
     pub acked_lsn: Lsn,
+    /// The acked LSN [`Sal::read_horizon`] last put on the replica board
+    /// for this slice (`None`: not on it yet), so a publish touches only
+    /// the entries that moved.
+    on_board: Option<Lsn>,
     /// Last persistent LSN reported by each replica (piggybacked on
     /// WriteLogs/ReadPage responses or polled — paper §4.3).
     pub replica_persistent: HashMap<NodeId, Lsn>,
@@ -71,6 +75,7 @@ impl SliceState {
             buffer_bytes: 0,
             flush_lsn: Lsn::ZERO,
             acked_lsn: Lsn::ZERO,
+            on_board: None,
             replica_persistent: HashMap::new(),
             last_progress_us: 0,
             buffer_opened_us: 0,
@@ -116,6 +121,10 @@ impl SliceState {
         moved
     }
 }
+
+/// Per-slice acked LSNs as published to read replicas, shared between the
+/// SAL that maintains them and the master's bulletin ([`Sal::slice_acks`]).
+pub type SliceAcks = Arc<RwLock<HashMap<SliceKey, Lsn>>>;
 
 /// One flushed database log buffer awaiting CV-LSN advancement: the buffer's
 /// end LSN becomes cluster-visible once every overlapping slice buffer has
@@ -414,6 +423,10 @@ pub struct Sal {
     /// Append-path metrics shared by every stream (one logical log).
     log_store_stats: Arc<LogStoreStats>,
     pub(crate) state: Mutex<SalState>,
+    /// The replica board: every slice's acked LSN as of the last
+    /// [`Sal::read_horizon`], the per-slice half of the master's §6
+    /// message. A leaf below `state`; replicas read it on their own.
+    slice_acks: SliceAcks,
     /// Per-stream log-tail turnstiles, ordered by the stream-local ticket:
     /// each stream's tail slot is reserved in LSN order, the replicated 3/3
     /// appends then run unordered across all streams (this is where
@@ -527,6 +540,7 @@ impl Sal {
             streams,
             log_store_stats,
             state: Mutex::new(SalState::default()),
+            slice_acks: SliceAcks::default(),
             reserve_turns: (0..n).map(|_| Sequencer::new()).collect(),
             flush_cv: Condvar::new(),
             cv_lsn: LsnWatermark::new(Lsn::ZERO),
@@ -1405,12 +1419,18 @@ impl Sal {
     /// from some Page Store. Read replicas must not let their visible LSN
     /// overtake this (§6). See [`Sal::read_horizon`].
     pub fn min_acked_lsn(&self) -> Lsn {
-        self.read_horizon().0
+        self.horizon_locked(&self.state.lock())
+    }
+
+    /// The replica board [`Sal::read_horizon`] keeps up to date.
+    pub fn slice_acks(&self) -> SliceAcks {
+        Arc::clone(&self.slice_acks)
     }
 
     /// What the master tells its read replicas about the Page Stores (§6),
-    /// as one consistent snapshot: the read horizon — the minimum acked LSN
-    /// over the slices still owed an ack — and every slice's acked LSN.
+    /// as one consistent snapshot: brings the replica board — every slice's
+    /// acked LSN — up to date and returns the read horizon, the minimum
+    /// acked LSN over the slices still owed an ack.
     ///
     /// A quiet slice (nothing buffered, every fragment ever flushed acked)
     /// owes nothing and does not cap the horizon: each of its records up to
@@ -1423,10 +1443,32 @@ impl Sal {
     /// enter the slice buffers in the same `state` critical section that
     /// advances the durable LSN, so under this lock no durable record can
     /// be hiding outside the buffers.
-    pub fn read_horizon(&self) -> (Lsn, HashMap<SliceKey, Lsn>) {
-        let st = self.state.lock();
-        let horizon = st
-            .slices
+    ///
+    /// Callers race (every commit publishes). The board moves under
+    /// `state`, so it is always a whole snapshot and never an older one
+    /// than any horizon already returned; a slice's acked LSN only grows,
+    /// so a *later* board under an earlier horizon reads the same pages.
+    /// Only entries that moved since the last call are written: the cost
+    /// beyond the horizon scan is per ack, not per slice.
+    pub fn read_horizon(&self) -> Lsn {
+        let mut st = self.state.lock();
+        let mut board = self.slice_acks.write();
+        for (key, slice) in st.slices.iter_mut() {
+            if slice.on_board != Some(slice.acked_lsn) {
+                slice.on_board = Some(slice.acked_lsn);
+                board.insert(*key, slice.acked_lsn);
+            }
+        }
+        if board.len() > st.slices.len() {
+            // A retired cut-over parent was garbage-collected.
+            board.retain(|key, _| st.slices.contains_key(key));
+        }
+        drop(board);
+        self.horizon_locked(&st)
+    }
+
+    fn horizon_locked(&self, st: &SalState) -> Lsn {
+        st.slices
             .values()
             // A sealed cut-over parent stops acking forever; once its acked
             // LSN reached the fence it owes nothing further and must not
@@ -1435,9 +1477,7 @@ impl Sal {
             .filter(|s| !(s.buffer.is_empty() && s.acked_lsn >= s.flush_lsn))
             .map(|s| s.acked_lsn)
             .min()
-            .unwrap_or_else(|| self.durable_lsn.get());
-        let acked = st.slices.iter().map(|(k, s)| (*k, s.acked_lsn)).collect();
-        (horizon, acked)
+            .unwrap_or_else(|| self.durable_lsn.get())
     }
 
     /// Reads log-record groups from the Log Stores starting at `from` — the

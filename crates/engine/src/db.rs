@@ -13,7 +13,7 @@ use parking_lot::{Mutex, RwLock};
 
 use taurus_common::clock::{ClockRef, SystemClock};
 use taurus_common::lsn::LsnWatermark;
-use taurus_common::{DbId, Lsn, Result, TaurusConfig};
+use taurus_common::{DbId, Lsn, NodeId, Result, TaurusConfig};
 use taurus_core::{RebalanceReport, Rebalancer, RecoveryService, Sal};
 use taurus_fabric::{Fabric, NodeKind};
 use taurus_logstore::LogStoreCluster;
@@ -34,9 +34,8 @@ pub struct TaurusDb {
     master: RwLock<Arc<MasterEngine>>,
     replicas: RwLock<Vec<Arc<ReplicaEngine>>>,
     /// The housekeeping services of the master in service, both on its SAL.
-    /// `None` from the moment a master crash begins until the recovered
-    /// master is installed: a dead master runs no rounds (see
-    /// [`TaurusDb::fence_master`]).
+    /// `None` while a master is being recovered: a dead master runs no
+    /// rounds (see [`TaurusDb::recover_master_on`]).
     recovery: Mutex<Option<RecoveryService>>,
     /// Load-aware placement optimizer (DESIGN.md §14).
     rebalancer: Mutex<Option<Rebalancer>>,
@@ -186,24 +185,47 @@ impl TaurusDb {
         report
     }
 
-    /// The crash itself, as far as housekeeping goes: the dead master's
-    /// services are dropped, and until [`TaurusDb::install_master`] there
-    /// are none. A round holds its service's mutex for its whole duration,
-    /// so taking the service out also waits out a round in flight. Without
-    /// this a background recovery round of the *old* SAL can truncate the
-    /// log while `Sal::recover` is reading it (`PLogNotFound`), or the old
-    /// rebalancer can move a slice under the redo.
-    fn fence_master(&self) {
-        *self.recovery.lock() = None;
-        *self.rebalancer.lock() = None;
-    }
-
-    /// Puts the master recovered on `sal` in service: fresh housekeeping
-    /// for the new SAL, the new front end, and the replicas re-attached.
-    fn install_master(&self, sal: Arc<Sal>, max_lsn: Lsn) -> Result<()> {
-        let new_master = MasterEngine::resume(Arc::clone(&sal), max_lsn);
+    /// Fresh housekeeping on `sal`, the SAL of the master in service.
+    fn install_services(&self, sal: Arc<Sal>) {
         *self.rebalancer.lock() = Some(Rebalancer::new(Arc::clone(&sal)));
         *self.recovery.lock() = Some(RecoveryService::new(sal));
+    }
+
+    /// Replaces the master with one recovered on compute node `me`.
+    ///
+    /// The crash begins with the dead master's housekeeping: both services
+    /// are dropped, and there are none while the recover runs. A round
+    /// holds its service's mutex for its whole duration, so taking the
+    /// service out also waits out a round in flight. Without this a
+    /// background recovery round of the *old* SAL can truncate the log
+    /// while `Sal::recover` is reading it (`PLogNotFound`), or the old
+    /// rebalancer can move a slice under the redo.
+    ///
+    /// Then the new front end goes in service with housekeeping of its own
+    /// and the replicas re-attached. A failed recover (say, the Log Stores
+    /// unreachable just then) produced no successor: the old master stays
+    /// in service, so its housekeeping is put back, and the caller may
+    /// simply try again.
+    fn recover_master_on(&self, me: NodeId) -> Result<()> {
+        *self.recovery.lock() = None;
+        *self.rebalancer.lock() = None;
+        let recovered = Sal::recover(
+            self.cfg.clone(),
+            self.db,
+            me,
+            self.logs.clone(),
+            self.pages.clone(),
+            Arc::clone(&self.anchor),
+        );
+        let (sal, max_lsn) = match recovered {
+            Ok(recovered) => recovered,
+            Err(e) => {
+                self.install_services(Arc::clone(&self.master().sal));
+                return Err(e);
+            }
+        };
+        let new_master = MasterEngine::resume(Arc::clone(&sal), max_lsn);
+        self.install_services(sal);
         *self.master.write() = Arc::clone(&new_master);
         self.rewire_replicas(&new_master)
     }
@@ -212,17 +234,7 @@ impl TaurusDb {
     /// restart: SAL recovery (redo from the Log Stores) then a fresh engine
     /// (§5.3). Read replicas reattach to the new master's bulletin.
     pub fn crash_and_recover_master(&self) -> Result<()> {
-        self.fence_master();
-        let me = self.fabric.add_node(NodeKind::Compute);
-        let (sal, max_lsn) = Sal::recover(
-            self.cfg.clone(),
-            self.db,
-            me,
-            self.logs.clone(),
-            self.pages.clone(),
-            Arc::clone(&self.anchor),
-        )?;
-        self.install_master(sal, max_lsn)
+        self.recover_master_on(self.fabric.add_node(NodeKind::Compute))
     }
 
     /// Promotes read replica `idx` to master (fail-over, §6): the replica's
@@ -237,16 +249,7 @@ impl TaurusDb {
                 .ok_or_else(|| taurus_common::TaurusError::Internal("no such replica".into()))?
         };
         self.replicas.write().retain(|r| r.id != promoted.id);
-        self.fence_master();
-        let (sal, max_lsn) = Sal::recover(
-            self.cfg.clone(),
-            self.db,
-            promoted.me,
-            self.logs.clone(),
-            self.pages.clone(),
-            Arc::clone(&self.anchor),
-        )?;
-        self.install_master(sal, max_lsn)
+        self.recover_master_on(promoted.me)
     }
 
     /// Re-registers every replica against the (new) master's bulletin.

@@ -17,7 +17,7 @@ use taurus_common::lsn::{LsnAllocator, LsnWatermark};
 use taurus_common::record::{LogRecordGroup, RecordBody};
 use taurus_common::scan::{ScanAccumulator, ScanRequest};
 use taurus_common::{Lsn, PageBuf, PageId, Result, SliceKey, TaurusError, TxnId};
-use taurus_core::{Sal, TableScan};
+use taurus_core::{Sal, SliceAcks, TableScan};
 
 use crate::btree::{BTree, MutCtx, PageFetch};
 use crate::pool::{EnginePool, Frame};
@@ -35,11 +35,13 @@ pub struct Bulletin {
     /// (`Sal::read_horizon`): replicas must not let their visible LSN pass
     /// this, or Page Stores could not serve their reads (§6).
     pub read_horizon: LsnWatermark,
-    /// Every slice's acked LSN, from the same snapshot as the newest
-    /// `read_horizon` or a later one. A quiet slice's Page Stores never get
-    /// past its last record, so a replica reads slice `s` at
-    /// `min(tv, slice_acked[s])`; the slice has no record in between.
-    pub slice_acked: RwLock<HashMap<SliceKey, Lsn>>,
+    /// Every slice's acked LSN: the SAL's replica board
+    /// (`Sal::slice_acks`), brought up to date inside the snapshot each
+    /// published `read_horizon` comes from — so never older than it. A
+    /// quiet slice's Page Stores never get past its last record, so a
+    /// replica reads slice `s` at `min(tv, slice_acked[s])`; the slice has
+    /// no record in between.
+    pub slice_acked: SliceAcks,
     /// Message sequence number.
     pub seq: AtomicU64,
     /// Backchannel: each replica's minimum transaction-visible LSN, feeding the
@@ -48,6 +50,14 @@ pub struct Bulletin {
 }
 
 impl Bulletin {
+    /// A blank board for the master on `sal`.
+    fn on(sal: &Sal) -> Bulletin {
+        Bulletin {
+            slice_acked: sal.slice_acks(),
+            ..Bulletin::default()
+        }
+    }
+
     /// Minimum TV-LSN across replicas (None when no replica registered).
     pub fn min_replica_tv(&self) -> Option<Lsn> {
         self.replica_min_tv.lock().values().copied().min()
@@ -103,7 +113,7 @@ impl MasterEngine {
             key_locks: Mutex::new(HashMap::new()),
             next_txn: AtomicU64::new(1),
             maintain_beats: AtomicU64::new(0),
-            bulletin: Arc::new(Bulletin::default()),
+            bulletin: Arc::new(Bulletin::on(&sal)),
             sal,
         });
         {
@@ -133,7 +143,7 @@ impl MasterEngine {
             key_locks: Mutex::new(HashMap::new()),
             next_txn: AtomicU64::new(1),
             maintain_beats: AtomicU64::new(0),
-            bulletin: Arc::new(Bulletin::default()),
+            bulletin: Arc::new(Bulletin::on(&sal)),
             sal,
         });
         engine.publish();
@@ -178,12 +188,14 @@ impl MasterEngine {
     }
 
     /// Publishes fresh horizons to read replicas (one paper-§6 message).
+    /// Every commit and every maintenance beat publishes, so publishers
+    /// race; the horizons are monotone watermarks, and the per-slice board
+    /// moves inside the SAL snapshot itself (`Sal::read_horizon`), so a
+    /// publisher that stalls after its snapshot cannot put an older board
+    /// under a later publisher's horizon.
     pub fn publish(&self) {
-        let (horizon, slice_acked) = self.sal.read_horizon();
+        let horizon = self.sal.read_horizon();
         self.bulletin.durable_lsn.advance(self.sal.durable_lsn());
-        // Before the horizon that relies on it: a replica takes its
-        // snapshot LSN from the horizon first and the per-slice caps second.
-        *self.bulletin.slice_acked.write() = slice_acked;
         self.bulletin.read_horizon.advance(horizon);
         self.bulletin.seq.fetch_add(1, Ordering::Relaxed);
     }

@@ -424,6 +424,55 @@ fn dead_masters_recovery_round_cannot_run_at_any_rpc_of_the_recover() {
 }
 
 #[test]
+fn a_failed_recover_leaves_the_old_master_with_its_housekeeping() {
+    // A recover that fails produced no successor: the old master stays in
+    // service, and its recovery service and rebalancer — fenced for the
+    // duration — must come back with it, or every later round is a no-op.
+    let cfg = TaurusConfig {
+        plog_size_limit: 1 << 10,
+        log_buffer_bytes: 1,
+        slice_buffer_bytes: 1,
+        ..TaurusConfig::test()
+    };
+    let db = TaurusDb::launch_with_clock(cfg, 5, 6, ManualClock::shared(), 7).unwrap();
+    let master = db.master();
+    for i in 0..40u32 {
+        let mut t = master.begin();
+        t.put(format!("key{i:05}").as_bytes(), &[7u8; 96]).unwrap();
+        t.commit().unwrap();
+    }
+    make_truncation_due(&master);
+    // No Log Store answers: the recover cannot read the log.
+    let log_stores = db.fabric.healthy_nodes(taurus_fabric::NodeKind::LogStore);
+    for &n in &log_stores {
+        db.fabric.set_down(n);
+    }
+    db.crash_and_recover_master()
+        .expect_err("a recover with every Log Store down cannot succeed");
+    for &n in &log_stores {
+        db.fabric.set_up(n);
+    }
+    // Same master, and its housekeeping runs: the truncation that was due
+    // before the failed recover happens now.
+    assert!(Arc::ptr_eq(&master, &db.master()));
+    let report = db.run_recovery_round();
+    assert!(report.plogs_truncated > 0, "round did nothing: {report:?}");
+    db.run_rebalance_round().unwrap();
+    let mut t = master.begin();
+    t.put(b"after", b"alive").unwrap();
+    t.commit().unwrap();
+    // And a second attempt goes through, with everything acknowledged.
+    settle(&db);
+    db.crash_and_recover_master().unwrap();
+    let master = db.master();
+    for i in 0..40u32 {
+        let k = format!("key{i:05}");
+        assert!(master.get(k.as_bytes()).unwrap().is_some(), "{k} lost");
+    }
+    assert_eq!(master.get(b"after").unwrap(), Some(b"alive".to_vec()));
+}
+
+#[test]
 fn crash_loses_uncommitted_but_keeps_committed() {
     let db = launch();
     let master = db.master();

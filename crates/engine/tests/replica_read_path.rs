@@ -203,3 +203,92 @@ fn quiescent_replica_reaches_the_last_commit_without_further_writes() {
     assert_eq!(local, expected);
     assert_eq!(pushed, expected);
 }
+
+/// Every commit publishes, and so does every maintenance beat: publishers
+/// race. A publisher that took its SAL snapshot early and stored it late
+/// must not put an older per-slice map under a newer read horizon — a
+/// replica would then read a slice below records its snapshot LSN covers,
+/// and pool the stale page for good.
+#[test]
+fn racing_publishers_never_put_an_older_slice_map_under_a_newer_horizon() {
+    let cfg = TaurusConfig {
+        pages_per_slice: 4,
+        ..TaurusConfig::test()
+    };
+    let db = TaurusDb::launch_with_clock(cfg, 5, 6, ManualClock::shared(), 7).unwrap();
+    let master = db.master();
+    let mut history = History::new();
+    for i in 0..ROWS {
+        put(&master, &mut history, key(i), value("load"));
+    }
+    let replica = db.add_replica().unwrap();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    // One committer (so `commit()` returns its own commit LSN, not a
+    // group-commit neighbour's) walking the table — slices go quiet and
+    // busy in turn — and two bare publishers racing its publishes.
+    let committer = {
+        let (master, stop) = (Arc::clone(&master), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut history = History::new();
+            let mut n = 0u32;
+            while !stop.load(Ordering::Relaxed) {
+                put(
+                    &master,
+                    &mut history,
+                    key(n % ROWS),
+                    value(&format!("w{n}")),
+                );
+                n += 1;
+            }
+            history
+        })
+    };
+    let publishers: Vec<_> = (0..2)
+        .map(|_| {
+            let (master, stop) = (Arc::clone(&master), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    master.publish();
+                }
+            })
+        })
+        .collect();
+
+    // The replica's side of the board: a slice's acked LSN never goes back
+    // (it is monotone at the SAL, and stores are in snapshot order), and
+    // what the replica reads at its moving TV-LSN is the model's answer.
+    let mut floor: std::collections::HashMap<_, Lsn> = Default::default();
+    let mut fresh: Vec<(Lsn, Rows, Rows)> = Vec::new();
+    let began = std::time::Instant::now();
+    let mut round = 0u32;
+    while began.elapsed() < std::time::Duration::from_millis(1500) {
+        for (k, a) in master.bulletin.slice_acked.read().iter() {
+            let seen = floor.entry(*k).or_insert(Lsn::ZERO);
+            assert!(*a >= *seen, "{k}: published acked LSN {a} after {seen}");
+            *seen = *a;
+        }
+        round += 1;
+        if round.is_multiple_of(64) {
+            let _ = replica.poll();
+            let txn = replica.begin();
+            if let Ok((local, pushed)) = read_all(&txn) {
+                fresh.push((txn.tv_lsn(), local, pushed));
+            }
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    history.extend(committer.join().unwrap());
+    for p in publishers {
+        p.join().unwrap();
+    }
+    assert!(
+        fresh.len() > 2,
+        "the replica must have read during the race"
+    );
+    for (tv, local, pushed) in &fresh {
+        let expected = model_at(&history, *tv);
+        assert_eq!(local, &expected, "scan at {tv}");
+        assert_eq!(pushed, &expected, "pushdown at {tv}");
+    }
+}

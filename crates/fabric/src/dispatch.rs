@@ -344,12 +344,15 @@ impl Dispatch {
     }
 
     /// [`Dispatch::fan_out`] for jobs that each carry a release time on the
-    /// pool's clock: a job starts no earlier than its own time and is not
-    /// held back by a sibling's later one. The calling thread does all the
-    /// waiting — it sleeps until the earliest outstanding release time,
-    /// makes every job due by then claimable, and repeats; then it helps
-    /// run what no worker has claimed. Jobs at time `0` are due at once, so
-    /// an all-zero batch is a single push: the plain fan-out.
+    /// pool's clock: a job starts no earlier than its own time and, while
+    /// a worker is free, is not held back by a sibling's later one. The
+    /// calling thread does all the waiting — it sleeps until the earliest
+    /// outstanding release time, makes every job due by then claimable,
+    /// and repeats; only after the last release does it help run what no
+    /// worker has claimed (helping earlier would delay the next release by
+    /// a job's length), so with no worker free the batch runs on it after
+    /// the latest release time. Jobs at time `0` are due at once, so an
+    /// all-zero batch is a single push: the plain fan-out.
     pub(crate) fn fan_out_at<'env, T: Send + 'env>(&self, jobs: Vec<TimedJob<'env, T>>) -> Vec<T> {
         let n = jobs.len();
         let clock = &self.shared.clock;
@@ -357,7 +360,8 @@ impl Dispatch {
             return Vec::new();
         }
         if n == 1 {
-            // Single job: run inline, skip the queue entirely so pool
+            // Single job (a fan-out's only leg left in flight): run it
+            // inline at its release time, skip the queue entirely so pool
             // sizing never affects single-RPC latency.
             self.shared.stats.inline_jobs.inc();
             let mut jobs = jobs;

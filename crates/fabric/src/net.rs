@@ -320,7 +320,7 @@ impl Fabric {
     /// microsecond of network time is waited out by the submitting thread:
     /// a message in flight is data, not a thread. At submission each leg is
     /// admitted like a `call` (a target that is down fails its leg on the
-    /// spot) and draws its request and response hop from the seeded RNG, in
+    /// spot, and the leg never reaches the dispatcher) and draws its request and response hop from the seeded RNG, in
     /// leg order; that fixes the leg's *arrival time* on the fabric clock
     /// (submission + request hop + injected delay). The submitting thread —
     /// blocked for the whole fan-out anyway — hands each leg to the
@@ -332,13 +332,14 @@ impl Fabric {
     ///
     /// So the fan-out returns no earlier than its longest leg,
     /// `max_i(request_i + delay_i + handler_i + response_i)`; a handler
-    /// never starts before its own arrival, nor later because a sibling
-    /// leg is slow; and failure stays per leg. Three legs do not need three
-    /// cores to overlap their hops. The submitting thread also helps run
-    /// unclaimed handlers, so an exhausted pool degrades to inline
-    /// execution rather than blocking; a single call *is* a
-    /// [`Fabric::call`]. A handler panic propagates to the caller after
-    /// the other calls finish.
+    /// never starts before its own arrival, nor — while a pool worker is
+    /// free — later because a sibling leg is slow; and failure stays per
+    /// leg. Three legs do not need three cores to overlap their hops. Once
+    /// the last leg has arrived the submitting thread helps run unclaimed
+    /// handlers, so an exhausted (or zero-sized) pool degrades to inline
+    /// execution, in arrival order after the last arrival, rather than
+    /// blocking; a single call *is* a [`Fabric::call`]. A handler panic
+    /// propagates to the caller after the other calls finish.
     pub fn call_all<'env, T: Send + 'env>(
         &'env self,
         from: NodeId,
@@ -350,10 +351,13 @@ impl Fabric {
             return vec![self.call(from, to, f)];
         }
         let sent_at = self.clock.now_us();
-        // Each job yields its handler's output and the time its reply lands.
-        let jobs: Vec<TimedJob<'env, Result<(T, u64)>>> = calls
-            .into_iter()
-            .map(|(to, f)| match self.admit(to) {
+        // A leg refused at admission has its answer already; each leg in
+        // flight becomes a job that yields its handler's output and the
+        // time its reply lands.
+        let mut refused: Vec<Option<TaurusError>> = Vec::with_capacity(calls.len());
+        let mut jobs: Vec<TimedJob<'env, Result<(T, u64)>>> = Vec::new();
+        for (to, f) in calls {
+            match self.admit(to) {
                 Ok((fail_permille, extra_delay_us)) => {
                     let arrives_at = sent_at + self.hop_latency_us() + extra_delay_us;
                     let response_us = self.hop_latency_us();
@@ -362,28 +366,24 @@ impl Fabric {
                         let out = f();
                         Ok((out, self.clock.now_us() + response_us))
                     };
-                    (
-                        arrives_at,
-                        Box::new(job) as Box<dyn FnOnce() -> _ + Send + 'env>,
-                    )
+                    jobs.push((arrives_at, Box::new(job)));
+                    refused.push(None);
                 }
-                Err(e) => (
-                    0,
-                    Box::new(move || Err(e)) as Box<dyn FnOnce() -> _ + Send + 'env>,
-                ),
-            })
-            .collect();
+                Err(e) => refused.push(Some(e)),
+            }
+        }
+        let mut replies = self.inner.dispatch.fan_out_at(jobs).into_iter();
         let mut last_reply_at = 0;
-        let results = self
-            .inner
-            .dispatch
-            .fan_out_at(jobs)
+        let results = refused
             .into_iter()
-            .map(|r| {
-                r.map(|(out, reply_at)| {
-                    last_reply_at = last_reply_at.max(reply_at);
-                    out
-                })
+            .map(|refused| {
+                if let Some(e) = refused {
+                    return Err(e);
+                }
+                let lost = || TaurusError::Internal("fan-out lost a leg".into());
+                let (out, reply_at) = replies.next().ok_or_else(lost)??;
+                last_reply_at = last_reply_at.max(reply_at);
+                Ok(out)
             })
             .collect();
         self.clock.sleep_until(last_reply_at);
@@ -722,19 +722,21 @@ mod tests {
 
     #[test]
     fn call_all_preserves_order_and_isolates_failures() {
-        let (f, _) = test_fabric();
+        let (f, clock) = test_fabric();
         let a = f.add_node(NodeKind::Compute);
         let targets = f.add_nodes(NodeKind::LogStore, 3);
         f.set_down(targets[1]);
-        let calls: Vec<(NodeId, Box<dyn FnOnce() -> u64 + Send>)> = targets
-            .iter()
-            .enumerate()
-            .map(|(i, &to)| {
-                let h: Box<dyn FnOnce() -> u64 + Send> = Box::new(move || i as u64 * 10);
-                (to, h)
-            })
-            .collect();
-        let results = f.call_all(a, calls);
+        let calls = || -> Vec<(NodeId, Box<dyn FnOnce() -> u64 + Send>)> {
+            targets
+                .iter()
+                .enumerate()
+                .map(|(i, &to)| {
+                    let h: Box<dyn FnOnce() -> u64 + Send> = Box::new(move || i as u64 * 10);
+                    (to, h)
+                })
+                .collect()
+        };
+        let results = f.call_all(a, calls());
         assert_eq!(results.len(), 3);
         assert_eq!(*results[0].as_ref().unwrap(), 0);
         assert!(matches!(
@@ -742,6 +744,14 @@ mod tests {
             Err(TaurusError::NodeUnavailable(n)) if n == targets[1]
         ));
         assert_eq!(*results[2].as_ref().unwrap(), 20);
+        // A leg refused at submission never reaches the dispatcher; the
+        // one leg left in flight still waits out its own two hops.
+        f.set_down(targets[0]);
+        let before = clock.now_us();
+        let results = f.call_all(a, calls());
+        assert!(results[0].is_err() && results[1].is_err());
+        assert_eq!(*results[2].as_ref().unwrap(), 20);
+        assert_eq!(clock.now_us() - before, 200);
     }
 
     #[test]

@@ -361,10 +361,18 @@ impl LogStream {
     /// `[first_lsn, last_lsn]` of `len` encoded bytes. Blocks while the
     /// append window is full (or a failure fence is draining), and rolls
     /// the tail PLog over first when it is sealed or past the size limit —
-    /// once every reservation still in flight on it has committed.
+    /// once every reservation still in flight on it has committed. Appends
+    /// therefore do not pipeline across a rollover: each one stalls the
+    /// stream for up to one append round trip (the window draining) on top
+    /// of the roll's own RPCs — measured in EXPERIMENTS.md, "what a PLog
+    /// rollover costs".
     ///
     /// Reservations must be taken in LSN order and every reservation must
-    /// be redeemed by [`LogStream::complete_append`] exactly once.
+    /// be redeemed by [`LogStream::complete_append`] exactly once — by
+    /// another thread, or before the same thread reserves again: a thread
+    /// that holds an unredeemed reservation and asks for another blocks
+    /// forever when the second one needs a rollover (or a full window, or
+    /// a failure fence) to clear first.
     pub fn reserve_append(
         &self,
         first_lsn: Lsn,

@@ -123,3 +123,70 @@ fn shipped_profile_append_ack_costs_about_one_round_trip() {
         "median 3/3 append ack {append}us > 1.6 x median single round trip {call}us"
     );
 }
+
+/// Measurement, not a gate (EXPERIMENTS.md, "what a PLog rollover costs"):
+/// `cargo test --release -p taurus-logstore --test parallel_fanout -- --ignored --nocapture`.
+/// Four appenders share a window of four at the shipped network profile;
+/// the PLog size limit is set so that the stream never rolls over, or rolls
+/// every 64 or every 16 appends. A rollover waits for the window to drain,
+/// so appends do not pipeline across it: the price is the difference
+/// between the rows.
+#[test]
+#[ignore = "prints a measurement"]
+fn measure_what_a_plog_rollover_costs() {
+    const THREADS: usize = 4;
+    const PER_THREAD: usize = 1500;
+    let group_len = group(1, 2).0.len();
+    for appends_per_plog in [usize::MAX / group_len, 64, 16] {
+        let fabric = Fabric::new(SystemClock::shared(), NetworkProfile::default(), 3);
+        let me = fabric.add_node(NodeKind::Compute);
+        let cluster = LogStoreCluster::new(fabric, 3, 1 << 20);
+        cluster.spawn_servers(3, StorageProfile::instant());
+        let limit = appends_per_plog * group_len;
+        let stream = LogStream::create(cluster, DbId(1), me, limit, THREADS).unwrap();
+        // Reservations are taken in LSN order, under the allocator's lock.
+        let alloc = parking_lot::Mutex::new(1u64);
+        let start = Instant::now();
+        let mut lat_us: Vec<u64> = std::thread::scope(|scope| {
+            let appenders: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut lat = Vec::with_capacity(PER_THREAD);
+                        for _ in 0..PER_THREAD {
+                            let t = Instant::now();
+                            let (res, data) = {
+                                let mut next = alloc.lock();
+                                let (data, first, last) = group(*next, 2);
+                                *next += 2;
+                                let len = data.len() as u64;
+                                (stream.reserve_append(first, last, len).unwrap(), data)
+                            };
+                            stream.complete_append(res, data).unwrap();
+                            lat.push(t.elapsed().as_micros() as u64);
+                        }
+                        lat
+                    })
+                })
+                .collect();
+            appenders
+                .into_iter()
+                .flat_map(|a| a.join().unwrap())
+                .collect()
+        });
+        let secs = start.elapsed().as_secs_f64();
+        lat_us.sort_unstable();
+        let pct = |p: usize| lat_us[(lat_us.len() - 1) * p / 100];
+        println!(
+            "appends/PLog {:>8}: {:>6.0} appends/s, append p50 {} us, p99 {} us, {} PLogs",
+            if appends_per_plog > 64 {
+                "no limit".to_string()
+            } else {
+                appends_per_plog.to_string()
+            },
+            lat_us.len() as f64 / secs,
+            pct(50),
+            pct(99),
+            stream.entries().len(),
+        );
+    }
+}
