@@ -9,9 +9,11 @@
 //! keep missing.
 //!
 //! Both must return byte-identical rows; the batched path should issue
-//! several times fewer miss-path RPCs on the scan phase.
-//! `TAURUS_READPATH_ASSERT=1` turns the identical-results check and the
-//! ≥4x fewer-RPCs gate into hard failures for CI.
+//! several times fewer miss-path RPCs on the scan phase, and a bounded
+//! 20-row scan must ship only the leaves its limit can reach.
+//! `TAURUS_READPATH_ASSERT=1` turns the identical-results checks, the ≥4x
+//! fewer-RPCs gate and the ≤3 pages-per-bounded-scan gate into hard
+//! failures for CI.
 
 // Harness code: aborting on setup failure is the desired behavior.
 #![allow(clippy::unwrap_used)]
@@ -55,6 +57,12 @@ fn miss_rpcs(db: &TaurusDb) -> u64 {
     sal.stats.snapshot().page_reads + sal.read_batch_stats.snapshot().batch_rpcs
 }
 
+/// Pages asked of the Page Stores so far, demand reads and hints alike.
+fn pages_fetched(db: &TaurusDb) -> u64 {
+    let sal = &db.master().sal;
+    sal.stats.snapshot().page_reads + sal.read_batch_stats.snapshot().pages_requested
+}
+
 fn point_phase(db: &TaurusDb, rows: u64, reads: u64) -> (LatencyRecorder, u64) {
     let master = db.master();
     let lat = LatencyRecorder::new();
@@ -72,17 +80,24 @@ fn point_phase(db: &TaurusDb, rows: u64, reads: u64) -> (LatencyRecorder, u64) {
 
 type Rows = Vec<(Vec<u8>, Vec<u8>)>;
 
-fn scan_phase(db: &TaurusDb, rounds: u64) -> (LatencyRecorder, u64, Rows) {
+/// Scans `limit` rows from each start key in turn. Returns the latencies,
+/// the miss-path RPCs, the pages fetched, and every row read.
+fn scan_phase(
+    db: &TaurusDb,
+    starts: &[Vec<u8>],
+    limit: usize,
+) -> (LatencyRecorder, u64, u64, Rows) {
     let master = db.master();
     let lat = LatencyRecorder::new();
-    let before = miss_rpcs(db);
-    let mut last = Vec::new();
-    for _ in 0..rounds {
+    let (rpcs, pages) = (miss_rpcs(db), pages_fetched(db));
+    let mut all = Vec::new();
+    for start in starts {
         let t0 = std::time::Instant::now(); // taurus-lint: allow(direct-clock) -- bench harness timing
-        last = master.scan(b"", usize::MAX).unwrap();
+        let got = master.scan(start, limit).unwrap();
         lat.record(t0.elapsed().as_micros() as u64);
+        all.extend(got);
     }
-    (lat, miss_rpcs(db) - before, last)
+    (lat, miss_rpcs(db) - rpcs, pages_fetched(db) - pages, all)
 }
 
 fn lat_line(label: &str, lat: &LatencyRecorder) -> String {
@@ -102,7 +117,11 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(10_000);
     let point_reads = 200u64.min(rows);
-    let scan_rounds = 5u64;
+    let full_scans = vec![Vec::new(); 5];
+    // 20-row scans from a deterministic stride of start keys.
+    let bounded_scans: Vec<Vec<u8>> = (0..200u64)
+        .map(|i| format!("sh{:012}", (i * 151) % rows).into_bytes())
+        .collect();
 
     println!("readpath — batched ReadPages + leaf readahead vs single-page ReadPage");
     println!("shape target: identical rows, >=4x fewer miss-path RPCs on scans\n");
@@ -123,8 +142,9 @@ fn main() {
     println!("  miss-path RPCs: single {single_pt_rpcs} vs batched {batched_pt_rpcs}");
 
     header("full-table scans (leaf-chain readahead batches the misses)");
-    let (single_sc, single_sc_rpcs, single_rows) = scan_phase(&single, scan_rounds);
-    let (batched_sc, batched_sc_rpcs, batched_rows) = scan_phase(&batched, scan_rounds);
+    let (single_sc, single_sc_rpcs, _, single_rows) = scan_phase(&single, &full_scans, usize::MAX);
+    let (batched_sc, batched_sc_rpcs, _, batched_rows) =
+        scan_phase(&batched, &full_scans, usize::MAX);
     println!("  {}", lat_line("single ", &single_sc));
     println!("  {}", lat_line("batched", &batched_sc));
     let ratio = single_sc_rpcs as f64 / batched_sc_rpcs.max(1) as f64;
@@ -133,15 +153,31 @@ fn main() {
         rel(single_sc_rpcs as f64, batched_sc_rpcs as f64)
     );
 
+    header("bounded range scans (20 rows: readahead is sized by the limit)");
+    let (single_bd, single_bd_rpcs, single_bd_pages, single_bd_rows) =
+        scan_phase(&single, &bounded_scans, 20);
+    let (batched_bd, batched_bd_rpcs, batched_bd_pages, batched_bd_rows) =
+        scan_phase(&batched, &bounded_scans, 20);
+    println!("  {}", lat_line("single ", &single_bd));
+    println!("  {}", lat_line("batched", &batched_bd));
+    let per_scan = |n: u64| n as f64 / bounded_scans.len() as f64;
+    let bounded_pages = per_scan(batched_bd_pages);
+    println!(
+        "  per scan: single {:.2} pages in {:.2} RPCs vs batched {bounded_pages:.2} pages in {:.2} RPCs",
+        per_scan(single_bd_pages),
+        per_scan(single_bd_rpcs),
+        per_scan(batched_bd_rpcs),
+    );
+
     header("verdict");
-    let identical = single_rows == batched_rows;
+    let identical = single_rows == batched_rows && single_bd_rows == batched_bd_rows;
     let m = batched.master();
     let (hit_ratio, resident) = m.pool_stats();
     let (prefetched, prefetch_hits) = m.pool_prefetch_stats();
     let batch_stats = m.sal.read_batch_stats.snapshot();
     println!(
-        "  identical results: {identical} ({} rows)",
-        single_rows.len()
+        "  identical results: {identical} ({} rows compared)",
+        single_rows.len() + single_bd_rows.len()
     );
     println!(
         "  batched pool: hit_ratio={hit_ratio:.2} resident={resident} \
@@ -167,6 +203,24 @@ fn main() {
         ("scan_rpcs_single", single_sc_rpcs.into()),
         ("scan_rpcs_batched", batched_sc_rpcs.into()),
         ("scan_rpc_ratio", ratio.into()),
+        ("bounded_p50_us_single", p(&single_bd, &|s| s.p50_us).into()),
+        (
+            "bounded_p50_us_batched",
+            p(&batched_bd, &|s| s.p50_us).into(),
+        ),
+        (
+            "bounded_rpcs_per_scan_single",
+            per_scan(single_bd_rpcs).into(),
+        ),
+        (
+            "bounded_rpcs_per_scan_batched",
+            per_scan(batched_bd_rpcs).into(),
+        ),
+        (
+            "bounded_pages_per_scan_single",
+            per_scan(single_bd_pages).into(),
+        ),
+        ("bounded_pages_per_scan_batched", bounded_pages.into()),
         ("prefetched", prefetched.into()),
         ("prefetch_hits", prefetch_hits.into()),
         ("identical_results", u64::from(identical).into()),
@@ -182,6 +236,13 @@ fn main() {
             "batched scan issued only {ratio:.1}x fewer miss-path RPCs (gate: >=4x): \
              single {single_sc_rpcs} vs batched {batched_sc_rpcs}"
         );
-        println!("\nTAURUS_READPATH_ASSERT: all gates passed ({ratio:.1}x fewer RPCs).");
+        assert!(
+            bounded_pages <= 3.0,
+            "a 20-row scan fetched {bounded_pages:.2} pages (gate: <=3): hints beyond its limit"
+        );
+        println!(
+            "\nTAURUS_READPATH_ASSERT: all gates passed ({ratio:.1}x fewer RPCs, \
+             {bounded_pages:.2} pages per bounded scan)."
+        );
     }
 }

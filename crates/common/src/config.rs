@@ -167,9 +167,11 @@ pub struct TaurusConfig {
     /// of two; each shard is an independent LRU with the paper's dirty-page
     /// eviction guard.
     pub engine_pool_shards: usize,
-    /// B-tree readahead window, pages: range scans hint this many upcoming
-    /// leaves to the fetcher, which batch-fetches the misses in one
-    /// `ReadPages` round trip. 0 disables readahead.
+    /// B-tree readahead window, pages: the cap on leaves a range scan has
+    /// hinted to the fetcher (which batch-fetches the misses in one
+    /// `ReadPages` round trip) and not yet walked into. The scan sizes each
+    /// hint from the rows its `limit` still owes, so only an unbounded scan
+    /// streams whole windows. 0 disables readahead.
     pub btree_readahead_window: usize,
     /// Number of parallel log streams the SAL fans flush groups across
     /// ("Taurus: Lightweight Parallel Logging"). Each stream owns its own

@@ -319,8 +319,17 @@ impl PageBuf {
         Ok(())
     }
 
-    /// Replaces the value of the record at `idx`, keeping its key.
+    /// Replaces the value of the record at `idx`, keeping its key. A value
+    /// of the old length is overwritten in place, so a same-size update
+    /// leaves no hole (and a full page never compacts for one); any other
+    /// length re-inserts the cell at the heap frontier.
     pub fn update_value(&mut self, idx: usize, val: &[u8]) -> Result<()> {
+        let (off, len) = self.checked_slot(idx)?;
+        let klen = self.key(idx)?.len();
+        if len - 2 - klen == val.len() {
+            self.data[off + 2 + klen..off + len].copy_from_slice(val);
+            return Ok(());
+        }
         let key = self.key(idx)?.to_vec();
         self.remove(idx)?;
         self.insert(idx, &key, val)
@@ -339,17 +348,15 @@ impl PageBuf {
     /// Rewrites the cell heap to squeeze out holes. Slot order and contents
     /// are unchanged.
     pub fn compact(&mut self) {
-        let n = self.nslots();
-        let mut scratch = Vec::with_capacity(n);
-        for i in 0..n {
-            let (off, len) = self.slot(i);
-            scratch.push(self.data[off..off + len].to_vec());
-        }
+        // Cells are copied out of a snapshot of the page: one cell's new
+        // home may overlap another's old one.
+        let old = self.data.clone();
         let mut frontier = PAGE_SIZE;
-        for (i, cell) in scratch.iter().enumerate() {
-            frontier -= cell.len();
-            self.data[frontier..frontier + cell.len()].copy_from_slice(cell);
-            self.set_slot(i, frontier, cell.len());
+        for i in 0..self.nslots() {
+            let (off, len) = self.slot(i);
+            frontier -= len;
+            self.data[frontier..frontier + len].copy_from_slice(&old[off..off + len]);
+            self.set_slot(i, frontier, len);
         }
         self.set_heap_off(frontier);
     }
@@ -433,6 +440,60 @@ mod tests {
         assert_eq!(p.value(0).unwrap(), b"a much longer value than before");
         assert_eq!(p.key(0).unwrap(), b"k");
         assert_eq!(p.nslots(), 1);
+    }
+
+    /// Fills a leaf with 200-byte rows under 14-byte keys until the next
+    /// one no longer fits; returns the row count.
+    fn fill_with_rows(p: &mut PageBuf) -> usize {
+        let mut n = 0usize;
+        while p.free_space() >= 2 + 14 + 200 + SLOT_SIZE {
+            let key = format!("key{n:011}");
+            p.insert(n, key.as_bytes(), &[n as u8; 200]).unwrap();
+            n += 1;
+        }
+        n
+    }
+
+    #[test]
+    fn same_length_updates_on_a_full_page_never_move_the_heap() {
+        let mut p = leaf();
+        let n = fill_with_rows(&mut p);
+        let (free, heap) = (p.free_space(), p.heap_off());
+        assert!(free < 220, "page is full: {free} bytes left");
+        for i in 0..1_000usize {
+            let idx = i * 7 % n;
+            p.update_value(idx, &[i as u8; 200]).unwrap();
+            assert_eq!(p.value(idx).unwrap(), &[i as u8; 200][..]);
+            assert_eq!(p.key(idx).unwrap(), format!("key{idx:011}").as_bytes());
+        }
+        assert_eq!((p.free_space(), p.heap_off()), (free, heap));
+        assert_eq!(p.usable_space(), free, "no holes");
+    }
+
+    #[test]
+    fn resizing_updates_on_a_full_page_compact_only_when_they_must() {
+        let mut p = leaf();
+        let n = fill_with_rows(&mut p);
+        let free = p.free_space();
+        // Shorter: the old cell becomes a hole, the new one takes frontier
+        // space, so the contiguous free space shrinks.
+        p.update_value(3, &[0xaa; 4]).unwrap();
+        assert_eq!(p.value(3).unwrap(), &[0xaa; 4][..]);
+        assert!(p.free_space() < free);
+        assert_eq!(p.usable_space(), free + 196);
+        // Longer than the frontier has room for: fits only by compacting
+        // the hole away, after which free and usable space agree again.
+        p.update_value(5, &[0xbb; 380]).unwrap();
+        assert_eq!(p.value(5).unwrap(), &[0xbb; 380][..]);
+        assert_eq!(p.free_space(), p.usable_space());
+        assert_eq!(p.usable_space(), free + 196 - 180);
+        // Every other row survived both moves.
+        for i in (0..n).filter(|i| *i != 3 && *i != 5) {
+            assert_eq!(p.key(i).unwrap(), format!("key{i:011}").as_bytes());
+            assert_eq!(p.value(i).unwrap(), &[i as u8; 200][..]);
+        }
+        // And one that cannot fit even compacted is refused.
+        assert!(p.update_value(0, &[0xcc; 1_000]).is_err());
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //!   the empty key so every target key has a routing slot;
 //! * leaf pages — cells `(key, value)`, chained with sibling links.
 //!
+//! Split policy: a cell that lands past the last slot of the rightmost page
+//! of its level splits that page *at the insert point* (the new right page
+//! starts with just the new cell), so an ascending load leaves full pages
+//! and logs no moved cells; every other insert splits at the midpoint.
 //! Deletions do not rebalance (pages may go sparse); this matches the
 //! reproduction scope documented in DESIGN.md.
 
@@ -41,8 +45,8 @@ pub trait PageFetch {
     /// carries the real error handling.
     fn prefetch(&self, _pages: &[PageId]) {}
 
-    /// How many leaves a range scan should read ahead through `prefetch`.
-    /// 0 (the default) disables readahead.
+    /// Cap on the leaves a range scan may have hinted through `prefetch`
+    /// and not yet walked into. 0 (the default) disables readahead.
     fn readahead_window(&self) -> usize {
         0
     }
@@ -57,13 +61,20 @@ where
     }
 }
 
-/// Leaf readahead state for one range scan: the run of upcoming sibling
-/// leaves (harvested from the level-1 internal page during descent) is
-/// hinted to the fetcher in window-sized chunks as the scan walks the
-/// chain. Crossing off the known run (a level-1 boundary) re-descends for
+/// Leaf readahead state for one range scan, sized by the scan's `limit`:
+/// a hint is a page the storage layer ships, so the scan only asks for
+/// leaves its remaining rows can reach. The level-1 internal page of the
+/// descent names the routed leaf and the siblings a chain walk visits next;
+/// the routed leaf and its next sibling travel in one `prefetch`, and each
+/// leaf the scan finishes sizes the next hint from the rows still owed and
+/// the rows that leaf held, capped by the fetcher's window — which is all
+/// that bounds an unbounded scan, so that one still streams window-sized
+/// runs. Crossing off the known run (a level-1 boundary) re-descends for
 /// the new leaf's first key to harvest the next run.
 struct Readahead<'a> {
     fetch: &'a dyn PageFetch,
+    /// Cap on `hinted`; 0 when the fetcher has no readahead or the scan
+    /// wants a single row.
     window: usize,
     /// Upcoming leaves in chain order, not yet hinted.
     upcoming: VecDeque<PageId>,
@@ -72,10 +83,14 @@ struct Readahead<'a> {
 }
 
 impl<'a> Readahead<'a> {
-    fn new(fetch: &'a dyn PageFetch) -> Self {
+    fn new(fetch: &'a dyn PageFetch, limit: usize) -> Self {
         Readahead {
             fetch,
-            window: fetch.readahead_window(),
+            window: if limit > 1 {
+                fetch.readahead_window()
+            } else {
+                0
+            },
             upcoming: VecDeque::new(),
             hinted: VecDeque::new(),
         }
@@ -84,9 +99,6 @@ impl<'a> Readahead<'a> {
     /// Harvests the leaves after the routed child of a level-1 internal
     /// page: exactly the siblings a chain walk will visit next.
     fn seed_from_internal(&mut self, page: &PageBuf, route_idx: usize) -> Result<()> {
-        if self.window == 0 {
-            return Ok(());
-        }
         self.upcoming.clear();
         self.hinted.clear();
         for idx in route_idx + 1..page.nslots() {
@@ -95,13 +107,30 @@ impl<'a> Readahead<'a> {
         Ok(())
     }
 
-    /// Hints the next chunk once the in-flight hint run falls below half
-    /// the window.
-    fn refill(&mut self) {
-        if self.window == 0 || self.upcoming.is_empty() || self.hinted.len() * 2 > self.window {
+    /// The scan's descent reached the level-1 page: one hint carries the
+    /// routed leaf and its next sibling, so a scan that starts near the end
+    /// of its first leaf still pays one round trip.
+    fn descended(&mut self, page: &PageBuf, route_idx: usize) -> Result<()> {
+        if self.window == 0 {
+            return Ok(());
+        }
+        self.seed_from_internal(page, route_idx)?;
+        let mut chunk = vec![PageId(cell_u64(page.value(route_idx)?)?)];
+        chunk.extend(self.upcoming.pop_front());
+        self.fetch.prefetch(&chunk);
+        self.hinted.extend(chunk.into_iter().skip(1));
+        Ok(())
+    }
+
+    /// The scan finished a leaf of `leaf_rows` rows and still owes `owed`:
+    /// tops the in-flight hint run up to the leaves those rows should span
+    /// (at most the window) once it has fallen to half of that.
+    fn refill(&mut self, owed: usize, leaf_rows: usize) {
+        let want = owed.div_ceil(leaf_rows.max(1)).min(self.window);
+        if self.upcoming.is_empty() || self.hinted.len() * 2 > want {
             return;
         }
-        let take = (self.window - self.hinted.len()).min(self.upcoming.len());
+        let take = (want - self.hinted.len()).min(self.upcoming.len());
         let chunk: Vec<PageId> = self.upcoming.drain(..take).collect();
         self.fetch.prefetch(&chunk);
         self.hinted.extend(chunk);
@@ -126,7 +155,6 @@ impl<'a> Readahead<'a> {
                 self.reseed(&key)?;
             }
         }
-        self.refill();
         Ok(())
     }
 
@@ -274,9 +302,13 @@ impl BTree {
         Ok(PageId(Self::control_get(&control, b"root")?))
     }
 
+    /// Allocates the page at the high-water mark. Its working copy starts
+    /// blank without a fetch: no id at or above the mark was ever written,
+    /// so storage has nothing to ship for it.
     fn alloc_page(ctx: &mut MutCtx<'_>) -> Result<PageId> {
         let hwm = Self::control_get(ctx.page(PageId::CONTROL)?, b"hwm")?;
         Self::control_set(ctx, b"hwm", hwm + 1)?;
+        ctx.pages.insert(PageId(hwm), PageBuf::new());
         Ok(PageId(hwm))
     }
 
@@ -312,24 +344,25 @@ impl BTree {
 
     /// Range scan: up to `limit` pairs with key ≥ `start`.
     ///
-    /// When the fetcher advertises a readahead window, the descent harvests
-    /// the upcoming sibling leaves from the level-1 internal page (the
-    /// next-level fanout of the range) and the chain walk keeps hinting
-    /// them ahead in window-sized chunks, so a batched fetcher turns N
-    /// leaf misses into N/window `ReadPages` round trips.
+    /// When the fetcher advertises a readahead window, the descent hints
+    /// the routed leaf together with its next sibling from the level-1
+    /// internal page, and the chain walk keeps hinting only as many leaves
+    /// ahead as the rows still owed should span (see [`Readahead`]): a
+    /// 20-row scan ships two leaves at most, a full-table scan turns N leaf
+    /// misses into about 2N/window `ReadPages` round trips.
     pub fn scan(
         fetch: &dyn PageFetch,
         start: &[u8],
         limit: usize,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut ra = Readahead::new(fetch);
+        let mut ra = Readahead::new(fetch, limit);
         let mut page = fetch.fetch(Self::root(fetch)?)?;
         loop {
             match page.page_type() {
                 PageType::Internal => {
                     let idx = Self::route(&page, start)?;
                     if page.level() == 1 {
-                        ra.seed_from_internal(&page, idx)?;
+                        ra.descended(&page, idx)?;
                     }
                     let child = PageId(cell_u64(page.value(idx)?)?);
                     page = fetch.fetch(child)?;
@@ -338,7 +371,6 @@ impl BTree {
                 _ => return Err(TaurusError::PageCorrupt("unexpected page type in tree")),
             }
         }
-        ra.refill();
         let mut out = Vec::new();
         let mut idx = match page.search(start) {
             Ok(i) => i,
@@ -350,6 +382,7 @@ impl BTree {
                 if next == 0 {
                     break;
                 }
+                ra.refill(limit - out.len(), page.nslots());
                 page = fetch.fetch(PageId(next))?;
                 ra.crossed_into(PageId(next), &page)?;
                 idx = 0;
@@ -370,7 +403,7 @@ impl BTree {
             return Err(TaurusError::PageCorrupt("cell exceeds MAX_CELL_PAYLOAD"));
         }
         let root = PageId(Self::control_get(ctx.page(PageId::CONTROL)?, b"root")?);
-        let result = Self::put_into(ctx, root, key, val)?;
+        let result = Self::put_into(ctx, root, key, val, true)?;
         if let PutOutcome::Split { sep, right } = result.outcome {
             // Root split: grow the tree by one level.
             let old_root = root;
@@ -430,11 +463,14 @@ impl BTree {
         }
     }
 
+    /// `rightmost`: `page_id` was reached through last slots only, i.e. it
+    /// is the rightmost page of its level (for a leaf, `next == 0`).
     fn put_into(
         ctx: &mut MutCtx<'_>,
         page_id: PageId,
         key: &[u8],
         val: &[u8],
+        rightmost: bool,
     ) -> Result<PutResult> {
         let (page_type, route_child) = {
             let page = ctx.page(page_id)?;
@@ -443,7 +479,10 @@ impl BTree {
                     let idx = Self::route(page, key)?;
                     (
                         PageType::Internal,
-                        Some(PageId(cell_u64(page.value(idx)?)?)),
+                        Some((
+                            PageId(cell_u64(page.value(idx)?)?),
+                            rightmost && idx + 1 == page.nslots(),
+                        )),
                     )
                 }
                 PageType::Leaf => (PageType::Leaf, None),
@@ -453,7 +492,28 @@ impl BTree {
         match page_type {
             PageType::Leaf => {
                 let page = ctx.page(page_id)?;
-                match page.search(key) {
+                let found = page.search(key);
+                // Bytes the page must still have: the whole cell for a new
+                // key, the growth of the value for an existing one.
+                let need = match found {
+                    Ok(idx) => val.len().saturating_sub(page.value(idx)?.len()),
+                    Err(_) => cell_need(key, val),
+                };
+                if page.usable_space() < need {
+                    let (Ok(at) | Err(at)) = found;
+                    let (sep, right) = Self::split(ctx, page_id, at, key, rightmost)?;
+                    // Retry on the correct half.
+                    let (target, rightmost) = if key >= sep.as_ref() {
+                        (right, rightmost)
+                    } else {
+                        (page_id, false)
+                    };
+                    let mut r = Self::put_into(ctx, target, key, val, rightmost)?;
+                    debug_assert!(matches!(r.outcome, PutOutcome::Done));
+                    r.outcome = PutOutcome::Split { sep, right };
+                    return Ok(r);
+                }
+                match found {
                     Ok(idx) => {
                         ctx.emit(
                             page_id,
@@ -465,32 +525,22 @@ impl BTree {
                         Ok(PutResult::plain(false))
                     }
                     Err(idx) => {
-                        if page.usable_space() < cell_need(key, val) {
-                            let (sep, right) = Self::split(ctx, page_id)?;
-                            // Retry on the correct half.
-                            let target = if key >= sep.as_ref() { right } else { page_id };
-                            let mut r = Self::put_into(ctx, target, key, val)?;
-                            debug_assert!(matches!(r.outcome, PutOutcome::Done));
-                            r.outcome = PutOutcome::Split { sep, right };
-                            Ok(r)
-                        } else {
-                            ctx.emit(
-                                page_id,
-                                RecordBody::Insert {
-                                    idx: idx as u16,
-                                    key: Bytes::copy_from_slice(key),
-                                    val: Bytes::copy_from_slice(val),
-                                },
-                            )?;
-                            Ok(PutResult::plain(true))
-                        }
+                        ctx.emit(
+                            page_id,
+                            RecordBody::Insert {
+                                idx: idx as u16,
+                                key: Bytes::copy_from_slice(key),
+                                val: Bytes::copy_from_slice(val),
+                            },
+                        )?;
+                        Ok(PutResult::plain(true))
                     }
                 }
             }
             PageType::Internal => {
-                let child = route_child
+                let (child, child_rightmost) = route_child
                     .ok_or(TaurusError::PageCorrupt("internal page has no route child"))?;
-                let mut result = Self::put_into(ctx, child, key, val)?;
+                let mut result = Self::put_into(ctx, child, key, val, child_rightmost)?;
                 if let PutOutcome::Split { sep, right } =
                     std::mem::replace(&mut result.outcome, PutOutcome::Done)
                 {
@@ -501,7 +551,7 @@ impl BTree {
                         Err(i) => i,
                     };
                     if page.usable_space() < cell_need(&sep, &[0u8; 8]) {
-                        let (psep, pright) = Self::split(ctx, page_id)?;
+                        let (psep, pright) = Self::split(ctx, page_id, idx, &sep, rightmost)?;
                         let target = if sep >= psep { pright } else { page_id };
                         let tpage = ctx.page(target)?;
                         let tidx = match tpage.search(&sep) {
@@ -537,29 +587,40 @@ impl BTree {
         }
     }
 
-    /// Splits `left` in half, returning `(separator, right page id)`. Works
-    /// for leaves (fixing sibling links) and internal nodes alike.
-    fn split(ctx: &mut MutCtx<'_>, left_id: PageId) -> Result<(Bytes, PageId)> {
+    /// Splits `left` to make room for a cell with key `key` at slot `at`,
+    /// returning `(separator, right page id)`. Works for leaves (fixing
+    /// sibling links) and internal nodes alike.
+    ///
+    /// A cell past the last slot of the rightmost page of its level is an
+    /// append: the cut is at the insert point, nothing moves, and the new
+    /// right page waits empty for the cell (whose key is the separator), so
+    /// an ascending load leaves full pages behind it. Any other insert cuts
+    /// at the midpoint.
+    fn split(
+        ctx: &mut MutCtx<'_>,
+        left_id: PageId,
+        at: usize,
+        key: &[u8],
+        rightmost: bool,
+    ) -> Result<(Bytes, PageId)> {
         let right_id = Self::alloc_page(ctx)?;
-        let (ty, level, moved, old_next, left_prev) = {
+        let (ty, level, cut, moved, old_next, left_prev) = {
             let left = ctx.page(left_id)?;
             let n = left.nslots();
-            let mid = n / 2;
-            let moved: Vec<(Vec<u8>, Vec<u8>)> = (mid..n)
+            let cut = if rightmost && at == n { n } else { n / 2 };
+            let moved: Vec<(Vec<u8>, Vec<u8>)> = (cut..n)
                 .map(|i| Ok((left.key(i)?.to_vec(), left.value(i)?.to_vec())))
                 .collect::<Result<_>>()?;
             (
                 left.page_type(),
                 left.level(),
+                cut,
                 moved,
                 left.next(),
                 left.prev(),
             )
         };
-        if moved.is_empty() {
-            return Err(TaurusError::PageCorrupt("splitting an empty page"));
-        }
-        let sep = Bytes::copy_from_slice(&moved[0].0);
+        let sep = Bytes::copy_from_slice(moved.first().map_or(key, |(k, _)| k));
         ctx.emit(right_id, RecordBody::Format { ty, level })?;
         for (i, (k, v)) in moved.iter().enumerate() {
             ctx.emit(
@@ -571,11 +632,9 @@ impl BTree {
                 },
             )?;
         }
-        let mid = {
-            let left = ctx.page(left_id)?;
-            left.nslots() - moved.len()
-        };
-        ctx.emit(left_id, RecordBody::TruncateFrom { idx: mid as u16 })?;
+        if !moved.is_empty() {
+            ctx.emit(left_id, RecordBody::TruncateFrom { idx: cut as u16 })?;
+        }
         if ty == PageType::Leaf {
             // left <-> right <-> old_next
             ctx.emit(
@@ -745,67 +804,315 @@ mod tests {
         assert_eq!(mid.len(), 5);
     }
 
+    /// What a scan asked of its fetcher, in order.
+    #[derive(Debug, PartialEq)]
+    enum Ask {
+        Fetch(PageId),
+        Prefetch(Vec<PageId>),
+    }
+
     /// MemPages-backed fetcher that advertises a readahead window and
-    /// records every hinted page id.
+    /// records every demand fetch and every hint.
     struct RecordingFetcher<'a> {
         pages: &'a MemPages,
         window: usize,
-        hinted: Mutex<Vec<PageId>>,
+        asks: Mutex<Vec<Ask>>,
+    }
+
+    impl<'a> RecordingFetcher<'a> {
+        fn new(pages: &'a MemPages, window: usize) -> Self {
+            RecordingFetcher {
+                pages,
+                window,
+                asks: Mutex::new(Vec::new()),
+            }
+        }
+
+        /// The hints of the scans so far, one entry per `prefetch` call.
+        fn hints(&self) -> Vec<Vec<PageId>> {
+            self.asks
+                .lock()
+                .iter()
+                .filter_map(|a| match a {
+                    Ask::Prefetch(ids) => Some(ids.clone()),
+                    Ask::Fetch(_) => None,
+                })
+                .collect()
+        }
     }
 
     impl PageFetch for RecordingFetcher<'_> {
         fn fetch(&self, id: PageId) -> Result<Arc<PageBuf>> {
+            self.asks.lock().push(Ask::Fetch(id));
             self.pages.fetcher().fetch(id)
         }
         fn prefetch(&self, pages: &[PageId]) {
-            self.hinted.lock().extend_from_slice(pages);
+            self.asks.lock().push(Ask::Prefetch(pages.to_vec()));
         }
         fn readahead_window(&self) -> usize {
             self.window
         }
     }
 
+    /// Leaf ids in chain order, found by descending the leftmost spine.
+    fn leaf_chain(pages: &MemPages) -> Vec<PageId> {
+        let f = pages.fetcher();
+        let mut id = BTree::root(&f).unwrap();
+        loop {
+            let page = f.fetch(id).unwrap();
+            if page.page_type() == PageType::Leaf {
+                break;
+            }
+            id = PageId(cell_u64(page.value(0).unwrap()).unwrap());
+        }
+        let mut chain = Vec::new();
+        while id.0 != 0 {
+            chain.push(id);
+            id = PageId(f.fetch(id).unwrap().next());
+        }
+        chain
+    }
+
+    /// `(height, fill of each leaf in chain order)`; fill is the used share
+    /// of the bytes a page has for slots and cells.
+    fn tree_shape(pages: &MemPages) -> (u8, Vec<f64>) {
+        let f = pages.fetcher();
+        let height = f.fetch(BTree::root(&f).unwrap()).unwrap().level() + 1;
+        let room = (taurus_common::page::PAGE_SIZE - taurus_common::page::HEADER_SIZE) as f64;
+        let fills = leaf_chain(pages)
+            .into_iter()
+            .map(|id| 1.0 - f.fetch(id).unwrap().usable_space() as f64 / room)
+            .collect();
+        (height, fills)
+    }
+
+    fn mean(xs: &[f64]) -> f64 {
+        xs.iter().sum::<f64>() / xs.len() as f64
+    }
+
+    /// A 14-byte key and a 200-byte value: the benchmark's SysBench row, 37
+    /// to a leaf.
+    fn row(i: u32) -> (Vec<u8>, Vec<u8>) {
+        (format!("row{i:011}").into_bytes(), vec![i as u8; 200])
+    }
+
     #[test]
-    fn scan_readahead_hints_the_leaf_chain_without_changing_results() {
+    fn ascending_load_fills_its_leaves_and_a_random_one_still_splits_at_the_midpoint() {
+        let n = 10_000u32;
+        let (asc, lsns) = setup();
+        for i in 0..n {
+            let (k, v) = row(i);
+            put(&asc, &lsns, &k, &v);
+        }
+        // The same keys in a seeded random order (Fisher-Yates on SplitMix).
+        let mut order: Vec<u32> = (0..n).collect();
+        let mut rng = proptest::TestRng::seeded(16);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let (rnd, lsns) = setup();
+        for i in order {
+            let (k, v) = row(i);
+            put(&rnd, &lsns, &k, &v);
+        }
+
+        let (asc_height, asc_fills) = tree_shape(&asc);
+        let (rnd_height, rnd_fills) = tree_shape(&rnd);
+        assert!(
+            mean(&asc_fills) >= 0.9,
+            "ascending fill {}",
+            mean(&asc_fills)
+        );
+        assert!(asc_height <= rnd_height, "{asc_height} > {rnd_height}");
+        assert!(asc_fills.len() < rnd_fills.len());
+        let fill = mean(&rnd_fills);
+        assert!((0.5..=0.8).contains(&fill), "random-order fill {fill}");
+        // A midpoint split leaves both halves about half full, and nothing
+        // is deleted here: only the rightmost leaf, the one page an append
+        // split can have started, may hold less.
+        let (_, inner) = rnd_fills.split_last().unwrap();
+        let min = inner.iter().copied().fold(1.0, f64::min);
+        assert!(min >= 0.45, "a non-rightmost leaf is only {min} full");
+
+        for pages in [&asc, &rnd] {
+            let all = BTree::scan(&pages.fetcher(), b"", usize::MAX).unwrap();
+            assert_eq!(all.len(), n as usize);
+            assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "sorted order");
+        }
+    }
+
+    /// A table of SysBench rows loaded in ascending order, leaves full.
+    fn dense_table(rows: u32) -> MemPages {
         let (pages, lsns) = setup();
-        for i in 0..800u32 {
-            let k = format!("k{:06}", i);
-            put(&pages, &lsns, k.as_bytes(), &[b'v'; 48]);
+        for i in 0..rows {
+            let (k, v) = row(i);
+            put(&pages, &lsns, &k, &v);
         }
-        let plain = BTree::scan(&pages.fetcher(), b"", 10_000).unwrap();
-        let rf = RecordingFetcher {
-            pages: &pages,
-            window: 4,
-            hinted: Mutex::new(Vec::new()),
-        };
-        let with_ra = BTree::scan(&rf, b"", 10_000).unwrap();
-        assert_eq!(plain, with_ra, "readahead must not change scan results");
-        let hinted = rf.hinted.lock();
-        // The table spans many leaves; the walk must have hinted ahead,
-        // and every hint must be a real leaf of the chain.
-        assert!(hinted.len() > 4, "only {} hints", hinted.len());
-        for &p in hinted.iter() {
-            let page = pages.fetcher().fetch(p).unwrap();
-            assert_eq!(page.page_type(), PageType::Leaf, "hinted {p:?}");
+        pages
+    }
+
+    #[test]
+    fn bounded_scan_hints_once_and_only_leaves_its_limit_can_reach() {
+        let pages = dense_table(800);
+        let chain = leaf_chain(&pages);
+        assert!(chain.len() > 20, "{} leaves", chain.len());
+        for start in 0..800u32 {
+            let rf = RecordingFetcher::new(&pages, 16);
+            let got = BTree::scan(&rf, &row(start).0, 20).unwrap();
+            assert_eq!(got.len(), 20.min(800 - start as usize));
+            assert_eq!(got[0].0, row(start).0);
+
+            let asks = rf.asks.lock();
+            let first_leaf = asks
+                .iter()
+                .position(|a| matches!(a, Ask::Fetch(id) if chain.contains(id)))
+                .unwrap();
+            let Ask::Fetch(leaf) = &asks[first_leaf] else {
+                unreachable!()
+            };
+            let at = chain.iter().position(|id| id == leaf).unwrap();
+            // One hint, before the first leaf: that leaf and its sibling,
+            // the only two a 20-row scan over 37-row leaves can touch.
+            let reach: Vec<PageId> = chain[at..chain.len().min(at + 2)].to_vec();
+            let hints: Vec<&Ask> = asks
+                .iter()
+                .filter(|a| matches!(a, Ask::Prefetch(_)))
+                .collect();
+            assert_eq!(hints, [&Ask::Prefetch(reach)], "start {start}");
+            assert!(matches!(asks[first_leaf - 1], Ask::Prefetch(_)));
         }
-        // A zero-window fetcher never hints.
-        let none = RecordingFetcher {
-            pages: &pages,
-            window: 0,
-            hinted: Mutex::new(Vec::new()),
+    }
+
+    #[test]
+    fn bounded_scan_sizes_later_hints_from_the_rows_it_still_owes() {
+        let pages = dense_table(800);
+        let chain = leaf_chain(&pages);
+        // 100 rows from the middle of a leaf: 37-row leaves, so the scan
+        // walks four leaves, or three when it starts on a leaf's first row.
+        for start in [40u32, 74, 300, 455] {
+            let rf = RecordingFetcher::new(&pages, 16);
+            let got = BTree::scan(&rf, &row(start).0, 100).unwrap();
+            assert_eq!(got.len(), 100);
+            let walked: Vec<PageId> = rf
+                .asks
+                .lock()
+                .iter()
+                .filter_map(|a| match a {
+                    Ask::Fetch(id) if chain.contains(id) => Some(*id),
+                    _ => None,
+                })
+                .collect();
+            let hinted: Vec<PageId> = rf.hints().concat();
+            assert!(rf.hints().len() <= 2, "{:?}", rf.hints());
+            assert_eq!(hinted[..walked.len()], walked[..], "start {start}");
+            assert!(hinted.len() <= walked.len() + 1, "start {start}");
+        }
+    }
+
+    #[test]
+    fn single_row_scans_and_windowless_fetchers_never_hint() {
+        let pages = dense_table(800);
+        let rf = RecordingFetcher::new(&pages, 16);
+        assert_eq!(BTree::scan(&rf, &row(36).0, 1).unwrap().len(), 1);
+        assert_eq!(BTree::scan(&rf, &row(500).0, 0).unwrap().len(), 0);
+        assert!(rf.hints().is_empty(), "{:?}", rf.hints());
+
+        let none = RecordingFetcher::new(&pages, 0);
+        assert_eq!(BTree::scan(&none, b"", usize::MAX).unwrap().len(), 800);
+        assert_eq!(BTree::scan(&none, &row(36).0, 20).unwrap().len(), 20);
+        assert!(none.hints().is_empty(), "{:?}", none.hints());
+    }
+
+    #[test]
+    fn unbounded_scan_streams_hints_in_window_sized_chunks() {
+        // 100-byte keys keep the fanout low: three levels, so the walk
+        // also crosses level-1 boundaries.
+        let (pages, lsns) = setup();
+        for i in 0..3_000u32 {
+            put(&pages, &lsns, format!("k{i:099}").as_bytes(), &[b'v'; 300]);
+        }
+        assert_eq!(tree_shape(&pages).0, 3);
+        let chain = leaf_chain(&pages);
+        let plain = BTree::scan(&pages.fetcher(), b"", usize::MAX).unwrap();
+        assert_eq!(plain.len(), 3_000);
+
+        let window = 8;
+        let rf = RecordingFetcher::new(&pages, window);
+        assert_eq!(BTree::scan(&rf, b"", usize::MAX).unwrap(), plain);
+
+        // Never more than a window of hinted leaves not yet walked into,
+        // and every hint is a leaf of the chain, in chain order.
+        let mut outstanding = VecDeque::new();
+        let (mut unhinted, mut calls) = (0usize, 0usize);
+        for ask in rf.asks.lock().iter() {
+            match ask {
+                Ask::Prefetch(ids) => {
+                    calls += 1;
+                    assert!(ids.len() <= window);
+                    outstanding.extend(ids.iter().copied());
+                }
+                Ask::Fetch(id) if chain.contains(id) => {
+                    if outstanding.front() == Some(id) {
+                        outstanding.pop_front();
+                    } else if !outstanding.contains(id) {
+                        unhinted += 1;
+                    }
+                }
+                Ask::Fetch(_) => {}
+            }
+            assert!(outstanding.len() <= window, "{outstanding:?}");
+        }
+        let hinted: Vec<PageId> = rf.hints().concat();
+        assert!(hinted.iter().all(|id| chain.contains(id)));
+        assert!(hinted.windows(2).all(|w| {
+            chain.iter().position(|id| *id == w[0]) < chain.iter().position(|id| *id == w[1])
+        }));
+        // Only the first leaf after each level-1 boundary arrives unhinted,
+        // and a steady-state hint carries at least half a window.
+        let level1_pages = {
+            let f = pages.fetcher();
+            f.fetch(BTree::root(&f).unwrap()).unwrap().nslots()
         };
-        BTree::scan(&none, b"", 10_000).unwrap();
-        assert!(none.hinted.lock().is_empty());
+        assert!(level1_pages > 1);
+        assert!(unhinted < level1_pages, "{unhinted} leaves fetched cold");
+        assert!(
+            calls <= chain.len() / (window / 2) + 2 * level1_pages,
+            "{calls} hints for {} leaves",
+            chain.len()
+        );
+    }
+
+    /// Replays `log` (after the bootstrap records) onto blank pages and
+    /// checks every page of `pages` byte for byte: what a replica or a Page
+    /// Store materializes from the record stream alone.
+    fn assert_replay_matches(pages: &MemPages, log: &[LogRecord]) {
+        // The bootstrap records carry the LSNs `setup` gave them (1..=4).
+        let bl = LsnAllocator::new(Lsn::ZERO);
+        let bf = MemPages::default();
+        let bff = bf.fetcher();
+        let mut bctx = MutCtx::new(&bl, &bff);
+        BTree::bootstrap(&mut bctx).unwrap();
+        let mut replica: HashMap<PageId, PageBuf> = HashMap::new();
+        for rec in bctx.records.iter().chain(log.iter()) {
+            let page = replica.entry(rec.page).or_default();
+            apply_record(page, rec).unwrap();
+        }
+        let master = pages.map.lock();
+        for (id, mpage) in master.iter() {
+            let rpage = replica.get(id).unwrap_or_else(|| panic!("missing {id}"));
+            assert_eq!(mpage.as_bytes(), rpage.as_bytes(), "page {id} differs");
+        }
     }
 
     #[test]
     fn replaying_emitted_records_reproduces_identical_pages() {
         // The end-to-end guarantee: a replica replaying the record stream
-        // materializes byte-identical pages.
+        // materializes byte-identical pages. Keys arrive in a stride order,
+        // so the splits are midpoint splits.
         let (pages, lsns) = setup();
         let mut log: Vec<LogRecord> = Vec::new();
         for i in 0..800u32 {
-            let k = format!("key{:05}", i);
+            let k = format!("key{:05}", i * 7 % 800);
             log.extend(put(
                 &pages,
                 &lsns,
@@ -813,26 +1120,60 @@ mod tests {
                 format!("val{i}").as_bytes(),
             ));
         }
-        // Replay everything (insert order) on a fresh page map. We need the
-        // bootstrap records as well, so rebuild them with the same LSNs the
-        // setup used (1..=4).
-        let mut replica: HashMap<PageId, PageBuf> = HashMap::new();
-        let bl = LsnAllocator::new(Lsn::ZERO);
-        let bf = MemPages::default();
-        let bff = bf.fetcher();
-        let mut bctx = MutCtx::new(&bl, &bff);
-        BTree::bootstrap(&mut bctx).unwrap();
-        let bootstrap_records = bctx.records.clone();
-        for rec in bootstrap_records.iter().chain(log.iter()) {
-            let page = replica.entry(rec.page).or_default();
-            apply_record(page, rec).unwrap();
+        assert!(log
+            .iter()
+            .any(|r| matches!(r.body, RecordBody::TruncateFrom { .. })));
+        assert_replay_matches(&pages, &log);
+    }
+
+    #[test]
+    fn append_splits_of_a_leaf_and_an_internal_page_replay_to_identical_pages() {
+        // Ascending 100-byte keys: every split is an append split, first of
+        // leaves, then of the level-1 page when the root grows a level.
+        let (pages, lsns) = setup();
+        let mut log: Vec<LogRecord> = Vec::new();
+        let mut i = 0u32;
+        while tree_shape(&pages).0 < 3 || i < 2_000 {
+            log.extend(put(
+                &pages,
+                &lsns,
+                format!("k{i:099}").as_bytes(),
+                &[b'v'; 300],
+            ));
+            i += 1;
         }
-        // Compare every page byte-for-byte.
-        let master = pages.map.lock();
-        for (id, mpage) in master.iter() {
-            let rpage = replica.get(id).unwrap_or_else(|| panic!("missing {id}"));
-            assert_eq!(mpage.as_bytes(), rpage.as_bytes(), "page {id} differs");
+        let formats = |ty: PageType, level: u8| {
+            log.iter()
+                .filter(|r| r.body == RecordBody::Format { ty, level })
+                .count()
+        };
+        assert!(formats(PageType::Leaf, 0) > 70);
+        assert!(formats(PageType::Internal, 1) >= 2, "a level-1 page split");
+        assert_eq!(formats(PageType::Internal, 2), 1, "the root grew once");
+        // Nothing moved: no page was truncated, and a new page's first
+        // cell is the one being inserted, at slot 0.
+        assert!(!log
+            .iter()
+            .any(|r| matches!(r.body, RecordBody::TruncateFrom { .. })));
+        let (_, fills) = tree_shape(&pages);
+        assert!(mean(&fills) >= 0.9, "fill {}", mean(&fills));
+        assert_replay_matches(&pages, &log);
+
+        // Random inserts into the dense tree split at the midpoint again,
+        // and the mixed stream replays as well.
+        for j in 0..200u32 {
+            let at = j * 37 % i;
+            log.extend(put(
+                &pages,
+                &lsns,
+                format!("k{at:099}x").as_bytes(),
+                &[b'w'; 300],
+            ));
         }
+        assert!(log
+            .iter()
+            .any(|r| matches!(r.body, RecordBody::TruncateFrom { .. })));
+        assert_replay_matches(&pages, &log);
     }
 
     #[test]
@@ -857,5 +1198,61 @@ mod tests {
         assert_eq!(get(&pages, b"a"), Some(b"first".to_vec()));
         let all = BTree::scan(&pages.fetcher(), b"", 2).unwrap();
         assert_eq!(all[0].0, b"a".to_vec());
+    }
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 24 })]
+
+        /// An ascending run (append splits, full leaves) followed by random
+        /// inserts, updates that grow their value (a full leaf must split
+        /// for them) and deletes reads back exactly like a `BTreeMap`, and
+        /// the whole record stream replays to the same pages. A failing
+        /// case prints its seed.
+        #[test]
+        fn dense_run_then_random_ops_match_a_model(
+            run in 300u32..900,
+            ops in proptest::prelude::prop::collection::vec((0u8..4, 0u32..2_000, 0usize..400), 100..500),
+        ) {
+            let (pages, lsns) = setup();
+            let mut model = std::collections::BTreeMap::new();
+            let mut log = Vec::new();
+            // Even keys, so later inserts land between, below and above.
+            for i in 0..run {
+                let (k, v) = row(2 * i);
+                log.extend(put(&pages, &lsns, &k, &v));
+                model.insert(k, v);
+            }
+            assert!(mean(&tree_shape(&pages).1) >= 0.85);
+            for (kind, i, len) in ops {
+                let (k, _) = row(i);
+                let f = pages.fetcher();
+                let mut ctx = MutCtx::new(&lsns, &f);
+                match kind {
+                    // Delete; update growing the old value; upsert.
+                    0 => {
+                        let existed = BTree::delete(&mut ctx, &k).unwrap();
+                        assert_eq!(existed, model.remove(&k).is_some());
+                    }
+                    1 if model.contains_key(&k) => {
+                        let mut v = model[&k].clone();
+                        v.extend(std::iter::repeat_n(b'+', len + 1));
+                        v.truncate(MAX_CELL_PAYLOAD - k.len());
+                        assert!(!BTree::put(&mut ctx, &k, &v).unwrap());
+                        model.insert(k, v);
+                    }
+                    _ => {
+                        let v = vec![kind; len];
+                        let new = BTree::put(&mut ctx, &k, &v).unwrap();
+                        assert_eq!(new, model.insert(k, v).is_none());
+                    }
+                }
+                log.extend(pages.absorb(ctx));
+            }
+            let all = BTree::scan(&pages.fetcher(), b"", usize::MAX).unwrap();
+            assert_eq!(all, model.clone().into_iter().collect::<Vec<_>>());
+            for (k, v) in model.iter().step_by(17) {
+                assert_eq!(get(&pages, k).as_ref(), Some(v));
+            }
+            assert_replay_matches(&pages, &log);
+        }
     }
 }

@@ -7,7 +7,8 @@
 use std::sync::Arc;
 
 use taurus_common::clock::{Clock, ManualClock};
-use taurus_common::{TaurusConfig, TaurusError};
+use taurus_common::page::{PageType, HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
+use taurus_common::{PageId, TaurusConfig, TaurusError};
 use taurus_engine::TaurusDb;
 
 fn launch() -> Arc<TaurusDb> {
@@ -142,29 +143,110 @@ fn rollback_leaves_no_trace() {
     assert_eq!(master.get(b"ghost").unwrap(), Some(b"real".to_vec()));
 }
 
+fn bulk_row(i: u32) -> (Vec<u8>, Vec<u8>) {
+    (
+        format!("row{i:08}").into_bytes(),
+        format!("payload-{i:06}-{}", "d".repeat(100)).into_bytes(),
+    )
+}
+
+/// Loads `leaves` leaves' worth of `bulk_row`s in ascending key order, 50
+/// rows to a transaction, and returns the row count. Sized by the pages
+/// the caller needs: an ascending load fills each leaf before it starts
+/// the next.
+fn bulk_load(master: &Arc<taurus_engine::MasterEngine>, leaves: usize) -> u32 {
+    let (k, v) = bulk_row(0);
+    let rows_per_leaf = (PAGE_SIZE - HEADER_SIZE) / (2 + k.len() + v.len() + SLOT_SIZE);
+    let n = (leaves * rows_per_leaf) as u32;
+    for chunk in (0..n).collect::<Vec<_>>().chunks(50) {
+        let mut t = master.begin();
+        for i in chunk {
+            let (k, v) = bulk_row(*i);
+            t.put(&k, &v).unwrap();
+        }
+        t.commit().unwrap();
+    }
+    n
+}
+
+/// Used share of every leaf, in chain order, read through the master.
+fn leaf_fills(master: &taurus_engine::MasterEngine) -> Vec<f64> {
+    let page = |id: u64| master.get_pages(&[PageId(id)]).unwrap().remove(0).1;
+    let u64_cell = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().unwrap());
+    let control = page(0);
+    let mut id = u64_cell(control.value(control.search(b"root").unwrap()).unwrap());
+    while page(id).page_type() == PageType::Internal {
+        id = u64_cell(page(id).value(0).unwrap());
+    }
+    let mut fills = Vec::new();
+    while id != 0 {
+        let leaf = page(id);
+        fills.push(1.0 - leaf.usable_space() as f64 / (PAGE_SIZE - HEADER_SIZE) as f64);
+        id = leaf.next();
+    }
+    fills
+}
+
 #[test]
 fn bulk_workload_spans_slices_and_survives_pool_pressure() {
     let db = launch();
     let master = db.master();
-    let n = 3000u32;
-    for chunk in (0..n).collect::<Vec<_>>().chunks(50) {
-        let mut t = master.begin();
-        for i in chunk {
-            let k = format!("row{:08}", i);
-            let v = format!("payload-{i}-{}", "d".repeat(100));
-            t.put(k.as_bytes(), v.as_bytes()).unwrap();
-        }
-        t.commit().unwrap();
-    }
+    // One and a half slices of leaves (pages_per_slice=64 in the test
+    // config), whatever a row weighs.
+    let leaves = master.sal.cfg.pages_per_slice as usize * 3 / 2;
+    let n = bulk_load(&master, leaves);
     settle(&db);
-    // Multiple slices must exist (pages_per_slice=64 in the test config).
     assert!(
         db.master().sal.slice_keys().len() > 1,
         "expected a multi-slice database"
     );
+    // The ascending load left every leaf but the last one full.
+    let fills = leaf_fills(&master);
+    assert!(fills.len() >= leaves && fills.len() <= leaves + 2);
+    let (_, full) = fills.split_last().unwrap();
+    let min = full.iter().copied().fold(1.0, f64::min);
+    assert!(min >= 0.95, "a leaf of the ascending load is {min} full");
     for i in (0..n).step_by(211) {
-        let k = format!("row{:08}", i);
-        assert!(master.get(k.as_bytes()).unwrap().is_some(), "{k}");
+        let (k, v) = bulk_row(i);
+        assert_eq!(master.get(&k).unwrap(), Some(v), "row {i}");
+    }
+}
+
+#[test]
+fn dense_load_reads_the_same_through_master_replica_and_snapshot() {
+    let db = launch();
+    let master = db.master();
+    let replica = db.add_replica().unwrap();
+    let n = bulk_load(&master, 80);
+    settle(&db);
+    master.create_snapshot("dense");
+    sync_replica(&db, &replica);
+    let fills = leaf_fills(&master);
+    let mean = fills.iter().sum::<f64>() / fills.len() as f64;
+    assert!(mean >= 0.9, "mean leaf fill {mean}");
+
+    let expected: Vec<_> = (0..n).map(bulk_row).collect();
+    assert_eq!(master.scan(b"", usize::MAX).unwrap(), expected);
+    assert_eq!(replica.scan(b"", usize::MAX).unwrap(), expected);
+    assert_eq!(
+        master.snapshot_scan("dense", b"", usize::MAX).unwrap(),
+        expected
+    );
+    // Bounded scans (the LIMIT-sized readahead) and point reads, from
+    // starts on both sides of leaf and slice boundaries.
+    for start in (0..n).step_by(97) {
+        let (k, v) = bulk_row(start);
+        let end = (start as usize + 20).min(expected.len());
+        let want = &expected[start as usize..end];
+        assert_eq!(master.scan(&k, 20).unwrap(), want, "master from {start}");
+        assert_eq!(replica.scan(&k, 20).unwrap(), want, "replica from {start}");
+        assert_eq!(
+            master.snapshot_scan("dense", &k, 20).unwrap(),
+            want,
+            "snapshot from {start}"
+        );
+        assert_eq!(replica.get(&k).unwrap().as_ref(), Some(&v));
+        assert_eq!(master.snapshot_get("dense", &k).unwrap(), Some(v));
     }
 }
 

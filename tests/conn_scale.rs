@@ -198,6 +198,18 @@ fn grouped_reads_survive_concurrent_writes_and_replica_loss() {
         t.commit().unwrap();
     }
     settle(&db);
+    // `settle` waits for one ack per fragment. Wait for all three replicas:
+    // one that still trails the pin refuses the first read at it, takes the
+    // planner's failure penalty, and stops being its slice's first choice —
+    // and the node killed below must be somebody's first choice.
+    for _ in 0..6000 {
+        let _ = master.sal.poll_persistent_lsns();
+        if master.sal.database_persistent_lsn() == master.sal.durable_lsn() {
+            break;
+        }
+        master.maintain();
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
     let ids = all_page_ids(&db);
     let pin = master.create_snapshot("pin");
 
