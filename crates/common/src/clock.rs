@@ -77,10 +77,13 @@ impl Clock for SystemClock {
         // 70µs-random-write asymmetry the benchmarks rely on). A spin
         // holds its core, so a latency must be waited out by a thread
         // that is blocked on it anyway: the caller of an RPC waits its
-        // hops (a fan-out's submitting thread waits them for every leg
-        // at once), a handler waits its device charge. A thread that
-        // spins on behalf of someone else's message turns parallel waits
-        // into serial ones as soon as threads outnumber cores.
+        // hops and its handler's device time as one deadline (a fan-out's
+        // submitting thread waits them for every leg at once); only a
+        // device charge nobody is waiting on — background consolidation,
+        // a direct device call — is waited by the thread that made it. A
+        // thread that spins on behalf of someone else's message turns
+        // parallel waits into serial ones as soon as threads outnumber
+        // cores.
         if us < 200 {
             let deadline = self.origin.elapsed() + Duration::from_micros(us);
             while self.origin.elapsed() < deadline {

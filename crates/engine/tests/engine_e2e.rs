@@ -408,9 +408,13 @@ fn master_crash_under_a_live_background_beat_recovers_with_truncation_due() {
 }
 
 /// A manual clock that runs a hook in the middle of the `n`-th wait the
-/// arming thread makes: every fabric hop waits (for zero µs on the instant
-/// profile), so this interposes at a chosen RPC boundary, deterministically
-/// and on the waiting thread itself.
+/// arming thread makes. An RPC waits on two deadlines — its request's
+/// arrival, then its reply (the handler's device time and the response hop
+/// in one wait) — and a fan-out on one per leg plus one for the last reply.
+/// On the instant profile every one of them has already passed, so the
+/// hook counts deadline waits (`sleep_until`) whether or not they sleep:
+/// that interposes at a chosen RPC boundary, deterministically and on the
+/// waiting thread itself.
 #[derive(Default)]
 struct HookClock {
     time: ManualClock,
@@ -429,12 +433,9 @@ impl std::fmt::Debug for HookClock {
     }
 }
 
-impl Clock for HookClock {
-    fn now_us(&self) -> u64 {
-        self.time.now_us()
-    }
-
-    fn sleep_us(&self, us: u64) {
+impl HookClock {
+    /// Counts one wait of the armed thread and runs the hook on its `n`-th.
+    fn interpose(&self) {
         let due = {
             let mut armed = self.armed.lock();
             match armed.as_mut() {
@@ -452,25 +453,41 @@ impl Clock for HookClock {
         if let Some(arm) = due {
             (arm.hook)();
         }
+    }
+}
+
+impl Clock for HookClock {
+    fn now_us(&self) -> u64 {
+        self.time.now_us()
+    }
+
+    fn sleep_us(&self, us: u64) {
+        self.interpose();
         self.time.sleep_us(us);
+    }
+
+    fn sleep_until(&self, deadline_us: u64) {
+        self.interpose();
+        self.time.sleep_until(deadline_us);
     }
 }
 
 #[test]
 fn dead_masters_recovery_round_cannot_run_at_any_rpc_of_the_recover() {
     // The race, forced: truncation is due, and one recovery round fires in
-    // the middle of the `n`-th RPC of `crash_and_recover_master`, for every
-    // `n` (stride 3) until the recover is shorter than that. Unfenced, a
-    // round that lands after the new SAL has listed the PLogs and before it
-    // has read them is the OLD master's: it truncates the log underneath
-    // and the recover fails with `PLogNotFound`.
+    // the middle of the `n`-th wait of `crash_and_recover_master` — both
+    // deadlines of every RPC — for every `n` until the recover is shorter
+    // than that. Unfenced, a round that lands after the new SAL has listed
+    // the PLogs and before it has read them is the OLD master's: it
+    // truncates the log underneath and the recover fails with
+    // `PLogNotFound`.
     let cfg = TaurusConfig {
         plog_size_limit: 1 << 10,
         log_buffer_bytes: 1,
         slice_buffer_bytes: 1,
         ..TaurusConfig::test()
     };
-    for n in (1..).step_by(3) {
+    for n in 1.. {
         let clock = Arc::new(HookClock::default());
         let db = TaurusDb::launch_with_clock(cfg.clone(), 5, 6, clock.clone(), 7).unwrap();
         let master = db.master();
@@ -498,7 +515,9 @@ fn dead_masters_recovery_round_cannot_run_at_any_rpc_of_the_recover() {
             assert!(master.get(k.as_bytes()).unwrap().is_some(), "{k} lost");
         }
         if !fired {
-            // The recover made fewer than `n` calls: every boundary is done.
+            // The recover made fewer than `n` waits: every boundary is done.
+            // It makes 36 today; far fewer means the clock no longer sees the
+            // RPCs and the sweep tests nothing.
             assert!(n > 30, "recover made only {n} waits: the sweep is vacuous");
             return;
         }

@@ -9,7 +9,18 @@
 //!
 //! Two backends: an in-memory buffer (default; fast, deterministic) and a
 //! real temp file (used by durability-oriented tests).
+//!
+//! **Device time is a deadline, not a spin.** While a fabric handler runs
+//! (`run_handler`, entered by `Fabric::call` / `call_all`) its thread carries
+//! a model-time *cursor* that starts at the request's arrival. A charge made
+//! inside the handler still queues on the device's busy-until time, but
+//! instead of blocking it moves the cursor to the I/O's completion; the
+//! fabric adds the response hop to the cursor and the RPC's caller — who is
+//! waiting for the reply anyway — waits out device time and hop in one
+//! sleep. Outside a handler (background consolidation, direct server or
+//! device calls) nobody else is waiting, so a charge blocks its own thread.
 
+use std::cell::Cell;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -20,6 +31,48 @@ use parking_lot::Mutex;
 use taurus_common::clock::ClockRef;
 use taurus_common::config::StorageProfile;
 use taurus_common::{Result, TaurusError};
+
+thread_local! {
+    /// The fabric handler running on this thread: which clock it runs on
+    /// (by address — a cursor means nothing on another clock) and the model
+    /// time (µs) it has reached. `None` outside a handler.
+    static HANDLER_CURSOR: Cell<Option<(usize, u64)>> = const { Cell::new(None) };
+}
+
+fn clock_id(clock: &ClockRef) -> usize {
+    std::sync::Arc::as_ptr(clock) as *const () as usize
+}
+
+/// The current handler's cursor, if this thread is inside one on `clock`.
+fn cursor_on(clock: &ClockRef) -> Option<u64> {
+    HANDLER_CURSOR
+        .get()
+        .and_then(|(id, at)| (id == clock_id(clock)).then_some(at))
+}
+
+/// This thread's model time on `clock`: the clock's reading, or — inside a
+/// handler that has issued device I/O — the later time that I/O completes.
+pub(crate) fn model_now(clock: &ClockRef) -> u64 {
+    clock.now_us().max(cursor_on(clock).unwrap_or(0))
+}
+
+/// Runs `f` as the handler of a request that arrived at `arrived_at` on
+/// `clock`. Device charges inside `f` advance a cursor instead of blocking;
+/// returns `f`'s output and the model time at which the handler is done (no
+/// earlier than the clock reads now: handler CPU time is real). The
+/// enclosing handler's cursor, if any, is restored on the way out — also
+/// when `f` unwinds.
+pub(crate) fn run_handler<T>(clock: &ClockRef, arrived_at: u64, f: impl FnOnce() -> T) -> (T, u64) {
+    struct Restore(Option<(usize, u64)>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            HANDLER_CURSOR.set(self.0);
+        }
+    }
+    let _outer = Restore(HANDLER_CURSOR.replace(Some((clock_id(clock), arrived_at))));
+    let out = f();
+    (out, model_now(clock))
+}
 
 enum Backend {
     Memory(Vec<u8>),
@@ -57,20 +110,24 @@ impl std::fmt::Debug for StorageDevice {
 
 impl StorageDevice {
     /// Charges `us` of device time: the request queues behind in-flight
-    /// I/O, then occupies the device for `us`.
+    /// I/O, then occupies the device for `us`. Inside a fabric handler the
+    /// completion time goes to the handler's cursor (the RPC's caller waits
+    /// it out with the reply); anywhere else this thread blocks until then.
     fn charge(&self, us: u64) {
         if us == 0 {
             return;
         }
-        let now = self.clock.now_us();
+        let cursor = cursor_on(&self.clock);
+        let now = self.clock.now_us().max(cursor.unwrap_or(0));
         let done = {
             let mut busy = self.busy_until_us.lock();
             let start = (*busy).max(now);
             *busy = start + us;
             *busy
         };
-        if done > now {
-            self.clock.sleep_us(done - now);
+        match cursor {
+            Some(_) => HANDLER_CURSOR.set(Some((clock_id(&self.clock), done))),
+            None => self.clock.sleep_us(done - now),
         }
     }
 
@@ -282,6 +339,43 @@ mod tests {
         assert_eq!(clock.now_us(), 45);
         dev.read(0, 1).unwrap();
         assert_eq!(clock.now_us(), 105);
+    }
+
+    #[test]
+    fn a_handlers_charges_move_its_cursor_and_block_nobody() {
+        let profile = StorageProfile {
+            append_us: 20,
+            random_write_us: 70,
+            read_us: 60,
+        };
+        let (dev, clock) = mem_dev(profile);
+        let fabric_clock: ClockRef = clock.clone();
+        clock.set(1_000);
+        let ((), done_at) = run_handler(&fabric_clock, 1_000, || {
+            dev.append(b"x").unwrap();
+            assert_eq!(model_now(&fabric_clock), 1_020);
+            // A nested handler (this one made an RPC of its own) has its own
+            // cursor; ours is back when it returns.
+            let ((), inner_done) = run_handler(&fabric_clock, 1_500, || {
+                dev.read(0, 1).unwrap();
+            });
+            assert_eq!(inner_done, 1_560);
+            assert_eq!(model_now(&fabric_clock), 1_020);
+            // The device is one queue whoever charges it: busy until 1 560.
+            dev.append(b"y").unwrap();
+        });
+        assert_eq!(done_at, 1_580);
+        assert_eq!(clock.now_us(), 1_000, "no charge blocked the handler");
+        // Outside a handler a charge blocks for its queue wait and its time.
+        dev.append(b"z").unwrap();
+        assert_eq!(clock.now_us(), 1_600);
+        // A cursor means nothing on another clock: a device that keeps its
+        // own time blocks on it even inside a handler.
+        let (other, other_clock) = mem_dev(profile);
+        let ((), done_at) = run_handler(&fabric_clock, 1_600, || {
+            other.append(b"x").unwrap();
+        });
+        assert_eq!((done_at, other_clock.now_us()), (1_600, 20));
     }
 
     #[test]

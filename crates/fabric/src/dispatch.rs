@@ -1,39 +1,27 @@
-//! Bounded-worker event dispatcher behind the fabric fan-out primitives.
-//!
-//! Before this module, every fan-out leg (`Fabric::call_all`, the SAL
-//! read/scan planners, the write-pipeline flushers) paid one OS thread per
-//! RPC via `std::thread::scope`, which caps realistic concurrency at tens
-//! of connections. The dispatcher replaces that with a fixed pool of
-//! workers fed from a submission queue:
+//! Bounded worker pool for the work that genuinely needs a thread:
+//! [`crate::Fabric::fan_out`] jobs that make their own RPCs and
+//! `spawn_detached` drainers. A fabric leg (`Fabric::call_all` /
+//! `call_grouped`) never comes here — its handler runs on the submitting
+//! thread at the leg's arrival, so a message in flight costs neither a core
+//! nor a thread hand-off.
 //!
 //! * **Scoped batches without scoped threads.** A fan-out borrows caller
 //!   state (`'env` closures), but pool workers are `'static`. A batch
 //!   lives on the caller's stack; the queue holds type-erased *tickets*
-//!   pointing at it. Safety comes from a strict hand-over protocol: the
-//!   caller returns only after every job has finished **and** every
-//!   ticket has either been removed from the queue by the caller or
-//!   explicitly consumed by the worker that popped it — so no worker can
+//!   pointing at it. The caller returns only after every job has finished
+//!   **and** every ticket has either been removed from the queue by the
+//!   caller or consumed by the worker that popped it — so no worker can
 //!   hold a dangling batch pointer.
 //! * **Caller helps.** The submitting thread runs unclaimed jobs itself
-//!   while it waits. A batch therefore always completes even if the pool
-//!   is saturated or sized to zero, which gives deadlock- and
-//!   starvation-freedom by construction (nested fan-outs included: a
-//!   worker whose job fans out again simply helps run the inner batch).
-//! * **Semantics preserved.** Jobs are claimed in submission order,
-//!   results return in input order, and a job panic is caught and
-//!   re-raised on the submitting thread after the rest of the batch
-//!   drains — exactly the contract the scoped-thread implementation had.
-//! * **Release times.** A job may carry a fabric-clock time before which
-//!   it must not start (a message's arrival, see `Fabric::call_all`). The
-//!   *submitting* thread — blocked for the whole batch anyway — waits
-//!   that time out and only then makes the job claimable, so a pool
-//!   worker never holds a core on behalf of a message still in flight and
-//!   `busy_us` counts handler time only.
-//! * **Detached jobs.** `spawn_detached` queues a `'static` closure with
-//!   no completion handle (used by the SAL write pipeline's per-node
-//!   drainers). Detached closures must hold only weak references to
-//!   fabric users, or shutdown would wait on them keeping the fabric
-//!   alive.
+//!   while it waits, so a batch completes even if the pool is saturated or
+//!   sized to zero: deadlock- and starvation-free by construction (a worker
+//!   whose job fans out again simply helps run the inner batch).
+//! * **Order and panics.** Jobs are claimed in submission order, results
+//!   return in input order, and a job panic is re-raised on the submitting
+//!   thread after the rest of the batch drains.
+//! * **Detached jobs** have no completion handle (the SAL write pipeline's
+//!   per-node drainers) and must hold only weak references to fabric
+//!   users, or shutdown would wait on them keeping the fabric alive.
 //!
 //! No lock is held while a job body runs, so the dispatcher adds no
 //! edges to the canonical lock order beyond its own leaf classes
@@ -100,10 +88,11 @@ pub struct DispatchStats {
     pub max_queue_depth: Gauge,
     /// Workers currently executing an item.
     pub busy_workers: Gauge,
-    /// Jobs executed on pool workers.
+    /// `fan_out` jobs executed on pool workers.
     pub pool_jobs: Counter,
-    /// Jobs executed inline by the submitting thread (caller-helps, plus
-    /// single-job fast paths).
+    /// Work executed by the thread that submitted it: every fabric leg's
+    /// handler (`Fabric::call_all` / `call_grouped`), plus the `fan_out`
+    /// jobs the caller ran itself (caller-helps, single-job batches).
     pub inline_jobs: Counter,
     /// Detached jobs executed.
     pub detached_jobs: Counter,
@@ -112,8 +101,8 @@ pub struct DispatchStats {
     /// Microseconds workers spent executing items (fabric clock), summed
     /// over workers. `busy_workers` is a point sample that reads 0 whenever
     /// the pool has drained, which is when benches look; this integrates.
-    /// Handler time only: a fan-out's hop latency is waited out by its
-    /// submitting thread, never by a worker.
+    /// `fan_out` and detached jobs only: no fabric leg — neither its hops
+    /// nor its handler — ever runs on a worker.
     pub busy_us: Counter,
 }
 
@@ -189,10 +178,10 @@ impl Shared {
         if depth > self.stats.max_queue_depth.get() {
             self.stats.max_queue_depth.set(depth);
         }
-        match added {
-            0 => {}
-            1 => self.queue_cv.notify_one(),
-            _ => self.queue_cv.notify_all(),
+        // One worker per queued item: waking the whole pool for a batch of
+        // two sends the rest straight back to sleep through the queue lock.
+        for _ in 0..added {
+            self.queue_cv.notify_one();
         }
     }
 
@@ -333,52 +322,31 @@ impl Dispatch {
         self.shared.push([Item::Detached(f)]);
     }
 
+    /// Counts `n` jobs or fabric-leg handlers run by the thread that
+    /// submitted them.
+    pub(crate) fn note_inline(&self, n: usize) {
+        self.shared.stats.inline_jobs.add(n as u64);
+    }
+
     /// Runs `jobs` to completion — on pool workers where available, on the
     /// calling thread otherwise — and returns their results in input
     /// order. A job panic is re-raised here after the batch drains.
     pub(crate) fn fan_out<'env, T: Send + 'env>(
         &self,
-        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'env>>,
+        mut jobs: Vec<Box<dyn FnOnce() -> T + Send + 'env>>,
     ) -> Vec<T> {
-        self.fan_out_at(jobs.into_iter().map(|job| (0, job)).collect())
-    }
-
-    /// [`Dispatch::fan_out`] for jobs that each carry a release time on the
-    /// pool's clock: a job starts no earlier than its own time and, while
-    /// a worker is free, is not held back by a sibling's later one. The
-    /// calling thread does all the waiting — it sleeps until the earliest
-    /// outstanding release time, makes every job due by then claimable,
-    /// and repeats; only after the last release does it help run what no
-    /// worker has claimed (helping earlier would delay the next release by
-    /// a job's length), so with no worker free the batch runs on it after
-    /// the latest release time. Jobs at time `0` are due at once, so an
-    /// all-zero batch is a single push: the plain fan-out.
-    pub(crate) fn fan_out_at<'env, T: Send + 'env>(&self, jobs: Vec<TimedJob<'env, T>>) -> Vec<T> {
         let n = jobs.len();
-        let clock = &self.shared.clock;
         if n == 0 {
             return Vec::new();
         }
         if n == 1 {
-            // Single job (a fan-out's only leg left in flight): run it
-            // inline at its release time, skip the queue entirely so pool
-            // sizing never affects single-RPC latency.
-            self.shared.stats.inline_jobs.inc();
-            let mut jobs = jobs;
-            let (at, job) = jobs.remove(0);
-            clock.sleep_until(at);
-            return vec![job()];
+            // Single job: run inline, skip the queue entirely so pool
+            // sizing never affects a one-job batch.
+            self.note_inline(1);
+            return vec![jobs.remove(0)()];
         }
         self.ensure_workers();
-        // Release order; the index keeps each job's result slot.
-        let mut waiting: Vec<(u64, PendingJob<'env, T>)> = jobs
-            .into_iter()
-            .enumerate()
-            .map(|(idx, (at, job))| (at, (idx, job)))
-            .collect();
-        waiting.sort_by_key(|(at, _)| *at);
-        let mut waiting = waiting.into_iter().peekable();
-        let batch = FanBatch::new(n);
+        let batch = FanBatch::new(jobs);
         // Erase the batch lifetime for the queue. Soundness rests on the
         // wait below: we do not return (and thus drop `batch`) until every
         // job is done and every ticket is accounted for.
@@ -388,37 +356,16 @@ impl Dispatch {
             unsafe { std::mem::transmute(p) }
         };
         // One ticket per job the pool could take; the caller runs at least
-        // one job itself, so the job released last gets none and `n - 1`
-        // tickets suffice.
-        let mut posted = 0;
-        while let Some((at, first)) = waiting.next() {
-            // The clock is foreign code and tickets already point at this
-            // stack frame: nothing may unwind from here. If it panics,
-            // release everything now and re-raise once the batch drained.
-            let now = catch_unwind(AssertUnwindSafe(|| {
-                clock.sleep_until(at);
-                clock.now_us()
-            }))
-            .unwrap_or_else(|p| {
-                batch.record_panic(p);
-                u64::MAX
-            });
-            let mut due = vec![first];
-            while let Some((_, job)) = waiting.next_if(|(at, _)| *at <= now) {
-                due.push(job);
-            }
-            let tickets = due.len() - usize::from(waiting.peek().is_none());
-            batch.release(due);
-            self.shared
-                .push((0..tickets).map(|_| Item::Ticket(Ticket { batch: ptr })));
-            posted += tickets;
-        }
+        // one job itself, so `n - 1` tickets suffice.
+        let posted = n - 1;
+        self.shared
+            .push((0..posted).map(|_| Item::Ticket(Ticket { batch: ptr })));
         // Help: drain unclaimed jobs on this thread.
         let mut helped = 0;
         while batch.claim_and_run() {
             helped += 1;
         }
-        self.shared.stats.inline_jobs.add(helped);
+        self.note_inline(helped);
         // All jobs are claimed now; any ticket still queued is stale and
         // can be unhooked directly instead of waiting for a worker.
         let removed = {
@@ -476,11 +423,8 @@ struct Progress {
 /// A not-yet-claimed fan-out job: its result slot index plus the closure.
 type PendingJob<'env, T> = (usize, Box<dyn FnOnce() -> T + Send + 'env>);
 
-/// A fan-out job and the clock time (µs) before which it may not start.
-pub(crate) type TimedJob<'env, T> = (u64, Box<dyn FnOnce() -> T + Send + 'env>);
-
-/// The caller-stack state of one fan-out: released but unclaimed jobs,
-/// result slots, and completion/consumption progress.
+/// The caller-stack state of one fan-out: unclaimed jobs, result slots,
+/// and completion/consumption progress.
 struct FanBatch<'env, T: Send> {
     total: usize,
     jobs: Mutex<VecDeque<PendingJob<'env, T>>>,
@@ -490,11 +434,12 @@ struct FanBatch<'env, T: Send> {
 }
 
 impl<'env, T: Send> FanBatch<'env, T> {
-    /// A batch that will run `total` jobs; none is claimable until released.
-    fn new(total: usize) -> Self {
+    /// A batch of `jobs`, claimable in input order.
+    fn new(jobs: Vec<Box<dyn FnOnce() -> T + Send + 'env>>) -> Self {
+        let total = jobs.len();
         FanBatch {
             total,
-            jobs: Mutex::new(VecDeque::with_capacity(total)),
+            jobs: Mutex::new(jobs.into_iter().enumerate().collect()),
             results: Mutex::new((0..total).map(|_| None).collect()),
             sync: Mutex::new(Progress {
                 done: 0,
@@ -503,11 +448,6 @@ impl<'env, T: Send> FanBatch<'env, T> {
             }),
             cv: Condvar::new(),
         }
-    }
-
-    /// Makes `jobs` claimable, in order.
-    fn release(&self, jobs: Vec<PendingJob<'env, T>>) {
-        self.jobs.lock().extend(jobs);
     }
 
     /// Blocks until all jobs are done and `expected_consumed` tickets have
@@ -633,55 +573,6 @@ mod tests {
         assert!(msg.contains("exploded"), "unexpected panic payload: {msg}");
         // Every non-panicking job still ran before the re-raise.
         assert_eq!(done.load(Ordering::Relaxed), 5);
-    }
-
-    #[test]
-    fn timed_jobs_start_at_their_own_time_and_a_panicking_clock_unwinds_only_after_the_drain() {
-        use taurus_common::clock::{Clock, ManualClock};
-        // Release times are honoured per job, on the caller's clock.
-        let clock = ManualClock::shared();
-        let d = Dispatch::new(2, clock.clone());
-        let seen = |clock: &Arc<ManualClock>| {
-            let clock = Arc::clone(clock);
-            Box::new(move || clock.now_us()) as Box<dyn FnOnce() -> u64 + Send>
-        };
-        let out = d.fan_out_at(vec![
-            (700, seen(&clock)),
-            (0, seen(&clock)),
-            (300, seen(&clock)),
-        ]);
-        assert!(out[0] >= 700 && out[2] >= 300, "{out:?}");
-        assert_eq!(clock.now_us(), 700, "the caller waits to the last release");
-
-        // A clock that panics while tickets point at the caller's stack:
-        // every job still runs, then the panic is re-raised.
-        #[derive(Debug)]
-        struct Broken;
-        impl Clock for Broken {
-            fn now_us(&self) -> u64 {
-                0
-            }
-            fn sleep_us(&self, _: u64) {
-                panic!("clock exploded");
-            }
-        }
-        let d = Dispatch::new(2, Arc::new(Broken));
-        let ran = Arc::new(AtomicU64::new(0));
-        let jobs = (0..4u64)
-            .map(|i| {
-                let ran = Arc::clone(&ran);
-                let job = move || {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                };
-                (i * 100, Box::new(job) as Box<dyn FnOnce() + Send>)
-            })
-            .collect();
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| d.fan_out_at(jobs)))
-            .expect_err("panic must propagate");
-        assert!(err
-            .downcast_ref::<&str>()
-            .is_some_and(|m| m.contains("clock exploded")));
-        assert_eq!(ran.load(Ordering::Relaxed), 4);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Node registry, RPC latency model, and failure injection.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -11,7 +12,8 @@ use taurus_common::clock::ClockRef;
 use taurus_common::config::NetworkProfile;
 use taurus_common::{NodeId, Result, TaurusError};
 
-use crate::dispatch::{Dispatch, DispatchSnapshot, TimedJob, DEFAULT_FABRIC_WORKERS};
+use crate::device::{model_now, run_handler};
+use crate::dispatch::{Dispatch, DispatchSnapshot, DEFAULT_FABRIC_WORKERS};
 
 /// Input to [`Fabric::call_grouped`]: per target node, the handlers to run
 /// inside that node's single envelope.
@@ -88,9 +90,10 @@ impl Fabric {
     }
 
     /// Sets the dispatcher pool size (`TaurusConfig::fabric_workers`).
-    /// Workers spawn lazily up to the target; fan-outs stay correct at any
-    /// size (including zero) because the submitting thread helps run its
-    /// own jobs.
+    /// Workers spawn lazily up to the target, and only [`Fabric::fan_out`]
+    /// and [`Fabric::spawn_detached`] use them; `fan_out` stays correct at
+    /// any size (including zero) because the submitting thread helps run
+    /// its own jobs.
     pub fn set_workers(&self, n: usize) {
         self.inner.dispatch.set_workers(n);
     }
@@ -296,17 +299,19 @@ impl Fabric {
     /// up, charges one hop of latency for the request and one for the
     /// response, and runs `f` as the remote handler.
     ///
-    /// The *caller thread* is the network in this model: concurrency comes
-    /// from the many front-end/flusher threads issuing calls in parallel.
+    /// The calling thread is blocked for the whole round trip anyway, so it
+    /// does everything: it waits until the request arrives, runs the handler
+    /// itself, and then waits **once** until the reply lands — the handler's
+    /// device time (a deadline on its cursor, see [`crate::device`]) and the
+    /// response hop in one sleep. Concurrency comes from the many
+    /// front-end/flusher threads issuing calls in parallel.
     pub fn call<T>(&self, _from: NodeId, to: NodeId, f: impl FnOnce() -> T) -> Result<T> {
         let (fail_permille, extra_delay_us) = self.admit(to)?;
-        self.clock.sleep_us(self.hop_latency_us());
-        if extra_delay_us > 0 {
-            self.clock.sleep_us(extra_delay_us);
-        }
+        let arrives_at = model_now(&self.clock) + self.hop_latency_us() + extra_delay_us;
+        self.clock.sleep_until(arrives_at);
         self.arrive(to, fail_permille)?;
-        let out = f();
-        self.clock.sleep_us(self.hop_latency_us());
+        let (out, done_at) = run_handler(&self.clock, arrives_at, f);
+        self.clock.sleep_until(done_at + self.hop_latency_us());
         Ok(out)
     }
 
@@ -316,30 +321,30 @@ impl Fabric {
     /// (paper §3.2: ack latency is the max of the three replica writes, not
     /// their sum), and the one leg runner [`Fabric::call_grouped`] rides too.
     ///
-    /// Each leg costs what [`Fabric::call`] would charge it, but every
-    /// microsecond of network time is waited out by the submitting thread:
-    /// a message in flight is data, not a thread. At submission each leg is
-    /// admitted like a `call` (a target that is down fails its leg on the
-    /// spot, and the leg never reaches the dispatcher) and draws its request and response hop from the seeded RNG, in
-    /// leg order; that fixes the leg's *arrival time* on the fabric clock
-    /// (submission + request hop + injected delay). The submitting thread —
-    /// blocked for the whole fan-out anyway — hands each leg to the
-    /// dispatcher when its arrival time comes (running the last to arrive
-    /// itself), so a pool worker only ever runs a handler: the arrival-time
-    /// liveness re-check and flaky draw, then the handler with its device
-    /// charges. When every handler is done the submitter waits until the
-    /// last reply has come back (`handler_done + response hop`, per leg).
+    /// Each leg costs what [`Fabric::call`] would charge it, but the legs'
+    /// latencies overlap and the submitting thread — blocked for the whole
+    /// fan-out anyway — is the only thread involved: a message in flight is
+    /// data, and a handler someone is waiting on needs no hand-off. At
+    /// submission each leg is admitted like a `call` (a target that is down
+    /// fails its leg on the spot) and draws its request and response hop
+    /// from the seeded RNG, in leg order; that fixes the leg's *arrival
+    /// time* on the fabric clock (submission + request hop + injected
+    /// delay). The submitting thread then takes the legs in arrival order:
+    /// it waits until the leg's arrival, makes the arrival-time liveness
+    /// re-check and flaky draw, and runs the handler, whose device charges
+    /// advance a cursor from the arrival time instead of blocking (see
+    /// [`crate::device`]). The leg's reply lands at `cursor + response hop`;
+    /// when every handler has run the submitter waits once, until the last
+    /// reply.
     ///
     /// So the fan-out returns no earlier than its longest leg,
-    /// `max_i(request_i + delay_i + handler_i + response_i)`; a handler
-    /// never starts before its own arrival, nor — while a pool worker is
-    /// free — later because a sibling leg is slow; and failure stays per
-    /// leg. Three legs do not need three cores to overlap their hops. Once
-    /// the last leg has arrived the submitting thread helps run unclaimed
-    /// handlers, so an exhausted (or zero-sized) pool degrades to inline
-    /// execution, in arrival order after the last arrival, rather than
-    /// blocking; a single call *is* a [`Fabric::call`]. A handler panic
-    /// propagates to the caller after the other calls finish.
+    /// `max_i(request_i + delay_i + device queue_i + device_i + response_i)`,
+    /// and exactly then on a manual clock; a handler never starts before its
+    /// own arrival, nor later because a sibling's *message* is slow (only a
+    /// sibling's handler CPU time, which is real and serial, can delay it);
+    /// and failure stays per leg. Three legs need neither three cores nor
+    /// three threads to overlap. A single call *is* a [`Fabric::call`]. A
+    /// handler panic propagates to the caller after the other legs ran.
     pub fn call_all<'env, T: Send + 'env>(
         &'env self,
         from: NodeId,
@@ -350,44 +355,50 @@ impl Fabric {
             let (to, f) = calls.remove(0);
             return vec![self.call(from, to, f)];
         }
-        let sent_at = self.clock.now_us();
+        let sent_at = model_now(&self.clock);
         // A leg refused at admission has its answer already; each leg in
-        // flight becomes a job that yields its handler's output and the
-        // time its reply lands.
-        let mut refused: Vec<Option<TaurusError>> = Vec::with_capacity(calls.len());
-        let mut jobs: Vec<TimedJob<'env, Result<(T, u64)>>> = Vec::new();
-        for (to, f) in calls {
+        // flight is (arrival, result slot, target, flaky per-mille,
+        // response hop, handler).
+        let mut results: Vec<Option<Result<T>>> = Vec::with_capacity(calls.len());
+        let mut legs = Vec::with_capacity(calls.len());
+        for (slot, (to, f)) in calls.into_iter().enumerate() {
             match self.admit(to) {
                 Ok((fail_permille, extra_delay_us)) => {
                     let arrives_at = sent_at + self.hop_latency_us() + extra_delay_us;
                     let response_us = self.hop_latency_us();
-                    let job = move || {
-                        self.arrive(to, fail_permille)?;
-                        let out = f();
-                        Ok((out, self.clock.now_us() + response_us))
-                    };
-                    jobs.push((arrives_at, Box::new(job)));
-                    refused.push(None);
+                    legs.push((arrives_at, slot, to, fail_permille, response_us, f));
+                    results.push(None);
                 }
-                Err(e) => refused.push(Some(e)),
+                Err(e) => results.push(Some(Err(e))),
             }
         }
-        let mut replies = self.inner.dispatch.fan_out_at(jobs).into_iter();
+        legs.sort_by_key(|leg| leg.0);
+        self.inner.dispatch.note_inline(legs.len());
         let mut last_reply_at = 0;
-        let results = refused
-            .into_iter()
-            .map(|refused| {
-                if let Some(e) = refused {
-                    return Err(e);
-                }
-                let lost = || TaurusError::Internal("fan-out lost a leg".into());
-                let (out, reply_at) = replies.next().ok_or_else(lost)??;
-                last_reply_at = last_reply_at.max(reply_at);
+        let mut panic = None;
+        for (arrives_at, slot, to, fail_permille, response_us, f) in legs {
+            self.clock.sleep_until(arrives_at);
+            results[slot] = Some(self.arrive(to, fail_permille).and_then(|()| {
+                // A panicking handler must not take its siblings down with
+                // it: they run first, then the panic resumes below.
+                let ran =
+                    catch_unwind(AssertUnwindSafe(|| run_handler(&self.clock, arrives_at, f)));
+                let (out, done_at) = ran.map_err(|p| {
+                    panic.get_or_insert(p);
+                    TaurusError::Internal("fan-out handler panicked".into())
+                })?;
+                last_reply_at = last_reply_at.max(done_at + response_us);
                 Ok(out)
-            })
-            .collect();
+            }));
+        }
+        if let Some(p) = panic {
+            resume_unwind(p);
+        }
         self.clock.sleep_until(last_reply_at);
         results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|| Err(TaurusError::Internal("fan-out lost a leg".into()))))
+            .collect()
     }
 
     /// Runs caller-supplied jobs concurrently on the bounded dispatcher
@@ -492,7 +503,9 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StorageDevice;
     use taurus_common::clock::{Clock, ManualClock};
+    use taurus_common::config::StorageProfile;
 
     /// A manual clock that records every wait (who asked, for how long) and
     /// lets a test act at the first one — i.e. while a fan-out's requests
@@ -545,16 +558,7 @@ mod tests {
 
     fn test_fabric() -> (Fabric, Arc<ManualClock>) {
         let clock = ManualClock::shared();
-        let fabric = Fabric::new(
-            clock.clone(),
-            NetworkProfile {
-                hop_us: 100,
-                jitter_us: 0,
-                master_nic_bytes_per_sec: 0,
-            },
-            42,
-        );
-        (fabric, clock)
+        (Fabric::new(clock.clone(), HOP_100, 42), clock)
     }
 
     #[test]
@@ -744,7 +748,7 @@ mod tests {
             Err(TaurusError::NodeUnavailable(n)) if n == targets[1]
         ));
         assert_eq!(*results[2].as_ref().unwrap(), 20);
-        // A leg refused at submission never reaches the dispatcher; the
+        // A leg refused at submission draws nothing and waits nothing; the
         // one leg left in flight still waits out its own two hops.
         f.set_down(targets[0]);
         let before = clock.now_us();
@@ -754,47 +758,137 @@ mod tests {
         assert_eq!(clock.now_us() - before, 200);
     }
 
-    #[test]
-    fn call_all_charges_each_call_independently() {
-        // Hop time belongs to the message, not to a thread: legs in flight
-        // together overlap in virtual time exactly as on a real network, so
-        // a fan-out advances the clock by its longest leg. (The old model
-        // slept each leg's hops on its own worker, and concurrent
-        // `ManualClock` sleeps sum: three 2-hop legs read as 600.)
-        let (f, clock) = test_fabric();
-        let a = f.add_node(NodeKind::Compute);
-        let targets = f.add_nodes(NodeKind::LogStore, 3);
-        let before = clock.now_us();
-        let results = f.call_all(a, noop_legs(&targets));
-        assert!(results.iter().all(|r| r.is_ok()));
-        assert_eq!(clock.now_us() - before, 200);
-        // Each leg still pays for itself: with per-leg injected delays the
-        // fan-out costs the slowest leg (2 hops + 5000), not less, and not
-        // the 600 + 5500 of the legs laid end to end.
-        f.set_call_delay(targets[0], 500);
-        f.set_call_delay(targets[2], 5_000);
-        let before = clock.now_us();
-        let results = f.call_all(a, noop_legs(&targets));
-        assert!(results.iter().all(|r| r.is_ok()));
-        assert_eq!(clock.now_us() - before, 5_200);
-    }
+    const DISK: StorageProfile = StorageProfile {
+        append_us: 20,
+        random_write_us: 70,
+        read_us: 60,
+    };
 
     #[test]
-    fn fan_out_network_time_is_waited_once_on_the_submitting_thread() {
+    fn fan_out_runs_every_handler_on_the_submitting_thread_at_its_arrival_and_returns_with_the_last_reply(
+    ) {
         let (f, clock) = probe_fabric(HOP_100, 42);
         let a = f.add_node(NodeKind::Compute);
         let targets = f.add_nodes(NodeKind::LogStore, 3);
-        let results = f.call_all(a, noop_legs(&targets));
-        assert!(results.iter().all(|r| r.is_ok()));
-        // Three legs of two 100 µs hops: one wait for the requests, one for
-        // the replies, both by the thread that called `call_all`.
+        f.set_call_delay(targets[0], 500);
+        f.set_call_delay(targets[2], 200);
+        let devices: Vec<StorageDevice> = (0..3)
+            .map(|_| StorageDevice::in_memory(f.clock.clone(), DISK))
+            .collect();
+        for d in &devices {
+            d.append(b"seed").unwrap();
+        }
+        clock.waits.lock().clear();
+        let sent_at = clock.now_us();
+        let ran = Mutex::new(Vec::new());
+        // Leg 0: arrives +600, one append (20)          -> reply +720.
+        // Leg 1: arrives +100, one read (60)            -> reply +260.
+        // Leg 2: arrives +300, an append then a read    -> reply +480.
+        let calls: Vec<(NodeId, Box<dyn FnOnce() + Send + '_>)> = (0..3)
+            .map(|i| {
+                let (ran, dev, clock) = (&ran, &devices[i], &clock);
+                let h = move || {
+                    ran.lock()
+                        .push((i, std::thread::current().id(), clock.now_us() - sent_at));
+                    if i != 1 {
+                        dev.append(b"x").unwrap();
+                    }
+                    if i != 0 {
+                        dev.read(0, 1).unwrap();
+                    }
+                };
+                (targets[i], Box::new(h) as Box<dyn FnOnce() + Send + '_>)
+            })
+            .collect();
+        assert!(f.call_all(a, calls).iter().all(|r| r.is_ok()));
+        // max_i(request + delay + device queue + device + response), exactly.
+        assert_eq!(clock.now_us() - sent_at, 720);
+        // Every handler on this thread, in arrival order, at its arrival.
         let me = std::thread::current().id();
+        assert_eq!(
+            ran.into_inner(),
+            vec![(1, me, 100), (2, me, 300), (0, me, 600)]
+        );
+        // One wait per arrival and one for the last reply (device time and
+        // response hop merged) — no device charge blocked anybody.
         let waits = clock.waits.lock().clone();
-        assert_eq!(waits, vec![(me, 100), (me, 100)]);
-        // Pool workers ran handlers only, and the handlers took no time.
+        assert_eq!(waits, vec![(me, 100), (me, 200), (me, 300), (me, 120)]);
+        // No hand-off: the pool was never started.
         let snap = f.dispatch_snapshot();
-        assert_eq!(snap.pool_jobs + snap.inline_jobs, 3, "{snap}");
-        assert_eq!(snap.busy_us, 0, "{snap}");
+        assert_eq!((snap.workers, snap.pool_jobs, snap.busy_us), (0, 0, 0));
+        assert_eq!(snap.inline_jobs, 3, "{snap}");
+    }
+
+    #[test]
+    fn charges_on_one_device_inside_one_fan_out_still_queue_behind_each_other() {
+        let (f, clock) = test_fabric();
+        let a = f.add_node(NodeKind::Compute);
+        let targets = f.add_nodes(NodeKind::LogStore, 2);
+        let shared = StorageDevice::in_memory(f.clock.clone(), DISK);
+        let calls = targets
+            .iter()
+            .map(|&to| {
+                let (shared, f) = (&shared, &f);
+                let h = move || {
+                    shared.append(b"x").unwrap();
+                    model_now(&f.clock)
+                };
+                (to, Box::new(h) as Box<dyn FnOnce() -> u64 + Send + '_>)
+            })
+            .collect();
+        // Both requests arrive at +100; the device serves them one after the
+        // other, and the fan-out waits for the second.
+        let done: Vec<u64> = f
+            .call_all(a, calls)
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
+        assert_eq!(done, vec![120, 140]);
+        assert_eq!(clock.now_us(), 240);
+        // The same through single calls: device wait and response hop are
+        // one deadline, and the cursor is gone once the call returns — a
+        // direct charge blocks this thread for its full time.
+        f.call(a, targets[0], || shared.append(b"x").unwrap())
+            .unwrap();
+        assert_eq!(clock.now_us(), 240 + 100 + 20 + 100);
+        shared.append(b"x").unwrap();
+        assert_eq!(clock.now_us(), 480);
+    }
+
+    #[test]
+    fn a_panicking_handler_unwinds_only_after_its_siblings_ran() {
+        let (f, clock) = test_fabric();
+        let a = f.add_node(NodeKind::Compute);
+        let targets = f.add_nodes(NodeKind::PageStore, 3);
+        f.set_call_delay(targets[1], 50);
+        f.set_call_delay(targets[2], 70);
+        let ran = Mutex::new(Vec::new());
+        let calls = targets
+            .iter()
+            .map(|&to| {
+                let (ran, first) = (&ran, targets[0]);
+                let h = move || {
+                    if to == first {
+                        panic!("first leg exploded");
+                    }
+                    ran.lock().push(to);
+                };
+                (to, Box::new(h) as Box<dyn FnOnce() + Send + '_>)
+            })
+            .collect();
+        let err = catch_unwind(AssertUnwindSafe(|| f.call_all(a, calls)))
+            .expect_err("panic must propagate");
+        assert!(err
+            .downcast_ref::<&str>()
+            .is_some_and(|m| m.contains("exploded")));
+        assert_eq!(ran.into_inner(), vec![targets[1], targets[2]]);
+        // The unwound handler left no cursor behind: a direct device charge
+        // on this thread blocks again.
+        let before = clock.now_us();
+        StorageDevice::in_memory(f.clock.clone(), DISK)
+            .append(b"x")
+            .unwrap();
+        assert_eq!(clock.now_us() - before, 20);
     }
 
     #[test]
@@ -867,11 +961,10 @@ mod tests {
 
     #[test]
     fn fan_out_jitter_is_drawn_in_leg_order_and_replays_from_the_seed() {
-        // Single-threaded (no pool workers), so virtual time is a pure
-        // function of the RNG stream: every leg draws its request hop then
-        // its response hop, leg by leg, at submission. All handlers run
-        // once the last request has arrived, so a round costs the largest
-        // request hop plus the largest response hop.
+        // One thread, so virtual time is a pure function of the RNG stream:
+        // every leg draws its request hop then its response hop, leg by
+        // leg, at submission; each handler runs at its own arrival, so a
+        // round costs its longest leg.
         let profile = NetworkProfile {
             hop_us: 50,
             jitter_us: 20,
@@ -880,7 +973,6 @@ mod tests {
         let run = |seed: u64| {
             let clock = ManualClock::shared();
             let f = Fabric::new(clock.clone(), profile, seed);
-            f.set_workers(0);
             let a = f.add_node(NodeKind::Compute);
             let targets = f.add_nodes(NodeKind::LogStore, 3);
             (0..20)
@@ -894,14 +986,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let expected: Vec<u64> = (0..20)
             .map(|_| {
-                let hops: Vec<(u64, u64)> = (0..3)
+                (0..3)
                     .map(|_| {
                         let request = 50 + rng.random_range(0..=20u64);
-                        (request, 50 + rng.random_range(0..=20u64))
+                        request + 50 + rng.random_range(0..=20u64)
                     })
-                    .collect();
-                let request = hops.iter().map(|h| h.0).max().unwrap();
-                request + hops.iter().map(|h| h.1).max().unwrap()
+                    .max()
+                    .unwrap()
             })
             .collect();
         assert_eq!(run(9), expected);
@@ -987,105 +1078,6 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(out[0].is_empty());
         assert_eq!(clock.now_us() - before, 0);
-    }
-
-    #[test]
-    fn slow_node_does_not_head_of_line_block_other_nodes() {
-        use taurus_common::clock::SystemClock;
-        // Real-time test: one node is injected with a 300ms delay; a batch
-        // to fast nodes submitted while the slow call is in flight must
-        // not queue behind it.
-        let f = Fabric::new(SystemClock::shared(), NetworkProfile::instant(), 7);
-        let a = f.add_node(NodeKind::Compute);
-        let slow = f.add_node(NodeKind::PageStore);
-        let fast = f.add_nodes(NodeKind::PageStore, 3);
-        f.set_call_delay(slow, 300_000);
-        std::thread::scope(|s| {
-            let fr = &f;
-            let slow_call = s.spawn(move || fr.call(a, slow, || 1u64));
-            // Give the slow call a moment to occupy its worker.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            let before = std::time::Instant::now();
-            let calls: Vec<(NodeId, Box<dyn FnOnce() -> u64 + Send>)> = fast
-                .iter()
-                .map(|&to| (to, Box::new(|| 2u64) as Box<dyn FnOnce() -> u64 + Send>))
-                .collect();
-            let out = f.call_all(a, calls);
-            let elapsed = before.elapsed();
-            assert!(out.iter().all(|r| r.is_ok()));
-            assert!(
-                elapsed < std::time::Duration::from_millis(200),
-                "fast batch head-of-line blocked behind the slow node: {elapsed:?}"
-            );
-            assert_eq!(slow_call.join().unwrap().unwrap(), 1);
-        });
-        // The same inside ONE fan-out: the slow leg's delay is its own. Its
-        // siblings' handlers start (and their side effects land) at their
-        // own arrival, while the slow request is still in flight; the slow
-        // handler does not start before its arrival; the fan-out as a whole
-        // costs the slow leg.
-        let t0 = std::time::Instant::now();
-        let started = Mutex::new(Vec::new());
-        let calls: Vec<(NodeId, Box<dyn FnOnce() + Send + '_>)> = std::iter::once(slow)
-            .chain(fast.iter().copied())
-            .map(|to| {
-                let started = &started;
-                let h = move || started.lock().push((to, t0.elapsed()));
-                (to, Box::new(h) as Box<dyn FnOnce() + Send + '_>)
-            })
-            .collect();
-        let out = f.call_all(a, calls);
-        let elapsed = t0.elapsed();
-        assert!(out.iter().all(|r| r.is_ok()));
-        assert!(elapsed >= std::time::Duration::from_millis(300));
-        let started = started.into_inner();
-        assert_eq!(started.len(), 4);
-        for (to, at) in started {
-            if to == slow {
-                assert!(at >= std::time::Duration::from_millis(300), "{at:?}");
-            } else {
-                assert!(
-                    at < std::time::Duration::from_millis(200),
-                    "handler on {to:?} waited for the slow leg: {at:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn saturated_pool_starves_no_batch() {
-        // One pool worker and eight concurrent batches: the caller-helps
-        // discipline must complete every batch with correct results.
-        let clock = ManualClock::shared();
-        let f = Fabric::new(clock, NetworkProfile::instant(), 3);
-        f.set_workers(1);
-        let a = f.add_node(NodeKind::Compute);
-        let targets = f.add_nodes(NodeKind::PageStore, 4);
-        std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let fr = &f;
-                let targets = targets.clone();
-                s.spawn(move || {
-                    for round in 0..20u64 {
-                        let base = t * 1000 + round;
-                        let calls: Vec<(NodeId, Box<dyn FnOnce() -> u64 + Send>)> = targets
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &to)| {
-                                let v = base + i as u64;
-                                (to, Box::new(move || v) as Box<dyn FnOnce() -> u64 + Send>)
-                            })
-                            .collect();
-                        let out = fr.call_all(a, calls);
-                        for (i, r) in out.iter().enumerate() {
-                            assert_eq!(*r.as_ref().unwrap(), base + i as u64);
-                        }
-                    }
-                });
-            }
-        });
-        let snap = f.dispatch_snapshot();
-        assert_eq!(snap.queue_depth, 0, "queue must drain: {snap}");
     }
 
     #[test]

@@ -188,10 +188,11 @@ impl LogStoreCluster {
 
     /// Synchronously replicated append at a reserved sequence number: the
     /// three replica writes are in flight **concurrently** (one
-    /// [`Fabric::call_all`]: this thread waits the three legs' hops at
-    /// once, the dispatcher runs the three server appends) and the append
-    /// is acknowledged when all of them report success, so ack latency is
-    /// the max of the three writes rather than their sum (paper §3.2).
+    /// [`Fabric::call_all`]: this thread runs each server append at its
+    /// request's arrival and waits the three legs' hops and device times
+    /// at once) and the append is acknowledged when all of them report
+    /// success, so ack latency is the max of the three writes rather than
+    /// their sum (paper §3.2).
     ///
     /// On any failure the PLog is sealed on every reachable replica and
     /// `PLogSealed` is returned — the writer must allocate a new PLog and

@@ -827,35 +827,49 @@ impl PageStoreCluster {
 
     /// Starts one background consolidation/flush thread per server. Returns
     /// a guard; drop it (or call `stop`) to terminate the threads.
+    ///
+    /// A thread with nothing to consolidate **blocks** until its server
+    /// ingests a fragment (`write_logs` signals it) — an idle Page Store
+    /// costs the foreground no wake-ups. The one timed wake-up writes back
+    /// dirty pool pages and retries a step, which also covers the state
+    /// changes that arrive without an ingest (a rebuilt slice going live).
     pub fn start_background_consolidation(&self) -> ConsolidationGuard {
         let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for (_, server) in self.servers.read().iter() {
-            let server = Arc::clone(server);
-            let stop = Arc::clone(&stop);
-            handles.push(std::thread::spawn(move || {
-                let mut idle_spins = 0u32;
-                while !stop.load(Ordering::Relaxed) {
-                    if server.consolidate_step() {
-                        idle_spins = 0;
-                    } else {
-                        idle_spins += 1;
-                        if idle_spins.is_multiple_of(64) {
+        let servers: Vec<Arc<PageStoreServer>> = self.servers.read().values().cloned().collect();
+        let handles = servers
+            .iter()
+            .map(|server| {
+                let server = Arc::clone(server);
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Acquire) {
+                        if server.consolidate_step() {
+                            continue;
+                        }
+                        if !server.wait_for_work(IDLE_FLUSH_INTERVAL) {
                             let _ = server.flush_dirty();
                         }
-                        std::thread::sleep(std::time::Duration::from_micros(50));
                     }
-                }
-                let _ = server.flush_dirty();
-            }));
+                    let _ = server.flush_dirty();
+                })
+            })
+            .collect();
+        ConsolidationGuard {
+            stop,
+            servers,
+            handles,
         }
-        ConsolidationGuard { stop, handles }
     }
 }
+
+/// How long an idle consolidation thread sleeps before it writes back dirty
+/// pages and looks for work nobody signalled.
+const IDLE_FLUSH_INTERVAL: std::time::Duration = std::time::Duration::from_millis(10);
 
 /// Join guard for background consolidation threads.
 pub struct ConsolidationGuard {
     stop: Arc<AtomicBool>,
+    servers: Vec<Arc<PageStoreServer>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -865,7 +879,12 @@ impl ConsolidationGuard {
     }
 
     fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::Release);
+        // The flag first, then the wake-up through the same flag-under-mutex
+        // the threads wait on: none can miss it and sleep out its interval.
+        for server in &self.servers {
+            server.signal_work();
+        }
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -940,6 +959,53 @@ mod tests {
         }
         // Idempotent.
         assert_eq!(c.create_slice(key(), me).unwrap(), nodes);
+    }
+
+    #[test]
+    fn idle_consolidation_threads_block_until_an_ingest_wakes_them() {
+        use std::time::{Duration, Instant};
+        let (c, me) = setup(6);
+        let nodes = c.create_slice(key(), me).unwrap();
+        let servers: Vec<Arc<PageStoreServer>> = c.servers.read().values().cloned().collect();
+        let idle_steps = || -> u64 { servers.iter().map(|s| s.stats.idle_steps.get()).sum() };
+        let guard = c.start_background_consolidation();
+        // Idle: six threads, nothing to do. A polling loop (one step per
+        // 50 µs sleep) makes thousands of calls here; blocked threads make
+        // their timed write-back wake-ups and nothing else.
+        let before = idle_steps();
+        std::thread::sleep(Duration::from_millis(200));
+        let polled = idle_steps() - before;
+        assert!(polled <= 200, "{polled} consolidate_step calls while idle");
+        // An ingest wakes its server's thread at once — not at the next
+        // timed wake-up: the fragment is staged into the open L0 promptly.
+        let written = Instant::now();
+        for &n in &nodes {
+            c.write_logs_to(n, me, &frag(0, 1, 7)).unwrap();
+        }
+        let staged = |n: &NodeId| {
+            let layers = c.server_handle(*n).unwrap().layers(key()).unwrap();
+            layers.census().0 == 1
+        };
+        while !nodes.iter().all(staged) {
+            assert!(
+                written.elapsed() < Duration::from_millis(50),
+                "fragment not staged within 50 ms of its ingest"
+            );
+            std::thread::yield_now();
+        }
+        // Stopping wakes every thread instead of waiting out its interval.
+        let stopping = Instant::now();
+        drop(guard);
+        let took = stopping.elapsed();
+        assert!(took < Duration::from_millis(50), "stop took {took:?}");
+        // The wake-up is the ingest's own signal, not the timer: an accepted
+        // fragment raises it, a duplicate delivery does not.
+        let server = c.server_handle(nodes[0]).unwrap();
+        server.wait_for_work(Duration::ZERO);
+        c.write_logs_to(nodes[0], me, &frag(1, 2, 7)).unwrap();
+        assert!(server.wait_for_work(Duration::ZERO));
+        c.write_logs_to(nodes[0], me, &frag(1, 2, 7)).unwrap();
+        assert!(!server.wait_for_work(Duration::ZERO));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use taurus_common::apply::apply_record;
 use taurus_common::metrics::Counter;
@@ -124,6 +124,10 @@ taurus_common::counters! {
         pub slice_write_ops: Counter,
         /// Fragment payload bytes ingested, summed over slices.
         pub slice_write_bytes: Counter,
+        /// `consolidate_step` calls that found nothing to do. The background
+        /// thread blocks between ingests, so this stays near its timed
+        /// write-back wake-ups; a polling loop shows up here first.
+        pub idle_steps: Counter,
     }
 }
 
@@ -157,6 +161,11 @@ pub struct PageStoreServer {
     /// Leaf lock — never held across device I/O, fabric calls, or any
     /// other lock.
     heat: RwLock<HashMap<SliceKey, Arc<SliceHeat>>>,
+    /// Wake flag of the background consolidation thread: raised by every
+    /// accepted ingest (and by the thread's stop guard), consumed by
+    /// [`PageStoreServer::wait_for_work`]. Leaf lock, always taken bare.
+    work: Mutex<bool>,
+    work_cv: Condvar,
 }
 
 taurus_common::counters! {
@@ -204,7 +213,26 @@ impl PageStoreServer {
             stats: PageStoreStats::default(),
             compaction_abort: AtomicBool::new(false),
             heat: RwLock::new(HashMap::new()),
+            work: Mutex::new(false),
+            work_cv: Condvar::new(),
         })
+    }
+
+    /// Tells the background consolidation thread there may be work.
+    pub(crate) fn signal_work(&self) {
+        *self.work.lock() = true;
+        self.work_cv.notify_one();
+    }
+
+    /// Blocks until [`PageStoreServer::signal_work`] or `timeout`, whichever
+    /// comes first; a signal raised since the last wait returns at once.
+    /// Returns whether it was signalled.
+    pub(crate) fn wait_for_work(&self, timeout: std::time::Duration) -> bool {
+        let mut pending = self.work.lock();
+        if !*pending {
+            self.work_cv.wait_for(&mut pending, timeout);
+        }
+        std::mem::take(&mut *pending)
     }
 
     fn heat_of(&self, key: SliceKey) -> Arc<SliceHeat> {
@@ -378,6 +406,7 @@ impl PageStoreServer {
             last_lsn: frag.last_lsn(),
             consolidated: false,
         });
+        let accepted = matches!(outcome, IngestOutcome::Accepted(_));
         match outcome {
             IngestOutcome::Accepted(frag_id) => {
                 for (i, rec) in frag.records.iter().enumerate() {
@@ -415,7 +444,12 @@ impl PageStoreServer {
             persistent_before,
             r.persistent_lsn()
         );
-        Ok(r.persistent_lsn())
+        let persistent = r.persistent_lsn();
+        drop(r);
+        if accepted {
+            self.signal_work();
+        }
+        Ok(persistent)
     }
 
     /// `GetPersistentLSN`.
@@ -670,14 +704,18 @@ impl PageStoreServer {
 
     /// Runs one consolidation step. Returns `true` if any work was done.
     pub fn consolidate_step(&self) -> bool {
-        match self.policy {
+        let worked = match self.policy {
             ConsolidationPolicy::LogCacheCentric => self.consolidate_cache_centric(),
             ConsolidationPolicy::LongestChainFirst => self.consolidate_longest_chain(),
             ConsolidationPolicy::Layered {
                 l0_target_bytes,
                 compaction_threshold,
             } => self.consolidate_layered(l0_target_bytes, compaction_threshold),
+        };
+        if !worked {
+            self.stats.idle_steps.inc();
         }
+        worked
     }
 
     /// Drains the consolidation queue completely (plus the backlog).
