@@ -17,14 +17,15 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use taurus_common::clock::ClockRef;
 use taurus_common::config::StorageProfile;
 use taurus_common::lsn::LsnAllocator;
 use taurus_common::record::LogRecordGroup;
 use taurus_common::{DbId, Lsn, PageBuf, PageId, Result, PAGE_SIZE};
-use taurus_engine::btree::{BTree, MutCtx, PageFetch};
+use taurus_engine::btree::{BTree, MutCtx};
+use taurus_engine::latch::{PageSource, TreeLatch};
 use taurus_engine::pool::{EnginePool, Frame};
 use taurus_fabric::StorageDevice;
 
@@ -42,8 +43,9 @@ pub struct LocalProfile {
 pub struct LocalEngine {
     device: Arc<StorageDevice>,
     lsns: LsnAllocator,
-    pool: EnginePool,
-    tree_latch: RwLock<()>,
+    /// Same latch protocol as the Taurus master: a miss reads the local
+    /// device with no latch held.
+    tree: TreeLatch,
     profile: LocalProfile,
     /// Pages already persisted at a fixed home location (write-in-place).
     persisted: Mutex<HashMap<PageId, ()>>,
@@ -93,25 +95,22 @@ impl LocalEngine {
         profile: LocalProfile,
     ) -> Result<Arc<Self>> {
         let engine = Arc::new(LocalEngine {
-            device: Arc::new(StorageDevice::in_memory(clock, storage)),
+            device: Arc::new(StorageDevice::in_memory(clock.clone(), storage)),
             lsns: LsnAllocator::new(Lsn::ZERO),
-            pool: EnginePool::new(pool_pages),
-            tree_latch: RwLock::new(()),
+            tree: TreeLatch::new(EnginePool::new(pool_pages), clock),
             profile,
             persisted: Mutex::new(HashMap::new()),
             dirty_set: Mutex::new(std::collections::HashSet::new()),
         });
         // Bootstrap the tree.
-        {
-            let fetch = engine.fetcher();
-            let mut ctx = MutCtx::new(&engine.lsns, &fetch);
+        let no_keys = std::iter::empty::<&[u8]>();
+        let records = engine.tree.write(&*engine, no_keys, |fetch| {
+            let mut ctx = MutCtx::new(&engine.lsns, fetch);
             BTree::bootstrap(&mut ctx)?;
-            let records = ctx.records.clone();
-            let pages = std::mem::take(&mut ctx.pages);
-            drop(ctx);
-            engine.append_wal(&records)?;
-            engine.install(pages)?;
-        }
+            engine.install(std::mem::take(&mut ctx.pages));
+            Ok(ctx.records)
+        })?;
+        engine.append_wal(&records)?;
         Ok(engine)
     }
 
@@ -123,43 +122,20 @@ impl LocalEngine {
         page.0 * PAGE_SIZE as u64
     }
 
-    fn fetcher(&self) -> impl PageFetch + '_ {
-        move |id: PageId| -> Result<Arc<PageBuf>> {
-            if let Some(frame) = self.pool.get(id) {
-                return Ok(frame.buf);
-            }
-            // Pool miss: read from the home location if the page was ever
-            // flushed; otherwise the page is brand new.
-            let buf = if self.persisted.lock().contains_key(&id) {
-                let raw = self.device.read(self.home(id), PAGE_SIZE)?;
-                Arc::new(PageBuf::from_bytes(&raw)?)
-            } else {
-                Arc::new(PageBuf::new())
-            };
-            self.pool.put(
-                id,
-                Frame::new(Arc::clone(&buf), buf.lsn(), false),
-                &|_, _| false,
-            );
-            Ok(buf)
-        }
-    }
-
     fn append_wal(&self, records: &[taurus_common::LogRecord]) -> Result<()> {
         let group = LogRecordGroup::new(DbId(0), records.to_vec());
         self.device.append(&group.encode())?;
         Ok(())
     }
 
-    fn install(&self, pages: HashMap<PageId, PageBuf>) -> Result<()> {
+    fn install(&self, pages: HashMap<PageId, PageBuf>) {
+        let guard = self.evict_guard();
         for (id, page) in pages {
             let lsn = page.lsn();
-            // Dirty frames are pinned until the flusher persists them — a
-            // monolithic engine cannot drop a dirty page without losing it.
-            self.pool
-                .put(id, Frame::new(Arc::new(page), lsn, true), &|_, _| false);
+            self.tree
+                .pool()
+                .put(id, Frame::new(Arc::new(page), lsn, true), &guard);
         }
-        Ok(())
     }
 
     /// Flushes one dirty page to its home location (write-in-place, charged
@@ -180,14 +156,16 @@ impl LocalEngine {
         let mut flushed = 0usize;
         let dirty: Vec<PageId> = self.dirty_set.lock().iter().copied().collect();
         for id in dirty.into_iter().take(limit) {
-            let Some(frame) = self.pool.get(id) else {
+            let Some(frame) = self.tree.pool().get(id) else {
                 // Evicted while dirty — cannot happen: the install path keeps
                 // eviction permissive, so treat as already flushed.
                 self.dirty_set.lock().remove(&id);
                 continue;
             };
             self.flush_page(id, &frame.buf)?;
-            self.pool.mark_clean_upto(&|p, l| p == id && l <= frame.lsn);
+            self.tree
+                .pool()
+                .mark_clean_upto(&|p, l| p == id && l <= frame.lsn);
             self.dirty_set.lock().remove(&id);
             flushed += 1;
         }
@@ -196,28 +174,21 @@ impl LocalEngine {
 
     /// Point read.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let _shared = self.tree_latch.read();
-        // taurus-lint: allow(lock-across-fabric-call) -- fetch-on-miss must run under the latch (traversal atomicity); Page Store read handlers take no engine locks, so no cycle -- latency only
-        BTree::get(&self.fetcher(), key)
+        self.tree.read(self, |fetch| BTree::get(fetch, key))
     }
 
     /// Range scan.
     pub fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let _shared = self.tree_latch.read();
-        // taurus-lint: allow(lock-across-fabric-call) -- fetch-on-miss must run under the latch (traversal atomicity); Page Store read handlers take no engine locks, so no cycle -- latency only
-        BTree::scan(&self.fetcher(), start, limit)
+        self.tree
+            .read(self, |fetch| BTree::scan(fetch, start, limit))
     }
 
     /// Applies a write batch atomically and commits it durably: WAL append
     /// plus (vanilla profile) synchronous dirty-page flushing.
     pub fn apply(&self, writes: &[(Vec<u8>, Option<Vec<u8>>)]) -> Result<()> {
-        let pages;
-        let records;
-        {
-            let _exclusive = self.tree_latch.write();
-            // taurus-lint: allow(lock-across-fabric-call) -- writers must fetch pages under the exclusive latch (traversal atomicity); Page Store read handlers take no engine locks, so no cycle
-            let fetch = self.fetcher();
-            let mut ctx = MutCtx::new(&self.lsns, &fetch);
+        let keys = writes.iter().map(|(k, _)| k);
+        let records = self.tree.write(self, keys, |fetch| {
+            let mut ctx = MutCtx::new(&self.lsns, fetch);
             for (k, op) in writes {
                 match op {
                     Some(v) => {
@@ -228,14 +199,11 @@ impl LocalEngine {
                     }
                 }
             }
-            records = ctx.records.clone();
-            pages = std::mem::take(&mut ctx.pages);
-            drop(ctx);
-            for id in pages.keys() {
-                self.dirty_set.lock().insert(*id);
-            }
-            self.install(pages)?;
-        }
+            let pages = std::mem::take(&mut ctx.pages);
+            self.dirty_set.lock().extend(pages.keys().copied());
+            self.install(pages);
+            Ok(ctx.records)
+        })?;
         // Commit: WAL durability.
         self.append_wal(&records)?;
         // Checkpoint pressure: vanilla flushes some pages synchronously.
@@ -248,6 +216,24 @@ impl LocalEngine {
     /// Device I/O statistics (appends, random writes, reads, bytes).
     pub fn io_stats(&self) -> (u64, u64, u64, u64) {
         self.device.io_stats()
+    }
+}
+
+/// A pool miss reads the page's home location if the page was ever
+/// flushed; otherwise the page is brand new.
+impl PageSource for LocalEngine {
+    fn read_page(&self, id: PageId) -> Result<PageBuf> {
+        if !self.persisted.lock().contains_key(&id) {
+            return Ok(PageBuf::new());
+        }
+        let raw = self.device.read(self.home(id), PAGE_SIZE)?;
+        PageBuf::from_bytes(&raw)
+    }
+
+    /// Dirty frames are pinned until the flusher persists them — a
+    /// monolithic engine cannot drop a dirty page without losing it.
+    fn evict_guard(&self) -> impl Fn(PageId, Lsn) -> bool + '_ {
+        |_, _| false
     }
 }
 

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use taurus_common::config::StorageProfile;
 use taurus_common::lsn::LsnAllocator;
@@ -21,7 +21,8 @@ use taurus_common::record::RecordBody;
 use taurus_common::{
     DbId, Lsn, NodeId, PageBuf, PageId, Result, SliceKey, TaurusConfig, TaurusError, TxnId,
 };
-use taurus_engine::btree::{BTree, MutCtx, PageFetch};
+use taurus_engine::btree::{BTree, MutCtx};
+use taurus_engine::latch::{PageSource, TreeLatch};
 use taurus_engine::pool::{EnginePool, Frame};
 use taurus_fabric::Fabric;
 use taurus_pagestore::cluster::PageStoreOptions;
@@ -36,8 +37,9 @@ pub struct QuorumEngine {
     me: NodeId,
     cluster: PageStoreCluster,
     lsns: LsnAllocator,
-    pool: EnginePool,
-    tree_latch: RwLock<()>,
+    /// Same latch protocol as the Taurus master, so the comparison isolates
+    /// the storage architecture.
+    tree: TreeLatch,
     /// Per-slice chain link (last LSN shipped).
     chain: Mutex<HashMap<SliceKey, Lsn>>,
     next_txn: std::sync::atomic::AtomicU64,
@@ -82,7 +84,10 @@ impl QuorumEngine {
             },
         );
         cluster.spawn_servers(n + 2, storage);
-        let pool_pages = cfg.engine_buffer_pool_pages;
+        let tree = TreeLatch::new(
+            EnginePool::new(cfg.engine_buffer_pool_pages),
+            cluster.fabric.clock.clone(),
+        );
         let (tx, rx) = unbounded::<(taurus_common::NodeId, SliceFragment)>();
         {
             // One background sender drains post-quorum deliveries.
@@ -102,23 +107,20 @@ impl QuorumEngine {
             me,
             cluster,
             lsns: LsnAllocator::new(Lsn::ZERO),
-            pool: EnginePool::new(pool_pages),
-            tree_latch: RwLock::new(()),
+            tree,
             chain: Mutex::new(HashMap::new()),
             next_txn: std::sync::atomic::AtomicU64::new(1),
             deferred: tx,
         });
         // Bootstrap.
-        {
-            let fetch = engine.fetcher();
-            let mut ctx = MutCtx::new(&engine.lsns, &fetch);
+        let no_keys = std::iter::empty::<&[u8]>();
+        let records = engine.tree.write(&*engine, no_keys, |fetch| {
+            let mut ctx = MutCtx::new(&engine.lsns, fetch);
             BTree::bootstrap(&mut ctx)?;
-            let records = ctx.records.clone();
-            let pages = std::mem::take(&mut ctx.pages);
-            drop(ctx);
-            engine.install(pages);
-            engine.ship(records)?;
-        }
+            engine.install(std::mem::take(&mut ctx.pages));
+            Ok(ctx.records)
+        })?;
+        engine.ship(records)?;
         Ok(engine)
     }
 
@@ -126,44 +128,13 @@ impl QuorumEngine {
         SliceKey::new(self.db, page.slice(self.cfg.pages_per_slice))
     }
 
-    fn fetcher(&self) -> impl PageFetch + '_ {
-        move |id: PageId| -> Result<Arc<PageBuf>> {
-            if let Some(frame) = self.pool.get(id) {
-                return Ok(frame.buf);
-            }
-            let key = self.slice_of(id);
-            let as_of = self.chain.lock().get(&key).copied().unwrap_or(Lsn::ZERO);
-            let replicas = self.cluster.replicas_of(key);
-            if replicas.is_empty() || !as_of.is_valid() {
-                // Slice never shipped to storage: the page is brand new.
-                return Ok(Arc::new(PageBuf::new()));
-            }
-            let mut last_err = TaurusError::AllReplicasFailed(key);
-            for node in replicas {
-                match self.cluster.read_page_from(node, self.me, key, id, as_of) {
-                    Ok((buf, _)) => {
-                        let buf = Arc::new(buf);
-                        self.pool.put(
-                            id,
-                            Frame::new(Arc::clone(&buf), buf.lsn(), false),
-                            &|_, _| true,
-                        );
-                        return Ok(buf);
-                    }
-                    Err(e) => last_err = e,
-                }
-            }
-            Err(last_err)
-        }
-    }
-
     fn install(&self, pages: HashMap<PageId, PageBuf>) {
+        let guard = self.evict_guard();
         for (id, page) in pages {
             let lsn = page.lsn();
-            // Quorum storage needs no eviction rule: W replicas already hold
-            // every acknowledged record.
-            self.pool
-                .put(id, Frame::new(Arc::new(page), lsn, true), &|_, _| true);
+            self.tree
+                .pool()
+                .put(id, Frame::new(Arc::new(page), lsn, true), &guard);
         }
     }
 
@@ -214,15 +185,12 @@ impl QuorumEngine {
     }
 
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let _shared = self.tree_latch.read();
-        // taurus-lint: allow(lock-across-fabric-call) -- fetch-on-miss must run under the latch (traversal atomicity); Page Store read handlers take no engine locks, so no cycle -- latency only
-        BTree::get(&self.fetcher(), key)
+        self.tree.read(self, |fetch| BTree::get(fetch, key))
     }
 
     pub fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let _shared = self.tree_latch.read();
-        // taurus-lint: allow(lock-across-fabric-call) -- fetch-on-miss must run under the latch (traversal atomicity); Page Store read handlers take no engine locks, so no cycle -- latency only
-        BTree::scan(&self.fetcher(), start, limit)
+        self.tree
+            .read(self, |fetch| BTree::scan(fetch, start, limit))
     }
 
     /// Applies a write batch atomically with quorum durability.
@@ -231,12 +199,9 @@ impl QuorumEngine {
             self.next_txn
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         );
-        let records;
-        {
-            let _exclusive = self.tree_latch.write();
-            // taurus-lint: allow(lock-across-fabric-call) -- writers must fetch pages under the exclusive latch (traversal atomicity); Page Store read handlers take no engine locks, so no cycle
-            let fetch = self.fetcher();
-            let mut ctx = MutCtx::new(&self.lsns, &fetch);
+        let keys = writes.iter().map(|(k, _)| k);
+        let records = self.tree.write(self, keys, |fetch| {
+            let mut ctx = MutCtx::new(&self.lsns, fetch);
             for (k, op) in writes {
                 match op {
                     Some(v) => {
@@ -248,17 +213,43 @@ impl QuorumEngine {
                 }
             }
             ctx.emit(PageId::CONTROL, RecordBody::TxnCommit { txn })?;
-            records = ctx.records.clone();
-            let pages = std::mem::take(&mut ctx.pages);
-            drop(ctx);
-            self.install(pages);
-        }
+            self.install(std::mem::take(&mut ctx.pages));
+            Ok(ctx.records)
+        })?;
         self.ship(records)
     }
 
     /// The storage cluster (for failure injection in tests/benches).
     pub fn cluster(&self) -> &PageStoreCluster {
         &self.cluster
+    }
+}
+
+/// A pool miss probes the slice's replicas, at the last LSN shipped to the
+/// slice, until one is caught up.
+impl PageSource for QuorumEngine {
+    fn read_page(&self, id: PageId) -> Result<PageBuf> {
+        let key = self.slice_of(id);
+        let as_of = self.chain.lock().get(&key).copied().unwrap_or(Lsn::ZERO);
+        let replicas = self.cluster.replicas_of(key);
+        if replicas.is_empty() || !as_of.is_valid() {
+            // Slice never shipped to storage: the page is brand new.
+            return Ok(PageBuf::new());
+        }
+        let mut last_err = TaurusError::AllReplicasFailed(key);
+        for node in replicas {
+            match self.cluster.read_page_from(node, self.me, key, id, as_of) {
+                Ok((buf, _)) => return Ok(buf),
+                Err(e) => last_err = e,
+            }
+        }
+        Err(last_err)
+    }
+
+    /// Quorum storage needs no eviction rule: W replicas already hold
+    /// every acknowledged record.
+    fn evict_guard(&self) -> impl Fn(PageId, Lsn) -> bool + '_ {
+        |_, _| true
     }
 }
 

@@ -46,6 +46,7 @@ fn run_pair(
         "  taurus pool: hit_ratio={hit_ratio:.2} resident={resident} \
          prefetched={prefetched} prefetch_hits={prefetch_hits}"
     );
+    println!("  taurus tree latch: {}", master.latch_stats());
     println!(
         "  taurus batched reads: {}",
         sal.read_batch_stats.snapshot()

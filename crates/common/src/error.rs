@@ -80,6 +80,10 @@ pub enum TaurusError {
         consumed: Lsn,
         truncated_through: Lsn,
     },
+    /// A B+tree traversal restricted to resident pages met one that is not
+    /// in the engine pool. A signal inside the engine's tree-latch protocol
+    /// (drop the latch, fetch the page, restart); it never reaches a caller.
+    PageNotResident(PageId),
     /// Catch-all for invariant violations with context.
     Internal(String),
 }
@@ -139,6 +143,7 @@ impl fmt::Display for TaurusError {
                 "replica tail cursor behind truncation: consumed through lsn {consumed}, \
                  log truncated through {truncated_through}"
             ),
+            PageNotResident(page) => write!(f, "{page} is not resident in the engine pool"),
             Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }

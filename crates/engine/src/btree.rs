@@ -321,8 +321,8 @@ impl BTree {
         }
     }
 
-    /// Point lookup.
-    pub fn get(fetch: &dyn PageFetch, key: &[u8]) -> Result<Option<Vec<u8>>> {
+    /// Descends from the root to the leaf that holds (or would hold) `key`.
+    pub fn leaf_for(fetch: &dyn PageFetch, key: &[u8]) -> Result<Arc<PageBuf>> {
         let mut page = fetch.fetch(Self::root(fetch)?)?;
         loop {
             match page.page_type() {
@@ -331,15 +331,30 @@ impl BTree {
                     let child = PageId(cell_u64(page.value(idx)?)?);
                     page = fetch.fetch(child)?;
                 }
-                PageType::Leaf => {
-                    return Ok(match page.search(key) {
-                        Ok(idx) => Some(page.value(idx)?.to_vec()),
-                        Err(_) => None,
-                    });
-                }
+                PageType::Leaf => return Ok(page),
                 _ => return Err(TaurusError::PageCorrupt("unexpected page type in tree")),
             }
         }
+    }
+
+    /// Whether a descent for `key` is sure to end at `leaf`: the key lies
+    /// between two keys the leaf holds, or past the first key of the
+    /// rightmost leaf. (A key below the leaf's first key may still route to
+    /// it; that takes the parent to tell.)
+    pub fn leaf_covers(leaf: &PageBuf, key: &[u8]) -> bool {
+        let n = leaf.nslots();
+        n > 0
+            && leaf.key(0).is_ok_and(|first| first <= key)
+            && (leaf.next() == 0 || leaf.key(n - 1).is_ok_and(|last| key <= last))
+    }
+
+    /// Point lookup.
+    pub fn get(fetch: &dyn PageFetch, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        let leaf = Self::leaf_for(fetch, key)?;
+        Ok(match leaf.search(key) {
+            Ok(idx) => Some(leaf.value(idx)?.to_vec()),
+            Err(_) => None,
+        })
     }
 
     /// Range scan: up to `limit` pairs with key ≥ `start`.
@@ -786,6 +801,34 @@ mod tests {
             let k = format!("key{:08}", i * 7 % n);
             assert!(get(&pages, k.as_bytes()).is_some(), "{k}");
         }
+    }
+
+    #[test]
+    fn a_covered_key_descends_to_the_covering_leaf() {
+        let (pages, lsns) = setup();
+        for i in 0..600u32 {
+            put(
+                &pages,
+                &lsns,
+                format!("k{:06}", i * 7 % 600 * 2).as_bytes(),
+                &[b'v'; 90],
+            );
+        }
+        let f = pages.fetcher();
+        let mut covered = 0;
+        // Keys present (even) and absent (odd), below, inside and past the table.
+        let keys = (0..1300u32).map(|i| format!("k{i:06}").into_bytes());
+        let mut last: Option<Arc<PageBuf>> = None;
+        for key in std::iter::once(b"a".to_vec()).chain(keys) {
+            let leaf = BTree::leaf_for(&f, &key).unwrap();
+            if let Some(prev) = last.filter(|prev| BTree::leaf_covers(prev, &key)) {
+                assert_eq!(prev.as_bytes(), leaf.as_bytes(), "{key:?}");
+                covered += 1;
+            }
+            last = Some(leaf);
+        }
+        // Nearly every step of an ascending run stays on its leaf.
+        assert!(covered > 1200, "{covered}");
     }
 
     #[test]

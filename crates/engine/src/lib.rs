@@ -22,6 +22,7 @@
 
 pub mod btree;
 pub mod db;
+pub mod latch;
 pub mod master;
 pub mod pool;
 pub mod replica;

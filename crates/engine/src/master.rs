@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use taurus_common::lsn::{LsnAllocator, LsnWatermark};
 use taurus_common::record::{LogRecordGroup, RecordBody};
@@ -20,6 +20,7 @@ use taurus_common::{Lsn, PageBuf, PageId, Result, SliceKey, TaurusError, TxnId};
 use taurus_core::{Sal, SliceAcks, TableScan};
 
 use crate::btree::{BTree, MutCtx, PageFetch};
+use crate::latch::{LatchStatsSnapshot, PageSource, TreeLatch};
 use crate::pool::{EnginePool, Frame};
 
 /// The master → read-replica message board (paper §6 step 2): instead of
@@ -77,12 +78,10 @@ impl Bulletin {
 pub struct MasterEngine {
     pub sal: Arc<Sal>,
     pub lsns: LsnAllocator,
-    pool: EnginePool,
-    /// Structure latch: transactions apply their page changes exclusively;
-    /// readers descend under the shared side, so they never observe a
-    /// half-applied multi-page operation (the master-side equivalent of the
-    /// replicas' group-boundary rule).
-    tree_latch: RwLock<()>,
+    /// The structure latch and the engine pool behind it. Every tree
+    /// access goes through its protocol ([`crate::latch`]): no latch is
+    /// held across a Page Store round trip.
+    tree: TreeLatch,
     /// First-updater-wins write locks.
     key_locks: Mutex<HashMap<Vec<u8>, TxnId>>,
     next_txn: AtomicU64,
@@ -103,49 +102,45 @@ impl MasterEngine {
     /// Bootstraps a fresh database through the SAL: control page + root
     /// leaf, durably logged.
     pub fn bootstrap(sal: Arc<Sal>) -> Result<Arc<MasterEngine>> {
-        let engine = Arc::new(MasterEngine {
-            pool: EnginePool::with_shards(
-                sal.cfg.engine_buffer_pool_pages,
-                sal.cfg.engine_pool_shards,
+        let engine = Arc::new(Self::on(sal, Lsn::ZERO));
+        let no_keys = std::iter::empty::<&[u8]>();
+        let group = engine.tree.write(&engine.fetcher(), no_keys, |fetch| {
+            let mut ctx = MutCtx::new(&engine.lsns, fetch);
+            BTree::bootstrap(&mut ctx)?;
+            let group = LogRecordGroup::new(engine.sal.db, ctx.records.clone());
+            engine.install_pages(ctx.pages);
+            Ok(group)
+        })?;
+        engine.sal.log_group(group)?;
+        engine.sal.flush()?;
+        engine.publish();
+        Ok(engine)
+    }
+
+    /// A master on `sal` whose log ends at `max_lsn`, with an empty pool.
+    fn on(sal: Arc<Sal>, max_lsn: Lsn) -> MasterEngine {
+        MasterEngine {
+            tree: TreeLatch::new(
+                EnginePool::with_shards(
+                    sal.cfg.engine_buffer_pool_pages,
+                    sal.cfg.engine_pool_shards,
+                ),
+                sal.pages.fabric.clock.clone(),
             ),
-            lsns: LsnAllocator::new(Lsn::ZERO),
-            tree_latch: RwLock::new(()),
+            lsns: LsnAllocator::new(max_lsn),
             key_locks: Mutex::new(HashMap::new()),
             next_txn: AtomicU64::new(1),
             maintain_beats: AtomicU64::new(0),
             bulletin: Arc::new(Bulletin::on(&sal)),
             sal,
-        });
-        {
-            let fetch = engine.fetcher();
-            let mut ctx = MutCtx::new(&engine.lsns, &fetch);
-            BTree::bootstrap(&mut ctx)?;
-            let group = LogRecordGroup::new(engine.sal.db, ctx.records.clone());
-            engine.install_pages(ctx.pages);
-            engine.sal.log_group(group)?;
         }
-        engine.sal.flush()?;
-        engine.publish();
-        Ok(engine)
     }
 
     /// Attaches a master to an already-recovered SAL (crash restart or
     /// replica promotion). `max_lsn` is the recovery end point returned by
     /// [`Sal::recover`].
     pub fn resume(sal: Arc<Sal>, max_lsn: Lsn) -> Arc<MasterEngine> {
-        let engine = Arc::new(MasterEngine {
-            pool: EnginePool::with_shards(
-                sal.cfg.engine_buffer_pool_pages,
-                sal.cfg.engine_pool_shards,
-            ),
-            lsns: LsnAllocator::new(max_lsn),
-            tree_latch: RwLock::new(()),
-            key_locks: Mutex::new(HashMap::new()),
-            next_txn: AtomicU64::new(1),
-            maintain_beats: AtomicU64::new(0),
-            bulletin: Arc::new(Bulletin::on(&sal)),
-            sal,
-        });
+        let engine = Arc::new(Self::on(sal, max_lsn));
         engine.publish();
         engine
     }
@@ -172,8 +167,7 @@ impl MasterEngine {
         }
     }
 
-    /// Pool-then-storage page fetch, with batched readahead: scan prefetch
-    /// hints turn pool misses into one `Sal::read_pages` call.
+    /// The live page source behind the tree latch's misses.
     fn fetcher(&self) -> MasterFetcher<'_> {
         MasterFetcher { engine: self }
     }
@@ -182,7 +176,8 @@ impl MasterEngine {
         let guard = self.evict_guard();
         for (id, page) in pages {
             let lsn = page.lsn();
-            self.pool
+            self.tree
+                .pool()
                 .put(id, Frame::new(Arc::new(page), lsn, true), &guard);
         }
     }
@@ -208,7 +203,9 @@ impl MasterEngine {
         // The clean sweep scans the whole pool under its lock; doing it on
         // every beat would contend with the read hot path, so amortize it.
         if beat.is_multiple_of(16) {
-            self.pool.mark_clean_upto(&|p, l| self.sal.can_evict(p, l));
+            self.tree
+                .pool()
+                .mark_clean_upto(&|p, l| self.sal.can_evict(p, l));
             if let Some(min_tv) = self.bulletin.min_replica_tv() {
                 self.sal.set_recycle_lsn(min_tv);
             }
@@ -229,14 +226,14 @@ impl MasterEngine {
 
     /// Auto-commit point read (read-committed).
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let _shared = self.tree_latch.read();
-        BTree::get(&self.fetcher(), key)
+        self.tree
+            .read(&self.fetcher(), |fetch| BTree::get(fetch, key))
     }
 
-    /// Auto-commit range scan.
+    /// Auto-commit range scan: one atomic view of the tree.
     pub fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let _shared = self.tree_latch.read();
-        BTree::scan(&self.fetcher(), start, limit)
+        self.tree
+            .read(&self.fetcher(), |fetch| BTree::scan(fetch, start, limit))
     }
 
     /// Pushed-down table scan at the current durable LSN (NDP follow-on
@@ -265,8 +262,7 @@ impl MasterEngine {
     /// Fetch-and-filter fallback: full B-tree scan through the engine pool
     /// folded through the shared evaluator.
     fn scan_local(&self, req: &ScanRequest) -> Result<TableScan> {
-        let _shared = self.tree_latch.read();
-        let rows = BTree::scan(&self.fetcher(), &req.start, usize::MAX)?;
+        let rows = self.scan(&req.start, usize::MAX)?;
         let mut acc = ScanAccumulator::default();
         for (key, value) in rows {
             acc.rows_scanned += 1;
@@ -321,28 +317,33 @@ impl MasterEngine {
 
     /// Engine pool statistics (hit ratio, resident frames).
     pub fn pool_stats(&self) -> (f64, usize) {
-        (self.pool.stats.ratio(), self.pool.len())
+        let pool = self.tree.pool();
+        (pool.stats.ratio(), pool.len())
     }
 
     /// Readahead accounting: `(frames installed speculatively, frames that
     /// later served a demand access)`; the difference is wasted prefetch.
     pub fn pool_prefetch_stats(&self) -> (u64, u64) {
-        self.pool.prefetch_stats()
+        self.tree.pool().prefetch_stats()
     }
 
-    /// Batched read of `ids` through the pool at the live (acked) LSN:
-    /// cached pages are served from their shards, the misses travel in one
-    /// `Sal::read_pages` call. Used by tests and benches to pin the batched
-    /// miss path directly.
+    /// Tree-latch protocol counters: restarts, fallbacks, discarded loads,
+    /// commit warm-ups and the time commits waited for the exclusive side.
+    pub fn latch_stats(&self) -> LatchStatsSnapshot {
+        self.tree.stats.snapshot()
+    }
+
+    /// Batched read of `ids` through the pool at the live (acked) LSN, in
+    /// request order: cached pages are served from their shards, the misses
+    /// travel in one `Sal::read_pages` call. Used by tests and benches to
+    /// pin the batched miss path directly.
     pub fn get_pages(&self, ids: &[PageId]) -> Result<Vec<(PageId, Arc<PageBuf>)>> {
-        let _shared = self.tree_latch.read();
-        // taurus-lint: allow(lock-across-fabric-call) -- batched fetch-on-miss runs under the shared latch by design (readahead consistency);
-        self.pool.get_or_fetch_many(
-            ids,
-            // taurus-lint: allow(lock-across-fabric-call) -- Page Store read handlers take no engine locks, so no cycle -- latency only
-            &|miss| self.sal.read_pages(miss, None),
-            &self.evict_guard(),
-        )
+        self.tree.read(&self.fetcher(), |fetch| {
+            // Demand every id before giving up on an absent one, so that
+            // all the absent ones travel in one envelope.
+            let pages: Vec<_> = ids.iter().map(|&id| Ok((id, fetch.fetch(id)?))).collect();
+            pages.into_iter().collect()
+        })
     }
 
     fn release_locks(&self, txn: TxnId, keys: &[Vec<u8>]) {
@@ -355,38 +356,25 @@ impl MasterEngine {
     }
 }
 
-/// The master's live page fetcher. Demand fetches go pool → storage and warm
-/// the pool with the clean frame; readahead hints from B-tree scans install
-/// absent pages through one batched [`Sal::read_pages`] call. Both paths run
-/// under the tree latch (shared for reads, exclusive for commits), so a
-/// speculative install can never clobber a dirtier frame raced in by a
-/// committing transaction.
+/// The master's live page source: a pool miss reads the page from the Page
+/// Stores at its slice's acked LSN ([`Sal::read_page`]), several misses in
+/// one batched [`Sal::read_pages`] call. The tree latch decides *when* it is
+/// called: with no latch held, except in its two counted fallbacks.
 struct MasterFetcher<'a> {
     engine: &'a MasterEngine,
 }
 
-impl PageFetch for MasterFetcher<'_> {
-    fn fetch(&self, id: PageId) -> Result<Arc<PageBuf>> {
-        let engine = self.engine;
-        if let Some(frame) = engine.pool.get(id) {
-            return Ok(frame.buf);
-        }
-        let buf = Arc::new(engine.sal.read_page(id, None)?);
-        engine.pool.put(
-            id,
-            Frame::new(Arc::clone(&buf), buf.lsn(), false),
-            &engine.evict_guard(),
-        );
-        Ok(buf)
+impl PageSource for MasterFetcher<'_> {
+    fn read_page(&self, page: PageId) -> Result<PageBuf> {
+        self.engine.sal.read_page(page, None)
     }
 
-    fn prefetch(&self, pages: &[PageId]) {
-        let engine = self.engine;
-        engine.pool.prefetch_absent(
-            pages,
-            &|miss| engine.sal.read_pages(miss, None),
-            &engine.evict_guard(),
-        );
+    fn read_pages(&self, pages: &[PageId]) -> Result<Vec<(PageId, PageBuf)>> {
+        self.engine.sal.read_pages(pages, None)
+    }
+
+    fn evict_guard(&self) -> impl Fn(PageId, Lsn) -> bool + '_ {
+        self.engine.evict_guard()
     }
 
     fn readahead_window(&self) -> usize {
@@ -554,8 +542,10 @@ impl Txn {
         Ok(merged.into_iter().take(limit).collect())
     }
 
-    /// Commits: applies the write set under the tree latch, emits one atomic
-    /// group ending in `TxnCommit`, and waits for Log Store durability.
+    /// Commits: brings the write set's leaves into the pool with no latch
+    /// held, applies the write set under the exclusive side of the tree
+    /// latch (pool hits and CPU), emits one atomic group ending in
+    /// `TxnCommit`, and waits for Log Store durability.
     pub fn commit(mut self) -> Result<Lsn> {
         self.check_open()?;
         self.finished = true;
@@ -565,31 +555,30 @@ impl Txn {
             return Ok(engine.sal.durable_lsn());
         }
         let writes = std::mem::take(&mut self.writes);
-        let pending = {
-            let _exclusive = engine.tree_latch.write();
-            // taurus-lint: allow(lock-across-fabric-call) -- committers must fetch pages under the exclusive latch (traversal atomicity); Page Store read handlers take no engine locks, so no cycle
-            let fetch = engine.fetcher();
-            let mut ctx = MutCtx::new(&engine.lsns, &fetch);
-            for (k, op) in &writes {
-                match op {
-                    Some(v) => {
-                        BTree::put(&mut ctx, k, v)?;
-                    }
-                    None => {
-                        BTree::delete(&mut ctx, k)?;
+        let pending = engine
+            .tree
+            .write(&engine.fetcher(), writes.keys(), |fetch| {
+                let mut ctx = MutCtx::new(&engine.lsns, fetch);
+                for (k, op) in &writes {
+                    match op {
+                        Some(v) => {
+                            BTree::put(&mut ctx, k, v)?;
+                        }
+                        None => {
+                            BTree::delete(&mut ctx, k)?;
+                        }
                     }
                 }
-            }
-            ctx.emit(PageId::CONTROL, RecordBody::TxnCommit { txn: self.id })?;
-            let group = LogRecordGroup::new(engine.sal.db, ctx.records.clone());
-            let pages = std::mem::take(&mut ctx.pages);
-            drop(ctx);
-            engine.install_pages(pages);
-            // Buffer under the latch so buffer order equals LSN order; the
-            // threshold flush (Log Store round trips) runs below, after
-            // the latch drops — readers must not stall behind the network.
-            engine.sal.buffer_group(group)
-        };
+                ctx.emit(PageId::CONTROL, RecordBody::TxnCommit { txn: self.id })?;
+                let group = LogRecordGroup::new(engine.sal.db, ctx.records.clone());
+                let pages = std::mem::take(&mut ctx.pages);
+                drop(ctx);
+                engine.install_pages(pages);
+                // Buffer under the latch so buffer order equals LSN order; the
+                // threshold flush (Log Store round trips) runs below, after
+                // the latch drops — readers must not stall behind the network.
+                Ok(engine.sal.buffer_group(group))
+            })?;
         if let Some(p) = pending {
             p.run()?;
         }

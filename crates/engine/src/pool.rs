@@ -13,9 +13,17 @@
 //! on a shard mutex instead of one global lock. Each shard runs its own LRU
 //! with the dirty-page guard; capacity is divided across shards, and a
 //! shard whose frames are all pinned overflows rather than violating the
-//! rule. [`EnginePool::get_or_fetch_many`] is the batched miss path: it
-//! collects the absent ids and hands them to one `Sal::read_pages`-backed
-//! callback instead of N single fetches.
+//! rule.
+//!
+//! A page fetched from storage **without** the tree latch held goes in
+//! through a *loading mark* ([`EnginePool::begin_load`] /
+//! [`EnginePool::finish_load`]): the mark is taken while the page is absent,
+//! every dirty install of the page (a commit) removes it, and the fetched
+//! copy is installed only if the page is still absent and the same mark is
+//! still there. A dirty frame cannot leave the pool before its slice acked
+//! it, so "absent when marked, no dirty install since" means the storage
+//! read, issued after the mark at the slice's acked LSN, returned the
+//! newest version — whatever else ran in between.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,7 +31,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use taurus_common::metrics::{Counter, HitRate};
-use taurus_common::{Lsn, PageBuf, PageId, Result, TaurusError};
+use taurus_common::{Lsn, PageBuf, PageId, Result};
 
 /// The batched miss-path callback: given the absent ids, return the fetched
 /// pages (wired to `Sal::read_pages` by the engines).
@@ -56,17 +64,33 @@ impl Frame {
     }
 }
 
-/// One lock stripe: an LRU map plus its access-tick counter.
+/// What one stripe's lock protects.
+#[derive(Default)]
+struct ShardState {
+    /// The LRU map.
+    map: HashMap<PageId, Frame>,
+    /// Access-tick counter behind `Frame::last_access`.
+    tick: u64,
+    /// Loading marks: page → the token of the load(s) in flight for it. A
+    /// mark exists only while no dirty install of the page happened since
+    /// it was taken; loads that start while it is there share its token.
+    loading: HashMap<PageId, u64>,
+    /// Next loading token; never reused, so a mark taken after a dirty
+    /// install cannot be mistaken for the one that install removed.
+    next_token: u64,
+}
+
+/// One lock stripe: an LRU map, its loading marks, and their counters.
 struct Shard {
     capacity: usize,
-    frames: Mutex<(HashMap<PageId, Frame>, u64)>,
+    frames: Mutex<ShardState>,
 }
 
 impl Shard {
     fn new(capacity: usize) -> Self {
         Shard {
             capacity,
-            frames: Mutex::new((HashMap::new(), 0)),
+            frames: Mutex::new(ShardState::default()),
         }
     }
 }
@@ -121,36 +145,108 @@ impl EnginePool {
         &self.shards[(h as usize) & self.mask]
     }
 
-    /// Fetches a frame if cached.
+    /// Fetches a frame if cached, counting the access as a hit or a miss.
     pub fn get(&self, page: PageId) -> Option<Frame> {
-        let mut guard = self.shard(page).frames.lock();
-        let (frames, tick) = &mut *guard;
-        *tick += 1;
-        let t = *tick;
-        match frames.get_mut(&page) {
-            Some(f) => {
-                f.last_access = t;
-                if f.prefetched {
-                    f.prefetched = false;
-                    self.prefetch_hits.inc();
-                }
-                self.stats.hits.inc();
-                Some(f.clone())
-            }
-            None => {
-                self.stats.misses.inc();
-                None
-            }
+        let frame = self.touch(page);
+        match frame {
+            Some(_) => self.stats.hits.inc(),
+            None => self.stats.misses.inc(),
         }
+        frame
+    }
+
+    /// A demand access that leaves the hit/miss counters to the caller: the
+    /// frame moves to the front of the LRU and a speculative frame becomes
+    /// a prefetch hit, as in [`Self::get`]. The tree-latch protocol counts
+    /// a traversal's accesses itself, once, however often it restarted.
+    pub fn touch(&self, page: PageId) -> Option<Frame> {
+        let mut guard = self.shard(page).frames.lock();
+        let st = &mut *guard;
+        st.tick += 1;
+        let f = st.map.get_mut(&page)?;
+        f.last_access = st.tick;
+        if f.prefetched {
+            f.prefetched = false;
+            self.prefetch_hits.inc();
+        }
+        Some(f.clone())
     }
 
     /// Installs (or replaces) a frame, evicting per LRU while respecting the
     /// dirty-page rule via `can_evict(page, lsn)`. Dirty frames that cannot
     /// be evicted are skipped; a shard may temporarily exceed its capacity
     /// when everything is pinned by the rule (the paper's guarantee demands
-    /// it).
+    /// it). A dirty frame is a new version of the page: it removes the
+    /// page's loading mark, so a copy fetched before it is never installed.
     pub fn put(&self, page: PageId, frame: Frame, can_evict: &dyn Fn(PageId, Lsn) -> bool) {
         self.put_in_shard(page, frame, can_evict, false);
+    }
+
+    /// Marks `page` as being loaded from storage and returns the mark's
+    /// token, or `None` when the page is resident (nothing to load). Must
+    /// be called before the storage read is issued.
+    pub fn begin_load(&self, page: PageId) -> Option<u64> {
+        let mut guard = self.shard(page).frames.lock();
+        let st = &mut *guard;
+        if st.map.contains_key(&page) {
+            return None;
+        }
+        let next = &mut st.next_token;
+        Some(*st.loading.entry(page).or_insert_with(|| {
+            *next += 1;
+            *next
+        }))
+    }
+
+    /// Installs a copy of `page` fetched under the mark `token` as a clean
+    /// frame (`prefetched`: nobody demanded it yet) — only if that mark
+    /// survived and the page is absent. Returns whether it went in; a copy
+    /// refused for want of its mark may be stale and must be dropped.
+    ///
+    /// A load that keeps its mark (`keep_mark`) may come back with the same
+    /// copy later — the page was evicted again — and is let in on the same
+    /// terms: the mark is still the proof that no newer version exists. It
+    /// gives the mark up with [`Self::end_load`].
+    pub fn finish_load(
+        &self,
+        page: PageId,
+        token: u64,
+        buf: Arc<PageBuf>,
+        prefetched: bool,
+        keep_mark: bool,
+        can_evict: &dyn Fn(PageId, Lsn) -> bool,
+    ) -> bool {
+        let shard = self.shard(page);
+        let mut guard = shard.frames.lock();
+        if guard.loading.get(&page) != Some(&token) {
+            return false;
+        }
+        if !keep_mark {
+            guard.loading.remove(&page);
+        }
+        if guard.map.contains_key(&page) {
+            return false;
+        }
+        let lsn = buf.lsn();
+        let frame = Frame::new(buf, lsn, false);
+        Self::install(
+            shard.capacity,
+            &mut guard,
+            page,
+            frame,
+            can_evict,
+            prefetched,
+        );
+        true
+    }
+
+    /// Gives up a mark kept across [`Self::finish_load`]. Loads that share
+    /// the token lose it with this one and are refused: late, never wrong.
+    pub fn end_load(&self, page: PageId, token: u64) {
+        let mut guard = self.shard(page).frames.lock();
+        if guard.loading.get(&page) == Some(&token) {
+            guard.loading.remove(&page);
+        }
     }
 
     fn put_in_shard(
@@ -162,14 +258,36 @@ impl EnginePool {
     ) {
         let shard = self.shard(page);
         let mut guard = shard.frames.lock();
-        let (frames, tick) = &mut *guard;
-        *tick += 1;
-        let t = *tick;
+        Self::install(
+            shard.capacity,
+            &mut guard,
+            page,
+            frame,
+            can_evict,
+            prefetched,
+        );
+    }
+
+    /// Puts `frame` into a stripe whose lock the caller holds, and evicts
+    /// down to `capacity`.
+    fn install(
+        capacity: usize,
+        st: &mut ShardState,
+        page: PageId,
+        frame: Frame,
+        can_evict: &dyn Fn(PageId, Lsn) -> bool,
+        prefetched: bool,
+    ) {
+        st.tick += 1;
         let mut f = frame;
-        f.last_access = t;
+        f.last_access = st.tick;
         f.prefetched = prefetched;
+        if f.dirty {
+            st.loading.remove(&page);
+        }
+        let frames = &mut st.map;
         frames.insert(page, f);
-        while frames.len() > shard.capacity {
+        while frames.len() > capacity {
             // LRU order among evictable frames only.
             let victim = frames
                 .iter()
@@ -193,52 +311,6 @@ impl EnginePool {
                 None => break, // everything pinned: allow overflow
             }
         }
-    }
-
-    /// The batched miss path: returns every requested page, fetching the
-    /// cached ones from their shards and the misses through **one**
-    /// `fetch_many` call (wired to `Sal::read_pages`). Fetched pages are
-    /// installed as clean frames. Results come back in request order;
-    /// duplicates are served from the first fetch.
-    pub fn get_or_fetch_many(
-        &self,
-        pages: &[PageId],
-        fetch_many: &FetchMany<'_>,
-        can_evict: &dyn Fn(PageId, Lsn) -> bool,
-    ) -> Result<Vec<(PageId, Arc<PageBuf>)>> {
-        let mut found: HashMap<PageId, Arc<PageBuf>> = HashMap::with_capacity(pages.len());
-        let mut misses: Vec<PageId> = Vec::new();
-        for &page in pages {
-            if found.contains_key(&page) || misses.contains(&page) {
-                continue;
-            }
-            match self.get(page) {
-                Some(f) => {
-                    found.insert(page, f.buf);
-                }
-                None => misses.push(page),
-            }
-        }
-        if !misses.is_empty() {
-            for (page, buf) in fetch_many(&misses)? {
-                let lsn = buf.lsn();
-                let buf = Arc::new(buf);
-                self.put(page, Frame::new(Arc::clone(&buf), lsn, false), can_evict);
-                found.insert(page, buf);
-            }
-        }
-        let mut out = Vec::with_capacity(pages.len());
-        for &page in pages {
-            match found.get(&page) {
-                Some(buf) => out.push((page, Arc::clone(buf))),
-                None => {
-                    return Err(TaurusError::Internal(
-                        "batched fetch did not return a requested page".into(),
-                    ))
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Speculative readahead: fetches only the ids not already cached, in
@@ -265,19 +337,25 @@ impl EnginePool {
         let Ok(fetched) = fetch_many(&misses) else {
             return 0;
         };
-        let mut installed = 0usize;
+        let installed = fetched.len();
         for (page, buf) in fetched {
             let lsn = buf.lsn();
             self.put_in_shard(page, Frame::new(Arc::new(buf), lsn, false), can_evict, true);
-            installed += 1;
         }
         self.prefetched.add(installed as u64);
         installed
     }
 
+    /// Loading marks outstanding.
+    #[cfg(test)]
+    pub(crate) fn marks(&self) -> usize {
+        let marks = |s: &Shard| s.frames.lock().loading.len();
+        self.shards.iter().map(marks).sum()
+    }
+
     /// Whether a frame is cached, without touching LRU or hit/miss stats.
     pub fn contains(&self, page: PageId) -> bool {
-        self.shard(page).frames.lock().0.contains_key(&page)
+        self.shard(page).frames.lock().map.contains_key(&page)
     }
 
     /// Marks a page clean once its records reached a Page Store (the master
@@ -285,7 +363,7 @@ impl EnginePool {
     pub fn mark_clean_upto(&self, can_evict: &dyn Fn(PageId, Lsn) -> bool) {
         for shard in &self.shards {
             let mut guard = shard.frames.lock();
-            for (p, f) in guard.0.iter_mut() {
+            for (p, f) in guard.map.iter_mut() {
                 if f.dirty && can_evict(*p, f.lsn) {
                     f.dirty = false;
                 }
@@ -293,13 +371,17 @@ impl EnginePool {
         }
     }
 
-    /// Removes a frame (replica cache invalidation).
+    /// Removes a frame (replica cache invalidation) and the page's loading
+    /// mark: whoever invalidates a page knows of a version a load in flight
+    /// may have missed.
     pub fn remove(&self, page: PageId) {
-        self.shard(page).frames.lock().0.remove(&page);
+        let mut guard = self.shard(page).frames.lock();
+        guard.map.remove(&page);
+        guard.loading.remove(&page);
     }
 
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.frames.lock().0.len()).sum()
+        self.shards.iter().map(|s| s.frames.lock().map.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -317,10 +399,13 @@ impl EnginePool {
         (self.prefetched.get(), self.prefetch_hits.get())
     }
 
-    /// Clears the pool (used when a promoted replica re-syncs).
+    /// Clears the pool (used when a promoted replica re-syncs), loading
+    /// marks included: no load in flight may install into the new state.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.frames.lock().0.clear();
+            let mut guard = shard.frames.lock();
+            guard.map.clear();
+            guard.loading.clear();
         }
     }
 }
@@ -328,6 +413,7 @@ impl EnginePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taurus_common::TaurusError;
 
     fn frame(lsn: u64, dirty: bool) -> Frame {
         Frame::new(Arc::new(PageBuf::new()), Lsn(lsn), dirty)
@@ -425,29 +511,98 @@ mod tests {
         let occupied = pool
             .shards
             .iter()
-            .filter(|s| !s.frames.lock().0.is_empty())
+            .filter(|s| !s.frames.lock().map.is_empty())
             .count();
         assert!(occupied > 1, "sequential ids all hashed to one shard");
     }
 
+    fn loaded() -> Arc<PageBuf> {
+        Arc::new(PageBuf::new())
+    }
+
     #[test]
-    fn get_or_fetch_many_batches_the_misses() {
-        let pool = EnginePool::with_shards(16, 4);
+    fn loading_mark_is_taken_on_absence_and_spent_by_the_install() {
+        let pool = EnginePool::new(8);
         pool.put(PageId(1), frame(1, false), &always);
-        let calls = std::sync::atomic::AtomicUsize::new(0);
-        let fetch = |ids: &[PageId]| {
-            calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            Ok(ids.iter().map(|&p| (p, PageBuf::new())).collect())
-        };
-        let ids = [PageId(1), PageId(2), PageId(3), PageId(2)];
-        let got = pool.get_or_fetch_many(&ids, &fetch, &always).unwrap();
-        // One fetch call covered both misses; duplicates are served too.
-        assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 1);
-        assert_eq!(got.len(), 4);
-        assert!(got.iter().map(|(p, _)| *p).eq(ids.iter().copied()));
-        // Everything is cached now: no further fetches.
-        pool.get_or_fetch_many(&ids, &fetch, &always).unwrap();
-        assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 1);
+        // A resident page needs no load; an absent one is marked, and loads
+        // that start while the mark is there share it.
+        assert_eq!(pool.begin_load(PageId(1)), None);
+        let token = pool.begin_load(PageId(2)).expect("absent page is marked");
+        assert_eq!(pool.begin_load(PageId(2)), Some(token));
+        // The first copy back goes in as a clean frame and spends the mark;
+        // the second load of the same page finds it gone.
+        assert!(pool.finish_load(PageId(2), token, loaded(), false, false, &always));
+        assert!(!pool.get(PageId(2)).expect("installed").dirty);
+        assert!(!pool.finish_load(PageId(2), token, loaded(), false, false, &always));
+        // `touch` and `get` never mark: a replica's miss leaves nothing.
+        assert!(pool.get(PageId(3)).is_none() && pool.touch(PageId(3)).is_none());
+        assert_eq!(pool.marks(), 0);
+    }
+
+    #[test]
+    fn loading_mark_is_cleared_by_a_dirty_put_and_kept_by_a_clean_one() {
+        let pool = EnginePool::new(2);
+        // A clean install (the under-latch fallback's) is the version the
+        // load will return too: the mark stays, the copy is merely late.
+        let token = pool.begin_load(PageId(1)).unwrap();
+        pool.put(PageId(1), frame(1, false), &always);
+        assert_eq!(
+            pool.shard(PageId(1)).frames.lock().loading.get(&PageId(1)),
+            Some(&token)
+        );
+        assert!(!pool.finish_load(PageId(1), token, loaded(), false, false, &always));
+        assert_eq!(pool.get(PageId(1)).unwrap().lsn, Lsn(1));
+
+        // A dirty install is a new version: it clears the mark, and the
+        // copy fetched before it stays out even after that version was
+        // acked and evicted and a later load marked the page again.
+        let stale = pool.begin_load(PageId(2)).unwrap();
+        pool.put(PageId(2), frame(7, true), &always);
+        assert_eq!(pool.marks(), 0);
+        pool.put(PageId(3), frame(1, false), &always);
+        pool.put(PageId(4), frame(1, false), &always);
+        assert!(!pool.contains(PageId(2)), "acked dirty frame was evicted");
+        let fresh = pool.begin_load(PageId(2)).unwrap();
+        assert_ne!(stale, fresh);
+        assert!(!pool.finish_load(PageId(2), stale, loaded(), false, false, &always));
+        assert!(!pool.contains(PageId(2)));
+        assert!(pool.finish_load(PageId(2), fresh, loaded(), true, false, &always));
+    }
+
+    #[test]
+    fn a_kept_loading_mark_lets_the_copy_back_in_until_a_dirty_put() {
+        let pool = EnginePool::new(1);
+        let token = pool.begin_load(PageId(1)).unwrap();
+        assert!(pool.finish_load(PageId(1), token, loaded(), false, true, &always));
+        // Evicted again, nothing committed: the same copy is still the
+        // newest version, and the kept mark says so.
+        pool.put(PageId(2), frame(1, false), &always);
+        assert!(!pool.contains(PageId(1)));
+        assert!(pool.finish_load(PageId(1), token, loaded(), false, true, &always));
+        // A commit, its ack, another eviction: now the copy is history.
+        pool.put(PageId(1), frame(9, true), &always);
+        pool.put(PageId(2), frame(1, false), &always);
+        assert!(!pool.finish_load(PageId(1), token, loaded(), false, true, &always));
+        // Giving up a mark takes it from the loads that share it, and leaves
+        // somebody else's alone.
+        let shared = pool.begin_load(PageId(3)).unwrap();
+        pool.end_load(PageId(3), shared + 1);
+        assert_eq!(pool.marks(), 1);
+        pool.end_load(PageId(3), shared);
+        assert!(!pool.finish_load(PageId(3), shared, loaded(), false, false, &always));
+        assert_eq!(pool.marks(), 0);
+    }
+
+    #[test]
+    fn loading_mark_is_dropped_by_remove_and_clear() {
+        let pool = EnginePool::with_shards(16, 4);
+        let a = pool.begin_load(PageId(1)).unwrap();
+        let b = pool.begin_load(PageId(2)).unwrap();
+        pool.remove(PageId(1));
+        assert!(!pool.finish_load(PageId(1), a, loaded(), false, false, &always));
+        pool.clear();
+        assert!(!pool.finish_load(PageId(2), b, loaded(), false, false, &always));
+        assert!(pool.is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use taurus_common::clock::{Clock, ManualClock};
 use taurus_common::page::{PageType, HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
-use taurus_common::{PageId, TaurusConfig, TaurusError};
+use taurus_common::{PageBuf, PageId, TaurusConfig, TaurusError};
 use taurus_engine::TaurusDb;
 
 fn launch() -> Arc<TaurusDb> {
@@ -143,6 +143,12 @@ fn rollback_leaves_no_trace() {
     assert_eq!(master.get(b"ghost").unwrap(), Some(b"real".to_vec()));
 }
 
+/// `bulk_row`s that fill one leaf.
+fn rows_per_leaf() -> u32 {
+    let (k, v) = bulk_row(0);
+    ((PAGE_SIZE - HEADER_SIZE) / (2 + k.len() + v.len() + SLOT_SIZE)) as u32
+}
+
 fn bulk_row(i: u32) -> (Vec<u8>, Vec<u8>) {
     (
         format!("row{i:08}").into_bytes(),
@@ -155,9 +161,7 @@ fn bulk_row(i: u32) -> (Vec<u8>, Vec<u8>) {
 /// the caller needs: an ascending load fills each leaf before it starts
 /// the next.
 fn bulk_load(master: &Arc<taurus_engine::MasterEngine>, leaves: usize) -> u32 {
-    let (k, v) = bulk_row(0);
-    let rows_per_leaf = (PAGE_SIZE - HEADER_SIZE) / (2 + k.len() + v.len() + SLOT_SIZE);
-    let n = (leaves * rows_per_leaf) as u32;
+    let n = leaves as u32 * rows_per_leaf();
     for chunk in (0..n).collect::<Vec<_>>().chunks(50) {
         let mut t = master.begin();
         for i in chunk {
@@ -169,8 +173,8 @@ fn bulk_load(master: &Arc<taurus_engine::MasterEngine>, leaves: usize) -> u32 {
     n
 }
 
-/// Used share of every leaf, in chain order, read through the master.
-fn leaf_fills(master: &taurus_engine::MasterEngine) -> Vec<f64> {
+/// Every leaf, in chain order, read through the master.
+fn leaf_chain(master: &taurus_engine::MasterEngine) -> Vec<(PageId, Arc<PageBuf>)> {
     let page = |id: u64| master.get_pages(&[PageId(id)]).unwrap().remove(0).1;
     let u64_cell = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().unwrap());
     let control = page(0);
@@ -178,13 +182,21 @@ fn leaf_fills(master: &taurus_engine::MasterEngine) -> Vec<f64> {
     while page(id).page_type() == PageType::Internal {
         id = u64_cell(page(id).value(0).unwrap());
     }
-    let mut fills = Vec::new();
+    let mut chain = Vec::new();
     while id != 0 {
         let leaf = page(id);
-        fills.push(1.0 - leaf.usable_space() as f64 / (PAGE_SIZE - HEADER_SIZE) as f64);
+        chain.push((PageId(id), Arc::clone(&leaf)));
         id = leaf.next();
     }
-    fills
+    chain
+}
+
+/// Used share of every leaf, in chain order.
+fn leaf_fills(master: &taurus_engine::MasterEngine) -> Vec<f64> {
+    leaf_chain(master)
+        .iter()
+        .map(|(_, leaf)| 1.0 - leaf.usable_space() as f64 / (PAGE_SIZE - HEADER_SIZE) as f64)
+        .collect()
 }
 
 #[test]
@@ -766,4 +778,373 @@ fn replica_scan_pins_one_tv_lsn_for_the_whole_traversal() {
         replica.scan_pushdown(&ScanRequest::full()).unwrap().rows,
         fresh
     );
+}
+
+// ---------------------------------------------------------------------
+// The B+tree latch protocol: no latch across a Page Store round trip
+// ---------------------------------------------------------------------
+
+/// A cluster on `clock` whose master pool is one LRU of `frames` frames.
+fn launch_small_pool(clock: taurus_common::clock::ClockRef, frames: usize) -> Arc<TaurusDb> {
+    let cfg = TaurusConfig {
+        log_buffer_bytes: 1,
+        slice_buffer_bytes: 1,
+        engine_buffer_pool_pages: frames,
+        engine_pool_shards: 1,
+        ..TaurusConfig::test()
+    };
+    TaurusDb::launch_with_clock(cfg, 5, 6, clock, 7).unwrap()
+}
+
+/// First row of the `bulk_load`ed leaf number `leaf`.
+fn row_on_leaf(leaf: u32) -> u32 {
+    leaf * rows_per_leaf()
+}
+
+/// Reads one row of each leaf in `leaves`: with a one-LRU pool of fewer
+/// frames than that, every other leaf is evicted (if its slice acked it).
+fn read_leaves(master: &taurus_engine::MasterEngine, leaves: std::ops::Range<u32>) {
+    for leaf in leaves {
+        let (k, v) = bulk_row(row_on_leaf(leaf));
+        assert_eq!(master.get(&k).unwrap(), Some(v));
+    }
+}
+
+/// Commits `k = v` on a thread of its own and waits for it, but not for
+/// ever: behind a latch held across the caller's round trip it never ends.
+fn commit_from_another_connection(master: &Arc<taurus_engine::MasterEngine>, k: &[u8], v: &[u8]) {
+    let (done, wait) = std::sync::mpsc::channel();
+    let (master, k, v) = (Arc::clone(master), k.to_vec(), v.to_vec());
+    let committer = std::thread::spawn(move || {
+        let mut t = master.begin();
+        t.put(&k, &v).unwrap();
+        let _ = done.send(t.commit());
+    });
+    wait.recv_timeout(std::time::Duration::from_secs(20))
+        .expect("a commit is stuck behind a reader's miss round trip")
+        .unwrap();
+    committer.join().unwrap();
+}
+
+#[test]
+fn a_commit_completes_inside_a_readers_miss_round_trip() {
+    let clock = Arc::new(HookClock::default());
+    let db = launch_small_pool(clock.clone(), 8);
+    let master = db.master();
+    bulk_load(&master, 20);
+    settle(&db);
+    // Leaf 10 is out of the pool; the spine above it is in.
+    read_leaves(&master, 0..9);
+    let (k, v) = bulk_row(row_on_leaf(10));
+    let committed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let hook = {
+        let (master, committed) = (Arc::clone(&master), Arc::clone(&committed));
+        move || {
+            // Another connection writes another leaf while this one's read
+            // of leaf 10 is on the wire.
+            commit_from_another_connection(&master, &bulk_row(row_on_leaf(3)).0, b"meanwhile");
+            committed.store(true, std::sync::atomic::Ordering::SeqCst);
+        }
+    };
+    *clock.armed.lock() = Some(HookArm {
+        thread: std::thread::current().id(),
+        waits_left: 1,
+        hook: Box::new(hook),
+    });
+    assert_eq!(master.get(&k).unwrap(), Some(v));
+    assert!(committed.load(std::sync::atomic::Ordering::SeqCst));
+    let stats = master.latch_stats();
+    assert_eq!((stats.read_latch_fallbacks, stats.loads_discarded), (0, 0));
+    assert_eq!(
+        master.get(&bulk_row(row_on_leaf(3)).0).unwrap(),
+        Some(b"meanwhile".to_vec())
+    );
+}
+
+#[test]
+fn a_page_read_before_a_commit_is_never_installed_after_it() {
+    // The stale install, forced at every wait of the reader's round trip
+    // for leaf P: a commit rewrites a row on P, P's slice acks it, P is
+    // evicted again — and then the reader's copy of P arrives. At the first
+    // wait the Page Store has not served the read yet; at the second it has,
+    // and the copy on the wire is the old version.
+    for n in 1.. {
+        let clock = Arc::new(HookClock::default());
+        let db = launch_small_pool(clock.clone(), 8);
+        let master = db.master();
+        bulk_load(&master, 20);
+        settle(&db);
+        let (p, before) = {
+            let (id, leaf) = &leaf_chain(&master)[10];
+            (*id, leaf.lsn())
+        };
+        read_leaves(&master, 0..9);
+        let (k, old) = bulk_row(row_on_leaf(10) + 1);
+        let new = vec![b'n'; old.len()];
+        let hook = {
+            let (db, k, new) = (Arc::clone(&db), k.clone(), new.clone());
+            move || {
+                let master = db.master();
+                commit_from_another_connection(&master, &k, &new);
+                settle(&db);
+                read_leaves(&master, 0..9);
+            }
+        };
+        *clock.armed.lock() = Some(HookArm {
+            thread: std::thread::current().id(),
+            waits_left: n,
+            hook: Box::new(hook),
+        });
+        let got = master.get(&k).unwrap();
+        if clock.armed.lock().take().is_some() {
+            // The read made fewer than `n` waits: every boundary is done.
+            assert_eq!(got, Some(old));
+            assert!(n > 2, "the miss made only {n} waits: the sweep is vacuous");
+            return;
+        }
+        // The late copy was dropped, the reader started over and saw the
+        // commit, and so does everybody after it.
+        assert_eq!(master.latch_stats().loads_discarded, 1, "hook at wait {n}");
+        assert_eq!(got.as_ref(), Some(&new), "hook at wait {n}");
+        assert_eq!(master.get(&k).unwrap(), Some(new));
+        let frame = master.get_pages(&[p]).unwrap().remove(0).1;
+        assert!(frame.lsn() > before, "P is resident at its old version");
+    }
+}
+
+#[test]
+fn a_commit_whose_warmed_leaves_were_evicted_reads_none_of_them_twice() {
+    let db = launch_small_pool(ManualClock::shared(), 4);
+    let master = db.master();
+    bulk_load(&master, 20);
+    settle(&db);
+    // Twelve leaves through a pool of four frames: the warm-up's own
+    // installs push its first leaves out again before the apply.
+    let rows: Vec<u32> = (2..14).map(|leaf| row_on_leaf(leaf) + 5).collect();
+    let pages_read = || {
+        let sal = &master.sal;
+        sal.stats.snapshot().page_reads + sal.read_batch_stats.snapshot().pages_requested
+    };
+    let (before, read_before) = (master.latch_stats(), pages_read());
+    let mut t = master.begin();
+    for &row in &rows {
+        t.put(&bulk_row(row).0, b"rewritten").unwrap();
+    }
+    t.commit().unwrap();
+    // The apply put the evicted leaves back from the copies the write set
+    // kept (their loading marks were intact): twelve leaves read once, and
+    // under the latch at most the spine they pushed out.
+    let stats = master.latch_stats();
+    let warmed = stats.commit_warm_pages - before.commit_warm_pages;
+    let under_latch = stats.commit_fetches_under_latch - before.commit_fetches_under_latch;
+    assert!(warmed >= 12, "{stats}");
+    assert!(under_latch <= 2, "{stats}");
+    assert_eq!(pages_read() - read_before, warmed + under_latch);
+    assert!(
+        warmed + under_latch <= 12 + 4,
+        "a leaf was read twice: {stats}"
+    );
+    for &row in &rows {
+        let k = bulk_row(row).0;
+        assert_eq!(master.get(&k).unwrap(), Some(b"rewritten".to_vec()));
+        let (k, v) = bulk_row(row + 1);
+        assert_eq!(master.get(&k).unwrap(), Some(v));
+    }
+}
+
+#[test]
+fn an_unbounded_scan_larger_than_the_pool_ends_through_the_fallback() {
+    let db = launch_small_pool(ManualClock::shared(), 8);
+    let master = db.master();
+    let n = bulk_load(&master, 30);
+    settle(&db);
+    let expected: Vec<_> = (0..n).map(bulk_row).collect();
+    let before = master.latch_stats().read_latch_fallbacks;
+    assert_eq!(master.scan(b"", usize::MAX).unwrap(), expected);
+    assert!(master.latch_stats().read_latch_fallbacks > before);
+    // A bounded scan over the same table never needs it.
+    let before = master.latch_stats().read_latch_fallbacks;
+    for start in (0..n).step_by(131) {
+        let end = (start as usize + 20).min(expected.len());
+        let got = master.scan(&bulk_row(start).0, 20).unwrap();
+        assert_eq!(got, &expected[start as usize..end]);
+    }
+    assert_eq!(master.latch_stats().read_latch_fallbacks, before);
+}
+
+#[test]
+fn threaded_reads_and_commits_through_a_tiny_pool_match_the_model() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const ROWS: u32 = 600;
+    const TOKENS: u32 = 4;
+    const COMMITS: u32 = 400;
+    let row_key = |i: u32| format!("row{i:06}").into_bytes();
+    let row_val = |v: u64| format!("{v:012}-{}", "d".repeat(96)).into_bytes();
+    let version = |val: &[u8]| -> u64 { std::str::from_utf8(&val[..12]).unwrap().parse().unwrap() };
+    // A token sits at one end of the key space or at the other.
+    let token_key =
+        |t: u32, far: bool| format!("{}token{t}", if far { 'z' } else { 'a' }).into_bytes();
+
+    let db = launch_small_pool(ManualClock::shared(), 8);
+    let master = db.master();
+    for chunk in (0..ROWS).collect::<Vec<_>>().chunks(50) {
+        let mut t = master.begin();
+        for &i in chunk {
+            t.put(&row_key(i), &row_val(0)).unwrap();
+        }
+        t.commit().unwrap();
+    }
+    let mut t = master.begin();
+    for tok in 0..TOKENS {
+        t.put(&token_key(tok, false), b"token").unwrap();
+    }
+    t.commit().unwrap();
+    settle(&db);
+    // Acks keep coming while the threads run, so frames keep leaving.
+    let background = db.start_background(200);
+
+    // Per row: the newest version whose commit was acknowledged, and the
+    // newest one whose commit was started. One writer per row.
+    let acked: Vec<AtomicU64> = (0..ROWS).map(|_| AtomicU64::new(0)).collect();
+    let started: Vec<AtomicU64> = (0..ROWS).map(|_| AtomicU64::new(0)).collect();
+    let writers_left = AtomicU64::new(2);
+    let failed = AtomicBool::new(false);
+    let check_rows = |rows: &[(Vec<u8>, Vec<u8>)], first: u32, floors: &[u64]| {
+        for (n, (k, val)) in rows.iter().enumerate() {
+            let i = first + n as u32;
+            if i >= ROWS {
+                break;
+            }
+            assert_eq!(k, &row_key(i), "scan skipped or repeated a row");
+            let v = version(val);
+            assert!(
+                v >= floors[n],
+                "row {i}: read {v}, acked {} before",
+                floors[n]
+            );
+            let ceiling = started[i as usize].load(Ordering::SeqCst);
+            assert!(
+                v <= ceiling,
+                "row {i}: read {v}, never written past {ceiling}"
+            );
+        }
+    };
+    std::thread::scope(|s| {
+        for w in 0..2u32 {
+            let (master, acked, started) = (&master, &acked, &started);
+            let (writers_left, failed) = (&writers_left, &failed);
+            s.spawn(move || {
+                let _done = OnDrop(|| {
+                    writers_left.fetch_sub(1, Ordering::SeqCst);
+                    if std::thread::panicking() {
+                        failed.store(true, Ordering::SeqCst);
+                    }
+                });
+                let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ w as u64;
+                let mut far = [false; TOKENS as usize];
+                for n in 0..COMMITS {
+                    let mut t = master.begin();
+                    if n % 4 == 3 {
+                        // Move a token: a delete and an insert on leaves at
+                        // opposite ends of the chain, in one transaction.
+                        let tok = 2 * (next(&mut rng) as u32 % (TOKENS / 2)) + w;
+                        let at = &mut far[tok as usize];
+                        t.delete(&token_key(tok, *at)).unwrap();
+                        t.put(&token_key(tok, !*at), b"token").unwrap();
+                        *at = !*at;
+                        t.commit().unwrap();
+                    } else {
+                        let i = 2 * (next(&mut rng) as u32 % (ROWS / 2)) + w;
+                        let v = started[i as usize].load(Ordering::SeqCst) + 1;
+                        started[i as usize].store(v, Ordering::SeqCst);
+                        t.put(&row_key(i), &row_val(v)).unwrap();
+                        t.commit().unwrap();
+                        acked[i as usize].store(v, Ordering::SeqCst);
+                    }
+                }
+            });
+        }
+        for r in 0..2u32 {
+            let (master, acked, check_rows) = (&master, &acked, &check_rows);
+            let (writers_left, failed) = (&writers_left, &failed);
+            s.spawn(move || {
+                let _done = OnDrop(|| {
+                    if std::thread::panicking() {
+                        failed.store(true, Ordering::SeqCst);
+                    }
+                });
+                let floors = |first: u32, n: u32| -> Vec<u64> {
+                    (first..(first + n).min(ROWS))
+                        .map(|i| acked[i as usize].load(Ordering::SeqCst))
+                        .collect()
+                };
+                let mut rng = 0xD1B5_4A32_D192_ED03u64 ^ r as u64;
+                let mut ops = 0u32;
+                while writers_left.load(Ordering::SeqCst) > 0 && !failed.load(Ordering::SeqCst) {
+                    ops += 1;
+                    let i = next(&mut rng) as u32 % ROWS;
+                    if ops.is_multiple_of(64) {
+                        // The whole table, larger than the pool: every row
+                        // once, every token in exactly one of its places.
+                        let before = floors(0, ROWS);
+                        let all = master.scan(b"", usize::MAX).unwrap();
+                        for tok in 0..TOKENS {
+                            let seen = [false, true]
+                                .map(|far| all.iter().any(|(k, _)| k == &token_key(tok, far)));
+                            assert!(seen[0] != seen[1], "token {tok} torn: {seen:?}");
+                        }
+                        let rows: Vec<_> = all
+                            .into_iter()
+                            .filter(|(k, _)| k.starts_with(b"row"))
+                            .collect();
+                        assert_eq!(rows.len(), ROWS as usize);
+                        check_rows(&rows, 0, &before);
+                    } else if ops.is_multiple_of(4) {
+                        let before = floors(i, 20);
+                        let mut rows = master.scan(&row_key(i), 20).unwrap();
+                        rows.retain(|(k, _)| k.starts_with(b"row"));
+                        assert_eq!(rows.len(), 20.min((ROWS - i) as usize));
+                        check_rows(&rows, i, &before);
+                    } else {
+                        let before = floors(i, 1);
+                        let val = master.get(&row_key(i)).unwrap().expect("a row vanished");
+                        check_rows(&[(row_key(i), val)], i, &before);
+                    }
+                }
+            });
+        }
+    });
+    drop(background);
+    // The run went through the protocol, and ends on the model.
+    let stats = master.latch_stats();
+    assert!(
+        stats.read_restarts > 0 && stats.commit_warm_pages > 0,
+        "{stats}"
+    );
+    let rows = master.scan(b"row", ROWS as usize).unwrap();
+    let floors: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
+    check_rows(&rows, 0, &floors);
+    // (Only the pool's rule: the Page Stores' `layer-bounded-replay` check
+    // reads the compact LSN after its directory snapshot and so misfires
+    // when a compaction lands in between — before this test as after.)
+    assert!(taurus_common::invariants::violations()
+        .iter()
+        .all(|v| v.name != "pool-dirty-eviction"));
+}
+
+/// Runs a closure when dropped (a thread's exit, panicking or not).
+struct OnDrop<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)();
+    }
+}
+
+/// xorshift64: a seeded op stream per thread, no shared state.
+fn next(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
 }

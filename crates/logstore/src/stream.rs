@@ -135,6 +135,9 @@ struct StreamState {
     meta_plog: PLogId,
     meta_next_seq: u64,
     meta_bytes: u64,
+    /// Bytes of `meta_plog` a reader has already decoded ([`LogStream::open`]
+    /// and [`LogStream::refresh`]): the next refresh reads past them only.
+    meta_seen: u64,
     /// The metadata PLog can no longer accept a *visible* append: a failed
     /// write burned a sequence number, so anything written after it would
     /// stay buried behind the gap forever. Snapshots go straight to a fresh
@@ -306,6 +309,7 @@ impl LogStream {
             ))
         })?;
         let raw = cluster.read_from(meta_plog, me, 0)?;
+        let meta_seen = raw.len() as u64;
         let (mut entries, next_seq, incarnation) = decode_last_snapshot(raw)?;
         for e in entries.iter_mut() {
             let committed = cluster.committed_len(e.id);
@@ -343,6 +347,7 @@ impl LogStream {
             meta_dead,
         );
         state.tail_reserved_bytes = tail_reserved;
+        state.meta_seen = meta_seen;
         Ok(LogStream {
             cluster,
             db,
@@ -698,6 +703,7 @@ impl LogStream {
             let mut st = self.state.lock();
             st.meta_plog = new;
             st.meta_bytes = 0;
+            st.meta_seen = 0;
             st.meta_dead = false;
         }
         self.cluster
@@ -918,9 +924,12 @@ impl LogStream {
         Ok(victim_ids.len())
     }
 
-    /// Re-reads the metadata PLog and adopts the newest snapshot. Readers
-    /// (read replicas) call this to discover PLogs created or deleted by the
-    /// master since they opened the stream.
+    /// Reads what the metadata PLog gained since the last look and adopts
+    /// the newest snapshot in it. Readers (read replicas) call this to
+    /// discover PLogs created or deleted by the master since they opened
+    /// the stream. Snapshots are whole appends, so the bytes past the ones
+    /// already decoded start at a snapshot boundary; when there are none the
+    /// cluster answers from its directory and no round trip is made.
     pub fn refresh(&self) -> Result<()> {
         let meta_plog = self
             .cluster
@@ -931,9 +940,27 @@ impl LogStream {
                     self.db, self.stream_id
                 ))
             })?;
-        let raw = self.cluster.read_from(meta_plog, self.me, 0)?;
+        // The master rolled the metadata PLog: the new one starts over.
+        let seen = {
+            let st = self.state.lock();
+            if st.meta_plog == meta_plog {
+                st.meta_seen
+            } else {
+                0
+            }
+        };
+        let raw = self.cluster.read_from(meta_plog, self.me, seen)?;
+        if raw.is_empty() {
+            return Ok(());
+        }
+        let seen = seen + raw.len() as u64;
         let (entries, next_seq, incarnation) = decode_last_snapshot(raw)?;
         let mut st = self.state.lock();
+        if st.meta_plog == meta_plog && st.meta_seen >= seen {
+            // A concurrent refresh already adopted these bytes or later ones.
+            return Ok(());
+        }
+        st.meta_seen = seen;
         // PLogs that vanished from the snapshot were truncated by the
         // master; remember how far so stale tail cursors are detected.
         let mut truncated_through = st.truncated_through;
@@ -1074,6 +1101,7 @@ impl StreamState {
             meta_plog,
             meta_next_seq,
             meta_bytes: 0,
+            meta_seen: 0,
             meta_dead,
             tail_reserved_bytes: 0,
             next_ticket: 0,
@@ -1143,7 +1171,13 @@ mod tests {
     use taurus_fabric::{Fabric, NodeKind};
 
     fn setup(limit: usize) -> (LogStream, LogStoreCluster, NodeId, Vec<NodeId>) {
-        let clock = ManualClock::shared();
+        setup_on(ManualClock::shared(), limit)
+    }
+
+    fn setup_on(
+        clock: taurus_common::clock::ClockRef,
+        limit: usize,
+    ) -> (LogStream, LogStoreCluster, NodeId, Vec<NodeId>) {
         let fabric = Fabric::new(clock, NetworkProfile::instant(), 7);
         let me = fabric.add_node(NodeKind::Compute);
         let cluster = LogStoreCluster::new(fabric, 3, 1 << 20);
@@ -1537,5 +1571,95 @@ mod tests {
         // And the stream still reopens correctly from the new one.
         let s2 = LogStream::open(cluster, DbId(1), NodeId(1), 220, 4).unwrap();
         assert_eq!(s2.entries().len(), s.entries().len());
+    }
+    /// A manual clock that counts deadline waits: every RPC makes two (its
+    /// request's arrival, its reply), a single `Fabric::call` included —
+    /// which `DispatchSnapshot::inline_jobs` does not count.
+    #[derive(Debug, Default)]
+    struct WaitCounter {
+        time: ManualClock,
+        waits: std::sync::atomic::AtomicU64,
+    }
+
+    impl taurus_common::clock::Clock for WaitCounter {
+        fn now_us(&self) -> u64 {
+            self.time.now_us()
+        }
+        fn sleep_us(&self, us: u64) {
+            self.time.sleep_us(us);
+        }
+        fn sleep_until(&self, deadline_us: u64) {
+            self.waits
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.time.sleep_until(deadline_us);
+        }
+    }
+
+    #[test]
+    fn refresh_reads_only_what_is_new_and_still_sees_every_change() {
+        // Small PLogs: a rollover every other group, a metadata roll every
+        // few rollovers.
+        let clock = Arc::new(WaitCounter::default());
+        let (writer, cluster, me, _) = setup_on(clock.clone(), 220);
+        let reader = LogStream::open(cluster.clone(), DbId(1), me, 220, 4).unwrap();
+        let legs = || {
+            let waits = clock.waits.load(std::sync::atomic::Ordering::Relaxed);
+            waits / 2 + cluster.fabric.dispatch_snapshot().inline_jobs
+        };
+        let ids = |s: &LogStream| s.entries().iter().map(|e| e.id).collect::<Vec<_>>();
+        let mut lsn = 1u64;
+        let mut append = |n: usize| {
+            for _ in 0..n {
+                let (d, f, l) = group(lsn..=lsn + 1);
+                writer.append_group(d, f, l).unwrap();
+                lsn += 2;
+            }
+        };
+        // No new snapshot: answered from the directory, no fabric leg runs.
+        let quiet = |reader: &LogStream| {
+            let before = legs();
+            reader.refresh().unwrap();
+            reader.refresh().unwrap();
+            assert_eq!(legs(), before, "a refresh with nothing new went out");
+        };
+        quiet(&reader);
+
+        // A rollover is seen, with one read of the new bytes.
+        let plogs = writer.entries().len();
+        while writer.entries().len() == plogs {
+            append(1);
+        }
+        let before = legs();
+        reader.refresh().unwrap();
+        assert_eq!(legs(), before + 1);
+        assert_eq!(ids(&reader), ids(&writer));
+        quiet(&reader);
+
+        // A truncation is seen, and remembered for stale tail cursors.
+        append(4);
+        reader.refresh().unwrap();
+        let cut = writer.entries()[1].last_lsn;
+        assert!(writer.truncate_below(cut.next()).unwrap() > 0);
+        reader.refresh().unwrap();
+        assert_eq!(ids(&reader), ids(&writer));
+        assert!(reader.state.lock().truncated_through >= cut);
+        quiet(&reader);
+
+        // A metadata-PLog roll is seen: the new PLog is read from its start.
+        let meta = cluster.meta_plog(DbId(1)).unwrap();
+        while cluster.meta_plog(DbId(1)).unwrap() == meta {
+            append(1);
+        }
+        reader.refresh().unwrap();
+        assert_eq!(ids(&reader), ids(&writer));
+        assert_eq!(reader.state.lock().meta_plog, writer.state.lock().meta_plog);
+        quiet(&reader);
+        // ...and so is what is appended to it afterwards.
+        let plogs = writer.entries().len();
+        while writer.entries().len() == plogs {
+            append(1);
+        }
+        reader.refresh().unwrap();
+        assert_eq!(ids(&reader), ids(&writer));
     }
 }
