@@ -23,6 +23,8 @@
 //!   Taurus master, Taurus read replicas, and every baseline, so one driver
 //!   measures them all.
 
+#![forbid(unsafe_code)]
+
 pub mod adapters;
 pub mod monolithic;
 pub mod quorum;

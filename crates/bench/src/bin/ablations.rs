@@ -7,6 +7,8 @@
 //!    out of the log cache, so consolidation then re-reads log records from
 //!    disk; the shipped policy never reads log records from disk.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use rand::rngs::StdRng;

@@ -2,9 +2,10 @@
 //!
 //! The 10k-connection claim behind PR 10: M logical connections are
 //! multiplexed onto `driver_workers` closed-loop worker threads, and every
-//! storage fan-out rides the fabric's bounded dispatcher pool instead of
-//! spawning per-call threads. The sweep holds the OS-thread budget constant
-//! (`driver_workers + fabric_workers <= 64`) while connections grow
+//! storage fan-out runs on the thread that submitted it instead of spawning
+//! per-call threads (the fabric's bounded pool only holds the write
+//! pipeline's drainers). The sweep holds the OS-thread budget constant
+//! (`driver_workers + MAX_DISPATCH_WORKERS <= 64`) while connections grow
 //! 8 -> 1024+; a healthy result keeps per-op read p99 flat. Each connection
 //! is a think-time-paced closed loop, so the offered load is
 //! `conns / think` and completed txn/s follows the connection count by
@@ -25,13 +26,16 @@
 //!   * the offered load was sustained: completed txn/s at the top count
 //!     >= 8x the bottom count;
 //!   * coalescing cuts miss-path round trips >= 2x (slices per envelope);
-//!   * the thread budget actually held (`driver + fabric <= 64`).
+//!   * the thread budget actually held (`driver + fabric cap <= 64`).
+
+#![forbid(unsafe_code)]
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use taurus_baselines::TaurusExecutor;
 use taurus_bench::{bench_config, launch_taurus_with, JsonReport, JsonValue};
 use taurus_common::config::TaurusConfig;
+use taurus_fabric::MAX_DISPATCH_WORKERS;
 use taurus_workload::{
     driver::load_initial, run_workload_opts, DriverOptions, DriverReport, Op, TxnSpec, Workload,
 };
@@ -58,8 +62,7 @@ fn conn_scale_config() -> TaurusConfig {
     cfg.engine_buffer_pool_pages = 128;
     cfg.pages_per_slice = 1;
     cfg.btree_readahead_window = 24;
-    cfg.driver_workers = 48;
-    cfg.fabric_workers = 14; // 48 + 14 = 62 <= 64 with room for main + housekeeping
+    cfg.driver_workers = 48; // + the fabric pool's cap of 16 = 64
     cfg
 }
 
@@ -183,11 +186,11 @@ fn main() {
 
     println!("conn_scale — connection scaling on a fixed OS-thread budget");
     println!(
-        "rows={rows} txns/conn={txns} think={}ms driver_workers={} fabric_workers={} \
+        "rows={rows} txns/conn={txns} think={}ms driver_workers={} fabric_pool_cap={} \
          pages_per_slice={} readahead={}\n",
         think_us / 1000,
         cfg.driver_workers,
-        cfg.fabric_workers,
+        MAX_DISPATCH_WORKERS,
         cfg.pages_per_slice,
         cfg.btree_readahead_window
     );
@@ -235,7 +238,6 @@ fn main() {
         report.row(vec![
             ("connections", JsonValue::U64(conns as u64)),
             ("driver_workers", JsonValue::U64(cfg.driver_workers as u64)),
-            ("fabric_workers", JsonValue::U64(cfg.fabric_workers as u64)),
             ("tps", p.report.tps.into()),
             ("p50_latency_us", JsonValue::U64(p.report.p50_latency_us)),
             ("p99_latency_us", JsonValue::U64(p.report.p99_latency_us)),
@@ -281,12 +283,12 @@ fn main() {
     println!("wrote bench_results/conn_scale.json");
 
     if std::env::var("TAURUS_CONNSCALE_ASSERT").as_deref() == Ok("1") {
-        let budget = cfg.driver_workers + cfg.fabric_workers;
+        let budget = cfg.driver_workers + MAX_DISPATCH_WORKERS;
         assert!(
             budget <= 64,
-            "OS-thread budget exceeded: driver {} + fabric {} = {budget} > 64",
-            cfg.driver_workers,
-            cfg.fabric_workers
+            "OS-thread budget exceeded: driver {} + fabric cap {MAX_DISPATCH_WORKERS} = \
+             {budget} > 64",
+            cfg.driver_workers
         );
         let (lo_conns, lo) = &points[0];
         let (hi_conns, hi) = points.last().expect("sweep nonempty");

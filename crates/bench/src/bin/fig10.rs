@@ -4,6 +4,7 @@
 //! ~linearly, the storage-bound ("1TB") regime sub-linearly, and TPC-C
 //! flattens between the two largest instances due to data contention.
 
+#![forbid(unsafe_code)]
 // Harness code: aborting on setup failure is the desired behavior.
 #![allow(clippy::unwrap_used)]
 

@@ -2,6 +2,7 @@
 //! connections on a fixed instance. The paper scales to 500 connections and
 //! plateaus: beyond saturation, adding connections stops helping.
 
+#![forbid(unsafe_code)]
 // Harness code: aborting on setup failure is the desired behavior.
 #![allow(clippy::unwrap_used)]
 

@@ -6,6 +6,7 @@
 //! times higher. Write and TPC-C latencies sit in between, dominated by the
 //! durable Log Store write.
 
+#![forbid(unsafe_code)]
 // Harness code: aborting on setup failure is the desired behavior.
 #![allow(clippy::unwrap_used)]
 

@@ -8,6 +8,8 @@
 //! Page Stores vs a 6/4 quorum that persists and consolidates the log on
 //! all six replicas).
 
+#![forbid(unsafe_code)]
+
 use taurus_baselines::{QuorumEngine, QuorumExecutor, TaurusExecutor};
 use taurus_bench::{
     bench_clock, bench_config, header, launch_taurus_with, rel, txns_per_conn, JsonReport,

@@ -8,6 +8,7 @@
 //! * Taurus vs *optimized* MySQL: −9% read-only (network hop on misses),
 //!   +87% write-only, +101% TPC-C.
 
+#![forbid(unsafe_code)]
 // Harness code: aborting on setup failure is the desired behavior.
 #![allow(clippy::unwrap_used)]
 

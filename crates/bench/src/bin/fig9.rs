@@ -6,6 +6,8 @@
 //! on the path. The rejected master-streaming design degrades with
 //! write-rate × replica-count because every byte crosses the master NIC.
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

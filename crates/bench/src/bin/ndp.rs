@@ -16,6 +16,7 @@
 //! ≥5x bytes-moved gate and the identical-results check into hard failures
 //! for CI.
 
+#![forbid(unsafe_code)]
 // Harness code: aborting on setup failure is the desired behavior.
 #![allow(clippy::unwrap_used)]
 

@@ -15,6 +15,7 @@
 //! fewer-RPCs gate and the ≤3 pages-per-bounded-scan gate into hard
 //! failures for CI.
 
+#![forbid(unsafe_code)]
 // Harness code: aborting on setup failure is the desired behavior.
 #![allow(clippy::unwrap_used)]
 

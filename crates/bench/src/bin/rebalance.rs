@@ -17,6 +17,8 @@
 //! stays within `TAURUS_REBALANCE_RATIO` (default 0.8) of the uniform
 //! baseline and that the rebalancer actually reshaped placement.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use taurus_baselines::TaurusExecutor;

@@ -3,6 +3,8 @@
 //! scheme, at x ∈ {0.15, 0.05, 0.01}, with exact formulas, the paper's
 //! leading-order approximations, and a Monte Carlo cross-check.
 
+#![forbid(unsafe_code)]
+
 use taurus_replication::quorum::{approx_read, approx_write};
 use taurus_replication::{
     quorum_read_unavailability, quorum_write_unavailability, simulate_quorum, simulate_taurus,

@@ -18,6 +18,8 @@
 //! (DESIGN.md §6); the *shapes* — who wins, by roughly what factor, where
 //! crossovers fall — are the reproduction targets.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use taurus_common::clock::SystemClock;

@@ -214,16 +214,6 @@ pub struct TaurusConfig {
     /// this multiple of the mean node load, the rebalancer moves one replica
     /// of its hottest slice to the coldest node (> 1.0).
     pub rebalance_spread_ratio: f64,
-    /// Worker threads in the fabric's bounded RPC dispatcher. The remote
-    /// *handlers* of every fan-out (`call_all`, `call_grouped`) and the
-    /// write-pipeline drainers run as jobs on this pool, so handler
-    /// concurrency is bounded regardless of connection count. Workers never
-    /// wait out network time — a fan-out's hops are waited once, by the
-    /// thread that submitted it — so the pool is sized for handler work
-    /// (device charges), not for messages in flight. Fan-outs stay correct
-    /// at any size (the submitting thread helps run its own jobs); sizing
-    /// only affects parallelism.
-    pub fabric_workers: usize,
     /// OS threads the workload driver multiplexes logical connections onto.
     /// Each connection is a small state machine advanced by the pool, so
     /// thousands of simulated connections cost `driver_workers` threads,
@@ -271,7 +261,6 @@ impl Default for TaurusConfig {
             rebalance_hot_slice_ratio: 0.5,
             rebalance_min_slice_pages: 16,
             rebalance_spread_ratio: 2.0,
-            fabric_workers: 16,
             driver_workers: 48,
         }
     }
@@ -320,7 +309,6 @@ impl TaurusConfig {
             compaction_threshold: 2,
             // A small pool keeps per-test thread counts low; caller-helps
             // means correctness never depends on the size.
-            fabric_workers: 4,
             driver_workers: 8,
             ..TaurusConfig::default()
         }
@@ -396,13 +384,6 @@ impl TaurusConfig {
         if self.rebalance_min_slice_pages < 2 {
             return Err(crate::TaurusError::Internal(
                 "rebalance_min_slice_pages must be >= 2".into(),
-            ));
-        }
-        // fabric_workers may be 0 (caller-helps degrades fan-outs to inline
-        // execution), but a runaway value would spawn that many OS threads.
-        if self.fabric_workers > 256 {
-            return Err(crate::TaurusError::Internal(
-                "fabric_workers must be <= 256".into(),
             ));
         }
         if self.driver_workers == 0 || self.driver_workers > 1024 {
@@ -518,12 +499,6 @@ mod tests {
 
         let c = TaurusConfig {
             rebalance_min_slice_pages: 1,
-            ..TaurusConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = TaurusConfig {
-            fabric_workers: 257,
             ..TaurusConfig::default()
         };
         assert!(c.validate().is_err());

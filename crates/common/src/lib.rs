@@ -19,6 +19,8 @@
 //! * [`invariants`] — the runtime invariant registry behind the
 //!   [`invariant!`](crate::invariant) macro (the `invariants` feature).
 
+#![forbid(unsafe_code)]
+
 pub mod apply;
 pub mod clock;
 pub mod config;

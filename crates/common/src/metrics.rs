@@ -184,9 +184,9 @@ impl Counter {
     }
 }
 
-/// A field of a [`counters!`] family: a [`Counter`] or a fixed-size histogram
-/// `[Counter; N]`, together with how its plain-value copy is summed. The
-/// copy prints through `Debug` (`7`, `[0, 2, 5]`).
+/// A field of a [`counters!`] family: a [`Counter`], a [`Gauge`] or a
+/// fixed-size histogram `[Counter; N]`, together with how its plain-value copy
+/// is summed. The copy prints through `Debug` (`7`, `[0, 2, 5]`).
 pub trait CounterField {
     /// The field's type in the family's `Snapshot` twin.
     type Value: Copy + Default + Eq + std::fmt::Debug;
@@ -195,6 +195,17 @@ pub trait CounterField {
 }
 
 impl CounterField for Counter {
+    type Value = u64;
+    fn value(&self) -> u64 {
+        self.get()
+    }
+    fn absorb(into: &mut u64, other: u64) {
+        *into += other;
+    }
+}
+
+/// A level sampled at snapshot time; families summed across nodes add it up.
+impl CounterField for Gauge {
     type Value = u64;
     fn value(&self) -> u64 {
         self.get()

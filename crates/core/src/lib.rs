@@ -37,6 +37,8 @@
 //!   stall detection (Fig. 4c), targeted gossip triggering, and full SAL
 //!   restart recovery (§5.3) decide *what* is owed a resend; `redo` does it.
 
+#![forbid(unsafe_code)]
+
 pub mod elastic;
 pub mod rebalance;
 pub mod recovery;

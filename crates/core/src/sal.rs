@@ -310,8 +310,8 @@ taurus_common::counters! {
         /// Per-slice requests that rode a grouped envelope instead of paying
         /// their own fabric round trip.
         pub grouped_slice_batches: Counter,
-        /// Slices that left their grouped envelope: reads that fell back to
-        /// per-slice calls (envelope failure or a budget continuation), and
+        /// Slices their first grouped envelope did not finish: reads that
+        /// needed another round (a refusal or a budget continuation), and
         /// fragments whose slot failed and went out again in a retry run.
         pub grouped_fallback_slices: Counter,
         /// Coalescing histogram: per-slice requests per grouped envelope,
@@ -558,8 +558,9 @@ impl Sal {
         }))
     }
 
-    /// Snapshot of the bounded fabric dispatcher every fan-out from this
-    /// SAL rides: queue depth, busy workers, inline/pool job counts.
+    /// Snapshot of the fabric's dispatcher: the pool this SAL's detached
+    /// drainers run on (workers, queue depth, busy time, `pool_jobs`) and
+    /// the count of fabric legs run inline by their submitters.
     /// Exposed to benches (fig7/fig9/conn_scale) and tests.
     pub fn dispatch_stats(&self) -> taurus_fabric::DispatchSnapshot {
         self.pages.fabric.dispatch_snapshot()
@@ -1122,8 +1123,8 @@ impl Sal {
 
     /// Reads many pages at one snapshot in as few round trips as possible:
     /// the ids are grouped by slice, slices are grouped by their primary
-    /// replica's node, and one grouped envelope per node is fanned out on
-    /// the fabric's bounded dispatcher pool. Returns exactly what N
+    /// replica's node, and one grouped envelope per node goes out per round
+    /// of the read plan (see [`crate::slice_reader`]). Returns exactly what N
     /// sequential [`Sal::read_page`] calls at the same `as_of` would, in
     /// request order; snapshot handling matches `read_page`.
     pub fn read_pages(&self, ids: &[PageId], as_of: Option<Lsn>) -> Result<Vec<(PageId, PageBuf)>> {

@@ -13,22 +13,28 @@
 //! 2. **Order** the slice's replicas by `(suspect, EWMA latency)`. The
 //!    routing state lives here under its own leaf lock — never held across a
 //!    fabric call, never nested over another lock.
-//! 3. **Coalesce** a multi-slice plan into one fabric envelope per primary
-//!    Page Store node. A slice whose envelope fails, or whose reply stopped
-//!    at a budget, restarts on the per-slice path (reads are idempotent;
-//!    restarting keeps a reply a pure function of one replica's directory).
-//! 4. **Fail over** per slice: run the budget-continuation loop against each
-//!    replica in routing order, feeding the EWMA on success and penalising a
-//!    failure 4× so a failing replica sinks instead of being retried first
-//!    on every read.
-//! 5. **Escalate** when every replica refused: the front end's repair hook
+//! 3. **Plan in rounds.** Every slice of a plan is a slot holding its
+//!    replica order, the replica it is at, the continuation it owes and the
+//!    answer so far. A round groups the open slots by their current replica
+//!    into one fabric envelope per Page Store node (a one-slot round is a
+//!    plain `Fabric::call`), all in flight together and all run on the
+//!    submitting thread — no slice ever needs a thread of its own, and a
+//!    plan is exact on a `ManualClock`: each round costs its longest leg.
+//! 4. **Continue or fail over** per slot, on each reply: a finished one
+//!    closes the slot; one that stopped at a budget keeps what it absorbed
+//!    and rides the next round to the same replica; a refusal drops the
+//!    partial answer (a reply stays a pure function of one replica's
+//!    directory), moves the slot to its next replica, and feeds the EWMA a
+//!    4× penalty — successes feed it their round trip — so a failing replica
+//!    sinks instead of being retried first on every read.
+//! 5. **Escalate** a slot whose order ran out: the front end's repair hook
 //!    (the master repairs from the Log Stores and refreshes placement), one
-//!    more round against the refreshed replicas, then the request kind's
-//!    last resort (single-page reads for a batch, fetch-and-evaluate for a
+//!    more pass over the refreshed replicas, then the request kind's last
+//!    resort (single-page reads for a batch, fetch-and-evaluate for a
 //!    scan).
 //!
-//! Steps 2–5 are generic over the three request kinds (a single-page
-//! `ReadPage`, `ReadPages`, `ScanSlice`); a one-slice plan skips step 3.
+//! Steps 2–5 are one loop ([`SliceReader::run`]), generic over the three
+//! request kinds (a single-page `ReadPage`, `ReadPages`, `ScanSlice`).
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -87,16 +93,22 @@ struct Routing {
     suspects: HashSet<NodeId>,
 }
 
-/// One request kind of the pipeline, implemented by its wire request: how to
-/// issue it to one replica, follow its budget continuation, fold replies,
-/// and what to do when no replica can serve it.
-trait Request: Sized + Sync {
-    type Resp: Send;
-    /// One slice's finished answer.
-    type Out: Send;
+/// Per node, the requests riding that node's one envelope; and the replies,
+/// demuxed per request in input order.
+type Envelopes<'a, Q> = [(NodeId, Vec<&'a Q>)];
+type Replies<R> = Vec<Vec<Result<R>>>;
 
-    /// Issues the request to `node` and counts the round trip (or the retry).
-    fn call(&self, r: &SliceReader, node: NodeId) -> Result<Self::Resp>;
+/// One request kind of the planner, implemented by its wire request: how a
+/// round of it goes out, how a budget continuation follows, how replies
+/// fold, and what to do when no replica can serve it.
+trait Request: Sized {
+    type Resp;
+    /// One slice's finished answer.
+    type Out;
+
+    /// Issues one envelope per node and counts each one that came back as
+    /// one round trip (and each refused request as a retry).
+    fn call_grouped(r: &SliceReader, groups: &Envelopes<'_, Self>) -> Replies<Self::Resp>;
 
     /// The request that continues this one when `resp` stopped at a budget.
     fn next(&self, resp: &Self::Resp) -> Option<Self>;
@@ -112,16 +124,20 @@ trait Request: Sized + Sync {
     }
 }
 
-/// Per node, the requests riding that node's one envelope; and the replies,
-/// demuxed per request in input order.
-type Envelopes<'a, Q> = [(NodeId, Vec<&'a Q>)];
-type Replies<R> = Vec<Vec<Result<R>>>;
-
-/// A kind that plans over many slices and can ride grouped envelopes.
-trait Coalesce: Request {
-    /// Issues one envelope per node and counts each one that came back as
-    /// one round trip (and each refused request as a retry).
-    fn call_grouped(r: &SliceReader, groups: &Envelopes<'_, Self>) -> Replies<Self::Resp>;
+/// One slice's place in a plan (module docs, step 3).
+struct Slot<Q: Request> {
+    /// Replicas in routing order; `order[at]` is the one being asked.
+    order: Vec<NodeId>,
+    at: usize,
+    /// The continuation owed to `order[at]` (`None`: the slice's first
+    /// request) and what that replica's accepted replies add up to.
+    pending: Option<Q>,
+    acc: Option<Q::Out>,
+    /// The last refusal, for the slot that every replica refuses.
+    err: Option<TaurusError>,
+    repaired: bool,
+    /// Set once: the slot is closed.
+    out: Option<Result<Q::Out>>,
 }
 
 /// `ReadPage`: one versioned page.
@@ -135,10 +151,17 @@ impl Request for PageRead {
     type Resp = (PageBuf, Lsn);
     type Out = PageBuf;
 
-    fn call(&self, r: &SliceReader, node: NodeId) -> Result<Self::Resp> {
-        r.pages
-            .read_page_from(node, r.me, self.key, self.page, self.as_of)
-            .inspect_err(|_| r.stats.read_retries.inc())
+    /// A single-page plan has one slot, so its round is one plain call.
+    fn call_grouped(r: &SliceReader, groups: &Envelopes<'_, Self>) -> Replies<Self::Resp> {
+        let call = |node, q: &Self| {
+            r.pages
+                .read_page_from(node, r.me, q.key, q.page, q.as_of)
+                .inspect_err(|_| r.stats.read_retries.inc())
+        };
+        groups
+            .iter()
+            .map(|(node, reqs)| reqs.iter().map(|q| call(*node, q)).collect())
+            .collect()
     }
 
     fn next(&self, _: &Self::Resp) -> Option<Self> {
@@ -155,11 +178,18 @@ impl Request for ReadPagesRequest {
     type Resp = ReadPagesResponse;
     type Out = Vec<(PageId, PageReadOutcome)>;
 
-    fn call(&self, r: &SliceReader, node: NodeId) -> Result<Self::Resp> {
-        r.pages
-            .read_pages_from(node, r.me, self)
-            .inspect(|resp| r.read_batch_stats.note_rpc(resp.pages.len()))
-            .inspect_err(|_| r.read_batch_stats.batch_retries.inc())
+    fn call_grouped(r: &SliceReader, groups: &Envelopes<'_, Self>) -> Replies<Self::Resp> {
+        let replies = r.pages.read_pages_grouped(r.me, groups);
+        for slots in &replies {
+            let failed = slots.iter().filter(|s| s.is_err()).count();
+            if failed < slots.len() {
+                // A grouped envelope is one miss-path round trip.
+                let pages = slots.iter().flatten().map(|resp| resp.pages.len()).sum();
+                r.read_batch_stats.note_rpc(pages);
+            }
+            r.read_batch_stats.batch_retries.add(failed as u64);
+        }
+        replies
     }
 
     fn next(&self, resp: &Self::Resp) -> Option<Self> {
@@ -175,33 +205,23 @@ impl Request for ReadPagesRequest {
     }
 }
 
-impl Coalesce for ReadPagesRequest {
-    fn call_grouped(r: &SliceReader, groups: &Envelopes<'_, Self>) -> Replies<Self::Resp> {
-        let replies = r.pages.read_pages_grouped(r.me, groups);
-        for slots in &replies {
-            let failed = slots.iter().filter(|s| s.is_err()).count();
-            if failed < slots.len() {
-                // A grouped envelope is one miss-path round trip.
-                let pages = slots.iter().flatten().map(|resp| resp.pages.len()).sum();
-                r.read_batch_stats.note_rpc(pages);
-            }
-            r.read_batch_stats.batch_retries.add(failed as u64);
-        }
-        replies
-    }
-}
-
 /// `ScanSlice`: one slice's share of a pushed-down table scan. A slice's
 /// answer is a one-slice [`TableScan`].
 impl Request for ScanSliceRequest {
     type Resp = ScanSliceResponse;
     type Out = TableScan;
 
-    fn call(&self, r: &SliceReader, node: NodeId) -> Result<Self::Resp> {
-        r.pages
-            .scan_slice_from(node, r.me, self)
-            .inspect(|_| r.ndp_stats.slice_calls.inc())
-            .inspect_err(|_| r.ndp_stats.slice_retries.inc())
+    fn call_grouped(r: &SliceReader, groups: &Envelopes<'_, Self>) -> Replies<Self::Resp> {
+        let replies = r.pages.scan_slices_grouped(r.me, groups);
+        for slots in &replies {
+            let failed = slots.iter().filter(|s| s.is_err()).count();
+            if failed < slots.len() {
+                // A grouped envelope is one `ScanSlice` round trip.
+                r.ndp_stats.slice_calls.inc();
+            }
+            r.ndp_stats.slice_retries.add(failed as u64);
+        }
+        replies
     }
 
     fn next(&self, resp: &Self::Resp) -> Option<Self> {
@@ -258,21 +278,6 @@ impl Request for ScanSliceRequest {
     }
 }
 
-impl Coalesce for ScanSliceRequest {
-    fn call_grouped(r: &SliceReader, groups: &Envelopes<'_, Self>) -> Replies<Self::Resp> {
-        let replies = r.pages.scan_slices_grouped(r.me, groups);
-        for slots in &replies {
-            let failed = slots.iter().filter(|s| s.is_err()).count();
-            if failed < slots.len() {
-                // A grouped envelope is one `ScanSlice` round trip.
-                r.ndp_stats.slice_calls.inc();
-            }
-            r.ndp_stats.slice_retries.add(failed as u64);
-        }
-        replies
-    }
-}
-
 /// The read planner of one front end (see the module docs). Owns the
 /// routing state and the read-side counters.
 pub struct SliceReader {
@@ -312,7 +317,7 @@ impl SliceReader {
     /// gets the mean of the known ones (not 0.0, which would always route
     /// the first read of every slice to an unmeasured — possibly failing —
     /// replica).
-    fn ordered_replicas(&self, key: SliceKey) -> Vec<NodeId> {
+    pub fn ordered_replicas(&self, key: SliceKey) -> Vec<NodeId> {
         let mut nodes = self.pages.replicas_of(key);
         let routing = self.routing.lock();
         let latency = |n: &NodeId| routing.latency_us.get(&(key, *n)).copied();
@@ -368,129 +373,100 @@ impl SliceReader {
         self.routing.lock().latency_us.retain(|(k, _), _| *k != key);
     }
 
-    /// Step 4: runs `first` and its budget continuations against each
-    /// replica in routing order. A replica that fails mid-continuation
-    /// loses its partial result and the slice restarts on the next one.
-    fn try_replicas<Q: Request>(&self, key: SliceKey, first: &Q) -> Result<Q::Out> {
-        let mut last_err = TaurusError::AllReplicasFailed(key);
-        'replicas: for node in self.ordered_replicas(key) {
-            let mut acc: Option<Q::Out> = None;
-            let mut continuation: Option<Q> = None;
-            loop {
-                let req = continuation.as_ref().unwrap_or(first);
-                let start = self.clock.now_us();
-                let reply = req.call(self, node);
-                let elapsed = self.clock.now_us().saturating_sub(start);
-                match reply {
-                    Ok(resp) => {
-                        // One EWMA sample per RPC: single reads, batches
-                        // and scans feed the same routing signal.
-                        self.note_latency(key, node, elapsed);
-                        let next = req.next(&resp);
-                        let out = Q::absorb(self, acc.take(), resp);
-                        if next.is_none() {
-                            return Ok(out);
-                        }
-                        acc = Some(out);
-                        continuation = next;
-                    }
-                    Err(e) => {
-                        // Feed the EWMA on failure too, with a penalty: a
-                        // replica that errors instantly must not keep the
-                        // best (lowest) latency score and stay first in the
-                        // routing order — that starves the healthy replicas.
-                        self.note_latency(key, node, elapsed.max(1).saturating_mul(4));
-                        last_err = e;
-                        continue 'replicas;
-                    }
-                }
-            }
-        }
-        Err(last_err)
-    }
-
-    /// Steps 4–5 for one slice. The escalation is the rare cascading-failure
-    /// path of paper §4.2: "SAL recognizes this situation and repairs data
-    /// using Log Stores".
-    fn read_slice<Q: Request>(&self, fe: &dyn FrontEnd, key: SliceKey, req: &Q) -> Result<Q::Out> {
-        let mut tried = self.try_replicas(key, req);
-        if tried.is_err() && fe.repair(key) {
-            tried = self.try_replicas(key, req);
-        }
-        tried.or_else(|err| req.fallback(self, fe, err))
-    }
-
-    /// Steps 2–5 for a plan: every slice whose primary (best-routed)
-    /// replica lives on the same node rides ONE envelope — one round trip,
-    /// one latency charge — and whatever the envelopes did not finish runs
-    /// [`Self::read_slice`] on the fabric's bounded dispatcher pool.
-    /// `reqs[i]` reads slice `keys[i]`; answers come back in that order.
-    fn read_slices<Q: Coalesce>(
+    /// Steps 2–5 for a plan (module docs): `reqs[i]` reads slice `keys[i]`
+    /// and answers come back in that order. Each pass of the loop escalates
+    /// the slots whose replica order ran out, then sends one round.
+    fn run<Q: Request>(
         &self,
         fe: &dyn FrontEnd,
         keys: &[SliceKey],
         reqs: &[Q],
     ) -> Vec<Result<Q::Out>> {
-        // Every slot is overwritten below, by an envelope or by its own job.
-        let unanswered = |&key| Err(TaurusError::AllReplicasFailed(key));
-        let mut outs: Vec<Result<Q::Out>> = keys.iter().map(unanswered).collect();
-        let mut rest: Vec<usize> = Vec::new();
-        if reqs.len() > 1 {
-            let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
-            for (i, &key) in keys.iter().enumerate() {
-                match self.ordered_replicas(key).first() {
-                    Some(&node) => match groups.iter_mut().find(|(n, _)| *n == node) {
-                        Some((_, idxs)) => idxs.push(i),
-                        None => groups.push((node, vec![i])),
-                    },
-                    None => rest.push(i),
+        let slot = |&key: &SliceKey| Slot {
+            order: self.ordered_replicas(key),
+            at: 0,
+            pending: None,
+            acc: None,
+            err: None,
+            repaired: false,
+            out: None,
+        };
+        let mut slots: Vec<Slot<Q>> = keys.iter().map(slot).collect();
+        let multi = reqs.len() > 1;
+        for round in 0.. {
+            // The rare cascading-failure path of paper §4.2: "SAL recognizes
+            // this situation and repairs data using Log Stores".
+            for (i, slot) in slots.iter_mut().enumerate() {
+                if slot.out.is_some() || slot.at < slot.order.len() {
+                    continue;
+                }
+                if !slot.repaired && fe.repair(keys[i]) {
+                    slot.repaired = true;
+                    slot.order = self.ordered_replicas(keys[i]);
+                    slot.at = 0;
+                }
+                if slot.at >= slot.order.len() {
+                    let err = slot.err.take();
+                    let err = err.unwrap_or(TaurusError::AllReplicasFailed(keys[i]));
+                    slot.out = Some(reqs[i].fallback(self, fe, err));
                 }
             }
+            let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
+            for (i, slot) in slots.iter().enumerate().filter(|(_, s)| s.out.is_none()) {
+                let node = slot.order[slot.at];
+                match groups.iter_mut().find(|(n, _)| *n == node) {
+                    Some((_, idxs)) => idxs.push(i),
+                    None => groups.push((node, vec![i])),
+                }
+            }
+            if groups.is_empty() {
+                break;
+            }
+            let riding = |i: usize| slots[i].pending.as_ref().unwrap_or(&reqs[i]);
             let envelopes: Vec<(NodeId, Vec<&Q>)> = groups
                 .iter()
-                .map(|(node, idxs)| (*node, idxs.iter().map(|&i| &reqs[i]).collect()))
+                .map(|(node, idxs)| (*node, idxs.iter().map(|&i| riding(i)).collect()))
                 .collect();
             let start = self.clock.now_us();
             let replies = Q::call_grouped(self, &envelopes);
-            // One EWMA sample per slice, charged with the whole fan-out's
-            // elapsed time: envelopes run concurrently on the dispatcher,
-            // so this is each envelope's wall time plus any queueing — an
-            // honest congestion signal for the routing order.
-            let elapsed = self.clock.now_us().saturating_sub(start).max(1);
-            for ((node, idxs), slots) in groups.iter().zip(replies) {
-                self.stats.note_coalesced(idxs.len());
-                for (&i, slot) in idxs.iter().zip(slots) {
-                    let key = keys[i];
-                    match slot {
-                        Ok(resp) if reqs[i].next(&resp).is_none() => {
-                            self.note_latency(key, *node, elapsed);
-                            outs[i] = Ok(Q::absorb(self, None, resp));
-                            continue;
+            // One EWMA sample per request per round, charged with the whole
+            // round's elapsed time: envelopes are in flight together, so
+            // this is the slowest one — an honest congestion signal for the
+            // routing order. A refusal is charged 4×: a replica that errors
+            // instantly must not keep the best (lowest) score and stay
+            // first in the order, starving the healthy replicas.
+            let elapsed = self.clock.now_us().saturating_sub(start);
+            for ((node, idxs), replies) in groups.into_iter().zip(replies) {
+                if multi {
+                    self.stats.note_coalesced(idxs.len());
+                }
+                for (i, reply) in idxs.into_iter().zip(replies) {
+                    let slot = &mut slots[i];
+                    match reply {
+                        Ok(resp) => {
+                            self.note_latency(keys[i], node, elapsed);
+                            slot.pending = slot.pending.as_ref().unwrap_or(&reqs[i]).next(&resp);
+                            let acc = Q::absorb(self, slot.acc.take(), resp);
+                            match slot.pending {
+                                Some(_) => slot.acc = Some(acc),
+                                None => slot.out = Some(Ok(acc)),
+                            }
                         }
-                        // A budget continuation: the partial result is
-                        // discarded, matching the per-slice policy on
-                        // mid-continuation failure.
-                        Ok(_) => {}
-                        // Same EWMA penalty as the per-slice path, so a dead
-                        // primary sinks in the routing order.
-                        Err(_) => self.note_latency(key, *node, elapsed.saturating_mul(4)),
+                        Err(e) => {
+                            self.note_latency(keys[i], node, elapsed.max(1).saturating_mul(4));
+                            (slot.err, slot.acc, slot.pending) = (Some(e), None, None);
+                            slot.at += 1;
+                        }
                     }
-                    self.stats.grouped_fallback_slices.inc();
-                    rest.push(i);
                 }
             }
-        } else {
-            rest.extend(0..reqs.len());
+            if round == 0 && multi {
+                let unfinished = slots.iter().filter(|s| s.out.is_none()).count();
+                self.stats.grouped_fallback_slices.add(unfinished as u64);
+            }
         }
-        type Job<'a, T> = Box<dyn FnOnce() -> Result<T> + Send + 'a>;
-        let jobs: Vec<Job<'_, Q::Out>> = rest
-            .iter()
-            .map(|&i| Box::new(move || self.read_slice(fe, keys[i], &reqs[i])) as Job<'_, Q::Out>)
-            .collect();
-        for (i, out) in rest.into_iter().zip(self.pages.fabric.fan_out(jobs)) {
-            outs[i] = out;
-        }
-        outs
+        // The loop ended because no slot was open.
+        slots.into_iter().filter_map(|slot| slot.out).collect()
     }
 
     /// Reads the version of `page` at `as_of` (see `Sal::read_page`).
@@ -508,7 +484,8 @@ impl SliceReader {
             let pps = self.cfg.pages_per_slice;
             let key = self.pages.route_read(self.db, page, pps, as_of);
             let as_of = fe.snapshots(&[key], as_of)?[0];
-            self.read_slice(fe, key, &PageRead { key, page, as_of })
+            let one = self.run(fe, &[key], &[PageRead { key, page, as_of }]).pop();
+            one.unwrap_or(Err(TaurusError::AllReplicasFailed(key)))
         };
         let out = match attempt() {
             Err(TaurusError::SliceFenced { .. })
@@ -570,7 +547,7 @@ impl SliceReader {
             req.as_of = snapshot;
         }
         let mut got: HashMap<PageId, PageBuf> = HashMap::with_capacity(ids.len());
-        for (req, outcomes) in reqs.iter().zip(self.read_slices(fe, &keys, &reqs)) {
+        for (req, outcomes) in reqs.iter().zip(self.run(fe, &keys, &reqs)) {
             // A slice no replica served contributes nothing: every page of
             // it is a straggler below.
             for (page, outcome) in outcomes.unwrap_or_default() {
@@ -627,7 +604,7 @@ impl SliceReader {
             })
             .collect();
         let mut out = TableScan::default();
-        for slice in self.read_slices(fe, &keys, &reqs) {
+        for slice in self.run(fe, &keys, &reqs) {
             let slice = slice?;
             out.pushdown_slices += slice.pushdown_slices;
             out.fallback_slices += slice.fallback_slices;

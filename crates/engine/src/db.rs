@@ -98,9 +98,6 @@ impl TaurusDb {
         db: DbId,
     ) -> Result<Arc<TaurusDb>> {
         cfg.validate()?;
-        // Size the fabric's bounded RPC dispatcher; every fan-out from this
-        // tenant (and its co-tenants on the shared fabric) rides this pool.
-        fabric.set_workers(cfg.fabric_workers);
         let me = fabric.add_node(NodeKind::Compute);
         let anchor = Arc::new(LsnWatermark::new(Lsn::ZERO));
         let sal = Sal::create(

@@ -20,6 +20,8 @@
 //! * [`db::TaurusDb`] — full-cluster orchestration: storage tiers, SAL,
 //!   master, replicas, recovery service, master failover.
 
+#![forbid(unsafe_code)]
+
 pub mod btree;
 pub mod db;
 pub mod latch;

@@ -21,6 +21,8 @@
 //! Determinism: all randomness is seeded, and all time flows through a
 //! `Clock`, so failure drills replay identically with a `ManualClock`.
 
+#![forbid(unsafe_code)]
+
 pub mod detector;
 pub mod device;
 pub mod dispatch;
@@ -28,5 +30,5 @@ pub mod net;
 
 pub use detector::{FailureDetector, FailureEvent};
 pub use device::StorageDevice;
-pub use dispatch::{DispatchSnapshot, DispatchStats};
+pub use dispatch::{DispatchSnapshot, DispatchStats, MAX_DISPATCH_WORKERS};
 pub use net::{Fabric, NodeKind, NodeStatus};

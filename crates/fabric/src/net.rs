@@ -13,7 +13,7 @@ use taurus_common::config::NetworkProfile;
 use taurus_common::{NodeId, Result, TaurusError};
 
 use crate::device::{model_now, run_handler};
-use crate::dispatch::{Dispatch, DispatchSnapshot, DEFAULT_FABRIC_WORKERS};
+use crate::dispatch::{Dispatch, DispatchSnapshot};
 
 /// Input to [`Fabric::call_grouped`]: per target node, the handlers to run
 /// inside that node's single envelope.
@@ -82,20 +82,11 @@ impl Fabric {
                 rng: Mutex::new(StdRng::seed_from_u64(seed)),
                 next_node: Mutex::new(1),
                 seed,
-                dispatch: Dispatch::new(DEFAULT_FABRIC_WORKERS, clock.clone()),
+                dispatch: Dispatch::new(clock.clone()),
             }),
             clock,
             profile,
         }
-    }
-
-    /// Sets the dispatcher pool size (`TaurusConfig::fabric_workers`).
-    /// Workers spawn lazily up to the target, and only [`Fabric::fan_out`]
-    /// and [`Fabric::spawn_detached`] use them; `fan_out` stays correct at
-    /// any size (including zero) because the submitting thread helps run
-    /// its own jobs.
-    pub fn set_workers(&self, n: usize) {
-        self.inner.dispatch.set_workers(n);
     }
 
     /// Point-in-time dispatcher gauges (queue depth, busy workers, job
@@ -401,19 +392,15 @@ impl Fabric {
             .collect()
     }
 
-    /// Runs caller-supplied jobs concurrently on the bounded dispatcher
-    /// pool and returns their results in input order. Unlike
-    /// [`Fabric::call_all`], jobs are **not** fabric legs: each job issues
-    /// (and pays for) its own calls — the primitive for fan-outs whose
-    /// legs make several RPCs, like the SAL's per-slice continuation
-    /// loops. The submitting thread helps run unclaimed jobs (works at any
-    /// pool size); a job panic propagates to the caller after the batch
-    /// drains.
+    /// Runs `jobs` one after another on the calling thread and returns their
+    /// results in input order. Jobs are **not** fabric legs: each issues (and
+    /// pays for) its own calls. The product has no caller left; the
+    /// benchmark's `fabric.fan_out6_p50_us` rung times this loop.
     pub fn fan_out<'env, T: Send + 'env>(
         &'env self,
         jobs: Vec<Box<dyn FnOnce() -> T + Send + 'env>>,
     ) -> Vec<T> {
-        self.inner.dispatch.fan_out(jobs)
+        jobs.into_iter().map(|job| job()).collect()
     }
 
     /// Coalesced fan-out: issues **one RPC per group**, running every

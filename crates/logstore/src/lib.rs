@@ -24,6 +24,8 @@
 //!   PLogs are read-only); a long-term failure re-replicates the lost PLog
 //!   replicas from the survivors onto healthy nodes (paper §5.1).
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod cache;
 pub mod cluster;

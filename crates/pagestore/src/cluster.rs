@@ -200,30 +200,6 @@ impl PageStoreCluster {
             .call(from, node, || server.read_page(key, page, as_of))?
     }
 
-    /// `ReadPages` RPC to one specific replica: one round trip returns many
-    /// versioned pages of a slice (see [`crate::readpages`]).
-    pub fn read_pages_from(
-        &self,
-        node: NodeId,
-        from: NodeId,
-        call: &ReadPagesRequest,
-    ) -> Result<ReadPagesResponse> {
-        let server = self.server(node)?;
-        self.fabric.call(from, node, || server.read_pages(call))?
-    }
-
-    /// `ScanSlice` RPC to one specific replica: near-data scan pushdown
-    /// (see [`crate::pushdown`]).
-    pub fn scan_slice_from(
-        &self,
-        node: NodeId,
-        from: NodeId,
-        call: &ScanSliceRequest,
-    ) -> Result<ScanSliceResponse> {
-        let server = self.server(node)?;
-        self.fabric.call(from, node, || server.scan_slice(call))?
-    }
-
     /// Page-id inventory RPC: which pages a replica's Log Directory tracks
     /// for a slice. Used by the SAL's local scan fallback.
     pub fn page_ids_of(&self, node: NodeId, from: NodeId, key: SliceKey) -> Result<Vec<PageId>> {
@@ -552,9 +528,10 @@ impl PageStoreCluster {
     }
 
     /// Grouped `ReadPages`: one envelope per node carrying every per-slice
-    /// request bound for it (see [`PageStoreCluster::grouped`]). Requests
-    /// are unchecked, matching the per-slice
-    /// [`PageStoreCluster::read_pages_from`] miss path.
+    /// request bound for it (see [`PageStoreCluster::grouped`]; one round
+    /// trip returns many versioned pages of each slice, see
+    /// [`crate::readpages`]). Requests are unchecked, like
+    /// [`PageStoreCluster::read_page_from`].
     pub fn read_pages_grouped(
         &self,
         from: NodeId,
@@ -564,7 +541,7 @@ impl PageStoreCluster {
     }
 
     /// Grouped `ScanSlice`: one envelope per node carrying every slice's
-    /// scan request.
+    /// scan request (near-data scan pushdown, see [`crate::pushdown`]).
     pub fn scan_slices_grouped(
         &self,
         from: NodeId,

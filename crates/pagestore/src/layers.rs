@@ -30,6 +30,7 @@
 //! or takes another lock while holding it.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -116,7 +117,6 @@ struct LayerInner {
     /// compacted (the pool then holds clean images at the compaction LSN),
     /// so only historical snapshot reads ever touch a blob on the device.
     sealed_runs: HashMap<u64, Arc<HashMap<Lsn, LogRecord>>>,
-    compact_lsn: Lsn,
     next_layer_id: u64,
 }
 
@@ -125,6 +125,9 @@ struct LayerInner {
 #[derive(Debug, Default)]
 pub struct LayerStore {
     inner: Mutex<LayerInner>,
+    /// Written under `inner` by `commit_compaction` only; an atomic so every
+    /// page read can check its replay bound without taking the lock.
+    compact_lsn: AtomicU64,
 }
 
 impl LayerStore {
@@ -254,7 +257,7 @@ impl LayerStore {
         if let Some(open_first) = inner.staged.iter().map(|(_, f)| f.first_lsn).min() {
             compact_lsn = compact_lsn.min(Lsn(open_first.0.saturating_sub(1)));
         }
-        if compact_lsn <= inner.compact_lsn {
+        if compact_lsn <= self.compact_lsn() {
             return None;
         }
         let mut pages: Vec<PageId> = inner
@@ -293,13 +296,14 @@ impl LayerStore {
             pages: image_count,
             compact_lsn: job.compact_lsn,
         });
-        inner.compact_lsn = inner.compact_lsn.max(job.compact_lsn);
+        self.compact_lsn
+            .fetch_max(job.compact_lsn.0, Ordering::Release);
     }
 
     /// The LSN up to which every touched page has a materialized image —
     /// reads at or above it replay only records newer than it.
     pub fn compact_lsn(&self) -> Lsn {
-        self.inner.lock().compact_lsn
+        Lsn(self.compact_lsn.load(Ordering::Acquire))
     }
 
     /// Records of a fragment still staged in the open L0 (memory hit).

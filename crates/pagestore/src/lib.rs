@@ -31,6 +31,8 @@
 //!   writes immediately and copies the latest page versions from a healthy
 //!   peer before serving reads (§5.2).
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod directory;
 pub mod fragment;

@@ -553,7 +553,17 @@ impl PageStoreServer {
         page: PageId,
         as_of: Lsn,
     ) -> Result<(PageBuf, Lsn)> {
-        let dir = self.dir(key)?;
+        let layered = matches!(self.policy, ConsolidationPolicy::Layered { .. });
+        // The compact LSN is read before the directory snapshot: the replay
+        // bound below may only be held against a compaction the snapshot has
+        // certainly seen (one landing in between leaves its records in the
+        // snapshot's list).
+        let (dir, compacted) = {
+            let replica = self.replica(key)?;
+            let r = replica.lock();
+            let compacted = layered.then(|| r.layers.compact_lsn());
+            (r.directory.clone(), compacted)
+        };
         let Some(entry) = dir.get(page) else {
             // Never written: a fresh zeroed page at version 0.
             return Ok((PageBuf::new(), Lsn::ZERO));
@@ -580,21 +590,16 @@ impl PageStoreServer {
             // leaves every page with records <= C covered by an image, so a
             // read at or above C replays only the delta suffix above C —
             // never more than one image plus that suffix.
-            if matches!(self.policy, ConsolidationPolicy::Layered { .. }) {
-                if let Ok(layers) = self.layers(key) {
-                    let compact = layers.compact_lsn();
-                    if as_of >= compact {
-                        taurus_common::invariant!(
-                            "layer-bounded-replay",
-                            needed.iter().all(|p| p.lsn > compact),
-                            "{}: page {} read at {} replays below compact_lsn {}",
-                            key,
-                            page,
-                            as_of,
-                            compact
-                        );
-                    }
-                }
+            if let Some(compact) = compacted.filter(|&compact| as_of >= compact) {
+                taurus_common::invariant!(
+                    "layer-bounded-replay",
+                    needed.iter().all(|p| p.lsn > compact),
+                    "{}: page {} read at {} replays below compact_lsn {}",
+                    key,
+                    page,
+                    as_of,
+                    compact
+                );
             }
             let records = self.fetch_records(key, &needed)?;
             for rec in &records {

@@ -6,6 +6,8 @@
 //! only when all three replicas of a slice are down), and a Monte Carlo
 //! cluster simulation that validates the formulas empirically.
 
+#![forbid(unsafe_code)]
+
 pub mod montecarlo;
 pub mod quorum;
 

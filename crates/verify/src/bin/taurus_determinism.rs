@@ -10,6 +10,8 @@
 //! `--inject-wall-clock` deliberately mixes wall-clock time into the
 //! workload to demonstrate what a detection looks like.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use taurus_verify::determinism::{check_determinism, Inject};

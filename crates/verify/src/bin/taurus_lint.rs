@@ -12,6 +12,8 @@
 //! errors, 0 when clean. `--json` swaps the human output for one
 //! machine-readable JSON object; `--no-lockgraph` skips the lock analysis.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

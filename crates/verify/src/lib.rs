@@ -15,6 +15,8 @@
 //!   Store, and replica paths); this crate's integration tests drive
 //!   workloads and assert the registry stays empty.
 
+#![forbid(unsafe_code)]
+
 pub mod determinism;
 pub mod lint;
 pub mod lockgraph;

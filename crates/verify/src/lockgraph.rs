@@ -315,8 +315,8 @@ const DENY_BARE: &[&str] = &[
 
 /// Statement/expression keywords that look like `ident (` but are not calls.
 const KEYWORDS: &[&str] = &[
-    "if", "else", "while", "for", "loop", "match", "return", "fn", "let", "move", "unsafe", "as",
-    "in", "ref", "mut", "pub", "use", "mod", "impl", "struct", "enum", "trait", "where", "const",
+    "if", "else", "while", "for", "loop", "match", "return", "fn", "let", "move", "as", "in",
+    "ref", "mut", "pub", "use", "mod", "impl", "struct", "enum", "trait", "where", "const",
     "static", "type", "dyn", "box", "break", "continue", "crate", "super", "Self", "self",
 ];
 
@@ -1234,7 +1234,7 @@ fn pick_class(classes: &[ClassId], file: FileId, decls: &[ClassDecl]) -> Recv {
 // Call resolution and fixpoint propagation
 // ====================================================================
 
-const RPC_NAMES: &[&str] = &["call", "call_all", "call_any", "call_grouped", "fan_out"];
+const RPC_NAMES: &[&str] = &["call", "call_all", "call_any", "call_grouped"];
 
 impl Workspace {
     fn crate_files(&self, crate_name: &str) -> Vec<FileId> {
@@ -2215,28 +2215,26 @@ mod tests {
     }
 
     #[test]
-    fn grouped_and_fan_out_calls_count_as_rpcs() {
-        // Holding a lock across the dispatcher entry points is the same
-        // bug as holding it across `fabric.call` — the submit blocks until
-        // remote work completes.
-        for rpc in ["call_grouped(x)", "fan_out(jobs)"] {
-            let src = format!(
-                "struct Q {{\n\
-                     c: Mutex<u32>,\n\
-                 }}\n\
-                 impl Q {{\n\
-                     fn f(&self) {{ let _g = self.c.lock(); self.fabric.{rpc}; }}\n\
-                 }}\n"
-            );
-            let a = analyze(&[("crates/demo/src/q.rs", src.as_str())]);
-            assert!(
-                a.report.diagnostics.iter().any(|d| {
-                    let s = d.to_string();
-                    s.contains("fabric")
-                }),
-                "{rpc}: expected a lock-across-fabric diagnostic, got {:?}",
-                a.report.diagnostics
-            );
-        }
+    fn grouped_calls_count_as_rpcs() {
+        // Holding a lock across a grouped envelope is the same bug as
+        // holding it across `fabric.call` — the submit blocks until remote
+        // work completes.
+        let a = analyze(&[(
+            "crates/demo/src/q.rs",
+            "struct Q {\n\
+                 c: Mutex<u32>,\n\
+             }\n\
+             impl Q {\n\
+                 fn f(&self) { let _g = self.c.lock(); self.fabric.call_grouped(x); }\n\
+             }\n",
+        )]);
+        assert!(
+            a.report
+                .diagnostics
+                .iter()
+                .any(|d| d.to_string().contains("fabric")),
+            "expected a lock-across-fabric diagnostic, got {:?}",
+            a.report.diagnostics
+        );
     }
 }

@@ -6,6 +6,8 @@
 //! multi-connection driver that measures throughput and latency against any
 //! [`Executor`] (Taurus or a baseline architecture).
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod scanheavy;
 pub mod sysbench;
