@@ -41,7 +41,9 @@ fn run_pair(
     let t_report = run_workload(&taurus, workload, conns, txns_per_conn(), 7);
     let master = taurus.db.master();
     let sal = &master.sal;
-    println!("  taurus SAL: {}", sal.stats.snapshot());
+    let stats = sal.stats.snapshot();
+    println!("  taurus SAL: {stats}");
+    println!("  taurus recovery: {}", taurus_bench::recovery_line(&stats));
     let (hit_ratio, resident) = master.pool_stats();
     let (prefetched, prefetch_hits) = master.pool_prefetch_stats();
     println!(

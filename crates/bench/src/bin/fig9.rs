@@ -71,7 +71,11 @@ fn taurus_lag_at_rate(writes_per_sec: u64, duration: Duration) -> (f64, f64) {
                     lags_us.push(500_000);
                     break;
                 }
-                std::hint::spin_loop();
+                // The probe waits for background work — the slice flush,
+                // the drainers' acks — whose threads give their core away
+                // while they wait: holding this one would starve them on a
+                // two-core host (samples then ran into the 500 ms cap).
+                std::thread::yield_now();
             }
         }
         // Pacing: stay at or below the requested rate.
@@ -83,10 +87,11 @@ fn taurus_lag_at_rate(writes_per_sec: u64, duration: Duration) -> (f64, f64) {
     }
     stop.store(true, Ordering::Relaxed);
     let _ = poller.join();
+    let stats = db.master().sal.stats.snapshot();
+    println!("  [{writes_per_sec} w/s target] SAL: {stats}");
     println!(
-        "  [{} w/s target] SAL: {}",
-        writes_per_sec,
-        db.master().sal.stats.snapshot()
+        "  [{writes_per_sec} w/s target] recovery: {}",
+        taurus_bench::recovery_line(&stats)
     );
     println!(
         "  [{} w/s target] log store: {}",

@@ -117,6 +117,22 @@ pub fn rel(ours: f64, baseline: f64) -> String {
     }
 }
 
+/// The SAL's recovery-side counters on one line: what Fig. 4 repairs
+/// resent, how many log reads they cost, the poll answers dropped because
+/// an ack overtook them (each one a redo that did not happen), and what
+/// recycling freed on the Page Stores.
+pub fn recovery_line(s: &taurus_core::SalStatsSnapshot) -> String {
+    format!(
+        "resends={} redo_log_reads={} probe_replies_overtaken={} \
+         recycle_ptrs_purged={} recycle_bytes_reclaimed={}",
+        s.resends,
+        s.redo_log_reads,
+        s.probe_replies_overtaken,
+        s.recycle_ptrs_purged,
+        s.recycle_bytes_reclaimed
+    )
+}
+
 /// Transactions per connection used by the throughput benches; kept small
 /// enough for CI-grade runtimes, large enough to average out noise.
 pub fn txns_per_conn() -> u64 {

@@ -5,9 +5,24 @@
 //! so through a [`Clock`]. Production-style runs use [`SystemClock`]; tests
 //! use [`ManualClock`] and advance time explicitly.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+thread_local! {
+    /// Set once by [`mark_background_thread`]; never cleared.
+    static BACKGROUND: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the calling thread as one no client is ever blocked on: a
+/// dispatcher worker, a Page Store consolidation thread, the housekeeping
+/// beat. From then on a short [`SystemClock::sleep_us`] on it still spins,
+/// but yields its core to any runnable thread at every turn of the loop
+/// instead of holding it. Call it once, first thing on the new thread.
+pub fn mark_background_thread() {
+    BACKGROUND.with(|b| b.set(true));
+}
 
 /// A source of monotonic microsecond time plus the ability to wait.
 pub trait Clock: Send + Sync + std::fmt::Debug {
@@ -78,16 +93,23 @@ impl Clock for SystemClock {
         // holds its core, so a latency must be waited out by a thread
         // that is blocked on it anyway: the caller of an RPC waits its
         // hops and its handler's device time as one deadline (a fan-out's
-        // submitting thread waits them for every leg at once); only a
-        // device charge nobody is waiting on — background consolidation,
-        // a direct device call — is waited by the thread that made it. A
-        // thread that spins on behalf of someone else's message turns
-        // parallel waits into serial ones as soon as threads outnumber
-        // cores.
+        // submitting thread waits them for every leg at once). A thread no
+        // client is blocked on (`mark_background_thread`) must not hold a
+        // core a client could use — on a host with fewer cores than
+        // threads that turns parallel waits into serial ones — so it
+        // yields at every turn. It keeps spinning rather than sleeping:
+        // the timer's slack on every drainer and consolidation wait
+        // measured slower than the yield (EXPERIMENTS.md, "Background work
+        // stops taxing commits").
         if us < 200 {
+            let background = BACKGROUND.with(Cell::get);
             let deadline = self.origin.elapsed() + Duration::from_micros(us);
             while self.origin.elapsed() < deadline {
-                std::hint::spin_loop();
+                if background {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
             }
         } else {
             std::thread::sleep(Duration::from_micros(us));
@@ -161,6 +183,73 @@ mod tests {
         c.sleep_us(50);
         let elapsed = c.now_us() - start;
         assert!(elapsed >= 50);
+    }
+
+    /// Nanoseconds the calling thread has spent on a core, from the
+    /// scheduler's own accounting (not sampled at the tick like `utime`).
+    fn thread_cpu_ns() -> u64 {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat")
+            .expect("per-thread scheduler accounting");
+        let ns = stat.split_whitespace().next().expect("schedstat run time");
+        ns.parse().expect("schedstat run time is a number")
+    }
+
+    /// Runs 200 waits of 50 µs on a fresh thread while two busy threads per
+    /// core contend for every core (so no core is ever the waiter's alone),
+    /// and returns the waiter's share of the CPU time they all used
+    /// meanwhile, with the fair share (one over the number of threads).
+    fn waiter_share_of_contended_cpu(marked: bool) -> (f64, f64) {
+        use std::sync::atomic::AtomicBool;
+        let stop = Arc::new(AtomicBool::new(false));
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let busy: Vec<_> = (0..2 * cores)
+            .map(|_| {
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    let before = thread_cpu_ns();
+                    while !stop.load(Ordering::Relaxed) {
+                        std::hint::spin_loop();
+                    }
+                    thread_cpu_ns() - before
+                })
+            })
+            .collect();
+        let waits = std::thread::spawn(move || {
+            if marked {
+                mark_background_thread();
+            }
+            let c = SystemClock::new();
+            let before = thread_cpu_ns();
+            for _ in 0..200 {
+                c.sleep_us(50);
+            }
+            thread_cpu_ns() - before
+        });
+        let waiter = waits.join().expect("waiting thread") as f64;
+        stop.store(true, Ordering::Relaxed);
+        let others: u64 = busy
+            .into_iter()
+            .map(|b| b.join().expect("busy thread"))
+            .sum();
+        (
+            waiter / (waiter + others as f64),
+            1.0 / (2 * cores + 1) as f64,
+        )
+    }
+
+    #[test]
+    fn a_marked_thread_gives_its_core_away_on_short_waits() {
+        // A client-blocked wait spins: with every core contended it holds
+        // on to about its fair share of the CPU. A background one yields at
+        // every turn of its spin, so the busy threads get its core instead.
+        let (unmarked, fair) = waiter_share_of_contended_cpu(false);
+        let (marked, _) = waiter_share_of_contended_cpu(true);
+        let bar = fair / 4.0;
+        assert!(
+            marked < bar,
+            "a background waiter kept {marked:.3} of the CPU"
+        );
+        assert!(unmarked > bar, "a spinning waiter got only {unmarked:.3}");
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! (`crate::slice_writer`) in a single call:
 //!
 //! * **persistent-LSN regression** (Fig. 4(b)): a rebuilt replica reports a
-//!   lower persistent LSN than before — resend the gap from the Log Stores;
+//!   lower persistent LSN than before — resend the gap from the Log Stores.
+//!   A poll answer that a `WriteLogs` ack overtook in flight is older than
+//!   the ack, not a regression: `Sal::probe` drops it;
 //! * **stalled persistent LSN** (Fig. 4(c)): a replica's persistent LSN
 //!   stops advancing while lagging the flush LSN — first trigger targeted
 //!   gossip; if the slice is still stalled, resend from the Log Stores;

@@ -58,6 +58,10 @@ pub(crate) struct SliceState {
     /// Last persistent LSN reported by each replica (piggybacked on
     /// WriteLogs/ReadPage responses or polled — paper §4.3).
     pub replica_persistent: HashMap<NodeId, Lsn>,
+    /// Per replica, how many reports [`SliceState::report`] has taken: a
+    /// probe compares it across its round trip to tell whether its answer
+    /// is still the newest.
+    report_seq: HashMap<NodeId, u64>,
     /// Fabric time of the last persistent-LSN progress on the slowest
     /// replica (stall detection, §5.2).
     pub last_progress_us: u64,
@@ -77,6 +81,7 @@ impl SliceState {
             acked_lsn: Lsn::ZERO,
             on_board: None,
             replica_persistent: HashMap::new(),
+            report_seq: HashMap::new(),
             last_progress_us: 0,
             buffer_opened_us: 0,
         }
@@ -113,6 +118,7 @@ impl SliceState {
     /// is the Fig. 4(b) regression signal, `Greater` is progress — which
     /// also restarts the stall timer.
     pub fn report(&mut self, node: NodeId, persistent: Lsn, now_us: u64) -> cmp::Ordering {
+        *self.report_seq.entry(node).or_default() += 1;
         let prev = self.replica_persistent.insert(node, persistent);
         let moved = persistent.cmp(&prev.unwrap_or(Lsn::ZERO));
         if moved == cmp::Ordering::Greater {
@@ -268,6 +274,10 @@ taurus_common::counters! {
         /// Log-window reads `redo` issued: one per pass with a lagging
         /// replica, however many slices and replicas the pass covers.
         pub redo_log_reads: Counter,
+        /// `GetPersistentLSN` answers dropped because another report for
+        /// the same replica (an ack) landed while the probe was in flight:
+        /// the answer is older than what the SAL already knows.
+        pub probe_replies_overtaken: Counter,
         pub gossip_triggers: Counter,
         /// `WriteLogs` re-attempts after a failed attempt (per envelope
         /// attempt, not per fragment).
@@ -1207,6 +1217,14 @@ impl Sal {
     /// answers. Returns each as `(slice, node, persistent LSN, how it
     /// compares with that replica's previous report)`; unreachable replicas
     /// are left out.
+    ///
+    /// An answer is applied only if no other report for that replica landed
+    /// while the probe was in flight. A `WriteLogs` ack that overtook it
+    /// carries a newer persistent LSN than the one the Page Store read at
+    /// the probe's arrival; applying the stale answer would look like the
+    /// Fig. 4(b) decrease and send the slice into a redo it does not need.
+    /// Such an answer is dropped and the newer report returned in its
+    /// place, as unchanged.
     pub(crate) fn probe(&self, keys: &[SliceKey]) -> Vec<(SliceKey, NodeId, Lsn, cmp::Ordering)> {
         let mut reports = Vec::new();
         for &key in keys {
@@ -1215,12 +1233,25 @@ impl Sal {
                 None => continue,
             };
             for node in replicas {
+                let seq_of = |s: &SliceState| s.report_seq.get(&node).copied();
+                let Some(sent) = self.state.lock().slices.get(&key).map(seq_of) else {
+                    continue;
+                };
                 let Ok(persistent) = self.pages.persistent_lsn_of(node, self.me, key) else {
                     continue;
                 };
                 let now = self.clock.now_us();
-                if let Some(slice) = self.state.lock().slices.get_mut(&key) {
+                let mut st = self.state.lock();
+                let Some(slice) = st.slices.get_mut(&key) else {
+                    continue;
+                };
+                if seq_of(slice) == sent {
                     reports.push((key, node, persistent, slice.report(node, persistent, now)));
+                } else {
+                    self.stats.probe_replies_overtaken.inc();
+                    let newer = slice.replica_persistent.get(&node);
+                    let newer = newer.copied().unwrap_or(persistent);
+                    reports.push((key, node, newer, cmp::Ordering::Equal));
                 }
             }
         }
@@ -1290,16 +1321,24 @@ impl Sal {
 
     /// Broadcasts a new recycle LSN to every slice (§3.4, §6: version purge
     /// driven by the minimum transaction-visible LSN). Snapshots cap the
-    /// broadcast value: versions a snapshot pins are never purged.
+    /// broadcast value: versions a snapshot pins are never purged. Each
+    /// slice's acked LSN caps its own share of it.
     pub fn set_recycle_lsn(&self, lsn: Lsn) {
-        let (keys, capped) = {
+        let (slices, capped) = {
             let st = self.state.lock();
             let min_snapshot = st.snapshots.values().copied().min();
             let capped = match min_snapshot {
                 Some(pin) => lsn.min(pin),
                 None => lsn,
             };
-            (st.slices.keys().copied().collect::<Vec<_>>(), capped)
+            // Nor past a slice's acked LSN, which is where the master's
+            // next head read of it starts (and only grows): a slice that
+            // was quiet below the horizon and has just been written again
+            // has no record between its acked LSN and the horizon, so
+            // this frees nothing the horizon would have.
+            let at = |s: &SliceState| capped.min(s.acked_lsn);
+            let slices: Vec<_> = st.slices.iter().map(|(k, s)| (*k, at(s))).collect();
+            (slices, capped)
         };
         // Never recycle versions a reader could still request: the broadcast
         // recycle LSN derives from replica read views, all capped at the
@@ -1310,11 +1349,11 @@ impl Sal {
             "recycle {capped} past durable {}",
             self.durable_lsn.get()
         );
-        for key in keys {
+        for (key, recycle) in slices {
             // The broadcast now reports what it freed (directory pointers,
             // fragment bookkeeping, layer blobs) — account it so recycling
             // is observable instead of fire-and-forget.
-            let report = self.pages.set_recycle_lsn(key, self.me, capped);
+            let report = self.pages.set_recycle_lsn(key, self.me, recycle);
             self.stats
                 .recycle_ptrs_purged
                 .add(report.purged_ptrs as u64);

@@ -31,7 +31,9 @@
 //!    (the master repairs from the Log Stores and refreshes placement), one
 //!    more pass over the refreshed replicas, then the request kind's last
 //!    resort (single-page reads for a batch, fetch-and-evaluate for a
-//!    scan).
+//!    scan). A version refused as recycled skips the repair — it is gone
+//!    on purpose — and a head read (`as_of = None`) refused so re-plans
+//!    once at the slice's current head: a recycle round overtook it.
 //!
 //! Steps 2–5 are one loop ([`SliceReader::run`]), generic over the three
 //! request kinds (a single-page `ReadPage`, `ReadPages`, `ScanSlice`).
@@ -400,7 +402,10 @@ impl SliceReader {
                 if slot.out.is_some() || slot.at < slot.order.len() {
                     continue;
                 }
-                if !slot.repaired && fe.repair(keys[i]) {
+                // A recycled version was purged on purpose: no resend from
+                // the Log Stores brings it back.
+                let recycled = matches!(slot.err, Some(TaurusError::VersionRecycled { .. }));
+                if !slot.repaired && !recycled && fe.repair(keys[i]) {
                     slot.repaired = true;
                     slot.order = self.ordered_replicas(keys[i]);
                     slot.at = 0;
@@ -497,6 +502,13 @@ impl SliceReader {
                 self.stats.read_retries.inc();
                 attempt()
             }
+            Err(TaurusError::VersionRecycled { .. }) if as_of.is_none() => {
+                // A head read whose snapshot a recycle round overtook: the
+                // slice moved on meanwhile, and its current head is what
+                // the caller asked for.
+                self.stats.read_retries.inc();
+                attempt()
+            }
             other => other,
         };
         if out.is_ok() {
@@ -565,9 +577,11 @@ impl SliceReader {
                 if let Entry::Vacant(missing) = got.entry(page) {
                     // Straggler: the single-page path repairs if it can and
                     // surfaces the real per-page error (e.g.
-                    // `VersionRecycled`) when nothing can serve it.
+                    // `VersionRecycled`) when nothing can serve it. A head
+                    // read stays one, so it re-plans at the head as well.
                     self.read_batch_stats.straggler_retries.inc();
-                    missing.insert(self.read_page(fe, page, Some(req.as_of))?);
+                    let at = as_of.map(|_| req.as_of);
+                    missing.insert(self.read_page(fe, page, at)?);
                 }
             }
         }

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use taurus_common::clock::ManualClock;
+use taurus_common::clock::{Clock, ClockRef, ManualClock};
 use taurus_common::config::{NetworkProfile, StorageProfile};
 use taurus_common::lsn::{LsnAllocator, LsnWatermark};
 use taurus_common::page::PageType;
@@ -33,7 +33,18 @@ struct Harness {
 impl Harness {
     fn new(log_nodes: usize, page_nodes: usize) -> Harness {
         let clock = ManualClock::shared();
-        let fabric = Fabric::new(clock.clone(), NetworkProfile::instant(), 1234);
+        Self::on(clock.clone(), clock, log_nodes, page_nodes)
+    }
+
+    /// A harness whose fabric waits on `fabric_clock`, which keeps its time
+    /// in `clock`.
+    fn on(
+        fabric_clock: ClockRef,
+        clock: Arc<ManualClock>,
+        log_nodes: usize,
+        page_nodes: usize,
+    ) -> Harness {
+        let fabric = Fabric::new(fabric_clock, NetworkProfile::instant(), 1234);
         let me = fabric.add_node(NodeKind::Compute);
         let cfg = TaurusConfig {
             log_buffer_bytes: 1, // flush on every group: deterministic tests
@@ -738,4 +749,197 @@ fn recover_leaves_the_same_persistent_lsns_with_and_without_a_split() {
             (child + 1, all(14))
         ]
     );
+}
+
+/// A manual clock that runs a hook in the middle of the `n`-th wait the
+/// arming thread makes. A single RPC waits twice — its request's arrival,
+/// when the handler has not run yet, then its reply, when it has — and on
+/// the instant profile every deadline has already passed, so the hook
+/// counts `sleep_until` calls whether or not they sleep.
+#[derive(Default)]
+struct HookClock {
+    time: Arc<ManualClock>,
+    armed: parking_lot::Mutex<Option<HookArm>>,
+}
+
+struct HookArm {
+    thread: std::thread::ThreadId,
+    waits_left: usize,
+    hook: Box<dyn FnOnce() + Send>,
+}
+
+impl std::fmt::Debug for HookClock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "HookClock({})", self.time.now_us())
+    }
+}
+
+impl HookClock {
+    /// Runs `hook` on the calling thread in the middle of its `n`-th wait.
+    fn arm(&self, n: usize, hook: impl FnOnce() + Send + 'static) {
+        *self.armed.lock() = Some(HookArm {
+            thread: std::thread::current().id(),
+            waits_left: n,
+            hook: Box::new(hook),
+        });
+    }
+
+    fn interpose(&self) {
+        let due = {
+            let mut armed = self.armed.lock();
+            match armed.as_mut() {
+                Some(a) if a.thread == std::thread::current().id() => {
+                    a.waits_left -= 1;
+                    if a.waits_left == 0 {
+                        armed.take()
+                    } else {
+                        None
+                    }
+                }
+                _ => None,
+            }
+        };
+        if let Some(arm) = due {
+            (arm.hook)();
+        }
+    }
+}
+
+impl Clock for HookClock {
+    fn now_us(&self) -> u64 {
+        self.time.now_us()
+    }
+
+    fn sleep_us(&self, us: u64) {
+        self.interpose();
+        self.time.sleep_us(us);
+    }
+
+    fn sleep_until(&self, deadline_us: u64) {
+        self.interpose();
+        self.time.sleep_until(deadline_us);
+    }
+}
+
+/// Logs `group`, then waits until every replica has acked it and the SAL
+/// has taken every ack (the send pipes are empty only after that).
+fn write_and_quiesce(sal: &Sal, group: LogRecordGroup) {
+    sal.log_group(group).unwrap();
+    sal.flush().unwrap();
+    sal.flush_all_slices();
+    for _ in 0..5_000 {
+        let idle = sal.pipeline_gauges().iter().all(|&(_, q, f)| q + f == 0);
+        if idle && sal.cv_lsn() == sal.durable_lsn() {
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    panic!("the write never reached every replica");
+}
+
+/// Paper Fig. 4(b) fires when a replica's persistent LSN *decreases*. A
+/// `GetPersistentLSN` answer read before an ack that the SAL took while the
+/// answer was on its way back is older than that ack, not a decrease: a
+/// recovery round must neither report it nor pay the redo it would start
+/// (a log read from the stale LSN, here made certain by a second write
+/// landing inside that redo's own probe).
+#[test]
+fn a_poll_answer_an_ack_overtook_is_no_regression() {
+    let clock = Arc::new(HookClock::default());
+    let h = Harness::on(clock.clone(), Arc::clone(&clock.time), 4, 5);
+    let sal = h.sal();
+    let mut svc = RecoveryService::new(Arc::clone(&sal));
+    let group = |k: &str, format: bool| {
+        let mut records = Vec::new();
+        if format {
+            let ty = PageType::Leaf;
+            let body = RecordBody::Format { ty, level: 0 };
+            records.push(LogRecord::new(h.lsns.alloc(), PageId(1), body));
+        }
+        let key = Bytes::copy_from_slice(k.as_bytes());
+        let val = Bytes::from_static(b"v");
+        let body = RecordBody::Insert { idx: 0, key, val };
+        records.push(LogRecord::new(h.lsns.alloc(), PageId(1), body));
+        LogRecordGroup::new(DbId(1), records)
+    };
+    let (r1, r2, r3) = (group("r1", true), group("r2", false), group("r3", false));
+    write_and_quiesce(&sal, r1);
+    assert!(sal.poll_persistent_lsns().is_empty());
+    let before = sal.stats.snapshot();
+
+    // Wait 2 of the round is the reply of its poll of the first replica,
+    // which read r1's LSN: r2 is written and acked everywhere before that
+    // reply is taken. The next four waits poll the other two replicas; a
+    // redo of the slice would probe the first replica again in waits 5-6,
+    // and r3 lands between that probe's read and its reply.
+    let hook = {
+        let (sal, clock) = (Arc::clone(&sal), Arc::clone(&clock));
+        move || {
+            write_and_quiesce(&sal, r2);
+            let sal = Arc::clone(&sal);
+            clock.arm(6, move || write_and_quiesce(&sal, r3));
+        }
+    };
+    clock.arm(2, hook);
+    let report = svc.run_once();
+
+    // Without a redo nothing reaches the sixth wait.
+    clock.armed.lock().take();
+    let after = sal.stats.snapshot();
+    assert_eq!(report.regressions_repaired, 0, "{report:?}");
+    assert_eq!(after.redo_log_reads, before.redo_log_reads, "{after}");
+    assert_eq!(after.resends, before.resends, "{after}");
+    assert_eq!(
+        after.probe_replies_overtaken,
+        before.probe_replies_overtaken + 1
+    );
+    // The dropped answer left the SAL with the ack's newer LSN.
+    assert_eq!(sal.database_persistent_lsn(), sal.durable_lsn());
+    assert!(sal.poll_persistent_lsns().is_empty());
+}
+
+/// A slice that sat quiet below the read horizon and is written again: its
+/// new fragment reaches the replicas before the SAL takes any ack for it,
+/// so a head read still asks for the acked LSN the SAL holds — and gets it,
+/// because recycling never passes a slice's acked LSN (the horizon skips
+/// quiet slices, so it can lie far above one).
+#[test]
+fn recycling_never_passes_a_slices_acked_lsn() {
+    let h = Harness::new(4, 5);
+    let sal = h.sal();
+    let pps = h.cfg.pages_per_slice;
+    let quiet = h.write_kv(&sal, 1, "q0", "v", true);
+    h.write_kv(&sal, pps + 1, "busy0", "v", true);
+    for i in 1..8 {
+        h.write_kv(&sal, pps + 1, &format!("busy{i}"), "v", false);
+    }
+    h.settle(&sal);
+    let key = SliceKey::new(DbId(1), PageId(1).slice(pps));
+    let replicas = h.pages.replicas_of(key);
+    for &node in &replicas {
+        for _ in 0..2_000 {
+            if h.pages.persistent_lsn_of(node, h.me, key).unwrap() == quiet {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+    }
+    sal.set_recycle_lsn(sal.durable_lsn());
+    assert!(sal.durable_lsn() > quiet);
+
+    let insert = RecordBody::Insert {
+        idx: 1,
+        key: Bytes::from_static(b"q1"),
+        val: Bytes::from_static(b"v"),
+    };
+    let record = LogRecord::new(h.lsns.alloc(), PageId(1), insert);
+    let frag = taurus_pagestore::SliceFragment::new(key, quiet, vec![record]);
+    for &node in &replicas {
+        assert!(h.pages.write_logs_to(node, h.me, &frag).unwrap() > quiet);
+        let (page, _) = h
+            .pages
+            .read_page_from(node, h.me, key, PageId(1), quiet)
+            .unwrap_or_else(|e| panic!("replica {node} refused the acked LSN: {e:?}"));
+        assert_eq!(page.nslots(), 1);
+    }
 }

@@ -291,6 +291,7 @@ impl TaurusDb {
         let db = Arc::clone(self);
         let stop2 = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
+            taurus_common::clock::mark_background_thread();
             let mut beats = 0u64;
             while !stop2.load(Ordering::Relaxed) {
                 db.maintain();

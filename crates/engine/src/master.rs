@@ -86,6 +86,9 @@ pub struct MasterEngine {
     key_locks: Mutex<HashMap<Vec<u8>, TxnId>>,
     next_txn: AtomicU64,
     maintain_beats: AtomicU64,
+    /// The read horizon published as of the last recycle round: the next
+    /// round's recycle LSN may not pass it.
+    recycle_horizon: AtomicU64,
     pub bulletin: Arc<Bulletin>,
 }
 
@@ -131,6 +134,7 @@ impl MasterEngine {
             key_locks: Mutex::new(HashMap::new()),
             next_txn: AtomicU64::new(1),
             maintain_beats: AtomicU64::new(0),
+            recycle_horizon: AtomicU64::new(0),
             bulletin: Arc::new(Bulletin::on(&sal)),
             sal,
         }
@@ -196,7 +200,17 @@ impl MasterEngine {
     }
 
     /// Periodic maintenance: slice-buffer timeout flushes, dirty-frame
-    /// sweep, replica-driven recycle LSN, bulletin refresh.
+    /// sweep, recycle LSN, bulletin refresh.
+    ///
+    /// The master is a reader too: its head reads ask each slice for its
+    /// acked LSN, which for a slice still owed an ack is at or above the
+    /// read horizon (and [`Sal::set_recycle_lsn`] caps every slice at its
+    /// acked LSN besides). So every recycle round sets the recycle LSN to
+    /// the minimum of the replicas' TV-LSNs and the horizon this master
+    /// had published one round earlier — replicas or not. The round of
+    /// slack covers a head read resolved just before a publish; one
+    /// overtaken all the same re-plans at the current head
+    /// ([`Sal::read_page`]).
     pub fn maintain(&self) {
         self.sal.tick();
         let beat = self.maintain_beats.fetch_add(1, Ordering::Relaxed);
@@ -206,9 +220,11 @@ impl MasterEngine {
             self.tree
                 .pool()
                 .mark_clean_upto(&|p, l| self.sal.can_evict(p, l));
-            if let Some(min_tv) = self.bulletin.min_replica_tv() {
-                self.sal.set_recycle_lsn(min_tv);
-            }
+            let published = self.bulletin.read_horizon.get().0;
+            let earlier = Lsn(self.recycle_horizon.swap(published, Ordering::SeqCst));
+            let min_tv = self.bulletin.min_replica_tv();
+            self.sal
+                .set_recycle_lsn(min_tv.map_or(earlier, |tv| tv.min(earlier)));
         }
         self.publish();
     }

@@ -102,7 +102,7 @@ impl ReplicaEngine {
             })
             .collect::<Result<Vec<_>>>()?;
         let pool = EnginePool::with_shards(1024, cfg.engine_pool_shards);
-        Ok(Arc::new(ReplicaEngine {
+        let replica = Arc::new(ReplicaEngine {
             id,
             me,
             reader: SliceReader::new(cfg.clone(), db, me, pages),
@@ -116,7 +116,11 @@ impl ReplicaEngine {
             bulletin,
             last_bulletin_seq: AtomicU64::new(0),
             groups_applied: AtomicU64::new(0),
-        }))
+        });
+        // From its first transaction on, the master may not recycle what
+        // this replica could still read.
+        replica.publish_min_tv();
+        Ok(replica)
     }
 
     /// The replica's physically consistent view of the database.
@@ -215,6 +219,7 @@ impl ReplicaEngine {
             self.groups_applied.fetch_add(1, Ordering::Relaxed);
             applied += 1;
         }
+        self.publish_min_tv();
         Ok(applied)
     }
 
@@ -248,13 +253,17 @@ impl ReplicaEngine {
                 pins.remove(&lsn.0);
             }
         }
-        // Publish the new minimum TV-LSN to the master (recycle feedback).
-        let min = pins
-            .keys()
-            .next()
-            .copied()
-            .map(Lsn)
-            .unwrap_or_else(|| self.visible_lsn.get());
+        drop(pins);
+        self.publish_min_tv();
+    }
+
+    /// Publishes this replica's minimum TV-LSN to the master (recycle
+    /// feedback): the oldest open transaction's, or with none open the
+    /// visible LSN the next one starts at.
+    fn publish_min_tv(&self) {
+        let pins = self.tv_pins.lock();
+        let min = pins.keys().next().copied().map(Lsn);
+        let min = min.unwrap_or_else(|| self.visible_lsn.get());
         drop(pins);
         self.bulletin.publish_min_tv(self.id, min);
     }

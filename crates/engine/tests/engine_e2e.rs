@@ -336,6 +336,72 @@ fn replica_tv_feedback_becomes_recycle_lsn() {
     master.maintain();
 }
 
+/// Log Directory record pointers summed over every Page Store.
+fn directory_records(db: &TaurusDb) -> usize {
+    let server = |n| db.pages.server_handle(n).unwrap();
+    let records = |n| server(n).cache_stats().4;
+    db.pages.server_nodes().into_iter().map(records).sum()
+}
+
+/// Commits `n` rewrites of 40 rows under a maintenance beat per commit,
+/// waits for every replica to hold them all, lets consolidation catch up,
+/// and lets two recycle rounds pass.
+fn churn_under_beats(db: &TaurusDb, round: usize, n: usize) {
+    let master = db.master();
+    for i in 0..n {
+        let mut t = master.begin();
+        let k = format!("row{:02}", i % 40);
+        t.put(k.as_bytes(), format!("{round}-{i}").as_bytes())
+            .unwrap();
+        t.commit().unwrap();
+        master.maintain();
+    }
+    make_truncation_due(&master);
+    db.pages.consolidate_and_flush_all();
+    for _ in 0..32 {
+        master.maintain();
+    }
+}
+
+#[test]
+fn a_master_without_replicas_recycles_and_still_serves_its_snapshot() {
+    let db = launch();
+    let master = db.master();
+    let mut t = master.begin();
+    for i in 0..40 {
+        t.put(format!("row{i:02}").as_bytes(), b"pinned").unwrap();
+    }
+    t.commit().unwrap();
+    settle(&db);
+    master.create_snapshot("before");
+    churn_under_beats(&db, 0, 400);
+    // The snapshot caps every recycle LSN: what it reads is still there.
+    for i in 0..40 {
+        let k = format!("row{i:02}");
+        let pinned = master.snapshot_get("before", k.as_bytes()).unwrap();
+        assert_eq!(pinned.as_deref(), Some(&b"pinned"[..]), "{k}");
+    }
+    assert!(master.drop_snapshot("before"));
+    // With no replica and no snapshot the Page Stores keep what the last
+    // compaction has not covered — a few 4 KiB L0s of these records on
+    // each replica — however many commits ran. (Kept whole, 1 000 commits
+    // leave 6 000 pointers.)
+    churn_under_beats(&db, 1, 200);
+    let after_200 = directory_records(&db);
+    churn_under_beats(&db, 2, 800);
+    let after_1000 = directory_records(&db);
+    assert!(
+        after_200 < 1_000 && after_1000 < 1_000,
+        "directories hold {after_200} then {after_1000} record pointers"
+    );
+    assert!(master.sal.stats.snapshot().recycle_ptrs_purged > 0);
+    for i in 0..40 {
+        let k = format!("row{i:02}");
+        let v = master.get(k.as_bytes()).unwrap().unwrap();
+        assert!(v.starts_with(b"2-"), "{k}: {v:?}");
+    }
+}
+
 #[test]
 fn master_crash_recovery_preserves_all_committed_data() {
     let db = launch();
@@ -855,6 +921,46 @@ fn a_commit_completes_inside_a_readers_miss_round_trip() {
     assert!(committed.load(std::sync::atomic::Ordering::SeqCst));
     let stats = master.latch_stats();
     assert_eq!((stats.read_latch_fallbacks, stats.loads_discarded), (0, 0));
+    assert_eq!(
+        master.get(&bulk_row(row_on_leaf(3)).0).unwrap(),
+        Some(b"meanwhile".to_vec())
+    );
+}
+
+#[test]
+fn a_head_read_a_recycle_round_overtook_replans_at_the_head() {
+    let clock = Arc::new(HookClock::default());
+    let db = launch_small_pool(clock.clone(), 8);
+    let master = db.master();
+    bulk_load(&master, 20);
+    settle(&db);
+    // Leaf 10 is out of the pool; all twenty leaves share one slice.
+    read_leaves(&master, 0..9);
+    let (k, v) = bulk_row(row_on_leaf(10));
+    let hook = {
+        let db = Arc::clone(&db);
+        move || {
+            // The read of leaf 10 is on the wire at its slice's acked LSN.
+            // Another connection writes leaf 3, every replica takes it, and
+            // two recycle rounds pass: the recycle LSN is now above the
+            // read's snapshot, and no replica is still at it.
+            let master = db.master();
+            commit_from_another_connection(&master, &bulk_row(row_on_leaf(3)).0, b"meanwhile");
+            make_truncation_due(&master);
+            for _ in 0..32 {
+                master.maintain();
+            }
+        }
+    };
+    *clock.armed.lock() = Some(HookArm {
+        thread: std::thread::current().id(),
+        waits_left: 1,
+        hook: Box::new(hook),
+    });
+    let refused = master.sal.stats.snapshot().read_retries;
+    assert_eq!(master.get(&k).unwrap(), Some(v));
+    assert!(clock.armed.lock().is_none(), "the hook never ran");
+    assert!(master.sal.stats.snapshot().read_retries > refused);
     assert_eq!(
         master.get(&bulk_row(row_on_leaf(3)).0).unwrap(),
         Some(b"meanwhile".to_vec())

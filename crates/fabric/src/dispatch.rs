@@ -91,6 +91,8 @@ struct Shared {
 }
 
 fn worker_loop(shared: Arc<Shared>) {
+    // Nobody is blocked on a detached job: its waits must not spin.
+    taurus_common::clock::mark_background_thread();
     loop {
         let job = {
             let mut q = shared.queue.lock();

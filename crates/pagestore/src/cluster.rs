@@ -819,6 +819,7 @@ impl PageStoreCluster {
                 let server = Arc::clone(server);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
+                    taurus_common::clock::mark_background_thread();
                     while !stop.load(Ordering::Acquire) {
                         if server.consolidate_step() {
                             continue;

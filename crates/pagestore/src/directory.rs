@@ -45,6 +45,23 @@ pub struct PageEntry {
     pub records: Vec<RecordPtr>,
 }
 
+/// What producing one page version takes: the newest materialized version
+/// at or below the requested LSN, if any, and the page's records above that
+/// base up to the requested LSN, in LSN order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PageRecipe {
+    pub base: Option<VersionPtr>,
+    pub records: Vec<RecordPtr>,
+}
+
+impl PageRecipe {
+    /// The records above `lsn`: the suffix a base image at `lsn` (at or
+    /// above [`PageRecipe::base`]) still needs.
+    pub fn records_above(&self, lsn: Lsn) -> &[RecordPtr] {
+        &self.records[self.records.partition_point(|r| r.lsn <= lsn)..]
+    }
+}
+
 impl PageEntry {
     /// Latest materialized version at or below `as_of`.
     pub fn best_version(&self, as_of: Lsn) -> Option<VersionPtr> {
@@ -52,12 +69,30 @@ impl PageEntry {
     }
 
     /// Records in `(after, as_of]`, in LSN order.
-    pub fn records_between(&self, after: Lsn, as_of: Lsn) -> Vec<RecordPtr> {
+    #[cfg(test)]
+    fn records_between(&self, after: Lsn, as_of: Lsn) -> Vec<RecordPtr> {
         self.records
             .iter()
             .filter(|r| r.lsn > after && r.lsn <= as_of)
             .copied()
             .collect()
+    }
+
+    /// [`LogDirectory::recipe`] on this entry: binary searches on both
+    /// sorted vectors, and a copy of the record suffix only.
+    fn recipe(&self, as_of: Lsn) -> PageRecipe {
+        let newer = self.versions.partition_point(|v| v.lsn <= as_of);
+        let base = newer
+            .checked_sub(1)
+            .and_then(|i| self.versions.get(i))
+            .copied();
+        let after = base.map_or(Lsn::ZERO, |v| v.lsn);
+        let from = self.records.partition_point(|r| r.lsn <= after);
+        let to = self.records.partition_point(|r| r.lsn <= as_of);
+        PageRecipe {
+            base,
+            records: self.records[from..to].to_vec(),
+        }
     }
 
     /// LSN of the newest record or version known for this page.
@@ -114,9 +149,11 @@ impl LogDirectory {
         }
     }
 
-    /// Clones the entry for a page.
-    pub fn get(&self, page: PageId) -> Option<PageEntry> {
-        self.shard(page).read().get(&page).cloned()
+    /// What producing `page` as of `as_of` takes, looked up under one shard
+    /// read lock (`None`: the page was never written). Copies the record
+    /// suffix above the chosen base, never the whole entry.
+    pub fn recipe(&self, page: PageId, as_of: Lsn) -> Option<PageRecipe> {
+        self.shard(page).read().get(&page).map(|e| e.recipe(as_of))
     }
 
     /// Drops records and versions strictly below `recycle`, keeping at least
@@ -207,13 +244,18 @@ mod tests {
         }
     }
 
+    /// A copy of the whole entry, as tests inspect it.
+    fn entry(d: &LogDirectory, page: PageId) -> PageEntry {
+        d.shard(page).read().get(&page).cloned().unwrap()
+    }
+
     #[test]
     fn records_stay_sorted_even_with_out_of_order_arrival() {
         let d = LogDirectory::new();
         d.add_record(PageId(1), rp(5, 1, 0));
         d.add_record(PageId(1), rp(2, 0, 0));
         d.add_record(PageId(1), rp(9, 2, 0));
-        let e = d.get(PageId(1)).unwrap();
+        let e = entry(&d, PageId(1));
         let lsns: Vec<u64> = e.records.iter().map(|r| r.lsn.0).collect();
         assert_eq!(lsns, vec![2, 5, 9]);
     }
@@ -234,7 +276,7 @@ mod tests {
         for l in [11, 15, 21, 25] {
             d.add_record(PageId(1), rp(l, l, 0));
         }
-        let e = d.get(PageId(1)).unwrap();
+        let e = entry(&d, PageId(1));
         assert_eq!(e.best_version(Lsn(25)).unwrap().lsn, Lsn(20));
         assert_eq!(e.best_version(Lsn(19)).unwrap().lsn, Lsn(10));
         assert!(e.best_version(Lsn(9)).is_none());
@@ -248,6 +290,49 @@ mod tests {
     }
 
     #[test]
+    fn recipe_matches_best_version_and_records_between_on_random_entries() {
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        for page in 0..300u64 {
+            let d = LogDirectory::new();
+            let page = PageId(page);
+            for _ in 0..next(6) {
+                d.add_version(page, vp(next(120), 0));
+            }
+            for _ in 0..next(40) {
+                let lsn = next(120);
+                d.add_record(page, rp(lsn, lsn, 0));
+            }
+            if next(4) == 0 {
+                d.purge_below(Lsn(next(120)));
+            }
+            let Some(e) = d.shard(page).read().get(&page).cloned() else {
+                assert_eq!(d.recipe(page, Lsn(60)), None);
+                continue;
+            };
+            for as_of in 0..=125 {
+                let as_of = Lsn(as_of);
+                let base = e.best_version(as_of);
+                let after = base.map_or(Lsn::ZERO, |v| v.lsn);
+                let want = PageRecipe {
+                    base,
+                    records: e.records_between(after, as_of),
+                };
+                let got = d.recipe(page, as_of).unwrap();
+                assert_eq!(got, want, "{page} as of {as_of}: {e:?}");
+                for lsn in [after, Lsn(after.0 + 3), as_of] {
+                    assert_eq!(got.records_above(lsn), e.records_between(lsn, as_of));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn purge_keeps_reconstruction_base() {
         let d = LogDirectory::new();
         d.add_version(PageId(1), vp(10, 0));
@@ -258,7 +343,7 @@ mod tests {
         }
         let purged = d.purge_below(Lsn(25));
         assert!(purged >= 2);
-        let e = d.get(PageId(1)).unwrap();
+        let e = entry(&d, PageId(1));
         // Version 20 is the newest <= 25: it must survive as the base.
         assert_eq!(e.versions.first().unwrap().lsn, Lsn(20));
         assert_eq!(e.versions.len(), 2);

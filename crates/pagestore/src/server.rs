@@ -564,27 +564,26 @@ impl PageStoreServer {
             let compacted = layered.then(|| r.layers.compact_lsn());
             (r.directory.clone(), compacted)
         };
-        let Some(entry) = dir.get(page) else {
+        let Some(recipe) = dir.recipe(page, as_of) else {
             // Never written: a fresh zeroed page at version 0.
             return Ok((PageBuf::new(), Lsn::ZERO));
         };
-        // Best base: the pooled (latest consolidated) page if usable,
-        // otherwise the newest on-disk version at or below `as_of`.
-        let mut base: Option<(PageBuf, Lsn)> = None;
-        if let Some(pooled) = self.pool.get(key, page) {
-            if pooled.lsn <= as_of {
-                base = Some((pooled.page, pooled.lsn));
-            }
-        }
-        if base.is_none() {
-            if let Some(v) = entry.best_version(as_of) {
+        // Best base: the pooled (latest consolidated) page if usable — the
+        // recipe's record suffix covers it only if it is no older than the
+        // recipe's base — otherwise that on-disk version.
+        let version_lsn = recipe.base.map_or(Lsn::ZERO, |v| v.lsn);
+        let pooled = self.pool.get(key, page);
+        let pooled = pooled.filter(|p| p.lsn <= as_of && p.lsn >= version_lsn);
+        let (mut buf, base_lsn) = match (pooled, recipe.base) {
+            (Some(pooled), _) => (pooled.page, pooled.lsn),
+            (None, Some(v)) => {
                 let raw = self.device.read(v.loc.offset, v.loc.len as usize)?;
-                base = Some((PageBuf::from_bytes(&raw)?, v.lsn));
+                (PageBuf::from_bytes(&raw)?, v.lsn)
             }
-        }
-        let (mut buf, base_lsn) = base.unwrap_or((PageBuf::new(), Lsn::ZERO));
+            (None, None) => (PageBuf::new(), Lsn::ZERO),
+        };
         // Replay the tail of the chain.
-        let needed = entry.records_between(base_lsn, as_of);
+        let needed = recipe.records_above(base_lsn);
         if !needed.is_empty() {
             // Bounded replay under the layered policy: a compaction at LSN C
             // leaves every page with records <= C covered by an image, so a
@@ -601,7 +600,7 @@ impl PageStoreServer {
                     compact
                 );
             }
-            let records = self.fetch_records(key, &needed)?;
+            let records = self.fetch_records(key, needed)?;
             for rec in &records {
                 apply_record(&mut buf, rec)?;
             }
@@ -932,14 +931,15 @@ impl PageStoreServer {
             let persistent = replica.lock().persistent_lsn();
             let Ok(dir) = self.dir(key) else { continue };
             for page in dir.page_ids() {
-                if let Some(entry) = dir.get(page) {
-                    let consolidated = entry.versions.last().map(|v| v.lsn).unwrap_or(Lsn::ZERO);
+                // The newest version and the records above it.
+                if let Some(recipe) = dir.recipe(page, Lsn::MAX) {
+                    let consolidated = recipe.base.map_or(Lsn::ZERO, |v| v.lsn);
                     let pool_lsn = self.pool.get(key, page).map(|p| p.lsn).unwrap_or(Lsn::ZERO);
                     let done = consolidated.max(pool_lsn);
-                    let chain = entry
-                        .records
+                    let chain = recipe
+                        .records_above(done)
                         .iter()
-                        .filter(|rp| rp.lsn > done && rp.lsn <= persistent)
+                        .filter(|rp| rp.lsn <= persistent)
                         .count();
                     if chain > 0 && best.map(|(_, _, c)| chain > c).unwrap_or(true) {
                         best = Some((key, page, chain));
@@ -980,8 +980,8 @@ impl PageStoreServer {
                     .map(|p| p.lsn)
                     .unwrap_or(Lsn::ZERO);
                 let disk_lsn = dir
-                    .get(rec.page)
-                    .and_then(|e| e.versions.last().map(|v| v.lsn))
+                    .recipe(rec.page, Lsn::MAX)
+                    .and_then(|r| r.base.map(|v| v.lsn))
                     .unwrap_or(Lsn::ZERO);
                 pool_lsn.max(disk_lsn) >= rec.lsn
             });
