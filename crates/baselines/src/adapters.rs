@@ -126,7 +126,7 @@ impl Executor for LocalExecutor {
             .collect();
         self.engine.apply(&writes)?;
         // Keep the dirty backlog bounded during loads.
-        self.engine.flush_dirty(64)?;
+        self.engine.flush_pages(64)?;
         Ok(())
     }
 }

@@ -152,7 +152,7 @@ impl LocalEngine {
     }
 
     /// Flushes up to `limit` dirty pages (background flusher / checkpoint).
-    pub fn flush_dirty(&self, limit: usize) -> Result<usize> {
+    pub fn flush_pages(&self, limit: usize) -> Result<usize> {
         let mut flushed = 0usize;
         let dirty: Vec<PageId> = self.dirty_set.lock().iter().copied().collect();
         for id in dirty.into_iter().take(limit) {
@@ -165,7 +165,7 @@ impl LocalEngine {
             self.flush_page(id, &frame.buf)?;
             self.tree
                 .pool()
-                .mark_clean_upto(&|p, l| p == id && l <= frame.lsn);
+                .clear_dirty(&|p, l| p == id && l <= frame.lsn);
             self.dirty_set.lock().remove(&id);
             flushed += 1;
         }
@@ -208,7 +208,7 @@ impl LocalEngine {
         self.append_wal(&records)?;
         // Checkpoint pressure: vanilla flushes some pages synchronously.
         if self.profile.sync_flush_pages > 0 {
-            self.flush_dirty(self.profile.sync_flush_pages)?;
+            self.flush_pages(self.profile.sync_flush_pages)?;
         }
         Ok(())
     }
@@ -274,10 +274,10 @@ mod tests {
             let k = format!("key{i:06}");
             e.apply(&[(k.into_bytes(), Some(vec![b'v'; 120]))]).unwrap();
             if i % 16 == 0 {
-                e.flush_dirty(usize::MAX).unwrap();
+                e.flush_pages(usize::MAX).unwrap();
             }
         }
-        e.flush_dirty(usize::MAX).unwrap();
+        e.flush_pages(usize::MAX).unwrap();
         for i in (0..2000u32).step_by(173) {
             let k = format!("key{i:06}");
             assert!(e.get(k.as_bytes()).unwrap().is_some(), "{k}");

@@ -26,7 +26,7 @@ use taurus_engine::latch::{PageSource, TreeLatch};
 use taurus_engine::pool::{EnginePool, Frame};
 use taurus_fabric::Fabric;
 use taurus_pagestore::cluster::PageStoreOptions;
-use taurus_pagestore::{ConsolidationPolicy, PageStoreCluster, SliceFragment};
+use taurus_pagestore::{PageStoreCluster, SliceFragment};
 
 /// An engine over N/W quorum storage.
 pub struct QuorumEngine {
@@ -77,9 +77,6 @@ impl QuorumEngine {
             PageStoreOptions {
                 log_cache_bytes: cfg.pagestore_log_cache_bytes,
                 pool_pages: cfg.pagestore_buffer_pool_pages,
-                // The baseline keeps the paper's log-cache-centric policy;
-                // layered consolidation is this repo's own Page Store design.
-                consolidation: ConsolidationPolicy::LogCacheCentric,
                 ..PageStoreOptions::default()
             },
         );
@@ -246,17 +243,27 @@ impl PageSource for QuorumEngine {
         Err(last_err)
     }
 
-    /// Quorum storage needs no eviction rule: W replicas already hold
-    /// every acknowledged record.
+    /// A dirty frame may go only once its slice's quorum write returned:
+    /// a miss reads at the slice's shipped LSN, so a frame evicted above it
+    /// would come back as the version before it. The shipped LSN is looked
+    /// up once per slice per pool operation, as the master's guard does.
     fn evict_guard(&self) -> impl Fn(PageId, Lsn) -> bool + '_ {
-        |_, _| true
+        let shipped = std::cell::RefCell::new(HashMap::<SliceKey, Lsn>::new());
+        move |page, lsn| {
+            let key = self.slice_of(page);
+            let mut shipped = shipped.borrow_mut();
+            let chain = *shipped
+                .entry(key)
+                .or_insert_with(|| self.chain.lock().get(&key).copied().unwrap_or(Lsn::ZERO));
+            lsn <= chain
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taurus_common::clock::ManualClock;
+    use taurus_common::clock::{Clock, ManualClock};
     use taurus_common::config::NetworkProfile;
 
     fn engine(n: usize, w: usize) -> Arc<QuorumEngine> {
@@ -324,6 +331,122 @@ mod tests {
         }
         for i in (0..800u32).step_by(97) {
             assert!(e.get(format!("k{i:05}").as_bytes()).unwrap().is_some());
+        }
+    }
+
+    /// A manual clock that runs a hook inside the `n`-th wait of one thread.
+    /// On the instant profiles every RPC is two waits on the calling thread
+    /// (arrival, reply), so the hook lands at a chosen boundary of it.
+    #[derive(Default)]
+    struct HookClock {
+        time: ManualClock,
+        armed: Mutex<Option<HookArm>>,
+    }
+
+    struct HookArm {
+        thread: std::thread::ThreadId,
+        waits_left: usize,
+        hook: Box<dyn FnOnce() + Send>,
+    }
+
+    impl std::fmt::Debug for HookClock {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "HookClock({})", self.time.now_us())
+        }
+    }
+
+    impl HookClock {
+        fn interpose(&self) {
+            let due = {
+                let mut armed = self.armed.lock();
+                match armed.as_mut() {
+                    Some(a) if a.thread == std::thread::current().id() => {
+                        a.waits_left -= 1;
+                        if a.waits_left == 0 {
+                            armed.take()
+                        } else {
+                            None
+                        }
+                    }
+                    _ => None,
+                }
+            };
+            if let Some(arm) = due {
+                (arm.hook)();
+            }
+        }
+    }
+
+    impl Clock for HookClock {
+        fn now_us(&self) -> u64 {
+            self.time.now_us()
+        }
+
+        fn sleep_us(&self, us: u64) {
+            self.interpose();
+            self.time.sleep_us(us);
+        }
+
+        fn sleep_until(&self, deadline_us: u64) {
+            self.interpose();
+            self.time.sleep_until(deadline_us);
+        }
+    }
+
+    #[test]
+    fn a_reader_inside_a_quorum_write_never_brings_back_the_version_before_it() {
+        // A 4-frame pool over an 8-leaf table. A reader thread runs inside
+        // the `n`-th wait of a commit — after its dirty leaf went into the
+        // pool, before its W-th ack moved the slice's shipped LSN — and
+        // misses on every other leaf, evicting whatever the guard lets go,
+        // then reads the committed key. Had the dirty leaf gone, that read
+        // would have installed the copy at the old shipped LSN, and every
+        // read after the commit returned would see the value before it.
+        let key = |i: u32| format!("k{i:05}").into_bytes();
+        let val = |v: u8| Some(vec![v; 64]);
+        for n in 1.. {
+            let clock = Arc::new(HookClock::default());
+            let fabric = Fabric::new(clock.clone(), NetworkProfile::instant(), 5);
+            let cfg = TaurusConfig {
+                engine_buffer_pool_pages: 4,
+                ..TaurusConfig::test()
+            };
+            let e = QuorumEngine::new(fabric, cfg, StorageProfile::instant(), 3, 2).unwrap();
+            for i in 0..800u32 {
+                e.apply(&[(key(i), val(0))]).unwrap();
+            }
+            // Root and leaf resident: the commit itself fetches nothing.
+            assert_eq!(e.get(&key(0)).unwrap(), val(0));
+            let reader = Arc::clone(&e);
+            *clock.armed.lock() = Some(HookArm {
+                thread: std::thread::current().id(),
+                waits_left: n,
+                hook: Box::new(move || {
+                    std::thread::spawn(move || {
+                        for i in (50..800u32).step_by(50).chain([0]) {
+                            reader.get(&key(i)).unwrap();
+                        }
+                    })
+                    .join()
+                    .unwrap();
+                }),
+            });
+            e.apply(&[(key(0), val(1))]).unwrap();
+            let fired = clock.armed.lock().take().is_none();
+            assert_eq!(
+                e.get(&key(0)).unwrap(),
+                val(1),
+                "a read at wait {n} of the commit brought back the old version"
+            );
+            if !fired {
+                // Two quorum writes of two waits each at the least; fewer
+                // means the clock no longer sees the RPCs.
+                assert!(
+                    n > 4,
+                    "the commit made only {n} waits: the sweep is vacuous"
+                );
+                return;
+            }
         }
     }
 }

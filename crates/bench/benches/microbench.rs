@@ -98,7 +98,11 @@ fn pagestore_server() -> Arc<PageStoreServer> {
         32 << 20,
         2048,
         EvictionPolicy::Lfu,
-        ConsolidationPolicy::LogCacheCentric,
+        // Small layer knobs: the consolidation bench seals and compacts.
+        ConsolidationPolicy::Layered {
+            l0_target_bytes: 1 << 10,
+            compaction_threshold: 2,
+        },
     )
 }
 

@@ -201,7 +201,7 @@ fn main() {
     // Reach storage steady state before measuring: consolidate the loaded
     // fragments into page images (otherwise every cold read replays the
     // whole load) and take one warmup lap to populate the hot set.
-    taurus.db.pages.consolidate_and_flush_all();
+    taurus.db.pages.consolidate_all();
     let _ = run_point(&taurus, &workload, 16, 4, 0, cfg.driver_workers);
 
     println!(

@@ -143,12 +143,9 @@ fn append_latency_smoke() {
 /// <1x while Taurus is unchanged" anomaly). The bound is env-tunable for
 /// noisy runners (`TAURUS_FIG7_STORBND_RATIO`).
 ///
-/// The second gate this smoke used to carry — layered read p99 against a
-/// "legacy replay" re-run under a config knob that switched Page Stores back
-/// to the log-cache-centric policy — was retired with that knob (PR 12); its
-/// historical numbers stay in EXPERIMENTS.md, and the
-/// policy comparison lives on in the `ablations` bench, which builds Page
-/// Store servers with each `ConsolidationPolicy` directly.
+/// Both sides run the same layered Page Store, so the ratio isolates the
+/// replication scheme. The paper's consolidation-order comparison is a model
+/// in the `ablations` bench; no Page Store runs another policy.
 fn storage_bound_read_smoke(layered: &DriverReport, aurora: &DriverReport) {
     header("Storage-bound read smoke: same-run ratio");
     let ratio = layered.tps / aurora.tps.max(1e-9);

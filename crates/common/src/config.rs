@@ -194,11 +194,6 @@ pub struct TaurusConfig {
     pub layer_l0_target_bytes: usize,
     /// Number of sealed L0 layers that triggers an L0→L1 compaction.
     pub compaction_threshold: usize,
-    /// Whether the background housekeeping thread runs the load-aware
-    /// rebalancer (DESIGN.md §14). Off by default: elastic actions consume
-    /// fabric bandwidth and change placement, so deployments (and the
-    /// determinism harness) opt in explicitly.
-    pub rebalance_enabled: bool,
     /// Minimum heat-delta (ops since the previous rebalancer round, summed
     /// over all slices) before the rebalancer acts at all — below this the
     /// signal is noise and every action would be churn.
@@ -256,7 +251,6 @@ impl Default for TaurusConfig {
             log_group_commit_idle_us: 1_000,
             layer_l0_target_bytes: 256 << 10,
             compaction_threshold: 4,
-            rebalance_enabled: false,
             rebalance_min_ops: 256,
             rebalance_hot_slice_ratio: 0.5,
             rebalance_min_slice_pages: 16,

@@ -1629,14 +1629,12 @@ impl Sal {
         let mut chain_end: Option<Lsn> = None;
         let mut hole = false;
         for f in frames {
-            let chained = match (f.prev_end, chain_end) {
-                // Legacy unframed group: single-stream log, no holes.
-                (None, _) => true,
+            let chained = match chain_end {
                 // First span at/after the anchor: its predecessor ended at
                 // or below the anchor (below when the anchor sits inside
                 // this straddling span).
-                (Some(p), None) => p <= start,
-                (Some(p), Some(e)) => p == e,
+                None => f.prev_end <= start,
+                Some(e) => f.prev_end == e,
             };
             if !chained {
                 hole = true;

@@ -282,8 +282,8 @@ impl TaurusDb {
     }
 
     /// Starts a background housekeeping thread (maintenance + periodic
-    /// recovery rounds, plus rebalance rounds when
-    /// `cfg.rebalance_enabled`) plus Page Store consolidation threads.
+    /// recovery rounds) plus Page Store consolidation threads. Rebalancing
+    /// is driven by its caller through [`TaurusDb::run_rebalance_round`].
     /// Returns a guard that stops everything on drop.
     pub fn start_background(self: &Arc<Self>, beat_us: u64) -> BackgroundGuard {
         let consolidation = self.pages.start_background_consolidation();
@@ -298,9 +298,6 @@ impl TaurusDb {
                 beats += 1;
                 if beats.is_multiple_of(64) {
                     let _ = db.run_recovery_round();
-                }
-                if db.cfg.rebalance_enabled && beats.is_multiple_of(128) {
-                    let _ = db.run_rebalance_round();
                 }
                 std::thread::sleep(std::time::Duration::from_micros(beat_us));
             }

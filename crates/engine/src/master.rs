@@ -219,7 +219,7 @@ impl MasterEngine {
         if beat.is_multiple_of(16) {
             self.tree
                 .pool()
-                .mark_clean_upto(&|p, l| self.sal.can_evict(p, l));
+                .clear_dirty(&|p, l| self.sal.can_evict(p, l));
             let published = self.bulletin.read_horizon.get().0;
             let earlier = Lsn(self.recycle_horizon.swap(published, Ordering::SeqCst));
             let min_tv = self.bulletin.min_replica_tv();

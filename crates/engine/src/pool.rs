@@ -358,9 +358,10 @@ impl EnginePool {
         self.shard(page).frames.lock().map.contains_key(&page)
     }
 
-    /// Marks a page clean once its records reached a Page Store (the master
-    /// sweeps this lazily from `Sal::can_evict`).
-    pub fn mark_clean_upto(&self, can_evict: &dyn Fn(PageId, Lsn) -> bool) {
+    /// Clears the dirty bit of every frame whose records storage already
+    /// holds per `can_evict` (the master sweeps this lazily from
+    /// `Sal::can_evict`).
+    pub fn clear_dirty(&self, can_evict: &dyn Fn(PageId, Lsn) -> bool) {
         for shard in &self.shards {
             let mut guard = shard.frames.lock();
             for (p, f) in guard.map.iter_mut() {
@@ -439,7 +440,7 @@ mod tests {
     }
 
     #[test]
-    fn unacked_dirty_pages_are_never_evicted() {
+    fn unacked_dirty_frames_are_never_evicted() {
         let pool = EnginePool::new(8);
         for i in 0..8u64 {
             pool.put(PageId(i), frame(i, true), &never);
@@ -456,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn acked_dirty_pages_become_evictable() {
+    fn acked_dirty_frames_become_evictable() {
         let pool = EnginePool::new(4);
         for i in 0..4u64 {
             pool.put(PageId(i), frame(i, true), &never);
@@ -472,10 +473,10 @@ mod tests {
     }
 
     #[test]
-    fn mark_clean_sweep() {
+    fn clear_dirty_sweep() {
         let pool = EnginePool::new(8);
         pool.put(PageId(1), frame(5, true), &always);
-        pool.mark_clean_upto(&|_, lsn| lsn <= Lsn(5));
+        pool.clear_dirty(&|_, lsn| lsn <= Lsn(5));
         assert!(!pool.get(PageId(1)).unwrap().dirty);
     }
 

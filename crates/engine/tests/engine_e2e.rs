@@ -357,7 +357,7 @@ fn churn_under_beats(db: &TaurusDb, round: usize, n: usize) {
         master.maintain();
     }
     make_truncation_due(&master);
-    db.pages.consolidate_and_flush_all();
+    db.pages.consolidate_all();
     for _ in 0..32 {
         master.maintain();
     }

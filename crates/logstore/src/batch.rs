@@ -18,18 +18,15 @@
 //! * an FNV-1a checksum over the payload, so a torn or corrupt frame fails
 //!   loudly instead of decoding as garbage groups.
 //!
-//! Decoding is mixed-format: a payload position may hold either a batch
-//! frame or a bare legacy [`LogRecordGroup`] (pre-batching appends, and the
-//! logstore test suites that append raw groups). Legacy groups carry no
-//! chain information (`prev_end == None`); they only occur in single-stream
-//! logs, where holes cannot exist.
+//! Every unit of a log payload is a batch frame: a bare [`LogRecordGroup`]
+//! carries no chain link, so decoding rejects one as a codec error.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use taurus_common::record::LogRecordGroup;
 use taurus_common::{Lsn, Result, TaurusError};
 
-/// Frame magic, distinct from `GROUP_MAGIC` ("TRLG") and the stream
-/// snapshot magic so mixed payloads are self-describing.
+/// Frame magic, distinct from the bare group magic ("TRLG") and the stream
+/// snapshot magic.
 pub const BATCH_MAGIC: u32 = 0x5442_4348; // "TBCH"
 
 /// Byte length of the fixed frame header:
@@ -37,15 +34,12 @@ pub const BATCH_MAGIC: u32 = 0x5442_4348; // "TBCH"
 /// + checksum(8).
 const HEADER_LEN: usize = 4 + 8 + 8 + 8 + 4 + 4 + 8;
 
-const GROUP_MAGIC: u32 = 0x5452_4c47; // "TRLG" (mirrors record.rs)
-
-/// One decoded unit of a log payload: a batch frame, or a bare legacy group
-/// lifted into frame shape (`prev_end == None`).
+/// One decoded batch frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BatchFrame {
     /// End of the flush span prepared immediately before this one, across
-    /// all streams. `None` for legacy unframed groups (no chain info).
-    pub prev_end: Option<Lsn>,
+    /// all streams.
+    pub prev_end: Lsn,
     /// First LSN contained in the frame.
     pub first: Lsn,
     /// Last LSN contained in the frame (the span boundary).
@@ -83,22 +77,12 @@ pub fn encode_batch(groups: &[LogRecordGroup], prev_end: Lsn, first: Lsn, end: L
     out.freeze()
 }
 
-/// Decodes one unit (batch frame or legacy group) from the front of `buf`,
-/// consuming its bytes.
+/// Decodes one batch frame from the front of `buf`, consuming its bytes.
 pub fn decode_unit(buf: &mut Bytes) -> Result<BatchFrame> {
     if buf.remaining() < 4 {
         return Err(TaurusError::Codec("log payload truncated: no magic"));
     }
     let magic = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    if magic == GROUP_MAGIC {
-        let g = LogRecordGroup::decode(buf)?;
-        return Ok(BatchFrame {
-            prev_end: None,
-            first: g.first_lsn(),
-            end: g.end_lsn(),
-            groups: vec![g],
-        });
-    }
     if magic != BATCH_MAGIC {
         return Err(TaurusError::Codec("bad batch frame magic"));
     }
@@ -127,14 +111,14 @@ pub fn decode_unit(buf: &mut Bytes) -> Result<BatchFrame> {
         return Err(TaurusError::Codec("batch frame count/payload mismatch"));
     }
     Ok(BatchFrame {
-        prev_end: Some(prev_end),
+        prev_end,
         first,
         end,
         groups,
     })
 }
 
-/// Decodes an entire payload (e.g. a PLog read) into frames, mixed-format.
+/// Decodes an entire payload (e.g. a PLog read) into frames.
 pub fn decode_frames(mut buf: Bytes) -> Result<Vec<BatchFrame>> {
     let mut frames = Vec::new();
     while buf.has_remaining() {
@@ -173,32 +157,30 @@ mod tests {
         let frames = decode_frames(enc).unwrap();
         assert_eq!(frames.len(), 1);
         let f = &frames[0];
-        assert_eq!(f.prev_end, Some(Lsn(4)));
+        assert_eq!(f.prev_end, Lsn(4));
         assert_eq!(f.first, Lsn(5));
         assert_eq!(f.end, Lsn(9));
         assert_eq!(f.groups, groups);
     }
 
     #[test]
-    fn mixed_legacy_and_framed_payload_decodes() {
-        let legacy = group(1..=3);
+    fn bare_group_is_rejected_framed_or_not() {
+        let bare = group(1..=3);
         let framed = vec![group(4..=6)];
+        assert!(matches!(
+            decode_unit(&mut bare.encode()),
+            Err(TaurusError::Codec(_))
+        ));
+        // Behind a good frame it fails the whole payload, not just itself.
         let mut buf = BytesMut::new();
-        buf.put_slice(&legacy.encode());
-        buf.put_slice(&encode_batch(&framed, Lsn(3), Lsn(4), Lsn(6)));
-        let frames = decode_frames(buf.freeze()).unwrap();
-        assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0].prev_end, None);
-        assert_eq!(frames[0].groups, vec![legacy.clone()]);
-        assert_eq!(frames[1].prev_end, Some(Lsn(3)));
-
-        let mut buf = BytesMut::new();
-        buf.put_slice(&legacy.encode());
-        buf.put_slice(&encode_batch(&framed, Lsn(3), Lsn(4), Lsn(6)));
-        let groups = decode_groups(buf.freeze()).unwrap();
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0], legacy);
-        assert_eq!(groups[1], framed[0]);
+        buf.put_slice(&encode_batch(&framed, Lsn(0), Lsn(4), Lsn(6)));
+        buf.put_slice(&bare.encode());
+        assert!(matches!(
+            decode_frames(buf.freeze()),
+            Err(TaurusError::Codec(_))
+        ));
+        let groups = decode_groups(encode_batch(&framed, Lsn(0), Lsn(4), Lsn(6))).unwrap();
+        assert_eq!(groups, framed);
     }
 
     #[test]

@@ -1027,8 +1027,8 @@ impl LogStream {
             let mut deferred = false;
             while buf.has_remaining() {
                 let before = buf.remaining();
-                // One unit = one batch frame (a whole flush span) or one
-                // bare legacy group. A frame whose end is past the limit is
+                // One unit = one batch frame (a whole flush span). A frame
+                // whose end is past the limit is
                 // deferred *whole*: the consumer's horizon never lands
                 // mid-span on the stream that carried the span (durable_lsn
                 // advances span-by-span), and deferring at the frame
@@ -1201,7 +1201,12 @@ mod tests {
             })
             .collect();
         let g = LogRecordGroup::new(DbId(1), records);
-        (g.encode(), Lsn(*lsns.start()), Lsn(*lsns.end()))
+        let (first, last) = (Lsn(*lsns.start()), Lsn(*lsns.end()));
+        (
+            batch::encode_batch(&[g], Lsn(first.0 - 1), first, last),
+            first,
+            last,
+        )
     }
 
     #[test]
@@ -1242,16 +1247,16 @@ mod tests {
 
     #[test]
     fn rollover_waits_for_the_append_window_to_drain() {
-        let (s, cluster, _, _) = setup(96);
         // Two reservations fill the first PLog. The third needs a fresh one
         // and must not get it while the first two are in flight: every
         // outstanding reservation sits on one PLog.
         let (d1, f1, l1) = group(1..=2);
         let (d2, f2, l2) = group(3..=4);
         let (d3, f3, l3) = group(5..=6);
+        let (s, cluster, _, _) = setup(d1.len() + d2.len());
         let r1 = s.reserve_append(f1, l1, d1.len() as u64).unwrap();
         let r2 = s.reserve_append(f2, l2, d2.len() as u64).unwrap();
-        assert_eq!(r1.plog(), r2.plog(), "both fit under the 96-byte limit");
+        assert_eq!(r1.plog(), r2.plog(), "both fit under the limit");
         let first_plog = r1.plog();
         std::thread::scope(|scope| {
             let (tx, rx) = std::sync::mpsc::channel();

@@ -19,7 +19,7 @@ use taurus_common::page::PageType;
 use taurus_common::record::{LogRecord, LogRecordGroup, RecordBody};
 use taurus_common::{invariants, DbId, Lsn, PageId};
 use taurus_fabric::{Fabric, NodeKind};
-use taurus_logstore::{LogStoreCluster, LogStream};
+use taurus_logstore::{encode_batch, LogStoreCluster, LogStream};
 
 const WINDOW: usize = 4;
 
@@ -38,6 +38,8 @@ fn setup(nodes: usize, plog_limit: usize) -> (Arc<LogStream>, LogStoreCluster) {
     (stream, cluster)
 }
 
+/// One framed group of `len` records: 60 + 23 × `len` bytes, so the PLog
+/// limits below hold a handful of groups each.
 fn group(first: u64, len: u64) -> (Bytes, Lsn, Lsn) {
     let records: Vec<LogRecord> = (first..first + len)
         .map(|l| {
@@ -52,7 +54,8 @@ fn group(first: u64, len: u64) -> (Bytes, Lsn, Lsn) {
         })
         .collect();
     let g = LogRecordGroup::new(DbId(1), records);
-    (g.encode(), Lsn(first), Lsn(first + len - 1))
+    let (lo, hi) = (Lsn(first), Lsn(first + len - 1));
+    (encode_batch(&[g], Lsn(first - 1), lo, hi), lo, hi)
 }
 
 /// Runs `threads` appenders, each pushing `per_thread` groups. LSN ranges
@@ -128,7 +131,7 @@ fn assert_groups_contiguous(stream: &LogStream, expected_groups: usize, last: Ls
 #[test]
 fn concurrent_appends_stay_gap_free_per_plog() {
     let violations_before = invariants::violation_count();
-    let (stream, cluster) = setup(6, 700);
+    let (stream, cluster) = setup(6, 1200);
     let threads = 4;
     let per_thread = 12;
     let last = run_appenders(&stream, threads, per_thread);
@@ -158,7 +161,7 @@ fn concurrent_appends_stay_gap_free_per_plog() {
 #[test]
 fn concurrent_appends_survive_mid_run_outage() {
     let violations_before = invariants::violation_count();
-    let (stream, cluster) = setup(8, 900);
+    let (stream, cluster) = setup(8, 1540);
     let threads = 3;
     let per_thread = 8;
 
@@ -220,7 +223,7 @@ fn concurrent_appends_survive_mid_run_outage() {
 #[test]
 fn pipelined_append_end_state_is_deterministic() {
     let run = || {
-        let (stream, cluster) = setup(5, 600);
+        let (stream, cluster) = setup(5, 1030);
         let mut next = 1u64;
         for i in 0..30u64 {
             let len = 1 + (i % 4);

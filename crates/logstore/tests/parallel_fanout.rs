@@ -16,7 +16,7 @@ use taurus_common::page::PageType;
 use taurus_common::record::{LogRecord, LogRecordGroup, RecordBody};
 use taurus_common::{DbId, Lsn, PageId};
 use taurus_fabric::{Fabric, NodeKind};
-use taurus_logstore::{LogStoreCluster, LogStream};
+use taurus_logstore::{encode_batch, LogStoreCluster, LogStream};
 
 const HOP_US: u64 = 1500;
 const APPENDS: u64 = 10;
@@ -35,7 +35,8 @@ fn group(first: u64, len: u64) -> (Bytes, Lsn, Lsn) {
         })
         .collect();
     let g = LogRecordGroup::new(DbId(1), records);
-    (g.encode(), Lsn(first), Lsn(first + len - 1))
+    let (lo, hi) = (Lsn(first), Lsn(first + len - 1));
+    (encode_batch(&[g], Lsn(first - 1), lo, hi), lo, hi)
 }
 
 #[test]

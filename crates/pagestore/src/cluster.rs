@@ -792,24 +792,23 @@ impl PageStoreCluster {
             .unwrap_or(0)
     }
 
-    /// Drives every server's consolidation and write-back once (tests and
-    /// single-threaded harnesses).
-    pub fn consolidate_and_flush_all(&self) {
+    /// Drains every server's consolidation queue (tests and single-threaded
+    /// harnesses).
+    pub fn consolidate_all(&self) {
         let servers: Vec<Arc<PageStoreServer>> = self.servers.read().values().cloned().collect();
         for s in servers {
             s.consolidate_all();
-            let _ = s.flush_dirty();
         }
     }
 
-    /// Starts one background consolidation/flush thread per server. Returns
-    /// a guard; drop it (or call `stop`) to terminate the threads.
+    /// Starts one background consolidation thread per server. Returns a
+    /// guard; drop it (or call `stop`) to terminate the threads.
     ///
     /// A thread with nothing to consolidate **blocks** until its server
     /// ingests a fragment (`write_logs` signals it) — an idle Page Store
-    /// costs the foreground no wake-ups. The one timed wake-up writes back
-    /// dirty pool pages and retries a step, which also covers the state
-    /// changes that arrive without an ingest (a rebuilt slice going live).
+    /// costs the foreground no wake-ups. The one timed wake-up retries a
+    /// step, which covers the state changes that arrive without an ingest
+    /// (a rebuilt slice going live).
     pub fn start_background_consolidation(&self) -> ConsolidationGuard {
         let stop = Arc::new(AtomicBool::new(false));
         let servers: Vec<Arc<PageStoreServer>> = self.servers.read().values().cloned().collect();
@@ -821,14 +820,10 @@ impl PageStoreCluster {
                 std::thread::spawn(move || {
                     taurus_common::clock::mark_background_thread();
                     while !stop.load(Ordering::Acquire) {
-                        if server.consolidate_step() {
-                            continue;
-                        }
-                        if !server.wait_for_work(IDLE_FLUSH_INTERVAL) {
-                            let _ = server.flush_dirty();
+                        if !server.consolidate_step() {
+                            server.wait_for_work(IDLE_RETRY_INTERVAL);
                         }
                     }
-                    let _ = server.flush_dirty();
                 })
             })
             .collect();
@@ -840,9 +835,9 @@ impl PageStoreCluster {
     }
 }
 
-/// How long an idle consolidation thread sleeps before it writes back dirty
-/// pages and looks for work nobody signalled.
-const IDLE_FLUSH_INTERVAL: std::time::Duration = std::time::Duration::from_millis(10);
+/// How long an idle consolidation thread sleeps before it looks for work
+/// nobody signalled.
+const IDLE_RETRY_INTERVAL: std::time::Duration = std::time::Duration::from_millis(10);
 
 /// Join guard for background consolidation threads.
 pub struct ConsolidationGuard {
@@ -949,7 +944,7 @@ mod tests {
         let guard = c.start_background_consolidation();
         // Idle: six threads, nothing to do. A polling loop (one step per
         // 50 µs sleep) makes thousands of calls here; blocked threads make
-        // their timed write-back wake-ups and nothing else.
+        // their timed retry wake-ups and nothing else.
         let before = idle_steps();
         std::thread::sleep(Duration::from_millis(200));
         let polled = idle_steps() - before;
@@ -1032,7 +1027,7 @@ mod tests {
             c.write_logs_to(n, me, &frag(0, 1, 7)).unwrap();
             c.write_logs_to(n, me, &frag(1, 2, 7)).unwrap();
         }
-        c.consolidate_and_flush_all();
+        c.consolidate_all();
         let failed = nodes[0];
         c.fabric.set_down(failed);
         c.fabric.decommission(failed);

@@ -1,8 +1,8 @@
 //! Immutable layer files: the log-structured organization of consolidation.
 //!
-//! Under [`crate::ConsolidationPolicy::Layered`] a slice's incoming log no
-//! longer turns into per-page pool write-backs one fragment at a time.
-//! Instead (the Neon-pageserver shape, DESIGN.md §13):
+//! A slice's incoming log is consolidated in bulk, never page by page as
+//! each fragment arrives ([`crate::ConsolidationPolicy::Layered`], the
+//! Neon-pageserver shape, DESIGN.md §13):
 //!
 //! * arriving fragments are **staged** in memory into an open L0 delta
 //!   layer; once the staged payload reaches `l0_target_bytes` the run is

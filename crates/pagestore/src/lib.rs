@@ -14,15 +14,16 @@
 //! * append-only slice logs — a Page Store never writes in place (§7);
 //! * the **Log Directory**: a per-slice concurrent map from page id to the
 //!   locations of its log records and materialized versions (§7);
-//! * the global **log cache** feeding consolidation; the shipped policy is
-//!   **layered** ([`layers`], DESIGN.md §13): fragments accumulate into
-//!   immutable L0 delta layers, an L0→L1 compaction materializes pages at a
-//!   compaction LSN, and version GC is a by-product of the merge — with the
-//!   paper's *log-cache-centric* policy kept as the differential baseline
-//!   and the rejected *longest-chain-first* policy for the ablation (§7);
-//! * the global **buffer pool** with LFU eviction (LRU available for the
-//!   ablation; the paper measured LFU ≈25% better for this second-tier
-//!   cache) acting as a write-back cache for consolidated pages (§7);
+//! * the global **log cache** feeding consolidation in arrival order (§7);
+//!   consolidation is **layered** ([`layers`], DESIGN.md §13): fragments
+//!   accumulate into immutable L0 delta layers, an L0→L1 compaction
+//!   materializes pages at a compaction LSN, and version GC is a by-product
+//!   of the merge;
+//! * the global **buffer pool** with LFU eviction (the paper measured LFU
+//!   ≈25% better than LRU for this second-tier cache), a clean cache of
+//!   compacted page images (§7). The paper's two design choices — LFU vs
+//!   LRU, arrival order vs longest chain first — are reproduced by the
+//!   `ablations` bench as models over [`PagePool`] and [`logcache::LogCache`];
 //! * per-slice **persistent LSN** (highest LSN with no holes) and missing-
 //!   range reporting, which the SAL's recovery machinery relies on (§5.2);
 //! * the **gossip protocol** between slice replicas, recovering missed

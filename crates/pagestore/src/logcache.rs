@@ -2,12 +2,12 @@
 //!
 //! "Log caching is extremely important because reading log records one by
 //! one during consolidation would be too slow" (paper §7). The cache holds
-//! the records of recently arrived fragments in memory. Under the
-//! *log-cache-centric* policy, fragments are consolidated in arrival order
-//! and their records are dropped from the cache as soon as they are
-//! consolidated, so consolidation never has to read log records from disk.
-//! When the cache is full, incoming fragments are parked on a disk-backlog
-//! queue and loaded as space frees up.
+//! the records of recently arrived fragments in memory. Fragments are
+//! consolidated (staged into their slice's open L0) in arrival order and
+//! leave the cache as soon as they are, so consolidation never has to read
+//! log records from disk. When the cache is full, incoming fragments are
+//! parked on a disk-backlog queue and loaded as space frees up; until then a
+//! read that needs their records fetches them from the fragments' blobs.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -92,8 +92,8 @@ impl LogCache {
         true
     }
 
-    /// Next fragment to consolidate in arrival order (log-cache-centric
-    /// policy). Does not remove it; call [`LogCache::complete`] afterwards.
+    /// Next fragment to consolidate, in arrival order. Does not remove it;
+    /// call [`LogCache::complete`] afterwards.
     pub fn next_for_consolidation(&self) -> Option<(FragKey, Arc<Vec<LogRecord>>)> {
         let inner = self.inner.lock();
         let key = *inner.queue.front()?;

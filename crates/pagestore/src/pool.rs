@@ -1,12 +1,13 @@
-//! The Page Store buffer pool: a global write-back cache of consolidated
-//! pages.
+//! The Page Store buffer pool: a global clean cache of compacted page
+//! images.
 //!
 //! "The Page Store buffer pool serves as a second-level cache for the buffer
 //! pools of the database front end. However, its primary function is to
 //! reduce disk reads during consolidation... We have evaluated both LFU and
 //! LRU policies for the Page Store buffer pool and found that LFU provides a
-//! 25% better hit rate" (paper §7). Both policies are implemented; LFU is
-//! the default, LRU exists for the ablation benchmark.
+//! 25% better hit rate" (paper §7). Every image it holds is already
+//! persisted in an L1 blob, so eviction just drops it. LFU is what servers
+//! run; the `ablations` bench drives the pool under both policies.
 
 use std::collections::HashMap;
 
@@ -20,7 +21,7 @@ use taurus_common::{Lsn, PageBuf, PageId, SliceKey};
 pub enum EvictionPolicy {
     /// Least-frequently-used: the paper's choice for this second-tier cache.
     Lfu,
-    /// Least-recently-used: kept for the ablation comparison.
+    /// Least-recently-used: the ablation's comparison point.
     Lru,
 }
 
@@ -29,7 +30,6 @@ pub enum EvictionPolicy {
 pub struct PooledPage {
     pub page: PageBuf,
     pub lsn: Lsn,
-    pub dirty: bool,
 }
 
 #[derive(Debug)]
@@ -86,15 +86,9 @@ impl PagePool {
         }
     }
 
-    /// Inserts or replaces the cached version of a page. If the pool is over
-    /// capacity, evicts victims by policy and returns the **dirty** evicted
-    /// pages, which the caller must flush (write-back contract).
-    pub fn put(
-        &self,
-        slice: SliceKey,
-        page: PageId,
-        pooled: PooledPage,
-    ) -> Vec<((SliceKey, PageId), PooledPage)> {
+    /// Inserts or replaces the cached version of a page, then evicts victims
+    /// by policy while the pool is over capacity.
+    pub fn put(&self, slice: SliceKey, page: PageId, pooled: PooledPage) {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -113,7 +107,6 @@ impl PagePool {
                 });
             }
         }
-        let mut flushed = Vec::new();
         while inner.map.len() > self.capacity {
             let victim = match self.policy {
                 EvictionPolicy::Lfu => inner
@@ -130,36 +123,8 @@ impl PagePool {
                     .map(|(k, _)| *k),
             };
             let Some(key) = victim else { break };
-            let Some(e) = inner.map.remove(&key) else {
-                break;
-            };
-            if e.page.dirty {
-                flushed.push((key, e.page));
-            }
+            inner.map.remove(&key);
         }
-        flushed
-    }
-
-    /// Marks a cached page clean (after its image was flushed).
-    pub fn mark_clean(&self, slice: SliceKey, page: PageId, lsn: Lsn) {
-        let mut inner = self.inner.lock();
-        if let Some(e) = inner.map.get_mut(&(slice, page)) {
-            if e.page.lsn == lsn {
-                e.page.dirty = false;
-            }
-        }
-    }
-
-    /// Takes a snapshot of all dirty pages (for a flush sweep). Pages are
-    /// not removed or cleaned; the caller flushes then calls `mark_clean`.
-    pub fn dirty_pages(&self) -> Vec<((SliceKey, PageId), PooledPage)> {
-        let inner = self.inner.lock();
-        inner
-            .map
-            .iter()
-            .filter(|(_, e)| e.page.dirty)
-            .map(|(k, e)| (*k, e.page.clone()))
-            .collect()
     }
 
     /// Removes every page belonging to a slice (slice drop / rebuild).
@@ -185,11 +150,10 @@ mod tests {
         SliceKey::new(DbId(1), SliceId(0))
     }
 
-    fn pooled(lsn: u64, dirty: bool) -> PooledPage {
+    fn pooled(lsn: u64) -> PooledPage {
         PooledPage {
             page: PageBuf::new(),
             lsn: Lsn(lsn),
-            dirty,
         }
     }
 
@@ -197,7 +161,7 @@ mod tests {
     fn get_put_and_hit_tracking() {
         let pool = PagePool::new(4, EvictionPolicy::Lfu);
         assert!(pool.get(key(), PageId(1)).is_none());
-        pool.put(key(), PageId(1), pooled(5, false));
+        pool.put(key(), PageId(1), pooled(5));
         let got = pool.get(key(), PageId(1)).unwrap();
         assert_eq!(got.lsn, Lsn(5));
         assert_eq!(pool.stats.hits.get(), 1);
@@ -207,13 +171,13 @@ mod tests {
     #[test]
     fn lfu_evicts_least_frequently_used() {
         let pool = PagePool::new(2, EvictionPolicy::Lfu);
-        pool.put(key(), PageId(1), pooled(1, false));
-        pool.put(key(), PageId(2), pooled(1, false));
+        pool.put(key(), PageId(1), pooled(1));
+        pool.put(key(), PageId(2), pooled(1));
         // Touch page 1 several times: page 2 becomes the LFU victim.
         for _ in 0..5 {
             pool.get(key(), PageId(1));
         }
-        pool.put(key(), PageId(3), pooled(1, false));
+        pool.put(key(), PageId(3), pooled(1));
         assert!(pool.get(key(), PageId(1)).is_some());
         assert!(pool.get(key(), PageId(2)).is_none());
         assert!(pool.get(key(), PageId(3)).is_some());
@@ -222,54 +186,25 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let pool = PagePool::new(2, EvictionPolicy::Lru);
-        pool.put(key(), PageId(1), pooled(1, false));
-        pool.put(key(), PageId(2), pooled(1, false));
+        pool.put(key(), PageId(1), pooled(1));
+        pool.put(key(), PageId(2), pooled(1));
         // Page 1 accessed frequently but LONG AGO; page 2 recently.
         for _ in 0..5 {
             pool.get(key(), PageId(1));
         }
         pool.get(key(), PageId(2));
-        pool.put(key(), PageId(3), pooled(1, false));
+        pool.put(key(), PageId(3), pooled(1));
         // LRU evicts page 1 despite its high frequency.
         assert!(pool.get(key(), PageId(1)).is_none());
         assert!(pool.get(key(), PageId(2)).is_some());
     }
 
     #[test]
-    fn eviction_returns_dirty_pages_for_writeback() {
-        let pool = PagePool::new(1, EvictionPolicy::Lfu);
-        pool.put(key(), PageId(1), pooled(7, true));
-        let flushed = pool.put(key(), PageId(2), pooled(8, false));
-        assert_eq!(flushed.len(), 1);
-        assert_eq!(flushed[0].0 .1, PageId(1));
-        assert_eq!(flushed[0].1.lsn, Lsn(7));
-    }
-
-    #[test]
-    fn clean_evictions_are_silent() {
-        let pool = PagePool::new(1, EvictionPolicy::Lfu);
-        pool.put(key(), PageId(1), pooled(7, false));
-        let flushed = pool.put(key(), PageId(2), pooled(8, false));
-        assert!(flushed.is_empty());
-    }
-
-    #[test]
-    fn mark_clean_respects_lsn() {
-        let pool = PagePool::new(4, EvictionPolicy::Lfu);
-        pool.put(key(), PageId(1), pooled(7, true));
-        // A stale flush completion (older lsn) must not clean a newer page.
-        pool.mark_clean(key(), PageId(1), Lsn(6));
-        assert_eq!(pool.dirty_pages().len(), 1);
-        pool.mark_clean(key(), PageId(1), Lsn(7));
-        assert!(pool.dirty_pages().is_empty());
-    }
-
-    #[test]
     fn evict_slice_clears_only_that_slice() {
         let pool = PagePool::new(8, EvictionPolicy::Lfu);
         let other = SliceKey::new(DbId(1), SliceId(9));
-        pool.put(key(), PageId(1), pooled(1, false));
-        pool.put(other, PageId(1), pooled(1, false));
+        pool.put(key(), PageId(1), pooled(1));
+        pool.put(other, PageId(1), pooled(1));
         pool.evict_slice(key());
         assert!(pool.get(key(), PageId(1)).is_none());
         assert!(pool.get(other, PageId(1)).is_some());
@@ -278,8 +213,8 @@ mod tests {
     #[test]
     fn just_inserted_page_is_never_its_own_victim() {
         let pool = PagePool::new(1, EvictionPolicy::Lfu);
-        pool.put(key(), PageId(1), pooled(1, false));
-        pool.put(key(), PageId(2), pooled(2, false));
+        pool.put(key(), PageId(1), pooled(1));
+        pool.put(key(), PageId(2), pooled(2));
         // Capacity 1: page 2 must be the survivor.
         assert!(pool.get(key(), PageId(2)).is_some());
         assert_eq!(pool.len(), 1);

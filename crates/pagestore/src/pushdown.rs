@@ -174,7 +174,7 @@ mod tests {
             1 << 20,
             64,
             EvictionPolicy::Lfu,
-            ConsolidationPolicy::LogCacheCentric,
+            ConsolidationPolicy::layered_default(),
         )
     }
 

@@ -191,7 +191,7 @@ mod tests {
             1 << 20,
             64,
             EvictionPolicy::Lfu,
-            ConsolidationPolicy::LogCacheCentric,
+            ConsolidationPolicy::layered_default(),
         )
     }
 

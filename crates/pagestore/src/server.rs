@@ -5,17 +5,15 @@
 //! nothing is ever overwritten (paper §7: "disk writes are append-only as
 //! append-only writes are 2-5 times faster than random writes").
 //!
-//! Three consolidation strategies are implemented. The shipped default is
-//! **layered**: fragments accumulate into immutable L0 delta layers, a
-//! compactor merges them into L1 image layers at a compaction LSN, and
-//! version GC falls out of the merge (see [`crate::layers`] and DESIGN.md
-//! §13) — replay depth per cold read is bounded to one image plus the delta
-//! suffix above the compaction LSN. The paper's **log-cache-centric**
-//! policy (fragments consolidated in arrival order, one pool write-back per
-//! touched page) is kept as the differential baseline, and the rejected
-//! **longest-chain-first** policy exists for the ablation benchmark; it
-//! prioritizes hot pages and leaves cold fragments to be evicted
-//! unconsolidated, which is precisely the pathology the paper describes.
+//! Consolidation is **layered**: fragments leave the log cache in arrival
+//! order into the slice's open L0 delta layer, a sealed L0 is one immutable
+//! blob, a compactor merges sealed L0s into an L1 image layer at a
+//! compaction LSN, and version GC falls out of the merge (see
+//! [`crate::layers`] and DESIGN.md §13) — replay depth per cold read is
+//! bounded to one image plus the delta suffix above the compaction LSN. The
+//! buffer pool is a clean cache of compacted images; nothing is ever written
+//! back from it. The paper's two consolidation orders (§7) are compared by a
+//! model in the `ablations` bench, not by a second policy here.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,20 +34,13 @@ use crate::logcache::LogCache;
 use crate::pool::{EvictionPolicy, PagePool, PooledPage};
 use crate::slice::{FragMeta, IngestOutcome, SliceReplica};
 
-/// Which pages consolidation picks next (paper §7 + DESIGN.md §13).
+/// The consolidation knobs of a Page Store server (paper §7 + DESIGN.md §13).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConsolidationPolicy {
-    /// Consolidate fragments in the order they arrived in the log cache;
-    /// never read log records from disk; one pool write-back per page.
-    /// The pre-layered shipped policy, kept as the differential baseline.
-    LogCacheCentric,
-    /// Consolidate the page with the longest chain of pending records first.
-    /// The paper's initial, rejected policy — kept for the ablation.
-    LongestChainFirst,
     /// Log-structured consolidation through immutable layer files: stage
     /// fragments into L0 delta layers, seal at `l0_target_bytes`, merge
     /// `compaction_threshold` sealed L0s into an L1 image layer, GC as a
-    /// by-product of the merge. The shipped default.
+    /// by-product of the merge.
     Layered {
         /// Staged payload bytes at which the open L0 is sealed to a blob.
         l0_target_bytes: usize,
@@ -126,7 +117,7 @@ taurus_common::counters! {
         pub slice_write_bytes: Counter,
         /// `consolidate_step` calls that found nothing to do. The background
         /// thread blocks between ingests, so this stays near its timed
-        /// write-back wake-ups; a polling loop shows up here first.
+        /// retry wake-ups; a polling loop shows up here first.
         pub idle_steps: Counter,
     }
 }
@@ -146,11 +137,10 @@ pub struct PageStoreServer {
     log_cache: LogCache,
     pool: PagePool,
     policy: ConsolidationPolicy,
-    /// Records consolidation had to fetch from disk (zero under the
-    /// log-cache-centric policy; the ablation's headline metric).
+    /// Records read back from their fragment's own blob: a fragment parked
+    /// on the log cache's backlog is neither resident nor staged yet, so a
+    /// read that needs its records goes to the device for them.
     pub disk_record_fetches: Counter,
-    /// Page versions produced by consolidation.
-    pub pages_consolidated: Counter,
     /// Layer / GC / reclamation counters.
     pub stats: PageStoreStats,
     /// Test failpoint: abort the next compaction between the L1 blob append
@@ -209,7 +199,6 @@ impl PageStoreServer {
             pool: PagePool::new(pool_pages, pool_policy),
             policy,
             disk_record_fetches: Counter::new(),
-            pages_consolidated: Counter::new(),
             stats: PageStoreStats::default(),
             compaction_abort: AtomicBool::new(false),
             heat: RwLock::new(HashMap::new()),
@@ -282,11 +271,6 @@ impl PageStoreServer {
     /// the server died at the worst moment. One-shot.
     pub fn arm_compaction_abort(&self) {
         self.compaction_abort.store(true, Ordering::SeqCst);
-    }
-
-    /// The consolidation policy this server runs.
-    pub fn policy(&self) -> ConsolidationPolicy {
-        self.policy
     }
 
     // ------------------------------------------------------------------
@@ -553,7 +537,6 @@ impl PageStoreServer {
         page: PageId,
         as_of: Lsn,
     ) -> Result<(PageBuf, Lsn)> {
-        let layered = matches!(self.policy, ConsolidationPolicy::Layered { .. });
         // The compact LSN is read before the directory snapshot: the replay
         // bound below may only be held against a compaction the snapshot has
         // certainly seen (one landing in between leaves its records in the
@@ -561,8 +544,7 @@ impl PageStoreServer {
         let (dir, compacted) = {
             let replica = self.replica(key)?;
             let r = replica.lock();
-            let compacted = layered.then(|| r.layers.compact_lsn());
-            (r.directory.clone(), compacted)
+            (r.directory.clone(), r.layers.compact_lsn())
         };
         let Some(recipe) = dir.recipe(page, as_of) else {
             // Never written: a fresh zeroed page at version 0.
@@ -585,19 +567,19 @@ impl PageStoreServer {
         // Replay the tail of the chain.
         let needed = recipe.records_above(base_lsn);
         if !needed.is_empty() {
-            // Bounded replay under the layered policy: a compaction at LSN C
-            // leaves every page with records <= C covered by an image, so a
-            // read at or above C replays only the delta suffix above C —
-            // never more than one image plus that suffix.
-            if let Some(compact) = compacted.filter(|&compact| as_of >= compact) {
+            // Bounded replay: a compaction at LSN C leaves every page with
+            // records <= C covered by an image, so a read at or above C
+            // replays only the delta suffix above C — never more than one
+            // image plus that suffix.
+            if as_of >= compacted {
                 taurus_common::invariant!(
                     "layer-bounded-replay",
-                    needed.iter().all(|p| p.lsn > compact),
+                    needed.iter().all(|p| p.lsn > compacted),
                     "{}: page {} read at {} replays below compact_lsn {}",
                     key,
                     page,
                     as_of,
-                    compact
+                    compacted
                 );
             }
             let records = self.fetch_records(key, needed)?;
@@ -610,18 +592,16 @@ impl PageStoreServer {
     }
 
     /// Fetches the records behind a set of pointers: from the log cache when
-    /// resident, then (layered policy) from the open L0's staged memory or a
-    /// sealed L0 blob — one device read serves every record the blob holds —
-    /// and only then from the original per-fragment blobs on disk.
+    /// resident, then from the open L0's staged memory or a sealed L0 blob —
+    /// one device read serves every record the blob holds — and last from
+    /// the fragment's own blob on disk, for a fragment still parked on the
+    /// log cache's backlog.
     fn fetch_records(&self, key: SliceKey, ptrs: &[RecordPtr]) -> Result<Vec<LogRecord>> {
         let mut by_frag: HashMap<u64, Vec<RecordPtr>> = HashMap::new();
         for p in ptrs {
             by_frag.entry(p.frag_id).or_default().push(*p);
         }
-        let layers = match self.policy {
-            ConsolidationPolicy::Layered { .. } => self.layers(key).ok(),
-            _ => None,
-        };
+        let layers = self.layers(key)?;
         // Per-call cache of decoded L0 runs, keyed by layer id: pointers
         // into the same blob share one read and one decode.
         let mut l0_runs: HashMap<u64, HashMap<Lsn, LogRecord>> = HashMap::new();
@@ -636,55 +616,53 @@ impl PageStoreServer {
                 }
                 continue;
             }
-            if let Some(ls) = layers.as_deref() {
-                // Staged in the open L0: the fragment's record vec verbatim.
-                if let Some(recs) = ls.staged_records(seq) {
-                    self.stats.staged_record_hits.add(members.len() as u64);
-                    for m in members {
-                        let rec = recs
-                            .get(m.idx_in_frag as usize)
-                            .ok_or(TaurusError::Codec("record index out of fragment"))?;
-                        out.push(rec.clone());
-                    }
-                    continue;
+            // Staged in the open L0: the fragment's record vec verbatim.
+            if let Some(recs) = layers.staged_records(seq) {
+                self.stats.staged_record_hits.add(members.len() as u64);
+                for m in members {
+                    let rec = recs
+                        .get(m.idx_in_frag as usize)
+                        .ok_or(TaurusError::Codec("record index out of fragment"))?;
+                    out.push(rec.clone());
                 }
-                // Sealed or compacted into an L0: records are re-sorted by
-                // (page, lsn) there, so match by LSN (unique per slice).
-                if let Some(l0) = ls.l0_for_frag(seq) {
-                    // Sealed (not yet compacted) layers keep an in-memory
-                    // LSN-keyed run index: no device I/O on the hot path.
-                    if let Some(run) = ls.sealed_run(l0.id) {
-                        self.stats.l0_run_hits.add(members.len() as u64);
-                        for m in members {
-                            let rec = run
-                                .get(&m.lsn)
-                                .ok_or(TaurusError::Codec("record missing from L0 run"))?;
-                            out.push(rec.clone());
-                        }
-                        continue;
-                    }
-                    // Compacted: historical snapshot read from the immutable
-                    // blob, decoded once per call per layer.
-                    let run = match l0_runs.entry(l0.id) {
-                        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            let raw = self.device.read(l0.loc.offset, l0.loc.len as usize)?;
-                            self.stats.l0_blob_reads.inc();
-                            let run = decode_l0(&mut Bytes::from(raw))?;
-                            v.insert(run.into_iter().map(|r| (r.lsn, r)).collect())
-                        }
-                    };
+                continue;
+            }
+            // Sealed or compacted into an L0: records are re-sorted by
+            // (page, lsn) there, so match by LSN (unique per slice).
+            if let Some(l0) = layers.l0_for_frag(seq) {
+                // Sealed (not yet compacted) layers keep an in-memory
+                // LSN-keyed run index: no device I/O on the hot path.
+                if let Some(run) = layers.sealed_run(l0.id) {
+                    self.stats.l0_run_hits.add(members.len() as u64);
                     for m in members {
                         let rec = run
                             .get(&m.lsn)
-                            .ok_or(TaurusError::Codec("record missing from L0 layer"))?;
+                            .ok_or(TaurusError::Codec("record missing from L0 run"))?;
                         out.push(rec.clone());
                     }
                     continue;
                 }
+                // Compacted: historical snapshot read from the immutable
+                // blob, decoded once per call per layer.
+                let run = match l0_runs.entry(l0.id) {
+                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+                    std::collections::hash_map::Entry::Vacant(v) => {
+                        let raw = self.device.read(l0.loc.offset, l0.loc.len as usize)?;
+                        self.stats.l0_blob_reads.inc();
+                        let run = decode_l0(&mut Bytes::from(raw))?;
+                        v.insert(run.into_iter().map(|r| (r.lsn, r)).collect())
+                    }
+                };
+                for m in members {
+                    let rec = run
+                        .get(&m.lsn)
+                        .ok_or(TaurusError::Codec("record missing from L0 layer"))?;
+                    out.push(rec.clone());
+                }
+                continue;
             }
             self.disk_record_fetches.add(members.len() as u64);
-            let records = Arc::new(self.read_fragment_from_disk(key, seq)?.records);
+            let records = self.read_fragment_from_disk(key, seq)?.records;
             for m in members {
                 let rec = records
                     .get(m.idx_in_frag as usize)
@@ -708,14 +686,7 @@ impl PageStoreServer {
 
     /// Runs one consolidation step. Returns `true` if any work was done.
     pub fn consolidate_step(&self) -> bool {
-        let worked = match self.policy {
-            ConsolidationPolicy::LogCacheCentric => self.consolidate_cache_centric(),
-            ConsolidationPolicy::LongestChainFirst => self.consolidate_longest_chain(),
-            ConsolidationPolicy::Layered {
-                l0_target_bytes,
-                compaction_threshold,
-            } => self.consolidate_layered(l0_target_bytes, compaction_threshold),
-        };
+        let worked = self.consolidate_next();
         if !worked {
             self.stats.idle_steps.inc();
         }
@@ -727,53 +698,16 @@ impl PageStoreServer {
         while self.consolidate_step() {}
     }
 
-    fn consolidate_cache_centric(&self) -> bool {
-        // Pull backlog fragments into the cache whenever space allows.
-        self.pump_backlog();
-        let Some(((key, seq), records)) = self.log_cache.next_for_consolidation() else {
-            return false;
-        };
-        let Ok(replica) = self.replica(key) else {
-            // Slice dropped while queued.
-            let bytes: usize = records.iter().map(|r| r.encoded_len()).sum();
-            self.log_cache.complete((key, seq), bytes);
-            return true;
-        };
-        let (persistent, frag_last) = {
-            let r = replica.lock();
-            (
-                r.persistent_lsn(),
-                r.frags.get(&seq).map(|m| m.last_lsn).unwrap_or(Lsn::ZERO),
-            )
-        };
-        if frag_last > persistent {
-            // A hole precedes this fragment: consolidation stalls until
-            // gossip or the SAL repairs it (paper §5.2).
-            return false;
-        }
-        // Consolidate every page the fragment touches up to the persistent
-        // LSN; afterwards every record of this fragment is covered.
-        let mut pages: Vec<PageId> = records.iter().map(|rec| rec.page).collect();
-        pages.sort_unstable();
-        pages.dedup();
-        for page in pages {
-            if self.consolidate_page(key, page, persistent).is_err() {
-                return false;
-            }
-        }
-        replica.lock().mark_consolidated(seq);
-        let bytes: usize = records.iter().map(|r| r.encoded_len()).sum();
-        self.log_cache.complete((key, seq), bytes);
-        true
-    }
-
-    /// The shipped policy: stage fragments into the slice's open L0 in
-    /// arrival order (same stall-on-hole rule as the cache-centric policy),
-    /// seal the L0 to one immutable blob at `l0_target_bytes`, and merge
-    /// `compaction_threshold` sealed L0s into an L1 image layer. Unlike the
-    /// cache-centric policy this performs no per-page pool write-back on the
-    /// ingest path — pages materialize in bulk at the compaction LSN.
-    fn consolidate_layered(&self, l0_target_bytes: usize, compaction_threshold: usize) -> bool {
+    /// Stages the next fragment in arrival order into its slice's open L0
+    /// (stalling at a hole), seals the L0 to one immutable blob at
+    /// `l0_target_bytes`, and merges `compaction_threshold` sealed L0s into
+    /// an L1 image layer. Nothing is written per page on the ingest path —
+    /// pages materialize in bulk at the compaction LSN.
+    fn consolidate_next(&self) -> bool {
+        let ConsolidationPolicy::Layered {
+            l0_target_bytes,
+            compaction_threshold,
+        } = self.policy;
         self.pump_backlog();
         let Some(((key, seq), records)) = self.log_cache.next_for_consolidation() else {
             return false;
@@ -883,29 +817,23 @@ impl PageStoreServer {
                     },
                 },
             );
-            // Install the image clean: the L1 blob already persists it, so
-            // unlike the legacy write-back path no dirty page (and no later
-            // flush append) is created for consolidated state.
+            // The L1 blob persists the image; the pool only spares the next
+            // read of it a device read.
             let stale = self
                 .pool
                 .get(key, *page)
                 .map(|p| p.lsn < *lsn)
                 .unwrap_or(true);
             if stale {
-                let evicted = self.pool.put(
+                self.pool.put(
                     key,
                     *page,
                     PooledPage {
                         page: buf.clone(),
                         lsn: *lsn,
-                        dirty: false,
                     },
                 );
-                for ((ekey, epage), pooled) in evicted {
-                    self.flush_page(ekey, epage, &pooled)?;
-                }
             }
-            self.pages_consolidated.inc();
         }
         self.stats.pages_compacted.add(images.len() as u64);
         layers.commit_compaction(&job, l1_offset, images.len() as u32);
@@ -916,87 +844,8 @@ impl PageStoreServer {
         Ok(())
     }
 
-    /// The rejected policy: find the page with the longest pending chain
-    /// anywhere and consolidate it. Fragments complete only once all their
-    /// records happen to be covered, so cold fragments linger and evict to
-    /// the backlog — consolidation then needs disk reads (the pathology).
-    fn consolidate_longest_chain(&self) -> bool {
-        self.pump_backlog();
-        // Find the hottest page across all slices.
-        let mut best: Option<(SliceKey, PageId, usize)> = None;
-        for key in self.slice_keys() {
-            let Ok(replica) = self.replica(key) else {
-                continue;
-            };
-            let persistent = replica.lock().persistent_lsn();
-            let Ok(dir) = self.dir(key) else { continue };
-            for page in dir.page_ids() {
-                // The newest version and the records above it.
-                if let Some(recipe) = dir.recipe(page, Lsn::MAX) {
-                    let consolidated = recipe.base.map_or(Lsn::ZERO, |v| v.lsn);
-                    let pool_lsn = self.pool.get(key, page).map(|p| p.lsn).unwrap_or(Lsn::ZERO);
-                    let done = consolidated.max(pool_lsn);
-                    let chain = recipe
-                        .records_above(done)
-                        .iter()
-                        .filter(|rp| rp.lsn <= persistent)
-                        .count();
-                    if chain > 0 && best.map(|(_, _, c)| chain > c).unwrap_or(true) {
-                        best = Some((key, page, chain));
-                    }
-                }
-            }
-        }
-        let Some((key, page, _)) = best else {
-            // Nothing pending: fall back to completing covered fragments.
-            return self.sweep_completed_fragments();
-        };
-        let Ok(replica) = self.replica(key) else {
-            return false;
-        };
-        let persistent = replica.lock().persistent_lsn();
-        if self.consolidate_page(key, page, persistent).is_err() {
-            return false;
-        }
-        self.sweep_completed_fragments();
-        true
-    }
-
-    /// Completes queued fragments whose records are all consolidated.
-    fn sweep_completed_fragments(&self) -> bool {
-        let mut progressed = false;
-        while let Some(((key, seq), records)) = self.log_cache.next_for_consolidation() {
-            let Ok(replica) = self.replica(key) else {
-                let bytes: usize = records.iter().map(|r| r.encoded_len()).sum();
-                self.log_cache.complete((key, seq), bytes);
-                progressed = true;
-                continue;
-            };
-            let dir = replica.lock().directory.clone();
-            let covered = records.iter().all(|rec| {
-                let pool_lsn = self
-                    .pool
-                    .get(key, rec.page)
-                    .map(|p| p.lsn)
-                    .unwrap_or(Lsn::ZERO);
-                let disk_lsn = dir
-                    .recipe(rec.page, Lsn::MAX)
-                    .and_then(|r| r.base.map(|v| v.lsn))
-                    .unwrap_or(Lsn::ZERO);
-                pool_lsn.max(disk_lsn) >= rec.lsn
-            });
-            if covered {
-                replica.lock().mark_consolidated(seq);
-                let bytes: usize = records.iter().map(|r| r.encoded_len()).sum();
-                self.log_cache.complete((key, seq), bytes);
-                progressed = true;
-            } else {
-                break;
-            }
-        }
-        progressed
-    }
-
+    /// Loads parked fragments back into the log cache, oldest first, while
+    /// they fit.
     fn pump_backlog(&self) {
         while let Some((key, seq)) = self.log_cache.next_backlog() {
             let Ok(frag) = self.read_fragment_from_disk(key, seq) else {
@@ -1010,65 +859,6 @@ impl PageStoreServer {
                 break; // still no space
             }
         }
-    }
-
-    /// Materializes `page` at `up_to` and installs it in the buffer pool as
-    /// the latest consolidated version. Dirty evictions are flushed
-    /// immediately (write-back).
-    fn consolidate_page(&self, key: SliceKey, page: PageId, up_to: Lsn) -> Result<()> {
-        let (buf, lsn) = self.materialize(key, page, up_to)?;
-        if !lsn.is_valid() {
-            return Ok(());
-        }
-        // Skip if the pool already has this or a newer version.
-        if let Some(p) = self.pool.get(key, page) {
-            if p.lsn >= lsn {
-                return Ok(());
-            }
-        }
-        self.pages_consolidated.inc();
-        let evicted = self.pool.put(
-            key,
-            page,
-            PooledPage {
-                page: buf,
-                lsn,
-                dirty: true,
-            },
-        );
-        for ((ekey, epage), pooled) in evicted {
-            self.flush_page(ekey, epage, &pooled)?;
-        }
-        Ok(())
-    }
-
-    /// Appends a page image to the device and registers it as a version.
-    fn flush_page(&self, key: SliceKey, page: PageId, pooled: &PooledPage) -> Result<()> {
-        let offset = self.device.append(pooled.page.as_bytes())?;
-        if let Ok(dir) = self.dir(key) {
-            dir.add_version(
-                page,
-                VersionPtr {
-                    lsn: pooled.lsn,
-                    loc: DiskLoc {
-                        offset,
-                        len: taurus_common::PAGE_SIZE as u32,
-                    },
-                },
-            );
-        }
-        Ok(())
-    }
-
-    /// Flushes every dirty pooled page (background flusher / clean shutdown).
-    pub fn flush_dirty(&self) -> Result<usize> {
-        let dirty = self.pool.dirty_pages();
-        let n = dirty.len();
-        for ((key, page), pooled) in dirty {
-            self.flush_page(key, page, &pooled)?;
-            self.pool.mark_clean(key, page, pooled.lsn);
-        }
-        Ok(n)
     }
 
     // ------------------------------------------------------------------
@@ -1192,14 +982,24 @@ mod tests {
     use taurus_common::record::RecordBody;
     use taurus_common::{DbId, SliceId};
 
+    /// A server with knobs tiny enough that a handful of fragments produce
+    /// seals and compactions. One that is never consolidated replays every
+    /// read from the log cache: the reference the layered reads must match.
     fn server() -> Arc<PageStoreServer> {
+        server_with_log_cache(1 << 20)
+    }
+
+    fn server_with_log_cache(log_cache_bytes: usize) -> Arc<PageStoreServer> {
         let clock = ManualClock::shared();
         PageStoreServer::new(
             StorageDevice::in_memory(clock, StorageProfile::instant()),
-            1 << 20,
+            log_cache_bytes,
             64,
             EvictionPolicy::Lfu,
-            ConsolidationPolicy::LogCacheCentric,
+            ConsolidationPolicy::Layered {
+                l0_target_bytes: 1, // every staged fragment seals an L0
+                compaction_threshold: 2,
+            },
         )
     }
 
@@ -1317,36 +1117,6 @@ mod tests {
     }
 
     #[test]
-    fn consolidated_pages_survive_pool_eviction_via_writeback() {
-        let clock = ManualClock::shared();
-        let s = PageStoreServer::new(
-            StorageDevice::in_memory(clock, StorageProfile::instant()),
-            1 << 20,
-            2, // tiny pool: forces write-back eviction
-            EvictionPolicy::Lfu,
-            ConsolidationPolicy::LogCacheCentric,
-        );
-        s.create_slice(key());
-        let mut lsn = 1u64;
-        for page in 1..=6u64 {
-            s.write_logs(&frag(
-                lsn - 1,
-                vec![format_rec(lsn, page), insert_rec(lsn + 1, page, "k", "v")],
-            ))
-            .unwrap();
-            lsn += 2;
-        }
-        s.consolidate_all();
-        s.flush_dirty().unwrap();
-        // Every page readable even though the pool only holds 2.
-        for page in 1..=6u64 {
-            let as_of = s.get_persistent_lsn(key()).unwrap();
-            let (buf, _) = s.read_page(key(), PageId(page), as_of).unwrap();
-            assert_eq!(buf.key(0).unwrap(), b"k", "page {page}");
-        }
-    }
-
-    #[test]
     fn recycled_versions_are_refused_and_purged() {
         let s = server();
         s.create_slice(key());
@@ -1356,7 +1126,6 @@ mod tests {
         s.write_logs(&frag(2, vec![insert_rec(3, 5, "b", "2")]))
             .unwrap();
         s.consolidate_all();
-        s.flush_dirty().unwrap();
         s.set_recycle_lsn(key(), Lsn(3)).unwrap();
         assert!(matches!(
             s.read_page(key(), PageId(5), Lsn(2)),
@@ -1413,7 +1182,7 @@ mod tests {
     }
 
     #[test]
-    fn log_cache_centric_consolidation_never_reads_records_from_disk() {
+    fn consolidating_resident_fragments_never_reads_records_from_disk() {
         let s = server();
         s.create_slice(key());
         let mut lsn = 1u64;
@@ -1430,22 +1199,6 @@ mod tests {
         }
         s.consolidate_all();
         assert_eq!(s.disk_record_fetches.get(), 0);
-    }
-
-    /// Layered server with knobs tiny enough that a handful of fragments
-    /// produce seals and compactions.
-    fn layered_server() -> Arc<PageStoreServer> {
-        let clock = ManualClock::shared();
-        PageStoreServer::new(
-            StorageDevice::in_memory(clock, StorageProfile::instant()),
-            1 << 20,
-            64,
-            EvictionPolicy::Lfu,
-            ConsolidationPolicy::Layered {
-                l0_target_bytes: 1, // every staged fragment seals an L0
-                compaction_threshold: 2,
-            },
-        )
     }
 
     /// Writes `n` chained two-record fragments cycling over `pages` pages.
@@ -1470,19 +1223,19 @@ mod tests {
 
     #[test]
     fn layered_policy_seals_compacts_and_reads_back_identically() {
-        let layered = layered_server();
+        let layered = server();
         let baseline = server();
         for s in [&layered, &baseline] {
             s.create_slice(key());
             churn(s, 12, 3, 1);
-            s.consolidate_all();
         }
+        layered.consolidate_all();
         assert!(layered.stats.l0_sealed.get() >= 2);
         assert!(layered.stats.l1_compactions.get() >= 1);
         let as_of = layered.get_persistent_lsn(key()).unwrap();
         assert_eq!(as_of, baseline.get_persistent_lsn(key()).unwrap());
-        // Byte-identical to the replay baseline at the head and at every
-        // historical LSN the baseline can serve.
+        // Byte-identical to the never-consolidated replay at the head and at
+        // every historical LSN.
         for lsn in 1..=as_of.0 {
             let a = layered.read_page(key(), PageId(lsn % 3 + 1), Lsn(lsn));
             let b = baseline.read_page(key(), PageId(lsn % 3 + 1), Lsn(lsn));
@@ -1498,7 +1251,7 @@ mod tests {
 
     #[test]
     fn layered_record_fetch_routes_through_l0_blobs() {
-        let layered = layered_server();
+        let layered = server();
         layered.create_slice(key());
         let last = churn(&layered, 8, 2, 1);
         layered.consolidate_all();
@@ -1508,8 +1261,39 @@ mod tests {
         let (page, lsn) = layered.read_page(key(), PageId(1), Lsn(last)).unwrap();
         assert!(lsn.is_valid());
         assert!(page.nslots() > 0);
-        // Never from the legacy per-fragment path.
+        // Never from a per-fragment blob: nothing was left on the backlog.
         assert_eq!(layered.disk_record_fetches.get(), 0);
+    }
+
+    #[test]
+    fn backlogged_fragments_are_read_from_their_own_blobs() {
+        // A 2 KiB log cache holds a few dozen of these fragments; the rest
+        // park on the backlog with their records only on the device. A read
+        // before consolidation must fetch those from the fragments' blobs.
+        let small = server_with_log_cache(2 << 10);
+        let reference = server();
+        for s in [&small, &reference] {
+            s.create_slice(key());
+            churn(s, 64, 4, 1);
+        }
+        assert!(small.log_cache.backlog_len() > 0, "nothing was backlogged");
+        let head = small.get_persistent_lsn(key()).unwrap();
+        let assert_matches_reference = || {
+            for page in 1..=4u64 {
+                let (got, got_lsn) = small.read_page(key(), PageId(page), head).unwrap();
+                let (want, want_lsn) = reference.read_page(key(), PageId(page), head).unwrap();
+                assert_eq!(got_lsn, want_lsn, "page {page}");
+                assert_eq!(got.as_bytes(), want.as_bytes(), "page {page}");
+            }
+        };
+        assert_matches_reference();
+        assert!(small.disk_record_fetches.get() > 0);
+        assert_eq!(reference.disk_record_fetches.get(), 0);
+        // Consolidation pumps the backlog through the cache as space frees.
+        small.consolidate_all();
+        assert_eq!(small.log_cache.backlog_len(), 0);
+        assert_eq!(small.log_cache.queue_len(), 0);
+        assert_matches_reference();
     }
 
     #[test]
@@ -1550,7 +1334,7 @@ mod tests {
 
     #[test]
     fn recycle_reports_reclaimed_fragment_and_layer_bytes_under_churn() {
-        let layered = layered_server();
+        let layered = server();
         layered.create_slice(key());
         let last = churn(&layered, 24, 2, 1);
         layered.consolidate_all();

@@ -24,7 +24,11 @@ fn server() -> Arc<PageStoreServer> {
         1 << 20,
         256,
         EvictionPolicy::Lfu,
-        ConsolidationPolicy::LogCacheCentric,
+        // Small knobs: a few fragments seal L0s and run compactions.
+        ConsolidationPolicy::Layered {
+            l0_target_bytes: 64,
+            compaction_threshold: 2,
+        },
     )
 }
 
@@ -166,7 +170,6 @@ proptest! {
             s.write_logs(f).unwrap();
         }
         s.consolidate_all();
-        s.flush_dirty().unwrap();
         s.set_recycle_lsn(key(), Lsn(recycle)).unwrap();
         // Everything at or after the recycle LSN stays readable.
         for as_of in recycle..=n {

@@ -1,8 +1,10 @@
 //! Differential tests for log-structured (layered) consolidation: the
-//! layered read path must return byte-identical pages and version LSNs to
-//! the replay (log-cache-centric) baseline — at the live head, at a pinned
-//! snapshot, under a concurrent writer, and across a crash mid-compaction
-//! (the partial L1 blob is discarded and re-compaction is idempotent).
+//! layered read path must return byte-identical pages and version LSNs to a
+//! straight-line replay model (every record of the stream for the page, up
+//! to the read LSN, applied in order to a fresh page) — at the live head, at
+//! a pinned snapshot, under a concurrent writer, and across a crash
+//! mid-compaction (the partial L1 blob is discarded and re-compaction is
+//! idempotent).
 
 // Test harness: panicking on setup failure is the desired behavior.
 #![allow(clippy::unwrap_used)]
@@ -12,11 +14,12 @@ use std::sync::Arc;
 use bytes::Bytes;
 use proptest::prelude::*;
 
+use taurus::common::apply::apply_record;
 use taurus::common::clock::ManualClock;
 use taurus::common::config::StorageProfile;
 use taurus::common::page::PageType;
 use taurus::common::record::{LogRecord, RecordBody};
-use taurus::common::{DbId, Lsn, PageId, SliceId, SliceKey};
+use taurus::common::{DbId, Lsn, PageBuf, PageId, SliceId, SliceKey};
 use taurus::fabric::StorageDevice;
 use taurus::pagestore::{ConsolidationPolicy, EvictionPolicy, PageStoreServer, SliceFragment};
 
@@ -26,7 +29,9 @@ fn key() -> SliceKey {
     SliceKey::new(DbId(1), SliceId(0))
 }
 
-fn server(policy: ConsolidationPolicy) -> Arc<PageStoreServer> {
+/// A layered server with small knobs, so short streams exercise seal and
+/// compaction.
+fn server() -> Arc<PageStoreServer> {
     let s = PageStoreServer::new(
         StorageDevice::in_memory(ManualClock::shared(), StorageProfile::instant()),
         1 << 20,
@@ -34,18 +39,13 @@ fn server(policy: ConsolidationPolicy) -> Arc<PageStoreServer> {
         // is exactly the path that must stay byte-identical.
         8,
         EvictionPolicy::Lfu,
-        policy,
+        ConsolidationPolicy::Layered {
+            l0_target_bytes: 96,
+            compaction_threshold: 2,
+        },
     );
     s.create_slice(key());
     s
-}
-
-/// Small layer knobs so short streams exercise seal and compaction.
-fn layered_policy() -> ConsolidationPolicy {
-    ConsolidationPolicy::Layered {
-        l0_target_bytes: 96,
-        compaction_threshold: 2,
-    }
 }
 
 /// Turns a page-visit sequence into chained fragments. The first visit of a
@@ -94,23 +94,36 @@ fn build_frags(visits: &[u8], seed: u64) -> Vec<SliceFragment> {
     frags
 }
 
-/// Asserts both servers return identical outcomes for every page at `as_of`.
-fn assert_identical_at(layered: &PageStoreServer, baseline: &PageStoreServer, as_of: Lsn) {
-    for page in 0..PAGES {
-        let a = layered.read_page(key(), PageId(page), as_of);
-        let b = baseline.read_page(key(), PageId(page), as_of);
-        match (a, b) {
-            (Ok((pa, la)), Ok((pb, lb))) => {
-                assert_eq!(la, lb, "page {page} version lsn diverged at {as_of}");
-                assert_eq!(
-                    pa.as_bytes(),
-                    pb.as_bytes(),
-                    "page {page} bytes diverged at {as_of}"
-                );
-            }
-            (Err(_), Err(_)) => {}
-            (a, b) => panic!("page {page} outcome diverged at {as_of}: {a:?} vs {b:?}"),
+/// The reference: every record of the stream for `page` with LSN at or
+/// below `as_of`, applied in LSN order to a fresh page.
+fn replay(frags: &[SliceFragment], page: PageId, as_of: Lsn) -> PageBuf {
+    let mut buf = PageBuf::new();
+    for rec in frags.iter().flat_map(|f| &f.records) {
+        if rec.page == page && rec.lsn <= as_of {
+            apply_record(&mut buf, rec).unwrap();
         }
+    }
+    buf
+}
+
+/// Asserts the server serves every page at `as_of` exactly as the replay
+/// model builds it.
+fn assert_matches_replay_at(layered: &PageStoreServer, frags: &[SliceFragment], as_of: Lsn) {
+    for page in 0..PAGES {
+        let (got, lsn) = layered
+            .read_page(key(), PageId(page), as_of)
+            .unwrap_or_else(|e| panic!("page {page} unreadable at {as_of}: {e:?}"));
+        let want = replay(frags, PageId(page), as_of);
+        assert_eq!(
+            lsn,
+            want.lsn(),
+            "page {page} version lsn diverged at {as_of}"
+        );
+        assert_eq!(
+            got.as_bytes(),
+            want.as_bytes(),
+            "page {page} bytes diverged at {as_of}"
+        );
     }
 }
 
@@ -118,61 +131,52 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random fragment streams with duplicate resends and interleaved
-    /// consolidation: the layered server and the replay baseline must agree
+    /// consolidation: the layered server must agree with the replay model
     /// everywhere — live head, a pinned snapshot, and history above it.
     #[test]
     fn layered_reads_match_replay_baseline(
         visits in prop::collection::vec(0u8..PAGES as u8, 2..120),
         seed in any::<u64>(),
     ) {
-        let layered = server(layered_policy());
-        let baseline = server(ConsolidationPolicy::LogCacheCentric);
+        let layered = server();
         let frags = build_frags(&visits, seed);
         let mut mix = seed | 1;
         for f in &frags {
             layered.write_logs(f).unwrap();
-            baseline.write_logs(f).unwrap();
             mix = mix.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             if mix.is_multiple_of(4) {
-                // Duplicate resend (recovery replay): disregarded by both.
+                // Duplicate resend (recovery replay): disregarded.
                 layered.write_logs(f).unwrap();
-                baseline.write_logs(f).unwrap();
             }
             if mix.is_multiple_of(2) {
                 layered.consolidate_all();
-                baseline.consolidate_all();
             }
         }
         layered.consolidate_all();
-        baseline.consolidate_all();
-        layered.flush_dirty().unwrap();
-        baseline.flush_dirty().unwrap();
         let head = layered.get_persistent_lsn(key()).unwrap();
-        prop_assert_eq!(head, baseline.get_persistent_lsn(key()).unwrap());
+        prop_assert_eq!(head, Lsn(visits.len() as u64));
 
         // Live head and full history.
         for lsn in 1..=head.0 {
-            assert_identical_at(&layered, &baseline, Lsn(lsn));
+            assert_matches_replay_at(&layered, &frags, Lsn(lsn));
         }
 
         // Pin a mid-stream snapshot, recycle everything below it, and check
         // the snapshot plus the surviving suffix still agree byte-for-byte.
         let snapshot = Lsn(head.0 / 2 + 1);
         layered.set_recycle_lsn(key(), snapshot).unwrap();
-        baseline.set_recycle_lsn(key(), snapshot).unwrap();
         for lsn in snapshot.0..=head.0 {
-            assert_identical_at(&layered, &baseline, Lsn(lsn));
+            assert_matches_replay_at(&layered, &frags, Lsn(lsn));
         }
     }
 }
 
-/// A writer races consolidation on the layered server; the baseline ingests
-/// the same stream serially. Concurrent staging/sealing/compaction must not
-/// lose, duplicate, or reorder any record.
+/// A writer races consolidation on the layered server. Concurrent
+/// staging/sealing/compaction must not lose, duplicate, or reorder any
+/// record.
 #[test]
 fn layered_matches_baseline_under_concurrent_writer() {
-    let layered = server(layered_policy());
-    let baseline = server(ConsolidationPolicy::LogCacheCentric);
+    let layered = server();
     let visits: Vec<u8> = (0..240u32).map(|i| (i % PAGES as u32) as u8).collect();
     let frags = build_frags(&visits, 0x5eed);
     std::thread::scope(|scope| {
@@ -191,28 +195,21 @@ fn layered_matches_baseline_under_concurrent_writer() {
         }
         writer.join().unwrap();
     });
-    for f in &frags {
-        baseline.write_logs(f).unwrap();
-    }
     layered.consolidate_all();
-    baseline.consolidate_all();
-    layered.flush_dirty().unwrap();
-    baseline.flush_dirty().unwrap();
     let head = layered.get_persistent_lsn(key()).unwrap();
-    assert_eq!(head, baseline.get_persistent_lsn(key()).unwrap());
+    assert_eq!(head, Lsn(visits.len() as u64));
     for lsn in 1..=head.0 {
-        assert_identical_at(&layered, &baseline, Lsn(lsn));
+        assert_matches_replay_at(&layered, &frags, Lsn(lsn));
     }
 }
 
 /// Crash mid-compaction: the L1 blob reaches the device but no image is
 /// registered. The partial layer must be invisible, ingestion continues,
 /// and the re-run compaction converges to the same state — reads stay
-/// byte-identical to the baseline throughout.
+/// byte-identical to the replay model throughout.
 #[test]
 fn crash_mid_compaction_discards_partial_l1_and_recompacts_idempotently() {
-    let layered = server(layered_policy());
-    let baseline = server(ConsolidationPolicy::LogCacheCentric);
+    let layered = server();
     let visits: Vec<u8> = (0..120u32)
         .map(|i| ((i * 7 + 3) % PAGES as u32) as u8)
         .collect();
@@ -220,34 +217,28 @@ fn crash_mid_compaction_discards_partial_l1_and_recompacts_idempotently() {
     let mid = frags.len() / 2;
     for f in &frags[..mid] {
         layered.write_logs(f).unwrap();
-        baseline.write_logs(f).unwrap();
     }
     // The compactor "dies" between its blob append and registration.
     layered.arm_compaction_abort();
     layered.consolidate_all();
-    baseline.consolidate_all();
     let head = layered.get_persistent_lsn(key()).unwrap();
     for lsn in 1..=head.0 {
-        assert_identical_at(&layered, &baseline, Lsn(lsn));
+        assert_matches_replay_at(&layered, &frags, Lsn(lsn));
     }
     // Ingestion continues after the crash; a later compaction re-runs the
     // merge (add_version replaces on equal LSN, so the re-run is idempotent
     // even where the aborted run had registered nothing).
     for f in &frags[mid..] {
         layered.write_logs(f).unwrap();
-        baseline.write_logs(f).unwrap();
     }
     layered.consolidate_all();
-    baseline.consolidate_all();
-    layered.flush_dirty().unwrap();
-    baseline.flush_dirty().unwrap();
     assert!(
         layered.stats.l1_compactions.get() >= 1,
         "no compaction completed after the aborted one"
     );
     let head = layered.get_persistent_lsn(key()).unwrap();
-    assert_eq!(head, baseline.get_persistent_lsn(key()).unwrap());
+    assert_eq!(head, Lsn(visits.len() as u64));
     for lsn in 1..=head.0 {
-        assert_identical_at(&layered, &baseline, Lsn(lsn));
+        assert_matches_replay_at(&layered, &frags, Lsn(lsn));
     }
 }

@@ -155,7 +155,7 @@ fn write_throttle_engages_when_consolidation_falls_behind() {
         "backlog over the limit must throttle the master (§7)"
     );
     // Consolidation catches up: the throttle releases.
-    db.pages.consolidate_and_flush_all();
+    db.pages.consolidate_all();
     master.sal.update_throttle();
     assert_eq!(master.sal.current_throttle_us(), 0);
 }
