@@ -26,7 +26,7 @@ use taurus_common::record::LogRecordGroup;
 use taurus_common::{DbId, Lsn, PageBuf, PageId, Result, PAGE_SIZE};
 use taurus_engine::btree::{BTree, MutCtx};
 use taurus_engine::latch::{PageSource, TreeLatch};
-use taurus_engine::pool::{EnginePool, Frame};
+use taurus_engine::pool::{EnginePool, Frame, PageMap};
 use taurus_fabric::StorageDevice;
 
 /// Flushing/durability profile.
@@ -128,7 +128,7 @@ impl LocalEngine {
         Ok(())
     }
 
-    fn install(&self, pages: HashMap<PageId, PageBuf>) {
+    fn install(&self, pages: PageMap<PageBuf>) {
         let guard = self.evict_guard();
         for (id, page) in pages {
             let lsn = page.lsn();

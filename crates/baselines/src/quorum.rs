@@ -23,7 +23,7 @@ use taurus_common::{
 };
 use taurus_engine::btree::{BTree, MutCtx};
 use taurus_engine::latch::{PageSource, TreeLatch};
-use taurus_engine::pool::{EnginePool, Frame};
+use taurus_engine::pool::{EnginePool, Frame, PageMap};
 use taurus_fabric::Fabric;
 use taurus_pagestore::cluster::PageStoreOptions;
 use taurus_pagestore::{PageStoreCluster, SliceFragment};
@@ -125,7 +125,7 @@ impl QuorumEngine {
         SliceKey::new(self.db, page.slice(self.cfg.pages_per_slice))
     }
 
-    fn install(&self, pages: HashMap<PageId, PageBuf>) {
+    fn install(&self, pages: PageMap<PageBuf>) {
         let guard = self.evict_guard();
         for (id, page) in pages {
             let lsn = page.lsn();

@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the hot paths: redo application, the
 //! record codec, slotted-page operations, Page Store ingestion and
-//! consolidation, and end-to-end single-transaction commit.
+//! consolidation, the engine's resident read path, and end-to-end
+//! single-transaction commit.
 
 // Harness code: aborting on setup failure is the desired behavior.
 #![allow(clippy::unwrap_used)]
@@ -200,11 +201,44 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
+/// Reads a launched database answers from its buffer pool alone: an
+/// 8 000-row table, every page of it resident, read by one thread through
+/// the master's tree latch. No storage layer takes part.
+fn bench_engine(c: &mut Criterion) {
+    let db =
+        TaurusDb::launch_with_clock(TaurusConfig::test(), 4, 4, ManualClock::shared(), 1).unwrap();
+    let master = db.master();
+    let keys: Vec<Vec<u8>> = (0..8_000u32)
+        .map(|i| format!("row{i:011}").into_bytes())
+        .collect();
+    for chunk in keys.chunks(500) {
+        let mut t = master.begin();
+        for k in chunk {
+            t.put(k, &[b'v'; 100]).unwrap();
+        }
+        t.commit().unwrap();
+    }
+    assert_eq!(master.scan(b"", usize::MAX).unwrap().len(), keys.len());
+    // A stride through the table, so consecutive reads land on other leaves.
+    let mut at = 0;
+    let mut next = || {
+        at = (at + 7_919) % keys.len();
+        &keys[at][..]
+    };
+    let mut group = c.benchmark_group("engine");
+    group.bench_function("cached_get", |b| b.iter(|| master.get(next()).unwrap()));
+    group.bench_function("cached_scan20", |b| {
+        b.iter(|| master.scan(next(), 20).unwrap())
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_apply,
     bench_page,
     bench_pagestore,
+    bench_engine,
     bench_end_to_end
 );
 criterion_main!(benches);

@@ -84,7 +84,6 @@ fn run_pair(
 
     println!("  taurus : {}", t_report.row());
     println!("  aurora : {}", a_report.row());
-    println!("  taurus vs aurora: {}", rel(t_report.tps, a_report.tps));
     (t_report, a_report)
 }
 
@@ -199,13 +198,28 @@ fn main() {
         let (rows, _) = regime.geometry();
         let w = SysbenchWorkload::new(mode, rows, 200);
         let (t, a) = run_pair(&w, regime, conns);
-        let ratio = t.tps / a.tps.max(1e-9);
         let mut fields = vec![
             ("benchmark", label.into()),
             ("taurus_tps", t.tps.into()),
             ("aurora_tps", a.tps.into()),
-            ("ratio", ratio.into()),
         ];
+        let ratio = t.tps / a.tps.max(1e-9);
+        if (mode, regime) == (SysbenchMode::ReadOnly, ScaleRegime::Cached) {
+            // Both sides answer from a resident pool through the same tree
+            // latch; what differs is how the host schedules 8 connections
+            // on few cores. Run 100–400× longer (1–3 s a side on 2 vCPUs)
+            // the ratio still read 1.02–1.22 over six runs, so none is
+            // printed or counted. `taurus-benchmark`'s point-read-cached
+            // measures this path.
+            println!("  taurus vs aurora: no ratio (same engine path on both sides)");
+        } else {
+            println!("  taurus vs aurora: {}", rel(t.tps, a.tps));
+            fields.push(("ratio", ratio.into()));
+            total += 1;
+            if t.tps > a.tps {
+                wins += 1;
+            }
+        }
         if mode == SysbenchMode::WriteOnly {
             // Write-only rows carry commit latency percentiles: the
             // multi-stream group-commit path trades per-commit waits for
@@ -229,15 +243,12 @@ fn main() {
             }
         }
         json.row(fields);
-        total += 1;
-        if t.tps > a.tps {
-            wins += 1;
-        }
     }
 
     header("TPC-C-like");
     let w = TpccWorkload::new(2);
     let (t, a) = run_pair(&w, ScaleRegime::Cached, conns);
+    println!("  taurus vs aurora: {}", rel(t.tps, a.tps));
     json.row(vec![
         ("benchmark", "TPC-C-like".into()),
         ("taurus_tps", t.tps.into()),
@@ -250,7 +261,10 @@ fn main() {
     }
 
     println!();
-    println!("Summary: Taurus ahead in {wins}/{total} benchmarks (paper: 5/5).");
+    println!(
+        "Summary: Taurus ahead in {wins}/{total} compared benchmarks \
+         (paper: 5/5; the cached read-only row carries no ratio)."
+    );
     if let Err(e) = json.write("fig7") {
         eprintln!("fig7: could not write bench_results: {e}");
     }

@@ -1349,18 +1349,17 @@ impl Sal {
             "recycle {capped} past durable {}",
             self.durable_lsn.get()
         );
-        for (key, recycle) in slices {
-            // The broadcast now reports what it freed (directory pointers,
-            // fragment bookkeeping, layer blobs) — account it so recycling
-            // is observable instead of fire-and-forget.
-            let report = self.pages.set_recycle_lsn(key, self.me, recycle);
-            self.stats
-                .recycle_ptrs_purged
-                .add(report.purged_ptrs as u64);
-            self.stats
-                .recycle_bytes_reclaimed
-                .add(report.bytes_reclaimed);
-        }
+        // One grouped round, one envelope per Page Store node. The broadcast
+        // reports what it freed (directory pointers, fragment bookkeeping,
+        // layer blobs) — account it so recycling is observable instead of
+        // fire-and-forget.
+        let report = self.pages.set_recycle_lsns(self.me, &slices);
+        self.stats
+            .recycle_ptrs_purged
+            .add(report.purged_ptrs as u64);
+        self.stats
+            .recycle_bytes_reclaimed
+            .add(report.bytes_reclaimed);
         // Retired cut-over parents whose fence fell below the recycle LSN
         // can no longer serve any live snapshot: drop their replicas and
         // forget their SliceStates (a dead retired slice must not pin the

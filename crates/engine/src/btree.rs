@@ -22,7 +22,6 @@
 //! Deletions do not rebalance (pages may go sparse); this matches the
 //! reproduction scope documented in DESIGN.md.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -32,6 +31,11 @@ use taurus_common::lsn::LsnAllocator;
 use taurus_common::page::{PageType, MAX_CELL_PAYLOAD, SLOT_SIZE};
 use taurus_common::record::{LogRecord, RecordBody};
 use taurus_common::{Lsn, PageBuf, PageId, Result, TaurusError};
+
+use crate::pool::PageMap;
+
+/// Rows a scan's output is sized for up front: its `limit`, up to this.
+const SCAN_PRESIZE_ROWS: usize = 1024;
 
 /// Read access to pages, implemented by the master (pool → SAL) and by
 /// replicas (pool → versioned Page Store reads).
@@ -49,6 +53,13 @@ pub trait PageFetch {
     /// and not yet walked into. 0 (the default) disables readahead.
     fn readahead_window(&self) -> usize {
         0
+    }
+
+    /// The root page id, when the fetcher knows it without reading the
+    /// control page ([`BTree::root`] reads that page otherwise). The
+    /// default knows none.
+    fn known_root(&self) -> Option<PageId> {
+        None
     }
 }
 
@@ -71,15 +82,23 @@ where
 /// that bounds an unbounded scan, so that one still streams window-sized
 /// runs. Crossing off the known run (a level-1 boundary) re-descends for
 /// the new leaf's first key to harvest the next run.
+///
+/// The run is read off the level-1 page as the hints ask for it, never
+/// copied: a scan that ends in its first two leaves decodes two ids, however
+/// wide the page.
 struct Readahead<'a> {
     fetch: &'a dyn PageFetch,
-    /// Cap on `hinted`; 0 when the fetcher has no readahead or the scan
-    /// wants a single row.
+    /// Cap on the hinted leaves not yet walked into; 0 when the fetcher has
+    /// no readahead or the scan wants a single row.
     window: usize,
-    /// Upcoming leaves in chain order, not yet hinted.
-    upcoming: VecDeque<PageId>,
-    /// Hinted leaves the scan has not yet walked into, in chain order.
-    hinted: VecDeque<PageId>,
+    /// The level-1 page of the descent: its slots after the routed one are
+    /// the leaves a chain walk visits next, in order.
+    run: Option<Arc<PageBuf>>,
+    /// Slot of the leaf the walk should cross into next. Slots
+    /// `walk..ahead` are hinted and not yet walked into.
+    walk: usize,
+    /// Slot of the first leaf not yet hinted.
+    ahead: usize,
 }
 
 impl<'a> Readahead<'a> {
@@ -91,49 +110,71 @@ impl<'a> Readahead<'a> {
             } else {
                 0
             },
-            upcoming: VecDeque::new(),
-            hinted: VecDeque::new(),
+            run: None,
+            walk: 0,
+            ahead: 0,
         }
     }
 
-    /// Harvests the leaves after the routed child of a level-1 internal
-    /// page: exactly the siblings a chain walk will visit next.
-    fn seed_from_internal(&mut self, page: &PageBuf, route_idx: usize) -> Result<()> {
-        self.upcoming.clear();
-        self.hinted.clear();
-        for idx in route_idx + 1..page.nslots() {
-            self.upcoming.push_back(PageId(cell_u64(page.value(idx)?)?));
-        }
-        Ok(())
+    /// Takes the leaves after the routed child of a level-1 internal page
+    /// as the run: exactly the siblings a chain walk will visit next.
+    fn seed(&mut self, page: Arc<PageBuf>, route_idx: usize) {
+        self.run = Some(page);
+        self.walk = route_idx + 1;
+        self.ahead = route_idx + 1;
     }
 
-    /// The scan's descent reached the level-1 page: one hint carries the
-    /// routed leaf and its next sibling, so a scan that starts near the end
-    /// of its first leaf still pays one round trip.
-    fn descended(&mut self, page: &PageBuf, route_idx: usize) -> Result<()> {
+    /// Leaves of the run not yet hinted.
+    fn upcoming(&self) -> usize {
+        self.run
+            .as_ref()
+            .map_or(0, |run| run.nslots().saturating_sub(self.ahead))
+    }
+
+    /// The leaf at `slot` of the run, if the run reaches it.
+    fn leaf_at(&self, slot: usize) -> Result<Option<PageId>> {
+        match &self.run {
+            Some(run) if slot < run.nslots() => Ok(Some(PageId(cell_u64(run.value(slot)?)?))),
+            _ => Ok(None),
+        }
+    }
+
+    /// The scan's descent reached the level-1 page `page` and is about to
+    /// enter `routed`: one hint carries that leaf and its next sibling, so a
+    /// scan that starts near the end of its first leaf still pays one round
+    /// trip.
+    fn descended(&mut self, page: Arc<PageBuf>, route_idx: usize, routed: PageId) -> Result<()> {
         if self.window == 0 {
             return Ok(());
         }
-        self.seed_from_internal(page, route_idx)?;
-        let mut chunk = vec![PageId(cell_u64(page.value(route_idx)?)?)];
-        chunk.extend(self.upcoming.pop_front());
-        self.fetch.prefetch(&chunk);
-        self.hinted.extend(chunk.into_iter().skip(1));
+        self.seed(page, route_idx);
+        match self.leaf_at(self.ahead)? {
+            Some(sibling) => {
+                self.fetch.prefetch(&[routed, sibling]);
+                self.ahead += 1;
+            }
+            None => self.fetch.prefetch(&[routed]),
+        }
         Ok(())
     }
 
     /// The scan finished a leaf of `leaf_rows` rows and still owes `owed`:
     /// tops the in-flight hint run up to the leaves those rows should span
     /// (at most the window) once it has fallen to half of that.
-    fn refill(&mut self, owed: usize, leaf_rows: usize) {
+    fn refill(&mut self, owed: usize, leaf_rows: usize) -> Result<()> {
         let want = owed.div_ceil(leaf_rows.max(1)).min(self.window);
-        if self.upcoming.is_empty() || self.hinted.len() * 2 > want {
-            return;
+        let hinted = self.ahead - self.walk;
+        if self.upcoming() == 0 || hinted * 2 > want {
+            return Ok(());
         }
-        let take = (want - self.hinted.len()).min(self.upcoming.len());
-        let chunk: Vec<PageId> = self.upcoming.drain(..take).collect();
+        let take = (want - hinted).min(self.upcoming());
+        let mut chunk = Vec::with_capacity(take);
+        for slot in self.ahead..self.ahead + take {
+            chunk.extend(self.leaf_at(slot)?);
+        }
         self.fetch.prefetch(&chunk);
-        self.hinted.extend(chunk);
+        self.ahead += take;
+        Ok(())
     }
 
     /// The scan crossed the chain into `leaf`. Advances the run, or — when
@@ -143,13 +184,11 @@ impl<'a> Readahead<'a> {
         if self.window == 0 {
             return Ok(());
         }
-        if self.hinted.front() == Some(&leaf_id) {
-            self.hinted.pop_front();
-        } else if self.upcoming.front() == Some(&leaf_id) {
-            self.upcoming.pop_front();
+        if self.leaf_at(self.walk)? == Some(leaf_id) {
+            self.walk += 1;
+            self.ahead = self.ahead.max(self.walk);
         } else {
-            self.upcoming.clear();
-            self.hinted.clear();
+            self.run = None;
             if leaf.nslots() > 0 {
                 let key = leaf.key(0)?.to_vec();
                 self.reseed(&key)?;
@@ -158,15 +197,16 @@ impl<'a> Readahead<'a> {
         Ok(())
     }
 
-    /// Descends from the root for `key` and harvests the sibling run from
-    /// the level-1 page. The internal pages touched are pool-hot, so this
-    /// costs no extra round trips.
+    /// Descends from the root for `key` and takes the sibling run from the
+    /// level-1 page. The internal pages touched are pool-hot, so this costs
+    /// no extra round trips.
     fn reseed(&mut self, key: &[u8]) -> Result<()> {
         let mut page = self.fetch.fetch(BTree::root(self.fetch)?)?;
         while page.page_type() == PageType::Internal {
             let idx = BTree::route(&page, key)?;
             if page.level() == 1 {
-                return self.seed_from_internal(&page, idx);
+                self.seed(page, idx);
+                return Ok(());
             }
             page = self.fetch.fetch(PageId(cell_u64(page.value(idx)?)?))?;
         }
@@ -180,7 +220,7 @@ pub struct MutCtx<'a> {
     lsns: &'a LsnAllocator,
     fetch: &'a dyn PageFetch,
     /// Working copies; flushed back to the pool by the caller.
-    pub pages: HashMap<PageId, PageBuf>,
+    pub pages: PageMap<PageBuf>,
     /// Records emitted, in LSN order.
     pub records: Vec<LogRecord>,
 }
@@ -190,7 +230,7 @@ impl<'a> MutCtx<'a> {
         MutCtx {
             lsns,
             fetch,
-            pages: HashMap::new(),
+            pages: PageMap::default(),
             records: Vec::new(),
         }
     }
@@ -296,10 +336,18 @@ impl BTree {
         Ok(())
     }
 
-    /// Root page id, via any fetcher.
+    /// Root page id, via any fetcher: where every descent starts.
     pub fn root(fetch: &dyn PageFetch) -> Result<PageId> {
+        if let Some(root) = fetch.known_root() {
+            return Ok(root);
+        }
         let control = fetch.fetch(PageId::CONTROL)?;
-        Ok(PageId(Self::control_get(&control, b"root")?))
+        Self::root_in(&control)
+    }
+
+    /// The root page id the control page names.
+    pub fn root_in(control: &PageBuf) -> Result<PageId> {
+        Ok(PageId(Self::control_get(control, b"root")?))
     }
 
     /// Allocates the page at the high-water mark. Its working copy starts
@@ -376,17 +424,17 @@ impl BTree {
             match page.page_type() {
                 PageType::Internal => {
                     let idx = Self::route(&page, start)?;
-                    if page.level() == 1 {
-                        ra.descended(&page, idx)?;
-                    }
                     let child = PageId(cell_u64(page.value(idx)?)?);
+                    if page.level() == 1 {
+                        ra.descended(page, idx, child)?;
+                    }
                     page = fetch.fetch(child)?;
                 }
                 PageType::Leaf => break,
                 _ => return Err(TaurusError::PageCorrupt("unexpected page type in tree")),
             }
         }
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(limit.min(SCAN_PRESIZE_ROWS));
         let mut idx = match page.search(start) {
             Ok(i) => i,
             Err(i) => i,
@@ -397,7 +445,7 @@ impl BTree {
                 if next == 0 {
                     break;
                 }
-                ra.refill(limit - out.len(), page.nslots());
+                ra.refill(limit - out.len(), page.nslots())?;
                 page = fetch.fetch(PageId(next))?;
                 ra.crossed_into(PageId(next), &page)?;
                 idx = 0;
@@ -703,6 +751,8 @@ enum PutOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, VecDeque};
+
     use parking_lot::Mutex;
 
     /// In-memory page store for pure tree-logic tests: the fetcher reads

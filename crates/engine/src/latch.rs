@@ -26,6 +26,13 @@
 //! scan larger than the pool), a page the write set's warm-up did not
 //! bring or whose copy a commit overtook — and both are counted in
 //! [`LatchStats`].
+//!
+//! Every descent starts at the root the control page names. A traversal
+//! that read the control page under the shared side records that root as
+//! the pool's *root hint*, and every write set clears the hint under the
+//! exclusive side. A root split happens only inside a write set, so a hint
+//! seen under the shared side is current: descents start there without
+//! touching the control page.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -129,7 +136,7 @@ impl TreeLatch {
     ) -> Result<T> {
         let mut missed = Vec::new();
         for _ in 0..=MAX_RESTARTS {
-            let probe = Probe::new(&self.pool, src.readahead_window(), &missed);
+            let probe = Probe::new(&self.pool, src.readahead_window(), &missed, true);
             let out = {
                 let _shared = self.tree_latch.read();
                 traverse(&probe)
@@ -167,7 +174,9 @@ impl TreeLatch {
         let mut missed = Vec::new();
         let mut warm = Vec::new();
         for _ in 0..=MAX_RESTARTS {
-            let probe = Probe::new(&self.pool, 0, &missed);
+            // No root hint: the apply reads the control page, so the warm-up
+            // brings it in too.
+            let probe = Probe::new(&self.pool, 0, &missed, false);
             {
                 let _shared = self.tree_latch.read();
                 let mut leaf: Option<Arc<PageBuf>> = None;
@@ -204,6 +213,9 @@ impl TreeLatch {
         let asked = self.clock.now_us();
         let out = {
             let _exclusive = self.tree_latch.write();
+            // The write set may split the root; the next traversal reads
+            // the control page again.
+            self.pool.set_root_hint(None);
             let waited = self.clock.now_us().saturating_sub(asked);
             self.stats.commit_latch_wait_us.add(waited);
             self.stats.commits.inc();
@@ -311,25 +323,42 @@ fn note_missed(missed: &mut Vec<PageId>, wanted: &[Want]) {
 /// once: a page the traversal had to wait for counts as one miss, however
 /// many attempts touched it, and only the returning attempt's accesses
 /// count as hits. A page that was hinted before it was demanded counts as
-/// the prefetch it replaces did — a speculative install, then a hit.
+/// the prefetch it replaces did — a speculative install, then a hit. A
+/// descent that starts from the root hint counts the control page as the
+/// hit reading it would have been.
+///
+/// Readahead hints are noted without looking at the pool: they matter only
+/// to an attempt that fails, and [`TreeLatch::load`] drops the resident
+/// ones when it takes their loading marks.
 struct Probe<'a> {
     pool: &'a EnginePool,
     window: usize,
     /// Pages earlier attempts of this traversal already counted as misses.
     missed: &'a [PageId],
+    /// Whether descents start from the pool's root hint, and a control
+    /// page read records the root it names: true for a traversal's
+    /// attempts, which run under the shared side.
+    root_hint: bool,
     /// Accesses of this attempt to count as hits if it is the one to return.
     hits: Cell<u64>,
     absent: RefCell<Vec<Want>>,
 }
 
 impl<'a> Probe<'a> {
-    fn new(pool: &'a EnginePool, window: usize, missed: &'a [PageId]) -> Self {
+    fn new(pool: &'a EnginePool, window: usize, missed: &'a [PageId], root_hint: bool) -> Self {
         Probe {
             pool,
             window,
             missed,
+            root_hint,
             hits: Cell::new(0),
             absent: RefCell::new(Vec::new()),
+        }
+    }
+
+    fn hit(&self, page: PageId) {
+        if !self.missed.contains(&page) {
+            self.hits.set(self.hits.get() + 1);
         }
     }
 }
@@ -337,8 +366,9 @@ impl<'a> Probe<'a> {
 impl PageFetch for Probe<'_> {
     fn fetch(&self, page: PageId) -> Result<Arc<PageBuf>> {
         if let Some(frame) = self.pool.touch(page) {
-            if !self.missed.contains(&page) {
-                self.hits.set(self.hits.get() + 1);
+            self.hit(page);
+            if page == PageId::CONTROL && self.root_hint {
+                self.pool.set_root_hint(BTree::root_in(&frame.buf).ok());
             }
             return Ok(frame.buf);
         }
@@ -362,7 +392,7 @@ impl PageFetch for Probe<'_> {
     fn prefetch(&self, pages: &[PageId]) {
         let mut absent = self.absent.borrow_mut();
         for &page in pages {
-            if !self.pool.contains(page) && !absent.iter().any(|w| w.page == page) {
+            if !absent.iter().any(|w| w.page == page) {
                 absent.push(Want {
                     page,
                     hinted: true,
@@ -374,6 +404,15 @@ impl PageFetch for Probe<'_> {
 
     fn readahead_window(&self) -> usize {
         self.window
+    }
+
+    fn known_root(&self) -> Option<PageId> {
+        if !self.root_hint {
+            return None;
+        }
+        let root = self.pool.root_hint()?;
+        self.hit(PageId::CONTROL);
+        Some(root)
     }
 }
 
@@ -456,6 +495,7 @@ mod tests {
     use parking_lot::Mutex;
     use taurus_common::clock::ManualClock;
     use taurus_common::lsn::LsnAllocator;
+    use taurus_common::page::PageType;
 
     use crate::btree::MutCtx;
 
@@ -674,6 +714,28 @@ mod tests {
             assert_eq!(got.unwrap().len(), 20);
             assert_eq!(*db.store.reads.lock(), reads);
         }
+    }
+
+    #[test]
+    fn a_root_split_between_two_reads_leaves_no_stale_root_hint() {
+        // One leaf is the whole tree: the first read records it as the root.
+        let db = Db::load(30, 256);
+        let got = db.tree.read(&db.store, |f| BTree::get(f, &key(0)));
+        assert!(got.unwrap().is_some());
+        let first = db.tree.pool.root_hint().expect("a read records the root");
+        // A write set splits that root, and the tree grows a level under it.
+        let all: Vec<Vec<u8>> = (30..400).map(key).collect();
+        db.put(&all, b"v1");
+        for i in 0..400 {
+            let got = db.tree.read(&db.store, |f| BTree::get(f, &key(i)));
+            assert!(got.unwrap().is_some(), "key {i} lost behind the old root");
+        }
+        let rows = db.tree.read(&db.store, |f| BTree::scan(f, b"", usize::MAX));
+        assert_eq!(rows.unwrap().len(), 400);
+        let root = db.tree.pool.root_hint().expect("reads record the new root");
+        assert_ne!(root, first);
+        let hot = db.tree.read(&db.store, |f| f.fetch(root)).unwrap();
+        assert_eq!(hot.page_type(), PageType::Internal);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! once its group is on all three Log Stores ([`taurus_core::Sal::flush`]).
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound::{Included, Unbounded};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -21,7 +22,7 @@ use taurus_core::{Sal, SliceAcks, TableScan};
 
 use crate::btree::{BTree, MutCtx, PageFetch};
 use crate::latch::{LatchStatsSnapshot, PageSource, TreeLatch};
-use crate::pool::{EnginePool, Frame};
+use crate::pool::{EnginePool, Frame, PageMap};
 
 /// The master → read-replica message board (paper §6 step 2): instead of
 /// streaming log data, the master publishes *where the log is* (implicitly:
@@ -176,7 +177,7 @@ impl MasterEngine {
         MasterFetcher { engine: self }
     }
 
-    fn install_pages(&self, pages: HashMap<PageId, PageBuf>) {
+    fn install_pages(&self, pages: PageMap<PageBuf>) {
         let guard = self.evict_guard();
         for (id, page) in pages {
             let lsn = page.lsn();
@@ -363,6 +364,9 @@ impl MasterEngine {
     }
 
     fn release_locks(&self, txn: TxnId, keys: &[Vec<u8>]) {
+        if keys.is_empty() {
+            return;
+        }
         let mut locks = self.key_locks.lock();
         for k in keys {
             if locks.get(k) == Some(&txn) {
@@ -540,22 +544,41 @@ impl Txn {
         Ok(())
     }
 
-    /// Scan merging committed data with this transaction's writes.
+    /// Scan merging committed data with this transaction's writes: the
+    /// engine's rows as they are when there are none, else one pass over
+    /// the two sorted runs. Each write can hide at most one committed row,
+    /// so `limit` plus the write count committed rows are enough.
     pub fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         self.check_open()?;
-        let base = self.engine.scan(start, limit + self.writes.len())?;
-        let mut merged: BTreeMap<Vec<u8>, Vec<u8>> = base.into_iter().collect();
-        for (k, v) in self.writes.range(start.to_vec()..) {
-            match v {
-                Some(v) => {
-                    merged.insert(k.clone(), v.clone());
-                }
-                None => {
-                    merged.remove(k);
-                }
-            }
+        if self.writes.is_empty() {
+            return self.engine.scan(start, limit);
         }
-        Ok(merged.into_iter().take(limit).collect())
+        let base = self
+            .engine
+            .scan(start, limit.saturating_add(self.writes.len()))?;
+        let mine = self.writes.range::<[u8], _>((Included(start), Unbounded));
+        let mut mine = mine.peekable();
+        let mut base = base.into_iter().peekable();
+        let own = |(k, v): (&Vec<u8>, &Option<Vec<u8>>)| Some((k.clone(), v.clone()?));
+        let mut out = Vec::with_capacity(limit.min(base.len() + self.writes.len()));
+        while out.len() < limit {
+            let order = match (base.peek(), mine.peek()) {
+                (Some((b, _)), Some((m, _))) => b.as_slice().cmp(m.as_slice()),
+                (Some(_), None) => std::cmp::Ordering::Less,
+                (None, Some(_)) => std::cmp::Ordering::Greater,
+                (None, None) => break,
+            };
+            let row = match order {
+                std::cmp::Ordering::Less => base.next(),
+                std::cmp::Ordering::Equal => {
+                    base.next();
+                    mine.next().and_then(own)
+                }
+                std::cmp::Ordering::Greater => mine.next().and_then(own),
+            };
+            out.extend(row);
+        }
+        Ok(out)
     }
 
     /// Commits: brings the write set's leaves into the pool with no latch

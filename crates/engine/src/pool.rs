@@ -24,8 +24,14 @@
 //! it, so "absent when marked, no dirty install since" means the storage
 //! read, issued after the mark at the slice's acked LSN, returned the
 //! newest version — whatever else ran in between.
+//!
+//! The pool also holds the tree latch's *root hint* (see [`crate::latch`]):
+//! the root page id last read from the control page. It is a cached value
+//! of a page, so [`EnginePool::clear`] forgets it with the frames.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -36,6 +42,35 @@ use taurus_common::{Lsn, PageBuf, PageId, Result};
 /// The batched miss-path callback: given the absent ids, return the fetched
 /// pages (wired to `Sal::read_pages` by the engines).
 pub type FetchMany<'a> = dyn Fn(&[PageId]) -> Result<Vec<(PageId, PageBuf)>> + 'a;
+
+/// The Fibonacci multiplier behind stripe selection and [`PageIdHasher`].
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A map keyed by page id. Page ids are the engine's own integers, never
+/// outside input, so they hash with one multiply instead of SipHash.
+pub type PageMap<V> = HashMap<PageId, V, BuildHasherDefault<PageIdHasher>>;
+
+/// [`PageMap`]'s hasher: a Fibonacci multiply, its high half folded into
+/// the low one so the bucket index sees every bit of the id.
+#[derive(Default)]
+pub struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8) | u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id;
+    }
+
+    fn finish(&self) -> u64 {
+        let h = self.0.wrapping_mul(FIBONACCI);
+        h ^ (h >> 32)
+    }
+}
 
 /// One cached page frame. `Arc<PageBuf>` lets readers share a snapshot
 /// without copying 8 KiB; writers use copy-on-write.
@@ -68,13 +103,13 @@ impl Frame {
 #[derive(Default)]
 struct ShardState {
     /// The LRU map.
-    map: HashMap<PageId, Frame>,
+    map: PageMap<Frame>,
     /// Access-tick counter behind `Frame::last_access`.
     tick: u64,
     /// Loading marks: page → the token of the load(s) in flight for it. A
     /// mark exists only while no dirty install of the page happened since
     /// it was taken; loads that start while it is there share its token.
-    loading: HashMap<PageId, u64>,
+    loading: PageMap<u64>,
     /// Next loading token; never reused, so a mark taken after a dirty
     /// install cannot be mistaken for the one that install removed.
     next_token: u64,
@@ -105,6 +140,10 @@ pub struct EnginePool {
     pub prefetched: Counter,
     /// Speculative frames that later served a demand access.
     pub prefetch_hits: Counter,
+    /// The root hint: a root page id read from the control page, or 0 (the
+    /// control page's own id, never a root) for none. Only the tree latch
+    /// sets it, under its latch; forgetting it is always safe.
+    root_hint: AtomicU64,
 }
 
 impl std::fmt::Debug for EnginePool {
@@ -135,14 +174,29 @@ impl EnginePool {
             stats: HitRate::new(),
             prefetched: Counter::default(),
             prefetch_hits: Counter::default(),
+            root_hint: AtomicU64::new(0),
         }
     }
 
     /// Stripe selection: a Fibonacci hash of the page id masked to the
     /// power-of-two shard count. Sequential page ids spread across shards.
     fn shard(&self, page: PageId) -> &Shard {
-        let h = page.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        let h = page.0.wrapping_mul(FIBONACCI) >> 32;
         &self.shards[(h as usize) & self.mask]
+    }
+
+    /// The root hint, if one is set. The tree latch orders it: it is read
+    /// and written under a side of the latch, so `Relaxed` suffices.
+    pub(crate) fn root_hint(&self) -> Option<PageId> {
+        match self.root_hint.load(Ordering::Relaxed) {
+            0 => None,
+            root => Some(PageId(root)),
+        }
+    }
+
+    pub(crate) fn set_root_hint(&self, root: Option<PageId>) {
+        let id = root.map_or(0, |r| r.0);
+        self.root_hint.store(id, Ordering::Relaxed);
     }
 
     /// Fetches a frame if cached, counting the access as a hit or a miss.
@@ -401,8 +455,10 @@ impl EnginePool {
     }
 
     /// Clears the pool (used when a promoted replica re-syncs), loading
-    /// marks included: no load in flight may install into the new state.
+    /// marks and root hint included: no load in flight may install into the
+    /// new state.
     pub fn clear(&self) {
+        self.set_root_hint(None);
         for shard in &self.shards {
             let mut guard = shard.frames.lock();
             guard.map.clear();

@@ -892,13 +892,24 @@ fn commit_from_another_connection(master: &Arc<taurus_engine::MasterEngine>, k: 
     committer.join().unwrap();
 }
 
+/// `settle`s a `bulk_load`, then brings the pool back to its size. Frames
+/// the load pinned while their acks were in flight (a slow host delays the
+/// write pipe) stay resident past the size until an install evicts them:
+/// one commit rewrites a row of `last_leaf` as it was, and settles again.
+fn settle_to_pool_size(db: &TaurusDb, last_leaf: u32) {
+    settle(db);
+    let (k, v) = bulk_row(row_on_leaf(last_leaf) + 1);
+    commit_from_another_connection(&db.master(), &k, &v);
+    settle(db);
+}
+
 #[test]
 fn a_commit_completes_inside_a_readers_miss_round_trip() {
     let clock = Arc::new(HookClock::default());
     let db = launch_small_pool(clock.clone(), 8);
     let master = db.master();
     bulk_load(&master, 20);
-    settle(&db);
+    settle_to_pool_size(&db, 19);
     // Leaf 10 is out of the pool; the spine above it is in.
     read_leaves(&master, 0..9);
     let (k, v) = bulk_row(row_on_leaf(10));
@@ -933,7 +944,7 @@ fn a_head_read_a_recycle_round_overtook_replans_at_the_head() {
     let db = launch_small_pool(clock.clone(), 8);
     let master = db.master();
     bulk_load(&master, 20);
-    settle(&db);
+    settle_to_pool_size(&db, 19);
     // Leaf 10 is out of the pool; all twenty leaves share one slice.
     read_leaves(&master, 0..9);
     let (k, v) = bulk_row(row_on_leaf(10));
@@ -979,7 +990,7 @@ fn a_page_read_before_a_commit_is_never_installed_after_it() {
         let db = launch_small_pool(clock.clone(), 8);
         let master = db.master();
         bulk_load(&master, 20);
-        settle(&db);
+        settle_to_pool_size(&db, 19);
         let (p, before) = {
             let (id, leaf) = &leaf_chain(&master)[10];
             (*id, leaf.lsn())
@@ -1023,7 +1034,7 @@ fn a_commit_whose_warmed_leaves_were_evicted_reads_none_of_them_twice() {
     let db = launch_small_pool(ManualClock::shared(), 4);
     let master = db.master();
     bulk_load(&master, 20);
-    settle(&db);
+    settle_to_pool_size(&db, 19);
     // Twelve leaves through a pool of four frames: the warm-up's own
     // installs push its first leaves out again before the apply.
     let rows: Vec<u32> = (2..14).map(|leaf| row_on_leaf(leaf) + 5).collect();
@@ -1063,7 +1074,7 @@ fn an_unbounded_scan_larger_than_the_pool_ends_through_the_fallback() {
     let db = launch_small_pool(ManualClock::shared(), 8);
     let master = db.master();
     let n = bulk_load(&master, 30);
-    settle(&db);
+    settle_to_pool_size(&db, 29);
     let expected: Vec<_> = (0..n).map(bulk_row).collect();
     let before = master.latch_stats().read_latch_fallbacks;
     assert_eq!(master.scan(b"", usize::MAX).unwrap(), expected);

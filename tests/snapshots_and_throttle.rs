@@ -31,6 +31,23 @@ fn settle(db: &TaurusDb) {
     }
 }
 
+/// `settle`, then wait until all three replicas of every slice hold every
+/// durable record: `settle` waits for one ack a fragment, and a replica
+/// still taking a late delivery writes to its device.
+fn settle_every_replica(db: &TaurusDb) {
+    settle(db);
+    let master = db.master();
+    for _ in 0..2_000 {
+        let _ = master.sal.poll_persistent_lsns();
+        if master.sal.database_persistent_lsn() == master.sal.durable_lsn() {
+            return;
+        }
+        master.maintain();
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    panic!("replicas never caught up with the durable LSN");
+}
+
 #[test]
 fn snapshot_reads_are_frozen_in_time() {
     let db = launch();
@@ -112,7 +129,7 @@ fn snapshot_creation_is_constant_time() {
             .unwrap();
         t.commit().unwrap();
     }
-    settle(&db);
+    settle_every_replica(&db);
     let before: Vec<_> = db
         .pages
         .server_nodes()
