@@ -1,11 +1,11 @@
 //! `conn_scale` — connection-count scaling on a fixed OS-thread budget.
 //!
 //! The 10k-connection claim behind PR 10: M logical connections are
-//! multiplexed onto `driver_workers` closed-loop worker threads, and every
-//! storage fan-out runs on the thread that submitted it instead of spawning
-//! per-call threads (the fabric's bounded pool only holds the write
+//! multiplexed onto `DriverOptions::workers` closed-loop worker threads, and
+//! every storage fan-out runs on the thread that submitted it instead of
+//! spawning per-call threads (the fabric's bounded pool only holds the write
 //! pipeline's drainers). The sweep holds the OS-thread budget constant
-//! (`driver_workers + MAX_DISPATCH_WORKERS <= 64`) while connections grow
+//! (`workers + MAX_DISPATCH_WORKERS <= 64`) while connections grow
 //! 8 -> 1024+; a healthy result keeps per-op read p99 flat. Each connection
 //! is a think-time-paced closed loop, so the offered load is
 //! `conns / think` and completed txn/s follows the connection count by
@@ -15,17 +15,21 @@
 //!
 //! What per-node RPC coalescing buys on the miss path is read off counters
 //! the run already takes: `grouped_slice_batches / grouped_envelopes` is the
-//! number of per-slice `ReadPages` requests each envelope replaced, i.e. the
-//! factor by which miss-path round trips shrank against one RPC per slice.
-//! (Until PR 12 a second, coalescing-off cluster measured the same factor;
-//! its last numbers are kept in EXPERIMENTS.md.)
+//! number of per-slice requests each envelope replaced. Those counters also
+//! count `WriteLogs` envelopes, so the load's fragments are settled on all
+//! three replicas before anything is measured: the sweep is read-only, and
+//! the `coalesce` column is read-side only. It reads ~1.0x (1.00-1.20x per
+//! point): a 60-row scan ships at most two leaves, and most misses are
+//! single-page gets, which are one plain RPC. The column is reported, not
+//! gated — a gate of >= 2x held only while leftover load-phase `WriteLogs`
+//! envelopes (4.2 slices each) landed in the first point.
 //!
 //! Set `TAURUS_CONNSCALE_ASSERT=1` to enforce the acceptance gates:
 //!   * read p99 at the top connection count <= `TAURUS_CONNSCALE_P99X`
 //!     (default 1.25) x the bottom count's p99 (+300us scheduler grace);
 //!   * the offered load was sustained: completed txn/s at the top count
 //!     >= 8x the bottom count;
-//!   * coalescing cuts miss-path round trips >= 2x (slices per envelope);
+//!   * the sweep shipped no fragment, so every envelope it counted is a read;
 //!   * the thread budget actually held (`driver + fabric cap <= 64`).
 
 #![forbid(unsafe_code)]
@@ -62,7 +66,6 @@ fn conn_scale_config() -> TaurusConfig {
     cfg.engine_buffer_pool_pages = 128;
     cfg.pages_per_slice = 1;
     cfg.btree_readahead_window = 24;
-    cfg.driver_workers = 48; // + the fabric pool's cap of 16 = 64
     cfg
 }
 
@@ -179,6 +182,8 @@ fn main() {
     assert!(!conn_list.is_empty(), "TAURUS_CONNSCALE_CONNS parsed empty");
 
     let cfg = conn_scale_config();
+    // `DriverOptions`' default pool: 48 + the fabric pool's cap of 16 = 64.
+    let workers = DriverOptions::default().workers;
     let workload = MultiSliceRead {
         rows,
         value_size: 64,
@@ -189,7 +194,7 @@ fn main() {
         "rows={rows} txns/conn={txns} think={}ms driver_workers={} fabric_pool_cap={} \
          pages_per_slice={} readahead={}\n",
         think_us / 1000,
-        cfg.driver_workers,
+        workers,
         MAX_DISPATCH_WORKERS,
         cfg.pages_per_slice,
         cfg.btree_readahead_window
@@ -198,11 +203,20 @@ fn main() {
     let (db, guard) = launch_taurus_with(cfg.clone()).expect("launch taurus");
     let taurus = TaurusExecutor::new(db);
     load_initial(&taurus, &workload).expect("load");
-    // Reach storage steady state before measuring: consolidate the loaded
-    // fragments into page images (otherwise every cold read replays the
-    // whole load) and take one warmup lap to populate the hot set.
+    // Reach storage steady state before measuring: every loaded fragment on
+    // all three replicas (no `WriteLogs` envelope lands in the sweep's
+    // counters), consolidated into page images (otherwise every cold read
+    // replays the whole load), and one warmup lap to populate the hot set.
+    let sal = &taurus.db.master().sal;
+    sal.flush_all_slices();
+    for _ in 0..10_000 {
+        if sal.database_persistent_lsn() >= sal.durable_lsn() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     taurus.db.pages.consolidate_all();
-    let _ = run_point(&taurus, &workload, 16, 4, 0, cfg.driver_workers);
+    let _ = run_point(&taurus, &workload, 16, 4, 0, workers);
 
     println!(
         "{:<8} {:>10} {:>10} {:>10} {:>10} {:>12} {:>10}",
@@ -210,15 +224,9 @@ fn main() {
     );
     let mut report = JsonReport::new();
     let mut points: Vec<(usize, SweepPoint)> = Vec::new();
+    let shipped_before = sal.stats.snapshot().slice_flushes;
     for &conns in &conn_list {
-        let p = run_point(
-            &taurus,
-            &workload,
-            conns,
-            txns,
-            think_us,
-            cfg.driver_workers,
-        );
+        let p = run_point(&taurus, &workload, conns, txns, think_us, workers);
         let per_txn = p.batch_rpcs as f64 / (p.report.transactions.max(1)) as f64;
         let coalesce = if p.grouped_envelopes == 0 {
             1.0
@@ -237,7 +245,7 @@ fn main() {
         );
         report.row(vec![
             ("connections", JsonValue::U64(conns as u64)),
-            ("driver_workers", JsonValue::U64(cfg.driver_workers as u64)),
+            ("driver_workers", JsonValue::U64(workers as u64)),
             ("tps", p.report.tps.into()),
             ("p50_latency_us", JsonValue::U64(p.report.p50_latency_us)),
             ("p99_latency_us", JsonValue::U64(p.report.p99_latency_us)),
@@ -258,6 +266,7 @@ fn main() {
         ]);
         points.push((conns, p));
     }
+    let shipped = sal.stats.snapshot().slice_flushes - shipped_before;
     println!("\n  final SAL: {}", taurus.db.master().sal.stats.snapshot());
     println!(
         "  final batched reads: {}",
@@ -270,8 +279,8 @@ fn main() {
     drop(guard);
 
     // Miss-path RPC reduction over the whole sweep, from counters the run
-    // already took: every grouped envelope replaced `slices` per-slice
-    // `ReadPages` round trips with one.
+    // already took: every grouped envelope replaced `slices` per-slice read
+    // round trips with one.
     let envelopes: u64 = points.iter().map(|(_, p)| p.grouped_envelopes).sum();
     let slices: u64 = points.iter().map(|(_, p)| p.grouped_slice_batches).sum();
     let reduction = slices as f64 / envelopes.max(1) as f64;
@@ -283,12 +292,11 @@ fn main() {
     println!("wrote bench_results/conn_scale.json");
 
     if std::env::var("TAURUS_CONNSCALE_ASSERT").as_deref() == Ok("1") {
-        let budget = cfg.driver_workers + MAX_DISPATCH_WORKERS;
+        let budget = workers + MAX_DISPATCH_WORKERS;
         assert!(
             budget <= 64,
-            "OS-thread budget exceeded: driver {} + fabric cap {MAX_DISPATCH_WORKERS} = \
-             {budget} > 64",
-            cfg.driver_workers
+            "OS-thread budget exceeded: driver {workers} + fabric cap {MAX_DISPATCH_WORKERS} = \
+             {budget} > 64"
         );
         let (lo_conns, lo) = &points[0];
         let (hi_conns, hi) = points.last().expect("sweep nonempty");
@@ -309,15 +317,15 @@ fn main() {
             hi.report.tps,
             lo.report.tps
         );
-        assert!(
-            reduction >= 2.0,
-            "coalescing cut miss-path round trips only {reduction:.2}x (< 2x): \
-             {slices} per-slice requests in {envelopes} envelopes"
+        assert_eq!(
+            shipped, 0,
+            "the read-only sweep shipped {shipped} slice buffers: its envelope counts mix in \
+             writes"
         );
         println!(
             "conn_scale asserts passed: budget={budget}<=64 threads, p99 flat from {lo_conns} to \
              {hi_conns} connections ({}us vs {}us), offered load sustained ({:.1} vs {:.1} \
-             txn/s), coalescing {reduction:.2}x",
+             txn/s), read-only sweep (read coalescing {reduction:.2}x, not gated)",
             lo.report.p99_latency_us, hi.report.p99_latency_us, lo.report.tps, hi.report.tps
         );
     }

@@ -106,7 +106,9 @@ pub struct TaurusConfig {
     /// Per-slice buffer capacity in bytes (flushed to Page Stores when full
     /// or on timeout).
     pub slice_buffer_bytes: usize,
-    /// Per-slice buffer flush timeout, microseconds.
+    /// Per-slice buffer flush timeout, microseconds. `Sal::tick` also
+    /// flushes a log buffer that has been open this long, so a lone
+    /// committer's group never waits for the byte threshold.
     pub slice_flush_timeout_us: u64,
     /// Log Store FIFO write-through cache capacity, bytes (serves replica
     /// log reads without disk I/O, paper §3.3/§6).
@@ -144,11 +146,6 @@ pub struct TaurusConfig {
     /// Base backoff between `WriteLogs` retries, microseconds; doubles per
     /// attempt, plus seeded jitter in `0..=backoff/2`.
     pub sal_write_backoff_us: u64,
-    /// Per-attempt `WriteLogs` latency budget, microseconds. Failed attempts
-    /// that exceed it are counted as timeouts in `SalStats` (the fabric's
-    /// synchronous RPC cannot be abandoned mid-flight, so a *successful*
-    /// slow call is still accepted).
-    pub sal_write_attempt_timeout_us: u64,
     /// Per-`ScanSlice`-call row budget for near-data scan pushdown. A Page
     /// Store stops after the page that crosses the budget and returns a
     /// continuation, so one scan RPC cannot starve `WriteLogs`.
@@ -158,11 +155,9 @@ pub struct TaurusConfig {
     pub ndp_scan_max_bytes: usize,
     /// Per-`ReadPages`-call page budget: one batched read RPC attempts at
     /// most this many pages, then returns a continuation (same budgets
-    /// discipline as `ScanSlice`).
+    /// discipline as `ScanSlice`). Pages are a fixed size, so this is also
+    /// the call's byte budget.
     pub read_batch_max_pages: usize,
-    /// Per-`ReadPages`-call byte budget for returned page payloads (checked
-    /// together with `read_batch_max_pages` at page granularity).
-    pub read_batch_max_bytes: usize,
     /// Lock-striped shards of the engine buffer pool. Rounded up to a power
     /// of two; each shard is an independent LRU with the paper's dirty-page
     /// eviction guard.
@@ -180,12 +175,6 @@ pub struct TaurusConfig {
     /// contiguous prefix of spans in LSN order, tracked per stream by an
     /// LSN-vector. 1 reproduces the pre-multi-stream single-path behaviour.
     pub log_streams: usize,
-    /// Idle group-commit timeout, microseconds: if the log buffer has been
-    /// open (non-empty) at least this long when the SAL tick runs, it is
-    /// flushed even though neither the byte threshold nor an explicit commit
-    /// forced it. Bounds the latency of stragglers under adaptive
-    /// group-commit sizing; 0 flushes any non-empty buffer on every tick.
-    pub log_group_commit_idle_us: u64,
     /// Staged payload bytes at which a Page Store seals its open L0 delta
     /// layer to one immutable device blob (layered consolidation, DESIGN.md
     /// §13: fragments accumulate into immutable L0 delta layers that a
@@ -194,26 +183,6 @@ pub struct TaurusConfig {
     pub layer_l0_target_bytes: usize,
     /// Number of sealed L0 layers that triggers an L0→L1 compaction.
     pub compaction_threshold: usize,
-    /// Minimum heat-delta (ops since the previous rebalancer round, summed
-    /// over all slices) before the rebalancer acts at all — below this the
-    /// signal is noise and every action would be churn.
-    pub rebalance_min_ops: u64,
-    /// A slice is "dominant hot" when its share of the round's heat delta
-    /// reaches this ratio; dominant hot slices are split at their page-range
-    /// midpoint (in (0, 1]).
-    pub rebalance_hot_slice_ratio: f64,
-    /// Minimum page-range width a slice must have to be split (children of
-    /// repeated splits stop shrinking here).
-    pub rebalance_min_slice_pages: u64,
-    /// Node imbalance trigger: when the hottest Page Store carries at least
-    /// this multiple of the mean node load, the rebalancer moves one replica
-    /// of its hottest slice to the coldest node (> 1.0).
-    pub rebalance_spread_ratio: f64,
-    /// OS threads the workload driver multiplexes logical connections onto.
-    /// Each connection is a small state machine advanced by the pool, so
-    /// thousands of simulated connections cost `driver_workers` threads,
-    /// not one thread each.
-    pub driver_workers: usize,
 }
 
 impl Default for TaurusConfig {
@@ -240,22 +209,14 @@ impl Default for TaurusConfig {
             sal_send_queue_depth: 256,
             sal_write_retry_limit: 4,
             sal_write_backoff_us: 500,
-            sal_write_attempt_timeout_us: 20_000,
             ndp_scan_max_rows: 4096,
             ndp_scan_max_bytes: 256 << 10,
             read_batch_max_pages: 256,
-            read_batch_max_bytes: 4 << 20,
             engine_pool_shards: 8,
             btree_readahead_window: 16,
             log_streams: 4,
-            log_group_commit_idle_us: 1_000,
             layer_l0_target_bytes: 256 << 10,
             compaction_threshold: 4,
-            rebalance_min_ops: 256,
-            rebalance_hot_slice_ratio: 0.5,
-            rebalance_min_slice_pages: 16,
-            rebalance_spread_ratio: 2.0,
-            driver_workers: 48,
         }
     }
 }
@@ -285,25 +246,19 @@ impl TaurusConfig {
             // and large burns would distort failure-classification windows.
             sal_write_retry_limit: 3,
             sal_write_backoff_us: 50,
-            sal_write_attempt_timeout_us: 5_000,
             // Tiny budgets so tests exercise the continuation path.
             ndp_scan_max_rows: 64,
             ndp_scan_max_bytes: 8 << 10,
             read_batch_max_pages: 4,
-            read_batch_max_bytes: 64 << 10,
             engine_pool_shards: 4,
             btree_readahead_window: 4,
             // Two streams (not one) so the whole functional suite exercises
             // multi-stream span ordering, merge-on-read, and recovery.
             log_streams: 2,
-            log_group_commit_idle_us: 0,
             // Tiny layer knobs so functional tests exercise L0 seals and
             // L0→L1 compactions, not just staging.
             layer_l0_target_bytes: 4 << 10,
             compaction_threshold: 2,
-            // A small pool keeps per-test thread counts low; caller-helps
-            // means correctness never depends on the size.
-            driver_workers: 8,
             ..TaurusConfig::default()
         }
     }
@@ -340,9 +295,9 @@ impl TaurusConfig {
                 "ndp scan budgets must be > 0".into(),
             ));
         }
-        if self.read_batch_max_pages == 0 || self.read_batch_max_bytes == 0 {
+        if self.read_batch_max_pages == 0 {
             return Err(crate::TaurusError::Internal(
-                "read batch budgets must be > 0".into(),
+                "read_batch_max_pages must be > 0".into(),
             ));
         }
         if self.engine_pool_shards == 0 {
@@ -361,28 +316,6 @@ impl TaurusConfig {
         if self.layer_l0_target_bytes == 0 || self.compaction_threshold == 0 {
             return Err(crate::TaurusError::Internal(
                 "layer_l0_target_bytes and compaction_threshold must be > 0".into(),
-            ));
-        }
-        if !(self.rebalance_hot_slice_ratio > 0.0 && self.rebalance_hot_slice_ratio <= 1.0) {
-            return Err(crate::TaurusError::Internal(
-                "rebalance_hot_slice_ratio must be in (0, 1]".into(),
-            ));
-        }
-        if self.rebalance_spread_ratio <= 1.0 {
-            return Err(crate::TaurusError::Internal(
-                "rebalance_spread_ratio must be > 1.0".into(),
-            ));
-        }
-        // A split produces two children each at least one page wide, so the
-        // minimum splittable width is 2.
-        if self.rebalance_min_slice_pages < 2 {
-            return Err(crate::TaurusError::Internal(
-                "rebalance_min_slice_pages must be >= 2".into(),
-            ));
-        }
-        if self.driver_workers == 0 || self.driver_workers > 1024 {
-            return Err(crate::TaurusError::Internal(
-                "driver_workers must be in 1..=1024".into(),
             ));
         }
         Ok(())
@@ -469,42 +402,6 @@ mod tests {
 
         let c = TaurusConfig {
             compaction_threshold: 0,
-            ..TaurusConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = TaurusConfig {
-            rebalance_hot_slice_ratio: 0.0,
-            ..TaurusConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = TaurusConfig {
-            rebalance_hot_slice_ratio: 1.5,
-            ..TaurusConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = TaurusConfig {
-            rebalance_spread_ratio: 1.0,
-            ..TaurusConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = TaurusConfig {
-            rebalance_min_slice_pages: 1,
-            ..TaurusConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = TaurusConfig {
-            driver_workers: 0,
-            ..TaurusConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = TaurusConfig {
-            driver_workers: 1025,
             ..TaurusConfig::default()
         };
         assert!(c.validate().is_err());

@@ -5,10 +5,10 @@
 //! background:
 //!
 //! * a slice that dominates the workload (its share of the inter-round heat
-//!   delta exceeds `rebalance_hot_slice_ratio`) and is still wide enough is
+//!   delta reaches `HOT_SLICE_RATIO`) and is still wide enough is
 //!   **split** at its range midpoint, halving the hot key range per node;
-//! * otherwise, when per-node load is skewed (max/mean ops exceed
-//!   `rebalance_spread_ratio`), one replica of the hottest slice on the
+//! * otherwise, when per-node load is skewed (max/mean ops reach
+//!   `SPREAD_RATIO`), one replica of the hottest slice on the
 //!   hottest node is **moved** to the coldest node;
 //! * two adjacent cold dynamic slices are **merged** back together when
 //!   both are nearly idle, bounding slice-count growth under shifting
@@ -27,6 +27,15 @@ use taurus_pagestore::SliceHeatSnapshot;
 
 use crate::elastic;
 use crate::sal::Sal;
+
+/// Fewer ops than this in a round (summed over slices) is noise: no action.
+const MIN_OPS: u64 = 256;
+/// Share of a round's ops at which the hottest slice is split.
+const HOT_SLICE_RATIO: f64 = 0.5;
+/// Page width a slice must exceed to be split.
+const MIN_SLICE_PAGES: u64 = 16;
+/// Max/mean node ops at which a replica moves off the hottest node.
+const SPREAD_RATIO: f64 = 2.0;
 
 /// What one rebalance round decided and did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -95,7 +104,7 @@ impl Rebalancer {
                 report.node_spread_pct = (max as f64 / mean * 100.0) as u64;
             }
         }
-        if total < cfg.rebalance_min_ops {
+        if total < MIN_OPS {
             return Ok(report); // Too quiet to trust the signal.
         }
 
@@ -106,9 +115,9 @@ impl Rebalancer {
         // 1. Split a dominating slice that is still wide enough.
         if let Some(&(key, d)) = hot.first() {
             let share = d as f64 / total as f64;
-            if share >= cfg.rebalance_hot_slice_ratio {
+            if share >= HOT_SLICE_RATIO {
                 if let Some((start, end)) = self.sal.pages.slice_range(key, cfg.pages_per_slice) {
-                    if end - start > cfg.rebalance_min_slice_pages {
+                    if end - start > MIN_SLICE_PAGES {
                         let mid = start + (end - start) / 2;
                         let r = elastic::split_slice(&self.sal, key, mid)?;
                         report.splits = 1;
@@ -131,7 +140,7 @@ impl Rebalancer {
         if let (Some(&(hot_node, max)), Some(_)) = (nodes.first(), nodes.last()) {
             let sum: u64 = nodes.iter().map(|(_, d)| d).sum();
             let mean = sum as f64 / nodes.len() as f64;
-            if mean > 0.0 && max as f64 / mean >= cfg.rebalance_spread_ratio {
+            if mean > 0.0 && max as f64 / mean >= SPREAD_RATIO {
                 for &(key, _) in &hot {
                     let replicas = self.sal.pages.replicas_of(key);
                     if !replicas.contains(&hot_node) || self.sal.pages.is_retired(key) {
@@ -157,7 +166,7 @@ impl Rebalancer {
         }
 
         // 3. Fold a pair of adjacent, idle dynamic slices back together.
-        let idle_cap = cfg.rebalance_min_ops / 8;
+        let idle_cap = MIN_OPS / 8;
         let delta_of: HashMap<SliceKey, u64> = slice_delta.iter().copied().collect();
         let mut ranged: Vec<(u64, u64, SliceKey)> = self
             .sal

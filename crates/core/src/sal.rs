@@ -250,7 +250,7 @@ pub(crate) struct SalState {
     flushes_in_flight: usize,
     /// Fabric time the current log buffer got its first group; `tick()`
     /// flushes an idle buffer once it is older than
-    /// `log_group_commit_idle_us`.
+    /// `slice_flush_timeout_us`, the deadline slice buffers use.
     log_buffer_opened_us: u64,
     pub slices: HashMap<SliceKey, SliceState>,
     pending: VecDeque<PendingBuffer>,
@@ -282,8 +282,6 @@ taurus_common::counters! {
         /// `WriteLogs` re-attempts after a failed attempt (per envelope
         /// attempt, not per fragment).
         pub write_retries: Counter,
-        /// Failed attempts that also blew the per-attempt latency budget.
-        pub write_timeouts: Counter,
         /// Fragments shed, abandoned after the retry budget, or refused by
         /// a placement race — their slice is parked for repair from the Log
         /// Stores.
@@ -952,25 +950,20 @@ impl Sal {
     pub fn tick(&self) {
         self.update_throttle();
         let now = self.clock.now_us();
+        let timeout = self.cfg.slice_flush_timeout_us;
         // Idle group commit: a log buffer that has been sitting open past
-        // the idle deadline flushes now instead of waiting for the next
+        // the flush deadline flushes now instead of waiting for the next
         // commit to push it out (adaptive sizing shrinks back under light
         // load).
         let idle_flush = {
             let mut st = self.state.lock();
-            if !st.log_buffer.is_empty()
-                && now.saturating_sub(st.log_buffer_opened_us) >= self.cfg.log_group_commit_idle_us
-            {
-                self.prepare_flush_locked(&mut st)
-            } else {
-                None
-            }
+            let idle = now.saturating_sub(st.log_buffer_opened_us) >= timeout;
+            idle.then(|| self.prepare_flush_locked(&mut st)).flatten()
         };
         if let Some(p) = idle_flush {
             // Errors latch into `failed_at`; `flush()` callers observe them.
             let _ = self.run_flush(p);
         }
-        let timeout = self.cfg.slice_flush_timeout_us;
         self.flush_slices_locked(&mut self.state.lock(), |s| {
             now.saturating_sub(s.buffer_opened_us) >= timeout
         });

@@ -546,7 +546,6 @@ impl SliceReader {
                     as_of: Lsn::ZERO,
                     pages: Vec::new(),
                     max_pages: self.cfg.read_batch_max_pages,
-                    max_bytes: self.cfg.read_batch_max_bytes,
                 });
                 reqs.len() - 1
             });

@@ -226,7 +226,6 @@ impl Sal {
                     .collect()
             };
             self.stats.note_coalesced(run.len());
-            let start = self.clock.now_us();
             let groups = [(node, frags)];
             let mut slots = self.pages.write_logs_grouped(self.me, &groups).remove(0);
             // Demux in order; a short (impossible) response fails the tail.
@@ -254,9 +253,6 @@ impl Sal {
             run = failed;
             if run.is_empty() {
                 break;
-            }
-            if self.clock.now_us().saturating_sub(start) > self.cfg.sal_write_attempt_timeout_us {
-                self.stats.write_timeouts.inc();
             }
             if attempt >= self.cfg.sal_write_retry_limit {
                 // Budget spent. Durability is already guaranteed by the Log

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use taurus_common::clock::ManualClock;
+use taurus_common::clock::{Clock, ManualClock};
 use taurus_common::config::{NetworkProfile, StorageProfile};
 use taurus_common::lsn::{LsnAllocator, LsnWatermark};
 use taurus_common::page::PageType;
@@ -21,6 +21,7 @@ use taurus_pagestore::cluster::PageStoreOptions;
 use taurus_pagestore::PageStoreCluster;
 
 struct Harness {
+    clock: Arc<ManualClock>,
     fabric: Fabric,
     logs: LogStoreCluster,
     pages: PageStoreCluster,
@@ -49,6 +50,7 @@ impl Harness {
         );
         pages.spawn_servers(page_nodes, StorageProfile::instant());
         Harness {
+            clock,
             fabric,
             logs,
             pages,
@@ -116,6 +118,35 @@ impl Harness {
             }
         }
     }
+}
+
+/// `Sal::tick` flushes a log buffer that nothing else pushed out once it has
+/// sat open for `slice_flush_timeout_us`, the deadline slice buffers use,
+/// and not a microsecond sooner.
+#[test]
+fn tick_flushes_an_idle_log_buffer_at_the_flush_deadline() {
+    let h = Harness::new(3, 3);
+    let sal = h.sal_with(TaurusConfig {
+        log_buffer_bytes: 1 << 20, // the byte threshold never fires
+        plog_size_limit: 1 << 22,
+        slice_flush_timeout_us: 500,
+        ..h.cfg.clone()
+    });
+    let group = h.group(1, "a", true);
+    let end = group.end_lsn();
+    let opened = h.clock.now_us();
+    sal.log_group(group).unwrap();
+    let flushes = sal.stats.log_flushes.get();
+
+    h.clock.set(opened + 499);
+    sal.tick();
+    assert_eq!(sal.stats.log_flushes.get(), flushes);
+    assert!(sal.durable_lsn() < end);
+
+    h.clock.set(opened + 500);
+    sal.tick();
+    assert_eq!(sal.stats.log_flushes.get(), flushes + 1);
+    assert_eq!(sal.durable_lsn(), end);
 }
 
 /// Regression: `flush_locked` must take the min/max LSN range over all

@@ -22,7 +22,7 @@ use taurus_core::{Sal, SliceAcks, TableScan};
 
 use crate::btree::{BTree, MutCtx, PageFetch};
 use crate::latch::{LatchStatsSnapshot, PageSource, TreeLatch};
-use crate::pool::{EnginePool, Frame, PageMap};
+use crate::pool::{EnginePool, Frame, PageMap, TraversalCache};
 
 /// The master → read-replica message board (paper §6 step 2): instead of
 /// streaming log data, the master publishes *where the log is* (implicitly:
@@ -402,19 +402,14 @@ impl PageSource for MasterFetcher<'_> {
     }
 }
 
-/// Bound on the per-traversal snapshot page cache: generous enough for a full
-/// readahead window plus the descent spine, tiny next to the engine pool.
-const SNAPSHOT_CACHE_PAGES: usize = 512;
-
 /// Fetcher for reads against a pinned snapshot LSN. Pages materialized at an
-/// old version must **never** warm the shared engine pool (a later live read
-/// would see stale data), so batched prefetches land in a private
-/// per-traversal cache that dies with the fetcher.
+/// old version must **never** warm the shared engine pool, so demand reads
+/// and batched prefetches land in a [`TraversalCache`] instead.
 struct SnapshotFetcher<'a> {
     sal: &'a Sal,
     lsn: Lsn,
     window: usize,
-    cache: std::cell::RefCell<HashMap<PageId, Arc<PageBuf>>>,
+    cache: TraversalCache,
 }
 
 impl<'a> SnapshotFetcher<'a> {
@@ -423,45 +418,34 @@ impl<'a> SnapshotFetcher<'a> {
             sal,
             lsn,
             window,
-            cache: std::cell::RefCell::new(HashMap::new()),
+            cache: TraversalCache::default(),
         }
-    }
-
-    fn remember(cache: &mut HashMap<PageId, Arc<PageBuf>>, id: PageId, buf: Arc<PageBuf>) {
-        if cache.len() >= SNAPSHOT_CACHE_PAGES {
-            cache.clear();
-        }
-        cache.insert(id, buf);
     }
 }
 
 impl PageFetch for SnapshotFetcher<'_> {
     fn fetch(&self, id: PageId) -> Result<Arc<PageBuf>> {
-        if let Some(buf) = self.cache.borrow().get(&id) {
-            return Ok(Arc::clone(buf));
+        if let Some(buf) = self.cache.get(id) {
+            return Ok(buf);
         }
         let buf = Arc::new(self.sal.read_page(id, Some(self.lsn))?);
-        Self::remember(&mut self.cache.borrow_mut(), id, Arc::clone(&buf));
+        self.cache.remember(id, Arc::clone(&buf));
         Ok(buf)
     }
 
     fn prefetch(&self, pages: &[PageId]) {
-        let missing: Vec<PageId> = {
-            let cache = self.cache.borrow();
-            pages
-                .iter()
-                .copied()
-                .filter(|p| !cache.contains_key(p))
-                .collect()
-        };
+        let missing: Vec<PageId> = pages
+            .iter()
+            .copied()
+            .filter(|&p| !self.cache.contains(p))
+            .collect();
         if missing.is_empty() {
             return;
         }
         // Speculative: a failed batch just falls back to demand fetches.
         if let Ok(got) = self.sal.read_pages(&missing, Some(self.lsn)) {
-            let mut cache = self.cache.borrow_mut();
             for (id, buf) in got {
-                Self::remember(&mut cache, id, Arc::new(buf));
+                self.cache.remember(id, Arc::new(buf));
             }
         }
     }

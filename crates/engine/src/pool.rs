@@ -29,6 +29,7 @@
 //! the root page id last read from the control page. It is a cached value
 //! of a page, so [`EnginePool::clear`] forgets it with the frames.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,6 +70,34 @@ impl Hasher for PageIdHasher {
     fn finish(&self) -> u64 {
         let h = self.0.wrapping_mul(FIBONACCI);
         h ^ (h >> 32)
+    }
+}
+
+/// Pages a traversal pinned at one LSN read at versions that must never
+/// warm the shared pool (a later live read would see stale data). They live
+/// here for the traversal and die with its fetcher. Bounded: generous
+/// enough for a full readahead window plus the descent spine, tiny next to
+/// the pool; a full cache starts over.
+#[derive(Default)]
+pub(crate) struct TraversalCache(RefCell<PageMap<Arc<PageBuf>>>);
+
+impl TraversalCache {
+    const PAGES: usize = 512;
+
+    pub(crate) fn get(&self, id: PageId) -> Option<Arc<PageBuf>> {
+        self.0.borrow().get(&id).cloned()
+    }
+
+    pub(crate) fn contains(&self, id: PageId) -> bool {
+        self.0.borrow().contains_key(&id)
+    }
+
+    pub(crate) fn remember(&self, id: PageId, buf: Arc<PageBuf>) {
+        let mut pages = self.0.borrow_mut();
+        if pages.len() >= Self::PAGES {
+            pages.clear();
+        }
+        pages.insert(id, buf);
     }
 }
 

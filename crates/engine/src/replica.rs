@@ -19,7 +19,7 @@
 //! * **logical consistency** — commit records in the log maintain the
 //!   replica's committed-transaction view.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -39,7 +39,7 @@ use taurus_pagestore::PageStoreCluster;
 
 use crate::btree::{BTree, PageFetch};
 use crate::master::Bulletin;
-use crate::pool::{EnginePool, Frame};
+use crate::pool::{EnginePool, Frame, TraversalCache};
 
 /// A read-only replica front end.
 pub struct ReplicaEngine {
@@ -275,7 +275,7 @@ impl ReplicaEngine {
         ReplicaFetcher {
             replica: self,
             tv,
-            cache: std::cell::RefCell::new(HashMap::new()),
+            cache: TraversalCache::default(),
         }
     }
 
@@ -341,10 +341,6 @@ impl FrontEnd for ReplicaEngine {
     }
 }
 
-/// Bound on the per-traversal page cache a fetcher keeps for versions it is
-/// not allowed to install in the shared pool.
-const REPLICA_CACHE_PAGES: usize = 512;
-
 /// A replica's versioned page fetcher, pinned at one TV-LSN for its whole
 /// traversal. Demand fetches read one page; B-tree readahead hints batch
 /// the absent pages into one planner call, all at the pinned `tv` so the
@@ -355,17 +351,10 @@ struct ReplicaFetcher<'a> {
     /// Pages read at versions that must not warm the shared pool (see the
     /// staleness rule in [`PageFetch::fetch`]) live here for the duration of
     /// the traversal instead.
-    cache: std::cell::RefCell<HashMap<PageId, Arc<PageBuf>>>,
+    cache: TraversalCache,
 }
 
 impl ReplicaFetcher<'_> {
-    fn remember(cache: &mut HashMap<PageId, Arc<PageBuf>>, id: PageId, buf: Arc<PageBuf>) {
-        if cache.len() >= REPLICA_CACHE_PAGES {
-            cache.clear();
-        }
-        cache.insert(id, buf);
-    }
-
     /// Batched versioned read at the pinned `tv`. Speculative — a batch
     /// the planner could not complete is simply dropped (the demand path
     /// carries the real error handling).
@@ -377,8 +366,8 @@ impl ReplicaFetcher<'_> {
 
 impl PageFetch for ReplicaFetcher<'_> {
     fn fetch(&self, id: PageId) -> Result<Arc<PageBuf>> {
-        if let Some(buf) = self.cache.borrow().get(&id) {
-            return Ok(Arc::clone(buf));
+        if let Some(buf) = self.cache.get(id) {
+            return Ok(buf);
         }
         let r = self.replica;
         let tv = self.tv;
@@ -402,21 +391,18 @@ impl PageFetch for ReplicaFetcher<'_> {
                 &|_, _| true,
             );
         } else {
-            Self::remember(&mut self.cache.borrow_mut(), id, Arc::clone(&buf));
+            self.cache.remember(id, Arc::clone(&buf));
         }
         Ok(buf)
     }
 
     fn prefetch(&self, pages: &[PageId]) {
         let r = self.replica;
-        let missing: Vec<PageId> = {
-            let cache = self.cache.borrow();
-            pages
-                .iter()
-                .copied()
-                .filter(|p| !cache.contains_key(p) && !r.pool.contains(*p))
-                .collect()
-        };
+        let missing: Vec<PageId> = pages
+            .iter()
+            .copied()
+            .filter(|&p| !self.cache.contains(p) && !r.pool.contains(p))
+            .collect();
         if missing.is_empty() {
             return;
         }
@@ -441,9 +427,8 @@ impl PageFetch for ReplicaFetcher<'_> {
         } else {
             // Pinned old snapshot: these versions must not warm the shared
             // pool, so they land in the traversal-local cache.
-            let mut cache = self.cache.borrow_mut();
             for (id, buf) in self.read_batch(&missing) {
-                Self::remember(&mut cache, id, Arc::new(buf));
+                self.cache.remember(id, Arc::new(buf));
             }
         }
     }

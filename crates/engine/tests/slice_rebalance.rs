@@ -317,8 +317,8 @@ fn rebalancer_reshapes_hotspot_without_corruption() {
     let mut model = BTreeMap::new();
     // Hot traffic: all writes land in the first pages of the key space.
     let mut actions = 0;
-    // 100 writes x 3 replicas per round clears `rebalance_min_ops` (256),
-    // so the heat delta is trusted from the first round on.
+    // 100 writes x 3 replicas per round clears the rebalancer's 256-op
+    // minimum, so the heat delta is trusted from the first round on.
     for round in 0..4u64 {
         for i in 0..100usize {
             let mut t = master.begin();

@@ -167,8 +167,8 @@ impl Fabric {
     }
 
     /// Charges `us` of extra latency on every RPC to a node (slow-node
-    /// injection; lets tests exercise per-attempt timeout accounting). A
-    /// node that goes down mid-delay fails the call, like a real timeout.
+    /// injection; lets tests pin a fan-out's completion at its slowest leg).
+    /// A node that goes down mid-delay fails the call, like a real timeout.
     /// `0` clears the injection.
     pub fn set_call_delay(&self, id: NodeId, us: u64) {
         if let Some(n) = self.inner.nodes.write().get_mut(&id) {

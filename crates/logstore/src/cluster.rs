@@ -411,12 +411,6 @@ impl LogStoreCluster {
         Ok(repaired)
     }
 
-    /// Registers the metadata PLog for a database's stream 0 (single-stream
-    /// wrapper around [`LogStoreCluster::set_meta_plog_stream`]).
-    pub fn set_meta_plog(&self, db: DbId, id: PLogId) {
-        self.set_meta_plog_stream(db, 0, id);
-    }
-
     /// Looks up the metadata PLog of a database's stream 0.
     pub fn meta_plog(&self, db: DbId) -> Option<PLogId> {
         self.meta_plog_stream(db, 0)

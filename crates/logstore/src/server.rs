@@ -259,11 +259,6 @@ impl LogStoreServer {
         self.state.lock().plogs.len()
     }
 
-    /// Ids of all hosted PLog replicas.
-    pub fn hosted_plogs(&self) -> Vec<PLogId> {
-        self.state.lock().plogs.keys().copied().collect()
-    }
-
     /// Cache hit ratio of the FIFO write-through cache.
     pub fn cache_hit_ratio(&self) -> f64 {
         self.state.lock().cache.stats.ratio()

@@ -120,11 +120,6 @@ impl AppendReservation {
     pub fn plog(&self) -> PLogId {
         self.plog
     }
-
-    /// The LSN range the reservation covers.
-    pub fn lsn_range(&self) -> (Lsn, Lsn) {
-        (self.first_lsn, self.last_lsn)
-    }
 }
 
 #[derive(Debug)]

@@ -67,49 +67,16 @@ pub struct ScanSliceResponse {
 
 impl PageStoreServer {
     /// `ScanSlice`: the fifth storage API method. Applies the same
-    /// visibility gates as `ReadPage` (a rebuilding or behind replica
-    /// refuses the whole call so the SAL can try the next replica), then
-    /// materializes each page of the slice at the snapshot LSN and folds it
-    /// through the shared evaluator.
+    /// visibility gate as `ReadPage` (a rebuilding or behind replica
+    /// refuses the whole call so the SAL can try the next replica; a
+    /// recycled snapshot fails it), then materializes each page of the
+    /// slice at the snapshot LSN and folds it through the shared evaluator.
     pub fn scan_slice(&self, call: &ScanSliceRequest) -> Result<ScanSliceResponse> {
-        let replica = self.replica(call.key)?;
-        {
-            let r = replica.lock();
-            if r.rebuilding {
-                return Err(TaurusError::PageStoreBehind {
-                    slice: call.key,
-                    requested: call.as_of,
-                    persistent: Lsn::ZERO,
-                });
-            }
-            // Elastic cut-over fence: snapshots above it belong to the
-            // successor placement (DESIGN.md §14).
-            if let Some(fence) = r.fence_lsn {
-                if call.as_of > fence {
-                    return Err(TaurusError::SliceFenced {
-                        slice: call.key,
-                        fence,
-                        requested: call.as_of,
-                    });
-                }
-            }
-            let persistent = r.persistent_lsn();
-            if persistent < call.as_of {
-                return Err(TaurusError::PageStoreBehind {
-                    slice: call.key,
-                    requested: call.as_of,
-                    persistent,
-                });
-            }
-            // Same head-read exception as `read_page`: the slice head is
-            // always materializable (purge keeps each page's newest base
-            // version and the records above it).
-            if call.as_of < r.recycle_lsn() && call.as_of < persistent {
-                return Err(TaurusError::VersionRecycled {
-                    page: PageId(0),
-                    requested: call.as_of,
-                });
-            }
+        if self.read_gate(call.key, call.as_of)? {
+            return Err(TaurusError::VersionRecycled {
+                page: PageId(0),
+                requested: call.as_of,
+            });
         }
         let dir = self.dir(call.key)?;
         let mut acc = ScanAccumulator::default();
@@ -296,21 +263,6 @@ mod tests {
         let mut all: Vec<_> = first.rows;
         all.extend(second.rows);
         assert_eq!(all.len(), 6);
-    }
-
-    #[test]
-    fn behind_replica_refuses_scan() {
-        let s = seeded();
-        let err = s.scan_slice(&call(99)).unwrap_err();
-        assert!(matches!(err, TaurusError::PageStoreBehind { .. }));
-    }
-
-    #[test]
-    fn recycled_snapshot_refuses_scan() {
-        let s = seeded();
-        s.set_recycle_lsn(key(), Lsn(6)).unwrap();
-        let err = s.scan_slice(&call(4)).unwrap_err();
-        assert!(matches!(err, TaurusError::VersionRecycled { .. }));
     }
 
     #[test]

@@ -10,16 +10,17 @@
 //! open L0's staged memory, a sealed L0's run index, or a compacted L0 blob
 //! — the visibility gates and results below are unchanged.
 //!
-//! Visibility gates mirror `ScanSlice`: a rebuilding or behind replica
+//! Visibility is the one gate every read kind shares
+//! (`PageStoreServer::read_gate`): a rebuilding, behind or fenced replica
 //! refuses the *whole* call (so the SAL routes to the next replica), while
 //! per-page conditions — a recycled version, a failed materialization — are
 //! reported per page without failing the rest of the batch; the SAL retries
 //! those stragglers through the single-page repair path.
 //!
-//! Like `ScanSlice`, a call carries page and byte budgets checked at page
-//! granularity: when a batch crosses either budget the server stops and
-//! returns a continuation ([`ReadPagesResponse::resume_from`]), so one read
-//! RPC stays bounded and cannot starve concurrent `WriteLogs` traffic.
+//! Like `ScanSlice`, a call carries a budget: past `max_pages` the server
+//! stops and returns a continuation ([`ReadPagesResponse::resume_from`]), so
+//! one read RPC stays bounded and cannot starve concurrent `WriteLogs`
+//! traffic. Pages are a fixed size, so the page budget is a byte budget too.
 //!
 //! Same discipline as `crate::pushdown`: this is in-store execution, so no
 //! panicking constructs — every failure becomes a `TaurusError` or a
@@ -30,7 +31,7 @@ use taurus_common::{Lsn, PageBuf, PageId, Result, SliceKey, TaurusError};
 use crate::server::PageStoreServer;
 
 /// One `ReadPages` call: materialize `pages` of `key` as of a snapshot LSN,
-/// within per-call budgets.
+/// within a per-call page budget.
 #[derive(Clone, Debug)]
 pub struct ReadPagesRequest {
     pub key: SliceKey,
@@ -40,8 +41,6 @@ pub struct ReadPagesRequest {
     pub pages: Vec<PageId>,
     /// Stop after this many pages (at least one page is always attempted).
     pub max_pages: usize,
-    /// Stop after the page that brings returned payload to this size.
-    pub max_bytes: usize,
 }
 
 /// Per-page outcome inside a batch.
@@ -57,14 +56,14 @@ pub enum PageReadOutcome {
 }
 
 /// Result of one `ReadPages` call: per-page outcomes plus an optional
-/// continuation when a budget stopped the batch early.
+/// continuation when the budget stopped the batch early.
 #[derive(Clone, Debug, Default)]
 pub struct ReadPagesResponse {
     /// One outcome per *attempted* page, in request order.
     pub pages: Vec<(PageId, PageReadOutcome)>,
     /// Bytes of page payload in `pages`.
     pub bytes_returned: u64,
-    /// Set when a budget stopped the batch: the index into the request's
+    /// Set when the budget stopped the batch: the index into the request's
     /// `pages` of the first page **not** attempted. Re-issue the call with
     /// the remaining ids to continue.
     pub resume_from: Option<usize>,
@@ -72,76 +71,28 @@ pub struct ReadPagesResponse {
 
 impl PageStoreServer {
     /// `ReadPages`: the batched sibling of `ReadPage`. Applies the same
-    /// slice-level visibility gates as `ScanSlice`, then materializes each
-    /// requested page at the snapshot LSN, capturing per-page failures as
-    /// outcomes instead of failing the batch.
+    /// slice-level visibility gate as `ReadPage` and `ScanSlice`, then
+    /// materializes each requested page at the snapshot LSN, capturing
+    /// per-page failures as outcomes instead of failing the batch.
     pub fn read_pages(&self, call: &ReadPagesRequest) -> Result<ReadPagesResponse> {
-        let replica = self.replica(call.key)?;
-        {
-            let r = replica.lock();
-            if r.rebuilding {
-                return Err(TaurusError::PageStoreBehind {
-                    slice: call.key,
-                    requested: call.as_of,
-                    persistent: Lsn::ZERO,
-                });
-            }
-            // Elastic cut-over fence: snapshots above it belong to the
-            // successor placement (DESIGN.md §14).
-            if let Some(fence) = r.fence_lsn {
-                if call.as_of > fence {
-                    return Err(TaurusError::SliceFenced {
-                        slice: call.key,
-                        fence,
-                        requested: call.as_of,
-                    });
-                }
-            }
-            let persistent = r.persistent_lsn();
-            if persistent < call.as_of {
-                return Err(TaurusError::PageStoreBehind {
-                    slice: call.key,
-                    requested: call.as_of,
-                    persistent,
-                });
-            }
-            // Same head-read exception as `read_page`: the slice head is
-            // always materializable. Unlike a behind replica, recycling is a
-            // versioning condition every replica agrees on — routing to the
-            // next replica cannot help — so it is reported per page and the
-            // batch survives.
-            if call.as_of < r.recycle_lsn() && call.as_of < persistent {
-                let attempted = call.pages.len().min(call.max_pages.max(1));
-                let pages = call.pages[..attempted]
-                    .iter()
-                    .map(|&p| {
-                        (
-                            p,
-                            PageReadOutcome::Recycled {
-                                requested: call.as_of,
-                            },
-                        )
-                    })
-                    .collect::<Vec<_>>();
-                let resume_from = (attempted < call.pages.len()).then_some(attempted);
-                return Ok(ReadPagesResponse {
-                    pages,
-                    bytes_returned: 0,
-                    resume_from,
-                });
-            }
+        // The first page is always attempted, so a continuation loop
+        // terminates.
+        let attempted = call.pages.len().min(call.max_pages.max(1));
+        let mut resp = ReadPagesResponse {
+            resume_from: (attempted < call.pages.len()).then_some(attempted),
+            ..ReadPagesResponse::default()
+        };
+        // Recycling is reported per page so the batch survives; the SAL
+        // retries those pages through the single-page path.
+        if self.read_gate(call.key, call.as_of)? {
+            let requested = call.as_of;
+            resp.pages = call.pages[..attempted]
+                .iter()
+                .map(|&p| (p, PageReadOutcome::Recycled { requested }))
+                .collect();
+            return Ok(resp);
         }
-        let mut resp = ReadPagesResponse::default();
-        for (i, &page) in call.pages.iter().enumerate() {
-            // Budgets are checked before each page but after the first, so
-            // every call makes progress and a continuation loop terminates.
-            if i > 0
-                && (resp.pages.len() >= call.max_pages.max(1)
-                    || resp.bytes_returned >= call.max_bytes as u64)
-            {
-                resp.resume_from = Some(i);
-                break;
-            }
+        for &page in &call.pages[..attempted] {
             let outcome = match self.materialize(call.key, page, call.as_of) {
                 Ok((buf, lsn)) => {
                     resp.bytes_returned += buf.as_bytes().len() as u64;
@@ -250,7 +201,6 @@ mod tests {
             as_of: Lsn(as_of),
             pages,
             max_pages: usize::MAX,
-            max_bytes: usize::MAX,
         }
     }
 
@@ -291,47 +241,20 @@ mod tests {
     #[test]
     fn page_budget_stops_batch_and_continuation_resumes() {
         let s = seeded();
-        let mut c = call(8, vec![PageId(5), PageId(6)]);
-        c.max_pages = 1;
-        let first = s.read_pages(&c).unwrap();
-        assert_eq!(first.pages.len(), 1);
-        assert_eq!(first.resume_from, Some(1));
-        let rest = call(8, c.pages[1..].to_vec());
-        let second = s.read_pages(&rest).unwrap();
-        assert_eq!(second.pages.len(), 1);
-        assert!(second.resume_from.is_none());
-        assert_eq!(second.pages[0].0, PageId(6));
-    }
-
-    #[test]
-    fn byte_budget_still_attempts_first_page() {
-        let s = seeded();
-        let mut c = call(8, vec![PageId(5), PageId(6)]);
-        c.max_bytes = 1; // crossed by the very first page
-        let resp = s.read_pages(&c).unwrap();
-        assert_eq!(resp.pages.len(), 1);
-        assert_eq!(resp.resume_from, Some(1));
-    }
-
-    #[test]
-    fn behind_replica_refuses_whole_batch() {
-        let s = seeded();
-        let err = s.read_pages(&call(99, vec![PageId(5)])).unwrap_err();
-        assert!(matches!(err, TaurusError::PageStoreBehind { .. }));
-    }
-
-    #[test]
-    fn recycled_snapshot_reports_per_page_not_whole_batch() {
-        let s = seeded();
-        s.set_recycle_lsn(key(), Lsn(6)).unwrap();
-        let resp = s.read_pages(&call(4, vec![PageId(5), PageId(6)])).unwrap();
-        assert_eq!(resp.pages.len(), 2);
-        assert!(resp.pages.iter().all(
-            |(_, o)| matches!(o, PageReadOutcome::Recycled { requested } if *requested == Lsn(4))
-        ));
-        // The head remains servable (purge keeps base versions at the head).
-        let head = s.read_pages(&call(8, vec![PageId(5)])).unwrap();
-        assert!(matches!(head.pages[0].1, PageReadOutcome::Ok(..)));
+        // A spent budget still attempts the first page, so a continuation
+        // loop always makes progress.
+        for max_pages in [0, 1] {
+            let mut c = call(8, vec![PageId(5), PageId(6)]);
+            c.max_pages = max_pages;
+            let first = s.read_pages(&c).unwrap();
+            assert_eq!(first.pages.len(), 1);
+            assert_eq!(first.resume_from, Some(1));
+            let rest = call(8, c.pages[1..].to_vec());
+            let second = s.read_pages(&rest).unwrap();
+            assert_eq!(second.pages.len(), 1);
+            assert!(second.resume_from.is_none());
+            assert_eq!(second.pages[0].0, PageId(6));
+        }
     }
 
     #[test]

@@ -482,51 +482,65 @@ impl PageStoreServer {
     /// if this replica has not received all records up to `as_of`, telling
     /// the SAL to try the next replica (paper §4.2).
     pub fn read_page(&self, key: SliceKey, page: PageId, as_of: Lsn) -> Result<(PageBuf, Lsn)> {
-        let replica = self.replica(key)?;
-        {
-            let r = replica.lock();
-            if r.rebuilding {
-                return Err(TaurusError::PageStoreBehind {
-                    slice: key,
-                    requested: as_of,
-                    persistent: Lsn::ZERO,
-                });
-            }
-            // Versions above the fence live on the successor placement; a
-            // reader that routed here is stale and must refresh.
-            if let Some(fence) = r.fence_lsn {
-                if as_of > fence {
-                    return Err(TaurusError::SliceFenced {
-                        slice: key,
-                        fence,
-                        requested: as_of,
-                    });
-                }
-            }
-            let persistent = r.persistent_lsn();
-            if persistent < as_of {
-                return Err(TaurusError::PageStoreBehind {
-                    slice: key,
-                    requested: as_of,
-                    persistent,
-                });
-            }
-            // A read below the recycle LSN may hit purged versions — except
-            // at the slice head (`as_of == persistent`), which is always
-            // servable: `purge_below` keeps each page's newest version <=
-            // recycle as the reconstruction base plus every record above it.
-            // A quiet slice's head can sit far below the global recycle LSN,
-            // and refusing it would make the slice permanently unreadable.
-            if as_of < r.recycle_lsn() && as_of < persistent {
-                return Err(TaurusError::VersionRecycled {
-                    page,
-                    requested: as_of,
-                });
-            }
+        if self.read_gate(key, as_of)? {
+            return Err(TaurusError::VersionRecycled {
+                page,
+                requested: as_of,
+            });
         }
         let out = self.materialize(key, page, as_of)?;
         self.note_read_heat(key, 1, taurus_common::page::PAGE_SIZE as u64);
         Ok(out)
+    }
+
+    /// The read-visibility rule every read kind (`ReadPage`, `ReadPages`,
+    /// `ScanSlice`) applies before it materializes anything. Refuses a
+    /// snapshot this replica cannot serve, and otherwise answers whether the
+    /// snapshot lies below the recycle LSN, which each read kind reports in
+    /// its own shape.
+    ///
+    /// * A rebuilding replica, or one whose persistent LSN trails `as_of`,
+    ///   refuses with [`TaurusError::PageStoreBehind`] so the SAL tries the
+    ///   next replica (paper §4.2).
+    /// * A snapshot above an elastic cut-over fence belongs to the successor
+    ///   placement (DESIGN.md §14): [`TaurusError::SliceFenced`] tells the
+    ///   reader to refresh its routing.
+    /// * Below the recycle LSN versions may be purged — except at the slice
+    ///   head (`as_of == persistent`), which is always servable:
+    ///   `purge_below` keeps each page's newest version <= recycle as the
+    ///   reconstruction base plus every record above it. A quiet slice's
+    ///   head can sit far below the global recycle LSN, and refusing it
+    ///   would make the slice permanently unreadable. Recycling is a
+    ///   versioning condition every replica agrees on, so it is an answer,
+    ///   not a refusal: the next replica could not help.
+    pub(crate) fn read_gate(&self, key: SliceKey, as_of: Lsn) -> Result<bool> {
+        let replica = self.replica(key)?;
+        let r = replica.lock();
+        if r.rebuilding {
+            return Err(TaurusError::PageStoreBehind {
+                slice: key,
+                requested: as_of,
+                persistent: Lsn::ZERO,
+            });
+        }
+        if let Some(fence) = r.fence_lsn {
+            if as_of > fence {
+                return Err(TaurusError::SliceFenced {
+                    slice: key,
+                    fence,
+                    requested: as_of,
+                });
+            }
+        }
+        let persistent = r.persistent_lsn();
+        if persistent < as_of {
+            return Err(TaurusError::PageStoreBehind {
+                slice: key,
+                requested: as_of,
+                persistent,
+            });
+        }
+        Ok(as_of < r.recycle_lsn() && as_of < persistent)
     }
 
     /// Produces the page version at `as_of` from the best base plus records.
@@ -980,7 +994,11 @@ mod tests {
     use taurus_common::config::StorageProfile;
     use taurus_common::page::PageType;
     use taurus_common::record::RecordBody;
+    use taurus_common::scan::ScanRequest;
     use taurus_common::{DbId, SliceId};
+
+    use crate::pushdown::ScanSliceRequest;
+    use crate::readpages::{PageReadOutcome, ReadPagesRequest};
 
     /// A server with knobs tiny enough that a handful of fragments produce
     /// seals and compactions. One that is never consolidated replays every
@@ -1064,24 +1082,6 @@ mod tests {
     }
 
     #[test]
-    fn read_ahead_of_persistent_lsn_is_refused() {
-        let s = server();
-        s.create_slice(key());
-        s.write_logs(&frag(0, vec![format_rec(1, 5)])).unwrap();
-        match s.read_page(key(), PageId(5), Lsn(10)) {
-            Err(TaurusError::PageStoreBehind {
-                requested,
-                persistent,
-                ..
-            }) => {
-                assert_eq!(requested, Lsn(10));
-                assert_eq!(persistent, Lsn(1));
-            }
-            other => panic!("expected PageStoreBehind, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn hole_stalls_persistent_and_consolidation_until_filled() {
         let s = server();
         s.create_slice(key());
@@ -1116,24 +1116,129 @@ mod tests {
         assert_eq!(page.nslots(), 1);
     }
 
+    /// The one read rule (paper §4.2), checked for every read kind: each of
+    /// `ReadPage`, `ReadPages` and `ScanSlice` faces a rebuilding, a fenced
+    /// and a behind replica, a snapshot below the recycle LSN, and a head
+    /// read after recycling, which must be served.
     #[test]
-    fn recycled_versions_are_refused_and_purged() {
-        let s = server();
-        s.create_slice(key());
-        s.write_logs(&frag(0, vec![format_rec(1, 5)])).unwrap();
-        s.write_logs(&frag(1, vec![insert_rec(2, 5, "a", "1")]))
-            .unwrap();
-        s.write_logs(&frag(2, vec![insert_rec(3, 5, "b", "2")]))
-            .unwrap();
-        s.consolidate_all();
-        s.set_recycle_lsn(key(), Lsn(3)).unwrap();
-        assert!(matches!(
-            s.read_page(key(), PageId(5), Lsn(2)),
-            Err(TaurusError::VersionRecycled { .. })
-        ));
-        // The current version still reads fine.
-        let (page, _) = s.read_page(key(), PageId(5), Lsn(3)).unwrap();
-        assert_eq!(page.nslots(), 2);
+    fn every_read_kind_applies_the_same_visibility_rule() {
+        fn verdict<T>(r: Result<T>, served: impl FnOnce(T) -> String) -> String {
+            match r {
+                Ok(v) => served(v),
+                Err(TaurusError::PageStoreBehind {
+                    requested,
+                    persistent,
+                    ..
+                }) => format!("behind: wants {requested}, has {persistent}"),
+                Err(TaurusError::SliceFenced {
+                    fence, requested, ..
+                }) => format!("fenced at {fence}: wants {requested}"),
+                Err(TaurusError::VersionRecycled { requested, .. }) => {
+                    format!("recycled: wants {requested}")
+                }
+                Err(e) => e.to_string(),
+            }
+        }
+        type Read = fn(&PageStoreServer, Lsn) -> String;
+        let kinds: [(&str, Read); 3] = [
+            ("ReadPage", |s, at| {
+                verdict(s.read_page(key(), PageId(5), at), |(page, _)| {
+                    assert_eq!(page.nslots(), 1);
+                    "served".into()
+                })
+            }),
+            ("ReadPages", |s, at| {
+                let call = ReadPagesRequest {
+                    key: key(),
+                    as_of: at,
+                    pages: vec![PageId(5), PageId(6)],
+                    max_pages: usize::MAX,
+                };
+                verdict(s.read_pages(&call), |resp| {
+                    // Every page of the batch gets its own outcome, and a
+                    // slice-level answer is the same for each of them.
+                    assert_eq!(resp.pages.len(), 2);
+                    let mut each: Vec<String> = resp
+                        .pages
+                        .iter()
+                        .map(|(_, outcome)| match outcome {
+                            PageReadOutcome::Ok(page, _) => {
+                                assert_eq!(page.nslots(), 1);
+                                "served".into()
+                            }
+                            PageReadOutcome::Recycled { requested } => {
+                                format!("recycled: wants {requested}")
+                            }
+                            PageReadOutcome::Failed(e) => e.clone(),
+                        })
+                        .collect();
+                    each.dedup();
+                    each.join(" / ")
+                })
+            }),
+            ("ScanSlice", |s, at| {
+                let call = ScanSliceRequest {
+                    key: key(),
+                    as_of: at,
+                    req: ScanRequest::full(),
+                    resume_after: None,
+                    max_rows: usize::MAX,
+                    max_bytes: usize::MAX,
+                };
+                verdict(s.scan_slice(&call), |resp| {
+                    assert_eq!(resp.rows.len(), 2);
+                    "served".into()
+                })
+            }),
+        ];
+        type Setup = fn(&PageStoreServer);
+        // Pages 5 and 6 hold one row each; the persistent LSN is 4.
+        let rows: [(&str, Setup, u64, &str); 5] = [
+            (
+                "rebuilding",
+                |s| s.create_rebuilding_slice(key(), Lsn(4), Lsn::ZERO),
+                4,
+                "behind: wants 4, has 0",
+            ),
+            (
+                "fenced",
+                |s| assert!(s.fence_slice(key(), Lsn(3), 1).unwrap()),
+                4,
+                "fenced at 3: wants 4",
+            ),
+            ("behind", |_| {}, 9, "behind: wants 9, has 4"),
+            (
+                "recycled",
+                |s| assert!(s.set_recycle_lsn(key(), Lsn(3)).is_ok()),
+                2,
+                "recycled: wants 2",
+            ),
+            (
+                "head after recycling",
+                |s| assert!(s.set_recycle_lsn(key(), Lsn(9)).is_ok()),
+                4,
+                "served",
+            ),
+        ];
+        for (row, setup, as_of, want) in rows {
+            for (kind, read) in kinds {
+                let s = server();
+                s.create_slice(key());
+                s.write_logs(&frag(
+                    0,
+                    vec![
+                        format_rec(1, 5),
+                        insert_rec(2, 5, "a", "1"),
+                        format_rec(3, 6),
+                        insert_rec(4, 6, "b", "2"),
+                    ],
+                ))
+                .unwrap();
+                s.consolidate_all();
+                setup(&s);
+                assert_eq!(read(&s, Lsn(as_of)), want, "{kind} on a {row} replica");
+            }
+        }
     }
 
     #[test]

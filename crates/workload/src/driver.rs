@@ -41,9 +41,9 @@ pub trait Executor: Send + Sync {
 /// Knobs for how logical connections are scheduled onto OS threads.
 #[derive(Clone, Copy, Debug)]
 pub struct DriverOptions {
-    /// OS threads the logical connections are multiplexed onto. Mirrors
-    /// `TaurusConfig::driver_workers`; connections beyond this count share
-    /// threads instead of spawning their own.
+    /// OS threads the logical connections are multiplexed onto;
+    /// connections beyond this count share threads instead of spawning
+    /// their own.
     pub workers: usize,
     /// Closed-loop think time between one connection's transactions (µs).
     /// Non-zero think time needs a real-time clock: the scheduler sleeps

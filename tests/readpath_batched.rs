@@ -24,7 +24,6 @@ fn launch(seed: u64) -> Arc<TaurusDb> {
     let cfg = TaurusConfig {
         pages_per_slice: 8,      // spread even small tables across several slices
         read_batch_max_pages: 3, // force continuation loops inside every batch
-        read_batch_max_bytes: 1 << 20,
         ..TaurusConfig::test()
     };
     TaurusDb::launch_with_clock(cfg, 4, 6, ManualClock::shared(), seed).unwrap()
