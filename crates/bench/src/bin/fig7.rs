@@ -13,7 +13,7 @@
 use taurus_baselines::{QuorumEngine, QuorumExecutor, TaurusExecutor};
 use taurus_bench::{
     bench_clock, bench_config, header, launch_taurus_with, rel, txns_per_conn, JsonReport,
-    ScaleRegime,
+    ScaleRegime, ThreadTimes,
 };
 use taurus_common::config::NetworkProfile;
 use taurus_fabric::Fabric;
@@ -38,7 +38,9 @@ fn run_pair(
     let (db, guard) = launch_taurus_with(taurus_cfg.clone()).expect("launch taurus");
     let taurus = TaurusExecutor::new(db);
     load_initial(&taurus, workload).expect("load taurus");
+    let threads = ThreadTimes::sample();
     let t_report = run_workload(&taurus, workload, conns, txns_per_conn(), 7);
+    let threads = ThreadTimes::sample().since(&threads);
     let master = taurus.db.master();
     let sal = &master.sal;
     let stats = sal.stats.snapshot();
@@ -64,6 +66,7 @@ fn run_pair(
     let log = sal.log_stats().snapshot();
     println!("  taurus log store: {log}");
     println!("  taurus page store: {}", taurus.db.pages.store_stats());
+    println!("  taurus {}", threads.cores_line(t_report.wall_secs));
     for (key, h) in sal.slice_heat().into_iter().take(4) {
         println!(
             "  taurus slice heat {key}: reads={}({}B) writes={}({}B)",

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use taurus_baselines::StreamingReplicaSim;
-use taurus_bench::{bench_clock, bench_config, launch_taurus_with};
+use taurus_bench::{bench_clock, bench_config, launch_taurus_with, ThreadTimes};
 use taurus_common::config::NetworkProfile;
 use taurus_common::Lsn;
 use taurus_fabric::Fabric;
@@ -45,6 +45,7 @@ fn taurus_lag_at_rate(writes_per_sec: u64, duration: Duration) -> (f64, f64) {
 
     let clock = bench_clock();
     let duration_us = duration.as_micros() as u64;
+    let threads = ThreadTimes::sample();
     let start_us = clock.now_us();
     let mut lags_us: Vec<u64> = Vec::new();
     let mut achieved_writes = 0u64;
@@ -85,8 +86,19 @@ fn taurus_lag_at_rate(writes_per_sec: u64, duration: Duration) -> (f64, f64) {
             clock.sleep_us(target_elapsed_us - elapsed_us);
         }
     }
+    let threads = ThreadTimes::sample().since(&threads);
+    let window_secs = clock.now_us().saturating_sub(start_us) as f64 / 1e6;
     stop.store(true, Ordering::Relaxed);
     let _ = poller.join();
+    // The beat thread polls the benchmark's replica and runs the recycle
+    // rounds: its run share and its runnable-but-waiting share say whether
+    // it got a core when it wanted one.
+    let (beat_run, beat_wait) = threads.cores("beat", window_secs);
+    println!(
+        "  [{writes_per_sec} w/s target] beat thread: run {beat_run:.3} of a core, \
+         waiting runnable {beat_wait:.3}; {}",
+        threads.cores_line(window_secs)
+    );
     let stats = db.master().sal.stats.snapshot();
     println!("  [{writes_per_sec} w/s target] SAL: {stats}");
     println!(

@@ -133,6 +133,88 @@ pub fn recovery_line(s: &taurus_core::SalStatsSnapshot) -> String {
     )
 }
 
+/// The role of a thread, from the name its spawner gave it.
+pub fn thread_role(name: &str) -> &'static str {
+    if name.starts_with("taurus-consolidate") {
+        "consolidation"
+    } else if name.starts_with("taurus-fabric") {
+        "dispatcher"
+    } else if name == "taurus-beat" {
+        "beat"
+    } else if name.starts_with("taurus-client") {
+        "clients"
+    } else {
+        "other"
+    }
+}
+
+/// Run time and run-queue time of this process's threads, summed by role
+/// (`/proc/self/task/*/schedstat`: nanoseconds on a CPU, nanoseconds
+/// runnable but waiting for one). Empty where `/proc` is not available.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ThreadTimes {
+    /// `role → (run ns, wait ns)`.
+    pub by_role: std::collections::BTreeMap<&'static str, (u64, u64)>,
+}
+
+impl ThreadTimes {
+    /// Sums every live thread of this process by [`thread_role`].
+    pub fn sample() -> ThreadTimes {
+        let mut out = ThreadTimes::default();
+        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+            return out;
+        };
+        for task in tasks.flatten() {
+            let dir = task.path();
+            let name = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+            let stat = std::fs::read_to_string(dir.join("schedstat")).unwrap_or_default();
+            let mut fields = stat
+                .split_whitespace()
+                .map(|f| f.parse::<u64>().unwrap_or(0));
+            let (run, wait) = (fields.next().unwrap_or(0), fields.next().unwrap_or(0));
+            let slot = out.by_role.entry(thread_role(name.trim())).or_default();
+            slot.0 += run;
+            slot.1 += wait;
+        }
+        out
+    }
+
+    /// What each role spent since `earlier` (threads that exited in
+    /// between are missing from both sides' difference).
+    pub fn since(&self, earlier: &ThreadTimes) -> ThreadTimes {
+        let mut out = self.clone();
+        for (role, (run, wait)) in &mut out.by_role {
+            let (run0, wait0) = earlier.by_role.get(role).copied().unwrap_or_default();
+            *run = run.saturating_sub(run0);
+            *wait = wait.saturating_sub(wait0);
+        }
+        out
+    }
+
+    /// `(run, wait)` of `role` as shares of one core over `wall_secs`.
+    pub fn cores(&self, role: &str, wall_secs: f64) -> (f64, f64) {
+        let (run, wait) = self.by_role.get(role).copied().unwrap_or_default();
+        let per_core = wall_secs.max(1e-9) * 1e9;
+        (run as f64 / per_core, wait as f64 / per_core)
+    }
+
+    /// One line of cores by role over `wall_secs`: `role run/wait` each.
+    pub fn cores_line(&self, wall_secs: f64) -> String {
+        let roles: Vec<String> = self
+            .by_role
+            .keys()
+            .map(|role| {
+                let (run, wait) = self.cores(role, wall_secs);
+                format!("{role} {run:.3}/{wait:.3}")
+            })
+            .collect();
+        format!(
+            "cores run/waiting over {wall_secs:.1}s: {}",
+            roles.join(", ")
+        )
+    }
+}
+
 /// Transactions per connection used by the throughput benches; kept small
 /// enough for CI-grade runtimes, large enough to average out noise.
 pub fn txns_per_conn() -> u64 {
@@ -255,6 +337,46 @@ impl JsonReport {
         std::fs::write(&path, self.render())?;
         println!("[{bench}] wrote {}", path.display());
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod thread_time_tests {
+    use super::*;
+
+    #[test]
+    fn threads_are_grouped_by_the_role_their_name_gives() {
+        assert_eq!(thread_role("taurus-consolidate-3"), "consolidation");
+        assert_eq!(thread_role("taurus-fabric-0"), "dispatcher");
+        assert_eq!(thread_role("taurus-beat"), "beat");
+        assert_eq!(thread_role("taurus-client-1"), "clients");
+        assert_eq!(thread_role("fig7"), "other");
+    }
+
+    #[test]
+    fn a_busy_named_thread_shows_up_under_its_role() {
+        let before = ThreadTimes::sample();
+        std::thread::Builder::new()
+            .name("taurus-beat".into())
+            .spawn(|| {
+                let t = std::time::Instant::now();
+                while t.elapsed() < std::time::Duration::from_millis(20) {
+                    std::hint::black_box(0u64);
+                }
+                // Sampled while the thread is still alive.
+                ThreadTimes::sample()
+            })
+            .unwrap()
+            .join()
+            .map(|during| {
+                if during.by_role.is_empty() {
+                    return; // no /proc on this host
+                }
+                let spent = during.since(&before);
+                let (run, _) = spent.cores("beat", 0.020);
+                assert!(run > 0.2, "{}", spent.cores_line(0.020));
+            })
+            .unwrap();
     }
 }
 

@@ -24,6 +24,23 @@ pub fn mark_background_thread() {
     BACKGROUND.with(|b| b.set(true));
 }
 
+/// Spawns a background thread named `name` (so a profile or a schedstat
+/// dump can tell its role) and marks it with [`mark_background_thread`]
+/// before `body` runs. Panics if the OS cannot spawn it, as
+/// `std::thread::spawn` does.
+pub fn spawn_background(
+    name: String,
+    body: impl FnOnce() + Send + 'static,
+) -> std::thread::JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || {
+            mark_background_thread();
+            body()
+        })
+        .expect("spawn background thread")
+}
+
 /// A source of monotonic microsecond time plus the ability to wait.
 pub trait Clock: Send + Sync + std::fmt::Debug {
     /// Monotonic time in microseconds since an arbitrary epoch.

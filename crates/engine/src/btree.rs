@@ -215,11 +215,17 @@ impl<'a> Readahead<'a> {
 }
 
 /// Mutation context for one engine operation (or one transaction commit):
-/// working copies of touched pages plus the record run produced.
+/// working copies of the pages it changes plus the record run produced.
+/// A page the operation only reads (a descent's internal pages, a leaf a
+/// delete does not find its key in) is shared with the fetcher, never
+/// copied: a page is copied on its first write.
 pub struct MutCtx<'a> {
     lsns: &'a LsnAllocator,
     fetch: &'a dyn PageFetch,
-    /// Working copies; flushed back to the pool by the caller.
+    /// Pages read and not (yet) written, as the fetcher handed them out.
+    read: PageMap<Arc<PageBuf>>,
+    /// Working copies of the pages written; flushed back to the pool by the
+    /// caller.
     pub pages: PageMap<PageBuf>,
     /// Records emitted, in LSN order.
     pub records: Vec<LogRecord>,
@@ -230,19 +236,40 @@ impl<'a> MutCtx<'a> {
         MutCtx {
             lsns,
             fetch,
+            read: PageMap::default(),
             pages: PageMap::default(),
             records: Vec::new(),
         }
     }
 
-    /// Working copy of a page, fetched on first touch.
-    pub fn page(&mut self, id: PageId) -> Result<&mut PageBuf> {
+    /// A page as this operation sees it: its working copy once written,
+    /// otherwise the fetched page, fetched on first touch.
+    pub fn page(&mut self, id: PageId) -> Result<&PageBuf> {
+        if self.pages.contains_key(&id) {
+            return self
+                .pages
+                .get(&id)
+                .ok_or(TaurusError::Internal("working copy vanished".into()));
+        }
+        use std::collections::hash_map::Entry;
+        match self.read.entry(id) {
+            Entry::Occupied(e) => Ok(e.into_mut()),
+            Entry::Vacant(v) => Ok(v.insert(self.fetch.fetch(id)?)),
+        }
+    }
+
+    /// The working copy of a page, copied from what was read on first
+    /// write.
+    fn page_mut(&mut self, id: PageId) -> Result<&mut PageBuf> {
         use std::collections::hash_map::Entry;
         match self.pages.entry(id) {
             Entry::Occupied(e) => Ok(e.into_mut()),
             Entry::Vacant(v) => {
-                let buf = self.fetch.fetch(id)?;
-                Ok(v.insert((*buf).clone()))
+                let read = match self.read.remove(&id) {
+                    Some(read) => read,
+                    None => self.fetch.fetch(id)?,
+                };
+                Ok(v.insert(Arc::unwrap_or_clone(read)))
             }
         }
     }
@@ -251,7 +278,7 @@ impl<'a> MutCtx<'a> {
     pub fn emit(&mut self, page: PageId, body: RecordBody) -> Result<Lsn> {
         let lsn = self.lsns.alloc();
         let rec = LogRecord::new(lsn, page, body);
-        apply_record(self.page(page)?, &rec)?;
+        apply_record(self.page_mut(page)?, &rec)?;
         self.records.push(rec);
         Ok(lsn)
     }

@@ -290,8 +290,7 @@ impl TaurusDb {
         let stop = Arc::new(AtomicBool::new(false));
         let db = Arc::clone(self);
         let stop2 = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            taurus_common::clock::mark_background_thread();
+        let handle = taurus_common::clock::spawn_background("taurus-beat".into(), move || {
             let mut beats = 0u64;
             while !stop2.load(Ordering::Relaxed) {
                 db.maintain();

@@ -111,7 +111,7 @@ impl MasterEngine {
         let group = engine.tree.write(&engine.fetcher(), no_keys, |fetch| {
             let mut ctx = MutCtx::new(&engine.lsns, fetch);
             BTree::bootstrap(&mut ctx)?;
-            let group = LogRecordGroup::new(engine.sal.db, ctx.records.clone());
+            let group = LogRecordGroup::new(engine.sal.db, ctx.records);
             engine.install_pages(ctx.pages);
             Ok(group)
         })?;
@@ -593,10 +593,8 @@ impl Txn {
                     }
                 }
                 ctx.emit(PageId::CONTROL, RecordBody::TxnCommit { txn: self.id })?;
-                let group = LogRecordGroup::new(engine.sal.db, ctx.records.clone());
-                let pages = std::mem::take(&mut ctx.pages);
-                drop(ctx);
-                engine.install_pages(pages);
+                let group = LogRecordGroup::new(engine.sal.db, ctx.records);
+                engine.install_pages(ctx.pages);
                 // Buffer under the latch so buffer order equals LSN order; the
                 // threshold flush (Log Store round trips) runs below, after
                 // the latch drops — readers must not stall behind the network.
@@ -627,5 +625,98 @@ impl Drop for Txn {
         if !self.finished {
             self.engine.release_locks(self.id, &self.locked);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use taurus_common::clock::ManualClock;
+    use taurus_common::config::TaurusConfig;
+
+    use crate::db::TaurusDb;
+
+    /// A master over a tree of two levels or more, every page resident.
+    fn two_level_master() -> (Arc<TaurusDb>, Arc<MasterEngine>) {
+        let db = TaurusDb::launch_with_clock(TaurusConfig::test(), 3, 3, ManualClock::shared(), 11)
+            .unwrap();
+        let master = db.master();
+        for chunk in 0..8u32 {
+            let mut t = master.begin();
+            for i in 0..60u32 {
+                let n = chunk * 60 + i;
+                t.put(format!("key{n:05}").as_bytes(), &[b'v'; 40]).unwrap();
+            }
+            t.commit().unwrap();
+        }
+        (db, master)
+    }
+
+    /// Every resident frame's page, by id (the tree has far fewer than 256
+    /// pages).
+    fn frames(master: &MasterEngine) -> Vec<(PageId, Arc<PageBuf>)> {
+        (0..256)
+            .filter_map(|p| Some((PageId(p), master.tree.pool().get(PageId(p))?.buf)))
+            .collect()
+    }
+
+    /// A write set copies only the pages it changes: updating one row of a
+    /// two-level tree installs that leaf and the control page (its
+    /// `TxnCommit`), and every other frame — the root included — is the
+    /// very `Arc` it was before the commit.
+    #[test]
+    fn a_one_leaf_update_installs_only_that_leaf_and_the_control_page() {
+        let (_db, master) = two_level_master();
+        let (root, leaf) = master
+            .tree
+            .read(&master.fetcher(), |f| {
+                Ok((BTree::root(f)?, BTree::leaf_for(f, b"key00130")?))
+            })
+            .unwrap();
+        assert!(master.tree.pool().get(root).unwrap().buf.level() >= 1);
+        let before = frames(&master);
+        let mut t = master.begin();
+        t.put(b"key00130", &[b'w'; 40]).unwrap();
+        t.commit().unwrap();
+        let after = frames(&master);
+        assert_eq!(before.len(), after.len());
+        let changed: Vec<PageId> = before
+            .iter()
+            .zip(&after)
+            .filter(|((_, a), (_, b))| !Arc::ptr_eq(a, b))
+            .map(|((id, _), _)| *id)
+            .collect();
+        let leaf_id = before
+            .iter()
+            .find(|(_, page)| Arc::ptr_eq(page, &leaf))
+            .map(|(id, _)| *id)
+            .unwrap();
+        assert_eq!(changed, vec![PageId::CONTROL, leaf_id]);
+        let (_, root_after) = after.iter().find(|(id, _)| *id == root).unwrap();
+        let (_, root_before) = before.iter().find(|(id, _)| *id == root).unwrap();
+        assert!(Arc::ptr_eq(root_before, root_after));
+    }
+
+    /// A write set that fails midway — its first put applied to working
+    /// copies, its second rejected — installs nothing: every frame is the
+    /// `Arc` it was, and the table reads as before.
+    #[test]
+    fn an_apply_that_fails_midway_leaves_every_frame_as_it_was() {
+        let (_db, master) = two_level_master();
+        let before = frames(&master);
+        let mut t = master.begin();
+        t.put(b"key00010", b"changed").unwrap();
+        t.put(
+            b"key00400",
+            &vec![b'x'; taurus_common::page::MAX_CELL_PAYLOAD],
+        )
+        .unwrap();
+        assert!(t.commit().is_err());
+        let after = frames(&master);
+        assert_eq!(before.len(), after.len());
+        for ((id, a), (_, b)) in before.iter().zip(&after) {
+            assert!(Arc::ptr_eq(a, b), "frame {id} was replaced");
+        }
+        assert_eq!(master.get(b"key00010").unwrap(), Some(vec![b'v'; 40]));
     }
 }

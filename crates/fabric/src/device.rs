@@ -7,8 +7,11 @@
 //! — is what lets the benchmarks reproduce the paper's append-only-wins
 //! results with honest mechanics rather than hard-coded factors.
 //!
-//! Two backends: an in-memory buffer (default; fast, deterministic) and a
-//! real temp file (used by durability-oriented tests).
+//! Two backends: in memory (default; fast, deterministic) and a real temp
+//! file (used by durability-oriented tests). The in-memory device keeps its
+//! appends as they came, end to end; [`StorageDevice::append_shared`] keeps
+//! a buffer the writer already holds rather than a copy, so one log
+//! fragment persisted by three replicas is held once.
 //!
 //! **Device time is a deadline, not a spin.** While a fabric handler runs
 //! (`run_handler`, entered by `Fabric::call` / `call_all`) its thread carries
@@ -75,8 +78,97 @@ pub(crate) fn run_handler<T>(clock: &ClockRef, arrived_at: u64, f: impl FnOnce()
 }
 
 enum Backend {
-    Memory(Vec<u8>),
+    Memory(Chunks),
     File { file: File, path: PathBuf, len: u64 },
+}
+
+/// One append of the in-memory device: bytes it copied, or an immutable
+/// buffer its writer handed over and may still share.
+enum Chunk {
+    Copied(Vec<u8>),
+    Shared(Box<dyn AsRef<[u8]> + Send + Sync>),
+}
+
+impl Chunk {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Chunk::Copied(v) => v,
+            Chunk::Shared(b) => (**b).as_ref(),
+        }
+    }
+}
+
+/// The in-memory device's bytes: its appends laid end to end, each kept as
+/// it arrived. No appended byte is ever reallocated or moved, and a buffer
+/// several devices persist (one log fragment on three Page Store replicas)
+/// is held once, however many of them append it.
+#[derive(Default)]
+struct Chunks {
+    /// `(offset, chunk)`, in offset order, none empty.
+    chunks: Vec<(u64, Chunk)>,
+    len: u64,
+}
+
+impl Chunks {
+    fn push(&mut self, chunk: Chunk) -> u64 {
+        let offset = self.len;
+        let len = chunk.bytes().len() as u64;
+        if len > 0 {
+            self.chunks.push((offset, chunk));
+            self.len += len;
+        }
+        offset
+    }
+
+    /// Index of the chunk holding `offset` (`offset < self.len`).
+    fn find(&self, offset: u64) -> usize {
+        self.chunks
+            .partition_point(|(start, _)| *start <= offset)
+            .saturating_sub(1)
+    }
+
+    fn read(&self, offset: u64, len: usize) -> Option<Vec<u8>> {
+        if offset.checked_add(len as u64)? > self.len {
+            return None;
+        }
+        let mut out = Vec::with_capacity(len);
+        for (start, chunk) in &self.chunks[self.find(offset)..] {
+            if out.len() == len {
+                break;
+            }
+            let bytes = chunk.bytes();
+            let from = (offset + out.len() as u64 - start) as usize;
+            let take = (bytes.len() - from).min(len - out.len());
+            out.extend_from_slice(&bytes[from..from + take]);
+        }
+        Some(out)
+    }
+
+    /// Overwrites bytes at `offset`, zero-extending the device first if
+    /// they reach past its end; a shared chunk written into becomes this
+    /// device's own copy.
+    fn write_at(&mut self, offset: u64, data: &[u8]) {
+        let end = offset + data.len() as u64;
+        if end > self.len {
+            self.push(Chunk::Copied(vec![0; (end - self.len) as usize]));
+        }
+        let mut done = 0;
+        let first = self.find(offset);
+        for (start, chunk) in &mut self.chunks[first..] {
+            if done == data.len() {
+                break;
+            }
+            if let Chunk::Shared(b) = chunk {
+                *chunk = Chunk::Copied((**b).as_ref().to_vec());
+            }
+            if let Chunk::Copied(v) = chunk {
+                let from = (offset + done as u64 - *start) as usize;
+                let take = (v.len() - from).min(data.len() - done);
+                v[from..from + take].copy_from_slice(&data[done..done + take]);
+                done += take;
+            }
+        }
+    }
 }
 
 /// An append-friendly block device with charged I/O latency. I/O time is
@@ -137,7 +229,7 @@ impl StorageDevice {
             clock,
             profile,
             busy_until_us: Mutex::new(0),
-            backend: Mutex::new(Backend::Memory(Vec::new())),
+            backend: Mutex::new(Backend::Memory(Chunks::default())),
             appended_bytes: AtomicU64::new(0),
             append_ios: AtomicU64::new(0),
             random_write_ios: AtomicU64::new(0),
@@ -177,17 +269,37 @@ impl StorageDevice {
     /// Appends `data`, returning the offset it was written at. Charged as
     /// one sequential-append I/O.
     pub fn append(&self, data: &[u8]) -> Result<u64> {
+        self.append_chunk(Chunk::Copied(data.to_vec()))
+    }
+
+    /// Appends `parts` back to back as one blob — the bytes `append` of
+    /// their concatenation writes — and returns the blob's offset. Charged
+    /// as one sequential-append I/O.
+    pub fn append_parts(&self, parts: &[&[u8]]) -> Result<u64> {
+        self.append_chunk(Chunk::Copied(parts.concat()))
+    }
+
+    /// Appends an immutable buffer its writer already holds: the bytes
+    /// `append` of `data` writes, charged the same, but the in-memory
+    /// device keeps `data` itself rather than a copy. A buffer several
+    /// devices persist (a `Bytes` cloned to each replica) is then held once
+    /// and copied by none of them.
+    pub fn append_shared<B>(&self, data: B) -> Result<u64>
+    where
+        B: AsRef<[u8]> + Send + Sync + 'static,
+    {
+        self.append_chunk(Chunk::Shared(Box::new(data)))
+    }
+
+    fn append_chunk(&self, chunk: Chunk) -> Result<u64> {
+        let data = chunk.bytes();
         self.charge(self.profile.append_us);
         self.append_ios.fetch_add(1, Ordering::Relaxed);
         self.appended_bytes
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         let mut backend = self.backend.lock();
         match &mut *backend {
-            Backend::Memory(buf) => {
-                let off = buf.len() as u64;
-                buf.extend_from_slice(data);
-                Ok(off)
-            }
+            Backend::Memory(chunks) => Ok(chunks.push(chunk)),
             Backend::File { file, len, .. } => {
                 file.seek(SeekFrom::End(0))?;
                 file.write_all(data)?;
@@ -205,12 +317,8 @@ impl StorageDevice {
         self.random_write_ios.fetch_add(1, Ordering::Relaxed);
         let mut backend = self.backend.lock();
         match &mut *backend {
-            Backend::Memory(buf) => {
-                let end = offset as usize + data.len();
-                if end > buf.len() {
-                    buf.resize(end, 0);
-                }
-                buf[offset as usize..end].copy_from_slice(data);
+            Backend::Memory(chunks) => {
+                chunks.write_at(offset, data);
                 Ok(())
             }
             Backend::File { file, len, .. } => {
@@ -226,26 +334,20 @@ impl StorageDevice {
     pub fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
         self.charge(self.profile.read_us);
         self.read_ios.fetch_add(1, Ordering::Relaxed);
+        let past_end = || {
+            TaurusError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "read past end of device",
+            ))
+        };
         let mut backend = self.backend.lock();
         match &mut *backend {
-            Backend::Memory(buf) => {
-                let end = offset as usize + len;
-                if end > buf.len() {
-                    return Err(TaurusError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "read past end of device",
-                    )));
-                }
-                Ok(buf[offset as usize..end].to_vec())
-            }
+            Backend::Memory(chunks) => chunks.read(offset, len).ok_or_else(past_end),
             Backend::File {
                 file, len: flen, ..
             } => {
                 if offset + len as u64 > *flen {
-                    return Err(TaurusError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "read past end of device",
-                    )));
+                    return Err(past_end());
                 }
                 file.seek(SeekFrom::Start(offset))?;
                 let mut out = vec![0u8; len];
@@ -258,7 +360,7 @@ impl StorageDevice {
     /// Current device length in bytes.
     pub fn len(&self) -> u64 {
         match &*self.backend.lock() {
-            Backend::Memory(buf) => buf.len() as u64,
+            Backend::Memory(chunks) => chunks.len,
             Backend::File { len, .. } => *len,
         }
     }
@@ -382,19 +484,46 @@ mod tests {
     fn io_stats_are_tracked() {
         let (dev, _) = mem_dev(StorageProfile::instant());
         dev.append(b"abcd").unwrap();
-        dev.append(b"ef").unwrap();
+        // Parts land back to back, as one append I/O of their bytes.
+        assert_eq!(dev.append_parts(&[b"e", b"", b"f"]).unwrap(), 4);
         dev.write_at(0, b"z").unwrap();
-        dev.read(0, 2).unwrap();
+        assert_eq!(dev.read(0, 6).unwrap(), b"zbcdef");
         assert_eq!(dev.io_stats(), (2, 1, 1, 6));
+    }
+
+    /// A shared append keeps the writer's buffer: two devices persisting
+    /// one buffer hold it once and copy nothing, reads cross chunk
+    /// boundaries, and a write into a shared chunk changes that device only.
+    #[test]
+    fn a_shared_append_keeps_the_writers_buffer_and_writes_copy_on_write() {
+        let (a, _) = mem_dev(StorageProfile::instant());
+        let (b, _) = mem_dev(StorageProfile::instant());
+        let shared: Arc<[u8]> = Arc::from(&b"fragment"[..]);
+        a.append(b"<<").unwrap();
+        assert_eq!(a.append_shared(Arc::clone(&shared)).unwrap(), 2);
+        a.append(b">>").unwrap();
+        assert_eq!(b.append_shared(Arc::clone(&shared)).unwrap(), 0);
+        assert_eq!(Arc::strong_count(&shared), 3, "held, not copied");
+        assert_eq!(a.read(0, 12).unwrap(), b"<<fragment>>");
+        assert_eq!(a.read(1, 10).unwrap(), b"<fragment>");
+        assert_eq!(a.io_stats(), (3, 0, 2, 12));
+        // A write spanning the shared chunk and past the device's end.
+        a.write_at(9, b"T>>!!").unwrap();
+        assert_eq!(a.read(0, 14).unwrap(), b"<<fragmenT>>!!");
+        assert_eq!(Arc::strong_count(&shared), 2);
+        assert_eq!(b.read(0, 8).unwrap(), b"fragment");
+        assert!(a.read(10, 5).is_err());
     }
 
     #[test]
     fn file_backend_roundtrip_and_cleanup() {
         let clock = ManualClock::shared();
         let dev = StorageDevice::in_temp_file(clock, StorageProfile::instant(), "test").unwrap();
-        dev.append(b"persist me").unwrap();
+        dev.append(b"persist").unwrap();
+        assert_eq!(dev.append_parts(&[b" ", b"me"]).unwrap(), 7);
+        assert_eq!(dev.append_shared(Arc::<[u8]>::from(&b"!"[..])).unwrap(), 10);
         dev.write_at(0, b"P").unwrap();
-        assert_eq!(dev.read(0, 10).unwrap(), b"Persist me");
+        assert_eq!(dev.read(0, 11).unwrap(), b"Persist me!");
         let path = match &*dev.backend.lock() {
             Backend::File { path, .. } => path.clone(),
             _ => unreachable!(),

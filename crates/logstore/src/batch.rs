@@ -48,11 +48,23 @@ pub struct BatchFrame {
     pub groups: Vec<LogRecordGroup>,
 }
 
+/// FNV-1a folded a little-endian 8-byte word at a time, then the tail byte
+/// by byte. Every step (xor a word, multiply by an odd prime) is a bijection
+/// of the running hash, so a payload that differs in one word — a single bit
+/// flip included — always yields a different checksum.
 fn fnv1a(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(w);
+        h ^= u64::from_le_bytes(word);
+        h = h.wrapping_mul(PRIME);
+    }
+    for &b in words.remainder() {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(PRIME);
     }
     h
 }
@@ -193,6 +205,51 @@ mod tests {
             decode_frames(Bytes::from(bytes)),
             Err(TaurusError::Codec("batch frame checksum mismatch"))
         ));
+    }
+
+    #[test]
+    fn any_single_bit_flip_in_the_payload_fails_the_checksum() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for _ in 0..64 {
+            // Random payloads of random length: insert values of 0..40
+            // random bytes, so the payload ends on every word offset.
+            let records: Vec<LogRecord> = (1..=1 + next() % 4)
+                .map(|l| {
+                    let val: Vec<u8> = (0..next() % 40).map(|_| next() as u8).collect();
+                    LogRecord::new(
+                        Lsn(l),
+                        PageId(next() % 64),
+                        RecordBody::UpdateValue {
+                            idx: 0,
+                            val: val.into(),
+                        },
+                    )
+                })
+                .collect();
+            let last = records.len() as u64;
+            let enc = encode_batch(
+                &[LogRecordGroup::new(DbId(1), records)],
+                Lsn::ZERO,
+                Lsn(1),
+                Lsn(last),
+            );
+            let bit = HEADER_LEN * 8 + (next() as usize) % ((enc.len() - HEADER_LEN) * 8);
+            let mut bytes = enc.to_vec();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                matches!(
+                    decode_frames(Bytes::from(bytes)),
+                    Err(TaurusError::Codec("batch frame checksum mismatch"))
+                ),
+                "flip of payload bit {bit} went unnoticed"
+            );
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl LogStoreServer {
         // Device I/O happens outside the state lock; the offset the segment
         // lands at is whatever the device returns, so interleaving with other
         // PLogs is harmless.
-        let dev_off = self.device.append(&data)?;
+        let dev_off = self.device.append_shared(data.clone())?;
         let mut st = self.state.lock();
         let replica = st.plogs.get_mut(&id).ok_or(TaurusError::PLogNotFound(id))?;
         if replica.sealed {
@@ -91,7 +91,7 @@ impl LogStoreServer {
     /// in flight, and applied to the logical log in sequence order. A `seq`
     /// below `next_seq` is a duplicate retry and succeeds idempotently.
     pub fn append_at(&self, id: PLogId, seq: u64, data: Bytes) -> Result<()> {
-        let dev_off = self.device.append(&data)?;
+        let dev_off = self.device.append_shared(data.clone())?;
         let mut st = self.state.lock();
         let replica = st.plogs.get_mut(&id).ok_or(TaurusError::PLogNotFound(id))?;
         if replica.sealed {
@@ -134,7 +134,7 @@ impl LogStoreServer {
         let dev_off = if data.is_empty() {
             0
         } else {
-            self.device.append(&data)?
+            self.device.append_shared(data.clone())?
         };
         let mut st = self.state.lock();
         let segments = if data.is_empty() {

@@ -823,17 +823,20 @@ impl PageStoreCluster {
         let servers: Vec<Arc<PageStoreServer>> = self.servers.read().values().cloned().collect();
         let handles = servers
             .iter()
-            .map(|server| {
+            .enumerate()
+            .map(|(i, server)| {
                 let server = Arc::clone(server);
                 let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    taurus_common::clock::mark_background_thread();
-                    while !stop.load(Ordering::Acquire) {
-                        if !server.consolidate_step() {
-                            server.wait_for_work(IDLE_RETRY_INTERVAL);
+                taurus_common::clock::spawn_background(
+                    format!("taurus-consolidate-{i}"),
+                    move || {
+                        while !stop.load(Ordering::Acquire) {
+                            if !server.consolidate_step() {
+                                server.wait_for_work(IDLE_RETRY_INTERVAL);
+                            }
                         }
-                    }
-                })
+                    },
+                )
             })
             .collect();
         ConsolidationGuard {

@@ -95,6 +95,18 @@ impl PageEntry {
         }
     }
 
+    /// Inserts a record pointer at its LSN position; a duplicate delivery is
+    /// ignored. Records almost always arrive in LSN order, so the newest one
+    /// is checked first: a hot page's long pointer list is searched only
+    /// when gossip delivers a record out of order.
+    fn insert_record(&mut self, ptr: RecordPtr) {
+        if self.records.last().is_none_or(|last| last.lsn < ptr.lsn) {
+            self.records.push(ptr);
+        } else if let Err(pos) = self.records.binary_search_by_key(&ptr.lsn, |r| r.lsn) {
+            self.records.insert(pos, ptr);
+        }
+    }
+
     /// LSN of the newest record or version known for this page.
     pub fn newest_lsn(&self) -> Lsn {
         let rec = self.records.last().map(|r| r.lsn).unwrap_or(Lsn::ZERO);
@@ -131,12 +143,11 @@ impl LogDirectory {
     /// Registers one log record for a page (LSN order is maintained by
     /// insertion position, since gossip can deliver records out of order).
     pub fn add_record(&self, page: PageId, ptr: RecordPtr) {
-        let mut shard = self.shard(page).write();
-        let entry = shard.entry(page).or_default();
-        match entry.records.binary_search_by_key(&ptr.lsn, |r| r.lsn) {
-            Ok(_) => {} // duplicate delivery: ignore
-            Err(pos) => entry.records.insert(pos, ptr),
-        }
+        self.shard(page)
+            .write()
+            .entry(page)
+            .or_default()
+            .insert_record(ptr);
     }
 
     /// Registers a materialized page version.
@@ -154,6 +165,12 @@ impl LogDirectory {
     /// suffix above the chosen base, never the whole entry.
     pub fn recipe(&self, page: PageId, as_of: Lsn) -> Option<PageRecipe> {
         self.shard(page).read().get(&page).map(|e| e.recipe(as_of))
+    }
+
+    /// The newest materialized version of `page` at or below `as_of`, under
+    /// one shard read lock and without copying any record pointer.
+    pub fn version_at(&self, page: PageId, as_of: Lsn) -> Option<VersionPtr> {
+        self.shard(page).read().get(&page)?.best_version(as_of)
     }
 
     /// Drops records and versions strictly below `recycle`, keeping at least

@@ -12,6 +12,7 @@
 //! boundaries.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -31,15 +32,40 @@ pub fn deep_clone_count() -> u64 {
     DEEP_CLONES.load(Ordering::Relaxed)
 }
 
+/// Process-wide count of [`SliceFragment::encode`] calls: a fragment shared
+/// by three replicas is encoded once (`tests/ingest_once.rs`).
+static ENCODES: AtomicU64 = AtomicU64::new(0);
+
+/// Total `SliceFragment` encodings built since process start.
+pub fn encode_count() -> u64 {
+    ENCODES.load(Ordering::Relaxed)
+}
+
 /// One ordered batch of log records for one slice.
-#[derive(Debug, PartialEq, Eq)]
+///
+/// The records are one shared allocation: every replica that ingests the
+/// fragment hands the same `Arc` to its log cache, its open L0 and its
+/// sealed run, and the device encoding is built once, by whichever replica
+/// appends it first, however many replicas ingest the fragment.
+#[derive(Debug)]
 pub struct SliceFragment {
     pub slice: SliceKey,
     /// LSN of the last record the writer previously sent to this slice
     /// (`Lsn::ZERO` for the first fragment of a slice). The chain link.
     pub prev_last_lsn: Lsn,
-    pub records: Vec<LogRecord>,
+    pub records: Arc<Vec<LogRecord>>,
+    encoded: OnceLock<Bytes>,
 }
+
+impl PartialEq for SliceFragment {
+    fn eq(&self, other: &Self) -> bool {
+        self.slice == other.slice
+            && self.prev_last_lsn == other.prev_last_lsn
+            && self.records == other.records
+    }
+}
+
+impl Eq for SliceFragment {}
 
 impl Clone for SliceFragment {
     fn clone(&self) -> Self {
@@ -47,13 +73,20 @@ impl Clone for SliceFragment {
         SliceFragment {
             slice: self.slice,
             prev_last_lsn: self.prev_last_lsn,
-            records: self.records.clone(),
+            records: Arc::new(self.records.as_ref().clone()),
+            encoded: OnceLock::new(),
         }
     }
 }
 
 impl SliceFragment {
     pub fn new(slice: SliceKey, prev_last_lsn: Lsn, records: Vec<LogRecord>) -> Self {
+        Self::shared(slice, prev_last_lsn, Arc::new(records))
+    }
+
+    /// A fragment over an existing record allocation (the log cache's copy
+    /// of a stored fragment, re-served to a gossiping peer).
+    pub fn shared(slice: SliceKey, prev_last_lsn: Lsn, records: Arc<Vec<LogRecord>>) -> Self {
         debug_assert!(!records.is_empty(), "empty slice fragment");
         debug_assert!(
             records.windows(2).all(|w| w[0].lsn < w[1].lsn),
@@ -70,6 +103,7 @@ impl SliceFragment {
             slice,
             prev_last_lsn,
             records,
+            encoded: OnceLock::new(),
         }
     }
 
@@ -93,20 +127,28 @@ impl SliceFragment {
         4 + 8 + 8 + 8 + 4 + self.payload_bytes()
     }
 
+    /// The device encoding, built on the first call and shared by every
+    /// later one.
+    pub fn encoded(&self) -> &Bytes {
+        self.encoded.get_or_init(|| self.encode())
+    }
+
     pub fn encode(&self) -> Bytes {
+        ENCODES.fetch_add(1, Ordering::Relaxed);
         let mut out = BytesMut::with_capacity(self.encoded_len());
         out.put_u32_le(FRAGMENT_MAGIC);
         out.put_u64_le(self.slice.db.0);
         out.put_u64_le(self.slice.slice.0);
         out.put_u64_le(self.prev_last_lsn.0);
         out.put_u32_le(self.records.len() as u32);
-        for r in &self.records {
+        for r in self.records.iter() {
             r.encode_into(&mut out);
         }
         out.freeze()
     }
 
     pub fn decode(buf: &mut Bytes) -> Result<SliceFragment> {
+        let whole = buf.clone();
         if buf.remaining() < 32 {
             return Err(TaurusError::Codec("fragment truncated: header"));
         }
@@ -121,10 +163,12 @@ impl SliceFragment {
         for _ in 0..count {
             records.push(LogRecord::decode(buf)?);
         }
+        let encoded = whole.slice(..whole.len() - buf.remaining());
         Ok(SliceFragment {
             slice: SliceKey::new(db, slice),
             prev_last_lsn,
-            records,
+            records: Arc::new(records),
+            encoded: OnceLock::from(encoded),
         })
     }
 }
@@ -161,6 +205,16 @@ mod tests {
         let back = SliceFragment::decode(&mut enc).unwrap();
         assert_eq!(back, f);
         assert!(!enc.has_remaining());
+        // A decoded fragment keeps the bytes it came from as its encoding.
+        assert_eq!(back.encoded(), &f.encode());
+    }
+
+    #[test]
+    fn the_encoding_is_built_once_and_shared() {
+        let f = frag(0, &[1, 2]);
+        let first = f.encoded().as_ptr();
+        assert_eq!(f.encoded().as_ptr(), first);
+        assert_eq!(f.encoded(), &f.encode());
     }
 
     #[test]

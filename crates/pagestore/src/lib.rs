@@ -47,8 +47,8 @@ pub mod server;
 pub mod slice;
 
 pub use cluster::{PageStoreCluster, PlacementView};
-pub use fragment::{deep_clone_count, SliceFragment};
-pub use layers::{CompactionJob, L0Layer, L1Layer, LayerStore, SealPlan};
+pub use fragment::{deep_clone_count, encode_count, SliceFragment};
+pub use layers::{CompactionJob, L0Records, L1Layer, LayerStore, SealPlan, SortedRun};
 pub use placement::{IngestFilter, PlacementEntry, PlacementMap, DYNAMIC_SLICE_BASE};
 pub use pool::{EvictionPolicy, PagePool};
 pub use pushdown::{ScanSliceRequest, ScanSliceResponse};

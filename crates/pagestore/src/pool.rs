@@ -86,10 +86,41 @@ impl PagePool {
         }
     }
 
+    /// A copy of the cached version of a page if `usable(its lsn)`, without
+    /// counting a hit or a miss or touching its frequency: compaction's base
+    /// lookup, so the hit ratio and the eviction order count reads only.
+    pub fn peek(
+        &self,
+        slice: SliceKey,
+        page: PageId,
+        usable: impl FnOnce(Lsn) -> bool,
+    ) -> Option<PooledPage> {
+        let inner = self.inner.lock();
+        let e = inner.map.get(&(slice, page))?;
+        usable(e.page.lsn).then(|| e.page.clone())
+    }
+
+    /// [`PagePool::put`] unless the pool already holds this page at
+    /// `pooled.lsn` or newer (compaction's refresh: a re-run never replaces
+    /// a newer image with an older one).
+    pub fn put_if_newer(&self, slice: SliceKey, page: PageId, pooled: PooledPage) {
+        let mut inner = self.inner.lock();
+        if let Some(e) = inner.map.get(&(slice, page)) {
+            if e.page.lsn >= pooled.lsn {
+                return;
+            }
+        }
+        self.put_locked(&mut inner, slice, page, pooled);
+    }
+
     /// Inserts or replaces the cached version of a page, then evicts victims
     /// by policy while the pool is over capacity.
     pub fn put(&self, slice: SliceKey, page: PageId, pooled: PooledPage) {
         let mut inner = self.inner.lock();
+        self.put_locked(&mut inner, slice, page, pooled);
+    }
+
+    fn put_locked(&self, inner: &mut Inner, slice: SliceKey, page: PageId, pooled: PooledPage) {
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.entry((slice, page)) {
@@ -166,6 +197,20 @@ mod tests {
         assert_eq!(got.lsn, Lsn(5));
         assert_eq!(pool.stats.hits.get(), 1);
         assert_eq!(pool.stats.misses.get(), 1);
+    }
+
+    #[test]
+    fn peek_counts_nothing_and_put_if_newer_keeps_the_newest() {
+        let pool = PagePool::new(4, EvictionPolicy::Lfu);
+        assert!(pool.peek(key(), PageId(1), |_| true).is_none());
+        pool.put_if_newer(key(), PageId(1), pooled(5));
+        assert_eq!(pool.peek(key(), PageId(1), |_| true).unwrap().lsn, Lsn(5));
+        assert!(pool.peek(key(), PageId(1), |lsn| lsn > Lsn(5)).is_none());
+        pool.put_if_newer(key(), PageId(1), pooled(3));
+        assert_eq!(pool.peek(key(), PageId(1), |_| true).unwrap().lsn, Lsn(5));
+        pool.put_if_newer(key(), PageId(1), pooled(7));
+        assert_eq!(pool.peek(key(), PageId(1), |_| true).unwrap().lsn, Lsn(7));
+        assert_eq!(pool.stats.hits.get() + pool.stats.misses.get(), 0);
     }
 
     #[test]

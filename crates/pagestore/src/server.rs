@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use taurus_common::apply::apply_record;
@@ -29,7 +29,7 @@ use taurus_fabric::StorageDevice;
 
 use crate::directory::{DiskLoc, LogDirectory, RecordPtr, VersionPtr};
 use crate::fragment::SliceFragment;
-use crate::layers::{decode_l0, LayerStore};
+use crate::layers::{L0Records, LayerStore, SortedRun};
 use crate::logcache::LogCache;
 use crate::pool::{EvictionPolicy, PagePool, PooledPage};
 use crate::slice::{FragMeta, IngestOutcome, SliceReplica};
@@ -375,9 +375,10 @@ impl PageStoreServer {
                 return Ok(r.persistent_lsn());
             }
         }
-        // Append-only persistence of the raw fragment.
-        let encoded = frag.encode();
-        let offset = self.device.append(&encoded)?;
+        // Append-only persistence of the raw fragment, encoded once however
+        // many replicas ingest it, and held once by all their devices.
+        let encoded = frag.encoded();
+        let offset = self.device.append_shared(encoded.clone())?;
         let loc = DiskLoc {
             offset,
             len: encoded.len() as u32,
@@ -403,9 +404,11 @@ impl PageStoreServer {
                         },
                     );
                 }
-                let records = Arc::new(frag.records.clone());
-                self.log_cache
-                    .admit((frag.slice, frag_id), records, frag.payload_bytes());
+                self.log_cache.admit(
+                    (frag.slice, frag_id),
+                    Arc::clone(&frag.records),
+                    frag.payload_bytes(),
+                );
                 self.note_write_heat(frag.slice, frag.records.len() as u64, frag.payload_bytes());
             }
             IngestOutcome::Duplicate => {
@@ -564,20 +567,9 @@ impl PageStoreServer {
             // Never written: a fresh zeroed page at version 0.
             return Ok((PageBuf::new(), Lsn::ZERO));
         };
-        // Best base: the pooled (latest consolidated) page if usable — the
-        // recipe's record suffix covers it only if it is no older than the
-        // recipe's base — otherwise that on-disk version.
-        let version_lsn = recipe.base.map_or(Lsn::ZERO, |v| v.lsn);
         let pooled = self.pool.get(key, page);
-        let pooled = pooled.filter(|p| p.lsn <= as_of && p.lsn >= version_lsn);
-        let (mut buf, base_lsn) = match (pooled, recipe.base) {
-            (Some(pooled), _) => (pooled.page, pooled.lsn),
-            (None, Some(v)) => {
-                let raw = self.device.read(v.loc.offset, v.loc.len as usize)?;
-                (PageBuf::from_bytes(&raw)?, v.lsn)
-            }
-            (None, None) => (PageBuf::new(), Lsn::ZERO),
-        };
+        let pooled = pooled.filter(|p| usable_base(p.lsn, as_of, recipe.base));
+        let (mut buf, base_lsn) = self.base_image(pooled, recipe.base)?;
         // Replay the tail of the chain.
         let needed = recipe.records_above(base_lsn);
         if !needed.is_empty() {
@@ -596,7 +588,7 @@ impl PageStoreServer {
                     compacted
                 );
             }
-            let records = self.fetch_records(key, needed)?;
+            let records = self.fetch_records(key, page, needed)?;
             for rec in &records {
                 apply_record(&mut buf, rec)?;
             }
@@ -605,86 +597,98 @@ impl PageStoreServer {
         Ok((buf, lsn))
     }
 
-    /// Fetches the records behind a set of pointers: from the log cache when
-    /// resident, then from the open L0's staged memory or a sealed L0 blob —
-    /// one device read serves every record the blob holds — and last from
-    /// the fragment's own blob on disk, for a fragment still parked on the
-    /// log cache's backlog.
-    fn fetch_records(&self, key: SliceKey, ptrs: &[RecordPtr]) -> Result<Vec<LogRecord>> {
-        let mut by_frag: HashMap<u64, Vec<RecordPtr>> = HashMap::new();
-        for p in ptrs {
-            by_frag.entry(p.frag_id).or_default().push(*p);
-        }
+    /// The base image a page version starts from: the pooled (latest
+    /// consolidated) page when [`usable_base`] admits it, otherwise the
+    /// newest materialized version read from the device, otherwise a blank
+    /// page. The read path and compaction share this rule.
+    fn base_image(
+        &self,
+        pooled: Option<PooledPage>,
+        version: Option<VersionPtr>,
+    ) -> Result<(PageBuf, Lsn)> {
+        Ok(match (pooled, version) {
+            (Some(pooled), _) => (pooled.page, pooled.lsn),
+            (None, Some(v)) => {
+                let raw = self.device.read(v.loc.offset, v.loc.len as usize)?;
+                (PageBuf::from_bytes(&raw)?, v.lsn)
+            }
+            (None, None) => (PageBuf::new(), Lsn::ZERO),
+        })
+    }
+
+    /// Fetches the records of `page` behind a run of LSN-ordered pointers,
+    /// in that order: from the log cache when resident, then from the open
+    /// L0's staged memory or a sealed L0's run (binary search on
+    /// `(page, lsn)`), then a compacted L0's blob — one device read serves
+    /// every record the blob holds — and last from the fragment's own blob
+    /// on disk, for a fragment still parked on the log cache's backlog.
+    fn fetch_records(
+        &self,
+        key: SliceKey,
+        page: PageId,
+        ptrs: &[RecordPtr],
+    ) -> Result<Vec<LogRecord>> {
         let layers = self.layers(key)?;
-        // Per-call cache of decoded L0 runs, keyed by layer id: pointers
-        // into the same blob share one read and one decode.
-        let mut l0_runs: HashMap<u64, HashMap<Lsn, LogRecord>> = HashMap::new();
+        // Per-call cache of decoded compacted L0 blobs, keyed by layer id:
+        // pointers into the same blob share one read and one decode.
+        let mut blob_runs: HashMap<u64, SortedRun> = HashMap::new();
         let mut out: Vec<LogRecord> = Vec::with_capacity(ptrs.len());
-        for (seq, members) in by_frag {
+        let by_index = |recs: &[LogRecord], members: &[RecordPtr], out: &mut Vec<LogRecord>| {
+            for m in members {
+                let rec = recs
+                    .get(m.idx_in_frag as usize)
+                    .ok_or(TaurusError::Codec("record index out of fragment"))?;
+                out.push(rec.clone());
+            }
+            Ok::<(), TaurusError>(())
+        };
+        let by_key = |run: &SortedRun, members: &[RecordPtr], out: &mut Vec<LogRecord>| {
+            for m in members {
+                let rec = run
+                    .find(page, m.lsn)
+                    .ok_or(TaurusError::Codec("record missing from L0 run"))?;
+                out.push(rec.clone());
+            }
+            Ok::<(), TaurusError>(())
+        };
+        for members in ptrs.chunk_by(|a, b| a.frag_id == b.frag_id) {
+            let seq = members[0].frag_id;
             if let Some(recs) = self.log_cache.get((key, seq)) {
-                for m in members {
-                    let rec = recs
-                        .get(m.idx_in_frag as usize)
-                        .ok_or(TaurusError::Codec("record index out of fragment"))?;
-                    out.push(rec.clone());
-                }
+                by_index(&recs, members, &mut out)?;
                 continue;
             }
             // Staged in the open L0: the fragment's record vec verbatim.
             if let Some(recs) = layers.staged_records(seq) {
                 self.stats.staged_record_hits.add(members.len() as u64);
-                for m in members {
-                    let rec = recs
-                        .get(m.idx_in_frag as usize)
-                        .ok_or(TaurusError::Codec("record index out of fragment"))?;
-                    out.push(rec.clone());
-                }
+                by_index(&recs, members, &mut out)?;
                 continue;
             }
-            // Sealed or compacted into an L0: records are re-sorted by
-            // (page, lsn) there, so match by LSN (unique per slice).
-            if let Some(l0) = layers.l0_for_frag(seq) {
-                // Sealed (not yet compacted) layers keep an in-memory
-                // LSN-keyed run index: no device I/O on the hot path.
-                if let Some(run) = layers.sealed_run(l0.id) {
+            match layers.l0_for_frag(seq) {
+                // Sealed (not yet compacted): the run is in memory.
+                Some(L0Records::Resident(run)) => {
                     self.stats.l0_run_hits.add(members.len() as u64);
-                    for m in members {
-                        let rec = run
-                            .get(&m.lsn)
-                            .ok_or(TaurusError::Codec("record missing from L0 run"))?;
-                        out.push(rec.clone());
-                    }
-                    continue;
+                    by_key(&run, members, &mut out)?;
                 }
                 // Compacted: historical snapshot read from the immutable
                 // blob, decoded once per call per layer.
-                let run = match l0_runs.entry(l0.id) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        let raw = self.device.read(l0.loc.offset, l0.loc.len as usize)?;
-                        self.stats.l0_blob_reads.inc();
-                        let run = decode_l0(&mut Bytes::from(raw))?;
-                        v.insert(run.into_iter().map(|r| (r.lsn, r)).collect())
-                    }
-                };
-                for m in members {
-                    let rec = run
-                        .get(&m.lsn)
-                        .ok_or(TaurusError::Codec("record missing from L0 layer"))?;
-                    out.push(rec.clone());
+                Some(L0Records::OnDevice { layer_id, loc }) => {
+                    let run = match blob_runs.entry(layer_id) {
+                        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+                        std::collections::hash_map::Entry::Vacant(v) => {
+                            let raw = self.device.read(loc.offset, loc.len as usize)?;
+                            self.stats.l0_blob_reads.inc();
+                            v.insert(SortedRun::decode(&mut Bytes::from(raw))?)
+                        }
+                    };
+                    by_key(run, members, &mut out)?;
                 }
-                continue;
-            }
-            self.disk_record_fetches.add(members.len() as u64);
-            let records = self.read_fragment_from_disk(key, seq)?.records;
-            for m in members {
-                let rec = records
-                    .get(m.idx_in_frag as usize)
-                    .ok_or(TaurusError::Codec("record index out of fragment"))?;
-                out.push(rec.clone());
+                None => {
+                    self.disk_record_fetches.add(members.len() as u64);
+                    let frag = self.read_fragment_from_disk(key, seq)?;
+                    by_index(&frag.records, members, &mut out)?;
+                }
             }
         }
-        out.sort_by_key(|r| r.lsn);
         Ok(out)
     }
 
@@ -763,55 +767,69 @@ impl PageStoreServer {
         true
     }
 
-    /// Seals the slice's open L0: encodes the staged fragments as one sorted
-    /// run and appends it as a single immutable blob — one device I/O for
-    /// every fragment staged since the last seal.
+    /// Seals the slice's open L0: sorts the staged fragments' records into
+    /// one run over their own allocations and appends its encoding as a
+    /// single immutable blob — one device I/O for every fragment staged
+    /// since the last seal. The run stays in memory as the layer's index.
     fn seal_l0(&self, key: SliceKey) -> Result<()> {
         let layers = self.layers(key)?;
-        let Some(plan) = layers.seal_plan() else {
+        let Some(mut plan) = layers.seal_plan() else {
             return Ok(());
         };
-        let offset = self.device.append(&plan.blob)?;
-        layers.commit_seal(
-            &plan,
-            DiskLoc {
-                offset,
-                len: plan.blob.len() as u32,
-            },
-        );
+        // The device keeps the encoded run as it was built.
+        let blob = std::mem::take(&mut plan.blob);
+        let len = blob.len() as u32;
+        let offset = self.device.append_shared(blob)?;
+        layers.commit_seal(plan, DiskLoc { offset, len });
         self.stats.l0_sealed.inc();
         Ok(())
     }
 
-    /// Merges every sealed L0 into an L1 image layer: materializes each
-    /// touched page at the compaction LSN, appends all images back-to-back
-    /// as one immutable blob, registers each image as an ordinary directory
-    /// version inside the blob (`add_version` replaces on equal LSN, so a
-    /// re-run after a crash is idempotent), refreshes the pool with the
-    /// clean images, and finishes with a GC pass — version purge is a
+    /// Merges every sealed L0 into an L1 image layer in one k-way merge of
+    /// their sorted runs: each page starts from the base the read path
+    /// would pick at the compaction LSN and applies its merged records
+    /// above that base once each, and every image goes straight into one
+    /// immutable L1 blob. Each image is then registered as an ordinary
+    /// directory version inside the blob (`add_version` replaces on equal
+    /// LSN, so a re-run after a crash is idempotent), the pool is refreshed
+    /// with the clean images, and a GC pass finishes — version purge is a
     /// by-product of the merge. Never holds the replica mutex or the layer
     /// mutex across device I/O.
     fn compact(&self, key: SliceKey) -> Result<()> {
-        let layers = self.layers(key)?;
-        let Some(job) = layers.compaction_job() else {
+        let (dir, layers, unstaged_first) = {
+            let replica = self.replica(key)?;
+            let r = replica.lock();
+            (r.directory.clone(), r.layers.clone(), r.unstaged_first())
+        };
+        let Some(job) = layers.compaction_job(unstaged_first) else {
             return Ok(());
         };
-        let mut images: Vec<(PageId, PageBuf, Lsn)> = Vec::with_capacity(job.pages.len());
-        for page in &job.pages {
-            let (buf, lsn) = self.materialize(key, *page, job.compact_lsn)?;
-            if lsn.is_valid() {
-                images.push((*page, buf, lsn));
+        let at = job.compact_lsn;
+        let mut images: Vec<(PageId, PageBuf)> = Vec::new();
+        let mut merged = job.merge().peekable();
+        while let Some(page) = merged.peek().map(|r| r.page) {
+            let version = dir.version_at(page, at);
+            let pooled = self
+                .pool
+                .peek(key, page, |lsn| usable_base(lsn, at, version));
+            let (mut buf, base_lsn) = self.base_image(pooled, version)?;
+            while let Some(rec) = merged.next_if(|r| r.page == page) {
+                if rec.lsn > base_lsn && rec.lsn <= at {
+                    apply_record(&mut buf, rec)?;
+                }
+            }
+            if buf.lsn().is_valid() {
+                images.push((page, buf));
             }
         }
         if images.is_empty() {
             layers.commit_compaction(&job, 0, 0);
             return Ok(());
         }
-        let mut blob = BytesMut::with_capacity(images.len() * taurus_common::PAGE_SIZE);
-        for (_, buf, _) in &images {
-            blob.extend_from_slice(buf.as_bytes());
-        }
-        let l1_offset = self.device.append(&blob)?;
+        // The images go to the device back to back as one blob, each copied
+        // once, straight from the buffer it was built in.
+        let parts: Vec<&[u8]> = images.iter().map(|(_, buf)| buf.as_bytes()).collect();
+        let l1_offset = self.device.append_parts(&parts)?;
         if self.compaction_abort.swap(false, Ordering::SeqCst) {
             // Failpoint: the L1 blob reached the device but no image was
             // registered — the crash window. The partial blob stays
@@ -819,12 +837,13 @@ impl PageStoreServer {
             // so the next compaction re-plans the identical job.
             return Err(TaurusError::Codec("compaction aborted by failpoint"));
         }
-        let dir = self.dir(key)?;
-        for (i, (page, buf, lsn)) in images.iter().enumerate() {
+        let count = images.len();
+        for (i, (page, buf)) in images.into_iter().enumerate() {
+            let lsn = buf.lsn();
             dir.add_version(
-                *page,
+                page,
                 VersionPtr {
-                    lsn: *lsn,
+                    lsn,
                     loc: DiskLoc {
                         offset: l1_offset + (i * taurus_common::PAGE_SIZE) as u64,
                         len: taurus_common::PAGE_SIZE as u32,
@@ -833,24 +852,11 @@ impl PageStoreServer {
             );
             // The L1 blob persists the image; the pool only spares the next
             // read of it a device read.
-            let stale = self
-                .pool
-                .get(key, *page)
-                .map(|p| p.lsn < *lsn)
-                .unwrap_or(true);
-            if stale {
-                self.pool.put(
-                    key,
-                    *page,
-                    PooledPage {
-                        page: buf.clone(),
-                        lsn: *lsn,
-                    },
-                );
-            }
+            self.pool
+                .put_if_newer(key, page, PooledPage { page: buf, lsn });
         }
-        self.stats.pages_compacted.add(images.len() as u64);
-        layers.commit_compaction(&job, l1_offset, images.len() as u32);
+        self.stats.pages_compacted.add(count as u64);
+        layers.commit_compaction(&job, l1_offset, count as u32);
         self.stats.l1_compactions.inc();
         // GC-as-merge: superseded versions, record pointers, fragment
         // bookkeeping, and dead L0 blobs are reclaimed here.
@@ -868,7 +874,7 @@ impl PageStoreServer {
             let bytes = frag.payload_bytes();
             if !self
                 .log_cache
-                .load_from_backlog((key, seq), Arc::new(frag.records), bytes)
+                .load_from_backlog((key, seq), frag.records, bytes)
             {
                 break; // still no space
             }
@@ -904,7 +910,7 @@ impl PageStoreServer {
             .ok_or(TaurusError::Codec("fragment unknown to slice"))?;
         let prev = self.frag_meta(key, frag_id)?.prev_last_lsn;
         if let Some(records) = self.log_cache.get((key, frag_id)) {
-            return Ok(SliceFragment::new(key, prev, records.as_ref().clone()));
+            return Ok(SliceFragment::shared(key, prev, records));
         }
         self.read_fragment_from_disk(key, frag_id)
     }
@@ -952,6 +958,12 @@ impl PageStoreServer {
         Ok(())
     }
 
+    /// The LSN of the slice's last compaction: every page its records touch
+    /// has an image at or below it.
+    pub fn compact_lsn(&self, key: SliceKey) -> Result<Lsn> {
+        Ok(self.layers(key)?.compact_lsn())
+    }
+
     /// Whether this replica is still rebuilding (write-only).
     pub fn is_rebuilding(&self, key: SliceKey) -> Result<bool> {
         Ok(self.replica(key)?.lock().rebuilding)
@@ -985,6 +997,14 @@ impl PageStoreServer {
     pub fn backlog_pressure(&self) -> usize {
         self.log_cache.resident_bytes() + self.log_cache.backlog_len() * 4096
     }
+}
+
+/// Whether a pooled image at `pooled_lsn` can be the base of a page version
+/// at `as_of`: not newer than `as_of`, and no older than the newest
+/// materialized version at or below it, so the records above that version
+/// also cover the pooled image.
+fn usable_base(pooled_lsn: Lsn, as_of: Lsn, version: Option<VersionPtr>) -> bool {
+    pooled_lsn <= as_of && pooled_lsn >= version.map_or(Lsn::ZERO, |v| v.lsn)
 }
 
 #[cfg(test)]

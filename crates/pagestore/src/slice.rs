@@ -9,7 +9,7 @@
 //! *pending*: the gaps before them are holes that gossip or the SAL must
 //! repair (§5.2).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use taurus_common::{Lsn, SliceKey};
@@ -42,6 +42,16 @@ pub struct SliceReplica {
     pub key: SliceKey,
     /// Received fragments by replica-local id (ingest order).
     pub frags: BTreeMap<u64, FragMeta>,
+    /// Stored fragments by their `(first, last)` LSN bounds: the duplicate
+    /// check and the gossip lookup, without a scan of `frags`.
+    by_bounds: HashMap<(Lsn, Lsn), u64>,
+    /// Ids of the fragments whose last LSN is above the persistent LSN —
+    /// the only ones that can extend the chain.
+    pending: Vec<u64>,
+    /// `(first LSN, id)` of every accepted fragment not yet consolidated
+    /// (staged into the open L0): a compaction may not reach past the
+    /// first of them, whose records no sealed run holds yet.
+    unstaged: BTreeSet<(Lsn, u64)>,
     next_local_id: u64,
     /// Last LSN of the unbroken fragment chain.
     persistent_lsn: Lsn,
@@ -73,6 +83,9 @@ impl SliceReplica {
         SliceReplica {
             key,
             frags: BTreeMap::new(),
+            by_bounds: HashMap::new(),
+            pending: Vec::new(),
+            unstaged: BTreeSet::new(),
             next_local_id: 0,
             persistent_lsn: Lsn::ZERO,
             recycle_lsn: Lsn::ZERO,
@@ -94,6 +107,9 @@ impl SliceReplica {
         SliceReplica {
             key,
             frags: BTreeMap::new(),
+            by_bounds: HashMap::new(),
+            pending: Vec::new(),
+            unstaged: BTreeSet::new(),
             next_local_id: 0,
             persistent_lsn,
             recycle_lsn,
@@ -124,9 +140,7 @@ impl SliceReplica {
 
     /// Whether a fragment with these bounds is already stored.
     pub fn has_equivalent(&self, first: Lsn, last: Lsn) -> bool {
-        self.frags
-            .values()
-            .any(|m| m.first_lsn == first && m.last_lsn == last)
+        self.by_bounds.contains_key(&(first, last))
     }
 
     /// Records the arrival of a fragment. Advances the persistent LSN along
@@ -141,6 +155,11 @@ impl SliceReplica {
         let id = self.next_local_id;
         self.next_local_id += 1;
         self.frags.insert(id, meta);
+        self.by_bounds.insert((meta.first_lsn, meta.last_lsn), id);
+        self.pending.push(id);
+        if !meta.consolidated {
+            self.unstaged.insert((meta.first_lsn, id));
+        }
         self.extend_chain();
         IngestOutcome::Accepted(id)
     }
@@ -149,13 +168,14 @@ impl SliceReplica {
     /// now connects. Overlapping fragments (from recovery resends) connect
     /// whenever their link is at or below the current persistent LSN.
     fn extend_chain(&mut self) {
+        let frags = &self.frags;
         loop {
+            let persistent = self.persistent_lsn;
             let ext = self
-                .frags
-                .values()
-                .filter(|m| {
-                    m.prev_last_lsn <= self.persistent_lsn && m.last_lsn > self.persistent_lsn
-                })
+                .pending
+                .iter()
+                .filter_map(|id| frags.get(id))
+                .filter(|m| m.prev_last_lsn <= persistent && m.last_lsn > persistent)
                 .map(|m| m.last_lsn)
                 .max();
             match ext {
@@ -163,6 +183,9 @@ impl SliceReplica {
                 None => break,
             }
         }
+        let persistent = self.persistent_lsn;
+        self.pending
+            .retain(|id| frags.get(id).is_some_and(|m| m.last_lsn > persistent));
     }
 
     pub fn persistent_lsn(&self) -> Lsn {
@@ -191,10 +214,7 @@ impl SliceReplica {
 
     /// Local id of a stored fragment by its bounds (gossip supply lookup).
     pub fn find_fragment(&self, first: Lsn, last: Lsn) -> Option<u64> {
-        self.frags
-            .iter()
-            .find(|(_, m)| m.first_lsn == first && m.last_lsn == last)
-            .map(|(id, _)| *id)
+        self.by_bounds.get(&(first, last)).copied()
     }
 
     /// Fragments whose chain link has not connected (they sit beyond holes).
@@ -229,7 +249,13 @@ impl SliceReplica {
     pub fn mark_consolidated(&mut self, id: u64) {
         if let Some(m) = self.frags.get_mut(&id) {
             m.consolidated = true;
+            self.unstaged.remove(&(m.first_lsn, id));
         }
+    }
+
+    /// The first LSN of the lowest fragment accepted but not consolidated.
+    pub fn unstaged_first(&self) -> Option<Lsn> {
+        self.unstaged.first().map(|&(lsn, _)| lsn)
     }
 
     /// Drops fragment bookkeeping that is entirely below the recycle LSN,
@@ -243,11 +269,13 @@ impl SliceReplica {
         let recycle = self.recycle_lsn;
         let mut dropped = 0usize;
         let mut bytes = 0u64;
+        let by_bounds = &mut self.by_bounds;
         self.frags.retain(|id, m| {
             let keep = referenced.contains(id) || !(m.consolidated && m.last_lsn < recycle);
             if !keep {
                 dropped += 1;
                 bytes += m.loc.len as u64;
+                by_bounds.remove(&(m.first_lsn, m.last_lsn));
             }
             keep
         });
@@ -364,6 +392,7 @@ mod tests {
             _ => unreachable!(),
         };
         r.ingest(meta(5, 6, 9));
+        assert_eq!(r.unstaged_first(), Some(Lsn(1)));
         r.advance_recycle_lsn(Lsn(10));
         r.advance_recycle_lsn(Lsn(7)); // lower: ignored
         assert_eq!(r.recycle_lsn(), Lsn(10));
@@ -371,6 +400,7 @@ mod tests {
         // Unconsolidated fragments are never GCed.
         assert_eq!(r.gc_frags(&unreferenced), (0, 0));
         r.mark_consolidated(id0);
+        assert_eq!(r.unstaged_first(), Some(Lsn(6)));
         // A referenced fragment survives even once consolidated + recycled.
         let referenced: HashSet<u64> = [id0].into_iter().collect();
         assert_eq!(r.gc_frags(&referenced), (0, 0));

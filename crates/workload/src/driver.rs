@@ -228,7 +228,7 @@ pub fn run_workload_opts(
     });
     let ready_cv = Condvar::new();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for worker in 0..workers {
             let latency = &latency;
             let committed = &committed;
             let ops = &ops;
@@ -237,59 +237,62 @@ pub fn run_workload_opts(
             let clock = &clock;
             let sched = &sched;
             let ready_cv = &ready_cv;
-            scope.spawn(move || loop {
-                // Claim the earliest-ready connection, sleeping until its
-                // fire time; exit once every connection has finished.
-                let mut conn = {
-                    let mut s = sched.lock();
-                    loop {
-                        if s.active == 0 {
-                            return;
-                        }
-                        match s.heap.peek() {
-                            None => ready_cv.wait(&mut s),
-                            Some(top) => {
-                                let now = clock.now_us();
-                                if top.ready_at_us <= now {
-                                    break;
+            let spawned = std::thread::Builder::new()
+                .name(format!("taurus-client-{worker}"))
+                .spawn_scoped(scope, move || loop {
+                    // Claim the earliest-ready connection, sleeping until its
+                    // fire time; exit once every connection has finished.
+                    let mut conn = {
+                        let mut s = sched.lock();
+                        loop {
+                            if s.active == 0 {
+                                return;
+                            }
+                            match s.heap.peek() {
+                                None => ready_cv.wait(&mut s),
+                                Some(top) => {
+                                    let now = clock.now_us();
+                                    if top.ready_at_us <= now {
+                                        break;
+                                    }
+                                    let wait = top.ready_at_us - now;
+                                    ready_cv.wait_for(&mut s, Duration::from_micros(wait));
                                 }
-                                let wait = top.ready_at_us - now;
-                                ready_cv.wait_for(&mut s, Duration::from_micros(wait));
                             }
                         }
+                        match s.heap.pop() {
+                            Some(c) => c,
+                            None => continue,
+                        }
+                    };
+                    let txn = workload.next_txn(&mut conn.rng);
+                    match executor.execute(&txn) {
+                        Ok(()) => {
+                            // From fire time, not dispatch time: waiting for a
+                            // free worker is part of what the client sees.
+                            latency.record(clock.now_us().saturating_sub(conn.ready_at_us));
+                            committed.fetch_add(1, Ordering::Relaxed);
+                            ops.fetch_add(txn.ops.len() as u64, Ordering::Relaxed);
+                        }
+                        Err(_) => {
+                            aborts.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
-                    match s.heap.pop() {
-                        Some(c) => c,
-                        None => continue,
+                    conn.remaining -= 1;
+                    let mut s = sched.lock();
+                    if conn.remaining == 0 {
+                        s.active -= 1;
+                        if s.active == 0 {
+                            ready_cv.notify_all();
+                        }
+                    } else {
+                        conn.ready_at_us = clock.now_us() + opts.think_us;
+                        conn.seq = next_seq.fetch_add(1, Ordering::Relaxed);
+                        s.heap.push(conn);
+                        ready_cv.notify_one();
                     }
-                };
-                let txn = workload.next_txn(&mut conn.rng);
-                match executor.execute(&txn) {
-                    Ok(()) => {
-                        // From fire time, not dispatch time: waiting for a
-                        // free worker is part of what the client sees.
-                        latency.record(clock.now_us().saturating_sub(conn.ready_at_us));
-                        committed.fetch_add(1, Ordering::Relaxed);
-                        ops.fetch_add(txn.ops.len() as u64, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        aborts.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                conn.remaining -= 1;
-                let mut s = sched.lock();
-                if conn.remaining == 0 {
-                    s.active -= 1;
-                    if s.active == 0 {
-                        ready_cv.notify_all();
-                    }
-                } else {
-                    conn.ready_at_us = clock.now_us() + opts.think_us;
-                    conn.seq = next_seq.fetch_add(1, Ordering::Relaxed);
-                    s.heap.push(conn);
-                    ready_cv.notify_one();
-                }
-            });
+                });
+            spawned.expect("spawn workload worker");
         }
     });
     let wall = (clock.now_us().saturating_sub(start_us) as f64 / 1e6).max(1e-9);

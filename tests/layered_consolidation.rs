@@ -4,7 +4,10 @@
 //! to the read LSN, applied in order to a fresh page) — at the live head, at
 //! a pinned snapshot, under a concurrent writer, and across a crash
 //! mid-compaction (the partial L1 blob is discarded and re-compaction is
-//! idempotent).
+//! idempotent). Every image a compaction writes (one merge of the sealed
+//! runs) equals the replay at its compaction LSN, under duplicate and
+//! overlapping resends, out-of-order arrival, pooled and device bases, and
+//! pages whose records span several sealed L0s.
 
 // Test harness: panicking on setup failure is the desired behavior.
 #![allow(clippy::unwrap_used)]
@@ -32,16 +35,20 @@ fn key() -> SliceKey {
 /// A layered server with small knobs, so short streams exercise seal and
 /// compaction.
 fn server() -> Arc<PageStoreServer> {
+    // Tiny pool: reads must rebuild pages from versions + records, which is
+    // exactly the path that must stay byte-identical.
+    server_with(8, 2)
+}
+
+fn server_with(pool_pages: usize, compaction_threshold: usize) -> Arc<PageStoreServer> {
     let s = PageStoreServer::new(
         StorageDevice::in_memory(ManualClock::shared(), StorageProfile::instant()),
         1 << 20,
-        // Tiny pool: reads must rebuild pages from versions + records, which
-        // is exactly the path that must stay byte-identical.
-        8,
+        pool_pages,
         EvictionPolicy::Lfu,
         ConsolidationPolicy::Layered {
             l0_target_bytes: 96,
-            compaction_threshold: 2,
+            compaction_threshold,
         },
     );
     s.create_slice(key());
@@ -98,7 +105,7 @@ fn build_frags(visits: &[u8], seed: u64) -> Vec<SliceFragment> {
 /// below `as_of`, applied in LSN order to a fresh page.
 fn replay(frags: &[SliceFragment], page: PageId, as_of: Lsn) -> PageBuf {
     let mut buf = PageBuf::new();
-    for rec in frags.iter().flat_map(|f| &f.records) {
+    for rec in frags.iter().flat_map(|f| f.records.iter()) {
         if rec.page == page && rec.lsn <= as_of {
             apply_record(&mut buf, rec).unwrap();
         }
@@ -166,6 +173,86 @@ proptest! {
         let snapshot = Lsn(head.0 / 2 + 1);
         layered.set_recycle_lsn(key(), snapshot).unwrap();
         for lsn in snapshot.0..=head.0 {
+            assert_matches_replay_at(&layered, &frags, Lsn(lsn));
+        }
+    }
+}
+
+/// One step of a deterministic mix of `seed`.
+fn step(mix: &mut u64) -> u64 {
+    *mix = mix
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *mix >> 33
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Compaction is one merge of the sealed runs. After every step that
+    /// moves the compaction LSN, each page read at that LSN — the image the
+    /// compaction just wrote, from the pool or from the L1 blob — equals the
+    /// replay there. Arrival mixes in-order fragments, neighbours swapped
+    /// (the later one stalls at the hole and is staged first), duplicate
+    /// resends and overlapping resends (two fragments re-sent as one,
+    /// chained at the first one's link). A one-page pool makes most bases
+    /// device reads; a 64-page pool makes them pooled images. A threshold
+    /// of up to four sealed L0s per compaction and 96-byte L0s spread a
+    /// page's records over several runs.
+    #[test]
+    fn every_compaction_image_matches_replay_at_its_compact_lsn(
+        visits in prop::collection::vec(0u8..PAGES as u8, 2..120),
+        seed in any::<u64>(),
+        pooled in 0u8..2,
+        threshold in 2usize..5,
+    ) {
+        let layered = server_with(if pooled == 1 { 64 } else { 1 }, threshold);
+        let frags = build_frags(&visits, seed);
+        let mut mix = seed | 1;
+        let mut checked = Lsn::ZERO;
+        let mut i = 0;
+        while i < frags.len() {
+            let choice = step(&mut mix) % 6;
+            let next = frags.get(i + 1);
+            match (choice, next) {
+                (0, Some(next)) => {
+                    layered.write_logs(next).unwrap();
+                    layered.write_logs(&frags[i]).unwrap();
+                    i += 2;
+                }
+                (1, Some(next)) => {
+                    let both: Vec<LogRecord> =
+                        frags[i].records.iter().chain(next.records.iter()).cloned().collect();
+                    layered.write_logs(&frags[i]).unwrap();
+                    let resend = SliceFragment::new(key(), frags[i].prev_last_lsn, both);
+                    layered.write_logs(&resend).unwrap();
+                    i += 2;
+                }
+                (2, _) => {
+                    layered.write_logs(&frags[i]).unwrap();
+                    layered.write_logs(&frags[i]).unwrap();
+                    i += 1;
+                }
+                _ => {
+                    layered.write_logs(&frags[i]).unwrap();
+                    i += 1;
+                }
+            }
+            for _ in 0..step(&mut mix) % 4 {
+                layered.consolidate_step();
+            }
+            let compacted = layered.compact_lsn(key()).unwrap();
+            if compacted > checked {
+                assert_matches_replay_at(&layered, &frags, compacted);
+                checked = compacted;
+            }
+        }
+        layered.consolidate_all();
+        let compacted = layered.compact_lsn(key()).unwrap();
+        assert_matches_replay_at(&layered, &frags, compacted);
+        let head = layered.get_persistent_lsn(key()).unwrap();
+        prop_assert_eq!(head, Lsn(visits.len() as u64));
+        for lsn in 1..=head.0 {
             assert_matches_replay_at(&layered, &frags, Lsn(lsn));
         }
     }
