@@ -136,12 +136,16 @@ pub fn violations() -> Vec<Violation> {
 }
 
 /// Drains the runtime lockdep witness (built only under
-/// `RUSTFLAGS="--cfg taurus_lock_witness"`) and records every lock-order
-/// inversion it observed as a `lock-order-acyclic` invariant violation.
+/// `RUSTFLAGS="--cfg taurus_lock_witness"`) and records every finding it
+/// queued — a lock-order inversion, an acquisition under a leaf lock, a
+/// lock held across a fabric call, a condvar waited with a second mutex
+/// class — as a `lock-order-acyclic` invariant violation. The thread that
+/// made a finding already panicked with it; this catches the findings of
+/// background threads nobody joins.
 ///
 /// Callable unconditionally — without the cfg it is a no-op returning 0 —
 /// so crates that do not opt into `check-cfg` plumbing can still call it
-/// from maintenance paths. Returns the number of inversions drained.
+/// from maintenance paths. Returns the number of findings drained.
 pub fn lock_witness_sweep() -> usize {
     #[cfg(taurus_lock_witness)]
     {

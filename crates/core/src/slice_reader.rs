@@ -307,7 +307,7 @@ impl SliceReader {
             cfg,
             clock: pages.fabric.clock.clone(),
             pages,
-            routing: Mutex::default(),
+            routing: Mutex::new_leaf(Routing::default()),
             stats: Arc::default(),
             ndp_stats: Arc::default(),
             read_batch_stats: Arc::default(),

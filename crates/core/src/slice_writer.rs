@@ -88,7 +88,8 @@ struct Parked {
 }
 
 /// Writer-side state of a [`Sal`], outside `SalState` so the ack path and
-/// the flush path never contend on `sal::state` for it.
+/// the flush path never contend on `sal::state` for it. `pipes` and
+/// `parked` are leaf locks: nothing is taken while one is held.
 pub(crate) struct SliceWriter {
     /// One send pipe per Page Store replica node, created on first use.
     pipes: Mutex<HashMap<NodeId, PipeState>>,
@@ -100,8 +101,8 @@ pub(crate) struct SliceWriter {
 impl SliceWriter {
     pub(crate) fn new() -> Self {
         SliceWriter {
-            pipes: Mutex::new(HashMap::new()),
-            parked: Mutex::new(Parked::default()),
+            pipes: Mutex::new_leaf(HashMap::new()),
+            parked: Mutex::new_leaf(Parked::default()),
             drained: Condvar::new(),
         }
     }

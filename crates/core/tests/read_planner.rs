@@ -87,7 +87,11 @@ impl FrontEnd for Front {
 
     fn repair(&self, _: SliceKey) -> bool {
         let n = self.repairs.fetch_add(1, Ordering::Relaxed) as usize;
-        self.script.lock().get_mut(n).is_some_and(|step| step())
+        let mut script = self.script.lock();
+        let _span = parking_lot::held_across_calls(
+            "the script runs one repair step at a time; no Page Store handler takes a test lock",
+        );
+        script.get_mut(n).is_some_and(|step| step())
     }
 }
 

@@ -406,6 +406,14 @@ fn fig4c_hole_on_every_replica_is_parked_and_resent() {
         }
         assert!(ok, "replica {r} must be repaired to {end}");
     }
+    // The redo counts its resends once every ship has returned, and a
+    // replica's persistent LSN moves inside the ship: bound-wait for it.
+    for _ in 0..500 {
+        if sal.stats.resends.get() >= 1 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
     assert!(sal.stats.resends.get() >= 1, "repair must resend from log");
     assert!(sal.stats.suspect_resurrections.get() >= 1);
     // The unpark happens on the sender side when the resend's ack is

@@ -206,6 +206,19 @@ fn failed_reads_penalize_the_replica_in_routing_order() {
     h.settle(&sal);
     let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
     let replicas = h.pages.replicas_of(key);
+    // `settle` waits for one ack per fragment; the read below must find
+    // the record on whichever survivor it tries, so wait for all three.
+    for _ in 0..2500 {
+        let caught_up = replicas.iter().all(|&r| {
+            h.pages
+                .persistent_lsn_of(r, h.me, key)
+                .is_ok_and(|l| l >= end)
+        });
+        if caught_up {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
 
     // No latencies recorded yet: routing falls back to placement order.
     // Kill the first-choice replica.

@@ -163,8 +163,8 @@ impl TaurusDb {
         for replica in self.replicas() {
             let _ = replica.poll();
         }
-        // Fold any lock-order inversions the runtime lockdep witness observed
-        // (no-op unless built with `--cfg taurus_lock_witness`) into the
+        // Fold any findings the runtime lockdep witness queued (no-op unless
+        // built with `--cfg taurus_lock_witness`) into the
         // `lock-order-acyclic` invariant so tests and harnesses see them.
         taurus_common::invariants::lock_witness_sweep();
     }
@@ -172,8 +172,14 @@ impl TaurusDb {
     /// One recovery-service round (failure classification, gossip, repair,
     /// truncation). Deterministic; drive from a timer in live deployments.
     pub fn run_recovery_round(&self) -> taurus_core::recovery::RecoveryReport {
-        // taurus-lint: allow(lock-across-fabric-call) -- the recovery mutex exists to serialize whole repair sweeps including their RPCs; nothing else ever acquires it, so no cycle
-        let report = self.recovery.lock().as_mut().map(|r| r.run_once());
+        let report = {
+            let mut recovery = self.recovery.lock();
+            let _span = parking_lot::held_across_calls(
+                "the recovery mutex exists to serialize whole repair sweeps including their \
+                 RPCs; nothing else ever acquires it, so no cycle",
+            );
+            recovery.as_mut().map(|r| r.run_once())
+        };
         // No service: the master is down and its successor not yet up.
         let Some(report) = report else {
             return Default::default();
@@ -272,8 +278,14 @@ impl TaurusDb {
     /// one split/move/merge. Publishes the master bulletin afterwards so
     /// replicas see any visibility change promptly.
     pub fn run_rebalance_round(&self) -> Result<RebalanceReport> {
-        // taurus-lint: allow(lock-across-fabric-call) -- the rebalancer mutex serializes whole placement operations including their RPCs; nothing else acquires it, so no cycle
-        let report = self.rebalancer.lock().as_mut().map(|r| r.run_once());
+        let report = {
+            let mut rebalancer = self.rebalancer.lock();
+            let _span = parking_lot::held_across_calls(
+                "the rebalancer mutex serializes whole placement operations including their \
+                 RPCs; nothing else acquires it, so no cycle",
+            );
+            rebalancer.as_mut().map(|r| r.run_once())
+        };
         let Some(report) = report else {
             return Ok(RebalanceReport::default());
         };

@@ -151,9 +151,16 @@ impl TreeLatch {
             self.load(src, &wanted, None)?;
         }
         self.stats.read_latch_fallbacks.inc();
-        let fetch = Blocking::new(&self.pool, src, &missed, &[]);
+        let fetch = Blocking::new(
+            &self.pool,
+            src,
+            &missed,
+            &[],
+            "counted fallback (read_latch_fallbacks): a traversal that keeps evicting its own \
+             pages fetches under the shared latch; storage read handlers take no engine locks, \
+             so no cycle -- latency only",
+        );
         let _shared = self.tree_latch.read();
-        // taurus-lint: allow(lock-across-fabric-call) -- counted fallback (read_latch_fallbacks): a traversal that keeps evicting its own pages fetches under the shared latch; storage read handlers take no engine locks, so no cycle -- latency only
         traverse(&fetch)
     }
 
@@ -209,7 +216,15 @@ impl TreeLatch {
                 Err(_) => break,
             }
         }
-        let fetch = Blocking::new(&self.pool, src, &missed, &warm);
+        let fetch = Blocking::new(
+            &self.pool,
+            src,
+            &missed,
+            &warm,
+            "counted fallback (commit_fetches_under_latch): a page whose warm copy a commit \
+             overtook, or one no descent names (a split's sibling), is fetched under the \
+             exclusive latch; storage read handlers take no engine locks, so no cycle",
+        );
         let asked = self.clock.now_us();
         let out = {
             let _exclusive = self.tree_latch.write();
@@ -219,7 +234,6 @@ impl TreeLatch {
             let waited = self.clock.now_us().saturating_sub(asked);
             self.stats.commit_latch_wait_us.add(waited);
             self.stats.commits.inc();
-            // taurus-lint: allow(lock-across-fabric-call) -- counted fallback (commit_fetches_under_latch): a page whose warm copy a commit overtook, or one no descent names (a split's sibling), is fetched under the exclusive latch; storage read handlers take no engine locks, so no cycle
             apply(&fetch)
         };
         self.stats
@@ -429,16 +443,27 @@ struct Blocking<'a, S> {
     warm: &'a [Warm],
     /// Demand fetches that went to storage.
     fetched: Cell<u64>,
+    /// Why its storage reads may hold the latch: each one runs inside a
+    /// `held_across_calls` scope with this proof, and nothing else the
+    /// caller does under the latch does.
+    proof: &'static str,
 }
 
 impl<'a, S: PageSource> Blocking<'a, S> {
-    fn new(pool: &'a EnginePool, src: &'a S, missed: &'a [PageId], warm: &'a [Warm]) -> Self {
+    fn new(
+        pool: &'a EnginePool,
+        src: &'a S,
+        missed: &'a [PageId],
+        warm: &'a [Warm],
+        proof: &'static str,
+    ) -> Self {
         Blocking {
             pool,
             src,
             missed,
             warm,
             fetched: Cell::new(0),
+            proof,
         }
     }
 }
@@ -468,7 +493,10 @@ impl<S: PageSource> PageFetch for Blocking<'_, S> {
             }
         }
         self.fetched.set(self.fetched.get() + 1);
-        let buf = Arc::new(self.src.read_page(page)?);
+        let buf = {
+            let _span = parking_lot::held_across_calls(self.proof);
+            Arc::new(self.src.read_page(page)?)
+        };
         let frame = Frame::new(Arc::clone(&buf), buf.lsn(), false);
         self.pool.put(page, frame, &guard);
         Ok(buf)
@@ -477,7 +505,10 @@ impl<S: PageSource> PageFetch for Blocking<'_, S> {
     fn prefetch(&self, pages: &[PageId]) {
         self.pool.prefetch_absent(
             pages,
-            &|miss| self.src.read_pages(miss),
+            &|miss| {
+                let _span = parking_lot::held_across_calls(self.proof);
+                self.src.read_pages(miss)
+            },
             &self.src.evict_guard(),
         );
     }
@@ -627,7 +658,13 @@ mod tests {
             self.cool(rows);
             let before = self.counted();
             let out = if under_latch {
-                op(&Blocking::new(&self.tree.pool, &self.store, &[], &[]))
+                op(&Blocking::new(
+                    &self.tree.pool,
+                    &self.store,
+                    &[],
+                    &[],
+                    "test",
+                ))
             } else {
                 self.tree.read(&self.store, op)
             };
@@ -705,7 +742,7 @@ mod tests {
         for (under_latch, reads) in [(false, vec![]), (true, vec![1])] {
             db.tree.pool.remove(sibling);
             db.store.reads.lock().clear();
-            let fetch = Blocking::new(&db.tree.pool, &db.store, &[], &[]);
+            let fetch = Blocking::new(&db.tree.pool, &db.store, &[], &[], "test");
             let got = if under_latch {
                 inside(&fetch)
             } else {

@@ -155,7 +155,10 @@ impl ReplicaEngine {
         // Merging at `horizon ≤ durable_lsn` is safe: the durable LSN only
         // covers the contiguous cross-stream span prefix, so every group at
         // or below the horizon is present on some stream.
-        // taurus-lint: allow(lock-across-fabric-call) -- read_tail mutates each cursor incrementally, so the poller lock must span the round trips; Log Store handlers take no replica locks, so no cycle
+        let span = parking_lot::held_across_calls(
+            "read_tail mutates each cursor incrementally, so the poller lock must span the round \
+             trips; Log Store handlers take no replica locks, so no cycle",
+        );
         let groups = match self.read_tails(&mut cursors, horizon) {
             Ok(groups) => groups,
             Err(TaurusError::ReplicaBehindTruncation {
@@ -175,11 +178,14 @@ impl ReplicaEngine {
                     *cursor = TailCursor::default();
                 }
                 self.visible_lsn.advance(truncated_through);
-                // taurus-lint: allow(lock-across-fabric-call) -- same proof as above: fresh cursors re-tail under the poller lock
+                let _span = parking_lot::held_across_calls(
+                    "same proof as above: fresh cursors re-tail under the poller lock",
+                );
                 self.read_tails(&mut cursors, horizon)?
             }
             Err(e) => return Err(e),
         };
+        drop(span);
         let mut applied = 0usize;
         for group in groups {
             let end = group.end_lsn();
@@ -229,7 +235,10 @@ impl ReplicaEngine {
     fn read_tails(&self, cursors: &mut [TailCursor], horizon: Lsn) -> Result<Vec<LogRecordGroup>> {
         let mut groups = Vec::new();
         for (stream, cursor) in self.streams.iter().zip(cursors.iter_mut()) {
-            // taurus-lint: allow(lock-across-fabric-call) -- read_tail mutates the cursor incrementally, so the poller lock must span the round trip; Log Store handlers take no replica locks, so no cycle
+            let _span = parking_lot::held_across_calls(
+                "read_tail mutates the cursor incrementally, so the poller lock must span the \
+                 round trip; Log Store handlers take no replica locks, so no cycle",
+            );
             groups.extend(stream.read_tail(cursor, horizon)?);
         }
         groups.sort_by_key(|g| g.first_lsn());

@@ -336,6 +336,68 @@ fn replica_tv_feedback_becomes_recycle_lsn() {
     master.maintain();
 }
 
+/// A replica that stops polling while the master truncates log it never
+/// consumed cannot be fed the missing records: its next poll resyncs
+/// (drops its pool, jumps its visible LSN over the truncated range, and
+/// re-tails from fresh cursors). Afterwards it reads every acknowledged
+/// value at its visible LSN.
+#[test]
+fn a_replica_behind_truncation_resyncs_and_serves_every_acked_value() {
+    let cfg = TaurusConfig {
+        plog_size_limit: 4 << 10,
+        log_buffer_bytes: 1,
+        slice_buffer_bytes: 1,
+        ..TaurusConfig::test()
+    };
+    let db = TaurusDb::launch_with_clock(cfg, 5, 6, ManualClock::shared(), 7).unwrap();
+    let master = db.master();
+    let replica = db.add_replica().unwrap();
+    let mut model = std::collections::BTreeMap::new();
+    let mut commit = |i: usize| {
+        let (k, v) = (format!("key{:02}", i % 40), format!("v{i}"));
+        let mut t = master.begin();
+        t.put(k.as_bytes(), v.as_bytes()).unwrap();
+        t.commit().unwrap();
+        model.insert(k, v);
+    };
+    for i in 0..40 {
+        commit(i);
+    }
+    settle(&db);
+    sync_replica(&db, &replica);
+
+    // The replica stops polling (`master.maintain` does not poll it). The
+    // master commits across many 4 KiB PLogs and truncates all of them.
+    let resumed_at = replica.visible_lsn();
+    let commits = 200;
+    for i in 40..40 + commits {
+        commit(i);
+    }
+    make_truncation_due(&master);
+    let report = db.run_recovery_round();
+    assert!(report.plogs_truncated > 0, "{report:?}");
+    assert_eq!(replica.visible_lsn(), resumed_at);
+
+    // Every commit is one group. Tailing from the old cursors would apply
+    // all of them; the resync skips those the truncation removed.
+    let applied = replica.poll().unwrap();
+    assert!(
+        applied < commits,
+        "resync applied {applied} of {commits} groups: nothing was truncated past the replica"
+    );
+    sync_replica(&db, &replica);
+    let snapshot = replica.begin();
+    assert_eq!(snapshot.tv_lsn(), replica.visible_lsn());
+    for (k, v) in &model {
+        assert_eq!(
+            snapshot.get(k.as_bytes()).unwrap().as_deref(),
+            Some(v.as_bytes()),
+            "{k} at the replica's visible LSN {:?}",
+            replica.visible_lsn()
+        );
+    }
+}
+
 /// Log Directory record pointers summed over every Page Store.
 fn directory_records(db: &TaurusDb) -> usize {
     let server = |n| db.pages.server_handle(n).unwrap();

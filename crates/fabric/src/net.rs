@@ -296,7 +296,12 @@ impl Fabric {
     /// device time (a deadline on its cursor, see [`crate::device`]) and the
     /// response hop in one sleep. Concurrency comes from the many
     /// front-end/flusher threads issuing calls in parallel.
+    ///
+    /// The caller holds no lock: under the lock witness, a call (or a
+    /// fan-out) made while holding one fires, unless a
+    /// `parking_lot::held_across_calls` scope covers it.
     pub fn call<T>(&self, _from: NodeId, to: NodeId, f: impl FnOnce() -> T) -> Result<T> {
+        parking_lot::assert_no_lock_held();
         let (fail_permille, extra_delay_us) = self.admit(to)?;
         let arrives_at = model_now(&self.clock) + self.hop_latency_us() + extra_delay_us;
         self.clock.sleep_until(arrives_at);
@@ -341,6 +346,7 @@ impl Fabric {
         from: NodeId,
         mut calls: Vec<(NodeId, Box<dyn FnOnce() -> T + Send + 'env>)>,
     ) -> Vec<Result<T>> {
+        parking_lot::assert_no_lock_held();
         if calls.len() == 1 {
             // Nothing else in flight: this is exactly a `call`.
             let (to, f) = calls.remove(0);

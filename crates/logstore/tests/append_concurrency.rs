@@ -74,6 +74,10 @@ fn run_appenders(stream: &Arc<LogStream>, threads: usize, per_thread: usize) -> 
                     let len = 1 + ((t + i) % 4) as u64;
                     let (res, data) = {
                         let mut next = alloc.lock();
+                        let _span = parking_lot::held_across_calls(
+                            "reservations are taken in LSN order, so the allocator spans \
+                             reserve_append; Log Store handlers take no test lock",
+                        );
                         let (data, first, last) = group(*next, len);
                         *next += len;
                         let res = stream
@@ -186,6 +190,10 @@ fn concurrent_appends_survive_mid_run_outage() {
                     let len = 1 + ((t + i) % 3) as u64;
                     let (res, data) = {
                         let mut next = alloc.lock();
+                        let _span = parking_lot::held_across_calls(
+                            "reservations are taken in LSN order, so the allocator spans \
+                             reserve_append; Log Store handlers take no test lock",
+                        );
                         let (data, first, last) = group(*next, len);
                         *next += len;
                         let res = stream

@@ -1,16 +1,16 @@
 //! `taurus-lint` — workspace convention checker.
 //!
 //! ```text
-//! taurus-lint [--root DIR] [--json] [--quiet] [--no-lockgraph]
+//! taurus-lint [--root DIR] [--json] [--quiet]
 //! ```
 //!
 //! Scans `crates/*/src/**/*.rs` under the root (default: the current
 //! directory, falling back to the workspace the binary was built from),
-//! runs both the line-level convention rules and the `lockgraph`
-//! lock-discipline analysis, prints `file:line: [rule] message` diagnostics
-//! plus a summary, and exits 1 if any violation is found, 2 on usage or I/O
-//! errors, 0 when clean. `--json` swaps the human output for one
-//! machine-readable JSON object; `--no-lockgraph` skips the lock analysis.
+//! runs the line-level convention rules, prints `file:line: [rule] message`
+//! diagnostics plus a summary, and exits 1 if any violation is found, 2 on
+//! usage or I/O errors, 0 when clean. `--json` swaps the human output for
+//! one machine-readable JSON object. (Lock discipline is checked at run
+//! time, by the `parking_lot` shim's witness.)
 
 #![forbid(unsafe_code)]
 
@@ -18,13 +18,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use taurus_verify::lint::lint_workspace;
-use taurus_verify::lockgraph::analyze_workspace;
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json = false;
     let mut quiet = false;
-    let mut lockgraph = true;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -37,9 +35,8 @@ fn main() -> ExitCode {
             },
             "--json" => json = true,
             "--quiet" => quiet = true,
-            "--no-lockgraph" => lockgraph = false,
             "--help" | "-h" => {
-                eprintln!("usage: taurus-lint [--root DIR] [--json] [--quiet] [--no-lockgraph]");
+                eprintln!("usage: taurus-lint [--root DIR] [--json] [--quiet]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -62,31 +59,13 @@ fn main() -> ExitCode {
         }
     });
 
-    let mut report = match lint_workspace(&root) {
+    let report = match lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("taurus-lint: failed to scan {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-    if lockgraph {
-        match analyze_workspace(&root) {
-            Ok(a) => {
-                report.diagnostics.extend(a.report.diagnostics);
-                report.suppressed += a.report.suppressed;
-                report.diagnostics.sort_by(|a, b| {
-                    (a.file.clone(), a.line, a.rule).cmp(&(b.file.clone(), b.line, b.rule))
-                });
-            }
-            Err(e) => {
-                eprintln!(
-                    "taurus-lint: lockgraph scan failed under {}: {e}",
-                    root.display()
-                );
-                return ExitCode::from(2);
-            }
-        }
-    }
 
     if json {
         println!("{}", report.to_json());

@@ -14,13 +14,15 @@
 //!   [`taurus_common::invariants`] (wired into the SAL, Log Store, Page
 //!   Store, and replica paths); this crate's integration tests drive
 //!   workloads and assert the registry stays empty.
+//!
+//! Lock discipline is not checked here: the `parking_lot` shim's witness
+//! (`--cfg taurus_lock_witness`) checks lock order, leaf locks, locks held
+//! across fabric calls and condvar pairing as the tests run.
 
 #![forbid(unsafe_code)]
 
 pub mod determinism;
 pub mod lint;
-pub mod lockgraph;
 
 pub use determinism::{check_determinism, fingerprint_run, DeterminismReport, Fingerprint, Inject};
 pub use lint::{lint_source, lint_workspace, Diagnostic, LintReport};
-pub use lockgraph::{analyze_sources, analyze_workspace, Analysis};

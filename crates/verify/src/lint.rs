@@ -47,9 +47,6 @@ pub const RULE_NAMES: &[&str] = &[
     "std-sync-lock",
     "pushdown-no-panic",
     "unjustified-allow",
-    "lock-order-cycle",
-    "lock-across-fabric-call",
-    "condvar-foreign-mutex",
 ];
 
 /// One lint finding.
@@ -158,7 +155,7 @@ fn json_escape(s: &str) -> String {
 /// Handles line comments, (nested) block comments, string literals with
 /// escapes, raw strings `r"…"`/`r#"…"#`, byte strings, char literals, and
 /// lifetimes (a lone `'a` is not a char literal).
-pub fn strip_comments_and_strings(src: &str) -> String {
+fn strip_comments_and_strings(src: &str) -> String {
     let b: Vec<char> = src.chars().collect();
     let mut out = String::with_capacity(src.len());
     let mut i = 0usize;
@@ -304,7 +301,7 @@ pub fn strip_comments_and_strings(src: &str) -> String {
 /// Marks lines belonging to test-only code: a `#[cfg(test)]` or `#[test]`
 /// attribute plus the brace-balanced item that follows it. Operates on the
 /// *stripped* source so braces in strings/comments don't confuse it.
-pub fn test_code_lines(stripped: &str) -> Vec<bool> {
+fn test_code_lines(stripped: &str) -> Vec<bool> {
     let lines: Vec<&str> = stripped.lines().collect();
     let mut is_test = vec![false; lines.len()];
     let chars: Vec<char> = stripped.chars().collect();
@@ -372,7 +369,7 @@ pub fn test_code_lines(stripped: &str) -> Vec<bool> {
 /// Extracts `taurus-lint: allow(rule, rule2)` escape hatches from the
 /// *original* source. Returns, per 1-based line, the set of allowed rules —
 /// an allow on line N covers lines N and N+1.
-pub fn allow_directives(src: &str) -> BTreeMap<usize, Vec<String>> {
+fn allow_directives(src: &str) -> BTreeMap<usize, Vec<String>> {
     let mut allows: BTreeMap<usize, Vec<String>> = BTreeMap::new();
     for (idx, line) in src.lines().enumerate() {
         let Some(pos) = line.find("taurus-lint: allow(") else {
@@ -580,7 +577,7 @@ pub fn lint_source(path: &Path, src: &str, report: &mut LintReport) {
 }
 
 /// Recursively collects `.rs` files under `dir`, sorted for stable output.
-pub fn collect_rs_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+fn collect_rs_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {

@@ -9,14 +9,18 @@
 //! # Lockdep witness (`--cfg taurus_lock_witness`)
 //!
 //! Built with `RUSTFLAGS="--cfg taurus_lock_witness"`, every lock carries
-//! its construction-site class and every acquisition feeds the [`witness`]
-//! order graph, which reports the first lock-order inversion it observes
-//! with both acquisition chains. See `witness.rs` for the model; drain
-//! findings with [`witness_take_reports`]. The feature exists for tests and
-//! CI — release builds pay zero cost (the plain path compiles exactly as
-//! before).
+//! its construction-site class and the witness checks the workspace's lock
+//! rules as they happen: lock order (the first inversion of a class pair,
+//! with both acquisition chains), nothing taken under a
+//! [`Mutex::new_leaf`] lock, no lock held across a fabric call
+//! ([`assert_no_lock_held`], outside a [`held_across_calls`] scope), and
+//! one mutex class per [`Condvar`]. A finding panics on the thread that
+//! made it and is queued for [`witness_take_reports`]. See `witness.rs`
+//! for the model. The cfg exists for tests and CI — without it every hook
+//! compiles to nothing and the plain path is exactly as before.
 
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::{self, TryLockError};
 use std::time::Duration;
 
@@ -40,7 +44,19 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Mutex {
             #[cfg(taurus_lock_witness)]
-            tag: witness::LockTag::new(std::panic::Location::caller()),
+            tag: witness::LockTag::new(std::panic::Location::caller(), false),
+            inner: sync::Mutex::new(value),
+        }
+    }
+
+    /// A mutex under which nothing else is ever locked: the witness fires
+    /// on any acquisition while one of this class is held. Without the
+    /// witness this is [`Mutex::new`].
+    #[track_caller]
+    pub const fn new_leaf(value: T) -> Self {
+        Mutex {
+            #[cfg(taurus_lock_witness)]
+            tag: witness::LockTag::new(std::panic::Location::caller(), true),
             inner: sync::Mutex::new(value),
         }
     }
@@ -130,7 +146,7 @@ impl<T> RwLock<T> {
     pub const fn new(value: T) -> Self {
         RwLock {
             #[cfg(taurus_lock_witness)]
-            tag: witness::LockTag::new(std::panic::Location::caller()),
+            tag: witness::LockTag::new(std::panic::Location::caller(), false),
             inner: sync::RwLock::new(value),
         }
     }
@@ -294,15 +310,63 @@ witness_guard!(RwLockReadGuard, RwLockReadGuard,);
 #[cfg(taurus_lock_witness)]
 witness_guard!(RwLockWriteGuard, RwLockWriteGuard, mutable);
 
+// ====================================================================
+// Locks held across fabric calls
+// ====================================================================
+
+/// Called on entry to every fabric RPC. Under the witness it fires if the
+/// calling thread holds any lock that no open [`held_across_calls`] scope
+/// covers; without it, it does nothing.
+#[inline]
+pub fn assert_no_lock_held() {
+    #[cfg(taurus_lock_witness)]
+    witness::assert_no_lock_held();
+}
+
+/// Opens an audited exemption: until the returned guard drops, fabric calls
+/// on this thread may hold the locks it holds *now*. A lock taken after the
+/// guard still fires. `reason` is the proof that no handler on the far side
+/// can reach the held locks; the witness refuses an empty one.
+#[inline]
+pub fn held_across_calls(reason: &'static str) -> HeldAcrossCalls {
+    #[cfg(not(taurus_lock_witness))]
+    let _ = reason;
+    HeldAcrossCalls {
+        #[cfg(taurus_lock_witness)]
+        depth: witness::open_span(reason),
+        _thread: PhantomData,
+    }
+}
+
+/// Scope guard of [`held_across_calls`]; tied to the thread that opened it.
+#[must_use = "the exemption ends when the guard drops"]
+pub struct HeldAcrossCalls {
+    #[cfg(taurus_lock_witness)]
+    depth: usize,
+    _thread: PhantomData<*const ()>,
+}
+
+#[cfg(taurus_lock_witness)]
+impl Drop for HeldAcrossCalls {
+    fn drop(&mut self) {
+        witness::close_span(self.depth);
+    }
+}
+
 /// parking_lot-style condvar paired with [`Mutex`].
 #[derive(Default)]
 pub struct Condvar {
+    /// The class of the first mutex waited with, plus one (0: none yet).
+    #[cfg(taurus_lock_witness)]
+    mutex_class: std::sync::atomic::AtomicU32,
     inner: sync::Condvar,
 }
 
 impl Condvar {
     pub const fn new() -> Self {
         Condvar {
+            #[cfg(taurus_lock_witness)]
+            mutex_class: std::sync::atomic::AtomicU32::new(0),
             inner: sync::Condvar::new(),
         }
     }
@@ -312,7 +376,10 @@ impl Condvar {
         // it while the thread sleeps, and the wake-up reacquisition is an
         // ordering event like any other.
         #[cfg(taurus_lock_witness)]
-        witness::released(guard.class);
+        {
+            witness::condvar_wait(&self.mutex_class, guard.class);
+            witness::released(guard.class);
+        }
         // Safety-free dance: std's condvar consumes and returns the guard,
         // parking_lot's mutates it in place. Temporarily move it out.
         take_guard(inner_guard(guard), |g| match self.inner.wait(g) {
@@ -329,7 +396,10 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         #[cfg(taurus_lock_witness)]
-        witness::released(guard.class);
+        {
+            witness::condvar_wait(&self.mutex_class, guard.class);
+            witness::released(guard.class);
+        }
         let mut timed_out = false;
         take_guard(inner_guard(guard), |g| {
             match self.inner.wait_timeout(g, timeout) {

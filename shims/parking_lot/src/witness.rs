@@ -4,26 +4,39 @@
 //! **construction site** (`file:line`, captured by `#[track_caller]` on
 //! `new`), which names its *lock class*: the 64 pool stripes built in one
 //! loop share one class, every `SliceReplica` mutex shares another, and so
-//! on. Each thread keeps a stack of the classes it currently holds; every
-//! blocking acquisition folds `(held → acquired)` pairs into one global
-//! order graph and checks whether the *reverse* direction is already
-//! reachable — the first such inversion is recorded with both acquisition
-//! chains (the acquiring thread's current stack and the held-stack snapshot
-//! that established the conflicting edge).
+//! on. Each thread keeps a stack of the classes it currently holds. Four
+//! rules are checked against it:
 //!
-//! Reports are drained by [`take_reports`] and folded into the
-//! `lock-order-acyclic` runtime invariant by
-//! `taurus_common::invariants::lock_witness_sweep`.
+//! * **lock order** — every blocking acquisition folds `(held → acquired)`
+//!   pairs into one global order graph and checks whether the *reverse*
+//!   direction is already reachable; the first such inversion of a class
+//!   pair is reported with both acquisition chains (the acquiring thread's
+//!   current stack and the held-stack snapshot that established the
+//!   conflicting edge);
+//! * **leaf locks** — nothing may be acquired while a class built with
+//!   `Mutex::new_leaf` is held;
+//! * **fabric calls** — [`assert_no_lock_held`] (called on entry to every
+//!   fabric RPC) finds the held stack empty, apart from what the innermost
+//!   open `held_across_calls` scope snapshotted;
+//! * **condvar pairing** — a condvar waits with mutexes of one class only,
+//!   the class of the first mutex it waited with.
 //!
-//! Scope notes, mirroring the static `lockgraph` pass in `taurus-verify`:
+//! A finding is queued for [`take_reports`] (which
+//! `taurus_common::invariants::lock_witness_sweep` folds into the
+//! `lock-order-acyclic` runtime invariant) and panics on the thread that
+//! made it, so the test that hits it fails. A thread already unwinding only
+//! queues.
+//!
+//! Scope notes:
 //!
 //! * `try_lock`/`try_read`/`try_write` acquisitions join the held stack and
 //!   contribute edges (another thread may *block* on the same class), but
-//!   never fire a report themselves — a try-acquire cannot deadlock at its
-//!   own site.
+//!   never fire an inversion themselves — a try-acquire cannot deadlock at
+//!   its own site. Under a leaf they still fire: the leaf rule is about
+//!   nesting, not blocking.
 //! * Same-class nesting (two stripes from one construction line) is not
-//!   checked; distinguishing instances would need per-object identity and
-//!   the workspace orders same-class acquisitions by index.
+//!   order-checked; distinguishing instances would need per-object identity
+//!   and the workspace orders same-class acquisitions by index.
 //! * The witness's own bookkeeping lives on `std::sync` primitives, so it
 //!   never re-enters itself.
 
@@ -39,13 +52,15 @@ pub(crate) type ClassId = u32;
 /// is interned on first use and cached (0 = not yet interned).
 pub(crate) struct LockTag {
     loc: &'static Location<'static>,
+    leaf: bool,
     cached: AtomicU32,
 }
 
 impl LockTag {
-    pub(crate) const fn new(loc: &'static Location<'static>) -> LockTag {
+    pub(crate) const fn new(loc: &'static Location<'static>, leaf: bool) -> LockTag {
         LockTag {
             loc,
+            leaf,
             cached: AtomicU32::new(0),
         }
     }
@@ -55,7 +70,7 @@ impl LockTag {
         if cached != 0 {
             return cached - 1;
         }
-        let id = intern(self.loc);
+        let id = intern(self.loc, self.leaf);
         self.cached.store(id + 1, Ordering::Relaxed);
         id
     }
@@ -66,6 +81,8 @@ struct State {
     ids: HashMap<(&'static str, u32, u32), ClassId>,
     /// Class id → `file:line` of the construction site.
     names: Vec<String>,
+    /// Classes built with `Mutex::new_leaf`.
+    leaves: HashSet<ClassId>,
     /// Observed order graph: held class → classes acquired under it.
     edges: HashMap<ClassId, HashSet<ClassId>>,
     /// Held-stack snapshot (by name) that first established each edge.
@@ -76,10 +93,23 @@ struct State {
     reports: Vec<String>,
 }
 
+impl State {
+    fn chain(&self, classes: &[ClassId]) -> String {
+        let names: Vec<&str> = classes
+            .iter()
+            .map(|&c| self.names[c as usize].as_str())
+            .collect();
+        names.join(" -> ")
+    }
+}
+
 static STATE: StdMutex<Option<State>> = StdMutex::new(None);
 
 thread_local! {
     static HELD: RefCell<Vec<ClassId>> = const { RefCell::new(Vec::new()) };
+    /// Open `held_across_calls` scopes, innermost last: each one's reason
+    /// and the held stack it snapshotted.
+    static SPANS: RefCell<Vec<(&'static str, Vec<ClassId>)>> = const { RefCell::new(Vec::new()) };
 }
 
 fn with<R>(f: impl FnOnce(&mut State) -> R) -> R {
@@ -90,7 +120,7 @@ fn with<R>(f: impl FnOnce(&mut State) -> R) -> R {
     f(st.get_or_insert_with(State::default))
 }
 
-fn intern(loc: &'static Location<'static>) -> ClassId {
+fn intern(loc: &'static Location<'static>, leaf: bool) -> ClassId {
     with(|st| {
         let key = (loc.file(), loc.line(), loc.column());
         if let Some(&id) = st.ids.get(&key) {
@@ -99,16 +129,38 @@ fn intern(loc: &'static Location<'static>) -> ClassId {
         let id = st.names.len() as ClassId;
         st.names.push(format!("{}:{}", loc.file(), loc.line()));
         st.ids.insert(key, id);
+        if leaf {
+            st.leaves.insert(id);
+        }
         id
     })
 }
 
-/// Records one acquisition: edge insertion, inversion check (blocking
-/// acquisitions only), then pushes the class onto the thread's held stack.
+/// Queues `report` and fails the calling thread with it.
+fn fire(report: String) {
+    with(|st| st.reports.push(report.clone()));
+    if !std::thread::panicking() {
+        panic!("{report}");
+    }
+}
+
+/// Records one acquisition: leaf check, edge insertion, inversion check
+/// (blocking acquisitions only), then pushes the class onto the thread's
+/// held stack. A finding fires before the class is pushed.
 pub(crate) fn acquired(class: ClassId, blocking: bool) {
     let held: Vec<ClassId> = HELD.with(|h| h.borrow().clone());
     if !held.is_empty() {
-        with(|st| {
+        let finding = with(|st| {
+            let mut finding = held.iter().find(|c| st.leaves.contains(c)).map(|&leaf| {
+                format!(
+                    "lock under a leaf: acquiring [{}] while holding leaf [{}]\n  \
+                     this thread's chain: {} -> {}",
+                    st.names[class as usize],
+                    st.names[leaf as usize],
+                    st.chain(&held),
+                    st.names[class as usize],
+                )
+            });
             let held_names: Vec<String> =
                 held.iter().map(|&c| st.names[c as usize].clone()).collect();
             for &h in &held {
@@ -119,15 +171,18 @@ pub(crate) fn acquired(class: ClassId, blocking: bool) {
                 if fresh {
                     st.first_seen.insert((h, class), held_names.clone());
                 }
-                if blocking && !st.reported.contains(&(h, class)) {
+                if blocking && finding.is_none() && !st.reported.contains(&(h, class)) {
                     if let Some(path) = reverse_path(st, class, h) {
                         st.reported.insert((h, class));
-                        let report = format_inversion(st, h, class, &held_names, &path);
-                        st.reports.push(report);
+                        finding = Some(format_inversion(st, h, class, &held, &path));
                     }
                 }
             }
+            finding
         });
+        if let Some(report) = finding {
+            fire(report);
+        }
     }
     HELD.with(|h| h.borrow_mut().push(class));
 }
@@ -141,6 +196,84 @@ pub(crate) fn released(class: ClassId) {
             held.remove(pos);
         }
     });
+}
+
+/// Fires unless every lock the thread holds was already held when the
+/// innermost open span began.
+pub(crate) fn assert_no_lock_held() {
+    let (unexempt, span) = HELD.with(|h| {
+        let mut held = h.borrow().clone();
+        if held.is_empty() {
+            return (held, None);
+        }
+        let span = SPANS.with(|s| {
+            let spans = s.borrow();
+            let (reason, snapshot) = spans.last()?;
+            for c in snapshot {
+                if let Some(pos) = held.iter().position(|x| x == c) {
+                    held.remove(pos);
+                }
+            }
+            Some(*reason)
+        });
+        (held, span)
+    });
+    if unexempt.is_empty() {
+        return;
+    }
+    let report = with(|st| {
+        let scope = match span {
+            Some(reason) => format!(
+                "\n  taken after the held_across_calls scope opened, whose proof covers \
+                 only what was held then: \"{reason}\""
+            ),
+            None => String::new(),
+        };
+        format!(
+            "lock held across a fabric call: [{}]{scope}",
+            st.chain(&unexempt)
+        )
+    });
+    fire(report);
+}
+
+/// Opens a `held_across_calls` scope over the current held stack; returns
+/// the depth to close it at.
+pub(crate) fn open_span(reason: &'static str) -> usize {
+    assert!(
+        !reason.trim().is_empty(),
+        "held_across_calls needs the proof that no handler can reach the held locks"
+    );
+    let snapshot = HELD.with(|h| h.borrow().clone());
+    SPANS.with(|s| {
+        let mut spans = s.borrow_mut();
+        spans.push((reason, snapshot));
+        spans.len() - 1
+    })
+}
+
+pub(crate) fn close_span(depth: usize) {
+    SPANS.with(|s| s.borrow_mut().truncate(depth));
+}
+
+/// Pairs a condvar (`slot`: 0 = not yet paired, else class + 1) with the
+/// class of the mutex it waits with; fires on a second class.
+pub(crate) fn condvar_wait(slot: &AtomicU32, class: ClassId) {
+    let Err(first) = slot.compare_exchange(0, class + 1, Ordering::Relaxed, Ordering::Relaxed)
+    else {
+        return;
+    };
+    if first == class + 1 {
+        return;
+    }
+    let report = with(|st| {
+        format!(
+            "condvar waited with a foreign mutex: [{}], but it was first waited with [{}]",
+            st.names[class as usize],
+            st.names[first as usize - 1],
+        )
+    });
+    fire(report);
 }
 
 /// BFS: is `to` reachable from `from` in the order graph? Returns the
@@ -176,11 +309,10 @@ fn format_inversion(
     st: &State,
     held: ClassId,
     acquiring: ClassId,
-    held_names: &[String],
+    held_stack: &[ClassId],
     path: &[ClassId],
 ) -> String {
-    let name = |c: ClassId| st.names[c as usize].clone();
-    let path_names: Vec<String> = path.iter().map(|&c| name(c)).collect();
+    let name = |c: ClassId| st.names[c as usize].as_str();
     let first_hop = st
         .first_seen
         .get(&(path[0], path[1]))
@@ -192,14 +324,14 @@ fn format_inversion(
          conflicting established order: {} (first seen with held stack: {})",
         name(acquiring),
         name(held),
-        held_names.join(" -> "),
+        st.chain(held_stack),
         name(acquiring),
-        path_names.join(" -> "),
+        st.chain(path),
         first_hop,
     )
 }
 
-/// Drains every inversion recorded so far (process-global).
+/// Drains every finding recorded so far (process-global).
 pub fn take_reports() -> Vec<String> {
     with(|st| std::mem::take(&mut st.reports))
 }

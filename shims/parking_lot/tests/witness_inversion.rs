@@ -9,7 +9,15 @@
 //! single test function — parallel tests would race on `take_reports`.
 #![cfg(taurus_lock_witness)]
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use parking_lot::Mutex;
+
+/// Runs `f`, which must panic with a witness finding; returns the message.
+fn finding(f: impl FnOnce()) -> String {
+    let err = catch_unwind(AssertUnwindSafe(f)).expect_err("the witness must fire");
+    err.downcast_ref::<String>().cloned().unwrap_or_default()
+}
 
 #[test]
 fn deliberate_inversion_is_reported_with_both_chains() {
@@ -24,11 +32,13 @@ fn deliberate_inversion_is_reported_with_both_chains() {
     // ... then acquire in the reverse order. Single-threaded, so this cannot
     // actually deadlock — the witness must still flag the inversion, which
     // is the whole point: it reports orders that *could* deadlock under an
-    // adversarial interleaving, before one ever does.
-    {
+    // adversarial interleaving, before one ever does. The finding panics on
+    // this thread before `a` is taken, and is queued as well.
+    let message = finding(|| {
         let _gb = b.lock();
         let _ga = a.lock();
-    }
+    });
+    assert!(message.contains("lock-order inversion"), "panic: {message}");
 
     let reports = parking_lot::witness_take_reports();
     assert_eq!(
@@ -56,6 +66,7 @@ fn deliberate_inversion_is_reported_with_both_chains() {
         report.contains("witness_inversion.rs"),
         "chains should name construction sites in this file: {report}"
     );
+    assert_eq!(&message, report, "the panic carries the queued report");
 
     // One report per conflicting class pair: repeating the inversion does
     // not spam.
