@@ -97,12 +97,6 @@ pub struct TaurusConfig {
     /// Database log buffer capacity in bytes: log records accumulate here
     /// before a group flush to the Log Stores (paper §3.5).
     pub log_buffer_bytes: usize,
-    /// Maximum number of replicated log appends a `LogStream` keeps in
-    /// flight at once. The SAL flush loop reserves log-tail slots in LSN
-    /// order and runs the 3/3 replica writes outside the stream lock, so up
-    /// to this many group flushes overlap on the wire instead of
-    /// round-tripping one at a time.
-    pub log_append_window: usize,
     /// Per-slice buffer capacity in bytes (flushed to Page Stores when full
     /// or on timeout).
     pub slice_buffer_bytes: usize,
@@ -193,7 +187,6 @@ impl Default for TaurusConfig {
             page_replicas: 3,
             plog_size_limit: 4 << 20,
             log_buffer_bytes: 256 << 10,
-            log_append_window: 8,
             slice_buffer_bytes: 64 << 10,
             slice_flush_timeout_us: 2_000,
             logstore_cache_bytes: 8 << 20,
@@ -229,7 +222,6 @@ impl TaurusConfig {
             pages_per_slice: 64,
             plog_size_limit: 64 << 10,
             log_buffer_bytes: 8 << 10,
-            log_append_window: 4,
             slice_buffer_bytes: 4 << 10,
             slice_flush_timeout_us: 0,
             logstore_cache_bytes: 1 << 20,
@@ -283,11 +275,6 @@ impl TaurusConfig {
         if self.sal_send_queue_depth == 0 {
             return Err(crate::TaurusError::Internal(
                 "sal_send_queue_depth must be > 0".into(),
-            ));
-        }
-        if self.log_append_window == 0 {
-            return Err(crate::TaurusError::Internal(
-                "log_append_window must be > 0".into(),
             ));
         }
         if self.ndp_scan_max_rows == 0 || self.ndp_scan_max_bytes == 0 {
@@ -354,12 +341,6 @@ mod tests {
 
         let c = TaurusConfig {
             sal_send_queue_depth: 0,
-            ..TaurusConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = TaurusConfig {
-            log_append_window: 0,
             ..TaurusConfig::default()
         };
         assert!(c.validate().is_err());

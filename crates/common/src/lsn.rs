@@ -128,65 +128,6 @@ impl LsnWatermark {
     }
 }
 
-/// Per-stream durable frontier for multi-stream parallel logging (the
-/// "LSN-vector" of the lightweight parallel-logging design): one monotone
-/// watermark per log stream, advanced lock-free by whichever flush worker
-/// completes its replicated append.
-///
-/// The vector alone does not define the commit point — the SAL's commit
-/// rule is that `durable_lsn` advances only over the contiguous prefix of
-/// flush spans, in LSN order, regardless of which stream carried each span.
-/// The vector records how far each stream has *individually* made its spans
-/// durable, so the prefix walk can assert (and tests can observe) that the
-/// global durable LSN never overtakes the stream that carried it.
-#[derive(Debug)]
-pub struct LsnVector {
-    streams: Vec<LsnWatermark>,
-}
-
-impl LsnVector {
-    /// A vector of `n` stream frontiers, all at [`Lsn::ZERO`].
-    pub fn new(n: usize) -> Self {
-        LsnVector {
-            streams: (0..n).map(|_| LsnWatermark::new(Lsn::ZERO)).collect(),
-        }
-    }
-
-    /// Number of streams tracked.
-    pub fn len(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// Whether the vector tracks no streams.
-    pub fn is_empty(&self) -> bool {
-        self.streams.is_empty()
-    }
-
-    /// Advances stream `i`'s frontier to `to` (monotone; no-op if behind).
-    pub fn advance(&self, i: usize, to: Lsn) -> bool {
-        self.streams[i].advance(to)
-    }
-
-    /// Current frontier of stream `i`.
-    pub fn get(&self, i: usize) -> Lsn {
-        self.streams[i].get()
-    }
-
-    /// Point-in-time copy of every stream frontier.
-    pub fn snapshot(&self) -> Vec<Lsn> {
-        self.streams.iter().map(|w| w.get()).collect()
-    }
-
-    /// Highest frontier across all streams (ZERO when empty).
-    pub fn max(&self) -> Lsn {
-        self.streams
-            .iter()
-            .map(|w| w.get())
-            .max()
-            .unwrap_or(Lsn::ZERO)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

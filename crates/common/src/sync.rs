@@ -5,12 +5,11 @@ use parking_lot::{Condvar, Mutex};
 /// A ticket turnstile: threads holding consecutive tickets pass through one
 /// at a time, in ticket order, regardless of the order they arrive in.
 ///
-/// The SAL flush pipeline uses two of these to keep its *ordered* sections
-/// ordered while the expensive middle (the replicated 3/3 log append) runs
-/// concurrently: tickets are assigned under the SAL lock in LSN order, each
-/// flush reserves its log-tail slot inside `wait_for(ticket)`/`advance()`,
-/// fans out to the Log Stores unordered, then commits bookkeeping inside a
-/// second turnstile.
+/// The log (`taurus_logstore::Log`) keeps one per stream so the ordered
+/// section stays ordered while the expensive part (the replicated 3/3 log
+/// append) runs concurrently: flush tickets are assigned under the SAL lock
+/// in LSN order, each flush reserves its stream's log-tail slot inside its
+/// turn, then fans out to the Log Stores unordered.
 ///
 /// Every ticket holder **must** call [`Sequencer::advance`] exactly once —
 /// including on error paths — or every later ticket blocks forever.

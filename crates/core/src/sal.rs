@@ -1,8 +1,10 @@
 //! The Storage Abstraction Layer.
 //!
 //! This file owns the log buffer, the flush spans and the per-slice state
-//! (`SalState`, under `sal::state`). Getting durable records onto a slice
-//! replica — the per-replica send pipes, repair, restart redo — is
+//! (`SalState`, under `sal::state`). The log itself — its N streams, the
+//! LSN vector, the merge and the recovery cut — is a [`Log`]. Getting
+//! durable records onto a slice replica — the per-replica send pipes,
+//! repair, restart redo — is
 //! [`crate::slice_writer`] (a second `impl Sal` block there; see DESIGN.md
 //! §"Write-pipeline robustness"). Reads and pushed-down scans go through
 //! [`crate::slice_reader`], shared with read replicas; the SAL contributes
@@ -16,15 +18,14 @@ use std::sync::{Arc, Weak};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use taurus_common::clock::ClockRef;
-use taurus_common::lsn::{LsnVector, LsnWatermark};
+use taurus_common::lsn::LsnWatermark;
 use taurus_common::metrics::{Counter, LogStoreStats};
 use taurus_common::scan::ScanRequest;
-use taurus_common::sync::Sequencer;
 use taurus_common::{
     DbId, LogRecord, LogRecordGroup, Lsn, NodeId, PageBuf, PageId, Result, SliceKey, TaurusConfig,
     TaurusError, PAGE_SIZE,
 };
-use taurus_logstore::{encode_batch, LogStoreCluster, LogStream};
+use taurus_logstore::{Log, LogStoreCluster};
 use taurus_pagestore::{PageStoreCluster, PlacementView, SliceFragment, SliceHeatSnapshot};
 
 pub use crate::slice_reader::TableScan;
@@ -144,17 +145,14 @@ struct PendingBuffer {
 }
 
 /// One log-buffer's worth of groups on its way through the flush pipeline:
-/// prepared (ticketed, stream-assigned) under the state lock, batch-encoded
-/// and appended to its log stream with no lock held, then committed by the
-/// contiguous-prefix walk over [`SalState::flush_spans`].
+/// prepared (ticketed) under the state lock, appended to the [`Log`] with
+/// no lock held, then committed by the contiguous-prefix walk over
+/// [`SalState::flush_spans`].
 struct PreparedFlush {
-    /// Log stream this flush was assigned to (global ticket % streams).
-    stream: usize,
-    /// Dense per-stream ticket (`ticket / streams`): orders this stream's
-    /// reservation turnstile.
-    stream_ticket: u64,
-    /// End of the span prepared immediately before this one (any stream):
-    /// the chain link recovery uses to detect cross-stream log holes.
+    /// Dense flush ticket, in LSN order: the span's place in the log.
+    ticket: u64,
+    /// End of the span prepared immediately before this one: the chain
+    /// link recovery uses to detect log holes.
     prev_end: Lsn,
     first: Lsn,
     end: Lsn,
@@ -164,9 +162,9 @@ struct PreparedFlush {
 /// Completion state of one flush span in the global prepare-order window.
 #[derive(Debug)]
 enum SpanState {
-    /// Append still running on its stream.
+    /// Append still running.
     InFlight,
-    /// Durable on its stream; groups parked here until the span reaches the
+    /// Durable in the log; groups parked here until the span reaches the
     /// front of the window and the prefix walk distributes them.
     Durable(Vec<LogRecordGroup>),
     /// Append failed outright; latches `failed_at` when it reaches the front.
@@ -175,13 +173,13 @@ enum SpanState {
 
 /// One prepared flush tracked in global prepare order. The durable LSN only
 /// advances over the contiguous prefix of durable spans, so a span that
-/// finishes on stream A before an earlier span on stream B does not become
-/// visible early — the LSN-vector commit rule (parallel-logging paper).
+/// lands before an earlier one does not become visible early — the
+/// LSN-vector commit rule (parallel-logging paper).
 #[derive(Debug)]
 struct FlushSpan {
     first: Lsn,
     end: Lsn,
-    stream: usize,
+    ticket: u64,
     state: SpanState,
 }
 
@@ -244,8 +242,8 @@ pub(crate) struct SalState {
     /// durable LSN advances: popped as a contiguous prefix of
     /// `Durable` spans by [`Sal::advance_durable_prefix_locked`].
     flush_spans: VecDeque<FlushSpan>,
-    /// Prepared flushes not yet durable or failed. When every stream has
-    /// one in flight, `flush()` waits and lets the group grow (adaptive
+    /// Prepared flushes not yet durable or failed. When every log stream
+    /// has one in flight, `flush()` waits and lets the group grow (adaptive
     /// group commit) instead of queueing a tiny span behind the window.
     flushes_in_flight: usize,
     /// Fabric time the current log buffer got its first group; `tick()`
@@ -424,35 +422,21 @@ pub struct Sal {
     pub(crate) clock: ClockRef,
     pub logs: LogStoreCluster,
     pub pages: PageStoreCluster,
-    /// N parallel log streams (`cfg.log_streams`); prepared flushes are
-    /// assigned round-robin by global ticket. Stream 0 keeps the legacy
-    /// single-stream PLog id namespace.
-    streams: Vec<LogStream>,
-    /// Append-path metrics shared by every stream (one logical log).
-    log_store_stats: Arc<LogStoreStats>,
+    /// The database log; each prepared flush is one append, by ticket.
+    pub log: Log,
     pub(crate) state: Mutex<SalState>,
     /// The replica board: every slice's acked LSN as of the last
     /// [`Sal::read_horizon`], the per-slice half of the master's §6
     /// message. A leaf below `state`; replicas read it on their own.
     slice_acks: SliceAcks,
-    /// Per-stream log-tail turnstiles, ordered by the stream-local ticket:
-    /// each stream's tail slot is reserved in LSN order, the replicated 3/3
-    /// appends then run unordered across all streams (this is where
-    /// parallel flushes overlap), and durability commits via the
-    /// contiguous-prefix walk over `SalState::flush_spans`.
-    reserve_turns: Vec<Sequencer>,
     /// Signals waiters in [`Sal::flush`] whenever an in-flight log write
     /// completes (or fails). Paired with `state`.
     flush_cv: Condvar,
     /// Cluster-visible LSN (§3.5).
     cv_lsn: LsnWatermark,
-    /// Highest LSN durable on Log Stores **as a contiguous prefix across
-    /// all streams** (the commit point transactions ack against).
+    /// Highest LSN durable on Log Stores **as a contiguous prefix of
+    /// flush spans** (the commit point transactions ack against).
     durable_lsn: LsnWatermark,
-    /// Per-stream durable watermarks (the LSN vector): entry `k` is the end
-    /// of the newest span durable on stream `k`, whether or not earlier
-    /// spans on other streams have landed yet.
-    durable_vec: LsnVector,
     /// Periodically saved database persistent LSN — the recovery starting
     /// point (§4.3 "SAL periodically saves this value for recovery
     /// purposes"). Modeled as a durable control-plane cell that survives
@@ -492,8 +476,8 @@ impl std::fmt::Debug for Sal {
 }
 
 impl Sal {
-    /// Creates the SAL for a brand-new database: allocates the log stream
-    /// and registers nothing else — slices appear on first write.
+    /// Creates the SAL for a brand-new database: creates the log and
+    /// registers nothing else — slices appear on first write.
     pub fn create(
         cfg: TaurusConfig,
         db: DbId,
@@ -502,14 +486,12 @@ impl Sal {
         pages: PageStoreCluster,
         anchor: Arc<LsnWatermark>,
     ) -> Result<Arc<Sal>> {
-        Self::build(cfg, db, me, logs, pages, anchor, false)
+        cfg.validate()?;
+        let log = Log::create(&cfg, logs.clone(), db, me)?;
+        Ok(Self::build(cfg, db, me, logs, pages, anchor, log))
     }
 
-    /// Opens the `cfg.log_streams` log streams and assembles the SAL around
-    /// them. A new database creates every stream; `reopen` (recovery)
-    /// re-attaches to those with registered metadata — a stream without any
-    /// never wrote (the DB ran with fewer streams before the crash, or the
-    /// stream stayed idle and was truncated away) and is created fresh.
+    /// Assembles the SAL around its log.
     fn build(
         cfg: TaurusConfig,
         db: DbId,
@@ -517,43 +499,26 @@ impl Sal {
         logs: LogStoreCluster,
         pages: PageStoreCluster,
         anchor: Arc<LsnWatermark>,
-        reopen: bool,
-    ) -> Result<Arc<Sal>> {
-        cfg.validate()?;
-        let n = cfg.log_streams;
-        let log_store_stats = Arc::new(LogStoreStats::default());
-        let mut streams = Vec::with_capacity(n);
-        for i in 0..n as u32 {
-            let open = if reopen && logs.meta_plog_stream(db, i).is_some() {
-                LogStream::open_stream
-            } else {
-                LogStream::create_stream
-            };
-            let (size, window) = (cfg.plog_size_limit, cfg.log_append_window);
-            let stats = Arc::clone(&log_store_stats);
-            streams.push(open(logs.clone(), db, me, size, window, i, n > 1, stats)?);
-        }
+        log: Log,
+    ) -> Arc<Sal> {
         let clock = logs.fabric.clock.clone();
         let reader = SliceReader::new(cfg.clone(), db, me, pages.clone());
         // `new_cyclic`: the SAL needs a `Weak` handle to itself so that
         // detached jobs (submitted lazily, long after build) can reach it
         // without keeping it alive.
-        Ok(Arc::new_cyclic(|myself| Sal {
+        Arc::new_cyclic(|myself| Sal {
             db,
             me,
             cfg,
             clock,
             logs,
             pages,
-            streams,
-            log_store_stats,
+            log,
             state: Mutex::new(SalState::default()),
             slice_acks: SliceAcks::default(),
-            reserve_turns: (0..n).map(|_| Sequencer::new()).collect(),
             flush_cv: Condvar::new(),
             cv_lsn: LsnWatermark::new(Lsn::ZERO),
             durable_lsn: LsnWatermark::new(Lsn::ZERO),
-            durable_vec: LsnVector::new(n),
             anchor,
             writer: SliceWriter::new(),
             myself: myself.clone(),
@@ -563,7 +528,7 @@ impl Sal {
             ndp_stats: Arc::clone(&reader.ndp_stats),
             read_batch_stats: Arc::clone(&reader.read_batch_stats),
             reader,
-        }))
+        })
     }
 
     /// Snapshot of the fabric's dispatcher: the pool this SAL's detached
@@ -624,15 +589,15 @@ impl Sal {
     pub fn flush(&self) -> Result<Lsn> {
         let (prepared, target) = {
             let mut st = self.state.lock();
-            // Adaptive group commit: while every stream already carries an
-            // in-flight flush, queueing another tiny span buys nothing —
+            // Adaptive group commit: while every log stream already carries
+            // an in-flight flush, queueing another tiny span buys nothing —
             // wait for a slot and let the buffer (the commit group) grow.
             // The waits are bounded: in-flight flushes are always driven by
             // the threads that prepared them, and completion (or failure)
             // notifies `flush_cv`. A buffer at the size threshold flushes
             // immediately regardless.
             while !st.log_buffer.is_empty()
-                && st.flushes_in_flight >= self.streams.len()
+                && st.flushes_in_flight >= self.log.streams()
                 && st.log_buffer_bytes < self.cfg.log_buffer_bytes
             {
                 self.stats.group_commit_waits.inc();
@@ -645,14 +610,14 @@ impl Sal {
             self.run_flush(p)?;
         }
         // Even after our own span lands, durability of the *caller's*
-        // records rides on every earlier span across all streams: wait for
-        // the contiguous durable prefix to reach the target.
+        // records rides on every earlier span: wait for the contiguous
+        // durable prefix to reach the target.
         self.wait_durable(target)?;
         Ok(self.durable_lsn.get())
     }
 
-    /// Blocks until the durable LSN (the contiguous cross-stream prefix)
-    /// reaches `target`, or a flush at or below `target` has failed.
+    /// Blocks until the durable LSN (the contiguous span prefix) reaches
+    /// `target`, or a flush at or below `target` has failed.
     fn wait_durable(&self, target: Lsn) -> Result<()> {
         if self.durable_lsn.get() >= target {
             return Ok(());
@@ -706,20 +671,15 @@ impl Sal {
         st.last_prepared_end = end;
         let ticket = st.next_flush_ticket;
         st.next_flush_ticket += 1;
-        // Round-robin stream assignment by global ticket; the per-stream
-        // ticket is dense, ordering that stream's reservation turnstile.
-        let stream = (ticket % self.streams.len() as u64) as usize;
-        let stream_ticket = ticket / self.streams.len() as u64;
         st.flush_spans.push_back(FlushSpan {
             first,
             end,
-            stream,
+            ticket,
             state: SpanState::InFlight,
         });
         st.flushes_in_flight += 1;
         Some(PreparedFlush {
-            stream,
-            stream_ticket,
+            ticket,
             prev_end,
             first,
             end,
@@ -728,12 +688,10 @@ impl Sal {
     }
 
     /// Drives one prepared flush through the log-write pipeline. The state
-    /// lock is never held across the Log Store round trip: the stream's
-    /// log-tail slot is reserved in stream-ticket order inside that
-    /// stream's turnstile, the replicated 3/3 appends then run unordered
-    /// across all streams (this is where parallel flushes overlap, bounded
-    /// by each stream's append window), and durability bookkeeping commits
-    /// via the contiguous-prefix walk over the global span window.
+    /// lock is never held across the Log Store round trip: the span goes
+    /// to the [`Log`] as one append (which overlaps it with other spans'
+    /// appends), and durability bookkeeping commits via the
+    /// contiguous-prefix walk over the global span window.
     fn run_flush(&self, p: PreparedFlush) -> Result<()> {
         // Backpressure: while consolidation is behind, each flush pays a
         // small delay so the Log Directories stop growing (§7).
@@ -741,27 +699,14 @@ impl Sal {
         if throttle > 0 {
             self.clock.sleep_us(throttle);
         }
-        // Encode the whole flush group into one batch frame (no lock held):
-        // the Log Store sees one fat append per group, and the frame header
-        // carries the cross-stream chain link recovery needs.
-        let data = encode_batch(&p.groups, p.prev_end, p.first, p.end);
-        // Step 2: reserve the stream's log-tail slot, in per-stream LSN
-        // order. The RAII ticket guard advances the turnstile on every exit
-        // path (including unwinds), so a failing reservation cannot wedge
-        // later tickets on this stream.
-        let reserved = {
-            let _turn = self.reserve_turns[p.stream].ticket_guard(p.stream_ticket);
-            self.streams[p.stream].reserve_append(p.first, p.end, data.len() as u64)
-        };
-        // Step 3: durable on all Log Store replicas. The *global* commit
-        // point (durable LSN) advances only when the span joins the
-        // contiguous durable prefix across all streams.
-        let appended = reserved.and_then(|res| self.streams[p.stream].complete_append(res, data));
-        match appended {
-            Ok(()) => {
-                self.durable_vec.advance(p.stream, p.end);
-                self.finish_flush(p)
-            }
+        // Steps 2-3: durable on all Log Store replicas. The commit point
+        // (durable LSN) advances only when the span joins the contiguous
+        // durable prefix.
+        match self
+            .log
+            .append(p.ticket, p.prev_end, p.first, p.end, &p.groups)
+        {
+            Ok(()) => self.finish_flush(p),
             Err(e) => {
                 let mut st = self.state.lock();
                 Self::mark_span(&mut st, p.first, SpanState::Failed);
@@ -775,8 +720,8 @@ impl Sal {
 
     /// Post-append bookkeeping for one durable flush: parks the span's
     /// groups as `Durable` in the global window and advances the durable
-    /// prefix as far as it now reaches — which may commit this span, spans
-    /// other streams finished earlier, or neither (when an earlier span is
+    /// prefix as far as it now reaches — which may commit this span, later
+    /// spans that finished earlier, or neither (when an earlier span is
     /// still in flight; whoever lands it commits for both).
     fn finish_flush(&self, p: PreparedFlush) -> Result<()> {
         // Create any missing slices before taking `state`: the CreateSlice
@@ -839,9 +784,9 @@ impl Sal {
     /// Pops the contiguous prefix of `Durable` spans off the global window,
     /// advancing the durable LSN and distributing each span's records into
     /// per-slice buffers — the LSN-vector commit rule: a span becomes
-    /// visible only once every earlier span (on any stream) is durable. A
-    /// `Failed` span at the front latches `failed_at` and stops the walk
-    /// permanently; an `InFlight` span just stops it for now.
+    /// visible only once every earlier span is durable. A `Failed` span at
+    /// the front latches `failed_at` and stops the walk permanently; an
+    /// `InFlight` span just stops it for now.
     fn advance_durable_prefix_locked(&self, st: &mut SalState) {
         loop {
             match st.flush_spans.front_mut() {
@@ -856,13 +801,13 @@ impl Sal {
                     }
                     SpanState::Durable(groups) => {
                         let groups = std::mem::take(groups);
-                        let (stream, end) = (span.stream, span.end);
+                        let (ticket, end) = (span.ticket, span.end);
                         st.flush_spans.pop_front();
+                        let covered = self.log.durable_at(ticket);
                         taurus_common::invariant!(
                             "lsn-vector-covers-durable",
-                            self.durable_vec.get(stream) >= end,
-                            "stream {stream} vector {} behind committing span end {end}",
-                            self.durable_vec.get(stream)
+                            covered >= end,
+                            "span {ticket}: its stream's vector {covered} is behind its end {end}"
                         );
                         self.durable_lsn.advance(end);
                         self.stats.log_flushes.inc();
@@ -1176,11 +1121,7 @@ impl Sal {
     pub fn truncate_log(&self) -> Result<usize> {
         let dbp = self.database_persistent_lsn();
         self.anchor.advance(dbp);
-        let mut deleted = 0;
-        for stream in &self.streams {
-            deleted += stream.truncate_below(dbp)?;
-        }
-        Ok(deleted)
+        self.log.truncate_below(dbp)
     }
 
     /// Polls `GetPersistentLSN` from every replica of every slice, as the
@@ -1512,30 +1453,16 @@ impl Sal {
             .unwrap_or_else(|| self.durable_lsn.get())
     }
 
-    /// Reads log-record groups from the Log Stores starting at `from` — the
-    /// read-replica tail path (§6 step 3) and the recovery redo source.
-    /// Groups are merged across all streams in LSN order.
-    pub fn read_log_from(&self, from: Lsn) -> Result<Vec<LogRecordGroup>> {
-        let mut groups = Vec::new();
-        for stream in &self.streams {
-            groups.extend(stream.read_groups_from(from)?);
-        }
-        groups.sort_by_key(|g| g.first_lsn());
-        Ok(groups)
-    }
-
-    /// Log Store append-path metrics of this SAL's log streams (latency,
-    /// in-flight window, seal-switches; one shared instance across all
-    /// streams). Benches print this next to [`SalStats`].
+    /// Log Store append-path metrics of this SAL's log (latency, in-flight
+    /// window, seal-switches). Benches print this next to [`SalStats`].
     pub fn log_stats(&self) -> &LogStoreStats {
-        &self.log_store_stats
+        self.log.stats()
     }
 
-    /// Per-stream durable watermarks (the LSN vector); entry `k` may run
-    /// ahead of [`Sal::durable_lsn`] while an earlier span on another
-    /// stream is still in flight.
+    /// The LSN vector ([`Log::durable_vector`]); an entry may run ahead of
+    /// [`Sal::durable_lsn`] while an earlier span is still in flight.
     pub fn durable_vector(&self) -> Vec<Lsn> {
-        self.durable_vec.snapshot()
+        self.log.durable_vector()
     }
 
     /// The saved recovery anchor (database persistent LSN at last save).
@@ -1588,11 +1515,12 @@ impl Sal {
     // ==================================================================
 
     /// Rebuilds a SAL after a front-end crash. Reads the log from the saved
-    /// database persistent LSN, cuts it at the first hole, and hands that
-    /// window to [`Sal::redo`], which resends to the Page Stores whatever
-    /// their replicas are missing — the redo phase that must complete before
-    /// the database accepts new requests. Returns the SAL and the highest LSN
-    /// found in the log (the restart point for the LSN allocator).
+    /// database persistent LSN, cut at its first hole ([`Log::recover`]),
+    /// and hands that window to [`Sal::redo`], which resends to the Page
+    /// Stores whatever their replicas are missing — the redo phase that
+    /// must complete before the database accepts new requests. Returns the
+    /// SAL and the highest LSN found in the log (the restart point for the
+    /// LSN allocator).
     pub fn recover(
         cfg: TaurusConfig,
         db: DbId,
@@ -1601,54 +1529,11 @@ impl Sal {
         pages: PageStoreCluster,
         anchor: Arc<LsnWatermark>,
     ) -> Result<(Arc<Sal>, Lsn)> {
-        let sal = Self::build(cfg, db, me, logs, pages, anchor, true)?;
-
-        let start = sal.anchor.get();
-        // Merge the durable flush spans of every stream in LSN order, then
-        // chain-walk the batch-frame links: each framed span records the
-        // end of the span prepared before it (on any stream). The first
-        // broken link is a log hole — the crash landed a later span on one
-        // stream while an earlier span on another never made it. Nothing at
-        // or past the hole was ever acknowledged (the durable LSN only
-        // advances over the contiguous prefix), so the orphan frames are
-        // physically discarded before replay.
-        let mut frames = Vec::new();
-        for stream in &sal.streams {
-            frames.extend(stream.read_frames_from(start.next())?);
-        }
-        frames.sort_by_key(|f| f.first);
-        let mut groups = Vec::new();
-        let mut chain_end: Option<Lsn> = None;
-        let mut hole = false;
-        for f in frames {
-            let chained = match chain_end {
-                // First span at/after the anchor: its predecessor ended at
-                // or below the anchor (below when the anchor sits inside
-                // this straddling span).
-                None => f.prev_end <= start,
-                Some(e) => f.prev_end == e,
-            };
-            if !chained {
-                hole = true;
-                break;
-            }
-            chain_end = Some(f.end);
-            groups.extend(f.groups);
-        }
-        if hole {
-            let cut = chain_end.unwrap_or(start);
-            for stream in &sal.streams {
-                stream.discard_after(cut)?;
-            }
-        }
-        // A span's end is its highest LSN, so the chain's end is the log's.
-        let max_lsn = chain_end.map_or(start, |end| end.max(start));
+        cfg.validate()?;
+        let log = Log::open(&cfg, logs.clone(), db, me, true)?;
+        let (groups, max_lsn) = log.recover(anchor.get())?;
+        let sal = Self::build(cfg, db, me, logs, pages, anchor, log);
         sal.durable_lsn.advance(max_lsn);
-        // Everything up to the recovered tail is durable on every stream's
-        // prefix; seed the LSN vector so it agrees with the durable LSN.
-        for i in 0..sal.streams.len() {
-            sal.durable_vec.advance(i, max_lsn);
-        }
         // The flush pipeline's monotonicity baseline starts where the
         // recovered log ends.
         sal.state.lock().last_prepared_end = max_lsn;

@@ -340,7 +340,7 @@ impl Sal {
                 // database persistent LSN, which the lagging replica holds
                 // down.
                 self.stats.redo_log_reads.inc();
-                self.read_log_from(from.next())?
+                self.log.read_from(from.next())?
             }
         };
         // With elastic placement a record can be owed to *two* slices — a

@@ -12,13 +12,12 @@ use bytes::Bytes;
 use taurus_common::clock::ManualClock;
 use taurus_common::config::{NetworkProfile, StorageProfile};
 use taurus_common::lsn::{LsnAllocator, LsnWatermark};
-use taurus_common::metrics::LogStoreStats;
 use taurus_common::page::PageType;
 use taurus_common::record::{LogRecord, LogRecordGroup, RecordBody};
 use taurus_common::{invariants, DbId, Lsn, NodeId, PageId, TaurusConfig};
 use taurus_core::Sal;
 use taurus_fabric::{Fabric, NodeKind};
-use taurus_logstore::{encode_batch, LogStoreCluster, LogStream};
+use taurus_logstore::{Log, LogStoreCluster};
 use taurus_pagestore::cluster::PageStoreOptions;
 use taurus_pagestore::PageStoreCluster;
 
@@ -118,6 +117,11 @@ impl Harness {
         end
     }
 
+    /// The database's log as a second handle on the Log Stores sees it.
+    fn log(&self, writer: bool) -> Log {
+        Log::open(&self.cfg, self.logs.clone(), DbId(1), self.me, writer).unwrap()
+    }
+
     fn settle(&self, sal: &Sal) {
         sal.flush_all_slices();
         for _ in 0..300 {
@@ -149,13 +153,13 @@ fn spans_round_robin_across_streams_and_lsn_vector_covers_durable() {
     assert!(vec.iter().all(|l| l.is_valid() && *l > Lsn::ZERO));
     assert_eq!(vec.iter().copied().max().unwrap(), sal.durable_lsn());
     // Merge-on-read across the streams reassembles the full LSN sequence.
-    let groups = sal.read_log_from(Lsn::ZERO).unwrap();
+    let groups = sal.log.read_from(Lsn::ZERO).unwrap();
     let ends: Vec<Lsn> = groups.iter().map(|g| g.end_lsn()).collect();
     let mut sorted = ends.clone();
     sorted.sort();
     assert_eq!(
         ends, sorted,
-        "read_log_from must merge streams in LSN order"
+        "Log::read_from must merge streams in LSN order"
     );
     assert_eq!(*ends.last().unwrap(), end);
     h.settle(&sal);
@@ -183,8 +187,9 @@ fn log_hole_in_one_stream_is_discarded_on_recovery() {
 
     // Simulate the torn flush: the next two spans were prepared, and the
     // *later* one (round-robined to stream 1) completed its 3/3 append
-    // while the earlier one (stream 0) never did. Write the orphan frame
-    // directly to stream 1, chained behind the span that does not exist.
+    // while the earlier one (stream 0) never did. Append the orphan span
+    // as ticket 1 of a fresh writer handle — stream 1 — chained behind the
+    // span that does not exist.
     let missing = h.lsns.alloc(); // would-be stream-0 span, lost in the crash
     let orphan = h.lsns.alloc();
     let rec = LogRecord::new(
@@ -197,31 +202,21 @@ fn log_hole_in_one_stream_is_discarded_on_recovery() {
         },
     );
     let g = LogRecordGroup::new(DbId(1), vec![rec]);
-    let frame = encode_batch(&[g], missing, orphan, orphan);
-    let stream1 = LogStream::open_stream(
-        h.logs.clone(),
-        DbId(1),
-        h.me,
-        h.cfg.plog_size_limit,
-        h.cfg.log_append_window,
-        1,
-        true,
-        Arc::new(LogStoreStats::default()),
-    )
-    .unwrap();
-    let res = stream1
-        .reserve_append(orphan, orphan, frame.len() as u64)
-        .unwrap();
-    stream1.complete_append(res, frame).unwrap();
+    let log = h.log(true);
+    log.append(1, missing, orphan, orphan, &[g]).unwrap();
+    assert_eq!(
+        log.durable_vector()[1],
+        orphan,
+        "the orphan span went to stream 1"
+    );
     assert!(
-        stream1
-            .read_frames_from(Lsn::ZERO)
+        log.read_from(Lsn::ZERO)
             .unwrap()
             .iter()
-            .any(|f| f.first == orphan),
+            .any(|g| g.first_lsn() == orphan),
         "orphan frame must be on stream 1 before recovery"
     );
-    drop(stream1);
+    drop(log);
 
     // Recovery merges both streams, walks the prev_end chain, finds the
     // hole at `missing`, and cuts there.
@@ -230,7 +225,7 @@ fn log_hole_in_one_stream_is_discarded_on_recovery() {
     assert_eq!(sal2.durable_lsn(), end);
     let vec = sal2.durable_vector();
     assert!(vec.iter().all(|l| *l == end), "vector reseeded to the cut");
-    let groups = sal2.read_log_from(Lsn::ZERO).unwrap();
+    let groups = sal2.log.read_from(Lsn::ZERO).unwrap();
     assert!(
         groups.iter().all(|g| g.end_lsn() <= end),
         "orphan records must not be readable after recovery"
@@ -240,28 +235,16 @@ fn log_hole_in_one_stream_is_discarded_on_recovery() {
     assert!((0..page.nslots()).all(|i| page.key(i).unwrap() != b"orphan"));
     drop(sal2);
 
-    // The discard was physical: a fresh handle on stream 1 no longer sees
-    // the frame, so a second recovery converges to the identical state.
-    let stream1 = LogStream::open_stream(
-        h.logs.clone(),
-        DbId(1),
-        h.me,
-        h.cfg.plog_size_limit,
-        h.cfg.log_append_window,
-        1,
-        true,
-        Arc::new(LogStoreStats::default()),
-    )
-    .unwrap();
+    // The discard was physical: a fresh reader no longer sees the frame,
+    // so a second recovery converges to the identical state.
     assert!(
-        stream1
-            .read_frames_from(Lsn::ZERO)
+        h.log(false)
+            .read_from(Lsn::ZERO)
             .unwrap()
             .iter()
-            .all(|f| f.first != orphan),
+            .all(|g| g.first_lsn() != orphan),
         "orphan frame must be truncated from the PLog itself"
     );
-    drop(stream1);
     let (sal3, max_lsn2) = h.recover();
     assert_eq!(max_lsn2, end, "recovery must be idempotent");
     let page = sal3.read_page(PageId(1), Some(end)).unwrap();

@@ -27,14 +27,13 @@ use parking_lot::Mutex;
 
 use taurus_common::apply::apply_record;
 use taurus_common::lsn::LsnWatermark;
-use taurus_common::metrics::LogStoreStats;
-use taurus_common::record::{LogRecordGroup, RecordBody};
+use taurus_common::record::RecordBody;
 use taurus_common::scan::ScanRequest;
 use taurus_common::{
     DbId, Lsn, NodeId, PageBuf, PageId, Result, SliceKey, TaurusConfig, TaurusError, TxnId,
 };
 use taurus_core::{FrontEnd, SliceReader, TableScan};
-use taurus_logstore::{LogStoreCluster, LogStream, TailCursor};
+use taurus_logstore::{Log, LogCursor, LogStoreCluster};
 use taurus_pagestore::PageStoreCluster;
 
 use crate::btree::{BTree, PageFetch};
@@ -46,15 +45,15 @@ pub struct ReplicaEngine {
     pub id: usize,
     pub me: NodeId,
     cfg: TaurusConfig,
-    /// One view per master log stream; the tail merges across them.
-    streams: Vec<LogStream>,
+    /// A reader's view of the master's log.
+    log: Log,
     /// The shared read planner (and this replica's read-side counters).
     pub reader: SliceReader,
     pool: EnginePool,
     visible_lsn: LsnWatermark,
-    /// One incremental tail cursor per stream, all advanced under one lock
-    /// (the poller is single-threaded per replica).
-    cursors: Mutex<Vec<TailCursor>>,
+    /// Where the tail reader stands in the log (the poller is
+    /// single-threaded per replica).
+    cursor: Mutex<LogCursor>,
     /// Commit records seen (logical consistency bookkeeping).
     committed: Mutex<HashSet<TxnId>>,
     /// Active TV-LSN pins: lsn → pin count.
@@ -74,7 +73,7 @@ impl std::fmt::Debug for ReplicaEngine {
 }
 
 impl ReplicaEngine {
-    /// Registers a new replica: opens its own view of the log stream and
+    /// Registers a new replica: opens its own view of the log and
     /// subscribes to the master's bulletin.
     pub fn register(
         id: usize,
@@ -85,32 +84,17 @@ impl ReplicaEngine {
         pages: PageStoreCluster,
         bulletin: Arc<Bulletin>,
     ) -> Result<Arc<ReplicaEngine>> {
-        let n = cfg.log_streams;
-        let stats = Arc::new(LogStoreStats::default());
-        let streams = (0..n)
-            .map(|i| {
-                LogStream::open_stream(
-                    logs.clone(),
-                    db,
-                    me,
-                    cfg.plog_size_limit,
-                    cfg.log_append_window,
-                    i as u32,
-                    n > 1,
-                    Arc::clone(&stats),
-                )
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let log = Log::open(&cfg, logs, db, me, false)?;
         let pool = EnginePool::with_shards(1024, cfg.engine_pool_shards);
         let replica = Arc::new(ReplicaEngine {
             id,
             me,
             reader: SliceReader::new(cfg.clone(), db, me, pages),
             cfg,
-            streams,
+            log,
             pool,
             visible_lsn: LsnWatermark::new(Lsn::ZERO),
-            cursors: Mutex::new((0..n).map(|_| TailCursor::default()).collect()),
+            cursor: Mutex::new(LogCursor::default()),
             committed: Mutex::new(HashSet::new()),
             tv_pins: Mutex::new(BTreeMap::new()),
             bulletin,
@@ -143,23 +127,21 @@ impl ReplicaEngine {
         }
         self.last_bulletin_seq
             .store(self.bulletin.seq.load(Ordering::Relaxed), Ordering::Relaxed);
-        // Discover new PLogs, then tail every stream incrementally.
-        for stream in &self.streams {
-            stream.refresh()?;
-        }
-        let mut cursors = self.cursors.lock();
+        // Discover new PLogs, then tail the log incrementally.
+        self.log.refresh()?;
+        let mut cursor = self.cursor.lock();
         // The horizon caps the read: spans past it stay unconsumed in the
-        // Log Stores (each cursor stops at their boundary), so a later poll
+        // Log Stores (the cursor stops at their boundary), so a later poll
         // picks them up once the horizon advances. Reading them here and
         // dropping them would lose them forever — cursors never re-read.
-        // Merging at `horizon ≤ durable_lsn` is safe: the durable LSN only
-        // covers the contiguous cross-stream span prefix, so every group at
-        // or below the horizon is present on some stream.
+        // Tailing at `horizon ≤ durable_lsn` is safe: the durable LSN only
+        // covers the contiguous span prefix, so every group at or below
+        // the horizon is in the log.
         let span = parking_lot::held_across_calls(
-            "read_tail mutates each cursor incrementally, so the poller lock must span the round \
+            "Log::tail mutates the cursor incrementally, so the poller lock must span the round \
              trips; Log Store handlers take no replica locks, so no cycle",
         );
-        let groups = match self.read_tails(&mut cursors, horizon) {
+        let groups = match self.log.tail(&mut cursor, horizon) {
             Ok(groups) => groups,
             Err(TaurusError::ReplicaBehindTruncation {
                 truncated_through, ..
@@ -170,18 +152,16 @@ impl ReplicaEngine {
                 // (pages re-read from the Page Stores at the right version
                 // on demand), jump the visible LSN over the truncated range
                 // (truncation only happens below the database persistent
-                // LSN, so every page is readable there), and restart every
+                // LSN, so every page is readable there), and restart the
                 // cursor at the surviving log (the visible-LSN skip below
-                // dedups groups a pre-reset cursor already delivered).
+                // dedups groups the old cursor already delivered).
                 self.pool.clear();
-                for cursor in cursors.iter_mut() {
-                    *cursor = TailCursor::default();
-                }
+                *cursor = LogCursor::default();
                 self.visible_lsn.advance(truncated_through);
                 let _span = parking_lot::held_across_calls(
-                    "same proof as above: fresh cursors re-tail under the poller lock",
+                    "same proof as above: a fresh cursor re-tails under the poller lock",
                 );
-                self.read_tails(&mut cursors, horizon)?
+                self.log.tail(&mut cursor, horizon)?
             }
             Err(e) => return Err(e),
         };
@@ -214,7 +194,7 @@ impl ReplicaEngine {
                 }
             }
             // The visible LSN moves only at group boundaries (§6) and never
-            // past the horizon — read_tail already stopped there.
+            // past the horizon — the tail already stopped there.
             taurus_common::invariant!(
                 "replica-visible-capped",
                 end <= horizon,
@@ -227,22 +207,6 @@ impl ReplicaEngine {
         }
         self.publish_min_tv();
         Ok(applied)
-    }
-
-    /// Reads every stream's tail up to `horizon` and merges the groups in
-    /// LSN order (round-robin stream assignment interleaves spans, so no
-    /// single stream is in order on its own).
-    fn read_tails(&self, cursors: &mut [TailCursor], horizon: Lsn) -> Result<Vec<LogRecordGroup>> {
-        let mut groups = Vec::new();
-        for (stream, cursor) in self.streams.iter().zip(cursors.iter_mut()) {
-            let _span = parking_lot::held_across_calls(
-                "read_tail mutates the cursor incrementally, so the poller lock must span the \
-                 round trip; Log Store handlers take no replica locks, so no cycle",
-            );
-            groups.extend(stream.read_tail(cursor, horizon)?);
-        }
-        groups.sort_by_key(|g| g.first_lsn());
-        Ok(groups)
     }
 
     /// Number of committed transactions this replica knows about.

@@ -411,11 +411,6 @@ impl LogStoreCluster {
         Ok(repaired)
     }
 
-    /// Looks up the metadata PLog of a database's stream 0.
-    pub fn meta_plog(&self, db: DbId) -> Option<PLogId> {
-        self.meta_plog_stream(db, 0)
-    }
-
     /// Registers the metadata PLog for one log stream of a database.
     pub fn set_meta_plog_stream(&self, db: DbId, stream: u32, id: PLogId) {
         self.meta_registry.write().insert((db, stream), id);

@@ -20,6 +20,9 @@
 //!   PLogs listed in a *metadata PLog*; list changes are single atomic
 //!   metadata writes, and metadata PLogs roll over and replace themselves
 //!   when full.
+//! * **The log** — a database's log is N parallel PLog streams (Xia &
+//!   Pavlo's LSN-vector design); [`Log`] owns them, so writers and readers
+//!   see one log.
 //! * **Recovery** — a short-term Log Store failure needs no repair (sealed
 //!   PLogs are read-only); a long-term failure re-replicates the lost PLog
 //!   replicas from the survivors onto healthy nodes (paper §5.1).
@@ -29,10 +32,11 @@
 pub mod batch;
 pub mod cache;
 pub mod cluster;
+mod log;
 pub mod server;
 pub mod stream;
 
-pub use batch::{encode_batch, BatchFrame};
 pub use cluster::LogStoreCluster;
+pub use log::{Log, LogCursor};
 pub use server::LogStoreServer;
-pub use stream::{AppendReservation, LogStream, PLogEntry, TailCursor};
+pub use stream::{LogStream, PLogEntry};

@@ -15,8 +15,10 @@
 //!   against the same PLog; a fresh PLog on healthy nodes takes over;
 //! * LSN-range tracking per PLog, which drives log truncation (delete every
 //!   PLog whose records are all below the database persistent LSN);
-//! * recovery: [`LogStream::open`] rebuilds the stream state from the last
-//!   snapshot in the metadata PLog.
+//! * recovery: [`LogStream::open_stream`] rebuilds the stream state from
+//!   the last snapshot in the metadata PLog.
+//!
+//! A database's log is N of these; [`crate::Log`] owns them.
 //!
 //! # The append pipeline
 //!
@@ -71,7 +73,7 @@ const MAX_PLOG_SWITCHES: u32 = 4;
 
 /// Position of an incremental tail reader (see [`LogStream::read_tail`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TailCursor {
+pub(crate) struct TailCursor {
     plog: Option<PLogId>,
     offset: u64,
     /// End LSN of the last group delivered through this cursor. Detects
@@ -79,13 +81,6 @@ pub struct TailCursor {
     /// past records this reader never saw) and suppresses duplicates when
     /// a group was re-appended to a fresh PLog after a seal-and-switch.
     consumed: Lsn,
-}
-
-impl TailCursor {
-    /// End LSN of the last group delivered through this cursor.
-    pub fn consumed(&self) -> Lsn {
-        self.consumed
-    }
 }
 
 /// One data PLog in the stream, with its LSN coverage.
@@ -112,14 +107,6 @@ pub struct AppendReservation {
     len: u64,
     first_lsn: Lsn,
     last_lsn: Lsn,
-}
-
-impl AppendReservation {
-    /// The PLog this reservation currently points at (it moves if the
-    /// append is re-reserved after a seal-and-switch).
-    pub fn plog(&self) -> PLogId {
-        self.plog
-    }
 }
 
 #[derive(Debug)]
@@ -192,27 +179,6 @@ struct RollPlan {
 }
 
 impl LogStream {
-    /// Creates a brand-new single-stream log (stream 0). Wrapper around
-    /// [`LogStream::create_stream`] for the classic one-stream layout.
-    pub fn create(
-        cluster: LogStoreCluster,
-        db: DbId,
-        me: NodeId,
-        plog_size_limit: usize,
-        append_window: usize,
-    ) -> Result<LogStream> {
-        Self::create_stream(
-            cluster,
-            db,
-            me,
-            plog_size_limit,
-            append_window,
-            0,
-            false,
-            Arc::new(LogStoreStats::default()),
-        )
-    }
-
     /// Creates one member stream of a database's (possibly multi-stream)
     /// log: a metadata PLog, a first data PLog, and an initial metadata
     /// snapshot. Registers the metadata PLog in the cluster's per-(db,
@@ -258,27 +224,6 @@ impl LogStream {
         let plan = stream.plan_roll(&mut stream.state.lock());
         stream.perform_roll(plan)?;
         Ok(stream)
-    }
-
-    /// Reopens stream 0 after a front-end restart. Wrapper around
-    /// [`LogStream::open_stream`] for the classic one-stream layout.
-    pub fn open(
-        cluster: LogStoreCluster,
-        db: DbId,
-        me: NodeId,
-        plog_size_limit: usize,
-        append_window: usize,
-    ) -> Result<LogStream> {
-        Self::open_stream(
-            cluster,
-            db,
-            me,
-            plog_size_limit,
-            append_window,
-            0,
-            false,
-            Arc::new(LogStoreStats::default()),
-        )
     }
 
     /// Reopens an existing member stream after a front-end restart by
@@ -707,23 +652,10 @@ impl LogStream {
         Ok(())
     }
 
-    /// Reads every log record group whose end LSN is `>= from_lsn`, in log
-    /// order. Used by read replicas to tail the log and by recovery to
-    /// resend records to Page Stores.
-    pub fn read_groups_from(&self, from_lsn: Lsn) -> Result<Vec<LogRecordGroup>> {
-        Ok(self
-            .read_frames_from(from_lsn)?
-            .into_iter()
-            .flat_map(|f| f.groups)
-            .filter(|g| g.end_lsn() >= from_lsn)
-            .collect())
-    }
-
     /// Reads every flush frame whose end LSN is `>= from_lsn`, in log order,
-    /// preserving the frame headers (`prev_end` chain links). Multi-stream
-    /// recovery merges the frames of all sibling streams and chain-checks
-    /// them to find log holes left by a crash mid-flush.
-    pub fn read_frames_from(&self, from_lsn: Lsn) -> Result<Vec<BatchFrame>> {
+    /// preserving the frame headers (`prev_end` chain links) that
+    /// [`crate::Log`] merges and chain-checks across sibling streams.
+    pub(crate) fn read_frames_from(&self, from_lsn: Lsn) -> Result<Vec<BatchFrame>> {
         let entries: Vec<PLogEntry> = self.state.lock().entries.clone();
         let mut frames = Vec::new();
         for e in entries {
@@ -754,9 +686,9 @@ impl LogStream {
     /// frame boundary and sealed, so subsequent appends (which re-mint the
     /// same LSNs) land on fresh PLogs and no reader ever sees both copies.
     ///
-    /// Returns the number of frames discarded. Must not race appends; the
-    /// SAL calls it from recovery before the stream takes any writes.
-    pub fn discard_after(&self, cut: Lsn) -> Result<usize> {
+    /// Returns the number of frames discarded. Must not race appends:
+    /// [`crate::Log::recover`] calls it before the stream takes any writes.
+    pub(crate) fn discard_after(&self, cut: Lsn) -> Result<usize> {
         let mut st = self.state.lock();
         while st.meta_busy {
             self.cond.wait(&mut st);
@@ -974,8 +906,7 @@ impl LogStream {
 
     /// Incremental tail read: returns every complete group appended since
     /// the cursor's position whose end LSN is `<= limit`, and advances the
-    /// cursor over exactly those groups. Unlike
-    /// [`LogStream::read_groups_from`], this never re-reads bytes, so a
+    /// cursor over exactly those groups. It never re-reads bytes, so a
     /// replica tailing the log does O(new data) work per poll.
     ///
     /// Groups past `limit` are left *unconsumed*: the cursor stops at their
@@ -992,7 +923,11 @@ impl LogStream {
     /// not be fed the missing records). A cursor that had consumed
     /// everything the truncation removed just restarts at the first
     /// remaining PLog, skipping groups it already delivered.
-    pub fn read_tail(&self, cursor: &mut TailCursor, limit: Lsn) -> Result<Vec<LogRecordGroup>> {
+    pub(crate) fn read_tail(
+        &self,
+        cursor: &mut TailCursor,
+        limit: Lsn,
+    ) -> Result<Vec<LogRecordGroup>> {
         let (entries, truncated_through) = {
             let st = self.state.lock();
             (st.entries.clone(), st.truncated_through)
@@ -1072,11 +1007,6 @@ impl LogStream {
     /// Append-path metrics (latency, in-flight window, seal-switches).
     pub fn stats(&self) -> &LogStoreStats {
         &self.stats
-    }
-
-    /// The database this stream belongs to.
-    pub fn db(&self) -> DbId {
-        self.db
     }
 }
 
@@ -1177,8 +1107,28 @@ mod tests {
         let me = fabric.add_node(NodeKind::Compute);
         let cluster = LogStoreCluster::new(fabric, 3, 1 << 20);
         let nodes = cluster.spawn_servers(6, StorageProfile::instant());
-        let stream = LogStream::create(cluster.clone(), DbId(1), me, limit, 4).unwrap();
+        let stream = create(&cluster, me, limit);
         (stream, cluster, me, nodes)
+    }
+
+    /// Stream 0 of database 1 on its own, as a one-stream log has it.
+    fn create(cluster: &LogStoreCluster, me: NodeId, limit: usize) -> LogStream {
+        let stats = Arc::new(LogStoreStats::default());
+        LogStream::create_stream(cluster.clone(), DbId(1), me, limit, 4, 0, false, stats).unwrap()
+    }
+
+    /// Stream 0 of database 1 reopened from its metadata PLog.
+    fn reopen(cluster: &LogStoreCluster, me: NodeId, limit: usize) -> LogStream {
+        let stats = Arc::new(LogStoreStats::default());
+        LogStream::open_stream(cluster.clone(), DbId(1), me, limit, 4, 0, false, stats).unwrap()
+    }
+
+    fn groups_from(s: &LogStream, from: Lsn) -> Vec<LogRecordGroup> {
+        let frames = s.read_frames_from(from).unwrap().into_iter();
+        frames
+            .flat_map(|f| f.groups)
+            .filter(|g| g.end_lsn() >= from)
+            .collect()
     }
 
     fn group(lsns: std::ops::RangeInclusive<u64>) -> (Bytes, Lsn, Lsn) {
@@ -1211,12 +1161,12 @@ mod tests {
         let (d2, f2, l2) = group(4..=6);
         s.append_group(d1, f1, l1).unwrap();
         s.append_group(d2, f2, l2).unwrap();
-        let groups = s.read_groups_from(Lsn(1)).unwrap();
+        let groups = groups_from(&s, Lsn(1));
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].end_lsn(), Lsn(3));
         assert_eq!(groups[1].end_lsn(), Lsn(6));
         // Tail read skips fully-consumed groups.
-        let tail = s.read_groups_from(Lsn(5)).unwrap();
+        let tail = groups_from(&s, Lsn(5));
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].first_lsn(), Lsn(4));
         assert_eq!(s.stats().appends.get(), 2);
@@ -1236,7 +1186,7 @@ mod tests {
         assert!(entries.len() > 1, "expected rollover, got {entries:?}");
         assert!(entries[..entries.len() - 1].iter().all(|e| e.sealed));
         // All records still readable across the PLog chain.
-        let groups = s.read_groups_from(Lsn(1)).unwrap();
+        let groups = groups_from(&s, Lsn(1));
         assert_eq!(groups.len(), 10);
     }
 
@@ -1251,14 +1201,14 @@ mod tests {
         let (s, cluster, _, _) = setup(d1.len() + d2.len());
         let r1 = s.reserve_append(f1, l1, d1.len() as u64).unwrap();
         let r2 = s.reserve_append(f2, l2, d2.len() as u64).unwrap();
-        assert_eq!(r1.plog(), r2.plog(), "both fit under the limit");
-        let first_plog = r1.plog();
+        assert_eq!(r1.plog, r2.plog, "both fit under the limit");
+        let first_plog = r1.plog;
         std::thread::scope(|scope| {
             let (tx, rx) = std::sync::mpsc::channel();
             let s = &s;
             scope.spawn(move || {
                 let r3 = s.reserve_append(f3, l3, d3.len() as u64).unwrap();
-                tx.send(r3.plog()).unwrap();
+                tx.send(r3.plog).unwrap();
                 s.complete_append(r3, d3).unwrap();
             });
             // However long we give it, the third reservation stays blocked.
@@ -1284,7 +1234,7 @@ mod tests {
             .is_sealed(first_plog)
             .unwrap());
         assert_eq!(s.stats().appends_in_flight.get(), 0);
-        let groups = s.read_groups_from(Lsn(1)).unwrap();
+        let groups = groups_from(&s, Lsn(1));
         assert_eq!(groups.len(), 3);
         assert_eq!(groups.last().unwrap().end_lsn(), Lsn(6));
     }
@@ -1302,7 +1252,7 @@ mod tests {
         let (db, fb, lb) = group(4..=5);
         let ra = s.reserve_append(fa, la, da.len() as u64).unwrap();
         assert!(da.len() >= 64, "A must fill its PLog");
-        cluster.fabric.set_down(cluster.replicas_of(ra.plog())[0]);
+        cluster.fabric.set_down(cluster.replicas_of(ra.plog)[0]);
         std::thread::scope(|scope| {
             let (tx, rx) = std::sync::mpsc::channel();
             let s = &s;
@@ -1316,7 +1266,7 @@ mod tests {
             s.complete_append(ra, da).unwrap();
         });
         assert_eq!(s.stats().seal_switches.get(), 1);
-        let groups = s.read_groups_from(Lsn(1)).unwrap();
+        let groups = groups_from(&s, Lsn(1));
         let firsts: Vec<Lsn> = groups.iter().map(|g| g.first_lsn()).collect();
         assert_eq!(firsts, vec![Lsn(1), Lsn(4)], "log reads back out of order");
         // And PLog order is LSN order in the stream's own bookkeeping.
@@ -1346,7 +1296,7 @@ mod tests {
         assert_eq!(s.stats().seal_switches.get(), 1);
         // Bring the node back: data written before and after is all readable.
         cluster.fabric.set_up(victim);
-        let groups = s.read_groups_from(Lsn(1)).unwrap();
+        let groups = groups_from(&s, Lsn(1));
         assert_eq!(groups.len(), 2);
     }
 
@@ -1369,7 +1319,7 @@ mod tests {
             .iter()
             .all(|e| !e.sealed || e.last_lsn >= Lsn(7) || !e.last_lsn.is_valid()));
         // Remaining log still serves the still-needed suffix.
-        let groups = s.read_groups_from(Lsn(7)).unwrap();
+        let groups = groups_from(&s, Lsn(7));
         assert!(groups.iter().all(|g| g.end_lsn() >= Lsn(7)));
         // Deleted plogs are gone from the cluster directory too.
         assert!(cluster.plog_count() >= after.len());
@@ -1401,17 +1351,17 @@ mod tests {
             before,
             "victims must survive a failed snapshot"
         );
-        let groups = s.read_groups_from(Lsn(1)).unwrap();
+        let groups = groups_from(&s, Lsn(1));
         assert_eq!(groups.len(), 6, "all data still readable after the failure");
         // Once the cluster heals, the same truncation goes through (the
         // metadata PLog was burned by the failed append and gets replaced).
         let deleted = s.truncate_below(Lsn(7)).unwrap();
         assert!(deleted >= 1);
-        let suffix = s.read_groups_from(Lsn(7)).unwrap();
+        let suffix = groups_from(&s, Lsn(7));
         assert!(suffix.iter().all(|g| g.end_lsn() >= Lsn(7)));
         // And the stream still reopens from the (rolled) metadata PLog.
         let me = NodeId(1);
-        let s2 = LogStream::open(cluster, DbId(1), me, 120, 4).unwrap();
+        let s2 = reopen(&cluster, me, 120);
         assert_eq!(
             s2.entries().iter().map(|e| e.id).collect::<Vec<_>>(),
             s.entries().iter().map(|e| e.id).collect::<Vec<_>>()
@@ -1429,7 +1379,7 @@ mod tests {
         }
         let entries_before = s.entries();
         drop(s); // front-end crash: in-memory state is gone
-        let s2 = LogStream::open(cluster, DbId(1), me, 256, 4).unwrap();
+        let s2 = reopen(&cluster, me, 256);
         let entries_after = s2.entries();
         // The snapshot is written on plog create/delete, so the reopened list
         // must contain every sealed plog and the tail may lag only in its
@@ -1439,7 +1389,7 @@ mod tests {
             entries_after.iter().map(|e| e.id).collect::<Vec<_>>()
         );
         // All groups are still readable after reopen.
-        let groups = s2.read_groups_from(Lsn(1)).unwrap();
+        let groups = groups_from(&s2, Lsn(1));
         assert_eq!(groups.len(), 8);
     }
 
@@ -1555,7 +1505,7 @@ mod tests {
     #[test]
     fn metadata_plog_rolls_and_old_one_is_deleted() {
         let (s, cluster, _, _) = setup(220);
-        let meta_before = cluster.meta_plog(DbId(1)).unwrap();
+        let meta_before = cluster.meta_plog_stream(DbId(1), 0).unwrap();
         // Each data-plog rollover appends a snapshot; force many rollovers so
         // the metadata plog crosses the limit and replaces itself.
         let mut lsn = 1u64;
@@ -1564,12 +1514,12 @@ mod tests {
             s.append_group(d, f, l).unwrap();
             lsn += 2;
         }
-        let meta_after = cluster.meta_plog(DbId(1)).unwrap();
+        let meta_after = cluster.meta_plog_stream(DbId(1), 0).unwrap();
         assert_ne!(meta_before, meta_after, "metadata plog should have rolled");
         // Old metadata plog is deleted from the directory.
         assert!(cluster.replicas_of(meta_before).is_empty());
         // And the stream still reopens correctly from the new one.
-        let s2 = LogStream::open(cluster, DbId(1), NodeId(1), 220, 4).unwrap();
+        let s2 = reopen(&cluster, NodeId(1), 220);
         assert_eq!(s2.entries().len(), s.entries().len());
     }
     /// A manual clock that counts deadline waits: every RPC makes two (its
@@ -1601,7 +1551,7 @@ mod tests {
         // few rollovers.
         let clock = Arc::new(WaitCounter::default());
         let (writer, cluster, me, _) = setup_on(clock.clone(), 220);
-        let reader = LogStream::open(cluster.clone(), DbId(1), me, 220, 4).unwrap();
+        let reader = reopen(&cluster, me, 220);
         let legs = || {
             let waits = clock.waits.load(std::sync::atomic::Ordering::Relaxed);
             waits / 2 + cluster.fabric.dispatch_snapshot().inline_jobs
@@ -1646,8 +1596,8 @@ mod tests {
         quiet(&reader);
 
         // A metadata-PLog roll is seen: the new PLog is read from its start.
-        let meta = cluster.meta_plog(DbId(1)).unwrap();
-        while cluster.meta_plog(DbId(1)).unwrap() == meta {
+        let meta = cluster.meta_plog_stream(DbId(1), 0).unwrap();
+        while cluster.meta_plog_stream(DbId(1), 0).unwrap() == meta {
             append(1);
         }
         reader.refresh().unwrap();

@@ -17,13 +17,17 @@ use taurus_common::clock::ManualClock;
 use taurus_common::config::{NetworkProfile, StorageProfile};
 use taurus_common::page::PageType;
 use taurus_common::record::{LogRecord, LogRecordGroup, RecordBody};
-use taurus_common::{invariants, DbId, Lsn, PageId};
+use taurus_common::{invariants, DbId, Lsn, NodeId, PageId};
 use taurus_fabric::{Fabric, NodeKind};
-use taurus_logstore::{encode_batch, LogStoreCluster, LogStream};
+use taurus_logstore::batch::encode_batch;
+use taurus_logstore::{LogStoreCluster, LogStream};
+
+mod common;
+use common::{create_stream, read_back};
 
 const WINDOW: usize = 4;
 
-fn setup(nodes: usize, plog_limit: usize) -> (Arc<LogStream>, LogStoreCluster) {
+fn setup(nodes: usize, plog_limit: usize) -> (Arc<LogStream>, LogStoreCluster, NodeId) {
     let profile = NetworkProfile {
         hop_us: 120,
         jitter_us: 0,
@@ -33,9 +37,8 @@ fn setup(nodes: usize, plog_limit: usize) -> (Arc<LogStream>, LogStoreCluster) {
     let me = fabric.add_node(NodeKind::Compute);
     let cluster = LogStoreCluster::new(fabric, 3, 1 << 20);
     cluster.spawn_servers(nodes, StorageProfile::instant());
-    let stream =
-        Arc::new(LogStream::create(cluster.clone(), DbId(1), me, plog_limit, WINDOW).unwrap());
-    (stream, cluster)
+    let stream = Arc::new(create_stream(&cluster, DbId(1), me, plog_limit, WINDOW));
+    (stream, cluster, me)
 }
 
 /// One framed group of `len` records: 60 + 23 × `len` bytes, so the PLog
@@ -121,8 +124,13 @@ fn assert_plogs_partition_log(stream: &LogStream, cluster: &LogStoreCluster, las
     assert_eq!(prev_last, last, "PLog coverage does not reach the log end");
 }
 
-fn assert_groups_contiguous(stream: &LogStream, expected_groups: usize, last: Lsn) {
-    let groups = stream.read_groups_from(Lsn(1)).unwrap();
+fn assert_groups_contiguous(
+    cluster: &LogStoreCluster,
+    me: NodeId,
+    expected_groups: usize,
+    last: Lsn,
+) {
+    let groups = read_back(cluster, me, Lsn(1));
     assert_eq!(groups.len(), expected_groups);
     let mut expect = Lsn(1);
     for g in &groups {
@@ -135,12 +143,12 @@ fn assert_groups_contiguous(stream: &LogStream, expected_groups: usize, last: Ls
 #[test]
 fn concurrent_appends_stay_gap_free_per_plog() {
     let violations_before = invariants::violation_count();
-    let (stream, cluster) = setup(6, 1200);
+    let (stream, cluster, me) = setup(6, 1200);
     let threads = 4;
     let per_thread = 12;
     let last = run_appenders(&stream, threads, per_thread);
 
-    assert_groups_contiguous(&stream, threads * per_thread, last);
+    assert_groups_contiguous(&cluster, me, threads * per_thread, last);
     assert_plogs_partition_log(&stream, &cluster, last);
     assert!(
         stream.entries().len() > 1,
@@ -165,7 +173,7 @@ fn concurrent_appends_stay_gap_free_per_plog() {
 #[test]
 fn concurrent_appends_survive_mid_run_outage() {
     let violations_before = invariants::violation_count();
-    let (stream, cluster) = setup(8, 1540);
+    let (stream, cluster, me) = setup(8, 1540);
     let threads = 3;
     let per_thread = 8;
 
@@ -209,7 +217,7 @@ fn concurrent_appends_survive_mid_run_outage() {
     let last = Lsn(*alloc.lock() - 1);
     cluster.fabric.set_up(victim);
 
-    assert_groups_contiguous(&stream, 2 * threads * per_thread, last);
+    assert_groups_contiguous(&cluster, me, 2 * threads * per_thread, last);
     assert_plogs_partition_log(&stream, &cluster, last);
     assert!(
         stream.stats().snapshot().seal_switches > 0,
@@ -231,7 +239,7 @@ fn concurrent_appends_survive_mid_run_outage() {
 #[test]
 fn pipelined_append_end_state_is_deterministic() {
     let run = || {
-        let (stream, cluster) = setup(5, 1030);
+        let (stream, cluster, _) = setup(5, 1030);
         let mut next = 1u64;
         for i in 0..30u64 {
             let len = 1 + (i % 4);

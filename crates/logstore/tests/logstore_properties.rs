@@ -14,14 +14,18 @@ use taurus_common::page::PageType;
 use taurus_common::record::{LogRecord, LogRecordGroup, RecordBody};
 use taurus_common::{DbId, Lsn, NodeId, PageId};
 use taurus_fabric::{Fabric, NodeKind};
-use taurus_logstore::{encode_batch, LogStoreCluster, LogStream};
+use taurus_logstore::batch::encode_batch;
+use taurus_logstore::{LogStoreCluster, LogStream, PLogEntry};
+
+mod common;
+use common::{create_stream, read_back, reopen_stream};
 
 fn setup(nodes: usize, plog_limit: usize) -> (LogStream, LogStoreCluster, NodeId) {
     let fabric = Fabric::new(ManualClock::shared(), NetworkProfile::instant(), 3);
     let me = fabric.add_node(NodeKind::Compute);
     let cluster = LogStoreCluster::new(fabric, 3, 1 << 20);
     cluster.spawn_servers(nodes, StorageProfile::instant());
-    let stream = LogStream::create(cluster.clone(), DbId(1), me, plog_limit, 4).unwrap();
+    let stream = create_stream(&cluster, DbId(1), me, plog_limit, 4);
     (stream, cluster, me)
 }
 
@@ -56,7 +60,7 @@ proptest! {
         outage_schedule in prop::collection::vec(any::<Option<bool>>(), 1..25),
         plog_limit in 256usize..4096,
     ) {
-        let (stream, cluster, _) = setup(7, plog_limit);
+        let (stream, cluster, me) = setup(7, plog_limit);
         let mut next_lsn = 1u64;
         let mut acked: Vec<(Lsn, Lsn)> = Vec::new();
         for (i, &len) in group_sizes.iter().enumerate() {
@@ -84,7 +88,7 @@ proptest! {
         for n in cluster.fabric.all_nodes(NodeKind::LogStore) {
             cluster.fabric.set_up(n);
         }
-        let groups = stream.read_groups_from(Lsn(1)).unwrap();
+        let groups = read_back(&cluster, me, Lsn(1));
         prop_assert_eq!(groups.len(), acked.len());
         for (g, (first, last)) in groups.iter().zip(&acked) {
             prop_assert_eq!(g.first_lsn(), *first);
@@ -109,26 +113,34 @@ proptest! {
         }
         let cut = Lsn(cut.min(next - 1));
         stream.truncate_below(cut).unwrap();
-        let survivors = stream.read_groups_from(Lsn(1)).unwrap();
-        // Every group ending at or after the cut must still be present.
+        // Every group ending at or after the cut must still be in a PLog
+        // the writer kept.
         let expected: Vec<u64> = (0..n_groups)
             .map(|i| 1 + i * 2 + 1) // end lsn of group i
             .filter(|&end| Lsn(end) >= cut)
             .collect();
-        let got: Vec<u64> = survivors.iter().map(|g| g.end_lsn().0).collect();
+        let kept = stream.entries();
         for e in &expected {
-            prop_assert!(got.contains(e), "group ending at {e} lost (cut {cut})");
+            prop_assert!(
+                kept.iter().any(|p| p.first_lsn <= Lsn(*e) && Lsn(*e) <= p.last_lsn),
+                "group ending at {e} lost by the writer (cut {cut})"
+            );
         }
-        // Reopen from metadata: identical view.
+        // Reopen from metadata after the writer is gone: the same PLogs as
+        // the writer kept, and every survivor reads back.
         drop(stream);
-        let reopened = LogStream::open(cluster, DbId(1), me, plog_limit, 4).unwrap();
-        let got2: Vec<u64> = reopened
-            .read_groups_from(Lsn(1))
-            .unwrap()
+        let reopened = reopen_stream(&cluster, DbId(1), me, plog_limit, 4);
+        let ranges = |s: &[PLogEntry]| -> Vec<_> {
+            s.iter().map(|p| (p.id, p.first_lsn, p.last_lsn)).collect()
+        };
+        prop_assert_eq!(ranges(&kept), ranges(&reopened.entries()));
+        let got: Vec<u64> = read_back(&cluster, me, Lsn(1))
             .iter()
             .map(|g| g.end_lsn().0)
             .collect();
-        prop_assert_eq!(got, got2);
+        for e in &expected {
+            prop_assert!(got.contains(e), "group ending at {e} lost on reopen (cut {cut})");
+        }
     }
 
     /// All three replicas of every PLog hold byte-identical committed data.

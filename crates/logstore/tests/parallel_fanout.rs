@@ -16,7 +16,11 @@ use taurus_common::page::PageType;
 use taurus_common::record::{LogRecord, LogRecordGroup, RecordBody};
 use taurus_common::{DbId, Lsn, PageId};
 use taurus_fabric::{Fabric, NodeKind};
-use taurus_logstore::{encode_batch, LogStoreCluster, LogStream};
+use taurus_logstore::batch::encode_batch;
+use taurus_logstore::LogStoreCluster;
+
+mod common;
+use common::create_stream;
 
 const HOP_US: u64 = 1500;
 const APPENDS: u64 = 10;
@@ -51,7 +55,7 @@ fn replica_fanout_ack_latency_is_max_of_three_not_sum() {
     let cluster = LogStoreCluster::new(fabric, 3, 1 << 20);
     cluster.spawn_servers(3, StorageProfile::instant());
     // Large limit: no rollover (and no metadata append) inside the loop.
-    let stream = LogStream::create(cluster.clone(), DbId(1), me, 1 << 20, 4).unwrap();
+    let stream = create_stream(&cluster, DbId(1), me, 1 << 20, 4);
 
     let start = Instant::now();
     let mut next = 1u64;
@@ -103,8 +107,8 @@ fn shipped_profile_append_ack_costs_about_one_round_trip() {
     let me = fabric.add_node(NodeKind::Compute);
     let cluster = LogStoreCluster::new(fabric.clone(), 3, 1 << 20);
     let servers = cluster.spawn_servers(3, StorageProfile::default());
-    let stream = LogStream::create(cluster.clone(), DbId(1), me, 1 << 20, 4).unwrap();
-    let neighbour = LogStream::create(cluster.clone(), DbId(2), me, 1 << 20, 4).unwrap();
+    let stream = create_stream(&cluster, DbId(1), me, 1 << 20, 4);
+    let neighbour = create_stream(&cluster, DbId(2), me, 1 << 20, 4);
 
     let mut call_us = Vec::with_capacity(ROUNDS);
     let mut append_us = Vec::with_capacity(ROUNDS);
@@ -167,7 +171,7 @@ fn measure_what_a_plog_rollover_costs() {
         let cluster = LogStoreCluster::new(fabric, 3, 1 << 20);
         cluster.spawn_servers(3, StorageProfile::instant());
         let limit = appends_per_plog * group_len;
-        let stream = LogStream::create(cluster, DbId(1), me, limit, THREADS).unwrap();
+        let stream = create_stream(&cluster, DbId(1), me, limit, THREADS);
         // Reservations are taken in LSN order, under the allocator's lock.
         let alloc = parking_lot::Mutex::new(1u64);
         let start = Instant::now();

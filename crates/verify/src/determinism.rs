@@ -270,7 +270,7 @@ pub fn fingerprint_run(seed: u64, ops: usize, inject: Inject) -> Result<Fingerpr
         }
     }
     let mut log = Fnv::new();
-    for group in master.sal.read_log_from(taurus_common::Lsn(1))? {
+    for group in master.sal.log.read_from(taurus_common::Lsn(1))? {
         log.write(&group.encode());
     }
     // Full-table scan through the near-data path: one `ScanSlice` per

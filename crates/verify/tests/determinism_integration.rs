@@ -31,6 +31,20 @@ fn same_seed_runs_produce_identical_end_state() {
     );
 }
 
+/// The end state of seed 42 over 300 ops, pinned: every log read the
+/// fingerprint hashes goes through `taurus_logstore::Log`, so a refactor of
+/// the log that changed a byte, an LSN or a frame would move it. A change
+/// that moves it on purpose edits this value and says why.
+#[test]
+fn seed_42_fingerprint_is_pinned() {
+    let run = fingerprint_run(42, 300, Inject::None).expect("run");
+    assert_eq!(
+        run.combined(),
+        0x8efe_e37b_0119_de0a,
+        "end state moved: {run}"
+    );
+}
+
 #[test]
 fn different_seeds_diverge() {
     let a = fingerprint_run(1, 120, Inject::None).expect("run");

@@ -35,7 +35,7 @@
 //! |--------|-------|----------|
 //! | [`common`] | `taurus-common` | LSNs, page format, redo records, config |
 //! | [`fabric`] | `taurus-fabric` | simulated cluster: RPC, failures, devices |
-//! | [`logstore`] | `taurus-logstore` | PLogs, Log Store servers, log streams |
+//! | [`logstore`] | `taurus-logstore` | PLogs, Log Store servers, the log (`Log`: N PLog streams) |
 //! | [`pagestore`] | `taurus-pagestore` | slices, consolidation, gossip |
 //! | [`core`] | `taurus-core` | the SAL, CV-LSN, recovery (the paper's contribution) |
 //! | [`engine`] | `taurus-engine` | B+tree front end, transactions, replicas |
@@ -62,6 +62,6 @@ pub mod prelude {
     pub use taurus_core::{RecoveryService, Sal};
     pub use taurus_engine::{MasterEngine, ReplicaEngine, TaurusDb, Txn};
     pub use taurus_fabric::{Fabric, FailureDetector, NodeKind};
-    pub use taurus_logstore::{LogStoreCluster, LogStream};
+    pub use taurus_logstore::{Log, LogStoreCluster};
     pub use taurus_pagestore::{PageStoreCluster, PageStoreServer};
 }
