@@ -24,6 +24,7 @@
 //!   measures them all.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod adapters;
 pub mod monolithic;

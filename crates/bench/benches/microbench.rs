@@ -3,9 +3,6 @@
 //! consolidation, the engine's resident read path, and end-to-end
 //! single-transaction commit.
 
-// Harness code: aborting on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::sync::Arc;
 
 use bytes::Bytes;

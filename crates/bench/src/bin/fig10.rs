@@ -5,8 +5,6 @@
 //! flattens between the two largest instances due to data contention.
 
 #![forbid(unsafe_code)]
-// Harness code: aborting on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
 
 use taurus_baselines::TaurusExecutor;
 use taurus_bench::{bench_config, header, launch_taurus_with, txns_per_conn, ScaleRegime};

@@ -3,8 +3,6 @@
 //! plateaus: beyond saturation, adding connections stops helping.
 
 #![forbid(unsafe_code)]
-// Harness code: aborting on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
 
 use taurus_baselines::TaurusExecutor;
 use taurus_bench::{bench_config, launch_taurus_with, ScaleRegime};

@@ -7,8 +7,6 @@
 //! durable Log Store write.
 
 #![forbid(unsafe_code)]
-// Harness code: aborting on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
 
 use taurus_baselines::TaurusExecutor;
 use taurus_bench::{bench_config, launch_taurus_with, txns_per_conn, JsonReport, ScaleRegime};

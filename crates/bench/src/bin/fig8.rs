@@ -9,8 +9,6 @@
 //!   +87% write-only, +101% TPC-C.
 
 #![forbid(unsafe_code)]
-// Harness code: aborting on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
 
 use taurus_baselines::{LocalEngine, LocalExecutor, SocratesDb, SocratesExecutor, TaurusExecutor};
 use taurus_bench::{

@@ -17,8 +17,6 @@
 //! for CI.
 
 #![forbid(unsafe_code)]
-// Harness code: aborting on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
 
 use taurus_baselines::TaurusExecutor;
 use taurus_bench::{bench_config, header, launch_taurus_with, rel, txns_per_conn, JsonReport};
@@ -72,7 +70,8 @@ fn main() {
     let pages_moved =
         || sal.stats.snapshot().page_reads + sal.read_batch_stats.snapshot().pages_returned;
     let before = pages_moved();
-    let t0 = std::time::Instant::now(); // taurus-lint: allow(direct-clock) -- bench harness timing
+    #[expect(clippy::disallowed_methods, reason = "bench harness timing")]
+    let t0 = std::time::Instant::now();
     let fetched = master.snapshot_scan("ndp", b"", usize::MAX).unwrap();
     let fetch_secs = t0.elapsed().as_secs_f64().max(1e-9);
     let matching: Vec<Vec<u8>> = fetched
@@ -93,7 +92,8 @@ fn main() {
 
     header("pushdown (ScanSlice per slice, evaluate on Page Stores)");
     let before = sal.ndp_stats.snapshot();
-    let t0 = std::time::Instant::now(); // taurus-lint: allow(direct-clock) -- bench harness timing
+    #[expect(clippy::disallowed_methods, reason = "bench harness timing")]
+    let t0 = std::time::Instant::now();
     let pushed = master.snapshot_scan_pushdown("ndp", &req).unwrap();
     let push_secs = t0.elapsed().as_secs_f64().max(1e-9);
     let after = sal.ndp_stats.snapshot();

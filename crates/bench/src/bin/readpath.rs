@@ -16,8 +16,6 @@
 //! failures for CI.
 
 #![forbid(unsafe_code)]
-// Harness code: aborting on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
 
 use std::sync::Arc;
 
@@ -71,7 +69,8 @@ fn point_phase(db: &TaurusDb, rows: u64, reads: u64) -> (LatencyRecorder, u64) {
     for i in 0..reads {
         let row = (i * 37) % rows; // deterministic stride over the table
         let key = format!("sh{row:012}");
-        let t0 = std::time::Instant::now(); // taurus-lint: allow(direct-clock) -- bench harness timing
+        #[expect(clippy::disallowed_methods, reason = "bench harness timing")]
+        let t0 = std::time::Instant::now();
         let got = master.get(key.as_bytes()).unwrap();
         lat.record(t0.elapsed().as_micros() as u64);
         assert!(got.is_some(), "seeded row {row} missing");
@@ -93,7 +92,8 @@ fn scan_phase(
     let (rpcs, pages) = (miss_rpcs(db), pages_fetched(db));
     let mut all = Vec::new();
     for start in starts {
-        let t0 = std::time::Instant::now(); // taurus-lint: allow(direct-clock) -- bench harness timing
+        #[expect(clippy::disallowed_methods, reason = "bench harness timing")]
+        let t0 = std::time::Instant::now();
         let got = master.scan(start, limit).unwrap();
         lat.record(t0.elapsed().as_micros() as u64);
         all.extend(got);

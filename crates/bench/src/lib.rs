@@ -19,6 +19,7 @@
 //! crossovers fall — are the reproduction targets.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 use std::sync::Arc;
 
@@ -359,6 +360,10 @@ mod thread_time_tests {
         std::thread::Builder::new()
             .name("taurus-beat".into())
             .spawn(|| {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "spins for 20 ms of real CPU time"
+                )]
                 let t = std::time::Instant::now();
                 while t.elapsed() < std::time::Duration::from_millis(20) {
                     std::hint::black_box(0u64);

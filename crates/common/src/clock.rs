@@ -73,11 +73,12 @@ pub struct SystemClock {
 }
 
 impl SystemClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one legitimate wall-clock read: the origin the pluggable clock is built on"
+    )]
     pub fn new() -> Self {
         SystemClock {
-            // The one legitimate wall-clock read: the origin the pluggable
-            // clock abstraction is built on.
-            // taurus-lint: allow(direct-clock) -- SystemClock origin
             origin: Instant::now(),
         }
     }

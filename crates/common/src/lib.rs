@@ -20,6 +20,7 @@
 //!   [`invariant!`](crate::invariant) macro (the `invariants` feature).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod apply;
 pub mod clock;

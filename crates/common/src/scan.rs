@@ -23,6 +23,21 @@
 //! * projected rows always carry the key (it is the merge/sort handle the
 //!   SAL planner orders per-slice results by); [`Projection::KeyOnly`]
 //!   drops the value bytes.
+//!
+//! The evaluator runs inside a Page Store's `ScanSlice` over arbitrary page
+//! bytes, so this module is held to the pushdown path's no-panic `deny`
+//! (see `taurus_pagestore::pushdown`).
+
+#![deny(
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing
+)]
 
 use std::cmp::Ordering;
 

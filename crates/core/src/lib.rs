@@ -38,6 +38,9 @@
 //!   restart recovery (§5.3) decide *what* is owed a resend; `redo` does it.
 
 #![forbid(unsafe_code)]
+// A panic in storage hot-path code is a node crash (§5): propagate
+// `TaurusError` instead. Test code is exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod elastic;
 pub mod rebalance;

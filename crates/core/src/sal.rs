@@ -564,6 +564,21 @@ impl Sal {
     pub fn buffer_group(&self, group: LogRecordGroup) -> Option<PendingFlush<'_>> {
         let prepared = {
             let mut st = self.state.lock();
+            // Groups arrive in LSN order: the engine buffers under the tree
+            // latch, and `Log::tail` skips a group that ends at or below
+            // one it already delivered, so an out-of-order frame would lose
+            // its earlier groups on a replica.
+            let floor = st
+                .log_buffer
+                .last()
+                .map_or(st.last_prepared_end, |g| g.end_lsn());
+            taurus_common::invariant!(
+                "log-groups-in-lsn-order",
+                group.first_lsn() > floor,
+                "group [{}..{}] buffered after LSN {floor}",
+                group.first_lsn(),
+                group.end_lsn()
+            );
             if st.log_buffer.is_empty() {
                 st.log_buffer_opened_us = self.clock.now_us();
             }
@@ -644,9 +659,9 @@ impl Sal {
         }
         let groups = std::mem::take(&mut st.log_buffer);
         st.log_buffer_bytes = 0;
-        // min/max over all groups, not first/last: group *allocation* order
-        // (LSN) and buffer *arrival* order can differ under concurrent
-        // writers, and the monotonicity invariant below keys off the range.
+        // Groups arrive in LSN order (`buffer_group` checks it), so this is
+        // the first group's first LSN and the last group's end; min/max
+        // keeps the span right even when that check has fired.
         let first = groups
             .iter()
             .map(|g| g.first_lsn())

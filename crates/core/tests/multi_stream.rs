@@ -3,9 +3,6 @@
 //! log hole in one stream, and the `PendingFlush` drop-path error
 //! accounting.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::sync::Arc;
 
 use bytes::Bytes;

@@ -2,9 +2,6 @@
 //! `ScanSlice` fan-out, snapshot capping for quiet slices, replica retry,
 //! and agreement with fetch-and-filter over `ReadPage`.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::sync::Arc;
 
 use bytes::Bytes;

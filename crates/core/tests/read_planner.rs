@@ -4,9 +4,6 @@
 //! owns a SAL, so nothing may reach the dispatcher pool — every test ends by
 //! asserting that no worker was spawned and no item was ever queued.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

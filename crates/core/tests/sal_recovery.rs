@@ -1,9 +1,6 @@
 //! Integration tests for the SAL write/read paths, CV-LSN semantics, log
 //! truncation, and the recovery scenarios of paper Fig. 4.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::sync::Arc;
 
 use bytes::Bytes;

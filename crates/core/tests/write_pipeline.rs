@@ -2,9 +2,6 @@
 //! bugfixes that shipped with it: out-of-order flush accounting, EWMA
 //! penalties for failed reads, and suspect-replica demotion.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -153,7 +150,9 @@ fn tick_flushes_an_idle_log_buffer_at_the_flush_deadline() {
 /// buffered groups and the per-slice max requirement, not the first/last
 /// iterated values. Groups appended out of LSN order used to record an
 /// inverted flush range (tripping the monotonicity invariant) and could let
-/// the CV-LSN advance before a buffer's true tail was replicated.
+/// the CV-LSN advance before a buffer's true tail was replicated. Buffering
+/// out of order breaks the SAL's contract (`log-groups-in-lsn-order`, next
+/// test); this one checks that the flush still comes out right when it is.
 #[test]
 fn out_of_lsn_order_groups_flush_with_correct_range() {
     let h = Harness::new(4, 5);
@@ -175,7 +174,13 @@ fn out_of_lsn_order_groups_flush_with_correct_range() {
     let end = b.end_lsn();
     assert!(a.first_lsn() < b.first_lsn());
     sal.log_group(b).unwrap();
-    sal.log_group(a).unwrap();
+    let buffered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sal.log_group(a)));
+    if std::env::var_os("TAURUS_INVARIANT_PANIC").is_some() {
+        // The ordering check panics before `a` is buffered: no flush to check.
+        assert!(buffered.is_err(), "log-groups-in-lsn-order must fire");
+        return;
+    }
+    buffered.unwrap().unwrap();
     sal.flush().unwrap();
     h.settle(&sal);
     assert_eq!(sal.durable_lsn(), end);
@@ -191,6 +196,35 @@ fn out_of_lsn_order_groups_flush_with_correct_range() {
     // And the data is all there.
     let page = sal.read_page(PageId(1), Some(end)).unwrap();
     assert_eq!(page.nslots(), 3);
+}
+
+/// `Log::tail` skips a group that ends at or below one it already
+/// delivered, so groups must reach the SAL in LSN order. `buffer_group`
+/// checks each group against the one buffered before it or, with the buffer
+/// empty, against the end of the last prepared flush.
+#[test]
+fn groups_buffered_out_of_lsn_order_are_recorded() {
+    let h = Harness::new(4, 5);
+    let sal = h.sal_with(TaurusConfig {
+        log_buffer_bytes: 1 << 20,
+        plog_size_limit: 1 << 22,
+        ..h.cfg.clone()
+    });
+    let stale = h.group(1, "stale", false);
+    h.write_kv(&sal, 1, "seed", true);
+    let (a, b) = (h.group(1, "a", false), h.group(1, "b", false));
+    let recorded = |g: LogRecordGroup| {
+        let range = format!("group [{}..{}]", g.first_lsn(), g.end_lsn());
+        // With TAURUS_INVARIANT_PANIC set the check panics instead.
+        let buffer = std::panic::AssertUnwindSafe(|| drop(sal.buffer_group(g)));
+        std::panic::catch_unwind(buffer).is_err()
+            || taurus_common::invariants::violations()
+                .iter()
+                .any(|v| v.name == "log-groups-in-lsn-order" && v.detail.starts_with(&range))
+    };
+    assert!(recorded(stale), "below the last flush, buffer empty");
+    assert!(!recorded(b), "in order after the stale group");
+    assert!(recorded(a), "below the group buffered before it");
 }
 
 /// A replica that fails reads must sink in the routing order: the failed

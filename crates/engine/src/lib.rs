@@ -21,6 +21,9 @@
 //!   master, replicas, recovery service, master failover.
 
 #![forbid(unsafe_code)]
+// A panic in storage hot-path code is a node crash (§5): propagate
+// `TaurusError` instead. Test code is exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod btree;
 pub mod db;

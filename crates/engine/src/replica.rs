@@ -59,7 +59,6 @@ pub struct ReplicaEngine {
     /// Active TV-LSN pins: lsn → pin count.
     tv_pins: Mutex<BTreeMap<u64, usize>>,
     bulletin: Arc<Bulletin>,
-    last_bulletin_seq: AtomicU64,
     pub groups_applied: AtomicU64,
 }
 
@@ -98,7 +97,6 @@ impl ReplicaEngine {
             committed: Mutex::new(HashSet::new()),
             tv_pins: Mutex::new(BTreeMap::new()),
             bulletin,
-            last_bulletin_seq: AtomicU64::new(0),
             groups_applied: AtomicU64::new(0),
         });
         // From its first transaction on, the master may not recycle what
@@ -125,8 +123,6 @@ impl ReplicaEngine {
         if horizon <= self.visible_lsn.get() {
             return Ok(0);
         }
-        self.last_bulletin_seq
-            .store(self.bulletin.seq.load(Ordering::Relaxed), Ordering::Relaxed);
         // Discover new PLogs, then tail the log incrementally.
         self.log.refresh()?;
         let mut cursor = self.cursor.lock();

@@ -1,9 +1,6 @@
 //! End-to-end tests of the full Taurus stack through the public engine API:
 //! master transactions, read replicas, crash recovery, fail-over.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::sync::Arc;
 
 use taurus_common::clock::{Clock, ManualClock};

@@ -7,9 +7,6 @@
 //! a concurrent writer racing the fence, and the engine-level rebalancer
 //! loop reshaping placement under a hotspot without corrupting data.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

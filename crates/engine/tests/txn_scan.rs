@@ -3,9 +3,6 @@
 //! order, cut at `limit` — exactly what a `BTreeMap` model of the table plus
 //! the write set returns.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 

@@ -224,6 +224,10 @@ mod tests {
         Dispatch::new(SystemClock::shared())
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "real worker threads: a wall-clock deadline"
+    )]
     fn wait_for(what: &str, cond: impl Fn() -> bool) {
         let deadline = Instant::now() + Duration::from_secs(5);
         while !cond() {

@@ -22,6 +22,7 @@
 //! `Clock`, so failure drills replay identically with a `ManualClock`.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod detector;
 pub mod device;

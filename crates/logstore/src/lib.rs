@@ -28,6 +28,9 @@
 //!   replicas from the survivors onto healthy nodes (paper §5.1).
 
 #![forbid(unsafe_code)]
+// A panic in storage hot-path code is a node crash (§5): propagate
+// `TaurusError` instead. Test code is exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod batch;
 pub mod cache;

@@ -187,7 +187,10 @@ impl LogStream {
     /// `member` marks the stream as part of a multi-stream group, relaxing
     /// the per-PLog LSN-contiguity invariant to monotonicity (sibling
     /// streams carry the interleaved spans).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a stream is named by cluster, database, node and stream id, and sized by its limits; `Log` is the caller"
+    )]
     pub fn create_stream(
         cluster: LogStoreCluster,
         db: DbId,
@@ -231,7 +234,10 @@ impl LogStream {
     /// each entry against the cluster's authoritative committed length (the
     /// snapshot's per-PLog bookkeeping lags appends made after it was
     /// written).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a stream is named by cluster, database, node and stream id, and sized by its limits; `Log` is the caller"
+    )]
     pub fn open_stream(
         cluster: LogStoreCluster,
         db: DbId,

@@ -4,9 +4,6 @@
 //! monotone LSN range — including across a mid-run Log Store outage — and
 //! that the pipeline's end state is deterministic.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::sync::Arc;
 use std::thread;
 

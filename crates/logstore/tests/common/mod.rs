@@ -21,7 +21,7 @@ pub fn create_stream(
 }
 
 /// Reopens stream 0 of `db` from its metadata PLog, as a restart does.
-#[allow(dead_code)] // not every suite reopens
+#[allow(dead_code, reason = "not every suite reopens")]
 pub fn reopen_stream(
     cluster: &LogStoreCluster,
     db: DbId,
@@ -35,7 +35,7 @@ pub fn reopen_stream(
 
 /// Reads database 1's log back as a reader does: a one-stream [`Log`]
 /// opened over the stream the test wrote.
-#[allow(dead_code)] // not every suite reads the log back
+#[allow(dead_code, reason = "not every suite reads the log back")]
 pub fn read_back(cluster: &LogStoreCluster, me: NodeId, from: Lsn) -> Vec<LogRecordGroup> {
     let cfg = TaurusConfig {
         log_streams: 1,

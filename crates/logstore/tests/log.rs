@@ -3,9 +3,6 @@
 //! the merged log at a hole and discards the orphans, and a reader's tail
 //! merges the streams and defers a frame past its limit whole.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::thread;
 use std::time::Duration;
 

@@ -2,9 +2,6 @@
 //! across replicas under arbitrary failure schedules, stream rollover
 //! correctness, and truncation safety.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use bytes::Bytes;
 use proptest::prelude::*;
 

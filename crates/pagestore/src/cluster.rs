@@ -672,7 +672,10 @@ impl PageStoreCluster {
 
     /// Commits a split in the placement map (pure memory; see
     /// [`PlacementMap::commit_split`]). Returns the new global epoch.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a split is the parent, the cut, both children and two LSNs; this forwards them"
+    )]
     pub fn commit_split(
         &self,
         parent: SliceKey,
@@ -1042,6 +1045,10 @@ mod tests {
         assert!(polled <= 200, "{polled} consolidate_step calls while idle");
         // An ingest wakes its server's thread at once — not at the next
         // timed wake-up: the fragment is staged into the open L0 promptly.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bounds a real-thread wake-up in wall-clock time"
+        )]
         let written = Instant::now();
         for &n in &nodes {
             c.write_logs_to(n, me, &frag(0, 1, 7)).unwrap();
@@ -1058,6 +1065,10 @@ mod tests {
             std::thread::yield_now();
         }
         // Stopping wakes every thread instead of waiting out its interval.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bounds a real-thread wake-up in wall-clock time"
+        )]
         let stopping = Instant::now();
         drop(guard);
         let took = stopping.elapsed();

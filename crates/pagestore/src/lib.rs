@@ -33,6 +33,9 @@
 //!   peer before serving reads (§5.2).
 
 #![forbid(unsafe_code)]
+// A panic in storage hot-path code is a node crash (§5): propagate
+// `TaurusError` instead. Test code is exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cluster;
 pub mod directory;

@@ -292,7 +292,10 @@ impl PlacementMap {
     /// children covering its range with the cut at `at_page`. Children were
     /// seeded from the parent's layer snapshot at `base`. Returns the new
     /// global epoch.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a split is the parent, the cut, both children and two LSNs"
+    )]
     pub fn commit_split(
         &mut self,
         parent: SliceKey,
@@ -515,8 +518,6 @@ impl PlacementMap {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
-
     use super::*;
 
     const PPS: u64 = 64;

@@ -18,8 +18,24 @@
 //! bounded and cannot starve concurrent `WriteLogs` traffic.
 //!
 //! This module is hot-path code with a stricter discipline than the rest of
-//! the crate: no panicking constructs at all (enforced by the
-//! `pushdown-no-panic` rule in `taurus-lint`).
+//! the crate: a `ScanSlice` call evaluates user-shaped predicates over
+//! arbitrary page bytes, and a panic here takes the Page Store node down
+//! for every tenant. So no panicking construct at all — no `panic!`-family
+//! macro, no `assert!` in a `Result` function, no unwrap, no indexing —
+//! which clippy enforces through the `deny` below (test code excepted, per
+//! `clippy.toml`). The shared evaluator in `taurus_common::scan` carries
+//! the same `deny`.
+
+#![deny(
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing
+)]
 
 use taurus_common::scan::{evaluate_leaf_page, AggState, ScanAccumulator, ScanRequest};
 use taurus_common::{Lsn, PageId, Result, SliceKey, TaurusError};

@@ -119,8 +119,6 @@ impl PageStoreServer {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
-
     use super::*;
     use std::sync::Arc;
 

@@ -1,9 +1,6 @@
 //! Reads racing seal + compaction on one Page Store. Alone in its binary:
 //! the invariant registry is process-wide and the test asserts it empty.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use bytes::Bytes;

@@ -5,9 +5,6 @@
 //! The encode counter is process-global, so this test lives in its own
 //! integration-test binary (its own process).
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::sync::Arc;
 
 use bytes::Bytes;

@@ -2,9 +2,6 @@
 //! delivery orders, duplication, and partial delivery — the conditions the
 //! wait-for-one write path creates in production.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::sync::Arc;
 
 use bytes::Bytes;

@@ -7,6 +7,7 @@
 //! cluster simulation that validates the formulas empirically.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod montecarlo;
 pub mod quorum;

@@ -213,8 +213,11 @@ pub fn fingerprint_run(seed: u64, ops: usize, inject: Inject) -> Result<Fingerpr
             0..=6 => {
                 let mut v = format!("val-{op}-{}", rng.next());
                 if inject == Inject::WallClock {
-                    // The deliberate bug: wall-clock time in a data path.
-                    let nanos = std::time::SystemTime::now() // taurus-lint: allow(direct-clock) -- injected on purpose
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the deliberate bug: wall-clock time in a data path"
+                    )]
+                    let nanos = std::time::SystemTime::now()
                         .duration_since(std::time::UNIX_EPOCH)
                         .map(|d| d.subsec_nanos())
                         .unwrap_or(0);

@@ -1,11 +1,7 @@
 //! # taurus-verify
 //!
-//! Correctness tooling for the Taurus reproduction, three pillars:
+//! Correctness tooling for the Taurus reproduction, two pillars:
 //!
-//! * [`lint`] — the `taurus-lint` source checker enforcing workspace
-//!   conventions (no panics in storage hot paths, no wall-clock or unseeded
-//!   RNG outside the pluggable substrate, `parking_lot` over `std::sync`).
-//!   Run it with `cargo run -p taurus-verify --bin taurus-lint`.
 //! * [`determinism`] — the same-seed/same-state checker: runs a seeded
 //!   workload twice through the full fabric and diffs end-state
 //!   fingerprints. Run it with
@@ -15,14 +11,18 @@
 //!   Store, and replica paths); this crate's integration tests drive
 //!   workloads and assert the registry stays empty.
 //!
-//! Lock discipline is not checked here: the `parking_lot` shim's witness
+//! The workspace's source conventions (no panics in storage hot paths, no
+//! wall-clock or unseeded RNG outside the pluggable substrate,
+//! `parking_lot` over `std::sync`) are clippy configuration, not a tool
+//! here: `clippy.toml` and the crate-level denies in each `lib.rs`, checked
+//! by `cargo clippy --workspace --all-targets -- -D warnings`. Lock
+//! discipline is not checked here either: the `parking_lot` shim's witness
 //! (`--cfg taurus_lock_witness`) checks lock order, leaf locks, locks held
 //! across fabric calls and condvar pairing as the tests run.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod determinism;
-pub mod lint;
 
 pub use determinism::{check_determinism, fingerprint_run, DeterminismReport, Fingerprint, Inject};
-pub use lint::{lint_source, lint_workspace, Diagnostic, LintReport};

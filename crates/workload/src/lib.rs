@@ -7,6 +7,7 @@
 //! [`Executor`] (Taurus or a baseline architecture).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod driver;
 pub mod scanheavy;

@@ -14,7 +14,6 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipf {
@@ -32,7 +31,6 @@ impl Zipf {
             alpha,
             zetan,
             eta,
-            zeta2,
         }
     }
 
@@ -64,11 +62,6 @@ impl Zipf {
     /// distribution; this is exact).
     pub fn uniform(n: u64) -> Self {
         Self::new(n, 0.0)
-    }
-
-    #[allow(dead_code)]
-    fn debug_consts(&self) -> (f64, f64) {
-        (self.zeta2, self.theta)
     }
 }
 

@@ -4,9 +4,6 @@
 //!
 //! Run with: `cargo run --example read_replicas`
 
-// Harness code: aborting on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use taurus::prelude::*;
 
 fn main() -> Result<()> {

@@ -7,6 +7,11 @@
 //! Reports median/mean per iteration from a fixed-budget timing loop —
 //! no statistics engine, plots, or baseline comparison.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a bench harness measures wall-clock time"
+)]
+
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;

@@ -9,6 +9,12 @@
 //! instead of blocking — the backpressure primitive the SAL's per-replica
 //! write pipeline is built on.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the channels are built on `std::sync` and `std::time` so that this shim depends on nothing"
+)]
+
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;

@@ -19,6 +19,11 @@
 //! for the model. The cfg exists for tests and CI — without it every hook
 //! compiles to nothing and the plain path is exactly as before.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "this crate is the wrapper over `std::sync` that the rest of the workspace uses instead"
+)]
+
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::{self, TryLockError};

@@ -7,6 +7,11 @@
 //! stream differs from real `rand`, which is fine — the workspace only
 //! relies on same-seed reproducibility, not on matching upstream streams).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "`from_os_rng` seeds from the wall clock: there is no OS entropy source here"
+)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Low-level uniform bit source.
@@ -261,7 +266,7 @@ pub mod rngs {
 
 /// Process-global convenience RNG (`rand::rng()` in rand 0.9). Clock-seeded,
 /// NOT reproducible — simulation code must use a seeded `StdRng` instead
-/// (taurus-lint enforces this).
+/// (the workspace's `clippy.toml` disallows calls to this function).
 pub fn rng() -> rngs::StdRng {
     SeedableRng::from_os_rng()
 }

@@ -43,6 +43,8 @@
 //! | [`replication`] | `taurus-replication` | Table 1 availability models |
 //! | [`workload`] | `taurus-workload` | SysBench-like, TPC-C-like generators |
 
+#![deny(clippy::unwrap_used)]
+
 pub use taurus_baselines as baselines;
 pub use taurus_common as common;
 pub use taurus_core as core;

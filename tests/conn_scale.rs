@@ -11,9 +11,6 @@
 //! coalescing-off twin cluster to compare against; the per-page path and
 //! the model are the reference.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

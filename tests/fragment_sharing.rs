@@ -3,9 +3,6 @@
 //! path. The deep-clone counter is process-global, so this test lives in
 //! its own integration-test binary (its own process).
 
-// Harness code: aborting on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use taurus::common::clock::ManualClock;
 use taurus::prelude::*;
 

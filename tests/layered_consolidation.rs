@@ -9,9 +9,6 @@
 //! overlapping resends, out-of-order arrival, pooled and device bases, and
 //! pages whose records span several sealed L0s.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::sync::Arc;
 
 use bytes::Bytes;

@@ -2,9 +2,6 @@
 //! "multi-tenant cloud database system"; Page Stores host slices from
 //! different databases, Log Stores host PLogs from different databases).
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::sync::Arc;
 
 use taurus::common::clock::ManualClock;

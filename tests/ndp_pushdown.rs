@@ -5,9 +5,6 @@
 //! table — including while a concurrent writer keeps committing and after
 //! one Page Store replica is killed mid-run.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -2,9 +2,6 @@
 //! invariants: the slotted page vs a model map, the log-record codec, redo
 //! idempotence, and the B+tree vs a model map under arbitrary op sequences.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::collections::BTreeMap;
 
 use bytes::Bytes;

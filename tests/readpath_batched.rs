@@ -7,9 +7,6 @@
 //! concurrent writer keeps committing and after a Page Store replica is
 //! killed mid-run.
 
-// Test harness: panicking on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -2,9 +2,6 @@
 //! driven through the full public stack (TaurusDb), plus durability
 //! invariants under combined failures and log truncation.
 
-// Harness code: aborting on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::sync::Arc;
 
 use taurus::common::clock::ManualClock;

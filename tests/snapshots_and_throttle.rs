@@ -2,9 +2,6 @@
 //! the §7 master write throttle, plus a concurrent-writer consistency
 //! stress test.
 
-// Harness code: aborting on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::sync::Arc;
 
 use taurus::common::clock::ManualClock;

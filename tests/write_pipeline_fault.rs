@@ -4,9 +4,6 @@
 //! wait-for-one), no fragment is lost, and after the node returns the
 //! recovery machinery catches it back up and clears its *suspect* mark.
 
-// Harness code: aborting on setup failure is the desired behavior.
-#![allow(clippy::unwrap_used)]
-
 use std::sync::Arc;
 
 use taurus::common::clock::ManualClock;
