@@ -29,10 +29,10 @@ use taurus_common::{Lsn, Result, TaurusError};
 /// snapshot magic.
 pub const BATCH_MAGIC: u32 = 0x5442_4348; // "TBCH"
 
-/// Byte length of the fixed frame header:
-/// magic(4) + prev_end(8) + first(8) + end(8) + count(4) + payload_len(4)
-/// + checksum(8).
-const HEADER_LEN: usize = 4 + 8 + 8 + 8 + 4 + 4 + 8;
+/// Byte length of the fixed frame header: magic(4) + prev_end(8) +
+/// first(8) + end(8) + count(4) + payload_len(4) + checksum(8). A read of
+/// this many bytes at a frame's start is a header probe.
+pub const HEADER_LEN: usize = 4 + 8 + 8 + 8 + 4 + 4 + 8;
 
 /// One decoded batch frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -89,6 +89,16 @@ pub fn encode_batch(groups: &[LogRecordGroup], prev_end: Lsn, first: Lsn, end: L
     out.freeze()
 }
 
+/// The LSN range `(first, end)` of the frame starting at `buf`, from its
+/// header alone (a header probe's bytes are enough).
+pub fn frame_range(mut buf: &[u8]) -> Result<(Lsn, Lsn)> {
+    if buf.remaining() < HEADER_LEN || buf.get_u32_le() != BATCH_MAGIC {
+        return Err(TaurusError::Codec("bad batch frame header"));
+    }
+    buf.advance(8);
+    Ok((Lsn(buf.get_u64_le()), Lsn(buf.get_u64_le())))
+}
+
 /// Decodes one batch frame from the front of `buf`, consuming its bytes.
 pub fn decode_unit(buf: &mut Bytes) -> Result<BatchFrame> {
     if buf.remaining() < 4 {
@@ -139,16 +149,6 @@ pub fn decode_frames(mut buf: Bytes) -> Result<Vec<BatchFrame>> {
     Ok(frames)
 }
 
-/// Decodes an entire payload into its record groups, discarding frame
-/// boundaries. Drop-in replacement for `LogRecordGroup::decode_all` on
-/// payloads that may contain batch frames.
-pub fn decode_groups(buf: Bytes) -> Result<Vec<LogRecordGroup>> {
-    Ok(decode_frames(buf)?
-        .into_iter()
-        .flat_map(|f| f.groups)
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,6 +166,7 @@ mod tests {
     fn frame_roundtrips() {
         let groups = vec![group(5..=7), group(8..=9)];
         let enc = encode_batch(&groups, Lsn(4), Lsn(5), Lsn(9));
+        assert_eq!(frame_range(&enc[..HEADER_LEN]).unwrap(), (Lsn(5), Lsn(9)));
         let frames = decode_frames(enc).unwrap();
         assert_eq!(frames.len(), 1);
         let f = &frames[0];
@@ -191,8 +192,8 @@ mod tests {
             decode_frames(buf.freeze()),
             Err(TaurusError::Codec(_))
         ));
-        let groups = decode_groups(encode_batch(&framed, Lsn(0), Lsn(4), Lsn(6))).unwrap();
-        assert_eq!(groups, framed);
+        let frames = decode_frames(encode_batch(&framed, Lsn(0), Lsn(4), Lsn(6))).unwrap();
+        assert_eq!(frames[0].groups, framed);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   acknowledged only when **all** replicas report success; any failure
 //!   seals the PLog so the writer allocates a fresh one elsewhere (writes
 //!   are never retried to the old location — paper §3.3);
-//! * [`LogStoreCluster::read_from`] — succeeds as long as *one* replica is
-//!   alive;
+//! * [`LogStoreCluster::read_from`] and [`LogStoreCluster::read_append`] —
+//!   succeed as long as *one* replica is alive;
 //! * [`LogStoreCluster::rereplicate_from`] — long-term failure repair:
 //!   re-creates the lost replicas on healthy nodes from a survivor
 //!   (paper §5.1).
@@ -26,7 +26,7 @@ use parking_lot::RwLock;
 use taurus_common::{DbId, NodeId, PLogId, Result, TaurusError};
 use taurus_fabric::{Fabric, NodeKind, StorageDevice};
 
-use crate::server::LogStoreServer;
+use crate::server::{LogStoreReadsSnapshot, LogStoreServer};
 
 /// Directory entry for one PLog: its replica placement and the number of
 /// bytes whose 3/3 replication has been acknowledged. Readers are served
@@ -69,12 +69,9 @@ pub struct LogStoreCluster {
     pub fabric: Fabric,
     servers: Arc<RwLock<HashMap<NodeId, Arc<LogStoreServer>>>>,
     directory: Arc<RwLock<HashMap<PLogId, PLogMeta>>>,
-    /// Control-plane registry: which metadata PLog describes each of a
-    /// database's log streams (paper: metadata PLog discovery is a
-    /// control-plane lookup), keyed by `(db, stream index)`. Stream 0 is the
-    /// classic single-stream log; multi-stream parallel logging registers
-    /// one entry per stream.
-    meta_registry: Arc<RwLock<HashMap<(DbId, u32), PLogId>>>,
+    /// Control-plane registry: the metadata PLog of each database's log
+    /// (paper: metadata PLog discovery is a control-plane lookup).
+    meta_registry: Arc<RwLock<HashMap<DbId, PLogId>>>,
     cache_bytes: usize,
     replicas: usize,
 }
@@ -284,26 +281,57 @@ impl LogStoreCluster {
     /// replica is reachable (paper §3.3: "reads from the Log Store will
     /// succeed as long as there is at least one PLog replica available").
     pub fn read_from(&self, id: PLogId, from: NodeId, offset: u64) -> Result<Bytes> {
+        let acked = |m: &PLogMeta| offset < m.committed_len;
+        let read = |s: &LogStoreServer| Ok((offset, s.read_from(id, offset)?));
+        Ok(self.read_replica(id, from, u64::MAX, acked, read)?.1)
+    }
+
+    /// Reads from the start of append `k` (0-based) of a PLog, at most
+    /// `max_len` bytes: the append's logical offset, and the bytes. Bounded
+    /// the way [`LogStoreCluster::read_from`] is: an append at or past the
+    /// committed sequence reads as no bytes, and none past the committed
+    /// length are served. A frame-header probe passes the header's length,
+    /// a read of the rest of the PLog `u64::MAX`.
+    pub fn read_append(
+        &self,
+        id: PLogId,
+        from: NodeId,
+        k: u64,
+        max_len: u64,
+    ) -> Result<(u64, Bytes)> {
+        let acked = |m: &PLogMeta| k < m.committed_seq;
+        self.read_replica(id, from, max_len, acked, |s| s.read_append(id, k, max_len))
+    }
+
+    /// Runs `read` on the first replica that answers, keeping at most
+    /// `max_len` bytes and none past the committed length — unless the
+    /// directory says nothing `acked` is there to read.
+    fn read_replica(
+        &self,
+        id: PLogId,
+        from: NodeId,
+        max_len: u64,
+        acked: impl Fn(&PLogMeta) -> bool,
+        read: impl Fn(&LogStoreServer) -> Result<(u64, Bytes)>,
+    ) -> Result<(u64, Bytes)> {
         let (nodes, committed) = {
             let dir = self.directory.read();
-            match dir.get(&id) {
-                Some(m) => (m.nodes.clone(), m.committed_len),
-                None => return Err(TaurusError::PLogNotFound(id)),
+            let meta = dir.get(&id).ok_or(TaurusError::PLogNotFound(id))?;
+            if !acked(meta) {
+                return Ok((meta.committed_len, Bytes::new()));
             }
+            (meta.nodes.clone(), meta.committed_len)
         };
-        if offset >= committed {
-            return Ok(Bytes::new());
-        }
         let mut last_err = TaurusError::PLogNotFound(id);
         for n in nodes {
             let Ok(server) = self.server(n) else { continue };
-            match self.fabric.call(from, n, || server.read_from(id, offset)) {
-                Ok(Ok(data)) => {
+            match self.fabric.call(from, n, || read(&server)) {
+                Ok(Ok((offset, data))) => {
                     // Never expose bytes past the acknowledged length: a
                     // replica may carry the tail of a failed (unacked) write.
-                    let visible = (committed - offset) as usize;
+                    let visible = committed.saturating_sub(offset).min(max_len) as usize;
                     if data.len() >= visible {
-                        return Ok(data.slice(0..visible));
+                        return Ok((offset, data.slice(0..visible)));
                     }
                     // Replica is missing acknowledged data (should not
                     // happen); fall through to the next replica.
@@ -313,6 +341,15 @@ impl LogStoreCluster {
             }
         }
         Err(last_err)
+    }
+
+    /// Every read the cluster's Log Store servers served, summed.
+    pub fn read_stats(&self) -> LogStoreReadsSnapshot {
+        let mut sum = LogStoreReadsSnapshot::default();
+        for server in self.servers.read().values() {
+            sum.absorb(server.reads.snapshot());
+        }
+        sum
     }
 
     /// Deletes a PLog from all reachable replicas and the directory (log
@@ -355,24 +392,27 @@ impl LogStoreCluster {
         let mut repaired = 0usize;
         for (id, nodes, committed_len, committed_seq) in affected {
             let survivors: Vec<NodeId> = nodes.iter().copied().filter(|&n| n != failed).collect();
-            // Read the committed prefix from any survivor that has all of it.
-            let mut content: Option<(Bytes, bool)> = None;
+            // Read the committed prefix from any survivor that has all of
+            // it, with its append boundaries.
+            let mut content = None;
             for &s in &survivors {
                 let Ok(server) = self.server(s) else { continue };
-                let read = self.fabric.call(from, s, || -> Result<(Bytes, bool)> {
-                    Ok((server.read_from(id, 0)?, server.is_sealed(id)?))
+                let read = self.fabric.call(from, s, || -> Result<_> {
+                    let lens = server.append_lens(id)?;
+                    Ok((server.read_from(id, 0)?, lens, server.is_sealed(id)?))
                 });
-                if let Ok(Ok((data, sealed))) = read {
+                if let Ok(Ok((data, mut lens, sealed))) = read {
                     if (data.len() as u64) < committed_len {
                         // Missing acknowledged bytes (should not happen);
                         // try the next survivor.
                         continue;
                     }
-                    content = Some((data.slice(0..committed_len as usize), sealed));
+                    lens.truncate(committed_seq as usize);
+                    content = Some((data.slice(0..committed_len as usize), lens, sealed));
                     break;
                 }
             }
-            let Some((data, sealed)) = content else {
+            let Some((data, lens, sealed)) = content else {
                 // No survivor readable right now; the plog stays
                 // under-replicated until a later repair pass.
                 continue;
@@ -385,7 +425,7 @@ impl LogStoreCluster {
             let server = self.server(new_node)?;
             let install = data.clone();
             self.fabric.call(from, new_node, || {
-                server.install_replica(id, install, committed_seq, sealed)
+                server.install_replica(id, install, &lens, committed_seq, sealed)
             })??;
             // Clip the unacknowledged tail off the survivors so all replicas
             // are byte-identical after repair. Best effort: an unreachable
@@ -411,14 +451,14 @@ impl LogStoreCluster {
         Ok(repaired)
     }
 
-    /// Registers the metadata PLog for one log stream of a database.
-    pub fn set_meta_plog_stream(&self, db: DbId, stream: u32, id: PLogId) {
-        self.meta_registry.write().insert((db, stream), id);
+    /// Registers the metadata PLog of a database's log.
+    pub fn set_meta_plog(&self, db: DbId, id: PLogId) {
+        self.meta_registry.write().insert(db, id);
     }
 
-    /// Looks up the metadata PLog of one log stream of a database.
-    pub fn meta_plog_stream(&self, db: DbId, stream: u32) -> Option<PLogId> {
-        self.meta_registry.read().get(&(db, stream)).copied()
+    /// Looks up the metadata PLog of a database's log.
+    pub fn meta_plog(&self, db: DbId) -> Option<PLogId> {
+        self.meta_registry.read().get(&db).copied()
     }
 
     /// Recovery-only: retracts a PLog's acknowledged length to `len` (with

@@ -16,13 +16,13 @@
 //! * **FIFO write-through cache** — each Log Store server caches recently
 //!   appended log data in memory so that read replicas pulling the fresh
 //!   tail of the log almost never touch disk (paper §3.3, §6).
-//! * **PLog streams** — the database log is an ordered collection of data
-//!   PLogs listed in a *metadata PLog*; list changes are single atomic
-//!   metadata writes, and metadata PLogs roll over and replace themselves
-//!   when full.
-//! * **The log** — a database's log is N parallel PLog streams (Xia &
-//!   Pavlo's LSN-vector design); [`Log`] owns them, so writers and readers
-//!   see one log.
+//! * **The log** — a database's log is an ordered collection of data
+//!   PLogs listed in one *metadata PLog*, its manifest: list changes are
+//!   single atomic metadata writes, and metadata PLogs roll over and
+//!   replace themselves when full. [`Log`] splits the data PLogs into N
+//!   parallel streams (Xia & Pavlo's LSN-vector design) and owns them and
+//!   the manifest, so writers and readers see one log. A restart reads the
+//!   manifest's last append and frame headers, not whole PLogs.
 //! * **Recovery** — a short-term Log Store failure needs no repair (sealed
 //!   PLogs are read-only); a long-term failure re-replicates the lost PLog
 //!   replicas from the survivors onto healthy nodes (paper §5.1).
@@ -36,10 +36,11 @@ pub mod batch;
 pub mod cache;
 pub mod cluster;
 mod log;
+mod manifest;
 pub mod server;
 pub mod stream;
 
 pub use cluster::LogStoreCluster;
 pub use log::{Log, LogCursor};
-pub use server::LogStoreServer;
+pub use server::{LogStoreReadsSnapshot, LogStoreServer};
 pub use stream::{LogStream, PLogEntry};

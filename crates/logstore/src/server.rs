@@ -13,16 +13,28 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
+use taurus_common::metrics::Counter;
 use taurus_common::{PLogId, Result, TaurusError};
 use taurus_fabric::StorageDevice;
 
 use crate::cache::FifoLogCache;
 
+taurus_common::counters! {
+    /// Reads one Log Store server served, from its cache or its device
+    /// ([`crate::LogStoreCluster::read_stats`] sums them over the cluster).
+    pub struct LogStoreReads => LogStoreReadsSnapshot {
+        /// Read calls served (`read_from` and `read_append`).
+        pub reads: Counter,
+        /// Bytes those reads returned.
+        pub bytes: Counter,
+    }
+}
+
 /// Per-replica state of a PLog hosted on this server.
 #[derive(Debug, Default)]
 struct PLogReplica {
-    /// (device offset, length) of each append, in order. Logical PLog offset
-    /// is the running sum of lengths.
+    /// (device offset, length) of each append, in order: entry `k` is
+    /// append `k`. Logical PLog offset is the running sum of lengths.
     segments: Vec<(u64, u32)>,
     logical_len: u64,
     sealed: bool,
@@ -46,6 +58,8 @@ struct State {
 pub struct LogStoreServer {
     device: StorageDevice,
     state: Mutex<State>,
+    /// Every read served.
+    pub reads: LogStoreReads,
 }
 
 impl LogStoreServer {
@@ -56,6 +70,7 @@ impl LogStoreServer {
                 plogs: HashMap::new(),
                 cache: FifoLogCache::new(cache_bytes),
             }),
+            reads: LogStoreReads::default(),
         })
     }
 
@@ -121,27 +136,31 @@ impl LogStoreServer {
         Ok(())
     }
 
-    /// Replaces (or creates) a PLog replica wholesale with `data` — the
-    /// re-replication installer. `next_seq` is where sequenced appends would
-    /// resume; for a sealed plog it is never used again.
+    /// Replaces (or creates) a PLog replica wholesale with `data`, the
+    /// appends of lengths `lens` back to back — the re-replication
+    /// installer. `next_seq` is where sequenced appends would resume; for a
+    /// sealed plog it is never used again.
     pub fn install_replica(
         &self,
         id: PLogId,
         data: Bytes,
+        lens: &[u32],
         next_seq: u64,
         sealed: bool,
     ) -> Result<()> {
-        let dev_off = if data.is_empty() {
+        let mut dev_off = if data.is_empty() {
             0
         } else {
             self.device.append_shared(data.clone())?
         };
         let mut st = self.state.lock();
-        let segments = if data.is_empty() {
-            Vec::new()
-        } else {
-            vec![(dev_off, data.len() as u32)]
-        };
+        let segments = lens
+            .iter()
+            .map(|&len| {
+                dev_off += len as u64;
+                (dev_off - len as u64, len)
+            })
+            .collect();
         st.plogs.insert(
             id,
             PLogReplica {
@@ -214,35 +233,65 @@ impl LogStoreServer {
             .ok_or(TaurusError::PLogNotFound(id))
     }
 
-    /// Reads everything from logical `offset` to the end of the PLog. Served
-    /// from the FIFO cache when possible, otherwise from the device.
+    /// Byte length of each append applied to a PLog replica, in order.
+    pub fn append_lens(&self, id: PLogId) -> Result<Vec<u32>> {
+        let st = self.state.lock();
+        let replica = st.plogs.get(&id).ok_or(TaurusError::PLogNotFound(id))?;
+        Ok(replica.segments.iter().map(|&(_, len)| len).collect())
+    }
+
+    /// Reads everything from logical `offset` to the end of the PLog.
     pub fn read_from(&self, id: PLogId, offset: u64) -> Result<Bytes> {
+        self.read_range(id, offset, u64::MAX)
+    }
+
+    /// Reads from the start of append `k` (0-based), at most `max_len`
+    /// bytes: the append's logical offset, and the bytes.
+    pub fn read_append(&self, id: PLogId, k: u64, max_len: u64) -> Result<(u64, Bytes)> {
+        let offset = {
+            let st = self.state.lock();
+            let replica = st.plogs.get(&id).ok_or(TaurusError::PLogNotFound(id))?;
+            let before = replica.segments.get(..k as usize);
+            let before = before.ok_or(TaurusError::Codec("plog append past end"))?;
+            before.iter().map(|&(_, len)| len as u64).sum()
+        };
+        Ok((offset, self.read_range(id, offset, max_len)?))
+    }
+
+    /// Reads at most `max_len` bytes from logical `offset`. Served from the
+    /// FIFO cache when possible, otherwise from the device.
+    fn read_range(&self, id: PLogId, offset: u64, max_len: u64) -> Result<Bytes> {
         let (segments, end) = {
             let st = self.state.lock();
             let replica = st.plogs.get(&id).ok_or(TaurusError::PLogNotFound(id))?;
             if offset > replica.logical_len {
                 return Err(TaurusError::Codec("plog read offset past end"));
             }
-            if let Some(hit) = st.cache.read_range(id, offset, replica.logical_len) {
-                return Ok(Bytes::from(hit));
+            let end = replica.logical_len.min(offset.saturating_add(max_len));
+            if let Some(hit) = st.cache.read_range(id, offset, end) {
+                return Ok(self.served(Bytes::from(hit)));
             }
-            (replica.segments.clone(), replica.logical_len)
+            (replica.segments.clone(), end)
         };
         // Cache miss: walk the segment list on the device.
         let mut out = Vec::with_capacity((end - offset) as usize);
         let mut logical = 0u64;
         for (dev_off, len) in segments {
             let seg_end = logical + len as u64;
-            if seg_end > offset {
+            if seg_end > offset && logical < end {
                 let skip = offset.saturating_sub(logical);
-                let data = self
-                    .device
-                    .read(dev_off + skip, (len as u64 - skip) as usize)?;
-                out.extend_from_slice(&data);
+                let take = seg_end.min(end) - logical - skip;
+                out.extend_from_slice(&self.device.read(dev_off + skip, take as usize)?);
             }
             logical = seg_end;
         }
-        Ok(Bytes::from(out))
+        Ok(self.served(Bytes::from(out)))
+    }
+
+    fn served(&self, data: Bytes) -> Bytes {
+        self.reads.reads.inc();
+        self.reads.bytes.add(data.len() as u64);
+        data
     }
 
     /// Drops a PLog replica and its cached segments (log truncation, step 8
@@ -301,6 +350,21 @@ mod tests {
         );
         assert_eq!(s.read_from(id(1), 3).unwrap(), Bytes::from_static(b"bbbb"));
         assert_eq!(s.plog_len(id(1)).unwrap(), 7);
+    }
+
+    #[test]
+    fn read_append_starts_at_an_append_and_every_read_is_counted() {
+        let s = server();
+        s.create_plog(id(1));
+        s.append(id(1), Bytes::from_static(b"aaa")).unwrap();
+        s.append(id(1), Bytes::from_static(b"bbbb")).unwrap();
+        let whole = (3, Bytes::from_static(b"bbbb"));
+        assert_eq!(s.read_append(id(1), 1, u64::MAX).unwrap(), whole);
+        assert_eq!(s.read_append(id(1), 0, 5).unwrap().1, &b"aaabb"[..]);
+        assert!(s.read_append(id(1), 3, 1).is_err());
+        assert_eq!(s.read_from(id(1), 2).unwrap(), &b"abbbb"[..]);
+        let reads = s.reads.snapshot();
+        assert_eq!((reads.reads, reads.bytes), (3, 4 + 5 + 5));
     }
 
     #[test]
@@ -425,15 +489,18 @@ mod tests {
         s.create_plog(id(1));
         s.append(id(1), Bytes::from_static(b"stale-divergent-tail"))
             .unwrap();
-        s.install_replica(id(1), Bytes::from_static(b"committed"), 3, true)
+        s.install_replica(id(1), Bytes::from_static(b"committed"), &[4, 5], 3, true)
             .unwrap();
         assert_eq!(
             s.read_from(id(1), 0).unwrap(),
             Bytes::from_static(b"committed")
         );
         assert!(s.is_sealed(id(1)).unwrap());
+        // The installed appends keep their boundaries.
+        let second = (4, Bytes::from_static(b"it"));
+        assert_eq!(s.read_append(id(1), 1, 2).unwrap(), second);
         // Installing onto a node that never hosted the plog also works.
-        s.install_replica(id(2), Bytes::from_static(b"fresh"), 1, false)
+        s.install_replica(id(2), Bytes::from_static(b"fresh"), &[5], 1, false)
             .unwrap();
         assert_eq!(s.read_from(id(2), 0).unwrap(), Bytes::from_static(b"fresh"));
     }

@@ -1,24 +1,20 @@
-//! The database log as an ordered collection of PLogs.
+//! One stream of a database's log: a chain of data PLogs and the append
+//! pipeline that fills it.
 //!
-//! "The database log is stored in an ordered collection of PLogs, called
-//! data PLogs. The list of these PLogs is recorded in a separate metadata
-//! PLog... When a new data PLog is created or removed, all metadata is
-//! written in one atomic write to the metadata PLog. When a metadata PLog
-//! reaches its size limit, a new metadata PLog is created, the latest
-//! metadata is written there, and the old metadata PLog is deleted."
-//! (paper §3.3)
-//!
-//! [`LogStream`] implements exactly that, plus:
+//! A database's log is N streams, owned by [`crate::Log`], and one
+//! manifest (the metadata PLog that lists every stream's chain, paper
+//! §3.3; see `manifest.rs`). A [`LogStream`] adds:
 //!
 //! * PLog rollover at the size limit (64 MB in production, paper §4.1);
 //! * seal-and-switch on write failure — a failed 3/3 write is never retried
 //!   against the same PLog; a fresh PLog on healthy nodes takes over;
 //! * LSN-range tracking per PLog, which drives log truncation (delete every
 //!   PLog whose records are all below the database persistent LSN);
-//! * recovery: [`LogStream::open_stream`] rebuilds the stream state from
-//!   the last snapshot in the metadata PLog.
+//! * the recovery cut ([`LogStream::discard_after`]).
 //!
-//! A database's log is N of these; [`crate::Log`] owns them.
+//! Every change to the chain — a rollover, a truncation, a recovery cut —
+//! is made under the manifest's claim and published to it before the
+//! stream adopts it.
 //!
 //! # The append pipeline
 //!
@@ -46,42 +42,27 @@
 //! PLog order equals LSN order. (That is why a rollover drains the window:
 //! a reservation already on the *next* PLog would succeed there and commit
 //! ahead of the re-homed write it was supposed to follow.)
+//!
+//! Frames in one PLog carry increasing LSN ranges and each is one append,
+//! so a reopen, a read from an LSN and a recovery cut read frame headers
+//! ([`LogStoreCluster::read_append`]), not whole PLogs.
 
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use taurus_common::metrics::LogStoreStats;
-use taurus_common::{DbId, LogRecordGroup, Lsn, NodeId, PLogId, Result, TaurusError};
+use taurus_common::{Lsn, NodeId, PLogId, Result, TaurusError};
 
 use crate::batch::{self, BatchFrame};
 use crate::cluster::LogStoreCluster;
-
-/// Seq-number namespace bit marking metadata PLogs.
-const META_SEQ_BIT: u64 = 1 << 63;
-/// The stream index of a member stream is packed into the PLog seq-number
-/// namespace here, below the meta bit, so every stream of a database mints
-/// ids from a disjoint range (stream 0 keeps the legacy single-stream ids).
-const STREAM_SEQ_SHIFT: u32 = 48;
-const SNAPSHOT_MAGIC: u32 = 0x4d45_5441; // "META"
+use crate::manifest::Manifest;
 
 /// Give up after this many seal-and-switch cycles within one append: each
 /// failure burns one PLog and picks fresh nodes, so repeated failure means
 /// the cluster is really out of healthy capacity.
 const MAX_PLOG_SWITCHES: u32 = 4;
-
-/// Position of an incremental tail reader (see [`LogStream::read_tail`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct TailCursor {
-    plog: Option<PLogId>,
-    offset: u64,
-    /// End LSN of the last group delivered through this cursor. Detects
-    /// data loss when the cursor's PLog is truncated away (the log moved on
-    /// past records this reader never saw) and suppresses duplicates when
-    /// a group was re-appended to a fresh PLog after a seal-and-switch.
-    consumed: Lsn,
-}
 
 /// One data PLog in the stream, with its LSN coverage.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -109,22 +90,9 @@ pub struct AppendReservation {
     last_lsn: Lsn,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StreamState {
     entries: Vec<PLogEntry>,
-    next_seq: u64,
-    incarnation: u64,
-    meta_plog: PLogId,
-    meta_next_seq: u64,
-    meta_bytes: u64,
-    /// Bytes of `meta_plog` a reader has already decoded ([`LogStream::open`]
-    /// and [`LogStream::refresh`]): the next refresh reads past them only.
-    meta_seen: u64,
-    /// The metadata PLog can no longer accept a *visible* append: a failed
-    /// write burned a sequence number, so anything written after it would
-    /// stay buried behind the gap forever. Snapshots go straight to a fresh
-    /// metadata PLog until the roll succeeds.
-    meta_dead: bool,
     /// Bytes reserved (not necessarily yet committed) on the tail PLog.
     tail_reserved_bytes: u64,
     /// Next commit ticket to hand out.
@@ -138,28 +106,22 @@ struct StreamState {
     /// order) on the fresh PLog before any new reservation takes an offset
     /// there — byte order must equal LSN order within a PLog.
     reserve_fence: u64,
-    /// Claimed by whoever is writing a metadata snapshot (rollover, meta
-    /// roll, truncation). Serializes snapshot writers and freezes the PLog
-    /// *list* (not per-entry bookkeeping) without holding the state lock
-    /// across the snapshot RPCs.
-    meta_busy: bool,
     /// Highest last-LSN of any PLog deleted by truncation. Tail readers
     /// whose cursor falls behind this have lost data and must resync.
     truncated_through: Lsn,
 }
 
-/// Writer/reader for one database's log over the Log Store cluster.
+/// Writer/reader of one stream of a database's log.
 pub struct LogStream {
     cluster: LogStoreCluster,
-    db: DbId,
     /// Compute node on whose behalf RPCs are issued.
     me: NodeId,
+    /// The log's manifest, and this stream's place in it.
+    manifest: Arc<Manifest>,
+    index: usize,
     plog_size_limit: usize,
     /// Max reservations outstanding at once (the append pipeline depth).
     append_window: usize,
-    /// Which of the database's parallel log streams this is (0 for the
-    /// classic single-stream log).
-    stream_id: u32,
     /// Part of a multi-stream group: flush spans are distributed round-robin
     /// across sibling streams, so successive appends to one PLog carry
     /// monotone but *not* contiguous LSN ranges.
@@ -171,141 +133,65 @@ pub struct LogStream {
     stats: Arc<LogStoreStats>,
 }
 
-struct RollPlan {
-    new_id: PLogId,
-    /// The full tail PLog this roll replaces (already sealed when the roll
-    /// follows a write failure).
-    seal_now: Option<PLogId>,
-}
-
 impl LogStream {
-    /// Creates one member stream of a database's (possibly multi-stream)
-    /// log: a metadata PLog, a first data PLog, and an initial metadata
-    /// snapshot. Registers the metadata PLog in the cluster's per-(db,
-    /// stream) registry so `open_stream` can find it after a crash.
-    ///
-    /// `member` marks the stream as part of a multi-stream group, relaxing
-    /// the per-PLog LSN-contiguity invariant to monotonicity (sibling
-    /// streams carry the interleaved spans).
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "a stream is named by cluster, database, node and stream id, and sized by its limits; `Log` is the caller"
-    )]
-    pub fn create_stream(
-        cluster: LogStoreCluster,
-        db: DbId,
-        me: NodeId,
-        plog_size_limit: usize,
+    /// Stream `index` of the log `manifest` describes, over `chain`, the
+    /// PLogs the manifest lists for it. Appends made after the manifest's
+    /// snapshot show in the cluster's committed lengths: their LSN range is
+    /// read from the PLog's first and last frame headers. A PLog with a
+    /// reserved-but-never-committed sequence (the writer crashed
+    /// mid-append, or a failed append left a hole) can never accept a
+    /// visible write again, and a seal recorded server-side may postdate
+    /// the snapshot: both are marked sealed.
+    pub(crate) fn open(
+        manifest: Arc<Manifest>,
+        index: usize,
+        mut chain: Vec<PLogEntry>,
         append_window: usize,
-        stream_id: u32,
         member: bool,
         stats: Arc<LogStoreStats>,
     ) -> Result<LogStream> {
-        let seq_base = (stream_id as u64) << STREAM_SEQ_SHIFT;
-        let meta_plog = PLogId::new(db, META_SEQ_BIT | seq_base, 0);
-        cluster.create_plog(meta_plog, me)?;
-        cluster.set_meta_plog_stream(db, stream_id, meta_plog);
-        let stream = LogStream {
-            cluster,
-            db,
-            me,
-            plog_size_limit,
-            append_window,
-            stream_id,
-            member,
-            state: Mutex::new(StreamState::new(
-                Vec::new(),
-                1,
-                0,
-                meta_plog,
-                (META_SEQ_BIT | seq_base) + 1,
-                false,
-            )),
-            cond: Condvar::new(),
-            stats,
-        };
-        let plan = stream.plan_roll(&mut stream.state.lock());
-        stream.perform_roll(plan)?;
-        Ok(stream)
-    }
-
-    /// Reopens an existing member stream after a front-end restart by
-    /// reading the newest snapshot from its metadata PLog, then reconciling
-    /// each entry against the cluster's authoritative committed length (the
-    /// snapshot's per-PLog bookkeeping lags appends made after it was
-    /// written).
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "a stream is named by cluster, database, node and stream id, and sized by its limits; `Log` is the caller"
-    )]
-    pub fn open_stream(
-        cluster: LogStoreCluster,
-        db: DbId,
-        me: NodeId,
-        plog_size_limit: usize,
-        append_window: usize,
-        stream_id: u32,
-        member: bool,
-        stats: Arc<LogStoreStats>,
-    ) -> Result<LogStream> {
-        let seq_base = (stream_id as u64) << STREAM_SEQ_SHIFT;
-        let meta_plog = cluster.meta_plog_stream(db, stream_id).ok_or_else(|| {
-            TaurusError::Internal(format!(
-                "no metadata plog registered for {db} stream {stream_id}"
-            ))
-        })?;
-        let raw = cluster.read_from(meta_plog, me, 0)?;
-        let meta_seen = raw.len() as u64;
-        let (mut entries, next_seq, incarnation) = decode_last_snapshot(raw)?;
-        for e in entries.iter_mut() {
+        let (cluster, me) = (manifest.cluster.clone(), manifest.me);
+        for e in chain.iter_mut() {
             let committed = cluster.committed_len(e.id);
             if committed > e.bytes {
-                // Appends landed after the snapshot: recover the LSN range
-                // from the data itself.
-                let raw = cluster.read_from(e.id, me, 0)?;
-                let groups = batch::decode_groups(raw)?;
-                if let Some(first) = groups.first() {
-                    if !e.first_lsn.is_valid() {
-                        e.first_lsn = first.first_lsn();
-                    }
+                let last = cluster.committed_seq(e.id).saturating_sub(1);
+                if !e.first_lsn.is_valid() {
+                    e.first_lsn = probe(&cluster, me, e.id, 0)?.1;
                 }
-                if let Some(last) = groups.last() {
-                    e.last_lsn = last.end_lsn();
-                }
+                e.last_lsn = probe(&cluster, me, e.id, last)?.2;
                 e.bytes = committed;
             }
-            // A PLog with a reserved-but-never-committed sequence (the
-            // writer crashed mid-append, or a failed append left a hole) can
-            // never accept a visible write again; and a seal recorded
-            // server-side may postdate the snapshot.
             if !e.sealed && (cluster.has_sequence_gap(e.id) || cluster.is_sealed(e.id, me)) {
                 e.sealed = true;
             }
         }
-        let tail_reserved = entries.last().map(|e| e.bytes).unwrap_or(0);
-        let meta_dead = cluster.has_sequence_gap(meta_plog);
-        let mut state = StreamState::new(
-            entries,
-            next_seq,
-            incarnation + 1,
-            meta_plog,
-            (META_SEQ_BIT | seq_base) + 1 + incarnation + 1,
-            meta_dead,
-        );
-        state.tail_reserved_bytes = tail_reserved;
-        state.meta_seen = meta_seen;
+        let state = StreamState {
+            tail_reserved_bytes: chain.last().map_or(0, |e| e.bytes),
+            entries: chain,
+            ..StreamState::default()
+        };
         Ok(LogStream {
             cluster,
-            db,
             me,
-            plog_size_limit,
+            plog_size_limit: manifest.plog_size_limit,
+            manifest,
+            index,
             append_window,
-            stream_id,
             member,
             state: Mutex::new(state),
             cond: Condvar::new(),
             stats,
         })
+    }
+
+    /// Gives a stream with no PLog its first one.
+    pub(crate) fn start(&self) -> Result<()> {
+        self.roll(|st| st.entries.is_empty())
+    }
+
+    fn tail_open(&self, st: &StreamState) -> bool {
+        st.entries.last().is_some_and(|e| !e.sealed)
+            && st.tail_reserved_bytes < self.plog_size_limit as u64
     }
 
     /// Reserves the next slot in the log for a group covering
@@ -336,22 +222,19 @@ impl LogStream {
                 self.cond.wait(&mut st);
                 continue;
             }
-            let tail_open = st.entries.last().map(|e| !e.sealed).unwrap_or(false)
-                && st.tail_reserved_bytes < self.plog_size_limit as u64;
-            if tail_open {
+            if self.tail_open(&st) {
                 break;
             }
             // Roll only once nothing is in flight on the old tail: every
             // outstanding reservation must sit on one PLog, or a failed
             // write could be re-homed *behind* a successor that already
             // landed on the next PLog (see the module docs).
-            if st.meta_busy || st.inflight > 0 {
+            if st.inflight > 0 {
                 self.cond.wait(&mut st);
                 continue;
             }
-            let plan = self.plan_roll(&mut st);
             drop(st);
-            self.perform_roll(plan)?;
+            self.roll(|st| !self.tail_open(st) && st.inflight == 0)?;
             st = self.state.lock();
         }
         let tail = st
@@ -478,43 +361,21 @@ impl LogStream {
                 self.cluster.seal(*id, self.me);
             }
 
+            // Roll a fresh PLog (we just sealed the tail) and re-reserve.
+            let rolled = self.roll(|st| st.entries.last().is_none_or(|e| e.sealed));
             let mut st = self.state.lock();
-            // Roll a fresh PLog (we just sealed the tail; the loop only
-            // waits out a truncation's snapshot write).
-            while !st.entries.last().map(|e| !e.sealed).unwrap_or(false) {
-                if st.meta_busy {
-                    self.cond.wait(&mut st);
-                    continue;
-                }
-                let plan = self.plan_roll(&mut st);
-                drop(st);
-                let rolled = self.perform_roll(plan);
-                st = self.state.lock();
-                if let Err(e) = rolled {
+            let tail = rolled.and_then(|()| {
+                let tail = st.entries.last().map(|e| e.id);
+                let tail = tail.ok_or_else(|| TaurusError::Internal("no tail PLog".into()))?;
+                Ok((tail, self.cluster.reserve_seq(tail)?))
+            });
+            match tail {
+                Ok((plog, seq)) => (res.plog, res.seq) = (plog, seq),
+                Err(e) => {
                     self.finish_turn(&mut st);
                     return Err(e);
                 }
             }
-            let tail = st
-                .entries
-                .last()
-                .map(|e| e.id)
-                .ok_or_else(|| TaurusError::Internal("log stream has no tail PLog".into()));
-            let tail = match tail {
-                Ok(id) => id,
-                Err(e) => {
-                    self.finish_turn(&mut st);
-                    return Err(e);
-                }
-            };
-            res.plog = tail;
-            res.seq = match self.cluster.reserve_seq(tail) {
-                Ok(seq) => seq,
-                Err(e) => {
-                    self.finish_turn(&mut st);
-                    return Err(e);
-                }
-            };
             res.offset = st.tail_reserved_bytes;
             st.tail_reserved_bytes += res.len;
             drop(st);
@@ -539,145 +400,84 @@ impl LogStream {
         self.cond.notify_all();
     }
 
-    /// Plans a rollover under the state lock: claims the snapshot-writer
-    /// slot, retires (or seals) the current tail, and allocates the next
-    /// PLog id. The caller must follow with [`LogStream::perform_roll`].
-    fn plan_roll(&self, st: &mut StreamState) -> RollPlan {
-        debug_assert!(!st.meta_busy);
-        st.meta_busy = true;
-        let mut seal_now = None;
-        if let Some(tail) = st.entries.last_mut() {
-            if !tail.sealed {
-                // A full tail: `reserve_append` drained it before rolling
-                // (a failure turn seals before it rolls), so seal it now.
-                debug_assert!(tail.bytes >= st.tail_reserved_bytes);
-                tail.sealed = true;
-                seal_now = Some(tail.id);
-            }
-        }
-        let seq_base = (self.stream_id as u64) << STREAM_SEQ_SHIFT;
-        let new_id = PLogId::new(self.db, seq_base | st.next_seq, st.incarnation);
-        st.next_seq += 1;
-        st.incarnation += 1;
-        RollPlan { new_id, seal_now }
-    }
-
-    /// Executes a planned rollover outside the state lock: creates the new
-    /// PLog, persists a metadata snapshot that includes it, and only then
-    /// installs it as the tail — so no reservation can land on a PLog whose
-    /// existence is not yet durable.
-    fn perform_roll(&self, plan: RollPlan) -> Result<()> {
-        let result = self.perform_roll_inner(plan);
+    /// Rolls a fresh tail PLog if `needed` still holds once this thread has
+    /// the manifest's claim: seals the old tail (`reserve_append` drained
+    /// it first; a failure turn sealed it already), creates the next PLog,
+    /// and publishes the chain with it before installing it — so no
+    /// reservation can land on a PLog the manifest does not list.
+    fn roll(&self, needed: impl Fn(&StreamState) -> bool) -> Result<()> {
+        let claim = self.manifest.claim();
         let mut st = self.state.lock();
-        st.meta_busy = false;
-        self.cond.notify_all();
-        result
-    }
-
-    fn perform_roll_inner(&self, plan: RollPlan) -> Result<()> {
-        if let Some(id) = plan.seal_now {
+        if !needed(&st) {
+            return Ok(());
+        }
+        let old = st.entries.last_mut().filter(|tail| !tail.sealed);
+        let seal_now = old.map(|tail| {
+            tail.sealed = true;
+            tail.id
+        });
+        let mut chain = st.entries.clone();
+        drop(st);
+        if let Some(id) = seal_now {
             self.cluster.seal(id, self.me);
         }
-        self.cluster.create_plog(plan.new_id, self.me)?;
-        let new_entry = PLogEntry {
-            id: plan.new_id,
+        let id = self.manifest.mint(&claim);
+        self.cluster.create_plog(id, self.me)?;
+        let entry = PLogEntry {
+            id,
             first_lsn: Lsn::ZERO,
             last_lsn: Lsn::ZERO,
             sealed: false,
             bytes: 0,
         };
-        let snapshot = {
-            let st = self.state.lock();
-            let mut entries = st.entries.clone();
-            entries.push(new_entry.clone());
-            encode_snapshot(&entries, st.next_seq, st.incarnation)
-        };
-        self.write_snapshot(snapshot)?;
+        chain.push(entry.clone());
+        self.manifest.publish(&claim, self.index, chain)?;
         let mut st = self.state.lock();
-        st.entries.push(new_entry);
+        st.entries.push(entry);
         st.tail_reserved_bytes = 0;
         Ok(())
     }
 
-    /// Writes a metadata snapshot as one atomic append, rolling the
-    /// metadata PLog when it is dead or past the size limit. The caller
-    /// must hold the `meta_busy` claim.
-    fn write_snapshot(&self, snapshot: Bytes) -> Result<()> {
-        let (meta_plog, meta_dead) = {
-            let st = self.state.lock();
-            (st.meta_plog, st.meta_dead)
-        };
-        if !meta_dead {
-            match self.cluster.append(meta_plog, self.me, snapshot.clone()) {
-                Ok(()) => {
-                    let roll = {
-                        let mut st = self.state.lock();
-                        st.meta_bytes += snapshot.len() as u64;
-                        st.meta_bytes >= self.plog_size_limit as u64
-                    };
-                    if roll {
-                        return self.roll_meta_plog(snapshot);
-                    }
-                    return Ok(());
-                }
-                Err(_) => {
-                    // The failed append burned a sequence number: nothing
-                    // appended after it can ever become visible. Never write
-                    // to this metadata PLog again.
-                    self.state.lock().meta_dead = true;
-                }
+    /// The first of a PLog's `n` frames for which `past(first, end)` holds
+    /// (it is false on a prefix of the frames and true after), or `n`: a
+    /// bisection over frame headers, O(log n) header-sized reads.
+    fn seek(&self, id: PLogId, n: u64, past: impl Fn(Lsn, Lsn) -> bool) -> Result<u64> {
+        let (mut lo, mut hi) = (0, n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let (_, first, end) = probe(&self.cluster, self.me, id, mid)?;
+            if past(first, end) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
             }
         }
-        self.roll_meta_plog(snapshot)
-    }
-
-    /// Replaces the metadata PLog: create new, write latest snapshot, point
-    /// the registry at it, delete the old one.
-    fn roll_meta_plog(&self, snapshot: Bytes) -> Result<()> {
-        let (old, new) = {
-            let mut st = self.state.lock();
-            let new = PLogId::new(self.db, st.meta_next_seq, st.incarnation);
-            st.meta_next_seq += 1;
-            (st.meta_plog, new)
-        };
-        self.cluster.create_plog(new, self.me)?;
-        if let Err(e) = self.cluster.append(new, self.me, snapshot) {
-            self.cluster.delete_plog(new, self.me);
-            return Err(e);
-        }
-        {
-            let mut st = self.state.lock();
-            st.meta_plog = new;
-            st.meta_bytes = 0;
-            st.meta_seen = 0;
-            st.meta_dead = false;
-        }
-        self.cluster
-            .set_meta_plog_stream(self.db, self.stream_id, new);
-        self.cluster.delete_plog(old, self.me);
-        Ok(())
+        Ok(lo)
     }
 
     /// Reads every flush frame whose end LSN is `>= from_lsn`, in log order,
     /// preserving the frame headers (`prev_end` chain links) that
-    /// [`crate::Log`] merges and chain-checks across sibling streams.
+    /// [`crate::Log`] merges and chain-checks across sibling streams. A PLog
+    /// that may hold frames below `from_lsn` is entered at the first frame
+    /// ending at or after it.
     pub(crate) fn read_frames_from(&self, from_lsn: Lsn) -> Result<Vec<BatchFrame>> {
-        let entries: Vec<PLogEntry> = self.state.lock().entries.clone();
         let mut frames = Vec::new();
-        for e in entries {
+        for e in self.entries() {
             // Skip PLogs that end strictly before the requested LSN. An
-            // unsealed tail or an entry with unknown range is always read.
+            // unsealed tail or an entry with unknown range is searched.
             if e.sealed && e.last_lsn.is_valid() && e.last_lsn < from_lsn {
                 continue;
             }
-            if e.bytes == 0 && e.sealed {
-                continue;
-            }
-            let raw = self.cluster.read_from(e.id, self.me, 0)?;
-            for f in batch::decode_frames(raw)? {
-                if f.end >= from_lsn {
-                    frames.push(f);
-                }
+            let n = self.cluster.committed_seq(e.id);
+            let k = if e.first_lsn.is_valid() && e.first_lsn >= from_lsn {
+                0
+            } else {
+                self.seek(e.id, n, |_, end| end >= from_lsn)?
+            };
+            if k < n {
+                let (_, raw) = self.cluster.read_append(e.id, self.me, k, u64::MAX)?;
+                let read = batch::decode_frames(raw)?.into_iter();
+                frames.extend(read.filter(|f| f.end >= from_lsn));
             }
         }
         Ok(frames)
@@ -689,325 +489,136 @@ impl LogStream {
     /// flushes whose predecessor on a sibling stream never became durable —
     /// their transactions were never acknowledged, and replaying them would
     /// apply redo with a hole in it. The affected PLogs are truncated at the
-    /// frame boundary and sealed, so subsequent appends (which re-mint the
-    /// same LSNs) land on fresh PLogs and no reader ever sees both copies.
+    /// frame boundary (found by bisecting frame headers: the orphans are a
+    /// suffix) and sealed, so subsequent appends (which re-mint the same
+    /// LSNs) land on fresh PLogs and no reader ever sees both copies.
     ///
-    /// Returns the number of frames discarded. Must not race appends:
-    /// [`crate::Log::recover`] calls it before the stream takes any writes.
-    pub(crate) fn discard_after(&self, cut: Lsn) -> Result<usize> {
-        let mut st = self.state.lock();
-        while st.meta_busy {
-            self.cond.wait(&mut st);
-        }
-        let affected: Vec<PLogEntry> = st
-            .entries
-            .iter()
+    /// Returns the number of frames discarded. Must not race appends to
+    /// this stream: [`crate::Log::recover`] calls it before the log takes
+    /// any writes.
+    pub fn discard_after(&self, cut: Lsn) -> Result<usize> {
+        let claim = self.manifest.claim();
+        let affected: Vec<_> = self
+            .entries()
+            .into_iter()
             .filter(|e| e.last_lsn > cut)
-            .cloned()
             .collect();
-        if affected.is_empty() {
-            return Ok(0);
-        }
-        st.meta_busy = true;
-        drop(st);
-        let mut discarded = 0usize;
-        let mut result: Result<()> = Ok(());
+        let mut discarded = 0;
         for e in &affected {
-            match self.discard_tail_of(e, cut) {
-                Ok((kept_bytes, kept_frames, kept_last, dropped)) => {
-                    discarded += dropped;
-                    let mut st = self.state.lock();
-                    if let Some(entry) = st.entries.iter_mut().find(|x| x.id == e.id) {
-                        entry.bytes = kept_bytes;
-                        entry.last_lsn = kept_last;
-                        if kept_frames == 0 {
-                            entry.first_lsn = Lsn::ZERO;
-                        }
-                        entry.sealed = true;
-                    }
-                }
-                Err(err) => {
-                    result = Err(err);
-                    break;
-                }
-            }
-        }
-        // Persist the corrected PLog list so a later reopen does not
-        // resurrect the orphan bookkeeping from a stale snapshot.
-        if result.is_ok() {
-            let snapshot = {
-                let st = self.state.lock();
-                encode_snapshot(&st.entries, st.next_seq, st.incarnation)
+            let n = self.cluster.committed_seq(e.id);
+            let k = self.seek(e.id, n, |first, _| first > cut)?;
+            let kept_last = match k {
+                0 => Lsn::ZERO,
+                k => probe(&self.cluster, self.me, e.id, k - 1)?.2,
             };
-            result = self.write_snapshot(snapshot);
-        }
-        let mut st = self.state.lock();
-        st.meta_busy = false;
-        // Every affected PLog is now sealed; the next reservation rolls a
-        // fresh one, so stale tail byte accounting cannot be reused.
-        st.tail_reserved_bytes = st.entries.last().map(|e| e.bytes).unwrap_or(0);
-        self.cond.notify_all();
-        drop(st);
-        result.map(|()| discarded)
-    }
-
-    /// Truncates one PLog at the first frame past `cut`; returns the kept
-    /// byte length, kept frame count, last kept LSN, and dropped frame count.
-    fn discard_tail_of(&self, e: &PLogEntry, cut: Lsn) -> Result<(u64, usize, Lsn, usize)> {
-        let raw = self.cluster.read_from(e.id, self.me, 0)?;
-        let mut buf = raw.clone();
-        let mut kept_bytes = 0u64;
-        let mut kept_frames = 0usize;
-        let mut kept_last = Lsn::ZERO;
-        let mut dropped = 0usize;
-        while buf.has_remaining() {
-            let before = buf.remaining();
-            let frame = batch::decode_unit(&mut buf)?;
-            if frame.first > cut {
-                dropped += 1;
-                continue;
-            }
-            // Frames in one member PLog carry increasing LSN ranges, so the
-            // orphans form a suffix; a kept frame after a dropped one would
-            // make the byte-prefix truncation below unsound.
-            taurus_common::invariant!(
-                "log-cut-on-frame-boundary",
-                dropped == 0,
-                "kept frame [{}..{}] follows a dropped frame in {}",
-                frame.first,
-                frame.end,
-                e.id
-            );
             // A frame straddling the cut would mean the durable prefix ended
             // mid-span, which the span commit rule makes impossible.
             taurus_common::invariant!(
                 "log-cut-on-frame-boundary",
-                frame.end <= cut,
-                "recovery cut {} splits frame [{}..{}] of {}",
+                kept_last <= cut && k < n,
+                "recovery cut {} splits a frame of {} (kept frames end at {})",
                 cut,
-                frame.first,
-                frame.end,
-                e.id
+                e.id,
+                kept_last
             );
-            kept_bytes += (before - buf.remaining()) as u64;
-            kept_frames += 1;
-            kept_last = kept_last.max(frame.end);
+            if k < n {
+                let kept_bytes = probe(&self.cluster, self.me, e.id, k)?.0;
+                self.cluster
+                    .truncate_plog_to(e.id, self.me, kept_bytes, k)?;
+                discarded += (n - k) as usize;
+            }
+            self.cluster.seal(e.id, self.me);
+            let mut st = self.state.lock();
+            if let Some(entry) = st.entries.iter_mut().find(|x| x.id == e.id) {
+                entry.bytes = self.cluster.committed_len(e.id);
+                entry.last_lsn = kept_last;
+                if k == 0 {
+                    entry.first_lsn = Lsn::ZERO;
+                }
+                entry.sealed = true;
+            }
         }
-        if dropped > 0 {
-            self.cluster
-                .truncate_plog_to(e.id, self.me, kept_bytes, kept_frames as u64)?;
+        if !affected.is_empty() {
+            // Persist the corrected PLog list so a later reopen does not
+            // resurrect the orphan bookkeeping from a stale snapshot.
+            self.manifest.publish(&claim, self.index, self.entries())?;
         }
-        self.cluster.seal(e.id, self.me);
-        Ok((kept_bytes, kept_frames, kept_last, dropped))
+        // Every affected PLog is now sealed; the next reservation rolls a
+        // fresh one, so stale tail byte accounting cannot be reused.
+        let mut st = self.state.lock();
+        st.tail_reserved_bytes = st.entries.last().map_or(0, |e| e.bytes);
+        Ok(discarded)
     }
 
     /// Deletes every sealed data PLog whose records all fall below
     /// `persistent_lsn` (paper Fig. 3 step 8), plus empty sealed PLogs left
-    /// behind by seal-and-switch. The surviving PLog list is persisted to
-    /// the metadata PLog **before** anything is dropped from memory or the
+    /// behind by seal-and-switch. The surviving PLog list is published to
+    /// the manifest **before** anything is dropped from memory or the
     /// cluster, so a failed snapshot write leaves the stream (and the data)
     /// untouched. Returns the number of PLogs deleted.
     pub fn truncate_below(&self, persistent_lsn: Lsn) -> Result<usize> {
-        let mut st = self.state.lock();
-        while st.meta_busy {
-            self.cond.wait(&mut st);
+        let doomed = |st: &StreamState| -> Vec<PLogId> {
+            let last = st.entries.len().saturating_sub(1);
+            let below = |e: &PLogEntry| e.last_lsn.is_valid() && e.last_lsn < persistent_lsn;
+            let empty = |e: &PLogEntry| !e.last_lsn.is_valid() && e.bytes == 0;
+            let victim =
+                |(i, e): &(usize, &PLogEntry)| e.sealed && (below(e) || (empty(e) && *i != last));
+            let victims = st.entries.iter().enumerate().filter(victim);
+            victims.map(|(_, e)| e.id).collect()
+        };
+        let nothing = doomed(&self.state.lock()).is_empty();
+        if nothing {
+            return Ok(0);
         }
-        let last = st.entries.len().saturating_sub(1);
-        let victims: Vec<PLogEntry> = st
+        let claim = self.manifest.claim();
+        let st = self.state.lock();
+        let victims = doomed(&st);
+        let (gone, kept): (Vec<PLogEntry>, Vec<PLogEntry>) = st
             .entries
             .iter()
-            .enumerate()
-            .filter(|(i, e)| {
-                e.sealed
-                    && ((e.last_lsn.is_valid() && e.last_lsn < persistent_lsn)
-                        || (!e.last_lsn.is_valid() && e.bytes == 0 && *i != last))
-            })
-            .map(|(_, e)| e.clone())
-            .collect();
+            .cloned()
+            .partition(|e| victims.contains(&e.id));
+        drop(st);
         if victims.is_empty() {
             return Ok(0);
         }
-        st.meta_busy = true;
-        let victim_ids: Vec<PLogId> = victims.iter().map(|e| e.id).collect();
-        let survivors: Vec<PLogEntry> = st
-            .entries
-            .iter()
-            .filter(|e| !victim_ids.contains(&e.id))
-            .cloned()
-            .collect();
-        let snapshot = encode_snapshot(&survivors, st.next_seq, st.incarnation);
-        drop(st);
-        let written = self.write_snapshot(snapshot);
+        self.manifest.publish(&claim, self.index, kept)?;
         let mut st = self.state.lock();
-        st.meta_busy = false;
-        self.cond.notify_all();
-        written?;
-        let mut truncated_through = st.truncated_through;
-        for v in &victims {
-            if v.last_lsn.is_valid() {
-                truncated_through = truncated_through.max(v.last_lsn);
-            }
+        for v in &gone {
+            st.truncated_through = st.truncated_through.max(v.last_lsn);
         }
-        st.truncated_through = truncated_through;
-        st.entries.retain(|e| !victim_ids.contains(&e.id));
+        st.entries.retain(|e| !victims.contains(&e.id));
         drop(st);
-        for id in &victim_ids {
+        drop(claim);
+        for id in &victims {
             self.cluster.delete_plog(*id, self.me);
         }
-        Ok(victim_ids.len())
+        Ok(victims.len())
     }
 
-    /// Reads what the metadata PLog gained since the last look and adopts
-    /// the newest snapshot in it. Readers (read replicas) call this to
-    /// discover PLogs created or deleted by the master since they opened
-    /// the stream. Snapshots are whole appends, so the bytes past the ones
-    /// already decoded start at a snapshot boundary; when there are none the
-    /// cluster answers from its directory and no round trip is made.
-    pub fn refresh(&self) -> Result<()> {
-        let meta_plog = self
-            .cluster
-            .meta_plog_stream(self.db, self.stream_id)
-            .ok_or_else(|| {
-                TaurusError::Internal(format!(
-                    "no metadata plog for {} stream {}",
-                    self.db, self.stream_id
-                ))
-            })?;
-        // The master rolled the metadata PLog: the new one starts over.
-        let seen = {
-            let st = self.state.lock();
-            if st.meta_plog == meta_plog {
-                st.meta_seen
-            } else {
-                0
-            }
-        };
-        let raw = self.cluster.read_from(meta_plog, self.me, seen)?;
-        if raw.is_empty() {
-            return Ok(());
-        }
-        let seen = seen + raw.len() as u64;
-        let (entries, next_seq, incarnation) = decode_last_snapshot(raw)?;
+    /// A reader adopts the chain the writer last published. PLogs that
+    /// vanished from it were truncated by the writer: remember how far, so
+    /// stale tail cursors are detected.
+    pub(crate) fn adopt(&self, chain: Vec<PLogEntry>) {
         let mut st = self.state.lock();
-        if st.meta_plog == meta_plog && st.meta_seen >= seen {
-            // A concurrent refresh already adopted these bytes or later ones.
-            return Ok(());
-        }
-        st.meta_seen = seen;
-        // PLogs that vanished from the snapshot were truncated by the
-        // master; remember how far so stale tail cursors are detected.
-        let mut truncated_through = st.truncated_through;
-        for old in st.entries.iter() {
-            if old.last_lsn.is_valid() && !entries.iter().any(|n| n.id == old.id) {
-                truncated_through = truncated_through.max(old.last_lsn);
-            }
-        }
-        st.truncated_through = truncated_through;
-        st.entries = entries;
-        st.next_seq = st.next_seq.max(next_seq);
-        st.incarnation = st.incarnation.max(incarnation);
-        st.meta_plog = meta_plog;
-        Ok(())
-    }
-
-    /// Incremental tail read: returns every complete group appended since
-    /// the cursor's position whose end LSN is `<= limit`, and advances the
-    /// cursor over exactly those groups. It never re-reads bytes, so a
-    /// replica tailing the log does O(new data) work per poll.
-    ///
-    /// Groups past `limit` are left *unconsumed*: the cursor stops at their
-    /// group boundary and a later call (with a higher limit) returns them.
-    /// This is what lets a read replica stop at the master's read horizon
-    /// without ever dropping log data — durable bytes may run ahead of the
-    /// horizon, and anything the cursor skipped would otherwise be lost
-    /// forever. Pass `Lsn(u64::MAX)` to read everything available.
-    ///
-    /// If the cursor's PLog was truncated away *and* records past the
-    /// cursor were truncated with it, this returns
-    /// [`TaurusError::ReplicaBehindTruncation`]: the reader fell behind the
-    /// log's retention window and must resync its state wholesale (it can
-    /// not be fed the missing records). A cursor that had consumed
-    /// everything the truncation removed just restarts at the first
-    /// remaining PLog, skipping groups it already delivered.
-    pub(crate) fn read_tail(
-        &self,
-        cursor: &mut TailCursor,
-        limit: Lsn,
-    ) -> Result<Vec<LogRecordGroup>> {
-        let (entries, truncated_through) = {
-            let st = self.state.lock();
-            (st.entries.clone(), st.truncated_through)
-        };
-        let mut groups = Vec::new();
-        // Locate the cursor's PLog; if it was truncated away, jump to the
-        // first remaining entry — unless that loses records.
-        let mut idx = match entries.iter().position(|e| Some(e.id) == cursor.plog) {
-            Some(i) => i,
-            None => {
-                if cursor.plog.is_some() && cursor.consumed < truncated_through {
-                    return Err(TaurusError::ReplicaBehindTruncation {
-                        consumed: cursor.consumed,
-                        truncated_through,
-                    });
-                }
-                cursor.plog = None;
-                cursor.offset = 0;
-                0
-            }
-        };
-        while idx < entries.len() {
-            let entry = &entries[idx];
-            cursor.plog = Some(entry.id);
-            let data = self.cluster.read_from(entry.id, self.me, cursor.offset)?;
-            let mut buf = data.clone();
-            let mut deferred = false;
-            while buf.has_remaining() {
-                let before = buf.remaining();
-                // One unit = one batch frame (a whole flush span). A frame
-                // whose end is past the limit is
-                // deferred *whole*: the consumer's horizon never lands
-                // mid-span on the stream that carried the span (durable_lsn
-                // advances span-by-span), and deferring at the frame
-                // boundary keeps the cursor's byte offset frame-aligned.
-                let frame = batch::decode_unit(&mut buf)?;
-                if frame.end > limit {
-                    deferred = true;
-                    break;
-                }
-                cursor.offset += (before - buf.remaining()) as u64;
-                for group in frame.groups {
-                    if group.end_lsn() <= cursor.consumed {
-                        // Already delivered: a group re-appended to a fresh
-                        // PLog after a seal-and-switch, or a restart after
-                        // truncation.
-                        continue;
-                    }
-                    cursor.consumed = group.end_lsn();
-                    groups.push(group);
-                }
-            }
-            if deferred {
-                break;
-            }
-            // Move to the next PLog only once this one is sealed and fully
-            // consumed; the unsealed tail may still grow. The local seal
-            // flag can lag (a replica's snapshot may predate the seal), so
-            // fall back to asking the Log Store.
-            if idx + 1 < entries.len()
-                && (entry.sealed || self.cluster.is_sealed(entry.id, self.me))
-            {
-                idx += 1;
-                cursor.offset = 0;
-            } else {
-                break;
-            }
-        }
-        Ok(groups)
+        let gone = st
+            .entries
+            .iter()
+            .filter(|old| !chain.iter().any(|e| e.id == old.id));
+        let through = gone.map(|e| e.last_lsn).max().unwrap_or(Lsn::ZERO);
+        st.truncated_through = st.truncated_through.max(through);
+        st.entries = chain;
     }
 
     /// Snapshot of the current PLog list (for tests and introspection).
     pub fn entries(&self) -> Vec<PLogEntry> {
         self.state.lock().entries.clone()
+    }
+
+    /// The PLog list, and the highest LSN truncation deleted.
+    pub(crate) fn chain(&self) -> (Vec<PLogEntry>, Lsn) {
+        let st = self.state.lock();
+        (st.entries.clone(), st.truncated_through)
     }
 
     /// Append-path metrics (latency, in-flight window, seal-switches).
@@ -1016,117 +627,44 @@ impl LogStream {
     }
 }
 
-impl StreamState {
-    fn new(
-        entries: Vec<PLogEntry>,
-        next_seq: u64,
-        incarnation: u64,
-        meta_plog: PLogId,
-        meta_next_seq: u64,
-        meta_dead: bool,
-    ) -> StreamState {
-        StreamState {
-            entries,
-            next_seq,
-            incarnation,
-            meta_plog,
-            meta_next_seq,
-            meta_bytes: 0,
-            meta_seen: 0,
-            meta_dead,
-            tail_reserved_bytes: 0,
-            next_ticket: 0,
-            commit_ticket: 0,
-            inflight: 0,
-            reserve_fence: 0,
-            meta_busy: false,
-            truncated_through: Lsn::ZERO,
-        }
-    }
-}
-
-fn encode_snapshot(entries: &[PLogEntry], next_seq: u64, incarnation: u64) -> Bytes {
-    let mut out = BytesMut::with_capacity(16 + entries.len() * 64);
-    out.put_u32_le(SNAPSHOT_MAGIC);
-    out.put_u64_le(next_seq);
-    out.put_u64_le(incarnation);
-    out.put_u32_le(entries.len() as u32);
-    for e in entries {
-        out.put_slice(&e.id.to_bytes());
-        out.put_u64_le(e.first_lsn.0);
-        out.put_u64_le(e.last_lsn.0);
-        out.put_u8(e.sealed as u8);
-        out.put_u64_le(e.bytes);
-    }
-    out.freeze()
-}
-
-/// Decodes the **last** complete snapshot in the metadata PLog contents.
-fn decode_last_snapshot(mut raw: Bytes) -> Result<(Vec<PLogEntry>, u64, u64)> {
-    let mut last: Option<(Vec<PLogEntry>, u64, u64)> = None;
-    while raw.remaining() >= 24 {
-        if raw.get_u32_le() != SNAPSHOT_MAGIC {
-            return Err(TaurusError::Codec("bad metadata snapshot magic"));
-        }
-        let next_seq = raw.get_u64_le();
-        let incarnation = raw.get_u64_le();
-        let count = raw.get_u32_le() as usize;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            if raw.remaining() < 24 + 8 + 8 + 1 + 8 {
-                return Err(TaurusError::Codec("metadata snapshot truncated"));
-            }
-            let mut idb = [0u8; 24];
-            raw.copy_to_slice(&mut idb);
-            entries.push(PLogEntry {
-                id: PLogId::from_bytes(&idb),
-                first_lsn: Lsn(raw.get_u64_le()),
-                last_lsn: Lsn(raw.get_u64_le()),
-                sealed: raw.get_u8() != 0,
-                bytes: raw.get_u64_le(),
-            });
-        }
-        last = Some((entries, next_seq, incarnation));
-    }
-    last.ok_or(TaurusError::Codec("metadata plog holds no snapshot"))
+/// Frame `k` of PLog `id`, from a header-sized read: its byte offset,
+/// first LSN and end LSN.
+pub(crate) fn probe(
+    cluster: &LogStoreCluster,
+    me: NodeId,
+    id: PLogId,
+    k: u64,
+) -> Result<(u64, Lsn, Lsn)> {
+    let (offset, raw) = cluster.read_append(id, me, k, batch::HEADER_LEN as u64)?;
+    let (first, end) = batch::frame_range(&raw)?;
+    Ok((offset, first, end))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::tests::{cluster_on, group, one_stream};
+    use crate::Log;
     use taurus_common::clock::ManualClock;
-    use taurus_common::config::{NetworkProfile, StorageProfile};
-    use taurus_common::page::PageType;
-    use taurus_common::record::{LogRecord, RecordBody};
-    use taurus_common::PageId;
-    use taurus_fabric::{Fabric, NodeKind};
+    use taurus_common::{DbId, LogRecordGroup};
 
     fn setup(limit: usize) -> (LogStream, LogStoreCluster, NodeId, Vec<NodeId>) {
-        setup_on(ManualClock::shared(), limit)
-    }
-
-    fn setup_on(
-        clock: taurus_common::clock::ClockRef,
-        limit: usize,
-    ) -> (LogStream, LogStoreCluster, NodeId, Vec<NodeId>) {
-        let fabric = Fabric::new(clock, NetworkProfile::instant(), 7);
-        let me = fabric.add_node(NodeKind::Compute);
-        let cluster = LogStoreCluster::new(fabric, 3, 1 << 20);
-        let nodes = cluster.spawn_servers(6, StorageProfile::instant());
+        let (cluster, me, nodes) = cluster_on(ManualClock::shared());
         let stream = create(&cluster, me, limit);
         (stream, cluster, me, nodes)
     }
 
-    /// Stream 0 of database 1 on its own, as a one-stream log has it.
+    /// The stream of database 1's new one-stream log.
     fn create(cluster: &LogStoreCluster, me: NodeId, limit: usize) -> LogStream {
-        let stats = Arc::new(LogStoreStats::default());
-        LogStream::create_stream(cluster.clone(), DbId(1), me, limit, 4, 0, false, stats).unwrap()
+        let log = Log::create(&one_stream(limit), cluster.clone(), DbId(1), me);
+        log.unwrap().into_streams().remove(0)
     }
 
-    /// Stream 0 of database 1 reopened from its metadata PLog.
+    /// The stream of database 1's one-stream log, reopened from its
+    /// manifest.
     fn reopen(cluster: &LogStoreCluster, me: NodeId, limit: usize) -> LogStream {
-        let stats = Arc::new(LogStoreStats::default());
-        LogStream::open_stream(cluster.clone(), DbId(1), me, limit, 4, 0, false, stats).unwrap()
+        let log = Log::open(&one_stream(limit), cluster.clone(), DbId(1), me, false);
+        log.unwrap().into_streams().remove(0)
     }
 
     fn groups_from(s: &LogStream, from: Lsn) -> Vec<LogRecordGroup> {
@@ -1135,29 +673,6 @@ mod tests {
             .flat_map(|f| f.groups)
             .filter(|g| g.end_lsn() >= from)
             .collect()
-    }
-
-    fn group(lsns: std::ops::RangeInclusive<u64>) -> (Bytes, Lsn, Lsn) {
-        let records: Vec<LogRecord> = lsns
-            .clone()
-            .map(|l| {
-                LogRecord::new(
-                    Lsn(l),
-                    PageId(l),
-                    RecordBody::Format {
-                        ty: PageType::Leaf,
-                        level: 0,
-                    },
-                )
-            })
-            .collect();
-        let g = LogRecordGroup::new(DbId(1), records);
-        let (first, last) = (Lsn(*lsns.start()), Lsn(*lsns.end()));
-        (
-            batch::encode_batch(&[g], Lsn(first.0 - 1), first, last),
-            first,
-            last,
-        )
     }
 
     #[test]
@@ -1397,225 +912,5 @@ mod tests {
         // All groups are still readable after reopen.
         let groups = groups_from(&s2, Lsn(1));
         assert_eq!(groups.len(), 8);
-    }
-
-    #[test]
-    fn tail_cursor_defers_groups_past_the_limit() {
-        let (s, _, _, _) = setup(1 << 20);
-        let (d1, f1, l1) = group(1..=4);
-        let (d2, f2, l2) = group(5..=6);
-        s.append_group(d1, f1, l1).unwrap();
-        s.append_group(d2, f2, l2).unwrap();
-        let mut cursor = TailCursor::default();
-        // Limit mid-stream: only the first group is consumed; the second
-        // must NOT be skipped — it stays in the plog for the next call.
-        let first = s.read_tail(&mut cursor, Lsn(4)).unwrap();
-        assert_eq!(first.len(), 1);
-        assert_eq!(first[0].end_lsn(), Lsn(4));
-        // Same limit again: nothing new, cursor does not move or re-read.
-        assert!(s.read_tail(&mut cursor, Lsn(4)).unwrap().is_empty());
-        // Raised limit: the deferred group is delivered exactly once.
-        let second = s.read_tail(&mut cursor, Lsn(u64::MAX)).unwrap();
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0].end_lsn(), Lsn(6));
-        assert!(s.read_tail(&mut cursor, Lsn(u64::MAX)).unwrap().is_empty());
-    }
-
-    #[test]
-    fn tail_cursor_follows_rollover_across_sealed_plogs() {
-        let (s, _, _, _) = setup(96);
-        let mut lsn = 1u64;
-        for _ in 0..6 {
-            let (d, f, l) = group(lsn..=lsn + 1);
-            s.append_group(d, f, l).unwrap();
-            lsn += 2;
-        }
-        assert!(s.entries().len() > 1, "expected rollover");
-        let mut cursor = TailCursor::default();
-        let groups = s.read_tail(&mut cursor, Lsn(u64::MAX)).unwrap();
-        assert_eq!(groups.len(), 6);
-        assert_eq!(groups.last().unwrap().end_lsn(), Lsn(12));
-        // Appends after the cursor caught up are picked up incrementally.
-        let (d, f, l) = group(13..=14);
-        s.append_group(d, f, l).unwrap();
-        let more = s.read_tail(&mut cursor, Lsn(u64::MAX)).unwrap();
-        assert_eq!(more.len(), 1);
-        assert_eq!(more[0].first_lsn(), Lsn(13));
-    }
-
-    #[test]
-    fn tail_cursor_behind_truncation_errors_instead_of_losing_records() {
-        let (s, _, _, _) = setup(120);
-        let mut lsn = 1u64;
-        for _ in 0..6 {
-            let (d, f, l) = group(lsn..=lsn + 1);
-            s.append_group(d, f, l).unwrap();
-            lsn += 2;
-        }
-        // The reader consumes only the first group, then the master
-        // truncates past it: the cursor's PLog — and records the reader
-        // never saw — are gone.
-        let mut cursor = TailCursor::default();
-        let first = s.read_tail(&mut cursor, Lsn(2)).unwrap();
-        assert_eq!(first.len(), 1);
-        s.truncate_below(Lsn(7)).unwrap();
-        let err = s.read_tail(&mut cursor, Lsn(u64::MAX)).unwrap_err();
-        match err {
-            TaurusError::ReplicaBehindTruncation {
-                consumed,
-                truncated_through,
-            } => {
-                assert_eq!(consumed, Lsn(2));
-                assert!(truncated_through > consumed);
-            }
-            other => panic!("expected ReplicaBehindTruncation, got {other:?}"),
-        }
-        // The error is sticky until the reader resyncs (it must not be
-        // silently fed a gap on retry).
-        assert!(s.read_tail(&mut cursor, Lsn(u64::MAX)).is_err());
-        // After a resync (fresh cursor at the new log start) reads work and
-        // deliver exactly the surviving records, gap-free.
-        let mut fresh = TailCursor::default();
-        let rest = s.read_tail(&mut fresh, Lsn(u64::MAX)).unwrap();
-        assert!(!rest.is_empty());
-        for pair in rest.windows(2) {
-            assert_eq!(pair[1].first_lsn(), pair[0].end_lsn().next());
-        }
-        assert_eq!(rest.last().unwrap().end_lsn(), Lsn(12));
-    }
-
-    #[test]
-    fn tail_cursor_that_consumed_truncated_plogs_restarts_cleanly() {
-        let (s, _, _, _) = setup(120);
-        let mut lsn = 1u64;
-        for _ in 0..6 {
-            let (d, f, l) = group(lsn..=lsn + 1);
-            s.append_group(d, f, l).unwrap();
-            lsn += 2;
-        }
-        // The reader consumes everything, then truncation removes the old
-        // PLogs: the cursor restarts at the surviving log without error and
-        // without re-delivering groups it already consumed.
-        let mut cursor = TailCursor::default();
-        let all = s.read_tail(&mut cursor, Lsn(u64::MAX)).unwrap();
-        assert_eq!(all.len(), 6);
-        s.truncate_below(Lsn(7)).unwrap();
-        assert!(s.read_tail(&mut cursor, Lsn(u64::MAX)).unwrap().is_empty());
-        let (d, f, l) = group(13..=14);
-        s.append_group(d, f, l).unwrap();
-        let more = s.read_tail(&mut cursor, Lsn(u64::MAX)).unwrap();
-        assert_eq!(more.len(), 1);
-        assert_eq!(more[0].first_lsn(), Lsn(13));
-    }
-
-    #[test]
-    fn metadata_plog_rolls_and_old_one_is_deleted() {
-        let (s, cluster, _, _) = setup(220);
-        let meta_before = cluster.meta_plog_stream(DbId(1), 0).unwrap();
-        // Each data-plog rollover appends a snapshot; force many rollovers so
-        // the metadata plog crosses the limit and replaces itself.
-        let mut lsn = 1u64;
-        for _ in 0..30 {
-            let (d, f, l) = group(lsn..=lsn + 1);
-            s.append_group(d, f, l).unwrap();
-            lsn += 2;
-        }
-        let meta_after = cluster.meta_plog_stream(DbId(1), 0).unwrap();
-        assert_ne!(meta_before, meta_after, "metadata plog should have rolled");
-        // Old metadata plog is deleted from the directory.
-        assert!(cluster.replicas_of(meta_before).is_empty());
-        // And the stream still reopens correctly from the new one.
-        let s2 = reopen(&cluster, NodeId(1), 220);
-        assert_eq!(s2.entries().len(), s.entries().len());
-    }
-    /// A manual clock that counts deadline waits: every RPC makes two (its
-    /// request's arrival, its reply), a single `Fabric::call` included —
-    /// which `DispatchSnapshot::inline_jobs` does not count.
-    #[derive(Debug, Default)]
-    struct WaitCounter {
-        time: ManualClock,
-        waits: std::sync::atomic::AtomicU64,
-    }
-
-    impl taurus_common::clock::Clock for WaitCounter {
-        fn now_us(&self) -> u64 {
-            self.time.now_us()
-        }
-        fn sleep_us(&self, us: u64) {
-            self.time.sleep_us(us);
-        }
-        fn sleep_until(&self, deadline_us: u64) {
-            self.waits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.time.sleep_until(deadline_us);
-        }
-    }
-
-    #[test]
-    fn refresh_reads_only_what_is_new_and_still_sees_every_change() {
-        // Small PLogs: a rollover every other group, a metadata roll every
-        // few rollovers.
-        let clock = Arc::new(WaitCounter::default());
-        let (writer, cluster, me, _) = setup_on(clock.clone(), 220);
-        let reader = reopen(&cluster, me, 220);
-        let legs = || {
-            let waits = clock.waits.load(std::sync::atomic::Ordering::Relaxed);
-            waits / 2 + cluster.fabric.dispatch_snapshot().inline_jobs
-        };
-        let ids = |s: &LogStream| s.entries().iter().map(|e| e.id).collect::<Vec<_>>();
-        let mut lsn = 1u64;
-        let mut append = |n: usize| {
-            for _ in 0..n {
-                let (d, f, l) = group(lsn..=lsn + 1);
-                writer.append_group(d, f, l).unwrap();
-                lsn += 2;
-            }
-        };
-        // No new snapshot: answered from the directory, no fabric leg runs.
-        let quiet = |reader: &LogStream| {
-            let before = legs();
-            reader.refresh().unwrap();
-            reader.refresh().unwrap();
-            assert_eq!(legs(), before, "a refresh with nothing new went out");
-        };
-        quiet(&reader);
-
-        // A rollover is seen, with one read of the new bytes.
-        let plogs = writer.entries().len();
-        while writer.entries().len() == plogs {
-            append(1);
-        }
-        let before = legs();
-        reader.refresh().unwrap();
-        assert_eq!(legs(), before + 1);
-        assert_eq!(ids(&reader), ids(&writer));
-        quiet(&reader);
-
-        // A truncation is seen, and remembered for stale tail cursors.
-        append(4);
-        reader.refresh().unwrap();
-        let cut = writer.entries()[1].last_lsn;
-        assert!(writer.truncate_below(cut.next()).unwrap() > 0);
-        reader.refresh().unwrap();
-        assert_eq!(ids(&reader), ids(&writer));
-        assert!(reader.state.lock().truncated_through >= cut);
-        quiet(&reader);
-
-        // A metadata-PLog roll is seen: the new PLog is read from its start.
-        let meta = cluster.meta_plog_stream(DbId(1), 0).unwrap();
-        while cluster.meta_plog_stream(DbId(1), 0).unwrap() == meta {
-            append(1);
-        }
-        reader.refresh().unwrap();
-        assert_eq!(ids(&reader), ids(&writer));
-        assert_eq!(reader.state.lock().meta_plog, writer.state.lock().meta_plog);
-        quiet(&reader);
-        // ...and so is what is appended to it afterwards.
-        let plogs = writer.entries().len();
-        while writer.entries().len() == plogs {
-            append(1);
-        }
-        reader.refresh().unwrap();
-        assert_eq!(ids(&reader), ids(&writer));
     }
 }

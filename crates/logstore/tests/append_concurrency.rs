@@ -22,8 +22,6 @@ use taurus_logstore::{LogStoreCluster, LogStream};
 mod common;
 use common::{create_stream, read_back};
 
-const WINDOW: usize = 4;
-
 fn setup(nodes: usize, plog_limit: usize) -> (Arc<LogStream>, LogStoreCluster, NodeId) {
     let profile = NetworkProfile {
         hop_us: 120,
@@ -34,7 +32,7 @@ fn setup(nodes: usize, plog_limit: usize) -> (Arc<LogStream>, LogStoreCluster, N
     let me = fabric.add_node(NodeKind::Compute);
     let cluster = LogStoreCluster::new(fabric, 3, 1 << 20);
     cluster.spawn_servers(nodes, StorageProfile::instant());
-    let stream = Arc::new(create_stream(&cluster, DbId(1), me, plog_limit, WINDOW));
+    let stream = Arc::new(create_stream(&cluster, DbId(1), me, plog_limit));
     (stream, cluster, me)
 }
 
@@ -61,8 +59,8 @@ fn group(first: u64, len: u64) -> (Bytes, Lsn, Lsn) {
 /// Runs `threads` appenders, each pushing `per_thread` groups. LSN ranges
 /// come from a shared allocator whose lock is held across `reserve_append`
 /// (reservations must be taken in LSN order); the replicated append itself
-/// runs outside it, so up to `WINDOW` groups overlap their network round
-/// trips.
+/// runs outside it, so up to the stream's append window of groups overlap
+/// their network round trips.
 fn run_appenders(stream: &Arc<LogStream>, threads: usize, per_thread: usize) -> Lsn {
     let alloc = Arc::new(Mutex::new(1u64));
     thread::scope(|scope| {
@@ -231,8 +229,8 @@ fn concurrent_appends_survive_mid_run_outage() {
 
 /// The pipelined append path must stay deterministic: two identical runs on
 /// fresh clusters end with identical PLog layouts and byte-identical
-/// replica contents (this is what lets `taurus-determinism` diff end states
-/// across seeded runs).
+/// replica contents (this is what lets the determinism checker diff end
+/// states across seeded runs).
 #[test]
 fn pipelined_append_end_state_is_deterministic() {
     let run = || {

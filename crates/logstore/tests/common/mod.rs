@@ -1,36 +1,40 @@
 //! Helpers shared by the logstore suites that drive a bare [`LogStream`].
 
-use std::sync::Arc;
-
-use taurus_common::metrics::LogStoreStats;
 use taurus_common::record::LogRecordGroup;
 use taurus_common::{DbId, Lsn, NodeId, TaurusConfig};
 use taurus_logstore::{Log, LogStoreCluster, LogStream};
 
-/// One stream on its own (stream 0, not part of a multi-stream log), with
-/// the append window `window`.
+/// A one-stream log with PLogs of `plog_limit` bytes.
+fn one_stream(plog_limit: usize) -> TaurusConfig {
+    TaurusConfig {
+        log_streams: 1,
+        plog_size_limit: plog_limit,
+        ..TaurusConfig::test()
+    }
+}
+
+/// The stream of a new one-stream log.
 pub fn create_stream(
     cluster: &LogStoreCluster,
     db: DbId,
     me: NodeId,
     plog_limit: usize,
-    window: usize,
 ) -> LogStream {
-    let stats = Arc::new(LogStoreStats::default());
-    LogStream::create_stream(cluster.clone(), db, me, plog_limit, window, 0, false, stats).unwrap()
+    let log = Log::create(&one_stream(plog_limit), cluster.clone(), db, me).unwrap();
+    log.into_streams().remove(0)
 }
 
-/// Reopens stream 0 of `db` from its metadata PLog, as a restart does.
+/// The stream of `db`'s one-stream log reopened from its manifest, as a
+/// restart does.
 #[allow(dead_code, reason = "not every suite reopens")]
 pub fn reopen_stream(
     cluster: &LogStoreCluster,
     db: DbId,
     me: NodeId,
     plog_limit: usize,
-    window: usize,
 ) -> LogStream {
-    let stats = Arc::new(LogStoreStats::default());
-    LogStream::open_stream(cluster.clone(), db, me, plog_limit, window, 0, false, stats).unwrap()
+    let log = Log::open(&one_stream(plog_limit), cluster.clone(), db, me, true).unwrap();
+    log.into_streams().remove(0)
 }
 
 /// Reads database 1's log back as a reader does: a one-stream [`Log`]

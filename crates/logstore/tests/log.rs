@@ -1,18 +1,21 @@
 //! The database log as one [`Log`] over 1, 2 and 4 streams: spans appended
 //! out of ticket order read back once each and in LSN order, recovery cuts
 //! the merged log at a hole and discards the orphans, and a reader's tail
-//! merges the streams and defers a frame past its limit whole.
+//! merges the streams and defers a frame past its limit whole. A tail
+//! cursor follows rollovers and truncation on a one-stream log.
 
+use std::ops::RangeInclusive;
 use std::thread;
 use std::time::Duration;
 
-use taurus_common::clock::ManualClock;
+use taurus_common::clock::{Clock, ClockRef, ManualClock};
 use taurus_common::config::{NetworkProfile, StorageProfile};
 use taurus_common::page::PageType;
 use taurus_common::record::{LogRecord, LogRecordGroup, RecordBody};
-use taurus_common::{DbId, Lsn, NodeId, PageId, TaurusConfig};
+use taurus_common::{DbId, Lsn, NodeId, PageId, TaurusConfig, TaurusError};
 use taurus_fabric::{Fabric, NodeKind};
-use taurus_logstore::{Log, LogCursor, LogStoreCluster};
+use taurus_logstore::batch::{encode_batch, HEADER_LEN};
+use taurus_logstore::{Log, LogCursor, LogStoreCluster, LogStream};
 
 const STREAMS: [usize; 3] = [1, 2, 4];
 
@@ -24,7 +27,11 @@ struct Harness {
 
 impl Harness {
     fn new(streams: usize) -> Harness {
-        let fabric = Fabric::new(ManualClock::shared(), NetworkProfile::instant(), 11);
+        Harness::on(ManualClock::shared(), streams)
+    }
+
+    fn on(clock: ClockRef, streams: usize) -> Harness {
+        let fabric = Fabric::new(clock, NetworkProfile::instant(), 11);
         let me = fabric.add_node(NodeKind::Compute);
         let cluster = LogStoreCluster::new(fabric, 3, 1 << 20);
         cluster.spawn_servers(5, StorageProfile::instant());
@@ -203,4 +210,305 @@ fn tail_merges_streams_and_defers_a_frame_past_the_limit_whole() {
         let got = reader.tail(&mut cursor, Lsn(u64::MAX)).unwrap();
         assert_eq!(firsts(&got), expected(6..7), "{n} streams");
     }
+}
+
+/// A new one-stream log with PLogs of `limit` bytes.
+fn one_stream(limit: usize) -> Log {
+    let mut h = Harness::new(1);
+    h.cfg.plog_size_limit = limit;
+    h.create()
+}
+
+/// Appends `lsns` as span `ticket`, one group.
+fn push(log: &Log, ticket: u64, lsns: RangeInclusive<u64>) {
+    let (first, end) = (*lsns.start(), *lsns.end());
+    let groups = [group(lsns)];
+    log.append(ticket, Lsn(first - 1), Lsn(first), Lsn(end), &groups)
+        .unwrap();
+}
+
+/// Appends spans 0..6, two LSNs each: LSNs 1..=12.
+fn push_six(log: &Log) {
+    for t in 0..6 {
+        push(log, t, 2 * t + 1..=2 * t + 2);
+    }
+}
+
+#[test]
+fn tail_cursor_defers_groups_past_the_limit() {
+    let log = one_stream(1 << 20);
+    push(&log, 0, 1..=4);
+    push(&log, 1, 5..=6);
+    let mut cursor = LogCursor::default();
+    // Limit mid-stream: only the first group is consumed; the second
+    // must NOT be skipped — it stays in the plog for the next call.
+    let first = log.tail(&mut cursor, Lsn(4)).unwrap();
+    assert_eq!(first.len(), 1);
+    assert_eq!(first[0].end_lsn(), Lsn(4));
+    // Same limit again: nothing new, cursor does not move or re-read.
+    assert!(log.tail(&mut cursor, Lsn(4)).unwrap().is_empty());
+    // Raised limit: the deferred group is delivered exactly once.
+    let second = log.tail(&mut cursor, Lsn(u64::MAX)).unwrap();
+    assert_eq!(second.len(), 1);
+    assert_eq!(second[0].end_lsn(), Lsn(6));
+    assert!(log.tail(&mut cursor, Lsn(u64::MAX)).unwrap().is_empty());
+}
+
+#[test]
+fn tail_cursor_follows_rollover_across_sealed_plogs() {
+    let log = one_stream(96);
+    push_six(&log);
+    assert!(log.entries()[0].len() > 1, "expected rollover");
+    let mut cursor = LogCursor::default();
+    let groups = log.tail(&mut cursor, Lsn(u64::MAX)).unwrap();
+    assert_eq!(groups.len(), 6);
+    assert_eq!(groups.last().unwrap().end_lsn(), Lsn(12));
+    // Appends after the cursor caught up are picked up incrementally.
+    push(&log, 6, 13..=14);
+    let more = log.tail(&mut cursor, Lsn(u64::MAX)).unwrap();
+    assert_eq!(more.len(), 1);
+    assert_eq!(more[0].first_lsn(), Lsn(13));
+}
+
+#[test]
+fn tail_cursor_behind_truncation_errors_instead_of_losing_records() {
+    let log = one_stream(120);
+    push_six(&log);
+    // The reader consumes only the first group, then the master
+    // truncates past it: the cursor's PLog — and records the reader
+    // never saw — are gone.
+    let mut cursor = LogCursor::default();
+    let first = log.tail(&mut cursor, Lsn(2)).unwrap();
+    assert_eq!(first.len(), 1);
+    log.truncate_below(Lsn(7)).unwrap();
+    let err = log.tail(&mut cursor, Lsn(u64::MAX)).unwrap_err();
+    match err {
+        TaurusError::ReplicaBehindTruncation {
+            consumed,
+            truncated_through,
+        } => {
+            assert_eq!(consumed, Lsn(2));
+            assert!(truncated_through > consumed);
+        }
+        other => panic!("expected ReplicaBehindTruncation, got {other:?}"),
+    }
+    // The error is sticky until the reader resyncs (it must not be
+    // silently fed a gap on retry).
+    assert!(log.tail(&mut cursor, Lsn(u64::MAX)).is_err());
+    // After a resync (fresh cursor at the new log start) reads work and
+    // deliver exactly the surviving records, gap-free.
+    let mut fresh = LogCursor::default();
+    let rest = log.tail(&mut fresh, Lsn(u64::MAX)).unwrap();
+    assert!(!rest.is_empty());
+    for pair in rest.windows(2) {
+        assert_eq!(pair[1].first_lsn(), pair[0].end_lsn().next());
+    }
+    assert_eq!(rest.last().unwrap().end_lsn(), Lsn(12));
+}
+
+#[test]
+fn tail_cursor_that_consumed_truncated_plogs_restarts_cleanly() {
+    let log = one_stream(120);
+    push_six(&log);
+    // The reader consumes everything, then truncation removes the old
+    // PLogs: the cursor restarts at the surviving log without error and
+    // without re-delivering groups it already consumed.
+    let mut cursor = LogCursor::default();
+    let all = log.tail(&mut cursor, Lsn(u64::MAX)).unwrap();
+    assert_eq!(all.len(), 6);
+    log.truncate_below(Lsn(7)).unwrap();
+    assert!(log.tail(&mut cursor, Lsn(u64::MAX)).unwrap().is_empty());
+    push(&log, 6, 13..=14);
+    let more = log.tail(&mut cursor, Lsn(u64::MAX)).unwrap();
+    assert_eq!(more.len(), 1);
+    assert_eq!(more[0].first_lsn(), Lsn(13));
+}
+
+/// The Log Store reads, as `(calls, bytes)`, that `f` makes.
+fn reads_of<T>(cluster: &LogStoreCluster, f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = cluster.read_stats();
+    let out = f();
+    let after = cluster.read_stats();
+    (out, after.reads - before.reads, after.bytes - before.bytes)
+}
+
+/// Bytes of the manifest's last append: the snapshot a reopen reads.
+fn manifest_bytes(h: &Harness) -> u64 {
+    let meta = h.cluster.meta_plog(DbId(1)).unwrap();
+    let last = h.cluster.committed_seq(meta) - 1;
+    let (_, snapshot) = h.cluster.read_append(meta, h.me, last, u64::MAX).unwrap();
+    snapshot.len() as u64
+}
+
+#[test]
+fn open_reads_the_same_bytes_whether_tails_are_a_tenth_or_nine_tenths_full() {
+    const LIMIT: usize = 64 << 10;
+    let header = HEADER_LEN as u64;
+    for n in STREAMS {
+        let opened = |fill: usize| {
+            let mut h = Harness::new(n);
+            h.cfg.plog_size_limit = LIMIT;
+            let log = h.create();
+            let tails_below = |log: &Log| {
+                let tails = log.entries().into_iter().map(|c| c.last().unwrap().bytes);
+                tails.min().unwrap() < (LIMIT * fill / 10) as u64
+            };
+            let mut t = 0;
+            while tails_below(&log) {
+                append(&log, t);
+                t += 1;
+            }
+            assert!(log.entries().iter().all(|c| c.len() == 1), "no rollover");
+            drop(log);
+            let snapshot = manifest_bytes(&h);
+            let (_, calls, bytes) = reads_of(&h.cluster, || h.open(true));
+            // The snapshot, then each tail's first and last frame header.
+            assert_eq!(calls, 1 + 2 * n as u64, "{n} streams, {fill}0 % full");
+            assert!(bytes <= snapshot + 2 * header * n as u64);
+            bytes
+        };
+        assert_eq!(opened(1), opened(9), "{n} streams");
+    }
+}
+
+#[test]
+fn recover_reads_the_window_plus_a_logarithm_of_header_probes() {
+    const WINDOW: u64 = 24;
+    let header = HEADER_LEN as u64;
+    for n in STREAMS {
+        let recovered = |below: u64| {
+            let mut h = Harness::new(n);
+            h.cfg.plog_size_limit = 4 << 20;
+            let log = h.create();
+            for t in 0..below + WINDOW {
+                append(&log, t);
+            }
+            assert!(log.entries().iter().all(|c| c.len() == 1), "no rollover");
+            drop(log);
+            let log = h.open(true);
+            let anchor = Lsn(3 * below);
+            let ((groups, end), calls, bytes) =
+                reads_of(&h.cluster, || log.recover(anchor).unwrap());
+            assert_eq!(
+                (groups.len() as u64, end),
+                (2 * WINDOW, Lsn(3 * (below + WINDOW)))
+            );
+            let window: u64 = (below..below + WINDOW)
+                .map(|t| {
+                    let (prev_end, first, end, groups) = span(t);
+                    encode_batch(&groups, prev_end, first, end).len() as u64
+                })
+                .sum();
+            // Per stream: one read of its part of the window, after a
+            // bisection of its frames' headers.
+            let frames = (below + WINDOW).div_ceil(n as u64);
+            let probes = n as u64 * (u64::BITS - frames.leading_zeros()) as u64;
+            assert!(
+                calls <= n as u64 + probes,
+                "{n} streams, {below} below: {calls} reads"
+            );
+            assert!(
+                bytes <= window + probes * header,
+                "{n} streams, {below} below"
+            );
+            assert!(bytes >= window);
+            (calls, bytes - window)
+        };
+        let (calls_100, probed_100) = recovered(100);
+        let (calls_1000, probed_1000) = recovered(1000);
+        // Ten times the log below the anchor costs about log2(10) more
+        // probes per stream, and nothing else.
+        let more = n as u64 * 4;
+        assert!(calls_1000 <= calls_100 + more, "{n} streams");
+        assert!(probed_1000 <= probed_100 + more * header, "{n} streams");
+    }
+}
+
+/// Appends `lsns` to `stream` as one frame.
+fn frame_to(stream: &LogStream, lsns: RangeInclusive<u64>) {
+    let (first, end) = (*lsns.start(), *lsns.end());
+    let frame = encode_batch(&[group(lsns)], Lsn(first - 1), Lsn(first), Lsn(end));
+    stream.append_group(frame, Lsn(first), Lsn(end)).unwrap();
+}
+
+/// A manual clock that gives the core away at every wait: threads racing
+/// through Log Store round trips interleave at each one.
+#[derive(Debug, Default)]
+struct Yielding(ManualClock);
+
+impl Clock for Yielding {
+    fn now_us(&self) -> u64 {
+        self.0.now_us()
+    }
+    fn sleep_us(&self, us: u64) {
+        self.0.sleep_us(us);
+    }
+    fn sleep_until(&self, deadline_us: u64) {
+        thread::yield_now();
+        self.0.sleep_until(deadline_us);
+    }
+}
+
+#[test]
+fn chain_changes_racing_on_three_streams_leave_one_consistent_manifest() {
+    let mut h = Harness::on(std::sync::Arc::new(Yielding::default()), 3);
+    h.cfg.plog_size_limit = 400;
+    let streams = h.create().into_streams();
+    let (rolling, truncating, cutting) = (&streams[0], &streams[1], &streams[2]);
+    // Each stream carries its own LSN range.
+    let mut next = [1u64, 100_001, 200_001];
+    for round in 0..150u64 {
+        let barrier = std::sync::Barrier::new(3);
+        let [a, b, c] = &mut next;
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                barrier.wait();
+                // Rollovers: append until the stream has three more PLogs.
+                let plogs = rolling.entries().len();
+                while rolling.entries().len() < plogs + 3 {
+                    frame_to(rolling, *a..=*a + 1);
+                    *a += 2;
+                }
+            });
+            scope.spawn(|| {
+                barrier.wait();
+                for _ in 0..3 {
+                    for _ in 0..3 {
+                        frame_to(truncating, *b..=*b + 1);
+                        *b += 2;
+                    }
+                    truncating.truncate_below(Lsn(*b - 4)).unwrap();
+                }
+            });
+            scope.spawn(|| {
+                barrier.wait();
+                for i in 0..3 {
+                    for _ in 0..4 {
+                        frame_to(cutting, *c..=*c + 1);
+                        *c += 2;
+                    }
+                    // Cut the last frame off, or (now and then) nothing.
+                    let cut = if (round + i) % 3 == 0 { *c } else { *c - 3 };
+                    cutting.discard_after(Lsn(cut)).unwrap();
+                }
+            });
+        });
+        let listed = h.open(false).entries();
+        for (k, stream) in streams.iter().enumerate() {
+            assert_eq!(listed[k], stream.entries(), "round {round}, stream {k}");
+        }
+        for e in listed.iter().flatten() {
+            assert!(
+                !h.cluster.replicas_of(e.id).is_empty(),
+                "{} was deleted",
+                e.id
+            );
+        }
+    }
+    // A reservation that never completes leaves a sequence gap in the
+    // rolling stream's tail: a reopen seals it.
+    let (first, end) = (Lsn(next[0]), Lsn(next[0] + 1));
+    let _hole = rolling.reserve_append(first, end, 64).unwrap();
+    let reopened = h.open(true).entries();
+    assert!(reopened[0].last().unwrap().sealed);
 }

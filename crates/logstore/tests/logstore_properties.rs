@@ -22,7 +22,7 @@ fn setup(nodes: usize, plog_limit: usize) -> (LogStream, LogStoreCluster, NodeId
     let me = fabric.add_node(NodeKind::Compute);
     let cluster = LogStoreCluster::new(fabric, 3, 1 << 20);
     cluster.spawn_servers(nodes, StorageProfile::instant());
-    let stream = create_stream(&cluster, DbId(1), me, plog_limit, 4);
+    let stream = create_stream(&cluster, DbId(1), me, plog_limit);
     (stream, cluster, me)
 }
 
@@ -126,7 +126,7 @@ proptest! {
         // Reopen from metadata after the writer is gone: the same PLogs as
         // the writer kept, and every survivor reads back.
         drop(stream);
-        let reopened = reopen_stream(&cluster, DbId(1), me, plog_limit, 4);
+        let reopened = reopen_stream(&cluster, DbId(1), me, plog_limit);
         let ranges = |s: &[PLogEntry]| -> Vec<_> {
             s.iter().map(|p| (p.id, p.first_lsn, p.last_lsn)).collect()
         };

@@ -57,7 +57,7 @@ fn replica_fanout_ack_latency_is_max_of_three_not_sum() {
     let cluster = LogStoreCluster::new(fabric, 3, 1 << 20);
     cluster.spawn_servers(3, StorageProfile::instant());
     // Large limit: no rollover (and no metadata append) inside the loop.
-    let stream = create_stream(&cluster, DbId(1), me, 1 << 20, 4);
+    let stream = create_stream(&cluster, DbId(1), me, 1 << 20);
 
     let start = Instant::now();
     let mut next = 1u64;
@@ -109,8 +109,8 @@ fn shipped_profile_append_ack_costs_about_one_round_trip() {
     let me = fabric.add_node(NodeKind::Compute);
     let cluster = LogStoreCluster::new(fabric.clone(), 3, 1 << 20);
     let servers = cluster.spawn_servers(3, StorageProfile::default());
-    let stream = create_stream(&cluster, DbId(1), me, 1 << 20, 4);
-    let neighbour = create_stream(&cluster, DbId(2), me, 1 << 20, 4);
+    let stream = create_stream(&cluster, DbId(1), me, 1 << 20);
+    let neighbour = create_stream(&cluster, DbId(2), me, 1 << 20);
 
     let mut call_us = Vec::with_capacity(ROUNDS);
     let mut append_us = Vec::with_capacity(ROUNDS);
@@ -173,7 +173,7 @@ fn measure_what_a_plog_rollover_costs() {
         let cluster = LogStoreCluster::new(fabric, 3, 1 << 20);
         cluster.spawn_servers(3, StorageProfile::instant());
         let limit = appends_per_plog * group_len;
-        let stream = create_stream(&cluster, DbId(1), me, limit, THREADS);
+        let stream = create_stream(&cluster, DbId(1), me, limit);
         // Reservations are taken in LSN order, under the allocator's lock.
         let alloc = parking_lot::Mutex::new(1u64);
         let start = Instant::now();

@@ -10,9 +10,9 @@
 //! into a decision breaks that contract; this harness catches it by
 //! construction rather than by code review.
 //!
-//! Used by `cargo run -p taurus-verify --bin taurus-determinism` and by the
-//! integration tests, which also *inject* nondeterminism to prove the
-//! checker can see it.
+//! Used by the integration tests (`tests/determinism_integration.rs`),
+//! which pin seed 42's fingerprint and also *inject* nondeterminism to
+//! prove the checker can see it.
 
 use std::fmt;
 

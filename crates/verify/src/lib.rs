@@ -4,8 +4,8 @@
 //!
 //! * [`determinism`] — the same-seed/same-state checker: runs a seeded
 //!   workload twice through the full fabric and diffs end-state
-//!   fingerprints. Run it with
-//!   `cargo run -p taurus-verify --bin taurus-determinism`.
+//!   fingerprints. `tests/determinism_integration.rs` runs it on every
+//!   `cargo test` and pins seed 42's fingerprint.
 //! * the runtime invariant layer itself lives in
 //!   [`taurus_common::invariants`] (wired into the SAL, Log Store, Page
 //!   Store, and replica paths); this crate's integration tests drive

@@ -119,8 +119,8 @@ fn tenants_log_streams_are_independent() {
     let db_b = TaurusDb::launch_tenant(cfg, fabric, logs.clone(), pages, DbId(2)).unwrap();
 
     // Both databases registered distinct metadata PLogs.
-    let meta_a = logs.meta_plog_stream(DbId(1), 0).unwrap();
-    let meta_b = logs.meta_plog_stream(DbId(2), 0).unwrap();
+    let meta_a = logs.meta_plog(DbId(1)).unwrap();
+    let meta_b = logs.meta_plog(DbId(2)).unwrap();
     assert_ne!(meta_a, meta_b);
 
     // A read replica of tenant A sees only tenant A's data.
