@@ -144,9 +144,6 @@ pub struct TaurusConfig {
     /// Store stops after the page that crosses the budget and returns a
     /// continuation, so one scan RPC cannot starve `WriteLogs`.
     pub ndp_scan_max_rows: usize,
-    /// Per-`ScanSlice`-call byte budget for pushdown result payloads
-    /// (checked together with `ndp_scan_max_rows` at page granularity).
-    pub ndp_scan_max_bytes: usize,
     /// Per-`ReadPages`-call page budget: one batched read RPC attempts at
     /// most this many pages, then returns a continuation (same budgets
     /// discipline as `ScanSlice`). Pages are a fixed size, so this is also
@@ -164,10 +161,11 @@ pub struct TaurusConfig {
     pub btree_readahead_window: usize,
     /// Number of parallel log streams the SAL fans flush groups across
     /// ("Taurus: Lightweight Parallel Logging"). Each stream owns its own
-    /// PLog chain and append sequencer; flush spans are assigned round-robin
-    /// and commit visibility (`durable_lsn`) advances only over the
-    /// contiguous prefix of spans in LSN order, tracked per stream by an
-    /// LSN-vector. 1 reproduces the pre-multi-stream single-path behaviour.
+    /// PLog chain and append sequencer; flush spans are assigned
+    /// round-robin. Commit visibility (`durable_lsn`) advances only over the
+    /// contiguous prefix of spans in LSN order, which the SAL's span window
+    /// tracks; each entry of the LSN vector is the end of its stream's
+    /// newest durable span. 1 reproduces the single-path behaviour.
     pub log_streams: usize,
     /// Staged payload bytes at which a Page Store seals its open L0 delta
     /// layer to one immutable device blob (layered consolidation, DESIGN.md
@@ -203,7 +201,6 @@ impl Default for TaurusConfig {
             sal_write_retry_limit: 4,
             sal_write_backoff_us: 500,
             ndp_scan_max_rows: 4096,
-            ndp_scan_max_bytes: 256 << 10,
             read_batch_max_pages: 256,
             engine_pool_shards: 8,
             btree_readahead_window: 16,
@@ -240,7 +237,6 @@ impl TaurusConfig {
             sal_write_backoff_us: 50,
             // Tiny budgets so tests exercise the continuation path.
             ndp_scan_max_rows: 64,
-            ndp_scan_max_bytes: 8 << 10,
             read_batch_max_pages: 4,
             engine_pool_shards: 4,
             btree_readahead_window: 4,
@@ -277,9 +273,9 @@ impl TaurusConfig {
                 "sal_send_queue_depth must be > 0".into(),
             ));
         }
-        if self.ndp_scan_max_rows == 0 || self.ndp_scan_max_bytes == 0 {
+        if self.ndp_scan_max_rows == 0 {
             return Err(crate::TaurusError::Internal(
-                "ndp scan budgets must be > 0".into(),
+                "ndp_scan_max_rows must be > 0".into(),
             ));
         }
         if self.read_batch_max_pages == 0 {
@@ -292,9 +288,11 @@ impl TaurusConfig {
                 "engine_pool_shards must be > 0".into(),
             ));
         }
-        // The stream index is packed into the PLog sequence-number namespace
-        // (bits 48..63 below the meta bit), so the count must fit there; 64
-        // is far below the packing limit and already past any useful fan-out.
+        // Every stream opens its own PLog on `log_replicas` Log Stores when
+        // the log is created and is listed in every manifest snapshot, and a
+        // stream only helps while each of the others has a flush in flight:
+        // 64 is already past any useful fan-out, and the bound keeps a bad
+        // value from creating PLogs by the hundred.
         if self.log_streams == 0 || self.log_streams > 64 {
             return Err(crate::TaurusError::Internal(
                 "log_streams must be in 1..=64".into(),

@@ -11,11 +11,14 @@
 //!   Store replicas of each slice, **waiting for only one ack**. Durability
 //!   comes from the Log Stores; Page Stores are eventually consistent and
 //!   repaired by gossip and the SAL.
-//! * **CV-LSN** (§3.5): the cluster-visible LSN advances to a log buffer's
-//!   end LSN only when (1) the buffer is durable on Log Stores and (2) every
-//!   per-slice buffer overlapping it reached at least one Page Store
-//!   replica. The SAL tracks the many-to-many relationship between database
-//!   log buffers and per-slice buffers to maintain it.
+//! * **CV-LSN** (§3.5): every record at or below the cluster-visible LSN is
+//!   durable on the Log Stores and on at least one Page Store replica. The
+//!   paper advances it per database log buffer, tracking which per-slice
+//!   buffers overlap each one; the SAL keeps it at slice granularity
+//!   instead — the minimum acked LSN over the slices still owed an ack, or
+//!   the durable LSN when none is. That is the same guarantee with no
+//!   buffer-to-slice bookkeeping, and it is the read horizon the master
+//!   publishes to read replicas.
 //! * **Read path** (§4.2) and **scan pushdown** (NDP follow-on paper): one
 //!   planner, [`slice_reader`], used by the master's SAL and by read
 //!   replicas alike — versioned reads routed to the lowest-latency replica,

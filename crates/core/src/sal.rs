@@ -9,6 +9,16 @@
 //! §"Write-pipeline robustness"). Reads and pushed-down scans go through
 //! [`crate::slice_reader`], shared with read replicas; the SAL contributes
 //! a [`FrontEnd`] impl.
+//!
+//! The cluster-visible LSN (§3.5) is kept at slice granularity, not per
+//! log buffer: it is the minimum acked LSN over the slices still owed an
+//! ack, or the durable LSN when none is ([`Sal::cv_lsn`], the same value
+//! as [`Sal::read_horizon`]). A slice that caps it holds every record up
+//! to its acked LSN on a Page Store replica, and a slice that does not
+//! has shipped and had acked every record it owns up to the durable LSN,
+//! so every record at or below it is durable and on a replica — the
+//! paper's guarantee, without tracking which log buffers overlap which
+//! slice buffers.
 
 use std::cmp;
 use std::collections::{HashMap, VecDeque};
@@ -42,7 +52,8 @@ pub(crate) struct SliceState {
     /// RPCs and refreshed on `PlacementEpochMismatch` (DESIGN.md §14).
     pub epoch: u64,
     /// Elastic cut-over fence: `Some(F)` once the slice is retired — it owns
-    /// only LSNs `<= F` and stops gating `min_acked_lsn` once sealed.
+    /// only LSNs `<= F`, and once its acked LSN reaches `F` it stops capping
+    /// the CV-LSN, which is kept per slice (see the module docs).
     pub fence: Option<Lsn>,
     /// Records accumulated for the next fragment.
     buffer: Vec<LogRecord>,
@@ -132,17 +143,6 @@ impl SliceState {
 /// Per-slice acked LSNs as published to read replicas, shared between the
 /// SAL that maintains them and the master's bulletin ([`Sal::slice_acks`]).
 pub type SliceAcks = Arc<RwLock<HashMap<SliceKey, Lsn>>>;
-
-/// One flushed database log buffer awaiting CV-LSN advancement: the buffer's
-/// end LSN becomes cluster-visible once every overlapping slice buffer has
-/// reached at least one Page Store replica (paper §3.5).
-#[derive(Debug)]
-struct PendingBuffer {
-    end_lsn: Lsn,
-    /// Slice → last LSN this buffer contributed to it; satisfied when the
-    /// slice's acked LSN reaches it.
-    needs: HashMap<SliceKey, Lsn>,
-}
 
 /// One log-buffer's worth of groups on its way through the flush pipeline:
 /// prepared (ticketed) under the state lock, appended to the [`Log`] with
@@ -251,7 +251,6 @@ pub(crate) struct SalState {
     /// `slice_flush_timeout_us`, the deadline slice buffers use.
     log_buffer_opened_us: u64,
     pub slices: HashMap<SliceKey, SliceState>,
-    pending: VecDeque<PendingBuffer>,
     /// Named snapshots: LSNs pinned against version recycling. Because Page
     /// Stores are append-only, creating a snapshot is constant-time — it is
     /// just an LSN (the paper's abstract: "append-only storage, delivering
@@ -432,8 +431,6 @@ pub struct Sal {
     /// Signals waiters in [`Sal::flush`] whenever an in-flight log write
     /// completes (or fails). Paired with `state`.
     flush_cv: Condvar,
-    /// Cluster-visible LSN (§3.5).
-    cv_lsn: LsnWatermark,
     /// Highest LSN durable on Log Stores **as a contiguous prefix of
     /// flush spans** (the commit point transactions ack against).
     durable_lsn: LsnWatermark,
@@ -469,7 +466,6 @@ impl std::fmt::Debug for Sal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sal")
             .field("db", &self.db)
-            .field("cv_lsn", &self.cv_lsn.get())
             .field("durable_lsn", &self.durable_lsn.get())
             .finish()
     }
@@ -517,7 +513,6 @@ impl Sal {
             state: Mutex::new(SalState::default()),
             slice_acks: SliceAcks::default(),
             flush_cv: Condvar::new(),
-            cv_lsn: LsnWatermark::new(Lsn::ZERO),
             durable_lsn: LsnWatermark::new(Lsn::ZERO),
             anchor,
             writer: SliceWriter::new(),
@@ -826,18 +821,17 @@ impl Sal {
                         );
                         self.durable_lsn.advance(end);
                         self.stats.log_flushes.inc();
-                        self.distribute_span_locked(st, end, groups);
+                        self.distribute_span_locked(st, groups);
                     }
                 },
             }
         }
     }
 
-    /// Distributes one committed span's records into per-slice buffers and
-    /// tracks the span for CV-LSN advancement. Runs under `state`, on
-    /// whichever thread's flush completion pulled the span off the window.
-    fn distribute_span_locked(&self, st: &mut SalState, end: Lsn, groups: Vec<LogRecordGroup>) {
-        let mut touched: HashMap<SliceKey, Lsn> = HashMap::new();
+    /// Distributes one committed span's records into per-slice buffers. Runs
+    /// under `state`, on whichever thread's flush completion pulled the span
+    /// off the window.
+    fn distribute_span_locked(&self, st: &mut SalState, groups: Vec<LogRecordGroup>) {
         for g in groups {
             for rec in g.records {
                 // Placement is a leaf lock below `state` (PR 6 lock order),
@@ -849,7 +843,7 @@ impl Sal {
                     // `finish_flush` verified the slice before marking the
                     // span durable, and slices are never removed.
                     taurus_common::invariant!(
-                        "pending-needs-bounded",
+                        "slice-homed-before-distribute",
                         false,
                         "slice {key} vanished after ensure"
                     );
@@ -859,30 +853,11 @@ impl Sal {
                     slice.buffer_opened_us = self.clock.now_us();
                 }
                 slice.buffer_bytes += rec.encoded_len();
-                // Max, not last-iterated: with out-of-LSN-order iteration a
-                // plain insert could record a mid-buffer LSN as the slice's
-                // requirement, letting the CV-LSN advance before the
-                // buffer's true tail reached a replica.
-                touched
-                    .entry(key)
-                    .and_modify(|l| *l = (*l).max(rec.lsn))
-                    .or_insert(rec.lsn);
                 slice.buffer.push(rec);
             }
         }
-        taurus_common::invariant!(
-            "pending-needs-bounded",
-            touched.values().all(|l| *l <= end),
-            "slice requirement exceeds buffer end {end}"
-        );
-        // Track the buffer for CV-LSN advancement (§3.5).
-        st.pending.push_back(PendingBuffer {
-            end_lsn: end,
-            needs: touched,
-        });
         // Flush slice buffers that crossed the size threshold.
         self.flush_slices_locked(st, |s| s.buffer_bytes >= self.cfg.slice_buffer_bytes);
-        self.advance_cv_locked(st);
     }
 
     /// Recomputes the write-throttle from the Page Stores' consolidation
@@ -1011,8 +986,8 @@ impl Sal {
     }
 
     /// Ack handler: first-replica acknowledgment releases the buffer and
-    /// can advance the CV-LSN; every ack updates the piggybacked persistent
-    /// LSN (§4.3).
+    /// moves the slice's acked LSN, which the CV-LSN is computed from; every
+    /// ack updates the piggybacked persistent LSN (§4.3).
     pub(crate) fn on_write_ack(
         &self,
         key: SliceKey,
@@ -1033,39 +1008,6 @@ impl Sal {
             );
             slice.acked_lsn = slice.acked_lsn.max(frag_last);
             slice.report(node, persistent, now);
-        }
-        self.advance_cv_locked(&mut st);
-    }
-
-    /// CV-LSN advancement: pop pending log buffers in order while all their
-    /// slice writes are acked by ≥1 replica.
-    fn advance_cv_locked(&self, st: &mut SalState) {
-        while let Some(front) = st.pending.front() {
-            let satisfied = front.needs.iter().all(|(key, lsn)| {
-                // A missing slice was GC'd as a retired cut-over parent,
-                // which requires its fence — and so every LSN it ever
-                // owned — below the recycle LSN: the need is satisfied.
-                st.slices
-                    .get(key)
-                    .map(|s| s.acked_lsn >= *lsn)
-                    .unwrap_or(true)
-            });
-            if !satisfied {
-                break;
-            }
-            let Some(done) = st.pending.pop_front() else {
-                break;
-            };
-            // Quorum-before-ack: the CV-LSN (what replicas may read up to)
-            // never overtakes the commit point.
-            taurus_common::invariant!(
-                "quorum-before-ack",
-                done.end_lsn <= self.durable_lsn.get(),
-                "cv {} advancing past durable {}",
-                done.end_lsn,
-                self.durable_lsn.get()
-            );
-            self.cv_lsn.advance(done.end_lsn);
         }
     }
 
@@ -1365,28 +1307,20 @@ impl Sal {
     // Introspection used by the engine
     // ==================================================================
 
-    /// Cluster-visible LSN (§3.5).
+    /// Cluster-visible LSN (§3.5): every record at or below it is durable
+    /// on the Log Stores and on at least one Page Store replica. Kept per
+    /// slice (see the module docs), so it is the same value as
+    /// [`Sal::read_horizon`], read without touching the replica board. It
+    /// is not monotone: a quiet slice that is written again caps it at that
+    /// slice's acked LSN once more, which is safe because the slice has no
+    /// record between its acked LSN and the value it stepped back from.
     pub fn cv_lsn(&self) -> Lsn {
-        self.cv_lsn.get()
+        self.horizon_locked(&self.state.lock())
     }
 
     /// Highest LSN durable on the Log Stores.
     pub fn durable_lsn(&self) -> Lsn {
         self.durable_lsn.get()
-    }
-
-    /// Whether a dirty page whose newest modification is `lsn` may be
-    /// evicted from the engine buffer pool: true once the log records have
-    /// reached at least one Page Store replica (§4.2 eviction rule).
-    pub fn can_evict(&self, page: PageId, lsn: Lsn) -> bool {
-        let key = self
-            .pages
-            .route_write(self.db, page, self.cfg.pages_per_slice);
-        let st = self.state.lock();
-        st.slices
-            .get(&key)
-            .map(|s| s.acked_lsn >= lsn)
-            .unwrap_or(false)
     }
 
     /// Per-slice acked LSN (the replica-read bound the master publishes to
@@ -1403,13 +1337,6 @@ impl Sal {
             .unwrap_or(Lsn::ZERO)
     }
 
-    /// The highest LSN at which every page of the database is readable
-    /// from some Page Store. Read replicas must not let their visible LSN
-    /// overtake this (§6). See [`Sal::read_horizon`].
-    pub fn min_acked_lsn(&self) -> Lsn {
-        self.horizon_locked(&self.state.lock())
-    }
-
     /// The replica board [`Sal::read_horizon`] keeps up to date.
     pub fn slice_acks(&self) -> SliceAcks {
         Arc::clone(&self.slice_acks)
@@ -1418,7 +1345,8 @@ impl Sal {
     /// What the master tells its read replicas about the Page Stores (§6),
     /// as one consistent snapshot: brings the replica board — every slice's
     /// acked LSN — up to date and returns the read horizon, the minimum
-    /// acked LSN over the slices still owed an ack.
+    /// acked LSN over the slices still owed an ack: the CV-LSN
+    /// ([`Sal::cv_lsn`]).
     ///
     /// A quiet slice (nothing buffered, every fragment ever flushed acked)
     /// owes nothing and does not cap the horizon: each of its records up to
@@ -1455,8 +1383,11 @@ impl Sal {
         self.horizon_locked(&st)
     }
 
+    /// The CV-LSN / read horizon, computed once for both names.
     fn horizon_locked(&self, st: &SalState) -> Lsn {
-        st.slices
+        let durable = self.durable_lsn.get();
+        let horizon = st
+            .slices
             .values()
             // A sealed cut-over parent stops acking forever; once its acked
             // LSN reached the fence it owes nothing further and must not
@@ -1465,7 +1396,15 @@ impl Sal {
             .filter(|s| !(s.buffer.is_empty() && s.acked_lsn >= s.flush_lsn))
             .map(|s| s.acked_lsn)
             .min()
-            .unwrap_or_else(|| self.durable_lsn.get())
+            .unwrap_or(durable);
+        // Quorum-before-ack: what replicas may read up to never overtakes
+        // the commit point.
+        taurus_common::invariant!(
+            "quorum-before-ack",
+            horizon <= durable,
+            "cv {horizon} past durable {durable}"
+        );
+        horizon
     }
 
     /// Log Store append-path metrics of this SAL's log (latency, in-flight
@@ -1567,7 +1506,6 @@ impl Sal {
             s.flush_lsn = s.flush_lsn.max(reported.unwrap_or(Lsn::ZERO));
             s.acked_lsn = s.acked_lsn.max(reported.unwrap_or(Lsn::ZERO));
         }
-        sal.cv_lsn.advance(max_lsn);
         Ok((sal, max_lsn))
     }
 }

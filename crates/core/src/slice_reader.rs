@@ -56,6 +56,12 @@ use taurus_pagestore::{
 
 use crate::sal::{NdpStats, ReadBatchStats, SalStats};
 
+/// Per-`ScanSlice`-call byte budget for pushdown result payloads, checked
+/// together with `ndp_scan_max_rows` at page granularity: a Page Store
+/// stops after the page that crosses either budget and returns a
+/// continuation.
+const NDP_SCAN_MAX_BYTES: usize = 256 << 10;
+
 /// What a front end tells the reader about its view of the database.
 pub trait FrontEnd: Sync {
     /// The snapshot LSN each of `keys` is read at for a request at `as_of`
@@ -613,7 +619,7 @@ impl SliceReader {
                 req: req.clone(),
                 resume_after: None,
                 max_rows: self.cfg.ndp_scan_max_rows,
-                max_bytes: self.cfg.ndp_scan_max_bytes,
+                max_bytes: NDP_SCAN_MAX_BYTES,
             })
             .collect();
         let mut out = TableScan::default();

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use taurus_common::clock::{Clock, ManualClock};
+use taurus_common::clock::{Clock, ClockRef, ManualClock, SystemClock};
 use taurus_common::config::{NetworkProfile, StorageProfile};
 use taurus_common::lsn::{LsnAllocator, LsnWatermark};
 use taurus_common::page::PageType;
@@ -18,7 +18,6 @@ use taurus_pagestore::cluster::PageStoreOptions;
 use taurus_pagestore::PageStoreCluster;
 
 struct Harness {
-    clock: Arc<ManualClock>,
     fabric: Fabric,
     logs: LogStoreCluster,
     pages: PageStoreCluster,
@@ -30,7 +29,10 @@ struct Harness {
 
 impl Harness {
     fn new(log_nodes: usize, page_nodes: usize) -> Harness {
-        let clock = ManualClock::shared();
+        Self::on(ManualClock::shared(), log_nodes, page_nodes)
+    }
+
+    fn on(clock: ClockRef, log_nodes: usize, page_nodes: usize) -> Harness {
         let fabric = Fabric::new(clock.clone(), NetworkProfile::instant(), 4321);
         let me = fabric.add_node(NodeKind::Compute);
         let cfg = TaurusConfig {
@@ -47,7 +49,6 @@ impl Harness {
         );
         pages.spawn_servers(page_nodes, StorageProfile::instant());
         Harness {
-            clock,
             fabric,
             logs,
             pages,
@@ -122,7 +123,8 @@ impl Harness {
 /// and not a microsecond sooner.
 #[test]
 fn tick_flushes_an_idle_log_buffer_at_the_flush_deadline() {
-    let h = Harness::new(3, 3);
+    let clock = ManualClock::shared();
+    let h = Harness::on(clock.clone(), 3, 3);
     let sal = h.sal_with(TaurusConfig {
         log_buffer_bytes: 1 << 20, // the byte threshold never fires
         plog_size_limit: 1 << 22,
@@ -131,16 +133,16 @@ fn tick_flushes_an_idle_log_buffer_at_the_flush_deadline() {
     });
     let group = h.group(1, "a", true);
     let end = group.end_lsn();
-    let opened = h.clock.now_us();
+    let opened = clock.now_us();
     sal.log_group(group).unwrap();
     let flushes = sal.stats.log_flushes.get();
 
-    h.clock.set(opened + 499);
+    clock.set(opened + 499);
     sal.tick();
     assert_eq!(sal.stats.log_flushes.get(), flushes);
     assert!(sal.durable_lsn() < end);
 
-    h.clock.set(opened + 500);
+    clock.set(opened + 500);
     sal.tick();
     assert_eq!(sal.stats.log_flushes.get(), flushes + 1);
     assert_eq!(sal.durable_lsn(), end);
@@ -189,7 +191,7 @@ fn out_of_lsn_order_groups_flush_with_correct_range() {
     // No flush-accounting invariant may have fired.
     let bad: Vec<_> = taurus_common::invariants::violations()
         .into_iter()
-        .filter(|v| v.name == "log-flush-monotonic" || v.name == "pending-needs-bounded")
+        .filter(|v| v.name == "log-flush-monotonic" || v.name == "slice-homed-before-distribute")
         .collect();
     assert!(bad.is_empty(), "invariant violations: {bad:?}");
 
@@ -685,4 +687,71 @@ fn repair_with_a_stale_view_of_a_replica_move_never_writes_past_the_fence() {
     });
     assert_eq!(persistent(departing), end1);
     assert_eq!(sal.read_page(PageId(1), Some(end3)).unwrap().nslots(), 3);
+}
+
+/// The CV-LSN is the read horizon. Commits go round-robin to pages of three
+/// slices on three Page Stores, one of which (a replica of every slice) is
+/// slowed by 2 ms a call in real time; slice buffers ship every fourth
+/// commit, so in between the slices written since owe an ack. After every
+/// commit the CV-LSN is at or below the durable LSN, it is the value
+/// `read_horizon` returns, and a read at it sees every row committed at or
+/// below it and none above.
+#[test]
+fn cv_lsn_is_the_read_horizon_and_a_read_at_it_sees_every_row_below_it() {
+    let h = Harness::on(SystemClock::shared(), 3, 3);
+    let sal = h.sal_with(TaurusConfig {
+        slice_buffer_bytes: 1 << 20,
+        ..h.cfg.clone()
+    });
+    let pps = h.cfg.pages_per_slice;
+    let pages = [PageId(1), PageId(pps + 1), PageId(2 * pps + 1)];
+    // (page, key, LSN of the commit that inserted it)
+    let mut rows: Vec<(PageId, String, Lsn)> = Vec::new();
+
+    // The CV-LSN and the read horizon, taken while neither moves: only
+    // acks land between commits, and they only raise the horizon.
+    let still = |sal: &Sal| loop {
+        let before = sal.read_horizon();
+        let cv = sal.cv_lsn();
+        let after = sal.read_horizon();
+        assert!(before <= cv && cv <= after, "{before} / {cv} / {after}");
+        if before == after {
+            return (cv, after);
+        }
+    };
+    let check = |sal: &Sal, rows: &[(PageId, String, Lsn)]| {
+        let (cv, horizon) = still(sal);
+        assert!(cv <= sal.durable_lsn(), "cv {cv} past durable");
+        assert_eq!(cv, horizon);
+        let got = sal.read_pages(&pages, Some(cv)).unwrap();
+        for (page, buf) in got {
+            let keys: Vec<Vec<u8>> = buf.records().into_iter().map(|(k, _)| k).collect();
+            for (p, key, lsn) in rows.iter().filter(|(p, ..)| *p == page) {
+                let seen = keys.contains(&key.as_bytes().to_vec());
+                assert_eq!(seen, *lsn <= cv, "page {p} key {key} at {lsn}, cv {cv}");
+            }
+        }
+    };
+
+    for (i, &page) in pages.iter().enumerate() {
+        let key = format!("k{i:02}");
+        rows.push((page, key.clone(), h.write_kv(&sal, page.0, &key, true)));
+    }
+    h.settle(&sal);
+    check(&sal, &rows);
+    assert_eq!(sal.slice_keys().len(), 3);
+    h.fabric.set_call_delay(h.pages.server_nodes()[0], 2_000);
+
+    for i in pages.len()..30 {
+        let page = pages[i % pages.len()];
+        let key = format!("k{i:02}");
+        rows.push((page, key.clone(), h.write_kv(&sal, page.0, &key, false)));
+        if i % 4 == 0 {
+            sal.flush_all_slices();
+        }
+        check(&sal, &rows);
+    }
+    h.settle(&sal);
+    check(&sal, &rows);
+    assert_eq!(sal.cv_lsn(), sal.durable_lsn());
 }

@@ -26,16 +26,14 @@ use crate::pool::{EnginePool, Frame, PageMap, TraversalCache};
 
 /// The master → read-replica message board (paper §6 step 2): instead of
 /// streaming log data, the master publishes *where the log is* (implicitly:
-/// the Log Stores) and the LSN horizons replicas may advance to. Each update
-/// carries a sequence number so a replica can detect missed messages and
-/// re-request full state.
+/// the Log Stores) and the LSN horizon replicas may advance to.
 #[derive(Debug, Default)]
 pub struct Bulletin {
-    /// Highest LSN durable on the Log Stores.
-    pub durable_lsn: LsnWatermark,
-    /// Minimum acked LSN over the slices still owed an ack
-    /// (`Sal::read_horizon`): replicas must not let their visible LSN pass
-    /// this, or Page Stores could not serve their reads (§6).
+    /// The CV-LSN (`Sal::read_horizon`), the minimum acked LSN over the
+    /// slices still owed an ack: replicas must not let their visible LSN
+    /// pass this, or Page Stores could not serve their reads (§6). It is
+    /// never above the durable LSN, so it is also as far as a replica may
+    /// tail the log.
     pub read_horizon: LsnWatermark,
     /// Every slice's acked LSN: the SAL's replica board
     /// (`Sal::slice_acks`), brought up to date inside the snapshot each
@@ -44,7 +42,9 @@ pub struct Bulletin {
     /// replica reads slice `s` at `min(tv, slice_acked[s])`; the slice has
     /// no record in between.
     pub slice_acked: SliceAcks,
-    /// Message sequence number.
+    /// Publishes so far. Nothing reads it yet; it is kept for replicas
+    /// that follow the log themselves and need to tell a missed message
+    /// from a quiet master (ROADMAP item 3).
     pub seq: AtomicU64,
     /// Backchannel: each replica's minimum transaction-visible LSN, feeding the
     /// recycle LSN (§6).
@@ -187,15 +187,14 @@ impl MasterEngine {
         }
     }
 
-    /// Publishes fresh horizons to read replicas (one paper-§6 message).
+    /// Publishes a fresh horizon to read replicas (one paper-§6 message).
     /// Every commit and every maintenance beat publishes, so publishers
-    /// race; the horizons are monotone watermarks, and the per-slice board
+    /// race; the horizon is a monotone watermark, and the per-slice board
     /// moves inside the SAL snapshot itself (`Sal::read_horizon`), so a
     /// publisher that stalls after its snapshot cannot put an older board
     /// under a later publisher's horizon.
     pub fn publish(&self) {
         let horizon = self.sal.read_horizon();
-        self.bulletin.durable_lsn.advance(self.sal.durable_lsn());
         self.bulletin.read_horizon.advance(horizon);
         self.bulletin.seq.fetch_add(1, Ordering::Relaxed);
     }
@@ -218,9 +217,7 @@ impl MasterEngine {
         // The clean sweep scans the whole pool under its lock; doing it on
         // every beat would contend with the read hot path, so amortize it.
         if beat.is_multiple_of(16) {
-            self.tree
-                .pool()
-                .clear_dirty(&|p, l| self.sal.can_evict(p, l));
+            self.tree.pool().clear_dirty(&self.evict_guard());
             let published = self.bulletin.read_horizon.get().0;
             let earlier = Lsn(self.recycle_horizon.swap(published, Ordering::SeqCst));
             let min_tv = self.bulletin.min_replica_tv();

@@ -5,8 +5,9 @@
 //! written to at least one Page Store replica. Thus, until the latest log
 //! record reaches a Page Store, the corresponding page is guaranteed to be
 //! available from the buffer pool" (paper §4.2). The guard is a callback so
-//! the master wires it to `Sal::can_evict` and replicas (whose pages are
-//! never authoritative) use a constant.
+//! the master wires it to its slices' acked LSNs (`MasterEngine`'s
+//! `evict_guard`, memoized per pool operation) and replicas (whose pages
+//! are never authoritative) use a constant.
 //!
 //! The pool is sharded into a power-of-two number of independently locked
 //! stripes (selected by a `PageId` hash), so concurrent traversals contend
@@ -442,8 +443,8 @@ impl EnginePool {
     }
 
     /// Clears the dirty bit of every frame whose records storage already
-    /// holds per `can_evict` (the master sweeps this lazily from
-    /// `Sal::can_evict`).
+    /// holds per `can_evict` (the master sweeps this lazily with the same
+    /// guard its evictions use).
     pub fn clear_dirty(&self, can_evict: &dyn Fn(PageId, Lsn) -> bool) {
         for shard in &self.shards {
             let mut guard = shard.frames.lock();

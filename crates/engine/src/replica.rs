@@ -115,11 +115,7 @@ impl ReplicaEngine {
     /// advances the visible LSN — but never past the master's read horizon.
     /// Returns the number of groups applied.
     pub fn poll(&self) -> Result<usize> {
-        let horizon = self
-            .bulletin
-            .durable_lsn
-            .get()
-            .min(self.bulletin.read_horizon.get());
+        let horizon = self.bulletin.read_horizon.get();
         if horizon <= self.visible_lsn.get() {
             return Ok(0);
         }
@@ -130,9 +126,10 @@ impl ReplicaEngine {
         // Log Stores (the cursor stops at their boundary), so a later poll
         // picks them up once the horizon advances. Reading them here and
         // dropping them would lose them forever — cursors never re-read.
-        // Tailing at `horizon ≤ durable_lsn` is safe: the durable LSN only
-        // covers the contiguous span prefix, so every group at or below
-        // the horizon is in the log.
+        // A published horizon is never above the master's durable LSN
+        // (`Sal::read_horizon` checks it), and the durable LSN only covers
+        // the contiguous span prefix, so every group at or below the
+        // horizon is in the log.
         let span = parking_lot::held_across_calls(
             "Log::tail mutates the cursor incrementally, so the poller lock must span the round \
              trips; Log Store handlers take no replica locks, so no cycle",

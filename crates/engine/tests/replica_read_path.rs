@@ -86,7 +86,7 @@ fn replica_reads_match_the_master_at_their_tv_lsn_under_writes_and_page_store_lo
     let replica = db.add_replica().unwrap();
     for _ in 0..5000 {
         db.maintain();
-        if replica.visible_lsn() >= master.sal.min_acked_lsn() {
+        if replica.visible_lsn() >= master.sal.cv_lsn() {
             break;
         }
     }
