@@ -128,7 +128,8 @@ pub struct TaurusConfig {
     /// throttles master writes (paper §7: "the SAL throttles log writes on
     /// the master" to bound Log Directory growth).
     pub consolidation_backlog_limit: usize,
-    /// Engine buffer pool capacity in pages.
+    /// Engine buffer pool capacity in pages. The pool's lock stripes
+    /// follow from it (`EnginePool::striped`).
     pub engine_buffer_pool_pages: usize,
     /// Per-replica SAL send-queue depth (fragments). When a replica's queue
     /// is full the fragment is shed for that replica (durability already
@@ -149,10 +150,6 @@ pub struct TaurusConfig {
     /// discipline as `ScanSlice`). Pages are a fixed size, so this is also
     /// the call's byte budget.
     pub read_batch_max_pages: usize,
-    /// Lock-striped shards of the engine buffer pool. Rounded up to a power
-    /// of two; each shard is an independent LRU with the paper's dirty-page
-    /// eviction guard.
-    pub engine_pool_shards: usize,
     /// B-tree readahead window, pages: the cap on leaves a range scan has
     /// hinted to the fetcher (which batch-fetches the misses in one
     /// `ReadPages` round trip) and not yet walked into. The scan sizes each
@@ -202,7 +199,6 @@ impl Default for TaurusConfig {
             sal_write_backoff_us: 500,
             ndp_scan_max_rows: 4096,
             read_batch_max_pages: 256,
-            engine_pool_shards: 8,
             btree_readahead_window: 16,
             log_streams: 4,
             layer_l0_target_bytes: 256 << 10,
@@ -238,7 +234,6 @@ impl TaurusConfig {
             // Tiny budgets so tests exercise the continuation path.
             ndp_scan_max_rows: 64,
             read_batch_max_pages: 4,
-            engine_pool_shards: 4,
             btree_readahead_window: 4,
             // Two streams (not one) so the whole functional suite exercises
             // multi-stream span ordering, merge-on-read, and recovery.
@@ -281,11 +276,6 @@ impl TaurusConfig {
         if self.read_batch_max_pages == 0 {
             return Err(crate::TaurusError::Internal(
                 "read_batch_max_pages must be > 0".into(),
-            ));
-        }
-        if self.engine_pool_shards == 0 {
-            return Err(crate::TaurusError::Internal(
-                "engine_pool_shards must be > 0".into(),
             ));
         }
         // Every stream opens its own PLog on `log_replicas` Log Stores when
@@ -351,12 +341,6 @@ mod tests {
 
         let c = TaurusConfig {
             read_batch_max_pages: 0,
-            ..TaurusConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = TaurusConfig {
-            engine_pool_shards: 0,
             ..TaurusConfig::default()
         };
         assert!(c.validate().is_err());

@@ -263,7 +263,10 @@ taurus_common::counters! {
     pub struct SalStats => SalStatsSnapshot {
         pub log_flushes: Counter,
         pub slice_flushes: Counter,
+        /// `read_page` calls.
         pub page_reads: Counter,
+        /// Requests of `read_page` plans a replica refused (the next one is
+        /// tried), plus one per re-plan.
         pub read_retries: Counter,
         /// Fragments `redo` delivered from the Log Stores, whoever asked:
         /// repair, cut-over delta replay and restart recovery.
@@ -300,13 +303,6 @@ taurus_common::counters! {
         pub recycle_ptrs_purged: Counter,
         /// Fragment + layer bytes the recycle broadcasts logically reclaimed.
         pub recycle_bytes_reclaimed: Counter,
-        /// Slice-level heat aggregates (DESIGN.md §14): log records shipped to
-        /// slices and page reads served, in ops and bytes. Per-slice breakdowns
-        /// live on the Page Stores (`Sal::slice_heat`).
-        pub slice_write_ops: Counter,
-        pub slice_write_bytes: Counter,
-        pub slice_read_ops: Counter,
-        pub slice_read_bytes: Counter,
         /// Grouped (coalesced) fabric envelopes issued by the miss, scan, and
         /// write paths: each merges every per-slice request bound for one Page
         /// Store node into a single round trip. Every `WriteLogs` is one — a
@@ -350,7 +346,7 @@ taurus_common::counters! {
         pub slice_calls: Counter,
         /// Failed `ScanSlice` attempts (replica skipped, next one tried).
         pub slice_retries: Counter,
-        /// Slices that fell back to `ReadPage` + local evaluation.
+        /// Slices that fell back to `ReadPages` + local evaluation.
         pub fallbacks: Counter,
         /// Row slots examined remotely by Page Stores.
         pub rows_scanned: Counter,
@@ -393,11 +389,14 @@ taurus_common::counters! {
         pub pages_requested: Counter,
         /// Pages returned by successful `ReadPages` RPCs.
         pub pages_returned: Counter,
-        /// Per-page failures inside otherwise-successful batches (recycled
-        /// versions, torn materializations).
+        /// Pages a slice answered as recycled that the call did not re-plan
+        /// (an explicit snapshot, or a head read recycled again): each is an
+        /// error, never a returned page.
         pub partial_failures: Counter,
-        /// Pages re-read through the single-page `ReadPage` repair path after
-        /// the batch could not serve them.
+        /// Pages the call re-planned once, re-routed and at re-resolved
+        /// snapshots: their slice was cut over under the read
+        /// (`SliceFenced`, `PlacementEpochMismatch`), or a head read found
+        /// them recycled.
         pub straggler_retries: Counter,
         /// Pages-per-RPC histogram: buckets 1, 2–4, 5–16, 17–64, 65+.
         pub pages_per_rpc: [Counter; 5] as "pages_per_rpc[1|2-4|5-16|17-64|65+]",
@@ -978,10 +977,6 @@ impl Sal {
         let frag = Arc::new(SliceFragment::new(key, slice.flush_lsn, records));
         slice.flush_lsn = frag.last_lsn();
         self.stats.slice_flushes.inc();
-        self.stats.slice_write_ops.add(frag.records.len() as u64);
-        self.stats
-            .slice_write_bytes
-            .add(frag.payload_bytes() as u64);
         self.submit(key, &slice.replicas, &frag);
     }
 
@@ -1017,10 +1012,12 @@ impl Sal {
     // ==================================================================
 
     /// Reads the version of `page` at `as_of` (defaults to the highest LSN
-    /// safe for the master: the slice's acked LSN). Tries replicas in
-    /// latency order; a replica that is behind or down is skipped; if all
-    /// fail, repairs via the Log Stores and retries (§4.2, §5.2). An
-    /// explicit `as_of` is a *global* snapshot LSN: see
+    /// safe for the master: the slice's acked LSN), as a one-page plan of
+    /// [`Sal::read_pages`]. Tries replicas in latency order; a replica that
+    /// is behind or down is skipped; if all fail, repairs via the Log Stores
+    /// and retries (§4.2, §5.2). A version below the recycle LSN is
+    /// `VersionRecycled`, except on a head read, which re-plans once at the
+    /// slice's new head. An explicit `as_of` is a *global* snapshot LSN: see
     /// [`FrontEnd::snapshots`] on `Sal` for how it maps onto a slice.
     pub fn read_page(&self, page: PageId, as_of: Option<Lsn>) -> Result<PageBuf> {
         self.reader.read_page(self, page, as_of)
@@ -1039,7 +1036,8 @@ impl Sal {
     /// Plans and executes a pushed-down table scan at snapshot `as_of`: one
     /// `ScanSlice` per active slice, grouped into one envelope per primary
     /// replica node, with the same replica routing and repair escalation as
-    /// `ReadPage` and a `ReadPage`-and-evaluate-locally fallback per slice.
+    /// `read_pages` and a `read_pages`-and-evaluate-locally fallback per
+    /// slice.
     /// Results are merged and key-sorted; snapshot handling matches
     /// `read_page`.
     pub fn scan_pushdown(&self, req: &ScanRequest, as_of: Lsn) -> Result<TableScan> {

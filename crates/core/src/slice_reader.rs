@@ -20,25 +20,26 @@
 //!    plain `Fabric::call`), all in flight together and all run on the
 //!    submitting thread — no slice ever needs a thread of its own, and a
 //!    plan is exact on a `ManualClock`: each round costs its longest leg.
-//! 4. **Continue or fail over** per slot, on each reply: a finished one
-//!    closes the slot; one that stopped at a budget keeps what it absorbed
-//!    and rides the next round to the same replica; a refusal drops the
+//! 4. **Continue, close or fail over** per slot, on each reply: a finished
+//!    one closes the slot; one that stopped at a budget keeps what it
+//!    absorbed and rides the next round to the same replica; a version
+//!    answered as recycled closes the slot with that error — every replica
+//!    agrees on it, so it is an answer, not a refusal; a refusal drops the
 //!    partial answer (a reply stays a pure function of one replica's
 //!    directory), moves the slot to its next replica, and feeds the EWMA a
-//!    4× penalty — successes feed it their round trip — so a failing replica
+//!    4× penalty — answers feed it their round trip — so a failing replica
 //!    sinks instead of being retried first on every read.
 //! 5. **Escalate** a slot whose order ran out: the front end's repair hook
 //!    (the master repairs from the Log Stores and refreshes placement), one
 //!    more pass over the refreshed replicas, then the request kind's last
-//!    resort (single-page reads for a batch, fetch-and-evaluate for a
-//!    scan). A version refused as recycled skips the repair — it is gone
-//!    on purpose — and a head read (`as_of = None`) refused so re-plans
-//!    once at the slice's current head: a recycle round overtook it.
+//!    resort (fetch-and-evaluate for a scan; none for pages).
 //!
-//! Steps 2–5 are one loop ([`SliceReader::run`]), generic over the three
-//! request kinds (a single-page `ReadPage`, `ReadPages`, `ScanSlice`).
+//! Steps 2–5 are one loop ([`SliceReader::run`]), generic over the two
+//! request kinds: `ReadPages` (a single-page read is a one-page plan of
+//! it) and `ScanSlice`. After a page plan, the pages still unserved get one
+//! re-routed, re-resolved plan when their slice was cut over under the read
+//! or, on a head read, answered recycled ([`SliceReader::read_pages`]).
 
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -50,8 +51,7 @@ use taurus_common::{
     DbId, Lsn, NodeId, PageBuf, PageId, Result, SliceKey, TaurusConfig, TaurusError, PAGE_SIZE,
 };
 use taurus_pagestore::{
-    PageReadOutcome, PageStoreCluster, ReadPagesRequest, ReadPagesResponse, ScanSliceRequest,
-    ScanSliceResponse,
+    PageStoreCluster, ReadPagesRequest, ReadPagesResponse, ScanSliceRequest, ScanSliceResponse,
 };
 
 use crate::sal::{NdpStats, ReadBatchStats, SalStats};
@@ -87,7 +87,7 @@ pub struct TableScan {
     pub agg: AggState,
     /// Slices answered by remote `ScanSlice` execution.
     pub pushdown_slices: usize,
-    /// Slices that fell back to `ReadPage`-and-evaluate-locally.
+    /// Slices that fell back to `ReadPages`-and-evaluate-locally.
     pub fallback_slices: usize,
 }
 
@@ -106,17 +106,27 @@ struct Routing {
 type Envelopes<'a, Q> = [(NodeId, Vec<&'a Q>)];
 type Replies<R> = Vec<Vec<Result<R>>>;
 
+/// Whether a reply is a refusal: anything but an answer. A recycled version
+/// is an answer every replica would give (`PageStoreServer::read_gate`).
+fn refused<R>(reply: &Result<R>) -> bool {
+    matches!(reply, Err(e) if !matches!(e, TaurusError::VersionRecycled { .. }))
+}
+
+/// Which entry point a page plan serves, and so which counters it feeds:
+/// `read_page` counts in [`SalStats`], `read_pages` in [`ReadBatchStats`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Caller {
+    ReadPage,
+    ReadPages,
+}
+
 /// One request kind of the planner, implemented by its wire request: how a
-/// round of it goes out, how a budget continuation follows, how replies
-/// fold, and what to do when no replica can serve it.
+/// budget continuation follows, how replies fold, and what to do when no
+/// replica can serve it.
 trait Request: Sized {
     type Resp;
     /// One slice's finished answer.
     type Out;
-
-    /// Issues one envelope per node and counts each one that came back as
-    /// one round trip (and each refused request as a retry).
-    fn call_grouped(r: &SliceReader, groups: &Envelopes<'_, Self>) -> Replies<Self::Resp>;
 
     /// The request that continues this one when `resp` stopped at a budget.
     fn next(&self, resp: &Self::Resp) -> Option<Self>;
@@ -125,8 +135,7 @@ trait Request: Sized {
     fn absorb(r: &SliceReader, acc: Option<Self::Out>, resp: Self::Resp) -> Self::Out;
 
     /// Last resort once escalation ran out; `err` is the last replica error.
-    /// By default there is none and the caller sees the real error (e.g.
-    /// `VersionRecycled`).
+    /// By default there is none and the caller sees the real error.
     fn fallback(&self, _: &SliceReader, _: &dyn FrontEnd, err: TaurusError) -> Result<Self::Out> {
         Err(err)
     }
@@ -148,57 +157,10 @@ struct Slot<Q: Request> {
     out: Option<Result<Q::Out>>,
 }
 
-/// `ReadPage`: one versioned page.
-struct PageRead {
-    key: SliceKey,
-    page: PageId,
-    as_of: Lsn,
-}
-
-impl Request for PageRead {
-    type Resp = (PageBuf, Lsn);
-    type Out = PageBuf;
-
-    /// A single-page plan has one slot, so its round is one plain call.
-    fn call_grouped(r: &SliceReader, groups: &Envelopes<'_, Self>) -> Replies<Self::Resp> {
-        let call = |node, q: &Self| {
-            r.pages
-                .read_page_from(node, r.me, q.key, q.page, q.as_of)
-                .inspect_err(|_| r.stats.read_retries.inc())
-        };
-        groups
-            .iter()
-            .map(|(node, reqs)| reqs.iter().map(|q| call(*node, q)).collect())
-            .collect()
-    }
-
-    fn next(&self, _: &Self::Resp) -> Option<Self> {
-        None
-    }
-
-    fn absorb(_: &SliceReader, _: Option<PageBuf>, resp: Self::Resp) -> PageBuf {
-        resp.0
-    }
-}
-
-/// `ReadPages`: one slice's share of a batched read.
+/// `ReadPages`: one slice's share of a page plan.
 impl Request for ReadPagesRequest {
     type Resp = ReadPagesResponse;
-    type Out = Vec<(PageId, PageReadOutcome)>;
-
-    fn call_grouped(r: &SliceReader, groups: &Envelopes<'_, Self>) -> Replies<Self::Resp> {
-        let replies = r.pages.read_pages_grouped(r.me, groups);
-        for slots in &replies {
-            let failed = slots.iter().filter(|s| s.is_err()).count();
-            if failed < slots.len() {
-                // A grouped envelope is one miss-path round trip.
-                let pages = slots.iter().flatten().map(|resp| resp.pages.len()).sum();
-                r.read_batch_stats.note_rpc(pages);
-            }
-            r.read_batch_stats.batch_retries.add(failed as u64);
-        }
-        replies
-    }
+    type Out = Vec<(PageId, PageBuf, Lsn)>;
 
     fn next(&self, resp: &Self::Resp) -> Option<Self> {
         let i = resp.resume_from.filter(|&i| i < self.pages.len())?;
@@ -207,9 +169,13 @@ impl Request for ReadPagesRequest {
     }
 
     fn absorb(_: &SliceReader, acc: Option<Self::Out>, resp: Self::Resp) -> Self::Out {
-        let mut acc = acc.unwrap_or_default();
-        acc.extend(resp.pages);
-        acc
+        match acc {
+            Some(mut acc) => {
+                acc.extend(resp.pages);
+                acc
+            }
+            None => resp.pages,
+        }
     }
 }
 
@@ -218,19 +184,6 @@ impl Request for ReadPagesRequest {
 impl Request for ScanSliceRequest {
     type Resp = ScanSliceResponse;
     type Out = TableScan;
-
-    fn call_grouped(r: &SliceReader, groups: &Envelopes<'_, Self>) -> Replies<Self::Resp> {
-        let replies = r.pages.scan_slices_grouped(r.me, groups);
-        for slots in &replies {
-            let failed = slots.iter().filter(|s| s.is_err()).count();
-            if failed < slots.len() {
-                // A grouped envelope is one `ScanSlice` round trip.
-                r.ndp_stats.slice_calls.inc();
-            }
-            r.ndp_stats.slice_retries.add(failed as u64);
-        }
-        replies
-    }
 
     fn next(&self, resp: &Self::Resp) -> Option<Self> {
         let resume_after = Some(resp.next_page?);
@@ -252,11 +205,10 @@ impl Request for ScanSliceRequest {
         acc
     }
 
-    /// Fetch every page of the slice through the versioned `ReadPage` path
-    /// (which has its own repair-and-retry) and run the *same* shared
-    /// evaluator locally. The page inventory is the union across reachable
-    /// replicas, so a replica missing directory entries cannot silently
-    /// shrink the scan.
+    /// Fetch every page of the slice in one page plan and run the *same*
+    /// shared evaluator locally. The page inventory is the union across
+    /// reachable replicas, so a replica missing directory entries cannot
+    /// silently shrink the scan.
     fn fallback(&self, r: &SliceReader, fe: &dyn FrontEnd, _: TaurusError) -> Result<TableScan> {
         r.ndp_stats.fallbacks.inc();
         let mut pages: BTreeSet<PageId> = BTreeSet::new();
@@ -270,9 +222,9 @@ impl Request for ScanSliceRequest {
         if !reachable {
             return Err(TaurusError::AllReplicasFailed(self.key));
         }
+        let pages: Vec<PageId> = pages.into_iter().collect();
         let mut acc = ScanAccumulator::default();
-        for page in pages {
-            let buf = r.read_page(fe, page, Some(self.as_of))?;
+        for (_, buf) in r.read_pages(fe, &pages, Some(self.as_of))? {
             r.ndp_stats.fallback_pages.inc();
             r.ndp_stats.fallback_bytes.add(PAGE_SIZE as u64);
             evaluate_leaf_page(&buf, &self.req, &mut acc)?;
@@ -382,13 +334,15 @@ impl SliceReader {
     }
 
     /// Steps 2–5 for a plan (module docs): `reqs[i]` reads slice `keys[i]`
-    /// and answers come back in that order. Each pass of the loop escalates
-    /// the slots whose replica order ran out, then sends one round.
+    /// and answers come back in that order; `send` sends one round's
+    /// envelopes and counts them. Each pass of the loop escalates the slots
+    /// whose replica order ran out, then sends one round.
     fn run<Q: Request>(
         &self,
         fe: &dyn FrontEnd,
         keys: &[SliceKey],
         reqs: &[Q],
+        send: impl Fn(&Envelopes<'_, Q>) -> Replies<Q::Resp>,
     ) -> Vec<Result<Q::Out>> {
         let slot = |&key: &SliceKey| Slot {
             order: self.ordered_replicas(key),
@@ -408,10 +362,7 @@ impl SliceReader {
                 if slot.out.is_some() || slot.at < slot.order.len() {
                     continue;
                 }
-                // A recycled version was purged on purpose: no resend from
-                // the Log Stores brings it back.
-                let recycled = matches!(slot.err, Some(TaurusError::VersionRecycled { .. }));
-                if !slot.repaired && !recycled && fe.repair(keys[i]) {
+                if !slot.repaired && fe.repair(keys[i]) {
                     slot.repaired = true;
                     slot.order = self.ordered_replicas(keys[i]);
                     slot.at = 0;
@@ -439,7 +390,7 @@ impl SliceReader {
                 .map(|(node, idxs)| (*node, idxs.iter().map(|&i| riding(i)).collect()))
                 .collect();
             let start = self.clock.now_us();
-            let replies = Q::call_grouped(self, &envelopes);
+            let replies = send(&envelopes);
             // One EWMA sample per request per round, charged with the whole
             // round's elapsed time: envelopes are in flight together, so
             // this is the slowest one — an honest congestion signal for the
@@ -453,21 +404,26 @@ impl SliceReader {
                 }
                 for (i, reply) in idxs.into_iter().zip(replies) {
                     let slot = &mut slots[i];
-                    match reply {
-                        Ok(resp) => {
+                    let resp = match reply {
+                        Ok(resp) => resp,
+                        Err(e @ TaurusError::VersionRecycled { .. }) => {
                             self.note_latency(keys[i], node, elapsed);
-                            slot.pending = slot.pending.as_ref().unwrap_or(&reqs[i]).next(&resp);
-                            let acc = Q::absorb(self, slot.acc.take(), resp);
-                            match slot.pending {
-                                Some(_) => slot.acc = Some(acc),
-                                None => slot.out = Some(Ok(acc)),
-                            }
+                            slot.out = Some(Err(e));
+                            continue;
                         }
                         Err(e) => {
                             self.note_latency(keys[i], node, elapsed.max(1).saturating_mul(4));
                             (slot.err, slot.acc, slot.pending) = (Some(e), None, None);
                             slot.at += 1;
+                            continue;
                         }
+                    };
+                    self.note_latency(keys[i], node, elapsed);
+                    slot.pending = slot.pending.as_ref().unwrap_or(&reqs[i]).next(&resp);
+                    let acc = Q::absorb(self, slot.acc.take(), resp);
+                    match slot.pending {
+                        Some(_) => slot.acc = Some(acc),
+                        None => slot.out = Some(Ok(acc)),
                     }
                 }
             }
@@ -480,7 +436,46 @@ impl SliceReader {
         slots.into_iter().filter_map(|slot| slot.out).collect()
     }
 
-    /// Reads the version of `page` at `as_of` (see `Sal::read_page`).
+    /// One round of `ReadPages` envelopes, counted in `caller`'s family: a
+    /// refused request is a retry, and for `read_pages` an envelope that
+    /// came back is one miss-path round trip.
+    fn pages_round(
+        &self,
+        groups: &Envelopes<'_, ReadPagesRequest>,
+        caller: Caller,
+    ) -> Replies<ReadPagesResponse> {
+        let replies = self.pages.read_pages_grouped(self.me, groups);
+        for slots in &replies {
+            let failed = slots.iter().filter(|s| refused(s)).count() as u64;
+            if caller == Caller::ReadPage {
+                self.stats.read_retries.add(failed);
+                continue;
+            }
+            if failed < slots.len() as u64 {
+                let pages = slots.iter().flatten().map(|resp| resp.pages.len()).sum();
+                self.read_batch_stats.note_rpc(pages);
+            }
+            self.read_batch_stats.batch_retries.add(failed);
+        }
+        replies
+    }
+
+    /// One round of `ScanSlice` envelopes: an envelope that came back is one
+    /// `ScanSlice` round trip, a refused request a retry.
+    fn scan_round(&self, groups: &Envelopes<'_, ScanSliceRequest>) -> Replies<ScanSliceResponse> {
+        let replies = self.pages.scan_slices_grouped(self.me, groups);
+        for slots in &replies {
+            let failed = slots.iter().filter(|s| refused(s)).count();
+            if failed < slots.len() {
+                self.ndp_stats.slice_calls.inc();
+            }
+            self.ndp_stats.slice_retries.add(failed as u64);
+        }
+        replies
+    }
+
+    /// Reads the version of `page` at `as_of` (see `Sal::read_page`): a
+    /// one-page plan of [`Self::read_pages`], counted in [`SalStats`].
     pub fn read_page(
         &self,
         fe: &dyn FrontEnd,
@@ -488,48 +483,14 @@ impl SliceReader {
         as_of: Option<Lsn>,
     ) -> Result<PageBuf> {
         self.stats.page_reads.inc();
-        let attempt = || {
-            // Route by placement *and* snapshot: after an elastic cut-over
-            // the version at `as_of` may live on a retired slice (`as_of` at
-            // or below its fence) rather than the active successor.
-            let pps = self.cfg.pages_per_slice;
-            let key = self.pages.route_read(self.db, page, pps, as_of);
-            let as_of = fe.snapshots(&[key], as_of)?[0];
-            let one = self.run(fe, &[key], &[PageRead { key, page, as_of }]).pop();
-            one.unwrap_or(Err(TaurusError::AllReplicasFailed(key)))
-        };
-        let out = match attempt() {
-            Err(TaurusError::SliceFenced { .. })
-            | Err(TaurusError::PlacementEpochMismatch { .. }) => {
-                // Raced an elastic cut-over: the slice we routed to was
-                // sealed (or our epoch went stale) between routing and the
-                // RPC. Escalation already re-learned placement through the
-                // repair hook; route once more.
-                self.stats.read_retries.inc();
-                attempt()
-            }
-            Err(TaurusError::VersionRecycled { .. }) if as_of.is_none() => {
-                // A head read whose snapshot a recycle round overtook: the
-                // slice moved on meanwhile, and its current head is what
-                // the caller asked for.
-                self.stats.read_retries.inc();
-                attempt()
-            }
-            other => other,
-        };
-        if out.is_ok() {
-            self.stats.slice_read_ops.inc();
-            self.stats.slice_read_bytes.add(PAGE_SIZE as u64);
-        }
-        out
+        let mut got = self.plan_pages(fe, &[page], as_of, Caller::ReadPage)?;
+        got.remove(&page).ok_or_else(|| lost(page))
     }
 
-    /// Reads many pages at one snapshot: the ids are grouped by slice and
-    /// the per-slice `ReadPages` requests run through the pipeline. Pages a
-    /// batch could not serve (per-page failures, or every replica refusing
-    /// the slice) are retried individually through [`Self::read_page`] — so
-    /// the call returns exactly what N sequential `read_page` calls at the
-    /// same `as_of` would, in request order.
+    /// Reads many pages at one snapshot: the distinct ids are grouped by
+    /// slice into one `ReadPages` request each, and the requests run as one
+    /// plan. Returns exactly what N sequential [`Self::read_page`] calls at
+    /// the same `as_of` would, in request order.
     pub fn read_pages(
         &self,
         fe: &dyn FrontEnd,
@@ -541,62 +502,108 @@ impl SliceReader {
         }
         self.read_batch_stats.batches.inc();
         self.read_batch_stats.pages_requested.add(ids.len() as u64);
-        // Group by slice, keeping first-seen order and dropping duplicates.
-        let mut reqs: Vec<ReadPagesRequest> = Vec::new();
-        for &page in ids {
-            let pps = self.cfg.pages_per_slice;
-            let key = self.pages.route_read(self.db, page, pps, as_of);
-            let i = reqs.iter().position(|q| q.key == key).unwrap_or_else(|| {
-                reqs.push(ReadPagesRequest {
-                    key,
-                    as_of: Lsn::ZERO,
-                    pages: Vec::new(),
-                    max_pages: self.cfg.read_batch_max_pages,
-                });
-                reqs.len() - 1
-            });
-            if !reqs[i].pages.contains(&page) {
-                reqs[i].pages.push(page);
-            }
-        }
-        let keys: Vec<SliceKey> = reqs.iter().map(|q| q.key).collect();
-        for (req, snapshot) in reqs.iter_mut().zip(fe.snapshots(&keys, as_of)?) {
-            req.as_of = snapshot;
-        }
-        let mut got: HashMap<PageId, PageBuf> = HashMap::with_capacity(ids.len());
-        for (req, outcomes) in reqs.iter().zip(self.run(fe, &keys, &reqs)) {
-            // A slice no replica served contributes nothing: every page of
-            // it is a straggler below.
-            for (page, outcome) in outcomes.unwrap_or_default() {
-                match outcome {
-                    PageReadOutcome::Ok(buf, _) => {
-                        self.read_batch_stats.pages_returned.inc();
-                        got.insert(page, buf);
-                    }
-                    PageReadOutcome::Recycled { .. } | PageReadOutcome::Failed(_) => {
-                        self.read_batch_stats.partial_failures.inc();
-                    }
-                }
-            }
-            for &page in &req.pages {
-                if let Entry::Vacant(missing) = got.entry(page) {
-                    // Straggler: the single-page path repairs if it can and
-                    // surfaces the real per-page error (e.g.
-                    // `VersionRecycled`) when nothing can serve it. A head
-                    // read stays one, so it re-plans at the head as well.
-                    self.read_batch_stats.straggler_retries.inc();
-                    let at = as_of.map(|_| req.as_of);
-                    missing.insert(self.read_page(fe, page, at)?);
-                }
-            }
-        }
+        let mut seen = HashSet::with_capacity(ids.len());
+        let distinct: Vec<PageId> = ids.iter().copied().filter(|&p| seen.insert(p)).collect();
+        let got = self.plan_pages(fe, &distinct, as_of, Caller::ReadPages)?;
         // Request order, duplicates included (each gets its own copy).
         ids.iter()
-            .map(|page| match got.get(page) {
-                Some(buf) => Ok((*page, buf.clone())),
-                None => Err(TaurusError::Internal("batched read lost a page".into())),
-            })
+            .map(|&page| Ok((page, got.get(&page).ok_or_else(|| lost(page))?.clone())))
             .collect()
+    }
+
+    /// The plan behind [`Self::read_page`] and [`Self::read_pages`]: `pages`
+    /// (distinct, in request order) grouped by slice, one `ReadPages`
+    /// request per slice, run through [`Self::run`]. The pages still
+    /// unserved get one re-routed, re-resolved plan when their slice was cut
+    /// over under the read (`SliceFenced`, `PlacementEpochMismatch`) or, on
+    /// a head read, answered recycled: a recycle round overtook the
+    /// snapshot, and the slice's current head is what the caller asked for.
+    /// Any other unserved page fails the call with its slice's error — the
+    /// first such page in request order, where N sequential single-page
+    /// reads would have stopped.
+    fn plan_pages(
+        &self,
+        fe: &dyn FrontEnd,
+        pages: &[PageId],
+        as_of: Option<Lsn>,
+        caller: Caller,
+    ) -> Result<HashMap<PageId, PageBuf>> {
+        let batch = caller == Caller::ReadPages;
+        let mut got = HashMap::with_capacity(pages.len());
+        let mut failed: Vec<(Vec<PageId>, TaurusError)> = Vec::new();
+        let mut todo = Vec::new();
+        for replan in [false, true] {
+            let mut reqs: Vec<ReadPagesRequest> = Vec::new();
+            for &page in if replan { &todo[..] } else { pages } {
+                // Route by placement *and* snapshot: after an elastic
+                // cut-over the version at `as_of` may live on a retired
+                // slice (`as_of` at or below its fence) rather than the
+                // active successor.
+                let pps = self.cfg.pages_per_slice;
+                let key = self.pages.route_read(self.db, page, pps, as_of);
+                match reqs.iter_mut().find(|q| q.key == key) {
+                    Some(q) => q.pages.push(page),
+                    None => reqs.push(ReadPagesRequest {
+                        key,
+                        as_of: Lsn::ZERO,
+                        pages: vec![page],
+                        max_pages: self.cfg.read_batch_max_pages,
+                    }),
+                }
+            }
+            let keys: Vec<SliceKey> = reqs.iter().map(|q| q.key).collect();
+            for (req, snapshot) in reqs.iter_mut().zip(fe.snapshots(&keys, as_of)?) {
+                req.as_of = snapshot;
+            }
+            let outs = self.run(fe, &keys, &reqs, |groups| self.pages_round(groups, caller));
+            let mut again = HashSet::new();
+            for (req, out) in reqs.into_iter().zip(outs) {
+                let err = match out {
+                    Ok(read) => {
+                        if batch {
+                            self.read_batch_stats.pages_returned.add(read.len() as u64);
+                        }
+                        got.extend(read.into_iter().map(|(page, buf, _)| (page, buf)));
+                        continue;
+                    }
+                    Err(err) => err,
+                };
+                let recycled = matches!(err, TaurusError::VersionRecycled { .. });
+                let moved = matches!(
+                    err,
+                    TaurusError::SliceFenced { .. } | TaurusError::PlacementEpochMismatch { .. }
+                );
+                if !replan && (moved || recycled && as_of.is_none()) {
+                    again.extend(req.pages);
+                    continue;
+                }
+                if recycled && batch {
+                    let pages = req.pages.len() as u64;
+                    self.read_batch_stats.partial_failures.add(pages);
+                }
+                failed.push((req.pages, err));
+            }
+            if again.is_empty() {
+                break;
+            }
+            todo = pages
+                .iter()
+                .copied()
+                .filter(|p| again.contains(p))
+                .collect();
+            match caller {
+                Caller::ReadPage => self.stats.read_retries.inc(),
+                Caller::ReadPages => {
+                    let n = todo.len() as u64;
+                    self.read_batch_stats.straggler_retries.add(n);
+                }
+            }
+        }
+        let Some(&first) = pages.iter().find(|page| !got.contains_key(page)) else {
+            return Ok(got);
+        };
+        let err = failed.into_iter().find(|(of, _)| of.contains(&first));
+        Err(err.map_or_else(|| lost(first), |(_, err)| err))
     }
 
     /// Plans and executes a pushed-down table scan at snapshot `as_of`: one
@@ -623,7 +630,7 @@ impl SliceReader {
             })
             .collect();
         let mut out = TableScan::default();
-        for slice in self.run(fe, &keys, &reqs) {
+        for slice in self.run(fe, &keys, &reqs, |groups| self.scan_round(groups)) {
             let slice = slice?;
             out.pushdown_slices += slice.pushdown_slices;
             out.fallback_slices += slice.fallback_slices;
@@ -636,4 +643,10 @@ impl SliceReader {
         out.rows.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(out)
     }
+}
+
+/// What a page plan never does: leave a page with neither an image nor an
+/// error (see [`SliceReader::plan_pages`]).
+fn lost(page: PageId) -> TaurusError {
+    TaurusError::Internal(format!("a page plan lost {page}"))
 }

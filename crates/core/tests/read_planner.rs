@@ -66,10 +66,12 @@ impl Clock for HookClock {
 }
 
 /// The front end of the tests: every slice is read at its own last LSN
-/// (capped by the caller's), and `repair` runs a scripted step per call.
+/// (capped by the caller's), and `repair` runs a scripted step per call. A
+/// slice it holds no head for is read at the caller's snapshot, as a read
+/// replica reads a slice its board does not list.
 #[derive(Default)]
 struct Front {
-    heads: Mutex<HashMap<SliceKey, Lsn>>,
+    heads: Arc<Mutex<HashMap<SliceKey, Lsn>>>,
     repairs: AtomicU64,
     /// What the n-th `repair` does and answers; past the script, `false`.
     script: Mutex<Vec<Box<dyn FnMut() -> bool + Send>>>,
@@ -78,8 +80,15 @@ struct Front {
 impl FrontEnd for Front {
     fn snapshots(&self, keys: &[SliceKey], as_of: Option<Lsn>) -> Result<Vec<Lsn>> {
         let heads = self.heads.lock();
-        let at = |key| as_of.map_or(heads[key], |lsn| lsn.min(heads[key]));
-        Ok(keys.iter().map(at).collect())
+        let at = |key| {
+            let head = heads.get(key).copied();
+            as_of
+                .into_iter()
+                .chain(head)
+                .min()
+                .ok_or(TaurusError::SliceNotFound(*key))
+        };
+        keys.iter().map(at).collect()
     }
 
     fn repair(&self, _: SliceKey) -> bool {
@@ -211,11 +220,33 @@ impl Harness {
         (out, rounds, waits() - w0 - rounds)
     }
 
+    /// Runs `hook` in the middle of the `n`-th wait from now.
+    fn at_wait(&self, n: u64, hook: impl FnOnce() + Send + 'static) {
+        let at = self.clock.waits.load(Ordering::Relaxed) + n;
+        *self.clock.armed.lock() = Some((at, Box::new(hook)));
+    }
+
     /// Takes `victim` down in the middle of the `n`-th wait from now.
     fn kill_at_wait(&self, n: u64, victim: NodeId) {
-        let at = self.clock.waits.load(Ordering::Relaxed) + n;
         let fabric = self.fabric.clone();
-        *self.clock.armed.lock() = Some((at, Box::new(move || fabric.set_down(victim))));
+        self.at_wait(n, move || fabric.set_down(victim));
+    }
+
+    /// Slice 0 holds pages `1..=3`, and every replica holds one more row of
+    /// page 1 than the front end knows of and has recycled up to it: the
+    /// front end's head read is overtaken. Returns the stale and the new
+    /// head.
+    fn recycled_under_the_front_end() -> (Harness, Lsn, Lsn) {
+        let mut h = Harness::new(TaurusConfig::test());
+        h.load(1, 3);
+        let key = h.key_of(PageId(1));
+        let stale = h.front.heads.lock()[&key];
+        let late = h.fragment(PageId(1), vec![Harness::row(PageId(1), ROWS_PER_PAGE)]);
+        h.deliver(&late);
+        let head = late.last_lsn();
+        h.pages.set_recycle_lsns(h.me, &[(key, head)]);
+        h.front.heads.lock().insert(key, stale);
+        (h, stale, head)
     }
 
     /// The whole run stayed on the calling thread.
@@ -435,5 +466,167 @@ fn a_two_slot_plan_with_a_dead_primary_takes_exactly_two_round_trips() {
     assert_eq!(sal.grouped_fallback_slices, 1);
     assert_eq!(h.reader.read_batch_stats.snapshot().batch_retries, 1);
     assert_eq!(h.reader.ordered_replicas(key)[2], order[0]);
+    h.assert_pool_untouched();
+}
+
+#[test]
+fn a_head_read_a_recycle_round_overtook_is_served_on_its_second_round_trip() {
+    let (h, stale, head) = Harness::recycled_under_the_front_end();
+    let key = h.key_of(PageId(1));
+    let order = h.reader.ordered_replicas(key);
+    // The front end learns the new head while the read is on the wire at
+    // the stale one. The slice answers recycled — an answer, not a
+    // refusal — and the one re-plan reads at the new head.
+    let learn = |h: &Harness| {
+        let heads = Arc::clone(&h.front.heads);
+        h.at_wait(1, move || {
+            heads.lock().insert(key, head);
+        });
+    };
+    learn(&h);
+    let (page, rounds, envelopes) =
+        h.measured(|| h.reader.read_page(&h.front, PageId(1), None).unwrap());
+    assert_eq!((rounds, envelopes), (2, 2));
+    assert_eq!(page.nslots() as u64, ROWS_PER_PAGE + 1);
+    assert_eq!(h.reader.stats.read_retries.get(), 1, "the re-plan");
+    assert_eq!(
+        h.reader.ordered_replicas(key),
+        order,
+        "a replica was charged"
+    );
+
+    // A batch re-plans every page of the slice, once.
+    h.front.heads.lock().insert(key, stale);
+    learn(&h);
+    let ids = [PageId(1), PageId(2), PageId(3)];
+    let (got, rounds, envelopes) =
+        h.measured(|| h.reader.read_pages(&h.front, &ids, None).unwrap());
+    assert_eq!((rounds, envelopes), (2, 2));
+    let batch = h.reader.read_batch_stats.snapshot();
+    assert_eq!((batch.batch_rpcs, batch.batch_retries), (2, 0));
+    assert_eq!((batch.straggler_retries, batch.partial_failures), (3, 0));
+    assert_eq!(batch.pages_returned, 3);
+    for (page, buf) in &got {
+        assert_eq!(buf.as_bytes(), h.read_page(*page).as_bytes(), "{page}");
+    }
+    assert_eq!(h.reader.ordered_replicas(key), order);
+    assert_eq!(h.front.repairs.load(Ordering::Relaxed), 0);
+    h.assert_pool_untouched();
+}
+
+#[test]
+fn a_snapshot_below_the_recycle_lsn_is_answered_recycled_in_one_round_trip() {
+    let (h, stale, _) = Harness::recycled_under_the_front_end();
+    let key = h.key_of(PageId(1));
+    let order = h.reader.ordered_replicas(key);
+    let recycled = |err: TaurusError, want: u64| match err {
+        TaurusError::VersionRecycled { page, requested } => {
+            assert_eq!((page, requested), (PageId(want), stale));
+        }
+        other => panic!("{other}"),
+    };
+
+    let (err, rounds, envelopes) = h.measured(|| {
+        h.reader
+            .read_page(&h.front, PageId(2), Some(stale))
+            .unwrap_err()
+    });
+    recycled(err, 2);
+    assert_eq!((rounds, envelopes), (1, 1));
+    assert_eq!(h.reader.stats.read_retries.get(), 0);
+
+    let ids = [PageId(3), PageId(1)];
+    let (err, rounds, envelopes) = h.measured(|| {
+        h.reader
+            .read_pages(&h.front, &ids, Some(stale))
+            .unwrap_err()
+    });
+    recycled(err, 3);
+    assert_eq!((rounds, envelopes), (1, 1));
+    let batch = h.reader.read_batch_stats.snapshot();
+    assert_eq!((batch.batch_retries, batch.straggler_retries), (0, 0));
+    assert_eq!((batch.pages_returned, batch.partial_failures), (0, 2));
+
+    // A scan neither walks the replicas nor falls back to fetching pages.
+    let (err, rounds, envelopes) = h.measured(|| {
+        let scan = h.reader.scan(&h.front, &ScanRequest::full(), stale);
+        scan.unwrap_err()
+    });
+    recycled(err, 0);
+    assert_eq!((rounds, envelopes), (1, 1));
+    let ndp = h.reader.ndp_stats.snapshot();
+    assert_eq!((ndp.slice_calls, ndp.slice_retries), (1, 0));
+    assert_eq!((ndp.fallbacks, ndp.fallback_pages), (0, 0));
+
+    assert_eq!(
+        h.reader.ordered_replicas(key),
+        order,
+        "a replica was charged"
+    );
+    assert_eq!(h.front.repairs.load(Ordering::Relaxed), 0);
+    h.assert_pool_untouched();
+}
+
+/// The read is routed to slice 0 at a snapshot above its last record (the
+/// front end holds no head for it). While the request is on the wire the
+/// slice is split at its last record and both children take a row: every
+/// replica refuses the read as fenced, and the batch re-plans once onto the
+/// children.
+#[test]
+fn a_batch_fenced_by_a_split_under_it_re_routes_once() {
+    let mut h = Harness::new(TaurusConfig::test());
+    let ids = h.load(1, 4);
+    let parent = h.key_of(PageId(1));
+    let fence = h.front.heads.lock().remove(&parent).unwrap();
+    let snapshot = Lsn(fence.0 + 2);
+    let pps = TaurusConfig::test().pages_per_slice;
+    let split = {
+        let (pages, me, heads) = (h.pages.clone(), h.me, Arc::clone(&h.front.heads));
+        move || {
+            // Both children stay on the parent's replicas.
+            let nodes = pages.replicas_of(parent);
+            let seed = |child, range| {
+                let snap = pages.export_snapshot(parent, Some(range), me).unwrap();
+                pages.install_seed(child, &nodes, vec![snap], me).unwrap()
+            };
+            let (left, right) = (
+                pages.allocate_dynamic(DbId(1)),
+                pages.allocate_dynamic(DbId(1)),
+            );
+            let base = seed(left, (0, 3)).min(seed(right, (3, pps)));
+            let (l, r) = ((left, nodes.clone()), (right, nodes.clone()));
+            let epoch = pages
+                .commit_split(parent, pps, 3, l, r, base, fence)
+                .unwrap();
+            assert_eq!(pages.fence_replicas(parent, &nodes, fence, epoch, me), 3);
+            // Each child takes a row above the fence.
+            for (lsn, (child, page)) in (fence.0 + 1..).zip([(left, 1), (right, 3)]) {
+                let page = PageId(page);
+                let row = LogRecord::new(Lsn(lsn), page, Harness::row(page, ROWS_PER_PAGE));
+                let frag = SliceFragment::new(child, fence, vec![row]);
+                for &node in &nodes {
+                    pages.write_logs_to(node, me, &frag).unwrap();
+                }
+                heads.lock().insert(child, Lsn(lsn));
+            }
+        }
+    };
+    h.at_wait(1, split);
+    let got = h.reader.read_pages(&h.front, &ids, Some(snapshot)).unwrap();
+    assert!(h.clock.armed.lock().is_none(), "the split never ran");
+    let batch = h.reader.read_batch_stats.snapshot();
+    assert_eq!((batch.batch_retries, batch.straggler_retries), (3, 4));
+    assert_eq!((batch.pages_returned, batch.partial_failures), (4, 0));
+    assert_eq!(h.front.repairs.load(Ordering::Relaxed), 1);
+    // Byte-identical to reads after the cut-over, which land on the
+    // children.
+    let pages: Vec<PageId> = got.iter().map(|(page, _)| *page).collect();
+    assert_eq!(pages, ids);
+    for (page, buf) in &got {
+        assert_ne!(h.pages.route_read(DbId(1), *page, pps, None), parent);
+        assert_eq!(buf.as_bytes(), h.read_page(*page).as_bytes(), "{page}");
+        let rows = if [1, 3].contains(&page.0) { 1 } else { 0 };
+        assert_eq!(buf.nslots() as u64, ROWS_PER_PAGE + rows, "{page}");
+    }
     h.assert_pool_untouched();
 }

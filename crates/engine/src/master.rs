@@ -125,10 +125,7 @@ impl MasterEngine {
     fn on(sal: Arc<Sal>, max_lsn: Lsn) -> MasterEngine {
         MasterEngine {
             tree: TreeLatch::new(
-                EnginePool::with_shards(
-                    sal.cfg.engine_buffer_pool_pages,
-                    sal.cfg.engine_pool_shards,
-                ),
+                EnginePool::striped(sal.cfg.engine_buffer_pool_pages),
                 sal.pages.fabric.clock.clone(),
             ),
             lsns: LsnAllocator::new(max_lsn),

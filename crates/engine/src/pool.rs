@@ -160,6 +160,14 @@ impl Shard {
     }
 }
 
+/// Lock stripes of a front end's pool ([`EnginePool::striped`]).
+const STRIPES: usize = 8;
+
+/// Fewest frames a stripe of [`EnginePool::striped`] holds: each stripe
+/// is its own LRU, and a smaller one evicts all but at random, so a pool
+/// too small to give every stripe this many is one LRU.
+const MIN_STRIPE_FRAMES: usize = 4;
+
 /// Sharded LRU pool with the Taurus dirty-page eviction constraint.
 pub struct EnginePool {
     shards: Vec<Shard>,
@@ -190,6 +198,14 @@ impl EnginePool {
     /// semantics. Unit tests that assert precise LRU order use this.
     pub fn new(capacity: usize) -> Self {
         Self::with_shards(capacity, 1)
+    }
+
+    /// The pool of a front end (the master's and every replica's):
+    /// [`STRIPES`] lock stripes, or one LRU when `capacity` cannot give
+    /// each stripe [`MIN_STRIPE_FRAMES`] frames.
+    pub fn striped(capacity: usize) -> Self {
+        let one_lru = capacity < STRIPES * MIN_STRIPE_FRAMES;
+        Self::with_shards(capacity, if one_lru { 1 } else { STRIPES })
     }
 
     /// Pool with `capacity` total frames striped over `shards` locks.
@@ -587,6 +603,15 @@ mod tests {
             pool.put(PageId(i), frame(i, false), &always);
         }
         assert!(pool.len() <= pool.capacity_bound());
+    }
+
+    #[test]
+    fn a_front_end_pool_is_striped_by_capacity() {
+        let stripes = |capacity| EnginePool::striped(capacity).shards.len();
+        assert_eq!(
+            [4, 8, 31, 32, 128, 400, 4096].map(stripes),
+            [1, 1, 1, 8, 8, 8, 8]
+        );
     }
 
     #[test]

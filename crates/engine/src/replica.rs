@@ -84,7 +84,7 @@ impl ReplicaEngine {
         bulletin: Arc<Bulletin>,
     ) -> Result<Arc<ReplicaEngine>> {
         let log = Log::open(&cfg, logs, db, me, false)?;
-        let pool = EnginePool::with_shards(1024, cfg.engine_pool_shards);
+        let pool = EnginePool::striped(1024);
         let replica = Arc::new(ReplicaEngine {
             id,
             me,

@@ -909,13 +909,13 @@ fn replica_scan_pins_one_tv_lsn_for_the_whole_traversal() {
 // The B+tree latch protocol: no latch across a Page Store round trip
 // ---------------------------------------------------------------------
 
-/// A cluster on `clock` whose master pool is one LRU of `frames` frames.
+/// A cluster on `clock` whose master pool is one LRU of `frames` frames
+/// (a pool this small gets one stripe).
 fn launch_small_pool(clock: taurus_common::clock::ClockRef, frames: usize) -> Arc<TaurusDb> {
     let cfg = TaurusConfig {
         log_buffer_bytes: 1,
         slice_buffer_bytes: 1,
         engine_buffer_pool_pages: frames,
-        engine_pool_shards: 1,
         ..TaurusConfig::test()
     };
     TaurusDb::launch_with_clock(cfg, 5, 6, clock, 7).unwrap()

@@ -55,7 +55,7 @@ pub use layers::{CompactionJob, L0Records, L1Layer, LayerStore, SealPlan, Sorted
 pub use placement::{IngestFilter, PlacementEntry, PlacementMap, DYNAMIC_SLICE_BASE};
 pub use pool::{EvictionPolicy, PagePool};
 pub use pushdown::{ScanSliceRequest, ScanSliceResponse};
-pub use readpages::{PageReadOutcome, ReadPagesRequest, ReadPagesResponse};
+pub use readpages::{ReadPagesRequest, ReadPagesResponse};
 pub use server::{
     ConsolidationPolicy, PageStoreServer, PageStoreStats, PageStoreStatsSnapshot, RecycleReport,
     SliceExport, SliceHeat, SliceHeatSnapshot,

@@ -38,7 +38,7 @@
 )]
 
 use taurus_common::scan::{evaluate_leaf_page, AggState, ScanAccumulator, ScanRequest};
-use taurus_common::{Lsn, PageId, Result, SliceKey, TaurusError};
+use taurus_common::{Lsn, PageId, Result, SliceKey};
 
 use crate::server::PageStoreServer;
 
@@ -83,17 +83,13 @@ pub struct ScanSliceResponse {
 
 impl PageStoreServer {
     /// `ScanSlice`: the fifth storage API method. Applies the same
-    /// visibility gate as `ReadPage` (a rebuilding or behind replica
-    /// refuses the whole call so the SAL can try the next replica; a
-    /// recycled snapshot fails it), then materializes each page of the
-    /// slice at the snapshot LSN and folds it through the shared evaluator.
+    /// visibility gate as `ReadPages` (a rebuilding, behind or fenced
+    /// replica refuses the call so the SAL can try the next replica; a
+    /// recycled snapshot is answered `VersionRecycled`), then materializes
+    /// each page of the slice at the snapshot LSN and folds it through the
+    /// shared evaluator.
     pub fn scan_slice(&self, call: &ScanSliceRequest) -> Result<ScanSliceResponse> {
-        if self.read_gate(call.key, call.as_of)? {
-            return Err(TaurusError::VersionRecycled {
-                page: PageId(0),
-                requested: call.as_of,
-            });
-        }
+        self.read_gate(call.key, call.as_of, PageId(0))?;
         let dir = self.dir(call.key)?;
         let mut acc = ScanAccumulator::default();
         let mut resp = ScanSliceResponse::default();
@@ -127,7 +123,7 @@ impl PageStoreServer {
 
     /// Sorted page ids the slice's Log Directory knows about. Used by the
     /// SAL's local fallback to enumerate a slice it must scan through
-    /// `ReadPage` when no replica can serve `ScanSlice` at the snapshot.
+    /// `ReadPages` when no replica can serve `ScanSlice` at the snapshot.
     pub fn page_ids(&self, key: SliceKey) -> Result<Vec<PageId>> {
         Ok(self.dir(key)?.page_ids())
     }

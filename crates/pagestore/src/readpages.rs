@@ -1,21 +1,19 @@
-//! `ReadPages`: batched versioned page reads inside a Page Store.
-//!
-//! The SAL's miss path historically paid one `ReadPage` RPC per page; this
-//! module adds the batched sibling: one call materializes many pages of a
-//! slice at a single snapshot LSN. Execution never bypasses versioning —
-//! every page goes through the same Log Directory + consolidation path
-//! `ReadPage` uses, so a batch is byte-identical to N sequential single-page
-//! reads at the same `as_of`. Under the layered consolidation policy
-//! (DESIGN.md §13) materialization transparently sources records from the
-//! open L0's staged memory, a sealed L0's run index, or a compacted L0 blob
-//! — the visibility gates and results below are unchanged.
+//! `ReadPages`: versioned page reads inside a Page Store, one or many
+//! pages of a slice at a single snapshot LSN per call. It is the only page
+//! read: `ReadPage` is a one-page call. Execution never bypasses versioning
+//! — every page goes through the Log Directory + consolidation path, so a
+//! batch is byte-identical to N one-page reads at the same `as_of`. Under
+//! the layered consolidation policy (DESIGN.md §13) materialization
+//! transparently sources records from the open L0's staged memory, a sealed
+//! L0's run index, or a compacted L0 blob — the visibility gate and results
+//! below are unchanged.
 //!
 //! Visibility is the one gate every read kind shares
 //! (`PageStoreServer::read_gate`): a rebuilding, behind or fenced replica
-//! refuses the *whole* call (so the SAL routes to the next replica), while
-//! per-page conditions — a recycled version, a failed materialization — are
-//! reported per page without failing the rest of the batch; the SAL retries
-//! those stragglers through the single-page repair path.
+//! refuses the call (so the SAL routes to the next replica), and a snapshot
+//! below the recycle LSN is answered `VersionRecycled` for the whole slice.
+//! A page that fails to materialize refuses the call too: the answer is a
+//! pure function of one replica's directory, all or nothing.
 //!
 //! Like `ScanSlice`, a call carries a budget: past `max_pages` the server
 //! stops and returns a continuation ([`ReadPagesResponse::resume_from`]), so
@@ -23,8 +21,7 @@
 //! traffic. Pages are a fixed size, so the page budget is a byte budget too.
 //!
 //! Same discipline as `crate::pushdown`: this is in-store execution, so no
-//! panicking constructs — every failure becomes a `TaurusError` or a
-//! per-page outcome.
+//! panicking constructs — every failure becomes a `TaurusError`.
 
 use taurus_common::{Lsn, PageBuf, PageId, Result, SliceKey, TaurusError};
 
@@ -37,30 +34,19 @@ pub struct ReadPagesRequest {
     pub key: SliceKey,
     /// Snapshot LSN every page is materialized as of.
     pub as_of: Lsn,
-    /// Page ids to read; outcomes come back in this order.
+    /// Page ids to read; pages come back in this order.
     pub pages: Vec<PageId>,
     /// Stop after this many pages (at least one page is always attempted).
     pub max_pages: usize,
 }
 
-/// Per-page outcome inside a batch.
-#[derive(Clone, Debug)]
-pub enum PageReadOutcome {
-    /// Materialized image and the LSN of the newest record applied to it.
-    Ok(PageBuf, Lsn),
-    /// Versions at or below the snapshot were recycled for this page.
-    Recycled { requested: Lsn },
-    /// Materialization failed for this page alone; the message is the
-    /// underlying error's rendering. The batch keeps going.
-    Failed(String),
-}
-
-/// Result of one `ReadPages` call: per-page outcomes plus an optional
+/// Result of one `ReadPages` call: the pages read plus an optional
 /// continuation when the budget stopped the batch early.
 #[derive(Clone, Debug, Default)]
 pub struct ReadPagesResponse {
-    /// One outcome per *attempted* page, in request order.
-    pub pages: Vec<(PageId, PageReadOutcome)>,
+    /// One entry per *attempted* page, in request order: the materialized
+    /// image and the LSN of the newest record applied to it.
+    pub pages: Vec<(PageId, PageBuf, Lsn)>,
     /// Bytes of page payload in `pages`.
     pub bytes_returned: u64,
     /// Set when the budget stopped the batch: the index into the request's
@@ -70,50 +56,41 @@ pub struct ReadPagesResponse {
 }
 
 impl PageStoreServer {
-    /// `ReadPages`: the batched sibling of `ReadPage`. Applies the same
-    /// slice-level visibility gate as `ReadPage` and `ScanSlice`, then
-    /// materializes each requested page at the snapshot LSN, capturing
-    /// per-page failures as outcomes instead of failing the batch.
+    /// `ReadPages`: applies the slice-level visibility gate every read kind
+    /// shares, then materializes each requested page at the snapshot LSN.
     pub fn read_pages(&self, call: &ReadPagesRequest) -> Result<ReadPagesResponse> {
         // The first page is always attempted, so a continuation loop
         // terminates.
         let attempted = call.pages.len().min(call.max_pages.max(1));
+        let first = call.pages.first().copied().unwrap_or(PageId(0));
+        self.read_gate(call.key, call.as_of, first)?;
         let mut resp = ReadPagesResponse {
             resume_from: (attempted < call.pages.len()).then_some(attempted),
             ..ReadPagesResponse::default()
         };
-        // Recycling is reported per page so the batch survives; the SAL
-        // retries those pages through the single-page path.
-        if self.read_gate(call.key, call.as_of)? {
-            let requested = call.as_of;
-            resp.pages = call.pages[..attempted]
-                .iter()
-                .map(|&p| (p, PageReadOutcome::Recycled { requested }))
-                .collect();
-            return Ok(resp);
+        for &page in call.pages.iter().take(attempted) {
+            let (buf, lsn) = self.materialize(call.key, page, call.as_of)?;
+            resp.bytes_returned += buf.as_bytes().len() as u64;
+            resp.pages.push((page, buf, lsn));
         }
-        for &page in &call.pages[..attempted] {
-            let outcome = match self.materialize(call.key, page, call.as_of) {
-                Ok((buf, lsn)) => {
-                    resp.bytes_returned += buf.as_bytes().len() as u64;
-                    PageReadOutcome::Ok(buf, lsn)
-                }
-                Err(TaurusError::VersionRecycled { requested, .. }) => {
-                    PageReadOutcome::Recycled { requested }
-                }
-                Err(e) => PageReadOutcome::Failed(e.to_string()),
-            };
-            resp.pages.push((page, outcome));
-        }
-        let served = resp
-            .pages
-            .iter()
-            .filter(|(_, o)| matches!(o, PageReadOutcome::Ok(..)))
-            .count() as u64;
-        if served > 0 {
-            self.note_read_heat(call.key, served, resp.bytes_returned);
-        }
+        self.note_read_heat(call.key, resp.pages.len() as u64, resp.bytes_returned);
         Ok(resp)
+    }
+
+    /// `ReadPage`: the version of `page` as of `as_of` (the newest version
+    /// with LSN <= `as_of`), as a one-page [`PageStoreServer::read_pages`].
+    pub fn read_page(&self, key: SliceKey, page: PageId, as_of: Lsn) -> Result<(PageBuf, Lsn)> {
+        let pages = vec![page];
+        let call = ReadPagesRequest {
+            key,
+            as_of,
+            pages,
+            max_pages: 1,
+        };
+        match self.read_pages(&call)?.pages.pop() {
+            Some((_, buf, lsn)) => Ok((buf, lsn)),
+            None => Err(TaurusError::Internal(format!("{key}: {page} was not read"))),
+        }
     }
 }
 
@@ -209,16 +186,11 @@ mod tests {
         let resp = s.read_pages(&call(8, ids.clone())).unwrap();
         assert_eq!(resp.pages.len(), 2);
         assert!(resp.resume_from.is_none());
-        for (got, want_id) in resp.pages.iter().zip(&ids) {
-            let (single, lsn) = s.read_page(key(), *want_id, Lsn(8)).unwrap();
-            assert_eq!(got.0, *want_id);
-            match &got.1 {
-                PageReadOutcome::Ok(buf, l) => {
-                    assert_eq!(buf.as_bytes(), single.as_bytes());
-                    assert_eq!(*l, lsn);
-                }
-                other => panic!("expected Ok, got {other:?}"),
-            }
+        for ((page, buf, lsn), want_id) in resp.pages.iter().zip(&ids) {
+            let (single, single_lsn) = s.read_page(key(), *want_id, Lsn(8)).unwrap();
+            assert_eq!(page, want_id);
+            assert_eq!(buf.as_bytes(), single.as_bytes());
+            assert_eq!(*lsn, single_lsn);
         }
     }
 
@@ -227,13 +199,9 @@ mod tests {
         let s = seeded();
         // As of LSN 4 page 6 is still unformatted: a Free page at LSN 0.
         let resp = s.read_pages(&call(4, vec![PageId(6)])).unwrap();
-        match &resp.pages[0].1 {
-            PageReadOutcome::Ok(buf, lsn) => {
-                assert_eq!(buf.page_type(), PageType::Free);
-                assert_eq!(*lsn, Lsn::ZERO);
-            }
-            other => panic!("expected Ok, got {other:?}"),
-        }
+        let (_, buf, lsn) = &resp.pages[0];
+        assert_eq!(buf.page_type(), PageType::Free);
+        assert_eq!(*lsn, Lsn::ZERO);
     }
 
     #[test]

@@ -480,27 +480,11 @@ impl PageStoreServer {
         })
     }
 
-    /// `ReadPage`: returns the version of `page` as of `as_of` (the newest
-    /// version with LSN ≤ `as_of`). Fails with [`TaurusError::PageStoreBehind`]
-    /// if this replica has not received all records up to `as_of`, telling
-    /// the SAL to try the next replica (paper §4.2).
-    pub fn read_page(&self, key: SliceKey, page: PageId, as_of: Lsn) -> Result<(PageBuf, Lsn)> {
-        if self.read_gate(key, as_of)? {
-            return Err(TaurusError::VersionRecycled {
-                page,
-                requested: as_of,
-            });
-        }
-        let out = self.materialize(key, page, as_of)?;
-        self.note_read_heat(key, 1, taurus_common::page::PAGE_SIZE as u64);
-        Ok(out)
-    }
-
-    /// The read-visibility rule every read kind (`ReadPage`, `ReadPages`,
-    /// `ScanSlice`) applies before it materializes anything. Refuses a
-    /// snapshot this replica cannot serve, and otherwise answers whether the
-    /// snapshot lies below the recycle LSN, which each read kind reports in
-    /// its own shape.
+    /// The read-visibility rule every read kind (`ReadPages`, which
+    /// `ReadPage` is one page of, and `ScanSlice`) applies before it
+    /// materializes anything. Refuses a snapshot this replica cannot serve,
+    /// and answers one below the recycle LSN with
+    /// [`TaurusError::VersionRecycled`] for `page`.
     ///
     /// * A rebuilding replica, or one whose persistent LSN trails `as_of`,
     ///   refuses with [`TaurusError::PageStoreBehind`] so the SAL tries the
@@ -516,7 +500,7 @@ impl PageStoreServer {
     ///   would make the slice permanently unreadable. Recycling is a
     ///   versioning condition every replica agrees on, so it is an answer,
     ///   not a refusal: the next replica could not help.
-    pub(crate) fn read_gate(&self, key: SliceKey, as_of: Lsn) -> Result<bool> {
+    pub(crate) fn read_gate(&self, key: SliceKey, as_of: Lsn, page: PageId) -> Result<()> {
         let replica = self.replica(key)?;
         let r = replica.lock();
         if r.rebuilding {
@@ -543,7 +527,13 @@ impl PageStoreServer {
                 persistent,
             });
         }
-        Ok(as_of < r.recycle_lsn() && as_of < persistent)
+        if as_of < r.recycle_lsn() && as_of < persistent {
+            return Err(TaurusError::VersionRecycled {
+                page,
+                requested: as_of,
+            });
+        }
+        Ok(())
     }
 
     /// Produces the page version at `as_of` from the best base plus records.
@@ -1018,7 +1008,7 @@ mod tests {
     use taurus_common::{DbId, SliceId};
 
     use crate::pushdown::ScanSliceRequest;
-    use crate::readpages::{PageReadOutcome, ReadPagesRequest};
+    use crate::readpages::ReadPagesRequest;
 
     /// A server with knobs tiny enough that a handful of fragments produce
     /// seals and compactions. One that is never consolidated replays every
@@ -1175,25 +1165,9 @@ mod tests {
                     max_pages: usize::MAX,
                 };
                 verdict(s.read_pages(&call), |resp| {
-                    // Every page of the batch gets its own outcome, and a
-                    // slice-level answer is the same for each of them.
                     assert_eq!(resp.pages.len(), 2);
-                    let mut each: Vec<String> = resp
-                        .pages
-                        .iter()
-                        .map(|(_, outcome)| match outcome {
-                            PageReadOutcome::Ok(page, _) => {
-                                assert_eq!(page.nslots(), 1);
-                                "served".into()
-                            }
-                            PageReadOutcome::Recycled { requested } => {
-                                format!("recycled: wants {requested}")
-                            }
-                            PageReadOutcome::Failed(e) => e.clone(),
-                        })
-                        .collect();
-                    each.dedup();
-                    each.join(" / ")
+                    assert!(resp.pages.iter().all(|(_, page, _)| page.nslots() == 1));
+                    "served".into()
                 })
             }),
             ("ScanSlice", |s, at| {

@@ -78,7 +78,7 @@ pub struct Fingerprint {
     pub pushdown_scan_hash: u64,
     /// Hash over a batched `Sal::read_pages` of every page at the durable
     /// LSN (id, version LSN, and bytes per page). Must agree across runs —
-    /// batching, per-slice grouping, and straggler retries are not allowed
+    /// batching, per-slice grouping, and the one re-plan are not allowed
     /// to change what a read returns.
     pub batched_read_hash: u64,
     /// Number of PLogs the Log Store directory tracks.
