@@ -22,10 +22,10 @@
 //!
 //! A coordinator crash between acts 2 and 3 (the `cutover_abort` failpoint)
 //! is safe: the placement commit is the atomic switch. The successor is
-//! already routable and its delta is repaired by the recovery service's
-//! parked-slice drain; stale replicas that missed their fence learn it from
-//! the next placement-carrying gossip sweep
-//! (`PageStoreCluster::placement_sweep`).
+//! already routable, and its replicas, stuck below its flush LSN, are found
+//! by the recovery service's stall detector and repaired from the Log
+//! Stores; stale replicas that missed their fence learn it from the next
+//! placement-carrying gossip sweep (`PageStoreCluster::placement_sweep`).
 
 use std::sync::Arc;
 
@@ -221,11 +221,13 @@ fn cutover(
         for (key, nodes) in successors {
             install_successor_state(&mut st, *key, nodes, epoch, base, fence);
         }
+        // A retired source keeps its own flush LSN: a merge's lower donor
+        // has no record between its last one and the fence, so its replicas
+        // could never reach the fence. The placement map's fence routes
+        // reads.
         for key in &retired {
             if let Some(s) = st.slices.get_mut(key) {
-                s.fence = Some(fence);
                 s.epoch = epoch;
-                s.flush_lsn = s.flush_lsn.max(fence);
             }
         }
         (fence, epoch)
@@ -273,7 +275,6 @@ fn install_successor_state(
         .or_insert_with(|| SliceState::new(nodes.to_vec()));
     slice.replicas = nodes.to_vec();
     slice.epoch = epoch;
-    slice.fence = None;
     slice.flush_lsn = fence;
     slice.acked_lsn = fence;
     for &n in nodes {

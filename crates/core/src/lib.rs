@@ -34,8 +34,8 @@
 //!   epoch-checked grouped envelope, retry budget, park, suspect) and
 //!   `redo` (one log read, one partition by ownership filter, one fragment
 //!   per lagging replica) — behind the steady-state pipes, repair, cut-over
-//!   delta replay and restart redo alike; repair is a non-reentrant,
-//!   bounded drain of the parked set.
+//!   delta replay and restart redo alike; repair of the parked set is one
+//!   pass on the thread of `Sal::tick` or the recovery round.
 //! * **Recovery** (§5): persistent-LSN regression detection (Fig. 4b),
 //!   stall detection (Fig. 4c), targeted gossip triggering, and full SAL
 //!   restart recovery (§5.3) decide *what* is owed a resend; `redo` does it.

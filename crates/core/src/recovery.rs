@@ -4,8 +4,8 @@
 //! short-term (wait it out; gossip catches stragglers up) or long-term
 //! (decommission the node, re-replicate its data). On top of node-level
 //! repair, the service decides *which* slices are owed a resend from the
-//! Log Stores and hands them to the SAL's one repair drain
-//! (`crate::slice_writer`) in a single call:
+//! Log Stores and hands them, with the parked set, to one repair pass on
+//! this round's thread (`Sal::repair`, `crate::slice_writer`):
 //!
 //! * **persistent-LSN regression** (Fig. 4(b)): a rebuilt replica reports a
 //!   lower persistent LSN than before — resend the gap from the Log Stores.

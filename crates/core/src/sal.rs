@@ -36,7 +36,7 @@ use taurus_common::{
     TaurusError, PAGE_SIZE,
 };
 use taurus_logstore::{Log, LogStoreCluster};
-use taurus_pagestore::{PageStoreCluster, PlacementView, SliceFragment, SliceHeatSnapshot};
+use taurus_pagestore::{PageStoreCluster, SliceFragment, SliceHeatSnapshot};
 
 pub use crate::slice_reader::TableScan;
 use crate::slice_reader::{FrontEnd, SliceReader};
@@ -51,10 +51,6 @@ pub(crate) struct SliceState {
     /// Placement epoch this SAL has for the slice; carried on epoch-checked
     /// RPCs and refreshed on `PlacementEpochMismatch` (DESIGN.md §14).
     pub epoch: u64,
-    /// Elastic cut-over fence: `Some(F)` once the slice is retired — it owns
-    /// only LSNs `<= F`, and once its acked LSN reaches `F` it stops capping
-    /// the CV-LSN, which is kept per slice (see the module docs).
-    pub fence: Option<Lsn>,
     /// Records accumulated for the next fragment.
     buffer: Vec<LogRecord>,
     buffer_bytes: usize,
@@ -86,7 +82,6 @@ impl SliceState {
         SliceState {
             replicas,
             epoch: 0,
-            fence: None,
             buffer: Vec::new(),
             buffer_bytes: 0,
             flush_lsn: Lsn::ZERO,
@@ -107,22 +102,6 @@ impl SliceState {
             .map(|n| self.replica_persistent.get(n).copied().unwrap_or(Lsn::ZERO))
             .min()
             .unwrap_or(Lsn::ZERO)
-    }
-
-    /// Syncs the elastic metadata with the placement map: the epoch only
-    /// ever advances and a fence only ever appears (both placement
-    /// transitions go together, so a refresh cannot see one without the
-    /// other). A fence seen here belongs to a slice that was retired
-    /// elsewhere — this SAL was not the cut-over coordinator (recovery, or a
-    /// late first read). It will never take writes; it is sealed at its
-    /// fence so it cannot gate progress.
-    fn adopt_generation(&mut self, view: &PlacementView) {
-        self.epoch = self.epoch.max(view.epoch);
-        if let (None, Some(f)) = (self.fence, view.fence_lsn) {
-            self.fence = Some(f);
-            self.flush_lsn = self.flush_lsn.max(f);
-            self.acked_lsn = self.acked_lsn.max(f);
-        }
     }
 
     /// Records the persistent LSN `node` just reported (piggybacked on an
@@ -438,8 +417,8 @@ pub struct Sal {
     /// purposes"). Modeled as a durable control-plane cell that survives
     /// front-end crashes.
     anchor: Arc<LsnWatermark>,
-    /// The send pipes, the parked set and the repair drain
-    /// ([`crate::slice_writer`]), under their own leaf locks.
+    /// The send pipes and the parked set ([`crate::slice_writer`]), under
+    /// their own leaf locks.
     pub(crate) writer: SliceWriter,
     /// The read planner shared with read replicas. Owns the read-routing
     /// state: replica latencies and the suspect set the write pipeline feeds.
@@ -448,8 +427,8 @@ pub struct Sal {
     /// next elastic cut-over aborts between placement commit and delta
     /// replay, simulating a coordinator crash mid-cut-over.
     cutover_abort: AtomicBool,
-    /// Self-handle for detached dispatcher jobs (pipe drainers, the repair
-    /// drain), which must not keep the SAL alive.
+    /// Self-handle for the pipe drainers, detached dispatcher jobs which
+    /// must not keep the SAL alive.
     pub(crate) myself: Weak<Sal>,
     /// Microseconds of delay injected per log flush while Page Store
     /// consolidation is behind ("the SAL throttles log writes on the
@@ -878,9 +857,10 @@ impl Sal {
         self.throttle_us.load(Ordering::Relaxed)
     }
 
-    /// Periodic driver: flushes slice buffers whose timeout expired and
-    /// drains parked repairs once their replicas look reachable. Call this
-    /// from a timer (or rely on the next log flush).
+    /// Periodic driver: flushes slice buffers whose timeout expired and,
+    /// once their replicas look reachable, repairs the parked slices in one
+    /// pass on this thread ([`Sal::repair_parked`]). Call this from a timer
+    /// (or rely on the next log flush).
     pub fn tick(&self) {
         self.update_throttle();
         let now = self.clock.now_us();
@@ -954,7 +934,7 @@ impl Sal {
                 .entry(key)
                 .or_insert_with(|| SliceState::new(replicas));
             if let Some(view) = view {
-                slice.adopt_generation(&view);
+                slice.epoch = slice.epoch.max(view.epoch);
             }
         }
         Ok(())
@@ -1156,7 +1136,7 @@ impl Sal {
                 // GC'd retired slice; `set_recycle_lsn` prunes its state.
                 continue;
             };
-            slice.adopt_generation(&view);
+            slice.epoch = slice.epoch.max(view.epoch);
             let current = view.nodes;
             if !current.is_empty() && current != slice.replicas {
                 // A replacement replica inherits the expectation recorded for
@@ -1387,10 +1367,6 @@ impl Sal {
         let horizon = st
             .slices
             .values()
-            // A sealed cut-over parent stops acking forever; once its acked
-            // LSN reached the fence it owes nothing further and must not
-            // cap the replica-visible LSN for the rest of time.
-            .filter(|s| s.fence.is_none_or(|f| s.acked_lsn < f))
             .filter(|s| !(s.buffer.is_empty() && s.acked_lsn >= s.flush_lsn))
             .map(|s| s.acked_lsn)
             .min()

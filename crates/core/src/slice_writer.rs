@@ -21,10 +21,12 @@
 //! Steady state feeds `ship` from one bounded queue **per Page Store replica
 //! node**, drained by at most one detached job on the fabric's bounded
 //! dispatcher (DESIGN.md §15). Repair, restart recovery and cut-over delta
-//! replay call `redo`. Slices owed a repair sit in the *parked* set, emptied
-//! by a **non-reentrant, bounded drain** ([`Sal::repair_parked`]): whoever
-//! wants a repair while one runs leaves a "go round again" mark instead of
-//! nesting a second one, so repair depth is 1 by construction.
+//! replay call `redo`. Slices owed a repair sit in the *parked* set. A shed,
+//! an abandoned send or a placement race only marks a slice there; the set
+//! is emptied by [`Sal::repair`], one synchronous pass on the thread of
+//! whoever calls it — `Sal::tick` and the recovery round, on the beat.
+//! Nothing inside a pass starts another, so repair depth is 1 by
+//! construction.
 //!
 //! Locks: `pipes` and `parked` are leaves below `sal::state` — never held
 //! across a fabric call, and never across each other.
@@ -32,7 +34,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -55,12 +57,6 @@ struct PipeJob {
 /// collapsing bursts into few round trips.
 const GROUPED_SHIP_MAX: usize = 8;
 
-/// Passes one repair drain may run before it hands its thread back. A
-/// re-run means replicas came back (or placement moved) *during* a pass;
-/// under sustained overload that never stops, and whatever is still parked
-/// is picked up by the next tick, recovery round or resurrection.
-const DRAIN_MAX_PASSES: usize = 4;
-
 /// The send pipe to one Page Store replica node: a bounded queue drained by
 /// at most one detached fabric-dispatcher job at a time (per-node FIFO). A
 /// slow or dead replica fills its own queue and loses fragments to
@@ -75,53 +71,23 @@ struct PipeState {
     in_flight: Gauge,
 }
 
-/// Slices owed a repair from the Log Stores — a fragment of theirs was shed
-/// or abandoned, or their placement moved under a send — and the claim on
-/// the drain that empties the set.
-#[derive(Default)]
-struct Parked {
-    keys: HashSet<SliceKey>,
-    /// Some thread owns the drain (or a detached job that will is queued).
-    draining: bool,
-    /// Someone asked for a repair while the drain was claimed.
-    again: bool,
-}
-
 /// Writer-side state of a [`Sal`], outside `SalState` so the ack path and
 /// the flush path never contend on `sal::state` for it. `pipes` and
 /// `parked` are leaf locks: nothing is taken while one is held.
 pub(crate) struct SliceWriter {
     /// One send pipe per Page Store replica node, created on first use.
     pipes: Mutex<HashMap<NodeId, PipeState>>,
-    parked: Mutex<Parked>,
-    /// Signalled when the drain is released. Paired with `parked`.
-    drained: Condvar,
+    /// Slices owed a repair from the Log Stores: a fragment of theirs was
+    /// shed or abandoned, or their placement moved under a send.
+    parked: Mutex<HashSet<SliceKey>>,
 }
 
 impl SliceWriter {
     pub(crate) fn new() -> Self {
         SliceWriter {
             pipes: Mutex::new_leaf(HashMap::new()),
-            parked: Mutex::new_leaf(Parked::default()),
-            drained: Condvar::new(),
+            parked: Mutex::new_leaf(HashSet::new()),
         }
-    }
-
-    /// Claims the drain for the caller. While it is claimed elsewhere a
-    /// caller that will `wait` blocks until it is released (the drain's
-    /// owner never waits on anything a repairer holds); one that will not
-    /// leaves the mark that sends the owner round again.
-    fn claim_drain(&self, wait: bool) -> bool {
-        let mut p = self.parked.lock();
-        while p.draining {
-            if !wait {
-                p.again = true;
-                return false;
-            }
-            self.drained.wait(&mut p);
-        }
-        p.draining = true;
-        true
     }
 }
 
@@ -240,12 +206,12 @@ impl Sal {
                     }
                     // The slice moved (or was sealed) under this send — a
                     // placement race, not a replica-health problem: no
-                    // suspect demotion, no backoff. The repair drain
+                    // suspect demotion, no backoff. The next repair
                     // re-ships the records through the current owners.
                     Err(TaurusError::PlacementEpochMismatch { .. })
                     | Err(TaurusError::SliceFenced { .. }) => {
                         self.stats.fragments_parked.inc();
-                        self.writer.parked.lock().keys.insert(job.key);
+                        self.writer.parked.lock().insert(job.key);
                         raced = true;
                     }
                     Err(_) => failed.push(job),
@@ -272,7 +238,6 @@ impl Sal {
         }
         if raced {
             self.refresh_placement();
-            self.request_drain();
         }
         if delivered > 0 {
             self.note_replica_alive(node);
@@ -396,8 +361,7 @@ impl Sal {
 
     /// Repairs every parked slice from the Log Stores and gossips; a slice
     /// is unparked once every replica has caught up to its flush LSN.
-    /// Returns the number of slices unparked. Waits its turn when a drain
-    /// is already running elsewhere.
+    /// Returns the number of slices unparked.
     ///
     /// Must not be called while holding `state`.
     pub fn repair_parked(&self) -> usize {
@@ -405,58 +369,28 @@ impl Sal {
     }
 
     /// [`Sal::repair_parked`] over the parked set plus `also` — slices the
-    /// recovery service found regressed or stalled.
+    /// recovery service found regressed or stalled: **one** redo and one
+    /// gossip + poll round for the whole set, then every slice whose
+    /// replicas all reached its flush LSN is unparked. It runs on the
+    /// caller's thread and nothing inside it starts another repair.
     pub(crate) fn repair(&self, also: &[SliceKey]) -> usize {
-        self.writer.claim_drain(true);
-        self.run_drain(also)
-    }
-
-    /// Asks for a repair without running one on this stack: the ack path
-    /// and the shippers call this, so a resurrection observed during a
-    /// repair can never nest another one.
-    fn request_drain(&self) {
-        if self.writer.claim_drain(false) {
-            let weak = self.myself.clone();
-            self.pages.fabric.spawn_detached(move || {
-                if let Some(sal) = weak.upgrade() {
-                    sal.run_drain(&[]);
-                }
-            });
+        let mut keys = self.parked_slices();
+        keys.extend(also);
+        keys.sort();
+        keys.dedup();
+        if keys.is_empty() {
+            return 0;
         }
-    }
-
-    /// Runs the claimed drain: passes — each **one** redo and one gossip +
-    /// poll round for the whole set, then unparking whatever caught up —
-    /// until one ends with nobody having asked for another, at most
-    /// [`DRAIN_MAX_PASSES`].
-    fn run_drain(&self, also: &[SliceKey]) -> usize {
-        let mut unparked = 0;
-        for pass in 1.. {
-            let mut keys = self.parked_slices();
-            if pass == 1 {
-                keys.extend(also);
-                keys.sort();
-                keys.dedup();
-            }
-            if !keys.is_empty() {
-                let _ = self.redo(&keys, None);
-                self.gossip_round(&keys);
-            }
-            let caught_up: Vec<SliceKey> = {
-                let st = self.state.lock();
-                let done = |s: &SliceState| s.min_replica_persistent() >= s.flush_lsn;
-                keys.retain(|k| st.slices.get(k).is_none_or(done));
-                keys
-            };
-            let mut p = self.writer.parked.lock();
-            unparked += caught_up.iter().filter(|k| p.keys.remove(k)).count();
-            if !std::mem::take(&mut p.again) || pass == DRAIN_MAX_PASSES {
-                p.draining = false;
-                self.writer.drained.notify_all();
-                break;
-            }
-        }
-        unparked
+        let _ = self.redo(&keys, None);
+        self.gossip_round(&keys);
+        let caught_up: Vec<SliceKey> = {
+            let st = self.state.lock();
+            let done = |s: &SliceState| s.min_replica_persistent() >= s.flush_lsn;
+            keys.retain(|k| st.slices.get(k).is_none_or(done));
+            keys
+        };
+        let mut parked = self.writer.parked.lock();
+        caught_up.iter().filter(|k| parked.remove(k)).count()
     }
 
     /// A fragment of `key` will not reach `node` through the pipe: park the
@@ -466,16 +400,16 @@ impl Sal {
         if self.reader.set_suspect(node, true) {
             self.stats.suspect_demotions.inc();
         }
-        self.writer.parked.lock().keys.insert(key);
+        self.writer.parked.lock().insert(key);
     }
 
     /// Resurrects a suspect replica after evidence it is serving again (a
-    /// write ack or persistent-LSN progress). The suspect→healthy
-    /// *transition* — and only that — asks for the parked set to be drained.
+    /// write ack or persistent-LSN progress): clears the mark and counts the
+    /// resurrection. What the replica missed stays parked until the next
+    /// tick or recovery round repairs it.
     pub(crate) fn note_replica_alive(&self, node: NodeId) {
         if self.reader.set_suspect(node, false) {
             self.stats.suspect_resurrections.inc();
-            self.request_drain();
         }
     }
 
@@ -486,7 +420,7 @@ impl Sal {
 
     /// Slices currently parked for repair, sorted.
     pub fn parked_slices(&self) -> Vec<SliceKey> {
-        let mut v: Vec<SliceKey> = self.writer.parked.lock().keys.iter().copied().collect();
+        let mut v: Vec<SliceKey> = self.writer.parked.lock().iter().copied().collect();
         v.sort();
         v
     }

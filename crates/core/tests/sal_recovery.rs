@@ -387,11 +387,14 @@ fn fig4c_hole_on_every_replica_is_parked_and_resent() {
         h.fabric.set_up(r);
     }
     // Record 3 arrives everywhere. The first successful ack resurrects a
-    // suspect, and the resurrection drains the parked slice by resending
-    // record 2 from the Log Stores (Fig. 4(c) step 7) — proactively,
+    // suspect, which only clears its mark: the next tick drains the parked
+    // slice by resending record 2 from the Log Stores (Fig. 4(c) step 7),
     // without waiting for the stall detector.
     let end = h.write_kv(&sal, 1, "r3", "v", false);
     h.settle(&sal);
+    assert_eq!(sal.stats.resends.get(), 0, "a resurrection repairs nothing");
+    assert!(sal.parked_slices().contains(&key));
+    sal.tick();
     for &r in &replicas {
         let mut ok = false;
         for _ in 0..500 {
@@ -648,6 +651,72 @@ fn future_snapshot_is_capped_to_the_slice_head() {
     assert_eq!(capped.nslots(), head.nslots());
 }
 
+/// A merge retires both donors at one fence, the larger of their flush
+/// LSNs. The lower donor has no record between its last one and the fence,
+/// so its replicas can never reach the fence: its SAL state keeps its own
+/// flush LSN. Raised to the fence, it refused reads at snapshots above its
+/// last record and pinned the read horizon, the database persistent LSN and
+/// recycling there for good, and the stall detector repaired it every round.
+#[test]
+fn a_merges_lower_donor_pins_neither_reads_nor_the_horizon() {
+    let h = Harness::new(4, 5);
+    let sal = h.sal();
+    let pps = h.cfg.pages_per_slice;
+    let low = h.write_kv(&sal, 1, "a", "v", true);
+    h.write_kv(&sal, pps + 1, "b0", "v", true);
+    h.write_kv(&sal, pps + 1, "b1", "v", false);
+    let fence = h.write_kv(&sal, pps + 1, "b2", "v", false);
+    assert_eq!((low, fence), (Lsn(2), Lsn(6)));
+    h.settle(&sal);
+    let everywhere = || sal.database_persistent_lsn() == sal.durable_lsn();
+    for _ in 0..2_000 {
+        if everywhere() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    assert!(everywhere(), "every donor replica must hold its records");
+
+    let left = SliceKey::new(DbId(1), PageId(1).slice(pps));
+    let right = SliceKey::new(DbId(1), PageId(pps + 1).slice(pps));
+    let report = taurus_core::merge_slices(&sal, left, right).unwrap();
+    assert_eq!(report.fence_lsn, fence);
+    let mut end = fence;
+    for i in 0..3 {
+        h.write_kv(&sal, 1, &format!("c{i}"), "v", false);
+        end = h.write_kv(&sal, pps + 1, &format!("d{i}"), "v", false);
+    }
+    h.settle(&sal);
+    // Page 1 at a snapshot above the lower donor's last record: the read
+    // routes to that donor (its fence covers LSN 4), which serves its own
+    // last version of the page.
+    let page = sal.read_page(PageId(1), Some(Lsn(4))).unwrap();
+    assert_eq!(page.nslots(), 1);
+
+    let quiesced = || {
+        sal.read_horizon() == end
+            && sal.database_persistent_lsn() == end
+            && sal.stalled_slices(0).is_empty()
+    };
+    for _ in 0..2_000 {
+        sal.tick();
+        sal.set_recycle_lsn(sal.read_horizon());
+        if quiesced() && h.pages.all_slices() == report.created {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    assert_eq!(sal.durable_lsn(), end);
+    assert_eq!(sal.cv_lsn(), end, "the read horizon is pinned");
+    assert_eq!(sal.database_persistent_lsn(), end, "truncation is pinned");
+    assert_eq!(sal.stalled_slices(0), vec![]);
+    assert_eq!(
+        h.pages.all_slices(),
+        report.created,
+        "the retired donors must be garbage-collected"
+    );
+}
+
 /// Runs the same crash on a database with or without a committed split and
 /// returns what recovery left on the Page Stores: `(slice id, persistent
 /// LSNs of its replicas in placement order)` for every slice, retired
@@ -680,13 +749,22 @@ fn recover_after_crash(split: bool) -> Vec<(u64, Vec<u64>)> {
             lsns.windows(2).all(|w| w[0] == w[1])
         })
     };
+    // The loop ticks as the beat would: a parent fragment a send pipe
+    // shipped across the split's placement commit is refused and parks the
+    // parent, and only a tick (or a recovery round) repairs a parked slice.
     for _ in 0..2000 {
         if quiesced() && sal.cv_lsn() == sal.durable_lsn() {
             break;
         }
+        sal.tick();
         std::thread::sleep(std::time::Duration::from_micros(200));
     }
-    assert!(quiesced() && sal.cv_lsn() == sal.durable_lsn());
+    assert!(
+        quiesced() && sal.cv_lsn() == sal.durable_lsn(),
+        "parked {:?}: {}",
+        sal.parked_slices(),
+        sal.stats.snapshot()
+    );
     let _ = sal.poll_persistent_lsns();
     sal.truncate_log().unwrap();
     assert!(sal.recovery_anchor() > Lsn::ZERO);

@@ -1,6 +1,6 @@
 //! Bounded worker pool for the one kind of work that genuinely needs a
 //! thread of its own: detached `'static` jobs ([`crate::Fabric::spawn_detached`]
-//! — the SAL write pipeline's per-node drainers and its repair drain).
+//! — the SAL write pipeline's per-node drainers).
 //! Nothing anyone waits on comes here: a fabric leg (`Fabric::call_all` /
 //! `call_grouped`) runs its handler on the submitting thread at the leg's
 //! arrival, and the read planner finishes every slice in rounds of such
@@ -9,8 +9,8 @@
 //! * **Sized by demand, bounded by construction.** A worker is spawned when
 //!   a job is queued and no worker is idle, up to [`MAX_DISPATCH_WORKERS`].
 //!   What queues here is bounded by its submitters — at most one drainer
-//!   per Page Store node and one repair drain per SAL — so the cap is a
-//!   backstop, not a tuning knob.
+//!   per Page Store node per SAL — so the cap is a backstop, not a tuning
+//!   knob.
 //! * **Detached jobs** have no completion handle and must hold only weak
 //!   references to fabric users, or shutdown would wait on them keeping the
 //!   fabric alive. A panic is contained to its job.
