@@ -337,20 +337,21 @@ impl Gauge {
 }
 
 /// Observability for the Log Store append hot path (paper §3.2–§3.3): one
-/// instance per `LogStream`, printed by the fig7/fig9 harnesses. The append
-/// latency histogram times the replicated 3/3 write alone (reservation to
-/// last replica ack), so with per-hop latency L a parallel fan-out reports
-/// ~max-of-3 (~one round trip) rather than ~3 round trips.
+/// instance per log, shared by its streams, printed by the fig7/fig9
+/// harnesses. The append latency histogram times the replicated 3/3 write
+/// alone (first request to last replica ack), so with per-hop latency L a
+/// parallel fan-out reports ~max-of-3 (~one round trip) rather than ~3
+/// round trips.
 #[derive(Debug, Default)]
 pub struct LogStoreStats {
     /// Latency of each replicated group append, microseconds.
     pub append_latency: LatencyRecorder,
-    /// Replicated appends currently between reservation and commit.
+    /// Appends inside their stream's turn: at most one per stream.
     pub appends_in_flight: Gauge,
-    /// Completed group appends (reservation committed).
+    /// Completed group appends.
     pub appends: Counter,
-    /// Seal-and-switch events: a reservation lost its PLog to a failed
-    /// append and re-reserved on a fresh one.
+    /// Seal-and-switch events: an append failed on its PLog and moved to
+    /// a fresh one.
     pub seal_switches: Counter,
 }
 

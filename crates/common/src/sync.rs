@@ -5,11 +5,10 @@ use parking_lot::{Condvar, Mutex};
 /// A ticket turnstile: threads holding consecutive tickets pass through one
 /// at a time, in ticket order, regardless of the order they arrive in.
 ///
-/// The log (`taurus_logstore::Log`) keeps one per stream so the ordered
-/// section stays ordered while the expensive part (the replicated 3/3 log
-/// append) runs concurrently: flush tickets are assigned under the SAL lock
-/// in LSN order, each flush reserves its stream's log-tail slot inside its
-/// turn, then fans out to the Log Stores unordered.
+/// Each log stream (`taurus_logstore::LogStream`) keeps one: flush tickets
+/// are assigned under the SAL lock in LSN order, and a stream runs its
+/// appends one at a time in that order, each turn spanning the whole
+/// replicated 3/3 append. Appends overlap only across streams.
 ///
 /// Every ticket holder **must** call [`Sequencer::advance`] exactly once —
 /// including on error paths — or every later ticket blocks forever.

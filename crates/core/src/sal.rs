@@ -1398,6 +1398,12 @@ impl Sal {
         self.anchor.get()
     }
 
+    /// The order the read planner tries `key`'s replicas in right now:
+    /// fastest first, suspects last.
+    pub fn ordered_replicas(&self, key: SliceKey) -> Vec<NodeId> {
+        self.reader.ordered_replicas(key)
+    }
+
     /// All slices the SAL currently manages.
     pub fn slice_keys(&self) -> Vec<SliceKey> {
         let mut v: Vec<SliceKey> = self.state.lock().slices.keys().copied().collect();

@@ -293,6 +293,22 @@ fn fig4a_gossip_recovers_short_term_failure() {
     h.fabric.set_down(replica3);
     h.write_kv(&sal, 1, "r2", "v", false);
     h.settle(&sal);
+    // `settle` returns at the first ack: replica 3's drainer may still be
+    // retrying record 2, and a retry after `set_up` would deliver it by the
+    // pipe, leaving gossip nothing to copy. Wait until it has given up.
+    let pipe_idle = || {
+        let gauges = sal.pipeline_gauges().into_iter();
+        gauges
+            .filter(|g| g.0 == replica3)
+            .all(|(_, q, f)| q + f == 0)
+    };
+    for _ in 0..5_000 {
+        if pipe_idle() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    assert!(pipe_idle(), "replica 3's pipe never drained");
     h.fabric.set_up(replica3);
     let behind = h.pages.persistent_lsn_of(replica3, h.me, key).unwrap();
     // Gossip copies the missing fragment (Fig. 4(a) step 4).

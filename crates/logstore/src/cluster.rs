@@ -10,7 +10,9 @@
 //!   writes issued in parallel (ack latency = max of three, paper §3.2):
 //!   acknowledged only when **all** replicas report success; any failure
 //!   seals the PLog so the writer allocates a fresh one elsewhere (writes
-//!   are never retried to the old location — paper §3.3);
+//!   are never retried to the old location — paper §3.3). A PLog has one
+//!   writer with at most one append in flight, so every replica applies
+//!   its appends in the order they arrive, the same order everywhere;
 //! * [`LogStoreCluster::read_from`] and [`LogStoreCluster::read_append`] —
 //!   succeed as long as *one* replica is alive;
 //! * [`LogStoreCluster::rereplicate_from`] — long-term failure repair:
@@ -38,15 +40,12 @@ use crate::server::{LogStoreReadsSnapshot, LogStoreServer};
 struct PLogMeta {
     nodes: Vec<NodeId>,
     committed_len: u64,
-    /// Next per-plog append sequence number to hand out ([`reserve_seq`]).
-    next_seq: u64,
-    /// First sequence number not yet covered by `committed_len`.
-    committed_seq: u64,
-    /// Acknowledged appends whose predecessors are still in flight:
-    /// seq → byte length. `committed_len` only advances over the contiguous
-    /// prefix, so it is monotone and never counts a write that could still
-    /// fail ahead of it.
-    acked: std::collections::BTreeMap<u64, u64>,
+    /// Appends started. One more than `committed` while an append is in
+    /// flight — and for good once one failed: the PLog is dead.
+    started: u64,
+    /// Appends committed: the first `committed` appends, `committed_len`
+    /// bytes.
+    committed: u64,
 }
 
 impl PLogMeta {
@@ -54,9 +53,8 @@ impl PLogMeta {
         PLogMeta {
             nodes,
             committed_len: 0,
-            next_seq: 0,
-            committed_seq: 0,
-            acked: std::collections::BTreeMap::new(),
+            started: 0,
+            committed: 0,
         }
     }
 }
@@ -154,56 +152,38 @@ impl LogStoreCluster {
         Ok(nodes)
     }
 
-    /// Reserves the next append sequence number of a PLog. Sequences order
-    /// concurrent appends: each replica applies them in sequence order (see
-    /// [`LogStoreServer::append_at`]) so all three replicas stay
-    /// byte-identical no matter how the parallel fan-outs interleave.
-    pub fn reserve_seq(&self, id: PLogId) -> Result<u64> {
-        let mut dir = self.directory.write();
-        let meta = dir.get_mut(&id).ok_or(TaurusError::PLogNotFound(id))?;
-        let seq = meta.next_seq;
-        meta.next_seq += 1;
-        Ok(seq)
-    }
-
-    /// First sequence number not yet covered by the committed length.
-    pub fn committed_seq(&self, id: PLogId) -> u64 {
+    /// Appends committed to a PLog.
+    pub fn committed_appends(&self, id: PLogId) -> u64 {
         self.directory
             .read()
             .get(&id)
-            .map(|m| m.committed_seq)
+            .map(|m| m.committed)
             .unwrap_or(0)
     }
 
-    /// Synchronously replicated append: all replicas must acknowledge.
-    /// Convenience wrapper for single-writer PLogs (metadata snapshots,
-    /// tests): reserves the next sequence number and appends at it.
-    pub fn append(&self, id: PLogId, from: NodeId, data: Bytes) -> Result<()> {
-        let seq = self.reserve_seq(id)?;
-        self.append_at(id, from, seq, data)
-    }
-
-    /// Synchronously replicated append at a reserved sequence number: the
+    /// Synchronously replicated append, for the PLog's one writer: the
     /// three replica writes are in flight **concurrently** (one
     /// [`Fabric::call_all`]: this thread runs each server append at its
     /// request's arrival and waits the three legs' hops and device times
     /// at once) and the append is acknowledged when all of them report
-    /// success, so ack latency is the max of the three writes rather than
-    /// their sum (paper §3.2).
+    /// success at the committed length, so ack latency is the max of the
+    /// three writes rather than their sum (paper §3.2).
     ///
     /// On any failure the PLog is sealed on every reachable replica and
     /// `PLogSealed` is returned — the writer must allocate a new PLog and
-    /// write there instead (never retry to the old location). On success the
-    /// committed length advances over the contiguous acknowledged sequence
-    /// prefix only: an append whose predecessor is still in flight stays
-    /// invisible to readers until that predecessor also acks, and if the
-    /// predecessor fails the gap (and everything behind it) stays
-    /// unreachable forever.
-    pub fn append_at(&self, id: PLogId, from: NodeId, seq: u64, data: Bytes) -> Result<()> {
-        let nodes = self.replicas_of(id);
-        if nodes.is_empty() {
-            return Err(TaurusError::PLogNotFound(id));
-        }
+    /// write there instead (never retry to the old location). A PLog whose
+    /// last append started and never committed (it failed, or another is
+    /// still in flight) is refused at once, without a round trip.
+    pub fn append(&self, id: PLogId, from: NodeId, data: Bytes) -> Result<()> {
+        let (nodes, offset) = {
+            let mut dir = self.directory.write();
+            let meta = dir.get_mut(&id).ok_or(TaurusError::PLogNotFound(id))?;
+            if meta.started != meta.committed {
+                return Err(TaurusError::PLogSealed(id));
+            }
+            meta.started += 1;
+            (meta.nodes.clone(), meta.committed_len)
+        };
         let mut servers = Vec::with_capacity(nodes.len());
         for &n in &nodes {
             match self.server(n) {
@@ -218,20 +198,22 @@ impl LogStoreCluster {
             .into_iter()
             .map(|(n, server)| {
                 let data = data.clone();
-                let f: Box<dyn FnOnce() -> Result<()> + Send> =
-                    Box::new(move || server.append_at(id, seq, data));
+                let f: Box<dyn FnOnce() -> Result<u64> + Send> =
+                    Box::new(move || server.append(id, data));
                 (n, f)
             })
             .collect();
         let results = self.fabric.call_all(from, calls);
-        if results.into_iter().all(|r| matches!(r, Ok(Ok(())))) {
+        // Every replica must have put the append where the directory's
+        // committed length says it goes: replicas stay byte-identical.
+        if results
+            .into_iter()
+            .all(|r| matches!(r, Ok(Ok(at)) if at == offset))
+        {
             let mut dir = self.directory.write();
             if let Some(meta) = dir.get_mut(&id) {
-                meta.acked.insert(seq, data.len() as u64);
-                while let Some(len) = meta.acked.remove(&meta.committed_seq) {
-                    meta.committed_len += len;
-                    meta.committed_seq += 1;
-                }
+                meta.committed_len += data.len() as u64;
+                meta.committed += 1;
             }
             return Ok(());
         }
@@ -255,16 +237,16 @@ impl LogStoreCluster {
         false
     }
 
-    /// Whether a PLog has reserved sequence numbers that can never commit
-    /// (a failed append left a hole in the acknowledged prefix, or a
-    /// reservation was abandoned). Such a PLog is permanently dead for
-    /// writing: later appends would succeed on the replicas but stay
-    /// invisible behind the gap forever.
+    /// Whether a PLog's last append started and has not committed: it
+    /// failed (or is still in flight, for the writer itself to know).
+    /// After a failure the PLog is permanently dead for writing — a replica
+    /// that missed the seal may still take bytes, but the directory
+    /// refuses every further append.
     pub fn has_sequence_gap(&self, id: PLogId) -> bool {
         self.directory
             .read()
             .get(&id)
-            .map(|m| m.next_seq != m.committed_seq)
+            .map(|m| m.started != m.committed)
             .unwrap_or(false)
     }
 
@@ -289,7 +271,7 @@ impl LogStoreCluster {
     /// Reads from the start of append `k` (0-based) of a PLog, at most
     /// `max_len` bytes: the append's logical offset, and the bytes. Bounded
     /// the way [`LogStoreCluster::read_from`] is: an append at or past the
-    /// committed sequence reads as no bytes, and none past the committed
+    /// committed ones reads as no bytes, and none past the committed
     /// length are served. A frame-header probe passes the header's length,
     /// a read of the rest of the PLog `u64::MAX`.
     pub fn read_append(
@@ -299,7 +281,7 @@ impl LogStoreCluster {
         k: u64,
         max_len: u64,
     ) -> Result<(u64, Bytes)> {
-        let acked = |m: &PLogMeta| k < m.committed_seq;
+        let acked = |m: &PLogMeta| k < m.committed;
         self.read_replica(id, from, max_len, acked, |s| s.read_append(id, k, max_len))
     }
 
@@ -380,17 +362,10 @@ impl LogStoreCluster {
             .read()
             .iter()
             .filter(|(_, meta)| meta.nodes.contains(&failed))
-            .map(|(id, meta)| {
-                (
-                    *id,
-                    meta.nodes.clone(),
-                    meta.committed_len,
-                    meta.committed_seq,
-                )
-            })
+            .map(|(id, meta)| (*id, meta.nodes.clone(), meta.committed_len, meta.committed))
             .collect();
         let mut repaired = 0usize;
-        for (id, nodes, committed_len, committed_seq) in affected {
+        for (id, nodes, committed_len, committed) in affected {
             let survivors: Vec<NodeId> = nodes.iter().copied().filter(|&n| n != failed).collect();
             // Read the committed prefix from any survivor that has all of
             // it, with its append boundaries.
@@ -407,7 +382,7 @@ impl LogStoreCluster {
                         // try the next survivor.
                         continue;
                     }
-                    lens.truncate(committed_seq as usize);
+                    lens.truncate(committed as usize);
                     content = Some((data.slice(0..committed_len as usize), lens, sealed));
                     break;
                 }
@@ -425,26 +400,22 @@ impl LogStoreCluster {
             let server = self.server(new_node)?;
             let install = data.clone();
             self.fabric.call(from, new_node, || {
-                server.install_replica(id, install, &lens, committed_seq, sealed)
+                server.install_replica(id, install, &lens, sealed)
             })??;
             // Clip the unacknowledged tail off the survivors so all replicas
             // are byte-identical after repair. Best effort: an unreachable
             // survivor keeps its (invisible, read-side-capped) tail.
             for &s in &survivors {
                 let Ok(server) = self.server(s) else { continue };
-                let _ = self.fabric.call(from, s, || {
-                    server.truncate_to(id, committed_len, committed_seq)
-                });
+                let _ = self
+                    .fabric
+                    .call(from, s, || server.truncate_to(id, committed_len));
             }
             let mut dir = self.directory.write();
             if let Some(meta) = dir.get_mut(&id) {
                 if let Some(slot) = meta.nodes.iter_mut().find(|n| **n == failed) {
                     *slot = new_node;
                 }
-                // Sequences acked ahead of a failed predecessor can never
-                // commit (the plog is sealed); drop them so directory state
-                // matches the repaired replicas.
-                meta.acked.clear();
             }
             repaired += 1;
         }
@@ -462,7 +433,7 @@ impl LogStoreCluster {
     }
 
     /// Recovery-only: retracts a PLog's acknowledged length to `len` (with
-    /// `seq` appends committed), physically truncating every reachable
+    /// `appends` appends committed), physically truncating every reachable
     /// replica. Used to discard *orphaned* flush frames after a crash — spans
     /// that a stream made durable while an earlier span on a sibling stream
     /// did not, leaving a log hole. Those bytes were 3/3-acked at the PLog
@@ -472,7 +443,7 @@ impl LogStoreCluster {
     /// The directory is the source of truth for visibility (`read_from` caps
     /// at `committed_len`), so an unreachable replica that keeps the orphan
     /// bytes can never serve them.
-    pub fn truncate_plog_to(&self, id: PLogId, from: NodeId, len: u64, seq: u64) -> Result<()> {
+    pub fn truncate_plog_to(&self, id: PLogId, from: NodeId, len: u64, appends: u64) -> Result<()> {
         {
             let mut dir = self.directory.write();
             let meta = dir.get_mut(&id).ok_or(TaurusError::PLogNotFound(id))?;
@@ -482,15 +453,12 @@ impl LogStoreCluster {
                 ));
             }
             meta.committed_len = len;
-            meta.committed_seq = seq;
-            meta.next_seq = seq;
-            meta.acked.clear();
+            meta.committed = appends;
+            meta.started = appends;
         }
         for n in self.replicas_of(id) {
             if let Ok(server) = self.server(n) {
-                let _ = self
-                    .fabric
-                    .call(from, n, || server.truncate_to(id, len, seq));
+                let _ = self.fabric.call(from, n, || server.truncate_to(id, len));
             }
         }
         Ok(())
@@ -626,48 +594,6 @@ mod tests {
             Bytes::from_static(b"precious")
         );
         assert!(s.is_sealed(id(1)).unwrap());
-    }
-
-    #[test]
-    fn committed_len_advances_only_over_contiguous_sequences() {
-        let (c, _, me) = cluster(4);
-        c.create_plog(id(1), me).unwrap();
-        let s0 = c.reserve_seq(id(1)).unwrap();
-        let s1 = c.reserve_seq(id(1)).unwrap();
-        // The later sequence acks first: nothing is committed yet, because
-        // its predecessor could still fail.
-        c.append_at(id(1), me, s1, Bytes::from_static(b"second"))
-            .unwrap();
-        assert_eq!(c.committed_len(id(1)), 0);
-        assert_eq!(c.read_from(id(1), me, 0).unwrap(), Bytes::new());
-        // The predecessor lands: the whole contiguous prefix commits.
-        c.append_at(id(1), me, s0, Bytes::from_static(b"first!"))
-            .unwrap();
-        assert_eq!(c.committed_len(id(1)), 12);
-        assert_eq!(
-            c.read_from(id(1), me, 0).unwrap(),
-            Bytes::from_static(b"first!second")
-        );
-    }
-
-    #[test]
-    fn failed_predecessor_keeps_later_acks_invisible_forever() {
-        let (c, _, me) = cluster(6);
-        c.create_plog(id(1), me).unwrap();
-        let s0 = c.reserve_seq(id(1)).unwrap();
-        let s1 = c.reserve_seq(id(1)).unwrap();
-        c.append_at(id(1), me, s1, Bytes::from_static(b"orphan"))
-            .unwrap();
-        let victim = c.replicas_of(id(1))[0];
-        c.fabric.set_down(victim);
-        assert!(matches!(
-            c.append_at(id(1), me, s0, Bytes::from_static(b"lost")),
-            Err(TaurusError::PLogSealed(_))
-        ));
-        // seq1's bytes are durable on every replica but can never become
-        // readable: the gap at seq0 will never fill (the plog is sealed).
-        assert_eq!(c.committed_len(id(1)), 0);
-        assert_eq!(c.read_from(id(1), me, 0).unwrap(), Bytes::new());
     }
 
     #[test]

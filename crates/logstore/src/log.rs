@@ -11,11 +11,12 @@
 //!
 //! [`Log`] is that log. Parallel logging (Xia & Pavlo's LSN-vector design)
 //! splits its data PLogs into N streams so flush spans overlap their 3/3
-//! appends; the metadata PLog, the manifest, stays one and lists every
+//! appends — one span in flight per stream, so the streams are the log's
+//! parallelism; the metadata PLog, the manifest, stays one and lists every
 //! stream's PLogs. [`Log`] owns everything that exists only because there
 //! are N streams, so the SAL and read replicas never name one: span `t`
-//! (tickets are dense, in LSN order) goes to stream `t % n` inside that
-//! stream's reserve turn, as one batch frame whose `prev_end` is the chain
+//! (tickets are dense, in LSN order) goes to stream `t % n` as that
+//! stream's append `t / n`, one batch frame whose `prev_end` is the chain
 //! link recovery walks; the LSN vector; the manifest; the merge of the
 //! streams in LSN order; the recovery hole cut; the merged tail. Which
 //! spans are *visible* stays with the writer.
@@ -26,7 +27,6 @@ use bytes::Buf;
 
 use taurus_common::lsn::LsnWatermark;
 use taurus_common::metrics::LogStoreStats;
-use taurus_common::sync::Sequencer;
 use taurus_common::{DbId, LogRecordGroup, Lsn, NodeId, PLogId, Result, TaurusConfig, TaurusError};
 
 use crate::batch::{self, BatchFrame};
@@ -34,17 +34,11 @@ use crate::cluster::LogStoreCluster;
 use crate::manifest::Manifest;
 use crate::stream::{LogStream, PLogEntry};
 
-/// Reservations a stream keeps in flight: up to this many of its spans
-/// overlap their replica writes.
-const APPEND_WINDOW: usize = 8;
-
 /// One database's log over the Log Store cluster.
 pub struct Log {
     streams: Vec<LogStream>,
     /// The metadata PLog every stream publishes its chain to.
     manifest: Arc<Manifest>,
-    /// Per-stream reserve turnstiles, ordered by the stream-local ticket.
-    turns: Vec<Sequencer>,
     /// The LSN vector: per stream, the end of the newest span durable
     /// there, whether or not earlier spans on other streams have landed.
     /// The SAL's prefix walk asserts it covers every span it commits.
@@ -112,7 +106,7 @@ impl Log {
         let mut streams = Vec::with_capacity(n);
         for (i, chain) in chains.into_iter().enumerate() {
             let (manifest, stats) = (Arc::clone(&manifest), Arc::clone(&stats));
-            let stream = LogStream::open(manifest, i, chain, APPEND_WINDOW, n > 1, stats)?;
+            let stream = LogStream::open(manifest, i, chain, n > 1, stats)?;
             if writer {
                 stream.start()?;
             }
@@ -121,7 +115,6 @@ impl Log {
         Ok(Log {
             streams,
             manifest,
-            turns: (0..n).map(|_| Sequencer::new()).collect(),
             vector: (0..n).map(|_| LsnWatermark::new(Lsn::ZERO)).collect(),
             stats,
         })
@@ -141,7 +134,7 @@ impl Log {
     /// before it ending at `prev_end` — as one durable (3/3) frame on its
     /// stream. Earlier spans on other streams may still be in flight when
     /// it returns. Every ticket must be appended exactly once: a stream's
-    /// later spans wait for its turn.
+    /// later spans wait until its earlier ones have returned.
     pub fn append(
         &self,
         ticket: u64,
@@ -152,13 +145,8 @@ impl Log {
     ) -> Result<()> {
         let k = self.stream_of(ticket);
         let data = batch::encode_batch(groups, prev_end, first, end);
-        // The guard passes the turn on every exit path, so a failed
-        // reservation cannot wedge this stream's later tickets.
-        let reserved = {
-            let _turn = self.turns[k].ticket_guard(ticket / self.streams.len() as u64);
-            self.streams[k].reserve_append(first, end, data.len() as u64)
-        };
-        self.streams[k].complete_append(reserved?, data)?;
+        let turn = ticket / self.streams.len() as u64;
+        self.streams[k].append(turn, data, first, end)?;
         self.vector[k].advance(end);
         Ok(())
     }
@@ -356,14 +344,14 @@ impl Log {
         self.streams.iter().map(LogStream::entries).collect()
     }
 
-    /// The log's streams, for a caller that drives each append pipeline
-    /// itself (the logstore suites); they keep publishing their chains to
-    /// the log's manifest.
+    /// The log's streams, for a caller that appends to each one itself (the
+    /// logstore suites); they keep publishing their chains to the log's
+    /// manifest.
     pub fn into_streams(self) -> Vec<LogStream> {
         self.streams
     }
 
-    /// Append-path metrics (latency, in-flight window, seal-switches).
+    /// Append-path metrics (latency, appends in their turn, seal-switches).
     pub fn stats(&self) -> &LogStoreStats {
         &self.stats
     }
@@ -437,11 +425,9 @@ pub(crate) mod tests {
         let meta_before = cluster.meta_plog(DbId(1)).unwrap();
         // Each data-plog rollover appends a snapshot; force many rollovers so
         // the metadata plog crosses the limit and replaces itself.
-        let mut lsn = 1u64;
-        for _ in 0..30 {
-            let (d, f, l) = group(lsn..=lsn + 1);
-            s.append_group(d, f, l).unwrap();
-            lsn += 2;
+        for t in 0..30 {
+            let (d, f, l) = group(2 * t + 1..=2 * t + 2);
+            s.append(t, d, f, l).unwrap();
         }
         let meta_after = cluster.meta_plog(DbId(1)).unwrap();
         assert_ne!(meta_before, meta_after, "metadata plog should have rolled");
@@ -456,9 +442,15 @@ pub(crate) mod tests {
     /// request's arrival, its reply), a single `Fabric::call` included —
     /// which `DispatchSnapshot::inline_jobs` does not count.
     #[derive(Debug, Default)]
-    struct WaitCounter {
+    pub(crate) struct WaitCounter {
         time: ManualClock,
         waits: std::sync::atomic::AtomicU64,
+    }
+
+    impl WaitCounter {
+        pub(crate) fn waits(&self) -> u64 {
+            self.waits.load(std::sync::atomic::Ordering::Relaxed)
+        }
     }
 
     impl taurus_common::clock::Clock for WaitCounter {
@@ -483,17 +475,14 @@ pub(crate) mod tests {
         let (log, cluster, me, _) = setup_on(clock.clone(), 220);
         let writer = &log.streams[0];
         let reader = reopen(&cluster, me, 220);
-        let legs = || {
-            let waits = clock.waits.load(std::sync::atomic::Ordering::Relaxed);
-            waits / 2 + cluster.fabric.dispatch_snapshot().inline_jobs
-        };
+        let legs = || clock.waits() / 2 + cluster.fabric.dispatch_snapshot().inline_jobs;
         let ids = |s: &LogStream| s.entries().iter().map(|e| e.id).collect::<Vec<_>>();
-        let mut lsn = 1u64;
+        let mut turn = 0u64;
         let mut append = |n: usize| {
             for _ in 0..n {
-                let (d, f, l) = group(lsn..=lsn + 1);
-                writer.append_group(d, f, l).unwrap();
-                lsn += 2;
+                let (d, f, l) = group(2 * turn + 1..=2 * turn + 2);
+                writer.append(turn, d, f, l).unwrap();
+                turn += 1;
             }
         };
         // No new snapshot: answered from the directory, no fabric leg runs.

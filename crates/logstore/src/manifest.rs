@@ -44,9 +44,8 @@ struct ManifestState {
     plog: PLogId,
     appends: u64,
     bytes: u64,
-    /// A failed append burned a sequence number of `plog`: anything
-    /// appended after it would stay invisible behind the gap, so the next
-    /// snapshot goes to a fresh metadata PLog.
+    /// An append to `plog` failed: the cluster refuses it any further
+    /// append, so the next snapshot goes to a fresh metadata PLog.
     dead: bool,
     /// Next PLog sequence number, data and metadata PLogs alike.
     next_seq: u64,
@@ -185,7 +184,7 @@ impl Manifest {
             TaurusError::Internal(format!("no manifest registered for {}", self.db))
         })?;
         let seen = |st: &ManifestState, appends| st.plog == plog && st.appends >= appends;
-        let appends = self.cluster.committed_seq(plog);
+        let appends = self.cluster.committed_appends(plog);
         if seen(&self.state.lock(), appends) {
             return Ok(None);
         }
@@ -222,7 +221,7 @@ fn load(
     plog: PLogId,
     streams: usize,
 ) -> Result<(u64, u64, Vec<Vec<PLogEntry>>, u64)> {
-    let appends = cluster.committed_seq(plog);
+    let appends = cluster.committed_appends(plog);
     let Some(last) = appends.checked_sub(1) else {
         return Ok((1, 0, vec![Vec::new(); streams], 0));
     };

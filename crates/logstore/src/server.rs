@@ -7,7 +7,7 @@
 //! (paper §5.1: "as soon as a Log Store becomes unavailable, all PLogs
 //! located on the Log Store stop accepting new writes").
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -38,13 +38,6 @@ struct PLogReplica {
     segments: Vec<(u64, u32)>,
     logical_len: u64,
     sealed: bool,
-    /// Next sequenced append this replica expects to apply.
-    next_seq: u64,
-    /// Sequenced appends that arrived out of order (the cluster fans writes
-    /// out in parallel, so a later sequence can land first): seq → (device
-    /// offset, length, data). Already durable on the device; applied to the
-    /// logical log as soon as the sequence becomes contiguous.
-    pending: BTreeMap<u64, (u64, u32, Bytes)>,
 }
 
 #[derive(Debug)]
@@ -80,7 +73,9 @@ impl LogStoreServer {
     }
 
     /// Appends `data` to a PLog replica, returning the logical offset the
-    /// data landed at. Fails if the PLog is sealed or unknown.
+    /// data landed at. Fails if the PLog is sealed or unknown. A PLog's one
+    /// writer has at most one append in flight, so appends apply in the
+    /// order they arrive — the same order on every replica.
     pub fn append(&self, id: PLogId, data: Bytes) -> Result<u64> {
         // Device I/O happens outside the state lock; the offset the segment
         // lands at is whatever the device returns, so interleaving with other
@@ -94,58 +89,18 @@ impl LogStoreServer {
         let logical = replica.logical_len;
         replica.segments.push((dev_off, data.len() as u32));
         replica.logical_len += data.len() as u64;
-        replica.next_seq += 1;
         st.cache.insert(id, logical, data);
         Ok(logical)
     }
 
-    /// Appends `data` at per-plog sequence number `seq`. The cluster reserves
-    /// sequence numbers centrally and fans the three replica writes out in
-    /// parallel, so appends can arrive here out of order; the data is made
-    /// durable on the device immediately, buffered if a predecessor is still
-    /// in flight, and applied to the logical log in sequence order. A `seq`
-    /// below `next_seq` is a duplicate retry and succeeds idempotently.
-    pub fn append_at(&self, id: PLogId, seq: u64, data: Bytes) -> Result<()> {
-        let dev_off = self.device.append_shared(data.clone())?;
-        let mut st = self.state.lock();
-        let replica = st.plogs.get_mut(&id).ok_or(TaurusError::PLogNotFound(id))?;
-        if replica.sealed {
-            return Err(TaurusError::PLogSealed(id));
-        }
-        if seq < replica.next_seq {
-            return Ok(());
-        }
-        replica
-            .pending
-            .insert(seq, (dev_off, data.len() as u32, data));
-        let mut applied: Vec<(u64, Bytes)> = Vec::new();
-        loop {
-            let want = replica.next_seq;
-            let Some((dev_off, len, data)) = replica.pending.remove(&want) else {
-                break;
-            };
-            let logical = replica.logical_len;
-            replica.segments.push((dev_off, len));
-            replica.logical_len += len as u64;
-            replica.next_seq += 1;
-            applied.push((logical, data));
-        }
-        for (logical, data) in applied {
-            st.cache.insert(id, logical, data);
-        }
-        Ok(())
-    }
-
     /// Replaces (or creates) a PLog replica wholesale with `data`, the
     /// appends of lengths `lens` back to back — the re-replication
-    /// installer. `next_seq` is where sequenced appends would resume; for a
-    /// sealed plog it is never used again.
+    /// installer.
     pub fn install_replica(
         &self,
         id: PLogId,
         data: Bytes,
         lens: &[u32],
-        next_seq: u64,
         sealed: bool,
     ) -> Result<()> {
         let mut dev_off = if data.is_empty() {
@@ -167,8 +122,6 @@ impl LogStoreServer {
                 segments,
                 logical_len: data.len() as u64,
                 sealed,
-                next_seq,
-                pending: BTreeMap::new(),
             },
         );
         st.cache.evict_plog(id);
@@ -178,15 +131,13 @@ impl LogStoreServer {
         Ok(())
     }
 
-    /// Discards everything past logical offset `len` (segments are clipped,
-    /// buffered out-of-order appends dropped) and rewinds the sequence
-    /// counter. Used by re-replication to erase the unacknowledged tail of a
-    /// failed 3/3 append from survivors so all replicas stay byte-identical.
-    pub fn truncate_to(&self, id: PLogId, len: u64, next_seq: u64) -> Result<()> {
+    /// Discards everything past logical offset `len` (segments are
+    /// clipped). Used by re-replication to erase the unacknowledged tail of
+    /// a failed 3/3 append from survivors so all replicas stay
+    /// byte-identical, and by the recovery cut.
+    pub fn truncate_to(&self, id: PLogId, len: u64) -> Result<()> {
         let mut st = self.state.lock();
         let replica = st.plogs.get_mut(&id).ok_or(TaurusError::PLogNotFound(id))?;
-        replica.pending.clear();
-        replica.next_seq = next_seq;
         if replica.logical_len <= len {
             return Ok(());
         }
@@ -456,40 +407,12 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_sequenced_appends_apply_in_sequence() {
-        let s = server();
-        s.create_plog(id(1));
-        // seq 1 and 2 land before seq 0: buffered, not yet readable.
-        s.append_at(id(1), 1, Bytes::from_static(b"bb")).unwrap();
-        s.append_at(id(1), 2, Bytes::from_static(b"cc")).unwrap();
-        assert_eq!(s.plog_len(id(1)).unwrap(), 0);
-        // seq 0 arrives: the whole contiguous prefix applies at once, in
-        // sequence order regardless of arrival order.
-        s.append_at(id(1), 0, Bytes::from_static(b"aa")).unwrap();
-        assert_eq!(s.plog_len(id(1)).unwrap(), 6);
-        assert_eq!(
-            s.read_from(id(1), 0).unwrap(),
-            Bytes::from_static(b"aabbcc")
-        );
-    }
-
-    #[test]
-    fn duplicate_sequenced_append_is_idempotent() {
-        let s = server();
-        s.create_plog(id(1));
-        s.append_at(id(1), 0, Bytes::from_static(b"xx")).unwrap();
-        s.append_at(id(1), 0, Bytes::from_static(b"xx")).unwrap();
-        assert_eq!(s.plog_len(id(1)).unwrap(), 2);
-        assert_eq!(s.read_from(id(1), 0).unwrap(), Bytes::from_static(b"xx"));
-    }
-
-    #[test]
     fn install_replica_replaces_content_wholesale() {
         let s = server();
         s.create_plog(id(1));
         s.append(id(1), Bytes::from_static(b"stale-divergent-tail"))
             .unwrap();
-        s.install_replica(id(1), Bytes::from_static(b"committed"), &[4, 5], 3, true)
+        s.install_replica(id(1), Bytes::from_static(b"committed"), &[4, 5], true)
             .unwrap();
         assert_eq!(
             s.read_from(id(1), 0).unwrap(),
@@ -500,28 +423,27 @@ mod tests {
         let second = (4, Bytes::from_static(b"it"));
         assert_eq!(s.read_append(id(1), 1, 2).unwrap(), second);
         // Installing onto a node that never hosted the plog also works.
-        s.install_replica(id(2), Bytes::from_static(b"fresh"), &[5], 1, false)
+        s.install_replica(id(2), Bytes::from_static(b"fresh"), &[5], false)
             .unwrap();
         assert_eq!(s.read_from(id(2), 0).unwrap(), Bytes::from_static(b"fresh"));
     }
 
     #[test]
-    fn truncate_to_clips_segments_and_drops_pending() {
+    fn truncate_to_clips_segments() {
         let s = server();
         s.create_plog(id(1));
-        s.append_at(id(1), 0, Bytes::from_static(b"aaaa")).unwrap();
-        s.append_at(id(1), 1, Bytes::from_static(b"bbbb")).unwrap();
-        // seq 3 buffered (seq 2 missing) — the unacknowledged tail.
-        s.append_at(id(1), 3, Bytes::from_static(b"dddd")).unwrap();
+        s.append(id(1), Bytes::from_static(b"aaaa")).unwrap();
+        s.append(id(1), Bytes::from_static(b"bbbb")).unwrap();
         // Truncate mid-segment: 6 keeps "aaaa" + "bb".
-        s.truncate_to(id(1), 6, 2).unwrap();
+        s.truncate_to(id(1), 6).unwrap();
         assert_eq!(s.plog_len(id(1)).unwrap(), 6);
+        assert_eq!(s.append_lens(id(1)).unwrap(), vec![4, 2]);
         assert_eq!(
             s.read_from(id(1), 0).unwrap(),
             Bytes::from_static(b"aaaabb")
         );
-        // The dropped pending entry must not resurrect when seq 2 arrives.
-        s.append_at(id(1), 2, Bytes::from_static(b"cc")).unwrap();
+        // The next append lands right behind the cut.
+        assert_eq!(s.append(id(1), Bytes::from_static(b"cc")).unwrap(), 6);
         assert_eq!(
             s.read_from(id(1), 0).unwrap(),
             Bytes::from_static(b"aaaabbcc")

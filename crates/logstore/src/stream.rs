@@ -1,5 +1,5 @@
-//! One stream of a database's log: a chain of data PLogs and the append
-//! pipeline that fills it.
+//! One stream of a database's log: a chain of data PLogs and the appends
+//! that fill it.
 //!
 //! A database's log is N streams, owned by [`crate::Log`], and one
 //! manifest (the metadata PLog that lists every stream's chain, paper
@@ -16,32 +16,19 @@
 //! is made under the manifest's claim and published to it before the
 //! stream adopts it.
 //!
-//! # The append pipeline
+//! # One append at a time
 //!
-//! Appends are split into a *reservation* and a *commit* so the stream lock
-//! is never held across a network round trip:
-//!
-//! 1. [`LogStream::reserve_append`] — under the lock: pick the tail PLog
-//!    (rolling it over first if sealed or full), reserve a per-PLog sequence
-//!    number and a byte offset, and take a commit *ticket*. At most
-//!    `append_window` reservations are outstanding at once, all of them on
-//!    the tail PLog: a rollover waits for the window to drain first.
-//! 2. [`LogStream::complete_append`] — **outside** the lock: the replicated
-//!    3/3 write ([`LogStoreCluster::append_at`]), whose three replica writes
-//!    run in parallel. Multiple groups overlap here — this is what lets the
-//!    SAL flush loop pipeline log writes.
-//! 3. Back under the lock, bookkeeping commits strictly in ticket order, so
-//!    per-PLog LSN ranges stay gap-free and `committed_len` is monotone.
-//!
-//! A failed write commits nothing: during its (ordered) commit turn it seals
-//! every open PLog, fences new reservations, rolls a fresh PLog, re-reserves
-//! there and retries. In-flight reservations behind it sit on the same
-//! PLog, so they find it sealed (or their bytes unreachable behind the
-//! failed write's sequence gap) and do the same, in ticket order — so even
-//! after a seal-and-switch, byte order on every PLog equals LSN order and
-//! PLog order equals LSN order. (That is why a rollover drains the window:
-//! a reservation already on the *next* PLog would succeed there and commit
-//! ahead of the re-homed write it was supposed to follow.)
+//! A stream takes its appends one at a time, in turn order
+//! ([`LogStream::append`]): the turn spans the whole append — rolling the
+//! tail when it is sealed or full, the one 3/3 write
+//! ([`LogStoreCluster::append`], whose three replica writes run in
+//! parallel), and the bookkeeping. The log's parallelism is its N streams,
+//! not overlapping appends on one PLog. So a PLog has one writer with at
+//! most one append in flight, every replica applies appends in the order
+//! they arrive, and byte order on a PLog is LSN order. A failed write
+//! commits nothing: the tail is marked sealed, a fresh PLog is rolled and
+//! the write goes there, still inside the turn — no later append can land
+//! ahead of it, so PLog order is LSN order too.
 //!
 //! Frames in one PLog carry increasing LSN ranges and each is one append,
 //! so a reopen, a read from an LSN and a recovery cut read frame headers
@@ -50,9 +37,10 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use taurus_common::metrics::LogStoreStats;
+use taurus_common::sync::Sequencer;
 use taurus_common::{Lsn, NodeId, PLogId, Result, TaurusError};
 
 use crate::batch::{self, BatchFrame};
@@ -76,36 +64,9 @@ pub struct PLogEntry {
     pub bytes: u64,
 }
 
-/// A reserved slot in the log: PLog, per-PLog sequence number, byte offset,
-/// and commit ticket. Obtained from [`LogStream::reserve_append`] and
-/// redeemed (exactly once) by [`LogStream::complete_append`].
-#[derive(Debug)]
-pub struct AppendReservation {
-    ticket: u64,
-    plog: PLogId,
-    seq: u64,
-    offset: u64,
-    len: u64,
-    first_lsn: Lsn,
-    last_lsn: Lsn,
-}
-
 #[derive(Debug, Default)]
 struct StreamState {
     entries: Vec<PLogEntry>,
-    /// Bytes reserved (not necessarily yet committed) on the tail PLog.
-    tail_reserved_bytes: u64,
-    /// Next commit ticket to hand out.
-    next_ticket: u64,
-    /// Ticket whose commit turn it currently is.
-    commit_ticket: u64,
-    /// Reservations handed out but not yet committed.
-    inflight: usize,
-    /// New reservations wait until `commit_ticket` reaches this value. Set
-    /// on append failure so every outstanding ticket re-reserves (in ticket
-    /// order) on the fresh PLog before any new reservation takes an offset
-    /// there — byte order must equal LSN order within a PLog.
-    reserve_fence: u64,
     /// Highest last-LSN of any PLog deleted by truncation. Tail readers
     /// whose cursor falls behind this have lost data and must resync.
     truncated_through: Lsn,
@@ -120,14 +81,13 @@ pub struct LogStream {
     manifest: Arc<Manifest>,
     index: usize,
     plog_size_limit: usize,
-    /// Max reservations outstanding at once (the append pipeline depth).
-    append_window: usize,
     /// Part of a multi-stream group: flush spans are distributed round-robin
     /// across sibling streams, so successive appends to one PLog carry
     /// monotone but *not* contiguous LSN ranges.
     member: bool,
+    /// The stream's turnstile: append `t` runs, whole, after append `t - 1`.
+    turn: Sequencer,
     state: Mutex<StreamState>,
-    cond: Condvar,
     /// Shared across every stream of one writer so aggregate append metrics
     /// (and the bench harness's `.clear()`/`.snapshot()`) see all streams.
     stats: Arc<LogStoreStats>,
@@ -137,16 +97,15 @@ impl LogStream {
     /// Stream `index` of the log `manifest` describes, over `chain`, the
     /// PLogs the manifest lists for it. Appends made after the manifest's
     /// snapshot show in the cluster's committed lengths: their LSN range is
-    /// read from the PLog's first and last frame headers. A PLog with a
-    /// reserved-but-never-committed sequence (the writer crashed
-    /// mid-append, or a failed append left a hole) can never accept a
-    /// visible write again, and a seal recorded server-side may postdate
+    /// read from the PLog's first and last frame headers. A PLog whose last
+    /// append started and never committed (the writer crashed mid-append,
+    /// or the append failed on a replica that came back unsealed) can never
+    /// accept a write again, and a seal recorded server-side may postdate
     /// the snapshot: both are marked sealed.
     pub(crate) fn open(
         manifest: Arc<Manifest>,
         index: usize,
         mut chain: Vec<PLogEntry>,
-        append_window: usize,
         member: bool,
         stats: Arc<LogStoreStats>,
     ) -> Result<LogStream> {
@@ -154,7 +113,7 @@ impl LogStream {
         for e in chain.iter_mut() {
             let committed = cluster.committed_len(e.id);
             if committed > e.bytes {
-                let last = cluster.committed_seq(e.id).saturating_sub(1);
+                let last = cluster.committed_appends(e.id).saturating_sub(1);
                 if !e.first_lsn.is_valid() {
                     e.first_lsn = probe(&cluster, me, e.id, 0)?.1;
                 }
@@ -165,21 +124,18 @@ impl LogStream {
                 e.sealed = true;
             }
         }
-        let state = StreamState {
-            tail_reserved_bytes: chain.last().map_or(0, |e| e.bytes),
-            entries: chain,
-            ..StreamState::default()
-        };
         Ok(LogStream {
             cluster,
             me,
             plog_size_limit: manifest.plog_size_limit,
             manifest,
             index,
-            append_window,
             member,
-            state: Mutex::new(state),
-            cond: Condvar::new(),
+            turn: Sequencer::new(),
+            state: Mutex::new(StreamState {
+                entries: chain,
+                truncated_through: Lsn::ZERO,
+            }),
             stats,
         })
     }
@@ -190,222 +146,116 @@ impl LogStream {
     }
 
     fn tail_open(&self, st: &StreamState) -> bool {
-        st.entries.last().is_some_and(|e| !e.sealed)
-            && st.tail_reserved_bytes < self.plog_size_limit as u64
+        let open = |e: &PLogEntry| !e.sealed && e.bytes < self.plog_size_limit as u64;
+        st.entries.last().is_some_and(open)
     }
 
-    /// Reserves the next slot in the log for a group covering
-    /// `[first_lsn, last_lsn]` of `len` encoded bytes. Blocks while the
-    /// append window is full (or a failure fence is draining), and rolls
-    /// the tail PLog over first when it is sealed or past the size limit —
-    /// once every reservation still in flight on it has committed. Appends
-    /// therefore do not pipeline across a rollover: each one stalls the
-    /// stream for up to one append round trip (the window draining) on top
-    /// of the roll's own RPCs — measured in EXPERIMENTS.md, "what a PLog
-    /// rollover costs".
+    /// Appends one encoded frame covering `[first_lsn, last_lsn]` durably
+    /// (3/3) as the stream's append `turn`. Turns are dense from 0 and
+    /// follow LSN order; append `turn` waits until every earlier turn has
+    /// returned, so concurrent callers queue here and the stream has one
+    /// append in flight. Every turn must be appended exactly once.
     ///
-    /// Reservations must be taken in LSN order and every reservation must
-    /// be redeemed by [`LogStream::complete_append`] exactly once — by
-    /// another thread, or before the same thread reserves again: a thread
-    /// that holds an unredeemed reservation and asks for another blocks
-    /// forever when the second one needs a rollover (or a full window, or
-    /// a failure fence) to clear first.
-    pub fn reserve_append(
-        &self,
-        first_lsn: Lsn,
-        last_lsn: Lsn,
-        len: u64,
-    ) -> Result<AppendReservation> {
-        let mut st = self.state.lock();
-        loop {
-            if st.inflight >= self.append_window || st.commit_ticket < st.reserve_fence {
-                self.cond.wait(&mut st);
-                continue;
-            }
-            if self.tail_open(&st) {
-                break;
-            }
-            // Roll only once nothing is in flight on the old tail: every
-            // outstanding reservation must sit on one PLog, or a failed
-            // write could be re-homed *behind* a successor that already
-            // landed on the next PLog (see the module docs).
-            if st.inflight > 0 {
-                self.cond.wait(&mut st);
-                continue;
-            }
-            drop(st);
-            self.roll(|st| !self.tail_open(st) && st.inflight == 0)?;
-            st = self.state.lock();
-        }
-        let tail = st
-            .entries
-            .last()
-            .ok_or_else(|| TaurusError::Internal("log stream has no tail PLog".into()))?;
-        let plog = tail.id;
-        let seq = self.cluster.reserve_seq(plog)?;
-        let offset = st.tail_reserved_bytes;
-        st.tail_reserved_bytes += len;
-        let ticket = st.next_ticket;
-        st.next_ticket += 1;
-        st.inflight += 1;
+    /// Inside the turn: rolls the tail PLog first when it is sealed or past
+    /// the size limit, then writes. On write failure the tail is sealed (a
+    /// failed write is never retried to the same PLog — paper §3.3), a
+    /// fresh PLog is rolled and the write goes there. Gives up after
+    /// [`MAX_PLOG_SWITCHES`] switches, or when the cluster cannot host a
+    /// new PLog at all.
+    pub fn append(&self, turn: u64, data: Bytes, first_lsn: Lsn, last_lsn: Lsn) -> Result<()> {
+        let _turn = self.turn.ticket_guard(turn);
         self.stats.appends_in_flight.add(1);
-        Ok(AppendReservation {
-            ticket,
-            plog,
-            seq,
-            offset,
-            len,
-            first_lsn,
-            last_lsn,
-        })
+        let appended = self.append_in_turn(data, first_lsn, last_lsn);
+        self.stats.appends_in_flight.sub(1);
+        appended
     }
 
-    /// Performs the replicated 3/3 append for a reservation and commits its
-    /// bookkeeping in ticket order. The stream lock is **not** held across
-    /// the network round trip, so reservations in the append window overlap
-    /// their replica writes.
-    ///
-    /// On write failure: seals every open PLog (a failed write is never
-    /// retried to the same PLog — paper §3.3), fences new reservations,
-    /// rolls a fresh PLog, re-reserves there and retries. Gives up only
-    /// when the cluster cannot host a new PLog at all.
-    pub fn complete_append(&self, mut res: AppendReservation, data: Bytes) -> Result<()> {
+    fn append_in_turn(&self, data: Bytes, first_lsn: Lsn, last_lsn: Lsn) -> Result<()> {
+        let len = data.len() as u64;
         let mut switches = 0u32;
         loop {
+            self.roll(|st| !self.tail_open(st))?;
+            let plog = {
+                let st = self.state.lock();
+                let tail = st.entries.last();
+                tail.ok_or_else(|| TaurusError::Internal("log stream has no tail PLog".into()))?
+                    .id
+            };
             let start = self.cluster.fabric.clock.now_us();
-            let outcome = self
-                .cluster
-                .append_at(res.plog, self.me, res.seq, data.clone());
+            let outcome = self.cluster.append(plog, self.me, data.clone());
             let elapsed = self.cluster.fabric.clock.now_us().saturating_sub(start);
             self.stats.append_latency.record(elapsed);
 
             let mut st = self.state.lock();
-            while st.commit_ticket < res.ticket {
-                self.cond.wait(&mut st);
-            }
-            // Commit iff our bytes are actually readable: the write acked
-            // *and* every earlier sequence on the PLog acked too (a failed
-            // predecessor leaves a permanent gap our bytes sit behind).
-            let committable = outcome.is_ok()
-                && st.entries.iter().any(|e| e.id == res.plog)
-                && self.cluster.committed_len(res.plog) >= res.offset + res.len;
-            if committable {
-                if let Some(entry) = st.entries.iter_mut().find(|e| e.id == res.plog) {
-                    taurus_common::invariant!(
-                        "plog-append-offset",
-                        entry.bytes == res.offset,
-                        "commit of [{}, {}] at offset {} but {} holds {} bytes",
-                        res.first_lsn,
-                        res.last_lsn,
-                        res.offset,
-                        entry.id,
-                        entry.bytes
-                    );
-                    // Log contiguity: successive appends to one PLog carry
-                    // strictly increasing LSN ranges — *gap-free* for a
-                    // standalone stream; a member of a multi-stream group
-                    // only guarantees monotonicity, because the interleaved
-                    // spans live on sibling streams.
-                    let continues = if self.member {
-                        res.first_lsn > entry.last_lsn
-                    } else {
-                        res.first_lsn == entry.last_lsn.next()
-                    };
-                    taurus_common::invariant!(
-                        "plog-lsn-contiguous",
-                        !entry.last_lsn.is_valid() || continues,
-                        "append [{}..{}] does not continue tail {} of {}",
-                        res.first_lsn,
-                        res.last_lsn,
-                        entry.last_lsn,
-                        entry.id
-                    );
-                    if !entry.first_lsn.is_valid() {
-                        entry.first_lsn = res.first_lsn;
-                    }
-                    entry.last_lsn = res.last_lsn;
-                    entry.bytes += res.len;
+            let Some(entry) = st.entries.iter_mut().find(|e| e.id == plog) else {
+                return Err(TaurusError::Internal(format!(
+                    "{plog} left the stream mid-append"
+                )));
+            };
+            if outcome.is_ok() {
+                let committed = self.cluster.committed_len(plog);
+                taurus_common::invariant!(
+                    "plog-append-offset",
+                    committed == entry.bytes + len,
+                    "commit of [{}, {}] ({} bytes) on {} holding {} bytes, committed {}",
+                    first_lsn,
+                    last_lsn,
+                    len,
+                    plog,
+                    entry.bytes,
+                    committed
+                );
+                // Log contiguity: successive appends to one PLog carry
+                // strictly increasing LSN ranges — *gap-free* for a
+                // standalone stream; a member of a multi-stream group only
+                // guarantees monotonicity, because the interleaved spans
+                // live on sibling streams.
+                let continues = if self.member {
+                    first_lsn > entry.last_lsn
+                } else {
+                    first_lsn == entry.last_lsn.next()
+                };
+                taurus_common::invariant!(
+                    "plog-lsn-contiguous",
+                    !entry.last_lsn.is_valid() || continues,
+                    "append [{}..{}] does not continue tail {} of {}",
+                    first_lsn,
+                    last_lsn,
+                    entry.last_lsn,
+                    entry.id
+                );
+                if !entry.first_lsn.is_valid() {
+                    entry.first_lsn = first_lsn;
                 }
-                self.finish_turn(&mut st);
+                entry.last_lsn = last_lsn;
+                entry.bytes += len;
                 drop(st);
                 self.stats.appends.inc();
                 return Ok(());
             }
-
-            // Seal-and-switch, holding our commit turn so re-reservations
-            // happen in ticket order. Seal *every* open PLog: in-flight
-            // writes behind us may be unreachable behind our sequence gap,
-            // and their commit turns will route them here too.
+            // Seal-and-switch: the cluster sealed every reachable replica;
+            // the next pass rolls a fresh tail and writes there.
+            entry.sealed = true;
+            drop(st);
             switches += 1;
             self.stats.seal_switches.inc();
-            let mut to_seal = Vec::new();
-            for e in st.entries.iter_mut() {
-                if !e.sealed {
-                    e.sealed = true;
-                    to_seal.push(e.id);
-                }
-            }
-            st.reserve_fence = st.reserve_fence.max(st.next_ticket);
             if switches > MAX_PLOG_SWITCHES {
-                self.finish_turn(&mut st);
-                drop(st);
-                for id in to_seal {
-                    self.cluster.seal(id, self.me);
-                }
                 return Err(TaurusError::Internal(
                     "log append failed after repeated PLog switches".into(),
                 ));
             }
-            drop(st);
-            for id in &to_seal {
-                self.cluster.seal(*id, self.me);
-            }
-
-            // Roll a fresh PLog (we just sealed the tail) and re-reserve.
-            let rolled = self.roll(|st| st.entries.last().is_none_or(|e| e.sealed));
-            let mut st = self.state.lock();
-            let tail = rolled.and_then(|()| {
-                let tail = st.entries.last().map(|e| e.id);
-                let tail = tail.ok_or_else(|| TaurusError::Internal("no tail PLog".into()))?;
-                Ok((tail, self.cluster.reserve_seq(tail)?))
-            });
-            match tail {
-                Ok((plog, seq)) => (res.plog, res.seq) = (plog, seq),
-                Err(e) => {
-                    self.finish_turn(&mut st);
-                    return Err(e);
-                }
-            }
-            res.offset = st.tail_reserved_bytes;
-            st.tail_reserved_bytes += res.len;
-            drop(st);
         }
     }
 
-    /// Appends one encoded log-record group covering `[first_lsn, last_lsn]`
-    /// durably (3/3): a reservation immediately redeemed. Concurrent callers
-    /// overlap their replica writes.
-    pub fn append_group(&self, data: Bytes, first_lsn: Lsn, last_lsn: Lsn) -> Result<()> {
-        let res = self.reserve_append(first_lsn, last_lsn, data.len() as u64)?;
-        self.complete_append(res, data)
-    }
-
-    /// Ends a commit turn: the next ticket may commit, a window slot frees
-    /// up, and (once the last pre-failure ticket drains) the reserve fence
-    /// lifts.
-    fn finish_turn(&self, st: &mut StreamState) {
-        st.inflight -= 1;
-        st.commit_ticket += 1;
-        self.stats.appends_in_flight.sub(1);
-        self.cond.notify_all();
-    }
-
     /// Rolls a fresh tail PLog if `needed` still holds once this thread has
-    /// the manifest's claim: seals the old tail (`reserve_append` drained
-    /// it first; a failure turn sealed it already), creates the next PLog,
-    /// and publishes the chain with it before installing it — so no
-    /// reservation can land on a PLog the manifest does not list.
+    /// the manifest's claim: seals the old tail (a failed append marked it
+    /// sealed already), creates the next PLog, and publishes the chain with
+    /// it before installing it — so no append can land on a PLog the
+    /// manifest does not list.
     fn roll(&self, needed: impl Fn(&StreamState) -> bool) -> Result<()> {
+        if !needed(&self.state.lock()) {
+            return Ok(());
+        }
         let claim = self.manifest.claim();
         let mut st = self.state.lock();
         if !needed(&st) {
@@ -432,9 +282,7 @@ impl LogStream {
         };
         chain.push(entry.clone());
         self.manifest.publish(&claim, self.index, chain)?;
-        let mut st = self.state.lock();
-        st.entries.push(entry);
-        st.tail_reserved_bytes = 0;
+        self.state.lock().entries.push(entry);
         Ok(())
     }
 
@@ -468,7 +316,7 @@ impl LogStream {
             if e.sealed && e.last_lsn.is_valid() && e.last_lsn < from_lsn {
                 continue;
             }
-            let n = self.cluster.committed_seq(e.id);
+            let n = self.cluster.committed_appends(e.id);
             let k = if e.first_lsn.is_valid() && e.first_lsn >= from_lsn {
                 0
             } else {
@@ -505,7 +353,7 @@ impl LogStream {
             .collect();
         let mut discarded = 0;
         for e in &affected {
-            let n = self.cluster.committed_seq(e.id);
+            let n = self.cluster.committed_appends(e.id);
             let k = self.seek(e.id, n, |first, _| first > cut)?;
             let kept_last = match k {
                 0 => Lsn::ZERO,
@@ -543,10 +391,6 @@ impl LogStream {
             // resurrect the orphan bookkeeping from a stale snapshot.
             self.manifest.publish(&claim, self.index, self.entries())?;
         }
-        // Every affected PLog is now sealed; the next reservation rolls a
-        // fresh one, so stale tail byte accounting cannot be reused.
-        let mut st = self.state.lock();
-        st.tail_reserved_bytes = st.entries.last().map_or(0, |e| e.bytes);
         Ok(discarded)
     }
 
@@ -621,7 +465,7 @@ impl LogStream {
         (st.entries.clone(), st.truncated_through)
     }
 
-    /// Append-path metrics (latency, in-flight window, seal-switches).
+    /// Append-path metrics (latency, appends in their turn, seal-switches).
     pub fn stats(&self) -> &LogStoreStats {
         &self.stats
     }
@@ -643,8 +487,9 @@ pub(crate) fn probe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::tests::{cluster_on, group, one_stream};
+    use crate::log::tests::{cluster_on, group, one_stream, WaitCounter};
     use crate::Log;
+    use std::ops::RangeInclusive;
     use taurus_common::clock::ManualClock;
     use taurus_common::{DbId, LogRecordGroup};
 
@@ -667,6 +512,19 @@ mod tests {
         log.unwrap().into_streams().remove(0)
     }
 
+    /// Appends `lsns` as the stream's append `turn`.
+    fn push(s: &LogStream, turn: u64, lsns: RangeInclusive<u64>) {
+        let (data, first, last) = group(lsns);
+        s.append(turn, data, first, last).unwrap();
+    }
+
+    /// Appends `n` frames of `width` LSNs each, from LSN 1.
+    fn push_n(s: &LogStream, n: u64, width: u64) {
+        for t in 0..n {
+            push(s, t, t * width + 1..=(t + 1) * width);
+        }
+    }
+
     fn groups_from(s: &LogStream, from: Lsn) -> Vec<LogRecordGroup> {
         let frames = s.read_frames_from(from).unwrap().into_iter();
         frames
@@ -678,10 +536,8 @@ mod tests {
     #[test]
     fn append_and_read_groups() {
         let (s, _, _, _) = setup(1 << 20);
-        let (d1, f1, l1) = group(1..=3);
-        let (d2, f2, l2) = group(4..=6);
-        s.append_group(d1, f1, l1).unwrap();
-        s.append_group(d2, f2, l2).unwrap();
+        push(&s, 0, 1..=3);
+        push(&s, 1, 4..=6);
         let groups = groups_from(&s, Lsn(1));
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].end_lsn(), Lsn(3));
@@ -696,121 +552,29 @@ mod tests {
 
     #[test]
     fn plogs_roll_over_at_size_limit() {
-        let (s, _, _, _) = setup(256);
-        let mut lsn = 1u64;
-        for _ in 0..10 {
-            let (d, f, l) = group(lsn..=lsn + 2);
-            s.append_group(d, f, l).unwrap();
-            lsn += 3;
-        }
+        let (s, cluster, _, _) = setup(256);
+        push_n(&s, 10, 3);
         let entries = s.entries();
         assert!(entries.len() > 1, "expected rollover, got {entries:?}");
         assert!(entries[..entries.len() - 1].iter().all(|e| e.sealed));
+        // The roll sealed the full PLog server-side too.
+        let replica = cluster.replicas_of(entries[0].id)[0];
+        let server = cluster.server_handle(replica).unwrap();
+        assert!(server.is_sealed(entries[0].id).unwrap());
         // All records still readable across the PLog chain.
         let groups = groups_from(&s, Lsn(1));
         assert_eq!(groups.len(), 10);
     }
 
     #[test]
-    fn rollover_waits_for_the_append_window_to_drain() {
-        // Two reservations fill the first PLog. The third needs a fresh one
-        // and must not get it while the first two are in flight: every
-        // outstanding reservation sits on one PLog.
-        let (d1, f1, l1) = group(1..=2);
-        let (d2, f2, l2) = group(3..=4);
-        let (d3, f3, l3) = group(5..=6);
-        let (s, cluster, _, _) = setup(d1.len() + d2.len());
-        let r1 = s.reserve_append(f1, l1, d1.len() as u64).unwrap();
-        let r2 = s.reserve_append(f2, l2, d2.len() as u64).unwrap();
-        assert_eq!(r1.plog, r2.plog, "both fit under the limit");
-        let first_plog = r1.plog;
-        std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let s = &s;
-            scope.spawn(move || {
-                let r3 = s.reserve_append(f3, l3, d3.len() as u64).unwrap();
-                tx.send(r3.plog).unwrap();
-                s.complete_append(r3, d3).unwrap();
-            });
-            // However long we give it, the third reservation stays blocked.
-            assert!(rx
-                .recv_timeout(std::time::Duration::from_millis(50))
-                .is_err());
-            assert_eq!(s.entries().len(), 1, "rolled over an undrained PLog");
-            s.complete_append(r1, d1).unwrap();
-            assert!(rx.try_recv().is_err(), "one reservation is still in flight");
-            s.complete_append(r2, d2).unwrap();
-            let third_plog = rx.recv().unwrap();
-            assert_ne!(third_plog, first_plog, "third reservation rolls over");
-        });
-        // The roll sealed the drained PLog, server-side too.
-        let e = s.entries();
-        let first = e.iter().find(|e| e.id == first_plog).unwrap();
-        assert!(first.sealed);
-        assert_eq!(first.last_lsn, Lsn(4));
-        let replica = cluster.replicas_of(first_plog)[0];
-        assert!(cluster
-            .server_handle(replica)
-            .unwrap()
-            .is_sealed(first_plog)
-            .unwrap());
-        assert_eq!(s.stats().appends_in_flight.get(), 0);
-        let groups = groups_from(&s, Lsn(1));
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups.last().unwrap().end_lsn(), Lsn(6));
-    }
-
-    #[test]
-    fn failed_append_is_not_overtaken_by_a_successor_across_a_rollover() {
-        // The interleaving behind the 1-in-6 `append_concurrency` failure
-        // ("gap in the readable log"): A is in flight on a full PLog that
-        // has lost a replica; B, reserved after it, needs a fresh PLog. If
-        // B could roll over while A is in flight, B would land on the new
-        // PLog and commit there, while A — failing on its commit turn —
-        // is re-homed to a PLog *after* B's: B reads back before A.
-        let (s, cluster, _, _) = setup(64);
-        let (da, fa, la) = group(1..=3);
-        let (db, fb, lb) = group(4..=5);
-        let ra = s.reserve_append(fa, la, da.len() as u64).unwrap();
-        assert!(da.len() >= 64, "A must fill its PLog");
-        cluster.fabric.set_down(cluster.replicas_of(ra.plog)[0]);
-        std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let s = &s;
-            scope.spawn(move || {
-                let rb = s.reserve_append(fb, lb, db.len() as u64).unwrap();
-                let _ = tx.send(());
-                s.complete_append(rb, db).unwrap();
-            });
-            // Give B every chance to get ahead before A's write is issued.
-            let _ = rx.recv_timeout(std::time::Duration::from_millis(50));
-            s.complete_append(ra, da).unwrap();
-        });
-        assert_eq!(s.stats().seal_switches.get(), 1);
-        let groups = groups_from(&s, Lsn(1));
-        let firsts: Vec<Lsn> = groups.iter().map(|g| g.first_lsn()).collect();
-        assert_eq!(firsts, vec![Lsn(1), Lsn(4)], "log reads back out of order");
-        // And PLog order is LSN order in the stream's own bookkeeping.
-        let ranges: Vec<(Lsn, Lsn)> = s
-            .entries()
-            .iter()
-            .filter(|e| e.bytes > 0)
-            .map(|e| (e.first_lsn, e.last_lsn))
-            .collect();
-        assert_eq!(ranges, vec![(Lsn(1), Lsn(3)), (Lsn(4), Lsn(5))]);
-    }
-
-    #[test]
     fn write_failure_seals_and_switches_plogs() {
         let (s, cluster, _, _) = setup(1 << 20);
-        let (d, f, l) = group(1..=2);
-        s.append_group(d, f, l).unwrap();
+        push(&s, 0, 1..=2);
         let tail = s.entries().last().unwrap().clone();
         // Kill one replica of the tail PLog: next write must seal + switch.
         let victim = cluster.replicas_of(tail.id)[0];
         cluster.fabric.set_down(victim);
-        let (d2, f2, l2) = group(3..=4);
-        s.append_group(d2, f2, l2).unwrap();
+        push(&s, 1, 3..=4);
         let entries = s.entries();
         assert!(entries.iter().any(|e| e.id == tail.id && e.sealed));
         assert_ne!(entries.last().unwrap().id, tail.id);
@@ -822,14 +586,44 @@ mod tests {
     }
 
     #[test]
+    fn a_plog_whose_append_never_committed_is_refused_at_once_and_sealed_at_reopen() {
+        let clock = Arc::new(WaitCounter::default());
+        let (cluster, me, _) = cluster_on(clock.clone());
+        let s = create(&cluster, me, 1 << 20);
+        push(&s, 0, 1..=2);
+        let tail = s.entries()[0].id;
+        // A writer's last append before a crash fails on a downed replica:
+        // the stream never learns of it, and that replica, missing the
+        // seal, comes back writable.
+        let victim = cluster.replicas_of(tail)[0];
+        cluster.fabric.set_down(victim);
+        let (data, _, _) = group(3..=4);
+        assert!(cluster.append(tail, me, data.clone()).is_err());
+        cluster.fabric.set_up(victim);
+        drop(s);
+        let server = cluster.server_handle(victim).unwrap();
+        assert!(!server.is_sealed(tail).unwrap());
+        assert!(cluster.has_sequence_gap(tail));
+        // The directory refuses the PLog before any Log Store is asked.
+        let waits = clock.waits();
+        let refused = cluster.append(tail, me, data);
+        assert!(matches!(refused, Err(TaurusError::PLogSealed(_))));
+        assert_eq!(clock.waits(), waits, "a refusal made a round trip");
+        // A reopen seals it, though the first replica asked says it is open.
+        assert!(!cluster.is_sealed(tail, me));
+        let s2 = reopen(&cluster, me, 1 << 20);
+        assert!(s2.entries()[0].sealed);
+        assert_eq!(
+            groups_from(&s2, Lsn(1)).len(),
+            1,
+            "the failed append stays unread"
+        );
+    }
+
+    #[test]
     fn truncation_deletes_only_fully_persistent_plogs() {
         let (s, cluster, _, _) = setup(120);
-        let mut lsn = 1u64;
-        for _ in 0..6 {
-            let (d, f, l) = group(lsn..=lsn + 1);
-            s.append_group(d, f, l).unwrap();
-            lsn += 2;
-        }
+        push_n(&s, 6, 2);
         let before = s.entries().len();
         assert!(before >= 3);
         // Everything below LSN 7 is persistent: plogs ending before 7 go away.
@@ -849,12 +643,7 @@ mod tests {
     #[test]
     fn truncation_failure_leaves_stream_state_untouched() {
         let (s, cluster, _, nodes) = setup(120);
-        let mut lsn = 1u64;
-        for _ in 0..6 {
-            let (d, f, l) = group(lsn..=lsn + 1);
-            s.append_group(d, f, l).unwrap();
-            lsn += 2;
-        }
+        push_n(&s, 6, 2);
         let before = s.entries();
         // Every Log Store call fails: the survivor snapshot cannot be
         // persisted, so truncation must fail *without* dropping anything —
@@ -892,12 +681,7 @@ mod tests {
     #[test]
     fn stream_reopens_from_metadata_after_crash() {
         let (s, cluster, me, _) = setup(256);
-        let mut lsn = 1u64;
-        for _ in 0..8 {
-            let (d, f, l) = group(lsn..=lsn + 2);
-            s.append_group(d, f, l).unwrap();
-            lsn += 3;
-        }
+        push_n(&s, 8, 3);
         let entries_before = s.entries();
         drop(s); // front-end crash: in-memory state is gone
         let s2 = reopen(&cluster, me, 256);

@@ -1,8 +1,9 @@
-//! Concurrency tests of the lock-free append path: many threads pushing
-//! groups through one [`LogStream`] with per-hop network latency injected,
-//! asserting the reservation/commit protocol keeps every PLog a gap-free,
-//! monotone LSN range — including across a mid-run Log Store outage — and
-//! that the pipeline's end state is deterministic.
+//! Concurrency tests of the append path: many threads pushing groups
+//! through one [`LogStream`] with per-hop network latency injected. Each
+//! takes a turn and an LSN range from one allocator and appends outside
+//! it; the stream runs the appends one at a time, in turn order. Every
+//! PLog must stay a gap-free, monotone LSN range — including across a
+//! mid-run Log Store outage — and the end state must be deterministic.
 
 use std::sync::Arc;
 use std::thread;
@@ -56,40 +57,53 @@ fn group(first: u64, len: u64) -> (Bytes, Lsn, Lsn) {
     (encode_batch(&[g], Lsn(first - 1), lo, hi), lo, hi)
 }
 
-/// Runs `threads` appenders, each pushing `per_thread` groups. LSN ranges
-/// come from a shared allocator whose lock is held across `reserve_append`
-/// (reservations must be taken in LSN order); the replicated append itself
-/// runs outside it, so up to the stream's append window of groups overlap
-/// their network round trips.
-fn run_appenders(stream: &Arc<LogStream>, threads: usize, per_thread: usize) -> Lsn {
-    let alloc = Arc::new(Mutex::new(1u64));
+/// Hands out the stream's turns and LSN ranges together, in order: turn
+/// `t` gets the range right after turn `t - 1`'s.
+#[derive(Debug)]
+struct Alloc {
+    turn: u64,
+    next_lsn: u64,
+}
+
+/// Runs `threads` appenders, each pushing `per_thread` groups of up to
+/// `max_len` records. Each takes its turn and range from `alloc` and
+/// appends outside the allocator's lock, so the appenders queue on the
+/// stream's turnstile in whatever order they get there. Returns the last
+/// LSN handed out.
+fn run_appenders(
+    stream: &Arc<LogStream>,
+    alloc: &Mutex<Alloc>,
+    threads: usize,
+    per_thread: usize,
+    max_len: usize,
+) -> Lsn {
     thread::scope(|scope| {
         for t in 0..threads {
             let stream = Arc::clone(stream);
-            let alloc = Arc::clone(&alloc);
             scope.spawn(move || {
                 for i in 0..per_thread {
-                    let len = 1 + ((t + i) % 4) as u64;
-                    let (res, data) = {
-                        let mut next = alloc.lock();
-                        let _span = parking_lot::held_across_calls(
-                            "reservations are taken in LSN order, so the allocator spans \
-                             reserve_append; Log Store handlers take no test lock",
-                        );
-                        let (data, first, last) = group(*next, len);
-                        *next += len;
-                        let res = stream
-                            .reserve_append(first, last, data.len() as u64)
-                            .unwrap();
-                        (res, data)
+                    let len = 1 + ((t + i) % max_len) as u64;
+                    let (turn, first) = {
+                        let mut a = alloc.lock();
+                        let taken = (a.turn, a.next_lsn);
+                        a.turn += 1;
+                        a.next_lsn += len;
+                        taken
                     };
-                    stream.complete_append(res, data).unwrap();
+                    let (data, first, last) = group(first, len);
+                    stream.append(turn, data, first, last).unwrap();
                 }
             });
         }
     });
-    let next = *alloc.lock();
-    Lsn(next - 1)
+    Lsn(alloc.lock().next_lsn - 1)
+}
+
+fn alloc() -> Mutex<Alloc> {
+    Mutex::new(Alloc {
+        turn: 0,
+        next_lsn: 1,
+    })
 }
 
 /// Every PLog must hold a gap-free LSN run, consecutive PLogs must join
@@ -141,7 +155,7 @@ fn concurrent_appends_stay_gap_free_per_plog() {
     let (stream, cluster, me) = setup(6, 1200);
     let threads = 4;
     let per_thread = 12;
-    let last = run_appenders(&stream, threads, per_thread);
+    let last = run_appenders(&stream, &alloc(), threads, per_thread, 4);
 
     assert_groups_contiguous(&cluster, me, threads * per_thread, last);
     assert_plogs_partition_log(&stream, &cluster, last);
@@ -155,7 +169,7 @@ fn concurrent_appends_stay_gap_free_per_plog() {
     assert_eq!(
         stream.stats().appends_in_flight.get(),
         0,
-        "append window not drained"
+        "an append still holds its turn"
     );
     assert_eq!(
         invariants::violation_count(),
@@ -172,44 +186,19 @@ fn concurrent_appends_survive_mid_run_outage() {
     let threads = 3;
     let per_thread = 8;
 
-    let mid = run_appenders(&stream, threads, per_thread);
+    let alloc = alloc();
+    let mid = run_appenders(&stream, &alloc, threads, per_thread, 4);
     assert!(mid > Lsn::ZERO);
 
     // Kill one replica of the live tail PLog: the next append to it fails,
-    // seals everything reachable, and switches to a fresh PLog on healthy
-    // nodes (paper §3.3 — a failed write is never retried to the same PLog).
+    // seals it, and switches to a fresh PLog on healthy nodes (paper §3.3 —
+    // a failed write is never retried to the same PLog).
     let tail = stream.entries().last().unwrap().id;
     let victim = cluster.replicas_of(tail)[0];
     cluster.fabric.set_down(victim);
 
     // Second wave appends concurrently through the failure.
-    let alloc = Arc::new(Mutex::new(mid.0 + 1));
-    thread::scope(|scope| {
-        for t in 0..threads {
-            let stream = Arc::clone(&stream);
-            let alloc = Arc::clone(&alloc);
-            scope.spawn(move || {
-                for i in 0..per_thread {
-                    let len = 1 + ((t + i) % 3) as u64;
-                    let (res, data) = {
-                        let mut next = alloc.lock();
-                        let _span = parking_lot::held_across_calls(
-                            "reservations are taken in LSN order, so the allocator spans \
-                             reserve_append; Log Store handlers take no test lock",
-                        );
-                        let (data, first, last) = group(*next, len);
-                        *next += len;
-                        let res = stream
-                            .reserve_append(first, last, data.len() as u64)
-                            .unwrap();
-                        (res, data)
-                    };
-                    stream.complete_append(res, data).unwrap();
-                }
-            });
-        }
-    });
-    let last = Lsn(*alloc.lock() - 1);
+    let last = run_appenders(&stream, &alloc, threads, per_thread, 3);
     cluster.fabric.set_up(victim);
 
     assert_groups_contiguous(&cluster, me, 2 * threads * per_thread, last);
@@ -227,10 +216,10 @@ fn concurrent_appends_survive_mid_run_outage() {
     );
 }
 
-/// The pipelined append path must stay deterministic: two identical runs on
-/// fresh clusters end with identical PLog layouts and byte-identical
-/// replica contents (this is what lets the determinism checker diff end
-/// states across seeded runs).
+/// The append path must stay deterministic: two identical runs on fresh
+/// clusters end with identical PLog layouts and byte-identical replica
+/// contents (this is what lets the determinism checker diff end states
+/// across seeded runs).
 #[test]
 fn pipelined_append_end_state_is_deterministic() {
     let run = || {
@@ -240,7 +229,7 @@ fn pipelined_append_end_state_is_deterministic() {
             let len = 1 + (i % 4);
             let (data, first, last) = group(next, len);
             next += len;
-            stream.append_group(data, first, last).unwrap();
+            stream.append(i, data, first, last).unwrap();
         }
         let entries = stream.entries();
         let mut replica_bytes = Vec::new();

@@ -1,10 +1,15 @@
 //! The database log as one [`Log`] over 1, 2 and 4 streams: spans appended
-//! out of ticket order read back once each and in LSN order, recovery cuts
-//! the merged log at a hole and discards the orphans, and a reader's tail
-//! merges the streams and defers a frame past its limit whole. A tail
-//! cursor follows rollovers and truncation on a one-stream log.
+//! out of ticket order read back once each and in LSN order, a stream never
+//! has two appends in flight, recovery cuts the merged log at a hole and
+//! discards the orphans, and a reader's tail merges the streams and defers
+//! a frame past its limit whole. A tail cursor follows rollovers and
+//! truncation on a one-stream log, and a failed append is never overtaken
+//! by the next span on its stream.
 
+use std::cell::Cell;
 use std::ops::RangeInclusive;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -335,7 +340,7 @@ fn reads_of<T>(cluster: &LogStoreCluster, f: impl FnOnce() -> T) -> (T, u64, u64
 /// Bytes of the manifest's last append: the snapshot a reopen reads.
 fn manifest_bytes(h: &Harness) -> u64 {
     let meta = h.cluster.meta_plog(DbId(1)).unwrap();
-    let last = h.cluster.committed_seq(meta) - 1;
+    let last = h.cluster.committed_appends(meta) - 1;
     let (_, snapshot) = h.cluster.read_append(meta, h.me, last, u64::MAX).unwrap();
     snapshot.len() as u64
 }
@@ -424,11 +429,12 @@ fn recover_reads_the_window_plus_a_logarithm_of_header_probes() {
     }
 }
 
-/// Appends `lsns` to `stream` as one frame.
-fn frame_to(stream: &LogStream, lsns: RangeInclusive<u64>) {
+/// Appends `lsns` to `stream` as one frame, its append `*turn`.
+fn frame_to(stream: &LogStream, turn: &mut u64, lsns: RangeInclusive<u64>) {
     let (first, end) = (*lsns.start(), *lsns.end());
     let frame = encode_batch(&[group(lsns)], Lsn(first - 1), Lsn(first), Lsn(end));
-    stream.append_group(frame, Lsn(first), Lsn(end)).unwrap();
+    stream.append(*turn, frame, Lsn(first), Lsn(end)).unwrap();
+    *turn += 1;
 }
 
 /// A manual clock that gives the core away at every wait: threads racing
@@ -455,18 +461,20 @@ fn chain_changes_racing_on_three_streams_leave_one_consistent_manifest() {
     h.cfg.plog_size_limit = 400;
     let streams = h.create().into_streams();
     let (rolling, truncating, cutting) = (&streams[0], &streams[1], &streams[2]);
-    // Each stream carries its own LSN range.
+    // Each stream carries its own LSN range, and counts its own turns.
     let mut next = [1u64, 100_001, 200_001];
+    let mut turns = [0u64; 3];
     for round in 0..150u64 {
         let barrier = std::sync::Barrier::new(3);
         let [a, b, c] = &mut next;
+        let [ta, tb, tc] = &mut turns;
         thread::scope(|scope| {
             scope.spawn(|| {
                 barrier.wait();
                 // Rollovers: append until the stream has three more PLogs.
                 let plogs = rolling.entries().len();
                 while rolling.entries().len() < plogs + 3 {
-                    frame_to(rolling, *a..=*a + 1);
+                    frame_to(rolling, ta, *a..=*a + 1);
                     *a += 2;
                 }
             });
@@ -474,7 +482,7 @@ fn chain_changes_racing_on_three_streams_leave_one_consistent_manifest() {
                 barrier.wait();
                 for _ in 0..3 {
                     for _ in 0..3 {
-                        frame_to(truncating, *b..=*b + 1);
+                        frame_to(truncating, tb, *b..=*b + 1);
                         *b += 2;
                     }
                     truncating.truncate_below(Lsn(*b - 4)).unwrap();
@@ -484,7 +492,7 @@ fn chain_changes_racing_on_three_streams_leave_one_consistent_manifest() {
                 barrier.wait();
                 for i in 0..3 {
                     for _ in 0..4 {
-                        frame_to(cutting, *c..=*c + 1);
+                        frame_to(cutting, tc, *c..=*c + 1);
                         *c += 2;
                     }
                     // Cut the last frame off, or (now and then) nothing.
@@ -505,10 +513,148 @@ fn chain_changes_racing_on_three_streams_leave_one_consistent_manifest() {
             );
         }
     }
-    // A reservation that never completes leaves a sequence gap in the
-    // rolling stream's tail: a reopen seals it.
-    let (first, end) = (Lsn(next[0]), Lsn(next[0] + 1));
-    let _hole = rolling.reserve_append(first, end, 64).unwrap();
+    // The rolling stream's writer crashes right after an append to its
+    // tail failed on a replica that comes back without the seal: the
+    // append started and never committed, and a reopen seals the tail.
+    let tail = rolling.entries().last().unwrap().id;
+    let victim = h.cluster.replicas_of(tail)[0];
+    h.cluster.fabric.set_down(victim);
+    let frame = encode_batch(
+        &[group(next[0]..=next[0])],
+        Lsn(next[0] - 1),
+        Lsn(next[0]),
+        Lsn(next[0]),
+    );
+    assert!(h.cluster.append(tail, h.me, frame).is_err());
+    h.cluster.fabric.set_up(victim);
+    assert!(
+        !h.cluster.is_sealed(tail, h.me),
+        "the first replica asked missed the seal"
+    );
     let reopened = h.open(true).entries();
-    assert!(reopened[0].last().unwrap().sealed);
+    let old_tail = reopened[0].iter().find(|e| e.id == tail).unwrap();
+    assert!(old_tail.sealed);
+}
+
+#[test]
+fn failed_append_is_not_overtaken_by_a_successor_across_a_rollover() {
+    // One stream, PLogs that one span fills. Span 1 reaches the stream
+    // first; span 0's write goes to a tail that has lost a replica, fails,
+    // and is re-homed to a fresh PLog. Span 1 waits for span 0's turn to
+    // end, rolls past the PLog span 0 filled, and lands behind it.
+    let mut h = Harness::new(1);
+    h.cfg.plog_size_limit = 64;
+    let log = h.create();
+    let tail = log.entries()[0][0].id;
+    let victim = h.cluster.replicas_of(tail)[0];
+    h.cluster.fabric.set_down(victim);
+    thread::scope(|scope| {
+        let log = &log;
+        let later = scope.spawn(move || push(log, 1, 4..=5));
+        // Give span 1 every chance to get ahead.
+        thread::sleep(Duration::from_millis(20));
+        push(log, 0, 1..=3);
+        later.join().unwrap();
+    });
+    h.cluster.fabric.set_up(victim);
+    assert_eq!(log.stats().seal_switches.get(), 1);
+    let groups = log.read_from(Lsn(1)).unwrap();
+    assert_eq!(firsts(&groups), vec![1, 4], "log reads back out of order");
+    // And PLog order is LSN order in the stream's own bookkeeping, one
+    // PLog per span.
+    let ranges: Vec<(Lsn, Lsn)> = log.entries()[0]
+        .iter()
+        .filter(|e| e.bytes > 0)
+        .map(|e| (e.first_lsn, e.last_lsn))
+        .collect();
+    assert_eq!(ranges, vec![(Lsn(1), Lsn(3)), (Lsn(4), Lsn(5))]);
+}
+
+thread_local! {
+    /// The stream the current thread is appending to, and whether its
+    /// append has not made an RPC wait yet.
+    static APPENDING: Cell<Option<(usize, bool)>> = const { Cell::new(None) };
+}
+
+/// A manual clock that counts, per stream, the appending threads inside
+/// an RPC wait at once. An append's first wait holds its thread for up to
+/// 20 ms, so a second append on the same stream that is not queued behind
+/// it gets there while it is held.
+#[derive(Debug)]
+struct InFlight {
+    time: ManualClock,
+    inside: Vec<AtomicU64>,
+    most: Vec<AtomicU64>,
+}
+
+impl InFlight {
+    fn new(streams: usize) -> InFlight {
+        InFlight {
+            time: ManualClock::default(),
+            inside: (0..streams).map(|_| AtomicU64::new(0)).collect(),
+            most: (0..streams).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+}
+
+impl Clock for InFlight {
+    fn now_us(&self) -> u64 {
+        self.time.now_us()
+    }
+    fn sleep_us(&self, us: u64) {
+        self.time.sleep_us(us);
+    }
+    fn sleep_until(&self, deadline_us: u64) {
+        let Some((k, first)) = APPENDING.get() else {
+            return self.time.sleep_until(deadline_us);
+        };
+        let now = self.inside[k].fetch_add(1, Ordering::SeqCst) + 1;
+        self.most[k].fetch_max(now, Ordering::SeqCst);
+        if first {
+            APPENDING.set(Some((k, false)));
+            for _ in 0..20 {
+                if self.inside[k].load(Ordering::SeqCst) > 1 {
+                    break;
+                }
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+        self.time.sleep_until(deadline_us);
+        self.inside[k].fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn a_stream_never_has_two_appends_in_flight() {
+    const N: u64 = 2;
+    const THREADS: u64 = 2 * N;
+    const SPANS: u64 = 6 * THREADS;
+    let clock = Arc::new(InFlight::new(N as usize));
+    let h = Harness::on(clock.clone(), N as usize);
+    let log = h.create();
+    // Thread j appends tickets j, j + 2N, ...: threads j and j + N share a
+    // stream and hold its tickets t and t + N, so each stream always has a
+    // second append ready while one is in flight.
+    thread::scope(|scope| {
+        for j in 0..THREADS {
+            let log = &log;
+            scope.spawn(move || {
+                for t in (j..SPANS).step_by(THREADS as usize) {
+                    APPENDING.set(Some(((t % N) as usize, true)));
+                    append(log, t);
+                    APPENDING.set(None);
+                }
+            });
+        }
+    });
+    for (k, most) in clock.most.iter().enumerate() {
+        assert_eq!(
+            most.load(Ordering::SeqCst),
+            1,
+            "stream {k} overlapped appends"
+        );
+    }
+    assert_eq!(log.stats().appends.get(), SPANS);
+    let all = firsts(&log.read_from(Lsn(1)).unwrap());
+    assert_eq!(all, expected(0..SPANS));
 }

@@ -72,7 +72,7 @@ proptest! {
                 }
             }
             let (data, first, last) = group(next_lsn, len);
-            if stream.append_group(data, first, last).is_ok() {
+            if stream.append(i as u64, data, first, last).is_ok() {
                 acked.push((first, last));
                 next_lsn += len;
             } else {
@@ -103,9 +103,9 @@ proptest! {
     ) {
         let (stream, cluster, me) = setup(5, plog_limit);
         let mut next = 1u64;
-        for _ in 0..n_groups {
+        for t in 0..n_groups {
             let (data, first, last) = group(next, 2);
-            stream.append_group(data, first, last).unwrap();
+            stream.append(t, data, first, last).unwrap();
             next += 2;
         }
         let cut = Lsn(cut.min(next - 1));
@@ -145,9 +145,9 @@ proptest! {
     fn replicas_are_byte_identical(n_groups in 1u64..20, plog_limit in 200usize..2000) {
         let (stream, cluster, _) = setup(6, plog_limit);
         let mut next = 1u64;
-        for _ in 0..n_groups {
+        for t in 0..n_groups {
             let (data, first, last) = group(next, 3);
-            stream.append_group(data, first, last).unwrap();
+            stream.append(t, data, first, last).unwrap();
             next += 3;
         }
         for entry in stream.entries() {

@@ -61,10 +61,10 @@ fn replica_fanout_ack_latency_is_max_of_three_not_sum() {
 
     let start = Instant::now();
     let mut next = 1u64;
-    for _ in 0..APPENDS {
+    for t in 0..APPENDS {
         let (data, first, last) = group(next, 2);
         next += 2;
-        stream.append_group(data, first, last).unwrap();
+        stream.append(t, data, first, last).unwrap();
     }
     let elapsed_us = start.elapsed().as_micros() as u64;
 
@@ -117,11 +117,11 @@ fn shipped_profile_append_ack_costs_about_one_round_trip() {
     let measured = AtomicBool::new(false);
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            let mut next = 1u64;
+            let mut t = 0u64;
             while !measured.load(Ordering::Relaxed) {
-                let (data, first, last) = group(next, 2);
-                next += 2;
-                neighbour.append_group(data, first, last).unwrap();
+                let (data, first, last) = group(2 * t + 1, 2);
+                neighbour.append(t, data, first, last).unwrap();
+                t += 1;
             }
         });
         scope.spawn(|| {
@@ -129,16 +129,14 @@ fn shipped_profile_append_ack_costs_about_one_round_trip() {
                 std::hint::spin_loop();
             }
         });
-        let mut next = 1u64;
-        for _ in 0..ROUNDS {
+        for turn in 0..ROUNDS as u64 {
             let t = Instant::now();
             fabric.call(me, servers[0], || ()).unwrap();
             call_us.push(t.elapsed().as_micros() as u64);
 
-            let (data, first, last) = group(next, 2);
-            next += 2;
+            let (data, first, last) = group(2 * turn + 1, 2);
             let t = Instant::now();
-            stream.append_group(data, first, last).unwrap();
+            stream.append(turn, data, first, last).unwrap();
             append_us.push(t.elapsed().as_micros() as u64);
         }
         measured.store(true, Ordering::Relaxed);
@@ -156,11 +154,12 @@ fn shipped_profile_append_ack_costs_about_one_round_trip() {
 
 /// Measurement, not a gate (EXPERIMENTS.md, "what a PLog rollover costs"):
 /// `cargo test --release -p taurus-logstore --test parallel_fanout -- --ignored --nocapture`.
-/// Four appenders share a window of four at the shipped network profile;
-/// the PLog size limit is set so that the stream never rolls over, or rolls
-/// every 64 or every 16 appends. A rollover waits for the window to drain,
-/// so appends do not pipeline across it: the price is the difference
-/// between the rows.
+/// Four appenders share one stream at the shipped network profile, taking
+/// turns (and LSNs) from one allocator; the stream runs one append at a
+/// time, in turn order. The PLog size limit is set so that the stream never
+/// rolls over, or rolls every 64 or every 16 appends: the price of a
+/// rollover (its seal, create and manifest RPCs, inside the turn that
+/// needed it) is the difference between the rows.
 #[test]
 #[ignore = "prints a measurement"]
 fn measure_what_a_plog_rollover_costs() {
@@ -174,8 +173,8 @@ fn measure_what_a_plog_rollover_costs() {
         cluster.spawn_servers(3, StorageProfile::instant());
         let limit = appends_per_plog * group_len;
         let stream = create_stream(&cluster, DbId(1), me, limit);
-        // Reservations are taken in LSN order, under the allocator's lock.
-        let alloc = parking_lot::Mutex::new(1u64);
+        // Turns and LSNs are handed out together, in order.
+        let alloc = parking_lot::Mutex::new(0u64);
         let start = Instant::now();
         let mut lat_us: Vec<u64> = std::thread::scope(|scope| {
             let appenders: Vec<_> = (0..THREADS)
@@ -184,14 +183,13 @@ fn measure_what_a_plog_rollover_costs() {
                         let mut lat = Vec::with_capacity(PER_THREAD);
                         for _ in 0..PER_THREAD {
                             let t = Instant::now();
-                            let (res, data) = {
+                            let turn = {
                                 let mut next = alloc.lock();
-                                let (data, first, last) = group(*next, 2);
-                                *next += 2;
-                                let len = data.len() as u64;
-                                (stream.reserve_append(first, last, len).unwrap(), data)
+                                *next += 1;
+                                *next - 1
                             };
-                            stream.complete_append(res, data).unwrap();
+                            let (data, first, last) = group(2 * turn + 1, 2);
+                            stream.append(turn, data, first, last).unwrap();
                             lat.push(t.elapsed().as_micros() as u64);
                         }
                         lat

@@ -63,8 +63,6 @@ impl Default for PageStoreOptions {
 pub struct PlacementView {
     pub nodes: Vec<NodeId>,
     pub epoch: u64,
-    pub base_lsn: Lsn,
-    pub fence_lsn: Option<Lsn>,
 }
 
 /// Cluster manager for the Page Store tier.
@@ -458,8 +456,6 @@ impl PageStoreCluster {
         self.placement.read().get(key).map(|e| PlacementView {
             nodes: e.nodes.clone(),
             epoch: e.epoch,
-            base_lsn: e.base_lsn,
-            fence_lsn: e.fence_lsn,
         })
     }
 

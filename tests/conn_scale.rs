@@ -65,6 +65,22 @@ fn all_page_ids(db: &TaurusDb) -> Vec<PageId> {
     ids.into_iter().collect()
 }
 
+/// The node the master's read planner tries first for the most slices of
+/// the database right now.
+fn first_choice(db: &TaurusDb) -> NodeId {
+    let sal = &db.master().sal;
+    let mut firsts: BTreeMap<NodeId, usize> = BTreeMap::new();
+    for key in db.pages.slices().into_iter().filter(|k| k.db == db.db) {
+        if let Some(&node) = sal.ordered_replicas(key).first() {
+            *firsts.entry(node).or_default() += 1;
+        }
+    }
+    let most = firsts
+        .into_iter()
+        .max_by_key(|&(node, n)| (n, std::cmp::Reverse(node)));
+    most.expect("the database has slices").0
+}
+
 /// Grouped batch vs the per-page path on the same database: byte identity.
 fn check_grouped_matches_singles(db: &TaurusDb, ids: &[PageId], as_of: Option<Lsn>) {
     let sal = &db.master().sal;
@@ -232,8 +248,10 @@ fn grouped_reads_survive_concurrent_writes_and_replica_loss() {
         if round == 2 {
             // Kill a Page Store replica mid-run: grouped envelopes to the
             // dead node fail over per slice, which retries healthy
-            // replicas — results stay identical to the per-page path.
-            db.fabric.set_down(db.pages.server_nodes()[0]);
+            // replicas — results stay identical to the per-page path. The
+            // victim is the read planner's first choice for the most
+            // slices, so the next grouped read sends it an envelope.
+            db.fabric.set_down(first_choice(&db));
         }
         check_grouped_matches_singles(&db, &ids, Some(pin));
     }
