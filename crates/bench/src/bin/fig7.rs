@@ -67,12 +67,6 @@ fn run_pair(
     println!("  taurus log store: {log}");
     println!("  taurus page store: {}", taurus.db.pages.store_stats());
     println!("  taurus {}", threads.cores_line(t_report.wall_secs));
-    for (key, h) in sal.slice_heat().into_iter().take(4) {
-        println!(
-            "  taurus slice heat {key}: reads={}({}B) writes={}({}B)",
-            h.read_ops, h.read_bytes, h.write_ops, h.write_bytes
-        );
-    }
     drop(guard);
 
     // Aurora-style 6/4 quorum on identical hardware profiles.

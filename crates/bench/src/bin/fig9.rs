@@ -115,12 +115,6 @@ fn taurus_lag_at_rate(writes_per_sec: u64, duration: Duration) -> (f64, f64) {
         writes_per_sec,
         db.master().sal.dispatch_stats()
     );
-    for (key, h) in db.master().sal.slice_heat().into_iter().take(2) {
-        println!(
-            "  [{} w/s target] slice heat {key}: reads={}({}B) writes={}({}B)",
-            writes_per_sec, h.read_ops, h.read_bytes, h.write_ops, h.write_bytes
-        );
-    }
     let master = db.master();
     let (hit_ratio, resident) = master.pool_stats();
     let (prefetched, prefetch_hits) = master.pool_prefetch_stats();

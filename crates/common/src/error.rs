@@ -35,23 +35,11 @@ pub enum TaurusError {
     VersionRecycled { page: PageId, requested: Lsn },
     /// The slice is unknown on the contacted Page Store.
     SliceNotFound(SliceKey),
-    /// The slice replica has been sealed at a fence LSN by an elastic
-    /// cut-over (split/merge/move): writes ending above the fence and reads
-    /// as of LSNs above the fence belong to the successor placement.
-    SliceFenced {
-        slice: SliceKey,
-        fence: Lsn,
-        requested: Lsn,
-    },
-    /// The caller's cached placement epoch for a slice does not match the
-    /// cluster's placement map (the slice was split/merged/moved since the
-    /// caller last refreshed). The caller must refresh its placement view
-    /// and retry.
-    PlacementEpochMismatch {
-        slice: SliceKey,
-        have: u64,
-        current: u64,
-    },
+    /// A `WriteLogs` reached a node the placement map no longer names as a
+    /// replica of the slice: a rebuild (§5.2) replaced it while the caller
+    /// still held the old replica list. The caller must refresh its
+    /// placement view and re-send through the current replicas.
+    NotAReplica { slice: SliceKey, node: NodeId },
     /// No replica of a slice could serve a request (all behind or down).
     AllReplicasFailed(SliceKey),
     /// Transaction aborted due to a write-write conflict.
@@ -107,22 +95,9 @@ impl fmt::Display for TaurusError {
                 write!(f, "version {requested} of {page} has been recycled")
             }
             SliceNotFound(s) => write!(f, "slice {s} not found"),
-            SliceFenced {
-                slice,
-                fence,
-                requested,
-            } => write!(
-                f,
-                "slice {slice} fenced at lsn {fence}: lsn {requested} belongs to the successor placement"
-            ),
-            PlacementEpochMismatch {
-                slice,
-                have,
-                current,
-            } => write!(
-                f,
-                "placement epoch mismatch for {slice}: caller has epoch {have}, map is at {current}"
-            ),
+            NotAReplica { slice, node } => {
+                write!(f, "{node} is no longer a replica of {slice}")
+            }
             AllReplicasFailed(s) => write!(f, "all replicas of {s} failed"),
             WriteConflict { page } => write!(f, "write-write conflict on {page}"),
             TxnFinished => write!(f, "transaction already finished"),
@@ -173,7 +148,7 @@ impl TaurusError {
             TaurusError::NodeUnavailable(_)
                 | TaurusError::PageStoreBehind { .. }
                 | TaurusError::PLogSealed(_)
-                | TaurusError::PlacementEpochMismatch { .. }
+                | TaurusError::NotAReplica { .. }
         )
     }
 }
@@ -193,20 +168,11 @@ mod tests {
             persistent: Lsn(5),
         }
         .is_retryable());
-        // A stale placement epoch is retryable: the SAL refreshes its view
-        // of the placement map and re-plans the call.
-        assert!(TaurusError::PlacementEpochMismatch {
+        // A write to a rebuilt-away replica is retryable: the SAL refreshes
+        // its view of the placement map and re-sends to the current nodes.
+        assert!(TaurusError::NotAReplica {
             slice: SliceKey::new(DbId(1), SliceId(0)),
-            have: 3,
-            current: 5,
-        }
-        .is_retryable());
-        // A fenced slice is not retryable against the *same* placement: the
-        // caller must re-route to the successor, which refresh handles.
-        assert!(!TaurusError::SliceFenced {
-            slice: SliceKey::new(DbId(1), SliceId(0)),
-            fence: Lsn(10),
-            requested: Lsn(20),
+            node: NodeId(3),
         }
         .is_retryable());
         assert!(!TaurusError::KeyNotFound.is_retryable());

@@ -30,12 +30,12 @@
 //!   PLog deletion, guaranteeing every record lives on three nodes somewhere
 //!   at all times.
 //! * **Slice writer** ([`slice_writer`]): the one way durable log records
-//!   reach a slice replica — `ship` (a run of fragments to one node:
-//!   epoch-checked grouped envelope, retry budget, park, suspect) and
-//!   `redo` (one log read, one partition by ownership filter, one fragment
-//!   per lagging replica) — behind the steady-state pipes, repair, cut-over
-//!   delta replay and restart redo alike; repair of the parked set is one
-//!   pass on the thread of `Sal::tick` or the recovery round.
+//!   reach a slice replica — `ship` (a run of fragments to one node: one
+//!   grouped envelope, retry budget, park, suspect) and `redo` (one log
+//!   read, each record homed to its slice by page arithmetic, one fragment
+//!   per lagging replica) — behind the steady-state pipes, repair and
+//!   restart redo alike; repair of the parked set is one pass on the thread
+//!   of `Sal::tick` or the recovery round.
 //! * **Recovery** (§5): persistent-LSN regression detection (Fig. 4b),
 //!   stall detection (Fig. 4c), targeted gossip triggering, and full SAL
 //!   restart recovery (§5.3) decide *what* is owed a resend; `redo` does it.
@@ -45,15 +45,11 @@
 // `TaurusError` instead. Test code is exempt (clippy.toml).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod elastic;
-pub mod rebalance;
 pub mod recovery;
 pub mod sal;
 pub mod slice_reader;
 mod slice_writer;
 
-pub use elastic::{merge_slices, move_slice_replica, split_slice, CutoverReport};
-pub use rebalance::{RebalanceReport, Rebalancer};
 pub use recovery::RecoveryService;
 pub use sal::{NdpStats, NdpStatsSnapshot, Sal, SalStats, SalStatsSnapshot, SliceAcks};
 pub use slice_reader::{FrontEnd, SliceReader, TableScan};

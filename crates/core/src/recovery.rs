@@ -85,10 +85,8 @@ impl RecoveryService {
                     if let Ok(n) = sal.logs.rereplicate_from(node, sal.me) {
                         report.plogs_rereplicated += n;
                     }
-                    // Rebuild every slice replica the node hosted (§5.2) —
-                    // retired cut-over parents included: they serve history
-                    // below their fence until GC.
-                    for key in sal.pages.all_slices() {
+                    // Rebuild every slice replica the node hosted (§5.2).
+                    for key in sal.pages.slices() {
                         if sal.pages.replicas_of(key).contains(&node)
                             && sal.pages.rebuild_replica(key, node, sal.me).is_ok()
                         {

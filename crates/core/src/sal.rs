@@ -22,7 +22,7 @@
 
 use std::cmp;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -36,7 +36,7 @@ use taurus_common::{
     TaurusError, PAGE_SIZE,
 };
 use taurus_logstore::{Log, LogStoreCluster};
-use taurus_pagestore::{PageStoreCluster, SliceFragment, SliceHeatSnapshot};
+use taurus_pagestore::{PageStoreCluster, SliceFragment};
 
 pub use crate::slice_reader::TableScan;
 use crate::slice_reader::{FrontEnd, SliceReader};
@@ -46,11 +46,8 @@ use crate::slice_writer::SliceWriter;
 #[derive(Debug)]
 pub(crate) struct SliceState {
     /// Current Page Store replica placement (refreshed from the cluster
-    /// manager on changes).
+    /// manager after a rebuild).
     pub replicas: Vec<NodeId>,
-    /// Placement epoch this SAL has for the slice; carried on epoch-checked
-    /// RPCs and refreshed on `PlacementEpochMismatch` (DESIGN.md §14).
-    pub epoch: u64,
     /// Records accumulated for the next fragment.
     buffer: Vec<LogRecord>,
     buffer_bytes: usize,
@@ -81,7 +78,6 @@ impl SliceState {
     pub(crate) fn new(replicas: Vec<NodeId>) -> Self {
         SliceState {
             replicas,
-            epoch: 0,
             buffer: Vec::new(),
             buffer_bytes: 0,
             flush_lsn: Lsn::ZERO,
@@ -248,7 +244,7 @@ taurus_common::counters! {
         /// tried), plus one per re-plan.
         pub read_retries: Counter,
         /// Fragments `redo` delivered from the Log Stores, whoever asked:
-        /// repair, cut-over delta replay and restart recovery.
+        /// repair and restart recovery.
         pub resends: Counter,
         /// Log-window reads `redo` issued: one per pass with a lagging
         /// replica, however many slices and replicas the pass covers.
@@ -262,8 +258,8 @@ taurus_common::counters! {
         /// attempt, not per fragment).
         pub write_retries: Counter,
         /// Fragments shed, abandoned after the retry budget, or refused by
-        /// a placement race — their slice is parked for repair from the Log
-        /// Stores.
+        /// a node a rebuild replaced — their slice is parked for repair from
+        /// the Log Stores.
         pub fragments_parked: Counter,
         /// Fragments shed because a replica's send queue was full.
         pub queue_full_drops: Counter,
@@ -372,10 +368,8 @@ taurus_common::counters! {
         /// (an explicit snapshot, or a head read recycled again): each is an
         /// error, never a returned page.
         pub partial_failures: Counter,
-        /// Pages the call re-planned once, re-routed and at re-resolved
-        /// snapshots: their slice was cut over under the read
-        /// (`SliceFenced`, `PlacementEpochMismatch`), or a head read found
-        /// them recycled.
+        /// Pages a head read found recycled and re-planned once, at
+        /// re-resolved snapshots.
         pub straggler_retries: Counter,
         /// Pages-per-RPC histogram: buckets 1, 2–4, 5–16, 17–64, 65+.
         pub pages_per_rpc: [Counter; 5] as "pages_per_rpc[1|2-4|5-16|17-64|65+]",
@@ -423,10 +417,6 @@ pub struct Sal {
     /// The read planner shared with read replicas. Owns the read-routing
     /// state: replica latencies and the suspect set the write pipeline feeds.
     pub(crate) reader: SliceReader,
-    /// Failpoint for the slice-rebalance differential suite: when armed, the
-    /// next elastic cut-over aborts between placement commit and delta
-    /// replay, simulating a coordinator crash mid-cut-over.
-    cutover_abort: AtomicBool,
     /// Self-handle for the pipe drainers, detached dispatcher jobs which
     /// must not keep the SAL alive.
     pub(crate) myself: Weak<Sal>,
@@ -495,7 +485,6 @@ impl Sal {
             anchor,
             writer: SliceWriter::new(),
             myself: myself.clone(),
-            cutover_abort: AtomicBool::new(false),
             throttle_us: AtomicU64::new(0),
             stats: Arc::clone(&reader.stats),
             ndp_stats: Arc::clone(&reader.ndp_stats),
@@ -747,13 +736,16 @@ impl Sal {
         }
     }
 
-    /// The slices `groups` write to under the current placement, each once.
+    /// The slice `page` belongs to: slice placement is static (paper §3.4).
+    pub(crate) fn slice_of(&self, page: PageId) -> SliceKey {
+        SliceKey::new(self.db, page.slice(self.cfg.pages_per_slice))
+    }
+
+    /// The slices `groups` write to, each once.
     pub(crate) fn homes_of(&self, groups: &[LogRecordGroup]) -> Vec<SliceKey> {
         let mut keys = Vec::new();
         for rec in groups.iter().flat_map(|g| &g.records) {
-            let key = self
-                .pages
-                .route_write(self.db, rec.page, self.cfg.pages_per_slice);
+            let key = self.slice_of(rec.page);
             if !keys.contains(&key) {
                 keys.push(key);
             }
@@ -812,11 +804,7 @@ impl Sal {
     fn distribute_span_locked(&self, st: &mut SalState, groups: Vec<LogRecordGroup>) {
         for g in groups {
             for rec in g.records {
-                // Placement is a leaf lock below `state` (PR 6 lock order),
-                // so routing under the state lock is safe.
-                let key = self
-                    .pages
-                    .route_write(self.db, rec.page, self.cfg.pages_per_slice);
+                let key = self.slice_of(rec.page);
                 let Some(slice) = st.slices.get_mut(&key) else {
                     // `finish_flush` verified the slice before marking the
                     // span durable, and slices are never removed.
@@ -928,14 +916,9 @@ impl Sal {
         }
         let mut st = self.state.lock();
         for (key, replicas) in created {
-            let view = self.pages.placement_view(key);
-            let slice = st
-                .slices
+            st.slices
                 .entry(key)
                 .or_insert_with(|| SliceState::new(replicas));
-            if let Some(view) = view {
-                slice.epoch = slice.epoch.max(view.epoch);
-            }
         }
         Ok(())
     }
@@ -1132,12 +1115,7 @@ impl Sal {
     pub fn refresh_placement(&self) {
         let mut st = self.state.lock();
         for (key, slice) in st.slices.iter_mut() {
-            let Some(view) = self.pages.placement_view(*key) else {
-                // GC'd retired slice; `set_recycle_lsn` prunes its state.
-                continue;
-            };
-            slice.epoch = slice.epoch.max(view.epoch);
-            let current = view.nodes;
+            let current = self.pages.replicas_of(*key);
             if !current.is_empty() && current != slice.replicas {
                 // A replacement replica inherits the expectation recorded for
                 // the slot it fills: if the rebuilt replica reports a LOWER
@@ -1229,20 +1207,6 @@ impl Sal {
         self.stats
             .recycle_bytes_reclaimed
             .add(report.bytes_reclaimed);
-        // Retired cut-over parents whose fence fell below the recycle LSN
-        // can no longer serve any live snapshot: drop their replicas and
-        // forget their SliceStates (a dead retired slice must not pin the
-        // database persistent LSN forever).
-        if self.pages.gc_retired(capped, self.me) > 0 {
-            let mut st = self.state.lock();
-            st.slices.retain(|k, _| {
-                let live = self.pages.placement_view(*k).is_some();
-                if !live {
-                    self.reader.forget_slice(*k);
-                }
-                live
-            });
-        }
     }
 
     // ==================================================================
@@ -1304,13 +1268,10 @@ impl Sal {
     /// Per-slice acked LSN (the replica-read bound the master publishes to
     /// read replicas, §6).
     pub fn slice_acked_lsn(&self, page: PageId) -> Lsn {
-        let key = self
-            .pages
-            .route_write(self.db, page, self.cfg.pages_per_slice);
         self.state
             .lock()
             .slices
-            .get(&key)
+            .get(&self.slice_of(page))
             .map(|s| s.acked_lsn)
             .unwrap_or(Lsn::ZERO)
     }
@@ -1352,10 +1313,6 @@ impl Sal {
                 slice.on_board = Some(slice.acked_lsn);
                 board.insert(*key, slice.acked_lsn);
             }
-        }
-        if board.len() > st.slices.len() {
-            // A retired cut-over parent was garbage-collected.
-            board.retain(|key, _| st.slices.contains_key(key));
         }
         drop(board);
         self.horizon_locked(&st)
@@ -1412,39 +1369,6 @@ impl Sal {
     }
 
     // ==================================================================
-    // Elastic slice management (DESIGN.md §14)
-    // ==================================================================
-
-    /// Per-slice heat (read/write ops and bytes) summed across Page Store
-    /// replicas, hottest first. The rebalancer's input signal.
-    pub fn slice_heat(&self) -> Vec<(SliceKey, SliceHeatSnapshot)> {
-        self.pages.heat_by_slice()
-    }
-
-    /// Heat aggregated per Page Store node (every replica counts), sorted
-    /// by node — the spread the rebalancer narrows and benches print.
-    pub fn node_heat(&self) -> Vec<(NodeId, SliceHeatSnapshot)> {
-        self.pages.heat_by_node()
-    }
-
-    /// The current placement epoch (advances on every split/merge/move).
-    pub fn placement_epoch(&self) -> u64 {
-        self.pages.placement_epoch()
-    }
-
-    /// Arms the cut-over crash failpoint: the next elastic operation aborts
-    /// after the placement commit but before the fence + delta replay,
-    /// simulating a coordinator crash at the worst moment. Test-only.
-    pub fn arm_cutover_abort(&self) {
-        self.cutover_abort.store(true, Ordering::SeqCst);
-    }
-
-    /// Consumes the armed failpoint (one-shot).
-    pub(crate) fn take_cutover_abort(&self) -> bool {
-        self.cutover_abort.swap(false, Ordering::SeqCst)
-    }
-
-    // ==================================================================
     // SAL restart recovery (§5.3)
     // ==================================================================
 
@@ -1472,9 +1396,8 @@ impl Sal {
         // recovered log ends.
         sal.state.lock().last_prepared_end = max_lsn;
         // Redo over the window just read, for every slice of this database
-        // the cluster holds — those with no records in the window too, and
-        // retired cut-over parents: they still serve reads below their fence.
-        let mut keys = sal.pages.all_slices();
+        // the cluster holds — those with no records in the window too.
+        let mut keys = sal.pages.slices();
         keys.retain(|k| k.db == sal.db);
         sal.redo(&keys, Some(groups))?;
         for s in sal.state.lock().slices.values_mut() {
@@ -1517,9 +1440,8 @@ impl FrontEnd for Sal {
     }
 
     /// Pulls the records the slice's replicas are missing from the Log
-    /// Stores and resends them, then re-learns placement: the repair (or a
-    /// concurrent rebuild or cut-over) may have moved the slice to different
-    /// nodes.
+    /// Stores and resends them, then re-learns placement: a concurrent
+    /// rebuild may have moved a replica to a different node.
     fn repair(&self, key: SliceKey) -> bool {
         let _ = self.repair_slice_from_logstores(key);
         self.refresh_placement();

@@ -36,9 +36,8 @@
 //!
 //! Steps 2–5 are one loop ([`SliceReader::run`]), generic over the two
 //! request kinds: `ReadPages` (a single-page read is a one-page plan of
-//! it) and `ScanSlice`. After a page plan, the pages still unserved get one
-//! re-routed, re-resolved plan when their slice was cut over under the read
-//! or, on a head read, answered recycled ([`SliceReader::read_pages`]).
+//! it) and `ScanSlice`. After a head-read page plan, the pages answered
+//! recycled get one re-resolved plan ([`SliceReader::read_pages`]).
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -328,11 +327,6 @@ impl SliceReader {
         routing.suspects.remove(&node);
     }
 
-    /// `key` was garbage-collected: drop what was learned about it.
-    pub fn forget_slice(&self, key: SliceKey) {
-        self.routing.lock().latency_us.retain(|(k, _), _| *k != key);
-    }
-
     /// Steps 2–5 for a plan (module docs): `reqs[i]` reads slice `keys[i]`
     /// and answers come back in that order; `send` sends one round's
     /// envelopes and counts them. Each pass of the loop escalates the slots
@@ -513,11 +507,10 @@ impl SliceReader {
 
     /// The plan behind [`Self::read_page`] and [`Self::read_pages`]: `pages`
     /// (distinct, in request order) grouped by slice, one `ReadPages`
-    /// request per slice, run through [`Self::run`]. The pages still
-    /// unserved get one re-routed, re-resolved plan when their slice was cut
-    /// over under the read (`SliceFenced`, `PlacementEpochMismatch`) or, on
-    /// a head read, answered recycled: a recycle round overtook the
-    /// snapshot, and the slice's current head is what the caller asked for.
+    /// request per slice, run through [`Self::run`]. On a head read, the
+    /// pages answered recycled get one re-resolved plan: a recycle round
+    /// overtook the snapshot, and the slice's current head is what the
+    /// caller asked for.
     /// Any other unserved page fails the call with its slice's error — the
     /// first such page in request order, where N sequential single-page
     /// reads would have stopped.
@@ -535,12 +528,7 @@ impl SliceReader {
         for replan in [false, true] {
             let mut reqs: Vec<ReadPagesRequest> = Vec::new();
             for &page in if replan { &todo[..] } else { pages } {
-                // Route by placement *and* snapshot: after an elastic
-                // cut-over the version at `as_of` may live on a retired
-                // slice (`as_of` at or below its fence) rather than the
-                // active successor.
-                let pps = self.cfg.pages_per_slice;
-                let key = self.pages.route_read(self.db, page, pps, as_of);
+                let key = SliceKey::new(self.db, page.slice(self.cfg.pages_per_slice));
                 match reqs.iter_mut().find(|q| q.key == key) {
                     Some(q) => q.pages.push(page),
                     None => reqs.push(ReadPagesRequest {
@@ -569,11 +557,7 @@ impl SliceReader {
                     Err(err) => err,
                 };
                 let recycled = matches!(err, TaurusError::VersionRecycled { .. });
-                let moved = matches!(
-                    err,
-                    TaurusError::SliceFenced { .. } | TaurusError::PlacementEpochMismatch { .. }
-                );
-                if !replan && (moved || recycled && as_of.is_none()) {
+                if !replan && recycled && as_of.is_none() {
                     again.extend(req.pages);
                     continue;
                 }
@@ -607,12 +591,8 @@ impl SliceReader {
     }
 
     /// Plans and executes a pushed-down table scan at snapshot `as_of`: one
-    /// `ScanSlice` request per active slice of the database, run through the
-    /// pipeline, merged and key-sorted. Retired cut-over parents are not
-    /// scanned: their successors cover the key range at every scannable
-    /// snapshot, and scanning both would double-count the ingest overlap.
-    /// (Historical scans below a successor's base LSN are out of scope —
-    /// point reads route by fence via `route_read`.)
+    /// `ScanSlice` request per slice of the database, run through the
+    /// pipeline, merged and key-sorted.
     pub fn scan(&self, fe: &dyn FrontEnd, req: &ScanRequest, as_of: Lsn) -> Result<TableScan> {
         self.ndp_stats.pushdown_scans.inc();
         let mut keys = self.pages.slices();

@@ -9,20 +9,21 @@
 //! two functions on [`Sal`]:
 //!
 //! * [`Sal::ship`] delivers a run of fragments to one replica node: one
-//!   epoch-checked grouped envelope per attempt, failed slots re-sent as a
-//!   shrinking run under a single backoff budget; a placement race refreshes
-//!   and parks, an exhausted budget parks and demotes the replica to
-//!   *suspect* (deprioritized for reads until it proves itself alive).
+//!   grouped envelope per attempt, failed slots re-sent as a shrinking run
+//!   under a single backoff budget; a refusal from a node a rebuild
+//!   replaced refreshes and parks, an exhausted budget parks and demotes
+//!   the replica to *suspect* (deprioritized for reads until it proves
+//!   itself alive).
 //! * [`Sal::redo`] brings the lagging replicas of a set of slices up to
-//!   their flush LSN: one merged log read, one partition by ownership
-//!   filter, one fragment per lagging replica chained at that replica's own
-//!   persistent LSN, delivered through `ship`.
+//!   their flush LSN: one merged log read, each record homed to its slice
+//!   by page arithmetic, one fragment per lagging replica chained at that
+//!   replica's own persistent LSN, delivered through `ship`.
 //!
 //! Steady state feeds `ship` from one bounded queue **per Page Store replica
 //! node**, drained by at most one detached job on the fabric's bounded
-//! dispatcher (DESIGN.md §15). Repair, restart recovery and cut-over delta
-//! replay call `redo`. Slices owed a repair sit in the *parked* set. A shed,
-//! an abandoned send or a placement race only marks a slice there; the set
+//! dispatcher (DESIGN.md §15). Repair and restart recovery call `redo`.
+//! Slices owed a repair sit in the *parked* set. A shed, an abandoned send
+//! or a refusal from a rebuilt-away node only marks a slice there; the set
 //! is emptied by [`Sal::repair`], one synchronous pass on the thread of
 //! whoever calls it — `Sal::tick` and the recovery round, on the beat.
 //! Nothing inside a pass starts another, so repair depth is 1 by
@@ -40,7 +41,7 @@ use rand::Rng;
 
 use taurus_common::metrics::Gauge;
 use taurus_common::{LogRecord, LogRecordGroup, Lsn, NodeId, Result, SliceKey, TaurusError};
-use taurus_pagestore::{IngestFilter, SliceFragment};
+use taurus_pagestore::SliceFragment;
 
 use crate::sal::{Sal, SliceState};
 
@@ -78,7 +79,7 @@ pub(crate) struct SliceWriter {
     /// One send pipe per Page Store replica node, created on first use.
     pipes: Mutex<HashMap<NodeId, PipeState>>,
     /// Slices owed a repair from the Log Stores: a fragment of theirs was
-    /// shed or abandoned, or their placement moved under a send.
+    /// shed or abandoned, or a rebuild replaced a replica under a send.
     parked: Mutex<HashSet<SliceKey>>,
 }
 
@@ -94,7 +95,6 @@ impl SliceWriter {
 /// One slice `redo` is working on.
 struct Target {
     key: SliceKey,
-    filter: IngestFilter,
     flush_lsn: Lsn,
     /// Reachable replicas with the persistent LSN each just reported.
     replicas: Vec<(NodeId, Lsn)>,
@@ -175,23 +175,15 @@ impl Sal {
         self.pages.fabric.derive_rng(0x5A4C_0000 ^ node.0)
     }
 
-    /// Delivers `run` to `node`: one epoch-checked grouped envelope per
-    /// attempt, the slots that failed re-sent as a shrinking run with
+    /// Delivers `run` to `node`: one grouped envelope per attempt, the
+    /// slots that failed re-sent as a shrinking run with
     /// exponential backoff + seeded jitter up to the configured budget.
     /// Safe to re-send: Page Stores disregard duplicate log records.
     /// Returns how many fragments the node acknowledged.
     fn ship(&self, node: NodeId, mut run: Vec<PipeJob>, rng: &mut StdRng) -> usize {
         let (mut delivered, mut raced, mut attempt) = (0usize, false, 0u32);
         loop {
-            // Epochs are read at attempt time, so a refresh between attempts
-            // is picked up (DESIGN.md §14).
-            let frags = {
-                let st = self.state.lock();
-                let epoch = |j: &PipeJob| st.slices.get(&j.key).map_or(0, |s| s.epoch);
-                run.iter()
-                    .map(|j| (Arc::clone(&j.frag), epoch(j)))
-                    .collect()
-            };
+            let frags = run.iter().map(|j| Arc::clone(&j.frag)).collect();
             self.stats.note_coalesced(run.len());
             let groups = [(node, frags)];
             let mut slots = self.pages.write_logs_grouped(self.me, &groups).remove(0);
@@ -204,12 +196,11 @@ impl Sal {
                         self.on_write_ack(job.key, node, job.frag.last_lsn(), persistent);
                         delivered += 1;
                     }
-                    // The slice moved (or was sealed) under this send — a
-                    // placement race, not a replica-health problem: no
+                    // A rebuild replaced this replica under the send — a
+                    // placement change, not a replica-health problem: no
                     // suspect demotion, no backoff. The next repair
-                    // re-ships the records through the current owners.
-                    Err(TaurusError::PlacementEpochMismatch { .. })
-                    | Err(TaurusError::SliceFenced { .. }) => {
+                    // re-ships the records through the current replicas.
+                    Err(TaurusError::NotAReplica { .. }) => {
                         self.stats.fragments_parked.inc();
                         self.writer.parked.lock().insert(job.key);
                         raced = true;
@@ -269,11 +260,8 @@ impl Sal {
             keys.dedup();
             self.ensure_slices(&keys)?;
         }
-        // What each slice *owns* on the (page, LSN) plane: its page range,
-        // above its seed snapshot (already in the imported pages), at or
-        // below its cut-over fence (the successor owns the rest). An
-        // unreachable replica reports nothing and is skipped: nothing can
-        // land on it now.
+        // An unreachable replica reports nothing and is skipped: nothing
+        // can land on it now.
         let reports = self.probe(&keys);
         let mut targets: Vec<Target> = {
             let st = self.state.lock();
@@ -282,7 +270,6 @@ impl Sal {
                 let replicas = of_key.map(|&(_, node, persistent, _)| (node, persistent));
                 Some(Target {
                     key,
-                    filter: self.pages.ingest_filter(key, self.cfg.pages_per_slice)?,
                     flush_lsn: st.slices.get(&key)?.flush_lsn,
                     replicas: replicas.collect(),
                     records: Vec::new(),
@@ -308,14 +295,15 @@ impl Sal {
                 self.log.read_from(from.next())?
             }
         };
-        // With elastic placement a record can be owed to *two* slices — a
-        // retired cut-over parent (LSN at or below its fence) and its
-        // successor (LSN above the seed base): the double-stored interval.
+        // Each record belongs to exactly one slice: one lookup homes it.
+        let index: HashMap<SliceKey, usize> = targets
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.key, i))
+            .collect();
         for rec in groups.into_iter().flat_map(|g| g.records) {
-            for t in &mut targets {
-                if t.filter.admits(rec.page, rec.lsn) {
-                    t.records.push(rec.clone());
-                }
+            if let Some(&i) = index.get(&self.slice_of(rec.page)) {
+                targets[i].records.push(rec);
             }
         }
         let mut runs: BTreeMap<NodeId, Vec<PipeJob>> = BTreeMap::new();

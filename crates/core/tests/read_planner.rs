@@ -566,67 +566,3 @@ fn a_snapshot_below_the_recycle_lsn_is_answered_recycled_in_one_round_trip() {
     assert_eq!(h.front.repairs.load(Ordering::Relaxed), 0);
     h.assert_pool_untouched();
 }
-
-/// The read is routed to slice 0 at a snapshot above its last record (the
-/// front end holds no head for it). While the request is on the wire the
-/// slice is split at its last record and both children take a row: every
-/// replica refuses the read as fenced, and the batch re-plans once onto the
-/// children.
-#[test]
-fn a_batch_fenced_by_a_split_under_it_re_routes_once() {
-    let mut h = Harness::new(TaurusConfig::test());
-    let ids = h.load(1, 4);
-    let parent = h.key_of(PageId(1));
-    let fence = h.front.heads.lock().remove(&parent).unwrap();
-    let snapshot = Lsn(fence.0 + 2);
-    let pps = TaurusConfig::test().pages_per_slice;
-    let split = {
-        let (pages, me, heads) = (h.pages.clone(), h.me, Arc::clone(&h.front.heads));
-        move || {
-            // Both children stay on the parent's replicas.
-            let nodes = pages.replicas_of(parent);
-            let seed = |child, range| {
-                let snap = pages.export_snapshot(parent, Some(range), me).unwrap();
-                pages.install_seed(child, &nodes, vec![snap], me).unwrap()
-            };
-            let (left, right) = (
-                pages.allocate_dynamic(DbId(1)),
-                pages.allocate_dynamic(DbId(1)),
-            );
-            let base = seed(left, (0, 3)).min(seed(right, (3, pps)));
-            let (l, r) = ((left, nodes.clone()), (right, nodes.clone()));
-            let epoch = pages
-                .commit_split(parent, pps, 3, l, r, base, fence)
-                .unwrap();
-            assert_eq!(pages.fence_replicas(parent, &nodes, fence, epoch, me), 3);
-            // Each child takes a row above the fence.
-            for (lsn, (child, page)) in (fence.0 + 1..).zip([(left, 1), (right, 3)]) {
-                let page = PageId(page);
-                let row = LogRecord::new(Lsn(lsn), page, Harness::row(page, ROWS_PER_PAGE));
-                let frag = SliceFragment::new(child, fence, vec![row]);
-                for &node in &nodes {
-                    pages.write_logs_to(node, me, &frag).unwrap();
-                }
-                heads.lock().insert(child, Lsn(lsn));
-            }
-        }
-    };
-    h.at_wait(1, split);
-    let got = h.reader.read_pages(&h.front, &ids, Some(snapshot)).unwrap();
-    assert!(h.clock.armed.lock().is_none(), "the split never ran");
-    let batch = h.reader.read_batch_stats.snapshot();
-    assert_eq!((batch.batch_retries, batch.straggler_retries), (3, 4));
-    assert_eq!((batch.pages_returned, batch.partial_failures), (4, 0));
-    assert_eq!(h.front.repairs.load(Ordering::Relaxed), 1);
-    // Byte-identical to reads after the cut-over, which land on the
-    // children.
-    let pages: Vec<PageId> = got.iter().map(|(page, _)| *page).collect();
-    assert_eq!(pages, ids);
-    for (page, buf) in &got {
-        assert_ne!(h.pages.route_read(DbId(1), *page, pps, None), parent);
-        assert_eq!(buf.as_bytes(), h.read_page(*page).as_bytes(), "{page}");
-        let rows = if [1, 3].contains(&page.0) { 1 } else { 0 };
-        assert_eq!(buf.nslots() as u64, ROWS_PER_PAGE + rows, "{page}");
-    }
-    h.assert_pool_untouched();
-}

@@ -121,6 +121,25 @@ impl Harness {
     }
 }
 
+/// Waits until `node`'s send pipe is empty with nothing in flight, and
+/// panics if it never drains. `settle` returns at the first ack, so the
+/// drainer of a replica that is down may still be retrying; a retry that
+/// lands after the node comes back up would deliver by the pipe what the
+/// test means gossip (or a repair) to deliver.
+fn wait_for_idle_pipe(sal: &Sal, node: NodeId) {
+    let idle = || {
+        let gauges = sal.pipeline_gauges().into_iter();
+        gauges.filter(|g| g.0 == node).all(|(_, q, f)| q + f == 0)
+    };
+    for _ in 0..5_000 {
+        if idle() {
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    panic!("{node}'s pipe never drained");
+}
+
 #[test]
 fn write_path_reaches_durability_and_cv_advances() {
     let h = Harness::new(5, 5);
@@ -274,6 +293,7 @@ fn truncation_waits_for_all_replicas_then_deletes_plogs() {
     let deleted = sal.truncate_log().unwrap();
     assert_eq!(deleted, 0, "lagging replica pins the log");
     // The replica recovers and catches up via gossip; truncation proceeds.
+    wait_for_idle_pipe(&sal, lagging);
     h.fabric.set_up(lagging);
     sal.trigger_gossip(key);
     let deleted = sal.truncate_log().unwrap();
@@ -293,22 +313,9 @@ fn fig4a_gossip_recovers_short_term_failure() {
     h.fabric.set_down(replica3);
     h.write_kv(&sal, 1, "r2", "v", false);
     h.settle(&sal);
-    // `settle` returns at the first ack: replica 3's drainer may still be
-    // retrying record 2, and a retry after `set_up` would deliver it by the
-    // pipe, leaving gossip nothing to copy. Wait until it has given up.
-    let pipe_idle = || {
-        let gauges = sal.pipeline_gauges().into_iter();
-        gauges
-            .filter(|g| g.0 == replica3)
-            .all(|(_, q, f)| q + f == 0)
-    };
-    for _ in 0..5_000 {
-        if pipe_idle() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
-    assert!(pipe_idle(), "replica 3's pipe never drained");
+    // A retry after `set_up` would deliver record 2 by the pipe, leaving
+    // gossip nothing to copy.
+    wait_for_idle_pipe(&sal, replica3);
     h.fabric.set_up(replica3);
     let behind = h.pages.persistent_lsn_of(replica3, h.me, key).unwrap();
     // Gossip copies the missing fragment (Fig. 4(a) step 4).
@@ -667,81 +674,13 @@ fn future_snapshot_is_capped_to_the_slice_head() {
     assert_eq!(capped.nslots(), head.nslots());
 }
 
-/// A merge retires both donors at one fence, the larger of their flush
-/// LSNs. The lower donor has no record between its last one and the fence,
-/// so its replicas can never reach the fence: its SAL state keeps its own
-/// flush LSN. Raised to the fence, it refused reads at snapshots above its
-/// last record and pinned the read horizon, the database persistent LSN and
-/// recycling there for good, and the stall detector repaired it every round.
-#[test]
-fn a_merges_lower_donor_pins_neither_reads_nor_the_horizon() {
-    let h = Harness::new(4, 5);
-    let sal = h.sal();
-    let pps = h.cfg.pages_per_slice;
-    let low = h.write_kv(&sal, 1, "a", "v", true);
-    h.write_kv(&sal, pps + 1, "b0", "v", true);
-    h.write_kv(&sal, pps + 1, "b1", "v", false);
-    let fence = h.write_kv(&sal, pps + 1, "b2", "v", false);
-    assert_eq!((low, fence), (Lsn(2), Lsn(6)));
-    h.settle(&sal);
-    let everywhere = || sal.database_persistent_lsn() == sal.durable_lsn();
-    for _ in 0..2_000 {
-        if everywhere() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
-    assert!(everywhere(), "every donor replica must hold its records");
-
-    let left = SliceKey::new(DbId(1), PageId(1).slice(pps));
-    let right = SliceKey::new(DbId(1), PageId(pps + 1).slice(pps));
-    let report = taurus_core::merge_slices(&sal, left, right).unwrap();
-    assert_eq!(report.fence_lsn, fence);
-    let mut end = fence;
-    for i in 0..3 {
-        h.write_kv(&sal, 1, &format!("c{i}"), "v", false);
-        end = h.write_kv(&sal, pps + 1, &format!("d{i}"), "v", false);
-    }
-    h.settle(&sal);
-    // Page 1 at a snapshot above the lower donor's last record: the read
-    // routes to that donor (its fence covers LSN 4), which serves its own
-    // last version of the page.
-    let page = sal.read_page(PageId(1), Some(Lsn(4))).unwrap();
-    assert_eq!(page.nslots(), 1);
-
-    let quiesced = || {
-        sal.read_horizon() == end
-            && sal.database_persistent_lsn() == end
-            && sal.stalled_slices(0).is_empty()
-    };
-    for _ in 0..2_000 {
-        sal.tick();
-        sal.set_recycle_lsn(sal.read_horizon());
-        if quiesced() && h.pages.all_slices() == report.created {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
-    assert_eq!(sal.durable_lsn(), end);
-    assert_eq!(sal.cv_lsn(), end, "the read horizon is pinned");
-    assert_eq!(sal.database_persistent_lsn(), end, "truncation is pinned");
-    assert_eq!(sal.stalled_slices(0), vec![]);
-    assert_eq!(
-        h.pages.all_slices(),
-        report.created,
-        "the retired donors must be garbage-collected"
-    );
-}
-
-/// Runs the same crash on a database with or without a committed split and
-/// returns what recovery left on the Page Stores: `(slice id, persistent
-/// LSNs of its replicas in placement order)` for every slice, retired
-/// parents included.
+/// Runs a crash and returns what recovery left on the Page Stores: `(slice
+/// id, persistent LSNs of its replicas in placement order)` for every slice.
 ///
 /// Phase 1 reaches every replica (and a truncation round moves the
 /// anchor); phase 2 reaches the Log Stores only — every Page Store is down
 /// — so all of it is redo work for `Sal::recover`.
-fn recover_after_crash(split: bool) -> Vec<(u64, Vec<u64>)> {
+fn recover_after_crash() -> Vec<(u64, Vec<u64>)> {
     let h = Harness::new(5, 5);
     let sal = h.sal();
     let pps = h.cfg.pages_per_slice;
@@ -749,25 +688,17 @@ fn recover_after_crash(split: bool) -> Vec<(u64, Vec<u64>)> {
     for (i, page) in pages.iter().enumerate() {
         h.write_kv(&sal, *page, &format!("a{i}"), "v", true);
     }
-    if split {
-        let parent = SliceKey::new(DbId(1), PageId(1).slice(pps));
-        taurus_core::split_slice(&sal, parent, 32).unwrap();
-        for (i, page) in pages.iter().enumerate() {
-            h.write_kv(&sal, *page, &format!("b{i}"), "v", false);
-        }
-    }
     h.settle(&sal);
     // `settle` waits for one ack per fragment; wait for all three copies.
     let quiesced = || {
-        h.pages.all_slices().into_iter().all(|key| {
+        h.pages.slices().into_iter().all(|key| {
             let at = |n| h.pages.persistent_lsn_of(n, h.me, key).unwrap();
             let lsns: Vec<Lsn> = h.pages.replicas_of(key).into_iter().map(at).collect();
             lsns.windows(2).all(|w| w[0] == w[1])
         })
     };
-    // The loop ticks as the beat would: a parent fragment a send pipe
-    // shipped across the split's placement commit is refused and parks the
-    // parent, and only a tick (or a recovery round) repairs a parked slice.
+    // The loop ticks as the beat would: only a tick (or a recovery round)
+    // repairs a parked slice.
     for _ in 0..2000 {
         if quiesced() && sal.cv_lsn() == sal.durable_lsn() {
             break;
@@ -807,13 +738,12 @@ fn recover_after_crash(split: bool) -> Vec<(u64, Vec<u64>)> {
     )
     .unwrap();
     assert_eq!(max_lsn, end);
-    let rows = if split { 3 } else { 2 };
     for page in pages {
         let buf = sal2.read_page(PageId(page), Some(end)).unwrap();
-        assert_eq!(buf.nslots(), rows, "page {page} after recovery");
+        assert_eq!(buf.nslots(), 2, "page {page} after recovery");
     }
     h.pages
-        .all_slices()
+        .slices()
         .into_iter()
         .map(|key| {
             let at = |n| h.pages.persistent_lsn_of(n, h.me, key).unwrap().0;
@@ -823,30 +753,16 @@ fn recover_after_crash(split: bool) -> Vec<(u64, Vec<u64>)> {
         .collect()
 }
 
-/// `Sal::recover` partitions the log window by `IngestFilter` for every
-/// database. These are the per-replica persistent LSNs the two partition
-/// arms it replaced — slice-id arithmetic for static placements, filters
-/// only once a split had committed — left behind for the same two crashes
-/// (recorded at the commit before the arms were folded).
+/// The per-replica persistent LSNs `Sal::recover` leaves behind for this
+/// crash, recorded at the commit before restart redo's two partition arms
+/// (slice-id arithmetic and per-slice ingest filters) were folded into one;
+/// redo homes each record by slice-id arithmetic again now.
 #[test]
-fn recover_leaves_the_same_persistent_lsns_with_and_without_a_split() {
+fn recover_leaves_the_pinned_persistent_lsns() {
     let all = |lsn: u64| vec![lsn; 3];
     assert_eq!(
-        recover_after_crash(false),
+        recover_after_crash(),
         vec![(0, all(10)), (1, all(11)), (2, all(12))]
-    );
-    // The retired parent (slice 0) stops at its fence; the split children
-    // (ids from `DYNAMIC_SLICE_BASE`) carry the pages' later rows.
-    let child = taurus_pagestore::placement::DYNAMIC_SLICE_BASE;
-    assert_eq!(
-        recover_after_crash(true),
-        vec![
-            (0, all(4)),
-            (1, all(15)),
-            (2, all(16)),
-            (child, all(13)),
-            (child + 1, all(14))
-        ]
     );
 }
 

@@ -621,16 +621,15 @@ fn one_repair_pass_reads_the_log_once_for_every_parked_slice() {
     }
 }
 
-/// A repair whose view of the placement predates a replica move must not
-/// land records above the fence on the departed node. The move here is
-/// committed behind the SAL's back while the departing node is down (so the
-/// node never hears its fence either): the only thing standing between the
-/// stale resend and the departed replica is the placement epoch check every
-/// `ship` carries — the unchecked `write_logs_to` repair used to bypass it.
-/// The refused fragment parks the slice, the SAL refreshes, and the same
-/// drain brings the newcomer up to the flush LSN.
+/// A repair whose replica list predates a rebuild must not land records
+/// on the rebuilt-away node once it is back up. The rebuild runs behind
+/// the SAL's back while the node is down, so the SAL still names it: the
+/// only thing standing between the stale resend and that node is the
+/// placement check every `ship` carries. The refused fragment parks the
+/// slice, the SAL refreshes, and the same repair pass brings the newcomer
+/// up to the flush LSN.
 #[test]
-fn repair_with_a_stale_view_of_a_replica_move_never_writes_past_the_fence() {
+fn repair_with_a_stale_view_of_a_rebuild_never_writes_to_the_rebuilt_away_node() {
     let h = Harness::new(3, 4);
     let sal = h.sal();
     let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
@@ -640,31 +639,16 @@ fn repair_with_a_stale_view_of_a_replica_move_never_writes_past_the_fence() {
     eventually("row 1 everywhere", || {
         replicas.iter().all(|&n| persistent(n) == end1)
     });
-    let departing = replicas[2];
-    let newcomer = *h
-        .pages
-        .server_nodes()
-        .iter()
-        .find(|n| !replicas.contains(n))
-        .unwrap();
 
-    // The newcomer is seeded at row 1; row 2 then misses the departing node.
-    let range = h.pages.slice_range(key, h.cfg.pages_per_slice);
-    let snap = h.pages.export_snapshot(key, range, h.me).unwrap();
-    let base = h
-        .pages
-        .install_seed(key, &[newcomer], vec![snap], h.me)
-        .unwrap();
-    assert_eq!(base, end1);
+    // The departing node goes down and is rebuilt onto the newcomer, which
+    // is seeded at row 1; row 2 then misses both of them.
+    let departing = replicas[2];
     h.fabric.set_down(departing);
+    let newcomer = h.pages.rebuild_replica(key, departing, h.me).unwrap();
+    assert!(!replicas.contains(&newcomer));
+    assert_eq!(persistent(newcomer), end1);
     let end2 = h.write_kv(&sal, 1, "k2", false);
     eventually("the slice to park", || sal.parked_slices() == vec![key]);
-    // The move commits with the departing node fenced where it stands.
-    let epoch = h.pages.commit_move(key, departing, newcomer, end1).unwrap();
-    assert_eq!(
-        h.pages.fence_replicas(key, &[departing], end1, epoch, h.me),
-        0
-    );
     h.fabric.set_up(departing);
 
     let parked_before = sal.stats.fragments_parked.get();
@@ -673,7 +657,11 @@ fn repair_with_a_stale_view_of_a_replica_move_never_writes_past_the_fence() {
         sal.stats.fragments_parked.get() > parked_before,
         "the stale fragment must have been refused and parked"
     );
-    assert_eq!(persistent(departing), end1, "nothing above the fence");
+    assert_eq!(
+        persistent(departing),
+        end1,
+        "nothing on the rebuilt-away node"
+    );
     assert_eq!(persistent(newcomer), end2, "the newcomer caught up");
 
     // Later writes go to the new replica set and stay off the departed one.

@@ -14,7 +14,7 @@ use parking_lot::{Mutex, RwLock};
 use taurus_common::clock::{ClockRef, SystemClock};
 use taurus_common::lsn::LsnWatermark;
 use taurus_common::{DbId, Lsn, NodeId, Result, TaurusConfig};
-use taurus_core::{RebalanceReport, Rebalancer, RecoveryService, Sal};
+use taurus_core::{RecoveryService, Sal};
 use taurus_fabric::{Fabric, NodeKind};
 use taurus_logstore::LogStoreCluster;
 use taurus_pagestore::cluster::PageStoreOptions;
@@ -33,12 +33,10 @@ pub struct TaurusDb {
     anchor: Arc<LsnWatermark>,
     master: RwLock<Arc<MasterEngine>>,
     replicas: RwLock<Vec<Arc<ReplicaEngine>>>,
-    /// The housekeeping services of the master in service, both on its SAL.
+    /// The housekeeping service of the master in service, on its SAL.
     /// `None` while a master is being recovered: a dead master runs no
     /// rounds (see [`TaurusDb::recover_master_on`]).
     recovery: Mutex<Option<RecoveryService>>,
-    /// Load-aware placement optimizer (DESIGN.md §14).
-    rebalancer: Mutex<Option<Rebalancer>>,
     next_replica_id: AtomicUsize,
 }
 
@@ -109,7 +107,6 @@ impl TaurusDb {
             Arc::clone(&anchor),
         )?;
         let master = MasterEngine::bootstrap(Arc::clone(&sal))?;
-        let rebalancer = Rebalancer::new(Arc::clone(&sal));
         let recovery = RecoveryService::new(sal);
         Ok(Arc::new(TaurusDb {
             cfg,
@@ -121,7 +118,6 @@ impl TaurusDb {
             master: RwLock::new(master),
             replicas: RwLock::new(Vec::new()),
             recovery: Mutex::new(Some(recovery)),
-            rebalancer: Mutex::new(Some(rebalancer)),
             next_replica_id: AtomicUsize::new(0),
         }))
     }
@@ -189,20 +185,18 @@ impl TaurusDb {
     }
 
     /// Fresh housekeeping on `sal`, the SAL of the master in service.
-    fn install_services(&self, sal: Arc<Sal>) {
-        *self.rebalancer.lock() = Some(Rebalancer::new(Arc::clone(&sal)));
+    fn install_recovery(&self, sal: Arc<Sal>) {
         *self.recovery.lock() = Some(RecoveryService::new(sal));
     }
 
     /// Replaces the master with one recovered on compute node `me`.
     ///
-    /// The crash begins with the dead master's housekeeping: both services
-    /// are dropped, and there are none while the recover runs. A round
-    /// holds its service's mutex for its whole duration, so taking the
-    /// service out also waits out a round in flight. Without this a
+    /// The crash begins with the dead master's housekeeping: its recovery
+    /// service is dropped, and there is none while the recover runs. A
+    /// round holds the service's mutex for its whole duration, so taking
+    /// the service out also waits out a round in flight. Without this a
     /// background recovery round of the *old* SAL can truncate the log
-    /// while `Sal::recover` is reading it (`PLogNotFound`), or the old
-    /// rebalancer can move a slice under the redo.
+    /// while `Sal::recover` is reading it (`PLogNotFound`).
     ///
     /// Then the new front end goes in service with housekeeping of its own
     /// and the replicas re-attached. A failed recover (say, the Log Stores
@@ -211,7 +205,6 @@ impl TaurusDb {
     /// simply try again.
     fn recover_master_on(&self, me: NodeId) -> Result<()> {
         *self.recovery.lock() = None;
-        *self.rebalancer.lock() = None;
         let recovered = Sal::recover(
             self.cfg.clone(),
             self.db,
@@ -223,12 +216,12 @@ impl TaurusDb {
         let (sal, max_lsn) = match recovered {
             Ok(recovered) => recovered,
             Err(e) => {
-                self.install_services(Arc::clone(&self.master().sal));
+                self.install_recovery(Arc::clone(&self.master().sal));
                 return Err(e);
             }
         };
         let new_master = MasterEngine::resume(Arc::clone(&sal), max_lsn);
-        self.install_services(sal);
+        self.install_recovery(sal);
         *self.master.write() = Arc::clone(&new_master);
         self.rewire_replicas(&new_master)
     }
@@ -274,29 +267,9 @@ impl TaurusDb {
         Ok(())
     }
 
-    /// One rebalancer round: inspect slice/node heat deltas and run at most
-    /// one split/move/merge. Publishes the master bulletin afterwards so
-    /// replicas see any visibility change promptly.
-    pub fn run_rebalance_round(&self) -> Result<RebalanceReport> {
-        let report = {
-            let mut rebalancer = self.rebalancer.lock();
-            let _span = parking_lot::held_across_calls(
-                "the rebalancer mutex serializes whole placement operations including their \
-                 RPCs; nothing else acquires it, so no cycle",
-            );
-            rebalancer.as_mut().map(|r| r.run_once())
-        };
-        let Some(report) = report else {
-            return Ok(RebalanceReport::default());
-        };
-        self.master().publish();
-        report
-    }
-
     /// Starts a background housekeeping thread (maintenance + periodic
-    /// recovery rounds) plus Page Store consolidation threads. Rebalancing
-    /// is driven by its caller through [`TaurusDb::run_rebalance_round`].
-    /// Returns a guard that stops everything on drop.
+    /// recovery rounds) plus Page Store consolidation threads. Returns a
+    /// guard that stops everything on drop.
     pub fn start_background(self: &Arc<Self>, beat_us: u64) -> BackgroundGuard {
         let consolidation = self.pages.start_background_consolidation();
         let stop = Arc::new(AtomicBool::new(false));

@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use taurus_common::lsn::{LsnAllocator, LsnWatermark};
 use taurus_common::record::{LogRecordGroup, RecordBody};
 use taurus_common::scan::{ScanAccumulator, ScanRequest};
-use taurus_common::{Lsn, PageBuf, PageId, Result, SliceKey, TaurusError, TxnId};
+use taurus_common::{Lsn, PageBuf, PageId, Result, SliceId, TaurusError, TxnId};
 use taurus_core::{Sal, SliceAcks, TableScan};
 
 use crate::btree::{BTree, MutCtx, PageFetch};
@@ -152,15 +152,9 @@ impl MasterEngine {
     /// memoized for the duration of the operation instead of taking the SAL
     /// state lock per frame.
     fn evict_guard(&self) -> impl Fn(PageId, taurus_common::Lsn) -> bool + '_ {
-        let cache = std::cell::RefCell::new(HashMap::<SliceKey, taurus_common::Lsn>::new());
+        let cache = std::cell::RefCell::new(HashMap::<SliceId, taurus_common::Lsn>::new());
         move |p: PageId, l: taurus_common::Lsn| {
-            // Memoize by the *owning* slice (placement-routed): after a
-            // split, pages of one arithmetic slice span several slices with
-            // different acked LSNs.
-            let slice = self
-                .sal
-                .pages
-                .route_write(self.sal.db, p, self.sal.cfg.pages_per_slice);
+            let slice = p.slice(self.sal.cfg.pages_per_slice);
             let mut cache = cache.borrow_mut();
             let acked = *cache
                 .entry(slice)

@@ -664,8 +664,8 @@ fn dead_masters_recovery_round_cannot_run_at_any_rpc_of_the_recover() {
 #[test]
 fn a_failed_recover_leaves_the_old_master_with_its_housekeeping() {
     // A recover that fails produced no successor: the old master stays in
-    // service, and its recovery service and rebalancer — fenced for the
-    // duration — must come back with it, or every later round is a no-op.
+    // service, and its recovery service — fenced for the duration — must
+    // come back with it, or every later round is a no-op.
     let cfg = TaurusConfig {
         plog_size_limit: 1 << 10,
         log_buffer_bytes: 1,
@@ -695,7 +695,6 @@ fn a_failed_recover_leaves_the_old_master_with_its_housekeeping() {
     assert!(Arc::ptr_eq(&master, &db.master()));
     let report = db.run_recovery_round();
     assert!(report.plogs_truncated > 0, "round did nothing: {report:?}");
-    db.run_rebalance_round().unwrap();
     let mut t = master.begin();
     t.put(b"after", b"alive").unwrap();
     t.commit().unwrap();

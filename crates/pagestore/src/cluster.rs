@@ -1,19 +1,16 @@
-//! The Page Store cluster: placement, gossip, elastic cut-over storage ops,
-//! and replica rebuild.
+//! The Page Store cluster: placement, gossip and replica rebuild.
 //!
 //! Unlike PLogs, slices cannot move freely: "a Page Store must have access
 //! to all log records for the pages that it is responsible for. This
 //! requirement prevents us from switching Page Stores in the same way as we
-//! switch Log Stores" (paper §3.4). The cluster manager therefore tracks an
-//! epoch-stamped placement per slice (the [`PlacementMap`], DESIGN.md §14),
-//! repairs divergence between replicas with the gossip protocol (§4.1 step
-//! 6), rebuilds replicas on fresh nodes after long-term failures (§5.2),
-//! and provides the storage half of online split/merge/move: seeding a new
-//! placement from a donor's layer snapshot and fencing the old one at the
-//! cut-over LSN. The gossip sweep also carries the placement epoch, so a
-//! replica that missed a cut-over (down at the time) learns its fence — or
-//! that its copy is orphaned — in the next round instead of serving fenced
-//! reads until repair notices.
+//! switch Log Stores" (paper §3.4). Placement is therefore static: a slice
+//! is placed on three Page Stores when it is first written (page `p` is in
+//! slice `p / pages_per_slice`), repairs between its replicas run through
+//! the gossip protocol (§4.1 step 6), and the only placement change is a
+//! rebuild, which replaces a replica lost to a long-term failure with a
+//! fresh node (§5.2). A `WriteLogs` that reaches a node the map no longer
+//! names for the slice is refused ([`TaurusError::NotAReplica`]), and the
+//! gossip round drops a rebuilt-away copy whose node comes back up.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -22,21 +19,17 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use taurus_common::config::StorageProfile;
-use taurus_common::{DbId, Lsn, NodeId, PageBuf, PageId, Result, SliceKey, TaurusError};
+use taurus_common::{Lsn, NodeId, PageBuf, PageId, Result, SliceKey, TaurusError};
 use taurus_fabric::{Fabric, NodeKind, StorageDevice};
 
 use crate::fragment::SliceFragment;
-use crate::placement::{IngestFilter, PlacementMap, DYNAMIC_SLICE_BASE};
 use crate::pool::EvictionPolicy;
 use crate::pushdown::{ScanSliceRequest, ScanSliceResponse};
 use crate::readpages::{ReadPagesRequest, ReadPagesResponse};
-use crate::server::{
-    ConsolidationPolicy, PageStoreServer, PageStoreStatsSnapshot, RecycleReport, SliceExport,
-    SliceHeatSnapshot,
-};
+use crate::server::{ConsolidationPolicy, PageStoreServer, PageStoreStatsSnapshot, RecycleReport};
 
-/// One `write_logs_grouped` envelope: a node and its `(fragment, epoch)` pairs.
-pub type FragmentGroup = (NodeId, Vec<(Arc<SliceFragment>, u64)>);
+/// One `write_logs_grouped` envelope: a node and the fragments bound for it.
+pub type FragmentGroup = (NodeId, Vec<Arc<SliceFragment>>);
 
 /// Construction parameters for Page Store servers spawned by the cluster.
 #[derive(Clone, Copy, Debug)]
@@ -58,23 +51,15 @@ impl Default for PageStoreOptions {
     }
 }
 
-/// A caller-facing copy of one slice's placement (what the SAL caches).
-#[derive(Clone, Debug)]
-pub struct PlacementView {
-    pub nodes: Vec<NodeId>,
-    pub epoch: u64,
-}
-
 /// Cluster manager for the Page Store tier.
 #[derive(Clone)]
 pub struct PageStoreCluster {
     /// Shared cluster fabric (public for failure injection in tests).
     pub fabric: Fabric,
     servers: Arc<RwLock<HashMap<NodeId, Arc<PageStoreServer>>>>,
-    /// The versioned placement map. Pure data: the lock is a leaf (never
-    /// held across fabric calls or other locks), so placement reads are
-    /// safe from under the SAL state lock.
-    placement: Arc<RwLock<PlacementMap>>,
+    /// Each slice's replica nodes. Pure data behind a leaf lock: never held
+    /// across a fabric call or another lock.
+    placement: Arc<RwLock<HashMap<SliceKey, Vec<NodeId>>>>,
     options: PageStoreOptions,
     replicas: usize,
 }
@@ -84,7 +69,7 @@ impl PageStoreCluster {
         PageStoreCluster {
             fabric,
             servers: Arc::new(RwLock::new(HashMap::new())),
-            placement: Arc::new(RwLock::new(PlacementMap::new())),
+            placement: Arc::new(RwLock::new(HashMap::new())),
             options,
             replicas,
         }
@@ -137,24 +122,16 @@ impl PageStoreCluster {
         self.servers.read().contains_key(&node) && self.fabric.is_up(node)
     }
 
-    /// Current replica placement of a slice (active or retired).
+    /// Current replica placement of a slice.
     pub fn replicas_of(&self, key: SliceKey) -> Vec<NodeId> {
-        self.placement
-            .read()
-            .get(key)
-            .map(|e| e.nodes.clone())
-            .unwrap_or_default()
+        self.placement.read().get(&key).cloned().unwrap_or_default()
     }
 
-    /// All **active** slices the cluster knows about (retired cut-over
-    /// parents excluded), sorted.
+    /// Every slice the cluster has placed, sorted.
     pub fn slices(&self) -> Vec<SliceKey> {
-        self.placement.read().active_slices()
-    }
-
-    /// Every slice with a placement entry, retired history included.
-    pub fn all_slices(&self) -> Vec<SliceKey> {
-        self.placement.read().all_slices()
+        let mut keys: Vec<SliceKey> = self.placement.read().keys().copied().collect();
+        keys.sort();
+        keys
     }
 
     /// Creates a slice on `replicas` healthy Page Stores. Idempotent and
@@ -163,8 +140,8 @@ impl PageStoreCluster {
     /// creators converge on one authoritative replica set (the loser's
     /// extra server-side replicas are just re-created no-ops).
     pub fn create_slice(&self, key: SliceKey, from: NodeId) -> Result<Vec<NodeId>> {
-        if let Some(entry) = self.placement.read().get(key) {
-            return Ok(entry.nodes.clone());
+        if let Some(nodes) = self.placement.read().get(&key) {
+            return Ok(nodes.clone());
         }
         let nodes = self
             .fabric
@@ -173,7 +150,7 @@ impl PageStoreCluster {
             let server = self.server(n)?;
             self.fabric.call(from, n, || server.create_slice(key))?;
         }
-        Ok(self.placement.write().insert_root(key, nodes))
+        Ok(self.placement.write().entry(key).or_insert(nodes).clone())
     }
 
     /// `WriteLogs` RPC to one specific replica, with no placement check: for
@@ -223,7 +200,7 @@ impl PageStoreCluster {
         {
             let placement = self.placement.read();
             for &(key, lsn) in slices {
-                for &node in placement.get(key).map_or(&[][..], |e| &e.nodes) {
+                for &node in placement.get(&key).into_iter().flatten() {
                     by_node.entry(node).or_default().push((key, lsn));
                 }
             }
@@ -304,30 +281,19 @@ impl PageStoreCluster {
     }
 
     /// One gossip round across every slice (the periodic 30-minute sweep).
-    /// Covers retired cut-over parents too — their replicas must converge
-    /// on the full history below the fence so versioned reads keep working
-    /// until GC reclaims them — and starts with the placement sweep, so the
-    /// round also carries the placement epoch to every hosted replica.
+    /// It starts by dropping the copies the placement no longer names
+    /// ([`PageStoreCluster::drop_stray_replicas`]).
     pub fn gossip_all(&self) -> usize {
-        let _ = self.placement_sweep();
-        self.all_slices().iter().map(|k| self.gossip(*k)).sum()
+        self.drop_stray_replicas();
+        self.slices().iter().map(|k| self.gossip(*k)).sum()
     }
 
-    /// The placement half of a gossip round: for every replica hosted by a
-    /// live server, compare against the placement map and push what the
-    /// replica is missing — the fence and epoch of a cut-over it slept
-    /// through, or the news that its copy is orphaned (GC'd retired slice,
-    /// moved-away ex-replica, crashed mid-cut-over child) and should be
-    /// dropped. This is what lets a stale replica learn a move in the next
-    /// gossip round instead of serving fenced reads forever. Returns
-    /// `(fences_pushed, orphans_dropped)`.
-    pub fn placement_sweep(&self) -> (usize, usize) {
-        enum Act {
-            Fence(Lsn, u64),
-            Drop,
-            Keep,
-        }
-        let mut pushed = 0usize;
+    /// Drops every slice copy hosted by a live server that the placement
+    /// map does not name as a replica: a rebuilt-away replica whose node
+    /// came back up, or the extra copies of a creation race's loser. A
+    /// hosted slice with no placement entry yet is left alone: the server
+    /// create lands before the placement insert. Returns the copies dropped.
+    pub fn drop_stray_replicas(&self) -> usize {
         let mut dropped = 0usize;
         for node in self.server_nodes() {
             if !self.fabric.is_up(node) {
@@ -340,62 +306,22 @@ impl PageStoreCluster {
                 continue;
             };
             for key in hosted {
-                // Decide under the placement read lock, act outside it.
-                let act = {
-                    let p = self.placement.read();
-                    match p.get(key) {
-                        None => {
-                            // No placement entry. A dynamic slice here is a
-                            // GC'd or crashed-mid-cut-over orphan; a root
-                            // slice may be racing its own creation (server
-                            // create lands before the placement insert), so
-                            // leave those alone.
-                            if key.slice.0 >= DYNAMIC_SLICE_BASE {
-                                Act::Drop
-                            } else {
-                                Act::Keep
-                            }
-                        }
-                        Some(e) => {
-                            if let Some((_, f)) = e.retired_nodes.iter().find(|(n, _)| *n == node) {
-                                Act::Fence(*f, e.epoch)
-                            } else if !e.nodes.contains(&node) {
-                                // A copy on a node the placement no longer
-                                // names: a rebuilt-away replica that came
-                                // back up, or a moved-away one already GC'd
-                                // from `retired_nodes`.
-                                Act::Drop
-                            } else if let Some(f) = e.fence_lsn {
-                                Act::Fence(f, e.epoch)
-                            } else {
-                                Act::Keep
-                            }
-                        }
-                    }
-                };
-                match act {
-                    Act::Fence(f, ep) => {
-                        if let Ok(Ok(true)) = self
-                            .fabric
-                            .call(node, node, || server.fence_slice(key, f, ep))
-                        {
-                            pushed += 1;
-                        }
-                    }
-                    Act::Drop => {
-                        if self
-                            .fabric
-                            .call(node, node, || server.drop_slice(key))
-                            .is_ok()
-                        {
-                            dropped += 1;
-                        }
-                    }
-                    Act::Keep => {}
+                let stray = self
+                    .placement
+                    .read()
+                    .get(&key)
+                    .is_some_and(|nodes| !nodes.contains(&node));
+                if stray
+                    && self
+                        .fabric
+                        .call(node, node, || server.drop_slice(key))
+                        .is_ok()
+                {
+                    dropped += 1;
                 }
             }
         }
-        (pushed, dropped)
+        dropped
     }
 
     /// Rebuilds the replica of `key` lost with `failed` on a fresh node:
@@ -429,10 +355,13 @@ impl PageStoreCluster {
         self.fabric.call(from, new_node, || {
             new_server.create_rebuilding_slice(key, plsn, rlsn)
         })?;
-        // Swap placement first so new writes reach the rebuilding replica.
-        // Deliberately no epoch bump: rebuild keeps the placement
-        // generation, callers just refresh the replica set as before.
-        self.placement.write().replace_node(key, failed, new_node);
+        // Swap placement first so new writes reach the rebuilding replica;
+        // callers re-learn the replica set by refreshing.
+        if let Some(nodes) = self.placement.write().get_mut(&key) {
+            if let Some(slot) = nodes.iter_mut().find(|n| **n == failed) {
+                *slot = new_node;
+            }
+        }
         let new_server = self.server(new_node)?;
         let pages = export.pages;
         self.fabric
@@ -440,65 +369,14 @@ impl PageStoreCluster {
         Ok(new_node)
     }
 
-    // ------------------------------------------------------------------
-    // Elastic placement (DESIGN.md §14): epoch-checked RPCs, cut-over
-    // storage primitives, heat, and retired-state GC.
-    // ------------------------------------------------------------------
-
-    /// Current global placement epoch.
-    pub fn placement_epoch(&self) -> u64 {
-        self.placement.read().epoch()
-    }
-
-    /// Caller-facing view of one slice's placement entry (what the SAL
-    /// seeds its per-slice state from).
-    pub fn placement_view(&self, key: SliceKey) -> Option<PlacementView> {
-        self.placement.read().get(key).map(|e| PlacementView {
-            nodes: e.nodes.clone(),
-            epoch: e.epoch,
-        })
-    }
-
-    /// Active owner of a page for writes (see [`PlacementMap::route_write`]).
-    pub fn route_write(&self, db: DbId, page: PageId, pps: u64) -> SliceKey {
-        self.placement.read().route_write(db, page, pps)
-    }
-
-    /// Owner of a page version for reads (see [`PlacementMap::route_read`]).
-    pub fn route_read(&self, db: DbId, page: PageId, pps: u64, as_of: Option<Lsn>) -> SliceKey {
-        self.placement.read().route_read(db, page, pps, as_of)
-    }
-
-    /// Which log records belong to `key` (see [`IngestFilter`]).
-    pub fn ingest_filter(&self, key: SliceKey, pps: u64) -> Option<IngestFilter> {
-        self.placement.read().ingest_filter(key, pps)
-    }
-
-    /// Whether `key` is a retired cut-over parent (fenced).
-    pub fn is_retired(&self, key: SliceKey) -> bool {
-        self.placement.read().is_retired(key)
-    }
-
-    /// The page range `[start, end)` a slice owns.
-    pub fn slice_range(&self, key: SliceKey, pps: u64) -> Option<(u64, u64)> {
-        self.placement.read().get(key).map(|e| e.range_of(key, pps))
-    }
-
-    /// Allocates a fresh dynamic slice key for `db` (split/merge children).
-    pub fn allocate_dynamic(&self, db: DbId) -> SliceKey {
-        self.placement.write().allocate_dynamic(db)
-    }
-
-    fn check_rpc(
-        &self,
-        key: SliceKey,
-        node: NodeId,
-        epoch: u64,
-        write_last: Option<Lsn>,
-    ) -> Result<()> {
-        self.placement
-            .read()
-            .check_rpc(key, node, epoch, write_last)
+    /// Refuses a write to `node` unless the placement names it as a replica
+    /// of `key` (a rebuild may have replaced it under the caller).
+    fn check_replica(&self, key: SliceKey, node: NodeId) -> Result<()> {
+        match self.placement.read().get(&key) {
+            None => Err(TaurusError::SliceNotFound(key)),
+            Some(nodes) if nodes.contains(&node) => Ok(()),
+            Some(_) => Err(TaurusError::NotAReplica { slice: key, node }),
+        }
     }
 
     /// One fabric envelope per node: every request of a group rides a single
@@ -567,237 +445,21 @@ impl PageStoreCluster {
         self.grouped(from, groups, |node, req| self.server(node)?.scan_slice(req))
     }
 
-    /// Grouped epoch-checked `WriteLogs`: ships a run of fragments to each
-    /// node in one envelope. Each slot carries the caller's cached placement
-    /// epoch — refused with `PlacementEpochMismatch` (retryable after a
-    /// refresh) when the placement moved under the caller — and returns that
-    /// fragment's piggybacked persistent LSN. Safe to re-send on partial
-    /// failure: Page Stores disregard duplicate log records.
+    /// Grouped `WriteLogs`: ships a run of fragments to each node in one
+    /// envelope. A slot whose node the placement no longer names for its
+    /// slice is refused with [`TaurusError::NotAReplica`] (retryable after
+    /// a refresh); every other slot returns its fragment's piggybacked
+    /// persistent LSN. Safe to re-send on partial failure: Page Stores
+    /// disregard duplicate log records.
     pub fn write_logs_grouped(
         &self,
         from: NodeId,
         groups: &[FragmentGroup],
     ) -> Vec<Vec<Result<Lsn>>> {
-        self.grouped(from, groups, |node, (frag, epoch)| {
-            self.check_rpc(frag.slice, node, *epoch, Some(frag.last_lsn()))?;
+        self.grouped(from, groups, |node, frag| {
+            self.check_replica(frag.slice, node)?;
             self.server(node)?.write_logs(frag)
         })
-    }
-
-    /// Exports a seed snapshot from a live replica of `donor_key`: its
-    /// latest page versions materialized at its persistent LSN, optionally
-    /// restricted to a page range (the split case). The returned
-    /// `persistent_lsn` is the base LSN `E` of the snapshot — the horizon
-    /// the delta replay starts above.
-    pub fn export_snapshot(
-        &self,
-        donor_key: SliceKey,
-        range: Option<(u64, u64)>,
-        from: NodeId,
-    ) -> Result<SliceExport> {
-        let donors = self.replicas_of(donor_key);
-        let donor = donors
-            .iter()
-            .copied()
-            .find(|&n| self.is_live(n))
-            .ok_or(TaurusError::AllReplicasFailed(donor_key))?;
-        let donor_server = self.server(donor)?;
-        let mut export = self
-            .fabric
-            .call(from, donor, || donor_server.export_slice(donor_key))??;
-        if let Some((start, end)) = range {
-            export
-                .pages
-                .retain(|(page, _, _)| page.0 >= start && page.0 < end);
-        }
-        Ok(export)
-    }
-
-    /// Installs seed snapshots as a new slice `child` on `targets`. The
-    /// child is created `rebuilding` at the **minimum** base across the
-    /// snapshots (the merge case seeds from two donors with different
-    /// horizons; the fragment chain must start at the lower one so the
-    /// delta replay can cover both) and accepts new writes immediately.
-    /// Returns that base LSN.
-    pub fn install_seed(
-        &self,
-        child: SliceKey,
-        targets: &[NodeId],
-        snapshots: Vec<SliceExport>,
-        from: NodeId,
-    ) -> Result<Lsn> {
-        let base = snapshots
-            .iter()
-            .map(|s| s.persistent_lsn)
-            .min()
-            .unwrap_or(Lsn::ZERO);
-        let recycle = snapshots
-            .iter()
-            .map(|s| s.recycle_lsn)
-            .min()
-            .unwrap_or(Lsn::ZERO);
-        for &n in targets {
-            let server = self.server(n)?;
-            self.fabric.call(from, n, || {
-                server.create_rebuilding_slice(child, base, recycle)
-            })?;
-            for snap in &snapshots {
-                let server = self.server(n)?;
-                let pages = snap.pages.clone();
-                self.fabric
-                    .call(from, n, move || server.import_pages(child, pages))??;
-            }
-        }
-        Ok(base)
-    }
-
-    /// Pushes a cut-over fence to the given replicas of `key`. Best-effort:
-    /// down nodes are skipped — the gossip placement sweep re-pushes the
-    /// fence every round until they learn it. Returns how many acked.
-    pub fn fence_replicas(
-        &self,
-        key: SliceKey,
-        nodes: &[NodeId],
-        fence: Lsn,
-        epoch: u64,
-        from: NodeId,
-    ) -> usize {
-        let mut acked = 0usize;
-        for &n in nodes {
-            if !self.is_live(n) {
-                continue;
-            }
-            let Ok(server) = self.server(n) else { continue };
-            if let Ok(Ok(_)) = self
-                .fabric
-                .call(from, n, || server.fence_slice(key, fence, epoch))
-            {
-                acked += 1;
-            }
-        }
-        acked
-    }
-
-    /// Commits a split in the placement map (pure memory; see
-    /// [`PlacementMap::commit_split`]). Returns the new global epoch.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "a split is the parent, the cut, both children and two LSNs; this forwards them"
-    )]
-    pub fn commit_split(
-        &self,
-        parent: SliceKey,
-        pps: u64,
-        at_page: u64,
-        left: (SliceKey, Vec<NodeId>),
-        right: (SliceKey, Vec<NodeId>),
-        base: Lsn,
-        fence: Lsn,
-    ) -> Result<u64> {
-        self.placement
-            .write()
-            .commit_split(parent, pps, at_page, left, right, base, fence)
-    }
-
-    /// Commits a merge in the placement map. Returns the new global epoch.
-    pub fn commit_merge(
-        &self,
-        left: SliceKey,
-        right: SliceKey,
-        pps: u64,
-        merged: (SliceKey, Vec<NodeId>),
-        base: Lsn,
-        fence: Lsn,
-    ) -> Result<u64> {
-        self.placement
-            .write()
-            .commit_merge(left, right, pps, merged, base, fence)
-    }
-
-    /// Commits a replica move in the placement map. Returns the new epoch.
-    pub fn commit_move(
-        &self,
-        key: SliceKey,
-        from_node: NodeId,
-        to_node: NodeId,
-        fence: Lsn,
-    ) -> Result<u64> {
-        self.placement
-            .write()
-            .commit_move(key, from_node, to_node, fence)
-    }
-
-    /// Drops retired placement state no versioned read can reach any more
-    /// (fence below the recycle LSN) along with the server-side replicas
-    /// backing it. Called from the SAL's recycle handshake. Returns how
-    /// many replica copies were dropped.
-    pub fn gc_retired(&self, recycle: Lsn, from: NodeId) -> usize {
-        let drops = self.placement.write().gc_below(recycle);
-        let mut dropped = 0usize;
-        for (key, nodes) in drops {
-            for n in nodes {
-                let Ok(server) = self.server(n) else { continue };
-                if self.fabric.call(from, n, || server.drop_slice(key)).is_ok() {
-                    dropped += 1;
-                }
-            }
-        }
-        dropped
-    }
-
-    /// Per-node heat (slice ops/bytes served) across every registered
-    /// server, sorted by node id. Bench reporting and the rebalancer's
-    /// spread metric.
-    pub fn heat_by_node(&self) -> Vec<(NodeId, SliceHeatSnapshot)> {
-        let mut out: Vec<(NodeId, SliceHeatSnapshot)> = self
-            .servers
-            .read()
-            .iter()
-            .map(|(&n, s)| {
-                let mut agg = SliceHeatSnapshot::default();
-                for (_, h) in s.heat_snapshot() {
-                    agg.absorb(h);
-                }
-                (n, agg)
-            })
-            .collect();
-        out.sort_by_key(|(n, _)| *n);
-        out
-    }
-
-    /// Per-slice heat aggregated across replicas, hottest first (ties by
-    /// key, so the order is deterministic).
-    pub fn heat_by_slice(&self) -> Vec<(SliceKey, SliceHeatSnapshot)> {
-        let mut agg: HashMap<SliceKey, SliceHeatSnapshot> = HashMap::new();
-        for s in self.servers.read().values() {
-            for (k, h) in s.heat_snapshot() {
-                agg.entry(k).or_default().absorb(h);
-            }
-        }
-        let mut out: Vec<(SliceKey, SliceHeatSnapshot)> = agg.into_iter().collect();
-        out.sort_by(|a, b| b.1.ops().cmp(&a.1.ops()).then(a.0.cmp(&b.0)));
-        out
-    }
-
-    /// The `n` least-loaded live Page Store nodes by total heat (ties by
-    /// node id), excluding `exclude`. Deterministic — no RNG draw, unlike
-    /// `pick_nodes` — so elastic placement decisions don't perturb the
-    /// fabric's random stream.
-    pub fn least_loaded_nodes(&self, n: usize, exclude: &[NodeId]) -> Result<Vec<NodeId>> {
-        let mut heat: Vec<(u64, NodeId)> = self
-            .heat_by_node()
-            .into_iter()
-            .filter(|(node, _)| self.fabric.is_up(*node) && !exclude.contains(node))
-            .map(|(node, h)| (h.ops(), node))
-            .collect();
-        heat.sort_unstable();
-        if heat.len() < n {
-            return Err(TaurusError::Internal(format!(
-                "need {n} page store nodes, only {} live outside the exclusion set",
-                heat.len()
-            )));
-        }
-        Ok(heat.into_iter().take(n).map(|(_, node)| node).collect())
     }
 
     /// The largest unconsolidated-log backlog across servers, in bytes.
@@ -1166,112 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn split_cutover_routes_fences_and_accepts_checked_writes() {
-        let (c, me) = setup(6);
-        let parent = key();
-        let pps = 64u64;
-        let nodes = c.create_slice(parent, me).unwrap();
-        for &n in &nodes {
-            c.write_logs_to(n, me, &frag(0, 1, 7)).unwrap();
-            c.write_logs_to(n, me, &frag(1, 2, 7)).unwrap();
-            c.write_logs_to(n, me, &frag(2, 3, 40)).unwrap();
-            c.write_logs_to(n, me, &frag(3, 4, 40)).unwrap();
-        }
-        // Seed two children from range-filtered snapshots of the parent.
-        let l = c.allocate_dynamic(DbId(1));
-        let r = c.allocate_dynamic(DbId(1));
-        let snap_l = c.export_snapshot(parent, Some((0, 32)), me).unwrap();
-        let snap_r = c.export_snapshot(parent, Some((32, 64)), me).unwrap();
-        assert_eq!(snap_l.persistent_lsn, Lsn(4));
-        assert!(snap_l.pages.iter().all(|(p, _, _)| p.0 < 32));
-        let rt = c.least_loaded_nodes(3, &nodes).unwrap();
-        let base = c.install_seed(l, &nodes, vec![snap_l], me).unwrap();
-        c.install_seed(r, &rt, vec![snap_r], me).unwrap();
-        let epoch = c
-            .commit_split(
-                parent,
-                pps,
-                32,
-                (l, nodes.clone()),
-                (r, rt.clone()),
-                base,
-                Lsn(4),
-            )
-            .unwrap();
-        assert_eq!(c.fence_replicas(parent, &nodes, Lsn(4), epoch, me), 3);
-        // Routing: writes go to the children, history to the parent.
-        assert!(c.is_retired(parent));
-        assert_eq!(c.route_write(DbId(1), PageId(7), pps), l);
-        assert_eq!(c.route_write(DbId(1), PageId(40), pps), r);
-        assert_eq!(c.route_read(DbId(1), PageId(40), pps, Some(Lsn(4))), parent);
-        assert_eq!(c.route_read(DbId(1), PageId(40), pps, Some(Lsn(5))), r);
-        // The fenced parent still serves history but refuses the future.
-        let (page, lsn) = c
-            .read_page_from(nodes[0], me, parent, PageId(40), Lsn(4))
-            .unwrap();
-        assert_eq!((page.nslots(), lsn), (1, Lsn(4)));
-        assert!(matches!(
-            c.read_page_from(nodes[0], me, parent, PageId(40), Lsn(5)),
-            Err(TaurusError::SliceFenced { .. })
-        ));
-        // Epoch-checked writes: stale epoch refused, fresh epoch lands.
-        let f5 = Arc::new(SliceFragment::new(
-            r,
-            Lsn(4),
-            vec![LogRecord::new(
-                Lsn(5),
-                PageId(40),
-                RecordBody::Insert {
-                    idx: 1,
-                    key: Bytes::from("k5"),
-                    val: Bytes::from("v5"),
-                },
-            )],
-        ));
-        let ship = |epoch| {
-            let groups: Vec<FragmentGroup> = rt
-                .iter()
-                .map(|&n| (n, vec![(Arc::clone(&f5), epoch)]))
-                .collect();
-            c.write_logs_grouped(me, &groups).into_iter().flatten()
-        };
-        assert!(ship(0).all(|slot| matches!(slot, Err(TaurusError::PlacementEpochMismatch { .. }))));
-        assert!(ship(epoch).all(|slot| matches!(slot, Ok(Lsn(5)))));
-        let (page, lsn) = c.read_page_from(rt[0], me, r, PageId(40), Lsn(5)).unwrap();
-        assert_eq!((page.nslots(), lsn), (2, Lsn(5)));
-    }
-
-    #[test]
-    fn placement_sweep_fences_replica_that_slept_through_a_move() {
-        let (c, me) = setup(5);
-        let parent = key();
-        let nodes = c.create_slice(parent, me).unwrap();
-        for &n in &nodes {
-            c.write_logs_to(n, me, &frag(0, 1, 7)).unwrap();
-        }
-        // nodes[2] sleeps through the whole move.
-        c.fabric.set_down(nodes[2]);
-        let to = c.least_loaded_nodes(1, &nodes).unwrap()[0];
-        let snap = c.export_snapshot(parent, None, me).unwrap();
-        c.install_seed(parent, &[to], vec![snap], me).unwrap();
-        let epoch = c.commit_move(parent, nodes[2], to, Lsn(1)).unwrap();
-        assert_eq!(c.fence_replicas(parent, &[nodes[2]], Lsn(1), epoch, me), 0);
-        assert!(c.replicas_of(parent).contains(&to));
-        // It comes back: the next gossip round pushes the fence it missed.
-        c.fabric.set_up(nodes[2]);
-        let (pushed, dropped) = c.placement_sweep();
-        assert_eq!((pushed, dropped), (1, 0));
-        assert!(matches!(
-            c.read_page_from(nodes[2], me, parent, PageId(7), Lsn(2)),
-            Err(TaurusError::SliceFenced { .. })
-        ));
-        // Once the recycle LSN passes the fence, GC drops the ex-replica.
-        assert_eq!(c.gc_retired(Lsn(2), me), 1);
-        assert!(!c.server_handle(nodes[2]).unwrap().has_slice(parent));
-        assert!(c.server_handle(to).unwrap().has_slice(parent));
-    }
-
-    #[test]
     fn writes_during_rebuild_reach_the_new_replica() {
         let (c, me) = setup(5);
         let nodes = c.create_slice(key(), me).unwrap();
@@ -1285,5 +841,37 @@ mod tests {
         // A write arriving after the placement swap lands on the new node.
         c.write_logs_to(new_node, me, &frag(1, 2, 7)).unwrap();
         assert_eq!(c.persistent_lsn_of(new_node, me, key()).unwrap(), Lsn(2));
+    }
+
+    #[test]
+    fn a_rebuilt_away_replica_is_refused_writes_and_dropped_when_it_returns() {
+        let (c, me) = setup(5);
+        let nodes = c.create_slice(key(), me).unwrap();
+        for &n in &nodes {
+            c.write_logs_to(n, me, &frag(0, 1, 7)).unwrap();
+        }
+        let failed = nodes[0];
+        c.fabric.set_down(failed);
+        let new_node = c.rebuild_replica(key(), failed, me).unwrap();
+        // It comes back up. A write sent from the old replica list is
+        // refused there and lands on the newcomer.
+        c.fabric.set_up(failed);
+        let f2 = Arc::new(frag(1, 2, 7));
+        let groups: Vec<FragmentGroup> = [failed, new_node]
+            .iter()
+            .map(|&n| (n, vec![Arc::clone(&f2)]))
+            .collect();
+        let slots: Vec<Result<Lsn>> = c
+            .write_logs_grouped(me, &groups)
+            .into_iter()
+            .flatten()
+            .collect();
+        assert!(matches!(slots[0], Err(TaurusError::NotAReplica { node, .. }) if node == failed));
+        assert!(matches!(slots[1], Ok(Lsn(2))));
+        assert_eq!(c.persistent_lsn_of(failed, me, key()).unwrap(), Lsn(1));
+        // The gossip round drops the stray copy and keeps the newcomer's.
+        assert_eq!(c.drop_stray_replicas(), 1);
+        assert!(!c.server_handle(failed).unwrap().has_slice(key()));
+        assert!(c.server_handle(new_node).unwrap().has_slice(key()));
     }
 }

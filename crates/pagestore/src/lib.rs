@@ -42,21 +42,19 @@ pub mod directory;
 pub mod fragment;
 pub mod layers;
 pub mod logcache;
-pub mod placement;
 pub mod pool;
 pub mod pushdown;
 pub mod readpages;
 pub mod server;
 pub mod slice;
 
-pub use cluster::{PageStoreCluster, PlacementView};
+pub use cluster::PageStoreCluster;
 pub use fragment::{deep_clone_count, encode_count, SliceFragment};
 pub use layers::{CompactionJob, L0Records, L1Layer, LayerStore, SealPlan, SortedRun};
-pub use placement::{IngestFilter, PlacementEntry, PlacementMap, DYNAMIC_SLICE_BASE};
 pub use pool::{EvictionPolicy, PagePool};
 pub use pushdown::{ScanSliceRequest, ScanSliceResponse};
 pub use readpages::{ReadPagesRequest, ReadPagesResponse};
 pub use server::{
     ConsolidationPolicy, PageStoreServer, PageStoreStats, PageStoreStatsSnapshot, RecycleReport,
-    SliceExport, SliceHeat, SliceHeatSnapshot,
+    SliceExport,
 };

@@ -83,9 +83,9 @@ pub struct ScanSliceResponse {
 
 impl PageStoreServer {
     /// `ScanSlice`: the fifth storage API method. Applies the same
-    /// visibility gate as `ReadPages` (a rebuilding, behind or fenced
-    /// replica refuses the call so the SAL can try the next replica; a
-    /// recycled snapshot is answered `VersionRecycled`), then materializes
+    /// visibility gate as `ReadPages` (a rebuilding or behind replica
+    /// refuses the call so the SAL can try the next replica; a recycled
+    /// snapshot is answered `VersionRecycled`), then materializes
     /// each page of the slice at the snapshot LSN and folds it through the
     /// shared evaluator.
     pub fn scan_slice(&self, call: &ScanSliceRequest) -> Result<ScanSliceResponse> {
@@ -116,7 +116,7 @@ impl PageStoreServer {
         resp.rows_matched = acc.rows_matched;
         resp.bytes_returned = acc.bytes_out;
         if resp.pages_scanned > 0 {
-            self.note_read_heat(call.key, resp.pages_scanned, resp.bytes_returned);
+            self.note_read(resp.pages_scanned, resp.bytes_returned);
         }
         Ok(resp)
     }

@@ -9,9 +9,9 @@
 //! below are unchanged.
 //!
 //! Visibility is the one gate every read kind shares
-//! (`PageStoreServer::read_gate`): a rebuilding, behind or fenced replica
-//! refuses the call (so the SAL routes to the next replica), and a snapshot
-//! below the recycle LSN is answered `VersionRecycled` for the whole slice.
+//! (`PageStoreServer::read_gate`): a rebuilding or behind replica refuses
+//! the call (so the SAL routes to the next replica), and a snapshot below
+//! the recycle LSN is answered `VersionRecycled` for the whole slice.
 //! A page that fails to materialize refuses the call too: the answer is a
 //! pure function of one replica's directory, all or nothing.
 //!
@@ -73,7 +73,7 @@ impl PageStoreServer {
             resp.bytes_returned += buf.as_bytes().len() as u64;
             resp.pages.push((page, buf, lsn));
         }
-        self.note_read_heat(call.key, resp.pages.len() as u64, resp.bytes_returned);
+        self.note_read(resp.pages.len() as u64, resp.bytes_returned);
         Ok(resp)
     }
 

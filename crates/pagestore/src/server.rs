@@ -106,8 +106,7 @@ taurus_common::counters! {
         /// Compacted-L0 blob reads on the record-fetch path (historical snapshot
         /// reads only; one read serves every record of the blob).
         pub l0_blob_reads: Counter,
-        /// Page-read operations served, summed over slices (per-slice split in
-        /// [`PageStoreServer::heat_snapshot`] — the rebalancer's input signal).
+        /// Page-read operations served, summed over slices.
         pub slice_read_ops: Counter,
         /// Bytes returned by page reads, summed over slices.
         pub slice_read_bytes: Counter,
@@ -146,33 +145,11 @@ pub struct PageStoreServer {
     /// Test failpoint: abort the next compaction between the L1 blob append
     /// and directory registration (crash-mid-compaction drills). One-shot.
     compaction_abort: AtomicBool,
-    /// Per-slice heat counters (DESIGN.md §14): read/write op and byte
-    /// tallies feeding the rebalancer and the per-node spread reports.
-    /// Leaf lock — never held across device I/O, fabric calls, or any
-    /// other lock.
-    heat: RwLock<HashMap<SliceKey, Arc<SliceHeat>>>,
     /// Wake flag of the background consolidation thread: raised by every
     /// accepted ingest (and by the thread's stop guard), consumed by
     /// [`PageStoreServer::wait_for_work`]. Leaf lock, always taken bare.
     work: Mutex<bool>,
     work_cv: Condvar,
-}
-
-taurus_common::counters! {
-    /// Per-slice read/write tallies on one server.
-    pub struct SliceHeat => SliceHeatSnapshot {
-        pub read_ops: Counter,
-        pub read_bytes: Counter,
-        pub write_ops: Counter,
-        pub write_bytes: Counter,
-    }
-}
-
-impl SliceHeatSnapshot {
-    /// Combined op count — the scalar "heat" the rebalancer ranks by.
-    pub fn ops(&self) -> u64 {
-        self.read_ops + self.write_ops
-    }
 }
 
 impl std::fmt::Debug for PageStoreServer {
@@ -201,7 +178,6 @@ impl PageStoreServer {
             disk_record_fetches: Counter::new(),
             stats: PageStoreStats::default(),
             compaction_abort: AtomicBool::new(false),
-            heat: RwLock::new(HashMap::new()),
             work: Mutex::new(false),
             work_cv: Condvar::new(),
         })
@@ -224,46 +200,14 @@ impl PageStoreServer {
         std::mem::take(&mut *pending)
     }
 
-    fn heat_of(&self, key: SliceKey) -> Arc<SliceHeat> {
-        if let Some(h) = self.heat.read().get(&key) {
-            return Arc::clone(h);
-        }
-        Arc::clone(self.heat.write().entry(key).or_default())
-    }
-
-    pub(crate) fn note_write_heat(&self, key: SliceKey, ops: u64, bytes: usize) {
+    pub(crate) fn note_write(&self, ops: u64, bytes: usize) {
         self.stats.slice_write_ops.add(ops);
         self.stats.slice_write_bytes.add(bytes as u64);
-        let h = self.heat_of(key);
-        h.write_ops.add(ops);
-        h.write_bytes.add(bytes as u64);
     }
 
-    pub(crate) fn note_read_heat(&self, key: SliceKey, ops: u64, bytes: u64) {
+    pub(crate) fn note_read(&self, ops: u64, bytes: u64) {
         self.stats.slice_read_ops.add(ops);
         self.stats.slice_read_bytes.add(bytes);
-        let h = self.heat_of(key);
-        h.read_ops.add(ops);
-        h.read_bytes.add(bytes);
-    }
-
-    /// Per-slice heat snapshot, sorted by slice key.
-    pub fn heat_snapshot(&self) -> Vec<(SliceKey, SliceHeatSnapshot)> {
-        let mut v: Vec<(SliceKey, SliceHeatSnapshot)> = self
-            .heat
-            .read()
-            .iter()
-            .map(|(k, h)| (*k, h.snapshot()))
-            .collect();
-        v.sort_by_key(|(k, _)| *k);
-        v
-    }
-
-    /// Applies an elastic cut-over fence to a hosted slice replica
-    /// (idempotent). Returns whether the replica learned anything new —
-    /// `false` means it already had this fence and epoch.
-    pub fn fence_slice(&self, key: SliceKey, fence: Lsn, epoch: u64) -> Result<bool> {
-        Ok(self.replica(key)?.lock().apply_fence(fence, epoch))
     }
 
     /// Arms the crash-mid-compaction failpoint: the next compaction aborts
@@ -356,19 +300,6 @@ impl PageStoreServer {
         {
             let r = replica.lock();
             persistent_before = r.persistent_lsn();
-            // Elastic cut-over fence (DESIGN.md §14): everything above the
-            // fence belongs to the successor placement. A stale writer that
-            // missed the placement change is rejected here — the
-            // materialized backstop behind the cluster's epoch check.
-            if let Some(fence) = r.fence_lsn {
-                if frag.last_lsn() > fence {
-                    return Err(TaurusError::SliceFenced {
-                        slice: frag.slice,
-                        fence,
-                        requested: frag.last_lsn(),
-                    });
-                }
-            }
             if frag.last_lsn() <= r.persistent_lsn()
                 || r.has_equivalent(frag.first_lsn(), frag.last_lsn())
             {
@@ -409,7 +340,7 @@ impl PageStoreServer {
                     Arc::clone(&frag.records),
                     frag.payload_bytes(),
                 );
-                self.note_write_heat(frag.slice, frag.records.len() as u64, frag.payload_bytes());
+                self.note_write(frag.records.len() as u64, frag.payload_bytes());
             }
             IngestOutcome::Duplicate => {
                 // The fragment was appended outside the lock (lock
@@ -489,9 +420,6 @@ impl PageStoreServer {
     /// * A rebuilding replica, or one whose persistent LSN trails `as_of`,
     ///   refuses with [`TaurusError::PageStoreBehind`] so the SAL tries the
     ///   next replica (paper §4.2).
-    /// * A snapshot above an elastic cut-over fence belongs to the successor
-    ///   placement (DESIGN.md §14): [`TaurusError::SliceFenced`] tells the
-    ///   reader to refresh its routing.
     /// * Below the recycle LSN versions may be purged — except at the slice
     ///   head (`as_of == persistent`), which is always servable:
     ///   `purge_below` keeps each page's newest version <= recycle as the
@@ -509,15 +437,6 @@ impl PageStoreServer {
                 requested: as_of,
                 persistent: Lsn::ZERO,
             });
-        }
-        if let Some(fence) = r.fence_lsn {
-            if as_of > fence {
-                return Err(TaurusError::SliceFenced {
-                    slice: key,
-                    fence,
-                    requested: as_of,
-                });
-            }
         }
         let persistent = r.persistent_lsn();
         if persistent < as_of {
@@ -1127,9 +1046,9 @@ mod tests {
     }
 
     /// The one read rule (paper §4.2), checked for every read kind: each of
-    /// `ReadPage`, `ReadPages` and `ScanSlice` faces a rebuilding, a fenced
-    /// and a behind replica, a snapshot below the recycle LSN, and a head
-    /// read after recycling, which must be served.
+    /// `ReadPage`, `ReadPages` and `ScanSlice` faces a rebuilding and a
+    /// behind replica, a snapshot below the recycle LSN, and a head read
+    /// after recycling, which must be served.
     #[test]
     fn every_read_kind_applies_the_same_visibility_rule() {
         fn verdict<T>(r: Result<T>, served: impl FnOnce(T) -> String) -> String {
@@ -1140,9 +1059,6 @@ mod tests {
                     persistent,
                     ..
                 }) => format!("behind: wants {requested}, has {persistent}"),
-                Err(TaurusError::SliceFenced {
-                    fence, requested, ..
-                }) => format!("fenced at {fence}: wants {requested}"),
                 Err(TaurusError::VersionRecycled { requested, .. }) => {
                     format!("recycled: wants {requested}")
                 }
@@ -1187,18 +1103,12 @@ mod tests {
         ];
         type Setup = fn(&PageStoreServer);
         // Pages 5 and 6 hold one row each; the persistent LSN is 4.
-        let rows: [(&str, Setup, u64, &str); 5] = [
+        let rows: [(&str, Setup, u64, &str); 4] = [
             (
                 "rebuilding",
                 |s| s.create_rebuilding_slice(key(), Lsn(4), Lsn::ZERO),
                 4,
                 "behind: wants 4, has 0",
-            ),
-            (
-                "fenced",
-                |s| assert!(s.fence_slice(key(), Lsn(3), 1).unwrap()),
-                4,
-                "fenced at 3: wants 4",
             ),
             ("behind", |_| {}, 9, "behind: wants 9, has 4"),
             (

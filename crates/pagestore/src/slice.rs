@@ -68,14 +68,6 @@ pub struct SliceReplica {
     /// A rebuilding replica accepts writes but cannot serve reads until the
     /// latest pages have been copied from a healthy peer (§5.2).
     pub rebuilding: bool,
-    /// Elastic cut-over fence (DESIGN.md §14): once set, this replica owns
-    /// only versions `<= fence` — writes ending above it and reads as of
-    /// LSNs above it are refused, because they belong to the successor
-    /// placement. `None` = active.
-    pub fence_lsn: Option<Lsn>,
-    /// Placement epoch this replica last heard (via cut-over RPC or gossip).
-    /// Purely informational — authority lives in the cluster placement map.
-    pub placement_epoch: u64,
 }
 
 impl SliceReplica {
@@ -92,8 +84,6 @@ impl SliceReplica {
             directory: Arc::new(LogDirectory::new()),
             layers: Arc::new(LayerStore::new()),
             rebuilding: false,
-            fence_lsn: None,
-            placement_epoch: 0,
         }
     }
 
@@ -116,26 +106,7 @@ impl SliceReplica {
             directory: Arc::new(LogDirectory::new()),
             layers: Arc::new(LayerStore::new()),
             rebuilding: true,
-            fence_lsn: None,
-            placement_epoch: 0,
         }
-    }
-
-    /// Applies an elastic cut-over fence (idempotent; fences only tighten).
-    /// Returns whether anything changed — the gossip epoch-push counter.
-    pub fn apply_fence(&mut self, fence: Lsn, epoch: u64) -> bool {
-        let tighter = match self.fence_lsn {
-            Some(f) => fence < f,
-            None => true,
-        };
-        let newer = epoch > self.placement_epoch;
-        if tighter {
-            self.fence_lsn = Some(fence);
-        }
-        if newer {
-            self.placement_epoch = epoch;
-        }
-        tighter || newer
     }
 
     /// Whether a fragment with these bounds is already stored.

@@ -14,14 +14,12 @@ pub mod scanheavy;
 pub mod sysbench;
 pub mod tpcc;
 pub mod zipf;
-pub mod zipfian;
 
 pub use driver::{run_workload, run_workload_opts, DriverOptions, DriverReport, Executor};
 pub use scanheavy::ScanHeavyWorkload;
 pub use sysbench::{SysbenchMode, SysbenchWorkload};
 pub use tpcc::TpccWorkload;
 pub use zipf::Zipf;
-pub use zipfian::ZipfianWorkload;
 
 use rand::rngs::StdRng;
 
