@@ -160,6 +160,10 @@ mod tests {
             if sim.replicas.iter().all(|r| r.visible_lsn.get() == Lsn(42)) {
                 break;
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the simulated receivers are threads that signal nothing when they apply"
+            )]
             std::thread::sleep(std::time::Duration::from_micros(100));
         }
         assert!(sim.replicas.iter().all(|r| r.visible_lsn.get() == Lsn(42)));

@@ -207,15 +207,11 @@ fn main() {
     // all three replicas (no `WriteLogs` envelope lands in the sweep's
     // counters), consolidated into page images (otherwise every cold read
     // replays the whole load), and one warmup lap to populate the hot set.
-    let sal = &taurus.db.master().sal;
-    sal.flush_all_slices();
-    for _ in 0..10_000 {
-        if sal.database_persistent_lsn() >= sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    taurus.db.pages.consolidate_all();
+    let db = &taurus.db;
+    db.quiesce(db.fabric.clock.now_us() + 30_000_000)
+        .expect("the loaded fragments reach every replica");
+    db.pages.consolidate_all();
+    let sal = &db.master().sal;
     let _ = run_point(&taurus, &workload, 16, 4, 0, workers);
 
     println!(

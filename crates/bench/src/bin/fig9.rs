@@ -38,6 +38,10 @@ fn taurus_lag_at_rate(writes_per_sec: u64, duration: Duration) -> (f64, f64) {
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
                 let _ = replica.poll();
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the poller's period: the lag it measures is the bench's output"
+                )]
                 std::thread::sleep(Duration::from_micros(200));
             }
         })
@@ -153,6 +157,10 @@ fn streaming_lag_at_rate(log_bytes_per_write: usize, writes_per_sec: u64, replic
         sim.master_write(Lsn(i + 1), log_bytes_per_write);
     }
     // Wait for receivers to drain.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the streaming baseline's receivers signal nothing when they drain"
+    )]
     std::thread::sleep(Duration::from_millis(50));
     let lag_ms = sim.mean_lag_us() / 1000.0;
     sim.shutdown();

@@ -50,14 +50,9 @@ fn main() {
     let master = exec.db.master();
     let sal = &master.sal;
     // Quiesce so both paths observe the same final state.
-    sal.flush_all_slices();
-    for _ in 0..300 {
-        master.maintain();
-        if sal.cv_lsn() == sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+    exec.db
+        .quiesce(exec.db.fabric.clock.now_us() + 30_000_000)
+        .expect("quiesce");
     master.create_snapshot("ndp");
     let slices = exec.db.pages.slices().len();
     println!("  table: {rows} rows across {slices} slices");

@@ -37,15 +37,8 @@ fn launch(window: usize, rows: u64) -> (Arc<TaurusDb>, taurus_engine::db::Backgr
     let mut w = ScanHeavyWorkload::new(rows, 120);
     w.write_fraction = 0.0; // deterministic: both databases hold the same rows
     load_initial(&exec, &w).unwrap();
-    let master = db.master();
-    master.sal.flush_all_slices();
-    for _ in 0..300 {
-        master.maintain();
-        if master.sal.cv_lsn() == master.sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+    db.quiesce(db.fabric.clock.now_us() + 30_000_000)
+        .expect("quiesce");
     (db, guard)
 }
 

@@ -130,6 +130,10 @@ impl Clock for SystemClock {
                 }
             }
         } else {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the one wall-clock wait: what every wait on the system clock comes down to"
+            )]
             std::thread::sleep(Duration::from_micros(us));
         }
     }

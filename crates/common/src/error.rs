@@ -72,6 +72,17 @@ pub enum TaurusError {
     /// in the engine pool. A signal inside the engine's tree-latch protocol
     /// (drop the latch, fetch the page, restart); it never reaches a caller.
     PageNotResident(PageId),
+    /// A quiesce found the live replica `node` of `slice` at persistent LSN
+    /// `at`, below the slice's flush LSN `target`, with nothing in flight
+    /// that could bring it there: only a repair moves it now.
+    ReplicaBehind {
+        slice: SliceKey,
+        node: NodeId,
+        at: Lsn,
+        target: Lsn,
+    },
+    /// A bounded wait reached its deadline; says what was still outstanding.
+    DeadlinePassed(String),
     /// Catch-all for invariant violations with context.
     Internal(String),
 }
@@ -119,6 +130,16 @@ impl fmt::Display for TaurusError {
                  log truncated through {truncated_through}"
             ),
             PageNotResident(page) => write!(f, "{page} is not resident in the engine pool"),
+            ReplicaBehind {
+                slice,
+                node,
+                at,
+                target,
+            } => write!(
+                f,
+                "replica {node} of {slice} is at {at}, below its flush LSN {target}, with nothing in flight"
+            ),
+            DeadlinePassed(what) => write!(f, "deadline passed: {what}"),
             Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }

@@ -113,6 +113,26 @@ impl SliceState {
         }
         moved
     }
+
+    /// [`SliceState::report`]s `persistent` only if it is not below what
+    /// the SAL has recorded for `node`. An ack or a quiesce's probe raises
+    /// the value and never lowers it: the Page Store may have read it before
+    /// a repair, gossip or a newer report landed, and a rebuilt replica that
+    /// inherited its predecessor's value must show a decrease to the next
+    /// [`Sal::probe`] — the Fig. 4(b) signal, which only a probe reports.
+    fn raise(&mut self, node: NodeId, persistent: Lsn, now_us: u64) {
+        let recorded = self.replica_persistent.get(&node);
+        if recorded.is_none_or(|&r| r <= persistent) {
+            self.report(node, persistent, now_us);
+        }
+    }
+
+    /// What `node` itself last reported, if anything: a value a rebuilt
+    /// replica inherited from its predecessor is not its own report.
+    fn reported(&self, node: NodeId) -> Option<Lsn> {
+        self.report_seq.get(&node)?;
+        self.replica_persistent.get(&node).copied()
+    }
 }
 
 /// Per-slice acked LSNs as published to read replicas, shared between the
@@ -156,47 +176,6 @@ struct FlushSpan {
     end: Lsn,
     ticket: u64,
     state: SpanState,
-}
-
-/// A threshold-triggered log flush handed back by [`Sal::buffer_group`].
-/// The holder runs it once any latches are released; dropping it unrun
-/// performs the flush anyway (the flush owns a pipeline ticket — skipping
-/// it would wedge every later flush behind the missing turn).
-#[must_use = "run() the flush after releasing latches; dropping runs it in place"]
-pub struct PendingFlush<'a> {
-    sal: &'a Sal,
-    prepared: Option<PreparedFlush>,
-}
-
-impl PendingFlush<'_> {
-    /// Performs the replicated append for the buffered records.
-    pub fn run(mut self) -> Result<()> {
-        match self.prepared.take() {
-            Some(p) => self.sal.run_flush(p),
-            None => Ok(()),
-        }
-    }
-}
-
-impl Drop for PendingFlush<'_> {
-    fn drop(&mut self) {
-        if let Some(p) = self.prepared.take() {
-            // Errors latch into `SalState::failed_at` inside `run_flush` and
-            // later `Sal::flush` callers observe them there — but a drop
-            // site has no caller to hand the error to, so it must not be
-            // *silently* swallowed: count it and flag the violation.
-            let end = p.end;
-            let res = self.sal.run_flush(p);
-            if let Err(e) = res {
-                self.sal.stats.dropped_flush_errors.inc();
-                taurus_common::invariant!(
-                    "pending-flush-dropped-error",
-                    false,
-                    "flush ending at {end} failed in PendingFlush::drop: {e}"
-                );
-            }
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -267,8 +246,9 @@ taurus_common::counters! {
         pub suspect_demotions: Counter,
         /// Suspect → healthy transitions.
         pub suspect_resurrections: Counter,
-        /// Log flushes that failed inside `PendingFlush::drop`, where no caller
-        /// could observe the error directly (it still latches `failed_at`).
+        /// Idle log-buffer flushes of [`Sal::tick`] that failed: the one
+        /// flush no caller observes the error of (it still latches
+        /// `failed_at`, so the next `flush()` does).
         pub dropped_flush_errors: Counter,
         /// `flush()` calls that waited for a stream slot so the commit group
         /// could grow (adaptive group commit under load).
@@ -505,57 +485,46 @@ impl Sal {
     // Write path (§4.1)
     // ==================================================================
 
-    /// Appends a log-record group to the database log buffer. Flushes when
-    /// the buffer is full. Does **not** guarantee durability — call
-    /// [`Sal::flush`] for that (the engine does at commit).
+    /// Appends a log-record group to the database log buffer and, when the
+    /// buffer is full, flushes it through [`Sal::flush`]. Does **not**
+    /// otherwise guarantee durability — call [`Sal::flush`] for that (the
+    /// engine does at commit).
     pub fn log_group(&self, group: LogRecordGroup) -> Result<()> {
-        match self.buffer_group(group) {
-            Some(p) => p.run(),
-            None => Ok(()),
+        if self.buffer_group(group) {
+            self.flush()?;
         }
+        Ok(())
     }
 
-    /// Buffers a log-record group without performing any Log Store I/O.
-    /// When the buffer crosses the flush threshold this returns a
-    /// [`PendingFlush`] the caller runs *after* releasing any latches it
-    /// holds: the engine appends under the exclusive B-tree latch (buffer
-    /// order must equal LSN order), but the replicated append's network
-    /// round trips must not run under it. A handle that is dropped without
-    /// [`PendingFlush::run`] still performs the flush (errors latch into
-    /// the SAL's failure state as usual), so the pipeline cannot wedge.
-    pub fn buffer_group(&self, group: LogRecordGroup) -> Option<PendingFlush<'_>> {
-        let prepared = {
-            let mut st = self.state.lock();
-            // Groups arrive in LSN order: the engine buffers under the tree
-            // latch, and `Log::tail` skips a group that ends at or below
-            // one it already delivered, so an out-of-order frame would lose
-            // its earlier groups on a replica.
-            let floor = st
-                .log_buffer
-                .last()
-                .map_or(st.last_prepared_end, |g| g.end_lsn());
-            taurus_common::invariant!(
-                "log-groups-in-lsn-order",
-                group.first_lsn() > floor,
-                "group [{}..{}] buffered after LSN {floor}",
-                group.first_lsn(),
-                group.end_lsn()
-            );
-            if st.log_buffer.is_empty() {
-                st.log_buffer_opened_us = self.clock.now_us();
-            }
-            st.log_buffer_bytes += group.encoded_len();
-            st.log_buffer.push(group);
-            if st.log_buffer_bytes >= self.cfg.log_buffer_bytes {
-                self.prepare_flush_locked(&mut st)
-            } else {
-                None
-            }
-        };
-        prepared.map(|p| PendingFlush {
-            sal: self,
-            prepared: Some(p),
-        })
+    /// Buffers a log-record group without performing any Log Store I/O, and
+    /// returns whether the buffer has reached its flush threshold. The
+    /// engine buffers under the exclusive B-tree latch (buffer order must
+    /// equal LSN order) and flushes after the latch drops: a full buffer is
+    /// [`Sal::flush`]'s no-wait case, so the replicated append's round trips
+    /// never run under the latch.
+    pub fn buffer_group(&self, group: LogRecordGroup) -> bool {
+        let mut st = self.state.lock();
+        // Groups arrive in LSN order: the engine buffers under the tree
+        // latch, and `Log::tail` skips a group that ends at or below one it
+        // already delivered, so an out-of-order frame would lose its
+        // earlier groups on a replica.
+        let floor = st
+            .log_buffer
+            .last()
+            .map_or(st.last_prepared_end, |g| g.end_lsn());
+        taurus_common::invariant!(
+            "log-groups-in-lsn-order",
+            group.first_lsn() > floor,
+            "group [{}..{}] buffered after LSN {floor}",
+            group.first_lsn(),
+            group.end_lsn()
+        );
+        if st.log_buffer.is_empty() {
+            st.log_buffer_opened_us = self.clock.now_us();
+        }
+        st.log_buffer_bytes += group.encoded_len();
+        st.log_buffer.push(group);
+        st.log_buffer_bytes >= self.cfg.log_buffer_bytes
     }
 
     /// Forces the database log buffer to the Log Stores. On return, every
@@ -863,8 +832,11 @@ impl Sal {
             idle.then(|| self.prepare_flush_locked(&mut st)).flatten()
         };
         if let Some(p) = idle_flush {
-            // Errors latch into `failed_at`; `flush()` callers observe them.
-            let _ = self.run_flush(p);
+            // The error latches into `failed_at`, where the next `flush()`
+            // sees it; nobody waits on this one, so it is counted.
+            if self.run_flush(p).is_err() {
+                self.stats.dropped_flush_errors.inc();
+            }
         }
         self.flush_slices_locked(&mut self.state.lock(), |s| {
             now.saturating_sub(s.buffer_opened_us) >= timeout
@@ -879,9 +851,103 @@ impl Sal {
         }
     }
 
-    /// Forces every slice buffer out (quiesce; used by tests and shutdown).
+    /// Forces every slice buffer out (used by [`Sal::quiesce`] and by tests
+    /// that want the fragments on their way without waiting for them).
     pub fn flush_all_slices(&self) {
         self.flush_slices_locked(&mut self.state.lock(), |_| true);
+    }
+
+    /// The one barrier of the write path: blocks until every record
+    /// durable so far is on every live replica of its slice. It flushes
+    /// the slice buffers, waits until every send pipe is empty with nothing
+    /// in flight and no repair running, and then needs every live replica
+    /// to *report* a persistent LSN at or above its slice's flush LSN (a
+    /// slice write is safe after one ack, §4.1; the log may be truncated
+    /// only below what all three hold, §4.3). A replica is asked with
+    /// `GetPersistentLSN` when its own last report lags — gossip may have
+    /// moved it — or when it has not reported since a rebuild put it in
+    /// place (its recorded value is its predecessor's). The answer only
+    /// raises the recorded value, so a quiesce never swallows the decrease
+    /// a recovery round's poll must see; a replica the probe cannot reach
+    /// is judged by its recorded value.
+    ///
+    /// It never sleeps on its own and never moves a `ManualClock`: it
+    /// blocks on a signal the pipes raise while it waits. A live replica
+    /// still behind once the pipes are idle is
+    /// [`TaurusError::ReplicaBehind`] at once — nothing in flight can bring
+    /// it there, only a repair (`tick`, or [`Sal::repair_and_quiesce`]) —
+    /// and the SAL's clock reaching `deadline_us` first is
+    /// [`TaurusError::DeadlinePassed`].
+    pub fn quiesce(&self, deadline_us: u64) -> Result<()> {
+        loop {
+            self.flush_all_slices();
+            self.wait_until_pipes_idle(deadline_us)?;
+            let mut behind = Vec::new();
+            for (key, node, recorded, target) in self.unconfirmed_replicas() {
+                let answer = self.pages.persistent_lsn_of(node, self.me, key);
+                let at = answer.as_ref().map_or(recorded, |&persistent| persistent);
+                if let Ok(persistent) = answer {
+                    let now = self.clock.now_us();
+                    if let Some(slice) = self.state.lock().slices.get_mut(&key) {
+                        slice.raise(node, persistent, now);
+                    }
+                }
+                if at < target {
+                    behind.push((key, node, at, target));
+                }
+            }
+            let Some(&(slice, node, at, target)) = behind.first() else {
+                return Ok(());
+            };
+            // A concurrent write has the pipes busy again: round again.
+            if self.pipes_idle() {
+                return Err(TaurusError::ReplicaBehind {
+                    slice,
+                    node,
+                    at,
+                    target,
+                });
+            }
+        }
+    }
+
+    /// [`Sal::quiesce`] for a SAL whose beat has not run: a live replica
+    /// left behind on a slice a pipe shed or abandoned is owed the repair
+    /// pass `tick` runs, so on [`TaurusError::ReplicaBehind`] that one pass
+    /// runs here, on the caller's thread, and the barrier runs again. Any
+    /// other error, or a replica the pass could not bring up, is returned.
+    /// A test of the beat or of a recovery round must not use it: the pass
+    /// it runs would do their work.
+    pub fn repair_and_quiesce(&self, deadline_us: u64) -> Result<()> {
+        match self.quiesce(deadline_us) {
+            Err(TaurusError::ReplicaBehind { .. }) => {
+                self.repair_parked();
+                self.quiesce(deadline_us)
+            }
+            rest => rest,
+        }
+    }
+
+    /// Each live replica of a written slice whose own last report is below
+    /// the slice's flush LSN or missing (a rebuilt replica that has not
+    /// reported yet), as `(slice, node, recorded, flush LSN)` in slice and
+    /// placement order.
+    fn unconfirmed_replicas(&self) -> Vec<(SliceKey, NodeId, Lsn, Lsn)> {
+        let mut unconfirmed = Vec::new();
+        let st = self.state.lock();
+        for (key, slice) in st.slices.iter().filter(|(_, s)| s.flush_lsn.is_valid()) {
+            for &node in &slice.replicas {
+                if slice.reported(node).is_none_or(|at| at < slice.flush_lsn) {
+                    let recorded = slice.replica_persistent.get(&node).copied();
+                    let recorded = recorded.unwrap_or(Lsn::ZERO);
+                    unconfirmed.push((*key, node, recorded, slice.flush_lsn));
+                }
+            }
+        }
+        drop(st);
+        unconfirmed.sort_by_key(|l| l.0);
+        unconfirmed.retain(|l| self.pages.is_live(l.1));
+        unconfirmed
     }
 
     /// Flushes every non-empty slice buffer that `due` selects.
@@ -944,8 +1010,9 @@ impl Sal {
     }
 
     /// Ack handler: first-replica acknowledgment releases the buffer and
-    /// moves the slice's acked LSN, which the CV-LSN is computed from; every
-    /// ack updates the piggybacked persistent LSN (§4.3).
+    /// moves the slice's acked LSN, which the CV-LSN is computed from; an
+    /// ack raises the piggybacked persistent LSN it carries (§4.3), and
+    /// never lowers it.
     pub(crate) fn on_write_ack(
         &self,
         key: SliceKey,
@@ -965,7 +1032,7 @@ impl Sal {
                 self.durable_lsn.get()
             );
             slice.acked_lsn = slice.acked_lsn.max(frag_last);
-            slice.report(node, persistent, now);
+            slice.raise(node, persistent, now);
         }
     }
 
@@ -1126,6 +1193,7 @@ impl Sal {
                         if let Some(prev) = slice.replica_persistent.remove(old) {
                             slice.replica_persistent.insert(*new, prev);
                         }
+                        slice.report_seq.remove(old);
                         self.reader.forget_replica(*key, *old);
                     }
                 }

@@ -29,13 +29,19 @@
 //! Nothing inside a pass starts another, so repair depth is 1 by
 //! construction.
 //!
+//! [`Sal::quiesce`] waits for all of it to come to rest: the pipes raise
+//! [`SliceWriter::settled`] when a drainer goes idle, a shipped run has
+//! had its acks taken or a repair ends — but only while a quiesce waits,
+//! so the write path pays nothing otherwise.
+//!
 //! Locks: `pipes` and `parked` are leaves below `sal::state` — never held
 //! across a fabric call, and never across each other.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
+use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -72,12 +78,35 @@ struct PipeState {
     in_flight: Gauge,
 }
 
+/// The send pipes, and what [`Sal::quiesce`] waits on besides them.
+#[derive(Default)]
+struct Pipes {
+    /// One send pipe per Page Store replica node, created on first use.
+    by_node: HashMap<NodeId, PipeState>,
+    /// Repair passes and redos running: they ship on their caller's
+    /// thread, outside every pipe, and are in flight all the same.
+    repairs: usize,
+    /// Quiesces blocked on [`SliceWriter::settled`].
+    waiters: usize,
+}
+
+impl Pipes {
+    /// Nothing queued, nothing in flight, no repair running. A queued or
+    /// shipping fragment keeps its pipe's drainer live, so a pipe without
+    /// one is empty.
+    fn idle(&self) -> bool {
+        self.repairs == 0 && self.by_node.values().all(|p| !p.draining)
+    }
+}
+
 /// Writer-side state of a [`Sal`], outside `SalState` so the ack path and
 /// the flush path never contend on `sal::state` for it. `pipes` and
 /// `parked` are leaf locks: nothing is taken while one is held.
 pub(crate) struct SliceWriter {
-    /// One send pipe per Page Store replica node, created on first use.
-    pipes: Mutex<HashMap<NodeId, PipeState>>,
+    pipes: Mutex<Pipes>,
+    /// Raised under `pipes`, while a quiesce waits, whenever the pipes may
+    /// have come to rest.
+    settled: Condvar,
     /// Slices owed a repair from the Log Stores: a fragment of theirs was
     /// shed or abandoned, or a rebuild replaced a replica under a send.
     parked: Mutex<HashSet<SliceKey>>,
@@ -86,9 +115,35 @@ pub(crate) struct SliceWriter {
 impl SliceWriter {
     pub(crate) fn new() -> Self {
         SliceWriter {
-            pipes: Mutex::new_leaf(HashMap::new()),
+            pipes: Mutex::new_leaf(Pipes::default()),
+            settled: Condvar::new(),
             parked: Mutex::new_leaf(HashSet::new()),
         }
+    }
+
+    /// Wakes the quiesces waiting, if any; called under `pipes`, so a
+    /// waiter that checked before this cannot miss it.
+    fn signal(&self, pipes: &Pipes) {
+        if pipes.waiters > 0 {
+            self.settled.notify_all();
+        }
+    }
+
+    /// Marks a repair as running until the guard drops.
+    fn repairing(&self) -> Repairing<'_> {
+        self.pipes.lock().repairs += 1;
+        Repairing(self)
+    }
+}
+
+/// A running repair pass or redo, in flight for [`Sal::quiesce`].
+struct Repairing<'a>(&'a SliceWriter);
+
+impl Drop for Repairing<'_> {
+    fn drop(&mut self) {
+        let mut pipes = self.0.pipes.lock();
+        pipes.repairs -= 1;
+        self.0.signal(&pipes);
     }
 }
 
@@ -114,7 +169,7 @@ impl Sal {
         for &node in nodes {
             let (queued, start_drainer) = {
                 let mut pipes = self.writer.pipes.lock();
-                let pipe = pipes.entry(node).or_default();
+                let pipe = pipes.by_node.entry(node).or_default();
                 let queued = pipe.queue.len() < self.cfg.sal_send_queue_depth;
                 if queued {
                     let frag = Arc::clone(frag);
@@ -148,12 +203,14 @@ impl Sal {
         let mut rng = self.jitter_rng(node);
         loop {
             let run: Vec<PipeJob> = {
-                let mut pipes = self.writer.pipes.lock();
-                let Some(pipe) = pipes.get_mut(&node) else {
+                let mut guard = self.writer.pipes.lock();
+                let pipes = &mut *guard;
+                let Some(pipe) = pipes.by_node.get_mut(&node) else {
                     return;
                 };
                 if pipe.queue.is_empty() {
                     pipe.draining = false;
+                    self.writer.signal(pipes);
                     return;
                 }
                 let take = pipe.queue.len().min(GROUPED_SHIP_MAX);
@@ -162,9 +219,11 @@ impl Sal {
             };
             let n = run.len() as u64;
             self.ship(node, run, &mut rng);
-            if let Some(pipe) = self.writer.pipes.lock().get(&node) {
+            let pipes = self.writer.pipes.lock();
+            if let Some(pipe) = pipes.by_node.get(&node) {
                 pipe.in_flight.sub(n);
             }
+            self.writer.signal(&pipes);
         }
     }
 
@@ -253,6 +312,7 @@ impl Sal {
         keys: &[SliceKey],
         window: Option<Vec<LogRecordGroup>>,
     ) -> Result<usize> {
+        let _repairing = self.writer.repairing();
         let mut keys = keys.to_vec();
         if let Some(groups) = &window {
             keys.extend(self.homes_of(groups));
@@ -369,6 +429,7 @@ impl Sal {
         if keys.is_empty() {
             return 0;
         }
+        let _repairing = self.writer.repairing();
         let _ = self.redo(&keys, None);
         self.gossip_round(&keys);
         let caught_up: Vec<SliceKey> = {
@@ -413,11 +474,47 @@ impl Sal {
         v
     }
 
+    /// Blocks until every send pipe is empty with nothing in flight and no
+    /// repair is running, or fails once the SAL's clock reads
+    /// `deadline_us`. It wakes when the pipes signal and, at the latest,
+    /// when the time left to the deadline has passed on the wall: a pipe
+    /// stuck in one long call cannot hold it past the deadline on a
+    /// `SystemClock`, and on a `ManualClock` the timed wake is one more
+    /// check.
+    pub(crate) fn wait_until_pipes_idle(&self, deadline_us: u64) -> Result<()> {
+        let mut pipes = self.writer.pipes.lock();
+        pipes.waiters += 1;
+        let rest = loop {
+            if pipes.idle() {
+                break Ok(());
+            }
+            let now = self.clock.now_us();
+            if now >= deadline_us {
+                let busy = pipes.by_node.iter().filter(|(_, p)| p.draining);
+                let busy: Vec<_> = busy.map(|(n, p)| (*n, p.queue.len())).collect();
+                break Err(TaurusError::DeadlinePassed(format!(
+                    "send pipes (node, queued) {busy:?} and {} repairs still busy",
+                    pipes.repairs
+                )));
+            }
+            let left = Duration::from_micros(deadline_us - now);
+            self.writer.settled.wait_for(&mut pipes, left);
+        };
+        pipes.waiters -= 1;
+        rest
+    }
+
+    /// Whether every send pipe is idle and no repair runs right now.
+    pub(crate) fn pipes_idle(&self) -> bool {
+        self.writer.pipes.lock().idle()
+    }
+
     /// Per-replica pipeline gauges: `(node, queued fragments, in-flight
     /// fragments)`, sorted by node. Exposed to benches and tests.
     pub fn pipeline_gauges(&self) -> Vec<(NodeId, u64, u64)> {
         let pipes = self.writer.pipes.lock();
         let mut v: Vec<(NodeId, u64, u64)> = pipes
+            .by_node
             .iter()
             .map(|(n, p)| (*n, p.queue.len() as u64, p.in_flight.get()))
             .collect();

@@ -100,14 +100,10 @@ impl Harness {
         end
     }
 
-    fn settle(&self, sal: &Sal) {
-        sal.flush_all_slices();
-        for _ in 0..200 {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            if sal.cv_lsn() == sal.durable_lsn() {
-                break;
-            }
-        }
+    /// The deadline of a quiesce that starts now: on a manual clock only
+    /// retry backoffs move it, so this bounds a drill that keeps retrying.
+    fn deadline(&self) -> u64 {
+        self.fabric.clock.now_us() + 10_000_000
     }
 
     /// Three pages across three slices (pages_per_slice = 64 in the test
@@ -119,7 +115,7 @@ impl Harness {
         self.write_kv(sal, 70, 1, "d", "4", false);
         self.write_kv(sal, 140, 0, "e", "5", true);
         let end = self.write_kv(sal, 140, 1, "f", "6", false);
-        self.settle(sal);
+        sal.quiesce(self.deadline()).unwrap();
         end
     }
 }
@@ -204,7 +200,7 @@ fn pushdown_respects_snapshot_lsn() {
     h.write_kv(&sal, 1, 0, "a", "1", true);
     let mid = h.write_kv(&sal, 70, 0, "c", "3", true);
     h.write_kv(&sal, 70, 1, "d", "4", false);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let scan = sal.scan_pushdown(&ScanRequest::full(), mid).unwrap();
     assert_eq!(
         scan.rows
@@ -226,7 +222,7 @@ fn quiet_slice_snapshot_is_capped_not_refused() {
     for i in 0..10u16 {
         h.write_kv(&sal, 70, i, &format!("k{i:02}"), "v", i == 0);
     }
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let end = sal.durable_lsn();
     let scan = sal.scan_pushdown(&ScanRequest::full(), end).unwrap();
     assert_eq!(scan.rows.len(), 11);
@@ -282,7 +278,9 @@ fn tiny_budgets_force_continuations_and_still_agree() {
         h.write_kv(&sal, page, i % 10, &format!("m{i:03}"), "v", i % 10 == 0);
         expect.push(format!("m{i:03}").into_bytes());
     }
-    h.settle(&sal);
+    // The burst can outrun a pipe's queue: what it shed is parked, and one
+    // repair pass (the beat's) brings every replica to every row.
+    sal.repair_and_quiesce(h.deadline()).unwrap();
     let end = sal.durable_lsn();
     let scan = sal.scan_pushdown(&ScanRequest::full(), end).unwrap();
     assert_eq!(

@@ -9,12 +9,16 @@ use taurus_common::config::{NetworkProfile, StorageProfile};
 use taurus_common::lsn::{LsnAllocator, LsnWatermark};
 use taurus_common::page::PageType;
 use taurus_common::record::{LogRecord, LogRecordGroup, RecordBody};
-use taurus_common::{DbId, Lsn, NodeId, PageId, SliceKey, TaurusConfig};
+use taurus_common::{DbId, Lsn, NodeId, PageId, SliceKey, TaurusConfig, TaurusError};
 use taurus_core::{RecoveryService, Sal};
 use taurus_fabric::{Fabric, NodeKind};
 use taurus_logstore::LogStoreCluster;
 use taurus_pagestore::cluster::PageStoreOptions;
 use taurus_pagestore::PageStoreCluster;
+
+/// How long a quiesce may take, on the harness clock. The clock is manual:
+/// only retry backoffs move it, so this bounds a drill that keeps retrying.
+const QUIESCE_US: u64 = 10_000_000;
 
 struct Harness {
     clock: Arc<ManualClock>,
@@ -109,35 +113,10 @@ impl Harness {
         end
     }
 
-    /// Lets background sender threads drain (real threads, manual clock).
-    fn settle(&self, sal: &Sal) {
-        sal.flush_all_slices();
-        for _ in 0..200 {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            if sal.cv_lsn() == sal.durable_lsn() {
-                break;
-            }
-        }
+    /// The deadline of a quiesce that starts now.
+    fn deadline(&self) -> u64 {
+        self.clock.now_us() + QUIESCE_US
     }
-}
-
-/// Waits until `node`'s send pipe is empty with nothing in flight, and
-/// panics if it never drains. `settle` returns at the first ack, so the
-/// drainer of a replica that is down may still be retrying; a retry that
-/// lands after the node comes back up would deliver by the pipe what the
-/// test means gossip (or a repair) to deliver.
-fn wait_for_idle_pipe(sal: &Sal, node: NodeId) {
-    let idle = || {
-        let gauges = sal.pipeline_gauges().into_iter();
-        gauges.filter(|g| g.0 == node).all(|(_, q, f)| q + f == 0)
-    };
-    for _ in 0..5_000 {
-        if idle() {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
-    panic!("{node}'s pipe never drained");
 }
 
 #[test]
@@ -146,20 +125,14 @@ fn write_path_reaches_durability_and_cv_advances() {
     let sal = h.sal();
     let end = h.write_kv(&sal, 1, "alpha", "1", true);
     assert_eq!(sal.durable_lsn(), end);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     assert_eq!(sal.cv_lsn(), end, "CV-LSN must reach the buffer end");
-    // All three replicas eventually hold the records (they were all sent;
-    // `settle` waited for the first ack only).
+    // All three replicas hold the records: one ack makes the slice write
+    // safe, and a quiesce waits for all of them.
     let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
     for node in h.pages.replicas_of(key) {
-        let persistent = || h.pages.persistent_lsn_of(node, h.me, key).unwrap();
-        for _ in 0..2000 {
-            if persistent() == end {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
-        assert_eq!(persistent(), end, "replica {node} persistent");
+        let persistent = h.pages.persistent_lsn_of(node, h.me, key).unwrap();
+        assert_eq!(persistent, end, "replica {node} persistent");
     }
 }
 
@@ -169,7 +142,7 @@ fn reads_come_back_versioned_from_page_stores() {
     let sal = h.sal();
     let v1 = h.write_kv(&sal, 1, "k", "v1", true);
     let v2 = h.write_kv(&sal, 1, "k2", "v2", false);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     // Latest version has both records.
     let page = sal.read_page(PageId(1), None).unwrap();
     assert_eq!(page.nslots(), 2);
@@ -190,7 +163,7 @@ fn writes_survive_a_downed_log_store_via_plog_switch() {
     h.fabric.set_down(victim);
     let end = h.write_kv(&sal, 1, "b", "2", false);
     assert_eq!(sal.durable_lsn(), end);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let page = sal.read_page(PageId(1), None).unwrap();
     assert_eq!(page.nslots(), 2);
 }
@@ -200,7 +173,7 @@ fn writes_succeed_with_two_of_three_page_store_replicas_down() {
     let h = Harness::new(4, 5);
     let sal = h.sal();
     h.write_kv(&sal, 1, "a", "1", true);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
     let replicas = h.pages.replicas_of(key);
     // Two of three Page Store replicas go down: the wait-for-one write
@@ -208,7 +181,7 @@ fn writes_succeed_with_two_of_three_page_store_replicas_down() {
     h.fabric.set_down(replicas[0]);
     h.fabric.set_down(replicas[1]);
     let end = h.write_kv(&sal, 1, "b", "2", false);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     assert_eq!(sal.cv_lsn(), end, "one surviving replica acks the write");
     // And the surviving replica serves the read.
     let page = sal.read_page(PageId(1), None).unwrap();
@@ -220,14 +193,14 @@ fn read_falls_through_behind_replicas_to_a_caught_up_one() {
     let h = Harness::new(4, 5);
     let sal = h.sal();
     h.write_kv(&sal, 1, "a", "1", true);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
     let replicas = h.pages.replicas_of(key);
     // Take two replicas down; write; bring them back (they are now BEHIND).
     h.fabric.set_down(replicas[0]);
     h.fabric.set_down(replicas[1]);
     let end = h.write_kv(&sal, 1, "b", "2", false);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     h.fabric.set_up(replicas[0]);
     h.fabric.set_up(replicas[1]);
     // The SAL must iterate replicas until it finds the caught-up one.
@@ -240,7 +213,7 @@ fn all_replicas_missing_data_triggers_logstore_repair_on_read() {
     let h = Harness::new(4, 6);
     let sal = h.sal();
     h.write_kv(&sal, 1, "a", "1", true);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
     let replicas = h.pages.replicas_of(key);
     // ALL replicas go down; a write still commits to the Log Stores, with no
@@ -249,8 +222,8 @@ fn all_replicas_missing_data_triggers_logstore_repair_on_read() {
         h.fabric.set_down(r);
     }
     let end = h.write_kv(&sal, 1, "b", "2", false);
-    sal.flush_all_slices();
-    std::thread::sleep(std::time::Duration::from_millis(5));
+    // No replica is live: the quiesce waits out the pipes' retries only.
+    sal.quiesce(h.deadline()).unwrap();
     for &r in &replicas {
         h.fabric.set_up(r);
     }
@@ -285,7 +258,7 @@ fn truncation_waits_for_all_replicas_then_deletes_plogs() {
     for i in 1..8 {
         h.write_kv(&sal, 1, &format!("k{i}"), "v", false);
     }
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let plogs_before = h.logs.plog_count();
     // With a lagging replica the database persistent LSN is pinned low:
     // truncation must delete nothing beyond it.
@@ -293,7 +266,8 @@ fn truncation_waits_for_all_replicas_then_deletes_plogs() {
     let deleted = sal.truncate_log().unwrap();
     assert_eq!(deleted, 0, "lagging replica pins the log");
     // The replica recovers and catches up via gossip; truncation proceeds.
-    wait_for_idle_pipe(&sal, lagging);
+    // (The quiesce above waited out the pipe's retries to it: none delivers
+    // behind gossip's back once it is up.)
     h.fabric.set_up(lagging);
     sal.trigger_gossip(key);
     let deleted = sal.truncate_log().unwrap();
@@ -306,16 +280,15 @@ fn fig4a_gossip_recovers_short_term_failure() {
     let h = Harness::new(4, 5);
     let sal = h.sal();
     h.write_kv(&sal, 1, "r1", "v", true);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
     let replica3 = h.pages.replicas_of(key)[2];
     // Replica 3 offline for a short time; record 2 lands on the others.
     h.fabric.set_down(replica3);
     h.write_kv(&sal, 1, "r2", "v", false);
-    h.settle(&sal);
-    // A retry after `set_up` would deliver record 2 by the pipe, leaving
-    // gossip nothing to copy.
-    wait_for_idle_pipe(&sal, replica3);
+    sal.quiesce(h.deadline()).unwrap();
+    // The quiesce waited out the pipe's retries to replica 3: none delivers
+    // record 2 after `set_up`, so only gossip can.
     h.fabric.set_up(replica3);
     let behind = h.pages.persistent_lsn_of(replica3, h.me, key).unwrap();
     // Gossip copies the missing fragment (Fig. 4(a) step 4).
@@ -330,7 +303,7 @@ fn fig4b_persistent_lsn_regression_is_detected_and_repaired() {
     let h = Harness::new(4, 8);
     let sal = h.sal();
     h.write_kv(&sal, 1, "r1", "v", true);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
     let replicas = h.pages.replicas_of(key);
     let (r1, r2, r3) = (replicas[0], replicas[1], replicas[2]);
@@ -339,8 +312,7 @@ fn fig4b_persistent_lsn_regression_is_detected_and_repaired() {
     h.fabric.set_down(r2);
     h.fabric.set_down(r3);
     let end = h.write_kv(&sal, 1, "r2", "v", false);
-    sal.flush_all_slices();
-    std::thread::sleep(std::time::Duration::from_millis(5));
+    sal.quiesce(h.deadline()).unwrap();
     let _ = sal.poll_persistent_lsns();
     h.fabric.set_up(r2);
     h.fabric.set_up(r3);
@@ -376,7 +348,7 @@ fn fig4c_hole_on_every_replica_is_parked_and_resent() {
     let h = Harness::new(4, 6);
     let sal = h.sal();
     h.write_kv(&sal, 1, "r1", "v", true); // record 1
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
     let replicas = h.pages.replicas_of(key);
     // Record 2 is lost by everyone: all replicas down during the send. Each
@@ -386,13 +358,7 @@ fn fig4c_hole_on_every_replica_is_parked_and_resent() {
         h.fabric.set_down(r);
     }
     h.write_kv(&sal, 1, "r2", "v", false); // record 2: nowhere
-    sal.flush_all_slices();
-    for _ in 0..500 {
-        if sal.parked_slices().contains(&key) {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+    sal.quiesce(h.deadline()).unwrap();
     assert!(
         sal.parked_slices().contains(&key),
         "slice must be parked after the retry budget"
@@ -404,7 +370,6 @@ fn fig4c_hole_on_every_replica_is_parked_and_resent() {
     assert!(sal.stats.fragments_parked.get() >= 1);
     // Every replica missed the fragment, so every replica is suspect and
     // the hole exists nowhere but the Log Stores — gossip cannot help.
-    std::thread::sleep(std::time::Duration::from_millis(2));
     assert_eq!(h.pages.gossip(key), 0);
     for &r in &replicas {
         h.fabric.set_up(r);
@@ -414,40 +379,24 @@ fn fig4c_hole_on_every_replica_is_parked_and_resent() {
     // slice by resending record 2 from the Log Stores (Fig. 4(c) step 7),
     // without waiting for the stall detector.
     let end = h.write_kv(&sal, 1, "r3", "v", false);
-    h.settle(&sal);
+    // Record 3 does not connect on any replica: once the pipes are idle
+    // the quiesce names the hole instead of waiting for it.
+    match sal.quiesce(h.deadline()) {
+        Err(TaurusError::ReplicaBehind { slice, target, .. }) => {
+            assert_eq!((slice, target), (key, end));
+        }
+        other => panic!("a hole on every replica must fail the quiesce: {other:?}"),
+    }
     assert_eq!(sal.stats.resends.get(), 0, "a resurrection repairs nothing");
     assert!(sal.parked_slices().contains(&key));
     sal.tick();
+    sal.quiesce(h.deadline()).unwrap();
     for &r in &replicas {
-        let mut ok = false;
-        for _ in 0..500 {
-            if h.pages.persistent_lsn_of(r, h.me, key).unwrap() == end {
-                ok = true;
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
-        assert!(ok, "replica {r} must be repaired to {end}");
-    }
-    // The redo counts its resends once every ship has returned, and a
-    // replica's persistent LSN moves inside the ship: bound-wait for it.
-    for _ in 0..500 {
-        if sal.stats.resends.get() >= 1 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
+        let persistent = h.pages.persistent_lsn_of(r, h.me, key).unwrap();
+        assert_eq!(persistent, end, "replica {r} must be repaired to {end}");
     }
     assert!(sal.stats.resends.get() >= 1, "repair must resend from log");
     assert!(sal.stats.suspect_resurrections.get() >= 1);
-    // The unpark happens on the sender side when the resend's ack is
-    // processed — slightly after the replicas' persistent LSNs advance —
-    // so bound-wait for it like the persistence checks above.
-    for _ in 0..500 {
-        if sal.parked_slices().is_empty() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
     assert!(
         sal.parked_slices().is_empty(),
         "slice must unpark once all replicas caught up"
@@ -456,13 +405,134 @@ fn fig4c_hole_on_every_replica_is_parked_and_resent() {
     assert_eq!(page.nslots(), 3);
 }
 
+/// A quiesce returns once every live replica holds every write, and fails
+/// at once — not at its deadline — when a live replica misses a record that
+/// nothing in flight will bring it: here a replica back from an outage,
+/// which only a repair (the next tick) catches up.
+#[test]
+fn quiesce_waits_for_every_live_replica_and_names_one_left_behind() {
+    let h = Harness::new(4, 5);
+    let sal = h.sal();
+    let pps = h.cfg.pages_per_slice;
+    let pages = [1, pps + 1, 2 * pps + 1];
+    let key_of = |page: u64| SliceKey::new(DbId(1), PageId(page).slice(pps));
+    let persistent = |node, page| h.pages.persistent_lsn_of(node, h.me, key_of(page)).unwrap();
+    let firsts: Vec<Lsn> = pages
+        .iter()
+        .map(|&page| h.write_kv(&sal, page, "a", "v", true))
+        .collect();
+    sal.quiesce(h.deadline()).unwrap();
+    for (&page, &end) in pages.iter().zip(&firsts) {
+        for node in h.pages.replicas_of(key_of(page)) {
+            assert_eq!(persistent(node, page), end, "{node} of page {page}");
+        }
+    }
+
+    // One replica misses the next write: the live ones hold it, and that
+    // is all a quiesce asks for.
+    let key = key_of(pages[0]);
+    let down = h.pages.replicas_of(key)[0];
+    h.fabric.set_down(down);
+    let end = h.write_kv(&sal, pages[0], "b", "v", false);
+    sal.quiesce(h.deadline()).unwrap();
+    for node in h.pages.replicas_of(key).into_iter().filter(|&n| n != down) {
+        assert_eq!(persistent(node, pages[0]), end, "{node}");
+    }
+    assert_eq!(sal.parked_slices(), vec![key]);
+
+    // Back up, it is live and behind, and nothing is in flight to it.
+    h.fabric.set_up(down);
+    let now = h.clock.now_us();
+    match sal.quiesce(h.deadline()) {
+        Err(TaurusError::ReplicaBehind {
+            slice,
+            node,
+            at,
+            target,
+        }) => assert_eq!((slice, node, at, target), (key, down, firsts[0], end)),
+        other => panic!("a replica left behind must fail the quiesce: {other:?}"),
+    }
+    assert_eq!(h.clock.now_us(), now, "a quiesce moves no manual clock");
+    sal.tick();
+    sal.quiesce(h.deadline()).unwrap();
+    assert_eq!(persistent(down, pages[0]), end);
+    assert!(sal.parked_slices().is_empty());
+}
+
+/// An ack only raises the persistent LSN the SAL records for a replica. A
+/// rebuilt replica inherits the value its predecessor reported; rebuilt
+/// from a donor that misses record 2, it acks record 3 with a lower one.
+/// Applied, that ack would leave the next poll nothing to compare against,
+/// and the Fig. 4(b) decrease — the only thing that sends the slice to a
+/// repair before the stall detector — would go unseen. Nor does a quiesce
+/// trust the inherited value: with no write since the rebuild and the other
+/// two replicas down, it asks the newcomer, whose answer fails it.
+#[test]
+fn an_ack_never_lowers_a_replicas_persistent_lsn() {
+    let h = Harness::new(4, 8);
+    let sal = h.sal();
+    let first = h.write_kv(&sal, 1, "r1", "v", true);
+    sal.quiesce(h.deadline()).unwrap();
+    let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
+    let replicas = h.pages.replicas_of(key);
+    let (r1, r2, r3) = (replicas[0], replicas[1], replicas[2]);
+    h.fabric.set_down(r2);
+    h.fabric.set_down(r3);
+    let second = h.write_kv(&sal, 1, "r2", "v", false);
+    sal.quiesce(h.deadline()).unwrap();
+    h.fabric.set_up(r2);
+    h.fabric.set_up(r3);
+    // r1, the one replica with record 2, is lost and rebuilt from a donor
+    // without it; the SAL carries r1's value over to the newcomer.
+    h.fabric.set_down(r1);
+    h.fabric.decommission(r1);
+    let newcomer = h.pages.rebuild_replica(key, r1, h.me).unwrap();
+    sal.refresh_placement();
+    assert_eq!(
+        h.pages.persistent_lsn_of(newcomer, h.me, key).unwrap(),
+        first
+    );
+    h.fabric.set_down(r2);
+    h.fabric.set_down(r3);
+    match sal.quiesce(h.deadline()) {
+        Err(TaurusError::ReplicaBehind {
+            slice,
+            node,
+            at,
+            target,
+        }) => assert_eq!((slice, node, at, target), (key, newcomer, first, second)),
+        other => panic!("the one live replica misses record 2: {other:?}"),
+    }
+    h.fabric.set_up(r2);
+    h.fabric.set_up(r3);
+
+    // Record 3 reaches every replica and connects on none: each acks it
+    // at record 1.
+    let third = h.write_kv(&sal, 1, "r3", "v", false);
+    match sal.quiesce(h.deadline()) {
+        Err(TaurusError::ReplicaBehind { slice, target, .. }) => {
+            assert_eq!((slice, target), (key, third));
+        }
+        other => panic!("a hole on every replica must fail the quiesce: {other:?}"),
+    }
+    assert!(
+        sal.poll_persistent_lsns().contains(&key),
+        "the newcomer's ack hid the decrease from {second} to {first}"
+    );
+    assert!(sal.repair_slice_from_logstores(key).unwrap() >= 1);
+    sal.quiesce(h.deadline()).unwrap();
+    for node in h.pages.replicas_of(key) {
+        assert_eq!(h.pages.persistent_lsn_of(node, h.me, key).unwrap(), third);
+    }
+}
+
 #[test]
 fn sal_restart_recovery_redoes_missing_records() {
     let h = Harness::new(5, 5);
     let sal = h.sal();
     h.write_kv(&sal, 1, "a", "1", true);
     h.write_kv(&sal, 2, "b", "2", true);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let anchor_before = {
         let _ = sal.poll_persistent_lsns();
         sal.truncate_log().unwrap();
@@ -487,8 +557,7 @@ fn sal_restart_recovery_redoes_missing_records() {
     let end = group.end_lsn();
     sal.log_group(group).unwrap();
     sal.flush().unwrap();
-    sal.flush_all_slices();
-    std::thread::sleep(std::time::Duration::from_millis(5));
+    sal.quiesce(h.deadline()).unwrap();
     // CRASH: drop the SAL entirely; bring the storage back.
     drop(sal);
     for &r in &replicas {
@@ -526,7 +595,7 @@ fn sal_restart_recovery_redoes_missing_records() {
     sal2.log_group(LogRecordGroup::new(DbId(1), vec![rec]))
         .unwrap();
     sal2.flush().unwrap();
-    h.settle(&sal2);
+    sal2.quiesce(h.deadline()).unwrap();
     let key2 = SliceKey::new(DbId(1), PageId(2).slice(h.cfg.pages_per_slice));
     let _ = key2;
     let page = sal2.read_page(PageId(2), None).unwrap();
@@ -539,7 +608,7 @@ fn recovery_service_handles_long_term_page_store_failure_end_to_end() {
     let sal = h.sal();
     let mut svc = RecoveryService::new(Arc::clone(&sal));
     h.write_kv(&sal, 1, "a", "1", true);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
     let victim = h.pages.replicas_of(key)[0];
     h.fabric.set_down(victim);
@@ -555,7 +624,7 @@ fn recovery_service_handles_long_term_page_store_failure_end_to_end() {
     assert!(!h.pages.replicas_of(key).contains(&victim));
     // Writes and reads keep flowing on the repaired placement.
     let end = h.write_kv(&sal, 1, "b", "2", false);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let page = sal.read_page(PageId(1), Some(end)).unwrap();
     assert_eq!(page.nslots(), 2);
 }
@@ -644,14 +713,9 @@ fn recovery_service_truncates_log_when_everyone_caught_up() {
     for i in 0..10 {
         h.write_kv(&sal, 1, &format!("k{i}"), "v", i == 0);
     }
-    h.settle(&sal);
-    // `settle` waits for one ack per fragment; truncation needs all three.
-    for _ in 0..2000 {
-        if sal.database_persistent_lsn() == sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+    sal.quiesce(h.deadline()).unwrap();
+    // The quiesce waited for all three replicas, which truncation needs.
+    assert_eq!(sal.database_persistent_lsn(), sal.durable_lsn());
     let before = h.logs.plog_count();
     let report = svc.run_once();
     assert!(report.plogs_truncated > 0, "report: {report:?}");
@@ -667,7 +731,7 @@ fn future_snapshot_is_capped_to_the_slice_head() {
     let h = Harness::new(4, 4);
     let sal = h.sal();
     let end = h.write_kv(&sal, 1, "a", "1", true);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let head = sal.read_page(PageId(1), None).unwrap();
     let capped = sal.read_page(PageId(1), Some(Lsn(end.0 + 100))).unwrap();
     assert_eq!(capped.lsn(), head.lsn());
@@ -688,26 +752,15 @@ fn recover_after_crash() -> Vec<(u64, Vec<u64>)> {
     for (i, page) in pages.iter().enumerate() {
         h.write_kv(&sal, *page, &format!("a{i}"), "v", true);
     }
-    h.settle(&sal);
-    // `settle` waits for one ack per fragment; wait for all three copies.
-    let quiesced = || {
-        h.pages.slices().into_iter().all(|key| {
-            let at = |n| h.pages.persistent_lsn_of(n, h.me, key).unwrap();
-            let lsns: Vec<Lsn> = h.pages.replicas_of(key).into_iter().map(at).collect();
-            lsns.windows(2).all(|w| w[0] == w[1])
-        })
-    };
-    // The loop ticks as the beat would: only a tick (or a recovery round)
-    // repairs a parked slice.
-    for _ in 0..2000 {
-        if quiesced() && sal.cv_lsn() == sal.durable_lsn() {
-            break;
-        }
-        sal.tick();
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+    sal.quiesce(h.deadline()).unwrap();
+    // All three copies of every slice agree.
+    let quiesced = h.pages.slices().into_iter().all(|key| {
+        let at = |n| h.pages.persistent_lsn_of(n, h.me, key).unwrap();
+        let lsns: Vec<Lsn> = h.pages.replicas_of(key).into_iter().map(at).collect();
+        lsns.windows(2).all(|w| w[0] == w[1])
+    });
     assert!(
-        quiesced() && sal.cv_lsn() == sal.durable_lsn(),
+        quiesced && sal.cv_lsn() == sal.durable_lsn(),
         "parked {:?}: {}",
         sal.parked_slices(),
         sal.stats.snapshot()
@@ -837,19 +890,13 @@ impl Clock for HookClock {
 }
 
 /// Logs `group`, then waits until every replica has acked it and the SAL
-/// has taken every ack (the send pipes are empty only after that).
+/// has taken every ack (the send pipes are empty only after that). The
+/// quiesce makes no round trip of its own here: the acks report every
+/// replica at the flush LSN, so it has nobody to probe.
 fn write_and_quiesce(sal: &Sal, group: LogRecordGroup) {
     sal.log_group(group).unwrap();
     sal.flush().unwrap();
-    sal.flush_all_slices();
-    for _ in 0..5_000 {
-        let idle = sal.pipeline_gauges().iter().all(|&(_, q, f)| q + f == 0);
-        if idle && sal.cv_lsn() == sal.durable_lsn() {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
-    panic!("the write never reached every replica");
+    sal.quiesce(u64::MAX).unwrap();
 }
 
 /// Paper Fig. 4(b) fires when a replica's persistent LSN *decreases*. A
@@ -928,17 +975,9 @@ fn recycling_never_passes_a_slices_acked_lsn() {
     for i in 1..8 {
         h.write_kv(&sal, pps + 1, &format!("busy{i}"), "v", false);
     }
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let key = SliceKey::new(DbId(1), PageId(1).slice(pps));
     let replicas = h.pages.replicas_of(key);
-    for &node in &replicas {
-        for _ in 0..2_000 {
-            if h.pages.persistent_lsn_of(node, h.me, key).unwrap() == quiet {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
-    }
     sal.set_recycle_lsn(sal.durable_lsn());
     assert!(sal.durable_lsn() > quiet);
 

@@ -10,7 +10,7 @@ use taurus_common::config::{NetworkProfile, StorageProfile};
 use taurus_common::lsn::{LsnAllocator, LsnWatermark};
 use taurus_common::page::PageType;
 use taurus_common::record::{LogRecord, LogRecordGroup, RecordBody};
-use taurus_common::{DbId, Lsn, NodeId, PageId, SliceKey, TaurusConfig};
+use taurus_common::{DbId, Lsn, NodeId, PageId, SliceKey, TaurusConfig, TaurusError};
 use taurus_core::Sal;
 use taurus_fabric::{Fabric, NodeKind};
 use taurus_logstore::LogStoreCluster;
@@ -107,14 +107,10 @@ impl Harness {
         end
     }
 
-    fn settle(&self, sal: &Sal) {
-        sal.flush_all_slices();
-        for _ in 0..300 {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            if sal.cv_lsn() == sal.durable_lsn() {
-                break;
-            }
-        }
+    /// The deadline of a quiesce that starts now: on a manual clock only
+    /// retry backoffs move it, so this bounds a drill that keeps retrying.
+    fn deadline(&self) -> u64 {
+        self.fabric.clock.now_us() + 10_000_000
     }
 }
 
@@ -167,7 +163,7 @@ fn out_of_lsn_order_groups_flush_with_correct_range() {
     });
     // Seed so the buffer isn't gated on slice creation ordering.
     h.write_kv(&sal, 1, "seed", true);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
 
     // Allocate group A (lower LSNs) then group B, but buffer B before A:
     // the flush range must be [min first, max end], not first/last iterated.
@@ -184,7 +180,7 @@ fn out_of_lsn_order_groups_flush_with_correct_range() {
     }
     buffered.unwrap().unwrap();
     sal.flush().unwrap();
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     assert_eq!(sal.durable_lsn(), end);
     assert_eq!(sal.cv_lsn(), end);
 
@@ -218,7 +214,7 @@ fn groups_buffered_out_of_lsn_order_are_recorded() {
     let recorded = |g: LogRecordGroup| {
         let range = format!("group [{}..{}]", g.first_lsn(), g.end_lsn());
         // With TAURUS_INVARIANT_PANIC set the check panics instead.
-        let buffer = std::panic::AssertUnwindSafe(|| drop(sal.buffer_group(g)));
+        let buffer = std::panic::AssertUnwindSafe(|| sal.buffer_group(g));
         std::panic::catch_unwind(buffer).is_err()
             || taurus_common::invariants::violations()
                 .iter()
@@ -239,22 +235,11 @@ fn failed_reads_penalize_the_replica_in_routing_order() {
     let h = Harness::new(4, 5);
     let sal = h.sal();
     let end = h.write_kv(&sal, 1, "k", true);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
+    // The quiesce waited for all three replicas: the read below finds the
+    // record on whichever survivor it tries.
     let replicas = h.pages.replicas_of(key);
-    // `settle` waits for one ack per fragment; the read below must find
-    // the record on whichever survivor it tries, so wait for all three.
-    for _ in 0..2500 {
-        let caught_up = replicas.iter().all(|&r| {
-            h.pages
-                .persistent_lsn_of(r, h.me, key)
-                .is_ok_and(|l| l >= end)
-        });
-        if caught_up {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
 
     // No latencies recorded yet: routing falls back to placement order.
     // Kill the first-choice replica.
@@ -285,7 +270,7 @@ fn suspect_replicas_are_read_last() {
     let h = Harness::new(4, 5);
     let sal = h.sal();
     h.write_kv(&sal, 1, "k1", true);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
     let replicas = h.pages.replicas_of(key);
     let victim = replicas[0];
@@ -294,31 +279,15 @@ fn suspect_replicas_are_read_last() {
     // budget and demotes it.
     h.fabric.set_down(victim);
     let end = h.write_kv(&sal, 1, "k2", false);
-    sal.flush_all_slices();
-    for _ in 0..2500 {
-        if sal.is_suspect(victim) {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+    // The live replicas hold the fragment; the victim's pipe gave up on it.
+    sal.quiesce(h.deadline()).unwrap();
     assert!(sal.is_suspect(victim), "victim must be demoted to suspect");
     assert!(sal.stats.suspect_demotions.get() >= 1);
 
-    // The node returns, still stale (repair has not run). Wait until the
-    // healthy replicas have the fragment, then reads at the acked horizon
-    // must route around the suspect without paying a failed attempt.
+    // The node returns, still stale (repair has not run): reads at the
+    // acked horizon must route around the suspect without paying a failed
+    // attempt.
     h.fabric.set_up(victim);
-    for _ in 0..2500 {
-        let healthy_caught_up = replicas.iter().filter(|&&r| r != victim).all(|&r| {
-            h.pages
-                .persistent_lsn_of(r, h.me, key)
-                .is_ok_and(|l| l >= end)
-        });
-        if healthy_caught_up {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
     let before = sal.stats.read_retries.get();
     let page = sal.read_page(PageId(1), Some(end)).unwrap();
     assert_eq!(page.nslots(), 2);
@@ -335,26 +304,17 @@ fn pipeline_gauges_report_per_replica_pipes() {
     let h = Harness::new(4, 5);
     let sal = h.sal();
     h.write_kv(&sal, 1, "k", true);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
     let replicas = h.pages.replicas_of(key);
-    let mut gauges = sal.pipeline_gauges();
+    let gauges = sal.pipeline_gauges();
     for r in &replicas {
         assert!(
             gauges.iter().any(|(n, _, _)| n == r),
             "replica {r} must have a pipe"
         );
     }
-    // Drained pipeline: nothing queued, nothing in flight. The page-store
-    // pipes (1/3 path) can lag CV-LSN advancement (3/3 log path) by a
-    // beat, so poll briefly instead of asserting the instantaneous state.
-    for _ in 0..300 {
-        if gauges.iter().all(|(_, q, i)| *q == 0 && *i == 0) {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-        gauges = sal.pipeline_gauges();
-    }
+    // Quiesced pipeline: nothing queued, nothing in flight.
     for (_, queued, in_flight) in gauges {
         assert_eq!(queued, 0);
         assert_eq!(in_flight, 0);
@@ -400,7 +360,7 @@ fn concurrent_first_touch_slice_creation_is_idempotent() {
     for (i, page) in pages.iter().enumerate() {
         end = h.write_kv(&sal, *page, &format!("k{i}"), true);
     }
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
 
     for page in &pages {
         let buf = sal.read_page(PageId(*page), Some(end)).unwrap();
@@ -415,28 +375,29 @@ fn concurrent_first_touch_slice_creation_is_idempotent() {
     }
 }
 
-/// `buffer_group` hands back a `PendingFlush` once the log buffer crosses
-/// its threshold; *dropping* it without calling `run()` must still perform
-/// the flush. The pending flush owns a reserved pipeline ticket — leaking
-/// it would wedge every later flush behind the turnstile.
+/// A log buffer that reaches its threshold leaves through `Sal::flush`,
+/// the only way out: `buffer_group` reports it full and does no I/O,
+/// `log_group` returns with the group durable, and later flushes are not
+/// wedged behind it.
 #[test]
-fn dropped_pending_flush_still_flushes() {
+fn a_full_log_buffer_leaves_through_flush() {
     let h = Harness::new(3, 3);
     let sal = h.sal();
-    let group = h.group(1, "k", true);
-    let end = group.end_lsn();
-    let pending = sal.buffer_group(group);
+    let first = h.group(1, "k", true);
+    let end = first.end_lsn();
     assert!(
-        pending.is_some(),
-        "log_buffer_bytes=1 must cross the flush threshold"
+        sal.buffer_group(first),
+        "log_buffer_bytes=1 must reach the flush threshold"
     );
-    drop(pending);
-    // A later flush must not be wedged, and the dropped flush's records
-    // must already be on their way to durability.
-    sal.flush().unwrap();
-    h.settle(&sal);
+    assert_eq!(sal.durable_lsn(), Lsn::ZERO, "buffering does no I/O");
+    assert_eq!(sal.flush().unwrap(), end);
+    let second = h.group(1, "k2", false);
+    let end = second.end_lsn();
+    sal.log_group(second).unwrap();
+    assert_eq!(sal.durable_lsn(), end, "log_group flushed the full buffer");
+    sal.quiesce(h.deadline()).unwrap();
     let page = sal.read_page(PageId(1), Some(end)).unwrap();
-    assert_eq!(page.nslots(), 1);
+    assert_eq!(page.nslots(), 2);
 }
 
 /// A dead Page Store node takes its whole grouped `ReadPages` envelope
@@ -452,7 +413,7 @@ fn dead_node_grouped_read_fails_over_per_slice() {
     // grouped dispatcher path.
     h.write_kv(&sal, 1, "k1", true);
     h.write_kv(&sal, pps + 1, "k2", true);
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
 
     // No reads yet: routing is placement order, so each slice's first
     // replica is the grouped envelope's target. Kill slice 0's.
@@ -494,7 +455,9 @@ fn overload_with_a_flapping_replica_repairs_at_depth_one() {
     for page in 0..PAGES {
         h.write_kv(&sal, page, "r00", true);
     }
-    h.settle(&sal);
+    // The pipes come to rest. A replica behind on slices its two-deep
+    // queue shed gets the tick's repair pass, once.
+    sal.repair_and_quiesce(h.deadline()).unwrap();
     // Three Page Stores, three replicas: every slice has one on the victim.
     let victim = h.pages.server_nodes()[0];
     h.fabric.set_flaky(victim, 500);
@@ -526,14 +489,7 @@ fn overload_with_a_flapping_replica_repairs_at_depth_one() {
     );
 
     h.fabric.set_flaky(victim, 0);
-    sal.flush_all_slices();
-    for _ in 0..5000 {
-        sal.tick();
-        if sal.parked_slices().is_empty() && sal.cv_lsn() == sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+    sal.repair_and_quiesce(h.deadline()).unwrap();
     assert_eq!(sal.parked_slices(), vec![], "{}", sal.stats.snapshot());
     // Under `--cfg taurus_lock_witness`: no inversion among `sal::state`
     // and the writer's leaf locks while flush, ack, shed and drain raced.
@@ -548,17 +504,6 @@ fn overload_with_a_flapping_replica_repairs_at_depth_one() {
         let buf = sal.read_page(PageId(page), Some(end)).unwrap();
         assert_eq!(buf.nslots() as u64, ROUNDS, "page {page} lost rows");
     }
-}
-
-/// Polls `cond` for up to ~1 s of real time (sender jobs are real threads).
-fn eventually(what: &str, mut cond: impl FnMut() -> bool) {
-    for _ in 0..5000 {
-        if cond() {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
-    panic!("timed out waiting for {what}");
 }
 
 /// One repair pass over many parked slices is one `redo`: a single
@@ -586,7 +531,11 @@ fn one_repair_pass_reads_the_log_once_for_every_parked_slice() {
     };
     for (page, key) in pages.iter().zip(&keys) {
         let end = h.write_kv(&sal, page.0, "k1", true);
-        eventually("the first rows on all replicas", || everywhere(*key, end));
+        sal.quiesce(h.deadline()).unwrap();
+        assert!(
+            everywhere(*key, end),
+            "the first row of {key} on all replicas"
+        );
     }
 
     // Three Page Stores, three replicas: the victim hosts every slice.
@@ -596,7 +545,8 @@ fn one_repair_pass_reads_the_log_once_for_every_parked_slice() {
         .iter()
         .map(|page| h.write_kv(&sal, page.0, "k2", false))
         .collect();
-    eventually("every slice to park", || sal.parked_slices() == keys);
+    sal.quiesce(h.deadline()).unwrap();
+    assert_eq!(sal.parked_slices(), keys, "every slice parks");
     h.fabric.set_up(victim);
 
     let reads_before = sal.stats.redo_log_reads.get();
@@ -636,9 +586,11 @@ fn repair_with_a_stale_view_of_a_rebuild_never_writes_to_the_rebuilt_away_node()
     let persistent = |n| h.pages.persistent_lsn_of(n, h.me, key).unwrap();
     let end1 = h.write_kv(&sal, 1, "k1", true);
     let replicas = h.pages.replicas_of(key);
-    eventually("row 1 everywhere", || {
-        replicas.iter().all(|&n| persistent(n) == end1)
-    });
+    sal.quiesce(h.deadline()).unwrap();
+    assert!(
+        replicas.iter().all(|&n| persistent(n) == end1),
+        "row 1 everywhere"
+    );
 
     // The departing node goes down and is rebuilt onto the newcomer, which
     // is seeded at row 1; row 2 then misses both of them.
@@ -648,7 +600,10 @@ fn repair_with_a_stale_view_of_a_rebuild_never_writes_to_the_rebuilt_away_node()
     assert!(!replicas.contains(&newcomer));
     assert_eq!(persistent(newcomer), end1);
     let end2 = h.write_kv(&sal, 1, "k2", false);
-    eventually("the slice to park", || sal.parked_slices() == vec![key]);
+    // The SAL still names the departing node, which is down: the live
+    // replicas it names hold row 2, and the departing one's pipe parked it.
+    sal.quiesce(h.deadline()).unwrap();
+    assert_eq!(sal.parked_slices(), vec![key]);
     h.fabric.set_up(departing);
 
     let parked_before = sal.stats.fragments_parked.get();
@@ -666,15 +621,41 @@ fn repair_with_a_stale_view_of_a_rebuild_never_writes_to_the_rebuilt_away_node()
 
     // Later writes go to the new replica set and stay off the departed one.
     let end3 = h.write_kv(&sal, 1, "k3", false);
-    h.settle(&sal);
-    eventually("row 3 on the new replica set", || {
+    sal.quiesce(h.deadline()).unwrap();
+    assert!(
         h.pages
             .replicas_of(key)
             .iter()
-            .all(|&n| persistent(n) == end3)
-    });
+            .all(|&n| persistent(n) == end3),
+        "row 3 on the new replica set"
+    );
     assert_eq!(persistent(departing), end1);
     assert_eq!(sal.read_page(PageId(1), Some(end3)).unwrap().nslots(), 3);
+}
+
+/// A quiesce fails at its deadline, on the SAL's clock, while a pipe is
+/// still busy: a replica slowed to 10 s a call holds the second write's
+/// fragment, nothing else happens, and the waiter gives up by itself at
+/// its 20 ms deadline, long before that call ends.
+#[test]
+fn quiesce_fails_at_its_deadline_while_a_pipe_is_busy() {
+    let clock = SystemClock::shared();
+    let h = Harness::on(clock.clone(), 3, 3);
+    let sal = h.sal();
+    h.write_kv(&sal, 1, "k1", true);
+    sal.quiesce(h.deadline()).unwrap();
+    h.fabric
+        .set_call_delay(h.pages.server_nodes()[0], 10_000_000);
+    h.write_kv(&sal, 1, "k2", false);
+    let deadline = clock.now_us() + 20_000;
+    let outcome = sal.quiesce(deadline);
+    assert!(
+        matches!(outcome, Err(TaurusError::DeadlinePassed(_))),
+        "{outcome:?}"
+    );
+    let now = clock.now_us();
+    assert!(now >= deadline);
+    assert!(now < deadline + 5_000_000, "{}us late", now - deadline);
 }
 
 /// The CV-LSN is the read horizon. Commits go round-robin to pages of three
@@ -725,7 +706,7 @@ fn cv_lsn_is_the_read_horizon_and_a_read_at_it_sees_every_row_below_it() {
         let key = format!("k{i:02}");
         rows.push((page, key.clone(), h.write_kv(&sal, page.0, &key, true)));
     }
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     check(&sal, &rows);
     assert_eq!(sal.slice_keys().len(), 3);
     h.fabric.set_call_delay(h.pages.server_nodes()[0], 2_000);
@@ -739,7 +720,7 @@ fn cv_lsn_is_the_read_horizon_and_a_read_at_it_sees_every_row_below_it() {
         }
         check(&sal, &rows);
     }
-    h.settle(&sal);
+    sal.quiesce(h.deadline()).unwrap();
     check(&sal, &rows);
     assert_eq!(sal.cv_lsn(), sal.durable_lsn());
 }

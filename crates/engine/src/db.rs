@@ -13,7 +13,7 @@ use parking_lot::{Mutex, RwLock};
 
 use taurus_common::clock::{ClockRef, SystemClock};
 use taurus_common::lsn::LsnWatermark;
-use taurus_common::{DbId, Lsn, NodeId, Result, TaurusConfig};
+use taurus_common::{DbId, Lsn, NodeId, Result, TaurusConfig, TaurusError};
 use taurus_core::{RecoveryService, Sal};
 use taurus_fabric::{Fabric, NodeKind};
 use taurus_logstore::LogStoreCluster;
@@ -165,6 +165,35 @@ impl TaurusDb {
         taurus_common::invariants::lock_witness_sweep();
     }
 
+    /// Waits until the deployment is at rest, with the beat's repair pass
+    /// folded in: [`Sal::repair_and_quiesce`] on the master (every durable
+    /// record on every live Page Store replica, after one repair pass if a
+    /// pipe shed a slice's fragment), a publish, and each read replica
+    /// polled until its visible LSN reaches the published read horizon. A
+    /// drill that tests the beat or a recovery round waits with the strict
+    /// `Sal::quiesce` on the master instead. Errors as those do, and when a
+    /// read replica's poll stops short of the horizon.
+    pub fn quiesce(&self, deadline_us: u64) -> Result<()> {
+        let master = self.master();
+        master.sal.repair_and_quiesce(deadline_us)?;
+        master.publish();
+        let horizon = master.bulletin.read_horizon.get();
+        for replica in self.replicas() {
+            while replica.visible_lsn() < horizon {
+                // A beat's concurrent poll may have applied what this one
+                // found: nothing applied is an error only if still short.
+                if replica.poll()? == 0 && replica.visible_lsn() < horizon {
+                    return Err(TaurusError::Internal(format!(
+                        "read replica {} stopped at {} below the read horizon {horizon}",
+                        replica.id,
+                        replica.visible_lsn()
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// One recovery-service round (failure classification, gossip, repair,
     /// truncation). Deterministic; drive from a timer in live deployments.
     pub fn run_recovery_round(&self) -> taurus_core::recovery::RecoveryReport {
@@ -242,7 +271,7 @@ impl TaurusDb {
             replicas
                 .get(idx)
                 .cloned()
-                .ok_or_else(|| taurus_common::TaurusError::Internal("no such replica".into()))?
+                .ok_or_else(|| TaurusError::Internal("no such replica".into()))?
         };
         self.replicas.write().retain(|r| r.id != promoted.id);
         self.recover_master_on(promoted.me)
@@ -283,6 +312,11 @@ impl TaurusDb {
                 if beats.is_multiple_of(64) {
                     let _ = db.run_recovery_round();
                 }
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the beat's period, on the wall clock whatever the fabric's clock; \
+                              routing it through `Clock::sleep_us` is ROADMAP 1(a0)"
+                )]
                 std::thread::sleep(std::time::Duration::from_micros(beat_us));
             }
         });

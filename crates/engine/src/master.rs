@@ -566,7 +566,7 @@ impl Txn {
             return Ok(engine.sal.durable_lsn());
         }
         let writes = std::mem::take(&mut self.writes);
-        let pending = engine
+        engine
             .tree
             .write(&engine.fetcher(), writes.keys(), |fetch| {
                 let mut ctx = MutCtx::new(&engine.lsns, fetch);
@@ -584,15 +584,14 @@ impl Txn {
                 let group = LogRecordGroup::new(engine.sal.db, ctx.records);
                 engine.install_pages(ctx.pages);
                 // Buffer under the latch so buffer order equals LSN order; the
-                // threshold flush (Log Store round trips) runs below, after
-                // the latch drops — readers must not stall behind the network.
-                Ok(engine.sal.buffer_group(group))
+                // flush (Log Store round trips) runs below, after the latch
+                // drops — readers must not stall behind the network.
+                engine.sal.buffer_group(group);
+                Ok(())
             })?;
-        if let Some(p) = pending {
-            p.run()?;
-        }
         // Durability wait happens outside the latch: concurrent committers
-        // batch into one Log Store write (group commit).
+        // batch into one Log Store write (group commit). A buffer at its
+        // threshold flushes at once.
         let lsn = engine.sal.flush()?;
         engine.release_locks(self.id, &self.locked);
         engine.publish();

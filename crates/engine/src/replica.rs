@@ -84,7 +84,7 @@ impl ReplicaEngine {
         bulletin: Arc<Bulletin>,
     ) -> Result<Arc<ReplicaEngine>> {
         let log = Log::open(&cfg, logs, db, me, false)?;
-        let pool = EnginePool::striped(1024);
+        let pool = EnginePool::striped(cfg.engine_buffer_pool_pages);
         let replica = Arc::new(ReplicaEngine {
             id,
             me,

@@ -17,56 +17,10 @@ fn launch() -> Arc<TaurusDb> {
     TaurusDb::launch_with_clock(cfg, 5, 6, ManualClock::shared(), 7).unwrap()
 }
 
-/// Quiesce: flush slice buffers and wait for Page Store acks.
-fn settle(db: &TaurusDb) {
-    let master = db.master();
-    master.sal.flush_all_slices();
-    for _ in 0..300 {
-        master.maintain();
-        if master.sal.cv_lsn() == master.sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
-}
-
-/// Quiesce until all three replicas of every slice hold every durable
-/// record: each sealed PLog is then due for truncation at the next
-/// recovery round (which this does not run).
-fn make_truncation_due(master: &taurus_engine::MasterEngine) {
-    master.sal.flush_all_slices();
-    for _ in 0..2_000 {
-        master.maintain();
-        let _ = master.sal.poll_persistent_lsns();
-        if master.sal.database_persistent_lsn() == master.sal.durable_lsn() {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
-    panic!(
-        "replicas never caught up: persistent {:?} durable {:?}",
-        master.sal.database_persistent_lsn(),
-        master.sal.durable_lsn()
-    );
-}
-
-/// Drives master publication + replica polling until the replica's visible
-/// LSN catches the master's durable LSN (bounded wait).
-fn sync_replica(db: &TaurusDb, replica: &taurus_engine::ReplicaEngine) {
-    let master = db.master();
-    for _ in 0..300 {
-        master.maintain();
-        let _ = replica.poll();
-        if replica.visible_lsn() >= master.sal.durable_lsn() {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
-    panic!(
-        "replica never caught up: visible {:?} durable {:?}",
-        replica.visible_lsn(),
-        master.sal.durable_lsn()
-    );
+/// The deadline of a quiesce that starts now, on the deployment's clock
+/// (a manual one moves only by retry backoffs: this bounds a drill).
+fn deadline(db: &TaurusDb) -> u64 {
+    db.fabric.clock.now_us() + 10_000_000
 }
 
 #[test]
@@ -204,7 +158,7 @@ fn bulk_workload_spans_slices_and_survives_pool_pressure() {
     // config), whatever a row weighs.
     let leaves = master.sal.cfg.pages_per_slice as usize * 3 / 2;
     let n = bulk_load(&master, leaves);
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     assert!(
         db.master().sal.slice_keys().len() > 1,
         "expected a multi-slice database"
@@ -227,9 +181,9 @@ fn dense_load_reads_the_same_through_master_replica_and_snapshot() {
     let master = db.master();
     let replica = db.add_replica().unwrap();
     let n = bulk_load(&master, 80);
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     master.create_snapshot("dense");
-    sync_replica(&db, &replica);
+    db.quiesce(deadline(&db)).unwrap();
     let fills = leaf_fills(&master);
     let mean = fills.iter().sum::<f64>() / fills.len() as f64;
     assert!(mean >= 0.9, "mean leaf fill {mean}");
@@ -267,8 +221,7 @@ fn replica_sees_committed_data_and_lags_by_bounded_amount() {
     let mut t = master.begin();
     t.put(b"a", b"1").unwrap();
     t.commit().unwrap();
-    settle(&db);
-    sync_replica(&db, &replica);
+    db.quiesce(deadline(&db)).unwrap();
     assert_eq!(replica.get(b"a").unwrap(), Some(b"1".to_vec()));
     // Replica never runs ahead of the master's durable horizon.
     assert!(replica.visible_lsn() <= master.sal.durable_lsn());
@@ -284,16 +237,14 @@ fn replica_snapshot_is_pinned_at_tv_lsn() {
     let mut t = master.begin();
     t.put(b"x", b"v1").unwrap();
     t.commit().unwrap();
-    settle(&db);
-    sync_replica(&db, &replica);
+    db.quiesce(deadline(&db)).unwrap();
     let snapshot = replica.begin();
     assert_eq!(snapshot.get(b"x").unwrap(), Some(b"v1".to_vec()));
     // Master moves on; the replica applies the new state...
     let mut t = master.begin();
     t.put(b"x", b"v2").unwrap();
     t.commit().unwrap();
-    settle(&db);
-    sync_replica(&db, &replica);
+    db.quiesce(deadline(&db)).unwrap();
     // ...but the pinned snapshot still reads v1 (versioned page reads),
     // while a fresh transaction reads v2.
     assert_eq!(snapshot.get(b"x").unwrap(), Some(b"v1".to_vec()));
@@ -321,8 +272,7 @@ fn replica_tv_feedback_becomes_recycle_lsn() {
         t.put(format!("k{i}").as_bytes(), b"v").unwrap();
         t.commit().unwrap();
     }
-    settle(&db);
-    sync_replica(&db, &replica);
+    db.quiesce(deadline(&db)).unwrap();
     // A transaction opens and closes: its TV-LSN flows back to the master.
     {
         let txn = replica.begin();
@@ -360,8 +310,7 @@ fn a_replica_behind_truncation_resyncs_and_serves_every_acked_value() {
     for i in 0..40 {
         commit(i);
     }
-    settle(&db);
-    sync_replica(&db, &replica);
+    db.quiesce(deadline(&db)).unwrap();
 
     // The replica stops polling (`master.maintain` does not poll it). The
     // master commits across many 4 KiB PLogs and truncates all of them.
@@ -370,7 +319,9 @@ fn a_replica_behind_truncation_resyncs_and_serves_every_acked_value() {
     for i in 40..40 + commits {
         commit(i);
     }
-    make_truncation_due(&master);
+    // The SAL quiesces alone, so the replica does not poll; a slice the
+    // burst's pipes shed gets the beat's repair first.
+    master.sal.repair_and_quiesce(deadline(&db)).unwrap();
     let report = db.run_recovery_round();
     assert!(report.plogs_truncated > 0, "{report:?}");
     assert_eq!(replica.visible_lsn(), resumed_at);
@@ -382,7 +333,7 @@ fn a_replica_behind_truncation_resyncs_and_serves_every_acked_value() {
         applied < commits,
         "resync applied {applied} of {commits} groups: nothing was truncated past the replica"
     );
-    sync_replica(&db, &replica);
+    db.quiesce(deadline(&db)).unwrap();
     let snapshot = replica.begin();
     assert_eq!(snapshot.tv_lsn(), replica.visible_lsn());
     for (k, v) in &model {
@@ -415,7 +366,7 @@ fn churn_under_beats(db: &TaurusDb, round: usize, n: usize) {
         t.commit().unwrap();
         master.maintain();
     }
-    make_truncation_due(&master);
+    db.quiesce(deadline(db)).unwrap();
     db.pages.consolidate_all();
     for _ in 0..32 {
         master.maintain();
@@ -431,7 +382,7 @@ fn a_master_without_replicas_recycles_and_still_serves_its_snapshot() {
         t.put(format!("row{i:02}").as_bytes(), b"pinned").unwrap();
     }
     t.commit().unwrap();
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     master.create_snapshot("before");
     churn_under_beats(&db, 0, 400);
     // The snapshot caps every recycle LSN: what it reads is still there.
@@ -476,7 +427,7 @@ fn master_crash_recovery_preserves_all_committed_data() {
             t.commit().unwrap();
         }
     }
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     db.crash_and_recover_master().unwrap();
     let master = db.master();
     for i in (0..200u32).step_by(13) {
@@ -522,7 +473,7 @@ fn master_crash_under_a_live_background_beat_recovers_with_truncation_due() {
             t.commit().unwrap();
             acked += 1;
         }
-        make_truncation_due(&master);
+        db.quiesce(deadline(&db)).unwrap();
         drop(master);
         // The beat is as fast as it goes: the dead master's first recovery
         // round (64 beats in) falls inside the recover below. It must not
@@ -633,7 +584,7 @@ fn dead_masters_recovery_round_cannot_run_at_any_rpc_of_the_recover() {
             t.put(format!("key{i:05}").as_bytes(), &[7u8; 96]).unwrap();
             t.commit().unwrap();
         }
-        make_truncation_due(&master);
+        db.quiesce(deadline(&db)).unwrap();
         drop(master);
         let hook_db = Arc::clone(&db);
         *clock.armed.lock() = Some(HookArm {
@@ -679,7 +630,7 @@ fn a_failed_recover_leaves_the_old_master_with_its_housekeeping() {
         t.put(format!("key{i:05}").as_bytes(), &[7u8; 96]).unwrap();
         t.commit().unwrap();
     }
-    make_truncation_due(&master);
+    db.quiesce(deadline(&db)).unwrap();
     // No Log Store answers: the recover cannot read the log.
     let log_stores = db.fabric.healthy_nodes(taurus_fabric::NodeKind::LogStore);
     for &n in &log_stores {
@@ -699,7 +650,7 @@ fn a_failed_recover_leaves_the_old_master_with_its_housekeeping() {
     t.put(b"after", b"alive").unwrap();
     t.commit().unwrap();
     // And a second attempt goes through, with everything acknowledged.
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     db.crash_and_recover_master().unwrap();
     let master = db.master();
     for i in 0..40u32 {
@@ -719,7 +670,7 @@ fn crash_loses_uncommitted_but_keeps_committed() {
     // An open transaction never reaches the log...
     let mut open = master.begin();
     open.put(b"volatile", b"no").unwrap();
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     drop(open); // crash takes it down (undo is trivial: nothing was logged)
     db.crash_and_recover_master().unwrap();
     let master = db.master();
@@ -736,7 +687,7 @@ fn replica_promotion_takes_over_writes() {
         t.put(b"before", b"failover").unwrap();
         t.commit().unwrap();
     }
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     let _replica_a = db.add_replica().unwrap();
     let _replica_b = db.add_replica().unwrap();
     db.maintain();
@@ -755,10 +706,10 @@ fn replica_promotion_takes_over_writes() {
         Some(b"promotion".to_vec())
     );
     // The remaining replica follows the new master.
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     let replicas = db.replicas();
     assert_eq!(replicas.len(), 1);
-    sync_replica(&db, &replicas[0]);
+    db.quiesce(deadline(&db)).unwrap();
     assert_eq!(
         replicas[0].get(b"after").unwrap(),
         Some(b"promotion".to_vec())
@@ -774,7 +725,7 @@ fn workload_continues_through_storage_failures_with_recovery_service() {
         t.put(format!("pre{i:03}").as_bytes(), b"v").unwrap();
         t.commit().unwrap();
     }
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     // Kill one Page Store node and one Log Store node.
     let ps_victim = db.pages.server_nodes()[0];
     let ls_victim = db.fabric.healthy_nodes(taurus_fabric::NodeKind::LogStore)[0];
@@ -787,7 +738,7 @@ fn workload_continues_through_storage_failures_with_recovery_service() {
         t.commit().unwrap();
     }
     db.run_recovery_round(); // classifies short-term failures
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     // Reads succeed throughout.
     assert!(master.get(b"pre000").unwrap().is_some());
     assert!(master.get(b"mid000").unwrap().is_some());
@@ -808,7 +759,7 @@ fn master_scan_pushdown_matches_fetch_and_filter() {
         .unwrap();
         t.commit().unwrap();
     }
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     // Full scan agrees with the classic B-tree scan.
     let scan = master.scan_pushdown(&ScanRequest::full()).unwrap();
     assert_eq!(scan.rows, master.scan(b"", usize::MAX).unwrap());
@@ -842,13 +793,13 @@ fn snapshot_scan_pushdown_reads_the_pinned_lsn() {
     let mut t = master.begin();
     t.put(b"a", b"old").unwrap();
     t.commit().unwrap();
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     master.create_snapshot("before");
     let mut t = master.begin();
     t.put(b"a", b"new").unwrap();
     t.put(b"b", b"2").unwrap();
     t.commit().unwrap();
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     let snap = master
         .snapshot_scan_pushdown("before", &ScanRequest::full())
         .unwrap();
@@ -873,8 +824,7 @@ fn replica_scan_pins_one_tv_lsn_for_the_whole_traversal() {
         t.put(format!("k{i:02}").as_bytes(), b"v1").unwrap();
         t.commit().unwrap();
     }
-    settle(&db);
-    sync_replica(&db, &replica);
+    db.quiesce(deadline(&db)).unwrap();
     // Pin a read transaction, then let the database move on and the
     // replica apply the new groups.
     let pinned = replica.begin();
@@ -884,8 +834,7 @@ fn replica_scan_pins_one_tv_lsn_for_the_whole_traversal() {
         t.put(format!("k{i:02}").as_bytes(), b"v2").unwrap();
         t.commit().unwrap();
     }
-    settle(&db);
-    sync_replica(&db, &replica);
+    db.quiesce(deadline(&db)).unwrap();
     assert!(replica.visible_lsn() > tv, "replica must have advanced");
     // The pinned traversal — local B-tree scan and pushdown alike — still
     // reads the old values on every page, with no v2 mixed in (torn read).
@@ -950,15 +899,14 @@ fn commit_from_another_connection(master: &Arc<taurus_engine::MasterEngine>, k: 
     committer.join().unwrap();
 }
 
-/// `settle`s a `bulk_load`, then brings the pool back to its size. Frames
+/// Brings the pool back to its size after a quiesced `bulk_load`. Frames
 /// the load pinned while their acks were in flight (a slow host delays the
 /// write pipe) stay resident past the size until an install evicts them:
-/// one commit rewrites a row of `last_leaf` as it was, and settles again.
-fn settle_to_pool_size(db: &TaurusDb, last_leaf: u32) {
-    settle(db);
+/// one commit rewrites a row of `last_leaf` as it was, and is quiesced too.
+fn evict_to_pool_size(db: &TaurusDb, last_leaf: u32) {
     let (k, v) = bulk_row(row_on_leaf(last_leaf) + 1);
     commit_from_another_connection(&db.master(), &k, &v);
-    settle(db);
+    db.quiesce(deadline(db)).unwrap();
 }
 
 #[test]
@@ -967,7 +915,8 @@ fn a_commit_completes_inside_a_readers_miss_round_trip() {
     let db = launch_small_pool(clock.clone(), 8);
     let master = db.master();
     bulk_load(&master, 20);
-    settle_to_pool_size(&db, 19);
+    db.quiesce(deadline(&db)).unwrap();
+    evict_to_pool_size(&db, 19);
     // Leaf 10 is out of the pool; the spine above it is in.
     read_leaves(&master, 0..9);
     let (k, v) = bulk_row(row_on_leaf(10));
@@ -1002,7 +951,8 @@ fn a_head_read_a_recycle_round_overtook_replans_at_the_head() {
     let db = launch_small_pool(clock.clone(), 8);
     let master = db.master();
     bulk_load(&master, 20);
-    settle_to_pool_size(&db, 19);
+    db.quiesce(deadline(&db)).unwrap();
+    evict_to_pool_size(&db, 19);
     // Leaf 10 is out of the pool; all twenty leaves share one slice.
     read_leaves(&master, 0..9);
     let (k, v) = bulk_row(row_on_leaf(10));
@@ -1015,7 +965,7 @@ fn a_head_read_a_recycle_round_overtook_replans_at_the_head() {
             // read's snapshot, and no replica is still at it.
             let master = db.master();
             commit_from_another_connection(&master, &bulk_row(row_on_leaf(3)).0, b"meanwhile");
-            make_truncation_due(&master);
+            db.quiesce(deadline(&db)).unwrap();
             for _ in 0..32 {
                 master.maintain();
             }
@@ -1048,7 +998,8 @@ fn a_page_read_before_a_commit_is_never_installed_after_it() {
         let db = launch_small_pool(clock.clone(), 8);
         let master = db.master();
         bulk_load(&master, 20);
-        settle_to_pool_size(&db, 19);
+        db.quiesce(deadline(&db)).unwrap();
+        evict_to_pool_size(&db, 19);
         let (p, before) = {
             let (id, leaf) = &leaf_chain(&master)[10];
             (*id, leaf.lsn())
@@ -1061,7 +1012,7 @@ fn a_page_read_before_a_commit_is_never_installed_after_it() {
             move || {
                 let master = db.master();
                 commit_from_another_connection(&master, &k, &new);
-                settle(&db);
+                db.quiesce(deadline(&db)).unwrap();
                 read_leaves(&master, 0..9);
             }
         };
@@ -1092,7 +1043,8 @@ fn a_commit_whose_warmed_leaves_were_evicted_reads_none_of_them_twice() {
     let db = launch_small_pool(ManualClock::shared(), 4);
     let master = db.master();
     bulk_load(&master, 20);
-    settle_to_pool_size(&db, 19);
+    db.quiesce(deadline(&db)).unwrap();
+    evict_to_pool_size(&db, 19);
     // Twelve leaves through a pool of four frames: the warm-up's own
     // installs push its first leaves out again before the apply.
     let rows: Vec<u32> = (2..14).map(|leaf| row_on_leaf(leaf) + 5).collect();
@@ -1132,7 +1084,8 @@ fn an_unbounded_scan_larger_than_the_pool_ends_through_the_fallback() {
     let db = launch_small_pool(ManualClock::shared(), 8);
     let master = db.master();
     let n = bulk_load(&master, 30);
-    settle_to_pool_size(&db, 29);
+    db.quiesce(deadline(&db)).unwrap();
+    evict_to_pool_size(&db, 29);
     let expected: Vec<_> = (0..n).map(bulk_row).collect();
     let before = master.latch_stats().read_latch_fallbacks;
     assert_eq!(master.scan(b"", usize::MAX).unwrap(), expected);
@@ -1174,7 +1127,7 @@ fn threaded_reads_and_commits_through_a_tiny_pool_match_the_model() {
         t.put(&token_key(tok, false), b"token").unwrap();
     }
     t.commit().unwrap();
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     // Acks keep coming while the threads run, so frames keep leaving.
     let background = db.start_background(200);
 

@@ -29,6 +29,12 @@ fn value(tag: &str) -> Vec<u8> {
     format!("{tag:-<240}").into_bytes()
 }
 
+/// The deadline of a quiesce that starts now, on the deployment's clock
+/// (a manual one moves only by retry backoffs: this bounds a drill).
+fn deadline(db: &TaurusDb) -> u64 {
+    db.fabric.clock.now_us() + 10_000_000
+}
+
 fn put(master: &Arc<MasterEngine>, history: &mut History, k: Vec<u8>, v: Vec<u8>) {
     let mut t = master.begin();
     t.put(&k, &v).unwrap();
@@ -68,28 +74,17 @@ fn replica_reads_match_the_master_at_their_tv_lsn_under_writes_and_page_store_lo
             put(&master, &mut history, key(i), value(pass));
         }
     }
-    // Quiesce until every record is on all three replicas of its slice:
-    // after the kill below, any surviving replica can serve the pinned LSN.
-    master.sal.flush_all_slices();
-    for _ in 0..5000 {
-        db.maintain();
-        if master.sal.database_persistent_lsn() == master.sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+    // Quiesce: every record is on all three replicas of its slice, so
+    // after the kill below any surviving replica can serve the pinned LSN.
+    db.quiesce(deadline(&db)).unwrap();
     assert_eq!(
         master.sal.database_persistent_lsn(),
         master.sal.durable_lsn()
     );
 
     let replica = db.add_replica().unwrap();
-    for _ in 0..5000 {
-        db.maintain();
-        if replica.visible_lsn() >= master.sal.cv_lsn() {
-            break;
-        }
-    }
+    db.quiesce(deadline(&db)).unwrap();
+    assert_eq!(replica.visible_lsn(), master.sal.cv_lsn());
     let pinned = replica.begin();
     let tv = pinned.tv_lsn();
     let expected = model_at(&history, tv);
@@ -181,13 +176,7 @@ fn quiescent_replica_reaches_the_last_commit_without_further_writes() {
     put(&master, &mut history, key(ROWS / 2), value("last"));
     let last = history.last().unwrap().0;
     let replica = db.add_replica().unwrap();
-    for _ in 0..5000 {
-        db.maintain();
-        if replica.visible_lsn() >= last {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+    db.quiesce(deadline(&db)).unwrap();
     // Every other slice was last written (and acked) long before `last`:
     // they owe nothing, so they must not hold the replica below it.
     assert_eq!(replica.visible_lsn(), last);

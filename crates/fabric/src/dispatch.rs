@@ -275,7 +275,13 @@ mod tests {
         // time the worker actually spent executing.
         let d = pool();
         let before = d.snapshot();
-        d.spawn_detached(Box::new(|| std::thread::sleep(Duration::from_millis(20))));
+        d.spawn_detached(Box::new(|| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a job that is busy for 20 ms of real time, which the pool must account"
+            )]
+            std::thread::sleep(Duration::from_millis(20));
+        }));
         wait_for("busy time never accounted", || {
             d.snapshot().busy_us >= 20_000
         });

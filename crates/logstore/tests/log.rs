@@ -105,6 +105,10 @@ fn out_of_order_tickets_read_back_once_each_in_lsn_order() {
                 let log = &log;
                 scope.spawn(move || {
                     for t in (j..SPANS).step_by(THREADS as usize) {
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "jitter that scatters the order the threads reach the log in"
+                        )]
                         thread::sleep(Duration::from_micros((t * 7 + j * 13) % 50));
                         append(log, t);
                     }
@@ -552,6 +556,10 @@ fn failed_append_is_not_overtaken_by_a_successor_across_a_rollover() {
         let log = &log;
         let later = scope.spawn(move || push(log, 1, 4..=5));
         // Give span 1 every chance to get ahead.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "span 1 reaching the stream first: nothing signals that it has"
+        )]
         thread::sleep(Duration::from_millis(20));
         push(log, 0, 1..=3);
         later.join().unwrap();
@@ -616,6 +624,10 @@ impl Clock for InFlight {
                 if self.inside[k].load(Ordering::SeqCst) > 1 {
                     break;
                 }
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "room for a second append to overlap this one, which must never happen"
+                )]
                 thread::sleep(Duration::from_millis(1));
             }
         }

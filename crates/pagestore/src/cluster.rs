@@ -710,6 +710,10 @@ mod tests {
         // 50 µs sleep) makes thousands of calls here; blocked threads make
         // their timed retry wake-ups and nothing else.
         let before = idle_steps();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "an idle window of real time: what the consolidation threads do in it is the test"
+        )]
         std::thread::sleep(Duration::from_millis(200));
         let polled = idle_steps() - before;
         assert!(polled <= 200, "{polled} consolidate_step calls while idle");

@@ -56,14 +56,9 @@ fn main() -> Result<()> {
 
     println!("\n== a read replica tails the log from the Log Stores ==");
     let replica = db.add_replica()?;
-    // Give the replica a beat to poll (the background thread drives it too).
-    for _ in 0..50 {
-        db.maintain();
-        if replica.visible_lsn() >= master.sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
+    // Wait until every write is on the Page Stores and the replica has
+    // polled up to the read horizon (the background thread drives it too).
+    db.quiesce(db.fabric.clock.now_us() + 5_000_000)?;
     println!("  replica visible LSN: {}", replica.visible_lsn());
     println!(
         "  replica reads balance = {:?}",

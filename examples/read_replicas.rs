@@ -23,16 +23,7 @@ fn main() -> Result<()> {
 
     println!("== adding three read replicas (no data copy: they just tail the log) ==");
     let replicas: Vec<_> = (0..3).map(|_| db.add_replica().unwrap()).collect();
-    for _ in 0..200 {
-        db.maintain();
-        if replicas
-            .iter()
-            .all(|r| r.visible_lsn() >= master.sal.durable_lsn())
-        {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
+    db.quiesce(db.fabric.clock.now_us() + 5_000_000)?;
     for r in &replicas {
         println!(
             "  replica {} visible LSN {} — item:050 = {:?}",
@@ -49,13 +40,7 @@ fn main() -> Result<()> {
     let mut t = master.begin();
     t.put(b"item:050", b"UPDATED")?;
     t.commit()?;
-    for _ in 0..200 {
-        db.maintain();
-        if replicas[0].visible_lsn() >= master.sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
+    db.quiesce(db.fabric.clock.now_us() + 5_000_000)?;
     println!(
         "  pinned snapshot still reads: {:?}",
         snap.get(b"item:050")?

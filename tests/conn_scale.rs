@@ -31,16 +31,10 @@ fn launch(seed: u64) -> Arc<TaurusDb> {
     TaurusDb::launch_with_clock(cfg, 4, 6, ManualClock::shared(), seed).unwrap()
 }
 
-fn settle(db: &TaurusDb) {
-    let master = db.master();
-    master.sal.flush_all_slices();
-    for _ in 0..6000 {
-        master.maintain();
-        if master.sal.cv_lsn() == master.sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+/// The deadline of a quiesce that starts now, on the deployment's clock
+/// (a manual one moves only by retry backoffs: this bounds a drill).
+fn deadline(db: &TaurusDb) -> u64 {
+    db.fabric.clock.now_us() + 10_000_000
 }
 
 fn key(i: u32) -> Vec<u8> {
@@ -168,7 +162,7 @@ proptest! {
         for op in &pre {
             apply(&master, &mut model, op);
         }
-        settle(&db);
+        db.quiesce(deadline(&db)).unwrap();
         let ids = all_page_ids(&db);
         prop_assert!(!ids.is_empty());
 
@@ -184,7 +178,7 @@ proptest! {
         for op in &post {
             apply(&master, &mut model, op);
         }
-        settle(&db);
+        db.quiesce(deadline(&db)).unwrap();
         check_grouped_matches_singles(&db, &ids, Some(pin));
         let pinned = master.snapshot_scan_pushdown("pin", &ScanRequest::full()).unwrap();
         check_scan_matches_model(&pinned, &frozen);
@@ -210,19 +204,15 @@ fn grouped_reads_survive_concurrent_writes_and_replica_loss() {
         t.put(&key(i), v.as_bytes()).unwrap();
         t.commit().unwrap();
     }
-    settle(&db);
-    // `settle` waits for one ack per fragment. Wait for all three replicas:
-    // one that still trails the pin refuses the first read at it, takes the
-    // planner's failure penalty, and stops being its slice's first choice —
-    // and the node killed below must be somebody's first choice.
-    for _ in 0..6000 {
-        let _ = master.sal.poll_persistent_lsns();
-        if master.sal.database_persistent_lsn() == master.sal.durable_lsn() {
-            break;
-        }
-        master.maintain();
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+    // The quiesce waits for all three replicas: one that still trailed the
+    // pin would refuse the first read at it, take the planner's failure
+    // penalty, and stop being its slice's first choice — and the node
+    // killed below must be somebody's first choice.
+    db.quiesce(deadline(&db)).unwrap();
+    assert_eq!(
+        master.sal.database_persistent_lsn(),
+        master.sal.durable_lsn()
+    );
     let ids = all_page_ids(&db);
     let pin = master.create_snapshot("pin");
 

@@ -20,14 +20,7 @@ fn healthy_workload_deep_clones_no_fragments() {
         t.put(format!("key-{i:02}").as_bytes(), b"v").unwrap();
         t.commit().unwrap();
     }
-    master.sal.flush_all_slices();
-    for _ in 0..300 {
-        master.maintain();
-        if master.sal.cv_lsn() == master.sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+    db.quiesce(db.fabric.clock.now_us() + 10_000_000).unwrap();
     for i in 0..40u32 {
         assert!(master
             .get(format!("key-{i:02}").as_bytes())

@@ -131,13 +131,9 @@ fn tenants_log_streams_are_independent() {
     t.put(b"only-b", b"2").unwrap();
     t.commit().unwrap();
     let replica_a = db_a.add_replica().unwrap();
-    for _ in 0..200 {
-        db_a.maintain();
-        if replica_a.visible_lsn() >= db_a.master().sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+    db_a.quiesce(db_a.fabric.clock.now_us() + 10_000_000)
+        .unwrap();
+    assert_eq!(replica_a.visible_lsn(), db_a.master().sal.durable_lsn());
     assert_eq!(replica_a.get(b"only-a").unwrap(), Some(b"1".to_vec()));
     assert_eq!(replica_a.get(b"only-b").unwrap(), None);
     let _ = Arc::strong_count(&replica_a);

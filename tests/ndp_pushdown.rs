@@ -25,16 +25,10 @@ fn launch(seed: u64) -> Arc<TaurusDb> {
     TaurusDb::launch_with_clock(cfg, 4, 6, ManualClock::shared(), seed).unwrap()
 }
 
-fn settle(db: &TaurusDb) {
-    let master = db.master();
-    master.sal.flush_all_slices();
-    for _ in 0..1500 {
-        master.maintain();
-        if master.sal.cv_lsn() == master.sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+/// The deadline of a quiesce that starts now, on the deployment's clock
+/// (a manual one moves only by retry backoffs: this bounds a drill).
+fn deadline(db: &TaurusDb) -> u64 {
+    db.fabric.clock.now_us() + 10_000_000
 }
 
 fn key(i: u32) -> Vec<u8> {
@@ -186,7 +180,7 @@ proptest! {
         for op in &pre {
             apply(&master, &mut model, op);
         }
-        settle(&db);
+        db.quiesce(deadline(&db)).unwrap();
 
         // Live head: pushdown vs model.
         for req in &reqs {
@@ -201,7 +195,7 @@ proptest! {
         for op in &post {
             apply(&master, &mut model, op);
         }
-        settle(&db);
+        db.quiesce(deadline(&db)).unwrap();
         for req in &reqs {
             check(&master.snapshot_scan_pushdown("pin", req).unwrap(), &frozen, req);
         }
@@ -228,7 +222,7 @@ fn pushdown_agrees_with_fetch_under_concurrent_writes_and_replica_loss() {
         t.put(&key(i), format!("v{}", i % 7).as_bytes()).unwrap();
         t.commit().unwrap();
     }
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
 
     // A writer hammers a disjoint key range the whole time.
     let stop = Arc::new(AtomicBool::new(false));

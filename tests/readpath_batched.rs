@@ -26,18 +26,10 @@ fn launch(seed: u64) -> Arc<TaurusDb> {
     TaurusDb::launch_with_clock(cfg, 4, 6, ManualClock::shared(), seed).unwrap()
 }
 
-fn settle(db: &TaurusDb) {
-    let master = db.master();
-    master.sal.flush_all_slices();
-    // Generous bound: the pool-vs-storage comparisons below assume the CV
-    // LSN caught up, and this binary's tests run concurrently.
-    for _ in 0..6000 {
-        master.maintain();
-        if master.sal.cv_lsn() == master.sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+/// The deadline of a quiesce that starts now, on the deployment's clock
+/// (a manual one moves only by retry backoffs: this bounds a drill).
+fn deadline(db: &TaurusDb) -> u64 {
+    db.fabric.clock.now_us() + 10_000_000
 }
 
 fn key(i: u32) -> Vec<u8> {
@@ -45,8 +37,8 @@ fn key(i: u32) -> Vec<u8> {
 }
 
 /// Every page id of the database, straight from the Page Stores' slice
-/// directories: the union over each slice's replicas, because `settle`
-/// waits for one ack per fragment and the first replica may still lag.
+/// directories: the union over each slice's replicas, so a replica that
+/// missed a write (down when it was sent) hides no page.
 fn all_page_ids(db: &TaurusDb) -> Vec<PageId> {
     let mut ids = BTreeSet::new();
     for key in db.pages.slices() {
@@ -136,7 +128,7 @@ proptest! {
         for op in &pre {
             apply(&master, &mut model, op);
         }
-        settle(&db);
+        db.quiesce(deadline(&db)).unwrap();
         let ids = all_page_ids(&db);
         prop_assert!(!ids.is_empty());
 
@@ -156,11 +148,11 @@ proptest! {
         for op in &post {
             apply(&master, &mut model, op);
         }
-        settle(&db);
+        db.quiesce(deadline(&db)).unwrap();
         check_batched_matches_sequential(&db, &ids, Some(pin));
 
         // The engine pool's batched miss path returns the same bytes the
-        // SAL serves at the live head (the pool is clean after settle).
+        // SAL serves at the live head (the pool is clean after the quiesce).
         let pooled = master.get_pages(&ids).unwrap();
         for (page, buf) in &pooled {
             let single = master.sal.read_page(*page, None).unwrap();
@@ -186,7 +178,7 @@ fn batched_reads_survive_concurrent_writes_and_replica_loss() {
         t.put(&key(i), format!("v{}", i % 7).as_bytes()).unwrap();
         t.commit().unwrap();
     }
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     let ids = all_page_ids(&db);
     let pin = master.create_snapshot("pin");
 
@@ -223,7 +215,7 @@ fn batched_reads_survive_concurrent_writes_and_replica_loss() {
 
     // Snapshot scans (which prefetch through the batched path but must not
     // warm the shared pool) still agree with a plain filtered read.
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     let scanned = master.snapshot_scan("pin", b"k", usize::MAX).unwrap();
     let live: Vec<(Vec<u8>, Vec<u8>)> = master
         .scan(b"k", usize::MAX)

@@ -16,16 +16,10 @@ fn launch(clock: Arc<ManualClock>) -> Arc<TaurusDb> {
     TaurusDb::launch_with_clock(cfg, 6, 8, clock, 99).unwrap()
 }
 
-fn settle(db: &TaurusDb) {
-    let master = db.master();
-    master.sal.flush_all_slices();
-    for _ in 0..300 {
-        master.maintain();
-        if master.sal.cv_lsn() == master.sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+/// The deadline of a quiesce that starts now, on the deployment's clock
+/// (a manual one moves only by retry backoffs: this bounds a drill).
+fn deadline(db: &TaurusDb) -> u64 {
+    db.fabric.clock.now_us() + 10_000_000
 }
 
 fn put(db: &TaurusDb, k: &str, v: &str) {
@@ -40,7 +34,7 @@ fn fig4a_short_term_failure_repaired_by_gossip_through_recovery_service() {
     let clock = ManualClock::shared();
     let db = launch(clock);
     put(&db, "r1", "v");
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     let master = db.master();
     let slice = master.sal.slice_keys()[0];
     let replica3 = db.pages.replicas_of(slice)[2];
@@ -49,7 +43,7 @@ fn fig4a_short_term_failure_repaired_by_gossip_through_recovery_service() {
     let down_report = db.run_recovery_round(); // detector registers the outage
     assert_eq!(down_report.short_term_failures, 1, "{down_report:?}");
     put(&db, "r2", "v");
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     db.fabric.set_up(replica3);
     // The recovery service notices the node returned and triggers gossip.
     let report = db.run_recovery_round();
@@ -68,7 +62,7 @@ fn fig4b_rebuild_from_lagging_donor_heals_via_logstore_resend() {
     let clock = ManualClock::shared();
     let db = launch(Arc::clone(&clock));
     put(&db, "r1", "v");
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     let master = db.master();
     let slice = master.sal.slice_keys()[0];
     let replicas = db.pages.replicas_of(slice);
@@ -76,7 +70,7 @@ fn fig4b_rebuild_from_lagging_donor_heals_via_logstore_resend() {
     db.fabric.set_down(replicas[1]);
     db.fabric.set_down(replicas[2]);
     put(&db, "r2", "v");
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     db.fabric.set_up(replicas[1]);
     db.fabric.set_up(replicas[2]);
     let _ = db.run_recovery_round();
@@ -108,7 +102,7 @@ fn fig4c_hole_on_all_replicas_healed_by_recovery_rounds() {
     let clock = ManualClock::shared();
     let db = launch(Arc::clone(&clock));
     put(&db, "r1", "v");
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     let master = db.master();
     let slice = master.sal.slice_keys()[0];
     let replicas = db.pages.replicas_of(slice);
@@ -117,14 +111,20 @@ fn fig4c_hole_on_all_replicas_healed_by_recovery_rounds() {
         db.fabric.set_down(r);
     }
     put(&db, "r2", "v");
-    master.sal.flush_all_slices();
-    std::thread::sleep(std::time::Duration::from_millis(5));
+    // No replica is live: the quiesce waits out the pipes' retries only.
+    db.quiesce(deadline(&db)).unwrap();
     for &r in &replicas {
         db.fabric.set_up(r);
     }
-    // Record 3 reaches everyone, chained past the hole.
+    // Record 3 reaches everyone, chained past the hole: once the pipes are
+    // idle the SAL names the hole (the deployment's quiesce would repair
+    // it, as the beat does; here the recovery rounds must).
     put(&db, "r3", "v");
-    settle(&db);
+    let rest = master.sal.quiesce(deadline(&db));
+    assert!(
+        matches!(rest, Err(TaurusError::ReplicaBehind { slice: s, .. }) if s == slice),
+        "{rest:?}"
+    );
     // The recovery service detects the stall, gossip can't help, the Log
     // Store resend fills the hole.
     clock.advance(db.cfg.lag_repair_timeout_us + 1);
@@ -183,7 +183,7 @@ fn committed_data_survives_arbitrary_failure_storm() {
     for n in db.fabric.all_nodes(NodeKind::PageStore) {
         db.fabric.set_up(n);
     }
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     let _ = db.run_recovery_round();
     // Crash the master for good measure.
     db.crash_and_recover_master().unwrap();
@@ -209,7 +209,7 @@ fn truncated_log_never_strands_data() {
     for i in 0..120u32 {
         put(&db, &format!("k{i:04}"), "v");
     }
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     let report = db.run_recovery_round();
     assert!(
         report.plogs_truncated > 0,
@@ -238,7 +238,7 @@ fn write_availability_through_mass_log_store_failure() {
     for i in 0..20u32 {
         put(&db, &format!("during{i}"), "v");
     }
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     let master = db.master();
     assert!(master.get(b"during0").unwrap().is_some());
     assert!(master.get(b"during19").unwrap().is_some());

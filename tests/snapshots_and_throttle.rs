@@ -16,33 +16,10 @@ fn launch() -> Arc<TaurusDb> {
     TaurusDb::launch_with_clock(cfg, 5, 6, ManualClock::shared(), 11).unwrap()
 }
 
-fn settle(db: &TaurusDb) {
-    let master = db.master();
-    master.sal.flush_all_slices();
-    for _ in 0..300 {
-        master.maintain();
-        if master.sal.cv_lsn() == master.sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
-}
-
-/// `settle`, then wait until all three replicas of every slice hold every
-/// durable record: `settle` waits for one ack a fragment, and a replica
-/// still taking a late delivery writes to its device.
-fn settle_every_replica(db: &TaurusDb) {
-    settle(db);
-    let master = db.master();
-    for _ in 0..2_000 {
-        let _ = master.sal.poll_persistent_lsns();
-        if master.sal.database_persistent_lsn() == master.sal.durable_lsn() {
-            return;
-        }
-        master.maintain();
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
-    panic!("replicas never caught up with the durable LSN");
+/// The deadline of a quiesce that starts now, on the deployment's clock
+/// (a manual one moves only by retry backoffs: this bounds a drill).
+fn deadline(db: &TaurusDb) -> u64 {
+    db.fabric.clock.now_us() + 10_000_000
 }
 
 #[test]
@@ -53,7 +30,7 @@ fn snapshot_reads_are_frozen_in_time() {
     t.put(b"account", b"100").unwrap();
     t.put(b"name", b"ada").unwrap();
     t.commit().unwrap();
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
 
     let lsn = master.create_snapshot("before-raise");
     assert!(lsn.is_valid());
@@ -63,7 +40,7 @@ fn snapshot_reads_are_frozen_in_time() {
     t.put(b"account", b"900").unwrap();
     t.delete(b"name").unwrap();
     t.commit().unwrap();
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
 
     // Live reads see the new state; the snapshot sees the old.
     assert_eq!(master.get(b"account").unwrap(), Some(b"900".to_vec()));
@@ -90,7 +67,7 @@ fn snapshots_pin_versions_against_recycling() {
     let mut t = master.begin();
     t.put(b"k", b"v1").unwrap();
     t.commit().unwrap();
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     let snap_lsn = master.create_snapshot("pin");
 
     // Many subsequent versions + aggressive recycle requests.
@@ -99,7 +76,7 @@ fn snapshots_pin_versions_against_recycling() {
         t.put(b"k", format!("v{i}").as_bytes()).unwrap();
         t.commit().unwrap();
     }
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     // Even asking to recycle everything must not purge the pinned version.
     master.sal.set_recycle_lsn(master.sal.durable_lsn());
     assert_eq!(
@@ -126,7 +103,9 @@ fn snapshot_creation_is_constant_time() {
             .unwrap();
         t.commit().unwrap();
     }
-    settle_every_replica(&db);
+    // Every replica holds every record: none is still taking a late
+    // delivery that writes to its device.
+    db.quiesce(deadline(&db)).unwrap();
     let before: Vec<_> = db
         .pages
         .server_nodes()
@@ -162,7 +141,7 @@ fn write_throttle_engages_when_consolidation_falls_behind() {
         t.put(format!("k{i}").as_bytes(), &[b'v'; 200]).unwrap();
         t.commit().unwrap();
     }
-    settle(&db); // maintain() already recomputes the throttle via tick()
+    db.quiesce(deadline(&db)).unwrap();
     master.sal.update_throttle();
     assert!(
         master.sal.current_throttle_us() > 0,
@@ -235,7 +214,7 @@ fn concurrent_writers_produce_a_serializable_history() {
         .unwrap();
     assert_eq!(final_count, threads * per_thread);
     // And the whole history survives a crash.
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     db.crash_and_recover_master().unwrap();
     let master = db.master();
     let recovered: u64 = String::from_utf8(master.get(b"counter").unwrap().unwrap())

@@ -4,21 +4,13 @@
 //! wait-for-one), no fragment is lost, and after the node returns the
 //! recovery machinery catches it back up and clears its *suspect* mark.
 
-use std::sync::Arc;
-
 use taurus::common::clock::ManualClock;
 use taurus::prelude::*;
 
-fn settle(db: &TaurusDb) {
-    let master = db.master();
-    master.sal.flush_all_slices();
-    for _ in 0..1500 {
-        master.maintain();
-        if master.sal.cv_lsn() == master.sal.durable_lsn() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+/// The deadline of a quiesce that starts now, on the deployment's clock
+/// (a manual one moves only by retry backoffs: this bounds a drill).
+fn deadline(db: &TaurusDb) -> u64 {
+    db.fabric.clock.now_us() + 10_000_000
 }
 
 fn put(db: &TaurusDb, k: &str, v: &str) {
@@ -30,19 +22,16 @@ fn put(db: &TaurusDb, k: &str, v: &str) {
 
 #[test]
 fn replica_death_mid_workload_parks_suspects_and_heals() {
-    let clock = ManualClock::shared();
     let cfg = TaurusConfig {
         log_buffer_bytes: 1, // flush on every commit: maximal pipeline traffic
         slice_buffer_bytes: 1,
         ..TaurusConfig::test()
     };
-    let manual = Arc::clone(&clock);
-    let db = TaurusDb::launch_with_clock(cfg, 6, 8, clock, 99).unwrap();
-    let clock = manual;
+    let db = TaurusDb::launch_with_clock(cfg, 6, 8, ManualClock::shared(), 99).unwrap();
     for i in 0..30u32 {
         put(&db, &format!("pre-{i:02}"), "v");
     }
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
 
     let master = db.master();
     let slice = master.sal.slice_keys()[0];
@@ -55,7 +44,7 @@ fn replica_death_mid_workload_parks_suspects_and_heals() {
     for i in 0..30u32 {
         put(&db, &format!("post-{i:02}"), "v");
     }
-    settle(&db);
+    db.quiesce(deadline(&db)).unwrap();
     assert_eq!(master.sal.cv_lsn(), master.sal.durable_lsn());
 
     // Every committed key reads back while the replica is still down.
@@ -70,16 +59,9 @@ fn replica_death_mid_workload_parks_suspects_and_heals() {
             .is_some());
     }
 
-    // The victim's sender worker exhausts its retry budget in the
-    // background: fragments for it are parked and the node is demoted. (A
-    // shed fragment demotes it too, possibly before its sender has run at
-    // all — wait for the sender's retries as well.)
-    for _ in 0..2500 {
-        if master.sal.is_suspect(victim) && master.sal.stats.write_retries.get() >= 1 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+    // The quiesce waited out the victim's sender worker, which exhausted
+    // its retry budget: fragments for it are parked (or were shed) and the
+    // node is demoted.
     let mid = master.sal.stats.snapshot();
     assert!(
         master.sal.is_suspect(victim),
@@ -92,37 +74,30 @@ fn replica_death_mid_workload_parks_suspects_and_heals() {
     );
     assert!(mid.suspect_demotions >= 1, "{mid}");
 
-    // The node returns. Recovery rounds (which drain the parked set) plus
-    // routine maintenance catch it up and resurrect it.
+    // The node returns. A maintenance beat (which repairs the parked set)
+    // and a recovery round catch it up and resurrect it; the SAL's barrier
+    // repairs nothing, so it only waits for what they sent.
     db.fabric.set_up(victim);
+    master.maintain();
+    let _ = db.run_recovery_round();
+    master.sal.quiesce(deadline(&db)).unwrap();
     let compute = master.sal.me;
-    let mut healed = false;
-    for _ in 0..300 {
-        master.maintain();
-        let _ = db.run_recovery_round();
-        let caught_up = master.sal.slice_keys().iter().all(|&key| {
-            let replicas = db.pages.replicas_of(key);
-            if !replicas.contains(&victim) {
-                return true;
-            }
-            let target = replicas
-                .iter()
-                .filter_map(|&n| db.pages.persistent_lsn_of(n, compute, key).ok())
-                .max()
-                .unwrap();
-            db.pages
-                .persistent_lsn_of(victim, compute, key)
-                .is_ok_and(|l| l >= target)
-        });
-        if caught_up && !master.sal.is_suspect(victim) {
-            healed = true;
-            break;
+    let caught_up = master.sal.slice_keys().iter().all(|&key| {
+        let replicas = db.pages.replicas_of(key);
+        if !replicas.contains(&victim) {
+            return true;
         }
-        clock.advance(db.cfg.lag_repair_timeout_us + 1);
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
+        let target = replicas
+            .iter()
+            .filter_map(|&n| db.pages.persistent_lsn_of(n, compute, key).ok())
+            .max()
+            .unwrap();
+        db.pages
+            .persistent_lsn_of(victim, compute, key)
+            .is_ok_and(|l| l >= target)
+    });
     assert!(
-        healed,
+        caught_up && !master.sal.is_suspect(victim),
         "victim never caught up: {}",
         master.sal.stats.snapshot()
     );
