@@ -135,12 +135,6 @@ pub struct TaurusConfig {
     /// is full the fragment is shed for that replica (durability already
     /// comes from the Log Stores) and the replica is scheduled for repair.
     pub sal_send_queue_depth: usize,
-    /// How many times a SAL sender worker re-attempts a failed `WriteLogs`
-    /// before parking the fragment and marking the replica suspect.
-    pub sal_write_retry_limit: u32,
-    /// Base backoff between `WriteLogs` retries, microseconds; doubles per
-    /// attempt, plus seeded jitter in `0..=backoff/2`.
-    pub sal_write_backoff_us: u64,
     /// Per-`ScanSlice`-call row budget for near-data scan pushdown. A Page
     /// Store stops after the page that crosses the budget and returns a
     /// continuation, so one scan RPC cannot starve `WriteLogs`.
@@ -195,8 +189,6 @@ impl Default for TaurusConfig {
             consolidation_backlog_limit: 64 << 20,
             engine_buffer_pool_pages: 16384,
             sal_send_queue_depth: 256,
-            sal_write_retry_limit: 4,
-            sal_write_backoff_us: 500,
             ndp_scan_max_rows: 4096,
             read_batch_max_pages: 256,
             btree_readahead_window: 16,
@@ -227,10 +219,6 @@ impl TaurusConfig {
             network: NetworkProfile::instant(),
             engine_buffer_pool_pages: 1024,
             sal_send_queue_depth: 16,
-            // Small backoffs: retry sleeps advance ManualClock virtual time,
-            // and large burns would distort failure-classification windows.
-            sal_write_retry_limit: 3,
-            sal_write_backoff_us: 50,
             // Tiny budgets so tests exercise the continuation path.
             ndp_scan_max_rows: 64,
             read_batch_max_pages: 4,

@@ -31,7 +31,7 @@
 //!   at all times.
 //! * **Slice writer** ([`slice_writer`]): the one way durable log records
 //!   reach a slice replica — `ship` (a run of fragments to one node: one
-//!   grouped envelope, retry budget, park, suspect) and `redo` (one log
+//!   grouped envelope, sent once; a failed slot parks) and `redo` (one log
 //!   read, each record homed to its slice by page arithmetic, one fragment
 //!   per lagging replica) — behind the steady-state pipes, repair and
 //!   restart redo alike; repair of the parked set is one pass on the thread

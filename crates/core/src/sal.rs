@@ -233,12 +233,12 @@ taurus_common::counters! {
         /// the answer is older than what the SAL already knows.
         pub probe_replies_overtaken: Counter,
         pub gossip_triggers: Counter,
-        /// `WriteLogs` re-attempts after a failed attempt (per envelope
-        /// attempt, not per fragment).
-        pub write_retries: Counter,
-        /// Fragments shed, abandoned after the retry budget, or refused by
-        /// a node a rebuild replaced — their slice is parked for repair from
+        /// `WriteLogs` envelopes with a failed slot (per envelope, not per
+        /// fragment): the next repair pass re-sends those fragments from
         /// the Log Stores.
+        pub write_retries: Counter,
+        /// Fragments shed, failed, or refused by a node a rebuild replaced —
+        /// their slice is parked for repair from the Log Stores.
         pub fragments_parked: Counter,
         /// Fragments shed because a replica's send queue was full.
         pub queue_full_drops: Counter,
@@ -266,9 +266,8 @@ taurus_common::counters! {
         /// Per-slice requests that rode a grouped envelope instead of paying
         /// their own fabric round trip.
         pub grouped_slice_batches: Counter,
-        /// Slices their first grouped envelope did not finish: reads that
-        /// needed another round (a refusal or a budget continuation), and
-        /// fragments whose slot failed and went out again in a retry run.
+        /// Slices their first grouped read envelope did not finish: reads
+        /// that needed another round (a refusal or a budget continuation).
         pub grouped_fallback_slices: Counter,
         /// Coalescing histogram: per-slice requests per grouped envelope,
         /// buckets 1, 2, 3–4, 5–8, 9+.

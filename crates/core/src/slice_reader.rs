@@ -95,8 +95,8 @@ pub struct TableScan {
 struct Routing {
     /// EWMA read latency (µs) per slice replica.
     latency_us: HashMap<(SliceKey, NodeId), f64>,
-    /// Replica nodes the write pipeline demoted (retry budget exhausted) and
-    /// that have not proven themselves alive since. Read last.
+    /// Replica nodes the write pipeline demoted (a send to them shed or
+    /// failed) and that have not proven themselves alive since. Read last.
     suspects: HashSet<NodeId>,
 }
 

@@ -8,12 +8,12 @@
 //! SAL restart redo (§5.3). This module is that primitive, written once as
 //! two functions on [`Sal`]:
 //!
-//! * [`Sal::ship`] delivers a run of fragments to one replica node: one
-//!   grouped envelope per attempt, failed slots re-sent as a shrinking run
-//!   under a single backoff budget; a refusal from a node a rebuild
-//!   replaced refreshes and parks, an exhausted budget parks and demotes
-//!   the replica to *suspect* (deprioritized for reads until it proves
-//!   itself alive).
+//! * [`Sal::ship`] delivers a run of fragments to one replica node in one
+//!   grouped envelope, sent once. A failed slot is not retried in place:
+//!   its slice is parked for `redo`, and the replica is demoted to
+//!   *suspect* (deprioritized for reads until it proves itself alive) —
+//!   unless the refusal came from a node a rebuild replaced, which
+//!   refreshes placement instead.
 //! * [`Sal::redo`] brings the lagging replicas of a set of slices up to
 //!   their flush LSN: one merged log read, each record homed to its slice
 //!   by page arithmetic, one fragment per lagging replica chained at that
@@ -22,7 +22,7 @@
 //! Steady state feeds `ship` from one bounded queue **per Page Store replica
 //! node**, drained by at most one detached job on the fabric's bounded
 //! dispatcher (DESIGN.md §15). Repair and restart recovery call `redo`.
-//! Slices owed a repair sit in the *parked* set. A shed, an abandoned send
+//! Slices owed a repair sit in the *parked* set. A shed, a failed send
 //! or a refusal from a rebuilt-away node only marks a slice there; the set
 //! is emptied by [`Sal::repair`], one synchronous pass on the thread of
 //! whoever calls it — `Sal::tick` and the recovery round, on the beat.
@@ -42,8 +42,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use taurus_common::metrics::Gauge;
 use taurus_common::{LogRecord, LogRecordGroup, Lsn, NodeId, Result, SliceKey, TaurusError};
@@ -200,7 +198,6 @@ impl Sal {
     /// submits a fresh job). One drainer per node keeps shipment per-node
     /// FIFO; a queued run rides one grouped envelope.
     fn drain_pipe(&self, node: NodeId) {
-        let mut rng = self.jitter_rng(node);
         loop {
             let run: Vec<PipeJob> = {
                 let mut guard = self.writer.pipes.lock();
@@ -218,7 +215,7 @@ impl Sal {
                 pipe.queue.drain(..take).collect()
             };
             let n = run.len() as u64;
-            self.ship(node, run, &mut rng);
+            self.ship(node, run);
             let pipes = self.writer.pipes.lock();
             if let Some(pipe) = pipes.by_node.get(&node) {
                 pipe.in_flight.sub(n);
@@ -227,64 +224,43 @@ impl Sal {
         }
     }
 
-    /// Retry jitter for sends to `node`, derived from the fabric seed and
-    /// the node id: draws never touch the shared placement stream, so retry
-    /// storms do not perturb placement determinism.
-    fn jitter_rng(&self, node: NodeId) -> StdRng {
-        self.pages.fabric.derive_rng(0x5A4C_0000 ^ node.0)
-    }
-
-    /// Delivers `run` to `node`: one grouped envelope per attempt, the
-    /// slots that failed re-sent as a shrinking run with
-    /// exponential backoff + seeded jitter up to the configured budget.
-    /// Safe to re-send: Page Stores disregard duplicate log records.
-    /// Returns how many fragments the node acknowledged.
-    fn ship(&self, node: NodeId, mut run: Vec<PipeJob>, rng: &mut StdRng) -> usize {
-        let (mut delivered, mut raced, mut attempt) = (0usize, false, 0u32);
-        loop {
-            let frags = run.iter().map(|j| Arc::clone(&j.frag)).collect();
-            self.stats.note_coalesced(run.len());
-            let groups = [(node, frags)];
-            let mut slots = self.pages.write_logs_grouped(self.me, &groups).remove(0);
-            // Demux in order; a short (impossible) response fails the tail.
-            slots.resize_with(run.len(), || Err(TaurusError::NodeUnavailable(node)));
-            let mut failed = Vec::new();
-            for (job, slot) in run.into_iter().zip(slots) {
-                match slot {
-                    Ok(persistent) => {
-                        self.on_write_ack(job.key, node, job.frag.last_lsn(), persistent);
-                        delivered += 1;
-                    }
-                    // A rebuild replaced this replica under the send — a
-                    // placement change, not a replica-health problem: no
-                    // suspect demotion, no backoff. The next repair
-                    // re-ships the records through the current replicas.
-                    Err(TaurusError::NotAReplica { .. }) => {
-                        self.stats.fragments_parked.inc();
-                        self.writer.parked.lock().insert(job.key);
-                        raced = true;
-                    }
-                    Err(_) => failed.push(job),
+    /// Delivers `run` to `node` in one grouped envelope, sent once. A slot
+    /// that fails parks its slice: the next repair pass re-sends the records
+    /// from the Log Stores (safe: Page Stores disregard duplicate log
+    /// records). Returns how many fragments the node acknowledged.
+    fn ship(&self, node: NodeId, run: Vec<PipeJob>) -> usize {
+        let frags = run.iter().map(|j| Arc::clone(&j.frag)).collect();
+        self.stats.note_coalesced(run.len());
+        let groups = [(node, frags)];
+        let mut slots = self.pages.write_logs_grouped(self.me, &groups).remove(0);
+        // Demux in order; a short (impossible) response fails the tail.
+        slots.resize_with(run.len(), || Err(TaurusError::NodeUnavailable(node)));
+        let (mut delivered, mut raced, mut failed) = (0usize, false, false);
+        for (job, slot) in run.into_iter().zip(slots) {
+            match slot {
+                Ok(persistent) => {
+                    self.on_write_ack(job.key, node, job.frag.last_lsn(), persistent);
+                    delivered += 1;
+                }
+                // A rebuild replaced this replica under the send — a
+                // placement change, not a replica-health problem: no
+                // suspect demotion. The next repair re-ships the records
+                // through the current replicas.
+                Err(TaurusError::NotAReplica { .. }) => {
+                    self.stats.fragments_parked.inc();
+                    self.writer.parked.lock().insert(job.key);
+                    raced = true;
+                }
+                // Durability is already guaranteed by the Log Stores: the
+                // slice is parked for repair-from-log.
+                Err(_) => {
+                    self.abandon(node, job.key);
+                    failed = true;
                 }
             }
-            run = failed;
-            if run.is_empty() {
-                break;
-            }
-            if attempt >= self.cfg.sal_write_retry_limit {
-                // Budget spent. Durability is already guaranteed by the Log
-                // Stores; the slices are parked for repair-from-log instead
-                // of waiting for the stall detector to notice the gap.
-                run.iter().for_each(|job| self.abandon(node, job.key));
-                break;
-            }
-            attempt += 1;
+        }
+        if failed {
             self.stats.write_retries.inc();
-            self.stats.grouped_fallback_slices.add(run.len() as u64);
-            let base = self.cfg.sal_write_backoff_us.max(1);
-            let backoff = base.saturating_mul(1u64 << (attempt - 1).min(16));
-            let jitter = rng.random_range(0..=(base / 2).max(1));
-            self.clock.sleep_us(backoff.saturating_add(jitter));
         }
         if raced {
             self.refresh_placement();
@@ -390,10 +366,9 @@ impl Sal {
         }
         let mut resent = 0usize;
         for (node, mut jobs) in runs {
-            let mut rng = self.jitter_rng(node);
             while !jobs.is_empty() {
                 let rest = jobs.split_off(jobs.len().min(GROUPED_SHIP_MAX));
-                resent += self.ship(node, jobs, &mut rng);
+                resent += self.ship(node, jobs);
                 jobs = rest;
             }
         }

@@ -101,7 +101,7 @@ impl Harness {
     }
 
     /// The deadline of a quiesce that starts now: on a manual clock only
-    /// retry backoffs move it, so this bounds a drill that keeps retrying.
+    /// modelled call costs move it, so this bounds a drill that charges them.
     fn deadline(&self) -> u64 {
         self.fabric.clock.now_us() + 10_000_000
     }

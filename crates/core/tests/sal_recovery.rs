@@ -17,7 +17,7 @@ use taurus_pagestore::cluster::PageStoreOptions;
 use taurus_pagestore::PageStoreCluster;
 
 /// How long a quiesce may take, on the harness clock. The clock is manual:
-/// only retry backoffs move it, so this bounds a drill that keeps retrying.
+/// only modelled call costs move it, so this bounds a drill that charges them.
 const QUIESCE_US: u64 = 10_000_000;
 
 struct Harness {
@@ -222,7 +222,7 @@ fn all_replicas_missing_data_triggers_logstore_repair_on_read() {
         h.fabric.set_down(r);
     }
     let end = h.write_kv(&sal, 1, "b", "2", false);
-    // No replica is live: the quiesce waits out the pipes' retries only.
+    // No replica is live: the quiesce waits out the pipes' failed sends only.
     sal.quiesce(h.deadline()).unwrap();
     for &r in &replicas {
         h.fabric.set_up(r);
@@ -266,7 +266,7 @@ fn truncation_waits_for_all_replicas_then_deletes_plogs() {
     let deleted = sal.truncate_log().unwrap();
     assert_eq!(deleted, 0, "lagging replica pins the log");
     // The replica recovers and catches up via gossip; truncation proceeds.
-    // (The quiesce above waited out the pipe's retries to it: none delivers
+    // (The quiesce above waited out the pipe's failed send to it: none delivers
     // behind gossip's back once it is up.)
     h.fabric.set_up(lagging);
     sal.trigger_gossip(key);
@@ -287,7 +287,7 @@ fn fig4a_gossip_recovers_short_term_failure() {
     h.fabric.set_down(replica3);
     h.write_kv(&sal, 1, "r2", "v", false);
     sal.quiesce(h.deadline()).unwrap();
-    // The quiesce waited out the pipe's retries to replica 3: none delivers
+    // The quiesce waited out the pipe's failed send to replica 3: none delivers
     // record 2 after `set_up`, so only gossip can.
     h.fabric.set_up(replica3);
     let behind = h.pages.persistent_lsn_of(replica3, h.me, key).unwrap();
@@ -352,7 +352,7 @@ fn fig4c_hole_on_every_replica_is_parked_and_resent() {
     let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
     let replicas = h.pages.replicas_of(key);
     // Record 2 is lost by everyone: all replicas down during the send. Each
-    // sender worker burns its retry budget, then parks the slice and
+    // sender worker's envelope fails once, which parks the slice and
     // demotes its replica to suspect.
     for &r in &replicas {
         h.fabric.set_down(r);
@@ -361,11 +361,11 @@ fn fig4c_hole_on_every_replica_is_parked_and_resent() {
     sal.quiesce(h.deadline()).unwrap();
     assert!(
         sal.parked_slices().contains(&key),
-        "slice must be parked after the retry budget"
+        "slice must be parked after the failed send"
     );
     assert!(
         sal.stats.write_retries.get() >= 1,
-        "retries must be counted"
+        "failed envelopes must be counted"
     );
     assert!(sal.stats.fragments_parked.get() >= 1);
     // Every replica missed the fragment, so every replica is suspect and

@@ -108,7 +108,7 @@ impl Harness {
     }
 
     /// The deadline of a quiesce that starts now: on a manual clock only
-    /// retry backoffs move it, so this bounds a drill that keeps retrying.
+    /// modelled call costs move it, so this bounds a drill that charges them.
     fn deadline(&self) -> u64 {
         self.fabric.clock.now_us() + 10_000_000
     }
@@ -631,6 +631,47 @@ fn repair_with_a_stale_view_of_a_rebuild_never_writes_to_the_rebuilt_away_node()
     );
     assert_eq!(persistent(departing), end1);
     assert_eq!(sal.read_page(PageId(1), Some(end3)).unwrap().nslots(), 3);
+}
+
+/// A failed slice write is repaired from the log, not retried in place:
+/// with every replica of a slice down, a write's fragments fail once and
+/// park the slice, and nothing waits on the clock — the quiesce returns
+/// with the manual clock where it stood before the write. The replicas
+/// come back, and one `tick` re-sends the row from the Log Stores to each.
+#[test]
+fn a_failed_slice_write_parks_without_moving_the_clock_and_one_tick_repairs_it() {
+    let h = Harness::new(3, 3);
+    let sal = h.sal();
+    let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
+    h.write_kv(&sal, 1, "k1", true);
+    sal.quiesce(h.deadline()).unwrap();
+    let replicas = h.pages.replicas_of(key);
+    for &r in &replicas {
+        h.fabric.set_down(r);
+    }
+
+    let before = h.fabric.clock.now_us();
+    let end = h.write_kv(&sal, 1, "k2", false);
+    sal.quiesce(h.deadline()).unwrap();
+    assert_eq!(
+        h.fabric.clock.now_us(),
+        before,
+        "a failed send must not wait"
+    );
+    assert_eq!(sal.parked_slices(), vec![key]);
+    for &r in &replicas {
+        assert!(sal.is_suspect(r), "{r} must be suspect");
+    }
+
+    for &r in &replicas {
+        h.fabric.set_up(r);
+    }
+    sal.tick();
+    for &r in &replicas {
+        assert_eq!(h.pages.persistent_lsn_of(r, h.me, key).unwrap(), end);
+    }
+    assert!(sal.parked_slices().is_empty());
+    assert_eq!(sal.read_page(PageId(1), Some(end)).unwrap().nslots(), 2);
 }
 
 /// A quiesce fails at its deadline, on the SAL's clock, while a pipe is

@@ -59,7 +59,6 @@ struct Inner {
     nodes: RwLock<HashMap<NodeId, NodeState>>,
     rng: Mutex<StdRng>,
     next_node: Mutex<u64>,
-    seed: u64,
     dispatch: Dispatch,
 }
 
@@ -81,7 +80,6 @@ impl Fabric {
                 nodes: RwLock::new(HashMap::new()),
                 rng: Mutex::new(StdRng::seed_from_u64(seed)),
                 next_node: Mutex::new(1),
-                seed,
                 dispatch: Dispatch::new(clock.clone()),
             }),
             clock,
@@ -174,14 +172,6 @@ impl Fabric {
         if let Some(n) = self.inner.nodes.write().get_mut(&id) {
             n.extra_call_delay_us = us;
         }
-    }
-
-    /// A deterministic RNG derived from the fabric seed and a caller salt.
-    /// Use this for randomness owned by one component (e.g. per-replica
-    /// retry jitter) so its draws do not perturb the shared placement
-    /// stream's sequence.
-    pub fn derive_rng(&self, salt: u64) -> StdRng {
-        StdRng::seed_from_u64(self.inner.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
     /// Current status of a node (`None` if never registered).
@@ -693,28 +683,6 @@ mod tests {
         let before = clock.now_us();
         f.call(a, b, || ()).unwrap();
         assert_eq!(clock.now_us() - before, 200);
-    }
-
-    #[test]
-    fn derived_rngs_are_seed_stable_and_salt_distinct() {
-        let (f, _) = test_fabric();
-        let mut a1 = f.derive_rng(7);
-        let mut a2 = f.derive_rng(7);
-        let mut b = f.derive_rng(8);
-        let s1: Vec<u32> = (0..8).map(|_| a1.random_range(0..1000u32)).collect();
-        let s2: Vec<u32> = (0..8).map(|_| a2.random_range(0..1000u32)).collect();
-        let s3: Vec<u32> = (0..8).map(|_| b.random_range(0..1000u32)).collect();
-        assert_eq!(s1, s2);
-        assert_ne!(s1, s3);
-        // Deriving does not consume from the shared placement stream.
-        f.add_nodes(NodeKind::LogStore, 5);
-        let picked_before = f.pick_nodes(NodeKind::LogStore, 3, &[]).unwrap();
-        let (f2, _) = test_fabric();
-        f2.add_nodes(NodeKind::LogStore, 5); // mirror node registration order
-        assert_eq!(
-            picked_before,
-            f2.pick_nodes(NodeKind::LogStore, 3, &[]).unwrap()
-        );
     }
 
     #[test]

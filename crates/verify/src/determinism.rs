@@ -241,16 +241,11 @@ pub fn fingerprint_run(seed: u64, ops: usize, inject: Inject) -> Result<Fingerpr
         }
     }
 
-    // Quiesce: a replica tails the log to the durable horizon.
+    // Quiesce: every live Page Store replica holds every durable record
+    // (the batched read below takes its page ids from whichever replica
+    // answers first), and a replica tails the log to the read horizon.
     let replica = db.add_replica()?;
-    let target = db.master().sal.durable_lsn();
-    for _ in 0..2000 {
-        db.maintain();
-        if replica.visible_lsn() >= target {
-            break;
-        }
-        std::thread::yield_now();
-    }
+    db.quiesce(db.fabric.clock.now_us() + 10_000_000)?;
 
     // Fingerprint the end state.
     let master = db.master();

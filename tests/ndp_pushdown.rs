@@ -26,7 +26,7 @@ fn launch(seed: u64) -> Arc<TaurusDb> {
 }
 
 /// The deadline of a quiesce that starts now, on the deployment's clock
-/// (a manual one moves only by retry backoffs: this bounds a drill).
+/// (a manual one moves only by modelled call costs: this bounds a drill).
 fn deadline(db: &TaurusDb) -> u64 {
     db.fabric.clock.now_us() + 10_000_000
 }

@@ -17,7 +17,7 @@ fn launch(clock: Arc<ManualClock>) -> Arc<TaurusDb> {
 }
 
 /// The deadline of a quiesce that starts now, on the deployment's clock
-/// (a manual one moves only by retry backoffs: this bounds a drill).
+/// (a manual one moves only by modelled call costs: this bounds a drill).
 fn deadline(db: &TaurusDb) -> u64 {
     db.fabric.clock.now_us() + 10_000_000
 }
@@ -111,7 +111,7 @@ fn fig4c_hole_on_all_replicas_healed_by_recovery_rounds() {
         db.fabric.set_down(r);
     }
     put(&db, "r2", "v");
-    // No replica is live: the quiesce waits out the pipes' retries only.
+    // No replica is live: the quiesce waits out the pipes' failed sends only.
     db.quiesce(deadline(&db)).unwrap();
     for &r in &replicas {
         db.fabric.set_up(r);

@@ -8,7 +8,7 @@ use taurus::common::clock::ManualClock;
 use taurus::prelude::*;
 
 /// The deadline of a quiesce that starts now, on the deployment's clock
-/// (a manual one moves only by retry backoffs: this bounds a drill).
+/// (a manual one moves only by modelled call costs: this bounds a drill).
 fn deadline(db: &TaurusDb) -> u64 {
     db.fabric.clock.now_us() + 10_000_000
 }
@@ -59,15 +59,18 @@ fn replica_death_mid_workload_parks_suspects_and_heals() {
             .is_some());
     }
 
-    // The quiesce waited out the victim's sender worker, which exhausted
-    // its retry budget: fragments for it are parked (or were shed) and the
-    // node is demoted.
+    // The quiesce waited out the victim's sender worker: each envelope to
+    // it failed once, so its fragments are parked for repair from the log
+    // (or were shed) and the node is demoted.
     let mid = master.sal.stats.snapshot();
     assert!(
         master.sal.is_suspect(victim),
         "victim must be suspect: {mid}"
     );
-    assert!(mid.write_retries >= 1, "retries must be counted: {mid}");
+    assert!(
+        mid.write_retries >= 1,
+        "failed envelopes must be counted: {mid}"
+    );
     assert!(
         mid.fragments_parked + mid.queue_full_drops >= 1,
         "undelivered fragments must be parked or shed, not lost: {mid}"
