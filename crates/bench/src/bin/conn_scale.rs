@@ -3,9 +3,9 @@
 //! The 10k-connection claim behind PR 10: M logical connections are
 //! multiplexed onto `DriverOptions::workers` closed-loop worker threads, and
 //! every storage fan-out runs on the thread that submitted it instead of
-//! spawning per-call threads (the fabric's bounded pool only holds the write
-//! pipeline's drainers). The sweep holds the OS-thread budget constant
-//! (`workers + MAX_DISPATCH_WORKERS <= 64`) while connections grow
+//! spawning per-call threads (the only other storage threads are the SAL's
+//! senders, one per Page Store node). The sweep holds the OS-thread budget
+//! constant (`workers + Page Store nodes <= 64`) while connections grow
 //! 8 -> 1024+; a healthy result keeps per-op read p99 flat. Each connection
 //! is a think-time-paced closed loop, so the offered load is
 //! `conns / think` and completed txn/s follows the connection count by
@@ -30,7 +30,8 @@
 //!   * the offered load was sustained: completed txn/s at the top count
 //!     >= 8x the bottom count;
 //!   * the sweep shipped no fragment, so every envelope it counted is a read;
-//!   * the thread budget actually held (`driver + fabric cap <= 64`).
+//!   * the thread budget actually held (`driver + Page Store nodes <= 64`:
+//!     the SAL runs one sender per node).
 
 #![forbid(unsafe_code)]
 
@@ -39,7 +40,6 @@ use rand::Rng;
 use taurus_baselines::TaurusExecutor;
 use taurus_bench::{bench_config, launch_taurus_with, JsonReport, JsonValue};
 use taurus_common::config::TaurusConfig;
-use taurus_fabric::MAX_DISPATCH_WORKERS;
 use taurus_workload::{
     driver::load_initial, run_workload_opts, DriverOptions, DriverReport, Op, TxnSpec, Workload,
 };
@@ -120,7 +120,6 @@ struct SweepPoint {
     grouped_envelopes: u64,
     grouped_slice_batches: u64,
     grouped_fallback_slices: u64,
-    utilization: f64,
 }
 
 /// Runs one closed-loop point against `taurus`, returning the driver report
@@ -137,7 +136,6 @@ fn run_point(
     let clock = taurus_bench::bench_clock();
     let before_rpcs = sal.read_batch_stats.snapshot().batch_rpcs;
     let before = sal.stats.snapshot();
-    let (dispatch_before, started_us) = (sal.dispatch_stats(), clock.now_us());
     let report = run_workload_opts(
         taurus,
         workload,
@@ -153,20 +151,12 @@ fn run_point(
     );
     let after_rpcs = sal.read_batch_stats.snapshot().batch_rpcs;
     let after = sal.stats.snapshot();
-    // Time-integrated: worker-time spent running jobs over worker-time
-    // available during the point (a post-run sample of busy workers is
-    // always zero — the pool has drained by then).
-    let wall_us = clock.now_us().saturating_sub(started_us);
-    let utilization = sal
-        .dispatch_stats()
-        .utilization_since(&dispatch_before, wall_us);
     SweepPoint {
         report,
         batch_rpcs: after_rpcs - before_rpcs,
         grouped_envelopes: after.grouped_envelopes - before.grouped_envelopes,
         grouped_slice_batches: after.grouped_slice_batches - before.grouped_slice_batches,
         grouped_fallback_slices: after.grouped_fallback_slices - before.grouped_fallback_slices,
-        utilization,
     }
 }
 
@@ -182,7 +172,8 @@ fn main() {
     assert!(!conn_list.is_empty(), "TAURUS_CONNSCALE_CONNS parsed empty");
 
     let cfg = conn_scale_config();
-    // `DriverOptions`' default pool: 48 + the fabric pool's cap of 16 = 64.
+    // `DriverOptions`' default pool of 48, plus one sender per Page Store
+    // node.
     let workers = DriverOptions::default().workers;
     let workload = MultiSliceRead {
         rows,
@@ -191,11 +182,10 @@ fn main() {
 
     println!("conn_scale — connection scaling on a fixed OS-thread budget");
     println!(
-        "rows={rows} txns/conn={txns} think={}ms driver_workers={} fabric_pool_cap={} \
+        "rows={rows} txns/conn={txns} think={}ms driver_workers={} \
          pages_per_slice={} readahead={}\n",
         think_us / 1000,
         workers,
-        MAX_DISPATCH_WORKERS,
         cfg.pages_per_slice,
         cfg.btree_readahead_window
     );
@@ -215,8 +205,8 @@ fn main() {
     let _ = run_point(&taurus, &workload, 16, 4, 0, workers);
 
     println!(
-        "{:<8} {:>10} {:>10} {:>10} {:>10} {:>12} {:>10}",
-        "conns", "tps", "p50(us)", "p99(us)", "rpcs/txn", "coalesce", "util"
+        "{:<8} {:>10} {:>10} {:>10} {:>10} {:>12}",
+        "conns", "tps", "p50(us)", "p99(us)", "rpcs/txn", "coalesce"
     );
     let mut report = JsonReport::new();
     let mut points: Vec<(usize, SweepPoint)> = Vec::new();
@@ -230,14 +220,13 @@ fn main() {
             p.grouped_slice_batches as f64 / p.grouped_envelopes as f64
         };
         println!(
-            "{:<8} {:>10.1} {:>10} {:>10} {:>10.2} {:>11.2}x {:>8.2}%",
+            "{:<8} {:>10.1} {:>10} {:>10} {:>10.2} {:>11.2}x",
             conns,
             p.report.tps,
             p.report.p50_latency_us,
             p.report.p99_latency_us,
             per_txn,
-            coalesce,
-            p.utilization * 100.0
+            coalesce
         );
         report.row(vec![
             ("connections", JsonValue::U64(conns as u64)),
@@ -257,7 +246,6 @@ fn main() {
                 "grouped_fallback_slices",
                 JsonValue::U64(p.grouped_fallback_slices),
             ),
-            ("dispatcher_utilization", p.utilization.into()),
             ("slices_per_envelope", coalesce.into()),
         ]);
         points.push((conns, p));
@@ -269,9 +257,10 @@ fn main() {
         taurus.db.master().sal.read_batch_stats.snapshot()
     );
     println!(
-        "  final dispatcher: {}",
+        "  final dispatch: {}",
         taurus.db.master().sal.dispatch_stats()
     );
+    let page_stores = taurus.db.pages.server_nodes().len();
     drop(guard);
 
     // Miss-path RPC reduction over the whole sweep, from counters the run
@@ -288,11 +277,10 @@ fn main() {
     println!("wrote bench_results/conn_scale.json");
 
     if std::env::var("TAURUS_CONNSCALE_ASSERT").as_deref() == Ok("1") {
-        let budget = workers + MAX_DISPATCH_WORKERS;
+        let budget = workers + page_stores;
         assert!(
             budget <= 64,
-            "OS-thread budget exceeded: driver {workers} + fabric cap {MAX_DISPATCH_WORKERS} = \
-             {budget} > 64"
+            "OS-thread budget exceeded: driver {workers} + {page_stores} senders = {budget} > 64"
         );
         let (lo_conns, lo) = &points[0];
         let (hi_conns, hi) = points.last().expect("sweep nonempty");

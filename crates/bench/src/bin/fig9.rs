@@ -77,7 +77,7 @@ fn taurus_lag_at_rate(writes_per_sec: u64, duration: Duration) -> (f64, f64) {
                     break;
                 }
                 // The probe waits for background work — the slice flush,
-                // the drainers' acks — whose threads give their core away
+                // the senders' acks — whose threads give their core away
                 // while they wait: holding this one would starve them on a
                 // two-core host (samples then ran into the 500 ms cap).
                 std::thread::yield_now();
@@ -115,7 +115,7 @@ fn taurus_lag_at_rate(writes_per_sec: u64, duration: Duration) -> (f64, f64) {
         db.master().sal.log_stats().snapshot()
     );
     println!(
-        "  [{} w/s target] dispatcher: {}",
+        "  [{} w/s target] dispatch: {}",
         writes_per_sec,
         db.master().sal.dispatch_stats()
     );

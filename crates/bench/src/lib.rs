@@ -138,8 +138,8 @@ pub fn recovery_line(s: &taurus_core::SalStatsSnapshot) -> String {
 pub fn thread_role(name: &str) -> &'static str {
     if name.starts_with("taurus-consolidate") {
         "consolidation"
-    } else if name.starts_with("taurus-fabric") {
-        "dispatcher"
+    } else if name.starts_with("taurus-send") {
+        "senders"
     } else if name == "taurus-beat" {
         "beat"
     } else if name.starts_with("taurus-client") {
@@ -348,7 +348,7 @@ mod thread_time_tests {
     #[test]
     fn threads_are_grouped_by_the_role_their_name_gives() {
         assert_eq!(thread_role("taurus-consolidate-3"), "consolidation");
-        assert_eq!(thread_role("taurus-fabric-0"), "dispatcher");
+        assert_eq!(thread_role("taurus-send-4"), "senders");
         assert_eq!(thread_role("taurus-beat"), "beat");
         assert_eq!(thread_role("taurus-client-1"), "clients");
         assert_eq!(thread_role("fig7"), "other");

@@ -4,6 +4,9 @@
 //! timeouts) must be reproducible, so every component that consults time does
 //! so through a [`Clock`]. Production-style runs use [`SystemClock`]; tests
 //! use [`ManualClock`] and advance time explicitly.
+//!
+//! Every product thread starts through [`spawn_background`], which marks it
+//! as one no client waits on: its short waits yield their core.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,19 +18,19 @@ thread_local! {
     static BACKGROUND: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Marks the calling thread as one no client is ever blocked on: a
-/// dispatcher worker, a Page Store consolidation thread, the housekeeping
-/// beat. From then on a short [`SystemClock::sleep_us`] on it still spins,
-/// but yields its core to any runnable thread at every turn of the loop
-/// instead of holding it. Call it once, first thing on the new thread.
-pub fn mark_background_thread() {
+/// Marks the calling thread as one no client is ever blocked on. From
+/// then on a short [`SystemClock::sleep_us`] on it still spins, but yields
+/// its core to any runnable thread at every turn of the loop instead of
+/// holding it.
+fn mark_background_thread() {
     BACKGROUND.with(|b| b.set(true));
 }
 
 /// Spawns a background thread named `name` (so a profile or a schedstat
-/// dump can tell its role) and marks it with [`mark_background_thread`]
-/// before `body` runs. Panics if the OS cannot spawn it, as
-/// `std::thread::spawn` does.
+/// dump can tell its role) and marks it as one no client is blocked on
+/// before `body` runs. Every product thread starts here: a SAL's per-node
+/// senders, the Page Store consolidation threads, the housekeeping beat.
+/// Panics if the OS cannot spawn it, as `std::thread::spawn` does.
 pub fn spawn_background(
     name: String,
     body: impl FnOnce() + Send + 'static,
@@ -112,11 +115,11 @@ impl Clock for SystemClock {
         // that is blocked on it anyway: the caller of an RPC waits its
         // hops and its handler's device time as one deadline (a fan-out's
         // submitting thread waits them for every leg at once). A thread no
-        // client is blocked on (`mark_background_thread`) must not hold a
+        // client is blocked on (`spawn_background`) must not hold a
         // core a client could use — on a host with fewer cores than
         // threads that turns parallel waits into serial ones — so it
         // yields at every turn. It keeps spinning rather than sleeping:
-        // the timer's slack on every drainer and consolidation wait
+        // the timer's slack on every sender and consolidation wait
         // measured slower than the yield (EXPERIMENTS.md, "Background work
         // stops taxing commits").
         if us < 200 {

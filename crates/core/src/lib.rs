@@ -53,3 +53,4 @@ mod slice_writer;
 pub use recovery::RecoveryService;
 pub use sal::{NdpStats, NdpStatsSnapshot, Sal, SalStats, SalStatsSnapshot, SliceAcks};
 pub use slice_reader::{FrontEnd, SliceReader, TableScan};
+pub use slice_writer::SenderWatch;

@@ -396,8 +396,8 @@ pub struct Sal {
     /// The read planner shared with read replicas. Owns the read-routing
     /// state: replica latencies and the suspect set the write pipeline feeds.
     pub(crate) reader: SliceReader,
-    /// Self-handle for the pipe drainers, detached dispatcher jobs which
-    /// must not keep the SAL alive.
+    /// Self-handle for the per-node sender threads, which must not keep
+    /// the SAL alive.
     pub(crate) myself: Weak<Sal>,
     /// Microseconds of delay injected per log flush while Page Store
     /// consolidation is behind ("the SAL throttles log writes on the
@@ -447,7 +447,7 @@ impl Sal {
         let clock = logs.fabric.clock.clone();
         let reader = SliceReader::new(cfg.clone(), db, me, pages.clone());
         // `new_cyclic`: the SAL needs a `Weak` handle to itself so that
-        // detached jobs (submitted lazily, long after build) can reach it
+        // its senders (started lazily, long after build) can reach it
         // without keeping it alive.
         Arc::new_cyclic(|myself| Sal {
             db,
@@ -470,14 +470,6 @@ impl Sal {
             read_batch_stats: Arc::clone(&reader.read_batch_stats),
             reader,
         })
-    }
-
-    /// Snapshot of the fabric's dispatcher: the pool this SAL's detached
-    /// drainers run on (workers, queue depth, busy time, `pool_jobs`) and
-    /// the count of fabric legs run inline by their submitters.
-    /// Exposed to benches (fig7/fig9/conn_scale) and tests.
-    pub fn dispatch_stats(&self) -> taurus_fabric::DispatchSnapshot {
-        self.pages.fabric.dispatch_snapshot()
     }
 
     // ==================================================================

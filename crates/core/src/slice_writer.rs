@@ -20,8 +20,9 @@
 //!   replica's own persistent LSN, delivered through `ship`.
 //!
 //! Steady state feeds `ship` from one bounded queue **per Page Store replica
-//! node**, drained by at most one detached job on the fabric's bounded
-//! dispatcher (DESIGN.md §15). Repair and restart recovery call `redo`.
+//! node**, drained by that node's sender thread: one per node per SAL,
+//! started on first use, asleep while its queue is empty, stopped when the
+//! SAL drops (DESIGN.md §15). Repair and restart recovery call `redo`.
 //! Slices owed a repair sit in the *parked* set. A shed, a failed send
 //! or a refusal from a rebuilt-away node only marks a slice there; the set
 //! is emptied by [`Sal::repair`], one synchronous pass on the thread of
@@ -30,18 +31,19 @@
 //! construction.
 //!
 //! [`Sal::quiesce`] waits for all of it to come to rest: the pipes raise
-//! [`SliceWriter::settled`] when a drainer goes idle, a shipped run has
-//! had its acks taken or a repair ends — but only while a quiesce waits,
-//! so the write path pays nothing otherwise.
+//! [`Shared::settled`] when a sender goes idle, a shipped run has had its
+//! acks taken or a repair ends — but only while a quiesce waits, so the
+//! write path pays nothing otherwise.
 //!
 //! Locks: `pipes` and `parked` are leaves below `sal::state` — never held
 //! across a fabric call, and never across each other.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use taurus_common::metrics::Gauge;
 use taurus_common::{LogRecord, LogRecordGroup, Lsn, NodeId, Result, SliceKey, TaurusError};
@@ -63,17 +65,19 @@ struct PipeJob {
 const GROUPED_SHIP_MAX: usize = 8;
 
 /// The send pipe to one Page Store replica node: a bounded queue drained by
-/// at most one detached fabric-dispatcher job at a time (per-node FIFO). A
-/// slow or dead replica fills its own queue and loses fragments to
-/// shedding; it cannot stall other replicas, grow an unbounded backlog, or
-/// pin an idle OS thread.
+/// the node's sender thread (per-node FIFO). A slow or dead replica fills
+/// its own queue and loses fragments to shedding; it cannot stall other
+/// replicas or grow an unbounded backlog.
 #[derive(Default)]
 struct PipeState {
     queue: VecDeque<PipeJob>,
-    /// Whether a drain job for this node is live (queued or running on the
-    /// dispatcher). At most one at a time keeps shipment per-node FIFO.
-    draining: bool,
+    /// Raised when a fragment is queued on an idle pipe, cleared by the
+    /// sender once the queue is shipped out: a busy pipe has fragments
+    /// queued or in flight.
+    busy: bool,
     in_flight: Gauge,
+    /// Wakes the node's sender when the pipe turns busy.
+    wake: Arc<Condvar>,
 }
 
 /// The send pipes, and what [`Sal::quiesce`] waits on besides them.
@@ -84,16 +88,42 @@ struct Pipes {
     /// Repair passes and redos running: they ship on their caller's
     /// thread, outside every pipe, and are in flight all the same.
     repairs: usize,
-    /// Quiesces blocked on [`SliceWriter::settled`].
+    /// Quiesces blocked on [`Shared::settled`].
     waiters: usize,
+    /// One sender thread per pipe, joined when the SAL drops.
+    senders: Vec<JoinHandle<()>>,
+    /// Senders that have not exited.
+    running: usize,
+    /// Drain episodes so far: a pipe went from idle to busy.
+    drains: u64,
+    /// Deepest queue any pipe has held.
+    max_queue_depth: u64,
+    /// Raised when the SAL drops: every sender exits.
+    stopped: bool,
 }
 
 impl Pipes {
-    /// Nothing queued, nothing in flight, no repair running. A queued or
-    /// shipping fragment keeps its pipe's drainer live, so a pipe without
-    /// one is empty.
+    /// Nothing queued, nothing in flight, no repair running.
     fn idle(&self) -> bool {
-        self.repairs == 0 && self.by_node.values().all(|p| !p.draining)
+        self.repairs == 0 && self.by_node.values().all(|p| !p.busy)
+    }
+}
+
+/// What a SAL shares with its sender threads.
+struct Shared {
+    pipes: Mutex<Pipes>,
+    /// Raised under `pipes`, while a quiesce waits, whenever the pipes may
+    /// have come to rest.
+    settled: Condvar,
+}
+
+impl Shared {
+    /// Wakes the quiesces waiting, if any; called under `pipes`, so a
+    /// waiter that checked before this cannot miss it.
+    fn signal(&self, pipes: &Pipes) {
+        if pipes.waiters > 0 {
+            self.settled.notify_all();
+        }
     }
 }
 
@@ -101,10 +131,7 @@ impl Pipes {
 /// the flush path never contend on `sal::state` for it. `pipes` and
 /// `parked` are leaf locks: nothing is taken while one is held.
 pub(crate) struct SliceWriter {
-    pipes: Mutex<Pipes>,
-    /// Raised under `pipes`, while a quiesce waits, whenever the pipes may
-    /// have come to rest.
-    settled: Condvar,
+    shared: Arc<Shared>,
     /// Slices owed a repair from the Log Stores: a fragment of theirs was
     /// shed or abandoned, or a rebuild replaced a replica under a send.
     parked: Mutex<HashSet<SliceKey>>,
@@ -113,24 +140,95 @@ pub(crate) struct SliceWriter {
 impl SliceWriter {
     pub(crate) fn new() -> Self {
         SliceWriter {
-            pipes: Mutex::new_leaf(Pipes::default()),
-            settled: Condvar::new(),
+            shared: Arc::new(Shared {
+                pipes: Mutex::new_leaf(Pipes::default()),
+                settled: Condvar::new(),
+            }),
             parked: Mutex::new_leaf(HashSet::new()),
         }
     }
 
-    /// Wakes the quiesces waiting, if any; called under `pipes`, so a
-    /// waiter that checked before this cannot miss it.
-    fn signal(&self, pipes: &Pipes) {
-        if pipes.waiters > 0 {
-            self.settled.notify_all();
-        }
+    fn pipes(&self) -> MutexGuard<'_, Pipes> {
+        self.shared.pipes.lock()
     }
 
     /// Marks a repair as running until the guard drops.
     fn repairing(&self) -> Repairing<'_> {
-        self.pipes.lock().repairs += 1;
+        self.pipes().repairs += 1;
         Repairing(self)
+    }
+}
+
+impl Drop for SliceWriter {
+    /// Stops the senders and joins them — all but the thread running this
+    /// drop, if it is a sender that held the SAL's last strong handle: it
+    /// exits once the drop returns to its loop.
+    fn drop(&mut self) {
+        let senders = {
+            let mut pipes = self.pipes();
+            pipes.stopped = true;
+            for pipe in pipes.by_node.values() {
+                pipe.wake.notify_one();
+            }
+            std::mem::take(&mut pipes.senders)
+        };
+        let me = std::thread::current().id();
+        for sender in senders.into_iter().filter(|s| s.thread().id() != me) {
+            let _ = sender.join();
+        }
+    }
+}
+
+/// A count of a SAL's sender threads that outlives the SAL, so a test can
+/// see its senders stop when it drops.
+pub struct SenderWatch(Arc<Shared>);
+
+impl SenderWatch {
+    /// `(started, running)`: sender threads started so far (one per pipe),
+    /// and those that have not exited.
+    pub fn senders(&self) -> (usize, usize) {
+        let pipes = self.0.pipes.lock();
+        (pipes.by_node.len(), pipes.running)
+    }
+}
+
+/// The sender thread of `node`'s pipe: it sleeps until the pipe turns busy,
+/// ships the queue out in runs of up to [`GROUPED_SHIP_MAX`] fragments, one
+/// grouped envelope each, and clears `busy` once the queue is empty. It
+/// holds the SAL only while it ships, so the SAL's last handle can drop
+/// whenever the pipes are idle; then it exits.
+fn run_sender(sal: &Weak<Sal>, shared: &Shared, node: NodeId, wake: &Condvar) {
+    loop {
+        let run: Vec<PipeJob> = {
+            let mut guard = shared.pipes.lock();
+            loop {
+                let pipes = &mut *guard;
+                let stopped = pipes.stopped;
+                let Some(pipe) = pipes.by_node.get_mut(&node).filter(|_| !stopped) else {
+                    return;
+                };
+                if !pipe.queue.is_empty() {
+                    let take = pipe.queue.len().min(GROUPED_SHIP_MAX);
+                    pipe.in_flight.add(take as u64);
+                    break pipe.queue.drain(..take).collect();
+                }
+                if std::mem::take(&mut pipe.busy) {
+                    shared.signal(pipes);
+                }
+                wake.wait(&mut guard);
+            }
+        };
+        let n = run.len() as u64;
+        let Some(sal) = sal.upgrade() else {
+            return;
+        };
+        sal.ship(node, run);
+        drop(sal);
+        let pipes = shared.pipes.lock();
+        if let Some(pipe) = pipes.by_node.get(&node) {
+            pipe.in_flight.sub(n);
+        }
+        shared.signal(&pipes);
     }
 }
 
@@ -139,9 +237,9 @@ struct Repairing<'a>(&'a SliceWriter);
 
 impl Drop for Repairing<'_> {
     fn drop(&mut self) {
-        let mut pipes = self.0.pipes.lock();
+        let mut pipes = self.0.pipes();
         pipes.repairs -= 1;
-        self.0.signal(&pipes);
+        self.0.shared.signal(&pipes);
     }
 }
 
@@ -155,36 +253,43 @@ struct Target {
 }
 
 impl Sal {
-    /// Queues `frag` for every replica in `nodes`; when no drain job is live
-    /// for a node one is submitted to the dispatcher (it captures only a
-    /// `Weak` SAL handle, so a queued drain never keeps a torn-down
-    /// deployment alive). A replica whose queue is full loses the fragment
+    /// Queues `frag` for every replica in `nodes`, waking a node's sender
+    /// when its pipe turns busy and starting it on the node's first
+    /// fragment. A replica whose queue is full loses the fragment
     /// (shedding): the slice is parked and the replica demoted, so one slow
     /// node cannot grow an unbounded backlog. Called under `state`; never
     /// blocks — the foreground write path must not wait on a slow replica —
-    /// and starts no repair (the node's drainer is busy with a full queue).
+    /// and starts no repair (the node's sender is busy with a full queue).
     pub(crate) fn submit(&self, key: SliceKey, nodes: &[NodeId], frag: &Arc<SliceFragment>) {
         for &node in nodes {
-            let (queued, start_drainer) = {
-                let mut pipes = self.writer.pipes.lock();
-                let pipe = pipes.by_node.entry(node).or_default();
+            let (queued, wake) = {
+                let mut guard = self.writer.pipes();
+                let pipes = &mut *guard;
+                let pipe = pipes.by_node.entry(node).or_insert_with(|| {
+                    let pipe = PipeState::default();
+                    let sender = self.start_sender(node, Arc::clone(&pipe.wake));
+                    pipes.senders.push(sender);
+                    pipes.running += 1;
+                    pipe
+                });
                 let queued = pipe.queue.len() < self.cfg.sal_send_queue_depth;
+                let mut wake = None;
                 if queued {
                     let frag = Arc::clone(frag);
                     pipe.queue.push_back(PipeJob { key, frag });
-                }
-                (
-                    queued,
-                    queued && !std::mem::replace(&mut pipe.draining, true),
-                )
-            };
-            if start_drainer {
-                let weak = self.myself.clone();
-                self.pages.fabric.spawn_detached(move || {
-                    if let Some(sal) = weak.upgrade() {
-                        sal.drain_pipe(node);
+                    let depth = pipe.queue.len() as u64;
+                    if !std::mem::replace(&mut pipe.busy, true) {
+                        wake = Some(Arc::clone(&pipe.wake));
                     }
-                });
+                    pipes.max_queue_depth = pipes.max_queue_depth.max(depth);
+                    pipes.drains += u64::from(wake.is_some());
+                }
+                (queued, wake)
+            };
+            // Woken after `pipes` is released, so the sender does not wake
+            // into a lock this thread still holds.
+            if let Some(wake) = wake {
+                wake.notify_one();
             }
             if !queued {
                 self.stats.queue_full_drops.inc();
@@ -193,34 +298,33 @@ impl Sal {
         }
     }
 
-    /// Drains one replica node's pipe on a dispatcher worker until the
-    /// queue is empty, then clears `draining` and exits (the next enqueue
-    /// submits a fresh job). One drainer per node keeps shipment per-node
-    /// FIFO; a queued run rides one grouped envelope.
-    fn drain_pipe(&self, node: NodeId) {
-        loop {
-            let run: Vec<PipeJob> = {
-                let mut guard = self.writer.pipes.lock();
-                let pipes = &mut *guard;
-                let Some(pipe) = pipes.by_node.get_mut(&node) else {
-                    return;
-                };
-                if pipe.queue.is_empty() {
-                    pipe.draining = false;
-                    self.writer.signal(pipes);
-                    return;
-                }
-                let take = pipe.queue.len().min(GROUPED_SHIP_MAX);
-                pipe.in_flight.add(take as u64);
-                pipe.queue.drain(..take).collect()
-            };
-            let n = run.len() as u64;
-            self.ship(node, run);
-            let pipes = self.writer.pipes.lock();
-            if let Some(pipe) = pipes.by_node.get(&node) {
-                pipe.in_flight.sub(n);
-            }
-            self.writer.signal(&pipes);
+    /// Starts `node`'s sender. It holds a `Weak` SAL handle, so it never
+    /// keeps a torn-down deployment alive.
+    fn start_sender(&self, node: NodeId, wake: Arc<Condvar>) -> JoinHandle<()> {
+        let (sal, shared) = (self.myself.clone(), Arc::clone(&self.writer.shared));
+        let name = format!("taurus-send-{}", node.0);
+        taurus_common::clock::spawn_background(name, move || {
+            run_sender(&sal, &shared, node, &wake);
+            shared.pipes.lock().running -= 1;
+        })
+    }
+
+    /// The count of this SAL's sender threads, one per Page Store node it
+    /// has sent to; it outlives the SAL.
+    pub fn sender_watch(&self) -> SenderWatch {
+        SenderWatch(Arc::clone(&self.writer.shared))
+    }
+
+    /// Where the work ran: fabric legs run inline by their submitters (the
+    /// fabric's count, shared by every SAL on it), and this SAL's sender
+    /// drain episodes (`pool_jobs`) and deepest send queue. Exposed to
+    /// benches (fig7/fig9/conn_scale) and tests.
+    pub fn dispatch_stats(&self) -> taurus_fabric::DispatchSnapshot {
+        let pipes = self.writer.pipes();
+        taurus_fabric::DispatchSnapshot {
+            inline_jobs: self.pages.fabric.inline_jobs(),
+            pool_jobs: pipes.drains,
+            max_queue_depth: pipes.max_queue_depth,
         }
     }
 
@@ -457,7 +561,7 @@ impl Sal {
     /// `SystemClock`, and on a `ManualClock` the timed wake is one more
     /// check.
     pub(crate) fn wait_until_pipes_idle(&self, deadline_us: u64) -> Result<()> {
-        let mut pipes = self.writer.pipes.lock();
+        let mut pipes = self.writer.pipes();
         pipes.waiters += 1;
         let rest = loop {
             if pipes.idle() {
@@ -465,7 +569,7 @@ impl Sal {
             }
             let now = self.clock.now_us();
             if now >= deadline_us {
-                let busy = pipes.by_node.iter().filter(|(_, p)| p.draining);
+                let busy = pipes.by_node.iter().filter(|(_, p)| p.busy);
                 let busy: Vec<_> = busy.map(|(n, p)| (*n, p.queue.len())).collect();
                 break Err(TaurusError::DeadlinePassed(format!(
                     "send pipes (node, queued) {busy:?} and {} repairs still busy",
@@ -473,7 +577,7 @@ impl Sal {
                 )));
             }
             let left = Duration::from_micros(deadline_us - now);
-            self.writer.settled.wait_for(&mut pipes, left);
+            self.writer.shared.settled.wait_for(&mut pipes, left);
         };
         pipes.waiters -= 1;
         rest
@@ -481,13 +585,13 @@ impl Sal {
 
     /// Whether every send pipe is idle and no repair runs right now.
     pub(crate) fn pipes_idle(&self) -> bool {
-        self.writer.pipes.lock().idle()
+        self.writer.pipes().idle()
     }
 
     /// Per-replica pipeline gauges: `(node, queued fragments, in-flight
     /// fragments)`, sorted by node. Exposed to benches and tests.
     pub fn pipeline_gauges(&self) -> Vec<(NodeId, u64, u64)> {
-        let pipes = self.writer.pipes.lock();
+        let pipes = self.writer.pipes();
         let mut v: Vec<(NodeId, u64, u64)> = pipes
             .by_node
             .iter()

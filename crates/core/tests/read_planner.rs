@@ -1,10 +1,10 @@
 //! The read planner's one loop (`slice_reader` module docs, steps 2–5),
 //! driven directly: a `SliceReader` over Page Stores loaded through plain
 //! `WriteLogs` calls, on a virtual clock with a 100 µs hop. Nothing here
-//! owns a SAL, so nothing may reach the dispatcher pool — every test ends by
-//! asserting that no worker was spawned and no item was ever queued.
+//! owns a SAL, so nothing may reach a sender — every test ends by
+//! asserting that every wait of the run was on the test's own thread.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -38,6 +38,8 @@ struct HookClock {
     time: ManualClock,
     waits: AtomicU64,
     armed: Mutex<Option<(u64, Hook)>>,
+    /// Every thread that waited.
+    threads: Mutex<HashSet<std::thread::ThreadId>>,
 }
 
 impl std::fmt::Debug for HookClock {
@@ -57,6 +59,7 @@ impl Clock for HookClock {
 
     fn sleep_until(&self, deadline_us: u64) {
         let n = self.waits.fetch_add(1, Ordering::Relaxed) + 1;
+        self.threads.lock().insert(std::thread::current().id());
         let due = self.armed.lock().take_if(|(at, _)| *at == n);
         if let Some((_, hook)) = due {
             hook();
@@ -249,14 +252,11 @@ impl Harness {
         (h, stale, head)
     }
 
-    /// The whole run stayed on the calling thread.
-    fn assert_pool_untouched(&self) {
-        let snap = self.fabric.dispatch_snapshot();
-        assert_eq!(
-            (snap.workers, snap.pool_jobs, snap.max_queue_depth),
-            (0, 0, 0),
-            "{snap}"
-        );
+    /// The whole run stayed on the calling thread: every arrival and every
+    /// reply of every envelope was waited for by this thread.
+    fn assert_on_calling_thread(&self) {
+        let me = std::thread::current().id();
+        assert_eq!(*self.clock.threads.lock(), HashSet::from([me]));
     }
 }
 
@@ -285,7 +285,7 @@ fn a_batch_finishes_in_rounds_of_grouped_envelopes_keeping_every_partial() {
         assert_eq!(*page, want);
         assert_eq!(buf.as_bytes(), h.read_page(want).as_bytes(), "{want}");
     }
-    h.assert_pool_untouched();
+    h.assert_on_calling_thread();
 }
 
 #[test]
@@ -321,7 +321,7 @@ fn a_scan_continues_where_its_budget_stopped_and_never_rescans() {
         counted.agg.result(Aggregate::Count),
         Some(6 * ROWS_PER_PAGE)
     );
-    h.assert_pool_untouched();
+    h.assert_on_calling_thread();
 }
 
 #[test]
@@ -362,7 +362,7 @@ fn a_replica_lost_between_continuation_rounds_restarts_the_slot_on_the_next_one(
         vec![order[1], order[2], victim]
     );
     assert_eq!(h.reader.stats.read_retries.get(), 0);
-    h.assert_pool_untouched();
+    h.assert_on_calling_thread();
 }
 
 #[test]
@@ -391,7 +391,7 @@ fn every_rpc_feeds_the_ewma_and_a_refusal_costs_four_times_its_round() {
         h.read_page(ids[0]);
     }
     assert_eq!(h.reader.stats.read_retries.get(), 1);
-    h.assert_pool_untouched();
+    h.assert_on_calling_thread();
 }
 
 #[test]
@@ -446,7 +446,7 @@ fn an_exhausted_order_repairs_once_passes_once_more_and_then_falls_back() {
     reference.rows.sort();
     assert_eq!(scan.rows, reference.rows);
     assert_eq!(scan.rows.len() as u64, 4 * ROWS_PER_PAGE + 1);
-    h.assert_pool_untouched();
+    h.assert_on_calling_thread();
 }
 
 #[test]
@@ -466,7 +466,7 @@ fn a_two_slot_plan_with_a_dead_primary_takes_exactly_two_round_trips() {
     assert_eq!(sal.grouped_fallback_slices, 1);
     assert_eq!(h.reader.read_batch_stats.snapshot().batch_retries, 1);
     assert_eq!(h.reader.ordered_replicas(key)[2], order[0]);
-    h.assert_pool_untouched();
+    h.assert_on_calling_thread();
 }
 
 #[test]
@@ -511,7 +511,7 @@ fn a_head_read_a_recycle_round_overtook_is_served_on_its_second_round_trip() {
     }
     assert_eq!(h.reader.ordered_replicas(key), order);
     assert_eq!(h.front.repairs.load(Ordering::Relaxed), 0);
-    h.assert_pool_untouched();
+    h.assert_on_calling_thread();
 }
 
 #[test]
@@ -564,5 +564,5 @@ fn a_snapshot_below_the_recycle_lsn_is_answered_recycled_in_one_round_trip() {
         "a replica was charged"
     );
     assert_eq!(h.front.repairs.load(Ordering::Relaxed), 0);
-    h.assert_pool_untouched();
+    h.assert_on_calling_thread();
 }

@@ -409,8 +409,8 @@ fn dead_node_grouped_read_fails_over_per_slice() {
     let h = Harness::new(4, 6);
     let sal = h.sal();
     let pps = h.cfg.pages_per_slice;
-    // Two pages in two distinct slices: the multi-slice plan rides the
-    // grouped dispatcher path.
+    // Two pages in two distinct slices: the multi-slice plan rides
+    // grouped envelopes.
     h.write_kv(&sal, 1, "k1", true);
     h.write_kv(&sal, pps + 1, "k2", true);
     sal.quiesce(h.deadline()).unwrap();

@@ -277,23 +277,41 @@ impl TaurusDb {
         self.recover_master_on(promoted.me)
     }
 
-    /// Re-registers every replica against the (new) master's bulletin.
+    /// Points every replica at the (new) master's bulletin. One that
+    /// cannot follow it (it stands above the new horizon) is replaced by a
+    /// freshly registered replica; if that registration fails the old one
+    /// stays on the list, and the first such error is returned.
     fn rewire_replicas(&self, master: &Arc<MasterEngine>) -> Result<()> {
-        let old: Vec<Arc<ReplicaEngine>> = self.replicas.write().drain(..).collect();
-        for r in old {
-            let replica = ReplicaEngine::register(
-                r.id,
+        let mut result = Ok(());
+        for old in self.replicas() {
+            if old.follow(&master.bulletin) {
+                continue;
+            }
+            match ReplicaEngine::register(
+                old.id,
                 self.cfg.clone(),
                 self.db,
-                r.me,
+                old.me,
                 self.logs.clone(),
                 self.pages.clone(),
                 Arc::clone(&master.bulletin),
-            )?;
-            self.replicas.write().push(replica);
+            ) {
+                Ok(fresh) => {
+                    for slot in self.replicas.write().iter_mut() {
+                        if slot.id == old.id {
+                            *slot = Arc::clone(&fresh);
+                        }
+                    }
+                }
+                Err(e) => {
+                    if result.is_ok() {
+                        result = Err(e);
+                    }
+                }
+            }
         }
         master.publish();
-        Ok(())
+        result
     }
 
     /// Starts a background housekeeping thread (maintenance + periodic

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use taurus_common::apply::apply_record;
 use taurus_common::lsn::LsnWatermark;
@@ -58,7 +58,9 @@ pub struct ReplicaEngine {
     committed: Mutex<HashSet<TxnId>>,
     /// Active TV-LSN pins: lsn → pin count.
     tv_pins: Mutex<BTreeMap<u64, usize>>,
-    bulletin: Arc<Bulletin>,
+    /// The bulletin of the master this replica follows
+    /// ([`ReplicaEngine::follow`] re-points it).
+    bulletin: RwLock<Arc<Bulletin>>,
     pub groups_applied: AtomicU64,
 }
 
@@ -72,8 +74,11 @@ impl std::fmt::Debug for ReplicaEngine {
 }
 
 impl ReplicaEngine {
-    /// Registers a new replica: opens its own view of the log and
-    /// subscribes to the master's bulletin.
+    /// Registers a new replica: opens its own view of the log, subscribes
+    /// to the master's bulletin and polls once, so it is readable at the
+    /// horizon published so far as soon as it is returned (its visible LSN
+    /// still moves only at group boundaries). A failed poll is left to the
+    /// next beat's, as [`crate::TaurusDb::maintain`] leaves it.
     pub fn register(
         id: usize,
         cfg: TaurusConfig,
@@ -96,13 +101,37 @@ impl ReplicaEngine {
             cursor: Mutex::new(LogCursor::default()),
             committed: Mutex::new(HashSet::new()),
             tv_pins: Mutex::new(BTreeMap::new()),
-            bulletin,
+            bulletin: RwLock::new(bulletin),
             groups_applied: AtomicU64::new(0),
         });
         // From its first transaction on, the master may not recycle what
         // this replica could still read.
         replica.publish_min_tv();
+        let _ = replica.poll();
         Ok(replica)
+    }
+
+    /// Follows a new master (after a master recovery or a fail-over) by
+    /// its bulletin. The log and the Page Stores are those the old master
+    /// wrote, so everything this replica applied still holds: it keeps its
+    /// pool, its cursor and its visible LSN. It can only if the new
+    /// master's horizon is not below its visible LSN: a read above the
+    /// horizon could ask a slice for less than it holds. Returns whether it
+    /// followed; if not, it still follows the old master.
+    pub fn follow(&self, bulletin: &Arc<Bulletin>) -> bool {
+        // The poller lock: no poll moves the visible LSN in between.
+        let _cursor = self.cursor.lock();
+        if bulletin.read_horizon.get() < self.visible_lsn.get() {
+            return false;
+        }
+        *self.bulletin.write() = Arc::clone(bulletin);
+        self.publish_min_tv();
+        true
+    }
+
+    /// The bulletin of the master this replica follows now.
+    fn bulletin(&self) -> Arc<Bulletin> {
+        Arc::clone(&self.bulletin.read())
     }
 
     /// The replica's physically consistent view of the database.
@@ -115,13 +144,16 @@ impl ReplicaEngine {
     /// advances the visible LSN — but never past the master's read horizon.
     /// Returns the number of groups applied.
     pub fn poll(&self) -> Result<usize> {
-        let horizon = self.bulletin.read_horizon.get();
+        let horizon = self.bulletin().read_horizon.get();
         if horizon <= self.visible_lsn.get() {
             return Ok(0);
         }
         // Discover new PLogs, then tail the log incrementally.
         self.log.refresh()?;
         let mut cursor = self.cursor.lock();
+        // A `follow` before the poller lock may have moved this replica to
+        // a master whose horizon is lower.
+        let horizon = horizon.min(self.bulletin().read_horizon.get());
         // The horizon caps the read: spans past it stay unconsumed in the
         // Log Stores (the cursor stops at their boundary), so a later poll
         // picks them up once the horizon advances. Reading them here and
@@ -231,7 +263,7 @@ impl ReplicaEngine {
         let min = pins.keys().next().copied().map(Lsn);
         let min = min.unwrap_or_else(|| self.visible_lsn.get());
         drop(pins);
-        self.bulletin.publish_min_tv(self.id, min);
+        self.bulletin().publish_min_tv(self.id, min);
     }
 
     /// Versioned fetch at `tv`: pool if fresh enough, else Page Store. The
@@ -299,7 +331,8 @@ impl FrontEnd for ReplicaEngine {
         // A slice is asked for no more than the master says it has acked:
         // a quiet slice's Page Stores stop at its last record, and the
         // slice has nothing between that and `tv` (`Bulletin::slice_acked`).
-        let acked = self.bulletin.slice_acked.read();
+        let bulletin = self.bulletin();
+        let acked = bulletin.slice_acked.read();
         Ok(keys
             .iter()
             .map(|k| acked.get(k).map_or(tv, |a| tv.min(*a)))

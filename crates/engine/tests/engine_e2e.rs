@@ -5,7 +5,8 @@ use std::sync::Arc;
 
 use taurus_common::clock::{Clock, ManualClock};
 use taurus_common::page::{PageType, HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
-use taurus_common::{PageBuf, PageId, TaurusConfig, TaurusError};
+use taurus_common::{Lsn, PageBuf, PageId, TaurusConfig, TaurusError};
+use taurus_engine::master::Bulletin;
 use taurus_engine::TaurusDb;
 
 fn launch() -> Arc<TaurusDb> {
@@ -227,6 +228,87 @@ fn replica_sees_committed_data_and_lags_by_bounded_amount() {
     assert!(replica.visible_lsn() <= master.sal.durable_lsn());
     // Logical consistency bookkeeping saw the commit record.
     assert!(replica.committed_count() >= 1);
+}
+
+#[test]
+fn a_replica_reads_committed_keys_as_soon_as_it_is_added_or_rewired() {
+    let db = launch();
+    let mut t = db.master().begin();
+    t.put(b"a", b"1").unwrap();
+    t.commit().unwrap();
+    db.quiesce(deadline(&db)).unwrap();
+    // No beat has polled either replica: registration did.
+    let replica = db.add_replica().unwrap();
+    assert_eq!(replica.get(b"a").unwrap(), Some(b"1".to_vec()));
+    db.crash_and_recover_master().unwrap();
+    let rewired = db.replicas().remove(0);
+    assert!(
+        Arc::ptr_eq(&rewired, &replica),
+        "the replica follows the new master as it stands"
+    );
+    assert_eq!(rewired.get(b"a").unwrap(), Some(b"1".to_vec()));
+}
+
+#[test]
+fn a_replica_follows_only_a_master_whose_horizon_covers_its_view() {
+    let db = launch();
+    let mut t = db.master().begin();
+    t.put(b"a", b"1").unwrap();
+    t.commit().unwrap();
+    db.quiesce(deadline(&db)).unwrap();
+    let replica = db.add_replica().unwrap();
+    assert!(replica.visible_lsn() > Lsn::ZERO);
+    // A board that has published nothing yet does not cover what the
+    // replica shows: it keeps following its master and still reads.
+    assert!(!replica.follow(&Arc::new(Bulletin::default())));
+    assert_eq!(replica.get(b"a").unwrap(), Some(b"1".to_vec()));
+    assert!(replica.follow(&db.master().bulletin));
+}
+
+/// Commits one row and waits until every replica of its slice holds it:
+/// each sender's pipe goes idle, turns busy and goes idle again.
+fn commit_and_settle(db: &TaurusDb, i: u32) {
+    let mut t = db.master().begin();
+    t.put(format!("row{i:04}").as_bytes(), b"v").unwrap();
+    t.commit().unwrap();
+    db.quiesce(deadline(db)).unwrap();
+}
+
+#[test]
+fn one_sender_per_page_store_node_lives_exactly_as_long_as_its_sal() {
+    // Three Page Store nodes: every slice has a replica on each.
+    let db =
+        TaurusDb::launch_with_clock(TaurusConfig::test(), 3, 3, ManualClock::shared(), 7).unwrap();
+    let first = db.master().sal.sender_watch();
+    assert_eq!(
+        first.senders(),
+        (0, 0),
+        "a SAL that sent nothing runs no sender"
+    );
+    for i in 0..20 {
+        commit_and_settle(&db, i);
+    }
+    // Each node's sender was woken at least once per round, and none was
+    // ever started a second time.
+    assert!(db.master().sal.dispatch_stats().pool_jobs >= 3 * 20);
+    assert_eq!(first.senders(), (3, 3));
+    db.crash_and_recover_master().unwrap();
+    assert_eq!(
+        first.senders(),
+        (3, 0),
+        "the replaced SAL's senders stopped"
+    );
+    let second = db.master().sal.sender_watch();
+    for i in 20..30 {
+        commit_and_settle(&db, i);
+    }
+    assert_eq!(second.senders(), (3, 3));
+    drop(db);
+    assert_eq!(
+        second.senders(),
+        (3, 0),
+        "the dropped SAL's senders stopped"
+    );
 }
 
 #[test]

@@ -18,6 +18,11 @@
 //! * a [`StorageDevice`] cost model charging the append-vs-random-write
 //!   latency gap the paper relies on (§7, citing F2FS).
 //!
+//! The fabric starts no thread: every handler runs on the thread that
+//! sent its message, and [`Fabric::inline_jobs`] counts the fan-out legs
+//! run so. [`DispatchSnapshot`] adds what the SAL counts of its per-node
+//! sender threads, the one place a send leaves a client's thread.
+//!
 //! Determinism: all randomness is seeded, and all time flows through a
 //! `Clock`, so failure drills replay identically with a `ManualClock`.
 
@@ -26,10 +31,8 @@
 
 pub mod detector;
 pub mod device;
-pub mod dispatch;
 pub mod net;
 
 pub use detector::{FailureDetector, FailureEvent};
 pub use device::StorageDevice;
-pub use dispatch::{DispatchSnapshot, DispatchStats, MAX_DISPATCH_WORKERS};
-pub use net::{Fabric, NodeKind, NodeStatus};
+pub use net::{DispatchSnapshot, Fabric, NodeKind, NodeStatus};

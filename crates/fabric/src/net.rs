@@ -10,10 +10,34 @@ use rand::{Rng, SeedableRng};
 
 use taurus_common::clock::ClockRef;
 use taurus_common::config::NetworkProfile;
+use taurus_common::metrics::Counter;
 use taurus_common::{NodeId, Result, TaurusError};
 
 use crate::device::{model_now, run_handler};
-use crate::dispatch::{Dispatch, DispatchSnapshot};
+
+/// Where a deployment's work ran, for the bench stat dumps: the fabric
+/// counts the legs it runs inline ([`Fabric::inline_jobs`]), a SAL its
+/// senders' drain episodes and deepest queue (`Sal::dispatch_stats`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DispatchSnapshot {
+    /// Fabric-leg handlers run by the thread that submitted them.
+    pub inline_jobs: u64,
+    /// Drain episodes of the SAL's per-node senders: a send pipe went
+    /// from idle to busy (and back).
+    pub pool_jobs: u64,
+    /// Deepest per-node send queue seen.
+    pub max_queue_depth: u64,
+}
+
+impl std::fmt::Display for DispatchSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (inline, pool, depth) = (self.inline_jobs, self.pool_jobs, self.max_queue_depth);
+        write!(
+            f,
+            "inline_jobs={inline} pool_jobs={pool} max_queue_depth={depth}"
+        )
+    }
+}
 
 /// Input to [`Fabric::call_grouped`]: per target node, the handlers to run
 /// inside that node's single envelope.
@@ -59,7 +83,8 @@ struct Inner {
     nodes: RwLock<HashMap<NodeId, NodeState>>,
     rng: Mutex<StdRng>,
     next_node: Mutex<u64>,
-    dispatch: Dispatch,
+    /// Fabric-leg handlers run inline ([`Fabric::inline_jobs`]).
+    inline_jobs: Counter,
 }
 
 /// The cluster fabric: every RPC, failure, and placement decision flows
@@ -80,26 +105,18 @@ impl Fabric {
                 nodes: RwLock::new(HashMap::new()),
                 rng: Mutex::new(StdRng::seed_from_u64(seed)),
                 next_node: Mutex::new(1),
-                dispatch: Dispatch::new(clock.clone()),
+                inline_jobs: Counter::default(),
             }),
             clock,
             profile,
         }
     }
 
-    /// Point-in-time dispatcher gauges (queue depth, busy workers, job
-    /// counts) for the bench stat dumps.
-    pub fn dispatch_snapshot(&self) -> DispatchSnapshot {
-        self.inner.dispatch.snapshot()
-    }
-
-    /// Queues a `'static` closure on the dispatcher with no completion
-    /// handle — the primitive behind the SAL write pipeline's per-node
-    /// drainers. The closure runs with no locks held and must not own a
-    /// `Fabric` handle (weak references only), or pool shutdown would
-    /// never be reached.
-    pub fn spawn_detached(&self, f: impl FnOnce() + Send + 'static) {
-        self.inner.dispatch.spawn_detached(Box::new(f));
+    /// Fabric-leg handlers (`Fabric::call_all` / `call_grouped`) run so
+    /// far, each by the thread that submitted it. A single `Fabric::call`
+    /// is not counted.
+    pub fn inline_jobs(&self) -> u64 {
+        self.inner.inline_jobs.get()
     }
 
     /// Registers a new node of the given kind and returns its id.
@@ -360,7 +377,7 @@ impl Fabric {
             }
         }
         legs.sort_by_key(|leg| leg.0);
-        self.inner.dispatch.note_inline(legs.len());
+        self.inner.inline_jobs.add(legs.len() as u64);
         let mut last_reply_at = 0;
         let mut panic = None;
         for (arrives_at, slot, to, fail_permille, response_us, f) in legs {
@@ -774,10 +791,8 @@ mod tests {
         // response hop merged) — no device charge blocked anybody.
         let waits = clock.waits.lock().clone();
         assert_eq!(waits, vec![(me, 100), (me, 200), (me, 300), (me, 120)]);
-        // No hand-off: the pool was never started.
-        let snap = f.dispatch_snapshot();
-        assert_eq!((snap.workers, snap.pool_jobs, snap.busy_us), (0, 0, 0));
-        assert_eq!(snap.inline_jobs, 3, "{snap}");
+        // No hand-off: the three legs are counted as run inline.
+        assert_eq!(f.inline_jobs(), 3);
     }
 
     #[test]

@@ -440,7 +440,7 @@ pub(crate) mod tests {
 
     /// A manual clock that counts deadline waits: every RPC makes two (its
     /// request's arrival, its reply), a single `Fabric::call` included —
-    /// which `DispatchSnapshot::inline_jobs` does not count.
+    /// which `Fabric::inline_jobs` does not count.
     #[derive(Debug, Default)]
     pub(crate) struct WaitCounter {
         time: ManualClock,
@@ -475,7 +475,7 @@ pub(crate) mod tests {
         let (log, cluster, me, _) = setup_on(clock.clone(), 220);
         let writer = &log.streams[0];
         let reader = reopen(&cluster, me, 220);
-        let legs = || clock.waits() / 2 + cluster.fabric.dispatch_snapshot().inline_jobs;
+        let legs = || clock.waits() / 2 + cluster.fabric.inline_jobs();
         let ids = |s: &LogStream| s.entries().iter().map(|e| e.id).collect::<Vec<_>>();
         let mut turn = 0u64;
         let mut append = |n: usize| {

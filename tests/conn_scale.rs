@@ -60,19 +60,20 @@ fn all_page_ids(db: &TaurusDb) -> Vec<PageId> {
 }
 
 /// The node the master's read planner tries first for the most slices of
-/// the database right now.
-fn first_choice(db: &TaurusDb) -> NodeId {
+/// the database right now, among the nodes not in `avoid`.
+fn first_choice(db: &TaurusDb, avoid: &BTreeSet<NodeId>) -> NodeId {
     let sal = &db.master().sal;
     let mut firsts: BTreeMap<NodeId, usize> = BTreeMap::new();
     for key in db.pages.slices().into_iter().filter(|k| k.db == db.db) {
-        if let Some(&node) = sal.ordered_replicas(key).first() {
+        let order = sal.ordered_replicas(key);
+        if let Some(&node) = order.first().filter(|n| !avoid.contains(n)) {
             *firsts.entry(node).or_default() += 1;
         }
     }
     let most = firsts
         .into_iter()
         .max_by_key(|&(node, n)| (n, std::cmp::Reverse(node)));
-    most.expect("the database has slices").0
+    most.expect("some node outside `avoid` is a first choice").0
 }
 
 /// Grouped batch vs the per-page path on the same database: byte identity.
@@ -198,10 +199,10 @@ proptest! {
 fn grouped_reads_survive_concurrent_writes_and_replica_loss() {
     let db = launch(47);
     let master = db.master();
+    let value = |i: u32| format!("v{}", i % 7).repeat(40);
     for i in 0..300u32 {
         let mut t = master.begin();
-        let v = format!("v{}", i % 7).repeat(40);
-        t.put(&key(i), v.as_bytes()).unwrap();
+        t.put(&key(i), value(i).as_bytes()).unwrap();
         t.commit().unwrap();
     }
     // The quiesce waits for all three replicas: one that still trailed the
@@ -216,20 +217,43 @@ fn grouped_reads_survive_concurrent_writes_and_replica_loss() {
     let ids = all_page_ids(&db);
     let pin = master.create_snapshot("pin");
 
-    // A writer hammers a disjoint key range the whole time, so grouped
-    // write envelopes keep flowing while we read.
+    // A writer hammers a few loaded keys the whole time, rewriting each
+    // with its own value, so grouped write envelopes keep flowing while we
+    // read and the pinned pages stay as they were. A same-size value never
+    // splits a leaf: every commit writes the same pages — those keys'
+    // leaves and the control page (its `TxnCommit`). One pass up front
+    // finds their slices by the acks that move.
+    let hot = 0..8u32;
+    let rewrite = {
+        let master = Arc::clone(&master);
+        move |i: u32| {
+            let mut t = master.begin();
+            t.put(&key(i), value(i).as_bytes()).unwrap();
+            t.commit().unwrap();
+        }
+    };
+    let acked = || -> Vec<Lsn> { ids.iter().map(|&p| master.sal.slice_acked_lsn(p)).collect() };
+    let before = acked();
+    hot.clone().for_each(&rewrite);
+    db.quiesce(deadline(&db)).unwrap();
+    let mut writer_hosts = BTreeSet::new();
+    for ((page, was), now) in ids.iter().zip(before).zip(acked()) {
+        if now != was {
+            let slice = SliceKey::new(db.db, page.slice(db.cfg.pages_per_slice));
+            writer_hosts.extend(db.pages.replicas_of(slice));
+        }
+    }
+    assert!(
+        !writer_hosts.is_empty(),
+        "the rewrite pass must have written"
+    );
+
     let stop = Arc::new(AtomicBool::new(false));
     let writer = {
-        let db = Arc::clone(&db);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            let master = db.master();
-            let mut i = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                let mut t = master.begin();
-                t.put(format!("w{i:06}").as_bytes(), b"noise").unwrap();
-                t.commit().unwrap();
-                i += 1;
+                hot.clone().for_each(&rewrite);
             }
         })
     };
@@ -240,8 +264,10 @@ fn grouped_reads_survive_concurrent_writes_and_replica_loss() {
             // dead node fail over per slice, which retries healthy
             // replicas — results stay identical to the per-page path. The
             // victim is the read planner's first choice for the most
-            // slices, so the next grouped read sends it an envelope.
-            db.fabric.set_down(first_choice(&db));
+            // slices among the nodes that host none of the writer's: the
+            // next grouped read sends it an envelope, and no send of the
+            // writer's can fail on it first and demote it to suspect.
+            db.fabric.set_down(first_choice(&db, &writer_hosts));
         }
         check_grouped_matches_singles(&db, &ids, Some(pin));
     }
