@@ -43,7 +43,10 @@ pub struct QuorumEngine {
     /// Per-slice chain link (last LSN shipped).
     chain: Mutex<HashMap<SliceKey, Lsn>>,
     next_txn: std::sync::atomic::AtomicU64,
-    /// Background deliveries beyond the write quorum.
+    /// Background deliveries beyond the write quorum. The channel is
+    /// unbounded: a replica slower than the committers grows it without
+    /// limit (no back-pressure, unlike the Taurus SAL's send queues). It
+    /// is a baseline's model of deferred delivery, kept as it is.
     deferred: Sender<(taurus_common::NodeId, SliceFragment)>,
 }
 

@@ -258,7 +258,7 @@ fn main() {
     );
     println!(
         "  final dispatch: {}",
-        taurus.db.master().sal.dispatch_stats()
+        taurus_bench::dispatch_line(&taurus.db.master().sal)
     );
     let page_stores = taurus.db.pages.server_nodes().len();
     drop(guard);

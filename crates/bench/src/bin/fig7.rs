@@ -62,7 +62,7 @@ fn run_pair(
             println!("  taurus SAL pipe {node}: queued={queued} in_flight={in_flight}");
         }
     }
-    println!("  taurus dispatch: {}", sal.dispatch_stats());
+    println!("  taurus dispatch: {}", taurus_bench::dispatch_line(sal));
     let log = sal.log_stats().snapshot();
     println!("  taurus log store: {log}");
     println!("  taurus page store: {}", taurus.db.pages.store_stats());

@@ -117,7 +117,7 @@ fn taurus_lag_at_rate(writes_per_sec: u64, duration: Duration) -> (f64, f64) {
     println!(
         "  [{} w/s target] dispatch: {}",
         writes_per_sec,
-        db.master().sal.dispatch_stats()
+        taurus_bench::dispatch_line(&db.master().sal)
     );
     let master = db.master();
     let (hit_ratio, resident) = master.pool_stats();

@@ -134,6 +134,19 @@ pub fn recovery_line(s: &taurus_core::SalStatsSnapshot) -> String {
     )
 }
 
+/// Where the SAL's send work ran, and what back-pressure cost: the
+/// dispatch counts, then the flushes a full send queue held and for how
+/// long (µs on the SAL's clock).
+pub fn dispatch_line(sal: &taurus_core::Sal) -> String {
+    let s = sal.stats.snapshot();
+    format!(
+        "{} admission_waits={} admission_wait_us={}",
+        sal.dispatch_stats(),
+        s.admission_waits,
+        s.admission_wait_us
+    )
+}
+
 /// The role of a thread, from the name its spawner gave it.
 pub fn thread_role(name: &str) -> &'static str {
     if name.starts_with("taurus-consolidate") {

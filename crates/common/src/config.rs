@@ -131,9 +131,12 @@ pub struct TaurusConfig {
     /// Engine buffer pool capacity in pages. The pool's lock stripes
     /// follow from it (`EnginePool::striped`).
     pub engine_buffer_pool_pages: usize,
-    /// Per-replica SAL send-queue depth (fragments). When a replica's queue
-    /// is full the fragment is shed for that replica (durability already
-    /// comes from the Log Stores) and the replica is scheduled for repair.
+    /// Per-replica SAL send-queue depth (fragments): the back-pressure
+    /// point. While the queue of a Page Store node that is up and not
+    /// suspect holds this many, the next log flush waits for room, for at
+    /// most `short_term_failure_us`; a node still full then is treated as
+    /// failed (its queued fragments are parked for repair from the Log
+    /// Stores, which hold durability, and the node is made suspect).
     pub sal_send_queue_depth: usize,
     /// Per-`ScanSlice`-call row budget for near-data scan pushdown. A Page
     /// Store stops after the page that crosses the budget and returns a

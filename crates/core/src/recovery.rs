@@ -113,7 +113,7 @@ impl RecoveryService {
 
         // 4. One resend from the Log Stores for everything owed one: the
         // regressed, the still-stalled, and the parked set (slices whose
-        // fragments a send shed or failed to deliver). A slice
+        // fragments a send failed to deliver or a full queue abandoned). A slice
         // counts as repaired once no replica of it lags any more.
         let owed: Vec<_> = regressed.iter().chain(&stalled).copied().collect();
         report.parked_unparked = sal.repair(&owed);

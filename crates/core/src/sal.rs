@@ -237,11 +237,18 @@ taurus_common::counters! {
         /// fragment): the next repair pass re-sends those fragments from
         /// the Log Stores.
         pub write_retries: Counter,
-        /// Fragments shed, failed, or refused by a node a rebuild replaced —
-        /// their slice is parked for repair from the Log Stores.
+        /// Fragments failed, refused by a node a rebuild replaced, or
+        /// abandoned at the admission deadline — their slice is parked for
+        /// repair from the Log Stores.
         pub fragments_parked: Counter,
-        /// Fragments shed because a replica's send queue was full.
+        /// Fragments abandoned at the admission deadline: a node's send
+        /// queue stayed full for `short_term_failure_us` while a flush
+        /// waited on it (`Sal::admit_flush`).
         pub queue_full_drops: Counter,
+        /// Log flushes held because a node's send queue was full.
+        pub admission_waits: Counter,
+        /// Time those flushes were held, on the SAL's clock, µs.
+        pub admission_wait_us: Counter,
         /// Healthy → suspect transitions.
         pub suspect_demotions: Counter,
         /// Suspect → healthy transitions.
@@ -631,11 +638,13 @@ impl Sal {
     /// contiguous-prefix walk over the global span window.
     fn run_flush(&self, p: PreparedFlush) -> Result<()> {
         // Backpressure: while consolidation is behind, each flush pays a
-        // small delay so the Log Directories stop growing (§7).
+        // small delay so the Log Directories stop growing (§7); while a
+        // Page Store's send queue is full, the flush waits for room.
         let throttle = self.throttle_us.load(Ordering::Relaxed);
         if throttle > 0 {
             self.clock.sleep_us(throttle);
         }
+        self.admit_flush();
         // Steps 2-3: durable on all Log Store replicas. The commit point
         // (durable LSN) advances only when the span joins the contiguous
         // durable prefix.
@@ -866,9 +875,12 @@ impl Sal {
     /// blocks on a signal the pipes raise while it waits. A live replica
     /// still behind once the pipes are idle is
     /// [`TaurusError::ReplicaBehind`] at once — nothing in flight can bring
-    /// it there, only a repair (`tick`, or [`Sal::repair_and_quiesce`]) —
-    /// and the SAL's clock reaching `deadline_us` first is
-    /// [`TaurusError::DeadlinePassed`].
+    /// it there, only a repair (`tick` or a recovery round; a quiesce runs
+    /// none) — and the SAL's clock reaching `deadline_us` first is
+    /// [`TaurusError::DeadlinePassed`]. A slice is left behind only by a
+    /// fault: a failed send, a refusal from a rebuilt-away node, or a
+    /// queue abandoned at the admission deadline. A burst of commits is
+    /// held, never shed.
     pub fn quiesce(&self, deadline_us: u64) -> Result<()> {
         loop {
             self.flush_all_slices();
@@ -899,23 +911,6 @@ impl Sal {
                     target,
                 });
             }
-        }
-    }
-
-    /// [`Sal::quiesce`] for a SAL whose beat has not run: a live replica
-    /// left behind on a slice a pipe shed or abandoned is owed the repair
-    /// pass `tick` runs, so on [`TaurusError::ReplicaBehind`] that one pass
-    /// runs here, on the caller's thread, and the barrier runs again. Any
-    /// other error, or a replica the pass could not bring up, is returned.
-    /// A test of the beat or of a recovery round must not use it: the pass
-    /// it runs would do their work.
-    pub fn repair_and_quiesce(&self, deadline_us: u64) -> Result<()> {
-        match self.quiesce(deadline_us) {
-            Err(TaurusError::ReplicaBehind { .. }) => {
-                self.repair_parked();
-                self.quiesce(deadline_us)
-            }
-            rest => rest,
         }
     }
 

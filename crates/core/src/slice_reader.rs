@@ -95,8 +95,9 @@ pub struct TableScan {
 struct Routing {
     /// EWMA read latency (µs) per slice replica.
     latency_us: HashMap<(SliceKey, NodeId), f64>,
-    /// Replica nodes the write pipeline demoted (a send to them shed or
-    /// failed) and that have not proven themselves alive since. Read last.
+    /// Replica nodes the write pipeline demoted (a send to them failed, or
+    /// their send queue stayed full for a failure window) and that have
+    /// not proven themselves alive since. Read last.
     suspects: HashSet<NodeId>,
 }
 

@@ -19,26 +19,29 @@
 //!   by page arithmetic, one fragment per lagging replica chained at that
 //!   replica's own persistent LSN, delivered through `ship`.
 //!
-//! Steady state feeds `ship` from one bounded queue **per Page Store replica
+//! Steady state feeds `ship` from one queue **per Page Store replica
 //! node**, drained by that node's sender thread: one per node per SAL,
 //! started on first use, asleep while its queue is empty, stopped when the
-//! SAL drops (DESIGN.md §15). Repair and restart recovery call `redo`.
-//! Slices owed a repair sit in the *parked* set. A shed, a failed send
-//! or a refusal from a rebuilt-away node only marks a slice there; the set
-//! is emptied by [`Sal::repair`], one synchronous pass on the thread of
-//! whoever calls it — `Sal::tick` and the recovery round, on the beat.
-//! Nothing inside a pass starts another, so repair depth is 1 by
-//! construction.
+//! SAL drops (DESIGN.md §15). No fragment is dropped on the way in: a
+//! full queue holds the next log flush ([`Sal::admit_flush`]) instead.
+//! Repair and restart recovery call `redo`.
+//! Slices owed a repair sit in the *parked* set. A failed send, a refusal
+//! from a rebuilt-away node or a queue abandoned at the admission deadline
+//! only marks a slice there; the set is emptied by [`Sal::repair`], one
+//! synchronous pass on the thread of whoever calls it — `Sal::tick` and
+//! the recovery round, on the beat. Nothing inside a pass starts another,
+//! so repair depth is 1 by construction.
 //!
-//! [`Sal::quiesce`] waits for all of it to come to rest: the pipes raise
-//! [`Shared::settled`] when a sender goes idle, a shipped run has had its
-//! acks taken or a repair ends — but only while a quiesce waits, so the
-//! write path pays nothing otherwise.
+//! [`Sal::quiesce`] and a held flush wait on [`Shared::settled`], which
+//! the pipes raise when a sender takes a run or goes idle, a shipped run
+//! has had its acks taken or a repair ends — but only while somebody
+//! waits, so the write path pays nothing otherwise.
 //!
 //! Locks: `pipes` and `parked` are leaves below `sal::state` — never held
 //! across a fabric call, and never across each other.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -64,10 +67,11 @@ struct PipeJob {
 /// collapsing bursts into few round trips.
 const GROUPED_SHIP_MAX: usize = 8;
 
-/// The send pipe to one Page Store replica node: a bounded queue drained by
-/// the node's sender thread (per-node FIFO). A slow or dead replica fills
-/// its own queue and loses fragments to shedding; it cannot stall other
-/// replicas or grow an unbounded backlog.
+/// The send pipe to one Page Store replica node: a FIFO drained by the
+/// node's sender thread. Bound: while the node is up and not suspect, its
+/// depth plus one fragment per slice written by the spans already past
+/// [`Sal::admit_flush`]. A suspect or down node's queue is not watched
+/// and drains at its sender's pace (a down node fails envelopes at once).
 #[derive(Default)]
 struct PipeState {
     queue: VecDeque<PipeJob>,
@@ -88,7 +92,7 @@ struct Pipes {
     /// Repair passes and redos running: they ship on their caller's
     /// thread, outside every pipe, and are in flight all the same.
     repairs: usize,
-    /// Quiesces blocked on [`Shared::settled`].
+    /// Quiesces and held flushes blocked on [`Shared::settled`].
     waiters: usize,
     /// One sender thread per pipe, joined when the SAL drops.
     senders: Vec<JoinHandle<()>>,
@@ -112,14 +116,20 @@ impl Pipes {
 /// What a SAL shares with its sender threads.
 struct Shared {
     pipes: Mutex<Pipes>,
-    /// Raised under `pipes`, while a quiesce waits, whenever the pipes may
-    /// have come to rest.
+    /// Raised under `pipes`, while a quiesce or a held flush waits,
+    /// whenever a queue shrank or the pipes may have come to rest.
     settled: Condvar,
+    /// Raised under `pipes` when a queue reaches `sal_send_queue_depth`,
+    /// lowered under it by a look that finds none there, so a flush with
+    /// no full queue takes no lock. A statistic-like hint that publishes
+    /// no data: a stale read lets one more span past the admission, which
+    /// the queue bound already counts.
+    maybe_full: AtomicBool,
 }
 
 impl Shared {
-    /// Wakes the quiesces waiting, if any; called under `pipes`, so a
-    /// waiter that checked before this cannot miss it.
+    /// Wakes the quiesces and held flushes waiting, if any; called under
+    /// `pipes`, so a waiter that checked before this cannot miss it.
     fn signal(&self, pipes: &Pipes) {
         if pipes.waiters > 0 {
             self.settled.notify_all();
@@ -132,8 +142,8 @@ impl Shared {
 /// `parked` are leaf locks: nothing is taken while one is held.
 pub(crate) struct SliceWriter {
     shared: Arc<Shared>,
-    /// Slices owed a repair from the Log Stores: a fragment of theirs was
-    /// shed or abandoned, or a rebuild replaced a replica under a send.
+    /// Slices owed a repair from the Log Stores (at most every slice): a
+    /// fragment of theirs was abandoned, or a rebuild replaced a replica.
     parked: Mutex<HashSet<SliceKey>>,
 }
 
@@ -143,6 +153,7 @@ impl SliceWriter {
             shared: Arc::new(Shared {
                 pipes: Mutex::new_leaf(Pipes::default()),
                 settled: Condvar::new(),
+                maybe_full: AtomicBool::new(false),
             }),
             parked: Mutex::new_leaf(HashSet::new()),
         }
@@ -210,7 +221,10 @@ fn run_sender(sal: &Weak<Sal>, shared: &Shared, node: NodeId, wake: &Condvar) {
                 if !pipe.queue.is_empty() {
                     let take = pipe.queue.len().min(GROUPED_SHIP_MAX);
                     pipe.in_flight.add(take as u64);
-                    break pipe.queue.drain(..take).collect();
+                    let run = pipe.queue.drain(..take).collect();
+                    // A flush held on this queue may go on.
+                    shared.signal(pipes);
+                    break run;
                 }
                 if std::mem::take(&mut pipe.busy) {
                     shared.signal(pipes);
@@ -255,14 +269,11 @@ struct Target {
 impl Sal {
     /// Queues `frag` for every replica in `nodes`, waking a node's sender
     /// when its pipe turns busy and starting it on the node's first
-    /// fragment. A replica whose queue is full loses the fragment
-    /// (shedding): the slice is parked and the replica demoted, so one slow
-    /// node cannot grow an unbounded backlog. Called under `state`; never
-    /// blocks — the foreground write path must not wait on a slow replica —
-    /// and starts no repair (the node's sender is busy with a full queue).
+    /// fragment. Called under `state`, so a slice's fragments reach each
+    /// node's queue in flush order; never blocks, never drops a fragment.
     pub(crate) fn submit(&self, key: SliceKey, nodes: &[NodeId], frag: &Arc<SliceFragment>) {
         for &node in nodes {
-            let (queued, wake) = {
+            let wake = {
                 let mut guard = self.writer.pipes();
                 let pipes = &mut *guard;
                 let pipe = pipes.by_node.entry(node).or_insert_with(|| {
@@ -272,29 +283,101 @@ impl Sal {
                     pipes.running += 1;
                     pipe
                 });
-                let queued = pipe.queue.len() < self.cfg.sal_send_queue_depth;
-                let mut wake = None;
-                if queued {
-                    let frag = Arc::clone(frag);
-                    pipe.queue.push_back(PipeJob { key, frag });
-                    let depth = pipe.queue.len() as u64;
-                    if !std::mem::replace(&mut pipe.busy, true) {
-                        wake = Some(Arc::clone(&pipe.wake));
-                    }
-                    pipes.max_queue_depth = pipes.max_queue_depth.max(depth);
-                    pipes.drains += u64::from(wake.is_some());
+                let frag = Arc::clone(frag);
+                pipe.queue.push_back(PipeJob { key, frag });
+                let queued = pipe.queue.len();
+                if queued >= self.cfg.sal_send_queue_depth {
+                    self.writer.shared.maybe_full.store(true, Ordering::Relaxed);
                 }
-                (queued, wake)
+                let turned_busy = !std::mem::replace(&mut pipe.busy, true);
+                let wake = turned_busy.then(|| Arc::clone(&pipe.wake));
+                pipes.max_queue_depth = pipes.max_queue_depth.max(queued as u64);
+                pipes.drains += u64::from(wake.is_some());
+                wake
             };
             // Woken after `pipes` is released, so the sender does not wake
             // into a lock this thread still holds.
             if let Some(wake) = wake {
                 wake.notify_one();
             }
-            if !queued {
-                self.stats.queue_full_drops.inc();
-                self.abandon(node, key);
+        }
+    }
+
+    /// Back-pressure (§7: "the SAL throttles log writes on the master"):
+    /// holds a log flush, with no lock held, while the send queue of a
+    /// Page Store node that is up and not suspect holds
+    /// `sal_send_queue_depth` fragments, woken as senders take runs off
+    /// their queues. After `short_term_failure_us` on the SAL's clock, the
+    /// failure window, a node still full is treated as failed: its queue
+    /// is abandoned (park + suspect, `queue_full_drops`).
+    pub(crate) fn admit_flush(&self) {
+        let mut full = self.full_pipes();
+        if full.is_empty() {
+            return;
+        }
+        let depth = self.cfg.sal_send_queue_depth;
+        let start = self.clock.now_us();
+        let deadline = start.saturating_add(self.cfg.short_term_failure_us);
+        self.stats.admission_waits.inc();
+        loop {
+            let now = self.clock.now_us();
+            if full.is_empty() || now >= deadline {
+                full.into_iter().for_each(|node| self.abandon_queue(node));
+                break;
             }
+            {
+                let mut pipes = self.writer.pipes();
+                // A run taken since `full_pipes` looked shows here; one
+                // taken later signals the wait.
+                let at_depth =
+                    |n: &NodeId| pipes.by_node.get(n).is_some_and(|p| p.queue.len() >= depth);
+                if full.iter().all(at_depth) {
+                    pipes.waiters += 1;
+                    let left = Duration::from_micros(deadline - now);
+                    self.writer.shared.settled.wait_for(&mut pipes, left);
+                    pipes.waiters -= 1;
+                }
+            }
+            full = self.full_pipes();
+        }
+        let waited = self.clock.now_us().saturating_sub(start);
+        self.stats.admission_wait_us.add(waited);
+    }
+
+    /// The up, non-suspect nodes whose send queue is full. Liveness is
+    /// read after `pipes` is released: it is a leaf.
+    fn full_pipes(&self) -> Vec<NodeId> {
+        let maybe_full = &self.writer.shared.maybe_full;
+        if !maybe_full.load(Ordering::Relaxed) {
+            return Vec::new();
+        }
+        let depth = self.cfg.sal_send_queue_depth;
+        let pipes = self.writer.pipes();
+        let at_depth = pipes.by_node.iter().filter(|(_, p)| p.queue.len() >= depth);
+        let mut full: Vec<NodeId> = at_depth.map(|(node, _)| *node).collect();
+        if full.is_empty() {
+            maybe_full.store(false, Ordering::Relaxed);
+        }
+        drop(pipes);
+        if !full.is_empty() {
+            let suspects = self.reader.suspects();
+            full.retain(|n| !suspects.contains(n) && self.pages.is_live(*n));
+        }
+        full
+    }
+
+    /// `node`'s queue stayed full for a failure window: what it holds is
+    /// abandoned, as a failed send's run would be.
+    fn abandon_queue(&self, node: NodeId) {
+        let queue = self
+            .writer
+            .pipes()
+            .by_node
+            .get_mut(&node)
+            .map(|p| std::mem::take(&mut p.queue));
+        for job in queue.unwrap_or_default() {
+            self.stats.queue_full_drops.inc();
+            self.abandon(node, job.key);
         }
     }
 

@@ -278,9 +278,9 @@ fn tiny_budgets_force_continuations_and_still_agree() {
         h.write_kv(&sal, page, i % 10, &format!("m{i:03}"), "v", i % 10 == 0);
         expect.push(format!("m{i:03}").into_bytes());
     }
-    // The burst can outrun a pipe's queue: what it shed is parked, and one
-    // repair pass (the beat's) brings every replica to every row.
-    sal.repair_and_quiesce(h.deadline()).unwrap();
+    // A burst that fills a pipe's queue is held, not shed: every replica
+    // holds every row.
+    sal.quiesce(h.deadline()).unwrap();
     let end = sal.durable_lsn();
     let scan = sal.scan_pushdown(&ScanRequest::full(), end).unwrap();
     assert_eq!(

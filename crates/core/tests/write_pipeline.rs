@@ -432,9 +432,9 @@ fn dead_node_grouped_read_fails_over_per_slice() {
 }
 
 /// Regression (stack overflow under overload): an unpaced writer with
-/// one-byte slice buffers, four-page slices and a two-deep send queue sheds
-/// fragments non-stop, and a flapping Page Store keeps flipping between
-/// suspect and healthy. Repair used to nest — every resurrection observed
+/// one-byte slice buffers, four-page slices and a two-deep send queue is
+/// held by full queues non-stop, and a flapping Page Store keeps flipping
+/// between suspect and healthy, parking slices with its failed sends. Repair used to nest — every resurrection observed
 /// during `repair_parked` started another `repair_parked` on the same stack
 /// — so a thread ticking through this load overflowed its stack. The ticker
 /// here runs on a 64 KiB stack, room for ~25 nested passes of the old code
@@ -455,9 +455,9 @@ fn overload_with_a_flapping_replica_repairs_at_depth_one() {
     for page in 0..PAGES {
         h.write_kv(&sal, page, "r00", true);
     }
-    // The pipes come to rest. A replica behind on slices its two-deep
-    // queue shed gets the tick's repair pass, once.
-    sal.repair_and_quiesce(h.deadline()).unwrap();
+    // The pipes come to rest: the two-deep queues held the writer, so
+    // every replica holds every row.
+    sal.quiesce(h.deadline()).unwrap();
     // Three Page Stores, three replicas: every slice has one on the victim.
     let victim = h.pages.server_nodes()[0];
     h.fabric.set_flaky(victim, 500);
@@ -484,15 +484,24 @@ fn overload_with_a_flapping_replica_repairs_at_depth_one() {
     });
     let stats = sal.stats.snapshot();
     assert!(
-        stats.queue_full_drops > 0 && stats.suspect_resurrections > 0,
-        "the load must shed and the victim must flap: {stats}"
+        stats.fragments_parked > 0 && stats.suspect_resurrections > 0,
+        "the victim's failed sends must park and the victim must flap: {stats}"
     );
 
     h.fabric.set_flaky(victim, 0);
-    sal.repair_and_quiesce(h.deadline()).unwrap();
+    // The pipes come to rest first: a send that left while the victim was
+    // still flaky may yet fail and park its slice. Then one tick repairs
+    // what the failed sends parked.
+    match sal.quiesce(h.deadline()) {
+        Ok(()) | Err(TaurusError::ReplicaBehind { .. }) => {}
+        other => panic!("{other:?}"),
+    }
+    sal.tick();
+    sal.quiesce(h.deadline()).unwrap();
     assert_eq!(sal.parked_slices(), vec![], "{}", sal.stats.snapshot());
     // Under `--cfg taurus_lock_witness`: no inversion among `sal::state`
-    // and the writer's leaf locks while flush, ack, shed and drain raced.
+    // and the writer's leaf locks while flush, admission, ack and drain
+    // raced.
     taurus_common::invariants::lock_witness_sweep();
     let inversions: Vec<_> = taurus_common::invariants::violations()
         .into_iter()
@@ -672,6 +681,103 @@ fn a_failed_slice_write_parks_without_moving_the_clock_and_one_tick_repairs_it()
     }
     assert!(sal.parked_slices().is_empty());
     assert_eq!(sal.read_page(PageId(1), Some(end)).unwrap().nslots(), 2);
+}
+
+/// One unpaced writer is held, not shed: overload degrades by
+/// back-pressure. On `TaurusConfig::test()`'s 16-deep send queues (with
+/// the harness's one-byte buffers, so every commit is one log flush and
+/// one slice fragment per Page Store) one thread commits 2 000 single-row
+/// groups back to back, faster than the three senders drain. A flush
+/// waits while a queue is full, so no fragment is dropped, no slice parks,
+/// no healthy node turns suspect, and the strict barrier finds every
+/// replica holding every row.
+#[test]
+fn an_unpaced_writer_is_held_not_shed() {
+    const COMMITS: u64 = 2_000;
+    const PAGES: u64 = 100;
+    let h = Harness::new(3, 3);
+    let sal = h.sal();
+    for i in 0..COMMITS {
+        h.write_kv(&sal, i % PAGES, &format!("k{i:05}"), i < PAGES);
+    }
+    sal.quiesce(h.deadline()).unwrap();
+    let stats = sal.stats.snapshot();
+    assert_eq!(
+        (
+            stats.queue_full_drops,
+            stats.fragments_parked,
+            stats.suspect_demotions
+        ),
+        (0, 0, 0),
+        "{stats}"
+    );
+    // The bound: a flush is admitted only while every queue holds fewer
+    // than `sal_send_queue_depth` fragments, and with one committer one
+    // span is past the admission at a time. A span here is one group on
+    // one page, so it adds one fragment to each node's queue.
+    const ONE_SPAN_ADDS: u64 = 1;
+    let bound = h.cfg.sal_send_queue_depth as u64 - 1 + ONE_SPAN_ADDS;
+    let deepest = sal.dispatch_stats().max_queue_depth;
+    assert!(deepest <= bound, "a queue held {deepest} > {bound}");
+    let end = sal.durable_lsn();
+    for page in 0..PAGES {
+        let rows = sal.read_page(PageId(page), Some(end)).unwrap().nslots() as u64;
+        assert_eq!(rows, COMMITS / PAGES, "page {page} lost rows");
+    }
+}
+
+/// The admission wait is bounded by the failure window. On a
+/// `SystemClock`, one of three Page Stores is slowed to a second a call
+/// and the send queues are two deep: its first fragment rides a call that
+/// outlasts the commits, the next ones fill its queue, and the commit
+/// after them is held for `short_term_failure_us` (100 ms) on the SAL's
+/// clock. Then the node is treated as failed — suspect, its queued
+/// fragments abandoned and their slice parked — and the commits go on. No
+/// row is lost: once the delay is cleared, one tick brings the node to the
+/// last row and the strict barrier passes.
+#[test]
+fn a_queue_full_for_a_failure_window_fails_its_node_and_commits_go_on() {
+    const COMMITS: u64 = 8;
+    const DELAY_US: u64 = 1_000_000;
+    let clock = SystemClock::shared();
+    let h = Harness::on(clock.clone(), 3, 3);
+    let sal = h.sal_with(TaurusConfig {
+        sal_send_queue_depth: 2,
+        ..h.cfg.clone()
+    });
+    let key = SliceKey::new(DbId(1), PageId(1).slice(h.cfg.pages_per_slice));
+    h.write_kv(&sal, 1, "k00", true);
+    sal.quiesce(h.deadline()).unwrap();
+    let slow = h.pages.server_nodes()[0];
+    h.fabric.set_call_delay(slow, DELAY_US);
+
+    let window = h.cfg.short_term_failure_us;
+    let mut held = Vec::new();
+    for i in 1..=COMMITS {
+        let start = clock.now_us();
+        h.write_kv(&sal, 1, &format!("k{i:02}"), false);
+        held.push(clock.now_us() - start);
+    }
+    let longest = held.iter().copied().max().unwrap_or(0);
+    assert!(
+        (window..DELAY_US).contains(&longest),
+        "one commit is held for the window, not for the slow call: {held:?}"
+    );
+    let stats = sal.stats.snapshot();
+    assert!(stats.admission_waits >= 1, "{stats}");
+    assert!(stats.admission_wait_us >= window, "{stats}");
+    assert!(stats.queue_full_drops >= 2, "{stats}");
+    assert!(sal.is_suspect(slow), "{stats}");
+    assert_eq!(sal.parked_slices(), vec![key]);
+
+    h.fabric.set_call_delay(slow, 0);
+    let end = sal.durable_lsn();
+    sal.tick();
+    assert_eq!(h.pages.persistent_lsn_of(slow, h.me, key).unwrap(), end);
+    assert!(sal.parked_slices().is_empty());
+    sal.quiesce(h.deadline()).unwrap();
+    let rows = sal.read_page(PageId(1), Some(end)).unwrap().nslots() as u64;
+    assert_eq!(rows, COMMITS + 1);
 }
 
 /// A quiesce fails at its deadline, on the SAL's clock, while a pipe is

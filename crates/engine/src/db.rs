@@ -165,17 +165,16 @@ impl TaurusDb {
         taurus_common::invariants::lock_witness_sweep();
     }
 
-    /// Waits until the deployment is at rest, with the beat's repair pass
-    /// folded in: [`Sal::repair_and_quiesce`] on the master (every durable
-    /// record on every live Page Store replica, after one repair pass if a
-    /// pipe shed a slice's fragment), a publish, and each read replica
-    /// polled until its visible LSN reaches the published read horizon. A
-    /// drill that tests the beat or a recovery round waits with the strict
-    /// `Sal::quiesce` on the master instead. Errors as those do, and when a
-    /// read replica's poll stops short of the horizon.
+    /// Waits until the deployment is at rest: [`Sal::quiesce`] on the
+    /// master (every durable record on every live Page Store replica), a
+    /// publish, and each read replica polled until its visible LSN reaches
+    /// the published read horizon. It runs no repair: a slice a fault left
+    /// parked is `ReplicaBehind` until a beat (`maintain`) or a recovery
+    /// round repairs it. Errors as the SAL's barrier does, and when a read
+    /// replica's poll stops short of the horizon.
     pub fn quiesce(&self, deadline_us: u64) -> Result<()> {
         let master = self.master();
-        master.sal.repair_and_quiesce(deadline_us)?;
+        master.sal.quiesce(deadline_us)?;
         master.publish();
         let horizon = master.bulletin.read_horizon.get();
         for replica in self.replicas() {

@@ -401,9 +401,8 @@ fn a_replica_behind_truncation_resyncs_and_serves_every_acked_value() {
     for i in 40..40 + commits {
         commit(i);
     }
-    // The SAL quiesces alone, so the replica does not poll; a slice the
-    // burst's pipes shed gets the beat's repair first.
-    master.sal.repair_and_quiesce(deadline(&db)).unwrap();
+    // The SAL quiesces alone, so the replica does not poll.
+    master.sal.quiesce(deadline(&db)).unwrap();
     let report = db.run_recovery_round();
     assert!(report.plogs_truncated > 0, "{report:?}");
     assert_eq!(replica.visible_lsn(), resumed_at);

@@ -59,9 +59,10 @@ fn replica_death_mid_workload_parks_suspects_and_heals() {
             .is_some());
     }
 
-    // The quiesce waited out the victim's sender worker: each envelope to
-    // it failed once, so its fragments are parked for repair from the log
-    // (or were shed) and the node is demoted.
+    // The quiesce waited out the victim's sender: each envelope to it
+    // failed once, so its fragments are parked for repair from the log and
+    // the node is demoted. (A down node's queue holds no flush, so nothing
+    // is abandoned at the admission deadline here.)
     let mid = master.sal.stats.snapshot();
     assert!(
         master.sal.is_suspect(victim),
@@ -72,8 +73,8 @@ fn replica_death_mid_workload_parks_suspects_and_heals() {
         "failed envelopes must be counted: {mid}"
     );
     assert!(
-        mid.fragments_parked + mid.queue_full_drops >= 1,
-        "undelivered fragments must be parked or shed, not lost: {mid}"
+        mid.fragments_parked >= 1,
+        "undelivered fragments must be parked, not lost: {mid}"
     );
     assert!(mid.suspect_demotions >= 1, "{mid}");
 
