@@ -133,10 +133,11 @@ pub struct TaurusConfig {
     pub engine_buffer_pool_pages: usize,
     /// Per-replica SAL send-queue depth (fragments): the back-pressure
     /// point. While the queue of a Page Store node that is up and not
-    /// suspect holds this many, the next log flush waits for room, for at
-    /// most `short_term_failure_us`; a node still full then is treated as
-    /// failed (its queued fragments are parked for repair from the Log
-    /// Stores, which hold durability, and the node is made suspect).
+    /// suspect holds this many, the next log flush waits for room. A node
+    /// whose queue holds flushes for `short_term_failure_us` without
+    /// draining, or is full while the node is suspect or down, is treated
+    /// as failed: its queued fragments are parked for repair from the Log
+    /// Stores, which hold durability, and the node is made suspect.
     pub sal_send_queue_depth: usize,
     /// Per-`ScanSlice`-call row budget for near-data scan pushdown. A Page
     /// Store stops after the page that crosses the budget and returns a

@@ -238,12 +238,12 @@ taurus_common::counters! {
         /// the Log Stores.
         pub write_retries: Counter,
         /// Fragments failed, refused by a node a rebuild replaced, or
-        /// abandoned at the admission deadline — their slice is parked for
-        /// repair from the Log Stores.
+        /// abandoned at admission — their slice is parked for repair from
+        /// the Log Stores.
         pub fragments_parked: Counter,
-        /// Fragments abandoned at the admission deadline: a node's send
-        /// queue stayed full for `short_term_failure_us` while a flush
-        /// waited on it (`Sal::admit_flush`).
+        /// Fragments abandoned at admission (`Sal::admit_flush`): a node's
+        /// send queue held flushes for `short_term_failure_us` without
+        /// draining, or was full while the node was suspect or down.
         pub queue_full_drops: Counter,
         /// Log flushes held because a node's send queue was full.
         pub admission_waits: Counter,
@@ -879,8 +879,8 @@ impl Sal {
     /// none) — and the SAL's clock reaching `deadline_us` first is
     /// [`TaurusError::DeadlinePassed`]. A slice is left behind only by a
     /// fault: a failed send, a refusal from a rebuilt-away node, or a
-    /// queue abandoned at the admission deadline. A burst of commits is
-    /// held, never shed.
+    /// queue abandoned at admission (a straggler or a suspect node). A
+    /// burst of commits is held, never shed.
     pub fn quiesce(&self, deadline_us: u64) -> Result<()> {
         loop {
             self.flush_all_slices();

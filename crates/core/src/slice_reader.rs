@@ -96,8 +96,8 @@ struct Routing {
     /// EWMA read latency (µs) per slice replica.
     latency_us: HashMap<(SliceKey, NodeId), f64>,
     /// Replica nodes the write pipeline demoted (a send to them failed, or
-    /// their send queue stayed full for a failure window) and that have
-    /// not proven themselves alive since. Read last.
+    /// their send queue was abandoned at admission) and that have not
+    /// proven themselves alive since. Read last.
     suspects: HashSet<NodeId>,
 }
 

@@ -26,8 +26,8 @@
 //! full queue holds the next log flush ([`Sal::admit_flush`]) instead.
 //! Repair and restart recovery call `redo`.
 //! Slices owed a repair sit in the *parked* set. A failed send, a refusal
-//! from a rebuilt-away node or a queue abandoned at the admission deadline
-//! only marks a slice there; the set is emptied by [`Sal::repair`], one
+//! from a rebuilt-away node or a queue abandoned at admission only marks
+//! a slice there; the set is emptied by [`Sal::repair`], one
 //! synchronous pass on the thread of whoever calls it — `Sal::tick` and
 //! the recovery round, on the beat. Nothing inside a pass starts another,
 //! so repair depth is 1 by construction.
@@ -41,7 +41,6 @@
 //! across a fabric call, and never across each other.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -68,10 +67,10 @@ struct PipeJob {
 const GROUPED_SHIP_MAX: usize = 8;
 
 /// The send pipe to one Page Store replica node: a FIFO drained by the
-/// node's sender thread. Bound: while the node is up and not suspect, its
-/// depth plus one fragment per slice written by the spans already past
-/// [`Sal::admit_flush`]. A suspect or down node's queue is not watched
-/// and drains at its sender's pace (a down node fails envelopes at once).
+/// node's sender thread. Bound: its depth plus one fragment per slice
+/// written by the spans already past [`Sal::admit_flush`], which holds
+/// flushes while a watched (up, not suspect) node's queue is full and
+/// abandons a full queue of any other node.
 #[derive(Default)]
 struct PipeState {
     queue: VecDeque<PipeJob>,
@@ -80,6 +79,14 @@ struct PipeState {
     /// queued or in flight.
     busy: bool,
     in_flight: Gauge,
+    /// When a flush first found the queue full since the node last drained
+    /// it, on the SAL's clock: the node's failure window
+    /// ([`Sal::admit_flush`]) runs from here. Cleared when the sender idles
+    /// with nothing abandoned since it last idled: emptied by abandoning,
+    /// a queue has not been drained.
+    full_since: Option<u64>,
+    /// The queue was abandoned since the sender last idled.
+    abandoned: bool,
     /// Wakes the node's sender when the pipe turns busy.
     wake: Arc<Condvar>,
 }
@@ -100,6 +107,8 @@ struct Pipes {
     running: usize,
     /// Drain episodes so far: a pipe went from idle to busy.
     drains: u64,
+    /// Runs the senders have taken off their queues so far.
+    takes: u64,
     /// Deepest queue any pipe has held.
     max_queue_depth: u64,
     /// Raised when the SAL drops: every sender exits.
@@ -119,12 +128,6 @@ struct Shared {
     /// Raised under `pipes`, while a quiesce or a held flush waits,
     /// whenever a queue shrank or the pipes may have come to rest.
     settled: Condvar,
-    /// Raised under `pipes` when a queue reaches `sal_send_queue_depth`,
-    /// lowered under it by a look that finds none there, so a flush with
-    /// no full queue takes no lock. A statistic-like hint that publishes
-    /// no data: a stale read lets one more span past the admission, which
-    /// the queue bound already counts.
-    maybe_full: AtomicBool,
 }
 
 impl Shared {
@@ -153,7 +156,6 @@ impl SliceWriter {
             shared: Arc::new(Shared {
                 pipes: Mutex::new_leaf(Pipes::default()),
                 settled: Condvar::new(),
-                maybe_full: AtomicBool::new(false),
             }),
             parked: Mutex::new_leaf(HashSet::new()),
         }
@@ -223,8 +225,12 @@ fn run_sender(sal: &Weak<Sal>, shared: &Shared, node: NodeId, wake: &Condvar) {
                     pipe.in_flight.add(take as u64);
                     let run = pipe.queue.drain(..take).collect();
                     // A flush held on this queue may go on.
+                    pipes.takes += 1;
                     shared.signal(pipes);
                     break run;
+                }
+                if !std::mem::take(&mut pipe.abandoned) {
+                    pipe.full_since = None;
                 }
                 if std::mem::take(&mut pipe.busy) {
                     shared.signal(pipes);
@@ -286,9 +292,6 @@ impl Sal {
                 let frag = Arc::clone(frag);
                 pipe.queue.push_back(PipeJob { key, frag });
                 let queued = pipe.queue.len();
-                if queued >= self.cfg.sal_send_queue_depth {
-                    self.writer.shared.maybe_full.store(true, Ordering::Relaxed);
-                }
                 let turned_busy = !std::mem::replace(&mut pipe.busy, true);
                 let wake = turned_busy.then(|| Arc::clone(&pipe.wake));
                 pipes.max_queue_depth = pipes.max_queue_depth.max(queued as u64);
@@ -307,74 +310,76 @@ impl Sal {
     /// holds a log flush, with no lock held, while the send queue of a
     /// Page Store node that is up and not suspect holds
     /// `sal_send_queue_depth` fragments, woken as senders take runs off
-    /// their queues. After `short_term_failure_us` on the SAL's clock, the
-    /// failure window, a node still full is treated as failed: its queue
-    /// is abandoned (park + suspect, `queue_full_drops`).
+    /// their queues. The failure window, `short_term_failure_us` on the
+    /// SAL's clock, runs from the first flush that found the queue full
+    /// since the node last drained it, so a straggler that keeps
+    /// its queue full fails even though each call lets one flush through.
+    /// A node full past its window, or a full node that is suspect or
+    /// down (nobody waits on it), is treated as failed: its queue is
+    /// abandoned (park + suspect, `queue_full_drops`).
     pub(crate) fn admit_flush(&self) {
-        let mut full = self.full_pipes();
-        if full.is_empty() {
-            return;
-        }
-        let depth = self.cfg.sal_send_queue_depth;
+        let window = self.cfg.short_term_failure_us;
         let start = self.clock.now_us();
-        let deadline = start.saturating_add(self.cfg.short_term_failure_us);
-        self.stats.admission_waits.inc();
+        let (mut now, mut held) = (start, false);
         loop {
-            let now = self.clock.now_us();
-            if full.is_empty() || now >= deadline {
-                full.into_iter().for_each(|node| self.abandon_queue(node));
+            let (full, takes) = self.full_pipes(now);
+            if full.is_empty() {
                 break;
             }
-            {
-                let mut pipes = self.writer.pipes();
-                // A run taken since `full_pipes` looked shows here; one
-                // taken later signals the wait.
-                let at_depth =
-                    |n: &NodeId| pipes.by_node.get(n).is_some_and(|p| p.queue.len() >= depth);
-                if full.iter().all(at_depth) {
-                    pipes.waiters += 1;
-                    let left = Duration::from_micros(deadline - now);
-                    self.writer.shared.settled.wait_for(&mut pipes, left);
-                    pipes.waiters -= 1;
+            let suspects = self.reader.suspects();
+            let mut until = u64::MAX;
+            for (node, since) in full {
+                let due = since.saturating_add(window);
+                if now < due && !suspects.contains(&node) && self.pages.is_live(node) {
+                    until = until.min(due);
+                } else {
+                    self.abandon_queue(node);
                 }
             }
-            full = self.full_pipes();
+            if until == u64::MAX {
+                break;
+            }
+            if !std::mem::replace(&mut held, true) {
+                self.stats.admission_waits.inc();
+            }
+            let mut pipes = self.writer.pipes();
+            // A run taken since `full_pipes` looked shows in `takes`; one
+            // taken later signals the wait.
+            if pipes.takes == takes {
+                pipes.waiters += 1;
+                let left = Duration::from_micros(until - now);
+                self.writer.shared.settled.wait_for(&mut pipes, left);
+                pipes.waiters -= 1;
+            }
+            drop(pipes);
+            now = self.clock.now_us();
         }
-        let waited = self.clock.now_us().saturating_sub(start);
-        self.stats.admission_wait_us.add(waited);
+        if held {
+            self.stats.admission_wait_us.add(now.saturating_sub(start));
+        }
     }
 
-    /// The up, non-suspect nodes whose send queue is full. Liveness is
-    /// read after `pipes` is released: it is a leaf.
-    fn full_pipes(&self) -> Vec<NodeId> {
-        let maybe_full = &self.writer.shared.maybe_full;
-        if !maybe_full.load(Ordering::Relaxed) {
-            return Vec::new();
-        }
+    /// Each node whose send queue is full, with the time its window
+    /// started (stamped `now` on the first look since it drained), and
+    /// the count of runs taken so far.
+    fn full_pipes(&self, now: u64) -> (Vec<(NodeId, u64)>, u64) {
         let depth = self.cfg.sal_send_queue_depth;
-        let pipes = self.writer.pipes();
-        let at_depth = pipes.by_node.iter().filter(|(_, p)| p.queue.len() >= depth);
-        let mut full: Vec<NodeId> = at_depth.map(|(node, _)| *node).collect();
-        if full.is_empty() {
-            maybe_full.store(false, Ordering::Relaxed);
-        }
-        drop(pipes);
-        if !full.is_empty() {
-            let suspects = self.reader.suspects();
-            full.retain(|n| !suspects.contains(n) && self.pages.is_live(*n));
-        }
-        full
+        let mut pipes = self.writer.pipes();
+        let full = pipes
+            .by_node
+            .iter_mut()
+            .filter(|(_, p)| p.queue.len() >= depth);
+        let full = full.map(|(node, p)| (*node, *p.full_since.get_or_insert(now)));
+        (full.collect(), pipes.takes)
     }
 
-    /// `node`'s queue stayed full for a failure window: what it holds is
-    /// abandoned, as a failed send's run would be.
+    /// `node` is treated as failed by [`Sal::admit_flush`]: what its queue
+    /// holds is abandoned, as a failed send's run would be.
     fn abandon_queue(&self, node: NodeId) {
-        let queue = self
-            .writer
-            .pipes()
-            .by_node
-            .get_mut(&node)
-            .map(|p| std::mem::take(&mut p.queue));
+        let queue = self.writer.pipes().by_node.get_mut(&node).map(|p| {
+            p.abandoned = true;
+            std::mem::take(&mut p.queue)
+        });
         for job in queue.unwrap_or_default() {
             self.stats.queue_full_drops.inc();
             self.abandon(node, job.key);

@@ -7,8 +7,9 @@
 //! — is what lets the benchmarks reproduce the paper's append-only-wins
 //! results with honest mechanics rather than hard-coded factors.
 //!
-//! The device lives in memory (fast, deterministic) and keeps its appends
-//! as they came, end to end; [`StorageDevice::append_shared`] keeps
+//! Two backends: in memory (default; fast, deterministic) and a real temp
+//! file (used by durability-oriented tests). The in-memory device keeps its
+//! appends as they came, end to end; [`StorageDevice::append_shared`] keeps
 //! a buffer the writer already holds rather than a copy, so one log
 //! fragment persisted by three replicas is held once.
 //!
@@ -23,6 +24,9 @@
 //! device calls) nobody else is waiting, so a charge blocks its own thread.
 
 use std::cell::Cell;
+use std::fs::{File, OpenOptions};
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -71,6 +75,11 @@ pub(crate) fn run_handler<T>(clock: &ClockRef, arrived_at: u64, f: impl FnOnce()
     let _outer = Restore(HANDLER_CURSOR.replace(Some((clock_id(clock), arrived_at))));
     let out = f();
     (out, model_now(clock))
+}
+
+enum Backend {
+    Memory(Chunks),
+    File { file: File, path: PathBuf, len: u64 },
 }
 
 /// One append of the in-memory device: bytes it copied, or an immutable
@@ -170,7 +179,7 @@ pub struct StorageDevice {
     clock: ClockRef,
     profile: StorageProfile,
     busy_until_us: Mutex<u64>,
-    chunks: Mutex<Chunks>,
+    backend: Mutex<Backend>,
     appended_bytes: AtomicU64,
     append_ios: AtomicU64,
     random_write_ios: AtomicU64,
@@ -220,12 +229,41 @@ impl StorageDevice {
             clock,
             profile,
             busy_until_us: Mutex::new(0),
-            chunks: Mutex::new(Chunks::default()),
+            backend: Mutex::new(Backend::Memory(Chunks::default())),
             appended_bytes: AtomicU64::new(0),
             append_ios: AtomicU64::new(0),
             random_write_ios: AtomicU64::new(0),
             read_ios: AtomicU64::new(0),
         }
+    }
+
+    /// File-backed device in the system temp directory. The file is removed
+    /// on drop.
+    pub fn in_temp_file(clock: ClockRef, profile: StorageProfile, tag: &str) -> Result<Self> {
+        static UNIQ: AtomicU64 = AtomicU64::new(0);
+        let n = UNIQ.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!(
+            "taurus-dev-{}-{}-{}.bin",
+            std::process::id(),
+            tag,
+            n
+        ));
+        let file = OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .read(true)
+            .write(true)
+            .open(&path)?;
+        Ok(StorageDevice {
+            clock,
+            profile,
+            busy_until_us: Mutex::new(0),
+            backend: Mutex::new(Backend::File { file, path, len: 0 }),
+            appended_bytes: AtomicU64::new(0),
+            append_ios: AtomicU64::new(0),
+            random_write_ios: AtomicU64::new(0),
+            read_ios: AtomicU64::new(0),
+        })
     }
 
     /// Appends `data`, returning the offset it was written at. Charged as
@@ -259,7 +297,17 @@ impl StorageDevice {
         self.append_ios.fetch_add(1, Ordering::Relaxed);
         self.appended_bytes
             .fetch_add(data.len() as u64, Ordering::Relaxed);
-        Ok(self.chunks.lock().push(chunk))
+        let mut backend = self.backend.lock();
+        match &mut *backend {
+            Backend::Memory(chunks) => Ok(chunks.push(chunk)),
+            Backend::File { file, len, .. } => {
+                file.seek(SeekFrom::End(0))?;
+                file.write_all(data)?;
+                let off = *len;
+                *len += data.len() as u64;
+                Ok(off)
+            }
+        }
     }
 
     /// Overwrites bytes at `offset`. Charged as one random-write I/O (the
@@ -267,8 +315,19 @@ impl StorageDevice {
     pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
         self.charge(self.profile.random_write_us);
         self.random_write_ios.fetch_add(1, Ordering::Relaxed);
-        self.chunks.lock().write_at(offset, data);
-        Ok(())
+        let mut backend = self.backend.lock();
+        match &mut *backend {
+            Backend::Memory(chunks) => {
+                chunks.write_at(offset, data);
+                Ok(())
+            }
+            Backend::File { file, len, .. } => {
+                file.seek(SeekFrom::Start(offset))?;
+                file.write_all(data)?;
+                *len = (*len).max(offset + data.len() as u64);
+                Ok(())
+            }
+        }
     }
 
     /// Reads `len` bytes at `offset`. Charged as one random-read I/O.
@@ -281,12 +340,29 @@ impl StorageDevice {
                 "read past end of device",
             ))
         };
-        self.chunks.lock().read(offset, len).ok_or_else(past_end)
+        let mut backend = self.backend.lock();
+        match &mut *backend {
+            Backend::Memory(chunks) => chunks.read(offset, len).ok_or_else(past_end),
+            Backend::File {
+                file, len: flen, ..
+            } => {
+                if offset + len as u64 > *flen {
+                    return Err(past_end());
+                }
+                file.seek(SeekFrom::Start(offset))?;
+                let mut out = vec![0u8; len];
+                file.read_exact(&mut out)?;
+                Ok(out)
+            }
+        }
     }
 
     /// Current device length in bytes.
     pub fn len(&self) -> u64 {
-        self.chunks.lock().len
+        match &*self.backend.lock() {
+            Backend::Memory(chunks) => chunks.len,
+            Backend::File { len, .. } => *len,
+        }
     }
 
     pub fn is_empty(&self) -> bool {
@@ -301,6 +377,14 @@ impl StorageDevice {
             self.read_ios.load(Ordering::Relaxed),
             self.appended_bytes.load(Ordering::Relaxed),
         )
+    }
+}
+
+impl Drop for StorageDevice {
+    fn drop(&mut self) {
+        if let Backend::File { path, .. } = &*self.backend.lock() {
+            let _ = std::fs::remove_file(path);
+        }
     }
 }
 
@@ -429,5 +513,23 @@ mod tests {
         assert_eq!(Arc::strong_count(&shared), 2);
         assert_eq!(b.read(0, 8).unwrap(), b"fragment");
         assert!(a.read(10, 5).is_err());
+    }
+
+    #[test]
+    fn file_backend_roundtrip_and_cleanup() {
+        let clock = ManualClock::shared();
+        let dev = StorageDevice::in_temp_file(clock, StorageProfile::instant(), "test").unwrap();
+        dev.append(b"persist").unwrap();
+        assert_eq!(dev.append_parts(&[b" ", b"me"]).unwrap(), 7);
+        assert_eq!(dev.append_shared(Arc::<[u8]>::from(&b"!"[..])).unwrap(), 10);
+        dev.write_at(0, b"P").unwrap();
+        assert_eq!(dev.read(0, 11).unwrap(), b"Persist me!");
+        let path = match &*dev.backend.lock() {
+            Backend::File { path, .. } => path.clone(),
+            _ => unreachable!(),
+        };
+        assert!(path.exists());
+        drop(dev);
+        assert!(!path.exists());
     }
 }
