@@ -81,16 +81,16 @@ impl NetworkProfile {
     }
 }
 
+/// Copies of every PLog on Log Stores and of every slice on Page Stores:
+/// the paper's three and three (§3.3, §3.4).
+pub const REPLICAS: usize = 3;
+
 /// All tunables of a Taurus cluster.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TaurusConfig {
     /// Pages per slice (production: 10 GB / 16 KiB = 655,360 pages; default
     /// here is small so tests span many slices).
     pub pages_per_slice: u64,
-    /// Replication factor for PLogs on Log Stores (paper: 3).
-    pub log_replicas: usize,
-    /// Replication factor for slices on Page Stores (paper: 3).
-    pub page_replicas: usize,
     /// PLog size limit in bytes after which it is sealed and a new PLog is
     /// created (paper: 64 MB; scaled down by default).
     pub plog_size_limit: usize,
@@ -100,9 +100,9 @@ pub struct TaurusConfig {
     /// Per-slice buffer capacity in bytes (flushed to Page Stores when full
     /// or on timeout).
     pub slice_buffer_bytes: usize,
-    /// Per-slice buffer flush timeout, microseconds. `Sal::tick` also
-    /// flushes a log buffer that has been open this long, so a lone
-    /// committer's group never waits for the byte threshold.
+    /// Per-slice buffer flush timeout, microseconds: `Sal::tick` ships a
+    /// slice buffer that has been open this long. The log buffer has no
+    /// timeout: every commit's `Sal::flush` pushes it out.
     pub slice_flush_timeout_us: u64,
     /// Log Store FIFO write-through cache capacity, bytes (serves replica
     /// log reads without disk I/O, paper §3.3/§6).
@@ -176,8 +176,6 @@ impl Default for TaurusConfig {
     fn default() -> Self {
         TaurusConfig {
             pages_per_slice: 2048,
-            log_replicas: 3,
-            page_replicas: 3,
             plog_size_limit: 4 << 20,
             log_buffer_bytes: 256 << 10,
             slice_buffer_bytes: 64 << 10,
@@ -245,11 +243,6 @@ impl TaurusConfig {
                 "pages_per_slice must be > 0".into(),
             ));
         }
-        if self.log_replicas == 0 || self.page_replicas == 0 {
-            return Err(crate::TaurusError::Internal(
-                "replication factors must be > 0".into(),
-            ));
-        }
         if self.plog_size_limit < self.log_buffer_bytes {
             return Err(crate::TaurusError::Internal(
                 "plog_size_limit must be >= log_buffer_bytes".into(),
@@ -270,7 +263,7 @@ impl TaurusConfig {
                 "read_batch_max_pages must be > 0".into(),
             ));
         }
-        // Every stream opens its own PLog on `log_replicas` Log Stores when
+        // Every stream opens its own PLog on `REPLICAS` Log Stores when
         // the log is created and is listed in every manifest snapshot, and a
         // stream only helps while each of the others has a flush in flight:
         // 64 is already past any useful fan-out, and the bound keeps a bad
@@ -303,12 +296,6 @@ mod tests {
     fn invalid_configs_are_rejected() {
         let c = TaurusConfig {
             pages_per_slice: 0,
-            ..TaurusConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = TaurusConfig {
-            log_replicas: 0,
             ..TaurusConfig::default()
         };
         assert!(c.validate().is_err());

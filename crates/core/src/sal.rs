@@ -21,8 +21,7 @@
 //! slice buffers.
 
 use std::cmp;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -49,8 +48,8 @@ pub(crate) struct SliceState {
     /// manager after a rebuild).
     pub replicas: Vec<NodeId>,
     /// Records accumulated for the next fragment.
-    buffer: Vec<LogRecord>,
-    buffer_bytes: usize,
+    pub(crate) buffer: Vec<LogRecord>,
+    pub(crate) buffer_bytes: usize,
     /// Chain link for the next fragment: last LSN ever handed to a flush.
     pub flush_lsn: Lsn,
     /// Last fragment end acknowledged by ≥1 replica ("the slice write is
@@ -71,7 +70,7 @@ pub(crate) struct SliceState {
     /// replica (stall detection, §5.2).
     pub last_progress_us: u64,
     /// When the current buffer got its first record (flush timeout).
-    buffer_opened_us: u64,
+    pub(crate) buffer_opened_us: u64,
 }
 
 impl SliceState {
@@ -171,8 +170,7 @@ enum SpanState {
 /// lands before an earlier one does not become visible early — the
 /// LSN-vector commit rule (parallel-logging paper).
 #[derive(Debug)]
-struct FlushSpan {
-    first: Lsn,
+pub(crate) struct FlushSpan {
     end: Lsn,
     ticket: u64,
     state: SpanState,
@@ -180,36 +178,32 @@ struct FlushSpan {
 
 #[derive(Debug, Default)]
 pub(crate) struct SalState {
-    log_buffer: Vec<LogRecordGroup>,
-    log_buffer_bytes: usize,
+    pub(crate) log_buffer: Vec<LogRecordGroup>,
+    pub(crate) log_buffer_bytes: usize,
     /// Ticket of the next prepared flush (log-write pipeline order).
-    next_flush_ticket: u64,
+    pub(crate) next_flush_ticket: u64,
     /// End LSN of the newest *prepared* flush — it may still be in flight.
     /// `flush()` waits for the durable LSN to catch up to this.
-    last_prepared_end: Lsn,
+    pub(crate) last_prepared_end: Lsn,
     /// End LSN of the first log flush that failed outright (the cluster
     /// could not host a new PLog). Everything at or below the durable LSN
     /// stays valid; later flushes sit behind the gap and the durable LSN
     /// stops advancing.
-    failed_at: Lsn,
+    pub(crate) failed_at: Lsn,
     /// Flush spans in global prepare order, the window over which the
     /// durable LSN advances: popped as a contiguous prefix of
     /// `Durable` spans by [`Sal::advance_durable_prefix_locked`].
-    flush_spans: VecDeque<FlushSpan>,
+    pub(crate) flush_spans: VecDeque<FlushSpan>,
     /// Prepared flushes not yet durable or failed. When every log stream
     /// has one in flight, `flush()` waits and lets the group grow (adaptive
     /// group commit) instead of queueing a tiny span behind the window.
-    flushes_in_flight: usize,
-    /// Fabric time the current log buffer got its first group; `tick()`
-    /// flushes an idle buffer once it is older than
-    /// `slice_flush_timeout_us`, the deadline slice buffers use.
-    log_buffer_opened_us: u64,
+    pub(crate) flushes_in_flight: usize,
     pub slices: HashMap<SliceKey, SliceState>,
     /// Named snapshots: LSNs pinned against version recycling. Because Page
     /// Stores are append-only, creating a snapshot is constant-time — it is
     /// just an LSN (the paper's abstract: "append-only storage, delivering
     /// ... constant-time snapshots").
-    snapshots: HashMap<String, Lsn>,
+    snapshots: BTreeMap<String, Lsn>,
 }
 
 taurus_common::counters! {
@@ -253,9 +247,10 @@ taurus_common::counters! {
         pub suspect_demotions: Counter,
         /// Suspect → healthy transitions.
         pub suspect_resurrections: Counter,
-        /// Idle log-buffer flushes of [`Sal::tick`] that failed: the one
-        /// flush no caller observes the error of (it still latches
-        /// `failed_at`, so the next `flush()` does).
+        /// Log flushes whose error no caller observed. Nothing increments
+        /// it any more: every log flush runs in a caller's [`Sal::flush`],
+        /// which returns its error (a failure also latches for the next
+        /// one). Kept because benches report it.
         pub dropped_flush_errors: Counter,
         /// `flush()` calls that waited for a stream slot so the commit group
         /// could grow (adaptive group commit under load).
@@ -388,10 +383,10 @@ pub struct Sal {
     slice_acks: SliceAcks,
     /// Signals waiters in [`Sal::flush`] whenever an in-flight log write
     /// completes (or fails). Paired with `state`.
-    flush_cv: Condvar,
+    pub(crate) flush_cv: Condvar,
     /// Highest LSN durable on Log Stores **as a contiguous prefix of
     /// flush spans** (the commit point transactions ack against).
-    durable_lsn: LsnWatermark,
+    pub(crate) durable_lsn: LsnWatermark,
     /// Periodically saved database persistent LSN — the recovery starting
     /// point (§4.3 "SAL periodically saves this value for recovery
     /// purposes"). Modeled as a durable control-plane cell that survives
@@ -406,10 +401,6 @@ pub struct Sal {
     /// Self-handle for the per-node sender threads, which must not keep
     /// the SAL alive.
     pub(crate) myself: Weak<Sal>,
-    /// Microseconds of delay injected per log flush while Page Store
-    /// consolidation is behind ("the SAL throttles log writes on the
-    /// master" to bound Log Directory growth — paper §7).
-    throttle_us: AtomicU64,
     /// Counter families, shared with `reader` (which counts the read side).
     pub stats: Arc<SalStats>,
     pub ndp_stats: Arc<NdpStats>,
@@ -471,7 +462,6 @@ impl Sal {
             anchor,
             writer: SliceWriter::new(),
             myself: myself.clone(),
-            throttle_us: AtomicU64::new(0),
             stats: Arc::clone(&reader.stats),
             ndp_stats: Arc::clone(&reader.ndp_stats),
             read_batch_stats: Arc::clone(&reader.read_batch_stats),
@@ -517,9 +507,6 @@ impl Sal {
             group.first_lsn(),
             group.end_lsn()
         );
-        if st.log_buffer.is_empty() {
-            st.log_buffer_opened_us = self.clock.now_us();
-        }
         st.log_buffer_bytes += group.encoded_len();
         st.log_buffer.push(group);
         st.log_buffer_bytes >= self.cfg.log_buffer_bytes
@@ -616,7 +603,6 @@ impl Sal {
         let ticket = st.next_flush_ticket;
         st.next_flush_ticket += 1;
         st.flush_spans.push_back(FlushSpan {
-            first,
             end,
             ticket,
             state: SpanState::InFlight,
@@ -637,72 +623,45 @@ impl Sal {
     /// appends), and durability bookkeeping commits via the
     /// contiguous-prefix walk over the global span window.
     fn run_flush(&self, p: PreparedFlush) -> Result<()> {
-        // Backpressure: while consolidation is behind, each flush pays a
-        // small delay so the Log Directories stop growing (§7); while a
-        // Page Store's send queue is full, the flush waits for room.
-        let throttle = self.throttle_us.load(Ordering::Relaxed);
-        if throttle > 0 {
-            self.clock.sleep_us(throttle);
-        }
+        // Back-pressure (§7): while a Page Store's consolidation is behind
+        // or its send queue is full, the flush is held here.
         self.admit_flush();
-        // Steps 2-3: durable on all Log Store replicas. The commit point
-        // (durable LSN) advances only when the span joins the contiguous
-        // durable prefix.
-        match self
+        // Steps 2-3: durable on all Log Store replicas. Then any missing
+        // slice is created before taking `state`: the CreateSlice RPC must
+        // not run under the SAL's central lock, and it must happen before
+        // the span is marked durable — the prefix walk distributes records
+        // into `SalState::slices` and may run on another thread. Records
+        // that are durable but cannot be homed fail the flush too (the
+        // span would otherwise wedge the window).
+        let landed = self
             .log
             .append(p.ticket, p.prev_end, p.first, p.end, &p.groups)
-        {
-            Ok(()) => self.finish_flush(p),
-            Err(e) => {
-                let mut st = self.state.lock();
-                Self::mark_span(&mut st, p.first, SpanState::Failed);
-                st.flushes_in_flight -= 1;
-                self.advance_durable_prefix_locked(&mut st);
-                self.flush_cv.notify_all();
-                Err(e)
-            }
-        }
-    }
-
-    /// Post-append bookkeeping for one durable flush: parks the span's
-    /// groups as `Durable` in the global window and advances the durable
-    /// prefix as far as it now reaches — which may commit this span, later
-    /// spans that finished earlier, or neither (when an earlier span is
-    /// still in flight; whoever lands it commits for both).
-    fn finish_flush(&self, p: PreparedFlush) -> Result<()> {
-        // Create any missing slices before taking `state`: the CreateSlice
-        // RPC must not run under the SAL's central lock. This must happen
-        // before the span is marked durable — the prefix walk distributes
-        // records into `SalState::slices` and may run on another thread.
-        let ensured = self.ensure_slices(&self.homes_of(&p.groups));
+            .and_then(|()| self.ensure_slices(&self.homes_of(&p.groups)));
+        // The commit point (durable LSN) advances only as far as the
+        // contiguous durable prefix now reaches — which may commit this
+        // span, later spans that finished earlier, or neither (when an
+        // earlier span is still in flight; whoever lands it commits for
+        // both).
         let mut st = self.state.lock();
-        match ensured {
-            // The records are durable but the SAL cannot home them: treat
-            // as a failed flush (the span would otherwise wedge the window).
-            Err(e) => {
-                Self::mark_span(&mut st, p.first, SpanState::Failed);
-                st.flushes_in_flight -= 1;
-                self.advance_durable_prefix_locked(&mut st);
-                self.flush_cv.notify_all();
-                Err(e)
-            }
-            Ok(()) => {
-                Self::mark_span(&mut st, p.first, SpanState::Durable(p.groups));
-                st.flushes_in_flight -= 1;
-                self.advance_durable_prefix_locked(&mut st);
-                self.flush_cv.notify_all();
-                if st.failed_at.is_valid() && p.end > st.failed_at {
-                    // An earlier flush failed: our records are durable but
-                    // sit behind a hole in the log, so they can never be
-                    // acknowledged or made visible.
-                    return Err(TaurusError::Internal(format!(
-                        "log flush failed at {}",
-                        st.failed_at
-                    )));
-                }
-                Ok(())
-            }
+        let state = match landed {
+            Ok(()) => SpanState::Durable(p.groups),
+            Err(_) => SpanState::Failed,
+        };
+        Self::mark_span(&mut st, p.ticket, state);
+        st.flushes_in_flight -= 1;
+        self.advance_durable_prefix_locked(&mut st);
+        self.flush_cv.notify_all();
+        landed?;
+        if st.failed_at.is_valid() && p.end > st.failed_at {
+            // An earlier flush failed: our records are durable but sit
+            // behind a hole in the log, so they can never be acknowledged
+            // or made visible.
+            return Err(TaurusError::Internal(format!(
+                "log flush failed at {}",
+                st.failed_at
+            )));
         }
+        Ok(())
     }
 
     /// The slice `page` belongs to: slice placement is static (paper §3.4).
@@ -722,10 +681,9 @@ impl Sal {
         keys
     }
 
-    /// Records the completion state of the span starting at `first` (span
-    /// ranges are disjoint, so `first` identifies it).
-    fn mark_span(st: &mut SalState, first: Lsn, state: SpanState) {
-        if let Some(span) = st.flush_spans.iter_mut().find(|s| s.first == first) {
+    /// Records the completion state of the span flushed under `ticket`.
+    fn mark_span(st: &mut SalState, ticket: u64, state: SpanState) {
+        if let Some(span) = st.flush_spans.iter_mut().find(|s| s.ticket == ticket) {
             span.state = state;
         }
     }
@@ -795,49 +753,15 @@ impl Sal {
         self.flush_slices_locked(st, |s| s.buffer_bytes >= self.cfg.slice_buffer_bytes);
     }
 
-    /// Recomputes the write-throttle from the Page Stores' consolidation
-    /// backlog. Called from [`Sal::tick`]; cheap (one gauge per server).
-    pub fn update_throttle(&self) {
-        let backlog = self.pages.max_backlog_pressure();
-        let limit = self.cfg.consolidation_backlog_limit;
-        let throttle = if backlog > limit {
-            // Proportional: 1µs per KiB over the limit, capped at 5ms.
-            (((backlog - limit) / 1024) as u64).min(5_000)
-        } else {
-            0
-        };
-        self.throttle_us.store(throttle, Ordering::Relaxed);
-    }
-
-    /// Current injected per-flush throttle (µs); 0 when consolidation keeps up.
-    pub fn current_throttle_us(&self) -> u64 {
-        self.throttle_us.load(Ordering::Relaxed)
-    }
-
     /// Periodic driver: flushes slice buffers whose timeout expired and,
     /// once their replicas look reachable, repairs the parked slices in one
     /// pass on this thread ([`Sal::repair_parked`]). Call this from a timer
-    /// (or rely on the next log flush).
+    /// (or rely on the next log flush). It makes no log flush — every
+    /// commit's [`Sal::flush`] pushes the log buffer out — and reads no
+    /// Page Store state.
     pub fn tick(&self) {
-        self.update_throttle();
         let now = self.clock.now_us();
         let timeout = self.cfg.slice_flush_timeout_us;
-        // Idle group commit: a log buffer that has been sitting open past
-        // the flush deadline flushes now instead of waiting for the next
-        // commit to push it out (adaptive sizing shrinks back under light
-        // load).
-        let idle_flush = {
-            let mut st = self.state.lock();
-            let idle = now.saturating_sub(st.log_buffer_opened_us) >= timeout;
-            idle.then(|| self.prepare_flush_locked(&mut st)).flatten()
-        };
-        if let Some(p) = idle_flush {
-            // The error latches into `failed_at`, where the next `flush()`
-            // sees it; nobody waits on this one, so it is counted.
-            if self.run_flush(p).is_err() {
-                self.stats.dropped_flush_errors.inc();
-            }
-        }
         self.flush_slices_locked(&mut self.state.lock(), |s| {
             now.saturating_sub(s.buffer_opened_us) >= timeout
         });
@@ -937,7 +861,7 @@ impl Sal {
     }
 
     /// Flushes every non-empty slice buffer that `due` selects.
-    fn flush_slices_locked(&self, st: &mut SalState, due: impl Fn(&SliceState) -> bool) {
+    pub(crate) fn flush_slices_locked(&self, st: &mut SalState, due: impl Fn(&SliceState) -> bool) {
         let nonempty = st.slices.iter().filter(|(_, s)| !s.buffer.is_empty());
         let keys: Vec<SliceKey> = nonempty.filter(|(_, s)| due(s)).map(|(k, _)| *k).collect();
         for key in keys {
@@ -1286,17 +1210,10 @@ impl Sal {
         self.state.lock().snapshots.remove(name).is_some()
     }
 
-    /// All named snapshots.
+    /// All named snapshots, by name.
     pub fn snapshots(&self) -> Vec<(String, Lsn)> {
-        let mut v: Vec<(String, Lsn)> = self
-            .state
-            .lock()
-            .snapshots
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        v.sort();
-        v
+        let st = self.state.lock();
+        st.snapshots.iter().map(|(k, v)| (k.clone(), *v)).collect()
     }
 
     // ==================================================================

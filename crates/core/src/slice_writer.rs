@@ -40,7 +40,7 @@
 //! Locks: `pipes` and `parked` are leaves below `sal::state` — never held
 //! across a fabric call, and never across each other.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -66,6 +66,9 @@ struct PipeJob {
 /// collapsing bursts into few round trips.
 const GROUPED_SHIP_MAX: usize = 8;
 
+/// Nodes whose last ack reported a backlog over the limit, with it (bytes).
+type Backlogs = Vec<(NodeId, usize)>;
+
 /// The send pipe to one Page Store replica node: a FIFO drained by the
 /// node's sender thread. Bound: its depth plus one fragment per slice
 /// written by the spans already past [`Sal::admit_flush`], which holds
@@ -87,6 +90,9 @@ struct PipeState {
     full_since: Option<u64>,
     /// The queue was abandoned since the sender last idled.
     abandoned: bool,
+    /// The node's consolidation backlog as its last ack reported it,
+    /// bytes: what [`Sal::admit_flush`] throttles on (§7).
+    backlog: usize,
     /// Wakes the node's sender when the pipe turns busy.
     wake: Arc<Condvar>,
 }
@@ -95,7 +101,7 @@ struct PipeState {
 #[derive(Default)]
 struct Pipes {
     /// One send pipe per Page Store replica node, created on first use.
-    by_node: HashMap<NodeId, PipeState>,
+    by_node: BTreeMap<NodeId, PipeState>,
     /// Repair passes and redos running: they ship on their caller's
     /// thread, outside every pipe, and are in flight all the same.
     repairs: usize,
@@ -147,7 +153,7 @@ pub(crate) struct SliceWriter {
     shared: Arc<Shared>,
     /// Slices owed a repair from the Log Stores (at most every slice): a
     /// fragment of theirs was abandoned, or a rebuild replaced a replica.
-    parked: Mutex<HashSet<SliceKey>>,
+    parked: Mutex<BTreeSet<SliceKey>>,
 }
 
 impl SliceWriter {
@@ -157,7 +163,7 @@ impl SliceWriter {
                 pipes: Mutex::new_leaf(Pipes::default()),
                 settled: Condvar::new(),
             }),
-            parked: Mutex::new_leaf(HashSet::new()),
+            parked: Mutex::new_leaf(BTreeSet::new()),
         }
     }
 
@@ -307,24 +313,26 @@ impl Sal {
     }
 
     /// Back-pressure (§7: "the SAL throttles log writes on the master"):
-    /// holds a log flush, with no lock held, while the send queue of a
-    /// Page Store node that is up and not suspect holds
-    /// `sal_send_queue_depth` fragments, woken as senders take runs off
-    /// their queues. The failure window, `short_term_failure_us` on the
-    /// SAL's clock, runs from the first flush that found the queue full
-    /// since the node last drained it, so a straggler that keeps
-    /// its queue full fails even though each call lets one flush through.
-    /// A node full past its window, or a full node that is suspect or
-    /// down (nobody waits on it), is treated as failed: its queue is
-    /// abandoned (park + suspect, `queue_full_drops`).
+    /// the one hold before a log flush's Log Store append, with no lock
+    /// held. It waits while the send queue of a Page Store node that is up
+    /// and not suspect holds `sal_send_queue_depth` fragments, woken as
+    /// senders take runs off their queues. The failure window,
+    /// `short_term_failure_us` on the SAL's clock, runs from the first
+    /// flush that found the queue full since the node last drained it, so
+    /// a straggler that keeps its queue full fails even though each call
+    /// lets one flush through. A node full past its window, or a full node
+    /// that is suspect or down (nobody waits on it), is treated as failed:
+    /// its queue is abandoned (park + suspect, `queue_full_drops`). Then
+    /// the flush pays the consolidation throttle the same look found
+    /// ([`Sal::current_throttle_us`]).
     pub(crate) fn admit_flush(&self) {
         let window = self.cfg.short_term_failure_us;
         let start = self.clock.now_us();
         let (mut now, mut held) = (start, false);
-        loop {
-            let (full, takes) = self.full_pipes(now);
+        let over = loop {
+            let (full, takes, over) = self.full_pipes(now);
             if full.is_empty() {
-                break;
+                break over;
             }
             let suspects = self.reader.suspects();
             let mut until = u64::MAX;
@@ -337,7 +345,7 @@ impl Sal {
                 }
             }
             if until == u64::MAX {
-                break;
+                break over;
             }
             if !std::mem::replace(&mut held, true) {
                 self.stats.admission_waits.inc();
@@ -353,24 +361,57 @@ impl Sal {
             }
             drop(pipes);
             now = self.clock.now_us();
-        }
+        };
         if held {
             self.stats.admission_wait_us.add(now.saturating_sub(start));
+        }
+        if !over.is_empty() {
+            let delay = self.throttle_of(over, &self.reader.suspects());
+            if delay > 0 {
+                self.clock.sleep_us(delay);
+            }
         }
     }
 
     /// Each node whose send queue is full, with the time its window
-    /// started (stamped `now` on the first look since it drained), and
-    /// the count of runs taken so far.
-    fn full_pipes(&self, now: u64) -> (Vec<(NodeId, u64)>, u64) {
+    /// started (stamped `now` on the first look since it drained), the
+    /// count of runs taken so far, and the backlogs over the limit.
+    fn full_pipes(&self, now: u64) -> (Vec<(NodeId, u64)>, u64, Backlogs) {
         let depth = self.cfg.sal_send_queue_depth;
         let mut pipes = self.writer.pipes();
+        let over = self.backlogs_over(&pipes);
         let full = pipes
             .by_node
             .iter_mut()
             .filter(|(_, p)| p.queue.len() >= depth);
         let full = full.map(|(node, p)| (*node, *p.full_since.get_or_insert(now)));
-        (full.collect(), pipes.takes)
+        (full.collect(), pipes.takes, over)
+    }
+
+    /// Each node whose last ack reported a backlog over
+    /// `consolidation_backlog_limit`, with that backlog.
+    fn backlogs_over(&self, pipes: &Pipes) -> Backlogs {
+        let limit = self.cfg.consolidation_backlog_limit;
+        let over = pipes.by_node.iter().filter(|(_, p)| p.backlog > limit);
+        over.map(|(node, p)| (*node, p.backlog)).collect()
+    }
+
+    /// The §7 throttle: 1 µs per KiB over the limit, capped at 5 ms, of the
+    /// worst backlog in `over` of a node that is up and not suspect.
+    fn throttle_of(&self, over: Backlogs, suspects: &[NodeId]) -> u64 {
+        let watched = over
+            .into_iter()
+            .filter(|(node, _)| !suspects.contains(node) && self.pages.is_live(*node));
+        let worst = watched.map(|(_, backlog)| backlog).max();
+        let limit = self.cfg.consolidation_backlog_limit;
+        worst.map_or(0, |backlog| ((backlog - limit) as u64 / 1024).min(5_000))
+    }
+
+    /// The delay, µs, a log flush pays because Page Store consolidation is
+    /// behind (§7), by the backlogs the nodes' last acks reported.
+    pub fn current_throttle_us(&self) -> u64 {
+        let over = self.backlogs_over(&self.writer.pipes());
+        self.throttle_of(over, &self.reader.suspects())
     }
 
     /// `node` is treated as failed by [`Sal::admit_flush`]: what its queue
@@ -428,10 +469,12 @@ impl Sal {
         // Demux in order; a short (impossible) response fails the tail.
         slots.resize_with(run.len(), || Err(TaurusError::NodeUnavailable(node)));
         let (mut delivered, mut raced, mut failed) = (0usize, false, false);
+        let mut backlog = None;
         for (job, slot) in run.into_iter().zip(slots) {
             match slot {
-                Ok(persistent) => {
-                    self.on_write_ack(job.key, node, job.frag.last_lsn(), persistent);
+                Ok(ack) => {
+                    self.on_write_ack(job.key, node, job.frag.last_lsn(), ack.persistent);
+                    backlog = Some(ack.backlog);
                     delivered += 1;
                 }
                 // A rebuild replaced this replica under the send — a
@@ -457,10 +500,21 @@ impl Sal {
         if raced {
             self.refresh_placement();
         }
-        if delivered > 0 {
+        if backlog.is_some_and(|backlog| self.note_ack(node, backlog)) {
             self.note_replica_alive(node);
         }
         delivered
+    }
+
+    /// Records the backlog `node`'s ack reported, and says whether the ack
+    /// shows the node serves: not if its queue was abandoned since its
+    /// sender last idled (a run in flight then proves nothing new).
+    fn note_ack(&self, node: NodeId, backlog: usize) -> bool {
+        let mut pipes = self.writer.pipes();
+        pipes.by_node.get_mut(&node).is_none_or(|pipe| {
+            pipe.backlog = backlog;
+            !pipe.abandoned
+        })
     }
 
     /// Resends to every lagging replica of `keys` exactly what it is
@@ -636,9 +690,7 @@ impl Sal {
 
     /// Slices currently parked for repair, sorted.
     pub fn parked_slices(&self) -> Vec<SliceKey> {
-        let mut v: Vec<SliceKey> = self.writer.parked.lock().iter().copied().collect();
-        v.sort();
-        v
+        self.writer.parked.lock().iter().copied().collect()
     }
 
     /// Blocks until every send pipe is empty with nothing in flight and no
@@ -680,12 +732,9 @@ impl Sal {
     /// fragments)`, sorted by node. Exposed to benches and tests.
     pub fn pipeline_gauges(&self) -> Vec<(NodeId, u64, u64)> {
         let pipes = self.writer.pipes();
-        let mut v: Vec<(NodeId, u64, u64)> = pipes
-            .by_node
-            .iter()
+        let gauges = pipes.by_node.iter();
+        gauges
             .map(|(n, p)| (*n, p.queue.len() as u64, p.in_flight.get()))
-            .collect();
-        v.sort_by_key(|e| e.0);
-        v
+            .collect()
     }
 }

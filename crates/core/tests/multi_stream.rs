@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use taurus_common::clock::ManualClock;
-use taurus_common::config::{NetworkProfile, StorageProfile};
+use taurus_common::config::{NetworkProfile, StorageProfile, REPLICAS};
 use taurus_common::lsn::{LsnAllocator, LsnWatermark};
 use taurus_common::page::PageType;
 use taurus_common::record::{LogRecord, LogRecordGroup, RecordBody};
@@ -38,13 +38,9 @@ impl Harness {
             log_streams: streams,
             ..TaurusConfig::test()
         };
-        let logs = LogStoreCluster::new(fabric.clone(), cfg.log_replicas, cfg.logstore_cache_bytes);
+        let logs = LogStoreCluster::new(fabric.clone(), REPLICAS, cfg.logstore_cache_bytes);
         logs.spawn_servers(log_nodes, StorageProfile::instant());
-        let pages = PageStoreCluster::new(
-            fabric.clone(),
-            cfg.page_replicas,
-            PageStoreOptions::default(),
-        );
+        let pages = PageStoreCluster::new(fabric.clone(), REPLICAS, PageStoreOptions::default());
         pages.spawn_servers(page_nodes, StorageProfile::instant());
         Harness {
             fabric,
@@ -243,40 +239,32 @@ fn log_hole_in_one_stream_is_discarded_on_recovery() {
     assert_eq!(page.nslots(), 4);
 }
 
-/// `Sal::tick`'s idle flush is the one log flush nobody waits on: when it
-/// fails (every Log Store unreachable) the error is counted rather than
-/// swallowed, and it latches, so the next `flush()` returns it.
+/// A log flush that fails (every Log Store unreachable) fails the
+/// committer whose `flush()` drove it, and the failure latches: the span
+/// is a hole in the log, so the next flush fails too, even with the Log
+/// Stores back, and the durable LSN stays below the hole. Every log flush
+/// has a caller to return its error to, so none is dropped.
 #[test]
-fn a_failed_idle_flush_is_counted_not_swallowed() {
+fn a_failed_flush_fails_its_committer_and_latches_for_the_next() {
     let h = Harness::new(3, 3, 2);
-    let sal = Sal::create(
-        TaurusConfig {
-            log_buffer_bytes: 1 << 20, // only the tick flushes the group below
-            plog_size_limit: 1 << 22,
-            ..h.cfg.clone()
-        },
-        DbId(1),
-        h.me,
-        h.logs.clone(),
-        h.pages.clone(),
-        Arc::clone(&h.anchor),
-    )
-    .unwrap();
+    let sal = h.sal();
     h.write_kv(&sal, 1, "k0", true);
-    assert_eq!(sal.stats.dropped_flush_errors.get(), 0);
+    let durable = sal.durable_lsn();
 
-    for node in h.fabric.healthy_nodes(NodeKind::LogStore) {
+    let stores = h.fabric.healthy_nodes(NodeKind::LogStore);
+    for &node in &stores {
         h.fabric.set_down(node);
     }
-    sal.log_group(h.group(1, "k1", false)).unwrap();
-    sal.tick();
-    assert_eq!(
-        sal.stats.dropped_flush_errors.get(),
-        1,
-        "the idle flush's failure must be counted"
-    );
+    sal.buffer_group(h.group(1, "k1", false));
+    assert!(sal.flush().is_err(), "the committer sees its flush fail");
+    for &node in &stores {
+        h.fabric.set_up(node);
+    }
+    sal.buffer_group(h.group(1, "k2", false));
     assert!(
         sal.flush().is_err(),
         "the failure latches for the next flush"
     );
+    assert_eq!(sal.durable_lsn(), durable);
+    assert_eq!(sal.stats.dropped_flush_errors.get(), 0);
 }

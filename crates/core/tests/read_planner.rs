@@ -11,7 +11,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use taurus_common::clock::{Clock, ManualClock};
-use taurus_common::config::{NetworkProfile, StorageProfile};
+use taurus_common::config::{NetworkProfile, StorageProfile, REPLICAS};
 use taurus_common::page::PageType;
 use taurus_common::record::{LogRecord, RecordBody};
 use taurus_common::scan::{evaluate_leaf_page, Aggregate, ScanAccumulator, ScanRequest};
@@ -123,11 +123,7 @@ impl Harness {
         };
         let fabric = Fabric::new(clock.clone(), net, 19);
         let me = fabric.add_node(NodeKind::Compute);
-        let pages = PageStoreCluster::new(
-            fabric.clone(),
-            cfg.page_replicas,
-            PageStoreOptions::default(),
-        );
+        let pages = PageStoreCluster::new(fabric.clone(), REPLICAS, PageStoreOptions::default());
         pages.spawn_servers(5, StorageProfile::instant());
         Harness {
             clock,

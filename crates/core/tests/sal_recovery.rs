@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use taurus_common::clock::{Clock, ClockRef, ManualClock};
-use taurus_common::config::{NetworkProfile, StorageProfile};
+use taurus_common::config::{NetworkProfile, StorageProfile, REPLICAS};
 use taurus_common::lsn::{LsnAllocator, LsnWatermark};
 use taurus_common::page::PageType;
 use taurus_common::record::{LogRecord, LogRecordGroup, RecordBody};
@@ -52,13 +52,9 @@ impl Harness {
             slice_buffer_bytes: 1,
             ..TaurusConfig::test()
         };
-        let logs = LogStoreCluster::new(fabric.clone(), cfg.log_replicas, cfg.logstore_cache_bytes);
+        let logs = LogStoreCluster::new(fabric.clone(), REPLICAS, cfg.logstore_cache_bytes);
         logs.spawn_servers(log_nodes, StorageProfile::instant());
-        let pages = PageStoreCluster::new(
-            fabric.clone(),
-            cfg.page_replicas,
-            PageStoreOptions::default(),
-        );
+        let pages = PageStoreCluster::new(fabric.clone(), REPLICAS, PageStoreOptions::default());
         pages.spawn_servers(page_nodes, StorageProfile::instant());
         Harness {
             clock,

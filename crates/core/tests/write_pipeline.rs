@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use taurus_common::clock::{Clock, ClockRef, ManualClock, SystemClock};
-use taurus_common::config::{NetworkProfile, StorageProfile};
+use taurus_common::clock::{ClockRef, ManualClock, SystemClock};
+use taurus_common::config::{NetworkProfile, StorageProfile, REPLICAS};
 use taurus_common::lsn::{LsnAllocator, LsnWatermark};
 use taurus_common::page::PageType;
 use taurus_common::record::{LogRecord, LogRecordGroup, RecordBody};
@@ -40,13 +40,9 @@ impl Harness {
             slice_buffer_bytes: 1,
             ..TaurusConfig::test()
         };
-        let logs = LogStoreCluster::new(fabric.clone(), cfg.log_replicas, cfg.logstore_cache_bytes);
+        let logs = LogStoreCluster::new(fabric.clone(), REPLICAS, cfg.logstore_cache_bytes);
         logs.spawn_servers(log_nodes, StorageProfile::instant());
-        let pages = PageStoreCluster::new(
-            fabric.clone(),
-            cfg.page_replicas,
-            PageStoreOptions::default(),
-        );
+        let pages = PageStoreCluster::new(fabric.clone(), REPLICAS, PageStoreOptions::default());
         pages.spawn_servers(page_nodes, StorageProfile::instant());
         Harness {
             fabric,
@@ -112,36 +108,6 @@ impl Harness {
     fn deadline(&self) -> u64 {
         self.fabric.clock.now_us() + 10_000_000
     }
-}
-
-/// `Sal::tick` flushes a log buffer that nothing else pushed out once it has
-/// sat open for `slice_flush_timeout_us`, the deadline slice buffers use,
-/// and not a microsecond sooner.
-#[test]
-fn tick_flushes_an_idle_log_buffer_at_the_flush_deadline() {
-    let clock = ManualClock::shared();
-    let h = Harness::on(clock.clone(), 3, 3);
-    let sal = h.sal_with(TaurusConfig {
-        log_buffer_bytes: 1 << 20, // the byte threshold never fires
-        plog_size_limit: 1 << 22,
-        slice_flush_timeout_us: 500,
-        ..h.cfg.clone()
-    });
-    let group = h.group(1, "a", true);
-    let end = group.end_lsn();
-    let opened = clock.now_us();
-    sal.log_group(group).unwrap();
-    let flushes = sal.stats.log_flushes.get();
-
-    clock.set(opened + 499);
-    sal.tick();
-    assert_eq!(sal.stats.log_flushes.get(), flushes);
-    assert!(sal.durable_lsn() < end);
-
-    clock.set(opened + 500);
-    sal.tick();
-    assert_eq!(sal.stats.log_flushes.get(), flushes + 1);
-    assert_eq!(sal.durable_lsn(), end);
 }
 
 /// Regression: `flush_locked` must take the min/max LSN range over all
@@ -369,7 +335,7 @@ fn concurrent_first_touch_slice_creation_is_idempotent() {
         let replicas = h.pages.replicas_of(key);
         assert_eq!(
             replicas.len(),
-            h.cfg.page_replicas,
+            REPLICAS,
             "slice {key} must have exactly one full replica set, got {replicas:?}"
         );
     }
@@ -800,7 +766,9 @@ fn a_queue_full_for_a_failure_window_fails_its_node_and_commits_go_on() {
 /// The window runs from when a flush first found it full, so the node is
 /// treated as failed (suspect, fragments abandoned, slice parked) after
 /// 100 ms of holding the writer, not after the commits end; after that
-/// the writer is not held again until the node has drained. No row is
+/// the writer is not held again until the node has drained, and the acks
+/// of runs the node took before it was failed do not clear its suspect
+/// mark. No row is
 /// lost: once the delay is cleared, one tick brings the node to the last
 /// row and the strict barrier passes.
 #[test]
@@ -836,6 +804,9 @@ fn a_straggler_that_keeps_its_queue_full_fails_on_its_window() {
     assert!(stats.admission_wait_us < 2 * window, "{stats}");
     assert!(stats.queue_full_drops >= 1, "{stats}");
     assert!(stats.suspect_demotions >= 1, "{stats}");
+    // Failed, it stays failed while it is slow: the ack of a run it took
+    // before its queue was abandoned is no sign it serves again.
+    assert_eq!(stats.suspect_resurrections, 0, "{stats}");
     assert_eq!(sal.parked_slices(), vec![key]);
 
     h.fabric.set_call_delay(slow, 0);

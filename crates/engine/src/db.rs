@@ -12,6 +12,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use taurus_common::clock::{ClockRef, SystemClock};
+use taurus_common::config::REPLICAS;
 use taurus_common::lsn::LsnWatermark;
 use taurus_common::{DbId, Lsn, NodeId, Result, TaurusConfig, TaurusError};
 use taurus_core::{RecoveryService, Sal};
@@ -65,11 +66,11 @@ impl TaurusDb {
     ) -> Result<Arc<TaurusDb>> {
         cfg.validate()?;
         let fabric = Fabric::new(clock, cfg.network, seed);
-        let logs = LogStoreCluster::new(fabric.clone(), cfg.log_replicas, cfg.logstore_cache_bytes);
+        let logs = LogStoreCluster::new(fabric.clone(), REPLICAS, cfg.logstore_cache_bytes);
         logs.spawn_servers(log_nodes, cfg.storage);
         let pages = PageStoreCluster::new(
             fabric.clone(),
-            cfg.page_replicas,
+            REPLICAS,
             PageStoreOptions {
                 log_cache_bytes: cfg.pagestore_log_cache_bytes,
                 pool_pages: cfg.pagestore_buffer_pool_pages,

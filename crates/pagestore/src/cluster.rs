@@ -26,7 +26,9 @@ use crate::fragment::SliceFragment;
 use crate::pool::EvictionPolicy;
 use crate::pushdown::{ScanSliceRequest, ScanSliceResponse};
 use crate::readpages::{ReadPagesRequest, ReadPagesResponse};
-use crate::server::{ConsolidationPolicy, PageStoreServer, PageStoreStatsSnapshot, RecycleReport};
+use crate::server::{
+    ConsolidationPolicy, PageStoreServer, PageStoreStatsSnapshot, RecycleReport, WriteAck,
+};
 
 /// One `write_logs_grouped` envelope: a node and the fragments bound for it.
 pub type FragmentGroup = (NodeId, Vec<Arc<SliceFragment>>);
@@ -158,7 +160,8 @@ impl PageStoreCluster {
     /// [`PageStoreCluster::write_logs_grouped`].
     pub fn write_logs_to(&self, node: NodeId, from: NodeId, frag: &SliceFragment) -> Result<Lsn> {
         let server = self.server(node)?;
-        self.fabric.call(from, node, || server.write_logs(frag))?
+        let ack = self.fabric.call(from, node, || server.write_logs(frag))??;
+        Ok(ack.persistent)
     }
 
     /// `ReadPage` RPC to one specific replica.
@@ -448,28 +451,30 @@ impl PageStoreCluster {
     /// Grouped `WriteLogs`: ships a run of fragments to each node in one
     /// envelope. A slot whose node the placement no longer names for its
     /// slice is refused with [`TaurusError::NotAReplica`] (retryable after
-    /// a refresh); every other slot returns its fragment's piggybacked
-    /// persistent LSN. Safe to re-send on partial failure: Page Stores
-    /// disregard duplicate log records.
+    /// a refresh); every other slot returns its fragment's [`WriteAck`]:
+    /// the piggybacked persistent LSN and the node's backlog. Safe to
+    /// re-send on partial failure: Page Stores disregard duplicate log
+    /// records.
     pub fn write_logs_grouped(
         &self,
         from: NodeId,
         groups: &[FragmentGroup],
-    ) -> Vec<Vec<Result<Lsn>>> {
+    ) -> Vec<Vec<Result<WriteAck>>> {
         self.grouped(from, groups, |node, frag| {
             self.check_replica(frag.slice, node)?;
             self.server(node)?.write_logs(frag)
         })
     }
 
-    /// The largest unconsolidated-log backlog across servers, in bytes.
-    /// The SAL consults this to throttle master writes when consolidation
-    /// falls behind (paper §7).
+    /// The largest unconsolidated-log backlog across servers, in bytes,
+    /// down nodes included, read with no fabric call: a gauge for benches.
+    /// The SAL's throttle (paper §7) follows the backlog each `WriteLogs`
+    /// reply carries instead ([`WriteAck::backlog`]).
     pub fn max_backlog_pressure(&self) -> usize {
         self.servers
             .read()
             .values()
-            .map(|s| s.backlog_pressure())
+            .map(|s| s.log_cache.pressure())
             .max()
             .unwrap_or(0)
     }
@@ -865,13 +870,13 @@ mod tests {
             .iter()
             .map(|&n| (n, vec![Arc::clone(&f2)]))
             .collect();
-        let slots: Vec<Result<Lsn>> = c
+        let slots: Vec<Result<WriteAck>> = c
             .write_logs_grouped(me, &groups)
             .into_iter()
             .flatten()
             .collect();
         assert!(matches!(slots[0], Err(TaurusError::NotAReplica { node, .. }) if node == failed));
-        assert!(matches!(slots[1], Ok(Lsn(2))));
+        assert!(matches!(&slots[1], Ok(ack) if ack.persistent == Lsn(2)));
         assert_eq!(c.persistent_lsn_of(failed, me, key()).unwrap(), Lsn(1));
         // The gossip round drops the stray copy and keeps the newcomer's.
         assert_eq!(c.drop_stray_replicas(), 1);

@@ -56,5 +56,5 @@ pub use pushdown::{ScanSliceRequest, ScanSliceResponse};
 pub use readpages::{ReadPagesRequest, ReadPagesResponse};
 pub use server::{
     ConsolidationPolicy, PageStoreServer, PageStoreStats, PageStoreStatsSnapshot, RecycleReport,
-    SliceExport,
+    SliceExport, WriteAck,
 };

@@ -31,6 +31,12 @@ struct Inner {
     backlog: VecDeque<FragKey>,
 }
 
+impl Inner {
+    fn pressure(&self) -> usize {
+        self.resident_bytes + self.backlog.len() * 4096
+    }
+}
+
 /// Byte-budgeted global cache of unconsolidated log records.
 #[derive(Debug)]
 pub struct LogCache {
@@ -55,21 +61,27 @@ impl LogCache {
 
     /// Admits an arriving fragment. If it fits in the byte budget it becomes
     /// resident and joins the consolidation queue; otherwise it is parked on
-    /// the backlog (its records stay on disk) and `false` is returned.
-    pub fn admit(&self, key: FragKey, records: Arc<Vec<LogRecord>>, bytes: usize) -> bool {
+    /// the backlog (its records stay on disk). Returns the
+    /// [`LogCache::pressure`] after the admission, read under the same lock.
+    pub fn admit(&self, key: FragKey, records: Arc<Vec<LogRecord>>, bytes: usize) -> usize {
         let mut inner = self.inner.lock();
-        if inner.resident.contains_key(&key) {
-            return true;
+        if !inner.resident.contains_key(&key) {
+            if inner.resident_bytes + bytes <= self.capacity_bytes {
+                inner.resident.insert(key, records);
+                inner.resident_bytes += bytes;
+                inner.queue.push_back(key);
+            } else {
+                inner.backlog.push_back(key);
+            }
         }
-        if inner.resident_bytes + bytes <= self.capacity_bytes {
-            inner.resident.insert(key, records);
-            inner.resident_bytes += bytes;
-            inner.queue.push_back(key);
-            true
-        } else {
-            inner.backlog.push_back(key);
-            false
-        }
+        inner.pressure()
+    }
+
+    /// Unconsolidated bytes pending: the resident records plus a page's
+    /// worth per fragment on the backlog. The SAL throttles master writes
+    /// on it (paper §7), as each `WriteLogs` reply reports it.
+    pub fn pressure(&self) -> usize {
+        self.inner.lock().pressure()
     }
 
     /// Loads a backlog fragment into the cache once space allows (the caller
@@ -133,10 +145,6 @@ impl LogCache {
         self.inner.lock().backlog.front().copied()
     }
 
-    pub fn resident_bytes(&self) -> usize {
-        self.inner.lock().resident_bytes
-    }
-
     pub fn queue_len(&self) -> usize {
         self.inner.lock().queue.len()
     }
@@ -196,8 +204,8 @@ mod tests {
     #[test]
     fn admit_and_consolidate_in_arrival_order() {
         let c = LogCache::new(1000);
-        assert!(c.admit(key(0), records(1), 100));
-        assert!(c.admit(key(1), records(1), 100));
+        assert_eq!(c.admit(key(0), records(1), 100), 100);
+        assert_eq!(c.admit(key(1), records(1), 100), 200);
         let (k, _) = c.next_for_consolidation().unwrap();
         assert_eq!(k, key(0));
         c.complete(key(0), 100);
@@ -205,14 +213,15 @@ mod tests {
         assert_eq!(k, key(1));
         c.complete(key(1), 100);
         assert!(c.next_for_consolidation().is_none());
-        assert_eq!(c.resident_bytes(), 0);
+        assert_eq!(c.pressure(), 0);
     }
 
     #[test]
     fn overflow_goes_to_backlog() {
         let c = LogCache::new(150);
-        assert!(c.admit(key(0), records(1), 100));
-        assert!(!c.admit(key(1), records(1), 100));
+        assert_eq!(c.admit(key(0), records(1), 100), 100);
+        // A backlogged fragment weighs a page in the pressure.
+        assert_eq!(c.admit(key(1), records(1), 100), 100 + 4096);
         assert_eq!(c.backlog_len(), 1);
         // Consolidating frees space; the backlog fragment can then load.
         c.complete(key(0), 100);
@@ -235,9 +244,9 @@ mod tests {
     #[test]
     fn duplicate_admit_is_idempotent() {
         let c = LogCache::new(1000);
-        assert!(c.admit(key(0), records(1), 100));
-        assert!(c.admit(key(0), records(1), 100));
-        assert_eq!(c.resident_bytes(), 100);
+        assert_eq!(c.admit(key(0), records(1), 100), 100);
+        assert_eq!(c.admit(key(0), records(1), 100), 100);
+        assert_eq!(c.pressure(), 100);
         assert_eq!(c.queue_len(), 1);
     }
 

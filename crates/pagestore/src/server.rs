@@ -59,6 +59,16 @@ impl ConsolidationPolicy {
     }
 }
 
+/// A `WriteLogs` reply: what the SAL learns from one delivered fragment.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WriteAck {
+    /// The slice's persistent LSN (§4.3).
+    pub persistent: Lsn,
+    /// The node's unconsolidated log ([`LogCache::pressure`]) as the
+    /// fragment was admitted: the SAL throttles log writes on it (§7).
+    pub backlog: usize,
+}
+
 /// What one `SetRecycleLSN` (or one compaction's GC-as-merge pass) freed.
 /// Returned to the SAL so the recycle handshake reports real reclamation
 /// instead of being fire-and-forget.
@@ -133,7 +143,7 @@ pub struct SliceExport {
 pub struct PageStoreServer {
     device: StorageDevice,
     slices: RwLock<HashMap<SliceKey, Arc<Mutex<SliceReplica>>>>,
-    log_cache: LogCache,
+    pub(crate) log_cache: LogCache,
     pool: PagePool,
     policy: ConsolidationPolicy,
     /// Records read back from their fragment's own blob: a fragment parked
@@ -293,8 +303,9 @@ impl PageStoreServer {
 
     /// `WriteLogs`: ingests one fragment. Idempotent on duplicates ("Page
     /// Stores disregard log records that they have already received",
-    /// §5.3). Returns the slice persistent LSN, which the SAL piggybacks.
-    pub fn write_logs(&self, frag: &SliceFragment) -> Result<Lsn> {
+    /// §5.3). Returns the slice persistent LSN and the node's backlog, which
+    /// the SAL piggybacks ([`WriteAck`]).
+    pub fn write_logs(&self, frag: &SliceFragment) -> Result<WriteAck> {
         let replica = self.replica(frag.slice)?;
         let persistent_before;
         {
@@ -303,7 +314,10 @@ impl PageStoreServer {
             if frag.last_lsn() <= r.persistent_lsn()
                 || r.has_equivalent(frag.first_lsn(), frag.last_lsn())
             {
-                return Ok(r.persistent_lsn());
+                return Ok(WriteAck {
+                    persistent: r.persistent_lsn(),
+                    backlog: self.log_cache.pressure(),
+                });
             }
         }
         // Append-only persistence of the raw fragment, encoded once however
@@ -323,7 +337,7 @@ impl PageStoreServer {
             consolidated: false,
         });
         let accepted = matches!(outcome, IngestOutcome::Accepted(_));
-        match outcome {
+        let backlog = match outcome {
             IngestOutcome::Accepted(frag_id) => {
                 for (i, rec) in frag.records.iter().enumerate() {
                     r.directory.add_record(
@@ -335,12 +349,12 @@ impl PageStoreServer {
                         },
                     );
                 }
+                self.note_write(frag.records.len() as u64, frag.payload_bytes());
                 self.log_cache.admit(
                     (frag.slice, frag_id),
                     Arc::clone(&frag.records),
                     frag.payload_bytes(),
-                );
-                self.note_write(frag.records.len() as u64, frag.payload_bytes());
+                )
             }
             IngestOutcome::Duplicate => {
                 // The fragment was appended outside the lock (lock
@@ -349,8 +363,9 @@ impl PageStoreServer {
                 // appended bytes are unreachable on the append-only device;
                 // account them so the leak is visible instead of silent.
                 self.stats.orphaned_frag_bytes.add(encoded.len() as u64);
+                self.log_cache.pressure()
             }
-        }
+        };
         // The persistent LSN is a watermark: ingesting a fragment never
         // moves it backwards (out-of-order arrivals may park it, but it
         // must not regress).
@@ -367,7 +382,10 @@ impl PageStoreServer {
         if accepted {
             self.signal_work();
         }
-        Ok(persistent)
+        Ok(WriteAck {
+            persistent,
+            backlog,
+        })
     }
 
     /// `GetPersistentLSN`.
@@ -900,12 +918,6 @@ impl PageStoreServer {
     pub fn device_stats(&self) -> (u64, u64, u64, u64) {
         self.device.io_stats()
     }
-
-    /// Unconsolidated bytes pending (queue + backlog pressure); the SAL uses
-    /// this to throttle the master (paper §7).
-    pub fn backlog_pressure(&self) -> usize {
-        self.log_cache.resident_bytes() + self.log_cache.backlog_len() * 4096
-    }
 }
 
 /// Whether a pooled image at `pooled_lsn` can be the base of a page version
@@ -987,12 +999,19 @@ mod tests {
     fn write_logs_advances_persistent_lsn() {
         let s = server();
         s.create_slice(key());
-        let p = s.write_logs(&frag(0, vec![format_rec(1, 5)])).unwrap();
-        assert_eq!(p, Lsn(1));
-        let p = s
+        let ack = s.write_logs(&frag(0, vec![format_rec(1, 5)])).unwrap();
+        assert_eq!(ack.persistent, Lsn(1));
+        let ack = s
             .write_logs(&frag(1, vec![insert_rec(2, 5, "a", "1")]))
             .unwrap();
-        assert_eq!(p, Lsn(2));
+        assert_eq!(ack.persistent, Lsn(2));
+        // The reply carries the backlog the fragment joined (§7), and a
+        // duplicate reports it as it stands.
+        assert!(ack.backlog > 0);
+        assert_eq!(ack.backlog, s.log_cache.pressure());
+        s.consolidate_all();
+        let dup = s.write_logs(&frag(0, vec![format_rec(1, 5)])).unwrap();
+        assert_eq!((dup.persistent, dup.backlog), (Lsn(2), 0));
     }
 
     #[test]

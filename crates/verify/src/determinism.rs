@@ -17,7 +17,7 @@
 use std::fmt;
 
 use taurus_common::clock::ManualClock;
-use taurus_common::config::{NetworkProfile, StorageProfile};
+use taurus_common::config::{NetworkProfile, StorageProfile, REPLICAS};
 use taurus_common::{DbId, Result, TaurusConfig};
 use taurus_engine::TaurusDb;
 use taurus_fabric::Fabric;
@@ -193,13 +193,9 @@ pub fn fingerprint_run(seed: u64, ops: usize, inject: Inject) -> Result<Fingerpr
     let cfg = TaurusConfig::test();
     let clock = ManualClock::shared();
     let fabric = Fabric::new(clock, NetworkProfile::instant(), seed);
-    let logs = LogStoreCluster::new(fabric.clone(), cfg.log_replicas, cfg.logstore_cache_bytes);
+    let logs = LogStoreCluster::new(fabric.clone(), REPLICAS, cfg.logstore_cache_bytes);
     logs.spawn_servers(5, StorageProfile::instant());
-    let pages = PageStoreCluster::new(
-        fabric.clone(),
-        cfg.page_replicas,
-        PageStoreOptions::default(),
-    );
+    let pages = PageStoreCluster::new(fabric.clone(), REPLICAS, PageStoreOptions::default());
     pages.spawn_servers(5, StorageProfile::instant());
     let db = TaurusDb::launch_tenant(cfg, fabric, logs.clone(), pages.clone(), DbId(1))?;
 

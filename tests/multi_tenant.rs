@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use taurus::common::clock::ManualClock;
-use taurus::common::config::StorageProfile;
+use taurus::common::config::{StorageProfile, REPLICAS};
 use taurus::pagestore::cluster::PageStoreOptions;
 use taurus::prelude::*;
 
@@ -20,13 +20,9 @@ fn shared_fleet() -> (Fabric, LogStoreCluster, PageStoreCluster, TaurusConfig) {
         taurus::common::config::NetworkProfile::instant(),
         77,
     );
-    let logs = LogStoreCluster::new(fabric.clone(), cfg.log_replicas, cfg.logstore_cache_bytes);
+    let logs = LogStoreCluster::new(fabric.clone(), REPLICAS, cfg.logstore_cache_bytes);
     logs.spawn_servers(5, StorageProfile::instant());
-    let pages = PageStoreCluster::new(
-        fabric.clone(),
-        cfg.page_replicas,
-        PageStoreOptions::default(),
-    );
+    let pages = PageStoreCluster::new(fabric.clone(), REPLICAS, PageStoreOptions::default());
     pages.spawn_servers(5, StorageProfile::instant());
     (fabric, logs, pages, cfg)
 }

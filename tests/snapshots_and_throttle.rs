@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use taurus::common::clock::ManualClock;
+use taurus::common::clock::{Clock, ManualClock};
 use taurus::prelude::*;
 
 fn launch() -> Arc<TaurusDb> {
@@ -124,33 +124,88 @@ fn snapshot_creation_is_constant_time() {
     assert_eq!(master.sal.snapshots().len(), 1);
 }
 
-#[test]
-fn write_throttle_engages_when_consolidation_falls_behind() {
+/// A deployment whose every Page Store is "behind" (a one-byte backlog
+/// limit), on a manual clock that only a throttle moves, with no
+/// consolidation running.
+fn launch_throttled() -> (Arc<TaurusDb>, Arc<ManualClock>) {
     let cfg = TaurusConfig {
         log_buffer_bytes: 1,
         slice_buffer_bytes: 1,
-        consolidation_backlog_limit: 1, // everything is "behind"
+        consolidation_backlog_limit: 1,
         ..TaurusConfig::test()
     };
     let clock = ManualClock::shared();
-    let db = TaurusDb::launch_with_clock(cfg, 4, 4, clock, 3).unwrap();
-    let master = db.master();
+    let db = TaurusDb::launch_with_clock(cfg, 4, 4, clock.clone(), 3).unwrap();
+    (db, clock)
+}
+
+fn commit(db: &TaurusDb, key: &str) {
+    let mut t = db.master().begin();
+    t.put(key.as_bytes(), &[b'v'; 200]).unwrap();
+    t.commit().unwrap();
+}
+
+/// The §7 throttle rides the `WriteLogs` acks: commits past the limit
+/// throttle the master's log flushes, and once consolidation catches up
+/// the acks of one more commit release it. Nothing polls the Page Stores.
+#[test]
+fn write_throttle_engages_when_consolidation_falls_behind() {
+    let (db, clock) = launch_throttled();
+    let sal = &db.master().sal;
     // Build up unconsolidated log (no consolidation is being driven).
     for i in 0..10u32 {
-        let mut t = master.begin();
-        t.put(format!("k{i}").as_bytes(), &[b'v'; 200]).unwrap();
-        t.commit().unwrap();
+        commit(&db, &format!("k{i}"));
     }
     db.quiesce(deadline(&db)).unwrap();
-    master.sal.update_throttle();
+    let throttle = sal.current_throttle_us();
     assert!(
-        master.sal.current_throttle_us() > 0,
+        throttle > 0,
         "backlog over the limit must throttle the master (§7)"
     );
-    // Consolidation catches up: the throttle releases.
+    // The next flush pays it: only the throttle moves this clock.
+    let before = clock.now_us();
+    commit(&db, "k10");
+    assert!(clock.now_us() - before >= throttle);
+    db.quiesce(deadline(&db)).unwrap();
+    // Consolidation catches up: the next commit's acks release the throttle.
     db.pages.consolidate_all();
-    master.sal.update_throttle();
-    assert_eq!(master.sal.current_throttle_us(), 0);
+    commit(&db, "k11");
+    db.quiesce(deadline(&db)).unwrap();
+    assert_eq!(sal.current_throttle_us(), 0);
+}
+
+/// The throttle counts only the nodes it waits on: a Page Store that goes
+/// down while over the limit stops throttling the writer, though its
+/// memory still holds the backlog.
+#[test]
+fn a_page_store_down_over_the_limit_no_longer_throttles_the_writer() {
+    let (db, clock) = launch_throttled();
+    let sal = &db.master().sal;
+    for i in 0..10u32 {
+        commit(&db, &format!("k{i}"));
+    }
+    db.quiesce(deadline(&db)).unwrap();
+    // Every node but one replica of the rows' slice catches up; the next
+    // commit's acks say so.
+    let straggler = db.pages.replicas_of(SliceKey::new(DbId(1), SliceId(0)))[0];
+    for n in db.pages.server_nodes() {
+        if n != straggler {
+            db.pages.server_handle(n).unwrap().consolidate_all();
+        }
+    }
+    commit(&db, "k10");
+    db.quiesce(deadline(&db)).unwrap();
+    assert!(sal.current_throttle_us() > 0, "one node is still behind");
+
+    db.fabric.set_down(straggler);
+    assert!(
+        db.pages.max_backlog_pressure() > 2048,
+        "its memory still holds it"
+    );
+    assert_eq!(sal.current_throttle_us(), 0);
+    let before = clock.now_us();
+    commit(&db, "k11");
+    assert_eq!(clock.now_us(), before, "the commit was throttled");
 }
 
 #[test]
