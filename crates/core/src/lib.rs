@@ -45,10 +45,12 @@
 // `TaurusError` instead. Test code is exempt (clippy.toml).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+mod log_writer;
 pub mod recovery;
 pub mod sal;
 pub mod slice_reader;
 mod slice_writer;
+mod stats;
 
 pub use recovery::RecoveryService;
 pub use sal::{NdpStats, NdpStatsSnapshot, Sal, SalStats, SalStatsSnapshot, SliceAcks};

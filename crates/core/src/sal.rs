@@ -1,14 +1,17 @@
 //! The Storage Abstraction Layer.
 //!
-//! This file owns the log buffer, the flush spans and the per-slice state
-//! (`SalState`, under `sal::state`). The log itself — its N streams, the
-//! LSN vector, the merge and the recovery cut — is a [`Log`]. Getting
-//! durable records onto a slice replica — the per-replica send pipes,
-//! repair, restart redo — is
-//! [`crate::slice_writer`] (a second `impl Sal` block there; see DESIGN.md
-//! §"Write-pipeline robustness"). Reads and pushed-down scans go through
-//! [`crate::slice_reader`], shared with read replicas; the SAL contributes
-//! a [`FrontEnd`] impl.
+//! This file owns the SAL's state (`SalState`, under `sal::state`: the log
+//! buffer, the flush spans and the per-slice state), the slice buffers,
+//! the quiesce barrier, truncation, placement and snapshots. The log-write
+//! pipeline — log buffer → flush spans → durable prefix — is
+//! [`crate::log_writer`], and the counter families are in `stats`. The log
+//! itself — its N streams, the LSN vector, the merge and the recovery cut
+//! — is a [`Log`]. Getting durable records onto a slice replica — the
+//! per-replica send pipes, repair, restart redo — is
+//! [`crate::slice_writer`] (see DESIGN.md §"Write-pipeline robustness").
+//! Each of those is an `impl Sal` block of its own. Reads and pushed-down
+//! scans go through [`crate::slice_reader`], shared with read replicas;
+//! the SAL contributes a [`FrontEnd`] impl.
 //!
 //! The cluster-visible LSN (§3.5) is kept at slice granularity, not per
 //! log buffer: it is the minimum acked LSN over the slices still owed an
@@ -28,18 +31,22 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use taurus_common::clock::ClockRef;
 use taurus_common::lsn::LsnWatermark;
-use taurus_common::metrics::{Counter, LogStoreStats};
+use taurus_common::metrics::LogStoreStats;
 use taurus_common::scan::ScanRequest;
 use taurus_common::{
     DbId, LogRecord, LogRecordGroup, Lsn, NodeId, PageBuf, PageId, Result, SliceKey, TaurusConfig,
-    TaurusError, PAGE_SIZE,
+    TaurusError,
 };
 use taurus_logstore::{Log, LogStoreCluster};
 use taurus_pagestore::{PageStoreCluster, SliceFragment};
 
+use crate::log_writer::FlushSpan;
 pub use crate::slice_reader::TableScan;
 use crate::slice_reader::{FrontEnd, SliceReader};
 use crate::slice_writer::SliceWriter;
+pub use crate::stats::{
+    NdpStats, NdpStatsSnapshot, ReadBatchStats, ReadBatchStatsSnapshot, SalStats, SalStatsSnapshot,
+};
 
 /// Per-slice state the SAL maintains (paper §3.5, §4).
 #[derive(Debug)]
@@ -138,44 +145,6 @@ impl SliceState {
 /// SAL that maintains them and the master's bulletin ([`Sal::slice_acks`]).
 pub type SliceAcks = Arc<RwLock<HashMap<SliceKey, Lsn>>>;
 
-/// One log-buffer's worth of groups on its way through the flush pipeline:
-/// prepared (ticketed) under the state lock, appended to the [`Log`] with
-/// no lock held, then committed by the contiguous-prefix walk over
-/// [`SalState::flush_spans`].
-struct PreparedFlush {
-    /// Dense flush ticket, in LSN order: the span's place in the log.
-    ticket: u64,
-    /// End of the span prepared immediately before this one: the chain
-    /// link recovery uses to detect log holes.
-    prev_end: Lsn,
-    first: Lsn,
-    end: Lsn,
-    groups: Vec<LogRecordGroup>,
-}
-
-/// Completion state of one flush span in the global prepare-order window.
-#[derive(Debug)]
-enum SpanState {
-    /// Append still running.
-    InFlight,
-    /// Durable in the log; groups parked here until the span reaches the
-    /// front of the window and the prefix walk distributes them.
-    Durable(Vec<LogRecordGroup>),
-    /// Append failed outright; latches `failed_at` when it reaches the front.
-    Failed,
-}
-
-/// One prepared flush tracked in global prepare order. The durable LSN only
-/// advances over the contiguous prefix of durable spans, so a span that
-/// lands before an earlier one does not become visible early — the
-/// LSN-vector commit rule (parallel-logging paper).
-#[derive(Debug)]
-pub(crate) struct FlushSpan {
-    end: Lsn,
-    ticket: u64,
-    state: SpanState,
-}
-
 #[derive(Debug, Default)]
 pub(crate) struct SalState {
     pub(crate) log_buffer: Vec<LogRecordGroup>,
@@ -204,165 +173,6 @@ pub(crate) struct SalState {
     /// just an LSN (the paper's abstract: "append-only storage, delivering
     /// ... constant-time snapshots").
     snapshots: BTreeMap<String, Lsn>,
-}
-
-taurus_common::counters! {
-    /// Counters exposed for benches and tests.
-    pub struct SalStats => SalStatsSnapshot {
-        pub log_flushes: Counter,
-        pub slice_flushes: Counter,
-        /// `read_page` calls.
-        pub page_reads: Counter,
-        /// Requests of `read_page` plans a replica refused (the next one is
-        /// tried), plus one per re-plan.
-        pub read_retries: Counter,
-        /// Fragments `redo` delivered from the Log Stores, whoever asked:
-        /// repair and restart recovery.
-        pub resends: Counter,
-        /// Log-window reads `redo` issued: one per pass with a lagging
-        /// replica, however many slices and replicas the pass covers.
-        pub redo_log_reads: Counter,
-        /// `GetPersistentLSN` answers dropped because another report for
-        /// the same replica (an ack) landed while the probe was in flight:
-        /// the answer is older than what the SAL already knows.
-        pub probe_replies_overtaken: Counter,
-        pub gossip_triggers: Counter,
-        /// `WriteLogs` envelopes with a failed slot (per envelope, not per
-        /// fragment): the next repair pass re-sends those fragments from
-        /// the Log Stores.
-        pub write_retries: Counter,
-        /// Fragments failed, refused by a node a rebuild replaced, or
-        /// abandoned at admission — their slice is parked for repair from
-        /// the Log Stores.
-        pub fragments_parked: Counter,
-        /// Fragments abandoned at admission (`Sal::admit_flush`): a node's
-        /// send queue held flushes for `short_term_failure_us` without
-        /// draining, or was full while the node was suspect or down.
-        pub queue_full_drops: Counter,
-        /// Log flushes held because a node's send queue was full.
-        pub admission_waits: Counter,
-        /// Time those flushes were held, on the SAL's clock, µs.
-        pub admission_wait_us: Counter,
-        /// Healthy → suspect transitions.
-        pub suspect_demotions: Counter,
-        /// Suspect → healthy transitions.
-        pub suspect_resurrections: Counter,
-        /// Log flushes whose error no caller observed. Nothing increments
-        /// it any more: every log flush runs in a caller's [`Sal::flush`],
-        /// which returns its error (a failure also latches for the next
-        /// one). Kept because benches report it.
-        pub dropped_flush_errors: Counter,
-        /// `flush()` calls that waited for a stream slot so the commit group
-        /// could grow (adaptive group commit under load).
-        pub group_commit_waits: Counter,
-        /// Log Directory pointers the recycle broadcasts purged across Page
-        /// Stores (the handshake reports back what it freed).
-        pub recycle_ptrs_purged: Counter,
-        /// Fragment + layer bytes the recycle broadcasts logically reclaimed.
-        pub recycle_bytes_reclaimed: Counter,
-        /// Grouped (coalesced) fabric envelopes issued by the miss, scan, and
-        /// write paths: each merges every per-slice request bound for one Page
-        /// Store node into a single round trip. Every `WriteLogs` is one — a
-        /// run of one fragment counts like any other.
-        pub grouped_envelopes: Counter,
-        /// Per-slice requests that rode a grouped envelope instead of paying
-        /// their own fabric round trip.
-        pub grouped_slice_batches: Counter,
-        /// Slices their first grouped read envelope did not finish: reads
-        /// that needed another round (a refusal or a budget continuation).
-        pub grouped_fallback_slices: Counter,
-        /// Coalescing histogram: per-slice requests per grouped envelope,
-        /// buckets 1, 2, 3–4, 5–8, 9+.
-        pub coalesced_per_rpc: [Counter; 5] as "coalesced_per_rpc[1|2|3-4|5-8|9+]",
-    }
-}
-
-/// Index of the first histogram bucket whose inclusive upper bound holds
-/// `n`; the fifth bucket is open-ended.
-fn bucket(n: usize, upper: [usize; 4]) -> usize {
-    upper.iter().position(|&u| n <= u).unwrap_or(4)
-}
-
-impl SalStats {
-    /// Records one grouped envelope carrying `n` per-slice requests.
-    pub(crate) fn note_coalesced(&self, n: usize) {
-        self.coalesced_per_rpc[bucket(n, [1, 2, 4, 8])].inc();
-        self.grouped_envelopes.inc();
-        self.grouped_slice_batches.add(n as u64);
-    }
-}
-
-taurus_common::counters! {
-    /// Counters for the near-data scan pushdown planner (NDP paper; printed by
-    /// the `ndp` bench).
-    pub struct NdpStats => NdpStatsSnapshot {
-        /// Planner invocations (one per table scan).
-        pub pushdown_scans: Counter,
-        /// `ScanSlice` RPCs issued, continuations included.
-        pub slice_calls: Counter,
-        /// Failed `ScanSlice` attempts (replica skipped, next one tried).
-        pub slice_retries: Counter,
-        /// Slices that fell back to `ReadPages` + local evaluation.
-        pub fallbacks: Counter,
-        /// Row slots examined remotely by Page Stores.
-        pub rows_scanned: Counter,
-        /// Matching rows returned across the fabric.
-        pub rows_returned: Counter,
-        /// Bytes of row payload returned across the fabric.
-        pub bytes_returned: Counter,
-        /// Pages materialized remotely by Page Stores.
-        pub pages_scanned: Counter,
-        /// Pages fetched master-ward by the local fallback.
-        pub fallback_pages: Counter,
-        /// Bytes moved master-ward by the local fallback (pages × page size).
-        pub fallback_bytes: Counter,
-    }
-    derived { bytes_saved_vs_fetch }
-}
-
-impl NdpStatsSnapshot {
-    /// Bytes that stayed on the Page Stores: what fetch-and-filter would
-    /// have moved master-ward for the remotely scanned pages, minus what
-    /// pushdown actually returned.
-    pub fn bytes_saved_vs_fetch(&self) -> u64 {
-        self.pages_scanned
-            .saturating_mul(PAGE_SIZE as u64)
-            .saturating_sub(self.bytes_returned)
-    }
-}
-
-taurus_common::counters! {
-    /// Counters for the batched read path (`Sal::read_pages`; printed by the
-    /// `readpath` bench and the fig7/fig9 gauge dumps).
-    pub struct ReadBatchStats => ReadBatchStatsSnapshot {
-        /// `read_pages` invocations (one per multi-page miss batch).
-        pub batches: Counter,
-        /// `ReadPages` RPCs issued, budget continuations included.
-        pub batch_rpcs: Counter,
-        /// Failed `ReadPages` attempts (replica skipped, next one tried).
-        pub batch_retries: Counter,
-        /// Page ids requested across all batches.
-        pub pages_requested: Counter,
-        /// Pages returned by successful `ReadPages` RPCs.
-        pub pages_returned: Counter,
-        /// Pages a slice answered as recycled that the call did not re-plan
-        /// (an explicit snapshot, or a head read recycled again): each is an
-        /// error, never a returned page.
-        pub partial_failures: Counter,
-        /// Pages a head read found recycled and re-planned once, at
-        /// re-resolved snapshots.
-        pub straggler_retries: Counter,
-        /// Pages-per-RPC histogram: buckets 1, 2–4, 5–16, 17–64, 65+.
-        pub pages_per_rpc: [Counter; 5] as "pages_per_rpc[1|2-4|5-16|17-64|65+]",
-    }
-}
-
-impl ReadBatchStats {
-    /// Records one successful `ReadPages` round trip that carried `n` pages.
-    pub(crate) fn note_rpc(&self, n: usize) {
-        self.batch_rpcs.inc();
-        self.pages_per_rpc[bucket(n, [1, 4, 16, 64])].inc();
-    }
 }
 
 /// The Storage Abstraction Layer: one per database front end process.
@@ -473,197 +283,6 @@ impl Sal {
     // Write path (§4.1)
     // ==================================================================
 
-    /// Appends a log-record group to the database log buffer and, when the
-    /// buffer is full, flushes it through [`Sal::flush`]. Does **not**
-    /// otherwise guarantee durability — call [`Sal::flush`] for that (the
-    /// engine does at commit).
-    pub fn log_group(&self, group: LogRecordGroup) -> Result<()> {
-        if self.buffer_group(group) {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Buffers a log-record group without performing any Log Store I/O, and
-    /// returns whether the buffer has reached its flush threshold. The
-    /// engine buffers under the exclusive B-tree latch (buffer order must
-    /// equal LSN order) and flushes after the latch drops: a full buffer is
-    /// [`Sal::flush`]'s no-wait case, so the replicated append's round trips
-    /// never run under the latch.
-    pub fn buffer_group(&self, group: LogRecordGroup) -> bool {
-        let mut st = self.state.lock();
-        // Groups arrive in LSN order: the engine buffers under the tree
-        // latch, and `Log::tail` skips a group that ends at or below one it
-        // already delivered, so an out-of-order frame would lose its
-        // earlier groups on a replica.
-        let floor = st
-            .log_buffer
-            .last()
-            .map_or(st.last_prepared_end, |g| g.end_lsn());
-        taurus_common::invariant!(
-            "log-groups-in-lsn-order",
-            group.first_lsn() > floor,
-            "group [{}..{}] buffered after LSN {floor}",
-            group.first_lsn(),
-            group.end_lsn()
-        );
-        st.log_buffer_bytes += group.encoded_len();
-        st.log_buffer.push(group);
-        st.log_buffer_bytes >= self.cfg.log_buffer_bytes
-    }
-
-    /// Forces the database log buffer to the Log Stores. On return, every
-    /// record passed to [`Sal::log_group`] so far is durable (3/3) and the
-    /// transaction ack may be sent — including records handed to flushes
-    /// still in flight on other threads when this call started. Returns the
-    /// durable LSN.
-    pub fn flush(&self) -> Result<Lsn> {
-        let (prepared, target) = {
-            let mut st = self.state.lock();
-            // Adaptive group commit: while every log stream already carries
-            // an in-flight flush, queueing another tiny span buys nothing —
-            // wait for a slot and let the buffer (the commit group) grow.
-            // The waits are bounded: in-flight flushes are always driven by
-            // the threads that prepared them, and completion (or failure)
-            // notifies `flush_cv`. A buffer at the size threshold flushes
-            // immediately regardless.
-            while !st.log_buffer.is_empty()
-                && st.flushes_in_flight >= self.log.streams()
-                && st.log_buffer_bytes < self.cfg.log_buffer_bytes
-            {
-                self.stats.group_commit_waits.inc();
-                self.flush_cv.wait(&mut st);
-            }
-            let p = self.prepare_flush_locked(&mut st);
-            (p, st.last_prepared_end)
-        };
-        if let Some(p) = prepared {
-            self.run_flush(p)?;
-        }
-        // Even after our own span lands, durability of the *caller's*
-        // records rides on every earlier span: wait for the contiguous
-        // durable prefix to reach the target.
-        self.wait_durable(target)?;
-        Ok(self.durable_lsn.get())
-    }
-
-    /// Blocks until the durable LSN (the contiguous span prefix) reaches
-    /// `target`, or a flush at or below `target` has failed.
-    fn wait_durable(&self, target: Lsn) -> Result<()> {
-        if self.durable_lsn.get() >= target {
-            return Ok(());
-        }
-        let mut st = self.state.lock();
-        while self.durable_lsn.get() < target {
-            if st.failed_at.is_valid() && st.failed_at <= target {
-                return Err(TaurusError::Internal(format!(
-                    "log flush failed at {}",
-                    st.failed_at
-                )));
-            }
-            self.flush_cv.wait(&mut st);
-        }
-        Ok(())
-    }
-
-    /// Takes the current log buffer as one pipelined flush unit, assigning
-    /// it the next flush ticket. Cheap; called under the state lock. The
-    /// caller must then drive [`Sal::run_flush`] (off the lock).
-    fn prepare_flush_locked(&self, st: &mut SalState) -> Option<PreparedFlush> {
-        if st.log_buffer.is_empty() {
-            return None;
-        }
-        let groups = std::mem::take(&mut st.log_buffer);
-        st.log_buffer_bytes = 0;
-        // Groups arrive in LSN order (`buffer_group` checks it), so this is
-        // the first group's first LSN and the last group's end; min/max
-        // keeps the span right even when that check has fired.
-        let first = groups
-            .iter()
-            .map(|g| g.first_lsn())
-            .min()
-            .unwrap_or(Lsn::ZERO);
-        let end = groups
-            .iter()
-            .map(|g| g.end_lsn())
-            .max()
-            .unwrap_or(Lsn::ZERO);
-        // Successive flushes carry strictly increasing LSN ranges; the
-        // durable LSN itself may lag — earlier tickets can still be in
-        // flight.
-        taurus_common::invariant!(
-            "log-flush-monotonic",
-            end >= first && first > st.last_prepared_end.max(self.durable_lsn.get()),
-            "flush [{first}..{end}] does not extend prepared {} / durable {}",
-            st.last_prepared_end,
-            self.durable_lsn.get()
-        );
-        let prev_end = st.last_prepared_end;
-        st.last_prepared_end = end;
-        let ticket = st.next_flush_ticket;
-        st.next_flush_ticket += 1;
-        st.flush_spans.push_back(FlushSpan {
-            end,
-            ticket,
-            state: SpanState::InFlight,
-        });
-        st.flushes_in_flight += 1;
-        Some(PreparedFlush {
-            ticket,
-            prev_end,
-            first,
-            end,
-            groups,
-        })
-    }
-
-    /// Drives one prepared flush through the log-write pipeline. The state
-    /// lock is never held across the Log Store round trip: the span goes
-    /// to the [`Log`] as one append (which overlaps it with other spans'
-    /// appends), and durability bookkeeping commits via the
-    /// contiguous-prefix walk over the global span window.
-    fn run_flush(&self, p: PreparedFlush) -> Result<()> {
-        // Back-pressure (§7): while a Page Store's consolidation is behind
-        // or its send queue is full, the flush is held here.
-        self.admit_flush();
-        // Steps 2-3: durable on all Log Store replicas. Then any missing
-        // slice is created before taking `state`: the CreateSlice RPC must
-        // not run under the SAL's central lock, and it must happen before
-        // the span is marked durable — the prefix walk distributes records
-        // into `SalState::slices` and may run on another thread. Records
-        // that are durable but cannot be homed fail the flush too (the
-        // span would otherwise wedge the window).
-        let landed = self
-            .log
-            .append(p.ticket, p.prev_end, p.first, p.end, &p.groups)
-            .and_then(|()| self.ensure_slices(&self.homes_of(&p.groups)));
-        // The commit point (durable LSN) advances only as far as the
-        // contiguous durable prefix now reaches — which may commit this
-        // span, later spans that finished earlier, or neither (when an
-        // earlier span is still in flight; whoever lands it commits for
-        // both).
-        let mut st = self.state.lock();
-        let state = match landed {
-            Ok(()) => SpanState::Durable(p.groups),
-            Err(_) => SpanState::Failed,
-        };
-        Self::mark_span(&mut st, p.ticket, state);
-        st.flushes_in_flight -= 1;
-        self.advance_durable_prefix_locked(&mut st);
-        self.flush_cv.notify_all();
-        landed?;
-        if st.failed_at.is_valid() && p.end > st.failed_at {
-            // An earlier flush failed: our records are durable but sit
-            // behind a hole in the log, so they can never be acknowledged
-            // or made visible.
-            return Err(TaurusError::Internal(format!(
-                "log flush failed at {}",
-                st.failed_at
-            )));
-        }
-        Ok(())
-    }
-
     /// The slice `page` belongs to: slice placement is static (paper §3.4).
     pub(crate) fn slice_of(&self, page: PageId) -> SliceKey {
         SliceKey::new(self.db, page.slice(self.cfg.pages_per_slice))
@@ -679,78 +298,6 @@ impl Sal {
             }
         }
         keys
-    }
-
-    /// Records the completion state of the span flushed under `ticket`.
-    fn mark_span(st: &mut SalState, ticket: u64, state: SpanState) {
-        if let Some(span) = st.flush_spans.iter_mut().find(|s| s.ticket == ticket) {
-            span.state = state;
-        }
-    }
-
-    /// Pops the contiguous prefix of `Durable` spans off the global window,
-    /// advancing the durable LSN and distributing each span's records into
-    /// per-slice buffers — the LSN-vector commit rule: a span becomes
-    /// visible only once every earlier span is durable. A `Failed` span at
-    /// the front latches `failed_at` and stops the walk permanently; an
-    /// `InFlight` span just stops it for now.
-    fn advance_durable_prefix_locked(&self, st: &mut SalState) {
-        loop {
-            match st.flush_spans.front_mut() {
-                None => return,
-                Some(span) => match &mut span.state {
-                    SpanState::InFlight => return,
-                    SpanState::Failed => {
-                        if !st.failed_at.is_valid() {
-                            st.failed_at = span.end;
-                        }
-                        return;
-                    }
-                    SpanState::Durable(groups) => {
-                        let groups = std::mem::take(groups);
-                        let (ticket, end) = (span.ticket, span.end);
-                        st.flush_spans.pop_front();
-                        let covered = self.log.durable_at(ticket);
-                        taurus_common::invariant!(
-                            "lsn-vector-covers-durable",
-                            covered >= end,
-                            "span {ticket}: its stream's vector {covered} is behind its end {end}"
-                        );
-                        self.durable_lsn.advance(end);
-                        self.stats.log_flushes.inc();
-                        self.distribute_span_locked(st, groups);
-                    }
-                },
-            }
-        }
-    }
-
-    /// Distributes one committed span's records into per-slice buffers. Runs
-    /// under `state`, on whichever thread's flush completion pulled the span
-    /// off the window.
-    fn distribute_span_locked(&self, st: &mut SalState, groups: Vec<LogRecordGroup>) {
-        for g in groups {
-            for rec in g.records {
-                let key = self.slice_of(rec.page);
-                let Some(slice) = st.slices.get_mut(&key) else {
-                    // `finish_flush` verified the slice before marking the
-                    // span durable, and slices are never removed.
-                    taurus_common::invariant!(
-                        "slice-homed-before-distribute",
-                        false,
-                        "slice {key} vanished after ensure"
-                    );
-                    continue;
-                };
-                if slice.buffer.is_empty() {
-                    slice.buffer_opened_us = self.clock.now_us();
-                }
-                slice.buffer_bytes += rec.encoded_len();
-                slice.buffer.push(rec);
-            }
-        }
-        // Flush slice buffers that crossed the size threshold.
-        self.flush_slices_locked(st, |s| s.buffer_bytes >= self.cfg.slice_buffer_bytes);
     }
 
     /// Periodic driver: flushes slice buffers whose timeout expired and,

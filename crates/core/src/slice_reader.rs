@@ -53,7 +53,7 @@ use taurus_pagestore::{
     PageStoreCluster, ReadPagesRequest, ReadPagesResponse, ScanSliceRequest, ScanSliceResponse,
 };
 
-use crate::sal::{NdpStats, ReadBatchStats, SalStats};
+use crate::stats::{NdpStats, ReadBatchStats, SalStats};
 
 /// Per-`ScanSlice`-call byte budget for pushdown result payloads, checked
 /// together with `ndp_scan_max_rows` at page granularity: a Page Store
