@@ -1,6 +1,6 @@
 //! Integration tests for multi-stream parallel group commit: span ordering
 //! across streams, the LSN-vector durability rule, crash recovery with a
-//! log hole in one stream, and the accounting of an idle flush's error.
+//! log hole in one stream, and a failed flush latching for the next one.
 
 use std::sync::Arc;
 
